@@ -74,6 +74,8 @@ pub struct RemoteCursor {
 pub struct Client {
     stream: TcpStream,
     fb: FrameBuffer,
+    /// Read scratch: socket bytes pass through it into `fb`.
+    buf: Box<[u8]>,
     /// Round-trip wall time per request, microseconds, in call order.
     latencies: Vec<u64>,
 }
@@ -88,6 +90,7 @@ impl Client {
         let mut client = Client {
             stream,
             fb: FrameBuffer::new(),
+            buf: vec![0u8; 64 * 1024].into_boxed_slice(),
             latencies: Vec::new(),
         };
         match client.call(&Request::Hello {
@@ -115,7 +118,6 @@ impl Client {
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
-        let mut buf = [0u8; 64 * 1024];
         loop {
             match self
                 .fb
@@ -126,13 +128,13 @@ impl Client {
                     return Response::decode(&payload)
                         .map_err(|e| ClientError::Protocol(e.to_string()))
                 }
-                None => match self.stream.read(&mut buf) {
+                None => match self.stream.read(&mut self.buf) {
                     Ok(0) => {
                         return Err(ClientError::Protocol(
                             "server closed the connection".to_string(),
                         ))
                     }
-                    Ok(n) => self.fb.extend(&buf[..n]),
+                    Ok(n) => self.fb.extend(&self.buf[..n]),
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(ClientError::Io(e)),
                 },

@@ -11,11 +11,14 @@
 //! the connection ever took.
 
 use crate::metrics::metrics;
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::proto::{ErrorCode, FrameBuffer, Request, Response, PROTO_VERSION};
 use crate::Shared;
 use aiql_engine::{Cursor, EngineError, Params, Session};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+#[cfg(test)]
+use std::io::Read; // the hand-pumped test reads its client socket
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -39,13 +42,23 @@ struct ServerCursor {
     deadline: Option<Instant>,
 }
 
+/// Bytes a pump reads off its socket before serving them: bounds what a
+/// peer faster than the worker can make it buffer ahead of back-pressure.
+const READ_BURST: u64 = 256 * 1024;
+
 /// What a pump pass concluded about the connection.
 pub(crate) struct Pump {
-    /// Any bytes moved or frames processed (workers sleep when no
-    /// connection makes progress).
-    pub progress: bool,
     /// The connection is finished and must be cleaned up.
     pub close: bool,
+}
+
+/// Moves a counter or gauge under the one name it has in the registry and
+/// in this server's own counts (statistics: they publish nothing else).
+macro_rules! tally {
+    ($shared:expr, $name:ident, $by:expr) => {{
+        metrics().$name.add($by);
+        $shared.counts.$name.fetch_add($by, Ordering::Relaxed);
+    }};
 }
 
 pub(crate) struct Conn {
@@ -72,11 +85,7 @@ pub(crate) struct Conn {
 impl Conn {
     pub fn new(stream: TcpStream, shared: &Shared) -> Conn {
         metrics().connections_opened.inc();
-        metrics().active_connections.add(1);
-        shared
-            .counts
-            .active_connections
-            .fetch_add(1, Ordering::Relaxed);
+        tally!(shared, active_connections, 1);
         Conn {
             stream,
             fb: FrameBuffer::new(),
@@ -97,13 +106,11 @@ impl Conn {
 
     fn queue(&mut self, resp: &Response) {
         // Compact the consumed prefix before growing.
-        if self.out_at > 0 {
-            self.out.drain(..self.out_at);
-            self.out_at = 0;
-        }
-        let frame = resp.to_frame().expect("responses always encode");
-        metrics().bytes_out.add(frame.len() as u64);
-        self.out.extend_from_slice(&frame);
+        self.out.drain(..std::mem::take(&mut self.out_at));
+        let start = self.out.len();
+        resp.encode_frame_into(&mut self.out)
+            .expect("responses always encode");
+        metrics().bytes_out.add((self.out.len() - start) as u64);
     }
 
     fn queue_error(&mut self, code: ErrorCode, message: impl Into<String>) {
@@ -114,121 +121,105 @@ impl Conn {
     }
 
     fn protocol_violation(&mut self, shared: &Shared, message: String) {
-        metrics().protocol_errors.inc();
-        shared
-            .counts
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
+        tally!(shared, protocol_errors, 1);
         self.queue_error(ErrorCode::Protocol, message);
     }
 
-    /// One scheduling pass: read → process → flush.
-    pub fn pump(&mut self, shared: &Shared, draining: bool) -> Pump {
-        let mut progress = false;
-
-        // Read phase. Skipped while closing and while the outbox is over
-        // its cap — the kernel's receive buffer then pushes back on the
-        // client (back-pressure). Drain mode reads exactly once more, to
-        // pick up requests fully sent before shutdown, then never again.
-        if !self.closing && (!draining || !std::mem::replace(&mut self.drain_slurped, true)) {
-            if self.outbox_len() >= shared.config.outbox_limit {
-                if !self.stalled {
-                    self.stalled = true;
-                    metrics().backpressure_stalls.inc();
-                    shared
-                        .counts
-                        .backpressure_stalls
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                self.stalled = false;
-                let mut buf = [0u8; 64 * 1024];
-                loop {
-                    match self.stream.read(&mut buf) {
-                        Ok(0) => {
-                            self.closing = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            metrics().bytes_in.add(n as u64);
-                            self.fb.extend(&buf[..n]);
-                            progress = true;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            return Pump {
-                                progress,
-                                close: true,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Process phase: complete frames become responses until the outbox
-        // fills. While draining, requests already received are still served
-        // (that's the "drain in-flight statements" guarantee).
-        while !self.closing && self.outbox_len() < shared.config.outbox_limit {
-            match self.fb.next_frame() {
-                Ok(Some(payload)) => {
-                    progress = true;
-                    self.handle_frame(shared, draining, &payload);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing-level corruption: the stream position can no
-                    // longer be trusted, so answer and hang up.
-                    self.protocol_violation(shared, e.to_string());
-                    self.closing = true;
-                }
-            }
-        }
-
-        // Flush phase.
-        while self.outbox_len() > 0 {
-            let pending = &self.out[self.out_at..];
-            let wrote =
-                aiql_fault::point("server.conn.write").and_then(|_| self.stream.write(pending));
-            match wrote {
-                Ok(0) => {
-                    return Pump {
-                        progress,
-                        close: true,
-                    }
-                }
-                Ok(n) => {
-                    self.out_at += n;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    return Pump {
-                        progress,
-                        close: true,
-                    }
-                }
-            }
-        }
-
-        // A closing connection dies once its queued responses are out; a
-        // drained one dies once its final slurp has been fully processed
-        // and flushed (any leftover buffered bytes are an incomplete
-        // frame that can never complete).
-        let close = self.outbox_len() == 0 && (self.closing || (draining && self.drain_slurped));
-        Pump { progress, close }
+    /// Whether the next pump may read: not while closing, not while the
+    /// outbox is over its cap (the kernel's receive buffer then pushes back
+    /// on the client: back-pressure), not after drain mode's one final read.
+    fn wants_read(&self, draining: bool) -> bool {
+        !(self.closing || self.stalled || (draining && self.drain_slurped))
     }
 
-    fn handle_frame(&mut self, shared: &Shared, draining: bool, payload: &[u8]) {
-        match Request::decode(payload) {
-            Ok(req) => self.handle_request(shared, draining, req),
-            Err(e) => {
-                // Valid framing, unintelligible payload (unknown opcode,
-                // malformed body): answer typed, then hang up.
-                self.protocol_violation(shared, e.to_string());
-                self.closing = true;
+    /// What the worker waits for before pumping again: bytes to read
+    /// when a pump would read them, room to write iff bytes wait.
+    pub fn pollfd(&self, draining: bool) -> PollFd {
+        let read = if self.wants_read(draining) { POLLIN } else { 0 };
+        let write = if self.outbox_len() > 0 { POLLOUT } else { 0 };
+        PollFd::new(&self.stream, read | write)
+    }
+
+    /// One scheduling pass: read → process → flush. On return nothing is
+    /// left that only another pump could move: every complete frame is
+    /// answered unless the outbox waits for the socket (`POLLOUT`).
+    pub fn pump(&mut self, shared: &Shared, draining: bool) -> Pump {
+        let failed = self.pump_io(shared, draining).is_err();
+        // Edge-counted here, where the worker stops asking for reads: a
+        // peer that never reads again never causes another pump.
+        let full = self.outbox_len() >= shared.config.outbox_limit;
+        if full && !self.stalled {
+            tally!(shared, backpressure_stalls, 1);
+        }
+        self.stalled = full;
+        // A closing connection dies once its queued responses are out; a
+        // drained one once its final slurp is fully processed and flushed
+        // (leftover bytes are an incomplete frame that can never complete).
+        let done = self.closing || (draining && self.drain_slurped);
+        let close = failed || (self.outbox_len() == 0 && done);
+        Pump { close }
+    }
+
+    /// The socket work of a pump; an error means the connection is dead.
+    fn pump_io(&mut self, shared: &Shared, draining: bool) -> io::Result<()> {
+        // Read phase. Drain mode reads exactly once more, to pick up
+        // requests fully sent before shutdown, then never again.
+        let read = self.wants_read(draining);
+        self.drain_slurped |= draining;
+        if read {
+            // One burst per pump: what a fast peer sends beyond it waits in
+            // the socket (the next wait reports it) while this much is served.
+            let burst = if draining { u64::MAX } else { READ_BURST };
+            let before = self.fb.pending();
+            let end = self.fb.read_available(&mut self.stream, burst);
+            metrics().bytes_in.add((self.fb.pending() - before) as u64);
+            match end {
+                Ok(eof) => self.closing = eof,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+        }
+
+        loop {
+            // Process phase: complete frames become responses until the
+            // outbox fills. While draining, requests already received are
+            // still served (the "drain in-flight statements" guarantee).
+            while !self.closing && self.outbox_len() < shared.config.outbox_limit {
+                let request = match self.fb.next_frame() {
+                    Ok(Some(payload)) => Request::decode(&payload).map_err(|e| e.to_string()),
+                    Ok(None) => break,
+                    Err(e) => Err(e.to_string()),
+                };
+                match request {
+                    Ok(req) => self.handle_request(shared, draining, req),
+                    // Corrupt framing, or valid framing around an unknown
+                    // opcode or malformed body: the stream can no longer
+                    // be trusted, so answer typed, then hang up.
+                    Err(why) => {
+                        self.protocol_violation(shared, why);
+                        self.closing = true;
+                    }
+                }
+            }
+            let capped = !self.closing && self.outbox_len() >= shared.config.outbox_limit;
+
+            // Flush phase.
+            while self.outbox_len() > 0 {
+                let pending = &self.out[self.out_at..];
+                match aiql_fault::point("server.conn.write")
+                    .and_then(|_| self.stream.write(pending))
+                {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(n) => self.out_at += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            // Frames may remain behind the cap the flush just lifted; no
+            // socket event would announce them.
+            if !capped {
+                return Ok(());
             }
         }
     }
@@ -302,11 +293,7 @@ impl Conn {
             .tenants
             .try_open_session(&tenant, shared.config.max_sessions_per_tenant)
         {
-            metrics().quota_rejections.inc();
-            shared
-                .counts
-                .quota_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            tally!(shared, quota_rejections, 1);
             self.queue_error(
                 ErrorCode::QuotaExceeded,
                 format!(
@@ -327,16 +314,8 @@ impl Conn {
                 last_used: Instant::now(),
             },
         );
-        metrics().sessions_opened.inc();
-        metrics().active_sessions.add(1);
-        shared
-            .counts
-            .sessions_opened
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counts
-            .active_sessions
-            .fetch_add(1, Ordering::Relaxed);
+        tally!(shared, sessions_opened, 1);
+        tally!(shared, active_sessions, 1);
         self.queue(&Response::SessionOpened { session: id });
     }
 
@@ -383,11 +362,7 @@ impl Conn {
             .tenants
             .try_begin_statement(&tenant, shared.config.max_concurrent_statements)
         {
-            metrics().quota_rejections.inc();
-            shared
-                .counts
-                .quota_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            tally!(shared, quota_rejections, 1);
             self.queue_error(
                 ErrorCode::QuotaExceeded,
                 format!(
@@ -419,12 +394,10 @@ impl Conn {
         match ran {
             Ok(cursor) => {
                 let elapsed_micros = cursor.elapsed().as_micros() as u64;
-                metrics().executes.inc();
-                metrics()
-                    .execute_micros
-                    .record(started.elapsed().as_micros() as u64);
+                tally!(shared, executes, 1);
+                let micros = started.elapsed().as_micros() as u64;
+                metrics().execute_micros.record(micros);
                 crate::metrics::tenant_executes(&tenant).inc();
-                shared.counts.executes.fetch_add(1, Ordering::Relaxed);
                 let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                 let columns = cursor.columns().to_vec();
                 let rows_total = cursor.remaining() as u64;
@@ -441,8 +414,7 @@ impl Conn {
                     .expect("session checked above")
                     .cursor_ids
                     .push(id);
-                metrics().active_cursors.add(1);
-                shared.counts.active_cursors.fetch_add(1, Ordering::Relaxed);
+                tally!(shared, active_cursors, 1);
                 self.queue(&Response::Executed {
                     cursor: id,
                     columns,
@@ -451,8 +423,7 @@ impl Conn {
                 });
             }
             Err(EngineError::Timeout) => {
-                metrics().timeouts.inc();
-                shared.counts.timeouts.fetch_add(1, Ordering::Relaxed);
+                tally!(shared, timeouts, 1);
                 self.queue_error(
                     ErrorCode::Timeout,
                     "statement exceeded its wall-clock budget",
@@ -472,8 +443,7 @@ impl Conn {
         // Page-boundary cancellation: the statement's budget covers its
         // whole cursor lifetime, checked cooperatively per page.
         if sc.deadline.is_some_and(|d| Instant::now() > d) {
-            metrics().timeouts.inc();
-            shared.counts.timeouts.fetch_add(1, Ordering::Relaxed);
+            tally!(shared, timeouts, 1);
             self.close_cursor(shared, cursor);
             self.queue_error(ErrorCode::Timeout, "cursor exceeded its statement budget");
             return;
@@ -483,9 +453,8 @@ impl Conn {
         let rows = sc.cursor.fetch(n);
         let done = sc.cursor.remaining() == 0;
         metrics().fetches.inc();
-        metrics()
-            .fetch_micros
-            .record(started.elapsed().as_micros() as u64);
+        let micros = started.elapsed().as_micros() as u64;
+        metrics().fetch_micros.record(micros);
         if let Some(sess) = self.sessions.get_mut(&session) {
             sess.last_used = Instant::now();
         }
@@ -503,8 +472,7 @@ impl Conn {
         if let Some(sess) = self.sessions.get_mut(&sc.session) {
             sess.cursor_ids.retain(|c| *c != id);
         }
-        metrics().active_cursors.add(-1);
-        shared.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
+        tally!(shared, active_cursors, -1);
         true
     }
 
@@ -514,37 +482,26 @@ impl Conn {
         let sess = self.sessions.remove(&id).expect("caller checked");
         for c in sess.cursor_ids {
             if self.cursors.remove(&c).is_some() {
-                metrics().active_cursors.add(-1);
-                shared.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
+                tally!(shared, active_cursors, -1);
             }
         }
         shared.tenants.close_session(&sess.tenant);
-        metrics().active_sessions.add(-1);
-        shared
-            .counts
-            .active_sessions
-            .fetch_sub(1, Ordering::Relaxed);
+        tally!(shared, active_sessions, -1);
     }
 
-    /// Reaps sessions idle past the configured horizon. Returns how many
-    /// were reaped.
-    pub fn reap_idle(&mut self, shared: &Shared, now: Instant) -> usize {
+    /// Reaps sessions idle past the configured horizon (zero: none).
+    pub fn reap_idle(&mut self, shared: &Shared, now: Instant) {
         let horizon = shared.config.idle_session_timeout;
-        if horizon.is_zero() {
-            return 0;
-        }
         let idle: Vec<u64> = self
             .sessions
             .iter()
-            .filter(|(_, s)| now.duration_since(s.last_used) > horizon)
+            .filter(|(_, s)| !horizon.is_zero() && now.duration_since(s.last_used) > horizon)
             .map(|(id, _)| *id)
             .collect();
-        let n = idle.len();
         for id in idle {
             self.close_session(shared, id);
             metrics().idle_reaped.inc();
         }
-        n
     }
 
     /// Returns every resource the connection holds: called exactly once,
@@ -558,25 +515,18 @@ impl Conn {
         // Cursors whose session was already gone would otherwise leak
         // invisibly.
         for _ in self.cursors.drain() {
-            metrics().active_cursors.add(-1);
-            shared.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
+            tally!(shared, active_cursors, -1);
         }
-        metrics().active_connections.add(-1);
+        tally!(shared, active_connections, -1);
         metrics().connections_closed.inc();
-        shared
-            .counts
-            .active_connections
-            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// Rebuilds engine [`Params`] from the wire pairs.
 fn params_from_wire(pairs: Vec<(String, aiql_core::ast::Lit)>) -> Params {
-    let mut p = Params::new();
-    for (name, lit) in pairs {
-        p = p.set(&name, lit);
-    }
-    p
+    pairs
+        .into_iter()
+        .fold(Params::new(), |p, (name, lit)| p.set(&name, lit))
 }
 
 #[cfg(test)]

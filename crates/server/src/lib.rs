@@ -9,15 +9,18 @@
 //!
 //! # Concurrency model
 //!
-//! Std-only (the build is offline; no tokio/mio): one acceptor thread
-//! runs a nonblocking `accept` loop and deals connections round-robin to
-//! a small, fixed pool of worker threads; each worker owns its
-//! connections outright and multiplexes them with nonblocking reads and
-//! writes. Statements execute inline on the worker — the engine
-//! materializes results fully and every statement carries a wall-clock
-//! budget, so one statement can only occupy its worker for a bounded
-//! slice. See docs/ARCHITECTURE.md (“Serving layer”) for why this beats
-//! a thread-per-connection or hand-rolled-epoll design here.
+//! Readiness-driven and std-only (the build is offline; no tokio/mio): an
+//! acceptor thread deals connections round-robin to a small, fixed pool of
+//! workers; each worker owns its connections outright and blocks in
+//! `poll(2)` over their nonblocking sockets plus a waker, pumping only the
+//! ones that came back ready (having served one, it first looks again for
+//! 80 µs without blocking). `poll.rs` declares that one libc symbol itself
+//! (`extern "C"`; std links libc anyway), so the zero-dependency policy
+//! holds, and the crate is unix-only: no sleep-loop fallback is kept.
+//! Statements execute inline on the worker: results materialize fully and
+//! every statement carries a wall-clock budget, so one occupies its worker
+//! for a bounded slice. docs/ARCHITECTURE.md (“Serving layer”) has the
+//! interest rules, what the poll timeout is for, and the reasoning.
 //!
 //! # Tenancy and robustness
 //!
@@ -47,12 +50,14 @@
 
 mod conn;
 pub(crate) mod metrics;
+mod poll;
 pub mod proto;
 mod tenant;
 
 use conn::Conn;
-use std::collections::VecDeque;
-use std::io;
+use metrics::metrics;
+use poll::{PollFd, Waker, POLLIN};
+use std::io::{self, ErrorKind::Interrupted, ErrorKind::WouldBlock};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -103,12 +108,10 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
+        match self.workers {
+            0 => thread::available_parallelism().map_or(1, Into::into).min(4),
+            n => n,
         }
-        thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(4)
     }
 }
 
@@ -185,43 +188,64 @@ impl Server {
             counts: Counts::default(),
         });
 
+        // One waker per serving thread, the acceptor's last; all made
+        // before any thread starts so a failure here leaves none behind.
         let workers = config.effective_workers();
+        let wakers = (0..=workers)
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
         let mut handles = Vec::with_capacity(workers + 1);
-        let mut senders = Vec::with_capacity(workers);
-        for w in 0..workers {
+        let mut inboxes = Vec::with_capacity(workers);
+        for (w, waker) in wakers[..workers].iter().cloned().enumerate() {
             let (tx, rx) = mpsc::channel::<TcpStream>();
-            senders.push(tx);
+            inboxes.push((tx, waker.clone()));
             let shared = shared.clone();
             handles.push(
                 thread::Builder::new()
                     .name(format!("aiql-serve-w{w}"))
-                    .spawn(move || worker_loop(&shared, &rx))
+                    .spawn(move || worker_loop(&shared, &rx, &waker))
                     .expect("spawn worker"),
             );
         }
 
-        let shared_acc = shared.clone();
+        let (shared_acc, waker) = (shared.clone(), wakers[workers].clone());
         handles.push(
             thread::Builder::new()
                 .name("aiql-serve-accept".to_string())
-                .spawn(move || accept_loop(&shared_acc, &listener, &senders))
+                .spawn(move || accept_loop(&shared_acc, &listener, &waker, &inboxes))
                 .expect("spawn acceptor"),
         );
 
         Ok(ServerHandle {
             addr: local,
             shared,
+            wakers,
             threads: Mutex::new(handles),
         })
     }
 }
 
-/// Accepts connections until shutdown, dealing them round-robin to the
-/// workers. Dropping the senders on exit tells every worker no more
+/// `poll(2)` over descriptors the calling thread keeps open fails only on
+/// a bug here (`EFAULT`, `EINVAL`) or kernel memory exhaustion.
+const POLL_OWN_FDS: &str = "poll(2) over this thread's own descriptors";
+
+/// Accepts connections until shutdown, blocked on `[waker, listener]` in
+/// between; deals them round-robin to the workers and wakes the one dealt
+/// to. Dropping the inbox senders on exit tells every worker no more
 /// connections are coming.
-fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<TcpStream>]) {
+fn accept_loop(
+    shared: &Shared,
+    listener: &TcpListener,
+    waker: &Waker,
+    inboxes: &[(mpsc::Sender<TcpStream>, Arc<Waker>)],
+) {
+    let mut fds = [waker.pollfd(), PollFd::new(listener, POLLIN)];
     let mut next = 0usize;
-    while !shared.draining.load(Ordering::Acquire) {
+    loop {
+        poll::wait(&mut fds, None).expect(POLL_OWN_FDS);
+        if shared.draining.load(Ordering::Acquire) {
+            return;
+        }
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
@@ -230,86 +254,109 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<
                 }
                 // A worker only disappears at shutdown; a failed send just
                 // drops the connection, which is the right drain behavior.
-                let _ = senders[next % senders.len()].send(stream);
+                let (inbox, worker) = &inboxes[next % inboxes.len()];
+                let _ = inbox.send(stream);
+                worker.wake();
                 next += 1;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
+            // The peer gave up before we got to it, or a signal: wait again.
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+            // Out of descriptors or the like: the listener stays readable,
+            // so back off on the waker alone instead of spinning on it.
+            Err(_) => {
+                poll::wait(&mut fds[..1], Some(Duration::from_millis(5))).expect(POLL_OWN_FDS);
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
-/// Multiplexes this worker's connections until shutdown drains them.
-fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>) {
-    let mut conns: VecDeque<Conn> = VecDeque::new();
-    let mut inbox_open = true;
-    let mut last_reap = Instant::now();
+/// How often a worker checks sessions for idleness while any exist.
+const REAP_TICK: Duration = Duration::from_millis(100);
+
+/// How long a worker that just served a request keeps looking for the next
+/// before it blocks: above the ~40 µs in which a closed-loop client follows
+/// a reply (blocking in between halts the CPU, and what waking it costs is
+/// the host's to decide), below the ≥ 110 µs a client spends on a page.
+const LINGER: Duration = Duration::from_micros(80);
+
+/// Multiplexes this worker's connections until shutdown drains them:
+/// blocks in `poll(2)` over `[waker, conn₀, conn₁, …]` and pumps the
+/// connections that came back ready.
+fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>, waker: &Waker) {
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let reaping = !shared.config.idle_session_timeout.is_zero();
+    let (mut reaped, mut busy_since, mut served) = (Instant::now(), Instant::now(), false);
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
+        // Only two things here are driven by time: the drain deadline,
+        // and the reap tick while any session exists.
+        let timeout = match drain_deadline {
+            Some(deadline) => Some(deadline.saturating_duration_since(Instant::now())),
+            None if reaping && shared.counts.active_sessions.load(Ordering::Relaxed) > 0 => {
+                Some(REAP_TICK.saturating_sub(reaped.elapsed()))
+            }
+            None => None,
+        };
+        fds.clear();
+        fds.push(waker.pollfd());
+        fds.extend(conns.iter().map(|c| c.pollfd(drain_deadline.is_some())));
+        // Having just served a request, look for the next without blocking.
+        let (mut ready, lingering) = (0, Instant::now());
+        while served && ready == 0 && lingering.elapsed() < LINGER {
+            ready = poll::wait(&mut fds, Some(Duration::ZERO)).expect(POLL_OWN_FDS);
+        }
+        if ready == 0 {
+            metrics()
+                .worker_busy_micros
+                .add(busy_since.elapsed().as_micros() as u64);
+            ready = poll::wait(&mut fds, timeout).expect(POLL_OWN_FDS);
+            busy_since = Instant::now();
+        }
+        let woken = fds[0].ready();
+        if woken {
+            waker.drain();
+        }
+        metrics().poll_wakeups.inc();
+        let ready_conns = (ready - woken as usize) as u64;
+        metrics().poll_ready_conns.record(ready_conns);
+        served = ready_conns > 0;
+
+        // The pass that first sees shutdown pumps every connection, ready
+        // or not: each takes its one final read and the idle ones close.
+        // Past the drain deadline, whatever is left is closed as it is.
         let draining = shared.draining.load(Ordering::Acquire);
-        if draining && drain_deadline.is_none() {
+        let pump_all = draining && drain_deadline.is_none();
+        if pump_all {
             drain_deadline = Some(Instant::now() + shared.config.drain_timeout);
         }
-        let mut progress = false;
-
-        // Adopt newly accepted connections.
-        while inbox_open {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    // During drain, late arrivals are dropped unserved.
-                    if !draining {
-                        conns.push_back(Conn::new(stream, shared));
-                        progress = true;
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    inbox_open = false;
-                    break;
-                }
-            }
-        }
-
-        // Pump every connection once; drop the finished ones.
-        let force_close = drain_deadline.is_some_and(|d| Instant::now() > d);
-        for _ in 0..conns.len() {
-            let mut c = conns.pop_front().expect("len-bounded");
-            let pump = c.pump(shared, draining);
-            progress |= pump.progress;
-            if pump.close || force_close {
+        let force_close = drain_deadline.is_some_and(|d| Instant::now() >= d);
+        // `fds[1 + k]` is connection `k` as polled: `retain_mut` visits in
+        // order, and adoption (below) only appends.
+        let mut polled = fds[1..].iter();
+        conns.retain_mut(|c| {
+            let ready = polled.next().is_some_and(PollFd::ready) || pump_all;
+            let close = force_close || (ready && c.pump(shared, draining).close);
+            if close {
                 c.cleanup(shared);
-            } else {
-                conns.push_back(c);
+            }
+            !close
+        });
+
+        // Adopt newly accepted connections; their first bytes show up as
+        // readiness in the next wait. Arrivals during drain are dropped.
+        while let Ok(stream) = rx.try_recv() {
+            if !draining {
+                conns.push(Conn::new(stream, shared));
             }
         }
-
-        // Periodic idle-session reaping.
-        let now = Instant::now();
-        if now.duration_since(last_reap) > Duration::from_millis(100) {
-            last_reap = now;
-            for c in conns.iter_mut() {
-                c.reap_idle(shared, now);
-            }
+        if reaping && reaped.elapsed() >= REAP_TICK {
+            reaped = Instant::now();
+            conns.iter_mut().for_each(|c| c.reap_idle(shared, reaped));
         }
-
         if draining && conns.is_empty() {
-            // Drain any connections still queued so their sockets close.
-            while let Ok(stream) = rx.try_recv() {
-                drop(stream);
-            }
             return;
-        }
-
-        if progress {
-            // Stay hot but let peers (and, on a single-core host, the
-            // clients themselves) run.
-            thread::yield_now();
-        } else {
-            thread::sleep(Duration::from_micros(200));
         }
     }
 }
@@ -321,6 +368,8 @@ fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>) {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    /// One per serving thread, to end its untimed wait at shutdown.
+    wakers: Vec<Arc<Waker>>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
@@ -351,6 +400,7 @@ impl ServerHandle {
     /// received, flush outboxes, then join all threads. Idempotent.
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::Release);
+        self.wakers.iter().for_each(|w| w.wake());
         let mut threads = self.threads.lock().expect("server threads poisoned");
         for t in threads.drain(..) {
             let _ = t.join();

@@ -50,6 +50,13 @@ pub(crate) struct ServerMetrics {
     pub backpressure_stalls: Counter,
     /// Sessions reaped for idleness.
     pub idle_reaped: Counter,
+    /// Times a worker's `poll` returned.
+    pub poll_wakeups: Counter,
+    /// Connections ready per worker wakeup (0: a waker or timer wake).
+    pub poll_ready_conns: Histogram,
+    /// Worker time between `poll` returning and the next `poll` call,
+    /// microseconds: utilisation = busy / wall.
+    pub worker_busy_micros: Counter,
 }
 
 pub(crate) fn metrics() -> &'static ServerMetrics {
@@ -75,6 +82,9 @@ pub(crate) fn metrics() -> &'static ServerMetrics {
             protocol_errors: r.counter("aiql_server_protocol_errors_total"),
             backpressure_stalls: r.counter("aiql_server_backpressure_stalls_total"),
             idle_reaped: r.counter("aiql_server_idle_reaped_total"),
+            poll_wakeups: r.counter("aiql_server_poll_wakeups_total"),
+            poll_ready_conns: r.histogram("aiql_server_poll_ready_conns"),
+            worker_busy_micros: r.counter("aiql_server_worker_busy_micros_total"),
         }
     })
 }

@@ -104,15 +104,30 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends newly received bytes.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing so a long-lived connection doesn't drag
-        // consumed prefixes around forever.
+    /// Compacts before growing, so a long-lived connection doesn't drag
+    /// consumed prefixes around forever.
+    fn compact(&mut self) {
         if self.at > 0 {
             self.buf.drain(..self.at);
             self.at = 0;
         }
+    }
+
+    /// Appends newly received bytes.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.compact();
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends what a nonblocking `r` has to give right now, `limit` bytes
+    /// at most, read straight into the buffer. `Ok(true)`: `r` is at end of
+    /// stream; `Ok(false)`: the limit was reached first; `Err`: what ended
+    /// the reading — `WouldBlock` once the socket is empty — with the bytes
+    /// read before it kept.
+    pub fn read_available(&mut self, r: &mut impl Read, limit: u64) -> io::Result<bool> {
+        self.compact();
+        let n = r.take(limit).read_to_end(&mut self.buf)?;
+        Ok((n as u64) < limit)
     }
 
     /// Bytes buffered but not yet returned as a frame.
@@ -439,22 +454,28 @@ impl Response {
     /// Serializes into a payload (opcode + body, no framing).
     pub fn encode(&self) -> io::Result<Vec<u8>> {
         let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) -> io::Result<()> {
         match self {
             Response::HelloOk { version, server } => {
-                write_u8(&mut out, OP_HELLO_OK)?;
-                write_u32(&mut out, *version)?;
-                write_str(&mut out, server)?;
+                write_u8(out, OP_HELLO_OK)?;
+                write_u32(out, *version)?;
+                write_str(out, server)?;
             }
             Response::SessionOpened { session } => {
-                write_u8(&mut out, OP_SESSION_OPENED)?;
-                write_u64(&mut out, *session)?;
+                write_u8(out, OP_SESSION_OPENED)?;
+                write_u64(out, *session)?;
             }
             Response::Prepared { stmt, params } => {
-                write_u8(&mut out, OP_PREPARED)?;
-                write_u64(&mut out, *stmt)?;
-                write_u32(&mut out, params.len() as u32)?;
+                write_u8(out, OP_PREPARED)?;
+                write_u64(out, *stmt)?;
+                write_u32(out, params.len() as u32)?;
                 for p in params {
-                    write_str(&mut out, p)?;
+                    write_str(out, p)?;
                 }
             }
             Response::Executed {
@@ -463,51 +484,71 @@ impl Response {
                 rows_total,
                 elapsed_micros,
             } => {
-                write_u8(&mut out, OP_EXECUTED)?;
-                write_u64(&mut out, *cursor)?;
-                write_u64(&mut out, *rows_total)?;
-                write_u64(&mut out, *elapsed_micros)?;
-                write_u32(&mut out, columns.len() as u32)?;
+                write_u8(out, OP_EXECUTED)?;
+                write_u64(out, *cursor)?;
+                write_u64(out, *rows_total)?;
+                write_u64(out, *elapsed_micros)?;
+                write_u32(out, columns.len() as u32)?;
                 for c in columns {
-                    write_str(&mut out, c)?;
+                    write_str(out, c)?;
                 }
             }
             Response::Page { cursor, rows, done } => {
-                write_u8(&mut out, OP_PAGE)?;
-                write_u64(&mut out, *cursor)?;
-                write_u8(&mut out, *done as u8)?;
-                write_u32(&mut out, rows.len() as u32)?;
+                write_u8(out, OP_PAGE)?;
+                write_u64(out, *cursor)?;
+                write_u8(out, *done as u8)?;
+                write_u32(out, rows.len() as u32)?;
                 for row in rows {
-                    write_u32(&mut out, row.len() as u32)?;
+                    write_u32(out, row.len() as u32)?;
                     for v in row {
-                        write_value(&mut out, v)?;
+                        write_value(out, v)?;
                     }
                 }
             }
             Response::CursorClosed { cursor } => {
-                write_u8(&mut out, OP_CURSOR_CLOSED)?;
-                write_u64(&mut out, *cursor)?;
+                write_u8(out, OP_CURSOR_CLOSED)?;
+                write_u64(out, *cursor)?;
             }
             Response::SessionClosed { session } => {
-                write_u8(&mut out, OP_SESSION_CLOSED)?;
-                write_u64(&mut out, *session)?;
+                write_u8(out, OP_SESSION_CLOSED)?;
+                write_u64(out, *session)?;
             }
             Response::Pong { token } => {
-                write_u8(&mut out, OP_PONG)?;
-                write_u64(&mut out, *token)?;
+                write_u8(out, OP_PONG)?;
+                write_u64(out, *token)?;
             }
             Response::Error { code, message } => {
-                write_u8(&mut out, OP_ERROR)?;
-                write_u8(&mut out, *code as u8)?;
-                write_str(&mut out, message)?;
+                write_u8(out, OP_ERROR)?;
+                write_u8(out, *code as u8)?;
+                write_str(out, message)?;
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Appends the complete frame to `out`, encoding in place: the header
+    /// is reserved first and patched once the payload's length and CRC are
+    /// known, so a response is written once (a failed encode leaves `out`
+    /// as it was).
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        let start = out.len();
+        out.extend_from_slice(&[0u8; FRAME_HEADER]);
+        if let Err(e) = self.encode_into(out) {
+            out.truncate(start);
+            return Err(e);
+        }
+        let payload = start + FRAME_HEADER;
+        let (len, crc) = ((out.len() - payload) as u32, crc32(&out[payload..]));
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        out[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
     }
 
     /// Serializes into a complete frame, ready to write to a socket.
     pub fn to_frame(&self) -> io::Result<Vec<u8>> {
-        Ok(frame(&self.encode()?))
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out)?;
+        Ok(out)
     }
 
     /// Decodes a payload produced by [`Response::encode`].
@@ -609,6 +650,39 @@ mod tests {
         let payload = fb.next_frame().unwrap().expect("complete frame");
         assert_eq!(Request::decode(&payload).unwrap(), req);
         assert_eq!(fb.next_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn frames_encode_in_place_behind_what_the_buffer_holds() {
+        let (first, second) = (
+            Response::Pong { token: 7 },
+            Response::Error {
+                code: ErrorCode::NotFound,
+                message: "no cursor 9".into(),
+            },
+        );
+        // Back to back in one outbox, each byte-identical to its own frame.
+        let mut out = first.to_frame().unwrap();
+        second.encode_frame_into(&mut out).unwrap();
+        assert_eq!(
+            out,
+            [first.to_frame().unwrap(), second.to_frame().unwrap()].concat()
+        );
+        assert_eq!(first.to_frame().unwrap(), frame(&first.encode().unwrap()));
+
+        // Read back through a reader that ends, at most `limit` bytes a call.
+        let (mut fb, mut wire) = (FrameBuffer::new(), out.as_slice());
+        assert!(!fb.read_available(&mut wire, 10).unwrap(), "limit reached");
+        assert_eq!((fb.pending(), fb.next_frame().unwrap()), (10, None));
+        assert!(
+            fb.read_available(&mut wire, u64::MAX).unwrap(),
+            "end of stream"
+        );
+        for want in [first, second] {
+            let payload = fb.next_frame().unwrap().expect("complete frame");
+            assert_eq!(Response::decode(&payload).unwrap(), want);
+        }
+        assert_eq!(fb.pending(), 0);
     }
 
     #[test]
