@@ -126,7 +126,7 @@ fn convert_cstr(c: &AttrCstr, target: CstrTarget) -> Result<CstrNode, AiqlError>
                 if s.contains('%') && matches!(op, CmpOp::Eq | CmpOp::Ne) {
                     return Ok(CstrNode::Like {
                         attr,
-                        pattern: s.clone(),
+                        pattern: s.as_str().into(),
                         neg: *op == CmpOp::Ne,
                     });
                 }
@@ -153,7 +153,7 @@ fn convert_cstr(c: &AttrCstr, target: CstrTarget) -> Result<CstrNode, AiqlError>
                 if s.contains('%') {
                     return Ok(CstrNode::Like {
                         attr,
-                        pattern: s.clone(),
+                        pattern: s.as_str().into(),
                         neg: *neg,
                     });
                 }
@@ -244,6 +244,10 @@ fn intersect(a: Option<(i64, i64)>, b: Option<(i64, i64)>) -> Option<(i64, i64)>
 struct Vars {
     /// Entity var → occurrences (pattern, target, kind), in pattern order.
     entities: HashMap<String, Vec<(usize, FieldTarget, EntityKind)>>,
+    /// Entity vars in first-occurrence order: the order implicit `id = id`
+    /// relationships are emitted in, so a query compiles to one plan in
+    /// every process (`entities` iterates in per-process hash order).
+    entity_order: Vec<String>,
     /// Event var → pattern index.
     events: HashMap<String, usize>,
 }
@@ -386,6 +390,7 @@ pub fn analyze_multievent(q: &MultieventQuery) -> Result<QueryContext, AiqlError
     // --- Variable tables ----------------------------------------------------
     let mut vars = Vars {
         entities: HashMap::new(),
+        entity_order: Vec::new(),
         events: HashMap::new(),
     };
     for (idx, p) in q.patterns.iter().enumerate() {
@@ -401,6 +406,9 @@ pub fn analyze_multievent(q: &MultieventQuery) -> Result<QueryContext, AiqlError
         ] {
             if let Some(v) = &pat.var {
                 let occ = vars.entities.entry(v.clone()).or_default();
+                if occ.is_empty() {
+                    vars.entity_order.push(v.clone());
+                }
                 if let Some(&(_, _, kind)) = occ.first() {
                     if kind != pat.kind {
                         return Err(AiqlError::at(
@@ -588,7 +596,7 @@ pub fn analyze_multievent(q: &MultieventQuery) -> Result<QueryContext, AiqlError
     }
 
     // Implicit relationships from entity ID reuse.
-    for occ in vars.entities.values() {
+    for occ in vars.entity_order.iter().map(|v| &vars.entities[v]) {
         for w in occ.windows(2) {
             let (p1, t1, _) = w[0];
             let (p2, t2, _) = w[1];

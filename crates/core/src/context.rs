@@ -2,7 +2,7 @@
 //! the execution engine consumes (paper Sec. 2, "query context").
 
 use crate::ast::{AggFunc, CmpOp, MaKind, TempKind};
-use aiql_model::{EntityKind, OpType, Value};
+use aiql_model::{EntityKind, LikePattern, OpType, Value};
 
 /// Which part of an event pattern a field reference addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +31,7 @@ pub enum CstrNode {
     },
     Like {
         attr: String,
-        pattern: String,
+        pattern: LikePattern,
         neg: bool,
     },
     In {
@@ -78,7 +78,7 @@ impl CstrNode {
                 if v.is_null() {
                     return false;
                 }
-                v.like(pattern) != *neg
+                pattern.matches_value(&v) != *neg
             }
             CstrNode::In { attr, neg, values } => {
                 let v = get(attr);

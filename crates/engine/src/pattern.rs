@@ -395,16 +395,16 @@ pub fn execute_pattern(
     let mut event_conjuncts = q.event.clone();
     if let Some(m) = &subj_map {
         if m.len() <= ID_PUSHDOWN_LIMIT {
-            event_conjuncts.push(Expr::In(
-                Box::new(Expr::Col(schema::ev::SUBJECT)),
+            event_conjuncts.push(Expr::in_list(
+                schema::ev::SUBJECT,
                 m.keys().map(|&k| Value::Int(k)).collect(),
             ));
         }
     }
     if let Some(m) = &obj_map {
         if m.len() <= ID_PUSHDOWN_LIMIT {
-            event_conjuncts.push(Expr::In(
-                Box::new(Expr::Col(schema::ev::OBJECT)),
+            event_conjuncts.push(Expr::in_list(
+                schema::ev::OBJECT,
                 m.keys().map(|&k| Value::Int(k)).collect(),
             ));
         }
@@ -424,6 +424,7 @@ pub fn execute_pattern(
         &mut profile,
         &mut scatter,
     )?;
+    aiql_storage::record_scan(&profile);
     stats.scans.push(ScanRecord {
         pattern: p.idx,
         target: ScanTarget::Events,
@@ -511,6 +512,7 @@ fn scan_entity_map(
     let mut profile = aiql_rdb::ScanProfile::default();
     let rows = store.scan_entities_profiled(kind, conjuncts, &mut scanned, &mut profile);
     stats.rows_scanned += scanned;
+    aiql_storage::record_scan(&profile);
     stats.scans.push(ScanRecord {
         pattern,
         target,
@@ -536,8 +538,8 @@ fn batch_lookup(
     if ids.is_empty() {
         return HashMap::new();
     }
-    let conjuncts = vec![Expr::In(
-        Box::new(Expr::Col(0)),
+    let conjuncts = vec![Expr::in_list(
+        0,
         ids.iter().map(|&i| Value::Int(i)).collect(),
     )];
     scan_entity_map(store, kind, &conjuncts, pattern, target, stats)

@@ -637,18 +637,37 @@ fn render_profile(stats: &EngineStats) -> String {
                 None => String::new(),
             };
             format!(
-                "p{} {}({}): {} · rows {}→{}{}",
+                "p{} {}({}): {} · rows {}→{}{}{}",
                 s.pattern,
                 s.table,
                 s.target.name(),
                 if paths.is_empty() { "no-scan" } else { &paths },
                 s.profile.rows_scanned,
                 s.profile.rows_matched,
+                render_predicates(&s.profile),
                 scatter,
             )
         })
         .collect::<Vec<_>>()
         .join("; ")
+}
+
+/// What a scan's prepared predicates did, as both the slow-query log and
+/// `EXPLAIN` show it: rows a `LIKE` decided by dictionary code with the
+/// pattern evaluations that took, and index-probe B-tree lookups. Empty
+/// when the scan used neither.
+fn render_predicates(prof: &ScanProfile) -> String {
+    let mut out = String::new();
+    if prof.like_rows > 0 {
+        out += &format!(
+            " · like {} rows/{} evals",
+            prof.like_rows, prof.like_symbol_evals
+        );
+    }
+    if prof.in_probe_lookups > 0 {
+        out += &format!(" · {} probe lookups", prof.in_probe_lookups);
+    }
+    out
 }
 
 /// The physical plan of one pattern's data query, with estimation error
@@ -755,8 +774,10 @@ impl fmt::Display for Explain {
                 }
                 writeln!(
                     f,
-                    " · rows {} scanned -> {} matched",
-                    prof.rows_scanned, prof.rows_matched
+                    " · rows {} scanned -> {} matched{}",
+                    prof.rows_scanned,
+                    prof.rows_matched,
+                    render_predicates(prof)
                 )?;
                 if let Some(sc) = &s.scatter {
                     write!(
@@ -961,7 +982,18 @@ mod tests {
 
     #[test]
     fn explain_reports_columnar_and_index_probe_paths() {
-        let store = shared(StoreConfig::partitioned());
+        // Enough files that looking six of them up by id is cheaper than
+        // scanning the table (on a dozen rows the scan would win).
+        let mut data = dataset();
+        for i in 0..300u64 {
+            data.add_entity(Entity::file(
+                (1000 + i).into(),
+                AgentId(1),
+                format!("/filler/{i}"),
+            ));
+        }
+        let store =
+            SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).unwrap());
         let session = Session::open(&store);
         // Unconstrained entities: the events scan runs on the columnar
         // projection (time-window kernels), entity rows resolve through
@@ -995,6 +1027,43 @@ mod tests {
         let rendered = explain.to_string();
         assert!(rendered.contains("columnar"), "{rendered}");
         assert!(rendered.contains("plan cache"), "{rendered}");
+        // The probes say what they cost: one lookup per file id (the two
+        // processes come from a scan of their two-row table).
+        assert_eq!(explain.total_profile().in_probe_lookups, 6);
+        assert!(rendered.contains("6 probe lookups"), "{rendered}");
+    }
+
+    #[test]
+    fn explain_reports_wildcards_evaluated_per_symbol() {
+        let store = shared(StoreConfig::partitioned());
+        let session = Session::open(&store);
+        let explain = session
+            .prepare(r#"proc p["%TOOL1%"] write file f["/data/%"] return p, f"#)
+            .unwrap()
+            .explain()
+            .unwrap();
+        assert_eq!(explain.rows_returned, 3, "tool1.exe wrote three files");
+        // Entity wildcards are dictionary kernels, not row-store scans.
+        assert_eq!(explain.access_paths(), vec!["columnar"]);
+        let subject = &explain.patterns[0].scans[0];
+        assert_eq!(subject.target, ScanTarget::Subject);
+        // Two processes, two distinct names; twelve files, twelve names.
+        assert_eq!(
+            (subject.profile.like_rows, subject.profile.like_symbol_evals),
+            (2, 2)
+        );
+        let total = explain.total_profile();
+        assert_eq!((total.like_rows, total.like_symbol_evals), (14, 14));
+        let rendered = explain.to_string();
+        assert!(rendered.contains("like 2 rows/2 evals"), "{rendered}");
+        // The registry accumulates the same counts process-wide.
+        let snap = aiql_telemetry::global().snapshot();
+        assert!(snap.counter("aiql_storage_like_rows_total").unwrap_or(0) >= 14);
+        assert!(
+            snap.counter("aiql_storage_like_symbol_evals_total")
+                .unwrap_or(0)
+                >= 14
+        );
     }
 
     #[test]
@@ -1094,7 +1163,7 @@ mod tests {
         let log = aiql_telemetry::slowlog::global();
         let saved = log.threshold_micros();
         log.set_threshold_micros(0); // everything is slow
-        let src = r#"agentid = $agent proc p write file f as slowevt return p, f"#;
+        let src = r#"agentid = $agent proc p["%tool%"] write file f as slowevt return p, f"#;
         session
             .prepare(src)
             .unwrap()
@@ -1112,6 +1181,11 @@ mod tests {
             .expect("slow execution recorded");
         assert!(entry.params.contains("$agent = 1"), "{}", entry.params);
         assert!(entry.profile.contains("rows"), "{}", entry.profile);
+        assert!(
+            entry.profile.contains("like 2 rows/2 evals"),
+            "{}",
+            entry.profile
+        );
     }
 
     #[test]

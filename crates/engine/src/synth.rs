@@ -79,9 +79,9 @@ pub fn cstr_to_expr(c: &CstrNode, schema_ref: &Schema) -> Option<Expr> {
         CstrNode::In { attr, neg, values } => {
             let col = schema_ref.position(schema::column_for_attr(attr))?;
             if *neg {
-                Expr::NotIn(Box::new(Expr::Col(col)), values.clone())
+                Expr::NotIn(Box::new(Expr::Col(col)), values.clone().into())
             } else {
-                Expr::In(Box::new(Expr::Col(col)), values.clone())
+                Expr::in_list(col, values.clone())
             }
         }
         CstrNode::And(cs) => Expr::And(
@@ -119,8 +119,7 @@ pub fn synthesize(p: &PatternCtx) -> DataQuery {
             .iter()
             .map(|o| Value::Int(schema::opcode(*o)))
             .collect();
-        q.event
-            .push(Expr::In(Box::new(Expr::Col(schema::ev::OPTYPE)), codes));
+        q.event.push(Expr::in_list(schema::ev::OPTYPE, codes));
     }
     // Object kind discriminator.
     q.event.push(Expr::cmp_lit(
@@ -143,8 +142,8 @@ pub fn synthesize(p: &PatternCtx) -> DataQuery {
             q.event
                 .push(Expr::cmp_lit(schema::ev::AGENT, CmpOp::Eq, agents[0]));
         } else {
-            q.event.push(Expr::In(
-                Box::new(Expr::Col(schema::ev::AGENT)),
+            q.event.push(Expr::in_list(
+                schema::ev::AGENT,
                 agents.iter().map(|a| Value::Int(*a)).collect(),
             ));
         }
@@ -176,7 +175,7 @@ pub fn synthesize(p: &PatternCtx) -> DataQuery {
 /// Applies scheduler-injected extra constraints to a synthesized query.
 pub fn apply_extra(q: &mut DataQuery, extra: &ExtraCstr) {
     for (side, col, values) in &extra.in_lists {
-        let e = Expr::In(Box::new(Expr::Col(*col)), values.clone());
+        let e = Expr::in_list(*col, values.clone());
         match side {
             Side::Event => q.event.push(e),
             Side::Subject => q.subject.push(e),

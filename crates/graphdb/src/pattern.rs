@@ -16,6 +16,7 @@
 //! comparisons are applied as soon as both sides are bound.
 
 use crate::{EdgeId, GraphDb, NodeId, Value};
+use aiql_model::LikePattern;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -51,9 +52,9 @@ pub enum PropPred {
     /// `prop op literal`.
     Cmp(String, POp, Value),
     /// `prop LIKE pattern` (with `%` wildcards).
-    Like(String, String),
+    Like(String, LikePattern),
     /// Negated LIKE.
-    NotLike(String, String),
+    NotLike(String, LikePattern),
     /// `prop IN (values)`.
     In(String, Vec<Value>),
     /// Disjunction of predicates on the same element.
@@ -72,7 +73,7 @@ impl PropPred {
 
     /// `prop LIKE pattern` shorthand.
     pub fn like(prop: &str, pattern: &str) -> PropPred {
-        PropPred::Like(prop.to_string(), pattern.to_string())
+        PropPred::Like(prop.to_string(), pattern.into())
     }
 
     fn matches(&self, props: &BTreeMap<String, Value>) -> bool {
@@ -80,8 +81,10 @@ impl PropPred {
             PropPred::Cmp(p, op, lit) => props
                 .get(p)
                 .is_some_and(|v| !v.is_null() && op.eval(v, lit)),
-            PropPred::Like(p, pat) => props.get(p).is_some_and(|v| v.like(pat)),
-            PropPred::NotLike(p, pat) => props.get(p).is_some_and(|v| !v.is_null() && !v.like(pat)),
+            PropPred::Like(p, pat) => props.get(p).is_some_and(|v| pat.matches_value(v)),
+            PropPred::NotLike(p, pat) => props
+                .get(p)
+                .is_some_and(|v| !v.is_null() && !pat.matches_value(v)),
             PropPred::In(p, list) => props
                 .get(p)
                 .is_some_and(|v| list.iter().any(|x| x.loose_eq(v))),

@@ -10,8 +10,10 @@
 //! query literal is valid against any column.
 //!
 //! Interning is exact (case-sensitive, byte equality), matching the strict
-//! `Value::Str` equality of the row store; case-insensitive `LIKE`
-//! matching stays on the row path.
+//! `Value::Str` equality of the row store. Case-insensitive `LIKE` still
+//! runs over codes: a scan evaluates the pattern once per distinct symbol
+//! it meets ([`SharedDict::read`] resolves them under one lock) and
+//! compares codes from then on.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -117,6 +119,14 @@ impl SharedDict {
             .map(String::from)
     }
 
+    /// A read guard over the dictionary: any number of
+    /// [`Dict::resolve`] calls under one lock acquisition, borrowing the
+    /// strings instead of cloning them. Interning blocks while a guard is
+    /// alive, so hold it for a bounded piece of work.
+    pub fn read(&self) -> impl std::ops::Deref<Target = Dict> + '_ {
+        self.inner.read().expect("dict lock poisoned")
+    }
+
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.inner.read().expect("dict lock poisoned").len()
@@ -185,6 +195,7 @@ mod tests {
         let a = d.intern("alpha");
         assert_eq!(d2.lookup("alpha"), Some(a));
         assert_eq!(d2.resolve(a).as_deref(), Some("alpha"));
+        assert_eq!(d2.read().resolve(a), Some("alpha"));
         assert_eq!(d2.len(), 1);
         assert!(!d2.is_empty());
     }

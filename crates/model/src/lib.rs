@@ -45,4 +45,4 @@ pub use entity::{AttrMap, Entity, EntityKind};
 pub use event::{Event, EventCategory, OpType};
 pub use ids::{AgentId, EntityId, EventId};
 pub use time::{Duration, TimeUnit, Timestamp};
-pub use value::Value;
+pub use value::{LikePattern, Value};

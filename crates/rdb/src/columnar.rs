@@ -9,7 +9,7 @@
 //! blocks carrying min/max **zone maps**. Scans then:
 //!
 //! 1. compile the conjuncts into a handful of [`Kernel`]s (eq-i64,
-//!    range-i64, in-list, eq-sym) plus a residual AST remainder,
+//!    range-i64, in-list, eq-sym, like-sym) plus a residual AST remainder,
 //! 2. skip whole blocks whose zone map excludes a kernel,
 //! 3. binary-search the time window inside each surviving block (blocks are
 //!    internally sorted, so late out-of-order appends only cause block
@@ -17,6 +17,16 @@
 //! 4. evaluate each kernel as a tight loop over a column slice into a
 //!    selection bitmap, falling back to the row store only for residual
 //!    predicates on the surviving rows.
+//!
+//! `LIKE` / `NOT LIKE` on a dictionary column is a kernel too: the
+//! compiled pattern is evaluated once per *distinct symbol* the scan meets
+//! and remembered in a scan-local [`LikeMemo`], so a row costs one `u32`
+//! load and one memo lookup however long its string is. The memo lives for
+//! one table scan (all chunks share the dictionary) and is never resident.
+//!
+//! [`Columnar::surviving_rows`] is the path's cost estimate — rows in
+//! blocks the zone maps cannot exclude — which [`crate::Table`] weighs
+//! against index probes when it picks an access path.
 //!
 //! Projections are maintained incrementally: appends sorted-insert into the
 //! open tail block, which is sealed (zone maps computed) once it reaches
@@ -26,7 +36,7 @@
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{ColumnType, Row, Schema};
-use aiql_model::{SharedDict, Value, NULL_SYM};
+use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
 
 /// Default rows per zone-mapped block.
 pub const DEFAULT_BLOCK_ROWS: usize = 4096;
@@ -202,6 +212,13 @@ pub enum Kernel {
     InSym { col: usize, syms: Vec<u32> },
     /// `col = v` on a bool column.
     EqBool { col: usize, v: bool },
+    /// `col LIKE pattern` (`NOT LIKE` when `negated`) on a dictionary
+    /// column, evaluated per distinct symbol through a [`LikeMemo`].
+    LikeSym {
+        col: usize,
+        pattern: LikePattern,
+        negated: bool,
+    },
     /// A conjunct that provably matches nothing (e.g. an equality against a
     /// string absent from the dictionary).
     Never,
@@ -215,7 +232,8 @@ impl Kernel {
             | Kernel::InI64 { col, .. }
             | Kernel::EqSym { col, .. }
             | Kernel::InSym { col, .. }
-            | Kernel::EqBool { col, .. } => Some(*col),
+            | Kernel::EqBool { col, .. }
+            | Kernel::LikeSym { col, .. } => Some(*col),
             Kernel::Never => None,
         }
     }
@@ -243,7 +261,8 @@ impl Kernel {
     }
 
     /// ANDs this predicate into `sel`, where `sel[i]` covers projection
-    /// position `base + i`.
+    /// position `base + i`. ([`Kernel::LikeSym`] needs the scan's memo and
+    /// goes through [`LikeMemo::apply`] instead.)
     fn apply(&self, data: &ColumnData, base: usize, sel: &mut [bool]) {
         match (self, data) {
             (Kernel::EqI64 { v, .. }, ColumnData::Int { vals, nulls }) => {
@@ -282,6 +301,62 @@ impl Kernel {
             }
             (Kernel::Never, _) => sel.fill(false),
             _ => debug_assert!(false, "kernel/column type mismatch"),
+        }
+    }
+}
+
+/// Scan-local scratch of the [`Kernel::LikeSym`] kernels: for each, the
+/// pattern's outcome per dictionary symbol met so far. One memo serves
+/// every chunk of a table scan and is dropped with it.
+#[derive(Debug, Default)]
+pub struct LikeMemo {
+    /// By kernel position: `UNSEEN` / `NO` / `YES` per symbol.
+    outcomes: Vec<Vec<u8>>,
+    /// Rows decided through a memo lookup.
+    pub rows: u64,
+    /// Pattern evaluations performed — one per distinct symbol met.
+    pub symbol_evals: u64,
+}
+
+const UNSEEN: u8 = 0;
+const NO: u8 = 1;
+const YES: u8 = 2;
+
+impl LikeMemo {
+    /// ANDs kernel `ki` (`pattern`, over the codes `syms`) into `sel`.
+    /// NULL matches neither `LIKE` nor `NOT LIKE`.
+    fn apply(
+        &mut self,
+        ki: usize,
+        pattern: &LikePattern,
+        negated: bool,
+        dict: &Dict,
+        syms: &[u32],
+        sel: &mut [bool],
+    ) {
+        if self.outcomes.len() <= ki {
+            self.outcomes.resize_with(ki + 1, Vec::new);
+        }
+        let memo = &mut self.outcomes[ki];
+        if memo.len() < dict.len() {
+            memo.resize(dict.len(), UNSEEN);
+        }
+        for (s, &sym) in sel.iter_mut().zip(syms) {
+            if !*s {
+                continue;
+            }
+            if sym == NULL_SYM {
+                *s = false;
+                continue;
+            }
+            self.rows += 1;
+            let outcome = &mut memo[sym as usize];
+            if *outcome == UNSEEN {
+                self.symbol_evals += 1;
+                let text = dict.resolve(Sym(sym)).expect("stored symbols are interned");
+                *outcome = if pattern.matches(text) { YES } else { NO };
+            }
+            *s = (*outcome == YES) != negated;
         }
     }
 }
@@ -546,15 +621,49 @@ impl Columnar {
     /// rows actually evaluated.
     pub fn select(&self, kernels: &[Kernel], scanned: &mut u64) -> Vec<u32> {
         let (mut pruned, mut visited) = (0, 0);
-        self.select_stats(kernels, scanned, &mut pruned, &mut visited)
+        self.select_stats(
+            kernels,
+            &mut LikeMemo::default(),
+            scanned,
+            &mut pruned,
+            &mut visited,
+        )
+    }
+
+    /// Whether the zone maps of sealed block `block` prove that none of its
+    /// rows satisfies `kernels` (never true of the open tail block).
+    fn zone_excluded(&self, block: usize, kernels: &[Kernel]) -> bool {
+        self.sealed.get(block).is_some_and(|zones| {
+            kernels.iter().any(|k| {
+                k.col()
+                    .and_then(|c| self.slots[c])
+                    .is_some_and(|slot| k.excluded_by(zones[slot]))
+            })
+        })
+    }
+
+    /// Rows in the blocks [`Columnar::select_stats`] would evaluate for
+    /// `kernels`, i.e. those no zone map excludes: the cost estimate of the
+    /// vectorized path, from block metadata alone.
+    pub fn surviving_rows(&self, kernels: &[Kernel]) -> usize {
+        if kernels.iter().any(|k| matches!(k, Kernel::Never)) {
+            return 0;
+        }
+        let n = self.perm.len();
+        (0..n.div_ceil(self.block_rows))
+            .filter(|&b| !self.zone_excluded(b, kernels))
+            .map(|b| self.block_rows.min(n - b * self.block_rows))
+            .sum()
     }
 
     /// [`Columnar::select`] with zone-map accounting: `blocks_pruned` counts
     /// blocks skipped purely by their zone maps, `blocks_total` every block
-    /// (sealed or open tail) the scan considered.
+    /// (sealed or open tail) the scan considered. `memo` carries the
+    /// [`Kernel::LikeSym`] outcomes from chunk to chunk of one table scan.
     pub fn select_stats(
         &self,
         kernels: &[Kernel],
+        memo: &mut LikeMemo,
         scanned: &mut u64,
         blocks_pruned: &mut u64,
         blocks_total: &mut u64,
@@ -587,17 +696,22 @@ impl Columnar {
                 }
             }
         }
-        let narrowed: Vec<&Kernel> = if time_kernels {
-            let t = self.time_idx.expect("time_kernels implies time_idx");
-            kernels
-                .iter()
-                .filter(|k| {
-                    !matches!(k, Kernel::EqI64 { col, .. } | Kernel::RangeI64 { col, .. } if *col == t)
-                })
-                .collect()
-        } else {
-            kernels.iter().collect()
-        };
+        // The kernels still to apply per row, with their positions (the
+        // memo's key).
+        let narrowed: Vec<(usize, &Kernel)> = kernels
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| {
+                !matches!(k, Kernel::EqI64 { col, .. } | Kernel::RangeI64 { col, .. }
+                    if Some(*col) == self.time_idx)
+            })
+            .collect();
+        // One read guard for this chunk's blocks: symbols resolve by
+        // reference, and interning waits for one chunk at most.
+        let dict = kernels
+            .iter()
+            .any(|k| matches!(k, Kernel::LikeSym { .. }))
+            .then(|| self.dict.read());
 
         let n = self.perm.len();
         let mut out = Vec::new();
@@ -607,20 +721,11 @@ impl Columnar {
         while base < n {
             let len = self.block_rows.min(n - base);
             *blocks_total += 1;
-            // Zone test (sealed blocks only; the open tail is scanned).
-            if block < self.sealed.len() {
-                let zones = &self.sealed[block];
-                let excluded = kernels.iter().any(|k| {
-                    k.col()
-                        .and_then(|c| self.slots[c])
-                        .is_some_and(|slot| k.excluded_by(zones[slot]))
-                });
-                if excluded {
-                    *blocks_pruned += 1;
-                    base += len;
-                    block += 1;
-                    continue;
-                }
+            if self.zone_excluded(block, kernels) {
+                *blocks_pruned += 1;
+                base += len;
+                block += 1;
+                continue;
             }
             // Time-window narrowing inside the (sorted) block.
             let (off_lo, off_hi) = if time_kernels {
@@ -637,12 +742,27 @@ impl Columnar {
                 *scanned += (off_hi - off_lo) as u64;
                 let window = &mut sel[..off_hi - off_lo];
                 window.fill(true);
-                for k in &narrowed {
+                for &(ki, k) in &narrowed {
                     let slot = k
                         .col()
                         .and_then(|c| self.slots[c])
                         .expect("kernels compile only on projected columns");
-                    k.apply(&self.cols[slot].1, base + off_lo, window);
+                    match (k, &self.cols[slot].1) {
+                        (
+                            Kernel::LikeSym {
+                                pattern, negated, ..
+                            },
+                            ColumnData::Sym { vals },
+                        ) => memo.apply(
+                            ki,
+                            pattern,
+                            *negated,
+                            dict.as_deref().expect("guard taken for LikeSym kernels"),
+                            &vals[base + off_lo..base + off_hi],
+                            window,
+                        ),
+                        (k, data) => k.apply(data, base + off_lo, window),
+                    }
                 }
                 for (i, &s) in window.iter().enumerate() {
                     if s {
@@ -757,6 +877,18 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
                 _ => None,
             }
         }
+        Expr::Like(inner, pattern) | Expr::NotLike(inner, pattern) => match inner.as_ref() {
+            Expr::Col(col)
+                if columnar.is_projected(*col) && schema.column_type(*col) == ColumnType::Str =>
+            {
+                Some(Kernel::LikeSym {
+                    col: *col,
+                    pattern: pattern.clone(),
+                    negated: matches!(e, Expr::NotLike(..)),
+                })
+            }
+            _ => None,
+        },
         Expr::In(inner, list) => {
             let Expr::Col(col) = inner.as_ref() else {
                 return None;
@@ -765,6 +897,7 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
             if !columnar.is_projected(col) {
                 return None;
             }
+            let list = list.values();
             match schema.column_type(col) {
                 ColumnType::Int => {
                     // A Float literal could loose-equal a stored Int; keep
@@ -874,10 +1007,7 @@ mod tests {
             Expr::cmp_lit(0, CmpOp::Ge, 200i64),
             Expr::cmp_lit(0, CmpOp::Lt, 700i64),
             Expr::cmp_lit(2, CmpOp::Eq, "b"),
-            Expr::In(
-                Box::new(Expr::Col(1)),
-                vec![Value::Int(1), Value::Int(2), Value::Int(3)],
-            ),
+            Expr::in_list(1, vec![Value::Int(1), Value::Int(2), Value::Int(3)]),
             Expr::cmp_lit(3, CmpOp::Eq, true),
         ];
         let (kernels, residual) = compile_conjuncts(&schema(), &c, &conjuncts);
@@ -933,7 +1063,11 @@ mod tests {
         let rows = vec![row(1, 0, "a", true)];
         let c = build(&rows, 4);
         let conjuncts = vec![
-            Expr::like(2, "%a%"),
+            // LIKE over an expression, not a dictionary column.
+            Expr::Like(
+                Box::new(Expr::Lit(Value::str("a"))),
+                LikePattern::new("%a%"),
+            ),
             Expr::cmp_lit(4, CmpOp::Gt, 0i64),
             Expr::cmp_lit(0, CmpOp::Ne, 5i64),
             Expr::cmp_lit(0, CmpOp::Eq, 1i64),
@@ -941,6 +1075,67 @@ mod tests {
         let (kernels, residual) = compile_conjuncts(&schema(), &c, &conjuncts);
         assert_eq!(kernels.len(), 1);
         assert_eq!(residual, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn like_kernels_evaluate_each_symbol_once() {
+        let schema = Schema::new(&[("t", ColumnType::Int), ("name", ColumnType::Str)]);
+        let names = ["C:\\Windows\\cmd.exe", "/bin/bash", "CMD.EXE", "ΟΔΟΣ.exe"];
+        let mut rows: Vec<Row> = (0..40)
+            .map(|i| vec![Value::Int(i), Value::str(names[(i % 4) as usize])])
+            .collect();
+        rows.push(vec![Value::Int(40), Value::Null]);
+        let c = Columnar::build(
+            &schema,
+            &ColumnarSpec::time_sorted("t").with_block_rows(8),
+            SharedDict::new(),
+            &rows,
+        )
+        .unwrap();
+        for conjunct in [
+            Expr::like(1, "%cmd.exe"),
+            Expr::NotLike(Box::new(Expr::Col(1)), LikePattern::new("%cmd.exe")),
+            Expr::like(1, "%ς.exe"),
+            Expr::like(1, "%"),
+            Expr::like(1, "nothing"),
+        ] {
+            let conjuncts = [conjunct, Expr::cmp_lit(0, CmpOp::Ge, 4i64)];
+            let (kernels, residual) = compile_conjuncts(&schema, &c, &conjuncts);
+            assert!(residual.is_empty(), "{conjuncts:?}");
+            let mut memo = LikeMemo::default();
+            let (mut scanned, mut pruned, mut total) = (0, 0, 0);
+            let mut got =
+                c.select_stats(&kernels, &mut memo, &mut scanned, &mut pruned, &mut total);
+            got.sort_unstable();
+            let want: Vec<u32> = (0..rows.len() as u32)
+                .filter(|&p| conjuncts.iter().all(|e| e.matches(&rows[p as usize])))
+                .collect();
+            assert_eq!(got, want, "{conjuncts:?}");
+            assert_eq!(memo.rows, 36, "the non-NULL rows at t >= 4");
+            assert_eq!(memo.symbol_evals, 4, "once per distinct name");
+        }
+    }
+
+    #[test]
+    fn surviving_rows_counts_what_zone_maps_leave() {
+        let rows: Vec<Row> = (0..70)
+            .map(|i| row(i, if i < 32 { 1 } else { 1000 }, "x", true))
+            .collect();
+        let c = build(&rows, 32);
+        let kernels = |e: Expr| compile_conjuncts(&schema(), &c, &[e]).0;
+        assert_eq!(
+            c.surviving_rows(&kernels(Expr::cmp_lit(2, CmpOp::Eq, "x"))),
+            70
+        );
+        assert_eq!(
+            c.surviving_rows(&kernels(Expr::cmp_lit(1, CmpOp::Eq, 1000i64))),
+            38,
+            "first block excluded; the open 6-row tail block always counts"
+        );
+        assert_eq!(
+            c.surviving_rows(&kernels(Expr::cmp_lit(2, CmpOp::Eq, "absent"))),
+            0
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! front end parses into name-based expressions first and resolves them
 //! during planning.
 
-use aiql_model::Value;
+use aiql_model::{LikePattern, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Comparison operators.
@@ -61,7 +62,45 @@ impl fmt::Display for CmpOp {
     }
 }
 
+/// The literal list of an `IN` predicate, prepared once for any number of
+/// membership tests: sorted under [`Value::loose_cmp`] (ties in the strict
+/// order) with exact duplicates removed, so [`InList::contains`] is a
+/// binary search that agrees with `any(loose_eq)` over the list as written.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InList {
+    values: Vec<Value>,
+}
+
+impl InList {
+    /// Prepares `values`.
+    pub fn new(mut values: Vec<Value>) -> InList {
+        values.sort_by(|a, b| a.loose_cmp(b).then_with(|| a.cmp(b)));
+        values.dedup();
+        InList { values }
+    }
+
+    /// The distinct values, in loose order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// Whether some listed value loosely equals `v`.
+    pub fn contains(&self, v: &Value) -> bool {
+        self.values.binary_search_by(|x| x.loose_cmp(v)).is_ok()
+    }
+}
+
+impl From<Vec<Value>> for InList {
+    fn from(values: Vec<Value>) -> InList {
+        InList::new(values)
+    }
+}
+
 /// A resolved predicate expression over a row.
+///
+/// Constant operands are held in prepared form — a compiled
+/// [`LikePattern`], a sorted [`InList`] — so building an `Expr` once per
+/// scan is what makes its per-row evaluation allocation-free.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference by resolved position.
@@ -71,13 +110,13 @@ pub enum Expr {
     /// Binary comparison.
     Cmp(CmpOp, Box<Expr>, Box<Expr>),
     /// SQL LIKE with `%` wildcards over a column/expression.
-    Like(Box<Expr>, String),
+    Like(Box<Expr>, LikePattern),
     /// Negated LIKE.
-    NotLike(Box<Expr>, String),
+    NotLike(Box<Expr>, LikePattern),
     /// Membership in a literal list.
-    In(Box<Expr>, Vec<Value>),
+    In(Box<Expr>, InList),
     /// Negated membership.
-    NotIn(Box<Expr>, Vec<Value>),
+    NotIn(Box<Expr>, InList),
     /// NULL test.
     IsNull(Box<Expr>),
     /// Conjunction.
@@ -104,7 +143,22 @@ impl Expr {
 
     /// Convenience: `col LIKE pattern`.
     pub fn like(col: usize, pattern: impl Into<String>) -> Expr {
-        Expr::Like(Box::new(Expr::Col(col)), pattern.into())
+        Expr::Like(Box::new(Expr::Col(col)), LikePattern::new(pattern))
+    }
+
+    /// Convenience: `col IN (values)`.
+    pub fn in_list(col: usize, values: Vec<Value>) -> Expr {
+        Expr::In(Box::new(Expr::Col(col)), InList::new(values))
+    }
+
+    /// The value of an operand, borrowed when it is a column or a literal
+    /// (the shapes every scan conjunct has).
+    fn operand<'a>(&'a self, row: &'a [Value]) -> Cow<'a, Value> {
+        match self {
+            Expr::Col(i) => row.get(*i).map_or(Cow::Owned(Value::Null), Cow::Borrowed),
+            Expr::Lit(v) => Cow::Borrowed(v),
+            other => Cow::Owned(other.value(row)),
+        }
     }
 
     /// Evaluates the expression as a scalar value against `row`.
@@ -145,26 +199,26 @@ impl Expr {
             Expr::Col(i) => matches!(row.get(*i), Some(Value::Bool(true))),
             Expr::Lit(v) => matches!(v, Value::Bool(true)),
             Expr::Cmp(op, a, b) => {
-                let (av, bv) = (a.value(row), b.value(row));
+                let (av, bv) = (a.operand(row), b.operand(row));
                 if av.is_null() || bv.is_null() {
                     return false;
                 }
                 op.eval(&av, &bv)
             }
-            Expr::Like(e, pat) => e.value(row).like(pat),
+            Expr::Like(e, pat) => pat.matches_value(&e.operand(row)),
             Expr::NotLike(e, pat) => {
-                let v = e.value(row);
-                !v.is_null() && !v.like(pat)
+                let v = e.operand(row);
+                !v.is_null() && !pat.matches_value(&v)
             }
             Expr::In(e, list) => {
-                let v = e.value(row);
-                !v.is_null() && list.iter().any(|x| x.loose_eq(&v))
+                let v = e.operand(row);
+                !v.is_null() && list.contains(&v)
             }
             Expr::NotIn(e, list) => {
-                let v = e.value(row);
-                !v.is_null() && !list.iter().any(|x| x.loose_eq(&v))
+                let v = e.operand(row);
+                !v.is_null() && !list.contains(&v)
             }
-            Expr::IsNull(e) => e.value(row).is_null(),
+            Expr::IsNull(e) => e.operand(row).is_null(),
             Expr::And(es) => es.iter().all(|e| e.matches(row)),
             Expr::Or(es) => es.iter().any(|e| e.matches(row)),
             Expr::Not(e) => !e.matches(row),
@@ -274,12 +328,50 @@ mod tests {
         let r = row();
         assert!(Expr::like(1, "%cmd%").matches(&r));
         assert!(!Expr::like(1, "%powershell%").matches(&r));
-        assert!(Expr::NotLike(Box::new(Expr::Col(1)), "%sh%".into()).matches(&r));
-        assert!(Expr::In(Box::new(Expr::Col(0)), vec![Value::Int(4), Value::Int(5)]).matches(&r));
-        assert!(Expr::NotIn(Box::new(Expr::Col(0)), vec![Value::Int(4)]).matches(&r));
+        assert!(Expr::NotLike(Box::new(Expr::Col(1)), LikePattern::new("%sh%")).matches(&r));
+        assert!(Expr::in_list(0, vec![Value::Int(4), Value::Int(5)]).matches(&r));
+        assert!(Expr::NotIn(Box::new(Expr::Col(0)), vec![Value::Int(4)].into()).matches(&r));
         // NULL is in nothing and not-in nothing.
-        assert!(!Expr::In(Box::new(Expr::Col(2)), vec![Value::Null]).matches(&r));
-        assert!(!Expr::NotIn(Box::new(Expr::Col(2)), vec![Value::Int(1)]).matches(&r));
+        assert!(!Expr::in_list(2, vec![Value::Null]).matches(&r));
+        assert!(!Expr::NotIn(Box::new(Expr::Col(2)), vec![Value::Int(1)].into()).matches(&r));
+    }
+
+    #[test]
+    fn in_list_membership_is_loose_equality_over_the_list() {
+        let written = vec![
+            Value::Int(7),
+            Value::Float(2.0),
+            Value::str("x"),
+            Value::Int(2),
+            Value::Int(7),
+            Value::Bool(true),
+            Value::Float(f64::NAN),
+            Value::Int(i64::MAX),
+        ];
+        let list = InList::new(written.clone());
+        assert_eq!(list.values().len(), 7, "only the exact duplicate goes");
+        for probe in [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(7.0),
+            Value::Float(7.5),
+            Value::Int(3),
+            Value::str("x"),
+            Value::str("X"),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Float(f64::NAN),
+            // Loose comparison goes through `f64`: neighbours collapse.
+            Value::Int(i64::MAX - 1),
+            Value::Null,
+        ] {
+            assert_eq!(
+                list.contains(&probe),
+                written.iter().any(|x| x.loose_eq(&probe)),
+                "{probe:?}"
+            );
+        }
+        assert!(!InList::new(Vec::new()).contains(&Value::Int(0)));
     }
 
     #[test]

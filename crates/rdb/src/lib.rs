@@ -51,11 +51,11 @@ pub mod snapshot;
 pub mod sql;
 pub mod table;
 
-pub use aiql_model::{SharedDict, Sym, Value};
+pub use aiql_model::{LikePattern, SharedDict, Sym, Value};
 pub use columnar::{Columnar, ColumnarSpec, Kernel};
 pub use error::RdbError;
 pub use exec::{ExecCtx, ExecStats, ResultSet};
-pub use expr::{CmpOp, Expr};
+pub use expr::{CmpOp, Expr, InList};
 pub use partition::{shard_of, InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
 pub use schema::{ColumnType, Row, Schema};
 pub use segment::{Placement, SegmentedDb};

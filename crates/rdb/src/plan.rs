@@ -17,7 +17,7 @@ use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::sql::{AggFunc, ColRef, SelectStmt, SqlExpr};
 use crate::Database;
-use aiql_model::Value;
+use aiql_model::{LikePattern, Value};
 
 /// A scan of one table with pushed-down conjuncts (local column layout).
 #[derive(Debug, Clone)]
@@ -143,17 +143,17 @@ impl<'a> Binder<'a> {
             SqlExpr::Like(a, p, neg) => {
                 let inner = Box::new(self.resolve_expr(a)?);
                 if *neg {
-                    Expr::NotLike(inner, p.clone())
+                    Expr::NotLike(inner, LikePattern::new(p.as_str()))
                 } else {
-                    Expr::Like(inner, p.clone())
+                    Expr::Like(inner, LikePattern::new(p.as_str()))
                 }
             }
             SqlExpr::In(a, list, neg) => {
                 let inner = Box::new(self.resolve_expr(a)?);
                 if *neg {
-                    Expr::NotIn(inner, list.clone())
+                    Expr::NotIn(inner, list.clone().into())
                 } else {
-                    Expr::In(inner, list.clone())
+                    Expr::In(inner, list.clone().into())
                 }
             }
             SqlExpr::IsNull(a, neg) => {
@@ -425,17 +425,17 @@ fn resolve_output_expr(
         SqlExpr::Like(x, p, neg) => {
             let inner = Box::new(resolve_output_expr(b, x, items, grouped)?);
             if *neg {
-                Expr::NotLike(inner, p.clone())
+                Expr::NotLike(inner, LikePattern::new(p.as_str()))
             } else {
-                Expr::Like(inner, p.clone())
+                Expr::Like(inner, LikePattern::new(p.as_str()))
             }
         }
         SqlExpr::In(x, l, neg) => {
             let inner = Box::new(resolve_output_expr(b, x, items, grouped)?);
             if *neg {
-                Expr::NotIn(inner, l.clone())
+                Expr::NotIn(inner, l.clone().into())
             } else {
-                Expr::In(inner, l.clone())
+                Expr::In(inner, l.clone().into())
             }
         }
         SqlExpr::IsNull(x, neg) => {
@@ -505,6 +505,7 @@ pub fn prune_hints(
             Expr::In(inner, list) => {
                 if let Expr::Col(col) = inner.as_ref() {
                     if *col == agent_col {
+                        let list = list.values();
                         let vals: Vec<i64> = list.iter().filter_map(Value::as_int).collect();
                         if vals.len() == list.len() {
                             agents = Some(vals);
@@ -629,10 +630,7 @@ mod tests {
         assert_eq!(hi, Some(3));
         assert_eq!(agents, Some(vec![7]));
 
-        let conjuncts = vec![Expr::In(
-            Box::new(Expr::Col(0)),
-            vec![Value::Int(1), Value::Int(2)],
-        )];
+        let conjuncts = vec![Expr::in_list(0, vec![Value::Int(1), Value::Int(2)])];
         let (_, _, agents) = prune_hints(&conjuncts, 3, 0, day);
         assert_eq!(agents, Some(vec![1, 2]));
     }

@@ -27,7 +27,7 @@
 //! [`Table::seal_tail`] / [`Table::freeze_tail`] seal it early (the
 //! snapshot-restore and publication paths respectively).
 
-use crate::columnar::{compile_conjuncts, Columnar, ColumnarSpec};
+use crate::columnar::{compile_conjuncts, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{Row, Schema};
@@ -66,6 +66,22 @@ impl Index {
 
     fn insert(&mut self, v: Value, row: u32) {
         self.map.entry(v).or_default().push(row);
+    }
+
+    /// The part of `sorted` (ascending under [`Value::loose_cmp`], as an
+    /// [`crate::InList`] keeps its values) that can equal a key of this
+    /// index: what lies within its smallest and largest key. A column
+    /// holds one type (or NULL), over which the loose order only coarsens
+    /// the key order, so nothing outside the slice has a posting here.
+    fn clip<'a>(&self, sorted: &'a [Value]) -> &'a [Value] {
+        let (Some((min, _)), Some((max, _))) =
+            (self.map.first_key_value(), self.map.last_key_value())
+        else {
+            return &[];
+        };
+        let from = sorted.partition_point(|v| v.loose_cmp(min).is_lt());
+        let to = sorted.partition_point(|v| v.loose_cmp(max).is_le());
+        &sorted[from..to]
     }
 
     /// Number of distinct keys.
@@ -236,6 +252,14 @@ pub struct ScanProfile {
     pub rows_scanned: u64,
     /// Rows that satisfied every conjunct.
     pub rows_matched: u64,
+    /// Rows a `LIKE` kernel decided by dictionary code, and the pattern
+    /// evaluations that took — one per distinct symbol per table scan, so
+    /// `1 - like_symbol_evals / like_rows` is the memo's hit rate.
+    pub like_rows: u64,
+    pub like_symbol_evals: u64,
+    /// B-tree lookups made by index equality probes (after clipping the
+    /// IN-list to each chunk's key range).
+    pub in_probe_lookups: u64,
     /// Shards the store's layout routes partitions into (0 for unsharded
     /// scans; see [`crate::partition::shard_of`]).
     pub shards_total: u32,
@@ -256,6 +280,9 @@ impl ScanProfile {
         self.blocks_pruned += o.blocks_pruned;
         self.rows_scanned += o.rows_scanned;
         self.rows_matched += o.rows_matched;
+        self.like_rows += o.like_rows;
+        self.like_symbol_evals += o.like_symbol_evals;
+        self.in_probe_lookups += o.in_probe_lookups;
         self.shards_total += o.shards_total;
         self.shards_scanned += o.shards_scanned;
     }
@@ -604,22 +631,26 @@ impl Table {
         self.tail.indexes.keys().copied().collect()
     }
 
-    /// Selects row positions satisfying all `conjuncts`, choosing an index
-    /// access path when one conjunct is a supported index probe:
+    /// Selects row positions satisfying all `conjuncts`. The access path is
+    /// chosen **once per table**, from table-wide statistics, and applied
+    /// to every chunk in order:
     ///
-    /// - `col = lit` / `col IN (lits)` on an indexed column → equality probes,
-    /// - `col >=/<=/</> lit` (possibly two conjuncts forming a range) on an
-    ///   indexed column → range scan,
+    /// - an **index equality probe** (`col = lit` / `col IN (lits)` on an
+    ///   indexed column) or a **columnar scan** (at least one conjunct
+    ///   compiles into a vectorized kernel), whichever costs less: a
+    ///   probe's B-tree lookups plus the candidates in the posting lists
+    ///   they reach, against the rows the zone maps cannot exclude
+    ///   ([`Columnar::surviving_rows`]). Of several usable probes the
+    ///   cheapest runs;
+    /// - failing both, an **index range scan** (`col >=/<=/</> lit` on an
+    ///   indexed column);
+    /// - failing that, a **sequential scan**.
     ///
-    /// with the remaining conjuncts applied as a residual filter. When no
-    /// equality probe applies but a columnar projection can compile at least
-    /// one conjunct into a vectorized kernel, the scan runs columnar
-    /// (zone-map block skipping + time-window binary search) with the
-    /// uncompilable conjuncts as residual row filters. The access path is
-    /// chosen once and applied to every chunk in order. Returns the chosen
-    /// access path alongside the (global) row positions. `scanned` is
-    /// incremented by the number of rows the scan *touched* (not returned),
-    /// so callers can account I/O-like cost.
+    /// The conjuncts the path does not answer itself are applied as a
+    /// residual row filter. Returns the chosen access path alongside the
+    /// (global) row positions, in row order. `scanned` is incremented by
+    /// the number of rows the scan *touched* (not returned), so callers can
+    /// account I/O-like cost.
     pub fn select(&self, conjuncts: &[Expr], scanned: &mut u64) -> (AccessPath, Vec<u32>) {
         let mut profile = ScanProfile::default();
         self.select_profiled(conjuncts, scanned, &mut profile)
@@ -647,109 +678,155 @@ impl Table {
         scanned: &mut u64,
         profile: &mut ScanProfile,
     ) -> (AccessPath, Vec<u32>) {
-        // Find an index-usable conjunct. The index set is identical on
-        // every chunk, so the probe decision is made once per table.
-        let mut best: Option<(usize, IndexProbe)> = None;
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if let Some(probe) = index_probe(c) {
-                if self.tail.indexes.contains_key(&probe.col) {
-                    // Prefer equality probes over ranges.
-                    let better = match (&best, &probe.kind) {
-                        (None, _) => true,
-                        (Some((_, b)), ProbeKind::Eq(_)) => !matches!(b.kind, ProbeKind::Eq(_)),
-                        _ => false,
-                    };
-                    if better {
-                        best = Some((ci, probe));
-                    }
+        // Index-usable conjuncts. The index set is identical on every
+        // chunk, so this — like everything below — is decided per table.
+        let probes: Vec<(usize, IndexProbe)> = conjuncts
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, c)| Some((ci, index_probe(c)?)))
+            .filter(|(_, p)| self.tail.indexes.contains_key(&p.col))
+            .collect();
+        // The projected-column set and the dictionary are table-wide:
+        // kernels compile once and run on every chunk.
+        let vectorized = self
+            .tail
+            .columnar
+            .as_ref()
+            .map(|col| compile_conjuncts(&self.schema, col, conjuncts))
+            .filter(|(kernels, _)| !kernels.is_empty());
+
+        // Equality probes, fewest B-tree lookups first. One runs only if it
+        // beats the kernel scan (and the probes before it): first on its
+        // lookups alone, which cost nothing to count; then, looked up, on
+        // the candidates its posting lists actually hold.
+        let mut eq_probes: Vec<(usize, usize, &[Value], usize)> = probes
+            .iter()
+            .filter_map(|(ci, p)| match p.kind {
+                ProbeKind::Eq(values) => {
+                    Some((*ci, p.col, values, self.probe_lookups(p.col, values)))
                 }
+                ProbeKind::Range { .. } => None,
+            })
+            .collect();
+        eq_probes.sort_by_key(|&(.., lookups)| lookups);
+        let mut budget = match &vectorized {
+            Some((kernels, _)) if !eq_probes.is_empty() => self.kernel_cost(kernels),
+            _ => usize::MAX,
+        };
+        let mut chosen = None;
+        for (ci, col, values, lookups) in eq_probes {
+            if lookups.saturating_mul(LOOKUP_COST) >= budget {
+                break;
+            }
+            let postings = self.probe(col, values, profile);
+            let candidates: usize = postings.iter().map(Vec::len).sum();
+            let cost = lookups * LOOKUP_COST + candidates * CANDIDATE_COST;
+            if cost < budget {
+                budget = cost;
+                chosen = Some((ci, postings));
             }
         }
 
-        // Point probes touch only matching rows and beat any scan; short of
-        // one, a columnar projection beats interpreting the AST per row and
-        // beats an index range scan (which materializes candidate lists).
-        let have_eq_probe = matches!(&best, Some((_, p)) if matches!(p.kind, ProbeKind::Eq(_)));
-        if !have_eq_probe {
-            if let Some(hit) = self.columnar_select(conjuncts, scanned, profile) {
-                return hit;
+        if let Some((ci, postings)) = chosen {
+            let mut out = Vec::new();
+            for ((chunk, base), mut candidates) in self.chunks_with_base().zip(postings) {
+                *scanned += candidates.len() as u64;
+                // The probe conjunct is answered by the index itself.
+                candidates.retain(|&pos| {
+                    let row = &chunk.rows[pos as usize];
+                    conjuncts
+                        .iter()
+                        .enumerate()
+                        .all(|(i, c)| i == ci || c.matches(row))
+                });
+                out.extend(candidates.into_iter().map(|p| p + base));
             }
+            return (AccessPath::IndexEq, out);
+        }
+        if let Some((kernels, residual)) = &vectorized {
+            let rows = self.columnar_select(conjuncts, kernels, residual, scanned, profile);
+            return (AccessPath::Columnar, rows);
         }
 
-        match best {
-            Some((ci, probe)) => {
-                let path = match probe.kind {
-                    ProbeKind::Eq(_) => AccessPath::IndexEq,
-                    ProbeKind::Range { .. } => AccessPath::IndexRange,
-                };
-                // Residual filter: all conjuncts except the probe (the probe
-                // is re-checked only for ranges with exclusive bounds, which
-                // `index_probe` encodes inclusively — re-check keeps it exact).
-                let recheck = matches!(probe.kind, ProbeKind::Range { .. });
-                let mut out = Vec::new();
-                for (chunk, base) in self.chunks_with_base() {
-                    let index = chunk
-                        .indexes
-                        .get(&probe.col)
-                        .expect("every chunk carries the table's index set");
-                    let mut candidates = match &probe.kind {
-                        ProbeKind::Eq(values) => {
-                            let mut rows = Vec::new();
-                            for v in values {
-                                rows.extend_from_slice(index.get_eq(v));
-                            }
-                            rows.sort_unstable();
-                            rows.dedup();
-                            rows
-                        }
-                        ProbeKind::Range { lo, hi } => index.get_range(lo.as_ref(), hi.as_ref()),
-                    };
-                    *scanned += candidates.len() as u64;
-                    candidates.retain(|&pos| {
-                        let row = &chunk.rows[pos as usize];
-                        conjuncts
-                            .iter()
-                            .enumerate()
-                            .all(|(i, c)| (i == ci && !recheck) || c.matches(row))
-                    });
-                    out.extend(candidates.into_iter().map(|p| p + base));
+        let range = probes.iter().find_map(|(_, p)| match p.kind {
+            ProbeKind::Range { lo, hi } => Some((p.col, lo, hi)),
+            ProbeKind::Eq(_) => None,
+        });
+        let mut out = Vec::new();
+        for (chunk, base) in self.chunks_with_base() {
+            // `index_probe` encodes exclusive bounds inclusively, so a
+            // range candidate is re-checked against every conjunct.
+            let mut candidates = match range {
+                Some((col, lo, hi)) => {
+                    // Key order → row order, like every other path.
+                    let mut rows = chunk.indexes[&col].get_range(lo, hi);
+                    rows.sort_unstable();
+                    rows
                 }
-                (path, out)
-            }
-            None => {
-                let mut out = Vec::new();
-                for (chunk, base) in self.chunks_with_base() {
-                    *scanned += chunk.rows.len() as u64;
-                    out.extend(
-                        (0..chunk.rows.len() as u32)
-                            .filter(|&pos| {
-                                let row = &chunk.rows[pos as usize];
-                                conjuncts.iter().all(|c| c.matches(row))
-                            })
-                            .map(|p| p + base),
-                    );
-                }
-                (AccessPath::Seq, out)
-            }
+                None => (0..chunk.rows.len() as u32).collect(),
+            };
+            *scanned += candidates.len() as u64;
+            candidates.retain(|&pos| {
+                let row = &chunk.rows[pos as usize];
+                conjuncts.iter().all(|c| c.matches(row))
+            });
+            out.extend(candidates.into_iter().map(|p| p + base));
         }
+        let path = match range {
+            Some(_) => AccessPath::IndexRange,
+            None => AccessPath::Seq,
+        };
+        (path, out)
     }
 
-    /// Attempts the vectorized path: compile conjuncts into kernels once
-    /// (the projected-column set and the dictionary are table-wide), scan
-    /// every chunk's blocks, then row-filter the residual conjuncts per
-    /// chunk. `None` when no projection exists or no conjunct compiles
-    /// (nothing vectorizable).
+    /// B-tree lookups that answering `col IN (values)` from the chunk
+    /// indexes takes: one per value per chunk whose key range holds it.
+    fn probe_lookups(&self, col: usize, values: &[Value]) -> usize {
+        self.chunks_with_base()
+            .map(|(chunk, _)| chunk.indexes[&col].clip(values).len())
+            .sum()
+    }
+
+    /// Makes those lookups: per chunk, the rows holding one of `values` in
+    /// `col`, in row order.
+    fn probe(&self, col: usize, values: &[Value], profile: &mut ScanProfile) -> Vec<Vec<u32>> {
+        self.chunks_with_base()
+            .map(|(chunk, _)| {
+                let index = &chunk.indexes[&col];
+                // Each row sits in exactly one posting list, so the
+                // concatenation holds no duplicates; sorting restores row
+                // order across values.
+                let mut rows = Vec::new();
+                for v in index.clip(values) {
+                    rows.extend_from_slice(index.get_eq(v));
+                    profile.in_probe_lookups += 1;
+                }
+                rows.sort_unstable();
+                rows
+            })
+            .collect()
+    }
+
+    /// Estimated cost of the vectorized path, in kernel-evaluated rows: the
+    /// rows in blocks no zone map excludes.
+    fn kernel_cost(&self, kernels: &[Kernel]) -> usize {
+        self.chunks_with_base()
+            .filter_map(|(chunk, _)| chunk.columnar.as_ref())
+            .map(|col| col.surviving_rows(kernels))
+            .sum()
+    }
+
+    /// The vectorized path: scan every chunk's blocks with `kernels`, then
+    /// row-filter the `residual` conjuncts per chunk.
     fn columnar_select(
         &self,
         conjuncts: &[Expr],
+        kernels: &[Kernel],
+        residual: &[usize],
         scanned: &mut u64,
         profile: &mut ScanProfile,
-    ) -> Option<(AccessPath, Vec<u32>)> {
-        let tail_col = self.tail.columnar.as_ref()?;
-        let (kernels, residual) = compile_conjuncts(&self.schema, tail_col, conjuncts);
-        if kernels.is_empty() {
-            return None;
-        }
+    ) -> Vec<u32> {
+        let mut memo = LikeMemo::default();
         let mut out = Vec::new();
         for (chunk, base) in self.chunks_with_base() {
             let col = chunk
@@ -757,7 +834,8 @@ impl Table {
                 .as_ref()
                 .expect("every chunk carries the table's columnar configuration");
             let mut positions = col.select_stats(
-                &kernels,
+                kernels,
+                &mut memo,
                 scanned,
                 &mut profile.blocks_pruned,
                 &mut profile.blocks_total,
@@ -773,9 +851,20 @@ impl Table {
             positions.sort_unstable();
             out.extend(positions.into_iter().map(|p| p + base));
         }
-        Some((AccessPath::Columnar, out))
+        profile.like_rows += memo.rows;
+        profile.like_symbol_evals += memo.symbol_evals;
+        out
     }
 }
+
+/// What one B-tree lookup costs, in kernel-evaluated rows: descending a
+/// chunk index over generic [`Value`] keys (~150 ns) against a kernel pass
+/// over one row of flat typed vectors (~10 ns).
+const LOOKUP_COST: usize = 16;
+
+/// What one probe candidate costs in the same unit: fetching its row and
+/// re-checking the remaining conjuncts on the interpreter.
+const CANDIDATE_COST: usize = 4;
 
 /// Builds a chunk's projection under `spec`, projecting its indexed
 /// columns.
@@ -792,31 +881,34 @@ fn build_projection(
     Ok(col)
 }
 
-enum ProbeKind {
-    Eq(Vec<Value>),
+#[derive(Clone, Copy)]
+enum ProbeKind<'a> {
+    /// Equality with any of these values (ascending under
+    /// [`Value::loose_cmp`]).
+    Eq(&'a [Value]),
     Range {
-        lo: Option<Value>,
-        hi: Option<Value>,
+        lo: Option<&'a Value>,
+        hi: Option<&'a Value>,
     },
 }
 
-struct IndexProbe {
+struct IndexProbe<'a> {
     col: usize,
-    kind: ProbeKind,
+    kind: ProbeKind<'a>,
 }
 
 /// Recognizes conjuncts usable as index probes: `Col = Lit`, `Col IN (...)`,
 /// and single-sided ranges `Col </<=/>/>= Lit`.
-fn index_probe(e: &Expr) -> Option<IndexProbe> {
+fn index_probe(e: &Expr) -> Option<IndexProbe<'_>> {
     match e {
         Expr::Cmp(op, a, b) => {
             let (col, lit, op) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(c), Expr::Lit(v)) => (*c, v.clone(), *op),
-                (Expr::Lit(v), Expr::Col(c)) => (*c, v.clone(), op.flip()),
+                (Expr::Col(c), Expr::Lit(v)) => (*c, v, *op),
+                (Expr::Lit(v), Expr::Col(c)) => (*c, v, op.flip()),
                 _ => return None,
             };
             let kind = match op {
-                CmpOp::Eq => ProbeKind::Eq(vec![lit]),
+                CmpOp::Eq => ProbeKind::Eq(std::slice::from_ref(lit)),
                 CmpOp::Le | CmpOp::Lt => ProbeKind::Range {
                     lo: None,
                     hi: Some(lit),
@@ -832,7 +924,7 @@ fn index_probe(e: &Expr) -> Option<IndexProbe> {
         Expr::In(inner, list) => match inner.as_ref() {
             Expr::Col(c) => Some(IndexProbe {
                 col: *c,
-                kind: ProbeKind::Eq(list.clone()),
+                kind: ProbeKind::Eq(list.values()),
             }),
             _ => None,
         },
@@ -900,10 +992,7 @@ mod tests {
         t.create_index("name").unwrap();
         let mut scanned = 0;
         let conjuncts = vec![
-            Expr::In(
-                Box::new(Expr::Col(1)),
-                vec![Value::str("alpha"), Value::str("gamma")],
-            ),
+            Expr::in_list(1, vec![Value::str("alpha"), Value::str("gamma")]),
             Expr::cmp_lit(2, CmpOp::Gt, 15i64),
         ];
         let (path, rows) = t.select(&conjuncts, &mut scanned);
@@ -957,24 +1046,118 @@ mod tests {
     }
 
     #[test]
-    fn columnar_residual_and_index_priority() {
+    fn like_runs_on_the_dictionary_and_residuals_on_rows() {
         let mut t = table();
-        t.create_index("name").unwrap();
         t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
             .unwrap();
-        let mut scanned = 0;
-        // Equality probe still wins over the columnar scan.
-        let (path, rows) = t.select(&[Expr::cmp_lit(1, CmpOp::Eq, "alpha")], &mut scanned);
-        assert_eq!(path, AccessPath::IndexEq);
-        assert_eq!(rows, vec![0, 2]);
-        // LIKE is residual: the range kernel narrows, the row filter decides.
-        let conjuncts = vec![Expr::cmp_lit(2, CmpOp::Ge, 20i64), Expr::like(1, "%mm%")];
-        let (path, rows) = t.select(&conjuncts, &mut scanned);
+        let mut profile = ScanProfile::default();
+        // LIKE alone is a kernel: one evaluation per distinct name.
+        let (path, rows) = t.select_profiled(&[Expr::like(1, "%A%")], &mut 0, &mut profile);
+        assert_eq!(path, AccessPath::Columnar);
+        assert_eq!(rows, vec![0, 1, 2, 3]);
+        assert_eq!((profile.like_rows, profile.like_symbol_evals), (4, 3));
+        let (_, rows) = t.select(
+            &[Expr::NotLike(Box::new(Expr::Col(1)), "%ph%".into())],
+            &mut 0,
+        );
+        assert_eq!(rows, vec![1, 3]);
+        // What no kernel answers stays a row filter behind the kernels...
+        let conjuncts = vec![Expr::like(1, "%mm%"), Expr::cmp_lit(2, CmpOp::Ne, 10i64)];
+        let (path, rows) = t.select(&conjuncts, &mut 0);
         assert_eq!(path, AccessPath::Columnar);
         assert_eq!(rows, vec![3], "gamma");
-        // All-residual conjuncts fall back to the row store.
-        let (path, _) = t.select(&[Expr::like(1, "%a%")], &mut scanned);
+        // ...and alone falls back to the row store.
+        let (path, rows) = t.select(&[Expr::cmp_lit(2, CmpOp::Ne, 10i64)], &mut 0);
         assert_eq!(path, AccessPath::Seq);
+        assert_eq!(rows, vec![1, 2, 3]);
+    }
+
+    /// 2 000 rows in 20 chunks: unique ascending `id`, 10 `grp` values
+    /// striped over the rows; both indexed, all projected.
+    fn wide_table() -> Table {
+        let mut t = Table::with_chunk_rows(
+            Schema::new(&[("id", ColumnType::Int), ("grp", ColumnType::Int)]),
+            100,
+        );
+        t.create_index("id").unwrap();
+        t.create_index("grp").unwrap();
+        t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
+            .unwrap();
+        for i in 0..2000i64 {
+            t.insert(vec![Value::Int(i), Value::Int(i % 10)]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn probe_or_kernel_is_a_cost_comparison() {
+        let t = wide_table();
+        let ids = |r: std::ops::Range<i64>| Expr::in_list(0, r.map(Value::Int).collect());
+        let run = |conjuncts: &[Expr]| {
+            let (mut scanned, mut profile) = (0, ScanProfile::default());
+            let (path, rows) = t.select_profiled(conjuncts, &mut scanned, &mut profile);
+            let want: Vec<u32> = (0..2000u32)
+                .filter(|&p| conjuncts.iter().all(|c| c.matches(t.row(p))))
+                .collect();
+            assert_eq!(rows, want, "{conjuncts:?}");
+            (path, scanned, profile.in_probe_lookups)
+        };
+        // A point lookup: one B-tree descent (the list is clipped to the
+        // one chunk whose key range holds it) beats scanning its block.
+        assert_eq!(
+            run(&[Expr::cmp_lit(0, CmpOp::Eq, 777i64)]),
+            (AccessPath::IndexEq, 1, 1)
+        );
+        // A short list still probes, each id in its own chunk only.
+        assert_eq!(
+            run(&[ids(40..43), Expr::cmp_lit(1, CmpOp::Ne, 3i64)]),
+            (AccessPath::IndexEq, 3, 3)
+        );
+        // A list that covers the table costs a lookup per row: the kernel
+        // answers it in one pass.
+        assert_eq!(run(&[ids(0..2000)]), (AccessPath::Columnar, 2000, 0));
+        // ...unless zone maps leave the kernel less than the probe costs.
+        let (path, scanned, _) = run(&[ids(500..600)]);
+        assert_eq!((path, scanned), (AccessPath::Columnar, 100));
+        // Of two usable probes the cheaper one runs, wherever it stands:
+        // `grp = 3` would yield 200 candidates, `id = 13` yields one.
+        assert_eq!(
+            run(&[
+                Expr::cmp_lit(1, CmpOp::Eq, 3i64),
+                Expr::cmp_lit(0, CmpOp::Eq, 13i64)
+            ]),
+            (AccessPath::IndexEq, 1, 1)
+        );
+        // A probe that is cheap to look up (60 lookups) can still lose on
+        // what the lookups find: 600 candidates to re-check.
+        assert_eq!(
+            run(&[Expr::in_list(1, (3..6).map(Value::Int).collect())]),
+            (AccessPath::Columnar, 2000, 60)
+        );
+        // One that cannot even be looked up for less is not tried.
+        assert_eq!(
+            run(&[Expr::in_list(1, (0..9).map(Value::Int).collect())]),
+            (AccessPath::Columnar, 2000, 0)
+        );
+        // Values no chunk can hold are never looked up, nor is a row read.
+        let (_, scanned, lookups) = run(&[ids(5000..5003)]);
+        assert_eq!((scanned, lookups), (0, 0));
+    }
+
+    #[test]
+    fn probe_decides_without_a_projection() {
+        // The row store has no scan cheaper than a probe to offer.
+        let mut t = table();
+        t.create_index("name").unwrap();
+        let (mut scanned, mut profile) = (0, ScanProfile::default());
+        let conjuncts = [Expr::in_list(
+            1,
+            vec![Value::str("gamma"), Value::str("alpha"), Value::str("zeta")],
+        )];
+        let (path, rows) = t.select_profiled(&conjuncts, &mut scanned, &mut profile);
+        assert_eq!(path, AccessPath::IndexEq);
+        assert_eq!(rows, vec![0, 2, 3]);
+        assert_eq!(profile.in_probe_lookups, 2, "zeta lies past the last key");
     }
 
     #[test]
@@ -1038,31 +1221,47 @@ mod tests {
 
     #[test]
     fn chunked_select_matches_monolithic_on_every_path() {
-        let (mut chunked, mut oracle) = chunked_and_oracle();
-        for t in [&mut chunked, &mut oracle] {
-            t.create_index("size").unwrap();
-            t.enable_columnar(
-                &ColumnarSpec::time_sorted("id").with_block_rows(2),
-                SharedDict::new(),
-            )
-            .unwrap();
-        }
         let cases: Vec<Vec<Expr>> = vec![
-            vec![Expr::cmp_lit(1, CmpOp::Eq, "alpha")], // IndexEq
-            vec![Expr::cmp_lit(2, CmpOp::Ge, 40i64)],   // IndexRange / Columnar
-            vec![Expr::like(1, "%et%")],                // Seq (residual only)
-            vec![Expr::cmp_lit(0, CmpOp::Ge, 2i64), Expr::like(1, "%a%")], // Columnar + residual
-            vec![Expr::In(
-                Box::new(Expr::Col(1)),
+            vec![Expr::cmp_lit(1, CmpOp::Eq, "alpha")],
+            vec![Expr::cmp_lit(2, CmpOp::Ge, 40i64)],
+            vec![Expr::like(1, "%et%")],
+            vec![Expr::cmp_lit(0, CmpOp::Ge, 2i64), Expr::like(1, "%a%")],
+            vec![Expr::cmp_lit(2, CmpOp::Ne, 40i64)],
+            vec![Expr::in_list(
+                1,
                 vec![Value::str("beta"), Value::str("gamma")],
             )],
         ];
-        for conjuncts in cases {
-            let (mut s1, mut s2) = (0, 0);
-            let (p1, r1) = chunked.select(&conjuncts, &mut s1);
-            let (p2, r2) = oracle.select(&conjuncts, &mut s2);
-            assert_eq!(p1, p2, "same access path for {conjuncts:?}");
-            assert_eq!(r1, r2, "same rows for {conjuncts:?}");
+        // The layouts may cost a path differently; what they may not do is
+        // answer differently. Row stores and projected stores together
+        // take every path there is.
+        let mut paths = Vec::new();
+        for columnar in [false, true] {
+            let (mut chunked, mut oracle) = chunked_and_oracle();
+            for t in [&mut chunked, &mut oracle] {
+                t.create_index("size").unwrap();
+                if columnar {
+                    t.enable_columnar(
+                        &ColumnarSpec::time_sorted("id").with_block_rows(2),
+                        SharedDict::new(),
+                    )
+                    .unwrap();
+                }
+            }
+            for conjuncts in &cases {
+                let (p1, r1) = chunked.select(conjuncts, &mut 0);
+                let (p2, r2) = oracle.select(conjuncts, &mut 0);
+                assert_eq!(r1, r2, "same rows for {conjuncts:?}");
+                paths.extend([p1, p2]);
+            }
+        }
+        for path in [
+            AccessPath::IndexEq,
+            AccessPath::IndexRange,
+            AccessPath::Columnar,
+            AccessPath::Seq,
+        ] {
+            assert!(paths.contains(&path), "{path:?} never ran");
         }
     }
 

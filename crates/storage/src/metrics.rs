@@ -1,5 +1,6 @@
 //! The storage layer's handles into the process-wide telemetry registry.
 
+use aiql_rdb::ScanProfile;
 use aiql_telemetry::{global, Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
@@ -27,6 +28,15 @@ pub(crate) struct StorageMetrics {
     /// `aiql_storage_recovery_micros` — durable-store open time
     /// (snapshot load + WAL tail replay).
     pub recovery_micros: Histogram,
+    /// `aiql_storage_like_rows_total` — rows a `LIKE` predicate decided
+    /// by dictionary code instead of by matching their string.
+    pub like_rows: Counter,
+    /// `aiql_storage_like_symbol_evals_total` — pattern evaluations those
+    /// rows cost: one per distinct symbol per table scan.
+    pub like_symbol_evals: Counter,
+    /// `aiql_storage_in_probe_lookups_total` — B-tree lookups made by
+    /// index equality probes (`=` / IN-lists, clipped per chunk).
+    pub in_probe_lookups: Counter,
 }
 
 pub(crate) fn metrics() -> &'static StorageMetrics {
@@ -38,5 +48,19 @@ pub(crate) fn metrics() -> &'static StorageMetrics {
         sealed_chunks_shared: global().gauge("aiql_storage_sealed_chunks_shared"),
         checkpoint_micros: global().histogram("aiql_storage_checkpoint_micros"),
         recovery_micros: global().histogram("aiql_storage_recovery_micros"),
+        like_rows: global().counter("aiql_storage_like_rows_total"),
+        like_symbol_evals: global().counter("aiql_storage_like_symbol_evals_total"),
+        in_probe_lookups: global().counter("aiql_storage_in_probe_lookups_total"),
     })
+}
+
+/// Records what one finished scan's prepared predicates did — `profile` as
+/// the scan (all its partitions merged) left it. The query engine calls
+/// this once per scan it issues; `aiql-rdb`, where the counts are taken,
+/// has no registry handle.
+pub fn record_scan(profile: &ScanProfile) {
+    let m = metrics();
+    m.like_rows.add(profile.like_rows);
+    m.like_symbol_evals.add(profile.like_symbol_evals);
+    m.in_probe_lookups.add(profile.in_probe_lookups);
 }

@@ -51,7 +51,7 @@ fn cstr_cy(alias: &str, c: &CstrNode) -> String {
         CstrNode::Like { attr, pattern, neg } => format!(
             "{}{alias}.{attr} =~ '{}'",
             if *neg { "NOT " } else { "" },
-            like_regex(pattern)
+            like_regex(pattern.as_str())
         ),
         CstrNode::In { attr, neg, values } => format!(
             "{}{alias}.{attr} IN [{}]",

@@ -48,7 +48,7 @@ fn cstr_spl(pfx: &str, c: &CstrNode) -> String {
         CstrNode::Like { attr, pattern, neg } => format!(
             "{}{pfx}{attr}=\"{}\"",
             if *neg { "NOT " } else { "" },
-            pattern.replace('%', "*")
+            pattern.as_str().replace('%', "*")
         ),
         CstrNode::In { attr, neg, values } => format!(
             "{}{pfx}{attr} IN ({})",

@@ -45,7 +45,7 @@ fn cstr_sql(alias: &str, c: &CstrNode) -> String {
             "{alias}.{} {}LIKE {}",
             schema::column_for_attr(attr),
             if *neg { "NOT " } else { "" },
-            sql_str(pattern)
+            sql_str(pattern.as_str())
         ),
         CstrNode::In { attr, neg, values } => format!(
             "{alias}.{} {}IN ({})",

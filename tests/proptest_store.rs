@@ -2,7 +2,9 @@
 //! sequential scans, partition pruning must lose nothing, and the SQL
 //! pipeline must agree with hand-rolled filtering.
 
-use aiql::rdb::{CmpOp, ColumnType, Database, Expr, Prune, Schema, Value};
+use aiql::rdb::{
+    CmpOp, ColumnType, ColumnarSpec, Database, Expr, Prune, Schema, SharedDict, Value,
+};
 use proptest::prelude::*;
 
 fn rows() -> impl Strategy<Value = Vec<(i64, i64, String)>> {
@@ -104,12 +106,15 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Chunked ≡ monolithic: a table sealing every `chunk` rows (with extra
-    /// random explicit seals thrown in) must be observationally identical to
-    /// one whose tail never seals — same global row order, same positional
-    /// access, same selection results across every access path (index probe,
-    /// index range, LIKE residual, full scan). Chunk layout is an encoding,
-    /// never a semantic.
+    /// Chunked ≡ monolithic ≡ projected: a table sealing every `chunk` rows
+    /// (with extra random explicit seals thrown in) must be observationally
+    /// identical to one whose tail never seals, and so must a copy of it
+    /// carrying a columnar projection — same global row order, same
+    /// positional access, and the same positions in the same order from
+    /// every selection, whichever access path each layout picks for it
+    /// (index probe, index range, dictionary `LIKE` kernel, IN-list kernel,
+    /// full scan), over sealed chunks and the open tail alike. Layout is
+    /// an encoding, never a semantic.
     #[test]
     fn chunked_table_matches_monolithic_layout(
         data in rows(),
@@ -131,21 +136,36 @@ proptest! {
         // A chunk size no insert count here reaches: one open tail, exactly
         // the pre-chunking monolithic layout.
         let mut mono = Table::with_chunk_rows(schema(), usize::MAX);
-        for t in [&mut chunked, &mut mono] {
+        let mut projected = Table::with_chunk_rows(schema(), chunk);
+        for t in [&mut chunked, &mut mono, &mut projected] {
             t.create_index("val").unwrap();
             t.create_index("name").unwrap();
         }
+        projected
+            .enable_columnar(
+                &ColumnarSpec::time_sorted("start_time").with_block_rows(4),
+                SharedDict::new(),
+            )
+            .unwrap();
         for (i, (val, agent, nm)) in data.iter().enumerate() {
             let row = vec![
                 Value::Int(*val),
                 Value::Int(*agent),
-                Value::str(nm.clone()),
+                // Some attributes are NULL, and case varies.
+                match val % 5 {
+                    0 => Value::Null,
+                    1 => Value::str(nm.to_uppercase()),
+                    _ => Value::str(nm.clone()),
+                },
                 Value::Int(i as i64 * 10_000_000_000_000),
             ];
             chunked.insert(row.clone()).unwrap();
+            projected.insert(row.clone()).unwrap();
             mono.insert(row).unwrap();
             if seal_every > 0 && (i + 1) % seal_every == 0 {
-                chunked.seal_tail(); // mid-stream seal: irregular boundaries
+                // Mid-stream seals: irregular boundaries.
+                chunked.seal_tail();
+                projected.seal_tail();
             }
         }
         prop_assert_eq!(chunked.len(), mono.len());
@@ -163,19 +183,32 @@ proptest! {
         }
 
         // Selection differential across access paths.
+        let not_like = |pattern: String| Expr::NotLike(Box::new(Expr::Col(2)), pattern.into());
+        let ids = |n: i64| Expr::in_list(0, (needle..needle + n).map(Value::Int).collect());
         for conjuncts in [
             vec![],
             vec![Expr::cmp_lit(0, CmpOp::Eq, needle)],
             vec![Expr::cmp_lit(0, CmpOp::Ge, needle)],
             vec![Expr::like(2, format!("%{name}%")), Expr::cmp_lit(0, CmpOp::Lt, needle)],
             vec![Expr::like(2, format!("{name}%"))],
+            vec![Expr::like(2, format!("%{}", name.to_uppercase()))],
+            vec![not_like(format!("%{name}%"))],
+            vec![not_like(format!("{name}%")), Expr::cmp_lit(0, CmpOp::Ne, needle)],
+            vec![Expr::IsNull(Box::new(Expr::Col(2)))],
+            vec![ids(1)],
+            vec![ids(100), Expr::like(2, "%a%")],
+            vec![ids(5_000)],
+            vec![Expr::NotIn(Box::new(Expr::Col(0)), vec![Value::Int(needle)].into())],
         ] {
-            let (mut s1, mut s2) = (0u64, 0u64);
-            let (_, mut a) = chunked.select(&conjuncts, &mut s1);
-            let (_, mut b) = mono.select(&conjuncts, &mut s2);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "selection diverged on {:?}", conjuncts);
+            let want = mono.select(&conjuncts, &mut 0).1;
+            let oracle: Vec<u32> = (0..mono.len() as u32)
+                .filter(|&p| conjuncts.iter().all(|c| c.matches(mono.row(p))))
+                .collect();
+            prop_assert_eq!(&want, &oracle, "monolithic scan wrong on {:?}", conjuncts);
+            for (layout, t) in [("chunked", &chunked), ("projected", &projected)] {
+                let (_, got) = t.select(&conjuncts, &mut 0);
+                prop_assert_eq!(&got, &want, "{} diverged on {:?}", layout, conjuncts);
+            }
         }
 
         // Clone = refcount-bump of sealed history; post-clone inserts are
