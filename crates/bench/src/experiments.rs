@@ -443,14 +443,23 @@ fn fault_drill(data: &aiql_model::Dataset, dir: &std::path::Path) -> FaultDrill 
 
     let half = data.events.len() / 2;
     // Leg 1: a transient EIO in the middle of the stream — the flush retry
-    // must absorb it without the caller seeing an error.
-    ctl.arm(FaultPlan::new().fail("wal.segment.write", 2, FaultKind::Errno(ErrorKind::Other)));
-    for chunk in data.events[..half].chunks(4096) {
+    // must absorb it without the caller seeing an error. A flush is one
+    // log write (4 096 rows ≈ 430 KB, under the log's early-write bound),
+    // so the middle chunk's write is the middle crossing.
+    const CHUNK: usize = 4096;
+    let middle = half.div_ceil(CHUNK).div_ceil(2) as u64;
+    ctl.arm(FaultPlan::new().fail(
+        "wal.segment.write",
+        middle,
+        FaultKind::Errno(ErrorKind::Other),
+    ));
+    for chunk in data.events[..half].chunks(CHUNK) {
         let mut b = EventBatch::new();
         b.events = chunk.to_vec();
         ing.submit(b).expect("within the mark");
         ing.flush().expect("transient faults are retried");
     }
+    assert_eq!(ctl.injected().len(), 1, "the transient fault fired");
     // Leg 2: the disk fills mid-stream; the ingestor degrades and
     // back-pressures, then drains once space frees.
     ctl.arm(FaultPlan::new().fail(

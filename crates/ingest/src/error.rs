@@ -24,12 +24,13 @@ pub enum IngestError {
     Storage(RdbError),
     /// The durability layer failed: the write-ahead log could not be
     /// written/synced, or recovery/checkpointing failed. Unlike a
-    /// dead-lettered row this aborts the flush — rows past this point were
-    /// never acknowledged. Transient log I/O faults are retried (bounded,
+    /// dead-lettered row this aborts the flush — none of its rows was
+    /// acknowledged or applied, and all of them stay queued. Transient log
+    /// I/O faults are retried (bounded,
     /// with backoff — see [`crate::RetryPolicy`]) before surfacing here.
     Durable(PersistError),
     /// The storage stack reported it is out of space (`ENOSPC`) and the
-    /// ingestor entered degraded mode: the unacknowledged remainder stays
+    /// ingestor entered degraded mode: the unacknowledged flush stays
     /// queued, new submits are back-pressured, and the next successful
     /// flush — after the operator frees space — returns to healthy.
     /// Readable without an error in hand via

@@ -7,8 +7,8 @@ use aiql_model::{Entity, Event, Timestamp};
 use aiql_rdb::{PartKey, RdbError};
 use aiql_storage::timesync::Synchronizer;
 use aiql_storage::{
-    DurableStore, DurableWrite, EventStore, PersistError, RecoveryReport, SharedStore, StoreConfig,
-    StoreStamp, StoreWriter,
+    DurableStore, DurableWrite, EventStore, PersistError, RecoveryReport, RowRef, SharedStore,
+    StoreConfig, StoreStamp,
 };
 use std::collections::VecDeque;
 use std::io;
@@ -17,7 +17,7 @@ use std::time::Duration;
 
 /// How [`Ingestor::flush`] treats *transient* durability faults (a log
 /// write failing with a retryable I/O error): the flush re-attempts the
-/// remaining queue up to `max_retries` times, sleeping an exponentially
+/// whole queue up to `max_retries` times, sleeping an exponentially
 /// growing backoff between attempts.
 ///
 /// Fatal faults are never retried here: a poisoned log handle (failed
@@ -104,7 +104,7 @@ pub enum IngestState {
     #[default]
     Healthy = 0,
     /// The storage stack ran out of space. Submits are back-pressured and
-    /// the unacknowledged remainder stays queued; the first successful
+    /// the unacknowledged flush stays queued; the first successful
     /// flush (after the operator frees space) returns to [`Healthy`].
     ///
     /// [`Healthy`]: IngestState::Healthy
@@ -138,6 +138,16 @@ pub struct DeadLetter {
     pub row: DeadRow,
     /// Why the storage layer refused it.
     pub error: RdbError,
+}
+
+impl DeadLetter {
+    fn new(row: RowRef<'_>, error: RdbError) -> DeadLetter {
+        let row = match row {
+            RowRef::Entity(e) => DeadRow::Entity(e.clone()),
+            RowRef::Event(ev) => DeadRow::Event(ev.clone()),
+        };
+        DeadLetter { row, error }
+    }
 }
 
 /// Running totals over an ingestor's lifetime.
@@ -194,168 +204,27 @@ pub struct FlushReport {
     pub stamp: StoreStamp,
 }
 
-impl FlushReport {
-    /// Folds a later flush's report into this one (counts add, partition
-    /// lists concatenate, the stamp advances to the later one).
-    pub fn merge(&mut self, later: FlushReport) {
-        self.batches += later.batches;
-        self.events += later.events;
-        self.entities += later.entities;
-        self.out_of_order_events += later.out_of_order_events;
-        self.new_partitions.extend(later.new_partitions);
-        self.failed_rows += later.failed_rows;
-        if self.first_error.is_none() {
-            self.first_error = later.first_error;
-        }
-        self.stamp = self.stamp.max(later.stamp);
-    }
-}
-
 /// Where flushed rows land: a plain in-memory store, or a durable store
-/// that write-ahead-logs every row before inserting it.
+/// that write-ahead-logs every flush before applying it.
 #[derive(Debug)]
 enum Backend {
     Plain(SharedStore),
     Durable(DurableStore),
 }
 
-/// One flush's write path, matching the backend: a single store write
-/// session either way, plus the WAL handle when durable. Appends go to the
-/// writer's private head store; readers keep serving the previously
-/// published snapshot until the session publishes — on drop for the plain
-/// path, after the acknowledging fsync ([`DurableWrite::commit`]) for the
-/// durable one.
-enum Session<'a> {
-    Plain(StoreWriter<'a>),
-    Durable(DurableWrite<'a>),
-}
-
-impl Session<'_> {
-    fn append_entity(&mut self, e: &aiql_model::Entity) -> Result<(), PersistError> {
-        match self {
-            Session::Plain(store) => store.append_entity(e).map_err(PersistError::Storage),
-            Session::Durable(w) => w.append_entity(e),
-        }
+/// Encodes one row into the flush's log buffer (a no-op without a log).
+/// `Ok(Some(error))` means the log's codec refused the *row*: nothing of
+/// it was logged, so it must not be applied either — it is set aside as a
+/// dead letter. `Err` means the log itself failed and the flush is lost.
+fn log_row(
+    log: &mut Option<DurableWrite<'_>>,
+    row: RowRef<'_>,
+) -> Result<Option<RdbError>, PersistError> {
+    match log.as_mut().map_or(Ok(()), |w| w.log(row)) {
+        Ok(()) => Ok(None),
+        Err(PersistError::Storage(error)) => Ok(Some(error)),
+        Err(e) => Err(e),
     }
-
-    fn append_event(
-        &mut self,
-        ev: &aiql_model::Event,
-    ) -> Result<aiql_storage::AppendOutcome, PersistError> {
-        match self {
-            Session::Plain(store) => store.append_event(ev).map_err(PersistError::Storage),
-            Session::Durable(w) => w.append_event(ev),
-        }
-    }
-}
-
-/// Applies one batch through the write session, folding clock samples into
-/// `sync`, appending entities then offset-corrected events, and advancing
-/// `watermark` over the rows that landed.
-///
-/// Two failure channels, deliberately distinct:
-///
-/// - rows the storage layer (or the WAL codec) rejects are
-///   **dead-lettered** — counted in [`FlushReport::failed_rows`] with the
-///   first error kept, then skipped, because retrying them can never
-///   succeed;
-/// - a log I/O failure is a **durability fault** — the unprocessed
-///   remainder of the batch is returned for requeueing (the single requeue
-///   point lives in [`Ingestor::flush`]) and retried once the fault
-///   clears.
-fn apply_batch(
-    session: &mut Session<'_>,
-    sync: &mut Synchronizer,
-    watermark: &mut Option<Timestamp>,
-    report: &mut FlushReport,
-    dead: &mut Vec<DeadLetter>,
-    batch: EventBatch,
-) -> Result<(), (PersistError, EventBatch)> {
-    let EventBatch {
-        entities,
-        events,
-        clock_samples,
-    } = batch;
-    for (si, (agent, sample)) in clock_samples.iter().enumerate() {
-        if let Session::Durable(w) = session {
-            if let Err(e) = w.record_clock_sample(*agent, sample.agent_time, sample.server_time) {
-                return Err((
-                    e,
-                    EventBatch {
-                        entities,
-                        events,
-                        clock_samples: clock_samples[si..].to_vec(),
-                    },
-                ));
-            }
-        }
-        sync.record(*agent, *sample);
-    }
-    for (ei, entity) in entities.iter().enumerate() {
-        match session.append_entity(entity) {
-            Ok(()) => report.entities += 1,
-            Err(PersistError::Storage(e)) => {
-                report.failed_rows += 1;
-                report.first_error.get_or_insert(e.clone());
-                dead.push(DeadLetter {
-                    row: DeadRow::Entity(entity.clone()),
-                    error: e,
-                });
-            }
-            Err(e) => {
-                return Err((
-                    e,
-                    EventBatch {
-                        entities: entities[ei..].to_vec(),
-                        events,
-                        clock_samples: Vec::new(),
-                    },
-                ));
-            }
-        }
-    }
-    // Events are plain-old-data (no heap fields), so the corrected copy
-    // per row is cheap.
-    for (vi, ev) in events.iter().enumerate() {
-        let offset = sync.offset(ev.agent);
-        let mut corrected = ev.clone();
-        corrected.start = corrected.start.saturating_add(offset);
-        corrected.end = corrected.end.saturating_add(offset);
-        match session.append_event(&corrected) {
-            Ok(outcome) => {
-                if watermark.is_some_and(|w| corrected.start < w) {
-                    report.out_of_order_events += 1;
-                }
-                *watermark = Some(match *watermark {
-                    Some(w) => w.max(corrected.start),
-                    None => corrected.start,
-                });
-                if let Some(key) = outcome.created_partition {
-                    report.new_partitions.push(key);
-                }
-                report.events += 1;
-            }
-            Err(PersistError::Storage(e)) => {
-                report.failed_rows += 1;
-                report.first_error.get_or_insert(e.clone());
-                dead.push(DeadLetter {
-                    row: DeadRow::Event(corrected),
-                    error: e,
-                });
-            }
-            Err(e) => {
-                return Err((
-                    e,
-                    EventBatch {
-                        entities: Vec::new(),
-                        events: events[vi..].to_vec(),
-                        clock_samples: Vec::new(),
-                    },
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Streaming front door of the event store.
@@ -369,9 +238,9 @@ fn apply_batch(
 /// never wait behind a flush and a flush never waits for readers.
 ///
 /// A **durable** ingestor ([`Ingestor::durable`]) additionally write-ahead
-/// logs every corrected row before the in-memory insert and fsyncs the log
-/// before `flush` returns — an append is acknowledged only once it is on
-/// disk. Back-pressure is unchanged: the high-water mark still bounds the
+/// logs every flush — one write, one fsync — before any of its rows enters
+/// the store, and `flush` returns only after that fsync: an append is
+/// acknowledged only once it is on disk. Back-pressure is unchanged: the high-water mark still bounds the
 /// (in-memory, unacknowledged) queue. [`Ingestor::checkpoint`] snapshots
 /// the store and truncates the log.
 #[derive(Debug)]
@@ -586,15 +455,17 @@ impl Ingestor {
     /// watermark only advances over rows that actually landed, and
     /// [`IngestStats`] stays consistent with the store's row counts.
     ///
-    /// On a durable ingestor every row (and clock sample) is appended to
-    /// the write-ahead log before its in-memory insert, and the log is
-    /// fsynced before this returns — the returned report is the
-    /// acknowledgement. A log I/O failure aborts the attempt: the
-    /// unprocessed remainder of the queue (including the row that failed
-    /// to log) is put back for a retry, and whatever was applied before
-    /// the fault is folded into [`IngestStats`], so the stats stay
-    /// consistent with the store's row counts even on the error path.
-    /// What happens next depends on the fault:
+    /// On a durable ingestor the flush is the unit of durability and runs
+    /// **log, commit, apply**: every corrected row and clock sample of the
+    /// queue is first encoded into the write-ahead log's buffer; the
+    /// buffer reaches the log in one `write(2)` followed by one fsync —
+    /// the returned report is the acknowledgement; only then are the same
+    /// rows inserted into the store and published. Nothing touches the
+    /// store, the clock estimates, the statistics or the dead-letter queue
+    /// before the log has the flush, so a log failure leaves all of them
+    /// as they were and the queue **whole**: the next attempt logs the
+    /// same flush again from its first row. What happens next depends on
+    /// the fault:
     ///
     /// - **transient** log I/O faults are retried here, up to
     ///   [`RetryPolicy::max_retries`] times with exponential backoff,
@@ -608,111 +479,142 @@ impl Ingestor {
     ///   [`IngestState::Poisoned`], no retry — the acknowledgement channel
     ///   itself can no longer be trusted, reopen the directory instead.
     pub fn flush(&mut self) -> Result<FlushReport, IngestError> {
-        let mut total = FlushReport::default();
         let mut attempt: u32 = 0;
         loop {
-            match self.flush_attempt(&mut total) {
-                Ok(()) => {
+            let e = match self.flush_attempt() {
+                Ok(report) => {
                     if self.state == IngestState::Degraded {
                         self.set_state(IngestState::Healthy);
                     }
-                    return Ok(total);
+                    return Ok(report);
                 }
-                Err(e) => {
-                    let poisoned = match &self.backend {
-                        Backend::Durable(d) => d.is_poisoned(),
-                        Backend::Plain(_) => false,
-                    };
-                    if poisoned {
-                        self.set_state(IngestState::Poisoned);
-                        return Err(IngestError::Durable(e));
-                    }
-                    match &e {
-                        PersistError::Io(io) if io.kind() == io::ErrorKind::StorageFull => {
-                            self.set_state(IngestState::Degraded);
-                            return Err(IngestError::Degraded {
-                                queued_rows: self.queued_rows,
-                                cause: e,
-                            });
-                        }
-                        PersistError::Io(_) if attempt < self.config.retry.max_retries => {
-                            attempt += 1;
-                            self.stats.flush_retries += 1;
-                            crate::metrics::metrics().flush_retries.inc();
-                            let delay = self.config.retry.delay(attempt);
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        _ => return Err(IngestError::Durable(e)),
+                Err(e) => e,
+            };
+            let poisoned = match &self.backend {
+                Backend::Durable(d) => d.is_poisoned(),
+                Backend::Plain(_) => false,
+            };
+            if poisoned {
+                self.set_state(IngestState::Poisoned);
+                return Err(IngestError::Durable(e));
+            }
+            match &e {
+                PersistError::Io(io) if io.kind() == io::ErrorKind::StorageFull => {
+                    self.set_state(IngestState::Degraded);
+                    return Err(IngestError::Degraded {
+                        queued_rows: self.queued_rows,
+                        cause: e,
+                    });
+                }
+                PersistError::Io(_) if attempt < self.config.retry.max_retries => {
+                    attempt += 1;
+                    self.stats.flush_retries += 1;
+                    crate::metrics::metrics().flush_retries.inc();
+                    let delay = self.config.retry.delay(attempt);
+                    if !delay.is_zero() {
+                        std::thread::sleep(delay);
                     }
                 }
+                _ => return Err(IngestError::Durable(e)),
             }
         }
     }
 
-    /// One attempt at draining the queue: the write session, the single
-    /// requeue point, stats folding, and dead-letter retention. Progress
-    /// (applied batches, dead letters) is merged into `total` whether the
-    /// attempt succeeds or not.
-    fn flush_attempt(&mut self, total: &mut FlushReport) -> Result<(), PersistError> {
+    /// One attempt at flushing the whole queue: log, commit, apply (see
+    /// [`Ingestor::flush`]). Every `?` below is a log failure before the
+    /// commit point: the session drops uncommitted (the log discards the
+    /// flush's frames), and because the attempt has worked on scratch
+    /// state only — the queue is read, never popped — there is nothing to
+    /// put back or undo. Scratch state is folded into `self` only after
+    /// the commit: a flush that is retried must not fold a clock sample
+    /// twice or dead-letter the same row once per attempt.
+    fn flush_attempt(&mut self) -> Result<FlushReport, PersistError> {
         let started = std::time::Instant::now();
-        let mut report = FlushReport::default();
-        let mut dead = Vec::new();
-        let mut failure: Option<PersistError> = None;
-        let mut session = match &mut self.backend {
-            Backend::Plain(shared) => Session::Plain(shared.write()),
-            Backend::Durable(d) => Session::Durable(d.begin()),
+        // Taken up front: the durable session below borrows the backend
+        // until it is dropped.
+        let shared = self.shared();
+        let mut log = match &mut self.backend {
+            Backend::Durable(d) => Some(d.begin()),
+            Backend::Plain(_) => None,
         };
-        while let Some(batch) = self.queue.pop_front() {
-            self.queued_rows -= batch.weight();
-            match apply_batch(
-                &mut session,
-                &mut self.sync,
-                &mut self.watermark,
-                &mut report,
-                &mut dead,
-                batch,
-            ) {
-                Ok(()) => report.batches += 1,
-                // The single requeue point — durability (log I/O) failures
-                // only. Dead-lettered rows never reach here: `apply_batch`
-                // counts and skips them. The unprocessed remainder goes
-                // back to the queue head for a retry after the fault
-                // clears.
-                Err((e, remainder)) => {
-                    failure = Some(e);
-                    self.queued_rows += remainder.weight();
-                    self.queue.push_front(remainder);
-                    break;
+
+        // Log: fold clock samples, correct stamps, encode the flush.
+        let mut sync = self.sync.clone();
+        let mut dead = Vec::new();
+        let mut entities = Vec::new();
+        let mut events = Vec::with_capacity(self.queue.iter().map(|b| b.events.len()).sum());
+        for batch in &self.queue {
+            for (agent, sample) in &batch.clock_samples {
+                if let Some(w) = &mut log {
+                    w.log_clock_sample(*agent, sample.agent_time, sample.server_time)?;
+                }
+                sync.record(*agent, *sample);
+            }
+            for entity in &batch.entities {
+                match log_row(&mut log, RowRef::Entity(entity))? {
+                    None => entities.push(entity),
+                    Some(error) => dead.push(DeadLetter::new(RowRef::Entity(entity), error)),
+                }
+            }
+            // Events are plain-old-data (no heap fields), so the corrected
+            // copy per row is cheap.
+            for ev in &batch.events {
+                let offset = sync.offset(ev.agent);
+                let mut corrected = ev.clone();
+                corrected.start = corrected.start.saturating_add(offset);
+                corrected.end = corrected.end.saturating_add(offset);
+                match log_row(&mut log, RowRef::Event(&corrected))? {
+                    None => events.push(corrected),
+                    Some(error) => dead.push(DeadLetter::new(RowRef::Event(&corrected), error)),
                 }
             }
         }
 
-        match session {
-            Session::Plain(store) => {
-                if failure.is_none() {
-                    report.stamp = store.stamp();
-                }
-                // Dropping the plain session publishes: the whole flush
-                // becomes visible to readers atomically, never mid-drain.
-            }
-            Session::Durable(w) => {
-                if failure.is_none() {
-                    // The acknowledgement point: fsync the log, then
-                    // publish — readers can never see unacknowledged rows.
-                    match w.commit() {
-                        Ok(stamp) => report.stamp = stamp,
-                        Err(e) => failure = Some(e),
+        // Apply: the rows the log took, in the order it took them within
+        // each table. The watermark only advances over rows that landed.
+        let mut report = FlushReport {
+            batches: self.queue.len(),
+            ..FlushReport::default()
+        };
+        let mut watermark = self.watermark;
+        let rows =
+            (entities.into_iter().map(RowRef::Entity)).chain(events.iter().map(RowRef::Event));
+        let apply = |store: &mut EventStore| {
+            for row in rows {
+                match (store.apply(row), row) {
+                    (Ok(_), RowRef::Entity(_)) => report.entities += 1,
+                    (Ok(outcome), RowRef::Event(ev)) => {
+                        if watermark.is_some_and(|w| ev.start < w) {
+                            report.out_of_order_events += 1;
+                        }
+                        watermark = Some(watermark.map_or(ev.start, |w| w.max(ev.start)));
+                        report.new_partitions.extend(outcome.created_partition);
+                        report.events += 1;
                     }
+                    (Err(error), row) => dead.push(DeadLetter::new(row, error)),
                 }
-                // On failure the session drops uncommitted and
-                // unpublished: nothing past the fault was acknowledged,
-                // and readers keep the last acknowledged snapshot.
             }
-        }
+        };
+        // Commit — one write, one fsync: the acknowledgement point — then
+        // apply and publish; readers can never see unacknowledged rows.
+        // Without a log the apply phase runs alone, and dropping the plain
+        // session publishes: the whole flush becomes visible atomically.
+        let stamp = match log {
+            Some(w) => w.commit(apply)?.1,
+            None => {
+                let mut w = shared.write();
+                apply(&mut w);
+                w.stamp()
+            }
+        };
 
-        // Applied rows are in the store either way; keep the stats honest.
+        report.stamp = stamp;
+        report.failed_rows = dead.len();
+        report.first_error = dead.first().map(|letter| letter.error.clone());
+        self.sync = sync;
+        self.watermark = watermark;
+        self.queue.clear();
+        self.queued_rows = 0;
         self.stats.batches_applied += report.batches as u64;
         self.stats.events_applied += report.events as u64;
         self.stats.entities_applied += report.entities as u64;
@@ -720,7 +622,7 @@ impl Ingestor {
         self.stats.rollovers += report.new_partitions.len() as u64;
         self.stats.failed_rows += report.failed_rows as u64;
         let m = crate::metrics::metrics();
-        m.queue_rows.set(self.queued_rows as i64);
+        m.queue_rows.set(0);
         m.flush_micros.record_duration(started.elapsed());
         m.flush_rows
             .record((report.events + report.entities) as u64);
@@ -734,11 +636,7 @@ impl Ingestor {
         }
         m.dead_letter_queue_depth
             .set(self.dead_letters.len() as i64);
-        total.merge(report);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(report)
     }
 
     /// Flushes, then snapshots the store and truncates the write-ahead log

@@ -4,10 +4,14 @@
 //! [`DurableStore`] wraps a [`SharedStore`] and an `aiql-wal` log under one
 //! protocol:
 //!
-//! - **append**: every entity/event is appended to the WAL *before* the
-//!   in-memory insert ([`DurableWrite`]); the write is acknowledged —
-//!   durable — once [`DurableWrite::commit`] (or [`DurableStore::sync`])
-//!   has fsynced the log.
+//! - **flush** ([`DurableWrite`]): *log, commit, apply*. Every row of the
+//!   flush is first encoded into the log's buffer ([`DurableWrite::log`]);
+//!   [`DurableWrite::commit`] hands the buffer to the log in one
+//!   `write(2)`, fsyncs — the acknowledgement point — and only then runs
+//!   the caller's apply step against the head store and publishes. Nothing
+//!   touches the head before the log has it, so a failed write or fsync
+//!   leaves the head exactly where it was and the caller free to retry the
+//!   whole flush; a session dropped uncommitted logs nothing.
 //! - **checkpoint**: [`DurableStore::checkpoint_with`] fsyncs the log,
 //!   writes a full snapshot tagged with the last logged sequence number
 //!   (durable to the directory entry before anything old is pruned),
@@ -18,41 +22,28 @@
 //!   that protocol recovers exactly the acknowledged stream — never a
 //!   duplicate, never a loss.
 //! - **recover**: [`DurableStore::open`] on an existing directory loads
-//!   the newest valid snapshot, replays the WAL tail (tolerating a torn
-//!   final record — from the same single segment scan that positions the
-//!   log writer), and hands back the rebuilt synchronizer so ingestion
-//!   resumes with the same per-agent clock offsets.
+//!   the newest valid snapshot, then applies the WAL tail record by record
+//!   as the single segment scan that positions the log writer yields it
+//!   (tolerating a torn final record) — through [`EventStore::apply`], the
+//!   function a live flush applies its rows with — and hands back the
+//!   rebuilt synchronizer so ingestion resumes with the same per-agent
+//!   clock offsets.
 //!
 //! Readers go through the same epoch-swapped [`SharedStore`] handle live
-//! queries already use — with one durable-specific refinement: appends are
-//! made to the writer's private head store and **published** (made visible
-//! to readers) only after the WAL fsync that acknowledges them. A reader
-//! can therefore never observe a row whose durability is still in flight.
+//! queries already use — with one durable-specific refinement: a flush's
+//! rows enter the writer's private head store, and are **published** (made
+//! visible to readers), only after the WAL fsync that acknowledges them. A
+//! reader can therefore never observe a row whose durability is still in
+//! flight.
 
 use crate::persist::{self, PersistError, RecoveryReport};
 use crate::timesync::Synchronizer;
-use crate::{AppendOutcome, EventStore, SharedStore, StoreConfig, StoreStamp, StoreWriter};
-use aiql_model::{AgentId, Entity, Event};
+use crate::{EventStore, RowRef, SharedStore, StoreConfig, StoreStamp, StoreWriter};
+use aiql_model::AgentId;
 use aiql_rdb::RdbError;
-use aiql_wal::{Wal, WalOptions, WalRecord};
+use aiql_wal::{AppendError, Wal, WalOptions, WalRecord};
 use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
-
-/// Classifies a WAL append failure. Oversized payloads and fields over the
-/// codec caps are rejected *before any byte reaches the log*, so they
-/// condemn the record, not the log — mapped into the same dead-letter
-/// channel as a store-rejected row (retrying them can never succeed, and
-/// requeueing would wedge ingestion on the poison record forever). Real
-/// log I/O failures stay fatal durability errors.
-fn classify_wal_append(e: io::Error) -> PersistError {
-    match e.kind() {
-        io::ErrorKind::InvalidInput | io::ErrorKind::InvalidData => PersistError::Storage(
-            RdbError::SchemaMismatch(format!("record rejected by wal codec: {e}")),
-        ),
-        _ => PersistError::Io(e),
-    }
-}
 
 /// A [`DurableStore`] freshly opened, with whatever recovery produced.
 #[derive(Debug)]
@@ -83,23 +74,30 @@ impl DurableStore {
         let opened = std::time::Instant::now();
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        // Take the single-writer lock (inside Wal::open) *before* touching
-        // any store file: two concurrent openers racing through the
-        // baseline-snapshot write would interleave into the shared
-        // .snapshot.tmp and rename a corrupt snapshot-0 into place. The
-        // loser now fails here, having written nothing. Opening the log
-        // must scan every segment anyway (to position the writer and
-        // truncate any torn tail); recovery reuses the records from that
-        // one pass instead of reading the segments a second time.
-        let (mut wal, replay) =
-            Wal::open_with_replay(persist::wal_dir(&dir), WalOptions::default())?;
-        let (shared, sync, report) = if persist::snapshot_files(&dir)?.is_empty() {
+        // Take the single-writer lock *before* touching any store file:
+        // two concurrent openers racing through the baseline-snapshot
+        // write would interleave into the shared .snapshot.tmp and rename
+        // a corrupt snapshot-0 into place. The loser now fails here,
+        // having written nothing.
+        let lock = Wal::lock(persist::wal_dir(&dir))?;
+        let options = WalOptions::default();
+        let (mut wal, shared, sync, report) = if persist::snapshot_files(&dir)?.is_empty() {
+            let (wal, _) = lock.open(options, |_, _| {})?;
             let store = EventStore::empty(config)?;
             persist::write_snapshot(&store, &dir, 0)?;
-            (SharedStore::new(store), Synchronizer::new(), None)
+            (wal, SharedStore::new(store), Synchronizer::new(), None)
         } else {
-            let rec = persist::recover_with_replay(&dir, replay)?;
-            (SharedStore::new(rec.store), rec.sync, Some(rec.report))
+            // Opening the log must scan every segment anyway (to position
+            // the writer and truncate any torn tail); recovery applies the
+            // records as that one pass yields them.
+            let mut wal = None;
+            let rec = persist::recover_with_replay(&dir, |visit| {
+                let (opened, scan) = lock.open(options, visit)?;
+                wal = Some(opened);
+                Ok(scan)
+            })?;
+            let wal = wal.expect("a successful recovery has scanned the log");
+            (wal, SharedStore::new(rec.store), rec.sync, Some(rec.report))
         };
         // The log alone cannot remember how far the sequence got when a
         // checkpoint left it empty — continue past the snapshot's covered
@@ -135,9 +133,9 @@ impl DurableStore {
     }
 
     /// Whether the underlying log handle has been poisoned by a failed
-    /// fsync or failed torn-tail repair. A poisoned store refuses appends
-    /// and syncs; reopening the directory is the only way back to a
-    /// writer whose acknowledgements can be trusted (the reopen re-reads
+    /// fsync or a failed truncate-to-synced. A poisoned store refuses
+    /// appends and syncs; reopening the directory is the only way back to
+    /// a writer whose acknowledgements can be trusted (the reopen re-reads
     /// what is actually durable).
     pub fn is_poisoned(&self) -> bool {
         self.wal.is_poisoned()
@@ -148,37 +146,16 @@ impl DurableStore {
         Ok(self.wal.size_bytes()?)
     }
 
-    /// Starts a batched write session: one store write session, WAL-append
-    /// before every insert, one fsync at [`DurableWrite::commit`] — which
-    /// then publishes the appended rows to readers. A session dropped
-    /// without committing publishes nothing (the rows stay in the private
-    /// head store and surface with the next acknowledged publish).
+    /// Starts a flush: log its rows, then [`DurableWrite::commit`] — one
+    /// write, one fsync, and only then the apply step and the publish. A
+    /// session dropped without committing logs, applies and publishes
+    /// nothing.
     pub fn begin(&mut self) -> DurableWrite<'_> {
         DurableWrite {
             store: self.shared.write_deferred(),
             wal: &mut self.wal,
+            committed: false,
         }
-    }
-
-    /// Appends one entity (WAL first). Durable — and visible to readers —
-    /// after [`DurableStore::sync`].
-    pub fn append_entity(&mut self, e: &Entity) -> Result<(), PersistError> {
-        self.begin().append_entity(e)
-    }
-
-    /// Appends one event (WAL first). Durable — and visible to readers —
-    /// after [`DurableStore::sync`].
-    pub fn append_event(&mut self, ev: &Event) -> Result<AppendOutcome, PersistError> {
-        self.begin().append_event(ev)
-    }
-
-    /// Fsyncs the log — the acknowledgement point for appends made outside
-    /// a [`DurableWrite`] session — then publishes the acknowledged rows
-    /// to readers.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.wal.sync()?;
-        self.shared.write_deferred().publish();
-        Ok(())
     }
 
     /// Checkpoints while **discarding** any time-synchronization state the
@@ -211,11 +188,10 @@ impl DurableStore {
         self.wal.sync()?;
         let covered = self.wal.last_seq();
         let path = {
-            // Everything in the head was logged before it was inserted and
-            // the log is now fsynced, so the head is fully acknowledged:
-            // publish it (any appends still unpublished become readable)
-            // and snapshot that state. Readers are not blocked — the write
-            // session locks out other writers only.
+            // Every row in the head was applied only after the fsync that
+            // acknowledged it, so the head is fully acknowledged: snapshot
+            // that state. Readers are not blocked — the write session
+            // locks out other writers only.
             let mut w = self.shared.write_deferred();
             w.publish();
             persist::write_snapshot(&w, &self.dir, covered)?
@@ -253,36 +229,46 @@ impl DurableStore {
     }
 }
 
-/// A batched durable write session: WAL-append before in-memory insert
-/// into the private head store, fsynced once at commit, **published** to
-/// readers only after that fsync.
+/// One durable flush: rows are **logged** (encoded into the log's buffer),
+/// then [`DurableWrite::commit`] writes and fsyncs the buffer, and only
+/// then **applies** the rows to the private head store and **publishes**
+/// it to readers.
 #[derive(Debug)]
 pub struct DurableWrite<'a> {
     store: StoreWriter<'a>,
     wal: &'a mut Wal,
+    committed: bool,
 }
 
 impl DurableWrite<'_> {
-    /// Logs then inserts one entity. A [`PersistError::Storage`] error
-    /// means the *record* was rejected — by the store after the WAL
-    /// accepted it, or by the WAL codec caps before a byte was logged
-    /// (the dead-letter cases); any other error means the log write itself
-    /// failed and durability is not guaranteed.
-    pub fn append_entity(&mut self, e: &Entity) -> Result<(), PersistError> {
-        self.wal.append_entity(e).map_err(classify_wal_append)?;
-        self.store.append_entity(e).map_err(PersistError::Storage)
+    /// Encodes one row into the flush (timestamps of an event must already
+    /// be corrected — the log holds server time). A
+    /// [`PersistError::Storage`] error means the log's codec refused the
+    /// *row* (a field over its caps): nothing of it is logged, the flush
+    /// stands, and the caller must not apply the row either — the
+    /// dead-letter case. Any other error means the log itself failed and
+    /// the flush is lost.
+    pub fn log(&mut self, row: RowRef<'_>) -> Result<(), PersistError> {
+        let appended = match row {
+            RowRef::Entity(e) => self.wal.try_append_entity(e),
+            RowRef::Event(ev) => self.wal.try_append_event(ev),
+        };
+        // The two are told apart by type, never by `io::ErrorKind`: a
+        // failed write(2) may carry any kind, and mistaking it for a
+        // refused row would apply — and acknowledge — a flush the log has
+        // just discarded.
+        match appended {
+            Ok(_) => Ok(()),
+            Err(e @ AppendError::Rejected(_)) => Err(PersistError::Storage(
+                RdbError::SchemaMismatch(e.to_string()),
+            )),
+            Err(AppendError::Log(e)) => Err(PersistError::Io(e)),
+        }
     }
 
-    /// Logs then inserts one event (timestamps must already be corrected —
-    /// the log holds server time). Errors as [`DurableWrite::append_entity`].
-    pub fn append_event(&mut self, ev: &Event) -> Result<AppendOutcome, PersistError> {
-        self.wal.append_event(ev).map_err(classify_wal_append)?;
-        self.store.append_event(ev).map_err(PersistError::Storage)
-    }
-
-    /// Logs one raw clock sample (log-only; the caller folds it into its
-    /// synchronizer).
-    pub fn record_clock_sample(
+    /// Encodes one raw clock sample into the flush (log-only; the caller
+    /// folds it into its synchronizer once the flush commits).
+    pub fn log_clock_sample(
         &mut self,
         agent: AgentId,
         agent_time: i64,
@@ -296,24 +282,35 @@ impl DurableWrite<'_> {
         Ok(())
     }
 
-    /// The store stamp as of this session.
-    pub fn stamp(&self) -> StoreStamp {
-        self.store.stamp()
-    }
-
-    /// Fsyncs the log — the acknowledgement point — and only then
-    /// publishes the session's appends as the new reader-visible snapshot.
-    /// Returns the stamp the session reached.
+    /// Writes the flush to the log in one `write(2)` and fsyncs it — the
+    /// acknowledgement point — then runs `apply` against the head store
+    /// (where the caller inserts the rows it logged) and publishes the
+    /// result as the new reader-visible snapshot. Returns what `apply`
+    /// returned and the stamp the head reached.
     ///
     /// Readers are never stalled behind the disk sync (they keep serving
     /// the previous snapshot throughout), and they can never observe a row
-    /// before it is durable: publication happens strictly after the fsync,
-    /// closing the pre-ack visibility window the lock-based store had. If
-    /// the fsync fails nothing is published — the un-acknowledged rows
-    /// stay confined to the writer's head store.
-    pub fn commit(mut self) -> Result<StoreStamp, PersistError> {
+    /// before it is durable. If the write or the fsync fails, `apply`
+    /// never runs: the head holds nothing of the flush, the log has
+    /// discarded it (or is poisoned), and nothing is published.
+    pub fn commit<R>(
+        mut self,
+        apply: impl FnOnce(&mut EventStore) -> R,
+    ) -> Result<(R, StoreStamp), PersistError> {
         self.wal.sync()?;
-        Ok(self.store.publish())
+        self.committed = true;
+        let applied = apply(&mut self.store);
+        Ok((applied, self.store.publish()))
+    }
+}
+
+impl Drop for DurableWrite<'_> {
+    fn drop(&mut self) {
+        if !self.committed {
+            // Frames of an abandoned flush must not ride along with the
+            // next one: its rows were never applied.
+            self.wal.discard_flush();
+        }
     }
 }
 
@@ -321,7 +318,7 @@ impl DurableWrite<'_> {
 mod tests {
     use super::*;
     use crate::timesync::ClockSample;
-    use aiql_model::{EntityKind, OpType, Timestamp};
+    use aiql_model::{Entity, EntityKind, Event, OpType, Timestamp};
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -342,19 +339,39 @@ mod tests {
         )
     }
 
+    /// One flush — `entities`, then `events` — logged, committed, applied.
+    /// Returns how many rows the store rejected at apply.
+    fn flush(d: &mut DurableStore, entities: &[Entity], events: &[Event]) -> usize {
+        let rows: Vec<RowRef<'_>> = (entities.iter().map(RowRef::Entity))
+            .chain(events.iter().map(RowRef::Event))
+            .collect();
+        let mut w = d.begin();
+        for row in &rows {
+            w.log(*row).unwrap();
+        }
+        let apply = |store: &mut EventStore| {
+            rows.iter()
+                .filter(|row| store.apply(**row).is_err())
+                .count()
+        };
+        w.commit(apply).unwrap().0
+    }
+
+    fn events(ids: std::ops::RangeInclusive<u64>) -> Vec<Event> {
+        ids.map(|i| event(i, 0, i as i64 * 1_000)).collect()
+    }
+
     #[test]
     fn fresh_open_append_reopen() {
         let dir = tmp("fresh");
         let opened = DurableStore::open(&dir, StoreConfig::partitioned()).unwrap();
         assert!(opened.report.is_none(), "fresh directory");
         let mut d = opened.store;
-        let mut w = d.begin();
-        w.append_entity(&Entity::process(1.into(), AgentId(0), "bash", 7))
-            .unwrap();
-        w.append_event(&event(1, 0, 100)).unwrap();
-        w.append_event(&event(2, 0, 200)).unwrap();
-        let stamp = w.commit().unwrap();
+        let bash = Entity::process(1.into(), AgentId(0), "bash", 7);
+        assert_eq!(flush(&mut d, &[bash], &events(1..=2)), 0);
+        let stamp = d.shared().stamp();
         assert_eq!((stamp.events, stamp.entities), (2, 1));
+        assert_eq!(d.last_wal_seq(), 3);
         drop(d);
 
         let reopened = DurableStore::open(&dir, StoreConfig::partitioned()).unwrap();
@@ -376,10 +393,7 @@ mod tests {
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
-        for i in 1..=10 {
-            d.append_event(&event(i, 0, i as i64 * 1_000)).unwrap();
-        }
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(1..=10));
         let before = d.wal_size_bytes().unwrap();
         assert!(before > 0);
 
@@ -399,8 +413,7 @@ mod tests {
         assert_eq!(persist::snapshot_files(&dir).unwrap().len(), 1);
 
         // Post-checkpoint appends land after the snapshot.
-        d.append_event(&event(11, 0, 99_000)).unwrap();
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(11..=11));
         drop(d);
 
         let reopened = DurableStore::open(&dir, StoreConfig::partitioned()).unwrap();
@@ -429,10 +442,7 @@ mod tests {
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
-        for i in 1..=10 {
-            d.append_event(&event(i, 0, i as i64)).unwrap();
-        }
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(1..=10));
         d.checkpoint_discarding_sync().unwrap();
         drop(d);
 
@@ -441,10 +451,7 @@ mod tests {
             .unwrap()
             .store;
         assert!(d.last_wal_seq() >= 10, "sequence continues past snapshot");
-        for i in 11..=13 {
-            d.append_event(&event(i, 0, i as i64)).unwrap();
-        }
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(11..=13));
         drop(d);
 
         // Life 3: every acknowledged event is recovered.
@@ -468,11 +475,15 @@ mod tests {
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
+        let ev = event(1, 7, 100);
         let mut w = d.begin();
-        w.record_clock_sample(AgentId(7), 0, 400).unwrap();
-        w.record_clock_sample(AgentId(7), 100, 700).unwrap();
-        w.append_event(&event(1, 7, 100)).unwrap();
-        w.commit().unwrap();
+        w.log_clock_sample(AgentId(7), 0, 400).unwrap();
+        w.log_clock_sample(AgentId(7), 100, 700).unwrap();
+        w.log(RowRef::Event(&ev)).unwrap();
+        w.commit(|store| store.apply(RowRef::Event(&ev)).map(drop))
+            .unwrap()
+            .0
+            .unwrap();
 
         // The first half of checkpoint_with, then "power loss".
         let covered = d.last_wal_seq();
@@ -502,10 +513,7 @@ mod tests {
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
-        for i in 1..=5 {
-            d.append_event(&event(i, 0, i as i64)).unwrap();
-        }
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(1..=5));
         // Crash mid-checkpoint: the new snapshot renamed into place, the
         // log not yet truncated — then the snapshot file rots.
         let covered = d.last_wal_seq();
@@ -524,23 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_codec_rejections_dead_letter_but_io_failures_stay_fatal() {
-        // Oversized records must not masquerade as durability failures —
-        // the ingestor requeues those, and a record the codec can never
-        // encode would wedge the queue forever.
-        for kind in [io::ErrorKind::InvalidInput, io::ErrorKind::InvalidData] {
-            assert!(matches!(
-                classify_wal_append(io::Error::new(kind, "too big")),
-                PersistError::Storage(RdbError::SchemaMismatch(_))
-            ));
-        }
-        assert!(matches!(
-            classify_wal_append(io::Error::new(io::ErrorKind::StorageFull, "disk full")),
-            PersistError::Io(_)
-        ));
-    }
-
-    #[test]
     fn unreadable_newest_snapshot_with_torn_log_fails_loudly() {
         // Double fault: the newest snapshot rots *and* the log is torn
         // before reaching that snapshot's covered seq. The records from
@@ -550,10 +541,7 @@ mod tests {
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
-        for i in 1..=5 {
-            d.append_event(&event(i, 0, i as i64)).unwrap();
-        }
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(1..=5));
         let covered = d.last_wal_seq();
         let shared = d.shared();
         let snap = persist::write_snapshot(&shared.read(), d.dir(), covered).unwrap();
@@ -574,10 +562,7 @@ mod tests {
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
-        for i in 1..=5 {
-            d.append_event(&event(i, 0, i as i64)).unwrap();
-        }
-        d.sync().unwrap();
+        flush(&mut d, &[], &events(1..=5));
         // Stash the baseline snapshot the checkpoint is about to prune.
         let (_, old_snap) = persist::snapshot_files(&dir).unwrap().pop().unwrap();
         let stash = dir.join("stash.bin");
@@ -612,19 +597,40 @@ mod tests {
     }
 
     #[test]
+    fn a_session_dropped_uncommitted_logs_and_applies_nothing() {
+        let dir = tmp("abandoned");
+        let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
+            .unwrap()
+            .store;
+        let mut w = d.begin();
+        w.log(RowRef::Event(&event(1, 0, 5))).unwrap();
+        w.log(RowRef::Event(&event(2, 0, 6))).unwrap();
+        drop(w);
+        assert_eq!(
+            d.last_wal_seq(),
+            0,
+            "the abandoned flush gave its numbers back"
+        );
+        flush(&mut d, &[], &events(3..=3));
+        assert_eq!(d.last_wal_seq(), 1);
+        drop(d);
+
+        let reopened = DurableStore::open(&dir, StoreConfig::partitioned()).unwrap();
+        assert_eq!(reopened.report.expect("recovered").replayed_events, 1);
+        assert_eq!(reopened.store.shared().read().event_count(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn dead_lettered_row_is_skipped_identically_on_replay() {
         let dir = tmp("dead-letter");
         let mut d = DurableStore::open(&dir, StoreConfig::partitioned())
             .unwrap()
             .store;
+        // The log's codec takes the row; the store's schema does not.
         let poison = Entity::process(1.into(), AgentId(0), "p", 1).with_attr("pid", "not-a-number");
-        let mut w = d.begin();
-        assert!(matches!(
-            w.append_entity(&poison),
-            Err(PersistError::Storage(_))
-        ));
-        w.append_event(&event(1, 0, 5)).unwrap();
-        w.commit().unwrap();
+        assert_eq!(flush(&mut d, &[poison], &events(1..=1)), 1, "rejected");
+        assert_eq!(d.shared().stamp().entities, 0, "and skipped");
         drop(d);
 
         let reopened = DurableStore::open(&dir, StoreConfig::partitioned()).unwrap();

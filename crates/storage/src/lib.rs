@@ -246,6 +246,16 @@ pub struct AppendOutcome {
     pub created_partition: Option<PartKey>,
 }
 
+/// One row on its way into a store, borrowed from whoever holds it — a
+/// queued shipment, a timestamp-corrected copy, a decoded log record.
+#[derive(Debug, Clone, Copy)]
+pub enum RowRef<'a> {
+    /// A system entity.
+    Entity(&'a Entity),
+    /// A system event (timestamps already corrected).
+    Event(&'a Event),
+}
+
 /// The single-node event store (monolithic or partitioned layout).
 ///
 /// Construct-and-query via [`EventStore::ingest`], or grow a live store via
@@ -339,6 +349,17 @@ impl EventStore {
         Ok(AppendOutcome {
             created_partition: report.created_partition,
         })
+    }
+
+    /// Inserts one logged row. A durable flush's apply phase and
+    /// recovery's replay of the log both go through here, so a row the
+    /// store rejects live is rejected — and skipped — identically when the
+    /// log is replayed.
+    pub fn apply(&mut self, row: RowRef<'_>) -> Result<AppendOutcome, RdbError> {
+        match row {
+            RowRef::Entity(e) => self.append_entity(e).map(|()| AppendOutcome::default()),
+            RowRef::Event(ev) => self.append_event(ev),
+        }
     }
 
     /// Backwards-compatible alias of [`EventStore::append_entity`].

@@ -20,9 +20,11 @@
 //! then replays the WAL tail: *event and entity* records with a sequence
 //! number at or below the snapshot's are skipped (they are already folded
 //! in — this is what makes a crash *between* snapshot and log truncation
-//! harmless), the rest are re-applied through the ordinary append path (so
-//! partitions, indexes, and projections rebuild through the same
-//! single-source-of-truth machinery as live ingestion). Clock-sample /
+//! harmless), the rest are re-applied — as the segment scan yields them,
+//! never collected first — through [`EventStore::apply`], the same function
+//! a live flush applies its logged rows with (so partitions, indexes, and
+//! projections rebuild through the same single-source-of-truth machinery
+//! as live ingestion). Clock-sample /
 //! synchronizer-state records rebuild the time-synchronization estimates
 //! and are replayed regardless of the snapshot boundary — the snapshot
 //! carries no synchronizer state, and a checkpointed seed *replaces* the
@@ -31,7 +33,7 @@
 //! tolerated and reported, never fatal.
 
 use crate::timesync::{ClockSample, Synchronizer};
-use crate::{columnar_spec_for, schema, EventStore, Layout, StoreConfig};
+use crate::{columnar_spec_for, schema, EventStore, Layout, RowRef, StoreConfig};
 use aiql_model::{codec, SharedDict};
 use aiql_rdb::{
     snapshot as rsnap, ColumnarSpec, Database, PartitionSpec, RdbError, Schema, TableSlot,
@@ -62,8 +64,8 @@ pub enum PersistError {
     /// A snapshot failed validation (bad magic, CRC mismatch, malformed
     /// body).
     Corrupt(String),
-    /// The storage layer rejected a row (also the WAL-before-insert error
-    /// of [`crate::DurableWrite`]).
+    /// The storage layer rejected a row (also how [`crate::DurableWrite`]
+    /// reports a row the log's codec refused to encode).
     Storage(RdbError),
     /// The directory holds no loadable snapshot.
     NoStore(PathBuf),
@@ -353,18 +355,19 @@ pub struct Recovered {
 
 /// Recovers the store persisted at `dir`: newest valid snapshot + WAL tail.
 pub fn recover(dir: &Path) -> Result<Recovered, PersistError> {
-    let replay = aiql_wal::replay(wal_dir(dir))?;
-    recover_with_replay(dir, replay)
+    recover_with_replay(dir, |visit| aiql_wal::replay_with(wal_dir(dir), visit))
 }
 
-/// Like [`recover`], but reuses an already-scanned [`aiql_wal::Replay`] of
-/// the store's log instead of reading every segment again. The durable
-/// store opens its write-ahead log first (which must scan the segments to
-/// position the writer and truncate any torn tail) and hands the records
-/// from that single pass here.
+/// [`recover`] over a caller-driven scan of the store's log: the newest
+/// valid snapshot is loaded first, then `replay` is called once with the
+/// visitor that applies each record *as the scan yields it* — the tail is
+/// never materialised. The durable store passes the scan that opening its
+/// log for writing performs anyway ([`aiql_wal::WalLock::open`], which
+/// positions the writer and truncates any torn tail), so recovery reads
+/// every segment exactly once.
 pub fn recover_with_replay(
     dir: &Path,
-    replay: aiql_wal::Replay,
+    replay: impl FnOnce(&mut dyn FnMut(u64, WalRecord)) -> io::Result<aiql_wal::Scan>,
 ) -> Result<Recovered, PersistError> {
     let mut candidates = snapshot_files(dir)?;
     let newest_covered = candidates.last().map_or(0, |(seq, _)| *seq);
@@ -402,31 +405,12 @@ pub fn recover_with_replay(
         ..RecoveryReport::default()
     };
     let mut sync = Synchronizer::new();
-    report.torn_bytes = replay.torn_bytes;
-    // Falling back past an unreadable newer snapshot is only safe while
-    // the log still holds every record from the snapshot we *did* load up
-    // to at least the unreadable one's covered seq — the crash-mid-
-    // checkpoint case. If the newer snapshot's checkpoint pruned the log
-    // (first surviving seq leaves a gap) or the log is itself torn before
-    // reaching that seq, records known to have been acknowledged exist
-    // nowhere else, and returning a store silently missing them would be
-    // worse than failing loudly.
-    if corrupt_snapshots > 0 {
-        let covered_by_log = match (replay.records.first(), replay.records.last()) {
-            (Some((first, _)), Some((last, _))) => {
-                *first <= snap_seq + 1 && *last >= newest_covered
-            }
-            _ => newest_covered <= snap_seq,
-        };
-        if !covered_by_log {
-            return Err(corrupt(format!(
-                "snapshot covering seq {newest_covered} is unreadable and the log no longer \
-                 holds every record after seq {snap_seq}; records in between are unrecoverable"
-            )));
-        }
-    }
-    for (seq, rec) in replay.records {
-        match rec {
+    // First and last sequence number the log holds (for the coverage check
+    // below).
+    let mut log_span: Option<(u64, u64)> = None;
+    let scan = replay(&mut |seq, rec| {
+        log_span = Some((log_span.map_or(seq, |(first, _)| first), seq));
+        let row = match &rec {
             // Clock records ignore the snapshot boundary: the snapshot
             // itself carries no synchronizer state (it lives only in the
             // log), and a checkpoint renames the snapshot into place
@@ -441,31 +425,53 @@ pub fn recover_with_replay(
                 server_time,
             } => {
                 sync.record(
-                    agent,
+                    *agent,
                     ClockSample {
-                        agent_time,
-                        server_time,
+                        agent_time: *agent_time,
+                        server_time: *server_time,
                     },
                 );
                 report.replayed_clock_samples += 1;
+                return;
             }
             WalRecord::SyncState {
                 agent,
                 sum_diff,
                 count,
             } => {
-                sync.restore(agent, sum_diff, count);
+                sync.restore(*agent, *sum_diff, *count);
                 report.replayed_clock_samples += 1;
+                return;
             }
-            _ if seq <= snap_seq => continue,
-            WalRecord::Event(ev) => match store.append_event(&ev) {
-                Ok(_) => report.replayed_events += 1,
-                Err(_) => report.skipped_rows += 1,
-            },
-            WalRecord::Entity(e) => match store.append_entity(&e) {
-                Ok(()) => report.replayed_entities += 1,
-                Err(_) => report.skipped_rows += 1,
-            },
+            _ if seq <= snap_seq => return,
+            WalRecord::Event(ev) => RowRef::Event(ev),
+            WalRecord::Entity(e) => RowRef::Entity(e),
+        };
+        match (store.apply(row), row) {
+            (Ok(_), RowRef::Event(_)) => report.replayed_events += 1,
+            (Ok(_), RowRef::Entity(_)) => report.replayed_entities += 1,
+            (Err(_), _) => report.skipped_rows += 1,
+        }
+    })?;
+    report.torn_bytes = scan.torn_bytes;
+    // Falling back past an unreadable newer snapshot is only safe while
+    // the log still holds every record from the snapshot we *did* load up
+    // to at least the unreadable one's covered seq — the crash-mid-
+    // checkpoint case. If the newer snapshot's checkpoint pruned the log
+    // (first surviving seq leaves a gap) or the log is itself torn before
+    // reaching that seq, records known to have been acknowledged exist
+    // nowhere else, and returning a store silently missing them would be
+    // worse than failing loudly.
+    if corrupt_snapshots > 0 {
+        let covered_by_log = match log_span {
+            Some((first, last)) => first <= snap_seq + 1 && last >= newest_covered,
+            None => newest_covered <= snap_seq,
+        };
+        if !covered_by_log {
+            return Err(corrupt(format!(
+                "snapshot covering seq {newest_covered} is unreadable and the log no longer \
+                 holds every record after seq {snap_seq}; records in between are unrecoverable"
+            )));
         }
     }
     Ok(Recovered {

@@ -30,7 +30,7 @@ struct OffsetEstimate {
 }
 
 /// Per-agent clock-offset estimator and corrector.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Synchronizer {
     estimates: HashMap<AgentId, OffsetEstimate>,
 }

@@ -16,11 +16,17 @@
 //! retried, `ENOSPC` degrades instead of wedging, a lying fsync poisons),
 //! and a seeded randomized pass (`AIQL_CHAOS_SEED`, seed printed in the
 //! panic on failure).
+//!
+//! The log is group-committed: a flush crosses `wal.segment.write` once,
+//! whatever it carries, and a failed write loses the *whole* flush. The
+//! policy tests therefore pick their write crossings from the recorded
+//! census (asserted first) instead of counting rows.
 
 use aiql::engine::Engine;
 use aiql::fault::{self, testing::scratch_dir, FaultKind, FaultPlan, SmallRng};
 use aiql::ingest::{EventBatch, IngestConfig, IngestError, IngestState, Ingestor, RetryPolicy};
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
+use aiql::storage::timesync::ClockSample;
 use aiql::storage::{EventStore, StoreConfig};
 use std::io;
 use std::path::Path;
@@ -237,6 +243,28 @@ fn record_census(ctl: &fault::Controller, data: &Dataset) -> Vec<(String, u64)> 
     census
 }
 
+/// Crossings of `point` in a recorded census.
+fn crossings(census: &[(String, u64)], point: &str) -> u64 {
+    census
+        .iter()
+        .find(|(p, _)| p == point)
+        .map_or(0, |(_, n)| *n)
+}
+
+/// Corrected start times of every stored event, ascending.
+fn stored_starts(ing: &Ingestor) -> Vec<i64> {
+    let shared = ing.shared();
+    let mut scanned = 0;
+    let mut starts: Vec<i64> = shared
+        .read()
+        .scan_events(&[], &aiql::rdb::Prune::all(), &mut scanned)
+        .iter()
+        .map(|row| row[aiql::storage::schema::ev::START].as_int().unwrap())
+        .collect();
+    starts.sort();
+    starts
+}
+
 #[test]
 fn enumeration_covers_the_durable_ingest_path() {
     let ctl = fault::control();
@@ -361,20 +389,26 @@ fn seeded_random_faults_recover_to_the_acknowledged_prefix() {
 fn transient_write_fault_is_retried_and_every_row_acknowledged() {
     let ctl = fault::control();
     let data = dataset();
+    // One write per flush that carries anything: the entity shipment, then
+    // the event chunks of both lives (the mid-way checkpoint flushes an
+    // empty queue and seeds no synchronizer state, so it writes nothing).
+    let writes = crossings(&record_census(&ctl, &data), "wal.segment.write");
+    assert_eq!(writes, 1 + (EVENTS / CHUNK) as u64);
     let dir = scratch_dir("chaos-retry");
 
-    // One spurious EIO and one torn partial write, in the middle of the
-    // stream: both are transient (the disk works again on retry), so the
-    // bounded retry in flush must absorb them without the caller seeing an
-    // error or losing a row.
+    // One spurious EIO and one torn partial write, a third and two thirds
+    // of the way through the stream: both are transient (the disk works
+    // again on retry), so the bounded retry in flush must absorb them
+    // without the caller seeing an error or losing a row. Each costs its
+    // flush one whole re-attempt, which is one more crossing.
     ctl.arm(
         FaultPlan::new()
             .fail(
                 "wal.segment.write",
-                20,
+                writes / 3,
                 FaultKind::Errno(io::ErrorKind::Other),
             )
-            .fail("wal.segment.write", 30, FaultKind::PartialWrite),
+            .fail("wal.segment.write", 2 * writes / 3, FaultKind::PartialWrite),
     );
     let acked = run_workload(&data, &dir);
     ctl.disarm();
@@ -403,6 +437,7 @@ fn flush_retry_stats_count_transient_faults() {
     let mut b = EventBatch::new();
     b.events = dataset().events[..4].to_vec();
     ing.submit(b).unwrap();
+    // The flush's one write: the retry logs all four rows again.
     ctl.arm(FaultPlan::new().fail(
         "wal.segment.write",
         1,
@@ -430,7 +465,8 @@ fn enospc_degrades_applies_backpressure_and_recovers_when_space_frees() {
     ing.submit(first).unwrap();
     ing.flush().unwrap();
 
-    // The disk fills: every further segment write reports ENOSPC.
+    // The disk fills: every further segment write reports ENOSPC. The
+    // flush below is one write, so the whole flush stays queued.
     ctl.arm(FaultPlan::new().fail(
         "wal.segment.write",
         0,
@@ -442,12 +478,13 @@ fn enospc_degrades_applies_backpressure_and_recovers_when_space_frees() {
     let err = ing.flush().expect_err("full disk");
     assert!(
         matches!(err, IngestError::Degraded { queued_rows: 8, .. }),
-        "expected degraded with the full batch still queued, got {err:?}"
+        "expected degraded with the whole flush still queued, got {err:?}"
     );
     assert_eq!(ing.state(), IngestState::Degraded);
     assert_eq!(ing.stats().degraded_entries, 1);
     assert_eq!(ing.stats().flush_retries, 0, "ENOSPC is not retried");
-    assert_eq!(ing.queued_rows(), 8, "remainder queued, unacknowledged");
+    assert_eq!(ing.queued_rows(), 8, "flush queued, unacknowledged");
+    assert_eq!(ing.shared().read().event_count(), 8, "nothing half-applied");
 
     // Degraded mode back-pressures every submit, regardless of queue depth.
     let mut late = EventBatch::new();
@@ -458,11 +495,11 @@ fn enospc_degrades_applies_backpressure_and_recovers_when_space_frees() {
         other => panic!("expected backpressure while degraded, got {other:?}"),
     };
 
-    // The operator frees space; the queued remainder lands and the state
+    // The operator frees space; the queued flush lands and the state
     // returns to healthy, after which submits flow again.
     ctl.disarm();
     let report = ing.flush().expect("space is back");
-    assert_eq!(report.events, 8, "queued remainder acknowledged");
+    assert_eq!(report.events, 8, "queued flush acknowledged");
     assert_eq!(ing.state(), IngestState::Healthy);
     ing.submit(returned).expect("healthy again");
     ing.flush().unwrap();
@@ -573,4 +610,185 @@ fn durable_dead_letters_are_inspectable_and_drain_exactly_once() {
     assert_eq!(shared.read().event_count(), 1);
     drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Holds a 256 MiB string twice over (the queued row and its dead letter),
+/// so it is opt-in: CI runs it once, on its own, in the optimized step.
+#[test]
+#[ignore = "peaks at about 0.5 GB; run with `-- --ignored codec_rejected`"]
+fn codec_rejected_row_in_a_retried_flush_is_dead_lettered_once() {
+    let ctl = fault::control();
+    let data = dataset();
+    let dir = scratch_dir("chaos-codec-dlq");
+    let (mut ing, _) = Ingestor::durable(chaos_config(), &dir).unwrap();
+
+    // A path one byte over the codec's string cap: the log can never
+    // encode this row, so it is set aside before a byte of it is logged.
+    let oversized = "x".repeat(aiql::model::codec::MAX_LEN as usize + 1);
+    let mut b = EventBatch::new();
+    b.add_entity(Entity::file(7.into(), AgentId(0), oversized));
+    b.entities.extend(data.entities.iter().cloned());
+    b.events = data.events[..CHUNK].to_vec();
+    ing.submit(b).unwrap();
+
+    // The flush's write fails once: the first attempt set the row aside
+    // too, but that attempt never committed and its dead letter went with
+    // it.
+    ctl.arm(FaultPlan::new().fail(
+        "wal.segment.write",
+        1,
+        FaultKind::Errno(io::ErrorKind::Other),
+    ));
+    let report = ing.flush().expect("one retry suffices");
+    ctl.disarm();
+    assert_eq!(ing.stats().flush_retries, 1);
+    assert_eq!(report.failed_rows, 1);
+    assert_eq!(
+        (report.entities, report.events),
+        (data.entities.len(), CHUNK)
+    );
+    assert_eq!(ing.stats().failed_rows, 1, "counted once, not per attempt");
+    let letters = ing.drain_dead_letters();
+    assert_eq!(letters.len(), 1, "dead-lettered once, not per attempt");
+    assert!(matches!(
+        &letters[0].row,
+        aiql::ingest::DeadRow::Entity(e) if e.id == 7.into()
+    ));
+    drop(letters);
+    drop(ing);
+
+    // The row never reached the log, so replay has nothing to skip.
+    let (reopened, report) = Ingestor::durable(chaos_config(), &dir).unwrap();
+    let report = report.expect("recovered");
+    assert_eq!(report.skipped_rows, 0);
+    assert_eq!(report.replayed_entities, data.entities.len());
+    assert_eq!(reopened.shared().read().event_count(), CHUNK);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn early_write_fault_fails_the_whole_flush_whatever_its_error_kind() {
+    let ctl = fault::control();
+    let data = dataset();
+    let dir = scratch_dir("chaos-early-write");
+    let (mut ing, _) = Ingestor::durable(chaos_config(), &dir).unwrap();
+
+    // One flush of ≈ 3 MB of frames: the log hands its buffer to the
+    // segment early — from inside the log phase — each time it passes
+    // ≈ 1 MiB, and once more at the commit.
+    const ROWS: usize = 30_000;
+    let mut b = EventBatch::new();
+    b.entities = data.entities.clone();
+    b.events = (0..ROWS)
+        .map(|k| {
+            let mut ev = data.events[k % EVENTS].clone();
+            ev.id = (10_000 + k as u64).into();
+            ev
+        })
+        .collect();
+    ing.submit(b).unwrap();
+
+    // The first early write fails with the kind the codec reports an
+    // oversized field with. It is still the log that failed, not a row:
+    // the log has discarded every frame of the flush, so carrying on
+    // ("dead-letter one row") would apply and acknowledge 30 000 rows of
+    // which the log holds only what came after the discard.
+    ctl.start_trace();
+    ctl.arm(FaultPlan::new().fail(
+        "wal.segment.write",
+        1,
+        FaultKind::Errno(io::ErrorKind::InvalidInput),
+    ));
+    let report = ing.flush().expect("a failed write is transient: retried");
+    ctl.disarm();
+    let writes = crossings(&fault::census(&ctl.take_trace()), "wal.segment.write");
+    assert_eq!(
+        writes,
+        1 + 3,
+        "the failed early write, then the retry's three"
+    );
+    assert_eq!(ing.stats().flush_retries, 1);
+    assert_eq!((report.events, report.failed_rows), (ROWS, 0));
+    assert!(ing.drain_dead_letters().is_empty(), "no row was at fault");
+    let live = stored_starts(&ing);
+    assert_eq!(live.len(), ROWS);
+    drop(ing);
+
+    let (reopened, report) = Ingestor::durable(chaos_config(), &dir).unwrap();
+    assert_eq!(report.expect("recovered").replayed_events, ROWS);
+    assert_eq!(
+        stored_starts(&reopened),
+        live,
+        "live store = reopened store"
+    );
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn retried_flush_folds_its_clock_samples_once() {
+    let ctl = fault::control();
+    let data = dataset();
+    let sample = |server_time| ClockSample {
+        agent_time: 0,
+        server_time,
+    };
+
+    // Agent 0 reports a 1 000 ns lag, then — with the events — a 4 000 ns
+    // one: the mean the events must be corrected by is 2 500 ns. Folding
+    // the second sample once per *attempt* would make it 3 000.
+    let stream = |fail_first_write: bool| {
+        let dir = scratch_dir("chaos-timesync");
+        let (mut ing, _) = Ingestor::durable(chaos_config(), &dir).unwrap();
+        let mut first = EventBatch::new();
+        first.entities = data.entities.clone();
+        first.add_clock_sample(AgentId(0), sample(1_000));
+        ing.submit(first).unwrap();
+        ing.flush().unwrap();
+
+        let mut second = EventBatch::new();
+        second.add_clock_sample(AgentId(0), sample(4_000));
+        second.events = data.events[..CHUNK].to_vec();
+        ing.submit(second).unwrap();
+        if fail_first_write {
+            ctl.arm(FaultPlan::new().fail(
+                "wal.segment.write",
+                1,
+                FaultKind::Errno(io::ErrorKind::Other),
+            ));
+        }
+        ing.flush().expect("at most one retry");
+        ctl.disarm();
+        assert_eq!(ing.stats().flush_retries, fail_first_write as u64);
+        let live = (stored_starts(&ing), ing.watermark());
+        drop(ing);
+
+        // The log holds each sample once too: a recovered ingestor keeps
+        // correcting by the same mean.
+        let (mut ing, _) = Ingestor::durable(chaos_config(), &dir).unwrap();
+        let mut third = EventBatch::new();
+        third.events = data.events[CHUNK..2 * CHUNK].to_vec();
+        ing.submit(third).unwrap();
+        ing.flush().unwrap();
+        let recovered = (stored_starts(&ing), ing.watermark());
+        drop(ing);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (live, recovered)
+    };
+
+    let clean = stream(false);
+    let faulted = stream(true);
+    assert_eq!(faulted, clean, "same corrected timestamps as a clean run");
+    // And the clean run is what the arithmetic says: agent 0's events moved
+    // by the mean of the two samples, agent 1's not at all.
+    let expected: Vec<i64> = {
+        let mut v: Vec<i64> = data.events[..CHUNK]
+            .iter()
+            .map(|ev| ev.start.0 + if ev.agent == AgentId(0) { 2_500 } else { 0 })
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(clean.0 .0, expected);
 }

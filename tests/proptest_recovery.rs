@@ -4,6 +4,11 @@
 //! acknowledged event, and the recovered store must answer the paper's
 //! query classes identically to a never-crashed store over the same
 //! prefix.
+//!
+//! A flush reaches the log as one multi-frame `write(2)`, so a crash can
+//! cut it anywhere — not just inside its last record. The second property
+//! tears a whole flush at *every* byte offset of its buffer and requires a
+//! frame-boundary, submission-order prefix each time.
 
 use aiql::engine::Engine;
 use aiql::ingest::{EventBatch, IngestConfig, Ingestor};
@@ -126,6 +131,56 @@ fn tear_tail(dir: &std::path::Path, bite: u64) -> bool {
     aiql_wal::testing::tear_last_segment(dir.join("wal"), bite).unwrap()
 }
 
+/// Differential: `recovered` must hold exactly the first `n` events (all
+/// entities) and answer the tier-1 query classes like a never-crashed
+/// store over that prefix.
+fn assert_equals_oracle(recovered: &EventStore, data: &Dataset, n: usize) {
+    let mut oracle = EventStore::empty(StoreConfig::partitioned()).unwrap();
+    for e in &data.entities {
+        oracle.append_entity(e).unwrap();
+    }
+    for ev in &data.events[..n] {
+        oracle.append_event(ev).unwrap();
+    }
+    prop_assert_eq!(
+        recovered.events_partitioned().unwrap().partition_count(),
+        oracle.events_partitioned().unwrap().partition_count()
+    );
+    let recovered_engine = Engine::new(recovered);
+    let oracle_engine = Engine::new(&oracle);
+    for q in tier1_queries() {
+        let got = sorted_rows(recovered_engine.run(q).unwrap().rows);
+        let want = sorted_rows(oracle_engine.run(q).unwrap().rows);
+        prop_assert_eq!(&got, &want, "query diverged after recovery: {}", q);
+    }
+}
+
+/// IDs of every stored event, ascending.
+fn stored_event_ids(store: &EventStore) -> Vec<i64> {
+    let mut scanned = 0;
+    let mut ids: Vec<i64> = store
+        .scan_events(&[], &aiql::rdb::Prune::all(), &mut scanned)
+        .iter()
+        .map(|row| row[aiql::storage::schema::ev::ID].as_int().unwrap())
+        .collect();
+    ids.sort();
+    ids
+}
+
+/// Offsets just past each frame of a log segment's bytes
+/// (`[u32 length][u32 crc][payload]` each).
+fn frame_ends(segment: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0;
+    while at < segment.len() {
+        let len = u32::from_le_bytes(segment[at..at + 4].try_into().unwrap()) as usize;
+        at += 8 + len;
+        ends.push(at);
+    }
+    assert_eq!(at, segment.len(), "segment ends on a frame boundary");
+    ends
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -174,29 +229,71 @@ proptest! {
         prop_assert_eq!(recovered.entity_count(), data.entities.len());
 
         // Differential: a never-crashed store over the recovered prefix.
-        let mut oracle = EventStore::empty(StoreConfig::partitioned()).unwrap();
-        for e in &data.entities {
-            oracle.append_entity(e).unwrap();
-        }
-        for ev in &data.events[..n] {
-            oracle.append_event(ev).unwrap();
-        }
-        prop_assert_eq!(
-            recovered.events_partitioned().unwrap().partition_count(),
-            oracle.events_partitioned().unwrap().partition_count()
-        );
-        let recovered_engine = Engine::new(&recovered);
-        let oracle_engine = Engine::new(&oracle);
-        for q in tier1_queries() {
-            let got = sorted_rows(recovered_engine.run(q).unwrap().rows);
-            let want = sorted_rows(oracle_engine.run(q).unwrap().rows);
-            prop_assert_eq!(&got, &want, "query diverged after recovery: {}", q);
-        }
+        assert_equals_oracle(&recovered, &data, n);
 
         // Recovery is idempotent: opening again changes nothing.
         let again = EventStore::open(&dir).unwrap();
         prop_assert_eq!(again.event_count(), n);
         prop_assert_eq!(again.stamp(), recovered.stamp());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flush_torn_at_any_byte_recovers_a_frame_boundary_prefix(
+        events in micro_events(),
+        chunk in 1usize..12,
+        last in 2usize..9,
+    ) {
+        let data = build(&events);
+        let total = data.events.len();
+        let last = last.min(total);
+        let acked = total - last;
+        let dir = scratch();
+
+        // Acknowledged stream, then one final multi-frame flush whose
+        // write the crash will cut short.
+        let (mut ing, _) = Ingestor::durable(IngestConfig::live(), &dir).unwrap();
+        let mut first = EventBatch::new();
+        first.entities = data.entities.clone();
+        ing.submit(first).unwrap();
+        ing.flush().unwrap();
+        for chunk_events in data.events[..acked].chunks(chunk) {
+            let mut b = EventBatch::new();
+            b.events = chunk_events.to_vec();
+            ing.submit(b).unwrap();
+            ing.flush().unwrap();
+        }
+        let segment = dir.join("wal").join("seg-00000001.wal");
+        let before = std::fs::metadata(&segment).unwrap().len() as usize;
+        let mut b = EventBatch::new();
+        b.events = data.events[acked..].to_vec();
+        ing.submit(b).unwrap();
+        ing.flush().unwrap();
+        drop(ing);
+
+        let bytes = std::fs::read(&segment).unwrap();
+        let ends = frame_ends(&bytes);
+        prop_assert_eq!(ends.len(), data.entities.len() + total);
+        prop_assert!(ends.contains(&before), "the flush starts on a frame boundary");
+
+        // Cut the final flush's buffer one byte shorter at a time, down to
+        // nothing: every length the crashed write could have reached.
+        let mut differential_done_for = usize::MAX;
+        for len in (before..bytes.len()).rev() {
+            prop_assert!(tear_tail(&dir, 1));
+            let recovered = EventStore::open(&dir).unwrap();
+            // Whole frames survive, the cut one does not, nothing after it.
+            let whole = ends.iter().filter(|end| **end <= len).count() - data.entities.len();
+            prop_assert!(whole >= acked, "an acknowledged row was lost");
+            prop_assert_eq!(recovered.event_count(), whole, "cut at byte {} of {}", len, bytes.len());
+            prop_assert_eq!(recovered.entity_count(), data.entities.len());
+            let expected_ids: Vec<i64> = (0..whole as i64).map(|k| k + 1_000).collect();
+            prop_assert_eq!(stored_event_ids(&recovered), expected_ids, "not a submission-order prefix");
+            if whole != differential_done_for {
+                assert_equals_oracle(&recovered, &data, whole);
+                differential_done_for = whole;
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
