@@ -4,7 +4,7 @@
 
 use aiql_bench::catalog;
 use aiql_bench::harness::{self, Scale};
-use aiql_engine::{Engine, EngineConfig, ScoreModel};
+use aiql_engine::{EngineConfig, ScoreModel};
 use aiql_storage::{EventStore, StoreConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -18,49 +18,52 @@ fn bench(c: &mut Criterion) {
         .collect();
 
     // Scorer ablation on queries whose constraint counts mislead (broad
-    // leading patterns) and on a selective control.
+    // leading patterns) and on a selective control. A fresh session per
+    // iteration, so every run pays its scorer's planning.
     for id in ["c2-7", "c5-5", "a2", "c5-7"] {
         let q = queries.iter().find(|q| q.id == id).expect("catalog id");
-        let ctx = aiql_core::compile(q.source).expect("compiles");
         let mut g = c.benchmark_group(format!("ablation-scorer/{id}"));
         g.sample_size(10);
-        g.bench_function("constraint-count", |b| {
-            let engine = Engine::with_config(
-                &store,
+        for (name, config) in [
+            (
+                "constraint-count",
                 EngineConfig {
                     scorer: ScoreModel::ConstraintCount,
                     ..EngineConfig::aiql()
                 },
-            );
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-        });
-        g.bench_function("data-statistics", |b| {
-            let engine = Engine::with_config(&store, EngineConfig::aiql_statistical());
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-        });
+            ),
+            ("data-statistics", EngineConfig::aiql_statistical()),
+        ] {
+            g.bench_function(name, |b| {
+                b.iter(|| {
+                    black_box(
+                        harness::session(&store, config)
+                            .run(q.source)
+                            .expect("runs"),
+                    )
+                })
+            });
+        }
         g.finish();
     }
 
     // Parallelism ablation: partition-parallel scans on vs off.
     for id in ["c5-7", "a4"] {
         let q = queries.iter().find(|q| q.id == id).expect("catalog id");
-        let ctx = aiql_core::compile(q.source).expect("compiles");
         let mut g = c.benchmark_group(format!("ablation-parallel/{id}"));
         g.sample_size(10);
-        g.bench_function("sequential", |b| {
-            let engine = Engine::with_config(
-                &store,
-                EngineConfig {
-                    parallel: false,
-                    ..EngineConfig::aiql()
-                },
-            );
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-        });
-        g.bench_function("partition-parallel", |b| {
-            let engine = Engine::with_config(&store, EngineConfig::aiql());
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-        });
+        for (name, parallel) in [("sequential", false), ("partition-parallel", true)] {
+            let config = EngineConfig {
+                parallel,
+                ..EngineConfig::aiql()
+            };
+            let stmt = harness::session(&store, config)
+                .prepare(q.source)
+                .expect("compiles");
+            g.bench_function(name, |b| {
+                b.iter(|| black_box(stmt.execute().expect("runs").count()))
+            });
+        }
         g.finish();
     }
 }

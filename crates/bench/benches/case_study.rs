@@ -3,13 +3,14 @@
 
 use aiql_bench::catalog;
 use aiql_bench::harness::{self, Scale, Systems};
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::EngineConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let (data, _) = harness::dataset(Scale::Small);
     let systems = Systems::build(&data);
+    let session = harness::session(&systems.partitioned, EngineConfig::aiql());
     let queries = catalog::case_study();
 
     // The simplest (c1-1) and the most complex (c5-7) multievent queries.
@@ -20,8 +21,8 @@ fn bench(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("case_study/{id}"));
         g.sample_size(10);
         g.bench_function("aiql", |b| {
-            let engine = Engine::with_config(&systems.partitioned, EngineConfig::aiql());
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
+            let stmt = session.prepare(q.source).expect("compiles");
+            b.iter(|| black_box(stmt.execute().expect("runs").count()))
         });
         g.bench_function("postgres", |b| {
             b.iter(|| {
@@ -40,12 +41,11 @@ fn bench(c: &mut Criterion) {
 
     // The anomaly starter (AIQL only, as in the paper).
     let q = queries.iter().find(|q| q.id == "c5-0").expect("anomaly");
-    let ctx = aiql_core::compile(q.source).expect("compiles");
     let mut g = c.benchmark_group("case_study/c5-0");
     g.sample_size(10);
     g.bench_function("aiql-anomaly", |b| {
-        let engine = Engine::with_config(&systems.partitioned, EngineConfig::aiql());
-        b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
+        let stmt = session.prepare(q.source).expect("compiles");
+        b.iter(|| black_box(stmt.execute().expect("runs").count()))
     });
     g.finish();
 }

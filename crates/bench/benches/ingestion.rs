@@ -4,7 +4,7 @@
 
 use aiql_bench::harness::{self, Scale};
 use aiql_datagen::stream::{stream, StreamConfig};
-use aiql_engine::{Engine, Session};
+use aiql_engine::Session;
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql_storage::timesync::ClockSample;
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
@@ -85,13 +85,13 @@ fn bench(c: &mut Criterion) {
     // out of the measured query path.
     let q = r#"(at "01/02/2017") proc p write ip i[dstip = "192.168.66.129"] as evt
                return distinct p, i"#;
-    let ctx = aiql_core::compile(q).expect("compiles");
-    let engine = Engine::new(&store);
+    let batch_stmt = harness::session(&store, aiql_engine::EngineConfig::aiql())
+        .prepare(q)
+        .expect("compiles");
     g.bench_function("query-batch-store", |b| {
-        b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs").result.rows.len()))
+        b.iter(|| black_box(batch_stmt.execute().expect("runs").count()))
     });
-    // The live store serves through a session: prepared once, executed
-    // per iteration against the freshest published snapshot.
+    // Each execution runs against the freshest published snapshot.
     let live_stmt = Session::open(&shared).prepare(q).expect("compiles");
     g.bench_function("query-live-store", |b| {
         b.iter(|| black_box(live_stmt.execute().expect("runs").count()))

@@ -6,7 +6,7 @@
 
 use aiql_bench::harness::{self, Scale};
 use aiql_bench::parallel::sharded_store;
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::EngineConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -22,24 +22,29 @@ const QUERY: &str = r#"
 fn bench(c: &mut Criterion) {
     let (data, _) = harness::dataset(Scale::Small);
     let store = sharded_store(&data);
-    let ctx = aiql_core::compile(QUERY).expect("compiles");
+    let sequential = EngineConfig {
+        parallel: false,
+        ..EngineConfig::aiql()
+    };
 
     let mut g = c.benchmark_group("parallel/scatter-gather");
     g.sample_size(10);
-    g.bench_function("sequential", |b| {
-        let engine = Engine::with_config(
-            &store,
-            EngineConfig {
-                parallel: false,
-                ..EngineConfig::aiql()
-            },
-        );
-        b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-    });
-    for workers in [2usize, 4] {
-        g.bench_function(format!("scatter-{workers}w"), |b| {
-            let engine = Engine::with_config(&store, EngineConfig::aiql().with_workers(workers));
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
+    for (name, config) in [
+        ("sequential".to_string(), sequential),
+        (
+            "scatter-2w".to_string(),
+            EngineConfig::aiql().with_workers(2),
+        ),
+        (
+            "scatter-4w".to_string(),
+            EngineConfig::aiql().with_workers(4),
+        ),
+    ] {
+        let stmt = harness::session(&store, config)
+            .prepare(QUERY)
+            .expect("compiles");
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(stmt.execute().expect("runs").count()))
         });
     }
     g.finish();

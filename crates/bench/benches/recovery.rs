@@ -8,7 +8,7 @@
 
 use aiql_bench::experiments::build_durable_store;
 use aiql_bench::harness::{self, Scale};
-use aiql_engine::Engine;
+use aiql_engine::EngineConfig;
 use aiql_storage::EventStore;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -20,7 +20,10 @@ fn smoke_mode() -> bool {
 const QUERY: &str = r#"(at "01/01/2017") proc p write file f return distinct p, f"#;
 
 fn rows(store: &EventStore) -> Vec<Vec<aiql_model::Value>> {
-    let mut r = Engine::new(store).run(QUERY).expect("query runs").rows;
+    let mut r = harness::session(store, EngineConfig::aiql())
+        .run(QUERY)
+        .expect("query runs")
+        .rows;
     r.sort();
     r
 }

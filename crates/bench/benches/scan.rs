@@ -10,9 +10,9 @@
 
 use aiql_bench::experiments::scan_conjuncts;
 use aiql_bench::harness::{self, Scale};
-use aiql_engine::Engine;
+use aiql_engine::EngineConfig;
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
-use aiql_rdb::Prune;
+use aiql_rdb::{Expr, Prune, Row, ScanProfile};
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -38,6 +38,16 @@ fn live_store(data: &aiql_model::Dataset) -> SharedStore {
     shared
 }
 
+/// Every row the workload selects, borrowed from `s`.
+fn scan<'a>(s: &'a EventStore, conjuncts: &[Expr]) -> Vec<&'a Row> {
+    s.scan_events_profiled(
+        conjuncts,
+        &Prune::all(),
+        &mut 0,
+        &mut ScanProfile::default(),
+    )
+}
+
 fn bench(c: &mut Criterion) {
     let smoke = smoke_mode();
     let (data, _) = harness::dataset(Scale::Small);
@@ -49,42 +59,22 @@ fn bench(c: &mut Criterion) {
     let conjuncts = scan_conjuncts(&data);
 
     // Correctness before speed: all three layouts agree on the workload.
-    let scan = |s: &EventStore| {
-        let mut local = 0u64;
-        let mut rows = s.scan_events(&conjuncts, &Prune::all(), &mut local);
+    let sorted = |s: &EventStore| {
+        let mut rows: Vec<Row> = scan(s, &conjuncts).into_iter().cloned().collect();
         rows.sort();
         rows
     };
-    let want = scan(&row_store);
+    let want = sorted(&row_store);
     assert!(!want.is_empty(), "workload must select rows");
-    assert_eq!(scan(&col_store), want, "columnar batch diverged");
-    assert_eq!(scan(&live_guard), want, "columnar live diverged");
+    assert_eq!(sorted(&col_store), want, "columnar batch diverged");
+    assert_eq!(sorted(&live_guard), want, "columnar live diverged");
 
     let samples = if smoke { 3 } else { 15 };
-    let (row_s, row_n) = harness::best_of(samples, || {
-        let mut local = 0u64;
-        black_box(
-            row_store
-                .scan_events_ref(&conjuncts, &Prune::all(), &mut local)
-                .len(),
-        )
-    });
-    let (col_s, col_n) = harness::best_of(samples, || {
-        let mut local = 0u64;
-        black_box(
-            col_store
-                .scan_events_ref(&conjuncts, &Prune::all(), &mut local)
-                .len(),
-        )
-    });
-    let (live_s, _) = harness::best_of(samples, || {
-        let mut local = 0u64;
-        black_box(
-            live_guard
-                .scan_events_ref(&conjuncts, &Prune::all(), &mut local)
-                .len(),
-        )
-    });
+    let (row_s, row_n) =
+        harness::best_of(samples, || black_box(scan(&row_store, &conjuncts).len()));
+    let (col_s, col_n) =
+        harness::best_of(samples, || black_box(scan(&col_store, &conjuncts).len()));
+    let (live_s, _) = harness::best_of(samples, || black_box(scan(&live_guard, &conjuncts).len()));
     assert_eq!(row_n, col_n);
     let speedup = row_s / col_s.max(1e-12);
     println!(
@@ -105,34 +95,13 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
     g.sample_size(samples);
     g.bench_function("row-store", |b| {
-        b.iter(|| {
-            let mut local = 0u64;
-            black_box(
-                row_store
-                    .scan_events_ref(&conjuncts, &Prune::all(), &mut local)
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(scan(&row_store, &conjuncts).len()))
     });
     g.bench_function("columnar", |b| {
-        b.iter(|| {
-            let mut local = 0u64;
-            black_box(
-                col_store
-                    .scan_events_ref(&conjuncts, &Prune::all(), &mut local)
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(scan(&col_store, &conjuncts).len()))
     });
     g.bench_function("columnar-live", |b| {
-        b.iter(|| {
-            let mut local = 0u64;
-            black_box(
-                live_guard
-                    .scan_events_ref(&conjuncts, &Prune::all(), &mut local)
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(scan(&live_guard, &conjuncts).len()))
     });
     g.finish();
 
@@ -152,29 +121,29 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("query");
     g.sample_size(if smoke { 2 } else { 5 });
     for (name, q) in queries {
-        // Compiled once, executed many: the measured loop isolates the
+        // Prepared once, executed many: the measured loop isolates the
         // scan path from per-iteration parse cost.
-        let ctx = aiql_core::compile(q).expect("compiles");
-        let row_engine = Engine::new(&row_store);
-        let col_engine = Engine::new(&col_store);
+        let prepare = |store: &EventStore| {
+            harness::session(store, EngineConfig::aiql())
+                .prepare(q)
+                .expect("compiles")
+        };
+        let (row_stmt, col_stmt) = (prepare(&row_store), prepare(&col_store));
+        let sorted = |stmt: &aiql_engine::Prepared| {
+            let mut r: Vec<Row> = stmt.execute().expect("runs").collect();
+            r.sort();
+            r
+        };
         assert_eq!(
-            {
-                let mut r = row_engine.run_ctx(&ctx).expect("runs").result.rows;
-                r.sort();
-                r
-            },
-            {
-                let mut r = col_engine.run_ctx(&ctx).expect("runs").result.rows;
-                r.sort();
-                r
-            },
+            sorted(&row_stmt),
+            sorted(&col_stmt),
             "engine results diverged on {name}"
         );
         g.bench_function(format!("{name}/row-store"), |b| {
-            b.iter(|| black_box(row_engine.run_ctx(&ctx).expect("runs").result.rows.len()))
+            b.iter(|| black_box(row_stmt.execute().expect("runs").count()))
         });
         g.bench_function(format!("{name}/columnar"), |b| {
-            b.iter(|| black_box(col_engine.run_ctx(&ctx).expect("runs").result.rows.len()))
+            b.iter(|| black_box(col_stmt.execute().expect("runs").count()))
         });
     }
     g.finish();

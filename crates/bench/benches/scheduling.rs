@@ -3,7 +3,6 @@
 
 use aiql_bench::catalog;
 use aiql_bench::harness::{self, Scale};
-use aiql_engine::Engine;
 use aiql_storage::{EventStore, StoreConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -22,14 +21,17 @@ fn bench(c: &mut Criterion) {
         g.bench_function("postgres-sched", |b| {
             b.iter(|| black_box(aiql_baselines::postgres::run(&store, &ctx, None).ok()))
         });
-        g.bench_function("fetch-filter", |b| {
-            let engine = Engine::with_config(&store, harness::ff_config());
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-        });
-        g.bench_function("relationship", |b| {
-            let engine = Engine::with_config(&store, harness::sched_only_config());
-            b.iter(|| black_box(engine.run_ctx(&ctx).expect("runs")))
-        });
+        for (name, config) in [
+            ("fetch-filter", harness::ff_config()),
+            ("relationship", harness::sched_only_config()),
+        ] {
+            let stmt = harness::session(&store, config)
+                .prepare(q.source)
+                .expect("compiles");
+            g.bench_function(name, |b| {
+                b.iter(|| black_box(stmt.execute().expect("runs").count()))
+            });
+        }
         g.finish();
     }
 }

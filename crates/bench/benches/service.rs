@@ -9,7 +9,7 @@
 
 use aiql_bench::harness::{self, best_of, Scale};
 use aiql_bench::service::{family, family_probe_binding, FamilyBinding, QUERY7_TEMPLATE};
-use aiql_engine::{Engine, EngineConfig, Session};
+use aiql_engine::{EngineConfig, Session};
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -17,6 +17,16 @@ use std::time::Duration;
 
 fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--smoke")
+}
+
+/// One re-parse-per-call iteration: a fresh session compiles and plans
+/// `src` from scratch.
+fn reparse(store: &SharedStore, src: &str) -> usize {
+    Session::with_config(store, EngineConfig::aiql_statistical())
+        .run(src)
+        .expect("runs")
+        .rows
+        .len()
 }
 
 fn run_family(
@@ -40,14 +50,7 @@ fn run_family(
             }
         } else {
             for src in sources {
-                let ctx = aiql_core::compile(src).expect("compiles");
-                let snap = store.read();
-                rows += Engine::with_config(&snap, EngineConfig::aiql_statistical())
-                    .run_ctx(&ctx)
-                    .expect("runs")
-                    .result
-                    .rows
-                    .len();
+                rows += reparse(store, src);
             }
         }
         rows
@@ -75,10 +78,7 @@ fn bench(c: &mut Criterion) {
                 .execute()
                 .expect("runs")
                 .into_result();
-            let snap = store.read();
-            let oracle = Engine::with_config(&snap, EngineConfig::aiql())
-                .run(src)
-                .expect("runs");
+            let oracle = Session::open(&store).run(src).expect("runs");
             assert_eq!(ours, oracle, "agent {} family member diverged", b.agent);
         }
         let probe = stmt
@@ -178,18 +178,7 @@ fn bench(c: &mut Criterion) {
     let session = Session::with_config(&store, EngineConfig::aiql_statistical());
     let stmt = session.prepare(QUERY7_TEMPLATE).expect("compiles");
     g.bench_function("reparse_per_call", |b| {
-        b.iter(|| {
-            let ctx = aiql_core::compile(src0).expect("compiles");
-            let snap = store.read();
-            black_box(
-                Engine::with_config(&snap, EngineConfig::aiql_statistical())
-                    .run_ctx(&ctx)
-                    .expect("runs")
-                    .result
-                    .rows
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(reparse(&store, src0)))
     });
     g.bench_function("prepared_bind_execute", |b| {
         b.iter(|| {

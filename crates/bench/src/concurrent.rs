@@ -31,7 +31,7 @@
 //! are interpretable.
 
 use crate::harness::{self, Scale};
-use aiql_engine::{run_live, Engine, EngineConfig};
+use aiql_engine::{EngineConfig, Session};
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql_model::{Dataset, Event};
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
@@ -212,9 +212,11 @@ struct LockStore {
 }
 
 impl LockStore {
+    /// One query under the read guard, through a session over the guarded
+    /// store (the copy-on-write clone is dropped before the guard is).
     fn query(&self) -> usize {
         let guard = self.inner.read().expect("lock store poisoned");
-        Engine::with_config(&guard, serving_config())
+        harness::session(&guard, serving_config())
             .run(QUERY)
             .expect("query runs")
             .rows
@@ -402,37 +404,21 @@ pub fn measure(data: &Dataset, scale: Scale, window: Duration) -> ConcurrentRepo
         inner: RwLock::new(seed),
     };
 
+    // Every snapshot-design analyst shares one session: each statement
+    // pins the freshest published snapshot.
+    let session = Session::with_config(&shared, serving_config());
+    let snapshot_query = || session.run(QUERY).expect("query runs").rows.len();
+
     // Sanity: the analyst query must actually find the attack pattern.
-    let rows = run_live(&shared, serving_config(), QUERY)
-        .expect("query runs")
-        .outcome
-        .result
-        .rows
-        .len();
+    let rows = snapshot_query();
     assert!(rows > 0, "serving query found nothing — wrong dataset?");
     assert_eq!(lock.query(), rows, "designs disagree on the seed store");
 
     // Calibrate think time to ~8x the single-query latency so eight
     // closed-loop sessions have scaling headroom.
-    let (latency, _) = harness::best_of(5, || {
-        run_live(&shared, serving_config(), QUERY)
-            .expect("query runs")
-            .outcome
-            .result
-            .rows
-            .len()
-    });
+    let (latency, _) = harness::best_of(5, snapshot_query);
     let think = Duration::from_secs_f64((8.0 * latency).clamp(0.002, 0.025));
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let snapshot_query = || {
-        run_live(&shared, serving_config(), QUERY)
-            .expect("query runs")
-            .outcome
-            .result
-            .rows
-            .len()
-    };
 
     let snapshot_idle: Vec<ServingRun> = threads
         .iter()

@@ -3,8 +3,9 @@
 use crate::catalog::{self, CatalogQuery, QueryKind};
 use crate::harness::{self, RunResult, Scale, Systems};
 use crate::report::{cell, log10_cell, speedup, total_secs, TextTable};
+use aiql_baselines::greenplum::SegmentedStore;
 use aiql_engine::EngineConfig;
-use aiql_storage::SegmentedStore;
+use aiql_storage::{EventStore, StoreConfig};
 use aiql_translate::metrics::{compare, conciseness};
 use std::time::Duration;
 
@@ -187,13 +188,21 @@ pub fn fig6(opts: Options) -> String {
 }
 
 /// Fig. 7: parallel (MPP) comparison — Greenplum scheduling (gather joins,
-/// arrival-order placement) vs AIQL scheduling on segmented storage with
-/// the semantics-aware by-host placement.
+/// arrival-order placement) vs AIQL scheduling on the same number of
+/// segments with the semantics-aware by-host placement: a row store (as
+/// the Greenplum segments are) whose `(day, agent group)` partitions are
+/// routed to shards, each scanned on its own pool worker.
 pub fn fig7(opts: Options) -> String {
     let (data, _) = harness::dataset(opts.scale);
     let segments = 5;
-    let gp_store = SegmentedStore::ingest(&data, segments, false).expect("round-robin ingest");
-    let aiql_store = SegmentedStore::ingest(&data, segments, true).expect("by-host ingest");
+    let gp_store = SegmentedStore::ingest(&data, segments).expect("round-robin ingest");
+    let aiql_store = EventStore::ingest(
+        &data,
+        StoreConfig::partitioned()
+            .with_columnar(false)
+            .with_shards(segments as u32),
+    )
+    .expect("by-host ingest");
     let queries = catalog::behaviours();
 
     let mut out = format!(
@@ -209,7 +218,7 @@ pub fn fig7(opts: Options) -> String {
         let mut t = TextTable::new(&["query", "Greenplum", "AIQL (parallel)"]);
         for q in queries.iter().filter(|q| q.group == group) {
             let gp = harness::run_greenplum(&gp_store, q, opts.budget);
-            let us = harness::run_aiql_segmented(&aiql_store, q, opts.budget);
+            let us = harness::run_aiql(&aiql_store, q, EngineConfig::aiql(), opts.budget);
             t.row(vec![q.id.to_string(), cell(&gp), cell(&us)]);
             all_gp.push(gp);
             all_aiql.push(us);
@@ -248,8 +257,7 @@ pub fn scan_conjuncts(data: &aiql_model::Dataset) -> Vec<aiql_rdb::Expr> {
 /// Columnar-vs-row scan comparison backing the `repro scan` target. Returns
 /// the rendered table and a `BENCH_scan.json` snapshot body.
 pub fn scan_bench(opts: Options) -> (String, String) {
-    use aiql_rdb::Prune;
-    use aiql_storage::{EventStore, StoreConfig};
+    use aiql_rdb::{Prune, ScanProfile};
 
     let (data, _) = harness::dataset(opts.scale);
     let row_store =
@@ -260,7 +268,9 @@ pub fn scan_bench(opts: Options) -> (String, String) {
     let time_scan = |store: &EventStore| {
         let (best, (matched, scanned)) = harness::best_of(7, || {
             let mut local = 0u64;
-            let rows = store.scan_events_ref(&conjuncts, &Prune::all(), &mut local);
+            let mut profile = ScanProfile::default();
+            let rows =
+                store.scan_events_profiled(&conjuncts, &Prune::all(), &mut local, &mut profile);
             (rows.len(), local)
         });
         (best, matched, scanned)

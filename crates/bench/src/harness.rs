@@ -1,13 +1,14 @@
 //! Experiment harness: datasets, systems under test, timed runs.
 
 use crate::catalog::{CatalogQuery, QueryKind};
-use aiql_baselines::{greenplum, neo4j, postgres, BaselineError};
+use aiql_baselines::greenplum::{self, SegmentedStore};
+use aiql_baselines::{neo4j, postgres, BaselineError};
 use aiql_core::QueryContext;
 use aiql_datagen::{EnterpriseSim, GroundTruth};
-use aiql_engine::{Engine, EngineConfig, EngineError};
+use aiql_engine::{EngineConfig, EngineError, Session};
 use aiql_graphdb::GraphDb;
 use aiql_model::Dataset;
-use aiql_storage::{EventStore, SegmentedStore, StoreConfig};
+use aiql_storage::{EventStore, SharedStore, StoreConfig};
 use std::time::{Duration, Instant};
 
 /// Dataset scale presets (the laptop-scale stand-ins for the paper's
@@ -125,44 +126,34 @@ fn compile(q: &CatalogQuery) -> QueryContext {
     aiql_core::compile(q.source).expect("catalog query compiles")
 }
 
-/// Runs a query on the AIQL engine (any configuration).
+/// A session over a borrowed store: the copy-on-write clone shares every
+/// table, so wrapping it copies no rows.
+pub fn session(store: &EventStore, config: EngineConfig) -> Session {
+    Session::with_config(&SharedStore::new(store.clone()), config)
+}
+
+/// Runs a query on the AIQL engine (any configuration). Compilation is
+/// outside the timed region; execution is inside it.
 pub fn run_aiql(
     store: &EventStore,
     q: &CatalogQuery,
     config: EngineConfig,
     budget: Duration,
 ) -> RunResult {
-    let ctx = compile(q);
-    let engine = Engine::with_config(store, config.with_budget(budget));
+    let stmt = session(store, config.with_budget(budget))
+        .prepare(q.source)
+        .expect("catalog query compiles");
     let started = Instant::now();
-    match engine.run_ctx(&ctx) {
-        Ok(out) => RunResult::Done {
+    match stmt.execute() {
+        Ok(cursor) => RunResult::Done {
             elapsed: started.elapsed(),
-            rows: out.result.rows.len(),
+            rows: cursor.remaining(),
         },
         Err(EngineError::Timeout) | Err(EngineError::Resource) => {
             RunResult::DidNotFinish { budget }
         }
         Err(EngineError::Unsupported(_)) => RunResult::Unsupported,
         Err(e) => panic!("AIQL failed on {}: {e}", q.id),
-    }
-}
-
-/// Runs a query on the AIQL engine over a segmented store.
-pub fn run_aiql_segmented(store: &SegmentedStore, q: &CatalogQuery, budget: Duration) -> RunResult {
-    let ctx = compile(q);
-    let engine = Engine::segmented(store, EngineConfig::aiql().with_budget(budget));
-    let started = Instant::now();
-    match engine.run_ctx(&ctx) {
-        Ok(out) => RunResult::Done {
-            elapsed: started.elapsed(),
-            rows: out.result.rows.len(),
-        },
-        Err(EngineError::Timeout) | Err(EngineError::Resource) => {
-            RunResult::DidNotFinish { budget }
-        }
-        Err(EngineError::Unsupported(_)) => RunResult::Unsupported,
-        Err(e) => panic!("AIQL (segmented) failed on {}: {e}", q.id),
     }
 }
 
@@ -273,8 +264,10 @@ mod tests {
                 continue;
             }
             let ctx = aiql_core::compile(q.source).unwrap();
-            let engine = Engine::with_config(&systems.partitioned, EngineConfig::aiql());
-            let ours = aiql_baselines::normalize(engine.run_ctx(&ctx).unwrap().result.rows);
+            let ours = session(&systems.partitioned, EngineConfig::aiql())
+                .run(q.source)
+                .unwrap();
+            let ours = aiql_baselines::normalize(ours.rows);
             let (pg, _) = postgres::run(&systems.monolithic, &ctx, None).unwrap();
             assert_eq!(
                 ours,

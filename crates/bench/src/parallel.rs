@@ -16,7 +16,7 @@
 //! sequential partition order exactly.
 
 use crate::harness::{self, Scale};
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::{EngineConfig, Prepared};
 use aiql_storage::{EventStore, StoreConfig};
 use std::time::Duration;
 
@@ -158,30 +158,25 @@ pub fn sharded_store(data: &aiql_model::Dataset) -> EventStore {
     .expect("sharded ingest")
 }
 
-fn run_rows(
-    store: &EventStore,
-    config: EngineConfig,
-    budget: Duration,
-) -> Vec<Vec<aiql_rdb::Value>> {
-    let ctx = aiql_core::compile(QUERY).expect("parallel bench query compiles");
-    Engine::with_config(store, config.with_budget(budget))
-        .run_ctx(&ctx)
-        .expect("parallel bench query runs")
-        .result
-        .rows
+fn run_rows(stmt: &Prepared) -> Vec<Vec<aiql_rdb::Value>> {
+    stmt.execute().expect("parallel bench query runs").collect()
 }
 
 /// Runs the full measurement: sequential baseline, then scatter at
 /// 1/2/4/8 workers, each checked row-identical to the baseline.
 pub fn measure(data: &aiql_model::Dataset, scale: Scale, budget: Duration) -> ParallelReport {
     let store = sharded_store(data);
-    let seq_config = EngineConfig {
+    let prepare = |config: EngineConfig| {
+        harness::session(&store, config.with_budget(budget))
+            .prepare(QUERY)
+            .expect("parallel bench query compiles")
+    };
+    let sequential = prepare(EngineConfig {
         parallel: false,
         ..EngineConfig::aiql()
-    };
+    });
 
-    let (sequential_secs, seq_rows) =
-        harness::best_of(SAMPLES, || run_rows(&store, seq_config, budget));
+    let (sequential_secs, seq_rows) = harness::best_of(SAMPLES, || run_rows(&sequential));
     assert!(
         !seq_rows.is_empty(),
         "parallel bench query found nothing — wrong dataset?"
@@ -196,8 +191,8 @@ pub fn measure(data: &aiql_model::Dataset, scale: Scale, budget: Duration) -> Pa
     let workers = vec![1usize, 2, 4, 8];
     let mut scatter_secs = Vec::with_capacity(workers.len());
     for &w in &workers {
-        let config = EngineConfig::aiql().with_workers(w);
-        let (secs, rows) = harness::best_of(SAMPLES, || run_rows(&store, config, budget));
+        let scatter = prepare(EngineConfig::aiql().with_workers(w));
+        let (secs, rows) = harness::best_of(SAMPLES, || run_rows(&scatter));
         assert_eq!(
             rows, seq_rows,
             "scatter at {w} workers disagrees with sequential result"

@@ -9,26 +9,24 @@
 //! the paper's Sec. 7 refinement), where planning means measuring real
 //! selectivities against the store:
 //!
-//! - **reparse** — the pre-session API: every iteration submits full
-//!   source text, paying lex + parse + analyze + *plan* before execution
-//!   (the costs `Engine::run` paid on every call);
+//! - **reparse** — no session state carried between calls: every
+//!   iteration submits full source text to a fresh [`Session`], paying
+//!   lex + parse + analyze + *plan* before execution;
 //! - **prepared** — `session.prepare` once, then `bind(params).execute()`
-//!   per iteration: parsing is gone and the statement's [`PlanSlot`]
-//!   reuses the physical plan across the whole family (generic-plan
-//!   reuse — scores only order pattern execution, so any binding runs
-//!   correctly under the cached plan).
+//!   per iteration: parsing is gone and the statement's cached plan is
+//!   reused across the whole family (generic-plan reuse — scores only
+//!   order pattern execution, so any binding runs correctly under the
+//!   cached plan).
 //!
 //! Both modes must return identical rows on every iteration (a
 //! differential gate), and the full run also reports the session plan
 //! cache's hit rate for analysts who re-send identical text instead of
 //! binding parameters.
-//!
-//! [`PlanSlot`]: aiql_engine::PlanSlot
 
 use crate::experiments::Options;
 use crate::harness;
 use aiql_client::Client;
-use aiql_engine::{Engine, EngineConfig, Params, Session};
+use aiql_engine::{EngineConfig, Params, Session};
 use aiql_server::{Server, ServerConfig};
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -150,11 +148,7 @@ pub fn service_bench(opts: Options) -> (String, String) {
             .execute()
             .expect("runs")
             .into_result();
-        let snap = store.read();
-        let reparsed = Engine::with_config(&snap, config)
-            .run_ctx(&aiql_core::compile(src).expect("family source compiles"))
-            .expect("runs")
-            .result;
+        let reparsed = Session::with_config(&store, config).run(src).expect("runs");
         assert_eq!(
             prepared.rows, reparsed.rows,
             "prepared and reparse modes disagree on agent {} window {}..{}",
@@ -174,12 +168,9 @@ pub fn service_bench(opts: Options) -> (String, String) {
         let round0 = Instant::now();
         for src in &sources {
             let t = Instant::now();
-            let ctx = aiql_core::compile(src).expect("compiles");
-            let snap = store.read();
-            let n = Engine::with_config(&snap, config)
-                .run_ctx(&ctx)
+            let n = Session::with_config(&store, config)
+                .run(src)
                 .expect("runs")
-                .result
                 .rows
                 .len();
             std::hint::black_box(n);

@@ -171,7 +171,7 @@ pub struct PreparedQuery {
     ast: Query,
     params: Vec<ParamSpec>,
     /// The analysis result, computed at compile time when the query has no
-    /// placeholders (the common legacy case) so binding is a clone.
+    /// placeholders (the common case) so binding is a clone.
     static_ctx: Option<QueryContext>,
 }
 
@@ -613,9 +613,8 @@ pub fn normalize_source(src: &str) -> String {
 }
 
 /// Process-wide plan-cache counters, aggregated across every
-/// [`PlanCache`] instance (each session's private cache plus the legacy
-/// process-wide one) so the global hit rate is observable from outside
-/// any one session.
+/// [`PlanCache`] instance (one per session) so the global hit rate is
+/// observable from outside any one session.
 struct PlanCacheMetrics {
     /// `aiql_core_plan_cache_hits_total`.
     hits: aiql_telemetry::Counter,

@@ -20,19 +20,20 @@
 use crate::error::EngineError;
 use crate::exec::ExecPolicy;
 use crate::layout::START_COL;
-use crate::pattern::{execute_pattern, Deadline, EngineStats, StoreRef};
+use crate::pattern::{execute_pattern, Deadline, EngineStats};
 use crate::result::{eval_having, resolve_items, EngineResult, Item};
 use crate::synth::ExtraCstr;
 use aiql_core::ast::{AggFunc, MaKind};
 use aiql_core::{ArithCtx, HavingCtx, QueryContext};
 use aiql_rdb::{Row, Value};
+use aiql_storage::EventStore;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Executes an anomaly query.
 pub fn run_anomaly(
-    store: StoreRef<'_>,
+    store: &EventStore,
     ctx: &QueryContext,
     exec: ExecPolicy,
     deadline: Deadline,
@@ -455,7 +456,7 @@ mod tests {
     /// (re-scan and re-aggregate every window, full history per group) as
     /// the oracle of `incremental_windows_equal_the_reference`.
     fn reference_run_anomaly(
-        store: StoreRef<'_>,
+        store: &EventStore,
         ctx: &QueryContext,
         exec: ExecPolicy,
         deadline: Deadline,
@@ -890,11 +891,7 @@ mod tests {
             for _ in 0..12 {
                 let src = random_query(&mut next);
                 let ctx = aiql_core::compile(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
-                let (on, exec, none) = (
-                    StoreRef::Single(&store),
-                    ExecPolicy::sequential(),
-                    Deadline::none(),
-                );
+                let (on, exec, none) = (&store, ExecPolicy::sequential(), Deadline::none());
                 let mut stats = EngineStats::default();
                 let got = run_anomaly(on, &ctx, exec, none, &mut stats).unwrap();
                 let want = reference_run_anomaly(on, &ctx, exec, none, &mut EngineStats::default())

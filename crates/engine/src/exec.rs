@@ -104,8 +104,8 @@ pub struct ScatterProfile {
     /// the task up, in microseconds (0 on the shard-local path).
     pub queue_wait_micros: u64,
     /// True when pruning co-located the whole scan on one shard and it
-    /// ran inline without touching the pool (`query_local` vs
-    /// `query_gather` in the MPP segment layer).
+    /// ran inline without touching the pool — the by-host placement's
+    /// payoff for a host-constrained query.
     pub colocated: bool,
 }
 

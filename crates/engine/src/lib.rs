@@ -1,26 +1,28 @@
 //! The AIQL query execution engine (paper Sec. 5).
 //!
 //! The engine executes [`aiql_core::QueryContext`]s against an
-//! [`aiql_storage::EventStore`] (or a Greenplum-style
-//! [`aiql_storage::SegmentedStore`]):
+//! [`aiql_storage::EventStore`] snapshot:
 //!
 //! 1. per event pattern it **synthesizes a data query** ([`synth`]),
 //! 2. a **scheduler** orders and constrains the data queries —
 //!    relationship-based (paper Algorithm 1) or fetch-and-filter
 //!    ([`schedule`]),
-//! 3. events scans **parallelize across time/space partitions** and MPP
-//!    segments ([`pattern`]),
+//! 3. events scans **parallelize across the store's shards** — its
+//!    time/space partitions, grouped by host ([`pattern`]),
 //! 4. **dependency** queries arrive pre-compiled to multievent form (the
 //!    rewrite lives in `aiql-core`), and
 //! 5. **anomaly** queries run through the sliding-window executor with
 //!    history states and moving averages ([`anomaly`]).
 //!
+//! Statements run through a [`Session`]: prepare once, bind and execute
+//! many times, each execution against one pinned snapshot.
+//!
 //! # Examples
 //!
 //! ```
-//! use aiql_engine::Engine;
+//! use aiql_engine::Session;
 //! use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
-//! use aiql_storage::{EventStore, StoreConfig};
+//! use aiql_storage::{EventStore, SharedStore, StoreConfig};
 //!
 //! let mut data = Dataset::new();
 //! let a = AgentId(1);
@@ -30,9 +32,9 @@
 //!     1.into(), a, bash, OpType::Read, hist, EntityKind::File,
 //!     Timestamp::from_ymd(2017, 1, 1).unwrap(),
 //! ));
-//! let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+//! let store = SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).unwrap());
 //!
-//! let result = Engine::new(&store)
+//! let result = Session::open(&store)
 //!     .run(r#"proc p read file f["%.bash_history"] return p, f"#)
 //!     .unwrap();
 //! assert_eq!(result.rows.len(), 1);
@@ -53,38 +55,16 @@ pub mod tupleset;
 
 pub use error::EngineError;
 pub use exec::{ExecPolicy, ScatterProfile};
-pub use pattern::{Deadline, EngineStats, ScanRecord, ScanTarget, StoreRef};
+pub use pattern::{Deadline, EngineStats, ScanRecord, ScanTarget};
 pub use result::EngineResult;
 pub use schedule::Scheduler;
 pub use scoring::ScoreModel;
 pub use session::{Bound, Cursor, Explain, Params, PatternPlan, Prepared, Session};
 
-use aiql_core::{PlanCache, QueryContext, QueryKind};
-use aiql_storage::{EventStore, SegmentedStore, SharedStore, StoreStamp};
-use std::sync::{Mutex, OnceLock};
+use aiql_core::{QueryContext, QueryKind};
+use aiql_storage::EventStore;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// The process-wide plan cache behind the legacy one-shot entry points
-/// ([`Engine::run`] / [`run_live`]): repeated identical source text is
-/// lexed, parsed, and analyzed once, then served from the cache — the
-/// session API's amortization without a session.
-fn legacy_plan_cache() -> &'static Mutex<PlanCache> {
-    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PlanCache::new(session::SESSION_PLAN_CACHE_CAPACITY)))
-}
-
-/// Counters of the process-wide plan cache behind [`Engine::run`] /
-/// [`run_live`] (hits, misses, entries, capacity) — the legacy path's
-/// counterpart of [`Session::cache_stats`]. Hits and misses also feed the
-/// global registry's `aiql_core_plan_cache_*` counters; the resident entry
-/// count is mirrored into the `aiql_engine_legacy_plan_cache_entries`
-/// gauge on every legacy-path compile.
-pub fn legacy_cache_stats() -> aiql_core::CacheStats {
-    legacy_plan_cache()
-        .lock()
-        .expect("plan cache lock poisoned")
-        .stats()
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -168,112 +148,45 @@ impl EngineConfig {
 /// [`ScoreModel::DataStatistics`] measures real selectivities against the
 /// store — at the cost of an ordering tuned to the first binding.
 #[derive(Debug, Default)]
-pub struct PlanSlot(std::sync::Mutex<Option<Vec<u32>>>);
+pub(crate) struct PlanSlot(Mutex<Option<Vec<u32>>>);
 
 impl PlanSlot {
-    /// An empty slot; the first run through it plans and fills it.
-    pub fn new() -> PlanSlot {
-        PlanSlot::default()
-    }
-
     /// Whether a plan has been cached.
-    pub fn is_planned(&self) -> bool {
+    pub(crate) fn is_planned(&self) -> bool {
         self.0.lock().expect("plan slot poisoned").is_some()
     }
 }
 
-/// The query engine, bound to a store.
-pub struct Engine<'a> {
-    store: StoreRef<'a>,
+/// The executor behind [`Bound::execute`] and [`Bound::explain`]: one
+/// statement against one pinned store, planning through the statement's
+/// [`PlanSlot`].
+pub(crate) struct Engine<'a> {
+    store: &'a EventStore,
     config: EngineConfig,
-    plan: Option<&'a PlanSlot>,
+    plan: &'a PlanSlot,
 }
 
 /// A query outcome: result plus execution statistics and elapsed time.
 #[derive(Debug, Clone)]
-pub struct Outcome {
+pub(crate) struct Outcome {
     pub result: EngineResult,
     pub stats: EngineStats,
     pub elapsed: Duration,
 }
 
 impl<'a> Engine<'a> {
-    /// An engine over a single-node store with AIQL's default configuration
-    /// (relationship-based scheduling, partition parallelism).
-    pub fn new(store: &'a EventStore) -> Engine<'a> {
+    pub(crate) fn new(store: &'a EventStore, config: EngineConfig, plan: &'a PlanSlot) -> Self {
         Engine {
-            store: StoreRef::Single(store),
-            config: EngineConfig::aiql(),
-            plan: None,
-        }
-    }
-
-    /// An engine with an explicit configuration.
-    pub fn with_config(store: &'a EventStore, config: EngineConfig) -> Engine<'a> {
-        Engine {
-            store: StoreRef::Single(store),
+            store,
             config,
-            plan: None,
+            plan,
         }
     }
 
-    /// An engine over a segmented (MPP) store.
-    pub fn segmented(store: &'a SegmentedStore, config: EngineConfig) -> Engine<'a> {
-        Engine {
-            store: StoreRef::Segmented(store),
-            config,
-            plan: None,
-        }
-    }
-
-    /// Attaches a [`PlanSlot`]: the first query through this engine plans
-    /// and fills it, later queries reuse the cached plan instead of
-    /// re-scoring. Prepared statements attach their statement-level slot
-    /// here.
-    pub fn with_plan_slot(mut self, slot: &'a PlanSlot) -> Engine<'a> {
-        self.plan = Some(slot);
-        self
-    }
-
-    /// Compiles and runs an AIQL query, returning just the result.
-    ///
-    /// A thin back-compat wrapper over the prepared-statement machinery:
-    /// compilation goes through the process-wide plan cache, so re-running
-    /// identical source costs a lookup instead of a parse. For
-    /// parameterized, iterated investigations use [`Session`] /
-    /// [`Session::prepare`] instead.
-    pub fn run(&self, source: &str) -> Result<EngineResult, EngineError> {
-        self.run_outcome(source).map(|o| o.result)
-    }
-
-    /// Compiles and runs an AIQL query, returning result + statistics.
-    /// Cached like [`Engine::run`].
-    pub fn run_outcome(&self, source: &str) -> Result<Outcome, EngineError> {
-        let stmt = {
-            let mut cache = legacy_plan_cache()
-                .lock()
-                .expect("plan cache lock poisoned");
-            let stmt = cache.get_or_compile(source)?;
-            metrics::metrics()
-                .legacy_cache_entries
-                .set(cache.stats().entries as i64);
-            stmt
-        };
-        match stmt.static_ctx() {
-            Some(ctx) => self.run_ctx(ctx),
-            // `$name` placeholders need a binding — surface the analyzer's
-            // unbound-parameter error rather than executing nonsense.
-            None => self.run_ctx(&stmt.bind(&aiql_core::ParamValues::new())?),
-        }
-    }
-
-    /// The scheduler scores for `ctx`: from the attached [`PlanSlot`] when
-    /// one is present and filled, computing (and caching) them otherwise.
+    /// The scheduler scores for `ctx`: the cached plan when the slot holds
+    /// one for this statement, computed (and cached) otherwise.
     fn plan_scores(&self, ctx: &QueryContext) -> Vec<u32> {
-        let Some(slot) = self.plan else {
-            return scoring::scores(self.config.scorer, self.store, ctx);
-        };
-        let mut guard = slot.0.lock().expect("plan slot poisoned");
+        let mut guard = self.plan.0.lock().expect("plan slot poisoned");
         match &*guard {
             Some(s) if s.len() == ctx.patterns.len() => s.clone(),
             _ => {
@@ -284,8 +197,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs a pre-compiled query context.
-    pub fn run_ctx(&self, ctx: &QueryContext) -> Result<Outcome, EngineError> {
+    /// Runs a compiled query context.
+    pub(crate) fn run_ctx(&self, ctx: &QueryContext) -> Result<Outcome, EngineError> {
         metrics::metrics().statements.inc();
         let started = Instant::now();
         let deadline = Deadline(self.config.budget.map(|b| started + b));
@@ -337,70 +250,26 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// A query outcome over a live store, tagged with the snapshot it saw.
-#[derive(Debug, Clone)]
-pub struct LiveOutcome {
-    /// Result, statistics, and elapsed time of the run.
-    pub outcome: Outcome,
-    /// The store version the whole query observed: the query pins one
-    /// immutable snapshot for the duration of the run.
-    pub stamp: StoreStamp,
-}
-
-/// Runs a query against a [`SharedStore`] at one consistent snapshot.
-///
-/// The engine pins the currently published [`aiql_storage::StoreSnapshot`]
-/// — a wait-free `Arc` clone — and every scan of the run borrows from that
-/// pinned snapshot. Appends submitted concurrently (e.g. by an
-/// `aiql-ingest` ingestor on another thread) publish *new* snapshots and
-/// never mutate the pinned one, so they become visible to the *next*
-/// query, never mid-query — and, symmetrically, a long-running query never
-/// delays a flush. N reader threads can call this against the same handle
-/// with zero lock contention while ingestion runs. The returned
-/// [`LiveOutcome::stamp`] records exactly which prefix of the stream the
-/// result reflects.
-pub fn run_live(
-    store: &SharedStore,
-    config: EngineConfig,
-    source: &str,
-) -> Result<LiveOutcome, EngineError> {
-    let snapshot = store.read();
-    let stamp = snapshot.stamp();
-    let outcome = Engine::with_config(&snapshot, config).run_outcome(source)?;
-    debug_assert_eq!(snapshot.stamp(), stamp, "pinned snapshots are immutable");
-    Ok(LiveOutcome { outcome, stamp })
-}
-
 /// Opens the store persisted at `dir` — newest snapshot plus write-ahead
 /// log tail, tolerating a torn final record — ready to query.
 ///
-/// The open-from-disk entrypoint: wrap the result in [`Engine::new`] (or
-/// [`Engine::with_config`]) to investigate a store directory left behind
-/// by a stopped or crashed ingestion pipeline. Open/recovery failures name
-/// the directory — an investigator pointed at the wrong path (or a
-/// corrupted store) sees *which* store refused to open, not a bare errno.
+/// The open-from-disk entrypoint: wrap the result in a
+/// [`aiql_storage::SharedStore`] and open a [`Session`] on it to
+/// investigate a store directory left behind by a stopped or crashed
+/// ingestion pipeline. Open/recovery failures name the directory — an
+/// investigator pointed at the wrong path (or a corrupted store) sees
+/// *which* store refused to open, not a bare errno.
 pub fn open_store(dir: impl AsRef<std::path::Path>) -> Result<EventStore, EngineError> {
     let dir = dir.as_ref();
     EventStore::open(dir)
         .map_err(|e| EngineError::Recovery(format!("opening store at `{}`: {e}", dir.display())))
 }
 
-/// Opens the store persisted at `dir` and runs one query against it — the
-/// one-shot post-mortem combinator over [`open_store`].
-pub fn run_persisted(
-    dir: impl AsRef<std::path::Path>,
-    config: EngineConfig,
-    source: &str,
-) -> Result<Outcome, EngineError> {
-    let store = open_store(dir)?;
-    Engine::with_config(&store, config).run_outcome(source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
-    use aiql_storage::StoreConfig;
+    use aiql_storage::{SharedStore, StoreConfig};
 
     /// The paper's c5 exfiltration chain plus beaconing traffic for anomaly
     /// detection, over two hosts and two days.
@@ -500,12 +369,14 @@ mod tests {
         EventStore::ingest(&dataset(), StoreConfig::partitioned()).unwrap()
     }
 
+    fn session(store: EventStore, config: EngineConfig) -> Session {
+        Session::with_config(&SharedStore::new(store), config)
+    }
+
     #[test]
     fn paper_query7_finds_exfiltration_chain() {
-        let store = store();
         for config in [EngineConfig::aiql(), EngineConfig::fetch_filter()] {
-            let engine = Engine::with_config(&store, config);
-            let r = engine
+            let r = session(store(), config)
                 .run(
                     r#"
                     (at "01/02/2017")
@@ -536,8 +407,7 @@ mod tests {
 
     #[test]
     fn anomaly_query5_flags_only_the_spike() {
-        let store = store();
-        let engine = Engine::new(&store);
+        let engine = session(store(), EngineConfig::aiql());
         let r = engine
             .run(
                 r#"
@@ -565,8 +435,7 @@ mod tests {
 
     #[test]
     fn dependency_query_tracks_dump_provenance() {
-        let store = store();
-        let engine = Engine::new(&store);
+        let engine = session(store(), EngineConfig::aiql());
         let r = engine
             .run(
                 r#"
@@ -584,8 +453,7 @@ mod tests {
 
     #[test]
     fn count_and_group_by_aggregates() {
-        let store = store();
-        let engine = Engine::new(&store);
+        let engine = session(store(), EngineConfig::aiql());
         let r = engine
             .run(r#"(at "01/01/2017") agentid = 3 proc p write file f return count distinct p, f"#)
             .unwrap();
@@ -603,8 +471,7 @@ mod tests {
 
     #[test]
     fn sort_and_top() {
-        let store = store();
-        let engine = Engine::new(&store);
+        let engine = session(store(), EngineConfig::aiql());
         let r = engine
             .run(
                 r#"(at "01/01/2017") proc p write file f return distinct f
@@ -636,9 +503,8 @@ mod tests {
                 Timestamp(t0 + i as i64 * s / 100),
             ));
         }
-        let store = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let engine = Engine::with_config(
-            &store,
+        let engine = session(
+            EventStore::ingest(&d, StoreConfig::partitioned()).unwrap(),
             EngineConfig::fetch_filter().with_budget(Duration::from_millis(5)),
         );
         let r = engine.run(
@@ -654,8 +520,7 @@ mod tests {
 
     #[test]
     fn compile_errors_surface() {
-        let store = store();
-        let engine = Engine::new(&store);
+        let engine = session(store(), EngineConfig::aiql());
         assert!(matches!(
             engine.run("proc p frobnicate file f return p"),
             Err(EngineError::Compile(_))
@@ -663,14 +528,20 @@ mod tests {
     }
 
     #[test]
-    fn run_live_sees_growing_store_between_queries() {
+    fn session_sees_growing_store_between_queries() {
         let shared = SharedStore::new(store());
-        let q = r#"(at "01/02/2017") agentid = 9 proc p4["%sbblv.exe"] read file f1 return p4, f1"#;
-        let first = run_live(&shared, EngineConfig::aiql(), q).unwrap();
-        assert_eq!(first.outcome.result.rows.len(), 1);
+        let session = Session::open(&shared);
+        let stmt = session
+            .prepare(
+                r#"(at "01/02/2017") agentid = 9 proc p4["%sbblv.exe"] read file f1 return p4, f1"#,
+            )
+            .unwrap();
+        let first = stmt.execute().unwrap();
+        let first_stamp = first.stamp();
+        assert_eq!(first.count(), 1);
 
-        // Append a second qualifying read; the next query sees it, and the
-        // stamps prove the two queries ran at different store versions.
+        // Append a second qualifying read; the next execution sees it, and
+        // the stamps prove the two ran at different store versions.
         {
             let mut w = shared.write();
             let t = Timestamp::from_ymd(2017, 1, 2).unwrap();
@@ -685,26 +556,9 @@ mod tests {
             ))
             .unwrap();
         }
-        let second = run_live(&shared, EngineConfig::aiql(), q).unwrap();
-        assert!(second.stamp > first.stamp);
-        assert_eq!(second.outcome.result.rows.len(), 2);
-    }
-
-    #[test]
-    fn segmented_engine_matches_single_node() {
-        let d = dataset();
-        let single = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let seg = SegmentedStore::ingest(&d, 4, true).unwrap();
-        let q = r#"(at "01/02/2017") proc p4["%sbblv.exe"] read file f1 return p4, f1"#;
-        let a = Engine::new(&single).run(q).unwrap();
-        let b = Engine::segmented(&seg, EngineConfig::aiql())
-            .run(q)
-            .unwrap();
-        let norm = |mut r: EngineResult| {
-            r.rows.sort();
-            r.rows
-        };
-        assert_eq!(norm(a), norm(b));
+        let second = stmt.execute().unwrap();
+        assert!(second.stamp() > first_stamp);
+        assert_eq!(second.count(), 2);
     }
 
     #[test]

@@ -7,8 +7,7 @@ use std::sync::OnceLock;
 
 /// Handles for every engine-layer metric.
 pub(crate) struct EngineMetrics {
-    /// Statements executed through [`crate::Engine::run_ctx`] — the common
-    /// funnel of the session, legacy, and live entry points.
+    /// Statements executed (`Bound::execute` and `Bound::explain`).
     pub statements: Counter,
     /// `Session::prepare` wall time (cache hits and misses alike).
     pub prepare_micros: Histogram,
@@ -28,8 +27,6 @@ pub(crate) struct EngineMetrics {
     pub cursor_rows: Counter,
     /// `Cursor::fetch` batches served.
     pub cursor_fetches: Counter,
-    /// Entries resident in the process-wide legacy plan cache.
-    pub legacy_cache_entries: Gauge,
     /// Shard-scan tasks submitted to the execution pool.
     pub pool_tasks: Counter,
     /// Per-task wait between submission and a worker picking it up.
@@ -57,7 +54,6 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
             slow_queries: r.counter("aiql_engine_slow_queries_total"),
             cursor_rows: r.counter("aiql_engine_cursor_rows_total"),
             cursor_fetches: r.counter("aiql_engine_cursor_fetches_total"),
-            legacy_cache_entries: r.gauge("aiql_engine_legacy_plan_cache_entries"),
             pool_tasks: r.counter("aiql_engine_pool_tasks"),
             pool_queue_wait_micros: r.histogram("aiql_engine_pool_queue_wait_micros"),
             pool_workers: r.gauge("aiql_engine_pool_workers"),

@@ -2,9 +2,9 @@
 //!
 //! A pattern execution scans the subject/object entity tables (index-
 //! accelerated), scans the `events` table with partition pruning — in
-//! parallel across partitions/segments when configured (the paper's
-//! time-window partition parallelism, Sec. 5.2) — and emits flattened
-//! match rows.
+//! parallel across the store's shards when configured (the paper's
+//! time-window partition parallelism, Sec. 5.2, and its by-host MPP
+//! placement, Sec. 6.3.3) — and emits flattened match rows.
 
 use crate::error::EngineError;
 use crate::exec::{self, ExecPolicy, ScatterProfile};
@@ -13,16 +13,9 @@ use crate::synth::{apply_extra, synthesize, DataQuery, ExtraCstr};
 use aiql_core::PatternCtx;
 use aiql_model::EntityKind;
 use aiql_rdb::{CmpOp, Expr, PartKey, Prune, Row, Value};
-use aiql_storage::{schema, EventStore, SegmentedStore};
+use aiql_storage::{schema, EventStore};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Which store a query runs against.
-#[derive(Clone, Copy)]
-pub enum StoreRef<'a> {
-    Single(&'a EventStore),
-    Segmented(&'a SegmentedStore),
-}
 
 /// Execution statistics for one query.
 #[derive(Debug, Default, Clone)]
@@ -103,132 +96,37 @@ impl Deadline {
     }
 }
 
-/// Event rows produced by a scan: borrowed straight out of the store on the
-/// single-node path (no per-row clone), owned only when they had to cross a
-/// segment boundary.
-enum EventRows<'a> {
-    Borrowed(Vec<&'a Row>),
-    Owned(Vec<Row>),
-}
-
-impl<'a> StoreRef<'a> {
-    fn scan_entities_profiled(
-        &self,
-        kind: EntityKind,
-        conjuncts: &[Expr],
-        scanned: &mut u64,
-        profile: &mut aiql_rdb::ScanProfile,
-    ) -> Vec<Row> {
-        match self {
-            StoreRef::Single(s) => s.scan_entities_profiled(kind, conjuncts, scanned, profile),
-            StoreRef::Segmented(s) => {
-                let parts = s
-                    .sdb()
-                    .run_on_all(|db| {
-                        let t = db
-                            .plain(schema::entity_table(kind))
-                            .expect("entity tables are plain");
-                        let mut local = 0u64;
-                        let mut prof = aiql_rdb::ScanProfile {
-                            partitions_total: 1,
-                            partitions_scanned: 1,
-                            ..Default::default()
-                        };
-                        let (_, pos) = t.select_profiled(conjuncts, &mut local, &mut prof);
-                        Ok((
-                            local,
-                            prof,
-                            pos.into_iter()
-                                .map(|p| t.row(p).clone())
-                                .collect::<Vec<Row>>(),
-                        ))
-                    })
-                    .expect("entity scan cannot fail");
-                let mut out = Vec::new();
-                for (local, prof, rows) in parts {
-                    *scanned += local;
-                    profile.merge(&prof);
-                    out.extend(rows);
-                }
-                out
-            }
+/// Scans the events table: scattered across the store's shards on the
+/// execution pool when the policy is parallel and the layout partitioned,
+/// sequentially otherwise. Rows stay borrowed from the store either way.
+#[allow(clippy::too_many_arguments)]
+fn scan_events<'a>(
+    store: &'a EventStore,
+    conjuncts: &[Expr],
+    prune: &Prune,
+    exec: ExecPolicy,
+    deadline: Deadline,
+    scanned: &mut u64,
+    profile: &mut aiql_rdb::ScanProfile,
+    scatter: &mut Option<ScatterProfile>,
+) -> Result<Vec<&'a Row>, EngineError> {
+    deadline.check()?;
+    match store.events_partitioned() {
+        Some(pt) if exec.parallel => {
+            let (rows, sp) = scatter_partition_scan(
+                pt,
+                store.shard_count(),
+                conjuncts,
+                prune,
+                exec,
+                deadline,
+                scanned,
+                profile,
+            )?;
+            *scatter = Some(sp);
+            Ok(rows)
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan_events(
-        &self,
-        conjuncts: &[Expr],
-        prune: &Prune,
-        exec: ExecPolicy,
-        deadline: Deadline,
-        scanned: &mut u64,
-        profile: &mut aiql_rdb::ScanProfile,
-        scatter: &mut Option<ScatterProfile>,
-    ) -> Result<EventRows<'a>, EngineError> {
-        deadline.check()?;
-        match self {
-            StoreRef::Single(s) => {
-                if exec.parallel {
-                    if let Some(pt) = s.events_partitioned() {
-                        let (rows, sp) = scatter_partition_scan(
-                            pt,
-                            s.shard_count(),
-                            conjuncts,
-                            prune,
-                            exec,
-                            deadline,
-                            scanned,
-                            profile,
-                        )?;
-                        *scatter = Some(sp);
-                        return Ok(EventRows::Borrowed(rows));
-                    }
-                }
-                Ok(EventRows::Borrowed(
-                    s.scan_events_profiled(conjuncts, prune, scanned, profile),
-                ))
-            }
-            StoreRef::Segmented(s) => {
-                // Segments scan in parallel; within each, partitions prune.
-                let parts = s.sdb().run_on_all(|db| {
-                    let pt = db
-                        .partitioned(schema::EVENTS)
-                        .expect("segmented events are partitioned");
-                    let derived = pt.prune_from_conjuncts(conjuncts);
-                    let merged = merge_prune(prune, &derived);
-                    let mut local = 0u64;
-                    let mut prof = aiql_rdb::ScanProfile::default();
-                    let rows: Vec<Row> = pt
-                        .select_refs_profiled(conjuncts, &merged, &mut local, &mut prof)
-                        .into_iter()
-                        .cloned()
-                        .collect();
-                    Ok((local, prof, rows))
-                })?;
-                let mut out = Vec::new();
-                for (local, prof, rows) in parts {
-                    *scanned += local;
-                    profile.merge(&prof);
-                    out.extend(rows);
-                }
-                Ok(EventRows::Owned(out))
-            }
-        }
-    }
-}
-
-fn merge_prune(a: &Prune, b: &Prune) -> Prune {
-    Prune {
-        day_lo: match (a.day_lo, b.day_lo) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, y) => x.or(y),
-        },
-        day_hi: match (a.day_hi, b.day_hi) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        },
-        agents: a.agents.clone().or_else(|| b.agents.clone()),
+        _ => Ok(store.scan_events_profiled(conjuncts, prune, scanned, profile)),
     }
 }
 
@@ -243,8 +141,8 @@ fn merge_prune(a: &Prune, b: &Prune) -> Prune {
 /// sequential `select_refs_profiled` walk produces, which is what lets the
 /// proptest oracle demand row-identical output. When pruning confines the
 /// scan to a single shard, the scan runs shard-local on the coordinator
-/// (no pool round-trip) — the in-process analogue of the segment layer's
-/// `query_local` vs `query_gather`.
+/// (no pool round-trip) — a host-constrained query on a by-host placement
+/// touches one segment, not all of them.
 ///
 /// Rows stay borrowed throughout: workers collect `&Row` per partition,
 /// so no event row is cloned regardless of parallelism. A worker panic
@@ -261,8 +159,7 @@ fn scatter_partition_scan<'a>(
     scanned: &mut u64,
     profile: &mut aiql_rdb::ScanProfile,
 ) -> Result<(Vec<&'a Row>, ScatterProfile), EngineError> {
-    let derived = pt.prune_from_conjuncts(conjuncts);
-    let merged = merge_prune(prune, &derived);
+    let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
     let shards = shards.max(1);
     let buckets = pt.shards_for(&merged, shards);
     let occupied: Vec<(usize, Vec<(PartKey, &'a aiql_rdb::Table)>)> = buckets
@@ -343,7 +240,7 @@ const ID_PUSHDOWN_LIMIT: usize = 20_000;
 
 /// Executes one pattern's data query; returns flattened match rows.
 pub fn execute_pattern(
-    store: StoreRef<'_>,
+    store: &EventStore,
     p: &PatternCtx,
     extra: &ExtraCstr,
     exec: ExecPolicy,
@@ -366,7 +263,7 @@ pub fn execute_pattern(
         None
     } else {
         Some(scan_entity_map(
-            &store,
+            store,
             EntityKind::Process,
             &q.subject,
             p.idx,
@@ -378,7 +275,7 @@ pub fn execute_pattern(
         None
     } else {
         Some(scan_entity_map(
-            &store,
+            store,
             p.object_kind,
             &q.object,
             p.idx,
@@ -415,12 +312,13 @@ pub fn execute_pattern(
         }
     }
 
-    // 3. Events scan. Rows stay borrowed from the store (or the segment
-    //    gather buffer) — they are only read and flattened, never kept.
+    // 3. Events scan. Rows stay borrowed from the store — they are only
+    //    read and flattened, never kept.
     let mut scanned = 0u64;
     let mut profile = aiql_rdb::ScanProfile::default();
     let mut scatter = None;
-    let scan = store.scan_events(
+    let events = scan_events(
+        store,
         &event_conjuncts,
         &q.prune,
         exec,
@@ -437,14 +335,6 @@ pub fn execute_pattern(
         profile,
         scatter,
     });
-    let owned_events: Vec<Row>;
-    let events: Vec<&Row> = match scan {
-        EventRows::Borrowed(v) => v,
-        EventRows::Owned(o) => {
-            owned_events = o;
-            owned_events.iter().collect()
-        }
-    };
     stats.rows_scanned += scanned;
 
     // 4. Filter by entity maps and resolve missing entity rows in batches.
@@ -469,7 +359,7 @@ pub fn execute_pattern(
     let subj_map = match subj_map {
         Some(m) => m,
         None => batch_lookup(
-            &store,
+            store,
             EntityKind::Process,
             need_subj,
             p.idx,
@@ -480,7 +370,7 @@ pub fn execute_pattern(
     let obj_map = match obj_map {
         Some(m) => m,
         None => batch_lookup(
-            &store,
+            store,
             p.object_kind,
             need_obj,
             p.idx,
@@ -505,14 +395,14 @@ pub fn execute_pattern(
     Ok(out)
 }
 
-fn scan_entity_map(
-    store: &StoreRef<'_>,
+fn scan_entity_map<'a>(
+    store: &'a EventStore,
     kind: EntityKind,
     conjuncts: &[Expr],
     pattern: usize,
     target: ScanTarget,
     stats: &mut EngineStats,
-) -> HashMap<i64, Row> {
+) -> HashMap<i64, &'a Row> {
     let mut scanned = 0u64;
     let mut profile = aiql_rdb::ScanProfile::default();
     let rows = store.scan_entities_profiled(kind, conjuncts, &mut scanned, &mut profile);
@@ -530,14 +420,14 @@ fn scan_entity_map(
         .collect()
 }
 
-fn batch_lookup(
-    store: &StoreRef<'_>,
+fn batch_lookup<'a>(
+    store: &'a EventStore,
     kind: EntityKind,
     mut ids: Vec<i64>,
     pattern: usize,
     target: ScanTarget,
     stats: &mut EngineStats,
-) -> HashMap<i64, Row> {
+) -> HashMap<i64, &'a Row> {
     ids.sort_unstable();
     ids.dedup();
     if ids.is_empty() {
@@ -613,7 +503,7 @@ mod tests {
         let ctx = compile(src).unwrap();
         let mut stats = EngineStats::default();
         execute_pattern(
-            StoreRef::Single(&store),
+            &store,
             &ctx.patterns[0],
             &ExtraCstr::default(),
             policy(parallel),
@@ -681,7 +571,7 @@ mod tests {
                     .unwrap();
             let mut s1 = EngineStats::default();
             let seq = execute_pattern(
-                StoreRef::Single(&store),
+                &store,
                 &ctx.patterns[0],
                 &ExtraCstr::default(),
                 policy(false),
@@ -692,7 +582,7 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let mut s2 = EngineStats::default();
                 let par = execute_pattern(
-                    StoreRef::Single(&store),
+                    &store,
                     &ctx.patterns[0],
                     &ExtraCstr::default(),
                     ExecPolicy {
@@ -739,7 +629,7 @@ mod tests {
         };
         let mut stats = EngineStats::default();
         let rows = execute_pattern(
-            StoreRef::Single(&store),
+            &store,
             &ctx.patterns[0],
             &extra,
             policy(false),
@@ -750,35 +640,35 @@ mod tests {
         assert_eq!(rows.len(), 1, "only svchost's read");
     }
 
+    /// MPP segments are the store's shards: the Fig. 7 configuration — a
+    /// row store (as Greenplum's segments are) split over three shards,
+    /// scanned in parallel — matches the single-node columnar store.
     #[test]
     fn segmented_store_matches_single() {
         let d = dataset();
         let single = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let seg = SegmentedStore::ingest(&d, 3, true).unwrap();
+        let segmented = EventStore::ingest(
+            &d,
+            StoreConfig::partitioned()
+                .with_columnar(false)
+                .with_shards(3),
+        )
+        .unwrap();
         let ctx = compile("proc p read || write || start file f return p, f").unwrap();
-        let mut s1 = EngineStats::default();
-        let mut s2 = EngineStats::default();
-        let mut a = execute_pattern(
-            StoreRef::Single(&single),
-            &ctx.patterns[0],
-            &ExtraCstr::default(),
-            policy(false),
-            Deadline::none(),
-            &mut s1,
-        )
-        .unwrap();
-        let mut b = execute_pattern(
-            StoreRef::Segmented(&seg),
-            &ctx.patterns[0],
-            &ExtraCstr::default(),
-            policy(false),
-            Deadline::none(),
-            &mut s2,
-        )
-        .unwrap();
-        let key = |r: &Row| r[schema::ev::ID].clone();
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
+        let scan = |store: &EventStore, parallel: bool| {
+            let mut stats = EngineStats::default();
+            execute_pattern(
+                store,
+                &ctx.patterns[0],
+                &ExtraCstr::default(),
+                policy(parallel),
+                Deadline::none(),
+                &mut stats,
+            )
+            .unwrap()
+        };
+        let rows = scan(&single, false);
+        assert_eq!(rows.len(), 2, "the dump's write and read");
+        assert_eq!(scan(&segmented, true), rows);
     }
 }

@@ -16,13 +16,14 @@
 use crate::error::EngineError;
 use crate::exec::ExecPolicy;
 use crate::layout::{resolve_field, OBJ_OFF, START_COL, SUBJ_OFF};
-use crate::pattern::{execute_pattern, Deadline, EngineStats, StoreRef};
+use crate::pattern::{execute_pattern, Deadline, EngineStats};
 use crate::synth::{ExtraCstr, Side};
 use crate::tupleset::{Matches, RelEval, TupleSet};
 use aiql_core::ast::{CmpOp as AstCmp, TempKind};
 use aiql_core::{FieldRef, QueryContext, RelationCtx};
 use aiql_model::EntityKind;
 use aiql_rdb::Value;
+use aiql_storage::EventStore;
 
 /// Scheduler selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,7 +44,7 @@ pub struct Joined {
 
 /// Runs the fetch-and-filter strategy.
 pub fn fetch_and_filter(
-    store: StoreRef<'_>,
+    store: &EventStore,
     ctx: &QueryContext,
     exec: ExecPolicy,
     deadline: Deadline,
@@ -203,7 +204,7 @@ fn derive_extra(
 
 /// Runs Algorithm 1 with the paper's constraint-count pruning scores.
 pub fn relationship_based(
-    store: StoreRef<'_>,
+    store: &EventStore,
     ctx: &QueryContext,
     exec: ExecPolicy,
     deadline: Deadline,
@@ -217,7 +218,7 @@ pub fn relationship_based(
 /// execution, under externally supplied pruning scores (see
 /// [`crate::scoring`] for the available models).
 pub fn relationship_based_scored(
-    store: StoreRef<'_>,
+    store: &EventStore,
     ctx: &QueryContext,
     scores: &[u32],
     exec: ExecPolicy,
@@ -519,14 +520,14 @@ mod tests {
         let mut stats = EngineStats::default();
         let j = match sched {
             Scheduler::Relationship => relationship_based(
-                StoreRef::Single(&store),
+                &store,
                 &ctx,
                 ExecPolicy::sequential(),
                 Deadline::none(),
                 &mut stats,
             ),
             Scheduler::FetchFilter => fetch_and_filter(
-                StoreRef::Single(&store),
+                &store,
                 &ctx,
                 ExecPolicy::sequential(),
                 Deadline::none(),
@@ -579,7 +580,7 @@ mod tests {
         .unwrap();
         let mut stats = EngineStats::default();
         let j = relationship_based(
-            StoreRef::Single(&store),
+            &store,
             &ctx,
             ExecPolicy::sequential(),
             Deadline::none(),
@@ -606,14 +607,14 @@ mod tests {
             let mut stats = EngineStats::default();
             let j = match sched {
                 Scheduler::Relationship => relationship_based(
-                    StoreRef::Single(&store),
+                    &store,
                     &ctx,
                     ExecPolicy::sequential(),
                     Deadline::none(),
                     &mut stats,
                 ),
                 Scheduler::FetchFilter => fetch_and_filter(
-                    StoreRef::Single(&store),
+                    &store,
                     &ctx,
                     ExecPolicy::sequential(),
                     Deadline::none(),

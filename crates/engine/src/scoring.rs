@@ -16,12 +16,11 @@
 //!
 //! The `ablation` Criterion bench and `tests/ablation.rs` compare the two.
 
-use crate::pattern::{EngineStats, StoreRef};
 use crate::synth::synthesize;
 use aiql_core::QueryContext;
 use aiql_model::EntityKind;
-use aiql_rdb::Prune;
-use aiql_storage::schema;
+use aiql_rdb::{Prune, ScanProfile};
+use aiql_storage::EventStore;
 
 /// How the scheduler estimates pattern pruning power.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,55 +35,50 @@ pub enum ScoreModel {
 
 /// Computes per-pattern scores under the chosen model (higher = executed
 /// earlier).
-pub fn scores(model: ScoreModel, store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u32> {
+pub fn scores(model: ScoreModel, store: &EventStore, ctx: &QueryContext) -> Vec<u32> {
     match model {
         ScoreModel::ConstraintCount => ctx.patterns.iter().map(|p| p.score).collect(),
-        ScoreModel::DataStatistics => statistical_scores(store, ctx),
+        ScoreModel::DataStatistics => estimates(store, ctx)
+            .map(|est| {
+                // Fewer estimated matches ⇒ higher score. log2(2^40) headroom.
+                (40.0 - (est + 1.0).log2()).max(0.0).round() as u32
+            })
+            .collect(),
     }
 }
 
-fn statistical_scores(store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u32> {
-    // Total entity counts, for selectivity denominators (entity tables are
-    // small; a full count scan is cheap and runs once per query).
-    let mut throwaway = EngineStats::default();
-    let totals = entity_totals(&store, &mut throwaway);
-    ctx.patterns
-        .iter()
-        .map(|p| {
-            let est = pattern_estimate(&store, p, &totals, &mut throwaway);
-            // Fewer estimated matches ⇒ higher score. log2(2^40) headroom.
-            (40.0 - (est + 1.0).log2()).max(0.0).round() as u32
-        })
+/// Estimated match rows for every pattern of `ctx`, from the same store
+/// statistics the [`ScoreModel::DataStatistics`] scorer uses — the
+/// "estimated rows" column of the session API's `EXPLAIN`.
+pub fn estimate_rows(store: &EventStore, ctx: &QueryContext) -> Vec<u64> {
+    estimates(store, ctx)
+        .map(|est| est.round() as u64)
         .collect()
 }
 
-/// Total rows per entity kind, ordered `[File, Process, NetConn]`.
-fn entity_totals(store: &StoreRef<'_>, stats: &mut EngineStats) -> [f64; 3] {
-    let mut total =
-        |kind: EntityKind| -> f64 { entity_count(store, kind, &[], stats).max(1) as f64 };
-    [
-        total(EntityKind::File),
-        total(EntityKind::Process),
-        total(EntityKind::NetConn),
-    ]
+/// Per-pattern match-cardinality estimates, in pattern order.
+fn estimates<'a>(store: &'a EventStore, ctx: &'a QueryContext) -> impl Iterator<Item = f64> + 'a {
+    // Total entity counts, for selectivity denominators (entity tables are
+    // small; a full count scan is cheap and runs once per query).
+    let totals = [EntityKind::File, EntityKind::Process, EntityKind::NetConn]
+        .map(|kind| entity_count(store, kind, &[]).max(1) as f64);
+    ctx.patterns
+        .iter()
+        .map(move |p| pattern_estimate(store, p, &totals))
 }
 
 /// Estimated match cardinality of one pattern's data query: events in the
 /// admitted partitions × uniform operation-mix fraction × measured
-/// entity-filter selectivities.
-fn pattern_estimate(
-    store: &StoreRef<'_>,
-    p: &aiql_core::PatternCtx,
-    totals: &[f64; 3],
-    stats: &mut EngineStats,
-) -> f64 {
+/// entity-filter selectivities. `totals` are the entity counts ordered
+/// `[File, Process, NetConn]`.
+fn pattern_estimate(store: &EventStore, p: &aiql_core::PatternCtx, totals: &[f64; 3]) -> f64 {
     let q = synthesize(p);
     let base = estimate_events(store, &q.prune) as f64;
     let op_frac = p.ops.len() as f64 / aiql_model::event::ALL_OPS.len() as f64;
     let subj_frac = if q.subject.is_empty() {
         1.0
     } else {
-        entity_count(store, EntityKind::Process, &q.subject, stats) as f64 / totals[1]
+        entity_count(store, EntityKind::Process, &q.subject) as f64 / totals[1]
     };
     let kind_idx = match p.object_kind {
         EntityKind::File => 0,
@@ -94,90 +88,27 @@ fn pattern_estimate(
     let obj_frac = if q.object.is_empty() {
         1.0
     } else {
-        entity_count(store, p.object_kind, &q.object, stats) as f64 / totals[kind_idx]
+        entity_count(store, p.object_kind, &q.object) as f64 / totals[kind_idx]
     };
     (base * op_frac * subj_frac.max(1e-6) * obj_frac.max(1e-6)).max(0.0)
 }
 
-/// Estimated match rows for every pattern of `ctx`, from the same store
-/// statistics the [`ScoreModel::DataStatistics`] scorer uses — the
-/// "estimated rows" column of the session API's `EXPLAIN`.
-pub fn estimate_rows(store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u64> {
-    let mut throwaway = EngineStats::default();
-    let totals = entity_totals(&store, &mut throwaway);
-    ctx.patterns
-        .iter()
-        .map(|p| pattern_estimate(&store, p, &totals, &mut throwaway).round() as u64)
-        .collect()
+/// Entity rows matching `conjuncts` — index-accelerated for equality
+/// probes; LIKE filters fall back to a scan of the (small) entity table.
+fn entity_count(store: &EventStore, kind: EntityKind, conjuncts: &[aiql_rdb::Expr]) -> usize {
+    store
+        .scan_entities_profiled(kind, conjuncts, &mut 0, &mut ScanProfile::default())
+        .len()
 }
 
-fn entity_count(
-    store: &StoreRef<'_>,
-    kind: EntityKind,
-    conjuncts: &[aiql_rdb::Expr],
-    stats: &mut EngineStats,
-) -> usize {
-    // `scan_entities` is index-accelerated for equality probes; LIKE
-    // filters fall back to a scan of the (small) entity table.
-    store_scan_entities(store, kind, conjuncts, stats).len()
-}
-
-fn store_scan_entities(
-    store: &StoreRef<'_>,
-    kind: EntityKind,
-    conjuncts: &[aiql_rdb::Expr],
-    stats: &mut EngineStats,
-) -> Vec<aiql_rdb::Row> {
-    let mut scanned = 0u64;
-    let rows = match store {
-        StoreRef::Single(s) => s.scan_entities(kind, conjuncts, &mut scanned),
-        StoreRef::Segmented(s) => {
-            let parts = s
-                .sdb()
-                .run_on_all(|db| {
-                    let t = db
-                        .plain(schema::entity_table(kind))
-                        .expect("entity tables are plain");
-                    let mut local = 0u64;
-                    let (_, pos) = t.select(conjuncts, &mut local);
-                    Ok(pos
-                        .into_iter()
-                        .map(|p| t.row(p).clone())
-                        .collect::<Vec<_>>())
-                })
-                .expect("entity scan");
-            parts.into_iter().flatten().collect()
-        }
-    };
-    stats.rows_scanned += scanned;
-    rows
-}
-
-fn estimate_events(store: &StoreRef<'_>, prune: &Prune) -> u64 {
-    match store {
-        StoreRef::Single(s) => match s.events_partitioned() {
-            Some(pt) => pt
-                .partitions_for(prune)
-                .iter()
-                .map(|(_, t)| t.len() as u64)
-                .sum(),
-            None => s.event_count() as u64,
-        },
-        StoreRef::Segmented(s) => s
-            .sdb()
-            .run_on_all(|db| {
-                Ok(db
-                    .partitioned(schema::EVENTS)
-                    .map(|pt| {
-                        pt.partitions_for(prune)
-                            .iter()
-                            .map(|(_, t)| t.len() as u64)
-                            .sum::<u64>()
-                    })
-                    .unwrap_or(0))
-            })
-            .map(|v| v.into_iter().sum())
-            .unwrap_or(0),
+fn estimate_events(store: &EventStore, prune: &Prune) -> u64 {
+    match store.events_partitioned() {
+        Some(pt) => pt
+            .partitions_for(prune)
+            .iter()
+            .map(|(_, t)| t.len() as u64)
+            .sum(),
+        None => store.event_count() as u64,
     }
 }
 
@@ -237,8 +168,8 @@ mod tests {
     fn constraint_count_is_fooled_statistics_are_not() {
         let store = EventStore::ingest(&misleading(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(QUERY).unwrap();
-        let by_count = scores(ScoreModel::ConstraintCount, StoreRef::Single(&store), &ctx);
-        let by_stats = scores(ScoreModel::DataStatistics, StoreRef::Single(&store), &ctx);
+        let by_count = scores(ScoreModel::ConstraintCount, &store, &ctx);
+        let by_stats = scores(ScoreModel::DataStatistics, &store, &ctx);
         // Constraint counting ranks the noisy pattern (3 atoms) above the
         // selective one (1 atom)...
         assert!(by_count[0] > by_count[1], "count model: {by_count:?}");
@@ -251,7 +182,7 @@ mod tests {
         let store = EventStore::ingest(&misleading(), StoreConfig::partitioned()).unwrap();
         // A pattern on an empty day estimates ~0 matches → max-ish score.
         let ctx = compile(r#"(at "06/01/2019") proc p read file f as e1 return p"#).unwrap();
-        let s = scores(ScoreModel::DataStatistics, StoreRef::Single(&store), &ctx);
+        let s = scores(ScoreModel::DataStatistics, &store, &ctx);
         assert!(s[0] >= 39, "empty window should score near the cap: {s:?}");
     }
 
@@ -260,7 +191,7 @@ mod tests {
         let store = EventStore::ingest(&misleading(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(QUERY).unwrap();
         for model in [ScoreModel::ConstraintCount, ScoreModel::DataStatistics] {
-            assert_eq!(scores(model, StoreRef::Single(&store), &ctx).len(), 2);
+            assert_eq!(scores(model, &store, &ctx).len(), 2);
         }
     }
 }

@@ -54,7 +54,7 @@
 //! ```
 
 use crate::error::EngineError;
-use crate::pattern::{EngineStats, ScanRecord, StoreRef};
+use crate::pattern::{EngineStats, ScanRecord};
 use crate::result::EngineResult;
 use crate::scoring;
 use crate::{Engine, EngineConfig, Outcome, PlanSlot};
@@ -401,9 +401,7 @@ impl Bound {
         let snapshot = self.core.snapshot();
         let stamp = snapshot.stamp();
         aiql_telemetry::trace::begin("execute");
-        let ran = Engine::with_config(&snapshot, self.core.exec_config())
-            .with_plan_slot(&self.plan)
-            .run_ctx(&self.ctx);
+        let ran = Engine::new(&snapshot, self.core.exec_config(), &self.plan).run_ctx(&self.ctx);
         let trace = aiql_telemetry::trace::finish();
         let outcome = ran?;
         let m = crate::metrics::metrics();
@@ -434,11 +432,9 @@ impl Bound {
     pub fn explain(&self) -> Result<Explain, EngineError> {
         let snapshot = self.core.snapshot();
         let stamp = snapshot.stamp();
-        let store_ref = StoreRef::Single(&snapshot);
-        let estimates = scoring::estimate_rows(store_ref, &self.ctx);
-        let outcome = Engine::with_config(&snapshot, self.core.exec_config())
-            .with_plan_slot(&self.plan)
-            .run_ctx(&self.ctx)?;
+        let estimates = scoring::estimate_rows(&snapshot, &self.ctx);
+        let outcome =
+            Engine::new(&snapshot, self.core.exec_config(), &self.plan).run_ctx(&self.ctx)?;
         let patterns = (0..self.ctx.patterns.len())
             .map(|idx| {
                 let actual = outcome
@@ -911,7 +907,7 @@ mod tests {
             .execute()
             .unwrap()
             .into_result();
-        let oracle = Engine::new(&store.read())
+        let oracle = session
             .run(
                 r#"(at "01/01/2017") agentid = 1 proc p["%tool1%"] write file f
                    return p, f sort by f"#,

@@ -312,8 +312,8 @@ impl Ingestor {
         ))
     }
 
-    /// A cloneable handle for concurrent readers (`aiql_engine::run_live`
-    /// is the query side).
+    /// A cloneable handle for concurrent readers (an `aiql_engine::Session`
+    /// opened on it is the query side).
     pub fn shared(&self) -> SharedStore {
         match &self.backend {
             Backend::Plain(s) => s.clone(),
@@ -832,8 +832,12 @@ mod tests {
 
         let shared = ing.shared();
         let store = shared.read();
-        let mut scanned = 0;
-        let rows = store.scan_events(&[], &aiql_rdb::Prune::all(), &mut scanned);
+        let rows = store.scan_events_profiled(
+            &[],
+            &aiql_rdb::Prune::all(),
+            &mut 0,
+            &mut aiql_rdb::ScanProfile::default(),
+        );
         let mut starts: Vec<i64> = rows
             .iter()
             .map(|r| r[aiql_storage::schema::ev::START].as_int().unwrap())

@@ -90,6 +90,22 @@ impl Prune {
         Prune::default()
     }
 
+    /// The pruning both `self` (a caller's) and `derived` (e.g.
+    /// [`PartitionedTable::prune_from_conjuncts`]) allow on the day axis:
+    /// the tighter bound wins on each side. The agent set is not
+    /// intersected — the caller's set, when it has one, wins.
+    pub fn intersect(&self, derived: &Prune) -> Prune {
+        let tighter = |a: Option<i64>, b: Option<i64>, pick: fn(i64, i64) -> i64| match (a, b) {
+            (Some(x), Some(y)) => Some(pick(x, y)),
+            (x, y) => x.or(y),
+        };
+        Prune {
+            day_lo: tighter(self.day_lo, derived.day_lo, i64::max),
+            day_hi: tighter(self.day_hi, derived.day_hi, i64::min),
+            agents: self.agents.clone().or_else(|| derived.agents.clone()),
+        }
+    }
+
     fn admits(&self, key: &PartKey, group_size: u32) -> bool {
         if self.day_lo.is_some_and(|lo| key.0 < lo) {
             return false;
@@ -509,6 +525,29 @@ mod tests {
             }
         }
         pt
+    }
+
+    #[test]
+    fn prune_intersect_keeps_tighter_days_and_the_callers_agents() {
+        let caller = Prune {
+            day_lo: Some(3),
+            day_hi: Some(9),
+            agents: Some(vec![1]),
+        };
+        let derived = Prune {
+            day_lo: Some(5),
+            day_hi: Some(12),
+            agents: Some(vec![2, 3]),
+        };
+        let both = caller.intersect(&derived);
+        assert_eq!((both.day_lo, both.day_hi), (Some(5), Some(9)));
+        assert_eq!(both.agents, Some(vec![1]), "the caller's agents win");
+        // A bound or agent set only one side has passes through.
+        let open = Prune::all().intersect(&derived);
+        assert_eq!((open.day_lo, open.day_hi), (Some(5), Some(12)));
+        assert_eq!(open.agents, Some(vec![2, 3]));
+        let open = caller.intersect(&Prune::all());
+        assert_eq!((open.day_lo, open.day_hi), (Some(3), Some(9)));
     }
 
     #[test]

@@ -11,16 +11,11 @@
 //!   of one host land on one segment, host workloads spread evenly across
 //!   segments, and per-host joins are co-located.
 //!
-//! Two execution strategies mirror the paper's Fig. 7 systems:
-//!
-//! - [`SegmentedDb::query_gather`]: scan each referenced table on all
-//!   segments in parallel (with single-table predicate pushdown), gather the
-//!   matching rows to a coordinator, and run the join there single-threaded —
-//!   what an MPP engine must do when placement does not co-locate the join.
-//! - [`SegmentedDb::query_local`]: run the full query on every segment in
-//!   parallel and merge (re-applying ORDER BY/LIMIT at the coordinator) —
-//!   valid only when placement co-locates every join and group, which the
-//!   caller asserts by choosing this method.
+//! [`SegmentedDb::query_gather`] executes the way an MPP engine must when
+//! placement does not co-locate the join (the Greenplum column of the
+//! paper's Fig. 7): scan each referenced table on all segments in parallel
+//! (with single-table predicate pushdown), gather the matching rows to a
+//! coordinator, and run the join there single-threaded.
 
 use crate::error::RdbError;
 use crate::exec::{ExecCtx, ResultSet};
@@ -117,69 +112,6 @@ impl SegmentedDb {
         self.segments[seg].insert(table, row)
     }
 
-    /// Runs the same SQL on every segment in parallel and merges results,
-    /// re-applying ORDER BY and LIMIT at the coordinator. Rejects aggregate /
-    /// GROUP BY / DISTINCT queries (their partial results cannot be merged by
-    /// concatenation).
-    pub fn query_local(
-        &self,
-        sql_text: &str,
-        deadline: Option<Instant>,
-    ) -> Result<ResultSet, RdbError> {
-        let stmt = sql::parse_select(sql_text)?;
-        let has_agg = !stmt.group_by.is_empty()
-            || stmt.distinct
-            || stmt
-                .items
-                .iter()
-                .any(|i| matches!(i.expr, sql::SqlExpr::Agg(..)));
-        if has_agg {
-            return Err(RdbError::Plan(
-                "aggregate/DISTINCT queries are not mergeable in local mode; use query_gather"
-                    .into(),
-            ));
-        }
-        let results = self.run_on_all(|seg| {
-            let plan = plan::plan_select(seg, &stmt)?;
-            let mut ctx = ExecCtx::with_deadline(deadline);
-            crate::exec::execute(seg, &plan, &mut ctx)
-        })?;
-        let mut merged = results
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.rows.extend(b.rows);
-                a
-            })
-            .expect("at least one segment");
-        // Re-apply ORDER BY / LIMIT across segments.
-        if !stmt.order_by.is_empty() {
-            let cols: Vec<(usize, bool)> = stmt
-                .order_by
-                .iter()
-                .filter_map(|(c, asc)| {
-                    merged
-                        .columns
-                        .iter()
-                        .position(|n| n == &c.column)
-                        .map(|p| (p, *asc))
-                })
-                .collect();
-            merged.rows.sort_by(|a, b| {
-                for (col, asc) in &cols {
-                    let ord = a[*col].cmp(&b[*col]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return if *asc { ord } else { ord.reverse() };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(n) = stmt.limit {
-            merged.rows.truncate(n);
-        }
-        Ok(merged)
-    }
-
     /// Gather execution: pushes each table's single-table conjuncts down to
     /// every segment in parallel, gathers matching rows into a coordinator
     /// database, and runs the full query there. This is the honest cost
@@ -245,7 +177,7 @@ impl SegmentedDb {
 
     /// Runs `f` on every segment in parallel (scoped threads), collecting
     /// results in segment order.
-    pub fn run_on_all<T, F>(&self, f: F) -> Result<Vec<T>, RdbError>
+    fn run_on_all<T, F>(&self, f: F) -> Result<Vec<T>, RdbError>
     where
         T: Send,
         F: Fn(&Database) -> Result<T, RdbError> + Sync,
@@ -316,36 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn local_query_merges_and_reorders() {
-        let db = seed(Placement::RoundRobin);
-        let rs = db
-            .query_local(
-                "SELECT e.id FROM events e WHERE e.val >= 40 ORDER BY e.id DESC LIMIT 3",
-                None,
-            )
-            .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![
-                vec![Value::Int(29)],
-                vec![Value::Int(28)],
-                vec![Value::Int(27)]
-            ]
-        );
-    }
-
-    #[test]
-    fn local_query_rejects_aggregates() {
-        let db = seed(Placement::RoundRobin);
-        assert!(db
-            .query_local("SELECT COUNT(*) FROM events e", None)
-            .is_err());
-        assert!(db
-            .query_local("SELECT DISTINCT e.agentid FROM events e", None)
-            .is_err());
-    }
-
-    #[test]
     fn gather_query_handles_joins_and_aggregates() {
         let db = seed(Placement::RoundRobin);
         let rs = db
@@ -378,23 +280,26 @@ mod tests {
 
     #[test]
     fn gather_matches_local_on_colocated_query() {
-        let local = seed(Placement::ByAgent {
+        // By-agent placement co-locates agent 1 on segment 1: gathering
+        // from every segment returns exactly that segment's rows.
+        let db = seed(Placement::ByAgent {
             agent_col: "agentid".into(),
         });
-        let mut a = local
-            .query_local(
-                "SELECT e.id FROM events e WHERE e.agentid = 1 ORDER BY e.id",
-                None,
-            )
-            .unwrap();
-        let mut b = local
+        let gathered = db
             .query_gather(
                 "SELECT e.id FROM events e WHERE e.agentid = 1 ORDER BY e.id",
                 None,
             )
             .unwrap();
-        a.rows.sort();
-        b.rows.sort();
-        assert_eq!(a.rows, b.rows);
+        let local: Vec<Row> = db
+            .segment(1)
+            .plain("events")
+            .unwrap()
+            .iter_rows()
+            .filter(|r| r[1] == Value::Int(1))
+            .map(|r| vec![r[0].clone()])
+            .collect();
+        assert_eq!(gathered.rows, local);
+        assert_eq!(local.len(), 6);
     }
 }

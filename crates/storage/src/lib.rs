@@ -9,9 +9,6 @@
 //!   partitions and the engine parallelizes across them.
 //! - **Monolithic layout** (baseline): the same tables without partitioning,
 //!   as the end-to-end PostgreSQL/Neo4j comparison stores them.
-//! - **Segmented store** (Greenplum analogue): K segments under a placement
-//!   policy — arrival-order round-robin, or by host per AIQL's
-//!   semantics-aware model.
 //!
 //! Both layouts build the same secondary indexes (the paper gives the
 //! baselines identical schema/index designs) and both are loaded through the
@@ -49,10 +46,7 @@ pub use metrics::record_scan;
 pub use persist::{PersistError, RecoveryReport};
 
 use aiql_model::{Dataset, Entity, EntityKind, Event, SharedDict, Timestamp, Value};
-use aiql_rdb::{
-    ColumnarSpec, Database, PartKey, PartitionSpec, Placement, Prune, RdbError, Row, ScanProfile,
-    SegmentedDb,
-};
+use aiql_rdb::{ColumnarSpec, Database, PartKey, PartitionSpec, Prune, RdbError, Row, ScanProfile};
 use std::path::{Path, PathBuf};
 
 /// The columnar projection each table receives when
@@ -362,17 +356,6 @@ impl EventStore {
         }
     }
 
-    /// Backwards-compatible alias of [`EventStore::append_entity`].
-    pub fn insert_entity(&mut self, e: &Entity) -> Result<(), RdbError> {
-        self.append_entity(e)
-    }
-
-    /// Backwards-compatible alias of [`EventStore::append_event`],
-    /// discarding the rollover report.
-    pub fn insert_event(&mut self, ev: &Event) -> Result<(), RdbError> {
-        self.append_event(ev).map(|_| ())
-    }
-
     /// Writes a point-in-time snapshot of the whole store to `dir`
     /// (atomically: temp file + rename, CRC-checksummed). The snapshot
     /// carries the store configuration, the shared dictionary, all row
@@ -458,36 +441,11 @@ impl EventStore {
         &self.dict
     }
 
-    /// Scans events with conjuncts over the events layout, applying
-    /// partition pruning when partitioned. Returns matching rows (cloned);
-    /// prefer [`EventStore::scan_events_ref`] on hot paths.
-    pub fn scan_events(
-        &self,
-        conjuncts: &[aiql_rdb::Expr],
-        prune: &Prune,
-        scanned: &mut u64,
-    ) -> Vec<Row> {
-        self.scan_events_ref(conjuncts, prune, scanned)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Like [`EventStore::scan_events`], but returns borrowed rows — the
-    /// engine flattens matches into fresh rows, so cloning here is wasted.
-    pub fn scan_events_ref(
-        &self,
-        conjuncts: &[aiql_rdb::Expr],
-        prune: &Prune,
-        scanned: &mut u64,
-    ) -> Vec<&Row> {
-        let mut profile = ScanProfile::default();
-        self.scan_events_profiled(conjuncts, prune, scanned, &mut profile)
-    }
-
-    /// [`EventStore::scan_events_ref`] with access-path and pruning
-    /// accounting into `profile` — the storage hook behind the session
-    /// API's `EXPLAIN`.
+    /// Scans events with conjuncts over the events layout — pruning
+    /// partitions by `prune` intersected with what the conjuncts imply when
+    /// partitioned — and returns the matching rows borrowed from the store,
+    /// with access-path and pruning accounting into `profile` (the storage
+    /// hook behind the session API's `EXPLAIN`).
     pub fn scan_events_profiled(
         &self,
         conjuncts: &[aiql_rdb::Expr],
@@ -497,13 +455,7 @@ impl EventStore {
     ) -> Vec<&Row> {
         match self.db.partitioned(schema::EVENTS) {
             Some(pt) => {
-                // Merge caller pruning with conjunct-derived pruning.
-                let derived = pt.prune_from_conjuncts(conjuncts);
-                let merged = Prune {
-                    day_lo: max_opt(prune.day_lo, derived.day_lo),
-                    day_hi: min_opt(prune.day_hi, derived.day_hi),
-                    agents: prune.agents.clone().or(derived.agents),
-                };
+                let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
                 pt.select_refs_profiled(conjuncts, &merged, scanned, profile)
             }
             None => {
@@ -516,26 +468,16 @@ impl EventStore {
         }
     }
 
-    /// Scans an entity table with conjuncts (index-accelerated).
-    pub fn scan_entities(
-        &self,
-        kind: EntityKind,
-        conjuncts: &[aiql_rdb::Expr],
-        scanned: &mut u64,
-    ) -> Vec<Row> {
-        let mut profile = ScanProfile::default();
-        self.scan_entities_profiled(kind, conjuncts, scanned, &mut profile)
-    }
-
-    /// [`EventStore::scan_entities`] with access-path accounting into
-    /// `profile`.
+    /// Scans an entity table with conjuncts (index-accelerated) and returns
+    /// the matching rows borrowed from the store, with access-path
+    /// accounting into `profile`.
     pub fn scan_entities_profiled(
         &self,
         kind: EntityKind,
         conjuncts: &[aiql_rdb::Expr],
         scanned: &mut u64,
         profile: &mut ScanProfile,
-    ) -> Vec<Row> {
+    ) -> Vec<&Row> {
         let t = self
             .db
             .plain(schema::entity_table(kind))
@@ -543,13 +485,13 @@ impl EventStore {
         profile.partitions_total += 1;
         profile.partitions_scanned += 1;
         let (_, pos) = t.select_profiled(conjuncts, scanned, profile);
-        pos.into_iter().map(|p| t.row(p).clone()).collect()
+        pos.into_iter().map(|p| t.row(p)).collect()
     }
 
     /// The time span (min/max event start) present in the store, if any.
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let mut scanned = 0u64;
-        let rows = self.scan_events_ref(&[], &Prune::all(), &mut scanned);
+        let rows =
+            self.scan_events_profiled(&[], &Prune::all(), &mut 0, &mut ScanProfile::default());
         let lo = rows
             .iter()
             .map(|r| r[schema::ev::START].as_int().unwrap_or(0))
@@ -559,98 +501,6 @@ impl EventStore {
             .map(|r| r[schema::ev::START].as_int().unwrap_or(0))
             .max()?;
         Some((Timestamp(lo), Timestamp(hi)))
-    }
-}
-
-fn max_opt(a: Option<i64>, b: Option<i64>) -> Option<i64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, y) => x.or(y),
-    }
-}
-
-fn min_opt(a: Option<i64>, b: Option<i64>) -> Option<i64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
-    }
-}
-
-/// The MPP event store: K segments under a placement policy (Greenplum
-/// analogue for the paper's Sec. 6.3.3 evaluation).
-pub struct SegmentedStore {
-    sdb: SegmentedDb,
-    event_count: usize,
-}
-
-impl SegmentedStore {
-    /// Creates an empty segmented store. `by_host` selects AIQL's
-    /// semantics-aware placement; otherwise rows are spread round-robin in
-    /// arrival order (Greenplum's default on this data).
-    pub fn empty(
-        segments: usize,
-        by_host: bool,
-        with_indexes: bool,
-    ) -> Result<SegmentedStore, RdbError> {
-        let placement = if by_host {
-            Placement::ByAgent {
-                agent_col: "agentid".into(),
-            }
-        } else {
-            Placement::RoundRobin
-        };
-        let mut sdb = SegmentedDb::new(segments, placement);
-        create_tables(|name, sch, is_events| {
-            if is_events {
-                // Segments keep day partitioning locally (both systems get
-                // the paper's storage optimizations in Sec. 6.3.3).
-                sdb.create_partitioned_table(
-                    name,
-                    sch,
-                    PartitionSpec::new("start_time", "agentid", 5),
-                )
-            } else {
-                sdb.create_table(name, sch)
-            }
-        })?;
-        if with_indexes {
-            for (table, col) in schema::index_plan() {
-                sdb.create_index(table, col)?;
-            }
-        }
-        Ok(SegmentedStore {
-            sdb,
-            event_count: 0,
-        })
-    }
-
-    /// Builds a segmented store from a dataset.
-    pub fn ingest(
-        data: &Dataset,
-        segments: usize,
-        by_host: bool,
-    ) -> Result<SegmentedStore, RdbError> {
-        let mut store = SegmentedStore::empty(segments, by_host, true)?;
-        for e in &data.entities {
-            store
-                .sdb
-                .insert(schema::entity_table(e.kind), entity_row(e))?;
-        }
-        for ev in &data.events {
-            store.sdb.insert(schema::EVENTS, event_row(ev))?;
-            store.event_count += 1;
-        }
-        Ok(store)
-    }
-
-    /// The underlying segmented database.
-    pub fn sdb(&self) -> &SegmentedDb {
-        &self.sdb
-    }
-
-    /// Number of ingested events.
-    pub fn event_count(&self) -> usize {
-        self.event_count
     }
 }
 
@@ -704,6 +554,16 @@ mod tests {
         d
     }
 
+    /// Every event matching `conjuncts`, borrowed from `s`.
+    fn events<'a>(s: &'a EventStore, conjuncts: &[Expr]) -> Vec<&'a Row> {
+        s.scan_events_profiled(
+            conjuncts,
+            &Prune::all(),
+            &mut 0,
+            &mut ScanProfile::default(),
+        )
+    }
+
     #[test]
     fn ingest_counts_both_layouts() {
         let d = dataset();
@@ -738,8 +598,7 @@ mod tests {
             ),
             Expr::cmp_lit(schema::ev::AGENT, CmpOp::Eq, 2i64),
         ];
-        let mut scanned = 0;
-        let rows = s.scan_events(&conjuncts, &Prune::all(), &mut scanned);
+        let rows = events(&s, &conjuncts);
         assert_eq!(rows.len(), 3, "agent 2's day-0 events (i = 0, 2, 4)");
         // All rows from agent 2.
         assert!(rows.iter().all(|r| r[schema::ev::AGENT] == Value::Int(2)));
@@ -762,19 +621,18 @@ mod tests {
             ),
             Expr::cmp_lit(schema::ev::OPTYPE, CmpOp::Eq, schema::opcode(OpType::Write)),
         ];
-        let (mut s1, mut s2) = (0, 0);
-        let mut a = col.scan_events(&conjuncts, &Prune::all(), &mut s1);
-        let mut b = row.scan_events(&conjuncts, &Prune::all(), &mut s2);
+        let mut a = events(&col, &conjuncts);
+        let mut b = events(&row, &conjuncts);
         a.sort();
         b.sort();
         assert_eq!(a, b, "columnar and row scans agree");
         assert!(!a.is_empty());
         // Entity-side string predicate through the dictionary kernels: the
         // `user` column is projected but unindexed.
-        let (mut s1, mut s2) = (0, 0);
         let cstr = [Expr::cmp_lit(schema::proc::USER, CmpOp::Eq, "missing-user")];
-        let pa = col.scan_entities(EntityKind::Process, &cstr, &mut s1);
-        let pb = row.scan_entities(EntityKind::Process, &cstr, &mut s2);
+        let mut profile = ScanProfile::default();
+        let pa = col.scan_entities_profiled(EntityKind::Process, &cstr, &mut 0, &mut profile);
+        let pb = row.scan_entities_profiled(EntityKind::Process, &cstr, &mut 0, &mut profile);
         assert_eq!(pa, pb);
     }
 
@@ -864,8 +722,8 @@ mod tests {
             ],
         ];
         for cstr in &event_cases {
-            let got = col.scan_events(cstr, &Prune::all(), &mut 0);
-            let want = row.scan_events(cstr, &Prune::all(), &mut 0);
+            let got = events(&col, cstr);
+            let want = events(&row, cstr);
             assert_eq!(got, want, "{cstr:?}");
             assert!(!want.is_empty(), "{cstr:?} must select something");
         }
@@ -879,10 +737,11 @@ mod tests {
         // path (`aiql-rdb`'s table tests cover that choice).
         let s = EventStore::ingest(&d, StoreConfig::partitioned().with_columnar(false)).unwrap();
         let mut scanned = 0;
-        let rows = s.scan_entities(
+        let rows = s.scan_entities_profiled(
             EntityKind::Process,
             &[Expr::cmp_lit(schema::proc::EXE_NAME, CmpOp::Eq, "proc2")],
             &mut scanned,
+            &mut ScanProfile::default(),
         );
         assert_eq!(rows.len(), 1);
         assert_eq!(scanned, 1, "index probe");
@@ -961,9 +820,10 @@ mod tests {
                 Expr::cmp_lit(schema::ev::OPTYPE, CmpOp::Eq, schema::opcode(OpType::Write)),
             ];
             let (mut s1, mut s2) = (0, 0);
+            let mut profile = ScanProfile::default();
             assert_eq!(
-                live.scan_events(&conjuncts, &Prune::all(), &mut s1),
-                back.scan_events(&conjuncts, &Prune::all(), &mut s2),
+                live.scan_events_profiled(&conjuncts, &Prune::all(), &mut s1, &mut profile),
+                back.scan_events_profiled(&conjuncts, &Prune::all(), &mut s2, &mut profile),
             );
             assert_eq!(s1, s2, "identical rows touched after reopen");
         }
@@ -994,25 +854,5 @@ mod tests {
         assert!(hi > lo);
         let empty = EventStore::empty(StoreConfig::monolithic()).unwrap();
         assert!(empty.time_span().is_none());
-    }
-
-    #[test]
-    fn segmented_store_placements() {
-        let d = dataset();
-        let rr = SegmentedStore::ingest(&d, 2, false).unwrap();
-        let bh = SegmentedStore::ingest(&d, 2, true).unwrap();
-        assert_eq!(rr.event_count(), 20);
-        assert_eq!(bh.event_count(), 20);
-        // By-host: each segment's events all share agent parity.
-        for seg in 0..2 {
-            let db = bh.sdb().segment(seg);
-            let pt = db.partitioned(schema::EVENTS).unwrap();
-            let mut scanned = 0;
-            let rows = pt.select(&[], &Prune::all(), &mut scanned);
-            for r in rows {
-                let agent = r[schema::ev::AGENT].as_int().unwrap();
-                assert_eq!(agent.rem_euclid(2) as usize, seg);
-            }
-        }
     }
 }

@@ -6,8 +6,8 @@
 //! ```
 
 use aiql::datagen::EnterpriseSim;
-use aiql::engine::Engine;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::engine::Session;
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 
 fn main() {
     let data = EnterpriseSim::builder()
@@ -18,8 +18,9 @@ fn main() {
         .attacks(true)
         .build()
         .generate();
-    let store = EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest");
-    let engine = Engine::new(&store);
+    let store =
+        SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest"));
+    let session = Session::open(&store);
 
     // Host 8 runs `exfil.sh`: steady 1 kB beacons to 198.51.100.9, then an
     // 80 MB burst. The simple-moving-average model from the paper's Query 4
@@ -32,7 +33,7 @@ fn main() {
         group by p
         having amt > 2 * (amt + amt[1] + amt[2]) / 3
     "#;
-    let r = engine.run(sma).expect("sma query");
+    let r = session.run(sma).expect("sma query");
     println!("== SMA spike model: windows where the average transfer explodes ==");
     print!("{r}");
     assert!(!r.rows.is_empty(), "the burst must alert");
@@ -52,7 +53,7 @@ fn main() {
         group by p
         having (amt - EWMA(amt, 0.9)) / EWMA(amt, 0.9) > 0.2
     "#;
-    let r = engine.run(ewma).expect("ewma query");
+    let r = session.run(ewma).expect("ewma query");
     println!("== EWMA deviation model ==");
     print!("{r}");
     assert!(!r.rows.is_empty());
@@ -68,7 +69,7 @@ fn main() {
         group by p
         having freq > 2 * (freq + freq[1] + freq[2]) / 3 && freq > 50
     "#;
-    let r = engine.run(s6).expect("s6 query");
+    let r = session.run(s6).expect("s6 query");
     println!("== abnormal file access: count(distinct file) spike ==");
     print!("{r}");
     assert!(r.rows.iter().all(|row| row[0].to_string() == "scraper"));

@@ -7,8 +7,8 @@
 //! ```
 
 use aiql::datagen::EnterpriseSim;
-use aiql::engine::Engine;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::engine::Session;
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 
 fn main() {
     // The simulated enterprise: 10 hosts, 2 days, the APT planted on day 2.
@@ -21,8 +21,9 @@ fn main() {
         .attacks(true)
         .build()
         .generate();
-    let store = EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest");
-    let engine = Engine::new(&store);
+    let store =
+        SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest"));
+    let session = Session::open(&store);
     println!(
         "{} events across {} hosts\n",
         data.events.len(),
@@ -40,7 +41,7 @@ fn main() {
         group by p
         having amt > 2 * (amt + amt[1] + amt[2]) / 3
     "#;
-    let r = engine.run(q5).expect("anomaly query");
+    let r = session.run(q5).expect("anomaly query");
     println!("== anomaly query (paper Query 5): spiking senders to the suspicious IP ==");
     print!("{r}");
     assert!(r.rows.iter().all(|row| row[0].to_string() == "sbblv.exe"));
@@ -54,7 +55,7 @@ fn main() {
         with evt1 before evt2
         return distinct p1, f1, i1
     "#;
-    let r = engine.run(q6).expect("starter query");
+    let r = session.run(q6).expect("starter query");
     println!("== starter query (paper Query 6): sbblv.exe's data sources ==");
     print!("{r}");
     assert!(r
@@ -74,18 +75,23 @@ fn main() {
         with evt1 before evt2, evt2 before evt3, evt3 before evt4
         return distinct p1, p2, p3, f1, p4, i1
     "#;
-    let out = engine.run_outcome(q7).expect("complete query");
+    let cursor = session
+        .prepare(q7)
+        .and_then(|stmt| stmt.execute())
+        .expect("complete query");
+    let (stats, elapsed) = (cursor.stats().clone(), cursor.elapsed());
+    let result = cursor.into_result();
     println!("== complete query (paper Query 7): the exfiltration chain ==");
-    print!("{}", out.result);
-    assert_eq!(out.result.rows.len(), 1);
+    print!("{result}");
+    assert_eq!(result.rows.len(), 1);
     println!(
         "\nverdict: cmd.exe ran osql.exe; sqlservr.exe dumped BACKUP1.DMP; \
          sbblv.exe read the dump and exfiltrated it to 192.168.66.129."
     );
     println!(
         "({} data queries, {} rows scanned, {:.1} ms)",
-        out.stats.data_queries,
-        out.stats.rows_scanned,
-        out.elapsed.as_secs_f64() * 1e3
+        stats.data_queries,
+        stats.rows_scanned,
+        elapsed.as_secs_f64() * 1e3
     );
 }

@@ -7,8 +7,8 @@
 //! ```
 
 use aiql::datagen::EnterpriseSim;
-use aiql::engine::Engine;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::engine::Session;
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 
 fn main() {
     let data = EnterpriseSim::builder()
@@ -19,8 +19,9 @@ fn main() {
         .attacks(true)
         .build()
         .generate();
-    let store = EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest");
-    let engine = Engine::new(&store);
+    let store =
+        SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest"));
+    let session = Session::open(&store);
 
     // Forward tracking (paper Query 3): /bin/cp on host 2 planted a script
     // under the web root; apache served it; wget on host 3 wrote it to disk.
@@ -32,7 +33,7 @@ fn main() {
         ->[write] file f2["%info_stealer%"]
         return f1, p1, p2, p3, f2
     "#;
-    let r = engine.run(forward).expect("forward query");
+    let r = session.run(forward).expect("forward query");
     println!("== forward tracking (paper Query 3): info_stealer ramification ==");
     print!("{r}");
     assert!(!r.rows.is_empty());
@@ -45,7 +46,7 @@ fn main() {
         backward: file f1["%chrome_update.exe"] <-[write] proc p1 <-[start] proc p2
         return f1, p1, p2
     "#;
-    let r = engine.run(backward).expect("backward query");
+    let r = session.run(backward).expect("backward query");
     println!("== backward tracking: provenance of chrome_update.exe ==");
     print!("{r}");
     assert!(!r.rows.is_empty());

@@ -62,7 +62,8 @@ fn main() {
     );
 
     // 2. Ingest into the partitioned event store.
-    let store = EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest");
+    let store =
+        SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest"));
 
     // 3. Ask: which process read a command-history file and then sent data
     //    to the network? (The paper's "command history probing" behaviour.)
@@ -72,8 +73,8 @@ fn main() {
         with e1 before e2
         return p1, f1, i1
     "#;
-    let engine = Engine::new(&store);
-    let result = engine.run(query).expect("query runs");
+    let session = Session::open(&store);
+    let result = session.run(query).expect("query runs");
 
     println!("AIQL> {}", query.trim());
     println!();

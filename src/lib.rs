@@ -57,15 +57,15 @@
 //!     .seed(7)
 //!     .build()
 //!     .generate();
-//! let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+//! let store = SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).unwrap());
 //!
 //! // Ask an AIQL multievent question.
 //! let query = r#"
 //!     proc p1 read file f1[".bash_history"] as evt1
 //!     return p1, f1
 //! "#;
-//! let engine = Engine::new(&store);
-//! let result = engine.run(query).unwrap();
+//! let session = Session::open(&store);
+//! let result = session.run(query).unwrap();
 //! println!("{result}");
 //! ```
 
@@ -89,7 +89,7 @@ pub use aiql_wal as wal;
 /// Commonly used types, for glob import in examples and tests.
 pub mod prelude {
     pub use aiql_core::{parse_query, PreparedQuery, QueryContext};
-    pub use aiql_engine::{run_live, Engine, EngineConfig, Params, Session};
+    pub use aiql_engine::{EngineConfig, Params, Session};
     pub use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
     pub use aiql_model::{
         AgentId, Dataset, Entity, EntityId, EntityKind, Event, EventId, OpType, Timestamp, Value,

@@ -8,11 +8,12 @@
 //! `step = 10 sec`. Here the two runs see the same matches and the same
 //! groups, so every allocation they differ by is window work. The binary
 //! installs a counting global allocator, so it holds only this test;
-//! counts are per thread, and the statement runs on this one.
+//! counts are per thread, and the statement runs on this one. What is
+//! measured is `Bound::execute`, the whole public execution path.
 
-use aiql::engine::{Engine, EngineConfig, Outcome};
+use aiql::engine::{Cursor, EngineConfig, Params, Session};
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 
 mod counting_alloc;
 
@@ -23,7 +24,7 @@ const PROCESSES: u64 = 24;
 /// An hour of one host: [`PROCESSES`] processes, each busy in its own
 /// stretch of it (so groups appear late and go quiet), reading 6 000 times
 /// from 50 files.
-fn store() -> EventStore {
+fn store() -> SharedStore {
     let mut d = Dataset::new();
     let a = AgentId(1);
     let t0 = Timestamp::from_ymd(2017, 1, 2).unwrap().0;
@@ -48,35 +49,42 @@ fn store() -> EventStore {
         );
         d.add_event(ev.with_amount((e * 37 % 4_096) as i64));
     }
-    EventStore::ingest(&d, StoreConfig::partitioned()).unwrap()
+    SharedStore::new(EventStore::ingest(&d, StoreConfig::partitioned()).unwrap())
 }
 
 #[test]
 fn anomaly_windows_do_not_allocate_per_window() {
     let store = store();
     // Single-threaded, so every allocation lands on this thread's counter.
-    let engine = Engine::with_config(&store, EngineConfig::aiql().with_workers(1));
+    let session = Session::with_config(&store, EngineConfig::aiql().with_workers(1));
+    // A slow-log entry would allocate for one run and not the other.
+    aiql::telemetry::slowlog::global().set_threshold_micros(u64::MAX);
     // Every aggregate state kind (distinct set, min/max deque, sums) and
     // every history reader; no window passes, so no output row is built.
     let statement = |step: u32| {
-        aiql::lang::compile(&format!(
-            "window = 1 min, step = {step} sec proc p read file f as evt
-             return p, count(distinct f) as freq, max(evt.amount) as peak,
-                    min(f) as first, avg(evt.amount) as amt
-             group by p
-             having freq > 1000000 + freq[2] + SMA(freq, 6) + CMA(freq)
-                         + WMA(peak, 3) + EWMA(amt, 0.5)"
-        ))
-        .unwrap()
+        session
+            .prepare(&format!(
+                "window = 1 min, step = {step} sec proc p read file f as evt
+                 return p, count(distinct f) as freq, max(evt.amount) as peak,
+                        min(f) as first, avg(evt.amount) as amt
+                 group by p
+                 having freq > 1000000 + freq[2] + SMA(freq, 6) + CMA(freq)
+                             + WMA(peak, 3) + EWMA(amt, 0.5)"
+            ))
+            .unwrap()
     };
     let (coarse, fine) = (statement(10), statement(1));
-    let run = |ctx| allocations(|| engine.run_ctx(ctx).unwrap());
+    // Binding happens outside the count: only the execution is measured.
+    let run = |stmt: &aiql::engine::Prepared| {
+        let bound = stmt.bind(Params::new()).unwrap();
+        allocations(|| bound.execute().unwrap())
+    };
     run(&coarse); // warm lazily built statics
-    let (few, at_10s): (u64, Outcome) = run(&coarse);
-    let (many, at_1s): (u64, Outcome) = run(&fine);
+    let (few, at_10s): (u64, Cursor) = run(&coarse);
+    let (many, at_1s): (u64, Cursor) = run(&fine);
 
-    let (s10, s1) = (&at_10s.stats, &at_1s.stats);
-    assert!(at_10s.result.rows.is_empty() && at_1s.result.rows.is_empty());
+    let (s10, s1) = (at_10s.stats(), at_1s.stats());
+    assert!(at_10s.remaining() == 0 && at_1s.remaining() == 0);
     assert_eq!(s10.anomaly_groups, PROCESSES);
     assert_eq!(s1.anomaly_groups, PROCESSES);
     assert_eq!(s10.anomaly_rows_entered, 6_000);

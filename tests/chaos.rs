@@ -22,12 +22,12 @@
 //! policy tests therefore pick their write crossings from the recorded
 //! census (asserted first) instead of counting rows.
 
-use aiql::engine::Engine;
+use aiql::engine::Session;
 use aiql::fault::{self, testing::scratch_dir, FaultKind, FaultPlan, SmallRng};
 use aiql::ingest::{EventBatch, IngestConfig, IngestError, IngestState, Ingestor, RetryPolicy};
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
 use aiql::storage::timesync::ClockSample;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use std::io;
 use std::path::Path;
 use std::time::Duration;
@@ -219,8 +219,8 @@ fn verify_acknowledged_prefix(data: &Dataset, dir: &Path, acked: Acked, label: &
         oracle.events_partitioned().unwrap().partition_count(),
         "{label}: partition layout diverged"
     );
-    let recovered_engine = Engine::new(&recovered);
-    let oracle_engine = Engine::new(&oracle);
+    let recovered_engine = Session::open(&SharedStore::new(EventStore::clone(&recovered)));
+    let oracle_engine = Session::open(&SharedStore::new(oracle.clone()));
     for q in tier1_queries() {
         let got = sorted_rows(recovered_engine.run(q).unwrap().rows);
         let want = sorted_rows(oracle_engine.run(q).unwrap().rows);
@@ -254,10 +254,14 @@ fn crossings(census: &[(String, u64)], point: &str) -> u64 {
 /// Corrected start times of every stored event, ascending.
 fn stored_starts(ing: &Ingestor) -> Vec<i64> {
     let shared = ing.shared();
-    let mut scanned = 0;
     let mut starts: Vec<i64> = shared
         .read()
-        .scan_events(&[], &aiql::rdb::Prune::all(), &mut scanned)
+        .scan_events_profiled(
+            &[],
+            &aiql::rdb::Prune::all(),
+            &mut 0,
+            &mut Default::default(),
+        )
         .iter()
         .map(|row| row[aiql::storage::schema::ev::START].as_int().unwrap())
         .collect();

@@ -1,43 +1,54 @@
 //! Differential testing across independent implementations: the AIQL engine
-//! (both schedulers, single-node and segmented) must agree with the big-join
-//! SQL baseline and the graph-traversal baseline on every comparable
-//! catalog query.
+//! (both schedulers, and the Fig. 7 sharded row-store configuration) must
+//! agree with the big-join SQL baseline, the MPP gather baseline and the
+//! graph-traversal baseline on every comparable catalog query.
 
+use aiql::baselines::greenplum::SegmentedStore;
 use aiql::baselines::{neo4j, normalize, postgres};
 use aiql::bench::catalog::{self, QueryKind};
+use aiql::bench::harness::session;
 use aiql::datagen::EnterpriseSim;
-use aiql::engine::{Engine, EngineConfig};
-use aiql::storage::{EventStore, SegmentedStore, StoreConfig};
+use aiql::engine::EngineConfig;
+use aiql::model::Dataset;
+use aiql::storage::{EventStore, StoreConfig};
 use aiql_model::Value;
 
 struct World {
     partitioned: EventStore,
     monolithic: EventStore,
-    segmented: SegmentedStore,
     graph: aiql::graphdb::GraphDb,
 }
 
-fn world() -> World {
-    let data = EnterpriseSim::builder()
+fn data() -> Dataset {
+    EnterpriseSim::builder()
         .hosts(10)
         .days(2)
         .seed(99)
         .events_per_host_per_day(400)
         .attacks(true)
         .build()
-        .generate();
+        .generate()
+}
+
+fn world() -> World {
+    let data = data();
     World {
         partitioned: EventStore::ingest(&data, StoreConfig::partitioned()).unwrap(),
         monolithic: EventStore::ingest(&data, StoreConfig::monolithic()).unwrap(),
-        segmented: SegmentedStore::ingest(&data, 4, true).unwrap(),
         graph: neo4j::load_graph(&data),
     }
 }
 
 fn aiql_rows(w: &World, src: &str, config: EngineConfig) -> Vec<Vec<Value>> {
-    let ctx = aiql::lang::compile(src).unwrap();
-    let engine = Engine::with_config(&w.partitioned, config);
-    normalize(engine.run_ctx(&ctx).unwrap().result.rows)
+    normalize(session(&w.partitioned, config).run(src).unwrap().rows)
+}
+
+/// Sequential relationship scheduling: the reference execution.
+fn sequential() -> EngineConfig {
+    EngineConfig {
+        parallel: false,
+        ..EngineConfig::aiql()
+    }
 }
 
 #[test]
@@ -65,10 +76,6 @@ fn all_multievent_queries_agree_across_five_systems() {
         );
         assert_eq!(relationship, ff, "{}: schedulers disagree", q.id);
 
-        let seg_engine = Engine::segmented(&w.segmented, EngineConfig::aiql());
-        let seg = normalize(seg_engine.run_ctx(&ctx).unwrap().result.rows);
-        assert_eq!(relationship, seg, "{}: segmented engine disagrees", q.id);
-
         let (pg, _) = postgres::run(&w.monolithic, &ctx, None).unwrap();
         assert_eq!(
             relationship,
@@ -93,20 +100,43 @@ fn all_multievent_queries_agree_across_five_systems() {
     }
 }
 
+/// The fifth system: Fig. 7's AIQL column — by-host partitions of a row
+/// store routed to 5 shards, scattered over the pool — returns exactly the
+/// sequential relationship result, rows and order, on every catalog query.
+#[test]
+fn fig7_configuration_is_row_identical_to_sequential() {
+    let data = data();
+    let reference = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+    let fig7 = EventStore::ingest(
+        &data,
+        StoreConfig::partitioned()
+            .with_columnar(false)
+            .with_shards(5),
+    )
+    .unwrap();
+    let (reference, fig7) = (
+        session(&reference, sequential()),
+        session(&fig7, EngineConfig::aiql()),
+    );
+    let queries = catalog::case_study()
+        .into_iter()
+        .chain(catalog::behaviours());
+    for q in queries {
+        let want = reference.run(q.source).unwrap();
+        assert!(!want.rows.is_empty(), "{}: scenario not found", q.id);
+        assert_eq!(
+            fig7.run(q.source).unwrap(),
+            want,
+            "{}: Fig. 7 configuration disagrees",
+            q.id
+        );
+    }
+}
+
 #[test]
 fn greenplum_gather_agrees_with_postgres() {
     let w = world();
-    let rr_segmented = {
-        let data = EnterpriseSim::builder()
-            .hosts(10)
-            .days(2)
-            .seed(99)
-            .events_per_host_per_day(400)
-            .attacks(true)
-            .build()
-            .generate();
-        SegmentedStore::ingest(&data, 4, false).unwrap()
-    };
+    let rr_segmented = SegmentedStore::ingest(&data(), 4).unwrap();
     for q in catalog::behaviours() {
         if q.kind == QueryKind::Anomaly {
             continue;
@@ -168,14 +198,7 @@ fn statistical_scorer_agrees_with_constraint_scorer() {
 fn parallel_partitions_do_not_change_results() {
     let w = world();
     for q in catalog::behaviours() {
-        let seq = aiql_rows(
-            &w,
-            q.source,
-            EngineConfig {
-                parallel: false,
-                ..EngineConfig::aiql()
-            },
-        );
+        let seq = aiql_rows(&w, q.source, sequential());
         let par = aiql_rows(&w, q.source, EngineConfig::aiql());
         assert_eq!(seq, par, "{}: partition parallelism changed results", q.id);
     }

@@ -3,8 +3,8 @@
 
 use aiql::bench::catalog;
 use aiql::datagen::{EnterpriseSim, GroundTruth};
-use aiql::engine::Engine;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::engine::Session;
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use aiql_model::Dataset;
 
 fn world() -> (Dataset, GroundTruth, EventStore) {
@@ -23,7 +23,7 @@ fn world() -> (Dataset, GroundTruth, EventStore) {
 #[test]
 fn every_catalog_query_returns_rows() {
     let (_, _, store) = world();
-    let engine = Engine::new(&store);
+    let engine = Session::open(&SharedStore::new(store.clone()));
     for q in catalog::case_study()
         .iter()
         .chain(catalog::behaviours().iter())
@@ -39,7 +39,7 @@ fn every_catalog_query_returns_rows() {
 #[test]
 fn final_queries_recover_the_planted_actors() {
     let (_, _, store) = world();
-    let engine = Engine::new(&store);
+    let engine = Session::open(&SharedStore::new(store.clone()));
     let expectations: &[(&str, &[&str])] = &[
         ("c1-1", &["outlook.exe", "excel.exe", "payroll.xls"]),
         ("c2-6", &["mal.exe", "192.168.66.129"]),
@@ -112,7 +112,7 @@ fn negative_control_queries_stay_empty() {
     // Behaviours that were never planted must not appear: the generator's
     // noise must not fabricate attack chains.
     let (_, _, store) = world();
-    let engine = Engine::new(&store);
+    let engine = Session::open(&SharedStore::new(store.clone()));
     for (name, src) in [
         (
             "mimikatz",

@@ -1,8 +1,8 @@
 //! Property tests pitting the full engine (both schedulers) against a
 //! brute-force reference evaluator on random micro-datasets.
 
-use aiql::engine::{Engine, EngineConfig, Scheduler};
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::engine::{EngineConfig, Scheduler, Session};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
 use proptest::prelude::*;
 
@@ -108,8 +108,8 @@ fn run_engine(
         op1.keyword(),
         op2.keyword()
     );
-    let engine = Engine::with_config(
-        &store,
+    let engine = Session::with_config(
+        &SharedStore::new(store),
         EngineConfig {
             scheduler,
             parallel: false,
@@ -145,7 +145,7 @@ proptest! {
     fn count_queries_match_row_counts(events in micro_events()) {
         let (data, _, _) = build(&events);
         let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-        let engine = Engine::new(&store);
+        let engine = Session::open(&SharedStore::new(store));
         let rows = engine
             .run("proc p read file f return distinct p, f")
             .unwrap()
@@ -162,7 +162,7 @@ proptest! {
         // count(distinct f) per window can never exceed the number of files.
         let (data, _, _) = build(&events);
         let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-        let engine = Engine::new(&store);
+        let engine = Session::open(&SharedStore::new(store));
         let r = engine
             .run(
                 "window = 1 sec step = 1 sec proc p read file f \

@@ -16,9 +16,9 @@
 //!    the same query computes single-threaded on the snapshot with the
 //!    same stamp, and the final state equals the batch oracle.
 
-use aiql::engine::{self, Engine, EngineConfig};
+use aiql::engine::{EngineConfig, Session};
 use aiql::storage::timesync::ClockSample;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use aiql_datagen::stream::{stream, StreamConfig};
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
@@ -208,11 +208,11 @@ proptest! {
             );
         }
 
-        let batch_engine = Engine::new(&batch_store);
+        let batch_engine = Session::open(&SharedStore::new(batch_store.clone()));
         for q in tier1_queries() {
             let want = sorted_rows(batch_engine.run(q).unwrap().rows);
             let got = sorted_rows(
-                engine::run_live(&shared, EngineConfig::aiql(), q).unwrap().outcome.result.rows,
+                Session::open(&shared).run(q).unwrap().rows,
             );
             prop_assert_eq!(&got, &want, "query diverged: {}", q);
         }
@@ -234,8 +234,8 @@ proptest! {
         let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
         let live = stream_ingest(&data, batch_events, batch_events * 2, seed);
 
-        let oracle_engine = Engine::new(&oracle);
-        let batch_engine = Engine::new(&batch);
+        let oracle_engine = Session::open(&SharedStore::new(oracle.clone()));
+        let batch_engine = Session::open(&SharedStore::new(batch.clone()));
         // The tier-1 classes plus a window-constrained pattern that drives
         // the time-sorted block narrowing and a LIKE residual.
         let windowed = r#"(at "01/01/2017") proc p1["%proc%"] write file f1
@@ -245,7 +245,7 @@ proptest! {
             let got_batch = sorted_rows(batch_engine.run(q).unwrap().rows);
             prop_assert_eq!(&got_batch, &want, "columnar batch diverged: {}", q);
             let got_live = sorted_rows(
-                engine::run_live(&live, EngineConfig::aiql(), q).unwrap().outcome.result.rows,
+                Session::open(&live).run(q).unwrap().rows,
             );
             prop_assert_eq!(&got_live, &want, "columnar live diverged: {}", q);
         }
@@ -277,9 +277,11 @@ proptest! {
             ing.flush().unwrap();
         }
         let pinned = shared.read();
-        let stamp = pinned.stamp();
+        let session = Session::open(&shared);
+        let stamp = session.pin();
+        prop_assert_eq!(pinned.stamp(), stamp);
         let q = tier1_queries()[0];
-        let before = sorted_rows(Engine::new(&pinned).run(q).unwrap().rows);
+        let before = sorted_rows(session.run(q).unwrap().rows);
         let events_before = pinned.event_count();
 
         // Stream the rest — every flush publishes a new snapshot.
@@ -291,7 +293,7 @@ proptest! {
         // The pinned snapshot is byte-for-byte where it was...
         prop_assert_eq!(pinned.stamp(), stamp);
         prop_assert_eq!(pinned.event_count(), events_before);
-        prop_assert_eq!(sorted_rows(Engine::new(&pinned).run(q).unwrap().rows), before);
+        prop_assert_eq!(sorted_rows(session.run(q).unwrap().rows), before);
         // ...while a fresh read sees the whole stream.
         let (final_shared, _) = ing.finish().unwrap();
         let live = final_shared.read();
@@ -323,7 +325,10 @@ proptest! {
         let shared = ing.shared();
         // Partition-parallel scans off: reader parallelism is the subject.
         let econfig = EngineConfig { parallel: false, ..EngineConfig::aiql() };
-        let q = tier1_queries()[0];
+        let stmt = Session::with_config(&shared, econfig)
+            .prepare(tier1_queries()[0])
+            .unwrap();
+        let q = stmt.source();
 
         let done = AtomicBool::new(false);
         let observations: Mutex<Vec<Observations>> = Mutex::new(Vec::new());
@@ -333,8 +338,8 @@ proptest! {
                 s.spawn(|| {
                     let mut seen = Vec::new();
                     while !done.load(Ordering::Relaxed) {
-                        let lo = engine::run_live(&shared, econfig, q).unwrap();
-                        seen.push((lo.stamp, sorted_rows(lo.outcome.result.rows)));
+                        let cursor = stmt.execute().unwrap();
+                        seen.push((cursor.stamp(), sorted_rows(cursor.into_result().rows)));
                     }
                     observations.lock().unwrap().push(seen);
                 });
@@ -359,7 +364,7 @@ proptest! {
         for snap in &published {
             oracle.insert(
                 snap.stamp().epoch,
-                sorted_rows(Engine::new(snap).run(q).unwrap().rows),
+                sorted_rows(Session::open(&SharedStore::new(EventStore::clone(snap))).run(q).unwrap().rows),
             );
         }
         for seen in observations.into_inner().unwrap() {
@@ -378,9 +383,9 @@ proptest! {
 
         // The end state is the batch oracle.
         let batch_store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-        let want = sorted_rows(Engine::new(&batch_store).run(q).unwrap().rows);
+        let want = sorted_rows(Session::open(&SharedStore::new(batch_store.clone())).run(q).unwrap().rows);
         let (final_shared, _) = ing.finish().unwrap();
-        let got = sorted_rows(Engine::new(&final_shared.read()).run(q).unwrap().rows);
+        let got = sorted_rows(Session::open(&final_shared).run(q).unwrap().rows);
         prop_assert_eq!(got, want);
     }
 
@@ -397,7 +402,6 @@ proptest! {
         two_agents in any::<bool>(),
     ) {
         use aiql::rdb::Prune;
-        use aiql::storage::SharedStore;
 
         let shared = SharedStore::new(
             EventStore::empty(StoreConfig::partitioned()).unwrap(),
@@ -494,8 +498,8 @@ proptest! {
         let a = stream_ingest(&data, split_a, split_a * 2, seed);
         let b = stream_ingest(&data, split_b, split_b, seed.wrapping_add(1));
         let q = "proc p read file f return p, count(f) as n group by p";
-        let ra = sorted_rows(engine::run_live(&a, EngineConfig::aiql(), q).unwrap().outcome.result.rows);
-        let rb = sorted_rows(engine::run_live(&b, EngineConfig::aiql(), q).unwrap().outcome.result.rows);
+        let ra = sorted_rows(Session::open(&a).run(q).unwrap().rows);
+        let rb = sorted_rows(Session::open(&b).run(q).unwrap().rows);
         prop_assert_eq!(ra, rb);
     }
 }
@@ -524,19 +528,23 @@ fn boundary_crossing_out_of_order_stream_matches_batch() {
     assert!(pt.days().len() >= 2, "events span both days");
 
     let shared = stream_ingest(&data, 7, 13, 99);
-    let live = shared.read();
+    let live = Session::open(&shared);
     assert_eq!(
-        live.events_partitioned().unwrap().partition_count(),
+        shared
+            .read()
+            .events_partitioned()
+            .unwrap()
+            .partition_count(),
         pt.partition_count()
     );
     // Row-store oracle: the same data without columnar projections.
     let oracle =
         EventStore::ingest(&data, StoreConfig::partitioned().with_columnar(false)).unwrap();
-    let engine = Engine::new(&batch_store);
-    let oracle_engine = Engine::new(&oracle);
+    let engine = Session::open(&SharedStore::new(batch_store.clone()));
+    let oracle_engine = Session::open(&SharedStore::new(oracle.clone()));
     for q in tier1_queries() {
         let want = sorted_rows(engine.run(q).unwrap().rows);
-        let got = sorted_rows(Engine::new(&live).run(q).unwrap().rows);
+        let got = sorted_rows(live.run(q).unwrap().rows);
         assert_eq!(got, want, "query diverged: {q}");
         let row_want = sorted_rows(oracle_engine.run(q).unwrap().rows);
         assert_eq!(want, row_want, "columnar diverged from row store: {q}");

@@ -7,9 +7,8 @@
 //! substituted text), and under statement-level plan reuse (one
 //! `Prepared`, many bindings).
 
-use aiql::engine::{Engine, EngineConfig, Params, Session};
+use aiql::engine::{EngineConfig, Params, Session};
 use aiql::storage::{EventStore, SharedStore, StoreConfig};
-use aiql_core::PreparedQuery;
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
 use proptest::prelude::*;
 
@@ -143,6 +142,14 @@ fn substituted(template: &str, subs: &[(&str, String)]) -> String {
     out
 }
 
+/// The reference: a session over the batch-built store, running the
+/// substituted source text.
+fn batch_session(data: &Dataset) -> Session {
+    Session::open(&SharedStore::new(
+        EventStore::ingest(data, StoreConfig::partitioned()).unwrap(),
+    ))
+}
+
 fn sorted_rows(rows: Vec<Vec<Value>>) -> Vec<String> {
     let mut v: Vec<String> = rows
         .into_iter()
@@ -207,7 +214,7 @@ proptest! {
     ) {
         let (t0, t1) = win;
         let data = build(&events);
-        let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+        let batch = batch_session(&data);
         let live = live_store(&data);
 
         let src = substituted(PATTERN_TEMPLATE, &[
@@ -216,17 +223,18 @@ proptest! {
             ("agent", agent.to_string()),
             ("pname", format!("{pname:?}")),
         ]);
-        let want = sorted_rows(Engine::new(&batch).run(&src).unwrap().rows);
+        let want = sorted_rows(batch.run(&src).unwrap().rows);
 
-        // Batch store: core-level prepared query.
-        let stmt = PreparedQuery::compile(PATTERN_TEMPLATE).unwrap();
+        // Batch store: the template bound on the reference's own session.
         let params = Params::new()
             .set("t0", t0.as_str())
             .set("t1", t1.as_str())
             .set("agent", agent)
             .set("pname", pname.as_str());
-        let ctx = stmt.bind(&params).unwrap();
-        let got_batch = sorted_rows(Engine::new(&batch).run_ctx(&ctx).unwrap().result.rows);
+        let got_batch = sorted_rows(
+            batch.prepare(PATTERN_TEMPLATE).unwrap()
+                .bind(params.clone()).unwrap().execute().unwrap().into_result().rows,
+        );
         prop_assert_eq!(&got_batch, &want, "batch bind diverged: {}", src);
 
         // Live store: session-level prepared statement, plan slot reused.
@@ -248,7 +256,7 @@ proptest! {
         min in 0i64..5_000,
     ) {
         let data = build(&events);
-        let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+        let batch = batch_session(&data);
         let live = live_store(&data);
         let session = Session::open(&live);
 
@@ -258,7 +266,7 @@ proptest! {
             ("pname", format!("{pname:?}")),
             ("fname", format!("{fname:?}")),
         ]);
-        let want = sorted_rows(Engine::new(&batch).run(&src).unwrap().rows);
+        let want = sorted_rows(batch.run(&src).unwrap().rows);
         let params = Params::new()
             .set("day", day.as_str())
             .set("pname", pname.as_str())
@@ -275,7 +283,7 @@ proptest! {
             ("fname", format!("{fname:?}")),
             ("min", min.to_string()),
         ]);
-        let want = sorted_rows(Engine::new(&batch).run(&src).unwrap().rows);
+        let want = sorted_rows(batch.run(&src).unwrap().rows);
         let params = Params::new()
             .set("agent", agent)
             .set("fname", fname.as_str())
@@ -293,7 +301,7 @@ proptest! {
         names in prop::collection::vec(proc_name(), 2..5),
     ) {
         let data = build(&events);
-        let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+        let batch = batch_session(&data);
         let live = live_store(&data);
         // Statistical planner: the first binding plans (measured
         // selectivities), later bindings reuse the cached plan — results
@@ -309,7 +317,7 @@ proptest! {
                 ("agent", agent.to_string()),
                 ("pname", format!("{pname:?}")),
             ]);
-            let want = sorted_rows(Engine::new(&batch).run(&src).unwrap().rows);
+            let want = sorted_rows(batch.run(&src).unwrap().rows);
             let got = sorted_rows(
                 prepared
                     .bind(Params::new()

@@ -10,10 +10,10 @@
 //! tears a whole flush at *every* byte offset of its buffer and requires a
 //! frame-boundary, submission-order prefix each time.
 
-use aiql::engine::Engine;
+use aiql::engine::Session;
 use aiql::ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -146,8 +146,8 @@ fn assert_equals_oracle(recovered: &EventStore, data: &Dataset, n: usize) {
         recovered.events_partitioned().unwrap().partition_count(),
         oracle.events_partitioned().unwrap().partition_count()
     );
-    let recovered_engine = Engine::new(recovered);
-    let oracle_engine = Engine::new(&oracle);
+    let recovered_engine = Session::open(&SharedStore::new(recovered.clone()));
+    let oracle_engine = Session::open(&SharedStore::new(oracle.clone()));
     for q in tier1_queries() {
         let got = sorted_rows(recovered_engine.run(q).unwrap().rows);
         let want = sorted_rows(oracle_engine.run(q).unwrap().rows);
@@ -157,9 +157,13 @@ fn assert_equals_oracle(recovered: &EventStore, data: &Dataset, n: usize) {
 
 /// IDs of every stored event, ascending.
 fn stored_event_ids(store: &EventStore) -> Vec<i64> {
-    let mut scanned = 0;
     let mut ids: Vec<i64> = store
-        .scan_events(&[], &aiql::rdb::Prune::all(), &mut scanned)
+        .scan_events_profiled(
+            &[],
+            &aiql::rdb::Prune::all(),
+            &mut 0,
+            &mut Default::default(),
+        )
         .iter()
         .map(|row| row[aiql::storage::schema::ev::ID].as_int().unwrap())
         .collect();

@@ -9,7 +9,7 @@
 //! paths are asserted equal without any sorting on this side. A mere
 //! set-equality check would let a broken merge slip through.
 
-use aiql::engine::{Engine, EngineConfig};
+use aiql::engine::{EngineConfig, Session};
 use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
@@ -146,7 +146,7 @@ fn run(store: &EventStore, parallel: Option<usize>, query: &str) -> Vec<Vec<Valu
             ..EngineConfig::aiql()
         },
     };
-    Engine::with_config(store, config)
+    Session::with_config(&SharedStore::new(store.clone()), config)
         .run(query)
         .expect("query runs")
         .rows

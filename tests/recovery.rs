@@ -4,10 +4,10 @@
 //! mid-stream "crash" that leaves a torn final WAL record.
 
 use aiql::datagen::EnterpriseSim;
-use aiql::engine::{open_store, Engine};
+use aiql::engine::{open_store, Session};
 use aiql::ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql::model::Dataset;
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use std::path::PathBuf;
 
 fn dataset() -> Dataset {
@@ -73,7 +73,7 @@ fn paper_suite() -> [&'static str; 7] {
 
 /// Runs the whole suite, rendering each result to sorted row strings.
 fn run_suite(store: &EventStore) -> Vec<Vec<String>> {
-    let engine = Engine::new(store);
+    let engine = Session::open(&SharedStore::new(store.clone()));
     paper_suite()
         .iter()
         .map(|q| {

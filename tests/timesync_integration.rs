@@ -1,9 +1,9 @@
 //! End-to-end time synchronization (paper Sec. 3.2): a cross-host temporal
 //! query only returns the true chain after server-side drift correction.
 
-use aiql::engine::Engine;
+use aiql::engine::Session;
 use aiql::storage::timesync::{ClockSample, Synchronizer};
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
 
 /// Host A's clock runs 10 minutes ahead. Physically, `scp` on host A sends
@@ -56,7 +56,9 @@ const QUERY: &str = r#"
 fn uncorrected_clocks_hide_the_chain() {
     let data = drifted_dataset();
     let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-    let r = Engine::new(&store).run(QUERY).unwrap();
+    let r = Session::open(&SharedStore::new(store.clone()))
+        .run(QUERY)
+        .unwrap();
     assert!(
         r.rows.is_empty(),
         "with a 10-minute drift, the connect appears after the write"
@@ -78,7 +80,9 @@ fn synchronizer_restores_the_chain() {
     sync.apply(&mut data);
 
     let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-    let r = Engine::new(&store).run(QUERY).unwrap();
+    let r = Session::open(&SharedStore::new(store.clone()))
+        .run(QUERY)
+        .unwrap();
     assert_eq!(r.rows.len(), 1, "corrected order matches the true chain");
     assert_eq!(r.rows[0][0].to_string(), "scp");
     assert_eq!(r.rows[0][2].to_string(), "/incoming/payload.bin");
