@@ -12,7 +12,7 @@ use aiql_bench::experiments::scan_conjuncts;
 use aiql_bench::harness::{self, Scale};
 use aiql_engine::EngineConfig;
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
-use aiql_rdb::{Expr, Prune, Row, ScanProfile};
+use aiql_rdb::{Expr, Prune, Row, RowView, ScanProfile};
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,7 +39,7 @@ fn live_store(data: &aiql_model::Dataset) -> SharedStore {
 }
 
 /// Every row the workload selects, borrowed from `s`.
-fn scan<'a>(s: &'a EventStore, conjuncts: &[Expr]) -> Vec<&'a Row> {
+fn scan<'a>(s: &'a EventStore, conjuncts: &[Expr]) -> Vec<RowView<'a>> {
     s.scan_events_profiled(
         conjuncts,
         &Prune::all(),
@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
 
     // Correctness before speed: all three layouts agree on the workload.
     let sorted = |s: &EventStore| {
-        let mut rows: Vec<Row> = scan(s, &conjuncts).into_iter().cloned().collect();
+        let mut rows: Vec<Row> = scan(s, &conjuncts).iter().map(RowView::to_row).collect();
         rows.sort();
         rows
     };

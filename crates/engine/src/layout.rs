@@ -13,7 +13,7 @@
 
 use aiql_core::{AiqlError, FieldRef, FieldTarget};
 use aiql_model::EntityKind;
-use aiql_rdb::Row;
+use aiql_rdb::{Row, RowView};
 use aiql_storage::schema;
 
 /// Offset of the event columns.
@@ -50,12 +50,13 @@ pub fn resolve_field(f: &FieldRef, object_kind: EntityKind) -> Result<usize, Aiq
         .ok_or_else(|| AiqlError::new(format!("unresolvable attribute `{}`", f.attr)))
 }
 
-/// Builds a flattened match row.
-pub fn flatten(event: &Row, subject: &Row, object: &Row) -> Row {
+/// Builds a flattened match row, writing each stored or projected row's
+/// values straight into it.
+pub fn flatten(event: RowView, subject: RowView, object: RowView) -> Row {
     let mut row = Vec::with_capacity(MATCH_WIDTH);
-    row.extend_from_slice(event);
-    row.extend_from_slice(subject);
-    row.extend_from_slice(object);
+    event.extend_into(&mut row);
+    subject.extend_into(&mut row);
+    object.extend_into(&mut row);
     row
 }
 

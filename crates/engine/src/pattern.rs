@@ -12,7 +12,7 @@ use crate::layout;
 use crate::synth::{apply_extra, synthesize, DataQuery, ExtraCstr};
 use aiql_core::PatternCtx;
 use aiql_model::EntityKind;
-use aiql_rdb::{CmpOp, Expr, PartKey, Prune, Row, Value};
+use aiql_rdb::{CmpOp, Expr, PartKey, Prune, Row, RowView, Value};
 use aiql_storage::{schema, EventStore};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -109,7 +109,7 @@ fn scan_events<'a>(
     scanned: &mut u64,
     profile: &mut aiql_rdb::ScanProfile,
     scatter: &mut Option<ScatterProfile>,
-) -> Result<Vec<&'a Row>, EngineError> {
+) -> Result<Vec<RowView<'a>>, EngineError> {
     deadline.check()?;
     match store.events_partitioned() {
         Some(pt) if exec.parallel => {
@@ -144,8 +144,8 @@ fn scan_events<'a>(
 /// (no pool round-trip) — a host-constrained query on a by-host placement
 /// touches one segment, not all of them.
 ///
-/// Rows stay borrowed throughout: workers collect `&Row` per partition,
-/// so no event row is cloned regardless of parallelism. A worker panic
+/// Rows stay borrowed throughout: workers collect [`RowView`]s per
+/// partition, so no event row is built regardless of parallelism. A worker panic
 /// surfaces as [`EngineError::Worker`] (see `crate::exec`), never a
 /// process abort.
 #[allow(clippy::too_many_arguments)]
@@ -158,7 +158,7 @@ fn scatter_partition_scan<'a>(
     deadline: Deadline,
     scanned: &mut u64,
     profile: &mut aiql_rdb::ScanProfile,
-) -> Result<(Vec<&'a Row>, ScatterProfile), EngineError> {
+) -> Result<(Vec<RowView<'a>>, ScatterProfile), EngineError> {
     let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
     let shards = shards.max(1);
     let buckets = pt.shards_for(&merged, shards);
@@ -198,10 +198,10 @@ fn scatter_partition_scan<'a>(
                 let t0 = Instant::now();
                 let mut local = 0u64;
                 let mut prof = aiql_rdb::ScanProfile::default();
-                let mut parts: Vec<(PartKey, Vec<&'a Row>)> = Vec::with_capacity(bucket.len());
+                let mut parts: Vec<(PartKey, Vec<RowView<'a>>)> = Vec::with_capacity(bucket.len());
                 for (k, t) in bucket {
                     let (_, pos) = t.select_profiled(conjuncts, &mut local, &mut prof);
-                    parts.push((*k, pos.into_iter().map(|p| t.row(p)).collect()));
+                    parts.push((*k, t.rows_at(&pos).collect()));
                 }
                 let m = crate::metrics::metrics();
                 m.shard_scan_micros.record(t0.elapsed().as_micros() as u64);
@@ -219,7 +219,7 @@ fn scatter_partition_scan<'a>(
     sp.queue_wait_micros = run.queue_wait_micros;
 
     // Gather: merge per-partition results by key — sequential scan order.
-    let mut tagged: Vec<(PartKey, Vec<&'a Row>)> = Vec::new();
+    let mut tagged: Vec<(PartKey, Vec<RowView<'a>>)> = Vec::new();
     for (sid, local, prof, parts) in run.results {
         *scanned += local;
         profile.merge(&prof);
@@ -229,7 +229,7 @@ fn scatter_partition_scan<'a>(
         tagged.extend(parts);
     }
     tagged.sort_by_key(|(k, _)| *k);
-    let out: Vec<&'a Row> = tagged.into_iter().flat_map(|(_, r)| r).collect();
+    let out: Vec<RowView<'a>> = tagged.into_iter().flat_map(|(_, r)| r).collect();
     Ok((out, sp))
 }
 
@@ -338,12 +338,12 @@ pub fn execute_pattern(
     stats.rows_scanned += scanned;
 
     // 4. Filter by entity maps and resolve missing entity rows in batches.
-    let mut kept: Vec<&Row> = Vec::with_capacity(events.len());
+    let mut kept: Vec<RowView> = Vec::with_capacity(events.len());
     let mut need_subj: Vec<i64> = Vec::new();
     let mut need_obj: Vec<i64> = Vec::new();
     for ev in events {
-        let sid = ev[schema::ev::SUBJECT].as_int().unwrap_or(-1);
-        let oid = ev[schema::ev::OBJECT].as_int().unwrap_or(-1);
+        let sid = ev.int(schema::ev::SUBJECT).unwrap_or(-1);
+        let oid = ev.int(schema::ev::OBJECT).unwrap_or(-1);
         match &subj_map {
             Some(m) if !m.contains_key(&sid) => continue,
             Some(_) => {}
@@ -383,9 +383,9 @@ pub fn execute_pattern(
     // 5. Flatten.
     let mut out = Vec::with_capacity(kept.len());
     for ev in kept {
-        let sid = ev[schema::ev::SUBJECT].as_int().unwrap_or(-1);
-        let oid = ev[schema::ev::OBJECT].as_int().unwrap_or(-1);
-        let (Some(s), Some(o)) = (subj_map.get(&sid), obj_map.get(&oid)) else {
+        let sid = ev.int(schema::ev::SUBJECT).unwrap_or(-1);
+        let oid = ev.int(schema::ev::OBJECT).unwrap_or(-1);
+        let (Some(&s), Some(&o)) = (subj_map.get(&sid), obj_map.get(&oid)) else {
             // Entity row missing (dangling reference) — drop the event.
             continue;
         };
@@ -402,7 +402,7 @@ fn scan_entity_map<'a>(
     pattern: usize,
     target: ScanTarget,
     stats: &mut EngineStats,
-) -> HashMap<i64, &'a Row> {
+) -> HashMap<i64, RowView<'a>> {
     let mut scanned = 0u64;
     let mut profile = aiql_rdb::ScanProfile::default();
     let rows = store.scan_entities_profiled(kind, conjuncts, &mut scanned, &mut profile);
@@ -416,7 +416,7 @@ fn scan_entity_map<'a>(
         scatter: None,
     });
     rows.into_iter()
-        .filter_map(|r| r[0].as_int().map(|id| (id, r)))
+        .filter_map(|r| r.int(0).map(|id| (id, r)))
         .collect()
 }
 
@@ -427,7 +427,7 @@ fn batch_lookup<'a>(
     pattern: usize,
     target: ScanTarget,
     stats: &mut EngineStats,
-) -> HashMap<i64, &'a Row> {
+) -> HashMap<i64, RowView<'a>> {
     ids.sort_unstable();
     ids.dedup();
     if ids.is_empty() {

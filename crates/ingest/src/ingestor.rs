@@ -840,7 +840,7 @@ mod tests {
         );
         let mut starts: Vec<i64> = rows
             .iter()
-            .map(|r| r[aiql_storage::schema::ev::START].as_int().unwrap())
+            .map(|r| r.int(aiql_storage::schema::ev::START).unwrap())
             .collect();
         starts.sort();
         assert_eq!(starts, vec![1_400, 1_500], "agent 1 shifted by +1000");

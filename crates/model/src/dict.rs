@@ -33,6 +33,8 @@ pub const NULL_SYM: u32 = u32::MAX;
 pub struct Dict {
     strings: Vec<String>,
     codes: HashMap<String, u32>,
+    /// String payload bytes held (each string is kept twice).
+    text_bytes: usize,
 }
 
 impl Dict {
@@ -54,7 +56,17 @@ impl Dict {
         assert!(code != NULL_SYM, "dictionary full");
         self.strings.push(s.to_string());
         self.codes.insert(s.to_string(), code);
+        self.text_bytes += 2 * s.len();
         Sym(code)
+    }
+
+    /// Heap bytes held: both copies of every string, the code vector, and
+    /// the lookup table's slots (one control byte each). O(1).
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.text_bytes
+            + self.strings.capacity() * size_of::<String>()
+            + self.codes.capacity() * (size_of::<(String, u32)>() + 1)
     }
 
     /// The symbol of `s`, if it has been interned.
@@ -167,6 +179,7 @@ mod tests {
         assert_eq!(b, Sym(1));
         assert_eq!(d.intern("cmd.exe"), a);
         assert_eq!(d.len(), 2);
+        assert!(d.resident_bytes() >= 2 * "cmd.exeosql.exe".len());
         assert_eq!(d.resolve(a), Some("cmd.exe"));
         assert_eq!(d.resolve(Sym(9)), None);
     }

@@ -30,13 +30,18 @@
 //!
 //! Projections are maintained incrementally: appends sorted-insert into the
 //! open tail block, which is sealed (zone maps computed) once it reaches
-//! [`ColumnarSpec::block_rows`] rows. The row store remains the source of
-//! truth; a projection can be rebuilt from it at any time.
+//! [`ColumnarSpec::block_rows`] rows. A projection is lossless for every
+//! column it holds, so a sealed chunk whose projection holds *all* of its
+//! table's columns keeps no rows at all: the projection is the chunk, and
+//! its rows are read back value by value ([`Columnar::value`]). Only a
+//! partial projection (entity tables, or a table with a `Float` column)
+//! shadows a row store it could be rebuilt from.
 
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{ColumnType, Row, Schema};
 use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
+use std::mem::size_of;
 
 /// Default rows per zone-mapped block.
 pub const DEFAULT_BLOCK_ROWS: usize = 4096;
@@ -91,13 +96,42 @@ impl ColumnarSpec {
 /// One projected column as a flat typed vector.
 #[derive(Debug, Clone)]
 enum ColumnData {
-    /// `i64` values with a parallel null flag (events are never null, so
-    /// the flag vector is all-false there; entity attributes may be null).
+    /// `i64` values with a parallel null flag. The flags are allocated at
+    /// the column's first NULL and are empty until then — events are never
+    /// null, so an event column is its values and nothing else.
     Int { vals: Vec<i64>, nulls: Vec<bool> },
     /// Dictionary codes; [`NULL_SYM`] stands for NULL.
     Sym { vals: Vec<u32> },
     /// 0 / 1 / [`NULL_BOOL`].
     Bool { vals: Vec<u8> },
+}
+
+/// Whether Int position `i` is NULL (`nulls` is empty while none is).
+#[inline]
+fn int_null(nulls: &[bool], i: usize) -> bool {
+    !nulls.is_empty() && nulls[i]
+}
+
+/// ANDs `keep` of the values from `base` on into `sel`, a NULL never
+/// kept. Branch-free, so the loop vectorizes.
+#[inline]
+fn and_int(
+    sel: &mut [bool],
+    vals: &[i64],
+    nulls: &[bool],
+    base: usize,
+    keep: impl Fn(i64) -> bool,
+) {
+    let vals = &vals[base..base + sel.len()];
+    if nulls.is_empty() {
+        for (s, &x) in sel.iter_mut().zip(vals) {
+            *s &= keep(x);
+        }
+    } else {
+        for ((s, &x), &null) in sel.iter_mut().zip(vals).zip(&nulls[base..]) {
+            *s &= keep(x) & !null;
+        }
+    }
 }
 
 impl ColumnData {
@@ -120,8 +154,12 @@ impl ColumnData {
                     Value::Int(i) => (*i, false),
                     _ => (0, true),
                 };
+                if null || !nulls.is_empty() {
+                    // Allocates the flags at the first NULL; a no-op after.
+                    nulls.resize(vals.len(), false);
+                    nulls.insert(at, null);
+                }
                 vals.insert(at, x);
-                nulls.insert(at, null);
             }
             ColumnData::Sym { vals } => {
                 let code = match v {
@@ -140,16 +178,45 @@ impl ColumnData {
         }
     }
 
+    /// The value at `i` as the row store holds it.
+    fn value(&self, i: usize, dict: &SharedDict) -> Value {
+        match self {
+            ColumnData::Int { vals, nulls } if !int_null(nulls, i) => Value::Int(vals[i]),
+            ColumnData::Sym { vals } if vals[i] != NULL_SYM => Value::Str(
+                dict.read()
+                    .resolve(Sym(vals[i]))
+                    .expect("stored symbols are interned")
+                    .to_string(),
+            ),
+            ColumnData::Bool { vals } if vals[i] != NULL_BOOL => Value::Bool(vals[i] == 1),
+            _ => Value::Null,
+        }
+    }
+
+    /// Drops spare capacity: a frozen projection never grows again.
+    fn shrink(&mut self) {
+        match self {
+            ColumnData::Int { vals, nulls } => {
+                vals.shrink_to_fit();
+                nulls.shrink_to_fit();
+            }
+            ColumnData::Sym { vals } => vals.shrink_to_fit(),
+            ColumnData::Bool { vals } => vals.shrink_to_fit(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ColumnData::Int { vals, nulls } => vals.capacity() * 8 + nulls.capacity(),
+            ColumnData::Sym { vals } => vals.capacity() * 4,
+            ColumnData::Bool { vals } => vals.capacity(),
+        }
+    }
+
     /// Sort key of the value at `i` for time ordering (nulls first).
     fn int_key(&self, i: usize) -> i64 {
         match self {
-            ColumnData::Int { vals, nulls } => {
-                if nulls[i] {
-                    i64::MIN
-                } else {
-                    vals[i]
-                }
-            }
+            ColumnData::Int { vals, nulls } if !int_null(nulls, i) => vals[i],
             _ => i64::MIN,
         }
     }
@@ -159,7 +226,7 @@ impl ColumnData {
             ColumnData::Int { vals, nulls } => {
                 let (mut min, mut max) = (i64::MAX, i64::MIN);
                 for i in range {
-                    if !nulls[i] {
+                    if !int_null(nulls, i) {
                         min = min.min(vals[i]);
                         max = max.max(vals[i]);
                     }
@@ -266,26 +333,24 @@ impl Kernel {
     fn apply(&self, data: &ColumnData, base: usize, sel: &mut [bool]) {
         match (self, data) {
             (Kernel::EqI64 { v, .. }, ColumnData::Int { vals, nulls }) => {
-                for (i, s) in sel.iter_mut().enumerate() {
-                    *s = *s && !nulls[base + i] && vals[base + i] == *v;
-                }
+                and_int(sel, vals, nulls, base, |x| x == *v);
             }
             (Kernel::RangeI64 { lo, hi, .. }, ColumnData::Int { vals, nulls }) => {
                 let lo = lo.unwrap_or(i64::MIN);
                 let hi = hi.unwrap_or(i64::MAX);
-                for (i, s) in sel.iter_mut().enumerate() {
-                    let x = vals[base + i];
-                    *s = *s && !nulls[base + i] && x >= lo && x <= hi;
-                }
+                and_int(sel, vals, nulls, base, |x| (x >= lo) & (x <= hi));
             }
             (Kernel::InI64 { vals: set, .. }, ColumnData::Int { vals, nulls }) => {
+                // A binary search is worth skipping for rows already out.
                 for (i, s) in sel.iter_mut().enumerate() {
-                    *s = *s && !nulls[base + i] && set.binary_search(&vals[base + i]).is_ok();
+                    *s = *s
+                        && set.binary_search(&vals[base + i]).is_ok()
+                        && !int_null(nulls, base + i);
                 }
             }
             (Kernel::EqSym { sym, .. }, ColumnData::Sym { vals }) => {
-                for (i, s) in sel.iter_mut().enumerate() {
-                    *s = *s && vals[base + i] == *sym;
+                for (s, &code) in sel.iter_mut().zip(&vals[base..]) {
+                    *s &= code == *sym;
                 }
             }
             (Kernel::InSym { syms, .. }, ColumnData::Sym { vals }) => {
@@ -295,8 +360,8 @@ impl Kernel {
             }
             (Kernel::EqBool { v, .. }, ColumnData::Bool { vals }) => {
                 let want = *v as u8;
-                for (i, s) in sel.iter_mut().enumerate() {
-                    *s = *s && vals[base + i] == want;
+                for (s, &b) in sel.iter_mut().zip(&vals[base..]) {
+                    *s &= b == want;
                 }
             }
             (Kernel::Never, _) => sel.fill(false),
@@ -361,11 +426,11 @@ impl LikeMemo {
     }
 }
 
-/// A columnar projection of one table (or one partition).
+/// A columnar projection of one table chunk.
 ///
-/// `Clone` deep-copies the flat vectors — it backs the copy-on-write step
-/// that unseals a snapshot-shared partition for further appends (see
-/// [`crate::partition::PartitionedTable`]).
+/// `Clone` deep-copies the flat vectors. Only an open tail's projection is
+/// ever cloned that way — when a table detaches from a snapshot that shares
+/// it; sealed chunks are shared by reference (see [`crate::table`]).
 #[derive(Debug, Clone)]
 pub struct Columnar {
     time_idx: Option<usize>,
@@ -495,6 +560,61 @@ impl Columnar {
         self.slots.get(col).is_some_and(Option::is_some)
     }
 
+    /// Whether every column of the table is projected — the projection
+    /// then holds its rows losslessly and a sealed chunk keeps no others.
+    pub fn covers_all(&self) -> bool {
+        self.slots.iter().all(Option::is_some)
+    }
+
+    /// Number of columns of the projected table.
+    pub fn arity(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn data(&self, col: usize) -> &ColumnData {
+        &self.cols[self.slots[col].expect("column is projected")].1
+    }
+
+    /// The value of projected column `col` at projection position `at`,
+    /// exactly as the row store held it.
+    pub fn value(&self, at: usize, col: usize) -> Value {
+        self.data(col).value(at, &self.dict)
+    }
+
+    /// The dictionary codes of `col`, by projection position, when it is a
+    /// projected string column.
+    pub(crate) fn codes(&self, col: usize) -> Option<&[u32]> {
+        match &self.cols[(*self.slots.get(col)?)?].1 {
+            ColumnData::Sym { vals } => Some(vals),
+            _ => None,
+        }
+    }
+
+    /// [`Columnar::value`] of an `Int` column, without building a value
+    /// (`None` for NULL or another type).
+    pub fn int(&self, at: usize, col: usize) -> Option<i64> {
+        match self.data(col) {
+            ColumnData::Int { vals, nulls } if !int_null(nulls, at) => Some(vals[at]),
+            _ => None,
+        }
+    }
+
+    /// Heap bytes held: the column vectors, the projection order, the zone
+    /// maps (the shared dictionary is the store's, not the projection's).
+    pub fn resident_bytes(&self) -> u64 {
+        let cols: usize = self.cols.iter().map(|(_, d)| d.heap_bytes()).sum();
+        let zones: usize = self
+            .sealed
+            .iter()
+            .map(|z| size_of::<Vec<Zone>>() + z.capacity() * size_of::<Zone>())
+            .sum();
+        (cols
+            + zones
+            + self.perm.capacity() * 4
+            + self.cols.capacity() * size_of::<(usize, ColumnData)>()
+            + self.slots.capacity() * size_of::<Option<usize>>()) as u64
+    }
+
     /// Number of projected rows (equals the backing table's row count).
     pub fn len(&self) -> usize {
         self.perm.len()
@@ -557,7 +677,9 @@ impl Columnar {
     /// sealed chunk is zone-prunable. The projection must take no further
     /// appends afterwards: the positional block stride in
     /// [`Columnar::select_stats`] assumes only the *final* block can be
-    /// partial. No-op on an empty tail block.
+    /// partial. An empty tail block seals nothing. Either way the vectors
+    /// drop their spare capacity: a small chunk frozen at publish time
+    /// would otherwise carry up to twice its size.
     pub fn seal_tail_block(&mut self) {
         if self.perm.len() > self.sealed_rows {
             let range = self.sealed_rows..self.perm.len();
@@ -568,6 +690,11 @@ impl Columnar {
                 .collect();
             self.sealed.push(zones);
             self.sealed_rows = self.perm.len();
+        }
+        self.perm.shrink_to_fit();
+        self.sealed.shrink_to_fit();
+        for (_, d) in &mut self.cols {
+            d.shrink();
         }
     }
 
@@ -1210,5 +1337,62 @@ mod tests {
         // Block [4, 8) is zone-excluded; block [0, 4) and the two-row open
         // tail are evaluated.
         assert_eq!(scanned, 6, "backfilled zones prune");
+    }
+
+    #[test]
+    fn values_read_back_exactly_and_null_flags_wait_for_a_null() {
+        let schema = Schema::new(&[
+            ("t", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("name", ColumnType::Str),
+            ("ok", ColumnType::Bool),
+        ]);
+        let rows: Vec<Row> = (0..20i64)
+            .map(|i| {
+                vec![
+                    Value::Int(20 - i),
+                    if i == 13 {
+                        Value::Null
+                    } else {
+                        Value::Int(i * 3)
+                    },
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(format!("n{}", i % 3))
+                    },
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Bool(i % 2 == 0)
+                    },
+                ]
+            })
+            .collect();
+        let spec = ColumnarSpec::time_sorted("t").with_block_rows(8);
+        let c = Columnar::build(&schema, &spec, SharedDict::new(), &rows).unwrap();
+        assert!(c.covers_all());
+        for (at, &p) in c.perm().iter().enumerate() {
+            for (col, want) in rows[p as usize].iter().enumerate() {
+                assert_eq!(&c.value(at, col), want, "row {p} col {col}");
+                assert_eq!(c.int(at, col), want.as_int());
+            }
+        }
+        let flags = |c: &Columnar, col: usize| match &c.cols[c.slots[col].unwrap()].1 {
+            ColumnData::Int { nulls, .. } => nulls.len(),
+            _ => unreachable!(),
+        };
+        assert_eq!(flags(&c, 0), 0, "a column without NULL has no flags");
+        assert_eq!(flags(&c, 1), 20);
+        let before = Columnar::build(&schema, &spec, SharedDict::new(), &rows[..13]).unwrap();
+        assert_eq!(flags(&before, 1), 0, "allocated at the first NULL");
+        let partial = Columnar::build(
+            &schema,
+            &ColumnarSpec::all().with_columns(&["x"]),
+            SharedDict::new(),
+            &rows,
+        )
+        .unwrap();
+        assert!(!partial.covers_all());
     }
 }

@@ -103,7 +103,7 @@ fn scan(db: &Database, node: &ScanNode, ctx: &mut ExecCtx) -> Result<Vec<Row>, R
     let rows = match db.slot(&node.table)? {
         crate::TableSlot::Plain(t) => {
             let (_, positions) = t.select(&node.conjuncts, &mut scanned);
-            positions.into_iter().map(|p| t.row(p).clone()).collect()
+            t.rows_at(&positions).map(|r| r.to_row()).collect()
         }
         crate::TableSlot::Partitioned(pt) => {
             let prune = pt.prune_from_conjuncts(&node.conjuncts);

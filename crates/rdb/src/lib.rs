@@ -6,7 +6,9 @@
 //! executing one big semantics-agnostic SQL join. This crate provides exactly
 //! that substrate, self-contained and deterministic:
 //!
-//! - typed row-store [`Table`]s with secondary B-tree [`table::Index`]es,
+//! - typed, chunked [`Table`]s with per-chunk secondary indexes and
+//!   columnar projections that replace the rows of sealed chunks they
+//!   fully cover,
 //! - a SQL-subset front end ([`sql`]) — `SELECT` with joins, `WHERE`,
 //!   `GROUP BY`, `HAVING`, `ORDER BY`, `LIMIT`,
 //! - a deliberately *semantics-agnostic* planner ([`plan`]): single-table
@@ -59,7 +61,9 @@ pub use expr::{CmpOp, Expr, InList};
 pub use partition::{shard_of, InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
 pub use schema::{ColumnType, Row, Schema};
 pub use segment::{Placement, SegmentedDb};
-pub use table::{AccessPath, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS};
+pub use table::{
+    AccessPath, ResidentBytes, RowView, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS,
+};
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -212,7 +216,7 @@ impl Database {
     /// epoch-swapped live store pays for snapshot isolation. Snapshots
     /// (clones) freeze the value at clone time, so `head.copied_bytes() -
     /// snapshot.copied_bytes()` is exactly what publishing after the next
-    /// batch cost. Units are [`Table::approx_bytes`] estimates.
+    /// batch cost. Units are [`Table::tail_bytes`] estimates.
     pub fn copied_bytes(&self) -> u64 {
         self.plain_copied_bytes
             + self
@@ -251,6 +255,17 @@ impl Database {
     /// The schema of `table`.
     pub fn schema_of(&self, name: &str) -> Result<&Schema, RdbError> {
         Ok(self.slot(name)?.schema())
+    }
+
+    /// Where every table's memory goes (see [`Table::resident_bytes`]).
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        self.tables
+            .values()
+            .map(|s| match s {
+                TableSlot::Plain(t) => t.resident_bytes(),
+                TableSlot::Partitioned(t) => t.resident_bytes(),
+            })
+            .sum()
     }
 
     /// The monolithic table `name`, if stored plain.

@@ -11,7 +11,7 @@ use crate::columnar::ColumnarSpec;
 use crate::error::RdbError;
 use crate::expr::Expr;
 use crate::schema::{Row, Schema};
-use crate::table::Table;
+use crate::table::{ResidentBytes, RowView, Table};
 use aiql_model::SharedDict;
 use std::sync::Arc;
 
@@ -234,9 +234,8 @@ impl PartitionedTable {
     /// Cumulative bytes deep-copied because an append had to unseal a
     /// partition still `Arc`-shared with a published snapshot — the write
     /// amplification of copy-on-write snapshot isolation, in
-    /// [`Table::approx_bytes`] units. With chunked tables the charge per
-    /// detach is [`Table::tail_bytes`]: sealed chunks are shared by
-    /// reference, only the open tail is copied. Clones (snapshots) carry
+    /// [`Table::tail_bytes`] units: sealed chunks are shared by reference,
+    /// so a detach copies only the open tail. Clones (snapshots) carry
     /// the value at clone time, so `head - snapshot` deltas give the bytes
     /// copied between two publishes. One-time schema detaches (index
     /// creation, columnar enablement) are deliberately not counted.
@@ -449,18 +448,23 @@ impl PartitionedTable {
     }
 
     /// Scans all admitted partitions sequentially, applying `conjuncts` with
-    /// per-partition access-path selection; returns matching rows (cloned).
+    /// per-partition access-path selection; returns matching rows (owned).
     pub fn select(&self, conjuncts: &[Expr], prune: &Prune, scanned: &mut u64) -> Vec<Row> {
         self.select_refs(conjuncts, prune, scanned)
-            .into_iter()
-            .cloned()
+            .iter()
+            .map(RowView::to_row)
             .collect()
     }
 
     /// Like [`PartitionedTable::select`], but returns borrowed rows — the
     /// hot path for engine scans, which flatten matches into fresh rows and
-    /// never need the clones.
-    pub fn select_refs(&self, conjuncts: &[Expr], prune: &Prune, scanned: &mut u64) -> Vec<&Row> {
+    /// never need owned ones.
+    pub fn select_refs(
+        &self,
+        conjuncts: &[Expr],
+        prune: &Prune,
+        scanned: &mut u64,
+    ) -> Vec<RowView<'_>> {
         let mut profile = crate::table::ScanProfile::default();
         self.select_refs_profiled(conjuncts, prune, scanned, &mut profile)
     }
@@ -474,15 +478,21 @@ impl PartitionedTable {
         prune: &Prune,
         scanned: &mut u64,
         profile: &mut crate::table::ScanProfile,
-    ) -> Vec<&Row> {
+    ) -> Vec<RowView<'_>> {
         profile.partitions_total += self.partition_count() as u32;
         let mut out = Vec::new();
         for (_, t) in self.partitions_for(prune) {
             profile.partitions_scanned += 1;
             let (_, positions) = t.select_profiled(conjuncts, scanned, profile);
-            out.extend(positions.into_iter().map(|p| t.row(p)));
+            out.extend(t.rows_at(&positions));
         }
         out
+    }
+
+    /// Where the table's memory goes, summed over its partitions (see
+    /// [`Table::resident_bytes`]).
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        self.partitions.values().map(|t| t.resident_bytes()).sum()
     }
 
     /// All distinct day indexes with data, sorted.
@@ -776,17 +786,17 @@ mod tests {
         for shards in 1..=6usize {
             // Scan each shard bucket independently, tag rows with their
             // partition key, then merge by key — the gather contract.
-            let mut tagged: Vec<(PartKey, Vec<&Row>)> = Vec::new();
+            let mut tagged: Vec<(PartKey, Vec<RowView>)> = Vec::new();
             for bucket in pt.shards_for(&Prune::all(), shards) {
                 for (k, t) in bucket {
                     let mut s = 0;
                     let mut prof = crate::table::ScanProfile::default();
                     let (_, positions) = t.select_profiled(&[], &mut s, &mut prof);
-                    tagged.push((k, positions.into_iter().map(|p| t.row(p)).collect()));
+                    tagged.push((k, t.rows_at(&positions).collect()));
                 }
             }
             tagged.sort_by_key(|(k, _)| *k);
-            let gathered: Vec<&Row> = tagged.into_iter().flat_map(|(_, r)| r).collect();
+            let gathered: Vec<RowView> = tagged.into_iter().flat_map(|(_, r)| r).collect();
             assert_eq!(gathered, seq, "shards={shards}");
         }
     }

@@ -142,9 +142,7 @@ impl SegmentedDb {
                 let rows = match seg.slot(table)? {
                     crate::TableSlot::Plain(t) => {
                         let (_, pos) = t.select(conjuncts, &mut scanned);
-                        pos.into_iter()
-                            .map(|p| t.row(p).clone())
-                            .collect::<Vec<Row>>()
+                        t.rows_at(&pos).map(|r| r.to_row()).collect::<Vec<Row>>()
                     }
                     crate::TableSlot::Partitioned(pt) => {
                         let prune = pt.prune_from_conjuncts(conjuncts);
@@ -241,7 +239,7 @@ mod tests {
         for seg in 0..3 {
             let t = db.segment(seg).plain("events").unwrap();
             for row in t.iter_rows() {
-                let agent = row[1].as_int().unwrap();
+                let agent = row.int(1).unwrap();
                 assert_eq!(agent.rem_euclid(3) as usize, seg);
             }
         }
@@ -296,8 +294,8 @@ mod tests {
             .plain("events")
             .unwrap()
             .iter_rows()
-            .filter(|r| r[1] == Value::Int(1))
-            .map(|r| vec![r[0].clone()])
+            .filter(|r| r.int(1) == Some(1))
+            .map(|r| vec![r.get(0).into_owned()])
             .collect();
         assert_eq!(gathered.rows, local);
         assert_eq!(local.len(), 6);

@@ -1,17 +1,33 @@
-//! Chunked row-store tables with secondary B-tree indexes and optional
-//! columnar projections (see [`crate::columnar`]).
+//! Chunked tables: an open row-store tail and immutable sealed chunks,
+//! each with its own secondary indexes and optional columnar projection
+//! (see [`crate::columnar`]).
 //!
 //! A [`Table`] is physically a sequence of **chunks**: zero or more
 //! immutable [`SealedChunk`]s held behind `Arc`, plus one small mutable
 //! **tail** chunk that absorbs every insert. Each chunk privately carries
-//! its slice of rows together with the secondary indexes and the columnar
-//! blocks/zone maps over exactly those rows (all positions chunk-local), so
-//! a sealed chunk is a self-contained, immutable scan unit.
+//! its rows together with the secondary indexes and the columnar blocks/
+//! zone maps over exactly those rows (all positions chunk-local), so a
+//! sealed chunk is a self-contained, immutable scan unit.
 //!
-//! The payoff is the cost of [`Table::clone`] — the copy-on-write step that
-//! publishes a store snapshot: sealed chunks are shared by reference
-//! (refcount bumps), only the open tail is deep-copied, making publication
-//! O(tail) instead of O(table). The invariants:
+//! The tail is a row store with one B-tree per index — its write
+//! structures. Sealing settles a chunk into its read layout:
+//!
+//! - each B-tree becomes one array of the chunk's positions sorted by
+//!   (key, position): 4 bytes a row, answering equality, range and key-span
+//!   questions by binary search over the chunk's own values (on a
+//!   dictionary-coded column the key is the code, which orders no
+//!   strings: no range there);
+//! - a chunk whose projection covers every column
+//!   ([`Columnar::covers_all`]) drops its rows. The projection plus a row →
+//!   projection-position map *is* the chunk, and reads come back as
+//!   [`RowView`]s decoded column by column. Chunks with a partial
+//!   projection (entity tables) or none (the row-store configuration) keep
+//!   their rows.
+//!
+//! The payoff of chunking is the cost of [`Table::clone`] — the
+//! copy-on-write step that publishes a store snapshot: sealed chunks are
+//! shared by reference (refcount bumps), only the open tail is deep-copied,
+//! making publication O(tail) instead of O(table). The invariants:
 //!
 //! - rows keep global insertion order: chunk boundaries split `0..len()`
 //!   into consecutive ranges, sealed chunks first, the tail last;
@@ -30,9 +46,13 @@
 use crate::columnar::{compile_conjuncts, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
-use crate::schema::{Row, Schema};
-use aiql_model::{SharedDict, Value};
+use crate::schema::{ColumnType, Row, Schema};
+use aiql_model::{SharedDict, Value, NULL_SYM};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::mem::size_of;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -41,59 +61,148 @@ use std::sync::Arc;
 /// fully zone-mapped columnar block.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
-/// A secondary index: column value → row positions (chunk-local).
-#[derive(Debug, Default, Clone)]
-pub struct Index {
-    map: BTreeMap<Value, Vec<u32>>,
+/// One row of a [`Table`], borrowed: a stored row, or a row of a sealed
+/// chunk that keeps only its columnar projection, decoded column by column
+/// on demand. Scans return these, so no row is built unless a caller asks.
+#[derive(Clone, Copy)]
+pub struct RowView<'a>(Repr<'a>);
+
+#[derive(Clone, Copy)]
+enum Repr<'a> {
+    Stored(&'a Row),
+    /// A projection covering every column, and the row's position in it.
+    Projected(&'a Columnar, u32),
+}
+
+impl<'a> RowView<'a> {
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Repr::Stored(r) => r.len(),
+            Repr::Projected(c, _) => c.arity(),
+        }
+    }
+
+    /// Whether the row has no columns.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Column `col` as an integer (`None` for NULL or another type).
+    pub fn int(&self, col: usize) -> Option<i64> {
+        match self.0 {
+            Repr::Stored(r) => r[col].as_int(),
+            Repr::Projected(c, at) => c.int(at as usize, col),
+        }
+    }
+
+    /// Column `col`: borrowed from a stored row, built from a projection.
+    pub fn get(&self, col: usize) -> Cow<'a, Value> {
+        match self.0 {
+            Repr::Stored(r) => Cow::Borrowed(&r[col]),
+            Repr::Projected(c, at) => Cow::Owned(c.value(at as usize, col)),
+        }
+    }
+
+    /// Appends the row's values to `out`.
+    pub fn extend_into(&self, out: &mut Row) {
+        match self.0 {
+            Repr::Stored(r) => out.extend_from_slice(r),
+            Repr::Projected(c, at) => {
+                out.extend((0..c.arity()).map(|col| c.value(at as usize, col)));
+            }
+        }
+    }
+
+    /// The row, owned.
+    pub fn to_row(&self) -> Row {
+        let mut row = Vec::with_capacity(self.len());
+        self.extend_into(&mut row);
+        row
+    }
+}
+
+impl PartialEq for RowView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|c| self.get(c) == other.get(c))
+    }
+}
+
+impl fmt::Debug for RowView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|c| self.get(c)))
+            .finish()
+    }
+}
+
+/// Where a table's resident bytes go: stored rows (string payloads
+/// included), secondary indexes, and columnar projections (zone maps and a
+/// projected chunk's row → projection map included).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ResidentBytes {
+    pub rows: u64,
+    pub index: u64,
+    pub projection: u64,
+}
+
+impl std::iter::Sum for ResidentBytes {
+    fn sum<I: Iterator<Item = ResidentBytes>>(iter: I) -> ResidentBytes {
+        iter.fold(ResidentBytes::default(), |a, b| ResidentBytes {
+            rows: a.rows + b.rows,
+            index: a.index + b.index,
+            projection: a.projection + b.projection,
+        })
+    }
+}
+
+/// Heap bytes behind a value.
+fn value_heap(v: &Value) -> usize {
+    match v {
+        Value::Str(s) => s.capacity(),
+        _ => 0,
+    }
+}
+
+/// A secondary index over one chunk's column, in chunk-local positions.
+#[derive(Debug, Clone)]
+enum Index {
+    /// The open tail's write structure: key → positions, ascending.
+    Tree(BTreeMap<Value, Vec<u32>>),
+    /// A sealed chunk's: every position, ordered by (key, position) with
+    /// the keys read from the chunk itself, plus the smallest and largest
+    /// key. On a dictionary-coded column the key is the code, which
+    /// answers equality but orders no strings: such an index takes no
+    /// range probe ([`Table::range_indexed`]).
+    Sorted {
+        order: Vec<u32>,
+        span: Option<(Value, Value)>,
+    },
 }
 
 impl Index {
-    /// Rows whose indexed value equals `v`.
-    pub fn get_eq(&self, v: &Value) -> &[u32] {
-        self.map.get(v).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Rows whose indexed value lies in `[lo, hi]` (either bound optional).
-    pub fn get_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
-        let lower = lo.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-        let upper = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-        let mut out = Vec::new();
-        for (_, rows) in self.map.range((lower, upper)) {
-            out.extend_from_slice(rows);
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Index::Tree(map) => map
+                .iter()
+                .map(|(k, rows)| {
+                    size_of::<Value>() + size_of::<Vec<u32>>() + value_heap(k) + rows.capacity() * 4
+                })
+                .sum(),
+            Index::Sorted { order, span } => {
+                order.capacity() * 4
+                    + span
+                        .as_ref()
+                        .map_or(0, |(a, b)| value_heap(a) + value_heap(b))
+            }
         }
-        out
-    }
-
-    fn insert(&mut self, v: Value, row: u32) {
-        self.map.entry(v).or_default().push(row);
-    }
-
-    /// The part of `sorted` (ascending under [`Value::loose_cmp`], as an
-    /// [`crate::InList`] keeps its values) that can equal a key of this
-    /// index: what lies within its smallest and largest key. A column
-    /// holds one type (or NULL), over which the loose order only coarsens
-    /// the key order, so nothing outside the slice has a posting here.
-    fn clip<'a>(&self, sorted: &'a [Value]) -> &'a [Value] {
-        let (Some((min, _)), Some((max, _))) =
-            (self.map.first_key_value(), self.map.last_key_value())
-        else {
-            return &[];
-        };
-        let from = sorted.partition_point(|v| v.loose_cmp(min).is_lt());
-        let to = sorted.partition_point(|v| v.loose_cmp(max).is_le());
-        &sorted[from..to]
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
     }
 }
 
 /// One chunk of a [`Table`]: a consecutive run of rows with the secondary
 /// indexes and optional columnar projection over exactly those rows.
 ///
-/// All positions inside a chunk are **chunk-local**: `rows()[0]` is global
+/// All positions inside a chunk are **chunk-local**: row 0 is global
 /// position `base` where `base` is the sum of the preceding chunks'
 /// lengths. The same struct backs both sealed chunks (immutable, shared
 /// behind `Arc` with every snapshot that pinned them) and the open tail
@@ -104,38 +213,70 @@ impl Index {
 /// - row content, indexes, and columnar blocks never change after sealing
 ///   (schema operations rebuild them via `Arc::make_mut`, producing a new
 ///   chunk value rather than mutating a shared one);
+/// - its indexes are sorted position arrays, and it keeps rows only if its
+///   projection does not cover every column;
 /// - its columnar projection, when present, is fully zone-mapped: the final
 ///   partial block is sealed at chunk-seal time
 ///   ([`Columnar::seal_tail_block`]), so scans can zone-prune every block.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
+    /// Stored rows; empty in a chunk that keeps only its projection.
     rows: Vec<Row>,
+    /// Row position → projection position, in every sealed chunk with a
+    /// projection: how it reads a row, or an index key, from the columns.
+    /// Empty when the two orders agree, as they do for rows that arrived
+    /// in projection (time) order.
+    at: Option<Vec<u32>>,
     indexes: BTreeMap<usize, Index>,
     columnar: Option<Columnar>,
+    /// What the chunk holds, measured when it sealed.
+    resident: ResidentBytes,
 }
 
 impl SealedChunk {
     fn empty() -> SealedChunk {
         SealedChunk {
             rows: Vec::new(),
+            at: None,
             indexes: BTreeMap::new(),
             columnar: None,
+            resident: ResidentBytes::default(),
         }
-    }
-
-    /// The chunk's rows (chunk-local order = global insertion order).
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
     }
 
     /// Number of rows in the chunk.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match &self.columnar {
+            Some(c) if self.is_projected() => c.len(),
+            _ => self.rows.len(),
+        }
     }
 
     /// Whether the chunk holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
+    }
+
+    /// Whether the chunk keeps no rows: its projection serves every read.
+    pub fn is_projected(&self) -> bool {
+        self.rows.is_empty() && self.at.is_some()
+    }
+
+    /// Row `pos` (chunk-local).
+    pub fn row(&self, pos: u32) -> RowView<'_> {
+        match (self.rows.get(pos as usize), &self.columnar, self.proj_map()) {
+            (Some(row), _, _) => RowView(Repr::Stored(row)),
+            (None, Some(c), Some(map)) => RowView(Repr::Projected(c, map.get(pos) as u32)),
+            _ => panic!("row {pos} past the chunk's {} rows", self.len()),
+        }
+    }
+
+    /// The row → projection map of a sealed chunk with a projection.
+    fn proj_map(&self) -> Option<ProjMap<'_>> {
+        self.at.as_deref().map(|at| match at {
+            [] => ProjMap::Identity,
+            at => ProjMap::Map(at),
+        })
     }
 
     /// The chunk's columnar projection, if the table has one enabled.
@@ -143,16 +284,291 @@ impl SealedChunk {
         self.columnar.as_ref()
     }
 
-    /// Builds the index on `col` over this chunk's rows and, when a
-    /// projection exists, projects the column so it stays kernel-evaluable.
-    fn build_index(&mut self, schema: &Schema, col: usize) {
-        let mut index = Index::default();
-        for (pos, row) in self.rows.iter().enumerate() {
-            index.insert(row[col].clone(), pos as u32);
+    /// What the chunk holds, as measured when it sealed (zero for the open
+    /// tail, which [`Table::resident_bytes`] measures on each call).
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        self.resident
+    }
+
+    /// The key in `col` at row `pos`, compared with `v`: read from the flat
+    /// projected column when the chunk has one (indexed columns are
+    /// projected), which a binary search's scattered steps reach far more
+    /// cheaply than whole rows.
+    fn key_cmp(&self, col: usize, pos: u32, v: &Value) -> Ordering {
+        match (&self.columnar, self.proj_map()) {
+            (Some(c), Some(map)) if c.is_projected(col) => c.value(map.get(pos), col).cmp(v),
+            _ => self.rows[pos as usize][col].cmp(v),
         }
-        self.indexes.insert(col, index);
+    }
+
+    /// The dictionary codes of `col`, read through the row → projection
+    /// map, when the chunk holds the column dictionary-coded.
+    fn codes(&self, col: usize) -> Option<(ProjMap<'_>, &[u32])> {
+        Some((self.proj_map()?, self.columnar.as_ref()?.codes(col)?))
+    }
+
+    /// Rows whose indexed `col` equals `v` (strictly, as keys compare), in
+    /// row order. `code` is `v`'s dictionary code ([`Table::dict_code`]),
+    /// looked up once per probe rather than per chunk.
+    fn index_eq(&self, col: usize, v: &Value, code: Option<u32>) -> &[u32] {
+        match &self.indexes[&col] {
+            Index::Tree(map) => map.get(v).map_or(&[], Vec::as_slice),
+            Index::Sorted { order, .. } => match (self.codes(col), code) {
+                (Some((map, codes)), Some(code)) => {
+                    &order[equal_run(order, |p| codes[map.get(p)].cmp(&code))]
+                }
+                (Some(_), None) => &[],
+                (None, _) => &order[equal_run(order, |p| self.key_cmp(col, p, v))],
+            },
+        }
+    }
+
+    /// Rows whose indexed `col` lies in `[lo, hi]` (either bound optional),
+    /// in row order. Not asked of a dictionary-coded index.
+    fn index_range(&self, col: usize, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
+        let mut rows: Vec<u32> = match &self.indexes[&col] {
+            Index::Tree(map) => {
+                let lower = lo.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
+                let upper = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
+                map.range((lower, upper))
+                    .flat_map(|(_, rows)| rows.iter().copied())
+                    .collect()
+            }
+            Index::Sorted { order, .. } => {
+                debug_assert!(self.codes(col).is_none(), "codes order no strings");
+                let from = lo.map_or(0, |v| {
+                    order.partition_point(|&p| self.key_cmp(col, p, v).is_lt())
+                });
+                let to = hi.map_or(order.len(), |v| {
+                    order.partition_point(|&p| self.key_cmp(col, p, v).is_le())
+                });
+                order[from..to.max(from)].to_vec()
+            }
+        };
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Where `sorted` (ascending under [`Value::loose_cmp`], as an
+    /// [`crate::InList`] keeps its values) holds what can equal a key of the
+    /// index on `col`: what lies within its smallest and largest key. A
+    /// column holds one type (or NULL), over which the loose order only
+    /// coarsens the key order, so nothing outside the slice has a posting
+    /// here.
+    fn index_clip(&self, col: usize, sorted: &[Value]) -> std::ops::Range<usize> {
+        let (min, max) = match &self.indexes[&col] {
+            Index::Tree(map) => match (map.first_key_value(), map.last_key_value()) {
+                (Some((min, _)), Some((max, _))) => (min, max),
+                _ => return 0..0,
+            },
+            Index::Sorted { span, .. } => match span {
+                Some((min, max)) => (min, max),
+                None => return 0..0,
+            },
+        };
+        let from = sorted.partition_point(|v| v.loose_cmp(min).is_lt());
+        from..sorted.partition_point(|v| v.loose_cmp(max).is_le())
+    }
+
+    /// The sealed form of the index on `col`, from the chunk's positions
+    /// in key order: its span read off the ends, then — on a
+    /// dictionary-coded column — re-sorted by code (stably, so equal codes
+    /// stay in position order).
+    fn sorted_index(&self, col: usize, mut order: Vec<u32>) -> Index {
+        let key = |p: u32| self.row(p).get(col).into_owned();
+        let span = order
+            .first()
+            .zip(order.last())
+            .map(|(&a, &b)| (key(a), key(b)));
+        if let Some((map, codes)) = self.codes(col) {
+            order.sort_by_key(|&p| codes[map.get(p)]);
+        }
+        Index::Sorted { order, span }
+    }
+
+    /// Builds the index on `col` over this chunk — a B-tree on the open
+    /// tail, the sorted form on a sealed chunk — and, when a projection
+    /// exists, projects the column so it stays kernel-evaluable (a chunk
+    /// without rows is projected in full already).
+    fn build_index(&mut self, schema: &Schema, col: usize, sealed: bool) {
         if let Some(c) = &mut self.columnar {
             c.project_column(schema, col, &self.rows);
+        }
+        let index = if sealed {
+            let mut keyed: Vec<(Cow<Value>, u32)> = (0..self.len() as u32)
+                .map(|p| (self.row(p).get(col), p))
+                .collect();
+            keyed.sort_unstable();
+            self.sorted_index(col, keyed.into_iter().map(|(_, p)| p).collect())
+        } else {
+            let mut map = BTreeMap::<Value, Vec<u32>>::new();
+            for (pos, row) in self.rows.iter().enumerate() {
+                map.entry(row[col].clone()).or_default().push(pos as u32);
+            }
+            Index::Tree(map)
+        };
+        self.indexes.insert(col, index);
+    }
+
+    /// Turns the open tail into a sealed chunk: the final block zone-mapped,
+    /// the row → projection map built, each B-tree flattened into its
+    /// sorted form (its postings, in key order, already are), then
+    /// [`SealedChunk::settle`].
+    fn seal(&mut self) {
+        if let Some(c) = &mut self.columnar {
+            c.seal_tail_block();
+        }
+        self.map_projection();
+        let n = self.len();
+        let cols: Vec<usize> = self.indexes.keys().copied().collect();
+        for col in cols {
+            if let Some(Index::Tree(map)) = self.indexes.get_mut(&col) {
+                let mut order = Vec::with_capacity(n);
+                for rows in std::mem::take(map).into_values() {
+                    order.extend(rows);
+                }
+                let index = self.sorted_index(col, order);
+                self.indexes.insert(col, index);
+            }
+        }
+        self.settle();
+    }
+
+    /// Gives a chunk with a projection its row → projection map (empty
+    /// where the projection keeps row order).
+    fn map_projection(&mut self) {
+        if let (Some(c), None) = (&self.columnar, &self.at) {
+            let perm = c.perm();
+            let mut at = Vec::new();
+            if perm.iter().enumerate().any(|(i, &p)| p as usize != i) {
+                at = vec![0u32; perm.len()];
+                for (i, &p) in perm.iter().enumerate() {
+                    at[p as usize] = i as u32;
+                }
+            }
+            self.at = Some(at);
+        }
+    }
+
+    /// The layout rule of a sealed chunk: its rows go when its projection
+    /// covers every column. Then measures what the chunk keeps.
+    fn settle(&mut self) {
+        if self.columnar.as_ref().is_some_and(Columnar::covers_all) {
+            self.rows = Vec::new();
+        }
+        self.rows.shrink_to_fit();
+        self.resident = self.measure();
+    }
+
+    /// Brings a projected chunk's rows back and drops its row →
+    /// projection map, ahead of a schema operation that replaces its
+    /// projection.
+    fn restore_rows(&mut self) {
+        if self.is_projected() {
+            self.rows = (0..self.len() as u32)
+                .map(|p| self.row(p).to_row())
+                .collect();
+        }
+        self.at = None;
+    }
+
+    fn measure(&self) -> ResidentBytes {
+        let rows: usize = self
+            .rows
+            .iter()
+            .map(|r| r.capacity() * size_of::<Value>() + r.iter().map(value_heap).sum::<usize>())
+            .sum();
+        ResidentBytes {
+            rows: (self.rows.capacity() * size_of::<Row>() + rows) as u64,
+            index: self.indexes.values().map(Index::heap_bytes).sum::<usize>() as u64,
+            projection: self.columnar.as_ref().map_or(0, Columnar::resident_bytes)
+                + self.at.as_ref().map_or(0, |at| at.capacity() * 4) as u64,
+        }
+    }
+}
+
+/// A sealed chunk's row → projection map (see `SealedChunk::at`).
+#[derive(Clone, Copy)]
+enum ProjMap<'a> {
+    Identity,
+    Map(&'a [u32]),
+}
+
+impl ProjMap<'_> {
+    #[inline]
+    fn get(self, pos: u32) -> usize {
+        match self {
+            ProjMap::Identity => pos as usize,
+            ProjMap::Map(at) => at[pos as usize] as usize,
+        }
+    }
+}
+
+/// Where `order` — positions ascending by key — holds the keys that `cmp`
+/// finds equal to the one sought.
+fn equal_run(order: &[u32], cmp: impl Fn(u32) -> Ordering) -> std::ops::Range<usize> {
+    let from = order.partition_point(|&p| cmp(p).is_lt());
+    from..from + order[from..].partition_point(|&p| cmp(p).is_eq())
+}
+
+/// Re-checks candidate rows against the conjuncts their access path did not
+/// answer. A stored row is interpreted in place; a projected one on a
+/// scratch row holding just the columns those conjuncts read, reused for
+/// the whole table scan.
+struct Recheck<'e> {
+    conjuncts: Vec<&'e Expr>,
+    /// The columns `conjuncts` read.
+    cols: Vec<usize>,
+    scratch: Row,
+}
+
+impl<'e> Recheck<'e> {
+    /// Re-checks the `conjuncts` that `keep` selects by position.
+    fn new(conjuncts: &'e [Expr], keep: impl Fn(usize) -> bool, arity: usize) -> Recheck<'e> {
+        let conjuncts: Vec<&Expr> = (0..conjuncts.len())
+            .filter(|&i| keep(i))
+            .map(|i| &conjuncts[i])
+            .collect();
+        let mut cols = Vec::new();
+        for c in &conjuncts {
+            c.columns(&mut cols);
+        }
+        // A column past the row reads as NULL, on either side.
+        cols.retain(|&c| c < arity);
+        cols.sort_unstable();
+        cols.dedup();
+        Recheck {
+            conjuncts,
+            cols,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Keeps the `candidates` of `chunk` that satisfy every conjunct.
+    fn retain(&mut self, chunk: &SealedChunk, candidates: &mut Vec<u32>) {
+        if self.conjuncts.is_empty() {
+            return;
+        }
+        let Recheck {
+            conjuncts,
+            cols,
+            scratch,
+        } = self;
+        match (&chunk.columnar, chunk.proj_map()) {
+            (Some(proj), Some(map)) if chunk.is_projected() => {
+                scratch.resize(proj.arity(), Value::Null);
+                candidates.retain(|&p| {
+                    let at = map.get(p);
+                    for &c in cols.iter() {
+                        scratch[c] = proj.value(at, c);
+                    }
+                    conjuncts.iter().all(|e| e.matches(scratch))
+                });
+            }
+            _ => candidates.retain(|&p| {
+                let row = &chunk.rows[p as usize];
+                conjuncts.iter().all(|e| e.matches(row))
+            }),
         }
     }
 }
@@ -257,8 +673,8 @@ pub struct ScanProfile {
     /// `1 - like_symbol_evals / like_rows` is the memo's hit rate.
     pub like_rows: u64,
     pub like_symbol_evals: u64,
-    /// B-tree lookups made by index equality probes (after clipping the
-    /// IN-list to each chunk's key range).
+    /// Index lookups made by equality probes (after clipping the IN-list
+    /// to each chunk's key range).
     pub in_probe_lookups: u64,
     /// Shards the store's layout routes partitions into (0 for unsharded
     /// scans; see [`crate::partition::shard_of`]).
@@ -368,7 +784,7 @@ impl Table {
     /// tail if it holds rows. Persisted by snapshots so a restored table
     /// reproduces seal boundaries exactly.
     pub fn chunk_boundaries(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.sealed.iter().map(|c| c.rows.len()).collect();
+        let mut v: Vec<usize> = self.sealed.iter().map(|c| c.len()).collect();
         if !self.tail.rows.is_empty() {
             v.push(self.tail.rows.len());
         }
@@ -388,43 +804,55 @@ impl Table {
     }
 
     /// All rows in global insertion order, across chunks.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &Row> {
-        self.sealed
-            .iter()
-            .flat_map(|c| c.rows.iter())
-            .chain(self.tail.rows.iter())
+    pub fn iter_rows(&self) -> impl Iterator<Item = RowView<'_>> {
+        self.chunks_with_base()
+            .flat_map(|(c, _)| (0..c.len() as u32).map(move |p| c.row(p)))
     }
 
-    /// A cheap structural estimate of the table's resident size: row
-    /// storage as `rows × arity × size_of::<Value>()` plus the per-row
-    /// vector headers. Deliberately O(1) — it ignores heap-allocated
-    /// string payloads and index/projection overhead. See
-    /// [`Table::tail_bytes`] for the copy-on-write charge.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.len() * self.per_row_bytes()) as u64
+    /// Where the table's memory goes: each sealed chunk as measured when it
+    /// sealed, plus the open tail as it stands.
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        let sealed = self.sealed.iter().map(|c| c.resident);
+        sealed.chain([self.tail.measure()]).sum()
     }
 
-    /// The [`Table::approx_bytes`]-style size of the open tail chunk —
-    /// exactly what [`Table::clone`] deep-copies, since sealed chunks are
-    /// shared by reference. This is the amount
+    /// An O(1) estimate of the open tail chunk's size — `rows × (arity ×
+    /// size_of::<Value>() + size_of::<Row>())`, string payloads and
+    /// indexes ignored — and exactly what [`Table::clone`] deep-copies,
+    /// since sealed chunks are shared by reference. This is the unit
     /// [`crate::PartitionedTable`]'s copy-on-write accounting charges per
     /// detach of a snapshot-shared table: O(tail), not O(table).
     pub fn tail_bytes(&self) -> u64 {
-        (self.tail.rows.len() * self.per_row_bytes()) as u64
-    }
-
-    fn per_row_bytes(&self) -> usize {
-        self.schema.arity() * std::mem::size_of::<Value>() + std::mem::size_of::<Row>()
+        let per_row =
+            self.schema.arity() * std::mem::size_of::<Value>() + std::mem::size_of::<Row>();
+        (self.tail.rows.len() * per_row) as u64
     }
 
     /// One row by global position.
-    pub fn row(&self, idx: u32) -> &Row {
+    pub fn row(&self, idx: u32) -> RowView<'_> {
         let i = idx as usize;
         if i >= self.sealed_len {
-            return &self.tail.rows[i - self.sealed_len];
+            return self.tail.row(idx - self.sealed_len as u32);
         }
         let k = self.starts.partition_point(|&s| (s as usize) <= i) - 1;
-        &self.sealed[k].rows[i - self.starts[k] as usize]
+        self.sealed[k].row(idx - self.starts[k])
+    }
+
+    /// The rows at `positions` — global and ascending, as every selection
+    /// returns them — walking the chunks once.
+    pub fn rows_at<'a, 'p>(&'a self, positions: &'p [u32]) -> impl Iterator<Item = RowView<'a>> + 'p
+    where
+        'a: 'p,
+    {
+        let mut chunks = self.chunks_with_base();
+        let mut cur = chunks.next();
+        positions.iter().map(move |&p| loop {
+            let (chunk, base) = cur.expect("positions lie within the table");
+            if p < base + chunk.len() as u32 {
+                break chunk.row(p - base);
+            }
+            cur = chunks.next();
+        })
     }
 
     /// Every chunk with its global base position, tail last.
@@ -444,7 +872,10 @@ impl Table {
         self.schema.check_row(&row)?;
         let pos = self.tail.rows.len() as u32;
         for (&col, index) in self.tail.indexes.iter_mut() {
-            index.insert(row[col].clone(), pos);
+            let Index::Tree(map) = index else {
+                unreachable!("the open tail indexes through B-trees")
+            };
+            map.entry(row[col].clone()).or_default().push(pos);
         }
         if let Some(c) = &mut self.tail.columnar {
             c.append(&row, pos);
@@ -458,23 +889,22 @@ impl Table {
 
     /// Seals the open tail into an immutable chunk and opens a fresh empty
     /// tail carrying the same index set and columnar configuration. The
-    /// sealed chunk's final partial columnar block is zone-mapped
-    /// ([`Columnar::seal_tail_block`]) — safe because sealed chunks never
-    /// take another append. No-op on an empty tail.
+    /// sealed chunk takes its read layout (see the [module docs](self)):
+    /// the final partial columnar block zone-mapped — safe because sealed
+    /// chunks never take another append — indexes sorted, and rows dropped
+    /// if the projection covers every column. No-op on an empty tail.
     ///
-    /// The snapshot-restore path calls this at each persisted chunk
-    /// boundary so a reopened table reproduces the pre-shutdown layout.
+    /// The snapshot-restore path seals at each persisted chunk boundary so
+    /// a reopened table reproduces the pre-shutdown layout.
     pub fn seal_tail(&mut self) {
         if self.tail.rows.is_empty() {
             return;
         }
-        if let Some(c) = &mut self.tail.columnar {
-            c.seal_tail_block();
-        }
         let fresh = self.fresh_tail();
-        let sealed = std::mem::replace(&mut self.tail, fresh);
+        let mut sealed = std::mem::replace(&mut self.tail, fresh);
+        sealed.seal();
         self.starts.push(self.sealed_len as u32);
-        self.sealed_len += sealed.rows.len();
+        self.sealed_len += sealed.len();
         self.sealed.push(Arc::new(sealed));
     }
 
@@ -517,7 +947,7 @@ impl Table {
             chunk.columnar = Some(c);
         }
         for &col in self.tail.indexes.keys() {
-            chunk.indexes.insert(col, Index::default());
+            chunk.indexes.insert(col, Index::Tree(BTreeMap::new()));
         }
         chunk
     }
@@ -528,7 +958,8 @@ impl Table {
     /// automatically, so [`Table::indexed_columns`] stays the single source
     /// of truth for both layouts. Rebuilding sealed chunks goes through
     /// `Arc::make_mut` (a rare schema operation, not charged as
-    /// copy-on-write).
+    /// copy-on-write), and each settles into the layout its new projection
+    /// allows.
     pub fn enable_columnar(
         &mut self,
         spec: &ColumnarSpec,
@@ -539,65 +970,60 @@ impl Table {
         let tail_col = build_projection(&self.schema, spec, &dict, &self.tail)?;
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
-            let mut col = build_projection(&self.schema, spec, &dict, c)
+            c.restore_rows();
+            let col = build_projection(&self.schema, spec, &dict, c)
                 .expect("spec already validated against this schema");
-            col.seal_tail_block();
             c.columnar = Some(col);
+            c.seal();
         }
         self.tail.columnar = Some(tail_col);
         self.columnar_cfg = Some((spec.clone(), dict));
         Ok(())
     }
 
-    /// Restores columnar projections from snapshotted block metadata
-    /// instead of re-sorting the rows — the deserialization path of the
-    /// durable store. `perm` is the concatenation of each chunk's
-    /// projection order in chunk order (sealed chunks, then the tail), with
-    /// entries as **global** row positions (see [`Columnar::perm`] for the
-    /// chunk-local order). Indexed columns join the projection exactly as
-    /// they do on [`Table::enable_columnar`].
-    pub fn restore_columnar(
+    /// Appends `rows` as one whole chunk — the snapshot-restore path; the
+    /// open tail must be empty. With a projection configured, `perm` (the
+    /// chunk's persisted projection order, chunk-local — see
+    /// [`Columnar::perm`]) restores it block for block without re-sorting,
+    /// and without one it is bulk-built. The chunk is then sealed when
+    /// `seal` is set (dropping its rows if its projection covers them) or
+    /// left as the open tail.
+    pub fn load_chunk(
         &mut self,
-        spec: &ColumnarSpec,
-        dict: SharedDict,
-        perm: &[u32],
+        rows: Vec<Row>,
+        perm: Option<&[u32]>,
+        seal: bool,
     ) -> Result<(), RdbError> {
-        if perm.len() != self.len() {
+        if !self.tail.rows.is_empty() || rows.len() > self.chunk_rows {
             return Err(RdbError::SchemaMismatch(format!(
-                "columnar permutation covers {} rows, table has {}",
-                perm.len(),
-                self.len()
+                "a chunk of {} rows cannot follow an open tail of {} (chunk size {})",
+                rows.len(),
+                self.tail.rows.len(),
+                self.chunk_rows
             )));
         }
-        // Rebuild per chunk: slice the global permutation at chunk
-        // boundaries and shift to chunk-local positions
-        // (`Columnar::restore` validates the local range).
-        let mut rebuilt = Vec::with_capacity(self.sealed.len() + 1);
-        let mut off = 0usize;
-        for (chunk, base) in self.chunks_with_base() {
-            let len = chunk.rows.len();
-            let mut local = Vec::with_capacity(len);
-            for &p in &perm[off..off + len] {
-                local.push(p.checked_sub(base).ok_or_else(|| {
-                    RdbError::SchemaMismatch(format!(
-                        "columnar permutation entry {p} before chunk base {base}"
-                    ))
-                })?);
-            }
-            let mut col = Columnar::restore(&self.schema, spec, dict.clone(), &chunk.rows, &local)?;
-            for &ic in chunk.indexes.keys() {
-                col.project_column(&self.schema, ic, &chunk.rows);
-            }
-            rebuilt.push(col);
-            off += len;
+        for row in &rows {
+            self.schema.check_row(row)?;
         }
-        let tail_col = rebuilt.pop().expect("the tail chunk always exists");
-        for (chunk, mut col) in self.sealed.iter_mut().zip(rebuilt) {
-            col.seal_tail_block();
-            Arc::make_mut(chunk).columnar = Some(col);
+        let mut chunk = SealedChunk {
+            rows,
+            ..SealedChunk::empty()
+        };
+        if let Some((spec, dict)) = &self.columnar_cfg {
+            chunk.columnar = Some(match perm {
+                Some(perm) => {
+                    Columnar::restore(&self.schema, spec, dict.clone(), &chunk.rows, perm)?
+                }
+                None => Columnar::build(&self.schema, spec, dict.clone(), &chunk.rows)?,
+            });
         }
-        self.tail.columnar = Some(tail_col);
-        self.columnar_cfg = Some((spec.clone(), dict));
+        for &col in self.tail.indexes.keys() {
+            chunk.build_index(&self.schema, col, seal);
+        }
+        self.tail = chunk;
+        if seal {
+            self.seal_tail();
+        }
         Ok(())
     }
 
@@ -620,9 +1046,11 @@ impl Table {
             return Ok(());
         }
         for chunk in &mut self.sealed {
-            Arc::make_mut(chunk).build_index(&self.schema, col);
+            let c = Arc::make_mut(chunk);
+            c.build_index(&self.schema, col, true);
+            c.settle();
         }
-        self.tail.build_index(&self.schema, col);
+        self.tail.build_index(&self.schema, col, false);
         Ok(())
     }
 
@@ -638,12 +1066,11 @@ impl Table {
     /// - an **index equality probe** (`col = lit` / `col IN (lits)` on an
     ///   indexed column) or a **columnar scan** (at least one conjunct
     ///   compiles into a vectorized kernel), whichever costs less: a
-    ///   probe's B-tree lookups plus the candidates in the posting lists
-    ///   they reach, against the rows the zone maps cannot exclude
-    ///   ([`Columnar::surviving_rows`]). Of several usable probes the
-    ///   cheapest runs;
+    ///   probe's index lookups plus the candidates they reach, against the
+    ///   rows the zone maps cannot exclude ([`Columnar::surviving_rows`]).
+    ///   Of several usable probes the cheapest runs;
     /// - failing both, an **index range scan** (`col >=/<=/</> lit` on an
-    ///   indexed column);
+    ///   indexed column the projection does not dictionary-code);
     /// - failing that, a **sequential scan**.
     ///
     /// The conjuncts the path does not answer itself are applied as a
@@ -678,12 +1105,13 @@ impl Table {
         scanned: &mut u64,
         profile: &mut ScanProfile,
     ) -> (AccessPath, Vec<u32>) {
+        let arity = self.schema.arity();
         // Index-usable conjuncts. The index set is identical on every
         // chunk, so this — like everything below — is decided per table.
         let probes: Vec<(usize, IndexProbe)> = conjuncts
             .iter()
             .enumerate()
-            .filter_map(|(ci, c)| Some((ci, index_probe(c)?)))
+            .filter_map(|(ci, c)| Some((ci, index_probe(c, &self.schema)?)))
             .filter(|(_, p)| self.tail.indexes.contains_key(&p.col))
             .collect();
         // The projected-column set and the dictionary are table-wide:
@@ -695,10 +1123,10 @@ impl Table {
             .map(|col| compile_conjuncts(&self.schema, col, conjuncts))
             .filter(|(kernels, _)| !kernels.is_empty());
 
-        // Equality probes, fewest B-tree lookups first. One runs only if it
+        // Equality probes, fewest index lookups first. One runs only if it
         // beats the kernel scan (and the probes before it): first on its
         // lookups alone, which cost nothing to count; then, looked up, on
-        // the candidates its posting lists actually hold.
+        // the candidates they actually reach.
         let mut eq_probes: Vec<(usize, usize, &[Value], usize)> = probes
             .iter()
             .filter_map(|(ci, p)| match p.kind {
@@ -728,48 +1156,37 @@ impl Table {
         }
 
         if let Some((ci, postings)) = chosen {
+            // The probe conjunct is answered by the index itself.
+            let mut check = Recheck::new(conjuncts, |i| i != ci, arity);
             let mut out = Vec::new();
             for ((chunk, base), mut candidates) in self.chunks_with_base().zip(postings) {
                 *scanned += candidates.len() as u64;
-                // The probe conjunct is answered by the index itself.
-                candidates.retain(|&pos| {
-                    let row = &chunk.rows[pos as usize];
-                    conjuncts
-                        .iter()
-                        .enumerate()
-                        .all(|(i, c)| i == ci || c.matches(row))
-                });
+                check.retain(chunk, &mut candidates);
                 out.extend(candidates.into_iter().map(|p| p + base));
             }
             return (AccessPath::IndexEq, out);
         }
         if let Some((kernels, residual)) = &vectorized {
-            let rows = self.columnar_select(conjuncts, kernels, residual, scanned, profile);
+            let residual = Recheck::new(conjuncts, |i| residual.contains(&i), arity);
+            let rows = self.columnar_select(kernels, residual, scanned, profile);
             return (AccessPath::Columnar, rows);
         }
 
         let range = probes.iter().find_map(|(_, p)| match p.kind {
-            ProbeKind::Range { lo, hi } => Some((p.col, lo, hi)),
-            ProbeKind::Eq(_) => None,
+            ProbeKind::Range { lo, hi } if self.range_indexed(p.col) => Some((p.col, lo, hi)),
+            _ => None,
         });
+        // `index_probe` encodes exclusive bounds inclusively, so a range
+        // candidate is re-checked against every conjunct.
+        let mut check = Recheck::new(conjuncts, |_| true, arity);
         let mut out = Vec::new();
         for (chunk, base) in self.chunks_with_base() {
-            // `index_probe` encodes exclusive bounds inclusively, so a
-            // range candidate is re-checked against every conjunct.
             let mut candidates = match range {
-                Some((col, lo, hi)) => {
-                    // Key order → row order, like every other path.
-                    let mut rows = chunk.indexes[&col].get_range(lo, hi);
-                    rows.sort_unstable();
-                    rows
-                }
-                None => (0..chunk.rows.len() as u32).collect(),
+                Some((col, lo, hi)) => chunk.index_range(col, lo, hi),
+                None => (0..chunk.len() as u32).collect(),
             };
             *scanned += candidates.len() as u64;
-            candidates.retain(|&pos| {
-                let row = &chunk.rows[pos as usize];
-                conjuncts.iter().all(|c| c.matches(row))
-            });
+            check.retain(chunk, &mut candidates);
             out.extend(candidates.into_iter().map(|p| p + base));
         }
         let path = match range {
@@ -779,32 +1196,53 @@ impl Table {
         (path, out)
     }
 
-    /// B-tree lookups that answering `col IN (values)` from the chunk
-    /// indexes takes: one per value per chunk whose key range holds it.
+    /// Index lookups that answering `col IN (values)` takes: one per value
+    /// per chunk whose key range holds it.
     fn probe_lookups(&self, col: usize, values: &[Value]) -> usize {
         self.chunks_with_base()
-            .map(|(chunk, _)| chunk.indexes[&col].clip(values).len())
+            .map(|(chunk, _)| chunk.index_clip(col, values).len())
             .sum()
     }
 
     /// Makes those lookups: per chunk, the rows holding one of `values` in
     /// `col`, in row order.
     fn probe(&self, col: usize, values: &[Value], profile: &mut ScanProfile) -> Vec<Vec<u32>> {
+        let codes: Vec<Option<u32>> = match self.schema.column_type(col) {
+            ColumnType::Str => values.iter().map(|v| self.dict_code(v)).collect(),
+            _ => Vec::new(),
+        };
         self.chunks_with_base()
             .map(|(chunk, _)| {
-                let index = &chunk.indexes[&col];
-                // Each row sits in exactly one posting list, so the
-                // concatenation holds no duplicates; sorting restores row
-                // order across values.
+                // Each row sits under exactly one key, so the concatenation
+                // holds no duplicates; sorting restores row order across
+                // values.
                 let mut rows = Vec::new();
-                for v in index.clip(values) {
-                    rows.extend_from_slice(index.get_eq(v));
+                for i in chunk.index_clip(col, values) {
+                    let code = codes.get(i).copied().flatten();
+                    rows.extend_from_slice(chunk.index_eq(col, &values[i], code));
                     profile.in_probe_lookups += 1;
                 }
                 rows.sort_unstable();
                 rows
             })
             .collect()
+    }
+
+    /// `v`'s code in the table's dictionary, as a dictionary-coded column
+    /// holds it (NULL included); `None` if it can be in no such column.
+    fn dict_code(&self, v: &Value) -> Option<u32> {
+        match v {
+            Value::Null => Some(NULL_SYM),
+            Value::Str(s) => Some(self.columnar_cfg.as_ref()?.1.lookup(s)?.0),
+            _ => None,
+        }
+    }
+
+    /// Whether the indexes on `col` answer range probes: not where the
+    /// projection dictionary-codes the column, as sealed indexes then
+    /// order codes, not strings. Such a range falls through to the scan.
+    fn range_indexed(&self, col: usize) -> bool {
+        self.columnar().is_none_or(|c| c.codes(col).is_none())
     }
 
     /// Estimated cost of the vectorized path, in kernel-evaluated rows: the
@@ -817,12 +1255,11 @@ impl Table {
     }
 
     /// The vectorized path: scan every chunk's blocks with `kernels`, then
-    /// row-filter the `residual` conjuncts per chunk.
+    /// re-check the `residual` conjuncts per chunk.
     fn columnar_select(
         &self,
-        conjuncts: &[Expr],
         kernels: &[Kernel],
-        residual: &[usize],
+        mut residual: Recheck<'_>,
         scanned: &mut u64,
         profile: &mut ScanProfile,
     ) -> Vec<u32> {
@@ -840,12 +1277,7 @@ impl Table {
                 &mut profile.blocks_pruned,
                 &mut profile.blocks_total,
             );
-            if !residual.is_empty() {
-                positions.retain(|&p| {
-                    let row = &chunk.rows[p as usize];
-                    residual.iter().all(|&ci| conjuncts[ci].matches(row))
-                });
-            }
+            residual.retain(chunk, &mut positions);
             // Chunk-local row order; chunks are visited in global order, so
             // the concatenation matches the sequential scan exactly.
             positions.sort_unstable();
@@ -857,17 +1289,17 @@ impl Table {
     }
 }
 
-/// What one B-tree lookup costs, in kernel-evaluated rows: descending a
-/// chunk index over generic [`Value`] keys (~150 ns) against a kernel pass
-/// over one row of flat typed vectors (~10 ns).
+/// What one index lookup costs, in kernel-evaluated rows: a descent over
+/// generic [`Value`] keys (~150 ns) against a kernel pass over one row of
+/// flat typed vectors (~10 ns).
 const LOOKUP_COST: usize = 16;
 
 /// What one probe candidate costs in the same unit: fetching its row and
 /// re-checking the remaining conjuncts on the interpreter.
 const CANDIDATE_COST: usize = 4;
 
-/// Builds a chunk's projection under `spec`, projecting its indexed
-/// columns.
+/// Builds a chunk's projection under `spec` from its stored rows,
+/// projecting its indexed columns.
 fn build_projection(
     schema: &Schema,
     spec: &ColumnarSpec,
@@ -897,10 +1329,13 @@ struct IndexProbe<'a> {
     kind: ProbeKind<'a>,
 }
 
-/// Recognizes conjuncts usable as index probes: `Col = Lit`, `Col IN (...)`,
-/// and single-sided ranges `Col </<=/>/>= Lit`.
-fn index_probe(e: &Expr) -> Option<IndexProbe<'_>> {
-    match e {
+/// Recognizes conjuncts an index on their column answers exactly:
+/// `Col = Lit`, `Col IN (...)`, and single-sided ranges `Col </<=/>/>= Lit`,
+/// with every literal a non-NULL value of the column's type. Index keys
+/// compare strictly, so a NULL or another type's literal (`int_col = 2.0`)
+/// stays with the interpreter's loose comparison.
+fn index_probe<'e>(e: &'e Expr, schema: &Schema) -> Option<IndexProbe<'e>> {
+    let probe = match e {
         Expr::Cmp(op, a, b) => {
             let (col, lit, op) = match (a.as_ref(), b.as_ref()) {
                 (Expr::Col(c), Expr::Lit(v)) => (*c, v, *op),
@@ -919,17 +1354,24 @@ fn index_probe(e: &Expr) -> Option<IndexProbe<'_>> {
                 },
                 CmpOp::Ne => return None,
             };
-            Some(IndexProbe { col, kind })
+            IndexProbe { col, kind }
         }
         Expr::In(inner, list) => match inner.as_ref() {
-            Expr::Col(c) => Some(IndexProbe {
+            Expr::Col(c) => IndexProbe {
                 col: *c,
                 kind: ProbeKind::Eq(list.values()),
-            }),
-            _ => None,
+            },
+            _ => return None,
         },
-        _ => None,
-    }
+        _ => return None,
+    };
+    let ty = (probe.col < schema.arity()).then(|| schema.column_type(probe.col))?;
+    let fits = |v: &Value| !v.is_null() && ty.admits(v);
+    let exact = match probe.kind {
+        ProbeKind::Eq(values) => values.iter().all(fits),
+        ProbeKind::Range { lo, hi } => lo.into_iter().chain(hi).all(fits),
+    };
+    exact.then_some(probe)
 }
 
 #[cfg(test)]
@@ -1097,7 +1539,7 @@ mod tests {
             let (mut scanned, mut profile) = (0, ScanProfile::default());
             let (path, rows) = t.select_profiled(conjuncts, &mut scanned, &mut profile);
             let want: Vec<u32> = (0..2000u32)
-                .filter(|&p| conjuncts.iter().all(|c| c.matches(t.row(p))))
+                .filter(|&p| conjuncts.iter().all(|c| c.matches(&t.row(p).to_row())))
                 .collect();
             assert_eq!(rows, want, "{conjuncts:?}");
             (path, scanned, profile.in_probe_lookups)
@@ -1119,6 +1561,15 @@ mod tests {
         // ...unless zone maps leave the kernel less than the probe costs.
         let (path, scanned, _) = run(&[ids(500..600)]);
         assert_eq!((path, scanned), (AccessPath::Columnar, 100));
+        // Its candidates are re-checked against the other conjuncts: 777
+        // is in group 7, not 6.
+        assert_eq!(
+            run(&[
+                Expr::cmp_lit(0, CmpOp::Eq, 777i64),
+                Expr::cmp_lit(1, CmpOp::Eq, 6i64)
+            ]),
+            (AccessPath::IndexEq, 1, 1)
+        );
         // Of two usable probes the cheaper one runs, wherever it stands:
         // `grp = 3` would yield 200 candidates, `id = 13` yields one.
         assert_eq!(
@@ -1214,8 +1665,8 @@ mod tests {
         for i in 0..10u32 {
             assert_eq!(chunked.row(i), oracle.row(i), "row {i}");
         }
-        let all: Vec<&Row> = chunked.iter_rows().collect();
-        let want: Vec<&Row> = oracle.iter_rows().collect();
+        let all: Vec<RowView> = chunked.iter_rows().collect();
+        let want: Vec<RowView> = oracle.iter_rows().collect();
         assert_eq!(all, want);
     }
 
@@ -1271,7 +1722,7 @@ mod tests {
         let snapshot = chunked.clone();
         assert_eq!(chunked.chunks_shared_with(&snapshot), 3);
         assert!(chunked.tail_bytes() > 0);
-        assert!(chunked.tail_bytes() < chunked.approx_bytes());
+        assert!(chunked.tail_bytes() < chunked.resident_bytes().rows);
         // Appending detaches nothing sealed: the clone still shares all
         // three chunks with the (mutated) original.
         let mut head = chunked;
@@ -1317,5 +1768,219 @@ mod tests {
             assert_eq!(c.len(), chunk.len());
             assert_eq!(c.sealed_blocks(), chunk.len().div_ceil(2));
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Sealed read layout
+    // ------------------------------------------------------------------
+
+    /// A table over keys that trip every ordering hazard — NULLs,
+    /// duplicates, the `i64` extremes, neighbours above 2^53 that `f64`
+    /// cannot tell apart — and strings with NULLs; both columns indexed.
+    fn hazard_table(seal: bool, columnar: bool) -> Table {
+        let big = 1i64 << 53;
+        let schema = Schema::new(&[("k", ColumnType::Int), ("s", ColumnType::Str)]);
+        let mut t = Table::with_chunk_rows(schema, usize::MAX);
+        t.create_index("k").unwrap();
+        t.create_index("s").unwrap();
+        if columnar {
+            // Sorted on `k`: the rows' projection order is not theirs.
+            t.enable_columnar(&ColumnarSpec::time_sorted("k"), SharedDict::new())
+                .unwrap();
+        }
+        let keys = [
+            Some(5),
+            None,
+            Some(big + 1),
+            Some(-3),
+            Some(big),
+            Some(5),
+            Some(i64::MAX),
+            None,
+            Some(big + 2),
+            Some(i64::MIN),
+            Some(2),
+            Some(big + 1),
+        ];
+        for (i, k) in keys.into_iter().enumerate() {
+            let s = ["", "b", "a", "ab"][i % 4];
+            let s = if s.is_empty() {
+                Value::Null
+            } else {
+                Value::str(s)
+            };
+            t.insert(vec![k.map_or(Value::Null, Value::Int), s])
+                .unwrap();
+        }
+        if seal {
+            t.seal_tail();
+        }
+        t
+    }
+
+    /// The sealed chunk's sorted positions answer every index question the
+    /// way the open tail's B-tree does — on stored rows and projected ones.
+    /// A dictionary-coded column is asked no range: the scan answers it.
+    #[test]
+    fn sorted_index_answers_like_the_tail_btree() {
+        use crate::expr::InList;
+        let big = 1i64 << 53;
+        let ints: Vec<Value> = [
+            i64::MIN,
+            -3,
+            0,
+            2,
+            5,
+            big - 1,
+            big,
+            big + 1,
+            big + 2,
+            i64::MAX,
+        ]
+        .map(Value::Int)
+        .into();
+        let mut probes = ints.clone();
+        probes.extend([
+            Value::Null,
+            Value::Float(2.0),
+            Value::Float(big as f64),
+            Value::Float(-0.5),
+            Value::Bool(true),
+            Value::str("a"),
+            Value::str("ab"),
+            Value::str("c"),
+        ]);
+        let lists = [
+            ints.clone(),
+            vec![
+                Value::Float(2.0),
+                Value::Int(2),
+                Value::Float(big as f64),
+                Value::Int(big + 1),
+                Value::Float(-0.5),
+            ],
+            vec![Value::Int(i64::MIN), Value::Int(i64::MAX)],
+            vec![Value::Null, Value::Int(5)],
+            vec![Value::Int(big + 3), Value::Float(1e300)],
+            vec![Value::str("a"), Value::Null, Value::str("b")],
+            vec![],
+        ];
+        for columnar in [false, true] {
+            let (sealed, open) = (hazard_table(true, columnar), hazard_table(false, columnar));
+            let (chunk, tail) = (&sealed.sealed_chunks()[0], open.tail_chunk());
+            assert_eq!(chunk.is_projected(), columnar);
+            for col in [0, 1] {
+                for v in &probes {
+                    let code = sealed.dict_code(v);
+                    assert_eq!(
+                        chunk.index_eq(col, v, code),
+                        tail.index_eq(col, v, code),
+                        "{col} = {v:?}"
+                    );
+                    if !sealed.range_indexed(col) {
+                        continue;
+                    }
+                    assert_eq!(
+                        chunk.index_range(col, Some(v), None),
+                        tail.index_range(col, Some(v), None),
+                        "{col} >= {v:?}"
+                    );
+                    assert_eq!(
+                        chunk.index_range(col, None, Some(v)),
+                        tail.index_range(col, None, Some(v)),
+                        "{col} <= {v:?}"
+                    );
+                }
+                if sealed.range_indexed(col) {
+                    assert_eq!(
+                        chunk.index_range(col, None, None),
+                        tail.index_range(col, None, None)
+                    );
+                }
+                for list in &lists {
+                    let list = InList::new(list.clone());
+                    assert_eq!(
+                        chunk.index_clip(col, list.values()),
+                        tail.index_clip(col, list.values()),
+                        "{col} IN {list:?}"
+                    );
+                }
+            }
+            // Whole selections, exclusive bounds included, agree too.
+            for v in &probes {
+                for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                    for col in [0, 1] {
+                        let c = [Expr::cmp_lit(col, op, v.clone())];
+                        assert_eq!(sealed.select(&c, &mut 0), open.select(&c, &mut 0), "{c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An index answers only literals of its column's type: another
+    /// type's literal compares loosely (`2.0 = 2`), which strict keys
+    /// cannot, so it goes to the interpreter.
+    #[test]
+    fn cross_type_literals_do_not_probe() {
+        let mut t = table();
+        t.create_index("size").unwrap();
+        for (c, want) in [
+            (Expr::cmp_lit(2, CmpOp::Eq, 20.0), vec![1]),
+            (Expr::cmp_lit(2, CmpOp::Ge, 25.5), vec![2, 3]),
+            (
+                Expr::in_list(2, vec![Value::Float(30.0), Value::Null]),
+                vec![2],
+            ),
+        ] {
+            let (path, rows) = t.select(std::slice::from_ref(&c), &mut 0);
+            assert_eq!((path, rows), (AccessPath::Seq, want), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn covered_chunks_keep_only_their_projection() {
+        let (mut chunked, mut oracle) = chunked_and_oracle();
+        chunked
+            .enable_columnar(&ColumnarSpec::all(), SharedDict::new())
+            .unwrap();
+        let extra = |i: i64| vec![Value::Int(i), Value::str("late"), Value::Null];
+        for i in 10..13 {
+            chunked.insert(extra(i)).unwrap();
+            oracle.insert(extra(i)).unwrap();
+        }
+        assert_eq!(chunked.sealed_chunks().len(), 4);
+        for chunk in chunked.sealed_chunks() {
+            assert!(chunk.is_projected());
+            let r = chunk.resident_bytes();
+            assert_eq!(r.rows, 0, "{r:?}");
+            let positions = 4 * chunk.len() as u64;
+            assert!(
+                (positions..positions + 16).contains(&r.index),
+                "one sorted index and its span: {r:?}"
+            );
+            assert!(r.projection > 0);
+        }
+        assert!(!chunked.tail_chunk().is_projected(), "the tail stores rows");
+        assert!(chunked.iter_rows().eq(oracle.iter_rows()));
+        let r = chunked.resident_bytes();
+        assert!(r.rows > 0, "the tail's rows: {r:?}");
+        // Schema operations on projected chunks: a new index sorts from
+        // the projection, and a partial projection brings the rows back.
+        chunked.create_index("size").unwrap();
+        oracle.create_index("size").unwrap();
+        let c = [Expr::cmp_lit(2, CmpOp::Le, 40i64)];
+        assert_eq!(chunked.select(&c, &mut 0).1, oracle.select(&c, &mut 0).1);
+        chunked
+            .enable_columnar(
+                &ColumnarSpec::all().with_columns(&["size"]),
+                SharedDict::new(),
+            )
+            .unwrap();
+        for chunk in chunked.sealed_chunks() {
+            assert!(!chunk.is_projected());
+            assert!(chunk.resident_bytes().rows > 0);
+        }
+        assert!(chunked.iter_rows().eq(oracle.iter_rows()));
     }
 }

@@ -46,7 +46,10 @@ pub use metrics::record_scan;
 pub use persist::{PersistError, RecoveryReport};
 
 use aiql_model::{Dataset, Entity, EntityKind, Event, SharedDict, Timestamp, Value};
-use aiql_rdb::{ColumnarSpec, Database, PartKey, PartitionSpec, Prune, RdbError, Row, ScanProfile};
+use aiql_rdb::{
+    ColumnarSpec, Database, PartKey, PartitionSpec, Prune, RdbError, ResidentBytes, Row, RowView,
+    ScanProfile,
+};
 use std::path::{Path, PathBuf};
 
 /// The columnar projection each table receives when
@@ -452,7 +455,7 @@ impl EventStore {
         prune: &Prune,
         scanned: &mut u64,
         profile: &mut ScanProfile,
-    ) -> Vec<&Row> {
+    ) -> Vec<RowView<'_>> {
         match self.db.partitioned(schema::EVENTS) {
             Some(pt) => {
                 let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
@@ -463,7 +466,7 @@ impl EventStore {
                 profile.partitions_total += 1;
                 profile.partitions_scanned += 1;
                 let (_, pos) = t.select_profiled(conjuncts, scanned, profile);
-                pos.into_iter().map(|p| t.row(p)).collect()
+                t.rows_at(&pos).collect()
             }
         }
     }
@@ -477,7 +480,7 @@ impl EventStore {
         conjuncts: &[aiql_rdb::Expr],
         scanned: &mut u64,
         profile: &mut ScanProfile,
-    ) -> Vec<&Row> {
+    ) -> Vec<RowView<'_>> {
         let t = self
             .db
             .plain(schema::entity_table(kind))
@@ -485,23 +488,34 @@ impl EventStore {
         profile.partitions_total += 1;
         profile.partitions_scanned += 1;
         let (_, pos) = t.select_profiled(conjuncts, scanned, profile);
-        pos.into_iter().map(|p| t.row(p)).collect()
+        t.rows_at(&pos).collect()
     }
 
     /// The time span (min/max event start) present in the store, if any.
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
         let rows =
             self.scan_events_profiled(&[], &Prune::all(), &mut 0, &mut ScanProfile::default());
-        let lo = rows
-            .iter()
-            .map(|r| r[schema::ev::START].as_int().unwrap_or(0))
-            .min()?;
-        let hi = rows
-            .iter()
-            .map(|r| r[schema::ev::START].as_int().unwrap_or(0))
-            .max()?;
-        Some((Timestamp(lo), Timestamp(hi)))
+        let starts = || rows.iter().map(|r| r.int(schema::ev::START).unwrap_or(0));
+        Some((Timestamp(starts().min()?), Timestamp(starts().max()?)))
     }
+
+    /// Where the store's memory goes: rows, indexes and projections over
+    /// every table, and the shared dictionary.
+    pub fn resident_bytes(&self) -> StoreBytes {
+        StoreBytes {
+            tables: self.db.resident_bytes(),
+            dict: self.dict.read().resident_bytes() as u64,
+        }
+    }
+}
+
+/// A store's resident bytes by part (see [`EventStore::resident_bytes`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StoreBytes {
+    /// Rows, indexes and projections, over every table.
+    pub tables: ResidentBytes,
+    /// The shared string dictionary.
+    pub dict: u64,
 }
 
 #[cfg(test)]
@@ -555,7 +569,7 @@ mod tests {
     }
 
     /// Every event matching `conjuncts`, borrowed from `s`.
-    fn events<'a>(s: &'a EventStore, conjuncts: &[Expr]) -> Vec<&'a Row> {
+    fn events<'a>(s: &'a EventStore, conjuncts: &[Expr]) -> Vec<RowView<'a>> {
         s.scan_events_profiled(
             conjuncts,
             &Prune::all(),
@@ -601,7 +615,7 @@ mod tests {
         let rows = events(&s, &conjuncts);
         assert_eq!(rows.len(), 3, "agent 2's day-0 events (i = 0, 2, 4)");
         // All rows from agent 2.
-        assert!(rows.iter().all(|r| r[schema::ev::AGENT] == Value::Int(2)));
+        assert!(rows.iter().all(|r| r.int(schema::ev::AGENT) == Some(2)));
     }
 
     #[test]
@@ -621,11 +635,8 @@ mod tests {
             ),
             Expr::cmp_lit(schema::ev::OPTYPE, CmpOp::Eq, schema::opcode(OpType::Write)),
         ];
-        let mut a = events(&col, &conjuncts);
-        let mut b = events(&row, &conjuncts);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "columnar and row scans agree");
+        let a = events(&col, &conjuncts);
+        assert_eq!(a, events(&row, &conjuncts), "columnar and row scans agree");
         assert!(!a.is_empty());
         // Entity-side string predicate through the dictionary kernels: the
         // `user` column is projected but unindexed.

@@ -103,6 +103,7 @@ impl SharedStore {
     /// Wraps a store for shared live access. The initial published
     /// snapshot is the store as given.
     pub fn new(store: EventStore) -> SharedStore {
+        crate::metrics::record_resident(&store);
         let published = Arc::new(RwLock::new(Arc::new(store.clone())));
         SharedStore {
             head: Arc::new(Mutex::new(store)),
@@ -211,6 +212,9 @@ impl StoreWriter<'_> {
             m.publish_micros.record_duration(start.elapsed());
             m.publish_bytes_copied.record(copied);
             m.sealed_chunks_shared.set(shared as i64);
+            // Measured once the readers' lock is released.
+            drop(slot);
+            crate::metrics::record_resident(&self.head);
         }
         stamp
     }

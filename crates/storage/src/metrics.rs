@@ -34,9 +34,16 @@ pub(crate) struct StorageMetrics {
     /// `aiql_storage_like_symbol_evals_total` — pattern evaluations those
     /// rows cost: one per distinct symbol per table scan.
     pub like_symbol_evals: Counter,
-    /// `aiql_storage_in_probe_lookups_total` — B-tree lookups made by
-    /// index equality probes (`=` / IN-lists, clipped per chunk).
+    /// `aiql_storage_in_probe_lookups_total` — index lookups made by
+    /// equality probes (`=` / IN-lists, clipped per chunk).
     pub in_probe_lookups: Counter,
+    /// `aiql_storage_resident_{rows,index,projection,dict}_bytes` — where
+    /// the published store's memory goes (see
+    /// [`crate::EventStore::resident_bytes`]), set at every publish.
+    pub resident_rows: Gauge,
+    pub resident_index: Gauge,
+    pub resident_projection: Gauge,
+    pub resident_dict: Gauge,
 }
 
 pub(crate) fn metrics() -> &'static StorageMetrics {
@@ -51,7 +58,20 @@ pub(crate) fn metrics() -> &'static StorageMetrics {
         like_rows: global().counter("aiql_storage_like_rows_total"),
         like_symbol_evals: global().counter("aiql_storage_like_symbol_evals_total"),
         in_probe_lookups: global().counter("aiql_storage_in_probe_lookups_total"),
+        resident_rows: global().gauge("aiql_storage_resident_rows_bytes"),
+        resident_index: global().gauge("aiql_storage_resident_index_bytes"),
+        resident_projection: global().gauge("aiql_storage_resident_projection_bytes"),
+        resident_dict: global().gauge("aiql_storage_resident_dict_bytes"),
     })
+}
+
+/// Sets the resident-bytes gauges from the store being published.
+pub(crate) fn record_resident(store: &crate::EventStore) {
+    let (m, r) = (metrics(), store.resident_bytes());
+    m.resident_rows.set(r.tables.rows as i64);
+    m.resident_index.set(r.tables.index as i64);
+    m.resident_projection.set(r.tables.projection as i64);
+    m.resident_dict.set(r.dict as i64);
 }
 
 /// Records what one finished scan's prepared predicates did — `profile` as

@@ -263,7 +263,7 @@ fn stored_starts(ing: &Ingestor) -> Vec<i64> {
             &mut Default::default(),
         )
         .iter()
-        .map(|row| row[aiql::storage::schema::ev::START].as_int().unwrap())
+        .map(|row| row.int(aiql::storage::schema::ev::START).unwrap())
         .collect();
     starts.sort();
     starts

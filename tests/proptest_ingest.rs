@@ -8,7 +8,8 @@
 //! 2. The columnar scan path (dictionary kernels, zone maps, time-sorted
 //!    blocks) must be result-equivalent to the pure row store — with the
 //!    columnar projections built in batch *and* grown live by appends that
-//!    cross the day boundary.
+//!    cross the day boundary, and with sealed chunks that keep only their
+//!    projection, re-checking conjuncts no kernel answers on decoded rows.
 //! 3. Snapshot isolation of the epoch-swapped store: a snapshot pinned
 //!    before a flush sees exactly the pre-flush store no matter how much
 //!    streams in afterwards, and concurrent readers racing one writer only
@@ -17,8 +18,10 @@
 //!    same stamp, and the final state equals the batch oracle.
 
 use aiql::engine::{EngineConfig, Session};
+use aiql::rdb::{CmpOp, ColumnarSpec, Expr, Prune, RowView, ScanProfile, SharedDict, Table};
+use aiql::storage::schema::{self, ev, file};
 use aiql::storage::timesync::ClockSample;
-use aiql::storage::{EventStore, SharedStore, StoreConfig};
+use aiql::storage::{entity_row, EventStore, SharedStore, StoreConfig};
 use aiql_datagen::stream::{stream, StreamConfig};
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp, Value};
@@ -233,9 +236,23 @@ proptest! {
         // ingestor (sorted inserts into open blocks, sealing, rollover).
         let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
         let live = stream_ingest(&data, batch_events, batch_events * 2, seed);
+        // And batch-loaded with every table frozen every `batch_events`
+        // appends, as a publish-heavy live store is: sealed event chunks
+        // keep only their projection, sealed entity chunks their rows.
+        let mut frozen = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        for e in &data.entities {
+            frozen.append_entity(e).unwrap();
+        }
+        for (i, ev) in data.events.iter().enumerate() {
+            frozen.append_event(ev).unwrap();
+            if (i + 1) % batch_events == 0 {
+                frozen.freeze_tails(1);
+            }
+        }
 
         let oracle_engine = Session::open(&SharedStore::new(oracle.clone()));
         let batch_engine = Session::open(&SharedStore::new(batch.clone()));
+        let frozen_engine = Session::open(&SharedStore::new(frozen.clone()));
         // The tier-1 classes plus a window-constrained pattern that drives
         // the time-sorted block narrowing and a LIKE residual.
         let windowed = r#"(at "01/01/2017") proc p1["%proc%"] write file f1
@@ -244,10 +261,82 @@ proptest! {
             let want = sorted_rows(oracle_engine.run(q).unwrap().rows);
             let got_batch = sorted_rows(batch_engine.run(q).unwrap().rows);
             prop_assert_eq!(&got_batch, &want, "columnar batch diverged: {}", q);
+            let got_frozen = sorted_rows(frozen_engine.run(q).unwrap().rows);
+            prop_assert_eq!(&got_frozen, &want, "columnar frozen diverged: {}", q);
             let got_live = sorted_rows(
                 Session::open(&live).run(q).unwrap().rows,
             );
             prop_assert_eq!(&got_live, &want, "columnar live diverged: {}", q);
+        }
+
+        // Straight through storage, conjuncts no kernel answers — `<>`,
+        // `OR`, `NOT`, Int/Float comparisons — so projected chunks re-check
+        // decoded rows: the same rows in the same order as the row store
+        // (the live store's arrival order differs, so its rows are sorted).
+        let midnight = Timestamp::from_ymd(2017, 1, 2).unwrap().0;
+        let not = |e: Expr| Expr::Not(Box::new(e));
+        let event_cases = [
+            vec![],
+            vec![Expr::cmp_lit(ev::OPTYPE, CmpOp::Ne, 1i64)],
+            vec![Expr::Or(vec![
+                Expr::cmp_lit(ev::AGENT, CmpOp::Eq, 1i64),
+                Expr::cmp_lit(ev::START, CmpOp::Lt, midnight),
+            ])],
+            vec![not(Expr::cmp_lit(ev::SUBJECT, CmpOp::Eq, 100i64))],
+            vec![Expr::cmp_lit(ev::SUBJECT, CmpOp::Eq, 201.0)],
+            vec![
+                Expr::in_list(ev::OBJECT, vec![Value::Float(110.0), Value::Int(211)]),
+                Expr::cmp_lit(ev::SEQ, CmpOp::Ge, 3.5),
+            ],
+        ];
+        let events = |s: &EventStore, c: &[Expr]| {
+            let rows = s.scan_events_profiled(c, &Prune::all(), &mut 0, &mut ScanProfile::default());
+            rows.iter().map(RowView::to_row).collect::<Vec<_>>()
+        };
+        for c in &event_cases {
+            let want = events(&oracle, c);
+            prop_assert_eq!(&events(&batch, c), &want, "batch scan diverged: {:?}", c);
+            prop_assert_eq!(&events(&frozen, c), &want, "frozen scan diverged: {:?}", c);
+            prop_assert_eq!(
+                sorted_rows(events(&live.read(), c)),
+                sorted_rows(want),
+                "live scan diverged: {:?}", c
+            );
+        }
+        let entity_cases = [
+            vec![Expr::cmp_lit(file::NAME, CmpOp::Ne, "/a0/f1")],
+            vec![Expr::Or(vec![
+                Expr::like(file::NAME, "%f2"),
+                Expr::IsNull(Box::new(Expr::Col(file::OWNER))),
+            ])],
+            vec![not(Expr::cmp_lit(file::ID, CmpOp::Ge, 111.5))],
+        ];
+        for c in &entity_cases {
+            let files = |s: &EventStore| {
+                let rows = s.scan_entities_profiled(EntityKind::File, c, &mut 0, &mut ScanProfile::default());
+                rows.iter().map(RowView::to_row).collect::<Vec<_>>()
+            };
+            let want = files(&oracle);
+            prop_assert_eq!(&files(&batch), &want, "{:?}", c);
+            prop_assert_eq!(&files(&frozen), &want, "{:?}", c);
+        }
+        // A table whose projection covers `Str` columns too, sealed every
+        // two rows: entity rows read back from the dictionary.
+        let mut plain = Table::with_chunk_rows(schema::files_schema(), 2);
+        let mut projected = Table::with_chunk_rows(schema::files_schema(), 2);
+        projected.enable_columnar(&ColumnarSpec::all(), SharedDict::new()).unwrap();
+        for t in [&mut plain, &mut projected] {
+            t.create_index("name").unwrap();
+            for e in data.entities.iter().filter(|e| e.kind == EntityKind::File) {
+                t.insert(entity_row(e)).unwrap();
+            }
+        }
+        prop_assert!(projected.sealed_chunks().iter().all(|c| c.is_projected()));
+        prop_assert!(projected.iter_rows().eq(plain.iter_rows()));
+        for c in entity_cases.iter().chain([&vec![Expr::cmp_lit(file::NAME, CmpOp::Eq, "/a1/f0")]]) {
+            let (want, got) = (plain.select(c, &mut 0).1, projected.select(c, &mut 0).1);
+            prop_assert_eq!(&got, &want, "{:?}", c);
+            prop_assert!(projected.rows_at(&got).eq(plain.rows_at(&want)));
         }
     }
 

@@ -165,7 +165,7 @@ fn stored_event_ids(store: &EventStore) -> Vec<i64> {
             &mut Default::default(),
         )
         .iter()
-        .map(|row| row[aiql::storage::schema::ev::ID].as_int().unwrap())
+        .map(|row| row.int(aiql::storage::schema::ev::ID).unwrap())
         .collect();
     ids.sort();
     ids

@@ -108,13 +108,17 @@ proptest! {
 
     /// Chunked ≡ monolithic ≡ projected: a table sealing every `chunk` rows
     /// (with extra random explicit seals thrown in) must be observationally
-    /// identical to one whose tail never seals, and so must a copy of it
-    /// carrying a columnar projection — same global row order, same
-    /// positional access, and the same positions in the same order from
-    /// every selection, whichever access path each layout picks for it
-    /// (index probe, index range, dictionary `LIKE` kernel, IN-list kernel,
-    /// full scan), over sealed chunks and the open tail alike. Layout is
-    /// an encoding, never a semantic.
+    /// identical to one whose tail never seals, and so must copies of it
+    /// carrying a columnar projection — two covering every column (`Str`
+    /// included), whose sealed chunks keep no rows, and a partial one,
+    /// whose chunks keep theirs. Same global row order, same positional
+    /// access, and the same positions in the same order from every
+    /// selection, whichever access path each layout picks for it (index
+    /// probe, index range, dictionary `LIKE` kernel, IN-list kernel, full
+    /// scan), over sealed chunks and the open tail alike — including
+    /// conjuncts no kernel answers (`<>`, `OR`, `NOT`, Int/Float
+    /// comparisons), which projected chunks re-check on decoded rows.
+    /// Layout is an encoding, never a semantic.
     #[test]
     fn chunked_table_matches_monolithic_layout(
         data in rows(),
@@ -137,16 +141,19 @@ proptest! {
         // the pre-chunking monolithic layout.
         let mut mono = Table::with_chunk_rows(schema(), usize::MAX);
         let mut projected = Table::with_chunk_rows(schema(), chunk);
-        for t in [&mut chunked, &mut mono, &mut projected] {
+        let mut unsorted = Table::with_chunk_rows(schema(), chunk);
+        let mut partial = Table::with_chunk_rows(schema(), chunk);
+        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut partial] {
             t.create_index("val").unwrap();
             t.create_index("name").unwrap();
         }
-        projected
-            .enable_columnar(
-                &ColumnarSpec::time_sorted("start_time").with_block_rows(4),
-                SharedDict::new(),
-            )
-            .unwrap();
+        for (t, spec) in [
+            (&mut projected, ColumnarSpec::time_sorted("start_time").with_block_rows(4)),
+            (&mut unsorted, ColumnarSpec::all().with_block_rows(3)),
+            (&mut partial, ColumnarSpec::all().with_columns(&["agentid"])),
+        ] {
+            t.enable_columnar(&spec, SharedDict::new()).unwrap();
+        }
         for (i, (val, agent, nm)) in data.iter().enumerate() {
             let row = vec![
                 Value::Int(*val),
@@ -157,19 +164,28 @@ proptest! {
                     1 => Value::str(nm.to_uppercase()),
                     _ => Value::str(nm.clone()),
                 },
-                Value::Int(i as i64 * 10_000_000_000_000),
+                // Out of time order, so a time-sorted projection reorders.
+                Value::Int((i as i64 * 37 % 101) * 10_000_000_000_000),
             ];
-            chunked.insert(row.clone()).unwrap();
-            projected.insert(row.clone()).unwrap();
-            mono.insert(row).unwrap();
-            if seal_every > 0 && (i + 1) % seal_every == 0 {
-                // Mid-stream seals: irregular boundaries.
-                chunked.seal_tail();
-                projected.seal_tail();
+            for t in [&mut chunked, &mut projected, &mut unsorted, &mut partial] {
+                t.insert(row.clone()).unwrap();
+                if seal_every > 0 && (i + 1) % seal_every == 0 {
+                    // Mid-stream seals: irregular boundaries.
+                    t.seal_tail();
+                }
             }
+            mono.insert(row).unwrap();
         }
         prop_assert_eq!(chunked.len(), mono.len());
         prop_assert!(mono.sealed_chunks().is_empty(), "oracle stays monolithic");
+        // Covering projections replace the rows of sealed chunks; a partial
+        // one and none keep them.
+        for (t, projected_chunks) in [(&chunked, false), (&projected, true), (&unsorted, true), (&partial, false)] {
+            for c in t.sealed_chunks() {
+                prop_assert_eq!(c.is_projected(), projected_chunks);
+                prop_assert_eq!(c.resident_bytes().rows == 0, projected_chunks);
+            }
+        }
 
         // Structural invariants of the chunked layout.
         let bounds = chunked.chunk_boundaries();
@@ -177,9 +193,11 @@ proptest! {
         prop_assert!(bounds.iter().all(|&n| n > 0), "no empty chunks: {:?}", bounds);
 
         // Global row order and positional access agree.
-        prop_assert!(chunked.iter_rows().eq(mono.iter_rows()));
-        for i in 0..chunked.len() {
-            prop_assert_eq!(chunked.row(i as u32), mono.row(i as u32), "row {}", i);
+        for t in [&chunked, &projected, &unsorted, &partial] {
+            prop_assert!(t.iter_rows().eq(mono.iter_rows()));
+            for i in 0..t.len() {
+                prop_assert_eq!(t.row(i as u32), mono.row(i as u32), "row {}", i);
+            }
         }
 
         // Selection differential across access paths.
@@ -199,15 +217,41 @@ proptest! {
             vec![ids(100), Expr::like(2, "%a%")],
             vec![ids(5_000)],
             vec![Expr::NotIn(Box::new(Expr::Col(0)), vec![Value::Int(needle)].into())],
+            // What no kernel answers: residuals on every path.
+            vec![Expr::cmp_lit(2, CmpOp::Ne, name.clone())],
+            vec![Expr::Or(vec![
+                Expr::cmp_lit(0, CmpOp::Eq, needle),
+                Expr::like(2, format!("{name}%")),
+            ])],
+            vec![
+                Expr::Not(Box::new(Expr::cmp_lit(1, CmpOp::Eq, 1i64))),
+                Expr::cmp_lit(0, CmpOp::Le, needle),
+            ],
+            vec![Expr::cmp_lit(0, CmpOp::Ge, needle as f64 + 0.5)],
+            vec![Expr::cmp_lit(0, CmpOp::Eq, needle as f64)],
+            vec![
+                Expr::in_list(0, vec![Value::Float(needle as f64), Value::Int(needle + 1)]),
+                Expr::Not(Box::new(Expr::IsNull(Box::new(Expr::Col(2))))),
+            ],
+            vec![Expr::cmp_lit(1, CmpOp::Lt, 2.5), Expr::cmp_lit(0, CmpOp::Eq, needle)],
         ] {
             let want = mono.select(&conjuncts, &mut 0).1;
             let oracle: Vec<u32> = (0..mono.len() as u32)
-                .filter(|&p| conjuncts.iter().all(|c| c.matches(mono.row(p))))
+                .filter(|&p| conjuncts.iter().all(|c| c.matches(&mono.row(p).to_row())))
                 .collect();
             prop_assert_eq!(&want, &oracle, "monolithic scan wrong on {:?}", conjuncts);
-            for (layout, t) in [("chunked", &chunked), ("projected", &projected)] {
+            for (layout, t) in [
+                ("chunked", &chunked),
+                ("projected", &projected),
+                ("unsorted", &unsorted),
+                ("partial", &partial),
+            ] {
                 let (_, got) = t.select(&conjuncts, &mut 0);
                 prop_assert_eq!(&got, &want, "{} diverged on {:?}", layout, conjuncts);
+                prop_assert!(
+                    t.rows_at(&got).eq(mono.rows_at(&want)),
+                    "{} rows diverged on {:?}", layout, conjuncts
+                );
             }
         }
 

@@ -1,0 +1,152 @@
+//! Where a store's memory goes, pinned without a clock: on the partitioned
+//! columnar store every sealed `events` chunk keeps only its projection and
+//! one sorted position array per index — no rows — while the row-store
+//! configuration keeps its rows; and a snapshot written from that layout,
+//! reopened and written again, is the same file byte for byte.
+
+use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
+use aiql::rdb::{Prune, Table};
+use aiql::storage::{EventStore, StoreConfig};
+
+const DAY: i64 = 86_400 * 1_000_000_000;
+
+/// Ten agents (two partition groups) over two days; events arrive out of
+/// time order, strided through the two-day span.
+fn dataset(n: u64) -> Dataset {
+    let mut d = Dataset::new();
+    let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
+    let mut entities = Vec::new();
+    for agent in 0..10u32 {
+        let a = AgentId(agent);
+        let base = (agent as u64 + 1) * 1_000;
+        let p = d.add_entity(Entity::process(base.into(), a, format!("p{agent}.exe"), 7));
+        let f = d.add_entity(Entity::file((base + 1).into(), a, format!("/f/{agent}")));
+        entities.push((a, p, f));
+    }
+    for i in 0..n {
+        let (a, p, f) = entities[(i % 10) as usize];
+        let slot = (i * 7_919) % n;
+        d.add_event(Event::new(
+            (1_000_000 + i).into(),
+            a,
+            p,
+            [OpType::Read, OpType::Write][(i % 2) as usize],
+            f,
+            EntityKind::File,
+            Timestamp(t0 + (slot as i64) * (2 * DAY / n as i64)),
+        ));
+    }
+    d
+}
+
+/// Loads `data`, freezing every tail of at least 64 rows after each 1 000
+/// of the first quarter of the events (as publishes do), so tables hold
+/// small frozen chunks, full sealed ones, and open tails.
+fn load(data: &Dataset, config: StoreConfig) -> EventStore {
+    let mut s = EventStore::empty(config).unwrap();
+    for e in &data.entities {
+        s.append_entity(e).unwrap();
+    }
+    for (i, ev) in data.events.iter().enumerate() {
+        s.append_event(ev).unwrap();
+        if i < data.events.len() / 4 && (i + 1) % 1_000 == 0 {
+            s.freeze_tails(64);
+        }
+    }
+    s
+}
+
+fn event_partitions(s: &EventStore) -> Vec<&Table> {
+    let pt = s.events_partitioned().expect("partitioned layout");
+    pt.partitions_for(&Prune::all())
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect()
+}
+
+#[test]
+fn sealed_event_chunks_keep_no_rows() {
+    let data = dataset(40_000);
+    let store = load(&data, StoreConfig::partitioned());
+    let indexed = store.events_partitioned().unwrap().indexed_columns().len() as u64;
+    assert_eq!(indexed, 2, "subject_id and object_id");
+    let (mut sealed, mut full) = (0, 0);
+    for t in event_partitions(&store) {
+        for c in t.sealed_chunks() {
+            let r = c.resident_bytes();
+            assert!(c.is_projected(), "{r:?}");
+            assert_eq!(r.rows, 0, "{r:?}");
+            assert!(r.index <= 4 * c.len() as u64 * indexed + 64, "{r:?}");
+            assert!(r.projection > 0);
+            sealed += 1;
+            full += (c.len() == t.chunk_rows()) as usize;
+        }
+        assert!(!t.tail_chunk().is_projected(), "open tails store rows");
+    }
+    assert!(
+        full >= 2 && sealed > full,
+        "full and frozen chunks: {sealed}, {full}"
+    );
+
+    // The row-store configuration keeps every row and projects nothing.
+    let rows = load(&data, StoreConfig::partitioned().with_columnar(false));
+    for t in event_partitions(&rows) {
+        for c in t.sealed_chunks() {
+            let r = c.resident_bytes();
+            assert!(!c.is_projected());
+            assert!(r.rows > 0 && r.projection == 0, "{r:?}");
+            assert!(r.index <= 4 * c.len() as u64 * indexed + 64, "{r:?}");
+        }
+    }
+    // Store-wide, what rows the columnar store still holds are its open
+    // tails and the entity tables.
+    let (col, row) = (store.resident_bytes(), rows.resident_bytes());
+    assert!(col.tables.rows * 2 < row.tables.rows, "{col:?} vs {row:?}");
+    assert!(col.dict > 0 && row.dict == 0);
+}
+
+#[test]
+fn persist_open_persist_is_byte_identical() {
+    let data = dataset(24_000);
+    let base = std::env::temp_dir().join(format!("aiql-resident-layout-{}", std::process::id()));
+    for (i, config) in [
+        StoreConfig::partitioned(),
+        StoreConfig::partitioned().with_columnar(false),
+        StoreConfig::monolithic(),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (first, second) = (base.join(format!("{i}-a")), base.join(format!("{i}-b")));
+        let _ = std::fs::remove_dir_all(&base);
+        let live = load(&data, config);
+        let written = live.persist_to(&first).unwrap();
+        let reopened = EventStore::open(&first).unwrap();
+        let rewritten = reopened.persist_to(&second).unwrap();
+        assert!(
+            std::fs::read(&written).unwrap() == std::fs::read(&rewritten).unwrap(),
+            "config {i}: the snapshot changed across a reopen"
+        );
+        // The reopened store is laid out as the live one was.
+        if let Some(pt) = live.events_partitioned() {
+            let before = pt.partitions_for(&Prune::all());
+            let after = reopened
+                .events_partitioned()
+                .unwrap()
+                .partitions_for(&Prune::all());
+            assert_eq!(before.len(), after.len());
+            for ((_, a), (_, b)) in before.iter().zip(&after) {
+                assert_eq!(a.chunk_boundaries(), b.chunk_boundaries());
+                let sealed = |t: &Table| {
+                    let chunks = t.sealed_chunks().iter();
+                    chunks
+                        .map(|c| (c.is_projected(), c.resident_bytes()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(sealed(a), sealed(b), "config {i}");
+                assert!(a.iter_rows().eq(b.iter_rows()));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
