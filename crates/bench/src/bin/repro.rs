@@ -1,107 +1,16 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [schema|table3|fig5|fig6|fig7|fig8|ingestion|scan|recovery|concurrent|parallel|service|all] [--scale small|medium|large] [--budget SECS]
+//! repro [schema|table3|fig5|fig6|fig7|fig8|all] [--scale small|medium|large] [--budget SECS]
 //! ```
 //!
-//! `ingestion` measures batch vs durable-streaming ingest (with WAL fsync
-//! tails, snapshot-publish write amplification, and plan-cache hit rate
-//! read from the telemetry registry) and writes `BENCH_ingestion.json`;
-//! `scan` compares the columnar scan path against the row store and writes
-//! a `BENCH_scan.json` snapshot in the working directory; `recovery` times
-//! crash recovery (snapshot load vs WAL replay) and writes
-//! `BENCH_recovery.json`; `concurrent` measures multi-reader query serving
-//! under live ingestion (snapshot store vs the lock-based baseline) and
-//! writes `BENCH_concurrent.json`; `parallel` measures sharded
-//! scatter-gather speedup over the sequential scan path and writes
-//! `BENCH_parallel.json` (the ≥2x-at-4-workers gate is asserted on
-//! multi-core hosts, reported-only on fewer than 4 cores); `service`
-//! measures prepared-session query serving against re-parse-per-call and
-//! writes `BENCH_service.json`. `all` runs every experiment in one
-//! invocation and writes every `BENCH_*.json` — what CI and trajectory
-//! tracking call.
-//!
-//! Every `BENCH_*.json` embeds a `"telemetry"` section: the process-wide
-//! metrics registry at write time. The registry is cumulative, so `all`
-//! runs `ingestion` first — every snapshot written afterwards carries
-//! non-empty WAL-fsync and snapshot-publish histograms.
-//!
-//! `table3` also emits the Fig. 5 per-query series (they share runs).
+//! Each report goes to standard output; nothing is written to disk. `all`
+//! prints every report in turn. `table3` also emits the Fig. 5 per-query
+//! series (they share runs).
 
 use aiql_bench::experiments::{self, Options};
 use aiql_bench::harness::Scale;
 use std::time::Duration;
-
-fn write_snapshot_file(name: &str, json: &str) {
-    let json = experiments::with_telemetry(json);
-    std::fs::write(name, &json).unwrap_or_else(|e| panic!("write {name}: {e}"));
-    eprintln!("[snapshot written to {name}]");
-}
-
-/// `ingestion` (and therefore `all`) must leave the registry with live
-/// fsync and publish histograms — the guarantee the CI bench-smoke
-/// validation step relies on for every snapshot written after it.
-fn assert_telemetry_live() {
-    let snap = aiql_telemetry::global().snapshot();
-    for name in ["aiql_wal_fsync_micros", "aiql_storage_publish_micros"] {
-        let count = snap.histogram(name).map_or(0, |h| h.count);
-        assert!(
-            count > 0,
-            "telemetry histogram {name} is empty after ingestion"
-        );
-    }
-}
-
-fn run_ingestion(opts: Options) {
-    let (table, json) = experiments::ingestion_bench(opts);
-    print!("{table}");
-    write_snapshot_file("BENCH_ingestion.json", &json);
-    assert_telemetry_live();
-}
-
-fn run_scan(opts: Options) {
-    let (table, json) = experiments::scan_bench(opts);
-    print!("{table}");
-    write_snapshot_file("BENCH_scan.json", &json);
-}
-
-fn run_recovery(opts: Options) {
-    let (table, json) = experiments::recovery_bench(opts);
-    print!("{table}");
-    write_snapshot_file("BENCH_recovery.json", &json);
-}
-
-fn run_concurrent(opts: Options) {
-    let (table, json) = aiql_bench::concurrent::concurrent_bench(opts);
-    print!("{table}");
-    write_snapshot_file("BENCH_concurrent.json", &json);
-}
-
-fn run_parallel(opts: Options) {
-    let report = aiql_bench::parallel::parallel_bench(opts);
-    print!("{}", report.render());
-    write_snapshot_file("BENCH_parallel.json", &report.json());
-    let speedup = report.speedup(4);
-    if report.cpu_cores >= 4 {
-        assert!(
-            speedup >= 2.0,
-            "scatter-gather speedup at 4 workers is {speedup:.2}x (< 2.0x) \
-             on a {}-core host",
-            report.cpu_cores
-        );
-    } else {
-        eprintln!(
-            "[speedup gate skipped on {} core(s): 4-worker speedup {speedup:.2}x reported only]",
-            report.cpu_cores
-        );
-    }
-}
-
-fn run_service(opts: Options) {
-    let (table, json) = aiql_bench::service::service_bench(opts);
-    print!("{table}");
-    write_snapshot_file("BENCH_service.json", &json);
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -136,18 +45,7 @@ fn main() {
         "fig6" => print!("{}", experiments::fig6(opts)),
         "fig7" => print!("{}", experiments::fig7(opts)),
         "fig8" | "table5" => print!("{}", experiments::fig8()),
-        "ingestion" => run_ingestion(opts),
-        "scan" => run_scan(opts),
-        "recovery" => run_recovery(opts),
-        "concurrent" => run_concurrent(opts),
-        "parallel" => run_parallel(opts),
-        "service" => run_service(opts),
         "all" => {
-            // Ingestion first: it seeds the cumulative telemetry registry,
-            // so every later BENCH snapshot embeds non-empty WAL/publish
-            // histograms (the CI validation contract).
-            run_ingestion(opts);
-            println!();
             print!("{}", experiments::schema());
             println!();
             print!("{}", experiments::table3_fig5(opts));
@@ -157,16 +55,6 @@ fn main() {
             print!("{}", experiments::fig7(opts));
             println!();
             print!("{}", experiments::fig8());
-            println!();
-            run_scan(opts);
-            println!();
-            run_recovery(opts);
-            println!();
-            run_concurrent(opts);
-            println!();
-            run_parallel(opts);
-            println!();
-            run_service(opts);
         }
         other => usage(&format!("unknown experiment {other}")),
     }
@@ -179,7 +67,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [schema|table3|fig5|fig6|fig7|fig8|ingestion|scan|recovery|concurrent|parallel|service|all] \
+        "usage: repro [schema|table3|fig5|fig6|fig7|fig8|all] \
          [--scale small|medium|large] [--budget SECS]"
     );
     std::process::exit(2)

@@ -43,21 +43,6 @@ impl Scale {
     }
 }
 
-/// Best-of-`samples` wall-clock timing: runs `f` at least once and returns
-/// the minimum elapsed seconds plus the last result. The shared micro-bench
-/// harness of `benches/scan.rs` and the `repro scan` snapshot.
-pub fn best_of<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let mut out = f();
-    let mut best = t0.elapsed().as_secs_f64();
-    for _ in 1..samples.max(1) {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, out)
-}
-
 /// Generates the evaluation dataset with the attack scenarios planted.
 pub fn dataset(scale: Scale) -> (Dataset, GroundTruth) {
     let (hosts, days, per_day) = scale.params();

@@ -8,25 +8,23 @@
 //!   budget enforcement (the analogue of the paper's one-hour cutoff).
 //! - [`experiments`] — one driver per table/figure, rendering paper-style
 //!   text reports.
-//! - [`concurrent`] — multi-reader serving under live ingestion: the
-//!   epoch-swapped snapshot store vs the lock-based baseline.
-//! - [`parallel`] — sharded scatter-gather execution: sequential vs
-//!   worker-pool speedup on a heavy multi-pattern hunt.
-//! - [`service`] — the prepared-statement session lifecycle vs re-parsing
-//!   every call, on a closed-loop analyst's parameterized query family.
+//! - [`service`] — the parameterized Query-7 family an analyst iterates on,
+//!   which the repository benchmark (`benchmark/`) serves.
 //! - [`report`] — table formatting and speedup statistics.
 //!
-//! The `repro` binary exposes each experiment:
+//! The `repro` binary exposes each experiment and writes nothing but its
+//! report to standard output:
 //!
 //! ```text
 //! cargo run --release -p aiql-bench --bin repro -- all --scale medium
 //! ```
+//!
+//! Performance claims about the system itself are measured by the
+//! repository benchmark, not here.
 
 pub mod catalog;
-pub mod concurrent;
 pub mod experiments;
 pub mod harness;
-pub mod parallel;
 pub mod report;
 pub mod service;
 

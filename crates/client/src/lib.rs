@@ -4,13 +4,13 @@
 //! session, prepare a statement, execute bindings, and pull pages — each
 //! call is a single request/response round trip over the length-prefixed
 //! frames of [`aiql_server::proto`]. The client is deliberately
-//! synchronous (the bench drives hundreds of them from plain threads;
-//! the REPL drives one from a prompt loop); concurrency lives
-//! server-side.
+//! synchronous (the repository benchmark and the tests drive many of them
+//! from plain threads; the REPL drives one from a prompt loop);
+//! concurrency lives server-side.
 //!
 //! Every round trip's wall time is sampled, so a consumer can report
-//! client-observed latency (`:metrics` in the REPL, p50/p99 in the
-//! closed-loop bench) without wrapping the calls itself.
+//! client-observed latency (`:metrics` in the REPL, the benchmark's
+//! `client.*_rtt` metrics) without wrapping the calls itself.
 
 use aiql_core::ast::Lit;
 use aiql_core::ParamValues;

@@ -612,22 +612,16 @@ pub fn normalize_source(src: &str) -> String {
     out
 }
 
-/// Process-wide plan-cache counters, aggregated across every
-/// [`PlanCache`] instance (one per session) so the global hit rate is
-/// observable from outside any one session.
-struct PlanCacheMetrics {
-    /// `aiql_core_plan_cache_hits_total`.
-    hits: aiql_telemetry::Counter,
-    /// `aiql_core_plan_cache_misses_total`.
-    misses: aiql_telemetry::Counter,
-}
+aiql_telemetry::metrics! {
+    /// Process-wide plan-cache counters, aggregated across every
+    /// [`PlanCache`] instance (one per session) so the global hit rate is
+    /// observable from outside any one session.
+    struct PlanCacheMetrics via cache_metrics(), prefix "aiql_core_";
 
-fn cache_metrics() -> &'static PlanCacheMetrics {
-    static METRICS: std::sync::OnceLock<PlanCacheMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| PlanCacheMetrics {
-        hits: aiql_telemetry::global().counter("aiql_core_plan_cache_hits_total"),
-        misses: aiql_telemetry::global().counter("aiql_core_plan_cache_misses_total"),
-    })
+    hits: Counter("aiql_core_plan_cache_hits_total", "lookups",
+        "Prepared-statement/plan-cache hits on normalized source text"),
+    misses: Counter("aiql_core_plan_cache_misses_total", "lookups",
+        "Cache misses (full lex/parse/analyze paid)"),
 }
 
 /// Cumulative cache counters, as surfaced in `EXPLAIN` output.

@@ -2,65 +2,40 @@
 //! [`aiql_telemetry::Registry`] and recorded lock-free afterwards.
 
 use aiql_telemetry::trace::SpanNode;
-use aiql_telemetry::{Counter, Gauge, Histogram};
-use std::sync::OnceLock;
 
-/// Handles for every engine-layer metric.
-pub(crate) struct EngineMetrics {
-    /// Statements executed (`Bound::execute` and `Bound::explain`).
-    pub statements: Counter,
-    /// `Session::prepare` wall time (cache hits and misses alike).
-    pub prepare_micros: Histogram,
-    /// Full statement execution wall time.
-    pub execute_micros: Histogram,
-    /// Scheduler planning (pattern scoring) time per statement.
-    pub plan_micros: Histogram,
-    /// Per-pattern data-query scan time.
-    pub scan_micros: Histogram,
-    /// Tuple-set create/extend/merge time per join step.
-    pub join_micros: Histogram,
-    /// Result assembly (projection, aggregation, sort) time.
-    pub score_micros: Histogram,
-    /// Executions at or above the slow-query threshold.
-    pub slow_queries: Counter,
-    /// Rows streamed out of cursors.
-    pub cursor_rows: Counter,
-    /// `Cursor::fetch` batches served.
-    pub cursor_fetches: Counter,
-    /// Shard-scan tasks submitted to the execution pool.
-    pub pool_tasks: Counter,
-    /// Per-task wait between submission and a worker picking it up.
-    pub pool_queue_wait_micros: Histogram,
-    /// Worker threads alive in the execution pool.
-    pub pool_workers: Gauge,
-    /// Per-shard scan wall time (one sample per scattered shard scan).
-    pub shard_scan_micros: Histogram,
-    /// Rows returned per scattered shard scan.
-    pub shard_scan_rows: Histogram,
-}
+aiql_telemetry::metrics! {
+    pub(crate) struct EngineMetrics via metrics(), prefix "aiql_engine_";
 
-pub(crate) fn metrics() -> &'static EngineMetrics {
-    static METRICS: OnceLock<EngineMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = aiql_telemetry::global();
-        EngineMetrics {
-            statements: r.counter("aiql_engine_statements_total"),
-            prepare_micros: r.histogram("aiql_engine_prepare_micros"),
-            execute_micros: r.histogram("aiql_engine_execute_micros"),
-            plan_micros: r.histogram("aiql_engine_plan_micros"),
-            scan_micros: r.histogram("aiql_engine_scan_micros"),
-            join_micros: r.histogram("aiql_engine_join_micros"),
-            score_micros: r.histogram("aiql_engine_score_micros"),
-            slow_queries: r.counter("aiql_engine_slow_queries_total"),
-            cursor_rows: r.counter("aiql_engine_cursor_rows_total"),
-            cursor_fetches: r.counter("aiql_engine_cursor_fetches_total"),
-            pool_tasks: r.counter("aiql_engine_pool_tasks"),
-            pool_queue_wait_micros: r.histogram("aiql_engine_pool_queue_wait_micros"),
-            pool_workers: r.gauge("aiql_engine_pool_workers"),
-            shard_scan_micros: r.histogram("aiql_engine_shard_scan_micros"),
-            shard_scan_rows: r.histogram("aiql_engine_shard_scan_rows"),
-        }
-    })
+    statements: Counter("aiql_engine_statements_total", "statements",
+        "Statements executed (`Bound::execute` and `Bound::explain`)"),
+    prepare_micros: Histogram("aiql_engine_prepare_micros", "µs",
+        "`Session::prepare` wall time (hits and misses alike)"),
+    execute_micros: Histogram("aiql_engine_execute_micros", "µs",
+        "Full statement execution wall time"),
+    plan_micros: Histogram("aiql_engine_plan_micros", "µs",
+        "Scheduler planning (pattern scoring) per statement"),
+    scan_micros: Histogram("aiql_engine_scan_micros", "µs",
+        "Per-pattern data-query scan time"),
+    join_micros: Histogram("aiql_engine_join_micros", "µs",
+        "Tuple-set create/extend/merge time per join step"),
+    score_micros: Histogram("aiql_engine_score_micros", "µs",
+        "Result assembly (projection, aggregation, sort)"),
+    slow_queries: Counter("aiql_engine_slow_queries_total", "executions",
+        "Executions at or above the slow-query threshold (default 100 ms)"),
+    cursor_rows: Counter("aiql_engine_cursor_rows_total", "rows",
+        "Rows streamed out of cursors"),
+    cursor_fetches: Counter("aiql_engine_cursor_fetches_total", "batches",
+        "`Cursor::fetch` batches served"),
+    pool_tasks: Counter("aiql_engine_pool_tasks", "tasks",
+        "Shard-scan tasks submitted to the scatter worker pool"),
+    pool_queue_wait_micros: Histogram("aiql_engine_pool_queue_wait_micros", "µs",
+        "Per-task wait between scatter submit and a worker picking it up"),
+    pool_workers: Gauge("aiql_engine_pool_workers", "threads",
+        "Worker threads alive in the process-wide scatter pool (grown lazily, capped at 16)"),
+    shard_scan_micros: Histogram("aiql_engine_shard_scan_micros", "µs",
+        "Wall time of one shard's scan task (all admitted partitions in that shard)"),
+    shard_scan_rows: Histogram("aiql_engine_shard_scan_rows", "rows",
+        "Rows matched by one shard's scan task"),
 }
 
 /// Folds a finished execution trace into the per-phase histograms: every

@@ -390,6 +390,9 @@ mod tests {
 
     #[test]
     fn disarmed_points_are_free_and_open() {
+        // The plan is process-wide: hold the controller so no concurrently
+        // running test arms it between the two checks.
+        let _ctl = control();
         assert!(!armed());
         point("anything.at.all").unwrap();
     }

@@ -1,21 +1,10 @@
 //! The fault layer's handles into the process-wide telemetry registry.
 
-use aiql_telemetry::{global, Counter};
-use std::sync::OnceLock;
+aiql_telemetry::metrics! {
+    pub(crate) struct FaultMetrics via metrics(), prefix "aiql_fault_";
 
-pub(crate) struct FaultMetrics {
-    /// `aiql_fault_injected_total` — faults an armed plan actually fired
-    /// (crossings that returned an error instead of proceeding).
-    pub injected: Counter,
-    /// `aiql_fault_crashes_total` — [`crate::FaultKind::Crash`] faults
-    /// fired (each puts the process into fail-everything mode).
-    pub crashes: Counter,
-}
-
-pub(crate) fn metrics() -> &'static FaultMetrics {
-    static METRICS: OnceLock<FaultMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| FaultMetrics {
-        injected: global().counter("aiql_fault_injected_total"),
-        crashes: global().counter("aiql_fault_crashes_total"),
-    })
+    injected: Counter("aiql_fault_injected_total", "faults",
+        "Faults an armed plan actually fired"),
+    crashes: Counter("aiql_fault_crashes_total", "crashes",
+        "`FaultKind::Crash` faults fired (process enters fail-everything mode)"),
 }

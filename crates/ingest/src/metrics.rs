@@ -1,50 +1,25 @@
 //! The ingestion pipeline's handles into the process-wide telemetry
 //! registry.
 
-use aiql_telemetry::{global, Counter, Gauge, Histogram};
-use std::sync::OnceLock;
+aiql_telemetry::metrics! {
+    pub(crate) struct IngestMetrics via metrics(), prefix "aiql_ingest_";
 
-pub(crate) struct IngestMetrics {
-    /// `aiql_ingest_queue_rows` — rows (events + entities) currently
-    /// queued, the level the high-water mark bounds.
-    pub queue_rows: Gauge,
-    /// `aiql_ingest_backpressure_rejections_total` — submits refused at
-    /// the high-water mark.
-    pub backpressure_rejections: Counter,
-    /// `aiql_ingest_flush_micros` — full flush latency, including the
-    /// acknowledging fsync on durable ingestors.
-    pub flush_micros: Histogram,
-    /// `aiql_ingest_flush_rows` — rows applied per flush.
-    pub flush_rows: Histogram,
-    /// `aiql_ingest_dead_letter_rows_total` — rows the storage layer
-    /// rejected and the flush counted, skipped, and moved past.
-    pub dead_letter_rows: Counter,
-    /// `aiql_ingest_dead_letter_queue_depth` — dead letters currently
-    /// retained for inspection/draining (bounded by
-    /// [`crate::ingestor::DEAD_LETTER_CAP`]).
-    pub dead_letter_queue_depth: Gauge,
-    /// `aiql_ingest_flush_retries_total` — flush attempts re-run after a
-    /// transient durability fault.
-    pub flush_retries: Counter,
-    /// `aiql_ingest_degraded_transitions_total` — entries into degraded
-    /// (out-of-space) mode.
-    pub degraded_transitions: Counter,
-    /// `aiql_ingest_state` — current [`crate::IngestState`] as its
-    /// discriminant (0 healthy, 1 degraded, 2 poisoned).
-    pub state: Gauge,
-}
-
-pub(crate) fn metrics() -> &'static IngestMetrics {
-    static METRICS: OnceLock<IngestMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| IngestMetrics {
-        queue_rows: global().gauge("aiql_ingest_queue_rows"),
-        backpressure_rejections: global().counter("aiql_ingest_backpressure_rejections_total"),
-        flush_micros: global().histogram("aiql_ingest_flush_micros"),
-        flush_rows: global().histogram("aiql_ingest_flush_rows"),
-        dead_letter_rows: global().counter("aiql_ingest_dead_letter_rows_total"),
-        dead_letter_queue_depth: global().gauge("aiql_ingest_dead_letter_queue_depth"),
-        flush_retries: global().counter("aiql_ingest_flush_retries_total"),
-        degraded_transitions: global().counter("aiql_ingest_degraded_transitions_total"),
-        state: global().gauge("aiql_ingest_state"),
-    })
+    queue_rows: Gauge("aiql_ingest_queue_rows", "rows",
+        "Rows (events + entities) currently queued — the level the high-water mark bounds"),
+    backpressure_rejections: Counter("aiql_ingest_backpressure_rejections_total", "submits",
+        "Submits refused at the high-water mark (or while degraded)"),
+    flush_micros: Histogram("aiql_ingest_flush_micros", "µs",
+        "Full flush latency, including the acknowledging fsync on durable ingestors"),
+    flush_rows: Histogram("aiql_ingest_flush_rows", "rows",
+        "Rows applied per flush"),
+    dead_letter_rows: Counter("aiql_ingest_dead_letter_rows_total", "rows",
+        "Rows the storage layer rejected; counted, skipped, moved past"),
+    dead_letter_queue_depth: Gauge("aiql_ingest_dead_letter_queue_depth", "rows",
+        "Dead letters currently retained for inspection (bounded at 1024)"),
+    flush_retries: Counter("aiql_ingest_flush_retries_total", "attempts",
+        "Flush attempts re-run after a transient durability fault"),
+    degraded_transitions: Counter("aiql_ingest_degraded_transitions_total", "entries",
+        "Entries into degraded (out-of-space) mode"),
+    state: Gauge("aiql_ingest_state", "enum",
+        "Current `IngestState`: 0 healthy, 1 degraded, 2 poisoned"),
 }

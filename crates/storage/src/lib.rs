@@ -151,8 +151,8 @@ impl StoreConfig {
 
     /// Overrides the spatial partition group size, builder style — smaller
     /// groups mean more partitions and therefore more scatter width on
-    /// small agent fleets (the parallel bench uses groups of 1). No-op on
-    /// the monolithic layout.
+    /// small agent fleets (the scatter speedup test uses groups of 1).
+    /// No-op on the monolithic layout.
     pub fn with_agent_group(mut self, g: u32) -> StoreConfig {
         if let Layout::Partitioned { agent_group_size } = &mut self.layout {
             *agent_group_size = g.max(1);

@@ -1,68 +1,51 @@
 //! The storage layer's handles into the process-wide telemetry registry.
 
 use aiql_rdb::ScanProfile;
-use aiql_telemetry::{global, Counter, Gauge, Histogram};
-use std::sync::OnceLock;
 
-pub(crate) struct StorageMetrics {
-    /// `aiql_storage_publishes_total` — snapshots actually swapped in
-    /// (no-op publishes with nothing new are not counted).
-    pub publishes: Counter,
-    /// `aiql_storage_publish_micros` — time to clone the head and swap
-    /// the published `Arc`.
-    pub publish_micros: Histogram,
-    /// `aiql_storage_publish_bytes_copied` — bytes deep-copied by
-    /// copy-on-write detaches since the previous publish. With chunked
-    /// tables each detach copies only the open tail (sealed chunks stay
-    /// shared), and the publish path seals tails first, so this now
-    /// measures tail-sized copies — O(tail), no longer O(partition)
-    /// (ROADMAP item 1, resolved).
-    pub publish_bytes_copied: Histogram,
-    /// `aiql_storage_sealed_chunks_shared` — sealed chunks the head
-    /// physically shares with the outgoing snapshot at publish time: how
-    /// much immutable history each publish reuses instead of copying.
-    pub sealed_chunks_shared: Gauge,
-    /// `aiql_storage_checkpoint_micros` — full checkpoint duration
-    /// (snapshot write + WAL rotate + prune).
-    pub checkpoint_micros: Histogram,
-    /// `aiql_storage_recovery_micros` — durable-store open time
-    /// (snapshot load + WAL tail replay).
-    pub recovery_micros: Histogram,
-    /// `aiql_storage_like_rows_total` — rows a `LIKE` predicate decided
-    /// by dictionary code instead of by matching their string.
-    pub like_rows: Counter,
-    /// `aiql_storage_like_symbol_evals_total` — pattern evaluations those
-    /// rows cost: one per distinct symbol per table scan.
-    pub like_symbol_evals: Counter,
-    /// `aiql_storage_in_probe_lookups_total` — index lookups made by
-    /// equality probes (`=` / IN-lists, clipped per chunk).
-    pub in_probe_lookups: Counter,
-    /// `aiql_storage_resident_{rows,index,projection,dict}_bytes` — where
-    /// the published store's memory goes (see
-    /// [`crate::EventStore::resident_bytes`]), set at every publish.
-    pub resident_rows: Gauge,
-    pub resident_index: Gauge,
-    pub resident_projection: Gauge,
-    pub resident_dict: Gauge,
-}
+aiql_telemetry::metrics! {
+    pub(crate) struct StorageMetrics via metrics(), prefix "aiql_storage_";
 
-pub(crate) fn metrics() -> &'static StorageMetrics {
-    static METRICS: OnceLock<StorageMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| StorageMetrics {
-        publishes: global().counter("aiql_storage_publishes_total"),
-        publish_micros: global().histogram("aiql_storage_publish_micros"),
-        publish_bytes_copied: global().histogram("aiql_storage_publish_bytes_copied"),
-        sealed_chunks_shared: global().gauge("aiql_storage_sealed_chunks_shared"),
-        checkpoint_micros: global().histogram("aiql_storage_checkpoint_micros"),
-        recovery_micros: global().histogram("aiql_storage_recovery_micros"),
-        like_rows: global().counter("aiql_storage_like_rows_total"),
-        like_symbol_evals: global().counter("aiql_storage_like_symbol_evals_total"),
-        in_probe_lookups: global().counter("aiql_storage_in_probe_lookups_total"),
-        resident_rows: global().gauge("aiql_storage_resident_rows_bytes"),
-        resident_index: global().gauge("aiql_storage_resident_index_bytes"),
-        resident_projection: global().gauge("aiql_storage_resident_projection_bytes"),
-        resident_dict: global().gauge("aiql_storage_resident_dict_bytes"),
-    })
+    publishes: Counter("aiql_storage_publishes_total", "publishes",
+        "Snapshots actually swapped in (no-op publishes are not counted)"),
+    publish_micros: Histogram("aiql_storage_publish_micros", "µs",
+        "Time to seal grown tails, clone the head, and swap the published `Arc`"),
+    publish_bytes_copied: Histogram("aiql_storage_publish_bytes_copied", "bytes",
+        "Bytes deep-copied by copy-on-write detaches between publishes. Chunked tables copy \
+         only the **open tail** (sealed chunks are refcount-shared), and the publish path \
+         seals grown tails first, so this sits near zero in steady state"),
+    sealed_chunks_shared: Gauge("aiql_storage_sealed_chunks_shared", "chunks",
+        "Sealed chunks the head physically shares with the outgoing snapshot at publish time \
+         — how much immutable history each publish reuses instead of copying"),
+    checkpoint_micros: Histogram("aiql_storage_checkpoint_micros", "µs",
+        "Full checkpoint duration (snapshot write + WAL rotate + prune)"),
+    recovery_micros: Histogram("aiql_storage_recovery_micros", "µs",
+        "Durable-store open time (snapshot load + WAL tail replay)"),
+    like_rows: Counter("aiql_storage_like_rows_total", "rows",
+        "Rows a `LIKE` / `NOT LIKE` predicate decided by dictionary code (the `LikeSym` \
+         kernel) instead of by matching the row's string; per scan in `EXPLAIN` and the \
+         slow-query log as `like R rows/E evals`"),
+    like_symbol_evals: Counter("aiql_storage_like_symbol_evals_total", "evaluations",
+        "Pattern evaluations behind those rows: one per distinct symbol per table scan (the \
+         scan-local memo) — `1 − evals / rows` is the memo's hit rate"),
+    in_probe_lookups: Counter("aiql_storage_in_probe_lookups_total", "lookups",
+        "Index lookups made by equality probes (`=` and IN-lists) — a B-tree descent on an \
+         open tail, a binary search of a sealed chunk's sorted positions — counted after \
+         each list is clipped to a chunk's key range; per scan as `N probe lookups`"),
+    resident_rows: Gauge("aiql_storage_resident_rows_bytes", "bytes",
+        "Stored rows of the published store, string payloads included \
+         (`EventStore::resident_bytes`), set at every publish and when a store is first \
+         shared. Sealed chunks whose projection covers every column (every `events` chunk) \
+         hold none, so this is open tails plus entity tables"),
+    resident_index: Gauge("aiql_storage_resident_index_bytes", "bytes",
+        "Secondary indexes: B-tree entries on open tails, 4 bytes a row per index on sealed \
+         chunks"),
+    resident_projection: Gauge("aiql_storage_resident_projection_bytes", "bytes",
+        "Columnar projections: column vectors, zone maps, projection orders, row → \
+         projection maps (≈ 92 B per event: 11 columns × 8 B and the projection order; the \
+         map only where rows arrived out of time order)"),
+    resident_dict: Gauge("aiql_storage_resident_dict_bytes", "bytes",
+        "The shared string dictionary: both copies of every interned string and its lookup \
+         table"),
 }
 
 /// Sets the resident-bytes gauges from the store being published.

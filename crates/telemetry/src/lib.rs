@@ -21,12 +21,11 @@
 //! Metric names follow `aiql_<layer>_<what>_<unit>`: durations are
 //! histograms in microseconds (`_micros`), sizes in bytes (`_bytes`),
 //! monotone event counts are `_total` counters, and instantaneous levels
-//! are gauges. The registry exports two ways: a Prometheus-style text
-//! exposition ([`RegistrySnapshot::to_prometheus`]) and a JSON object
-//! ([`RegistrySnapshot::to_json`]) that the bench harness embeds into
-//! every `BENCH_*.json`. The full catalogue — every registered metric with
-//! its unit, layer, and what a regression in it means — is
-//! `docs/METRICS.md` at the repository root.
+//! are gauges. The registry exports as a Prometheus-style text exposition
+//! ([`RegistrySnapshot::to_prometheus`]). Each layer declares its metrics
+//! once, with [`metrics!`] — name, kind, unit and meaning — and the
+//! declaration is checked against the full catalogue, `docs/METRICS.md` at
+//! the repository root, which adds what a regression in each one means.
 //!
 //! # Examples
 //!
@@ -42,8 +41,11 @@
 //! assert_eq!(snap.histogram("aiql_wal_fsync_micros").unwrap().count, 2);
 //! ```
 
+mod declare;
 pub mod slowlog;
 pub mod trace;
+
+pub use declare::{check_catalogue, CounterFamily, Declared, Instrument};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -394,8 +396,6 @@ impl Registry {
     }
 
     /// Zeroes every registered metric in place (handles stay valid).
-    /// Benches call this at experiment start so the snapshot they embed
-    /// covers exactly their own run.
     pub fn reset(&self) {
         let metrics = self.metrics.lock().expect("telemetry registry poisoned");
         for m in metrics.values() {
@@ -466,46 +466,6 @@ impl RegistrySnapshot {
             ));
         }
         out
-    }
-
-    /// One JSON object with `counters`, `gauges`, and `histograms` keys;
-    /// each histogram carries `count`/`sum`/`max`/`mean`/`p50`/`p95`/`p99`.
-    /// This is the `"telemetry"` section the bench harness embeds into
-    /// every `BENCH_*.json`.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v}"))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v}"))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                format!(
-                    "\"{n}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.1}, \
-                     \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}}",
-                    h.count,
-                    h.sum,
-                    h.max,
-                    h.mean(),
-                    h.quantile(0.5),
-                    h.quantile(0.95),
-                    h.quantile(0.99)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\": {{{}}}, \"gauges\": {{{}}}, \"histograms\": {{{}}}}}",
-            counters.join(", "),
-            gauges.join(", "),
-            hists.join(", ")
-        )
     }
 }
 
@@ -652,9 +612,5 @@ mod tests {
         assert!(prom.contains("aiql_test_depth -2"));
         assert!(prom.contains("aiql_test_micros_count 1"));
         assert!(prom.contains("quantile=\"0.99\""));
-        let json = snap.to_json();
-        assert!(json.contains("\"aiql_test_total\": 3"));
-        assert!(json.contains("\"aiql_test_depth\": -2"));
-        assert!(json.contains("\"count\": 1"));
     }
 }

@@ -34,16 +34,19 @@
 //!   service speaking a length-prefixed, CRC-checked wire protocol over
 //!   the session API (quotas, statement timeouts, back-pressure,
 //!   graceful drain), and the blocking client the REPL, tests, and
-//!   closed-loop bench drive it with.
+//!   repository benchmark drive it with.
 //! - [`telemetry`] — process-wide metrics registry, per-query trace
-//!   spans, and the slow-query log, wired through every layer above.
-//! - [`bench`](mod@bench) — the experiment harness reproducing every evaluation table
-//!   and figure.
+//!   spans, and the slow-query log, wired through every layer above; each
+//!   layer declares its metrics once with `telemetry::metrics!`.
+//! - [`bench`](mod@bench) — the experiment harness reproducing every
+//!   evaluation table and figure, and the query catalogue and Query-7
+//!   family the repository benchmark (`benchmark/`) runs.
 //!
 //! The repository-level reference lives in `docs/ARCHITECTURE.md` (crate
 //! graph, the write path end to end, the chunked storage layout, the
 //! concurrency and fault models) and `docs/METRICS.md` (every telemetry
-//! metric and what a regression in it means).
+//! metric and what a regression in it means, checked against the
+//! declarations).
 //!
 //! # Examples
 //!

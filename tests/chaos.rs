@@ -251,6 +251,26 @@ fn crossings(census: &[(String, u64)], point: &str) -> u64 {
         .map_or(0, |(_, n)| *n)
 }
 
+/// The registry counters a fault drill moves: faults injected, flush
+/// retries, entries into degraded mode. They are process-wide, but every
+/// test that arms a fault holds the fault controller, so between two reads
+/// under it only that test's faults count.
+fn drill_counters() -> [u64; 3] {
+    let snap = aiql::telemetry::global().snapshot();
+    [
+        "aiql_fault_injected_total",
+        "aiql_ingest_flush_retries_total",
+        "aiql_ingest_degraded_transitions_total",
+    ]
+    .map(|name| snap.counter(name).unwrap_or(0))
+}
+
+/// How far each [`drill_counters`] counter moved since `before`.
+fn drill_counters_since(before: [u64; 3]) -> [u64; 3] {
+    let now = drill_counters();
+    [0, 1, 2].map(|i| now[i] - before[i])
+}
+
 /// Corrected start times of every stored event, ascending.
 fn stored_starts(ing: &Ingestor) -> Vec<i64> {
     let shared = ing.shared();
@@ -405,6 +425,7 @@ fn transient_write_fault_is_retried_and_every_row_acknowledged() {
     // again on retry), so the bounded retry in flush must absorb them
     // without the caller seeing an error or losing a row. Each costs its
     // flush one whole re-attempt, which is one more crossing.
+    let counters = drill_counters();
     ctl.arm(
         FaultPlan::new()
             .fail(
@@ -425,7 +446,12 @@ fn transient_write_fault_is_retried_and_every_row_acknowledged() {
     assert_eq!(acked.events, EVENTS, "retries absorbed the faults");
     verify_acknowledged_prefix(&data, &dir, acked, "transient retry");
 
-    // The retry counter moved (visible in :metrics and BENCH telemetry).
+    // The registry saw both faults and both retries, and no degraded mode.
+    assert_eq!(
+        drill_counters_since(counters),
+        [2, 2, 0],
+        "injected, flush retries, degraded entries"
+    );
     let (mut ing, _) = Ingestor::durable(chaos_config(), &dir).unwrap();
     assert_eq!(ing.state(), IngestState::Healthy);
     assert!(ing.drain_dead_letters().is_empty(), "no dead letters");
@@ -471,6 +497,7 @@ fn enospc_degrades_applies_backpressure_and_recovers_when_space_frees() {
 
     // The disk fills: every further segment write reports ENOSPC. The
     // flush below is one write, so the whole flush stays queued.
+    let counters = drill_counters();
     ctl.arm(FaultPlan::new().fail(
         "wal.segment.write",
         0,
@@ -489,6 +516,11 @@ fn enospc_degrades_applies_backpressure_and_recovers_when_space_frees() {
     assert_eq!(ing.stats().flush_retries, 0, "ENOSPC is not retried");
     assert_eq!(ing.queued_rows(), 8, "flush queued, unacknowledged");
     assert_eq!(ing.shared().read().event_count(), 8, "nothing half-applied");
+    assert_eq!(
+        drill_counters_since(counters),
+        [1, 0, 1],
+        "one fault fired, nothing retried, degraded once"
+    );
 
     // Degraded mode back-pressures every submit, regardless of queue depth.
     let mut late = EventBatch::new();

@@ -3,12 +3,19 @@
 //! typed frames (never hang), statement timeouts cancel inside the
 //! engine and again at cursor-page boundaries, slow consumers get
 //! back-pressure instead of unbounded buffering, idle sessions are
-//! reaped, graceful shutdown drains requests already received, and a
+//! reaped, graceful shutdown drains requests already received, a
 //! connection killed mid-page (via fault injection under the socket
-//! write) returns every session, cursor, and quota slot it held.
+//! write) returns every session, cursor, and quota slot it held, and
+//! many concurrent clients get exactly the in-process answers.
+//!
+//! Every test holds the fault controller (`fault::control()`) while it
+//! runs: the mid-page test arms a failure on the next socket write of any
+//! server in the process, so no other test's server may write meanwhile.
 
+use aiql::bench::harness::{dataset, Scale};
+use aiql::bench::service::{family, QUERY7_TEMPLATE};
 use aiql::client::{Client, ClientError};
-use aiql::engine::Params;
+use aiql::engine::{Params, Session};
 use aiql::fault::{self, FaultKind, FaultPlan};
 use aiql::server::proto::{ErrorCode, FrameBuffer, Request, Response, PROTO_VERSION};
 use aiql::server::{Server, ServerConfig, ServerHandle};
@@ -65,6 +72,7 @@ fn wait_until(what: &str, f: impl Fn() -> bool) {
 
 #[test]
 fn session_quota_rejects_typed_and_leaves_other_tenants_alone() {
+    let _ctl = fault::control();
     let server = spawn_with(
         1,
         ServerConfig {
@@ -93,6 +101,7 @@ fn session_quota_rejects_typed_and_leaves_other_tenants_alone() {
 
 #[test]
 fn statement_cap_rejects_typed_without_hanging() {
+    let _ctl = fault::control();
     // A zero cap rejects every execute — the degenerate case proves the
     // gate sits in front of the engine, and the typed answer comes back
     // immediately instead of queueing.
@@ -128,6 +137,7 @@ fn statement_cap_rejects_typed_without_hanging() {
 
 #[test]
 fn server_statement_timeout_cancels_execution_with_typed_frame() {
+    let _ctl = fault::control();
     let server = spawn_with(
         1,
         ServerConfig {
@@ -160,6 +170,7 @@ fn server_statement_timeout_cancels_execution_with_typed_frame() {
 
 #[test]
 fn statement_budget_cancels_at_cursor_page_boundaries() {
+    let _ctl = fault::control();
     // No server cap: the client's own 50 ms budget governs the whole
     // statement, cursor included.
     let server = spawn_with(
@@ -211,6 +222,7 @@ fn statement_budget_cancels_at_cursor_page_boundaries() {
 
 #[test]
 fn slow_consumer_gets_backpressure_then_every_response() {
+    let _ctl = fault::control();
     // Enough response bytes (~10 MB) to overrun the loopback socket
     // buffers in the server-to-client direction however the kernel sizes
     // them (tcp_wmem autotunes to 4 MB) — the stall below is then
@@ -286,6 +298,7 @@ fn slow_consumer_gets_backpressure_then_every_response() {
 
 #[test]
 fn shutdown_drains_requests_already_received() {
+    let _ctl = fault::control();
     let server = spawn_with(3, ServerConfig::default());
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_nodelay(true).unwrap();
@@ -368,6 +381,7 @@ fn shutdown_drains_requests_already_received() {
 
 #[test]
 fn idle_sessions_are_reaped_and_their_quota_returned() {
+    let _ctl = fault::control();
     let server = spawn_with(
         1,
         ServerConfig {
@@ -401,8 +415,6 @@ fn idle_sessions_are_reaped_and_their_quota_returned() {
 
 #[test]
 fn mid_page_connection_drop_leaks_nothing() {
-    // Exclusive fault controller for the whole test: nothing else in
-    // this process may cross server.conn.write while the plan is armed.
     let ctl = fault::control();
     let server = spawn_with(6, ServerConfig::default());
     let mut c = Client::connect(server.addr(), "doomed").unwrap();
@@ -439,6 +451,75 @@ fn mid_page_connection_drop_leaks_nothing() {
     let p2 = c2.prepare(s2, QUERY).unwrap();
     let (_cols, rows) = c2.query(s2, p2.stmt, &Params::new()).unwrap();
     assert_eq!(rows.len(), 6);
+}
+
+// ---------------------------------------------------------------------------
+// Many clients
+// ---------------------------------------------------------------------------
+
+#[test]
+fn concurrent_clients_get_in_process_rows_and_leave_nothing_open() {
+    let _ctl = fault::control();
+    const CLIENTS: usize = 64;
+    const STATEMENTS_PER_CLIENT: usize = 8;
+    let (data, _) = dataset(Scale::Small);
+    let store = SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).unwrap());
+    let bindings = family(&data);
+    // The oracle: the in-process session's rows for every family member.
+    let oracle: Vec<Vec<Vec<aiql::model::Value>>> = {
+        let stmt = Session::open(&store).prepare(QUERY7_TEMPLATE).unwrap();
+        bindings
+            .iter()
+            .map(|b| {
+                stmt.bind(b.to_params())
+                    .unwrap()
+                    .execute()
+                    .unwrap()
+                    .collect()
+            })
+            .collect()
+    };
+    assert!(
+        oracle.iter().any(|rows| !rows.is_empty()),
+        "the chain is found"
+    );
+
+    let server = Server::bind(
+        &store,
+        ServerConfig {
+            max_sessions_per_tenant: CLIENTS,
+            max_concurrent_statements: CLIENTS,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("spawn server");
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        for i in 0..CLIENTS {
+            let (bindings, oracle) = (&bindings, &oracle);
+            scope.spawn(move || {
+                let mut c = Client::connect(addr, "closed-loop").expect("connect");
+                let session = c.open_session().expect("open session");
+                let stmt = c.prepare(session, QUERY7_TEMPLATE).expect("prepare");
+                for k in 0..STATEMENTS_PER_CLIENT {
+                    let at = (i + k) % bindings.len();
+                    let (_, rows) = c
+                        .query(session, stmt.stmt, &bindings[at].to_params())
+                        .expect("query");
+                    assert_eq!(rows, oracle[at], "client {i} diverged on member {at}");
+                }
+            });
+        }
+    });
+
+    let stats = server.stats();
+    assert_eq!(stats.sessions_opened, CLIENTS as u64);
+    assert_eq!(stats.protocol_errors, 0);
+    wait_until("every client's session and cursor to close", || {
+        let st = server.stats();
+        st.active_connections == 0 && st.active_sessions == 0 && st.active_cursors == 0
+    });
 }
 
 // ---------------------------------------------------------------------------

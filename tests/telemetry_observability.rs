@@ -1,9 +1,10 @@
 //! Workspace-level observability tests: the telemetry registry under
-//! concurrency, and the trace-span phase tree of a real prepared Query-7
+//! concurrency, the trace-span phase tree of a real prepared Query-7
 //! execution — the paper's complete exfiltration chain — from lex to
-//! score.
+//! score, and the scatter pool's metrics under a sharded statement.
 
-use aiql::engine::Session;
+use aiql::bench::harness::{dataset, Scale};
+use aiql::engine::{EngineConfig, Session};
 use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use aiql::telemetry::{Histogram, Registry};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
@@ -136,6 +137,64 @@ fn query7_phase_tree_covers_compile_and_execute() {
     );
     let prom = snap.to_prometheus();
     assert!(prom.contains("aiql_engine_execute_micros_count"), "{prom}");
+}
+
+/// The a1 behaviour (Fig. 7 family) without its `agentid` pin, so every
+/// host's partitions are admitted and the scan spreads over every shard.
+const UNPINNED_HUNT: &str = r#"
+    (at "01/02/2017")
+    proc p1["%firefox.exe"] read ip i1 as e1
+    proc p1 write file f1["%.exe"] as e2
+    proc p1 start proc p2 as e3
+    with e1 before e2, e2 before e3
+    return distinct p1, i1, f1, p2
+"#;
+
+#[test]
+fn scattered_statement_moves_the_pool_metrics() {
+    let (data, _) = dataset(Scale::Small);
+    let store = EventStore::ingest(
+        &data,
+        StoreConfig::partitioned()
+            .with_agent_group(1)
+            .with_shards(4),
+    )
+    .expect("sharded ingest");
+    assert!(store.shard_count() >= 2, "the statement must scatter");
+    let stmt = Session::with_config(
+        &SharedStore::new(store),
+        EngineConfig::aiql().with_workers(2),
+    )
+    .prepare(UNPINNED_HUNT)
+    .expect("prepare");
+
+    let registry = aiql::telemetry::global();
+    let tasks = || {
+        registry
+            .snapshot()
+            .counter("aiql_engine_pool_tasks")
+            .unwrap_or(0)
+    };
+    let waits = || {
+        registry
+            .snapshot()
+            .histogram("aiql_engine_pool_queue_wait_micros")
+            .map_or(0, |h| h.count)
+    };
+    let (tasks_before, waits_before) = (tasks(), waits());
+    assert!(
+        stmt.execute().expect("execute").count() > 0,
+        "the hunt finds the chain"
+    );
+    // Other tests in this binary only ever add to the process-wide registry.
+    assert!(
+        tasks() >= tasks_before + 2,
+        "scatter submitted no shard tasks"
+    );
+    assert!(
+        waits() >= waits_before + 2,
+        "no queue wait recorded per task"
+    );
 }
 
 proptest! {
