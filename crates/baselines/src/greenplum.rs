@@ -19,7 +19,7 @@ pub struct SegmentedStore {
 
 impl SegmentedStore {
     /// Builds a `segments`-way store from a dataset, with the store's
-    /// secondary indexes on every segment.
+    /// secondary indexes on every segment and every tail sealed.
     pub fn ingest(data: &Dataset, segments: usize) -> Result<SegmentedStore, RdbError> {
         let mut sdb = SegmentedDb::new(segments, Placement::RoundRobin);
         // Segments keep day partitioning locally (both systems get the
@@ -41,6 +41,7 @@ impl SegmentedStore {
         for ev in &data.events {
             sdb.insert(schema::EVENTS, event_row(ev))?;
         }
+        sdb.seal_tails();
         Ok(SegmentedStore {
             sdb,
             event_count: data.events.len(),

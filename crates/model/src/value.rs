@@ -76,8 +76,13 @@ impl Value {
     }
 
     /// Compares two values numerically when both are numeric (so `Int(2)`
-    /// equals `Float(2.0)`), otherwise falls back to the total order.
+    /// equals `Float(2.0)`), otherwise falls back to the total order. Two
+    /// `Int`s compare exactly, as indexes and kernels compare them: through
+    /// `f64` nanosecond timestamps 256 apart would collapse.
     pub fn loose_cmp(&self, other: &Value) -> Ordering {
+        if let (Value::Int(a), Value::Int(b)) = (self, other) {
+            return a.cmp(b);
+        }
         match (self.as_f64(), other.as_f64()) {
             (Some(a), Some(b)) => a.total_cmp(&b),
             _ => self.cmp(other),

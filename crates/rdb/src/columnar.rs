@@ -3,7 +3,7 @@
 //!
 //! The row store ([`crate::Table`]) interprets predicate ASTs row-at-a-time
 //! over `Vec<Value>` rows — pointer-chasing on the hottest path in the
-//! system. A [`Columnar`] projection shadows a table with flat typed
+//! system. A [`Columnar`] projection shadows a sealed chunk with flat typed
 //! vectors (`i64`, dictionary-interned `u32` symbols, bools), keeps rows
 //! sorted by the partition's time column, and slices them into fixed-size
 //! blocks carrying min/max **zone maps**. Scans then:
@@ -11,9 +11,9 @@
 //! 1. compile the conjuncts into a handful of [`Kernel`]s (eq-i64,
 //!    range-i64, in-list, eq-sym, like-sym) plus a residual AST remainder,
 //! 2. skip whole blocks whose zone map excludes a kernel,
-//! 3. binary-search the time window inside each surviving block (blocks are
-//!    internally sorted, so late out-of-order appends only cause block
-//!    *overlap*, never mis-sorting), and
+//! 3. binary-search the time window inside each surviving block (every
+//!    block runs in time order; blocks restored from an older snapshot may
+//!    overlap, never mis-sort), and
 //! 4. evaluate each kernel as a tight loop over a column slice into a
 //!    selection bitmap, falling back to the row store only for residual
 //!    predicates on the surviving rows.
@@ -28,14 +28,16 @@
 //! blocks the zone maps cannot exclude — which [`crate::Table`] weighs
 //! against index probes when it picks an access path.
 //!
-//! Projections are maintained incrementally: appends sorted-insert into the
-//! open tail block, which is sealed (zone maps computed) once it reaches
-//! [`ColumnarSpec::block_rows`] rows. A projection is lossless for every
-//! column it holds, so a sealed chunk whose projection holds *all* of its
-//! table's columns keeps no rows at all: the projection is the chunk, and
-//! its rows are read back value by value ([`Columnar::value`]). Only a
-//! partial projection (entity tables, or a table with a `Float` column)
-//! shadows a row store it could be rebuilt from.
+//! A projection is built once, when its chunk seals: each column is
+//! pushed value by value in projection order ([`Columnar::order`]: the
+//! rows' stable sort by the time column, or a persisted order on restore),
+//! then every block, the final partial one included, gets its zone map. A
+//! projection is lossless for every column it holds, so a sealed chunk
+//! whose projection holds *all* of its table's columns keeps no rows at
+//! all: the projection is the chunk, and its rows are read back value by
+//! value ([`Columnar::value`]). Only a partial projection (entity tables,
+//! or a table with a `Float` column) shadows a row store it could be
+//! rebuilt from.
 
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
@@ -55,7 +57,7 @@ pub struct ColumnarSpec {
     /// Column to keep the projection sorted on (must be `Int`; typically
     /// the partition time column). `None` keeps insertion order.
     pub time_col: Option<String>,
-    /// Rows per sealed block (zone-map granularity).
+    /// Rows per block (zone-map granularity).
     pub block_rows: usize,
     /// Projected columns. Empty means *every* supported column
     /// (`Int`/`Str`/`Bool`; `Float` stays on the row path).
@@ -147,34 +149,35 @@ impl ColumnData {
         })
     }
 
-    fn insert(&mut self, at: usize, v: &Value, dict: &SharedDict) {
+    /// Fills the empty column with `values` in order, interning strings
+    /// into `dict`, at exactly the capacity they take: a projection never
+    /// grows once built.
+    fn fill<'a>(&mut self, values: impl ExactSizeIterator<Item = &'a Value>, dict: &SharedDict) {
         match self {
             ColumnData::Int { vals, nulls } => {
-                let (x, null) = match v {
-                    Value::Int(i) => (*i, false),
-                    _ => (0, true),
-                };
-                if null || !nulls.is_empty() {
-                    // Allocates the flags at the first NULL; a no-op after.
-                    nulls.resize(vals.len(), false);
-                    nulls.insert(at, null);
+                vals.reserve_exact(values.len());
+                for v in values {
+                    let (x, null) = match v {
+                        Value::Int(i) => (*i, false),
+                        _ => (0, true),
+                    };
+                    if null || !nulls.is_empty() {
+                        // Allocates the flags at the first NULL.
+                        nulls.resize(vals.len(), false);
+                        nulls.push(null);
+                    }
+                    vals.push(x);
                 }
-                vals.insert(at, x);
+                nulls.shrink_to_fit();
             }
-            ColumnData::Sym { vals } => {
-                let code = match v {
-                    Value::Str(s) => dict.intern(s).0,
-                    _ => NULL_SYM,
-                };
-                vals.insert(at, code);
-            }
-            ColumnData::Bool { vals } => {
-                let code = match v {
-                    Value::Bool(b) => *b as u8,
-                    _ => NULL_BOOL,
-                };
-                vals.insert(at, code);
-            }
+            ColumnData::Sym { vals } => vals.extend(values.map(|v| match v {
+                Value::Str(s) => dict.intern(s).0,
+                _ => NULL_SYM,
+            })),
+            ColumnData::Bool { vals } => vals.extend(values.map(|v| match v {
+                Value::Bool(b) => *b as u8,
+                _ => NULL_BOOL,
+            })),
         }
     }
 
@@ -190,18 +193,6 @@ impl ColumnData {
             ),
             ColumnData::Bool { vals } if vals[i] != NULL_BOOL => Value::Bool(vals[i] == 1),
             _ => Value::Null,
-        }
-    }
-
-    /// Drops spare capacity: a frozen projection never grows again.
-    fn shrink(&mut self) {
-        match self {
-            ColumnData::Int { vals, nulls } => {
-                vals.shrink_to_fit();
-                nulls.shrink_to_fit();
-            }
-            ColumnData::Sym { vals } => vals.shrink_to_fit(),
-            ColumnData::Bool { vals } => vals.shrink_to_fit(),
         }
     }
 
@@ -426,11 +417,12 @@ impl LikeMemo {
     }
 }
 
-/// A columnar projection of one table chunk.
+/// A columnar projection of one sealed table chunk — or, empty, a table's
+/// columnar configuration, which each seal clones and fills.
 ///
-/// `Clone` deep-copies the flat vectors. Only an open tail's projection is
-/// ever cloned that way — when a table detaches from a snapshot that shares
-/// it; sealed chunks are shared by reference (see [`crate::table`]).
+/// `Clone` deep-copies the flat vectors. A filled projection is cloned
+/// only by a schema operation that rebuilds a shared chunk; sealed chunks
+/// are otherwise shared by reference (see [`crate::table`]).
 #[derive(Debug, Clone)]
 pub struct Columnar {
     time_idx: Option<usize>,
@@ -442,16 +434,13 @@ pub struct Columnar {
     cols: Vec<(usize, ColumnData)>,
     /// Projection order → row position in the backing row store.
     perm: Vec<u32>,
-    /// Zone maps of the sealed blocks, aligned with `cols`.
-    sealed: Vec<Vec<Zone>>,
-    /// Rows covered by sealed blocks. Equal to `sealed.len() * block_rows`
-    /// until [`Columnar::seal_tail_block`] seals a partial final block —
-    /// after which the projection is frozen (no further appends).
-    sealed_rows: usize,
+    /// Zone maps, one list per block, aligned with `cols`.
+    zones: Vec<Vec<Zone>>,
 }
 
 impl Columnar {
-    /// Builds a projection over `rows` (the batch path). Fails if a named
+    /// Builds a projection over `rows`, in their projection order
+    /// ([`Columnar::order`]); over no rows, an empty one. Fails if a named
     /// column is missing or unsupported, or the time column is not `Int`.
     pub fn build(
         schema: &Schema,
@@ -510,49 +499,82 @@ impl Columnar {
             slots,
             cols,
             perm: Vec::new(),
-            sealed: Vec::new(),
-            sealed_rows: 0,
+            zones: Vec::new(),
         };
-
-        // Bulk load: sort positions by time (stable on insertion order) and
-        // append in order — every insert lands at the tail, so this is O(n)
-        // vector pushes plus the sort.
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        if let Some(t) = c.time_idx {
-            order.sort_by_key(|&p| rows[p as usize][t].as_int().unwrap_or(i64::MIN));
-        }
-        for p in order {
-            c.append(&rows[p as usize], p);
-        }
+        c.fill(rows, c.order(rows));
         Ok(c)
     }
 
-    /// Rebuilds a projection from snapshotted block metadata: `perm` is the
-    /// projection order a previous instance reached (see
-    /// [`Columnar::perm`]). Rows are appended in exactly that order, so the
-    /// restored projection reproduces the original block boundaries and
-    /// zone maps without re-sorting — including the block *overlap* a
-    /// live-grown projection accumulates from out-of-order appends, which
-    /// a bulk [`Columnar::build`] would have merged away.
-    pub fn restore(
-        schema: &Schema,
-        spec: &ColumnarSpec,
-        dict: SharedDict,
-        rows: &[Row],
-        perm: &[u32],
-    ) -> Result<Columnar, RdbError> {
-        if perm.len() != rows.len() || perm.iter().any(|&p| p as usize >= rows.len()) {
-            return Err(RdbError::SchemaMismatch(format!(
-                "columnar permutation covers {} rows, table has {}",
+    /// The projection order of `rows`: their positions stably sorted by the
+    /// time column (NULL first), or as they come without one.
+    pub fn order(&self, rows: &[Row]) -> Vec<u32> {
+        let Some(t) = self.time_idx else {
+            return (0..rows.len() as u32).collect();
+        };
+        let mut keyed: Vec<(i64, u32)> = (0..)
+            .zip(rows)
+            .map(|(p, r)| (r[t].as_int().unwrap_or(i64::MIN), p))
+            .collect();
+        // Positions are distinct, so this is the stable sort by time.
+        keyed.sort_unstable();
+        // Collected from a borrow, not in place: the order is sized to
+        // itself.
+        keyed.iter().map(|&(_, p)| p).collect()
+    }
+
+    /// Checks that `perm` can order a projection of `rows`: a permutation
+    /// of their positions that runs in time order within every block.
+    /// Blocks may overlap — projections once grown by sorted inserts into
+    /// an open block left them so, and their snapshots still load.
+    pub(crate) fn check_order(&self, rows: &[Row], perm: &[u32]) -> Result<(), RdbError> {
+        let mut seen = vec![false; rows.len()];
+        let key = |p: u32| self.time_idx.and_then(|t| rows[p as usize][t].as_int());
+        let fits = perm.len() == rows.len()
+            && perm.iter().all(|&p| {
+                seen.get_mut(p as usize)
+                    .is_some_and(|s| !std::mem::replace(s, true))
+            })
+            && perm
+                .chunks(self.block_rows)
+                .all(|block| block.windows(2).all(|w| key(w[0]) <= key(w[1])));
+        fits.then_some(()).ok_or_else(|| {
+            RdbError::SchemaMismatch(format!(
+                "columnar order of {} positions does not order {} rows block by block",
                 perm.len(),
                 rows.len()
-            )));
+            ))
+        })
+    }
+
+    /// Fills this empty projection with `rows` in projection order `perm`:
+    /// each column pushed value by value in that order, then a zone map
+    /// over every block, the final partial one included.
+    pub(crate) fn fill(&mut self, rows: &[Row], perm: Vec<u32>) {
+        for (col, data) in &mut self.cols {
+            data.fill(perm.iter().map(|&p| &rows[p as usize][*col]), &self.dict);
         }
-        let mut c = Columnar::build(schema, spec, dict, &[])?;
-        for &p in perm {
-            c.append(&rows[p as usize], p);
+        let n = perm.len();
+        self.perm = perm;
+        self.zones = (0..n.div_ceil(self.block_rows))
+            .map(|b| {
+                let range = b * self.block_rows..((b + 1) * self.block_rows).min(n);
+                self.cols
+                    .iter()
+                    .map(|(_, d)| d.zone(range.clone()))
+                    .collect()
+            })
+            .collect();
+    }
+
+    /// Interns `row`'s strings in the projection's dictionary-coded
+    /// columns: a table does this as each row arrives, so codes follow
+    /// arrival order.
+    pub(crate) fn intern(&self, row: &Row) {
+        for (col, data) in &self.cols {
+            if let (ColumnData::Sym { .. }, Value::Str(s)) = (data, &row[*col]) {
+                self.dict.intern(s);
+            }
         }
-        Ok(c)
     }
 
     /// Whether `col` is materialized in this projection.
@@ -604,7 +626,7 @@ impl Columnar {
     pub fn resident_bytes(&self) -> u64 {
         let cols: usize = self.cols.iter().map(|(_, d)| d.heap_bytes()).sum();
         let zones: usize = self
-            .sealed
+            .zones
             .iter()
             .map(|z| size_of::<Vec<Zone>>() + z.capacity() * size_of::<Zone>())
             .sum();
@@ -615,7 +637,7 @@ impl Columnar {
             + self.slots.capacity() * size_of::<Option<usize>>()) as u64
     }
 
-    /// Number of projected rows (equals the backing table's row count).
+    /// Number of projected rows (equals the backing chunk's row count).
     pub fn len(&self) -> usize {
         self.perm.len()
     }
@@ -625,20 +647,20 @@ impl Columnar {
         self.perm.is_empty()
     }
 
-    /// Number of sealed (zone-mapped) blocks.
-    pub fn sealed_blocks(&self) -> usize {
-        self.sealed.len()
+    /// Number of blocks, each with its zone map.
+    pub fn blocks(&self) -> usize {
+        self.zones.len()
     }
 
     /// The projection order: `perm()[i]` is the row-store position of the
     /// row at projection position `i`. Together with the block size this is
-    /// the complete block metadata of the projection — persisting it lets
-    /// [`Columnar::restore`] rebuild identical blocks without re-sorting.
+    /// the complete block metadata of the projection — persisting it lets a
+    /// restore rebuild identical blocks without re-sorting.
     pub fn perm(&self) -> &[u32] {
         &self.perm
     }
 
-    /// Rows per sealed block.
+    /// Rows per block.
     pub fn block_rows(&self) -> usize {
         self.block_rows
     }
@@ -658,88 +680,16 @@ impl Columnar {
         let Some(mut data) = ColumnData::new(schema.column_type(col)) else {
             return;
         };
-        for (at, &p) in self.perm.iter().enumerate() {
-            data.insert(at, &rows[p as usize][col], &self.dict);
-        }
-        // Extend every sealed block's zone list with the new column (the
-        // final sealed block may be partial after `seal_tail_block`).
-        for (b, zones) in self.sealed.iter_mut().enumerate() {
+        data.fill(
+            self.perm.iter().map(|&p| &rows[p as usize][col]),
+            &self.dict,
+        );
+        for (b, zones) in self.zones.iter_mut().enumerate() {
             let end = ((b + 1) * self.block_rows).min(self.perm.len());
             zones.push(data.zone(b * self.block_rows..end));
         }
         self.slots[col] = Some(self.cols.len());
         self.cols.push((col, data));
-    }
-
-    /// Seals the open tail block (zone maps over the partial remainder)
-    /// even though it holds fewer than [`Columnar::block_rows`] rows. The
-    /// chunked table calls this when it seals a chunk, so every block of a
-    /// sealed chunk is zone-prunable. The projection must take no further
-    /// appends afterwards: the positional block stride in
-    /// [`Columnar::select_stats`] assumes only the *final* block can be
-    /// partial. An empty tail block seals nothing. Either way the vectors
-    /// drop their spare capacity: a small chunk frozen at publish time
-    /// would otherwise carry up to twice its size.
-    pub fn seal_tail_block(&mut self) {
-        if self.perm.len() > self.sealed_rows {
-            let range = self.sealed_rows..self.perm.len();
-            let zones = self
-                .cols
-                .iter()
-                .map(|(_, d)| d.zone(range.clone()))
-                .collect();
-            self.sealed.push(zones);
-            self.sealed_rows = self.perm.len();
-        }
-        self.perm.shrink_to_fit();
-        self.sealed.shrink_to_fit();
-        for (_, d) in &mut self.cols {
-            d.shrink();
-        }
-    }
-
-    /// Appends row-store row `pos` (contents `row`), sorted-inserting into
-    /// the open tail block and sealing it when full.
-    pub fn append(&mut self, row: &Row, pos: u32) {
-        debug_assert!(
-            self.sealed.len() * self.block_rows == self.sealed_rows,
-            "no appends after seal_tail_block froze the projection"
-        );
-        let sealed_rows = self.sealed_rows;
-        let at = match self.time_idx {
-            Some(t) => {
-                let key = row[t].as_int().unwrap_or(i64::MIN);
-                let slot = self.slots[t].expect("time column is projected");
-                let data = &self.cols[slot].1;
-                // Insert after equal keys (stable w.r.t. arrival order).
-                let mut lo = sealed_rows;
-                let mut hi = self.perm.len();
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if data.int_key(mid) <= key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            }
-            None => self.perm.len(),
-        };
-        self.perm.insert(at, pos);
-        for (idx, data) in &mut self.cols {
-            data.insert(at, &row[*idx], &self.dict);
-        }
-        if self.perm.len() - sealed_rows == self.block_rows {
-            let range = sealed_rows..self.perm.len();
-            let zones = self
-                .cols
-                .iter()
-                .map(|(_, d)| d.zone(range.clone()))
-                .collect();
-            self.sealed.push(zones);
-            self.sealed_rows = self.perm.len();
-        }
     }
 
     /// Evaluates `kernels` over every block, skipping blocks excluded by
@@ -757,15 +707,13 @@ impl Columnar {
         )
     }
 
-    /// Whether the zone maps of sealed block `block` prove that none of its
-    /// rows satisfies `kernels` (never true of the open tail block).
+    /// Whether the zone maps of block `block` prove that none of its rows
+    /// satisfies `kernels`.
     fn zone_excluded(&self, block: usize, kernels: &[Kernel]) -> bool {
-        self.sealed.get(block).is_some_and(|zones| {
-            kernels.iter().any(|k| {
-                k.col()
-                    .and_then(|c| self.slots[c])
-                    .is_some_and(|slot| k.excluded_by(zones[slot]))
-            })
+        kernels.iter().any(|k| {
+            k.col()
+                .and_then(|c| self.slots[c])
+                .is_some_and(|slot| k.excluded_by(self.zones[block][slot]))
         })
     }
 
@@ -777,7 +725,7 @@ impl Columnar {
             return 0;
         }
         let n = self.perm.len();
-        (0..n.div_ceil(self.block_rows))
+        (0..self.blocks())
             .filter(|&b| !self.zone_excluded(b, kernels))
             .map(|b| self.block_rows.min(n - b * self.block_rows))
             .sum()
@@ -785,8 +733,8 @@ impl Columnar {
 
     /// [`Columnar::select`] with zone-map accounting: `blocks_pruned` counts
     /// blocks skipped purely by their zone maps, `blocks_total` every block
-    /// (sealed or open tail) the scan considered. `memo` carries the
-    /// [`Kernel::LikeSym`] outcomes from chunk to chunk of one table scan.
+    /// the scan considered. `memo` carries the [`Kernel::LikeSym`] outcomes
+    /// from chunk to chunk of one table scan.
     pub fn select_stats(
         &self,
         kernels: &[Kernel],
@@ -824,12 +772,18 @@ impl Columnar {
             }
         }
         // The kernels still to apply per row, with their positions (the
-        // memo's key).
+        // memo's key). A NULL time sorts as `i64::MIN`, inside any window
+        // reaching down there, so with NULLs present the time kernels run
+        // per row too.
+        let time_nulls = self.time_idx.is_some_and(
+            |t| matches!(self.data(t), ColumnData::Int { nulls, .. } if !nulls.is_empty()),
+        );
         let narrowed: Vec<(usize, &Kernel)> = kernels
             .iter()
             .enumerate()
             .filter(|(_, k)| {
-                !matches!(k, Kernel::EqI64 { col, .. } | Kernel::RangeI64 { col, .. }
+                time_nulls
+                    || !matches!(k, Kernel::EqI64 { col, .. } | Kernel::RangeI64 { col, .. }
                     if Some(*col) == self.time_idx)
             })
             .collect();
@@ -1161,7 +1115,7 @@ mod tests {
             .map(|i| row(i, if i < 32 { 1 } else { 1000 }, "x", true))
             .collect();
         let c = build(&rows, 32);
-        assert_eq!(c.sealed_blocks(), 2);
+        assert_eq!(c.blocks(), 2);
         let (kernels, _) =
             compile_conjuncts(&schema(), &c, &[Expr::cmp_lit(1, CmpOp::Eq, 1000i64)]);
         let mut scanned = 0;
@@ -1257,7 +1211,12 @@ mod tests {
         assert_eq!(
             c.surviving_rows(&kernels(Expr::cmp_lit(1, CmpOp::Eq, 1000i64))),
             38,
-            "first block excluded; the open 6-row tail block always counts"
+            "the first block excluded; the second and the final 6-row one hold 1000"
+        );
+        assert_eq!(
+            c.surviving_rows(&kernels(Expr::cmp_lit(1, CmpOp::Eq, 1i64))),
+            32,
+            "the final partial block is zone-mapped too"
         );
         assert_eq!(
             c.surviving_rows(&kernels(Expr::cmp_lit(2, CmpOp::Eq, "absent"))),
@@ -1267,14 +1226,16 @@ mod tests {
 
     #[test]
     fn out_of_order_appends_keep_blocks_internally_sorted() {
-        let mut c = build(&[], 4);
-        // Arrivals out of time order, enough to seal two blocks.
+        // Arrivals out of time order, laid out the way sorted inserts into
+        // 4-row open blocks left them: every block sorted, the blocks
+        // overlapping. A snapshot holding such an order still loads.
         let times = [50, 10, 40, 20, 30, 5, 60, 25, 70, 15];
         let rows: Vec<Row> = times.iter().map(|&t| row(t, 0, "x", true)).collect();
-        for (p, r) in rows.iter().enumerate() {
-            c.append(r, p as u32);
-        }
-        assert_eq!(c.sealed_blocks(), 2);
+        let grown = [1, 3, 2, 0, 5, 7, 4, 6, 9, 8];
+        let mut c = build(&[], 4);
+        c.check_order(&rows, &grown).unwrap();
+        c.fill(&rows, grown.to_vec());
+        assert_eq!(c.blocks(), 3);
         // A time-window query over the overlapping blocks stays exact.
         let conjuncts = vec![
             Expr::cmp_lit(0, CmpOp::Ge, 15i64),
@@ -1288,6 +1249,17 @@ mod tests {
             .filter(|&p| conjuncts.iter().all(|e| e.matches(&rows[p as usize])))
             .collect();
         assert_eq!(got, want);
+        // Built from the rows, the projection sorts them whole.
+        assert_eq!(build(&rows, 4).perm(), [5, 1, 9, 3, 7, 4, 2, 0, 6, 8]);
+        // An order that is no permutation, or leaves a block unsorted, is
+        // refused.
+        for bad in [
+            vec![1, 3, 2, 0, 5, 7, 4, 6, 9, 9],
+            vec![3, 1, 2, 0, 5, 7, 4, 6, 9, 8],
+            vec![0, 1, 2],
+        ] {
+            assert!(c.check_order(&rows, &bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -1334,9 +1306,9 @@ mod tests {
         assert!(residual.is_empty());
         let mut scanned = 0;
         assert_eq!(c.select(&kernels, &mut scanned), vec![3]);
-        // Block [4, 8) is zone-excluded; block [0, 4) and the two-row open
-        // tail are evaluated.
-        assert_eq!(scanned, 6, "backfilled zones prune");
+        // Blocks [4, 8) and [8, 10) are zone-excluded; only [0, 4) is
+        // evaluated.
+        assert_eq!(scanned, 4, "backfilled zones prune");
     }
 
     #[test]

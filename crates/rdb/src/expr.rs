@@ -361,7 +361,7 @@ mod tests {
             Value::Bool(true),
             Value::Bool(false),
             Value::Float(f64::NAN),
-            // Loose comparison goes through `f64`: neighbours collapse.
+            // Two Ints compare exactly: neighbours stay apart.
             Value::Int(i64::MAX - 1),
             Value::Null,
         ] {

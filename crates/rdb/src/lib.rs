@@ -287,7 +287,7 @@ impl Database {
         for slot in self.tables.values_mut() {
             match slot {
                 TableSlot::Plain(t) => {
-                    if t.tail_chunk().len() >= min_rows.max(1) {
+                    if t.tail_rows().len() >= min_rows.max(1) {
                         if Arc::strong_count(t) > 1 {
                             self.plain_copied_bytes += t.tail_bytes();
                         }

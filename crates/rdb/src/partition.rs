@@ -423,7 +423,7 @@ impl PartitionedTable {
     pub fn freeze_tails(&mut self, min_rows: usize) -> usize {
         let mut sealed = 0;
         for t in self.partitions.values_mut() {
-            if t.tail_chunk().len() < min_rows.max(1) {
+            if t.tail_rows().len() < min_rows.max(1) {
                 continue;
             }
             if Arc::strong_count(t) > 1 {
@@ -627,7 +627,8 @@ mod tests {
 
     #[test]
     fn select_uses_partition_indexes() {
-        let pt = pt();
+        let mut pt = pt();
+        pt.freeze_tails(1);
         let mut scanned = 0;
         let name_col = pt.schema().position("name").unwrap();
         let rows = pt.select(
@@ -743,7 +744,7 @@ mod tests {
             .1;
         let c = fresh.columnar().expect("rollover keeps columnar");
         assert!(c.is_projected(fresh.schema().position("name").unwrap()));
-        assert_eq!(c.len(), 1);
+        assert_eq!(fresh.len(), 1);
         // And scans through the columnar path agree with the row path.
         let mut scanned = 0;
         let rows = pt.select(

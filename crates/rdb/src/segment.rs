@@ -94,6 +94,13 @@ impl SegmentedDb {
         Ok(())
     }
 
+    /// Seals every table tail on every segment.
+    pub fn seal_tails(&mut self) {
+        for s in &mut self.segments {
+            s.freeze_tails(1);
+        }
+    }
+
     /// Routes a row to its segment per the placement policy.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<(), RdbError> {
         let k = self.segments.len();

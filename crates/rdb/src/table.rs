@@ -1,19 +1,22 @@
-//! Chunked tables: an open row-store tail and immutable sealed chunks,
-//! each with its own secondary indexes and optional columnar projection
-//! (see [`crate::columnar`]).
+//! Chunked tables: an append-log tail and immutable sealed chunks, each
+//! sealed chunk with its own secondary indexes and optional columnar
+//! projection (see [`crate::columnar`]).
 //!
 //! A [`Table`] is physically a sequence of **chunks**: zero or more
 //! immutable [`SealedChunk`]s held behind `Arc`, plus one small mutable
-//! **tail** chunk that absorbs every insert. Each chunk privately carries
-//! its rows together with the secondary indexes and the columnar blocks/
-//! zone maps over exactly those rows (all positions chunk-local), so a
-//! sealed chunk is a self-contained, immutable scan unit.
+//! **tail** that absorbs every insert. The tail is an append log — rows in
+//! arrival order and nothing else, no index and no projection — so an
+//! insert is a checked push (strings bound for a dictionary-coded column
+//! are interned on the way, which keeps codes in arrival order). Every
+//! selection interprets its conjuncts over the tail's rows; probes and
+//! kernels run on sealed chunks only.
 //!
-//! The tail is a row store with one B-tree per index — its write
-//! structures. Sealing settles a chunk into its read layout:
+//! Sealing does the layout work, once, from the tail's rows:
 //!
-//! - each B-tree becomes one array of the chunk's positions sorted by
-//!   (key, position): 4 bytes a row, answering equality, range and key-span
+//! - the projection is built column by column in projection order — the
+//!   rows' stable sort by the time column — with a zone map per block;
+//! - each index is one array of the chunk's positions sorted by (key,
+//!   position): 4 bytes a row, answering equality, range and key-span
 //!   questions by binary search over the chunk's own values (on a
 //!   dictionary-coded column the key is the code, which orders no
 //!   strings: no range there);
@@ -35,13 +38,13 @@
 //!   operations — [`Table::create_index`], [`Table::enable_columnar`] —
 //!   rebuild auxiliary structures through `Arc::make_mut`, which is why
 //!   they are deliberately not charged as copy-on-write);
-//! - every chunk carries the same index set and columnar configuration, so
-//!   access-path selection is decided **once per table** and applied chunk
-//!   by chunk.
+//! - every sealed chunk carries the table's index set and columnar
+//!   configuration, so access-path selection is decided **once per table**
+//!   and applied chunk by chunk.
 //!
 //! The tail seals automatically when it reaches [`Table::chunk_rows`] rows;
-//! [`Table::seal_tail`] / [`Table::freeze_tail`] seal it early (the
-//! snapshot-restore and publication paths respectively).
+//! [`Table::seal_tail`] / [`Table::freeze_tail`] seal it early (the batch
+//! loaders and the publication path respectively).
 
 use crate::columnar::{compile_conjuncts, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
@@ -53,7 +56,6 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::mem::size_of;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// Default rows per chunk. Matches
@@ -164,60 +166,54 @@ fn value_heap(v: &Value) -> usize {
     }
 }
 
-/// A secondary index over one chunk's column, in chunk-local positions.
+/// Heap bytes behind `rows`: the vector, every row's values and their
+/// string payloads.
+fn rows_bytes(rows: &Vec<Row>) -> u64 {
+    let values: usize = rows
+        .iter()
+        .map(|r| r.capacity() * size_of::<Value>() + r.iter().map(value_heap).sum::<usize>())
+        .sum();
+    (rows.capacity() * size_of::<Row>() + values) as u64
+}
+
+/// A sealed chunk's secondary index over one column, in chunk-local
+/// positions: every position, ordered by (key, position) with the keys
+/// read from the chunk itself, plus the smallest and largest key. On a
+/// dictionary-coded column the key is the code, which answers equality but
+/// orders no strings: such an index takes no range probe
+/// ([`Table::range_indexed`]).
 #[derive(Debug, Clone)]
-enum Index {
-    /// The open tail's write structure: key → positions, ascending.
-    Tree(BTreeMap<Value, Vec<u32>>),
-    /// A sealed chunk's: every position, ordered by (key, position) with
-    /// the keys read from the chunk itself, plus the smallest and largest
-    /// key. On a dictionary-coded column the key is the code, which
-    /// answers equality but orders no strings: such an index takes no
-    /// range probe ([`Table::range_indexed`]).
-    Sorted {
-        order: Vec<u32>,
-        span: Option<(Value, Value)>,
-    },
+struct Index {
+    order: Vec<u32>,
+    span: Option<(Value, Value)>,
 }
 
 impl Index {
     fn heap_bytes(&self) -> usize {
-        match self {
-            Index::Tree(map) => map
-                .iter()
-                .map(|(k, rows)| {
-                    size_of::<Value>() + size_of::<Vec<u32>>() + value_heap(k) + rows.capacity() * 4
-                })
-                .sum(),
-            Index::Sorted { order, span } => {
-                order.capacity() * 4
-                    + span
-                        .as_ref()
-                        .map_or(0, |(a, b)| value_heap(a) + value_heap(b))
-            }
-        }
+        self.order.capacity() * 4
+            + self
+                .span
+                .as_ref()
+                .map_or(0, |(a, b)| value_heap(a) + value_heap(b))
     }
 }
 
-/// One chunk of a [`Table`]: a consecutive run of rows with the secondary
-/// indexes and optional columnar projection over exactly those rows.
+/// One sealed chunk of a [`Table`]: a consecutive run of rows with the
+/// secondary indexes and optional columnar projection over exactly those
+/// rows, immutable and shared behind `Arc` with every snapshot that pinned
+/// it.
 ///
 /// All positions inside a chunk are **chunk-local**: row 0 is global
 /// position `base` where `base` is the sum of the preceding chunks'
-/// lengths. The same struct backs both sealed chunks (immutable, shared
-/// behind `Arc` with every snapshot that pinned them) and the open tail
-/// (mutable, privately owned by the table).
-///
-/// Invariants of a *sealed* chunk:
+/// lengths. Invariants:
 ///
 /// - row content, indexes, and columnar blocks never change after sealing
 ///   (schema operations rebuild them via `Arc::make_mut`, producing a new
 ///   chunk value rather than mutating a shared one);
-/// - its indexes are sorted position arrays, and it keeps rows only if its
-///   projection does not cover every column;
-/// - its columnar projection, when present, is fully zone-mapped: the final
-///   partial block is sealed at chunk-seal time
-///   ([`Columnar::seal_tail_block`]), so scans can zone-prune every block.
+/// - it keeps rows only if its projection does not cover every column;
+/// - its columnar projection, when present, carries a zone map on every
+///   block, the final partial one included, so scans can zone-prune every
+///   block.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
     /// Stored rows; empty in a chunk that keeps only its projection.
@@ -234,14 +230,36 @@ pub struct SealedChunk {
 }
 
 impl SealedChunk {
-    fn empty() -> SealedChunk {
-        SealedChunk {
-            rows: Vec::new(),
+    /// Seals `rows`: the projection `layout` configures, filled in `order`
+    /// (the rows' own projection order, [`Columnar::order`], when `None`),
+    /// the row → projection map, an index on each `indexed` column, and
+    /// then [`SealedChunk::settle`].
+    fn seal(
+        schema: &Schema,
+        rows: Vec<Row>,
+        layout: Option<&Columnar>,
+        order: Option<Vec<u32>>,
+        indexed: &[usize],
+    ) -> SealedChunk {
+        let columnar = layout.map(|layout| {
+            let mut c = layout.clone();
+            let order = order.unwrap_or_else(|| c.order(&rows));
+            c.fill(&rows, order);
+            c
+        });
+        let mut chunk = SealedChunk {
+            rows,
             at: None,
             indexes: BTreeMap::new(),
-            columnar: None,
+            columnar,
             resident: ResidentBytes::default(),
+        };
+        chunk.map_projection();
+        for &col in indexed {
+            chunk.build_index(schema, col);
         }
+        chunk.settle();
+        chunk
     }
 
     /// Number of rows in the chunk.
@@ -284,8 +302,7 @@ impl SealedChunk {
         self.columnar.as_ref()
     }
 
-    /// What the chunk holds, as measured when it sealed (zero for the open
-    /// tail, which [`Table::resident_bytes`] measures on each call).
+    /// What the chunk holds, as measured when it sealed.
     pub fn resident_bytes(&self) -> ResidentBytes {
         self.resident
     }
@@ -311,40 +328,28 @@ impl SealedChunk {
     /// row order. `code` is `v`'s dictionary code ([`Table::dict_code`]),
     /// looked up once per probe rather than per chunk.
     fn index_eq(&self, col: usize, v: &Value, code: Option<u32>) -> &[u32] {
-        match &self.indexes[&col] {
-            Index::Tree(map) => map.get(v).map_or(&[], Vec::as_slice),
-            Index::Sorted { order, .. } => match (self.codes(col), code) {
-                (Some((map, codes)), Some(code)) => {
-                    &order[equal_run(order, |p| codes[map.get(p)].cmp(&code))]
-                }
-                (Some(_), None) => &[],
-                (None, _) => &order[equal_run(order, |p| self.key_cmp(col, p, v))],
-            },
+        let order = &self.indexes[&col].order;
+        match (self.codes(col), code) {
+            (Some((map, codes)), Some(code)) => {
+                &order[equal_run(order, |p| codes[map.get(p)].cmp(&code))]
+            }
+            (Some(_), None) => &[],
+            (None, _) => &order[equal_run(order, |p| self.key_cmp(col, p, v))],
         }
     }
 
     /// Rows whose indexed `col` lies in `[lo, hi]` (either bound optional),
     /// in row order. Not asked of a dictionary-coded index.
     fn index_range(&self, col: usize, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
-        let mut rows: Vec<u32> = match &self.indexes[&col] {
-            Index::Tree(map) => {
-                let lower = lo.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-                let upper = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-                map.range((lower, upper))
-                    .flat_map(|(_, rows)| rows.iter().copied())
-                    .collect()
-            }
-            Index::Sorted { order, .. } => {
-                debug_assert!(self.codes(col).is_none(), "codes order no strings");
-                let from = lo.map_or(0, |v| {
-                    order.partition_point(|&p| self.key_cmp(col, p, v).is_lt())
-                });
-                let to = hi.map_or(order.len(), |v| {
-                    order.partition_point(|&p| self.key_cmp(col, p, v).is_le())
-                });
-                order[from..to.max(from)].to_vec()
-            }
-        };
+        debug_assert!(self.codes(col).is_none(), "codes order no strings");
+        let order = &self.indexes[&col].order;
+        let from = lo.map_or(0, |v| {
+            order.partition_point(|&p| self.key_cmp(col, p, v).is_lt())
+        });
+        let to = hi.map_or(order.len(), |v| {
+            order.partition_point(|&p| self.key_cmp(col, p, v).is_le())
+        });
+        let mut rows = order[from..to.max(from)].to_vec();
         rows.sort_unstable();
         rows
     }
@@ -356,82 +361,42 @@ impl SealedChunk {
     /// coarsens the key order, so nothing outside the slice has a posting
     /// here.
     fn index_clip(&self, col: usize, sorted: &[Value]) -> std::ops::Range<usize> {
-        let (min, max) = match &self.indexes[&col] {
-            Index::Tree(map) => match (map.first_key_value(), map.last_key_value()) {
-                (Some((min, _)), Some((max, _))) => (min, max),
-                _ => return 0..0,
-            },
-            Index::Sorted { span, .. } => match span {
-                Some((min, max)) => (min, max),
-                None => return 0..0,
-            },
+        let Some((min, max)) = &self.indexes[&col].span else {
+            return 0..0;
         };
         let from = sorted.partition_point(|v| v.loose_cmp(min).is_lt());
         from..sorted.partition_point(|v| v.loose_cmp(max).is_le())
     }
 
-    /// The sealed form of the index on `col`, from the chunk's positions
-    /// in key order: its span read off the ends, then — on a
-    /// dictionary-coded column — re-sorted by code (stably, so equal codes
-    /// stay in position order).
-    fn sorted_index(&self, col: usize, mut order: Vec<u32>) -> Index {
-        let key = |p: u32| self.row(p).get(col).into_owned();
-        let span = order
-            .first()
-            .zip(order.last())
-            .map(|(&a, &b)| (key(a), key(b)));
-        if let Some((map, codes)) = self.codes(col) {
-            order.sort_by_key(|&p| codes[map.get(p)]);
-        }
-        Index::Sorted { order, span }
-    }
-
-    /// Builds the index on `col` over this chunk — a B-tree on the open
-    /// tail, the sorted form on a sealed chunk — and, when a projection
-    /// exists, projects the column so it stays kernel-evaluable (a chunk
-    /// without rows is projected in full already).
-    fn build_index(&mut self, schema: &Schema, col: usize, sealed: bool) {
+    /// Builds the index on `col` — the chunk's positions sorted by (key,
+    /// position), typed where the column allows: by code on a
+    /// dictionary-coded column, by integer on an `Int` one — and, when a
+    /// projection exists, projects the column so it stays kernel-evaluable
+    /// (a chunk without rows is projected in full already).
+    fn build_index(&mut self, schema: &Schema, col: usize) {
         if let Some(c) = &mut self.columnar {
             c.project_column(schema, col, &self.rows);
         }
-        let index = if sealed {
-            let mut keyed: Vec<(Cow<Value>, u32)> = (0..self.len() as u32)
-                .map(|p| (self.row(p).get(col), p))
-                .collect();
-            keyed.sort_unstable();
-            self.sorted_index(col, keyed.into_iter().map(|(_, p)| p).collect())
-        } else {
-            let mut map = BTreeMap::<Value, Vec<u32>>::new();
-            for (pos, row) in self.rows.iter().enumerate() {
-                map.entry(row[col].clone()).or_default().push(pos as u32);
+        let n = self.len() as u32;
+        let key = |p: u32| self.row(p).get(col);
+        let (order, span) = match self.codes(col) {
+            Some((map, codes)) => {
+                let order = sorted_positions((0..n).map(|p| (codes[map.get(p)], p)));
+                // Codes follow arrival, not string order.
+                (order, (0..n).map(key).min().zip((0..n).map(key).max()))
             }
-            Index::Tree(map)
+            None => {
+                let order = match schema.column_type(col) {
+                    ColumnType::Int => sorted_positions((0..n).map(|p| (self.row(p).int(col), p))),
+                    _ => sorted_positions((0..n).map(|p| (key(p), p))),
+                };
+                let span = order.first().zip(order.last());
+                let span = span.map(|(&a, &b)| (key(a), key(b)));
+                (order, span)
+            }
         };
-        self.indexes.insert(col, index);
-    }
-
-    /// Turns the open tail into a sealed chunk: the final block zone-mapped,
-    /// the row → projection map built, each B-tree flattened into its
-    /// sorted form (its postings, in key order, already are), then
-    /// [`SealedChunk::settle`].
-    fn seal(&mut self) {
-        if let Some(c) = &mut self.columnar {
-            c.seal_tail_block();
-        }
-        self.map_projection();
-        let n = self.len();
-        let cols: Vec<usize> = self.indexes.keys().copied().collect();
-        for col in cols {
-            if let Some(Index::Tree(map)) = self.indexes.get_mut(&col) {
-                let mut order = Vec::with_capacity(n);
-                for rows in std::mem::take(map).into_values() {
-                    order.extend(rows);
-                }
-                let index = self.sorted_index(col, order);
-                self.indexes.insert(col, index);
-            }
-        }
-        self.settle();
+        let span = span.map(|(a, b)| (a.into_owned(), b.into_owned()));
+        self.indexes.insert(col, Index { order, span });
     }
 
     /// Gives a chunk with a projection its row → projection map (empty
@@ -460,31 +425,23 @@ impl SealedChunk {
         self.resident = self.measure();
     }
 
-    /// Brings a projected chunk's rows back and drops its row →
-    /// projection map, ahead of a schema operation that replaces its
-    /// projection.
-    fn restore_rows(&mut self) {
-        if self.is_projected() {
-            self.rows = (0..self.len() as u32)
-                .map(|p| self.row(p).to_row())
-                .collect();
-        }
-        self.at = None;
-    }
-
     fn measure(&self) -> ResidentBytes {
-        let rows: usize = self
-            .rows
-            .iter()
-            .map(|r| r.capacity() * size_of::<Value>() + r.iter().map(value_heap).sum::<usize>())
-            .sum();
         ResidentBytes {
-            rows: (self.rows.capacity() * size_of::<Row>() + rows) as u64,
+            rows: rows_bytes(&self.rows),
             index: self.indexes.values().map(Index::heap_bytes).sum::<usize>() as u64,
             projection: self.columnar.as_ref().map_or(0, Columnar::resident_bytes)
                 + self.at.as_ref().map_or(0, |at| at.capacity() * 4) as u64,
         }
     }
+}
+
+/// The positions of distinct (key, position) pairs in (key, position)
+/// order.
+fn sorted_positions<K: Ord>(keyed: impl Iterator<Item = (K, u32)>) -> Vec<u32> {
+    let mut keyed: Vec<(K, u32)> = keyed.collect();
+    keyed.sort_unstable();
+    // Collected from a borrow, not in place: the index is sized to itself.
+    keyed.iter().map(|&(_, p)| p).collect()
 }
 
 /// A sealed chunk's row → projection map (see `SealedChunk::at`).
@@ -573,12 +530,12 @@ impl<'e> Recheck<'e> {
     }
 }
 
-/// A table: schema plus a list of sealed chunks and one open tail chunk
+/// A table: schema plus a list of sealed chunks and one open tail
 /// (see the [module docs](self) for the chunk lifecycle).
 ///
 /// `Clone` is the copy-on-write step that detaches a snapshot-shared table
 /// for further writes: sealed chunks are shared by reference, only the open
-/// tail (rows, tail indexes, open columnar block) is deep-copied.
+/// tail's rows are deep-copied.
 ///
 /// # Examples
 ///
@@ -608,11 +565,15 @@ pub struct Table {
     starts: Vec<u32>,
     /// Total rows across sealed chunks (= the tail's global base).
     sealed_len: usize,
-    /// The open chunk absorbing inserts.
-    tail: SealedChunk,
-    /// Columnar configuration applied to every chunk (and every future
-    /// tail) once [`Table::enable_columnar`] ran.
-    columnar_cfg: Option<(ColumnarSpec, SharedDict)>,
+    /// The open tail: rows in arrival order, nothing else.
+    tail: Vec<Row>,
+    /// The columns every sealed chunk indexes, ascending.
+    indexed: Vec<usize>,
+    /// The columnar configuration once [`Table::enable_columnar`] ran, as
+    /// an empty projection: the projected columns (indexed ones included),
+    /// sort column, block size and dictionary. Each seal fills a copy, and
+    /// kernels compile against it.
+    layout: Option<Columnar>,
 }
 
 /// How a scan located its rows — reported in [`crate::exec::ExecStats`] and
@@ -647,9 +608,10 @@ impl AccessPath {
 /// the session API's `EXPLAIN` output.
 ///
 /// A chunked table still records **one** access path per table scan (the
-/// path is chosen once and applied to every chunk), so per-partition path
-/// counts are unchanged by chunking; only `blocks_total`/`blocks_pruned`
-/// accumulate across all chunks' columnar blocks.
+/// path is chosen once and applied to every sealed chunk), so
+/// per-partition path counts are unchanged by chunking; only
+/// `blocks_total`/`blocks_pruned` accumulate across all chunks' columnar
+/// blocks.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanProfile {
     /// Partitions the table holds (1 for plain tables).
@@ -745,8 +707,9 @@ impl Table {
             sealed: Vec::new(),
             starts: Vec::new(),
             sealed_len: 0,
-            tail: SealedChunk::empty(),
-            columnar_cfg: None,
+            tail: Vec::new(),
+            indexed: Vec::new(),
+            layout: None,
         }
     }
 
@@ -757,7 +720,7 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.sealed_len + self.tail.rows.len()
+        self.sealed_len + self.tail.len()
     }
 
     /// Whether the table has no rows.
@@ -775,8 +738,8 @@ impl Table {
         &self.sealed
     }
 
-    /// The open tail chunk (possibly empty).
-    pub fn tail_chunk(&self) -> &SealedChunk {
+    /// The open tail's rows, in arrival order (possibly none).
+    pub fn tail_rows(&self) -> &[Row] {
         &self.tail
     }
 
@@ -785,8 +748,8 @@ impl Table {
     /// reproduces seal boundaries exactly.
     pub fn chunk_boundaries(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.sealed.iter().map(|c| c.len()).collect();
-        if !self.tail.rows.is_empty() {
-            v.push(self.tail.rows.len());
+        if !self.tail.is_empty() {
+            v.push(self.tail.len());
         }
         v
     }
@@ -805,34 +768,40 @@ impl Table {
 
     /// All rows in global insertion order, across chunks.
     pub fn iter_rows(&self) -> impl Iterator<Item = RowView<'_>> {
-        self.chunks_with_base()
-            .flat_map(|(c, _)| (0..c.len() as u32).map(move |p| c.row(p)))
+        let sealed = self
+            .sealed
+            .iter()
+            .flat_map(|c| (0..c.len() as u32).map(move |p| c.row(p)));
+        sealed.chain(self.tail.iter().map(|r| RowView(Repr::Stored(r))))
     }
 
     /// Where the table's memory goes: each sealed chunk as measured when it
-    /// sealed, plus the open tail as it stands.
+    /// sealed, plus the open tail's rows as they stand.
     pub fn resident_bytes(&self) -> ResidentBytes {
-        let sealed = self.sealed.iter().map(|c| c.resident);
-        sealed.chain([self.tail.measure()]).sum()
+        let tail = ResidentBytes {
+            rows: rows_bytes(&self.tail),
+            ..ResidentBytes::default()
+        };
+        self.sealed.iter().map(|c| c.resident).chain([tail]).sum()
     }
 
-    /// An O(1) estimate of the open tail chunk's size — `rows × (arity ×
-    /// size_of::<Value>() + size_of::<Row>())`, string payloads and
-    /// indexes ignored — and exactly what [`Table::clone`] deep-copies,
-    /// since sealed chunks are shared by reference. This is the unit
+    /// An O(1) estimate of the open tail's size — `rows × (arity ×
+    /// size_of::<Value>() + size_of::<Row>())`, string payloads ignored —
+    /// and exactly what [`Table::clone`] deep-copies, since sealed chunks
+    /// are shared by reference. This is the unit
     /// [`crate::PartitionedTable`]'s copy-on-write accounting charges per
     /// detach of a snapshot-shared table: O(tail), not O(table).
     pub fn tail_bytes(&self) -> u64 {
         let per_row =
             self.schema.arity() * std::mem::size_of::<Value>() + std::mem::size_of::<Row>();
-        (self.tail.rows.len() * per_row) as u64
+        (self.tail.len() * per_row) as u64
     }
 
     /// One row by global position.
     pub fn row(&self, idx: u32) -> RowView<'_> {
         let i = idx as usize;
         if i >= self.sealed_len {
-            return self.tail.row(idx - self.sealed_len as u32);
+            return RowView(Repr::Stored(&self.tail[i - self.sealed_len]));
         }
         let k = self.starts.partition_point(|&s| (s as usize) <= i) - 1;
         self.sealed[k].row(idx - self.starts[k])
@@ -844,68 +813,70 @@ impl Table {
     where
         'a: 'p,
     {
-        let mut chunks = self.chunks_with_base();
+        let mut chunks = self.sealed_with_base();
         let mut cur = chunks.next();
-        positions.iter().map(move |&p| loop {
-            let (chunk, base) = cur.expect("positions lie within the table");
-            if p < base + chunk.len() as u32 {
-                break chunk.row(p - base);
+        positions.iter().map(move |&p| {
+            if p as usize >= self.sealed_len {
+                return self.row(p);
             }
-            cur = chunks.next();
+            loop {
+                let (chunk, base) = cur.expect("positions lie within the table");
+                if p < base + chunk.len() as u32 {
+                    break chunk.row(p - base);
+                }
+                cur = chunks.next();
+            }
         })
     }
 
-    /// Every chunk with its global base position, tail last.
-    fn chunks_with_base(&self) -> impl Iterator<Item = (&SealedChunk, u32)> {
+    /// Every sealed chunk with its global base position.
+    fn sealed_with_base(&self) -> impl Iterator<Item = (&SealedChunk, u32)> {
         self.sealed
             .iter()
             .zip(self.starts.iter())
             .map(|(c, &s)| (c.as_ref(), s))
-            .chain(std::iter::once((&self.tail, self.sealed_len as u32)))
     }
 
-    /// Validates and appends a row into the open tail, maintaining the
-    /// tail's indexes and columnar projection (sorted insert into its open
-    /// block). Seals the tail into an immutable chunk when it reaches
-    /// [`Table::chunk_rows`] rows.
+    /// Validates `row` and appends it to the open tail: a push, after the
+    /// strings of its dictionary-coded columns are interned. Seals the tail
+    /// into an immutable chunk when it reaches [`Table::chunk_rows`] rows.
     pub fn insert(&mut self, row: Row) -> Result<(), RdbError> {
         self.schema.check_row(&row)?;
-        let pos = self.tail.rows.len() as u32;
-        for (&col, index) in self.tail.indexes.iter_mut() {
-            let Index::Tree(map) = index else {
-                unreachable!("the open tail indexes through B-trees")
-            };
-            map.entry(row[col].clone()).or_default().push(pos);
+        if let Some(c) = &self.layout {
+            c.intern(&row);
         }
-        if let Some(c) = &mut self.tail.columnar {
-            c.append(&row, pos);
-        }
-        self.tail.rows.push(row);
-        if self.tail.rows.len() >= self.chunk_rows {
+        self.tail.push(row);
+        if self.tail.len() >= self.chunk_rows {
             self.seal_tail();
         }
         Ok(())
     }
 
-    /// Seals the open tail into an immutable chunk and opens a fresh empty
-    /// tail carrying the same index set and columnar configuration. The
-    /// sealed chunk takes its read layout (see the [module docs](self)):
-    /// the final partial columnar block zone-mapped — safe because sealed
-    /// chunks never take another append — indexes sorted, and rows dropped
-    /// if the projection covers every column. No-op on an empty tail.
-    ///
-    /// The snapshot-restore path seals at each persisted chunk boundary so
-    /// a reopened table reproduces the pre-shutdown layout.
+    /// Seals the open tail into an immutable chunk, the one place a
+    /// chunk's read layout is built (see the [module docs](self)): sorted,
+    /// projected and indexed once, its rows dropped if the projection
+    /// covers every column. No-op on an empty tail.
     pub fn seal_tail(&mut self) {
-        if self.tail.rows.is_empty() {
+        self.seal_in(None);
+    }
+
+    /// [`Table::seal_tail`] with the projection filled in `order` (the
+    /// rows' own projection order when `None`).
+    fn seal_in(&mut self, order: Option<Vec<u32>>) {
+        if self.tail.is_empty() {
             return;
         }
-        let fresh = self.fresh_tail();
-        let mut sealed = std::mem::replace(&mut self.tail, fresh);
-        sealed.seal();
+        let rows = std::mem::take(&mut self.tail);
+        let chunk = SealedChunk::seal(
+            &self.schema,
+            rows,
+            self.layout.as_ref(),
+            order,
+            &self.indexed,
+        );
         self.starts.push(self.sealed_len as u32);
-        self.sealed_len += sealed.len();
-        self.sealed.push(Arc::new(sealed));
+        self.sealed_len += chunk.len();
+        self.sealed.push(Arc::new(chunk));
     }
 
     /// Seals the tail only if it holds at least `min_rows` rows (min 1);
@@ -925,7 +896,7 @@ impl Table {
     /// assert_eq!(t.tail_bytes(), 0, "cloning now copies no row data");
     /// ```
     pub fn freeze_tail(&mut self, min_rows: usize) -> bool {
-        if self.tail.rows.len() >= min_rows.max(1) {
+        if self.tail.len() >= min_rows.max(1) {
             self.seal_tail();
             true
         } else {
@@ -933,135 +904,108 @@ impl Table {
         }
     }
 
-    /// A fresh empty tail with the table's index set and columnar
-    /// configuration (columnar first, then indexes project into it —
-    /// mirroring partition rollover).
-    fn fresh_tail(&self) -> SealedChunk {
-        let mut chunk = SealedChunk::empty();
-        if let Some((spec, dict)) = &self.columnar_cfg {
-            let mut c = Columnar::build(&self.schema, spec, dict.clone(), &[])
-                .expect("spec validated when columnar was enabled");
-            for &col in self.tail.indexes.keys() {
-                c.project_column(&self.schema, col, &[]);
-            }
-            chunk.columnar = Some(c);
-        }
-        for &col in self.tail.indexes.keys() {
-            chunk.indexes.insert(col, Index::Tree(BTreeMap::new()));
-        }
-        chunk
-    }
-
-    /// Builds (or rebuilds) a columnar projection over every chunk; future
-    /// inserts maintain the tail's incrementally and every future tail
-    /// inherits the configuration. Indexed columns join the projection
-    /// automatically, so [`Table::indexed_columns`] stays the single source
-    /// of truth for both layouts. Rebuilding sealed chunks goes through
+    /// Builds (or rebuilds) a columnar projection over every sealed chunk;
+    /// every later seal builds one under the same configuration. Indexed
+    /// columns join the projection automatically, so
+    /// [`Table::indexed_columns`] stays the single source of truth for both
+    /// layouts. Sealed chunks are sealed again from their rows through
     /// `Arc::make_mut` (a rare schema operation, not charged as
-    /// copy-on-write), and each settles into the layout its new projection
-    /// allows.
+    /// copy-on-write), each into the layout its new projection allows.
     pub fn enable_columnar(
         &mut self,
         spec: &ColumnarSpec,
         dict: SharedDict,
     ) -> Result<(), RdbError> {
-        // The tail's projection is built first: it validates the spec
-        // before any sealed chunk is rebuilt.
-        let tail_col = build_projection(&self.schema, spec, &dict, &self.tail)?;
+        let mut layout = Columnar::build(&self.schema, spec, dict, &[])?;
+        for &col in &self.indexed {
+            layout.project_column(&self.schema, col, &[]);
+        }
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
-            c.restore_rows();
-            let col = build_projection(&self.schema, spec, &dict, c)
-                .expect("spec already validated against this schema");
-            c.columnar = Some(col);
-            c.seal();
+            let rows = (0..c.len() as u32).map(|p| c.row(p).to_row()).collect();
+            *c = SealedChunk::seal(&self.schema, rows, Some(&layout), None, &self.indexed);
         }
-        self.tail.columnar = Some(tail_col);
-        self.columnar_cfg = Some((spec.clone(), dict));
+        self.layout = Some(layout);
         Ok(())
     }
 
     /// Appends `rows` as one whole chunk — the snapshot-restore path; the
-    /// open tail must be empty. With a projection configured, `perm` (the
-    /// chunk's persisted projection order, chunk-local — see
-    /// [`Columnar::perm`]) restores it block for block without re-sorting,
-    /// and without one it is bulk-built. The chunk is then sealed when
-    /// `seal` is set (dropping its rows if its projection covers them) or
-    /// left as the open tail.
+    /// open tail must be empty. With `seal` set the chunk seals, its
+    /// projection (when one is configured) filled in `perm` — the chunk's
+    /// persisted projection order, chunk-local (see [`Columnar::perm`]),
+    /// which reproduces the original blocks without re-sorting — or, with
+    /// none, in the rows' own order. Otherwise the rows become the open
+    /// tail, which keeps no order of its own.
     pub fn load_chunk(
         &mut self,
         rows: Vec<Row>,
         perm: Option<&[u32]>,
         seal: bool,
     ) -> Result<(), RdbError> {
-        if !self.tail.rows.is_empty() || rows.len() > self.chunk_rows {
+        if !self.tail.is_empty() || rows.len() > self.chunk_rows {
             return Err(RdbError::SchemaMismatch(format!(
                 "a chunk of {} rows cannot follow an open tail of {} (chunk size {})",
                 rows.len(),
-                self.tail.rows.len(),
+                self.tail.len(),
                 self.chunk_rows
             )));
         }
         for row in &rows {
             self.schema.check_row(row)?;
         }
-        let mut chunk = SealedChunk {
-            rows,
-            ..SealedChunk::empty()
+        let order = match (&self.layout, perm) {
+            (Some(c), Some(perm)) if seal => {
+                c.check_order(&rows, perm)?;
+                Some(perm.to_vec())
+            }
+            _ => None,
         };
-        if let Some((spec, dict)) = &self.columnar_cfg {
-            chunk.columnar = Some(match perm {
-                Some(perm) => {
-                    Columnar::restore(&self.schema, spec, dict.clone(), &chunk.rows, perm)?
-                }
-                None => Columnar::build(&self.schema, spec, dict.clone(), &chunk.rows)?,
-            });
-        }
-        for &col in self.tail.indexes.keys() {
-            chunk.build_index(&self.schema, col, seal);
-        }
-        self.tail = chunk;
+        self.tail = rows;
         if seal {
-            self.seal_tail();
+            self.seal_in(order);
         }
         Ok(())
     }
 
-    /// The open tail's columnar projection, if one is enabled. Presence is
-    /// table-wide: every chunk carries a projection under the same
-    /// configuration (per-chunk blocks are reached via
-    /// [`Table::sealed_chunks`]).
+    /// The table's columnar configuration, if one is enabled, as an empty
+    /// projection: the projected columns, sort column, block size and
+    /// dictionary every sealed chunk's projection shares (each chunk's
+    /// own is reached via [`Table::sealed_chunks`]).
     pub fn columnar(&self) -> Option<&Columnar> {
-        self.tail.columnar.as_ref()
+        self.layout.as_ref()
     }
 
-    /// Creates a secondary index on `column`, back-filling every chunk
-    /// (sealed chunks through `Arc::make_mut` — a rare schema operation,
-    /// not charged as copy-on-write). Creating an index twice is a no-op.
-    /// When a columnar projection is enabled, the column also joins the
+    /// Creates a secondary index on `column`, back-filling every sealed
+    /// chunk (through `Arc::make_mut` — a rare schema operation, not
+    /// charged as copy-on-write). Creating an index twice is a no-op. When
+    /// a columnar projection is enabled, the column also joins the
     /// projection so it stays kernel-evaluable on both access paths.
     pub fn create_index(&mut self, column: &str) -> Result<(), RdbError> {
         let col = self.schema.require(column)?;
-        if self.tail.indexes.contains_key(&col) {
+        let Err(at) = self.indexed.binary_search(&col) else {
             return Ok(());
+        };
+        self.indexed.insert(at, col);
+        if let Some(c) = &mut self.layout {
+            c.project_column(&self.schema, col, &[]);
         }
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
-            c.build_index(&self.schema, col, true);
+            c.build_index(&self.schema, col);
             c.settle();
         }
-        self.tail.build_index(&self.schema, col, false);
         Ok(())
     }
 
-    /// Column positions that have indexes (identical on every chunk).
+    /// Column positions that have indexes (identical on every sealed
+    /// chunk).
     pub fn indexed_columns(&self) -> Vec<usize> {
-        self.tail.indexes.keys().copied().collect()
+        self.indexed.clone()
     }
 
     /// Selects row positions satisfying all `conjuncts`. The access path is
-    /// chosen **once per table**, from table-wide statistics, and applied
-    /// to every chunk in order:
+    /// chosen **once per table**, from the sealed chunks' statistics, and
+    /// applied to every sealed chunk in order:
     ///
     /// - an **index equality probe** (`col = lit` / `col IN (lits)` on an
     ///   indexed column) or a **columnar scan** (at least one conjunct
@@ -1074,10 +1018,11 @@ impl Table {
     /// - failing that, a **sequential scan**.
     ///
     /// The conjuncts the path does not answer itself are applied as a
-    /// residual row filter. Returns the chosen access path alongside the
-    /// (global) row positions, in row order. `scanned` is incremented by
-    /// the number of rows the scan *touched* (not returned), so callers can
-    /// account I/O-like cost.
+    /// residual row filter. The open tail takes every path the same way:
+    /// each of its rows is interpreted against every conjunct. Returns the
+    /// chosen access path alongside the (global) row positions, in row
+    /// order. `scanned` is incremented by the number of rows the scan
+    /// *touched* (not returned), so callers can account I/O-like cost.
     pub fn select(&self, conjuncts: &[Expr], scanned: &mut u64) -> (AccessPath, Vec<u32>) {
         let mut profile = ScanProfile::default();
         self.select_profiled(conjuncts, scanned, &mut profile)
@@ -1092,14 +1037,21 @@ impl Table {
         profile: &mut ScanProfile,
     ) -> (AccessPath, Vec<u32>) {
         let before = *scanned;
-        let (path, rows) = self.select_inner(conjuncts, scanned, profile);
+        let (path, mut rows) = self.select_sealed(conjuncts, scanned, profile);
+        *scanned += self.tail.len() as u64;
+        let tail = (self.sealed_len as u32..).zip(&self.tail);
+        rows.extend(
+            tail.filter(|(_, row)| conjuncts.iter().all(|e| e.matches(row)))
+                .map(|(p, _)| p),
+        );
         profile.record_path(path);
         profile.rows_scanned += *scanned - before;
         profile.rows_matched += rows.len() as u64;
         (path, rows)
     }
 
-    fn select_inner(
+    /// The sealed chunks' part of a selection, and the path it took.
+    fn select_sealed(
         &self,
         conjuncts: &[Expr],
         scanned: &mut u64,
@@ -1112,13 +1064,12 @@ impl Table {
             .iter()
             .enumerate()
             .filter_map(|(ci, c)| Some((ci, index_probe(c, &self.schema)?)))
-            .filter(|(_, p)| self.tail.indexes.contains_key(&p.col))
+            .filter(|(_, p)| self.indexed.binary_search(&p.col).is_ok())
             .collect();
         // The projected-column set and the dictionary are table-wide:
         // kernels compile once and run on every chunk.
         let vectorized = self
-            .tail
-            .columnar
+            .layout
             .as_ref()
             .map(|col| compile_conjuncts(&self.schema, col, conjuncts))
             .filter(|(kernels, _)| !kernels.is_empty());
@@ -1159,7 +1110,7 @@ impl Table {
             // The probe conjunct is answered by the index itself.
             let mut check = Recheck::new(conjuncts, |i| i != ci, arity);
             let mut out = Vec::new();
-            for ((chunk, base), mut candidates) in self.chunks_with_base().zip(postings) {
+            for ((chunk, base), mut candidates) in self.sealed_with_base().zip(postings) {
                 *scanned += candidates.len() as u64;
                 check.retain(chunk, &mut candidates);
                 out.extend(candidates.into_iter().map(|p| p + base));
@@ -1180,7 +1131,7 @@ impl Table {
         // candidate is re-checked against every conjunct.
         let mut check = Recheck::new(conjuncts, |_| true, arity);
         let mut out = Vec::new();
-        for (chunk, base) in self.chunks_with_base() {
+        for (chunk, base) in self.sealed_with_base() {
             let mut candidates = match range {
                 Some((col, lo, hi)) => chunk.index_range(col, lo, hi),
                 None => (0..chunk.len() as u32).collect(),
@@ -1197,22 +1148,24 @@ impl Table {
     }
 
     /// Index lookups that answering `col IN (values)` takes: one per value
-    /// per chunk whose key range holds it.
+    /// per sealed chunk whose key range holds it.
     fn probe_lookups(&self, col: usize, values: &[Value]) -> usize {
-        self.chunks_with_base()
-            .map(|(chunk, _)| chunk.index_clip(col, values).len())
+        self.sealed
+            .iter()
+            .map(|chunk| chunk.index_clip(col, values).len())
             .sum()
     }
 
-    /// Makes those lookups: per chunk, the rows holding one of `values` in
-    /// `col`, in row order.
+    /// Makes those lookups: per sealed chunk, the rows holding one of
+    /// `values` in `col`, in row order.
     fn probe(&self, col: usize, values: &[Value], profile: &mut ScanProfile) -> Vec<Vec<u32>> {
         let codes: Vec<Option<u32>> = match self.schema.column_type(col) {
             ColumnType::Str => values.iter().map(|v| self.dict_code(v)).collect(),
             _ => Vec::new(),
         };
-        self.chunks_with_base()
-            .map(|(chunk, _)| {
+        self.sealed
+            .iter()
+            .map(|chunk| {
                 // Each row sits under exactly one key, so the concatenation
                 // holds no duplicates; sorting restores row order across
                 // values.
@@ -1233,7 +1186,7 @@ impl Table {
     fn dict_code(&self, v: &Value) -> Option<u32> {
         match v {
             Value::Null => Some(NULL_SYM),
-            Value::Str(s) => Some(self.columnar_cfg.as_ref()?.1.lookup(s)?.0),
+            Value::Str(s) => Some(self.layout.as_ref()?.dict().lookup(s)?.0),
             _ => None,
         }
     }
@@ -1246,16 +1199,17 @@ impl Table {
     }
 
     /// Estimated cost of the vectorized path, in kernel-evaluated rows: the
-    /// rows in blocks no zone map excludes.
+    /// rows in sealed blocks no zone map excludes.
     fn kernel_cost(&self, kernels: &[Kernel]) -> usize {
-        self.chunks_with_base()
-            .filter_map(|(chunk, _)| chunk.columnar.as_ref())
+        self.sealed
+            .iter()
+            .filter_map(|chunk| chunk.columnar.as_ref())
             .map(|col| col.surviving_rows(kernels))
             .sum()
     }
 
-    /// The vectorized path: scan every chunk's blocks with `kernels`, then
-    /// re-check the `residual` conjuncts per chunk.
+    /// The vectorized path: scan every sealed chunk's blocks with
+    /// `kernels`, then re-check the `residual` conjuncts per chunk.
     fn columnar_select(
         &self,
         kernels: &[Kernel],
@@ -1265,11 +1219,11 @@ impl Table {
     ) -> Vec<u32> {
         let mut memo = LikeMemo::default();
         let mut out = Vec::new();
-        for (chunk, base) in self.chunks_with_base() {
+        for (chunk, base) in self.sealed_with_base() {
             let col = chunk
                 .columnar
                 .as_ref()
-                .expect("every chunk carries the table's columnar configuration");
+                .expect("every sealed chunk carries the table's columnar configuration");
             let mut positions = col.select_stats(
                 kernels,
                 &mut memo,
@@ -1289,29 +1243,14 @@ impl Table {
     }
 }
 
-/// What one index lookup costs, in kernel-evaluated rows: a descent over
-/// generic [`Value`] keys (~150 ns) against a kernel pass over one row of
-/// flat typed vectors (~10 ns).
+/// What one index lookup costs, in kernel-evaluated rows: a binary search
+/// over a chunk's [`Value`] keys (~150 ns) against a kernel pass over one
+/// row of flat typed vectors (~10 ns).
 const LOOKUP_COST: usize = 16;
 
 /// What one probe candidate costs in the same unit: fetching its row and
 /// re-checking the remaining conjuncts on the interpreter.
 const CANDIDATE_COST: usize = 4;
-
-/// Builds a chunk's projection under `spec` from its stored rows,
-/// projecting its indexed columns.
-fn build_projection(
-    schema: &Schema,
-    spec: &ColumnarSpec,
-    dict: &SharedDict,
-    chunk: &SealedChunk,
-) -> Result<Columnar, RdbError> {
-    let mut col = Columnar::build(schema, spec, dict.clone(), &chunk.rows)?;
-    for &ic in chunk.indexes.keys() {
-        col.project_column(schema, ic, &chunk.rows);
-    }
-    Ok(col)
-}
 
 #[derive(Clone, Copy)]
 enum ProbeKind<'a> {
@@ -1421,6 +1360,7 @@ mod tests {
     fn index_eq_probe() {
         let mut t = table();
         t.create_index("name").unwrap();
+        t.seal_tail();
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(1, CmpOp::Eq, "alpha")], &mut scanned);
         assert_eq!(path, AccessPath::IndexEq);
@@ -1432,6 +1372,7 @@ mod tests {
     fn index_in_probe_and_residual() {
         let mut t = table();
         t.create_index("name").unwrap();
+        t.seal_tail();
         let mut scanned = 0;
         let conjuncts = vec![
             Expr::in_list(1, vec![Value::str("alpha"), Value::str("gamma")]),
@@ -1446,6 +1387,7 @@ mod tests {
     fn index_range_probe() {
         let mut t = table();
         t.create_index("size").unwrap();
+        t.seal_tail();
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(2, CmpOp::Ge, 20i64)], &mut scanned);
         assert_eq!(path, AccessPath::IndexRange);
@@ -1458,6 +1400,7 @@ mod tests {
     #[test]
     fn index_backfill_and_idempotence() {
         let mut t = table();
+        t.seal_tail();
         t.create_index("name").unwrap();
         t.create_index("name").unwrap();
         t.insert(vec![Value::Int(5), Value::str("alpha"), Value::Int(50)])
@@ -1465,8 +1408,8 @@ mod tests {
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(1, CmpOp::Eq, "alpha")], &mut scanned);
         assert_eq!(path, AccessPath::IndexEq);
-        assert_eq!(rows, vec![0, 2, 4], "backfill plus index-maintained append");
-        assert_eq!(scanned, 3);
+        assert_eq!(rows, vec![0, 2, 4], "backfilled index plus the open tail");
+        assert_eq!(scanned, 3, "two postings and the one tail row");
         assert!(t.create_index("bogus").is_err());
     }
 
@@ -1475,12 +1418,13 @@ mod tests {
         let mut t = table();
         t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
             .unwrap();
+        t.seal_tail();
         let mut scanned = 0;
         let conjuncts = vec![Expr::cmp_lit(1, CmpOp::Eq, "alpha")];
         let (path, rows) = t.select(&conjuncts, &mut scanned);
         assert_eq!(path, AccessPath::Columnar);
         assert_eq!(rows, vec![0, 2], "row order, like the seq scan");
-        // Incremental maintenance: appended rows are visible.
+        // Appended rows are visible from the open tail.
         t.insert(vec![Value::Int(5), Value::str("alpha"), Value::Int(50)])
             .unwrap();
         let (_, rows) = t.select(&conjuncts, &mut scanned);
@@ -1492,6 +1436,7 @@ mod tests {
         let mut t = table();
         t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
             .unwrap();
+        t.seal_tail();
         let mut profile = ScanProfile::default();
         // LIKE alone is a kernel: one evaluation per distinct name.
         let (path, rows) = t.select_profiled(&[Expr::like(1, "%A%")], &mut 0, &mut profile);
@@ -1544,7 +1489,7 @@ mod tests {
             assert_eq!(rows, want, "{conjuncts:?}");
             (path, scanned, profile.in_probe_lookups)
         };
-        // A point lookup: one B-tree descent (the list is clipped to the
+        // A point lookup: one binary search (the list is clipped to the
         // one chunk whose key range holds it) beats scanning its block.
         assert_eq!(
             run(&[Expr::cmp_lit(0, CmpOp::Eq, 777i64)]),
@@ -1600,6 +1545,7 @@ mod tests {
         // The row store has no scan cheaper than a probe to offer.
         let mut t = table();
         t.create_index("name").unwrap();
+        t.seal_tail();
         let (mut scanned, mut profile) = (0, ScanProfile::default());
         let conjuncts = [Expr::in_list(
             1,
@@ -1616,6 +1562,7 @@ mod tests {
         let mut t = table();
         t.create_index("name").unwrap();
         t.create_index("size").unwrap();
+        t.seal_tail();
         let mut scanned = 0;
         let conjuncts = vec![
             Expr::cmp_lit(2, CmpOp::Ge, 0i64),
@@ -1748,6 +1695,7 @@ mod tests {
         let (mut chunked, mut oracle) = chunked_and_oracle();
         // Index created after sealing back-fills sealed chunks too.
         for t in [&mut chunked, &mut oracle] {
+            t.seal_tail();
             t.create_index("size").unwrap();
         }
         let (mut s1, mut s2) = (0, 0);
@@ -1756,7 +1704,7 @@ mod tests {
         assert_eq!(p1, AccessPath::IndexRange);
         assert_eq!((p1, r1, s1), (p2, r2, s2));
         // Columnar enabled after sealing covers sealed chunks too, with
-        // every sealed chunk fully zone-mapped (partial final block sealed).
+        // every block of every chunk zone-mapped.
         chunked
             .enable_columnar(
                 &ColumnarSpec::time_sorted("id").with_block_rows(2),
@@ -1766,8 +1714,37 @@ mod tests {
         for chunk in chunked.sealed_chunks() {
             let c = chunk.columnar().expect("every chunk projected");
             assert_eq!(c.len(), chunk.len());
-            assert_eq!(c.sealed_blocks(), chunk.len().div_ceil(2));
+            assert_eq!(c.blocks(), chunk.len().div_ceil(2));
         }
+    }
+
+    /// Sealing sorts once: a chunk's projection order is the stable sort of
+    /// its rows by time, ties in arrival order, so with blocks smaller than
+    /// the chunk no two blocks overlap.
+    #[test]
+    fn sealed_perm_is_the_stable_time_sort_of_its_rows() {
+        let schema = Schema::new(&[("t", ColumnType::Int), ("i", ColumnType::Int)]);
+        let mut t = Table::with_chunk_rows(schema, 12);
+        t.enable_columnar(
+            &ColumnarSpec::time_sorted("t").with_block_rows(4),
+            SharedDict::new(),
+        )
+        .unwrap();
+        let times = [50, 10, 40, 10, 30, 5, 60, 25, 50, 15, 10, 5];
+        for (i, &time) in times.iter().enumerate() {
+            t.insert(vec![Value::Int(time), Value::Int(i as i64)])
+                .unwrap();
+        }
+        let chunk = &t.sealed_chunks()[0];
+        let c = chunk.columnar().expect("projected");
+        let mut want: Vec<u32> = (0..12).collect();
+        want.sort_by_key(|&p| times[p as usize]);
+        assert_eq!(c.perm(), want);
+        assert_eq!(c.blocks(), 3);
+        for b in 1..3 {
+            assert!(c.int(b * 4 - 1, 0) <= c.int(b * 4, 0), "blocks overlap");
+        }
+        assert!((0..12).all(|p| chunk.row(p).int(1) == Some(p as i64)));
     }
 
     // ------------------------------------------------------------------
@@ -1819,10 +1796,10 @@ mod tests {
     }
 
     /// The sealed chunk's sorted positions answer every index question the
-    /// way the open tail's B-tree does — on stored rows and projected ones.
-    /// A dictionary-coded column is asked no range: the scan answers it.
+    /// way a scan of its keys does — on stored rows and projected ones. A
+    /// dictionary-coded column is asked no range: the scan answers it.
     #[test]
-    fn sorted_index_answers_like_the_tail_btree() {
+    fn sorted_index_answers_like_a_scan() {
         use crate::expr::InList;
         let big = 1i64 << 53;
         let ints: Vec<Value> = [
@@ -1867,14 +1844,25 @@ mod tests {
         ];
         for columnar in [false, true] {
             let (sealed, open) = (hazard_table(true, columnar), hazard_table(false, columnar));
-            let (chunk, tail) = (&sealed.sealed_chunks()[0], open.tail_chunk());
+            let chunk = &sealed.sealed_chunks()[0];
             assert_eq!(chunk.is_projected(), columnar);
+            let rows = open.tail_rows();
+            // The positions whose key in `col` compares to `v` as one of
+            // `want`, ascending.
+            let scan = |col: usize, v: &Value, want: &[Ordering]| -> Vec<u32> {
+                (0..rows.len() as u32)
+                    .filter(|&p| want.contains(&rows[p as usize][col].cmp(v)))
+                    .collect()
+            };
+            let eq = [Ordering::Equal];
+            let ge = [Ordering::Equal, Ordering::Greater];
+            let le = [Ordering::Equal, Ordering::Less];
             for col in [0, 1] {
                 for v in &probes {
                     let code = sealed.dict_code(v);
                     assert_eq!(
                         chunk.index_eq(col, v, code),
-                        tail.index_eq(col, v, code),
+                        scan(col, v, &eq),
                         "{col} = {v:?}"
                     );
                     if !sealed.range_indexed(col) {
@@ -1882,28 +1870,28 @@ mod tests {
                     }
                     assert_eq!(
                         chunk.index_range(col, Some(v), None),
-                        tail.index_range(col, Some(v), None),
+                        scan(col, v, &ge),
                         "{col} >= {v:?}"
                     );
                     assert_eq!(
                         chunk.index_range(col, None, Some(v)),
-                        tail.index_range(col, None, Some(v)),
+                        scan(col, v, &le),
                         "{col} <= {v:?}"
                     );
                 }
                 if sealed.range_indexed(col) {
-                    assert_eq!(
-                        chunk.index_range(col, None, None),
-                        tail.index_range(col, None, None)
-                    );
+                    let all: Vec<u32> = (0..rows.len() as u32).collect();
+                    assert_eq!(chunk.index_range(col, None, None), all);
                 }
                 for list in &lists {
                     let list = InList::new(list.clone());
-                    assert_eq!(
-                        chunk.index_clip(col, list.values()),
-                        tail.index_clip(col, list.values()),
-                        "{col} IN {list:?}"
-                    );
+                    let clip = chunk.index_clip(col, list.values());
+                    for (i, v) in list.values().iter().enumerate() {
+                        assert!(
+                            clip.contains(&i) || scan(col, v, &eq).is_empty(),
+                            "{col} IN {list:?} clips {v:?}, which has postings"
+                        );
+                    }
                 }
             }
             // Whole selections, exclusive bounds included, agree too.
@@ -1911,7 +1899,11 @@ mod tests {
                 for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
                     for col in [0, 1] {
                         let c = [Expr::cmp_lit(col, op, v.clone())];
-                        assert_eq!(sealed.select(&c, &mut 0), open.select(&c, &mut 0), "{c:?}");
+                        assert_eq!(
+                            sealed.select(&c, &mut 0).1,
+                            open.select(&c, &mut 0).1,
+                            "{c:?}"
+                        );
                     }
                 }
             }
@@ -1925,6 +1917,7 @@ mod tests {
     fn cross_type_literals_do_not_probe() {
         let mut t = table();
         t.create_index("size").unwrap();
+        t.seal_tail();
         for (c, want) in [
             (Expr::cmp_lit(2, CmpOp::Eq, 20.0), vec![1]),
             (Expr::cmp_lit(2, CmpOp::Ge, 25.5), vec![2, 3]),
@@ -1961,7 +1954,7 @@ mod tests {
             );
             assert!(r.projection > 0);
         }
-        assert!(!chunked.tail_chunk().is_projected(), "the tail stores rows");
+        assert_eq!(chunked.tail_rows().len(), 1, "the tail stores rows");
         assert!(chunked.iter_rows().eq(oracle.iter_rows()));
         let r = chunked.resident_bytes();
         assert!(r.rows > 0, "the tail's rows: {r:?}");

@@ -315,7 +315,8 @@ impl EventStore {
     }
 
     /// Builds a store from a dataset (the batch path; runs through the same
-    /// append hooks live ingestion uses).
+    /// append hooks live ingestion uses), then seals every tail: a loaded
+    /// store leaves no rows for its scans to interpret one by one.
     pub fn ingest(data: &Dataset, config: StoreConfig) -> Result<EventStore, RdbError> {
         let mut store = EventStore::empty(config)?;
         for e in &data.entities {
@@ -324,6 +325,7 @@ impl EventStore {
         for ev in &data.events {
             store.append_event(ev)?;
         }
+        store.freeze_tails(1);
         Ok(store)
     }
 
@@ -684,11 +686,22 @@ mod tests {
                 Timestamp(t0 + i as i64 * 1_000),
             ));
         }
-        let col = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let row = EventStore::ingest(&d, StoreConfig::partitioned().with_columnar(false)).unwrap();
+        // Grown row by row: the batch path would seal the tails.
+        let grow = |config| {
+            let mut s = EventStore::empty(config).unwrap();
+            for e in &d.entities {
+                s.append_entity(e).unwrap();
+            }
+            for ev in &d.events {
+                s.append_event(ev).unwrap();
+            }
+            s
+        };
+        let col = grow(StoreConfig::partitioned());
+        let row = grow(StoreConfig::partitioned().with_columnar(false));
         let procs = col.db().plain(schema::PROCESSES).unwrap();
         assert_eq!(procs.sealed_chunks().len(), 1);
-        assert_eq!(procs.tail_chunk().len(), 5_000 - 4_096, "an unsealed tail");
+        assert_eq!(procs.tail_rows().len(), 5_000 - 4_096, "an unsealed tail");
 
         let not_like = |c, p: &str| Expr::NotLike(Box::new(Expr::Col(c)), p.into());
         let ids =

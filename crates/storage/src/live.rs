@@ -179,16 +179,18 @@ pub struct StoreWriter<'a> {
 
 impl StoreWriter<'_> {
     /// Publishes the head as the new reader-visible snapshot and returns
-    /// its stamp. Costs one copy-on-write [`EventStore::clone`] (pointer
-    /// copies; row data stays shared) plus an `Arc` swap under a lock held
-    /// for nanoseconds. Table tails that grew past
-    /// [`PUBLISH_SEAL_MIN_ROWS`] are sealed into immutable chunks first,
+    /// its stamp. Table tails that grew past [`PUBLISH_SEAL_MIN_ROWS`] are
+    /// sealed into immutable chunks first (sorted, projected and indexed),
     /// so the snapshot shares them and post-publish appends detach only
-    /// sub-threshold tails. Publishing with nothing new is a no-op.
+    /// sub-threshold tails; then one copy-on-write [`EventStore::clone`]
+    /// (pointer copies; row data stays shared). None of that holds the
+    /// readers' lock, which is taken only to swap one `Arc`: writers are
+    /// serialized by the head mutex, so the published snapshot cannot
+    /// change in between. Publishing with nothing new is a no-op.
     pub fn publish(&mut self) -> StoreStamp {
         let stamp = self.head.stamp();
-        let mut slot = self.published.write().expect("store lock poisoned");
-        if slot.stamp() != stamp {
+        let outgoing = self.published.read().expect("store lock poisoned").clone();
+        if outgoing.stamp() != stamp {
             let start = std::time::Instant::now();
             // Seal grown tails before cloning (and before the amplification
             // accounting below: sealing a still-shared partition charges
@@ -202,18 +204,17 @@ impl StoreWriter<'_> {
                 .head
                 .db()
                 .copied_bytes()
-                .saturating_sub(slot.db().copied_bytes());
+                .saturating_sub(outgoing.db().copied_bytes());
             // Sealed history the head still shares with the snapshot it is
             // about to replace: what this publish reuses instead of copies.
-            let shared = self.head.sealed_chunks_shared_with(&slot);
-            *slot = Arc::new(self.head.clone());
+            let shared = self.head.sealed_chunks_shared_with(&outgoing);
+            let next = Arc::new(self.head.clone());
+            *self.published.write().expect("store lock poisoned") = next;
             let m = crate::metrics::metrics();
             m.publishes.inc();
             m.publish_micros.record_duration(start.elapsed());
             m.publish_bytes_copied.record(copied);
             m.sealed_chunks_shared.set(shared as i64);
-            // Measured once the readers' lock is released.
-            drop(slot);
             crate::metrics::record_resident(&self.head);
         }
         stamp

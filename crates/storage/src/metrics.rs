@@ -8,7 +8,8 @@ aiql_telemetry::metrics! {
     publishes: Counter("aiql_storage_publishes_total", "publishes",
         "Snapshots actually swapped in (no-op publishes are not counted)"),
     publish_micros: Histogram("aiql_storage_publish_micros", "µs",
-        "Time to seal grown tails, clone the head, and swap the published `Arc`"),
+        "Time to seal grown tails (sort each by time, build its projection, sort its \
+         indexes), clone the head, and swap the published `Arc`"),
     publish_bytes_copied: Histogram("aiql_storage_publish_bytes_copied", "bytes",
         "Bytes deep-copied by copy-on-write detaches between publishes. Chunked tables copy \
          only the **open tail** (sealed chunks are refcount-shared), and the publish path \
@@ -28,17 +29,16 @@ aiql_telemetry::metrics! {
         "Pattern evaluations behind those rows: one per distinct symbol per table scan (the \
          scan-local memo) — `1 − evals / rows` is the memo's hit rate"),
     in_probe_lookups: Counter("aiql_storage_in_probe_lookups_total", "lookups",
-        "Index lookups made by equality probes (`=` and IN-lists) — a B-tree descent on an \
-         open tail, a binary search of a sealed chunk's sorted positions — counted after \
-         each list is clipped to a chunk's key range; per scan as `N probe lookups`"),
+        "Index lookups made by equality probes (`=` and IN-lists) — a binary search of a \
+         sealed chunk's sorted positions; open tails have no index — counted after each list \
+         is clipped to a chunk's key range; per scan as `N probe lookups`"),
     resident_rows: Gauge("aiql_storage_resident_rows_bytes", "bytes",
         "Stored rows of the published store, string payloads included \
          (`EventStore::resident_bytes`), set at every publish and when a store is first \
          shared. Sealed chunks whose projection covers every column (every `events` chunk) \
          hold none, so this is open tails plus entity tables"),
     resident_index: Gauge("aiql_storage_resident_index_bytes", "bytes",
-        "Secondary indexes: B-tree entries on open tails, 4 bytes a row per index on sealed \
-         chunks"),
+        "Secondary indexes: 4 bytes a row per index on sealed chunks (open tails have none)"),
     resident_projection: Gauge("aiql_storage_resident_projection_bytes", "bytes",
         "Columnar projections: column vectors, zone maps, projection orders, row → \
          projection maps (≈ 92 B per event: 11 columns × 8 B and the projection order; the \

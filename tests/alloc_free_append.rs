@@ -1,0 +1,70 @@
+//! Allocation guard for the write path: appending to an open tail is a
+//! checked push, so a run of appends allocates only as the tail's vector
+//! grows — no posting list per new index key, no B-tree node, no sorted
+//! insert into a projection. Sealing does that work, once per chunk.
+//!
+//! The binary installs a counting global allocator, so it holds only this
+//! test; counts are per thread.
+
+use aiql::model::{AgentId, EntityKind, Event, OpType, Timestamp};
+use aiql::rdb::{ColumnarSpec, PartitionSpec, PartitionedTable, Prune, SharedDict};
+use aiql::storage::{event_row, schema};
+
+mod counting_alloc;
+
+use counting_alloc::allocations;
+
+const ROWS: u64 = 4_000;
+
+#[test]
+fn appends_to_an_open_tail_allocate_only_its_growth() {
+    // The events table as the partitioned columnar store lays it out.
+    let mut events = PartitionedTable::new(
+        schema::events_schema(),
+        PartitionSpec::new("start_time", "agentid", 5),
+    )
+    .unwrap();
+    events
+        .enable_columnar(ColumnarSpec::time_sorted("start_time"), SharedDict::new())
+        .unwrap();
+    for (table, column) in schema::index_plan() {
+        if table == schema::EVENTS {
+            events.create_index(column).unwrap();
+        }
+    }
+    let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
+    let event = |i: u64| {
+        Event::new(
+            (i + 1).into(),
+            AgentId((i % 5) as u32),
+            (i % 97 + 1).into(),
+            OpType::Write,
+            (i * 7 % 1_009 + 1).into(),
+            EntityKind::File,
+            // Out of time order within one day, and every subject and
+            // object a new index key many times over.
+            Timestamp(t0 + ((i * 7_919) % 40_000) as i64 * 1_000_000),
+        )
+    };
+    // The partition exists already: nothing below rolls over.
+    events.insert(event_row(&event(0))).unwrap();
+    let rows: Vec<_> = (1..=ROWS).map(|i| event_row(&event(i))).collect();
+
+    let (n, ()) = allocations(|| {
+        for row in rows {
+            events.insert(row).unwrap();
+        }
+    });
+    let bound = (ROWS as f64).log2().ceil() as u64 + 8;
+    assert!(
+        n <= bound,
+        "{n} allocations for {ROWS} appends: more than the tail's growth ({bound})"
+    );
+    let parts = events.partitions_for(&Prune::all());
+    assert_eq!(parts.len(), 1);
+    assert_eq!(
+        parts[0].1.tail_rows().len() as u64,
+        ROWS + 1,
+        "all still open"
+    );
+}

@@ -118,7 +118,12 @@ proptest! {
     /// scan), over sealed chunks and the open tail alike — including
     /// conjuncts no kernel answers (`<>`, `OR`, `NOT`, Int/Float
     /// comparisons), which projected chunks re-check on decoded rows.
-    /// Layout is an encoding, never a semantic.
+    /// A fifth layout never auto-seals and projects time-sorted into
+    /// 2-row blocks: its open tail always holds out-of-order rows when the
+    /// selections run, one of them with a name no sealed chunk holds, and
+    /// its sealed chunks are larger than their blocks, which sealing sorts
+    /// into non-overlapping time ranges. Layout is an encoding, never a
+    /// semantic.
     #[test]
     fn chunked_table_matches_monolithic_layout(
         data in rows(),
@@ -143,7 +148,8 @@ proptest! {
         let mut projected = Table::with_chunk_rows(schema(), chunk);
         let mut unsorted = Table::with_chunk_rows(schema(), chunk);
         let mut partial = Table::with_chunk_rows(schema(), chunk);
-        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut partial] {
+        let mut tailed = Table::with_chunk_rows(schema(), usize::MAX);
+        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut partial, &mut tailed] {
             t.create_index("val").unwrap();
             t.create_index("name").unwrap();
         }
@@ -151,6 +157,7 @@ proptest! {
             (&mut projected, ColumnarSpec::time_sorted("start_time").with_block_rows(4)),
             (&mut unsorted, ColumnarSpec::all().with_block_rows(3)),
             (&mut partial, ColumnarSpec::all().with_columns(&["agentid"])),
+            (&mut tailed, ColumnarSpec::time_sorted("start_time").with_block_rows(2)),
         ] {
             t.enable_columnar(&spec, SharedDict::new()).unwrap();
         }
@@ -167,7 +174,7 @@ proptest! {
                 // Out of time order, so a time-sorted projection reorders.
                 Value::Int((i as i64 * 37 % 101) * 10_000_000_000_000),
             ];
-            for t in [&mut chunked, &mut projected, &mut unsorted, &mut partial] {
+            for t in [&mut chunked, &mut projected, &mut unsorted, &mut partial, &mut tailed] {
                 t.insert(row.clone()).unwrap();
                 if seal_every > 0 && (i + 1) % seal_every == 0 {
                     // Mid-stream seals: irregular boundaries.
@@ -176,14 +183,40 @@ proptest! {
             }
             mono.insert(row).unwrap();
         }
+        // A name only open tails hold, at a time between the others'.
+        let late = vec![
+            Value::Int(needle),
+            Value::Int(1),
+            Value::str("tail only"),
+            Value::Int(50 * 10_000_000_000_000),
+        ];
+        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut partial, &mut tailed] {
+            t.insert(late.clone()).unwrap();
+        }
         prop_assert_eq!(chunked.len(), mono.len());
         prop_assert!(mono.sealed_chunks().is_empty(), "oracle stays monolithic");
+        prop_assert!(tailed.tail_rows().iter().any(|r| r[2] == Value::str("tail only")));
         // Covering projections replace the rows of sealed chunks; a partial
         // one and none keep them.
-        for (t, projected_chunks) in [(&chunked, false), (&projected, true), (&unsorted, true), (&partial, false)] {
+        for (t, projected_chunks) in [
+            (&chunked, false),
+            (&projected, true),
+            (&unsorted, true),
+            (&partial, false),
+            (&tailed, true),
+        ] {
             for c in t.sealed_chunks() {
                 prop_assert_eq!(c.is_projected(), projected_chunks);
                 prop_assert_eq!(c.resident_bytes().rows == 0, projected_chunks);
+            }
+        }
+        // A time-sorted chunk is sorted whole when it seals: its blocks,
+        // smaller than the chunk, cover disjoint time ranges in order.
+        for t in [&projected, &tailed] {
+            for c in t.sealed_chunks() {
+                let p = c.columnar().expect("projected");
+                let times: Vec<Option<i64>> = (0..p.len()).map(|at| p.int(at, 3)).collect();
+                prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "blocks overlap: {:?}", times);
             }
         }
 
@@ -193,7 +226,7 @@ proptest! {
         prop_assert!(bounds.iter().all(|&n| n > 0), "no empty chunks: {:?}", bounds);
 
         // Global row order and positional access agree.
-        for t in [&chunked, &projected, &unsorted, &partial] {
+        for t in [&chunked, &projected, &unsorted, &partial, &tailed] {
             prop_assert!(t.iter_rows().eq(mono.iter_rows()));
             for i in 0..t.len() {
                 prop_assert_eq!(t.row(i as u32), mono.row(i as u32), "row {}", i);
@@ -234,6 +267,15 @@ proptest! {
                 Expr::Not(Box::new(Expr::IsNull(Box::new(Expr::Col(2))))),
             ],
             vec![Expr::cmp_lit(1, CmpOp::Lt, 2.5), Expr::cmp_lit(0, CmpOp::Eq, needle)],
+            // The name only the tails hold: by equality, list and pattern,
+            // and with a time window around it.
+            vec![Expr::cmp_lit(2, CmpOp::Eq, "tail only")],
+            vec![Expr::in_list(2, vec![Value::str("tail only"), Value::str(name.clone())])],
+            vec![Expr::like(2, "%ONLY")],
+            vec![
+                Expr::cmp_lit(3, CmpOp::Ge, 40 * 10_000_000_000_000i64),
+                Expr::cmp_lit(3, CmpOp::Le, 60 * 10_000_000_000_000i64),
+            ],
         ] {
             let want = mono.select(&conjuncts, &mut 0).1;
             let oracle: Vec<u32> = (0..mono.len() as u32)
@@ -245,6 +287,7 @@ proptest! {
                 ("projected", &projected),
                 ("unsorted", &unsorted),
                 ("partial", &partial),
+                ("tailed", &tailed),
             ] {
                 let (_, got) = t.select(&conjuncts, &mut 0);
                 prop_assert_eq!(&got, &want, "{} diverged on {:?}", layout, conjuncts);

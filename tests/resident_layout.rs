@@ -81,7 +81,6 @@ fn sealed_event_chunks_keep_no_rows() {
             sealed += 1;
             full += (c.len() == t.chunk_rows()) as usize;
         }
-        assert!(!t.tail_chunk().is_projected(), "open tails store rows");
     }
     assert!(
         full >= 2 && sealed > full,
