@@ -1,12 +1,10 @@
 //! Materialized plan execution with deadline support and statistics.
 
-use crate::error::RdbError;
-use crate::expr::Expr;
 use crate::plan::{JoinStep, OutputExpr, ScanNode, SelectPlan};
-use crate::schema::Row;
 use crate::sql::AggFunc;
-use crate::Database;
+use crate::BaselineError;
 use aiql_model::Value;
+use aiql_rdb::{Database, Expr, Row};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -62,7 +60,7 @@ impl ExecCtx {
 
     /// Cheap periodic deadline check: consults the clock every 4096 calls.
     #[inline]
-    pub fn tick(&mut self) -> Result<(), RdbError> {
+    pub fn tick(&mut self) -> Result<(), BaselineError> {
         self.checked += 1;
         if self.checked & 0xFFF == 0 {
             self.check_now()?;
@@ -71,9 +69,9 @@ impl ExecCtx {
     }
 
     /// Immediate deadline check.
-    pub fn check_now(&self) -> Result<(), RdbError> {
+    pub fn check_now(&self) -> Result<(), BaselineError> {
         match self.deadline {
-            Some(d) if Instant::now() >= d => Err(RdbError::Timeout),
+            Some(d) if Instant::now() >= d => Err(BaselineError::Timeout),
             _ => Ok(()),
         }
     }
@@ -97,15 +95,23 @@ impl std::fmt::Display for ResultSet {
     }
 }
 
-fn scan(db: &Database, node: &ScanNode, ctx: &mut ExecCtx) -> Result<Vec<Row>, RdbError> {
+/// Scans one table of `db` with the node's pushed-down conjuncts — an
+/// access-path select on a plain table, partition pruning plus a select on
+/// a partitioned one — into owned rows. Single-node execution and every
+/// Greenplum segment scan through here.
+pub(crate) fn scan(
+    db: &Database,
+    node: &ScanNode,
+    ctx: &mut ExecCtx,
+) -> Result<Vec<Row>, BaselineError> {
     ctx.check_now()?;
     let mut scanned = 0u64;
     let rows = match db.slot(&node.table)? {
-        crate::TableSlot::Plain(t) => {
+        aiql_rdb::TableSlot::Plain(t) => {
             let (_, positions) = t.select(&node.conjuncts, &mut scanned);
             t.rows_at(&positions).map(|r| r.to_row()).collect()
         }
-        crate::TableSlot::Partitioned(pt) => {
+        aiql_rdb::TableSlot::Partitioned(pt) => {
             let prune = pt.prune_from_conjuncts(&node.conjuncts);
             pt.select(&node.conjuncts, &prune, &mut scanned)
         }
@@ -119,12 +125,12 @@ fn join(
     new_rows: Vec<Row>,
     step: &JoinStep,
     ctx: &mut ExecCtx,
-) -> Result<Vec<Row>, RdbError> {
+) -> Result<Vec<Row>, BaselineError> {
     let mut out: Vec<Row> = Vec::new();
     macro_rules! push_guarded {
         ($row:expr) => {
             if out.len() >= ctx.max_rows {
-                return Err(RdbError::ResourceLimit);
+                return Err(BaselineError::ResourceLimit);
             }
             out.push($row);
         };
@@ -257,7 +263,11 @@ impl AggState {
 }
 
 /// Executes a plan to completion.
-pub fn execute(db: &Database, plan: &SelectPlan, ctx: &mut ExecCtx) -> Result<ResultSet, RdbError> {
+pub fn execute(
+    db: &Database,
+    plan: &SelectPlan,
+    ctx: &mut ExecCtx,
+) -> Result<ResultSet, BaselineError> {
     // 1. Scan + join pipeline.
     let mut rows = scan(db, &plan.first, ctx)?;
     for step in &plan.joins {
@@ -377,7 +387,8 @@ pub fn execute(db: &Database, plan: &SelectPlan, ctx: &mut ExecCtx) -> Result<Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnType, Schema};
+    use crate::{query, query_ctx};
+    use aiql_rdb::{ColumnType, Schema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -421,9 +432,11 @@ mod tests {
     #[test]
     fn simple_filter_and_projection() {
         let db = db();
-        let rs = db
-            .query("SELECT p.id FROM procs p WHERE p.exe_name LIKE '%.exe' ORDER BY p.id DESC")
-            .unwrap();
+        let rs = query(
+            &db,
+            "SELECT p.id FROM procs p WHERE p.exe_name LIKE '%.exe' ORDER BY p.id DESC",
+        )
+        .unwrap();
         assert_eq!(rs.columns, vec!["id"]);
         assert_eq!(
             rs.rows,
@@ -439,13 +452,13 @@ mod tests {
     fn hash_join_path() {
         let db = db();
         let mut ctx = ExecCtx::unbounded();
-        let rs = db
-            .query_ctx(
-                "SELECT p.exe_name FROM events e JOIN procs p ON e.subject_id = p.id \
+        let rs = query_ctx(
+            &db,
+            "SELECT p.exe_name FROM events e JOIN procs p ON e.subject_id = p.id \
                  WHERE e.start_time >= 100 ORDER BY p.exe_name",
-                &mut ctx,
-            )
-            .unwrap();
+            &mut ctx,
+        )
+        .unwrap();
         assert_eq!(
             rs.rows,
             vec![vec![Value::str("cmd.exe")], vec![Value::str("svchost.exe")]]
@@ -458,13 +471,13 @@ mod tests {
     fn nested_loop_for_temporal_join() {
         let db = db();
         let mut ctx = ExecCtx::unbounded();
-        let rs = db
-            .query_ctx(
-                "SELECT e1.id, e2.id FROM events e1, events e2 \
+        let rs = query_ctx(
+            &db,
+            "SELECT e1.id, e2.id FROM events e1, events e2 \
                  WHERE e1.start_time < e2.start_time ORDER BY e1.id, e2.id",
-                &mut ctx,
-            )
-            .unwrap();
+            &mut ctx,
+        )
+        .unwrap();
         assert_eq!(rs.rows.len(), 3, "(2,1),(2,3),(1,3) time-ordered pairs");
         assert!(ctx.stats.loop_iterations > 0);
     }
@@ -472,12 +485,12 @@ mod tests {
     #[test]
     fn group_by_having_and_count() {
         let db = db();
-        let rs = db
-            .query(
-                "SELECT p.exe_name, COUNT(*) AS n FROM events e JOIN procs p \
+        let rs = query(
+            &db,
+            "SELECT p.exe_name, COUNT(*) AS n FROM events e JOIN procs p \
                  ON e.subject_id = p.id GROUP BY p.exe_name HAVING n > 1",
-            )
-            .unwrap();
+        )
+        .unwrap();
         assert_eq!(
             rs.rows,
             vec![vec![Value::str("svchost.exe"), Value::Int(2)]]
@@ -487,29 +500,31 @@ mod tests {
     #[test]
     fn count_distinct() {
         let db = db();
-        let rs = db
-            .query("SELECT COUNT(DISTINCT e.subject_id) AS n FROM events e")
-            .unwrap();
+        let rs = query(
+            &db,
+            "SELECT COUNT(DISTINCT e.subject_id) AS n FROM events e",
+        )
+        .unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
     }
 
     #[test]
     fn distinct_and_limit() {
         let db = db();
-        let rs = db
-            .query("SELECT DISTINCT e.subject_id FROM events e ORDER BY e.subject_id")
-            .unwrap();
+        let rs = query(
+            &db,
+            "SELECT DISTINCT e.subject_id FROM events e ORDER BY e.subject_id",
+        )
+        .unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(1)], vec![Value::Int(3)]]);
-        let rs = db
-            .query("SELECT e.id FROM events e ORDER BY e.id LIMIT 2")
-            .unwrap();
+        let rs = query(&db, "SELECT e.id FROM events e ORDER BY e.id LIMIT 2").unwrap();
         assert_eq!(rs.rows.len(), 2);
     }
 
     #[test]
     fn select_star() {
         let db = db();
-        let rs = db.query("SELECT * FROM procs p WHERE p.id = 1").unwrap();
+        let rs = query(&db, "SELECT * FROM procs p WHERE p.id = 1").unwrap();
         assert_eq!(rs.columns, vec!["p.id", "p.exe_name", "p.agentid"]);
         assert_eq!(rs.rows.len(), 1);
     }
@@ -517,8 +532,7 @@ mod tests {
     #[test]
     fn aggregate_without_group_by() {
         let db = db();
-        let rs = db
-            .query("SELECT COUNT(*), MIN(e.start_time), MAX(e.start_time), AVG(e.start_time), SUM(e.id) FROM events e")
+        let rs = query(&db,"SELECT COUNT(*), MIN(e.start_time), MAX(e.start_time), AVG(e.start_time), SUM(e.id) FROM events e")
             .unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][0], Value::Int(3));
@@ -531,9 +545,11 @@ mod tests {
     #[test]
     fn empty_aggregate() {
         let db = db();
-        let rs = db
-            .query("SELECT COUNT(*) FROM events e WHERE e.start_time > 1000")
-            .unwrap();
+        let rs = query(
+            &db,
+            "SELECT COUNT(*) FROM events e WHERE e.start_time > 1000",
+        )
+        .unwrap();
         // No rows ⇒ no groups ⇒ empty result (matches group-by semantics).
         assert!(rs.rows.is_empty() || rs.rows[0][0] == Value::Int(0));
     }
@@ -548,13 +564,14 @@ mod tests {
         }
         let mut ctx = ExecCtx::with_budget(std::time::Duration::from_millis(1));
         // 3000 x 3000 x 3000 nested loop would take far longer than 1 ms.
-        let r = db.query_ctx(
+        let r = query_ctx(
+            &db,
             "SELECT t1.a FROM t t1, t t2, t t3 WHERE t1.a < t2.a AND t2.a < t3.a",
             &mut ctx,
         );
         assert!(matches!(
             r.unwrap_err(),
-            RdbError::Timeout | RdbError::ResourceLimit
+            BaselineError::Timeout | BaselineError::ResourceLimit
         ));
     }
 }

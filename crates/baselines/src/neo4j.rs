@@ -284,9 +284,7 @@ mod tests {
     #[test]
     fn matches_postgres_baseline() {
         let (g, data) = graph_and_data();
-        let store =
-            aiql_storage::EventStore::ingest(&data, aiql_storage::StoreConfig::monolithic())
-                .unwrap();
+        let db = crate::postgres::load(&data).unwrap();
         let ctx = compile(
             r#"
             (at "01/02/2017")
@@ -298,7 +296,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (pg, _) = crate::postgres::run(&store, &ctx, None).unwrap();
+        let (pg, _) = crate::postgres::run(&db, &ctx, None).unwrap();
         let (n4, _) = run(&g, &ctx, None).unwrap();
         assert_eq!(crate::normalize(pg), crate::normalize(n4));
     }

@@ -13,11 +13,10 @@
 //!   degrading the step to a nested-loop join — the measured cause of the
 //!   baseline's blow-up on multievent queries.
 
-use crate::error::RdbError;
-use crate::expr::{CmpOp, Expr};
 use crate::sql::{AggFunc, ColRef, SelectStmt, SqlExpr};
-use crate::Database;
-use aiql_model::{LikePattern, Value};
+use crate::BaselineError;
+use aiql_model::LikePattern;
+use aiql_rdb::{CmpOp, Database, Expr};
 
 /// A scan of one table with pushed-down conjuncts (local column layout).
 #[derive(Debug, Clone)]
@@ -76,13 +75,16 @@ struct Binder<'a> {
 }
 
 impl<'a> Binder<'a> {
-    fn new(db: &'a Database, stmt: &SelectStmt) -> Result<Binder<'a>, RdbError> {
+    fn new(db: &'a Database, stmt: &SelectStmt) -> Result<Binder<'a>, BaselineError> {
         let mut aliases = Vec::new();
         let mut offset = 0;
         for tref in &stmt.from {
             let schema = db.schema_of(&tref.table)?;
             if aliases.iter().any(|(a, _, _, _)| a == &tref.alias) {
-                return Err(RdbError::Plan(format!("duplicate alias: {}", tref.alias)));
+                return Err(BaselineError::Plan(format!(
+                    "duplicate alias: {}",
+                    tref.alias
+                )));
             }
             aliases.push((
                 tref.alias.clone(),
@@ -96,14 +98,14 @@ impl<'a> Binder<'a> {
     }
 
     /// Resolves a column reference to a global layout position.
-    fn resolve(&self, c: &ColRef) -> Result<usize, RdbError> {
+    fn resolve(&self, c: &ColRef) -> Result<usize, BaselineError> {
         match &c.table {
             Some(alias) => {
                 let (_, table, offset, _) = self
                     .aliases
                     .iter()
                     .find(|(a, _, _, _)| a == alias)
-                    .ok_or_else(|| RdbError::Plan(format!("unknown alias: {alias}")))?;
+                    .ok_or_else(|| BaselineError::Plan(format!("unknown alias: {alias}")))?;
                 let schema = self.db.schema_of(table)?;
                 Ok(offset + schema.require(&c.column)?)
             }
@@ -112,12 +114,15 @@ impl<'a> Binder<'a> {
                 for (_, table, offset, _) in &self.aliases {
                     if let Some(pos) = self.db.schema_of(table)?.position(&c.column) {
                         if found.is_some() {
-                            return Err(RdbError::Plan(format!("ambiguous column: {}", c.column)));
+                            return Err(BaselineError::Plan(format!(
+                                "ambiguous column: {}",
+                                c.column
+                            )));
                         }
                         found = Some(offset + pos);
                     }
                 }
-                found.ok_or_else(|| RdbError::NoSuchColumn(c.column.clone()))
+                found.ok_or_else(|| aiql_rdb::RdbError::NoSuchColumn(c.column.clone()).into())
             }
         }
     }
@@ -131,7 +136,7 @@ impl<'a> Binder<'a> {
     }
 
     /// Resolves a scalar/boolean SQL expression; aggregates are rejected.
-    fn resolve_expr(&self, e: &SqlExpr) -> Result<Expr, RdbError> {
+    fn resolve_expr(&self, e: &SqlExpr) -> Result<Expr, BaselineError> {
         Ok(match e {
             SqlExpr::Col(c) => Expr::Col(self.resolve(c)?),
             SqlExpr::Lit(v) => Expr::Lit(v.clone()),
@@ -183,7 +188,9 @@ impl<'a> Binder<'a> {
                 Box::new(self.resolve_expr(a)?),
                 Box::new(self.resolve_expr(b)?),
             ),
-            SqlExpr::Agg(..) => return Err(RdbError::Plan("aggregate not allowed here".into())),
+            SqlExpr::Agg(..) => {
+                return Err(BaselineError::Plan("aggregate not allowed here".into()))
+            }
         })
     }
 }
@@ -196,7 +203,7 @@ fn max_alias(b: &Binder<'_>, e: &Expr) -> Option<usize> {
 }
 
 /// Plans a parsed SELECT against a database.
-pub fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan, RdbError> {
+pub fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan, BaselineError> {
     let binder = Binder::new(db, stmt)?;
 
     // Collect all conjuncts: WHERE plus every JOIN ... ON.
@@ -327,7 +334,7 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan, RdbEr
                 return Ok(p);
             }
             if grouped && !group_by.contains(&col) {
-                return Err(RdbError::Plan(format!(
+                return Err(BaselineError::Plan(format!(
                     "ORDER BY column {} is neither grouped nor selected",
                     cref.column
                 )));
@@ -352,7 +359,7 @@ pub fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan, RdbEr
     })
 }
 
-fn output_expr(b: &Binder<'_>, e: &SqlExpr) -> Result<(OutputExpr, String), RdbError> {
+fn output_expr(b: &Binder<'_>, e: &SqlExpr) -> Result<(OutputExpr, String), BaselineError> {
     match e {
         SqlExpr::Col(c) => Ok((OutputExpr::Col(b.resolve(c)?), c.column.clone())),
         SqlExpr::Agg(f, col, distinct) => {
@@ -363,7 +370,7 @@ fn output_expr(b: &Binder<'_>, e: &SqlExpr) -> Result<(OutputExpr, String), RdbE
             let name = format!("{:?}", f).to_lowercase();
             Ok((OutputExpr::Agg(*f, resolved, *distinct), name))
         }
-        other => Err(RdbError::Plan(format!(
+        other => Err(BaselineError::Plan(format!(
             "unsupported SELECT item: {other:?}"
         ))),
     }
@@ -383,7 +390,7 @@ fn resolve_output_expr(
     e: &SqlExpr,
     items: &mut Vec<(OutputExpr, String)>,
     grouped: bool,
-) -> Result<Expr, RdbError> {
+) -> Result<Expr, BaselineError> {
     Ok(match e {
         SqlExpr::Lit(v) => Expr::Lit(v.clone()),
         SqlExpr::Col(c) => {
@@ -401,7 +408,7 @@ fn resolve_output_expr(
         }
         SqlExpr::Agg(f, col, distinct) => {
             if !grouped {
-                return Err(RdbError::Plan(
+                return Err(BaselineError::Plan(
                     "aggregate in HAVING without GROUP BY".into(),
                 ));
             }
@@ -468,62 +475,11 @@ fn resolve_output_expr(
     })
 }
 
-/// Extracts `(day_lo, day_hi, agents)` pruning hints from scan conjuncts,
-/// given the local positions of the partition time/agent columns.
-pub fn prune_hints(
-    conjuncts: &[Expr],
-    time_col: usize,
-    agent_col: usize,
-    nanos_per_day: i64,
-) -> (Option<i64>, Option<i64>, Option<Vec<i64>>) {
-    let mut lo: Option<i64> = None;
-    let mut hi: Option<i64> = None;
-    let mut agents: Option<Vec<i64>> = None;
-    for c in conjuncts {
-        match c {
-            Expr::Cmp(op, a, b) => {
-                let (col, lit, op) = match (a.as_ref(), b.as_ref()) {
-                    (Expr::Col(col), Expr::Lit(Value::Int(v))) => (*col, *v, *op),
-                    (Expr::Lit(Value::Int(v)), Expr::Col(col)) => (*col, *v, op.flip()),
-                    _ => continue,
-                };
-                if col == time_col {
-                    let day = lit.div_euclid(nanos_per_day);
-                    match op {
-                        CmpOp::Ge | CmpOp::Gt => lo = Some(lo.map_or(day, |x| x.max(day))),
-                        CmpOp::Le | CmpOp::Lt => hi = Some(hi.map_or(day, |x| x.min(day))),
-                        CmpOp::Eq => {
-                            lo = Some(lo.map_or(day, |x| x.max(day)));
-                            hi = Some(hi.map_or(day, |x| x.min(day)));
-                        }
-                        _ => {}
-                    }
-                } else if col == agent_col && op == CmpOp::Eq {
-                    agents = Some(vec![lit]);
-                }
-            }
-            Expr::In(inner, list) => {
-                if let Expr::Col(col) = inner.as_ref() {
-                    if *col == agent_col {
-                        let list = list.values();
-                        let vals: Vec<i64> = list.iter().filter_map(Value::as_int).collect();
-                        if vals.len() == list.len() {
-                            agents = Some(vals);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    (lo, hi, agents)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnType, Schema};
     use crate::sql::parse_select;
+    use aiql_rdb::{ColumnType, Schema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -580,7 +536,10 @@ mod tests {
     fn ambiguous_and_unknown_columns() {
         let db = db();
         let stmt = parse_select("SELECT id FROM events e1, procs p1").unwrap();
-        assert!(matches!(plan_select(&db, &stmt), Err(RdbError::Plan(_))));
+        assert!(matches!(
+            plan_select(&db, &stmt),
+            Err(BaselineError::Plan(_))
+        ));
         let stmt = parse_select("SELECT e1.bogus FROM events e1").unwrap();
         assert!(plan_select(&db, &stmt).is_err());
         let stmt = parse_select("SELECT x.id FROM events e1").unwrap();
@@ -615,23 +574,5 @@ mod tests {
         let plan = plan_select(&db, &stmt).unwrap();
         assert_eq!(plan.visible, 1);
         assert_eq!(plan.items.len(), 2, "hidden sort column appended");
-    }
-
-    #[test]
-    fn prune_hint_extraction() {
-        let day = 86_400i64 * 1_000_000_000;
-        let conjuncts = vec![
-            Expr::cmp_lit(3, CmpOp::Ge, 2 * day),
-            Expr::cmp_lit(3, CmpOp::Lt, 3 * day),
-            Expr::cmp_lit(0, CmpOp::Eq, 7i64),
-        ];
-        let (lo, hi, agents) = prune_hints(&conjuncts, 3, 0, day);
-        assert_eq!(lo, Some(2));
-        assert_eq!(hi, Some(3));
-        assert_eq!(agents, Some(vec![7]));
-
-        let conjuncts = vec![Expr::in_list(0, vec![Value::Int(1), Value::Int(2)])];
-        let (_, _, agents) = prune_hints(&conjuncts, 3, 0, day);
-        assert_eq!(agents, Some(vec![1, 2]));
     }
 }

@@ -7,9 +7,9 @@
 //! and the aggregates `COUNT` (incl. `COUNT(DISTINCT c)` and `COUNT(*)`),
 //! `SUM`, `AVG`, `MIN`, `MAX`.
 
-use crate::error::RdbError;
-use crate::expr::CmpOp;
+use crate::BaselineError;
 use aiql_model::Value;
+use aiql_rdb::CmpOp;
 
 /// An unresolved column reference `alias.column` or bare `column`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,13 +79,13 @@ pub struct SelectStmt {
 }
 
 /// Parses one SELECT statement (an optional trailing `;` is allowed).
-pub fn parse_select(input: &str) -> Result<SelectStmt, RdbError> {
+pub fn parse_select(input: &str) -> Result<SelectStmt, BaselineError> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.select()?;
     p.eat_opt(&Tok::Semi);
     if !p.at_end() {
-        return Err(RdbError::Parse(format!(
+        return Err(BaselineError::Parse(format!(
             "trailing input at token {:?}",
             p.peek()
         )));
@@ -110,7 +110,7 @@ enum Tok {
     Minus,
 }
 
-fn lex(input: &str) -> Result<Vec<Tok>, RdbError> {
+fn lex(input: &str) -> Result<Vec<Tok>, BaselineError> {
     let mut out = Vec::new();
     let b: Vec<char> = input.chars().collect();
     let mut i = 0;
@@ -196,7 +196,7 @@ fn lex(input: &str) -> Result<Vec<Tok>, RdbError> {
                             s.push(ch);
                             i += 1;
                         }
-                        None => return Err(RdbError::Parse("unterminated string".into())),
+                        None => return Err(BaselineError::Parse("unterminated string".into())),
                     }
                 }
                 out.push(Tok::Str(s));
@@ -211,15 +211,13 @@ fn lex(input: &str) -> Result<Vec<Tok>, RdbError> {
                 }
                 let text: String = b[start..i].iter().collect();
                 if text.contains('.') {
-                    out.push(Tok::Float(
-                        text.parse()
-                            .map_err(|_| RdbError::Parse(format!("bad number: {text}")))?,
-                    ));
+                    out.push(Tok::Float(text.parse().map_err(|_| {
+                        BaselineError::Parse(format!("bad number: {text}"))
+                    })?));
                 } else {
-                    out.push(Tok::Int(
-                        text.parse()
-                            .map_err(|_| RdbError::Parse(format!("bad number: {text}")))?,
-                    ));
+                    out.push(Tok::Int(text.parse().map_err(|_| {
+                        BaselineError::Parse(format!("bad number: {text}"))
+                    })?));
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
@@ -229,7 +227,11 @@ fn lex(input: &str) -> Result<Vec<Tok>, RdbError> {
                 }
                 out.push(Tok::Ident(b[start..i].iter().collect()));
             }
-            other => return Err(RdbError::Parse(format!("unexpected character: {other}"))),
+            other => {
+                return Err(BaselineError::Parse(format!(
+                    "unexpected character: {other}"
+                )))
+            }
         }
     }
     Ok(out)
@@ -266,11 +268,11 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Tok) -> Result<(), RdbError> {
+    fn expect(&mut self, t: &Tok) -> Result<(), BaselineError> {
         if self.eat_opt(t) {
             Ok(())
         } else {
-            Err(RdbError::Parse(format!(
+            Err(BaselineError::Parse(format!(
                 "expected {t:?}, found {:?}",
                 self.peek()
             )))
@@ -288,11 +290,11 @@ impl Parser {
         false
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), RdbError> {
+    fn expect_kw(&mut self, kw: &str) -> Result<(), BaselineError> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(RdbError::Parse(format!(
+            Err(BaselineError::Parse(format!(
                 "expected keyword {kw}, found {:?}",
                 self.peek()
             )))
@@ -303,16 +305,16 @@ impl Parser {
         matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw))
     }
 
-    fn ident(&mut self) -> Result<String, RdbError> {
+    fn ident(&mut self) -> Result<String, BaselineError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
-            other => Err(RdbError::Parse(format!(
+            other => Err(BaselineError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
         }
     }
 
-    fn select(&mut self) -> Result<SelectStmt, RdbError> {
+    fn select(&mut self) -> Result<SelectStmt, BaselineError> {
         self.expect_kw("select")?;
         let mut stmt = SelectStmt {
             distinct: self.eat_kw("distinct"),
@@ -388,7 +390,7 @@ impl Parser {
             match self.next() {
                 Some(Tok::Int(n)) if n >= 0 => stmt.limit = Some(n as usize),
                 other => {
-                    return Err(RdbError::Parse(format!(
+                    return Err(BaselineError::Parse(format!(
                         "expected LIMIT count, found {other:?}"
                     )))
                 }
@@ -397,14 +399,14 @@ impl Parser {
         Ok(stmt)
     }
 
-    fn joined_ref(&mut self) -> Result<TableRef, RdbError> {
+    fn joined_ref(&mut self) -> Result<TableRef, BaselineError> {
         let mut r = self.table_ref(None)?;
         self.expect_kw("on")?;
         r.on = Some(self.expr()?);
         Ok(r)
     }
 
-    fn table_ref(&mut self, _on: Option<SqlExpr>) -> Result<TableRef, RdbError> {
+    fn table_ref(&mut self, _on: Option<SqlExpr>) -> Result<TableRef, BaselineError> {
         let table = self.ident()?;
         let alias = if self.eat_kw("as") {
             self.ident()?
@@ -429,7 +431,7 @@ impl Parser {
         })
     }
 
-    fn col_ref(&mut self) -> Result<ColRef, RdbError> {
+    fn col_ref(&mut self) -> Result<ColRef, BaselineError> {
         let first = self.ident()?;
         if self.eat_opt(&Tok::Dot) {
             Ok(ColRef {
@@ -444,7 +446,7 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<SqlExpr, RdbError> {
+    fn expr(&mut self) -> Result<SqlExpr, BaselineError> {
         let mut terms = vec![self.and_expr()?];
         while self.eat_kw("or") {
             terms.push(self.and_expr()?);
@@ -456,7 +458,7 @@ impl Parser {
         })
     }
 
-    fn and_expr(&mut self) -> Result<SqlExpr, RdbError> {
+    fn and_expr(&mut self) -> Result<SqlExpr, BaselineError> {
         let mut terms = vec![self.not_expr()?];
         while self.eat_kw("and") {
             terms.push(self.not_expr()?);
@@ -468,7 +470,7 @@ impl Parser {
         })
     }
 
-    fn not_expr(&mut self) -> Result<SqlExpr, RdbError> {
+    fn not_expr(&mut self) -> Result<SqlExpr, BaselineError> {
         if self.eat_kw("not") {
             Ok(SqlExpr::Not(Box::new(self.not_expr()?)))
         } else {
@@ -476,7 +478,7 @@ impl Parser {
         }
     }
 
-    fn predicate(&mut self) -> Result<SqlExpr, RdbError> {
+    fn predicate(&mut self) -> Result<SqlExpr, BaselineError> {
         let lhs = self.additive()?;
         if let Some(Tok::Cmp(op)) = self.peek() {
             let op = *op;
@@ -501,7 +503,7 @@ impl Parser {
             match self.next() {
                 Some(Tok::Str(p)) => return Ok(SqlExpr::Like(Box::new(lhs), p, negated)),
                 other => {
-                    return Err(RdbError::Parse(format!(
+                    return Err(BaselineError::Parse(format!(
                         "expected pattern string after LIKE, found {other:?}"
                     )))
                 }
@@ -527,7 +529,7 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn literal(&mut self) -> Result<Value, RdbError> {
+    fn literal(&mut self) -> Result<Value, BaselineError> {
         match self.next() {
             Some(Tok::Str(s)) => Ok(Value::Str(s)),
             Some(Tok::Int(i)) => Ok(Value::Int(i)),
@@ -535,13 +537,13 @@ impl Parser {
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("null") => Ok(Value::Null),
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("true") => Ok(Value::Bool(true)),
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("false") => Ok(Value::Bool(false)),
-            other => Err(RdbError::Parse(format!(
+            other => Err(BaselineError::Parse(format!(
                 "expected literal, found {other:?}"
             ))),
         }
     }
 
-    fn additive(&mut self) -> Result<SqlExpr, RdbError> {
+    fn additive(&mut self) -> Result<SqlExpr, BaselineError> {
         let mut e = self.operand()?;
         loop {
             if self.eat_opt(&Tok::Plus) {
@@ -554,7 +556,7 @@ impl Parser {
         }
     }
 
-    fn operand(&mut self) -> Result<SqlExpr, RdbError> {
+    fn operand(&mut self) -> Result<SqlExpr, BaselineError> {
         match self.peek().cloned() {
             Some(Tok::LParen) => {
                 self.pos += 1;
@@ -595,7 +597,7 @@ impl Parser {
                 }
                 Ok(SqlExpr::Col(self.col_ref()?))
             }
-            other => Err(RdbError::Parse(format!(
+            other => Err(BaselineError::Parse(format!(
                 "expected operand, found {other:?}"
             ))),
         }
@@ -725,5 +727,28 @@ mod tests {
         let s = parse_select("SELECT a FROM t WHERE a = 1").unwrap();
         assert_eq!(s.from[0].alias, "t");
         assert!(s.where_.is_some());
+    }
+
+    /// The AIQL → SQL translation emits this dialect: Query 7's big join,
+    /// an aggregate with HAVING/ORDER/LIMIT, and an escaped quote parse.
+    #[test]
+    fn translations_parse_in_this_dialect() {
+        for src in [
+            r#"
+            (at "01/02/2017")
+            agentid = 9
+            proc p1["%cmd.exe"] start proc p2["%osql.exe"] as evt1
+            proc p3["%sqlservr.exe"] write file f1["%backup1.dmp"] as evt2
+            proc p4["%sbblv.exe"] read file f1 as evt3
+            proc p4 read || write ip i1[dstip = "10.10.1.129"] as evt4
+            with evt1 before evt2, evt2 before evt3, evt3 before evt4
+            return distinct p1, p2, p3, f1, p4, i1
+            "#,
+            "proc p read file f return p, count(f) as n group by p having n > 10 sort by n desc top 5",
+            r#"proc p["%o'brien%"] read file f return p"#,
+        ] {
+            let sql = aiql_translate::sql::to_sql(&aiql_core::compile(src).unwrap()).unwrap();
+            parse_select(&sql).expect("executable SQL");
+        }
     }
 }

@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function("postgres", |b| {
             b.iter(|| {
                 black_box(
-                    aiql_baselines::postgres::run(&systems.monolithic, &ctx, None).expect("runs"),
+                    aiql_baselines::postgres::run(&systems.postgres, &ctx, None).expect("runs"),
                 )
             })
         });

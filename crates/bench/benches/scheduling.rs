@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("scheduling/{id}"));
         g.sample_size(10);
         g.bench_function("postgres-sched", |b| {
-            b.iter(|| black_box(aiql_baselines::postgres::run(&store, &ctx, None).ok()))
+            b.iter(|| black_box(aiql_baselines::postgres::run(store.db(), &ctx, None).ok()))
         });
         for (name, config) in [
             ("fetch-filter", harness::ff_config()),

@@ -41,7 +41,7 @@ pub fn table3_fig5(opts: Options) -> String {
     let mut per_query: Vec<(&CatalogQuery, RunResult, RunResult, RunResult)> = Vec::new();
     for q in &queries {
         let aiql = harness::run_aiql(&systems.partitioned, q, EngineConfig::aiql(), opts.budget);
-        let pg = harness::run_postgres(&systems.monolithic, q, opts.budget);
+        let pg = harness::run_postgres(&systems.postgres, q, opts.budget);
         let n4 = harness::run_neo4j(&systems.graph, q, opts.budget);
         per_query.push((q, aiql, pg, n4));
     }
@@ -158,7 +158,7 @@ pub fn fig6(opts: Options) -> String {
     for group in ["apt", "dep", "malware", "abnormal"] {
         let mut rows = Vec::new();
         for q in queries.iter().filter(|q| q.group == group) {
-            let pg = harness::run_postgres(&store, q, opts.budget);
+            let pg = harness::run_postgres(store.db(), q, opts.budget);
             let ff = harness::run_aiql(&store, q, harness::ff_config(), opts.budget);
             let rb = harness::run_aiql(&store, q, harness::sched_only_config(), opts.budget);
             rows.push((q.id.to_string(), pg, ff, rb));

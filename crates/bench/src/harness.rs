@@ -8,6 +8,7 @@ use aiql_datagen::{EnterpriseSim, GroundTruth};
 use aiql_engine::{EngineConfig, EngineError, Session};
 use aiql_graphdb::GraphDb;
 use aiql_model::Dataset;
+use aiql_rdb::Database;
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
 use std::time::{Duration, Instant};
 
@@ -88,8 +89,9 @@ impl RunResult {
 pub struct Systems {
     /// AIQL's partitioned store.
     pub partitioned: EventStore,
-    /// Monolithic store (end-to-end PostgreSQL baseline).
-    pub monolithic: EventStore,
+    /// The end-to-end PostgreSQL baseline's own unpartitioned, indexed
+    /// database.
+    pub postgres: Database,
     /// Property graph (Neo4j baseline).
     pub graph: GraphDb,
 }
@@ -100,8 +102,7 @@ impl Systems {
         Systems {
             partitioned: EventStore::ingest(data, StoreConfig::partitioned())
                 .expect("partitioned ingest"),
-            monolithic: EventStore::ingest(data, StoreConfig::monolithic())
-                .expect("monolithic ingest"),
+            postgres: postgres::load(data).expect("PostgreSQL load"),
             graph: neo4j::load_graph(data),
         }
     }
@@ -142,20 +143,19 @@ pub fn run_aiql(
     }
 }
 
-/// Runs the big-join SQL baseline.
-pub fn run_postgres(store: &EventStore, q: &CatalogQuery, budget: Duration) -> RunResult {
+/// Runs the big-join SQL baseline over `db`.
+pub fn run_postgres(db: &Database, q: &CatalogQuery, budget: Duration) -> RunResult {
     if q.kind == QueryKind::Anomaly {
         return RunResult::Unsupported;
     }
     let ctx = compile(q);
     let started = Instant::now();
-    match postgres::run(store, &ctx, Some(started + budget)) {
+    match postgres::run(db, &ctx, Some(started + budget)) {
         Ok((rows, _)) => RunResult::Done {
             elapsed: started.elapsed(),
             rows: rows.len(),
         },
-        Err(BaselineError::Timeout) => RunResult::DidNotFinish { budget },
-        Err(BaselineError::Storage(aiql_rdb::RdbError::ResourceLimit)) => {
+        Err(BaselineError::Timeout) | Err(BaselineError::ResourceLimit) => {
             RunResult::DidNotFinish { budget }
         }
         Err(BaselineError::Untranslatable(_)) => RunResult::Unsupported,
@@ -193,8 +193,7 @@ pub fn run_greenplum(store: &SegmentedStore, q: &CatalogQuery, budget: Duration)
             elapsed: started.elapsed(),
             rows: rows.len(),
         },
-        Err(BaselineError::Timeout)
-        | Err(BaselineError::Storage(aiql_rdb::RdbError::ResourceLimit)) => {
+        Err(BaselineError::Timeout) | Err(BaselineError::ResourceLimit) => {
             RunResult::DidNotFinish { budget }
         }
         Err(BaselineError::Untranslatable(_)) => RunResult::Unsupported,
@@ -253,7 +252,7 @@ mod tests {
                 .run(q.source)
                 .unwrap();
             let ours = aiql_baselines::normalize(ours.rows);
-            let (pg, _) = postgres::run(&systems.monolithic, &ctx, None).unwrap();
+            let (pg, _) = postgres::run(&systems.postgres, &ctx, None).unwrap();
             assert_eq!(
                 ours,
                 aiql_baselines::normalize(pg),

@@ -61,10 +61,6 @@ impl From<PersistError> for EngineError {
 
 impl From<RdbError> for EngineError {
     fn from(e: RdbError) -> Self {
-        match e {
-            RdbError::Timeout => EngineError::Timeout,
-            RdbError::ResourceLimit => EngineError::Resource,
-            other => EngineError::Storage(other),
-        }
+        EngineError::Storage(e)
     }
 }

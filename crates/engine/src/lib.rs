@@ -555,6 +555,7 @@ mod tests {
                 Timestamp(t.0 + 60 * 1_000_000_000),
             ))
             .unwrap();
+            w.publish();
         }
         let second = stmt.execute().unwrap();
         assert!(second.stamp() > first_stamp);

@@ -97,8 +97,8 @@ impl Deadline {
 }
 
 /// Scans the events table: scattered across the store's shards on the
-/// execution pool when the policy is parallel and the layout partitioned,
-/// sequentially otherwise. Rows stay borrowed from the store either way.
+/// execution pool when the policy is parallel, sequentially otherwise.
+/// Rows stay borrowed from the store either way.
 #[allow(clippy::too_many_arguments)]
 fn scan_events<'a>(
     store: &'a EventStore,
@@ -111,23 +111,21 @@ fn scan_events<'a>(
     scatter: &mut Option<ScatterProfile>,
 ) -> Result<Vec<RowView<'a>>, EngineError> {
     deadline.check()?;
-    match store.events_partitioned() {
-        Some(pt) if exec.parallel => {
-            let (rows, sp) = scatter_partition_scan(
-                pt,
-                store.shard_count(),
-                conjuncts,
-                prune,
-                exec,
-                deadline,
-                scanned,
-                profile,
-            )?;
-            *scatter = Some(sp);
-            Ok(rows)
-        }
-        _ => Ok(store.scan_events_profiled(conjuncts, prune, scanned, profile)),
+    if !exec.parallel {
+        return Ok(store.scan_events_profiled(conjuncts, prune, scanned, profile));
     }
+    let (rows, sp) = scatter_partition_scan(
+        store.events_partitioned(),
+        store.shard_count(),
+        conjuncts,
+        prune,
+        exec,
+        deadline,
+        scanned,
+        profile,
+    )?;
+    *scatter = Some(sp);
+    Ok(rows)
 }
 
 /// Scatters the admitted partitions of a sharded event table across the

@@ -102,14 +102,12 @@ fn entity_count(store: &EventStore, kind: EntityKind, conjuncts: &[aiql_rdb::Exp
 }
 
 fn estimate_events(store: &EventStore, prune: &Prune) -> u64 {
-    match store.events_partitioned() {
-        Some(pt) => pt
-            .partitions_for(prune)
-            .iter()
-            .map(|(_, t)| t.len() as u64)
-            .sum(),
-        None => store.event_count() as u64,
-    }
+    store
+        .events_partitioned()
+        .partitions_for(prune)
+        .iter()
+        .map(|(_, t)| t.len() as u64)
+        .sum()
 }
 
 #[cfg(test)]

@@ -980,6 +980,7 @@ mod tests {
                 Timestamp(t.0 + 3600 * 1_000_000_000),
             ))
             .unwrap();
+            w.publish();
         }
         // ...but the pinned session still sees the old version.
         let c = stmt.execute().unwrap();

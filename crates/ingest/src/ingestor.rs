@@ -597,14 +597,14 @@ impl Ingestor {
         };
         // Commit — one write, one fsync: the acknowledgement point — then
         // apply and publish; readers can never see unacknowledged rows.
-        // Without a log the apply phase runs alone, and dropping the plain
-        // session publishes: the whole flush becomes visible atomically.
+        // Without a log the apply phase runs alone, then one publish makes
+        // the whole flush visible atomically.
         let stamp = match log {
             Some(w) => w.commit(apply)?.1,
             None => {
                 let mut w = shared.write();
                 apply(&mut w);
-                w.stamp()
+                w.publish()
             }
         };
 
@@ -954,12 +954,12 @@ mod tests {
         assert_eq!(live.event_count(), batch_store.event_count());
         assert_eq!(live.entity_count(), batch_store.entity_count());
         assert_eq!(
-            live.events_partitioned().unwrap().partition_count(),
-            batch_store.events_partitioned().unwrap().partition_count(),
+            live.events_partitioned().partition_count(),
+            batch_store.events_partitioned().partition_count(),
         );
         assert_eq!(
             stats.rollovers as usize,
-            live.events_partitioned().unwrap().partition_count()
+            live.events_partitioned().partition_count()
         );
         assert_eq!(stats.batches_applied, 3);
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors surfaced by table management, SQL parsing, planning, and execution.
+/// Errors surfaced by table management and row validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RdbError {
     /// A table with this name already exists.
@@ -13,15 +13,6 @@ pub enum RdbError {
     NoSuchColumn(String),
     /// A row's arity or a value's type does not match the table schema.
     SchemaMismatch(String),
-    /// The SQL text failed to lex or parse.
-    Parse(String),
-    /// The query references an unknown alias or is otherwise unplannable.
-    Plan(String),
-    /// The execution deadline configured in `ExecCtx` elapsed.
-    Timeout,
-    /// An operator exceeded the configured row budget (the materialized
-    /// analogue of running out of work_mem/disk — treated as did-not-finish).
-    ResourceLimit,
 }
 
 impl fmt::Display for RdbError {
@@ -31,12 +22,6 @@ impl fmt::Display for RdbError {
             RdbError::NoSuchTable(t) => write!(f, "no such table: {t}"),
             RdbError::NoSuchColumn(c) => write!(f, "no such column: {c}"),
             RdbError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
-            RdbError::Parse(m) => write!(f, "SQL parse error: {m}"),
-            RdbError::Plan(m) => write!(f, "planning error: {m}"),
-            RdbError::Timeout => write!(f, "query exceeded its execution deadline"),
-            RdbError::ResourceLimit => {
-                write!(f, "query exceeded its intermediate-result budget")
-            }
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Scalar predicate expressions evaluated over rows.
 //!
 //! Columns are referenced by *resolved* index into a row layout that the
-//! planner establishes (for single-table scans, the table's own layout; for
-//! join results, the concatenation of the joined tables' layouts). The SQL
-//! front end parses into name-based expressions first and resolves them
-//! during planning.
+//! caller's planner establishes (for single-table scans, the table's own
+//! layout; for join results, the concatenation of the joined tables'
+//! layouts). The AIQL engine builds them from compiled constraints; the SQL
+//! baseline (`aiql-baselines`) resolves its parsed names into them.
 
 use aiql_model::{LikePattern, Value};
 use std::borrow::Cow;

@@ -1,34 +1,25 @@
-//! A from-scratch mini relational database, standing in for the PostgreSQL /
-//! Greenplum storage layer of the AIQL paper.
+//! A from-scratch mini relational database: the storage substrate of the
+//! AIQL event store.
 //!
-//! The AIQL system stores system monitoring data in relational databases and
-//! issues SQL *data queries* against them; its evaluation compares against
-//! executing one big semantics-agnostic SQL join. This crate provides exactly
+//! The AIQL system stores system monitoring data in relational tables and
+//! issues *data queries* against them (paper Sec. 3.2). This crate provides
 //! that substrate, self-contained and deterministic:
 //!
 //! - typed, chunked [`Table`]s with per-chunk secondary indexes and
 //!   columnar projections that replace the rows of sealed chunks they
-//!   fully cover,
-//! - a SQL-subset front end ([`sql`]) — `SELECT` with joins, `WHERE`,
-//!   `GROUP BY`, `HAVING`, `ORDER BY`, `LIMIT`,
-//! - a deliberately *semantics-agnostic* planner ([`plan`]): single-table
-//!   predicate pushdown with index selection, left-deep joins in `FROM`
-//!   order, hash joins for equi-predicates and nested loops otherwise —
-//!   the plan class a generic RDBMS runs when handed the paper's big-join
-//!   translation of a multievent query,
+//!   fully cover, read through cost-chosen access paths,
 //! - time/space [`partition`]ing of tables with partition pruning (the
 //!   paper's Sec. 3.2 storage optimization), and
-//! - an MPP [`segment`] layer with pluggable placement policies and
-//!   scatter/gather execution (the Greenplum analogue of Sec. 6.3.3).
+//! - [`snapshot`] encoding of tables and partitions for the durable store.
 //!
-//! Execution is materialized and cancellable: long-running queries observe a
-//! deadline through [`exec::ExecCtx`] so benchmark harnesses can impose the
-//! paper's one-hour-style budget.
+//! It has no query language: the AIQL engine plans its own data queries,
+//! and the SQL comparator of the paper's evaluation lives in
+//! `aiql-baselines`.
 //!
 //! # Examples
 //!
 //! ```
-//! use aiql_rdb::{Database, Schema, ColumnType, Value};
+//! use aiql_rdb::{CmpOp, ColumnType, Database, Expr, Schema, Value};
 //!
 //! let mut db = Database::new();
 //! let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
@@ -37,30 +28,26 @@
 //! db.insert("users", vec![Value::Int(1), Value::str("alice")]).unwrap();
 //! db.insert("users", vec![Value::Int(2), Value::str("bob")]).unwrap();
 //!
-//! let rs = db.query("SELECT u.id FROM users u WHERE u.name = 'bob'").unwrap();
-//! assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
+//! let users = db.plain("users").unwrap();
+//! let (_, hits) = users.select(&[Expr::cmp_lit(1, CmpOp::Eq, "bob")], &mut 0);
+//! let rows: Vec<_> = users.rows_at(&hits).map(|r| r.to_row()).collect();
+//! assert_eq!(rows, vec![vec![Value::Int(2), Value::str("bob")]]);
 //! ```
 
 pub mod columnar;
 pub mod error;
-pub mod exec;
 pub mod expr;
 pub mod partition;
-pub mod plan;
 pub mod schema;
-pub mod segment;
 pub mod snapshot;
-pub mod sql;
 pub mod table;
 
 pub use aiql_model::{LikePattern, SharedDict, Sym, Value};
 pub use columnar::{Columnar, ColumnarSpec, Kernel};
 pub use error::RdbError;
-pub use exec::{ExecCtx, ExecStats, ResultSet};
 pub use expr::{CmpOp, Expr, InList};
 pub use partition::{shard_of, InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
 pub use schema::{ColumnType, Row, Schema};
-pub use segment::{Placement, SegmentedDb};
 pub use table::{
     AccessPath, ResidentBytes, RowView, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS,
 };
@@ -68,7 +55,7 @@ pub use table::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Storage backing one named table: monolithic or partitioned.
+/// Storage backing one named table: plain or partitioned.
 ///
 /// Plain tables sit behind `Arc` for the same copy-on-write sharing as
 /// partitions (see [`PartitionedTable`]): cloning a [`Database`] — the
@@ -108,7 +95,7 @@ impl TableSlot {
     }
 }
 
-/// A named collection of tables with a SQL front end.
+/// A named collection of tables.
 ///
 /// `Clone` is cheap by design: every table is `Arc`-shared with the clone
 /// (copy-on-write), which is what lets the live store publish an immutable
@@ -127,7 +114,7 @@ impl Database {
         Database::default()
     }
 
-    /// Creates a monolithic table; fails if the name is taken.
+    /// Creates a plain (unpartitioned) table; fails if the name is taken.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), RdbError> {
         if self.tables.contains_key(name) {
             return Err(RdbError::TableExists(name.to_string()));
@@ -268,7 +255,7 @@ impl Database {
             .sum()
     }
 
-    /// The monolithic table `name`, if stored plain.
+    /// The table `name`, if stored plain.
     pub fn plain(&self, name: &str) -> Option<&Table> {
         match self.tables.get(name) {
             Some(TableSlot::Plain(t)) => Some(t.as_ref()),
@@ -349,19 +336,6 @@ impl Database {
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(String::as_str).collect()
     }
-
-    /// Parses, plans, and executes a SQL query with no deadline.
-    pub fn query(&self, sql: &str) -> Result<ResultSet, RdbError> {
-        self.query_ctx(sql, &mut ExecCtx::unbounded())
-    }
-
-    /// Parses, plans, and executes a SQL query under an execution context
-    /// (deadline + statistics).
-    pub fn query_ctx(&self, sql: &str, ctx: &mut ExecCtx) -> Result<ResultSet, RdbError> {
-        let stmt = sql::parse_select(sql)?;
-        let plan = plan::plan_select(self, &stmt)?;
-        exec::execute(self, &plan, ctx)
-    }
 }
 
 #[cfg(test)]
@@ -383,47 +357,6 @@ mod tests {
         ));
         assert!(matches!(db.slot("missing"), Err(RdbError::NoSuchTable(_))));
         assert_eq!(db.table_names(), vec!["t"]);
-    }
-
-    #[test]
-    fn sql_over_partitioned_table() {
-        let mut db = Database::new();
-        let schema = Schema::new(&[
-            ("id", ColumnType::Int),
-            ("agentid", ColumnType::Int),
-            ("start_time", ColumnType::Int),
-        ]);
-        db.create_partitioned_table(
-            "events",
-            schema,
-            PartitionSpec::new("start_time", "agentid", 1),
-        )
-        .unwrap();
-        let day = partition::NANOS_PER_DAY;
-        for i in 0..10i64 {
-            db.insert(
-                "events",
-                vec![Value::Int(i), Value::Int(i % 2), Value::Int(i * day / 4)],
-            )
-            .unwrap();
-        }
-        let mut ctx = ExecCtx::unbounded();
-        let rs = db
-            .query_ctx(
-                &format!(
-                    "SELECT e.id FROM events e WHERE e.start_time >= {} AND e.start_time < {} \
-                     AND e.agentid = 0 ORDER BY e.id",
-                    day,
-                    2 * day
-                ),
-                &mut ctx,
-            )
-            .unwrap();
-        // Rows with t in [day, 2day): i*day/4 in that range → i in {4..7};
-        // agent 0 → even i → {4, 6}.
-        assert_eq!(rs.rows, vec![vec![Value::Int(4)], vec![Value::Int(6)]]);
-        // Partition pruning means we scanned only day-1 partitions of agent 0.
-        assert!(ctx.stats.rows_scanned <= 4);
     }
 
     #[test]

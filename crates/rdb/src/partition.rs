@@ -9,10 +9,10 @@
 
 use crate::columnar::ColumnarSpec;
 use crate::error::RdbError;
-use crate::expr::Expr;
+use crate::expr::{CmpOp, Expr};
 use crate::schema::{Row, Schema};
 use crate::table::{ResidentBytes, RowView, Table};
-use aiql_model::SharedDict;
+use aiql_model::{SharedDict, Value};
 use std::sync::Arc;
 
 /// Nanoseconds per day (partition granularity).
@@ -50,8 +50,7 @@ pub type PartKey = (i64, u32);
 /// partitions can be scanned by one worker with no coordination. The hash
 /// (FNV-1a over both key components) is stable across runs and across
 /// shard counts being queried, which keeps routing a pure function of the
-/// data — the same property `Placement::ByAgent` gives the MPP segment
-/// layer, generalized to the time dimension.
+/// data: one host's rows for one day always share a shard.
 pub fn shard_of(key: &PartKey, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -438,8 +437,7 @@ impl PartitionedTable {
 
     /// Derives pruning hints from scan conjuncts over this table's layout.
     pub fn prune_from_conjuncts(&self, conjuncts: &[Expr]) -> Prune {
-        let (lo, hi, agents) =
-            crate::plan::prune_hints(conjuncts, self.time_idx, self.agent_idx, NANOS_PER_DAY);
+        let (lo, hi, agents) = prune_hints(conjuncts, self.time_idx, self.agent_idx, NANOS_PER_DAY);
         Prune {
             day_lo: lo,
             day_hi: hi,
@@ -503,12 +501,61 @@ impl PartitionedTable {
     }
 }
 
+/// Extracts `(day_lo, day_hi, agents)` pruning hints from scan conjuncts,
+/// given the local positions of the partition time/agent columns.
+fn prune_hints(
+    conjuncts: &[Expr],
+    time_col: usize,
+    agent_col: usize,
+    nanos_per_day: i64,
+) -> (Option<i64>, Option<i64>, Option<Vec<i64>>) {
+    let mut lo: Option<i64> = None;
+    let mut hi: Option<i64> = None;
+    let mut agents: Option<Vec<i64>> = None;
+    for c in conjuncts {
+        match c {
+            Expr::Cmp(op, a, b) => {
+                let (col, lit, op) = match (a.as_ref(), b.as_ref()) {
+                    (Expr::Col(col), Expr::Lit(Value::Int(v))) => (*col, *v, *op),
+                    (Expr::Lit(Value::Int(v)), Expr::Col(col)) => (*col, *v, op.flip()),
+                    _ => continue,
+                };
+                if col == time_col {
+                    let day = lit.div_euclid(nanos_per_day);
+                    match op {
+                        CmpOp::Ge | CmpOp::Gt => lo = Some(lo.map_or(day, |x| x.max(day))),
+                        CmpOp::Le | CmpOp::Lt => hi = Some(hi.map_or(day, |x| x.min(day))),
+                        CmpOp::Eq => {
+                            lo = Some(lo.map_or(day, |x| x.max(day)));
+                            hi = Some(hi.map_or(day, |x| x.min(day)));
+                        }
+                        _ => {}
+                    }
+                } else if col == agent_col && op == CmpOp::Eq {
+                    agents = Some(vec![lit]);
+                }
+            }
+            Expr::In(inner, list) => {
+                if let Expr::Col(col) = inner.as_ref() {
+                    if *col == agent_col {
+                        let list = list.values();
+                        let vals: Vec<i64> = list.iter().filter_map(Value::as_int).collect();
+                        if vals.len() == list.len() {
+                            agents = Some(vals);
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    (lo, hi, agents)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
     use crate::schema::ColumnType;
-    use aiql_model::Value;
 
     fn pt() -> PartitionedTable {
         let schema = Schema::new(&[
@@ -812,5 +859,23 @@ mod tests {
             Value::str("f"),
         ]);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn prune_hint_extraction() {
+        let day = 86_400i64 * 1_000_000_000;
+        let conjuncts = vec![
+            Expr::cmp_lit(3, CmpOp::Ge, 2 * day),
+            Expr::cmp_lit(3, CmpOp::Lt, 3 * day),
+            Expr::cmp_lit(0, CmpOp::Eq, 7i64),
+        ];
+        let (lo, hi, agents) = prune_hints(&conjuncts, 3, 0, day);
+        assert_eq!(lo, Some(2));
+        assert_eq!(hi, Some(3));
+        assert_eq!(agents, Some(vec![7]));
+
+        let conjuncts = vec![Expr::in_list(0, vec![Value::Int(1), Value::Int(2)])];
+        let (_, _, agents) = prune_hints(&conjuncts, 3, 0, day);
+        assert_eq!(agents, Some(vec![1, 2]));
     }
 }

@@ -576,8 +576,8 @@ pub struct Table {
     layout: Option<Columnar>,
 }
 
-/// How a scan located its rows — reported in [`crate::exec::ExecStats`] and
-/// asserted on by planner tests.
+/// How a scan located its rows — reported in [`ScanProfile`] and asserted
+/// on by access-path tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPath {
     /// Full table scan.

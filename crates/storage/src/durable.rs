@@ -152,7 +152,7 @@ impl DurableStore {
     /// nothing.
     pub fn begin(&mut self) -> DurableWrite<'_> {
         DurableWrite {
-            store: self.shared.write_deferred(),
+            store: self.shared.write(),
             wal: &mut self.wal,
             committed: false,
         }
@@ -192,7 +192,7 @@ impl DurableStore {
             // acknowledged it, so the head is fully acknowledged: snapshot
             // that state. Readers are not blocked — the write session
             // locks out other writers only.
-            let mut w = self.shared.write_deferred();
+            let mut w = self.shared.write();
             w.publish();
             persist::write_snapshot(&w, &self.dir, covered)?
         };
@@ -583,7 +583,7 @@ mod tests {
     #[test]
     fn persisted_config_wins_on_reopen() {
         let dir = tmp("config");
-        let d = DurableStore::open(&dir, StoreConfig::monolithic())
+        let d = DurableStore::open(&dir, StoreConfig::partitioned().with_columnar(false))
             .unwrap()
             .store;
         drop(d);
@@ -592,7 +592,7 @@ mod tests {
             .store;
         let shared = reopened.shared();
         let store = shared.read();
-        assert!(store.events_partitioned().is_none(), "snapshot config wins");
+        assert!(!store.config().columnar, "snapshot config wins");
         fs::remove_dir_all(&dir).unwrap();
     }
 

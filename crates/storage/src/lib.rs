@@ -3,16 +3,16 @@
 //! The store keeps entities and events in relational tables (see [`schema`])
 //! and exploits the data's spatial and temporal properties:
 //!
-//! - **Partitioned layout** (AIQL's optimization): the `events` table is
-//!   split by `(day, agent group)` — the analogue of "one database per day"
-//!   plus agent-group table partitions — so constrained queries prune
-//!   partitions and the engine parallelizes across them.
-//! - **Monolithic layout** (baseline): the same tables without partitioning,
-//!   as the end-to-end PostgreSQL/Neo4j comparison stores them.
+//! - **Partitioned events**: the `events` table is split by `(day, agent
+//!   group)` — the analogue of "one database per day" plus agent-group
+//!   table partitions — so constrained queries prune partitions and the
+//!   engine parallelizes across them. The entity tables stay plain.
+//! - **Secondary indexes** of [`schema::index_plan`] on every table, and
+//!   optionally **columnar projections** ([`StoreConfig::columnar`]).
 //!
-//! Both layouts build the same secondary indexes (the paper gives the
-//! baselines identical schema/index designs) and both are loaded through the
-//! same ingestion path, including server-side [`timesync`] correction.
+//! Batch loads and live appends go through the same append hooks, so both
+//! build the same partitions and indexes; live ingestion adds server-side
+//! [`timesync`] correction on the way in.
 //!
 //! # Examples
 //!
@@ -80,31 +80,19 @@ pub(crate) fn columnar_spec_for(table: &str) -> ColumnarSpec {
     ColumnarSpec::all().with_columns(&hot)
 }
 
-/// Physical layout of the event store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Single tables, no partitioning (the end-to-end baseline layout).
-    Monolithic,
-    /// Events partitioned by (day, agent group) — AIQL's layout.
-    Partitioned {
-        /// Number of consecutive agents per spatial partition group.
-        agent_group_size: u32,
-    },
-}
-
 /// Store construction options.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    pub layout: Layout,
-    /// Whether to build the secondary indexes of [`schema::index_plan`].
-    pub with_indexes: bool,
+    /// Number of consecutive agents per spatial partition group of the
+    /// events table.
+    pub agent_group_size: u32,
     /// Whether to build columnar projections (dictionary-interned values,
     /// time-sorted zone-mapped blocks) alongside the row store.
     pub columnar: bool,
     /// Execution shards the partitioned layout routes `(day, agent group)`
     /// partitions into (`aiql_rdb::partition::shard_of`). `0` means
     /// auto-size to the machine: [`StoreConfig::shard_count`] resolves it
-    /// to `available_parallelism`. Ignored by the monolithic layout.
+    /// to `available_parallelism`.
     pub shards: u32,
 }
 
@@ -113,22 +101,8 @@ impl StoreConfig {
     /// columnar projections on the scan-heavy tables.
     pub fn partitioned() -> StoreConfig {
         StoreConfig {
-            layout: Layout::Partitioned {
-                agent_group_size: 5,
-            },
-            with_indexes: true,
+            agent_group_size: 5,
             columnar: true,
-            shards: 0,
-        }
-    }
-
-    /// Baseline layout: monolithic tables, indexed, row-store only (the
-    /// configuration the end-to-end PostgreSQL comparison stores).
-    pub fn monolithic() -> StoreConfig {
-        StoreConfig {
-            layout: Layout::Monolithic,
-            with_indexes: true,
-            columnar: false,
             shards: 0,
         }
     }
@@ -152,11 +126,8 @@ impl StoreConfig {
     /// Overrides the spatial partition group size, builder style — smaller
     /// groups mean more partitions and therefore more scatter width on
     /// small agent fleets (the scatter speedup test uses groups of 1).
-    /// No-op on the monolithic layout.
     pub fn with_agent_group(mut self, g: u32) -> StoreConfig {
-        if let Layout::Partitioned { agent_group_size } = &mut self.layout {
-            *agent_group_size = g.max(1);
-        }
+        self.agent_group_size = g.max(1);
         self
     }
 
@@ -224,22 +195,12 @@ pub fn event_row(ev: &Event) -> Row {
     ]
 }
 
-fn create_tables(
-    mut create: impl FnMut(&'static str, aiql_rdb::Schema, bool) -> Result<(), RdbError>,
-) -> Result<(), RdbError> {
-    create(schema::EVENTS, schema::events_schema(), true)?;
-    create(schema::PROCESSES, schema::processes_schema(), false)?;
-    create(schema::FILES, schema::files_schema(), false)?;
-    create(schema::NETCONNS, schema::netconns_schema(), false)?;
-    Ok(())
-}
-
 /// What appending one event did to the store's physical layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AppendOutcome {
     /// The `(day, agent group)` partition this append rolled over into, if
-    /// it was the first row of that partition. `None` on the monolithic
-    /// layout and for rows landing in existing partitions.
+    /// it was the first row of that partition. `None` for rows landing in
+    /// existing partitions.
     pub created_partition: Option<PartKey>,
 }
 
@@ -253,7 +214,7 @@ pub enum RowRef<'a> {
     Event(&'a Event),
 }
 
-/// The single-node event store (monolithic or partitioned layout).
+/// The single-node event store.
 ///
 /// Construct-and-query via [`EventStore::ingest`], or grow a live store via
 /// the append hooks ([`EventStore::append_entity`] /
@@ -276,18 +237,18 @@ pub struct EventStore {
 }
 
 impl EventStore {
-    /// Creates an empty store with the schema, (optionally) indexes, and
-    /// (optionally) columnar projections set up.
+    /// Creates an empty store with the schema, indexes, and (optionally)
+    /// columnar projections set up.
     pub fn empty(config: StoreConfig) -> Result<EventStore, RdbError> {
         let mut db = Database::new();
-        create_tables(|name, sch, is_events| match config.layout {
-            Layout::Partitioned { agent_group_size } if is_events => db.create_partitioned_table(
-                name,
-                sch,
-                PartitionSpec::new("start_time", "agentid", agent_group_size),
-            ),
-            _ => db.create_table(name, sch),
-        })?;
+        db.create_partitioned_table(
+            schema::EVENTS,
+            schema::events_schema(),
+            PartitionSpec::new("start_time", "agentid", config.agent_group_size),
+        )?;
+        db.create_table(schema::PROCESSES, schema::processes_schema())?;
+        db.create_table(schema::FILES, schema::files_schema())?;
+        db.create_table(schema::NETCONNS, schema::netconns_schema())?;
         let dict = SharedDict::new();
         if config.columnar {
             for table in [
@@ -299,10 +260,8 @@ impl EventStore {
                 db.enable_columnar(table, columnar_spec_for(table), dict.clone())?;
             }
         }
-        if config.with_indexes {
-            for (table, col) in schema::index_plan() {
-                db.create_index(table, col)?;
-            }
+        for (table, col) in schema::index_plan() {
+            db.create_index(table, col)?;
         }
         Ok(EventStore {
             db,
@@ -390,7 +349,7 @@ impl EventStore {
         }
     }
 
-    /// The underlying database (SQL entry point for baselines).
+    /// The underlying database (what the SQL baseline of Fig. 6 queries).
     pub fn db(&self) -> &Database {
         &self.db
     }
@@ -435,9 +394,11 @@ impl EventStore {
         self.entity_count
     }
 
-    /// The partitioned events table, when the layout is partitioned.
-    pub fn events_partitioned(&self) -> Option<&aiql_rdb::PartitionedTable> {
-        self.db.partitioned(schema::EVENTS)
+    /// The partitioned events table.
+    pub fn events_partitioned(&self) -> &aiql_rdb::PartitionedTable {
+        self.db
+            .partitioned(schema::EVENTS)
+            .expect("the events table is partitioned")
     }
 
     /// The store-wide string dictionary (populated only when the columnar
@@ -446,11 +407,11 @@ impl EventStore {
         &self.dict
     }
 
-    /// Scans events with conjuncts over the events layout — pruning
-    /// partitions by `prune` intersected with what the conjuncts imply when
-    /// partitioned — and returns the matching rows borrowed from the store,
-    /// with access-path and pruning accounting into `profile` (the storage
-    /// hook behind the session API's `EXPLAIN`).
+    /// Scans events with conjuncts — pruning partitions by `prune`
+    /// intersected with what the conjuncts imply — and returns the matching
+    /// rows borrowed from the store, with access-path and pruning
+    /// accounting into `profile` (the storage hook behind the session API's
+    /// `EXPLAIN`).
     pub fn scan_events_profiled(
         &self,
         conjuncts: &[aiql_rdb::Expr],
@@ -458,19 +419,9 @@ impl EventStore {
         scanned: &mut u64,
         profile: &mut ScanProfile,
     ) -> Vec<RowView<'_>> {
-        match self.db.partitioned(schema::EVENTS) {
-            Some(pt) => {
-                let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
-                pt.select_refs_profiled(conjuncts, &merged, scanned, profile)
-            }
-            None => {
-                let t = self.db.plain(schema::EVENTS).expect("events table exists");
-                profile.partitions_total += 1;
-                profile.partitions_scanned += 1;
-                let (_, pos) = t.select_profiled(conjuncts, scanned, profile);
-                t.rows_at(&pos).collect()
-            }
-        }
+        let pt = self.events_partitioned();
+        let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
+        pt.select_refs_profiled(conjuncts, &merged, scanned, profile)
     }
 
     /// Scans an entity table with conjuncts (index-accelerated) and returns
@@ -583,7 +534,10 @@ mod tests {
     #[test]
     fn ingest_counts_both_layouts() {
         let d = dataset();
-        for cfg in [StoreConfig::partitioned(), StoreConfig::monolithic()] {
+        for cfg in [
+            StoreConfig::partitioned(),
+            StoreConfig::partitioned().with_columnar(false),
+        ] {
             let s = EventStore::ingest(&d, cfg).unwrap();
             assert_eq!(s.event_count(), 20);
             assert_eq!(s.entity_count(), 12);
@@ -594,10 +548,8 @@ mod tests {
     fn partitioned_layout_creates_partitions() {
         let d = dataset();
         let s = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let pt = s.events_partitioned().expect("partitioned");
+        let pt = s.events_partitioned();
         assert!(pt.partition_count() >= 2, "at least 2 day partitions");
-        let m = EventStore::ingest(&d, StoreConfig::monolithic()).unwrap();
-        assert!(m.events_partitioned().is_none());
     }
 
     #[test]
@@ -802,11 +754,6 @@ mod tests {
             "agent-group rollover"
         );
 
-        // Monolithic stores never roll over.
-        let mut m = EventStore::empty(StoreConfig::monolithic()).unwrap();
-        let o = m.append_event(&ev(1, 0, day0)).unwrap();
-        assert_eq!(o.created_partition, None);
-
         // The stamp tracks every append.
         assert_eq!(s.stamp().epoch, 4);
         assert_eq!(s.stamp().events, 4);
@@ -818,7 +765,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aiql-storage-persist-{}", std::process::id()));
         for (i, cfg) in [
             StoreConfig::partitioned(),
-            StoreConfig::monolithic(),
             StoreConfig::partitioned().with_columnar(false),
         ]
         .into_iter()
@@ -834,8 +780,8 @@ mod tests {
             assert_eq!(back.config().columnar, cfg.columnar);
             assert_eq!(back.dict().len(), live.dict().len());
             assert_eq!(
-                back.events_partitioned().map(|p| p.partition_count()),
-                live.events_partitioned().map(|p| p.partition_count()),
+                back.events_partitioned().partition_count(),
+                live.events_partitioned().partition_count(),
             );
             // Scans agree, touching the same number of rows (same access
             // paths, same projection blocks).
@@ -855,28 +801,13 @@ mod tests {
     }
 
     #[test]
-    fn sql_joins_work_over_the_store() {
-        let d = dataset();
-        let s = EventStore::ingest(&d, StoreConfig::monolithic()).unwrap();
-        let rs = s
-            .db()
-            .query(
-                "SELECT DISTINCT p.exe_name FROM events e JOIN processes p \
-                 ON e.subject_id = p.id JOIN netconns n ON e.object_id = n.id \
-                 WHERE n.dst_ip = '10.0.0.99' ORDER BY p.exe_name",
-            )
-            .unwrap();
-        assert_eq!(rs.rows.len(), 4, "every agent's proc talked to .99");
-    }
-
-    #[test]
     fn time_span() {
         let d = dataset();
         let s = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
         let (lo, hi) = s.time_span().unwrap();
         assert_eq!(lo, Timestamp(Timestamp::from_ymd(2017, 1, 1).unwrap().0));
         assert!(hi > lo);
-        let empty = EventStore::empty(StoreConfig::monolithic()).unwrap();
+        let empty = EventStore::empty(StoreConfig::partitioned()).unwrap();
         assert!(empty.time_span().is_none());
     }
 }

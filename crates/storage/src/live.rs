@@ -10,9 +10,9 @@
 //!   only writers ever take); appends mutate it privately and are
 //!   invisible to readers until published;
 //! - a **published** snapshot — an `Arc<EventStore>` — is swapped in
-//!   atomically when the writer [`StoreWriter::publish`]es (every
-//!   [`SharedStore::write`] session publishes when it ends; durable
-//!   writers publish after the WAL fsync instead);
+//!   atomically when the writer [`StoreWriter::publish`]es. The caller
+//!   of [`SharedStore::write`] decides when: a plain flush publishes once
+//!   its rows are applied, a durable one only after the WAL fsync;
 //! - readers call [`SharedStore::read`] and get a [`StoreSnapshot`]: an
 //!   `Arc` clone of the published store. Taking it is a pointer copy —
 //!   readers never wait on a flush, and a flush never waits on readers.
@@ -121,26 +121,15 @@ impl SharedStore {
     }
 
     /// A write session for appending. Appends go to the private head store
-    /// and become visible to readers when the session **publishes** — on
-    /// drop, for this entry point.
+    /// and stay invisible to readers until the caller
+    /// [`StoreWriter::publish`]es; a session dropped without publishing
+    /// leaves them for the next publish. The durable store publishes only
+    /// after the WAL fsync, so a reader can never observe a row whose
+    /// durability is still in flight.
     pub fn write(&self) -> StoreWriter<'_> {
-        self.writer(true)
-    }
-
-    /// A write session that does **not** publish on drop: appends stay
-    /// invisible to readers until [`StoreWriter::publish`] is called. The
-    /// durable store uses this to order publication *after* the WAL fsync,
-    /// so a reader can never observe a row whose durability is still in
-    /// flight.
-    pub fn write_deferred(&self) -> StoreWriter<'_> {
-        self.writer(false)
-    }
-
-    fn writer(&self, publish_on_drop: bool) -> StoreWriter<'_> {
         StoreWriter {
             head: self.head.lock().expect("store lock poisoned"),
             published: &self.published,
-            publish_on_drop,
         }
     }
 
@@ -166,15 +155,12 @@ impl SharedStore {
 /// An exclusive write session on a [`SharedStore`]'s head store.
 ///
 /// Derefs to [`EventStore`], so the append hooks are available directly.
-/// Mutations are private to the session until published: either explicitly
-/// via [`StoreWriter::publish`] (the durable store's post-fsync
-/// acknowledgement point) or on drop when the session came from
-/// [`SharedStore::write`].
+/// Mutations are private to the session until [`StoreWriter::publish`]
+/// (for the durable store, its post-fsync acknowledgement point).
 #[derive(Debug)]
 pub struct StoreWriter<'a> {
     head: MutexGuard<'a, EventStore>,
     published: &'a RwLock<Arc<EventStore>>,
-    publish_on_drop: bool,
 }
 
 impl StoreWriter<'_> {
@@ -241,14 +227,6 @@ impl DerefMut for StoreWriter<'_> {
     }
 }
 
-impl Drop for StoreWriter<'_> {
-    fn drop(&mut self) {
-        if self.publish_on_drop {
-            self.publish();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +243,12 @@ mod tests {
             EntityKind::File,
             Timestamp(t),
         )
+    }
+
+    fn append_and_publish(shared: &SharedStore, ev: &Event) {
+        let mut w = shared.write();
+        w.append_event(ev).unwrap();
+        w.publish();
     }
 
     #[test]
@@ -284,6 +268,7 @@ mod tests {
             w.append_entity(&Entity::process(1.into(), AgentId(1), "p", 1))
                 .unwrap();
             w.append_event(&event(1, 0)).unwrap();
+            w.publish();
         }
         let s1 = shared.stamp();
         assert!(s1 > s0);
@@ -293,16 +278,14 @@ mod tests {
     #[test]
     fn snapshot_pins_a_stable_view_while_writers_proceed() {
         let shared = SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap());
-        shared.write().append_event(&event(1, 0)).unwrap();
+        append_and_publish(&shared, &event(1, 0));
 
         let clone = shared.clone();
         let snap = shared.read();
         let before = snap.stamp();
         // A writer on another thread does NOT block behind the snapshot —
         // it appends, publishes, and finishes while the snapshot is held.
-        let writer = std::thread::spawn(move || {
-            clone.write().append_event(&event(2, 1)).unwrap();
-        });
+        let writer = std::thread::spawn(move || append_and_publish(&clone, &event(2, 1)));
         writer.join().unwrap();
         // The published store moved on; the pinned snapshot did not.
         assert_eq!(shared.stamp().events, 2);
@@ -313,16 +296,16 @@ mod tests {
     #[test]
     fn unpublished_appends_are_invisible_until_publish() {
         let shared = SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap());
-        let mut w = shared.write_deferred();
+        let mut w = shared.write();
         w.append_event(&event(1, 0)).unwrap();
         assert_eq!(shared.stamp().events, 0, "not yet published");
         assert_eq!(w.stamp().events, 1, "but in the head");
         w.publish();
         assert_eq!(shared.stamp().events, 1);
         drop(w);
-        // A deferred session dropped without publishing leaves readers on
-        // the old snapshot; the appends surface with the next publish.
-        let mut w = shared.write_deferred();
+        // A session dropped without publishing leaves readers on the old
+        // snapshot; the appends surface with the next publish.
+        let mut w = shared.write();
         w.append_event(&event(2, 1)).unwrap();
         drop(w);
         assert_eq!(shared.stamp().events, 1);
@@ -339,11 +322,12 @@ mod tests {
             let mut w = shared.write();
             w.append_event(&event(1, 10)).unwrap();
             w.append_event(&event(2, day + 10)).unwrap();
+            w.publish();
         }
         let snap = shared.read();
         // Appending into day 1 unseals (copies) only that partition; the
         // day-0 partition and all three entity tables stay shared.
-        shared.write().append_event(&event(3, day + 20)).unwrap();
+        append_and_publish(&shared, &event(3, day + 20));
         let after = shared.read();
         assert_eq!(snap.db().tables_shared_with(after.db()), 4);
         // A fresh publish with no appends swaps nothing at all.
@@ -356,7 +340,7 @@ mod tests {
     fn publish_seals_grown_tails_so_detaches_copy_nothing() {
         let shared = SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap());
         {
-            let mut w = shared.write_deferred();
+            let mut w = shared.write();
             for i in 0..200u64 {
                 w.append_event(&event(i, i as i64)).unwrap();
             }
@@ -372,7 +356,7 @@ mod tests {
         // so the post-publish append detaches the hot partition by copying
         // an *empty* tail: zero bytes of write amplification.
         {
-            let mut w = shared.write_deferred();
+            let mut w = shared.write();
             w.append_event(&event(1000, 5)).unwrap();
             w.publish();
         }
@@ -385,7 +369,7 @@ mod tests {
         // The sealed 200-row chunk stays physically shared across publishes.
         assert_eq!(snap.sealed_chunks_shared_with(&after), 1);
         // Sub-threshold tails stay open: the 1-row tail was not sealed.
-        let pt = after.events_partitioned().unwrap();
+        let pt = after.events_partitioned();
         let parts = pt.partitions_for(&aiql_rdb::partition::Prune::all());
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].1.chunk_boundaries(), vec![200, 1]);
@@ -393,7 +377,7 @@ mod tests {
 
     #[test]
     fn try_unwrap_recovers_the_store() {
-        let shared = SharedStore::new(EventStore::empty(StoreConfig::monolithic()).unwrap());
+        let shared = SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap());
         let clone = shared.clone();
         let shared = shared.try_unwrap().expect_err("clone still alive");
         drop(clone);

@@ -33,7 +33,7 @@
 //! tolerated and reported, never fatal.
 
 use crate::timesync::{ClockSample, Synchronizer};
-use crate::{columnar_spec_for, schema, EventStore, Layout, RowRef, StoreConfig};
+use crate::{columnar_spec_for, schema, EventStore, RowRef, StoreConfig};
 use aiql_model::{codec, SharedDict};
 use aiql_rdb::{
     snapshot as rsnap, ColumnarSpec, Database, PartitionSpec, RdbError, Schema, TableSlot,
@@ -49,6 +49,13 @@ use std::path::{Path, PathBuf};
 /// chunked table layout — per-table chunk boundaries and per-chunk
 /// columnar block metadata. Older versions are not readable).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIQLSNP3";
+
+/// The header's layout tag: the events table is partitioned (format v3
+/// also defined `0`, an unpartitioned store, which no longer loads).
+const LAYOUT_PARTITIONED: u8 = 1;
+/// The header's index flag: the store carries [`schema::index_plan`]'s
+/// indexes (`0`, an unindexed store, no longer loads).
+const WITH_INDEXES: u8 = 1;
 
 const SNAPSHOT_PREFIX: &str = "snapshot-";
 const SNAPSHOT_SUFFIX: &str = ".bin";
@@ -147,10 +154,7 @@ fn schema_for(table: &str) -> Schema {
     }
 }
 
-fn indexes_for(config: StoreConfig, table: &str) -> Vec<String> {
-    if !config.with_indexes {
-        return Vec::new();
-    }
+fn indexes_for(table: &str) -> Vec<String> {
     schema::index_plan()
         .into_iter()
         .filter(|(t, _)| *t == table)
@@ -170,13 +174,11 @@ pub fn write_snapshot(
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     codec::write_u64(&mut buf, wal_seq)?;
 
-    let (layout_tag, group) = match store.config.layout {
-        Layout::Monolithic => (0u8, 0u32),
-        Layout::Partitioned { agent_group_size } => (1u8, agent_group_size),
-    };
-    codec::write_u8(&mut buf, layout_tag)?;
-    codec::write_u32(&mut buf, group)?;
-    codec::write_u8(&mut buf, store.config.with_indexes as u8)?;
+    // The layout tag and the index flag are format v3 fields whose only
+    // value left is 1: a partitioned, indexed store.
+    codec::write_u8(&mut buf, LAYOUT_PARTITIONED)?;
+    codec::write_u32(&mut buf, store.config.agent_group_size)?;
+    codec::write_u8(&mut buf, WITH_INDEXES)?;
     codec::write_u8(&mut buf, store.config.columnar as u8)?;
     codec::write_u32(&mut buf, store.config.shards)?;
     codec::write_u64(&mut buf, store.epoch)?;
@@ -242,15 +244,16 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     let mut r = &body[SNAPSHOT_MAGIC.len()..];
     let wal_seq = codec::read_u64(&mut r)?;
     let layout_tag = codec::read_u8(&mut r)?;
+    if layout_tag != LAYOUT_PARTITIONED {
+        return Err(corrupt(format!("unsupported layout tag {layout_tag}")));
+    }
     let agent_group_size = codec::read_u32(&mut r)?;
-    let layout = match layout_tag {
-        0 => Layout::Monolithic,
-        1 => Layout::Partitioned { agent_group_size },
-        tag => return Err(corrupt(format!("unknown layout tag {tag}"))),
-    };
+    let with_indexes = codec::read_u8(&mut r)?;
+    if with_indexes != WITH_INDEXES {
+        return Err(corrupt(format!("unsupported index flag {with_indexes}")));
+    }
     let config = StoreConfig {
-        layout,
-        with_indexes: codec::read_u8(&mut r)? != 0,
+        agent_group_size,
         columnar: codec::read_u8(&mut r)? != 0,
         shards: codec::read_u32(&mut r)?,
     };
@@ -268,27 +271,23 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     for table in TABLE_ORDER {
         let spec_holder: Option<ColumnarSpec> = config.columnar.then(|| columnar_spec_for(table));
         let columnar = spec_holder.as_ref().map(|s| (s, &dict));
-        let indexes = indexes_for(config, table);
-        let slot = match codec::read_u8(&mut r)? {
-            0 => TableSlot::Plain(std::sync::Arc::new(rsnap::read_table(
+        let indexes = indexes_for(table);
+        // Events are partitioned, the entity tables plain.
+        let slot = match (codec::read_u8(&mut r)?, table == schema::EVENTS) {
+            (0, false) => TableSlot::Plain(std::sync::Arc::new(rsnap::read_table(
                 &mut r,
                 schema_for(table),
                 &indexes,
                 columnar,
             )?)),
-            1 => {
-                let Layout::Partitioned { agent_group_size } = config.layout else {
-                    return Err(corrupt("partitioned table in a monolithic snapshot"));
-                };
-                TableSlot::Partitioned(rsnap::read_partitioned(
-                    &mut r,
-                    schema_for(table),
-                    PartitionSpec::new("start_time", "agentid", agent_group_size),
-                    &indexes,
-                    columnar,
-                )?)
-            }
-            tag => return Err(corrupt(format!("unknown table kind {tag}"))),
+            (1, true) => TableSlot::Partitioned(rsnap::read_partitioned(
+                &mut r,
+                schema_for(table),
+                PartitionSpec::new("start_time", "agentid", agent_group_size),
+                &indexes,
+                columnar,
+            )?),
+            (tag, _) => return Err(corrupt(format!("table {table}: unexpected kind {tag}"))),
         };
         db.attach(table, slot)?;
     }
@@ -479,4 +478,40 @@ pub fn recover_with_replay(
         sync,
         report,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A header whose layout tag says "unpartitioned" or whose index flag
+    /// says "unindexed" — values format v3 defined and the store no longer
+    /// builds — is refused as corrupt, even under a valid checksum.
+    #[test]
+    fn unpartitioned_or_unindexed_header_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("aiql-persist-header-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        let path = write_snapshot(&store, &dir, 0).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert!(load_snapshot(&path).is_ok());
+        // Magic, covered WAL seq, layout tag, agent group size, index flag.
+        let layout_at = SNAPSHOT_MAGIC.len() + 8;
+        let indexes_at = layout_at + 1 + 4;
+        assert_eq!((bytes[layout_at], bytes[indexes_at]), (1, 1));
+        for at in [layout_at, indexes_at] {
+            let mut patched = bytes.clone();
+            patched[at] = 0;
+            let body = patched.len() - 4;
+            let crc = crc32(&patched[..body]);
+            patched[body..].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&path, &patched).unwrap();
+            let err = load_snapshot(&path).expect_err("a v3 value the store no longer builds");
+            assert!(
+                matches!(err, PersistError::Corrupt(_)),
+                "byte {at}: {err:?}"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -1,7 +1,7 @@
 //! Translators from AIQL query contexts to SQL, Neo4j Cypher, and Splunk
 //! SPL, plus the conciseness metrics of the paper's Sec. 6.4.
 //!
-//! The SQL translation is *executable* against the `aiql-rdb` substrate —
+//! The SQL translation is *executable* by `aiql-baselines`' SQL engine —
 //! it is the paper's baseline "one big join": every event pattern
 //! contributes an `events` alias joined to its subject/object entity
 //! tables, and all constraints and relationships pile into a single

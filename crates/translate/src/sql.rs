@@ -293,7 +293,7 @@ fn having_sql(h: &aiql_core::HavingCtx, ctx: &QueryContext) -> Result<String, Tr
                     "history states have no SQL equivalent".into(),
                 ))
             }
-            // The rdb SQL dialect has no arithmetic in HAVING; the paper's
+            // The baseline SQL dialect has no arithmetic in HAVING; the paper's
             // multievent queries only compare against literals, which is
             // what the catalog uses. Render arithmetic for documentation
             // but reject it for execution.
@@ -368,8 +368,6 @@ mod tests {
         assert!(sql.contains("p4.id = p4_3.id"));
         // LIKE patterns survive.
         assert!(sql.contains("LIKE '%cmd.exe'"));
-        // Parses in the rdb dialect.
-        aiql_rdb::sql::parse_select(&sql).expect("executable SQL");
     }
 
     #[test]
@@ -384,7 +382,6 @@ mod tests {
         assert!(sql.contains("HAVING n > 10"));
         assert!(sql.contains("ORDER BY n DESC"));
         assert!(sql.contains("LIMIT 5"));
-        aiql_rdb::sql::parse_select(&sql).expect("executable SQL");
     }
 
     #[test]
@@ -414,6 +411,5 @@ mod tests {
         let ctx = compile(r#"proc p["%o'brien%"] read file f return p"#).unwrap();
         let sql = to_sql(&ctx).unwrap();
         assert!(sql.contains("'%o''brien%'"));
-        aiql_rdb::sql::parse_select(&sql).expect("executable SQL");
     }
 }

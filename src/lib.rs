@@ -22,9 +22,11 @@
 //! - [`fault`] — deterministic fault injection under the storage stack:
 //!   failpoints, scriptable fault plans, fault-aware file operations —
 //!   the substrate of the crash-at-every-step chaos harness in `tests/`.
-//! - [`rdb`] / [`graphdb`] — the relational and property-graph substrates
-//!   standing in for PostgreSQL/Greenplum and Neo4j.
-//! - [`baselines`] — the comparison systems of the paper's evaluation.
+//! - [`rdb`] / [`graphdb`] — the relational substrate of the event store
+//!   and the property-graph substrate standing in for Neo4j.
+//! - [`baselines`] — the comparison systems of the paper's evaluation,
+//!   with the SQL engine and MPP segments standing in for
+//!   PostgreSQL/Greenplum.
 //! - [`translate`] — AIQL → SQL / Cypher / SPL translators and conciseness
 //!   metrics (paper Sec. 6.4).
 //! - [`datagen`] — the deterministic enterprise workload simulator and

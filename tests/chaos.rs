@@ -215,8 +215,8 @@ fn verify_acknowledged_prefix(data: &Dataset, dir: &Path, acked: Acked, label: &
         oracle.append_event(ev).unwrap();
     }
     assert_eq!(
-        recovered.events_partitioned().unwrap().partition_count(),
-        oracle.events_partitioned().unwrap().partition_count(),
+        recovered.events_partitioned().partition_count(),
+        oracle.events_partitioned().partition_count(),
         "{label}: partition layout diverged"
     );
     let recovered_engine = Session::open(&SharedStore::new(EventStore::clone(&recovered)));

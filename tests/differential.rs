@@ -10,12 +10,13 @@ use aiql::bench::harness::session;
 use aiql::datagen::EnterpriseSim;
 use aiql::engine::EngineConfig;
 use aiql::model::Dataset;
+use aiql::rdb::Database;
 use aiql::storage::{EventStore, StoreConfig};
 use aiql_model::Value;
 
 struct World {
     partitioned: EventStore,
-    monolithic: EventStore,
+    postgres: Database,
     graph: aiql::graphdb::GraphDb,
 }
 
@@ -34,7 +35,7 @@ fn world() -> World {
     let data = data();
     World {
         partitioned: EventStore::ingest(&data, StoreConfig::partitioned()).unwrap(),
-        monolithic: EventStore::ingest(&data, StoreConfig::monolithic()).unwrap(),
+        postgres: postgres::load(&data).unwrap(),
         graph: neo4j::load_graph(&data),
     }
 }
@@ -76,7 +77,7 @@ fn all_multievent_queries_agree_across_five_systems() {
         );
         assert_eq!(relationship, ff, "{}: schedulers disagree", q.id);
 
-        let (pg, _) = postgres::run(&w.monolithic, &ctx, None).unwrap();
+        let (pg, _) = postgres::run(&w.postgres, &ctx, None).unwrap();
         assert_eq!(
             relationship,
             normalize(pg),
@@ -143,7 +144,7 @@ fn greenplum_gather_agrees_with_postgres() {
         }
         let ctx = aiql::lang::compile(q.source).unwrap();
         let gp = aiql::baselines::greenplum::run(&rr_segmented, &ctx, None).unwrap();
-        let (pg, _) = postgres::run(&w.monolithic, &ctx, None).unwrap();
+        let (pg, _) = postgres::run(&w.postgres, &ctx, None).unwrap();
         assert_eq!(
             normalize(gp),
             normalize(pg),
@@ -168,7 +169,7 @@ fn temporal_range_queries_agree_with_sql() {
     let ctx = aiql::lang::compile(src).unwrap();
     let ours = aiql_rows(&w, src, EngineConfig::aiql());
     assert_eq!(ours.len(), 1, "dump written 14:05, read 14:10 — gap 5 min");
-    let (pg, _) = postgres::run(&w.monolithic, &ctx, None).unwrap();
+    let (pg, _) = postgres::run(&w.postgres, &ctx, None).unwrap();
     assert_eq!(ours, normalize(pg));
 
     // Out-of-range gap finds nothing, in both systems.
@@ -176,7 +177,7 @@ fn temporal_range_queries_agree_with_sql() {
     let ctx = aiql::lang::compile(&src).unwrap();
     let ours = aiql_rows(&w, &src, EngineConfig::aiql());
     assert!(ours.is_empty());
-    let (pg, _) = postgres::run(&w.monolithic, &ctx, None).unwrap();
+    let (pg, _) = postgres::run(&w.postgres, &ctx, None).unwrap();
     assert!(pg.is_empty());
 }
 

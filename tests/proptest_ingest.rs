@@ -202,12 +202,12 @@ proptest! {
             prop_assert_eq!(live.entity_count(), batch_store.entity_count());
             // Identical physical layout: same partitions materialized.
             prop_assert_eq!(
-                live.events_partitioned().unwrap().partition_count(),
-                batch_store.events_partitioned().unwrap().partition_count()
+                live.events_partitioned().partition_count(),
+                batch_store.events_partitioned().partition_count()
             );
             prop_assert_eq!(
-                live.events_partitioned().unwrap().days(),
-                batch_store.events_partitioned().unwrap().days()
+                live.events_partitioned().days(),
+                batch_store.events_partitioned().days()
             );
         }
 
@@ -499,7 +499,7 @@ proptest! {
         let mut snapshots = vec![shared.read()];
         let mut id = 0u64;
         for _ in 0..flushes {
-            let mut w = shared.write_deferred();
+            let mut w = shared.write();
             for k in 0..rows_per_flush {
                 let agent = if two_agents { (k % 2) as u32 } else { 0 };
                 id += 1;
@@ -521,7 +521,6 @@ proptest! {
 
         let chunks_of = |snap: &aiql::storage::StoreSnapshot| -> usize {
             snap.events_partitioned()
-                .unwrap()
                 .partitions_for(&Prune::all())
                 .iter()
                 .map(|(_, t)| t.sealed_chunks().len())
@@ -529,7 +528,6 @@ proptest! {
         };
         let tails_of = |snap: &aiql::storage::StoreSnapshot| -> u64 {
             snap.events_partitioned()
-                .unwrap()
                 .partitions_for(&Prune::all())
                 .iter()
                 .map(|(_, t)| t.tail_bytes())
@@ -541,8 +539,7 @@ proptest! {
             // Sealed history is shared, chunk for chunk.
             prop_assert_eq!(
                 cur.events_partitioned()
-                    .unwrap()
-                    .sealed_chunks_shared_with(prev.events_partitioned().unwrap()),
+                    .sealed_chunks_shared_with(prev.events_partitioned()),
                 chunks_of(prev),
                 "a sealed chunk was deep-copied between publishes"
             );
@@ -551,9 +548,8 @@ proptest! {
             // below PUBLISH_SEAL_MIN_ROWS rows per partition).
             let copied = cur
                 .events_partitioned()
-                .unwrap()
                 .copied_bytes()
-                .saturating_sub(prev.events_partitioned().unwrap().copied_bytes());
+                .saturating_sub(prev.events_partitioned().copied_bytes());
             prop_assert!(
                 copied <= tails_of(prev),
                 "publish interval copied {} bytes > {} bytes of open tail",
@@ -566,8 +562,7 @@ proptest! {
         let last = snapshots.last().unwrap();
         prop_assert_eq!(
             last.events_partitioned()
-                .unwrap()
-                .sealed_chunks_shared_with(first_published.events_partitioned().unwrap()),
+                .sealed_chunks_shared_with(first_published.events_partitioned()),
             chunks_of(first_published)
         );
         // ...and the property is not vacuous: enough rows flowed through
@@ -613,17 +608,13 @@ fn boundary_crossing_out_of_order_stream_matches_batch() {
         .collect();
     let data = build(&events);
     let batch_store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-    let pt = batch_store.events_partitioned().unwrap();
+    let pt = batch_store.events_partitioned();
     assert!(pt.days().len() >= 2, "events span both days");
 
     let shared = stream_ingest(&data, 7, 13, 99);
     let live = Session::open(&shared);
     assert_eq!(
-        shared
-            .read()
-            .events_partitioned()
-            .unwrap()
-            .partition_count(),
+        shared.read().events_partitioned().partition_count(),
         pt.partition_count()
     );
     // Row-store oracle: the same data without columnar projections.

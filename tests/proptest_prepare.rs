@@ -110,12 +110,14 @@ fn live_store(data: &Dataset) -> SharedStore {
         for e in &data.entities {
             w.append_entity(e).unwrap();
         }
+        w.publish();
     }
     for chunk in data.events.chunks(7) {
         let mut w = shared.write();
         for ev in chunk {
             w.append_event(ev).unwrap();
         }
+        w.publish();
     }
     shared
 }

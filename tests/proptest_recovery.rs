@@ -143,8 +143,8 @@ fn assert_equals_oracle(recovered: &EventStore, data: &Dataset, n: usize) {
         oracle.append_event(ev).unwrap();
     }
     prop_assert_eq!(
-        recovered.events_partitioned().unwrap().partition_count(),
-        oracle.events_partitioned().unwrap().partition_count()
+        recovered.events_partitioned().partition_count(),
+        oracle.events_partitioned().partition_count()
     );
     let recovered_engine = Session::open(&SharedStore::new(recovered.clone()));
     let oracle_engine = Session::open(&SharedStore::new(oracle.clone()));

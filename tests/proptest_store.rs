@@ -2,6 +2,7 @@
 //! sequential scans, partition pruning must lose nothing, and the SQL
 //! pipeline must agree with hand-rolled filtering.
 
+use aiql::baselines::query;
 use aiql::rdb::{
     CmpOp, ColumnType, ColumnarSpec, Database, Expr, Prune, Schema, SharedDict, Value,
 };
@@ -51,8 +52,8 @@ proptest! {
             format!("SELECT t.val FROM t WHERE t.name = '{name}' ORDER BY t.val"),
             format!("SELECT t.val FROM t WHERE t.name LIKE '%{name}%' AND t.val < {needle} ORDER BY t.val"),
         ] {
-            let a = plain.query(&sql).unwrap();
-            let b = indexed.query(&sql).unwrap();
+            let a = query(&plain, &sql).unwrap();
+            let b = query(&indexed, &sql).unwrap();
             prop_assert_eq!(a.rows, b.rows, "sql: {}", sql);
         }
     }
@@ -90,9 +91,11 @@ proptest! {
     #[test]
     fn sql_aggregation_matches_manual(data in rows()) {
         let (plain, _) = build_dbs(&data);
-        let rs = plain
-            .query("SELECT t.agentid, COUNT(*) AS n FROM t GROUP BY t.agentid ORDER BY t.agentid")
-            .unwrap();
+        let rs = query(
+            &plain,
+            "SELECT t.agentid, COUNT(*) AS n FROM t GROUP BY t.agentid ORDER BY t.agentid",
+        )
+        .unwrap();
         let mut manual = std::collections::BTreeMap::new();
         for (_, agent, _) in &data {
             *manual.entry(*agent).or_insert(0i64) += 1;

@@ -147,19 +147,17 @@ fn persisted_snapshot_reopens_byte_identical_for_the_paper_suite() {
     assert_eq!(reopened.stamp(), live.stamp());
     assert_eq!(reopened.dict().len(), live.dict().len());
     assert_eq!(
-        reopened.events_partitioned().unwrap().partition_count(),
-        live.events_partitioned().unwrap().partition_count()
+        reopened.events_partitioned().partition_count(),
+        live.events_partitioned().partition_count()
     );
     // The chunk layout round-trips exactly: the snapshot records every seal
     // boundary and restore re-seals at each one, so a reopened partition is
     // chunk-for-chunk the pre-shutdown one — sealedness included.
     let live_parts = live
         .events_partitioned()
-        .unwrap()
         .partitions_for(&aiql::rdb::Prune::all());
     let re_parts = reopened
         .events_partitioned()
-        .unwrap()
         .partitions_for(&aiql::rdb::Prune::all());
     assert!(
         live_parts
@@ -205,8 +203,8 @@ fn durable_stream_killed_without_checkpoint_recovers_everything() {
 
     let live = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
     assert_eq!(
-        recovered.events_partitioned().unwrap().partition_count(),
-        live.events_partitioned().unwrap().partition_count()
+        recovered.events_partitioned().partition_count(),
+        live.events_partitioned().partition_count()
     );
     assert_eq!(
         run_suite(&recovered),
@@ -248,8 +246,8 @@ fn torn_final_wal_record_loses_exactly_the_unacknowledged_tail() {
     }
     assert_eq!(recovered.entity_count(), oracle.entity_count());
     assert_eq!(
-        recovered.events_partitioned().unwrap().partition_count(),
-        oracle.events_partitioned().unwrap().partition_count()
+        recovered.events_partitioned().partition_count(),
+        oracle.events_partitioned().partition_count()
     );
     assert_eq!(
         run_suite(&recovered),

@@ -57,8 +57,8 @@ fn load(data: &Dataset, config: StoreConfig) -> EventStore {
 }
 
 fn event_partitions(s: &EventStore) -> Vec<&Table> {
-    let pt = s.events_partitioned().expect("partitioned layout");
-    pt.partitions_for(&Prune::all())
+    s.events_partitioned()
+        .partitions_for(&Prune::all())
         .into_iter()
         .map(|(_, t)| t)
         .collect()
@@ -68,7 +68,7 @@ fn event_partitions(s: &EventStore) -> Vec<&Table> {
 fn sealed_event_chunks_keep_no_rows() {
     let data = dataset(40_000);
     let store = load(&data, StoreConfig::partitioned());
-    let indexed = store.events_partitioned().unwrap().indexed_columns().len() as u64;
+    let indexed = store.events_partitioned().indexed_columns().len() as u64;
     assert_eq!(indexed, 2, "subject_id and object_id");
     let (mut sealed, mut full) = (0, 0);
     for t in event_partitions(&store) {
@@ -111,7 +111,6 @@ fn persist_open_persist_is_byte_identical() {
     for (i, config) in [
         StoreConfig::partitioned(),
         StoreConfig::partitioned().with_columnar(false),
-        StoreConfig::monolithic(),
     ]
     .into_iter()
     .enumerate()
@@ -127,24 +126,18 @@ fn persist_open_persist_is_byte_identical() {
             "config {i}: the snapshot changed across a reopen"
         );
         // The reopened store is laid out as the live one was.
-        if let Some(pt) = live.events_partitioned() {
-            let before = pt.partitions_for(&Prune::all());
-            let after = reopened
-                .events_partitioned()
-                .unwrap()
-                .partitions_for(&Prune::all());
-            assert_eq!(before.len(), after.len());
-            for ((_, a), (_, b)) in before.iter().zip(&after) {
-                assert_eq!(a.chunk_boundaries(), b.chunk_boundaries());
-                let sealed = |t: &Table| {
-                    let chunks = t.sealed_chunks().iter();
-                    chunks
-                        .map(|c| (c.is_projected(), c.resident_bytes()))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(sealed(a), sealed(b), "config {i}");
-                assert!(a.iter_rows().eq(b.iter_rows()));
-            }
+        let (before, after) = (event_partitions(&live), event_partitions(&reopened));
+        assert_eq!(before.len(), after.len());
+        for (a, b) in before.iter().zip(&after) {
+            assert_eq!(a.chunk_boundaries(), b.chunk_boundaries());
+            let sealed = |t: &Table| {
+                let chunks = t.sealed_chunks().iter();
+                chunks
+                    .map(|c| (c.is_projected(), c.resident_bytes()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(sealed(a), sealed(b), "config {i}");
+            assert!(a.iter_rows().eq(b.iter_rows()));
         }
     }
     std::fs::remove_dir_all(&base).unwrap();
