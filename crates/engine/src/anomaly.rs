@@ -19,13 +19,13 @@
 
 use crate::error::EngineError;
 use crate::exec::ExecPolicy;
-use crate::layout::START_COL;
+use crate::layout::PatternMatches;
 use crate::pattern::{execute_pattern, Deadline, EngineStats};
 use crate::result::{eval_having, resolve_items, EngineResult, Item};
 use crate::synth::ExtraCstr;
 use aiql_core::ast::{AggFunc, MaKind};
 use aiql_core::{ArithCtx, HavingCtx, QueryContext};
-use aiql_rdb::{Row, Value};
+use aiql_rdb::Value;
 use aiql_storage::EventStore;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -51,11 +51,8 @@ pub fn run_anomaly(
 
     // Execute the pattern and sort by time.
     let mut rows = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
-    rows.sort_by_key(|r| r[START_COL].as_int().unwrap_or(0));
-    let times: Vec<i64> = rows
-        .iter()
-        .map(|r| r[START_COL].as_int().unwrap_or(0))
-        .collect();
+    rows.sort_by_start();
+    let times = &rows.start;
 
     // Window span: the global window when present, else the data's extent.
     let (span_lo, span_hi) = match (p.window, times.first(), times.last()) {
@@ -71,7 +68,7 @@ pub fn run_anomaly(
 
     let having = ctx.having.as_ref();
     let mut state = Windows::new(&rows, &items, ctx);
-    let mut out: Vec<Row> = Vec::new();
+    let mut out: Vec<Vec<Value>> = Vec::new();
     let (mut prev_lo, mut prev_hi) = (0, 0);
     let mut window_start = span_lo;
     // Guard against degenerate zero-length spans.
@@ -101,9 +98,9 @@ pub fn run_anomaly(
     crate::result::finish(ctx, columns, out)
 }
 
-/// The window state over time-sorted match rows.
-struct Windows<'r> {
-    rows: &'r [Row],
+/// The window state over time-sorted matches.
+struct Windows<'r, 'a> {
+    rows: &'r PatternMatches<'a>,
     items: &'r [(Item, String)],
     /// What a newly tracked group's history starts as.
     history: History,
@@ -163,18 +160,16 @@ impl Tally {
     }
 }
 
-impl<'r> Windows<'r> {
-    fn new(rows: &'r [Row], items: &'r [(Item, String)], ctx: &QueryContext) -> Self {
+impl<'r, 'a> Windows<'r, 'a> {
+    fn new(rows: &'r PatternMatches<'a>, items: &'r [(Item, String)], ctx: &QueryContext) -> Self {
         // Intern each row's group key, then renumber the ids in key order.
-        static NULL: Value = Value::Null;
-        let (mut keys, mut key) = (BTreeMap::<Vec<&Value>, u32>::new(), Vec::new());
-        let mut group_of: Vec<u32> = rows
-            .iter()
+        let (mut keys, mut key) = (BTreeMap::<Vec<Cow<Value>>, u32>::new(), Vec::new());
+        let mut group_of: Vec<u32> = (0..rows.len() as u32)
             .map(|r| {
                 key.clear();
                 key.extend(ctx.group_by.iter().map(|&gi| match items[gi].0 {
-                    Item::Field { col, .. } => &r[col],
-                    Item::Agg { .. } => &NULL,
+                    Item::Field { field, .. } => rows.get(r, field),
+                    Item::Agg { .. } => Cow::Owned(Value::Null),
                 }));
                 let next = keys.len() as u32;
                 match keys.get(key.as_slice()) {
@@ -188,18 +183,21 @@ impl<'r> Windows<'r> {
             rank[id as usize] = k as u32;
         }
         group_of.iter_mut().for_each(|g| *g = rank[*g as usize]);
-        let mut ids = HashMap::<(usize, u32, &Value), u32>::new();
+        let mut ids = HashMap::<(usize, u32, Cow<Value>), u32>::new();
         let mut value_ids = Vec::with_capacity(rows.len() * items.len());
-        for (r, &g) in rows.iter().zip(&group_of) {
+        for (r, &g) in group_of.iter().enumerate() {
             value_ids.extend(items.iter().enumerate().map(|(k, (item, _))| match *item {
                 Item::Agg {
                     distinct: true,
-                    col,
+                    field,
                     ..
-                } if !r[col].is_null() => {
-                    let next = ids.len() as u32;
-                    *ids.entry((k, g, &r[col])).or_insert(next)
-                }
+                } => match rows.get(r as u32, field) {
+                    v if v.is_null() => u32::MAX,
+                    v => {
+                        let next = ids.len() as u32;
+                        *ids.entry((k, g, v)).or_insert(next)
+                    }
+                },
                 _ => u32::MAX,
             }));
         }
@@ -237,22 +235,22 @@ impl<'r> Windows<'r> {
             let Item::Agg {
                 func,
                 distinct,
-                col,
+                field,
                 ..
             } = item.0
             else {
                 continue;
             };
-            let v = &rows[r][col];
+            let v = rows.get(r as u32, field);
             if v.is_null() {
                 continue;
             }
-            agg.all.add(v, d);
+            agg.all.add(&v, d);
             if distinct {
                 let n = &mut self.refs[self.value_ids[r * items.len() + k] as usize];
                 *n += d;
                 if *n == i64::from(enter) {
-                    agg.distinct.add(v, d);
+                    agg.distinct.add(&v, d);
                 }
             }
             if !enter {
@@ -265,8 +263,7 @@ impl<'r> Windows<'r> {
                     AggFunc::Min => Ordering::Greater,
                     _ => Ordering::Less,
                 };
-                while (agg.extreme.back()).is_some_and(|&b| rows[b as usize][col].cmp(v) == beaten)
-                {
+                while (agg.extreme.back()).is_some_and(|&b| rows.get(b, field).cmp(&v) == beaten) {
                     agg.extreme.pop_back();
                 }
                 agg.extreme.push_back(r as u32);
@@ -276,7 +273,7 @@ impl<'r> Windows<'r> {
 
     /// Records the window in every tracked group's history, in key order,
     /// and appends the groups that pass `having` to `out`.
-    fn emit(&mut self, having: Option<&HavingCtx>, out: &mut Vec<Row>) {
+    fn emit(&mut self, having: Option<&HavingCtx>, out: &mut Vec<Vec<Value>>) {
         for &g in &self.tracked {
             let group = self.groups[g as usize]
                 .as_mut()
@@ -309,15 +306,15 @@ impl Agg {
     /// `item`'s value in the current window, `first` being the group's
     /// registering row. Empty windows yield 0 for counts and sums and NULL
     /// for avg/min/max.
-    fn value<'a>(&self, item: &Item, first: usize, rows: &'a [Row]) -> Cow<'a, Value> {
-        let (func, distinct, col) = match *item {
-            Item::Field { col, .. } => return Cow::Borrowed(&rows[first][col]),
+    fn value<'a>(&self, item: &Item, first: usize, rows: &PatternMatches<'a>) -> Cow<'a, Value> {
+        let (func, distinct, field) = match *item {
+            Item::Field { field, .. } => return rows.get(first as u32, field),
             Item::Agg {
                 func,
                 distinct,
-                col,
+                field,
                 ..
-            } => (func, distinct, col),
+            } => (func, distinct, field),
         };
         let t = if distinct { &self.distinct } else { &self.all };
         // The sum of no distinct values is `iter::sum`'s, of no values 0.
@@ -331,7 +328,7 @@ impl Agg {
             AggFunc::Avg if n == 0 => Value::Null,
             AggFunc::Avg => Value::Float(sum / n as f64),
             AggFunc::Min | AggFunc::Max => match self.extreme.front() {
-                Some(&r) => return Cow::Borrowed(&rows[r as usize][col]),
+                Some(&r) => return rows.get(r, field),
                 None => Value::Null,
             },
         })
@@ -452,9 +449,10 @@ mod tests {
     use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
     use aiql_storage::{EventStore, StoreConfig};
 
-    /// The window loop the incremental executor replaced, kept verbatim
-    /// (re-scan and re-aggregate every window, full history per group) as
-    /// the oracle of `incremental_windows_equal_the_reference`.
+    /// The window loop the incremental executor replaced (re-scan and
+    /// re-aggregate every window, full history per group), reading the
+    /// matches through their row references, as the oracle of
+    /// `incremental_windows_equal_the_reference`.
     fn reference_run_anomaly(
         store: &EventStore,
         ctx: &QueryContext,
@@ -466,12 +464,9 @@ mod tests {
         let p = &ctx.patterns[0];
         let items = resolve_items(ctx)?;
 
-        let mut rows = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
-        rows.sort_by_key(|r| r[START_COL].as_int().unwrap_or(0));
-        let times: Vec<i64> = rows
-            .iter()
-            .map(|r| r[START_COL].as_int().unwrap_or(0))
-            .collect();
+        let mut m = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+        m.sort_by_start();
+        let times = &m.start;
 
         let (span_lo, span_hi) = match p.window {
             Some(w) => w,
@@ -508,12 +503,12 @@ mod tests {
                 .iter()
                 .filter(|(i, _)| matches!(i, Item::Agg { .. }))
                 .count();
-            for r in &rows[lo_idx..hi_idx] {
+            for r in lo_idx as u32..hi_idx as u32 {
                 let key: Vec<Value> = ctx
                     .group_by
                     .iter()
                     .map(|&gi| match &items[gi].0 {
-                        Item::Field { col, .. } => r[*col].clone(),
+                        Item::Field { field, .. } => m.get(r, *field).into_owned(),
                         Item::Agg { .. } => Value::Null,
                     })
                     .collect();
@@ -522,8 +517,11 @@ mod tests {
                     .or_insert_with(|| vec![Accum::default(); agg_count]);
                 let mut slot = 0;
                 for (item, _) in &items {
-                    if let Item::Agg { distinct, col, .. } = item {
-                        accums[slot].update(&r[*col], *distinct);
+                    if let Item::Agg {
+                        distinct, field, ..
+                    } = item
+                    {
+                        accums[slot].update(&m.get(r, *field), *distinct);
                         slot += 1;
                     }
                 }
@@ -531,7 +529,7 @@ mod tests {
                     fields: items
                         .iter()
                         .map(|(i, _)| match i {
-                            Item::Field { col, .. } => r[*col].clone(),
+                            Item::Field { field, .. } => m.get(r, *field).into_owned(),
                             Item::Agg { .. } => Value::Null,
                         })
                         .collect(),

@@ -1,151 +1,165 @@
-//! The flattened match-row layout and field resolution.
+//! The match layout and field resolution.
 //!
-//! Executing one event pattern produces *match rows*: the event row joined
-//! with its subject and object entity rows, flattened into a single
-//! `Vec<Value>`:
-//!
-//! ```text
-//! [ event (11 cols) | subject process (7 cols) | object entity (7 cols) ]
-//! ```
-//!
-//! All three entity tables are 7 columns wide, so the offsets are fixed and
-//! field references resolve to plain positions.
+//! Executing one event pattern produces its *matches*, column by column:
+//! match `m` is three row references into the store — the event, its
+//! subject process and its object entity — plus the event's start time,
+//! read once as an integer. No value is built when a match is made; a
+//! field is read through its reference when a relationship, a scheduler
+//! bound or a returned value needs it. Stored rows lend their values, and
+//! the events table is all `Int`, so a read clones no string.
 
 use aiql_core::{AiqlError, FieldRef, FieldTarget};
 use aiql_model::EntityKind;
-use aiql_rdb::{Row, RowView};
+use aiql_rdb::{ColumnType, RowView, Schema, Value};
 use aiql_storage::schema;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
-/// Offset of the event columns.
-pub const EV_OFF: usize = 0;
-/// Offset of the subject (process) columns.
-pub const SUBJ_OFF: usize = schema::ev::WIDTH;
-/// Offset of the object entity columns.
-pub const OBJ_OFF: usize = SUBJ_OFF + schema::proc::WIDTH;
-/// Total width of a match row.
-pub const MATCH_WIDTH: usize = OBJ_OFF + 7;
-
-/// Position of the event start time in a match row.
-pub const START_COL: usize = EV_OFF + schema::ev::START;
-
-/// Resolves a field reference to a match-row position, given the pattern's
-/// object entity kind.
-pub fn resolve_field(f: &FieldRef, object_kind: EntityKind) -> Result<usize, AiqlError> {
-    let (off, schema_ref): (usize, &aiql_rdb::Schema) = match f.target {
-        FieldTarget::Event => (EV_OFF, event_schema()),
-        FieldTarget::Subject => (SUBJ_OFF, processes_schema()),
-        FieldTarget::Object => (
-            OBJ_OFF,
-            match object_kind {
-                EntityKind::Process => processes_schema(),
-                EntityKind::File => files_schema(),
-                EntityKind::NetConn => netconns_schema(),
-            },
-        ),
-    };
-    let col = schema::column_for_attr(&f.attr);
-    schema_ref
-        .position(col)
-        .map(|p| off + p)
-        .ok_or_else(|| AiqlError::new(format!("unresolvable attribute `{}`", f.attr)))
+/// A field reference resolved against its pattern: the row it lives in,
+/// its column there, and whether that column is typed `Int` (read without
+/// building a value).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    pub target: FieldTarget,
+    pub col: usize,
+    pub int: bool,
 }
 
-/// Builds a flattened match row, writing each stored or projected row's
-/// values straight into it.
-pub fn flatten(event: RowView, subject: RowView, object: RowView) -> Row {
-    let mut row = Vec::with_capacity(MATCH_WIDTH);
-    event.extend_into(&mut row);
-    subject.extend_into(&mut row);
-    object.extend_into(&mut row);
-    row
+impl Field {
+    /// Resolves `f`, given the pattern's object entity kind.
+    pub fn resolve(f: &FieldRef, object_kind: EntityKind) -> Result<Field, AiqlError> {
+        static SCHEMAS: OnceLock<[Schema; 4]> = OnceLock::new();
+        let [events, procs, files, nets] = SCHEMAS.get_or_init(|| {
+            [
+                schema::events_schema(),
+                schema::processes_schema(),
+                schema::files_schema(),
+                schema::netconns_schema(),
+            ]
+        });
+        let table = match (f.target, object_kind) {
+            (FieldTarget::Event, _) => events,
+            (FieldTarget::Subject, _) | (FieldTarget::Object, EntityKind::Process) => procs,
+            (FieldTarget::Object, EntityKind::File) => files,
+            (FieldTarget::Object, EntityKind::NetConn) => nets,
+        };
+        let col = table
+            .position(schema::column_for_attr(&f.attr))
+            .ok_or_else(|| AiqlError::new(format!("unresolvable attribute `{}`", f.attr)))?;
+        Ok(Field {
+            target: f.target,
+            col,
+            int: table.column_type(col) == ColumnType::Int,
+        })
+    }
 }
 
-// Cached schemas (built once per process).
-macro_rules! cached_schema {
-    ($name:ident, $builder:path) => {
-        fn $name() -> &'static aiql_rdb::Schema {
-            use std::sync::OnceLock;
-            static CELL: OnceLock<aiql_rdb::Schema> = OnceLock::new();
-            CELL.get_or_init($builder)
+/// One pattern's matches: `events[m]`, `subjects[m]` and `objects[m]` are
+/// match `m`'s rows, `start[m]` its event's start time.
+#[derive(Debug, Default, PartialEq)]
+pub struct PatternMatches<'a> {
+    pub events: Vec<RowView<'a>>,
+    pub subjects: Vec<RowView<'a>>,
+    pub objects: Vec<RowView<'a>>,
+    pub start: Vec<i64>,
+}
+
+impl<'a> PatternMatches<'a> {
+    /// Room for `n` matches.
+    pub fn with_capacity(n: usize) -> Self {
+        PatternMatches {
+            events: Vec::with_capacity(n),
+            subjects: Vec::with_capacity(n),
+            objects: Vec::with_capacity(n),
+            start: Vec::with_capacity(n),
         }
-    };
-}
+    }
 
-cached_schema!(event_schema, schema::events_schema);
-cached_schema!(processes_schema, schema::processes_schema);
-cached_schema!(files_schema, schema::files_schema);
-cached_schema!(netconns_schema, schema::netconns_schema);
+    /// Appends one match.
+    pub fn push(&mut self, event: RowView<'a>, subject: RowView<'a>, object: RowView<'a>) {
+        self.start.push(event.int(schema::ev::START).unwrap_or(0));
+        self.events.push(event);
+        self.subjects.push(subject);
+        self.objects.push(object);
+    }
+
+    /// Number of matches.
+    pub fn len(&self) -> usize {
+        self.start.len()
+    }
+
+    fn row(&self, m: u32, target: FieldTarget) -> RowView<'a> {
+        let rows = match target {
+            FieldTarget::Event => &self.events,
+            FieldTarget::Subject => &self.subjects,
+            FieldTarget::Object => &self.objects,
+        };
+        rows[m as usize]
+    }
+
+    /// Match `m`'s value of `f`.
+    pub fn get(&self, m: u32, f: Field) -> Cow<'a, Value> {
+        self.row(m, f.target).get(f.col)
+    }
+
+    /// Match `m`'s value of the `Int` field `f` (`None` for NULL).
+    pub fn int(&self, m: u32, f: Field) -> Option<i64> {
+        self.row(m, f.target).int(f.col)
+    }
+
+    /// Reorders the matches by start time; ties keep their order.
+    pub fn sort_by_start(&mut self) {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_by_key(|&m| self.start[m as usize]);
+        let pick = |rows: &[RowView<'a>]| order.iter().map(|&m| rows[m as usize]).collect();
+        *self = PatternMatches {
+            events: pick(&self.events),
+            subjects: pick(&self.subjects),
+            objects: pick(&self.objects),
+            start: order.iter().map(|&m| self.start[m as usize]).collect(),
+        };
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn fixed_offsets() {
-        assert_eq!(SUBJ_OFF, 11);
-        assert_eq!(OBJ_OFF, 18);
-        assert_eq!(MATCH_WIDTH, 25);
-        assert_eq!(START_COL, schema::ev::START);
-    }
-
-    #[test]
     fn field_resolution() {
-        let f = FieldRef {
-            pattern: 0,
-            target: FieldTarget::Subject,
-            attr: "exe_name".into(),
+        let resolve = |target, attr: &str, kind| {
+            let f = FieldRef {
+                pattern: 0,
+                target,
+                attr: attr.into(),
+            };
+            Field::resolve(&f, kind).map(|f| (f.target, f.col, f.int))
         };
         assert_eq!(
-            resolve_field(&f, EntityKind::File).unwrap(),
-            SUBJ_OFF + schema::proc::EXE_NAME
+            resolve(FieldTarget::Subject, "exe_name", EntityKind::File).unwrap(),
+            (FieldTarget::Subject, schema::proc::EXE_NAME, false)
         );
-
-        let f = FieldRef {
-            pattern: 0,
-            target: FieldTarget::Object,
-            attr: "name".into(),
-        };
         assert_eq!(
-            resolve_field(&f, EntityKind::File).unwrap(),
-            OBJ_OFF + schema::file::NAME
+            resolve(FieldTarget::Object, "name", EntityKind::File).unwrap(),
+            (FieldTarget::Object, schema::file::NAME, false)
         );
-
-        let f = FieldRef {
-            pattern: 0,
-            target: FieldTarget::Object,
-            attr: "dst_ip".into(),
-        };
         assert_eq!(
-            resolve_field(&f, EntityKind::NetConn).unwrap(),
-            OBJ_OFF + schema::net::DST_IP
+            resolve(FieldTarget::Object, "dst_ip", EntityKind::NetConn).unwrap(),
+            (FieldTarget::Object, schema::net::DST_IP, false)
         );
-
-        let f = FieldRef {
-            pattern: 0,
-            target: FieldTarget::Event,
-            attr: "amount".into(),
-        };
         assert_eq!(
-            resolve_field(&f, EntityKind::File).unwrap(),
-            schema::ev::AMOUNT
+            resolve(FieldTarget::Event, "amount", EntityKind::File).unwrap(),
+            (FieldTarget::Event, schema::ev::AMOUNT, true)
         );
-
+        assert_eq!(
+            resolve(FieldTarget::Subject, "pid", EntityKind::File).unwrap(),
+            (FieldTarget::Subject, schema::proc::PID, true)
+        );
         // `group` maps to the `grp` column.
-        let f = FieldRef {
-            pattern: 0,
-            target: FieldTarget::Object,
-            attr: "group".into(),
-        };
         assert_eq!(
-            resolve_field(&f, EntityKind::File).unwrap(),
-            OBJ_OFF + schema::file::GRP
+            resolve(FieldTarget::Object, "group", EntityKind::File).unwrap(),
+            (FieldTarget::Object, schema::file::GRP, false)
         );
-
-        let f = FieldRef {
-            pattern: 0,
-            target: FieldTarget::Object,
-            attr: "name".into(),
-        };
-        assert!(resolve_field(&f, EntityKind::NetConn).is_err());
+        assert!(resolve(FieldTarget::Object, "name", EntityKind::NetConn).is_err());
     }
 }

@@ -3,16 +3,20 @@
 //! The engine executes [`aiql_core::QueryContext`]s against an
 //! [`aiql_storage::EventStore`] snapshot:
 //!
-//! 1. per event pattern it **synthesizes a data query** ([`synth`]),
+//! 1. per event pattern it **synthesizes a data query** (`synth`),
 //! 2. a **scheduler** orders and constrains the data queries —
 //!    relationship-based (paper Algorithm 1) or fetch-and-filter
-//!    ([`schedule`]),
+//!    (`schedule`) — and joins their matches into tuple sets of match
+//!    indices (`tupleset`),
 //! 3. events scans **parallelize across the store's shards** — its
-//!    time/space partitions, grouped by host ([`pattern`]),
+//!    time/space partitions, grouped by host (`pattern`); a match is
+//!    three row references, read field by field (`layout`),
 //! 4. **dependency** queries arrive pre-compiled to multievent form (the
-//!    rewrite lives in `aiql-core`), and
+//!    rewrite lives in `aiql-core`),
 //! 5. **anomaly** queries run through the sliding-window executor with
-//!    history states and moving averages ([`anomaly`]).
+//!    history states and moving averages (`anomaly`), and
+//! 6. result assembly builds values only for what a statement returns
+//!    (`result`).
 //!
 //! Statements run through a [`Session`]: prepare once, bind and execute
 //! many times, each execution against one pinned snapshot.
@@ -40,18 +44,18 @@
 //! assert_eq!(result.rows.len(), 1);
 //! ```
 
-pub mod anomaly;
+mod anomaly;
 pub mod error;
 pub mod exec;
-pub mod layout;
+mod layout;
 mod metrics;
-pub mod pattern;
-pub mod result;
-pub mod schedule;
+mod pattern;
+mod result;
+mod schedule;
 pub mod scoring;
 pub mod session;
-pub mod synth;
-pub mod tupleset;
+mod synth;
+mod tupleset;
 
 pub use error::EngineError;
 pub use exec::{ExecPolicy, ScatterProfile};
@@ -239,7 +243,7 @@ impl<'a> Engine<'a> {
                     )?,
                 };
                 let _score = aiql_telemetry::trace::span("score");
-                result::assemble(ctx, &joined, &mut stats)?
+                result::assemble(ctx, &joined)?
             }
         };
         Ok(Outcome {

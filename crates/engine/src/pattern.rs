@@ -4,15 +4,16 @@
 //! accelerated), scans the `events` table with partition pruning — in
 //! parallel across the store's shards when configured (the paper's
 //! time-window partition parallelism, Sec. 5.2, and its by-host MPP
-//! placement, Sec. 6.3.3) — and emits flattened match rows.
+//! placement, Sec. 6.3.3) — and emits its matches as row references
+//! ([`PatternMatches`]).
 
 use crate::error::EngineError;
 use crate::exec::{self, ExecPolicy, ScatterProfile};
-use crate::layout;
+use crate::layout::PatternMatches;
 use crate::synth::{apply_extra, synthesize, DataQuery, ExtraCstr};
 use aiql_core::PatternCtx;
 use aiql_model::EntityKind;
-use aiql_rdb::{CmpOp, Expr, PartKey, Prune, Row, RowView, Value};
+use aiql_rdb::{Expr, PartKey, Prune, RowView, Value};
 use aiql_storage::{schema, EventStore};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -236,15 +237,15 @@ fn scatter_partition_scan<'a>(
 /// can drive it.
 const ID_PUSHDOWN_LIMIT: usize = 20_000;
 
-/// Executes one pattern's data query; returns flattened match rows.
-pub fn execute_pattern(
-    store: &EventStore,
+/// Executes one pattern's data query; returns its matches.
+pub fn execute_pattern<'a>(
+    store: &'a EventStore,
     p: &PatternCtx,
     extra: &ExtraCstr,
     exec: ExecPolicy,
     deadline: Deadline,
     stats: &mut EngineStats,
-) -> Result<Vec<Row>, EngineError> {
+) -> Result<PatternMatches<'a>, EngineError> {
     // Trace the whole data query as one `scan:<pattern>` phase, named by
     // the event variable when the query declared one (`as evt1`).
     let _scan = aiql_telemetry::trace::span(&match &p.evt_var {
@@ -255,63 +256,35 @@ pub fn execute_pattern(
     apply_extra(&mut q, extra);
     stats.data_queries += 1;
 
-    // 1. Entity-side scans (only when constrained — otherwise resolved
-    //    lazily from the event rows).
-    let subj_map = if q.subject.is_empty() {
-        None
-    } else {
-        Some(scan_entity_map(
-            store,
-            EntityKind::Process,
-            &q.subject,
-            p.idx,
-            ScanTarget::Subject,
-            stats,
-        ))
-    };
-    let obj_map = if q.object.is_empty() {
-        None
-    } else {
-        Some(scan_entity_map(
-            store,
-            p.object_kind,
-            &q.object,
-            p.idx,
-            ScanTarget::Object,
-            stats,
-        ))
-    };
+    // 1. Entity-side scans, subject then object (only when constrained —
+    //    otherwise resolved lazily from the event rows).
+    let sides = [
+        (EntityKind::Process, &q.subject, ScanTarget::Subject),
+        (p.object_kind, &q.object, ScanTarget::Object),
+    ];
+    let mut maps = sides.map(|(kind, cstr, target)| {
+        (!cstr.is_empty()).then(|| scan_entity_map(store, kind, cstr, p.idx, target, stats))
+    });
     deadline.check()?;
 
     // Early exit: a constrained entity side with no matches.
-    if subj_map.as_ref().is_some_and(HashMap::is_empty)
-        || obj_map.as_ref().is_some_and(HashMap::is_empty)
-    {
+    if maps.iter().flatten().any(ById::is_empty) {
         stats.matches.push((p.idx, 0));
-        return Ok(Vec::new());
+        return Ok(PatternMatches::default());
     }
 
     // 2. Push small ID sets into the events scan.
+    const ID_COLS: [usize; 2] = [schema::ev::SUBJECT, schema::ev::OBJECT];
     let mut event_conjuncts = q.event.clone();
-    if let Some(m) = &subj_map {
-        if m.len() <= ID_PUSHDOWN_LIMIT {
-            event_conjuncts.push(Expr::in_list(
-                schema::ev::SUBJECT,
-                m.keys().map(|&k| Value::Int(k)).collect(),
-            ));
-        }
-    }
-    if let Some(m) = &obj_map {
-        if m.len() <= ID_PUSHDOWN_LIMIT {
-            event_conjuncts.push(Expr::in_list(
-                schema::ev::OBJECT,
-                m.keys().map(|&k| Value::Int(k)).collect(),
-            ));
+    for (m, col) in maps.iter().zip(ID_COLS) {
+        if let Some(m) = m.as_ref().filter(|m| m.len() <= ID_PUSHDOWN_LIMIT) {
+            let ids = m.keys().map(|&k| Value::Int(k)).collect();
+            event_conjuncts.push(Expr::in_list(col, ids));
         }
     }
 
-    // 3. Events scan. Rows stay borrowed from the store — they are only
-    //    read and flattened, never kept.
+    // 3. Events scan. Rows stay borrowed from the store: a match is
+    //    references to them.
     let mut scanned = 0u64;
     let mut profile = aiql_rdb::ScanProfile::default();
     let mut scatter = None;
@@ -336,62 +309,44 @@ pub fn execute_pattern(
     stats.rows_scanned += scanned;
 
     // 4. Filter by entity maps and resolve missing entity rows in batches.
-    let mut kept: Vec<RowView> = Vec::with_capacity(events.len());
-    let mut need_subj: Vec<i64> = Vec::new();
-    let mut need_obj: Vec<i64> = Vec::new();
-    for ev in events {
-        let sid = ev.int(schema::ev::SUBJECT).unwrap_or(-1);
-        let oid = ev.int(schema::ev::OBJECT).unwrap_or(-1);
-        match &subj_map {
-            Some(m) if !m.contains_key(&sid) => continue,
-            Some(_) => {}
-            None => need_subj.push(sid),
+    let mut kept: Vec<(RowView, [i64; 2])> = Vec::with_capacity(events.len());
+    let mut need: [Vec<i64>; 2] = Default::default();
+    'events: for ev in events {
+        let ids = ID_COLS.map(|c| ev.int(c).unwrap_or(-1));
+        for ((m, need), &id) in maps.iter().zip(&mut need).zip(&ids) {
+            match m {
+                Some(m) if !m.contains_key(&id) => continue 'events,
+                Some(_) => {}
+                None => need.push(id),
+            }
         }
-        match &obj_map {
-            Some(m) if !m.contains_key(&oid) => continue,
-            Some(_) => {}
-            None => need_obj.push(oid),
-        }
-        kept.push(ev);
+        kept.push((ev, ids));
     }
-    let subj_map = match subj_map {
-        Some(m) => m,
-        None => batch_lookup(
-            store,
-            EntityKind::Process,
-            need_subj,
-            p.idx,
-            ScanTarget::Subject,
-            stats,
-        ),
-    };
-    let obj_map = match obj_map {
-        Some(m) => m,
-        None => batch_lookup(
-            store,
-            p.object_kind,
-            need_obj,
-            p.idx,
-            ScanTarget::Object,
-            stats,
-        ),
+    for ((m, (kind, _, target)), need) in maps.iter_mut().zip(sides).zip(need) {
+        if m.is_none() {
+            *m = Some(batch_lookup(store, kind, need, p.idx, target, stats));
+        }
+    }
+    let [Some(subj_map), Some(obj_map)] = maps else {
+        unreachable!("both sides resolved")
     };
     deadline.check()?;
 
-    // 5. Flatten.
-    let mut out = Vec::with_capacity(kept.len());
-    for ev in kept {
-        let sid = ev.int(schema::ev::SUBJECT).unwrap_or(-1);
-        let oid = ev.int(schema::ev::OBJECT).unwrap_or(-1);
+    // 5. Match: the kept event and its two entity rows.
+    let mut out = PatternMatches::with_capacity(kept.len());
+    for (ev, [sid, oid]) in kept {
         let (Some(&s), Some(&o)) = (subj_map.get(&sid), obj_map.get(&oid)) else {
             // Entity row missing (dangling reference) — drop the event.
             continue;
         };
-        out.push(layout::flatten(ev, s, o));
+        out.push(ev, s, o);
     }
     stats.matches.push((p.idx, out.len()));
     Ok(out)
 }
+
+/// Entity rows by id.
+type ById<'a> = HashMap<i64, RowView<'a>>;
 
 fn scan_entity_map<'a>(
     store: &'a EventStore,
@@ -400,7 +355,7 @@ fn scan_entity_map<'a>(
     pattern: usize,
     target: ScanTarget,
     stats: &mut EngineStats,
-) -> HashMap<i64, RowView<'a>> {
+) -> ById<'a> {
     let mut scanned = 0u64;
     let mut profile = aiql_rdb::ScanProfile::default();
     let rows = store.scan_entities_profiled(kind, conjuncts, &mut scanned, &mut profile);
@@ -425,11 +380,11 @@ fn batch_lookup<'a>(
     pattern: usize,
     target: ScanTarget,
     stats: &mut EngineStats,
-) -> HashMap<i64, RowView<'a>> {
+) -> ById<'a> {
     ids.sort_unstable();
     ids.dedup();
     if ids.is_empty() {
-        return HashMap::new();
+        return ById::default();
     }
     let conjuncts = vec![Expr::in_list(
         0,
@@ -438,17 +393,12 @@ fn batch_lookup<'a>(
     scan_entity_map(store, kind, &conjuncts, pattern, target, stats)
 }
 
-/// Convenience: the event-start lower/upper bound conjunct positions used in
-/// tests.
-pub fn start_bound(lo: i64) -> Expr {
-    Expr::cmp_lit(schema::ev::START, CmpOp::Ge, lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aiql_core::compile;
     use aiql_model::{AgentId, Dataset, Entity, Event, OpType, Timestamp};
+    use aiql_rdb::Row;
     use aiql_storage::StoreConfig;
 
     fn dataset() -> Dataset {
@@ -496,11 +446,12 @@ mod tests {
         }
     }
 
-    fn run(src: &str, parallel: bool) -> Vec<Row> {
+    /// Each match's (event, subject, object) rows, owned.
+    fn run(src: &str, parallel: bool) -> Vec<(Row, Row, Row)> {
         let store = EventStore::ingest(&dataset(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(src).unwrap();
         let mut stats = EngineStats::default();
-        execute_pattern(
+        let m = execute_pattern(
             &store,
             &ctx.patterns[0],
             &ExtraCstr::default(),
@@ -508,7 +459,13 @@ mod tests {
             Deadline::none(),
             &mut stats,
         )
-        .unwrap()
+        .unwrap();
+        (0..m.len())
+            .map(|i| {
+                let row = |rows: &[RowView]| rows[i].to_row();
+                (row(&m.events), row(&m.subjects), row(&m.objects))
+            })
+            .collect()
     }
 
     #[test]
@@ -518,15 +475,8 @@ mod tests {
             false,
         );
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].len(), layout::MATCH_WIDTH);
-        assert_eq!(
-            rows[0][layout::SUBJ_OFF + schema::proc::EXE_NAME],
-            Value::str("osql.exe")
-        );
-        assert_eq!(
-            rows[0][layout::OBJ_OFF + schema::file::NAME],
-            Value::str("c:\\backup1.dmp")
-        );
+        assert_eq!(rows[0].1[schema::proc::EXE_NAME], Value::str("osql.exe"));
+        assert_eq!(rows[0].2[schema::file::NAME], Value::str("c:\\backup1.dmp"));
     }
 
     #[test]
@@ -536,7 +486,7 @@ mod tests {
         // Subject rows resolved by batch lookup.
         assert!(rows
             .iter()
-            .any(|r| r[layout::SUBJ_OFF + schema::proc::EXE_NAME] == Value::str("svchost.exe")));
+            .any(|r| r.1[schema::proc::EXE_NAME] == Value::str("svchost.exe")));
     }
 
     #[test]
@@ -550,7 +500,7 @@ mod tests {
         let src = r#"(at "01/01/2017") proc p read || write || start file f return p, f"#;
         let mut a = run(src, false);
         let mut b = run(src, true);
-        let key = |r: &Row| r[schema::ev::ID].clone();
+        let key = |r: &(Row, Row, Row)| r.0[schema::ev::ID].clone();
         a.sort_by_key(key);
         b.sort_by_key(key);
         assert_eq!(a, b);
@@ -618,7 +568,7 @@ mod tests {
         let ctx = compile("proc p read || write file f return p, f").unwrap();
         let extra = ExtraCstr {
             in_lists: vec![(
-                crate::synth::Side::Event,
+                aiql_core::FieldTarget::Event,
                 schema::ev::SUBJECT,
                 vec![Value::Int(3)],
             )],
@@ -653,14 +603,16 @@ mod tests {
         )
         .unwrap();
         let ctx = compile("proc p read || write || start file f return p, f").unwrap();
-        let scan = |store: &EventStore, parallel: bool| {
+        let p = &ctx.patterns[0];
+        let scan = |store, parallel| {
             let mut stats = EngineStats::default();
+            let none = Deadline::none();
             execute_pattern(
                 store,
-                &ctx.patterns[0],
+                p,
                 &ExtraCstr::default(),
                 policy(parallel),
-                Deadline::none(),
+                none,
                 &mut stats,
             )
             .unwrap()

@@ -2,14 +2,14 @@
 //! `distinct`, and `count` over joined tuples.
 
 use crate::error::EngineError;
-use crate::layout::resolve_field;
-use crate::pattern::EngineStats;
+use crate::layout::Field;
 use crate::schedule::Joined;
 #[cfg(test)]
 use aiql_core::ast::MaKind;
 use aiql_core::ast::{AggFunc, CmpOp as AstCmp};
-use aiql_core::{ArithCtx, HavingCtx, QueryContext, RetExprCtx};
+use aiql_core::{ArithCtx, FieldRef, HavingCtx, QueryContext, RetExprCtx};
 use aiql_rdb::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The final result of an AIQL query.
@@ -77,23 +77,23 @@ pub fn eval_having_simple(h: &HavingCtx, items: &[Value]) -> bool {
     })
 }
 
-/// A return item resolved to a position in its pattern's match rows.
+/// A return item resolved to a field of its pattern's matches.
 pub(crate) enum Item {
     Field {
         pattern: usize,
-        col: usize,
+        field: Field,
     },
     Agg {
         func: AggFunc,
         distinct: bool,
         pattern: usize,
-        col: usize,
+        field: Field,
     },
 }
 
 /// Resolves the return clause's items, with their names.
 pub(crate) fn resolve_items(ctx: &QueryContext) -> Result<Vec<(Item, String)>, EngineError> {
-    let col = |f| resolve_field(f, ctx.patterns[f.pattern].object_kind);
+    let field = |f: &FieldRef| Field::resolve(f, ctx.patterns[f.pattern].object_kind);
     ctx.ret
         .items
         .iter()
@@ -101,7 +101,7 @@ pub(crate) fn resolve_items(ctx: &QueryContext) -> Result<Vec<(Item, String)>, E
             let item = match &it.expr {
                 RetExprCtx::Field(f) => Item::Field {
                     pattern: f.pattern,
-                    col: col(f)?,
+                    field: field(f)?,
                 },
                 RetExprCtx::Agg {
                     func,
@@ -111,7 +111,7 @@ pub(crate) fn resolve_items(ctx: &QueryContext) -> Result<Vec<(Item, String)>, E
                     func: *func,
                     distinct: *distinct,
                     pattern: arg.pattern,
-                    col: col(arg)?,
+                    field: field(arg)?,
                 },
             };
             Ok((item, it.name.clone()))
@@ -224,61 +224,60 @@ pub fn moving_average(kind: MaKind, history: &[f64], param: f64) -> f64 {
     }
 }
 
+/// A group's field values (from its first tuple) and aggregate states.
+type Group = (Vec<Value>, Vec<Accum>);
+
 /// Projects joined tuples into final result rows, applying the return
-/// clause semantics.
-pub fn assemble(
-    ctx: &QueryContext,
-    joined: &Joined,
-    _stats: &mut EngineStats,
-) -> Result<EngineResult, EngineError> {
+/// clause semantics. Values are built only for the returned fields, the
+/// group keys and the aggregates' inputs — and none for a plain `count`.
+pub fn assemble(ctx: &QueryContext, joined: &Joined) -> Result<EngineResult, EngineError> {
     let items = resolve_items(ctx)?;
+    let has_agg = items.iter().any(|(i, _)| matches!(i, Item::Agg { .. }));
+    if ctx.ret.count && !ctx.ret.distinct && ctx.having.is_none() && !has_agg {
+        let n = joined.tuples.len();
+        return Ok(counted(ctx.top.map_or(n, |top| n.min(top))));
+    }
 
     let slots: Vec<usize> = (0..ctx.patterns.len())
         .map(|p| joined.tuples.slot(p).expect("all patterns joined"))
         .collect();
-    let value_of = |t: &[u32], pattern: usize, col: usize| -> Value {
-        let row = &joined.matches.rows(pattern)[t[slots[pattern]] as usize];
-        row[col].clone()
+    let value_of = |t: &[u32], item: &Item| match *item {
+        Item::Field { pattern, field } | Item::Agg { pattern, field, .. } => {
+            joined.matches.of(pattern).get(t[slots[pattern]], field)
+        }
+    };
+    let field_of = |t: &[u32], item: &Item| match item {
+        Item::Field { .. } => value_of(t, item),
+        Item::Agg { .. } => Cow::Owned(Value::Null),
     };
 
-    let has_agg = items.iter().any(|(i, _)| matches!(i, Item::Agg { .. }));
     let mut rows: Vec<Vec<Value>> = if has_agg {
         // Group by the `group by` items' values.
-        let mut groups: HashMap<Vec<Value>, (Vec<Value>, Vec<Accum>)> = HashMap::new();
-        let agg_idx: Vec<usize> = items
+        let mut groups: HashMap<Vec<Cow<Value>>, Group> = HashMap::new();
+        let aggs: Vec<(usize, &Item)> = items
             .iter()
             .enumerate()
             .filter(|(_, (i, _))| matches!(i, Item::Agg { .. }))
-            .map(|(k, _)| k)
+            .map(|(k, (i, _))| (k, i))
             .collect();
-        for t in &joined.tuples.tuples {
-            let key: Vec<Value> = ctx
-                .group_by
-                .iter()
-                .map(|&gi| match &items[gi].0 {
-                    Item::Field { pattern, col } => value_of(t, *pattern, *col),
-                    Item::Agg { .. } => Value::Null,
-                })
-                .collect();
-            let entry = groups.entry(key).or_insert_with(|| {
-                let fields: Vec<Value> = items
-                    .iter()
-                    .map(|(i, _)| match i {
-                        Item::Field { pattern, col } => value_of(t, *pattern, *col),
-                        Item::Agg { .. } => Value::Null,
-                    })
-                    .collect();
-                (fields, agg_idx.iter().map(|_| Accum::default()).collect())
-            });
-            for (slot, &k) in agg_idx.iter().enumerate() {
-                if let Item::Agg {
-                    distinct,
-                    pattern,
-                    col,
-                    ..
-                } = &items[k].0
-                {
-                    entry.1[slot].update(&value_of(t, *pattern, *col), *distinct);
+        let mut key = Vec::new();
+        for t in joined.tuples.iter() {
+            key.clear();
+            key.extend(ctx.group_by.iter().map(|&gi| field_of(t, &items[gi].0)));
+            let update = |(_, accums): &mut Group| {
+                for (accum, (_, item)) in accums.iter_mut().zip(&aggs) {
+                    if let Item::Agg { distinct, .. } = item {
+                        accum.update(&value_of(t, item), *distinct);
+                    }
+                }
+            };
+            match groups.get_mut(key.as_slice()) {
+                Some(group) => update(group),
+                None => {
+                    let fields = items.iter().map(|(i, _)| field_of(t, i).into_owned());
+                    let mut group = (fields.collect(), vec![Accum::default(); aggs.len()]);
+                    update(&mut group);
+                    groups.insert(key.clone(), group);
                 }
             }
         }
@@ -287,29 +286,22 @@ pub fn assemble(
         grouped
             .into_iter()
             .map(|(_, (mut fields, accums))| {
-                for (slot, &k) in agg_idx.iter().enumerate() {
-                    if let Item::Agg { func, distinct, .. } = &items[k].0 {
-                        fields[k] = accums[slot].result(*func, *distinct);
+                for (accum, &(k, item)) in accums.iter().zip(&aggs) {
+                    if let Item::Agg { func, distinct, .. } = item {
+                        fields[k] = accum.result(*func, *distinct);
                     }
                 }
                 fields
             })
             .collect()
     } else {
-        joined
-            .tuples
-            .tuples
-            .iter()
-            .map(|t| {
-                items
-                    .iter()
-                    .map(|(i, _)| match i {
-                        Item::Field { pattern, col } => value_of(t, *pattern, *col),
-                        Item::Agg { .. } => Value::Null,
-                    })
-                    .collect()
-            })
-            .collect()
+        let row = |t| {
+            items
+                .iter()
+                .map(|(i, _)| field_of(t, i).into_owned())
+                .collect()
+        };
+        joined.tuples.iter().map(row).collect()
     };
 
     // having (non-window form).
@@ -317,6 +309,14 @@ pub fn assemble(
         rows.retain(|r| eval_having_simple(h, r));
     }
     finish(ctx, items.iter().map(|(_, n)| n.clone()).collect(), rows)
+}
+
+/// The one-row result of a `count`.
+fn counted(n: usize) -> EngineResult {
+    EngineResult {
+        columns: vec!["count".to_string()],
+        rows: vec![vec![Value::Int(n as i64)]],
+    }
 }
 
 /// Applies distinct/sort/top/count and wraps the result (shared by the
@@ -345,10 +345,7 @@ pub fn finish(
         rows.truncate(n);
     }
     if ctx.ret.count {
-        return Ok(EngineResult {
-            columns: vec!["count".to_string()],
-            rows: vec![vec![Value::Int(rows.len() as i64)]],
-        });
+        return Ok(counted(rows.len()));
     }
     Ok(EngineResult { columns, rows })
 }

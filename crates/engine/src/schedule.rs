@@ -5,7 +5,7 @@
 //! - [`fetch_and_filter`] — the straightforward baseline the paper compares
 //!   against ("AIQL FF"): execute every data query independently, keep all
 //!   results in memory, then use the relationships to filter.
-//! - [`relationship_based`] — the paper's Algorithm 1: compute a pruning
+//! - [`relationship_based_scored`] — the paper's Algorithm 1: compute a pruning
 //!   score per pattern (its constraint count), sort relationships by type
 //!   (process/network events ahead of file events) and combined score, then
 //!   walk the relationships executing the higher-scored pattern first and
@@ -15,12 +15,12 @@
 
 use crate::error::EngineError;
 use crate::exec::ExecPolicy;
-use crate::layout::{resolve_field, OBJ_OFF, START_COL, SUBJ_OFF};
+use crate::layout::{Field, PatternMatches};
 use crate::pattern::{execute_pattern, Deadline, EngineStats};
-use crate::synth::{ExtraCstr, Side};
+use crate::synth::ExtraCstr;
 use crate::tupleset::{Matches, RelEval, TupleSet};
 use aiql_core::ast::{CmpOp as AstCmp, TempKind};
-use aiql_core::{FieldRef, QueryContext, RelationCtx};
+use aiql_core::{FieldRef, FieldTarget, QueryContext, RelationCtx};
 use aiql_model::EntityKind;
 use aiql_rdb::Value;
 use aiql_storage::EventStore;
@@ -37,24 +37,24 @@ pub enum Scheduler {
 
 /// Output of multievent scheduling: per-pattern matches plus the final
 /// tuple set joining all patterns.
-pub struct Joined {
-    pub matches: Matches,
+pub struct Joined<'a> {
+    pub matches: Matches<'a>,
     pub tuples: TupleSet,
 }
 
 /// Runs the fetch-and-filter strategy.
-pub fn fetch_and_filter(
-    store: &EventStore,
+pub fn fetch_and_filter<'a>(
+    store: &'a EventStore,
     ctx: &QueryContext,
     exec: ExecPolicy,
     deadline: Deadline,
     stats: &mut EngineStats,
-) -> Result<Joined, EngineError> {
+) -> Result<Joined<'a>, EngineError> {
     let n = ctx.patterns.len();
     let mut matches = Matches::new(n);
     for p in &ctx.patterns {
-        let rows = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
-        matches.per_pattern[p.idx] = Some(rows);
+        let m = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+        matches.per_pattern[p.idx] = Some(m);
     }
     let rels: Vec<RelEval> = ctx
         .relations
@@ -64,7 +64,7 @@ pub fn fetch_and_filter(
 
     // Fold patterns in query order, applying every relationship as soon as
     // both endpoints are present.
-    let mut ts = TupleSet::singleton(0, matches.rows(0).len());
+    let mut ts = TupleSet::singleton(0, matches.of(0).len());
     for j in 1..n {
         let applicable: Vec<&RelEval> = rels
             .iter()
@@ -99,22 +99,22 @@ fn rel_sort_key(rel: &RelationCtx, ctx: &QueryContext, scores: &[u32]) -> (u8, i
 }
 
 /// Derives the extra constraints for executing `target`'s data query given
-/// the already-known rows of `known` under relationship `rel` (Algorithm 1's
-/// `S_j ←execute_{S_i} q_j`).
+/// matches `rows` of the already-executed pattern `known` under relationship
+/// `rel` (Algorithm 1's `S_j ←execute_{S_i} q_j`).
 fn derive_extra(
     rel: &RelationCtx,
     ctx: &QueryContext,
     known: usize,
-    known_rows: &[aiql_rdb::Row],
+    (m, rows): (&PatternMatches, &[u32]),
     target: usize,
 ) -> Result<ExtraCstr, EngineError> {
     let mut extra = ExtraCstr::default();
-    if known_rows.is_empty() {
+    if rows.is_empty() {
         // No results on the known side: the target query can still run, the
         // join will produce nothing. Constrain maximally with an empty IN.
         extra
             .in_lists
-            .push((Side::Event, aiql_storage::schema::ev::ID, Vec::new()));
+            .push((FieldTarget::Event, aiql_storage::schema::ev::ID, Vec::new()));
         return Ok(extra);
     }
     match rel {
@@ -129,20 +129,16 @@ fn derive_extra(
                 (right, left)
             };
             debug_assert_eq!(target_ref.pattern, target);
-            let known_col = resolve_field(known_ref, ctx.patterns[known].object_kind)?;
-            let mut values: Vec<Value> = known_rows.iter().map(|r| r[known_col].clone()).collect();
+            let known_field = Field::resolve(known_ref, ctx.patterns[known].object_kind)?;
+            let mut values: Vec<Value> = rows
+                .iter()
+                .map(|&i| m.get(i, known_field).into_owned())
+                .collect();
             values.sort();
             values.dedup();
-            // Map the target field onto its sub-scan.
-            let tcol = resolve_field(target_ref, ctx.patterns[target].object_kind)?;
-            let (side, local) = if tcol >= OBJ_OFF {
-                (Side::Object, tcol - OBJ_OFF)
-            } else if tcol >= SUBJ_OFF {
-                (Side::Subject, tcol - SUBJ_OFF)
-            } else {
-                (Side::Event, tcol)
-            };
-            extra.in_lists.push((side, local, values));
+            // The target field's row and column are its sub-scan's.
+            let t = Field::resolve(target_ref, ctx.patterns[target].object_kind)?;
+            extra.in_lists.push((t.target, t.col, values));
         }
         RelationCtx::Attr { .. } => {
             // Non-equality attribute relationships do not constrain the scan;
@@ -154,13 +150,10 @@ fn derive_extra(
             range_ns,
             right,
         } => {
-            let times: Vec<i64> = known_rows
-                .iter()
-                .filter_map(|r| r[START_COL].as_int())
-                .collect();
+            let times = rows.iter().map(|&i| m.start[i as usize]);
             let (min_t, max_t) = (
-                times.iter().copied().min().unwrap_or(i64::MIN),
-                times.iter().copied().max().unwrap_or(i64::MAX),
+                times.clone().min().unwrap_or(i64::MIN),
+                times.max().unwrap_or(i64::MAX),
             );
             // Orient: does the known side come first (`before`) w.r.t. the
             // target?
@@ -202,29 +195,17 @@ fn derive_extra(
     Ok(extra)
 }
 
-/// Runs Algorithm 1 with the paper's constraint-count pruning scores.
-pub fn relationship_based(
-    store: &EventStore,
-    ctx: &QueryContext,
-    exec: ExecPolicy,
-    deadline: Deadline,
-    stats: &mut EngineStats,
-) -> Result<Joined, EngineError> {
-    let scores: Vec<u32> = ctx.patterns.iter().map(|p| p.score).collect();
-    relationship_based_scored(store, ctx, &scores, exec, deadline, stats)
-}
-
 /// Runs Algorithm 1: relationship-based scheduling with constrained
 /// execution, under externally supplied pruning scores (see
 /// [`crate::scoring`] for the available models).
-pub fn relationship_based_scored(
-    store: &EventStore,
+pub fn relationship_based_scored<'a>(
+    store: &'a EventStore,
     ctx: &QueryContext,
     scores: &[u32],
     exec: ExecPolicy,
     deadline: Deadline,
     stats: &mut EngineStats,
-) -> Result<Joined, EngineError> {
+) -> Result<Joined<'a>, EngineError> {
     let n = ctx.patterns.len();
     let mut matches = Matches::new(n);
 
@@ -237,9 +218,10 @@ pub fn relationship_based_scored(
         .map(|r| RelEval::build(r, ctx))
         .collect::<Result<_, _>>()?;
 
-    // M: pattern → tuple-set id; sets stored in an arena.
-    let mut set_of: Vec<Option<usize>> = vec![None; n];
-    let mut arena: Vec<Option<TupleSet>> = Vec::new();
+    let mut sets = Sets {
+        arena: Vec::new(),
+        set_of: vec![None; n],
+    };
 
     // Step 3: main loop over sorted relationships.
     for &ri in &order {
@@ -259,7 +241,7 @@ pub fn relationship_based_scored(
                 } else {
                     (j0, i0)
                 };
-                let hi_rows = execute_pattern(
+                let hi_m = execute_pattern(
                     store,
                     &ctx.patterns[hi],
                     &ExtraCstr::default(),
@@ -267,16 +249,13 @@ pub fn relationship_based_scored(
                     deadline,
                     stats,
                 )?;
-                let extra = derive_extra(rel_ctx, ctx, hi, &hi_rows, lo)?;
-                matches.per_pattern[hi] = Some(hi_rows);
-                let lo_rows =
+                let all: Vec<u32> = (0..hi_m.len() as u32).collect();
+                let extra = derive_extra(rel_ctx, ctx, hi, (&hi_m, &all), lo)?;
+                matches.per_pattern[hi] = Some(hi_m);
+                let lo_m =
                     execute_pattern(store, &ctx.patterns[lo], &extra, exec, deadline, stats)?;
-                matches.per_pattern[lo] = Some(lo_rows);
-                let ts = TupleSet::create(&matches, i0, j0, &[rel], deadline, stats)?;
-                let id = arena.len();
-                arena.push(Some(ts));
-                set_of[i0] = Some(id);
-                set_of[j0] = Some(id);
+                matches.per_pattern[lo] = Some(lo_m);
+                sets.add(TupleSet::create(&matches, i0, j0, &[rel], deadline, stats)?);
             }
             (true, false) | (false, true) => {
                 let (known, fresh) = if matches.executed(i0) {
@@ -285,80 +264,52 @@ pub fn relationship_based_scored(
                     (j0, i0)
                 };
                 // Constrain the fresh query with the known side's *joined*
-                // rows (those still present in the tuple set, when one
-                // exists — a tighter bound than the raw matches).
+                // matches (those still present in the tuple set, when one
+                // exists — a tighter bound than all of them).
                 let extra = {
-                    let known_rows: Vec<aiql_rdb::Row> = match set_of[known] {
+                    let m = matches.of(known);
+                    let rows: Vec<u32> = match sets.set_of[known] {
                         Some(id) => {
-                            let ts = arena[id].as_ref().expect("live set");
+                            let ts = sets.arena[id].as_ref().expect("live set");
                             let slot = ts.slot(known).expect("pattern in its set");
-                            let rows = matches.rows(known);
-                            let mut seen = std::collections::HashSet::new();
-                            ts.tuples
-                                .iter()
-                                .filter(|t| seen.insert(t[slot]))
-                                .map(|t| rows[t[slot] as usize].clone())
+                            let mut seen = vec![false; m.len()];
+                            ts.iter()
+                                .map(|t| t[slot])
+                                .filter(|&i| !std::mem::replace(&mut seen[i as usize], true))
                                 .collect()
                         }
-                        None => matches.rows(known).to_vec(),
+                        None => (0..m.len() as u32).collect(),
                     };
-                    derive_extra(rel_ctx, ctx, known, &known_rows, fresh)?
+                    derive_extra(rel_ctx, ctx, known, (m, &rows), fresh)?
                 };
-                let fresh_rows =
+                let fresh_m =
                     execute_pattern(store, &ctx.patterns[fresh], &extra, exec, deadline, stats)?;
-                matches.per_pattern[fresh] = Some(fresh_rows);
-                match set_of[known] {
+                matches.per_pattern[fresh] = Some(fresh_m);
+                match sets.set_of[known] {
                     Some(id) => {
-                        let ts = arena[id].take().expect("live set");
-                        let ts2 = ts.extend(&matches, fresh, &[rel], deadline, stats)?;
-                        arena[id] = Some(ts2);
-                        set_of[fresh] = Some(id);
+                        let ts = sets.take(id);
+                        sets.arena[id] =
+                            Some(ts.extend(&matches, fresh, &[rel], deadline, stats)?);
+                        sets.set_of[fresh] = Some(id);
                     }
                     None => {
                         let ts = TupleSet::create(&matches, known, fresh, &[rel], deadline, stats)?;
-                        let id = arena.len();
-                        arena.push(Some(ts));
-                        set_of[known] = Some(id);
-                        set_of[fresh] = Some(id);
+                        sets.add(ts);
                     }
                 }
             }
             (true, true) => {
-                match (set_of[i0], set_of[j0]) {
-                    (Some(a), Some(b)) if a == b => {
-                        // Same set: filter in place.
-                        arena[a].as_mut().expect("live set").filter(&matches, rel);
-                    }
-                    (Some(a), Some(b)) => {
-                        // Different sets: merge and re-point all members.
-                        let ta = arena[a].take().expect("live set");
-                        let tb = arena[b].take().expect("live set");
-                        let merged = TupleSet::merge(&ta, &tb, &matches, &[rel], deadline, stats)?;
-                        let id = arena.len();
-                        for p in &merged.patterns {
-                            set_of[*p] = Some(id);
-                        }
-                        arena.push(Some(merged));
-                    }
-                    (a, b) => {
-                        // A pattern executed without a set (leftover path) —
-                        // wrap in singletons then merge.
-                        let ga = ensure_set(&mut arena, &mut set_of, &matches, i0, a);
-                        let gb = ensure_set(&mut arena, &mut set_of, &matches, j0, b);
-                        if ga == gb {
-                            arena[ga].as_mut().expect("live set").filter(&matches, rel);
-                        } else {
-                            let ta = arena[ga].take().expect("live set");
-                            let tb = arena[gb].take().expect("live set");
-                            let merged =
-                                TupleSet::merge(&ta, &tb, &matches, &[rel], deadline, stats)?;
-                            let id = arena.len();
-                            for p in &merged.patterns {
-                                set_of[*p] = Some(id);
-                            }
-                            arena.push(Some(merged));
-                        }
-                    }
+                // A pattern executed without a set (the leftover path) joins
+                // as a singleton. Same set: filter in place; different sets:
+                // merge.
+                let (a, b) = (sets.ensure(&matches, i0), sets.ensure(&matches, j0));
+                if a == b {
+                    sets.arena[a]
+                        .as_mut()
+                        .expect("live set")
+                        .filter(&matches, rel);
+                } else {
+                    sets.merge(a, b, &matches, &[rel], deadline, stats)?;
                 }
             }
         }
@@ -367,61 +318,69 @@ pub fn relationship_based_scored(
     // Step 4: leftover patterns (no relationships) execute unconstrained.
     for p in &ctx.patterns {
         if !matches.executed(p.idx) {
-            let rows = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
-            matches.per_pattern[p.idx] = Some(rows);
+            let m = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+            matches.per_pattern[p.idx] = Some(m);
         }
-        if set_of[p.idx].is_none() {
-            let ts = TupleSet::singleton(p.idx, matches.rows(p.idx).len());
-            let id = arena.len();
-            arena.push(Some(ts));
-            set_of[p.idx] = Some(id);
-        }
+        sets.ensure(&matches, p.idx);
     }
 
-    // Step 5: merge all remaining distinct sets (cartesian).
-    let mut live: Vec<usize> = arena
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.as_ref().map(|_| i))
+    // Step 5: merge all remaining distinct sets (cartesian) — the live
+    // sets some pattern is in.
+    let mut live: Vec<usize> = (0..sets.arena.len())
+        .filter(|&id| sets.arena[id].is_some() && sets.set_of.contains(&Some(id)))
         .collect();
-    // Only keep sets actually referenced by patterns.
-    live.retain(|&id| set_of.contains(&Some(id)));
     while live.len() > 1 {
         deadline.check()?;
         let b = live.pop().expect("len > 1");
-        let a = live[0];
-        let ta = arena[a].take().expect("live set");
-        let tb = arena[b].take().expect("live set");
-        let merged = TupleSet::merge(&ta, &tb, &matches, &[], deadline, stats)?;
-        let id = arena.len();
-        for p in &merged.patterns {
-            set_of[*p] = Some(id);
-        }
-        arena.push(Some(merged));
-        live[0] = id;
+        live[0] = sets.merge(live[0], b, &matches, &[], deadline, stats)?;
     }
 
     let final_id = live.pop().expect("at least one pattern");
-    let tuples = arena[final_id].take().expect("live set");
+    let tuples = sets.take(final_id);
     Ok(Joined { matches, tuples })
 }
 
-fn ensure_set(
-    arena: &mut Vec<Option<TupleSet>>,
-    set_of: &mut [Option<usize>],
-    matches: &Matches,
-    pattern: usize,
-    existing: Option<usize>,
-) -> usize {
-    match existing {
-        Some(id) => id,
-        None => {
-            let ts = TupleSet::singleton(pattern, matches.rows(pattern).len());
-            let id = arena.len();
-            arena.push(Some(ts));
-            set_of[pattern] = Some(id);
-            id
+/// Algorithm 1's `M`: the tuple sets (by id), and each pattern's set.
+struct Sets {
+    arena: Vec<Option<TupleSet>>,
+    set_of: Vec<Option<usize>>,
+}
+
+impl Sets {
+    /// Adds `ts` under a new id, which its patterns now point at.
+    fn add(&mut self, ts: TupleSet) -> usize {
+        let id = self.arena.len();
+        for &p in &ts.patterns {
+            self.set_of[p] = Some(id);
         }
+        self.arena.push(Some(ts));
+        id
+    }
+
+    fn take(&mut self, id: usize) -> TupleSet {
+        self.arena[id].take().expect("live set")
+    }
+
+    /// The set `pattern` is in; a new singleton over its matches if none.
+    fn ensure(&mut self, matches: &Matches, pattern: usize) -> usize {
+        match self.set_of[pattern] {
+            Some(id) => id,
+            None => self.add(TupleSet::singleton(pattern, matches.of(pattern).len())),
+        }
+    }
+
+    /// Merges sets `a` and `b` under `rels` into a new set; returns its id.
+    fn merge(
+        &mut self,
+        a: usize,
+        b: usize,
+        matches: &Matches,
+        rels: &[&RelEval],
+        deadline: Deadline,
+        stats: &mut EngineStats,
+    ) -> Result<usize, EngineError> {
+        let (ta, tb) = (self.take(a), self.take(b));
+        Ok(self.add(TupleSet::merge(&ta, &tb, matches, rels, deadline, stats)?))
     }
 }
 
@@ -431,6 +390,18 @@ mod tests {
     use aiql_core::compile;
     use aiql_model::{AgentId, Dataset, Entity, Event, OpType, Timestamp};
     use aiql_storage::{EventStore, StoreConfig};
+
+    /// Algorithm 1 under the paper's constraint-count pruning scores.
+    fn relationship_based<'a>(
+        store: &'a EventStore,
+        ctx: &QueryContext,
+        exec: ExecPolicy,
+        deadline: Deadline,
+        stats: &mut EngineStats,
+    ) -> Result<Joined<'a>, EngineError> {
+        let scores: Vec<u32> = ctx.patterns.iter().map(|p| p.score).collect();
+        relationship_based_scored(store, ctx, &scores, exec, deadline, stats)
+    }
 
     /// cmd→osql start; sqlservr→dump write; sbblv reads dump; sbblv→ip write.
     /// Plus noise: 50 background file reads.
@@ -514,7 +485,8 @@ mod tests {
         return distinct p1, p2, p3, f1, p4, i1
     "#;
 
-    fn joined(sched: Scheduler) -> (Joined, EngineStats) {
+    /// The final tuple set of Query 7 under `sched`, and the statistics.
+    fn joined(sched: Scheduler) -> (TupleSet, EngineStats) {
         let store = EventStore::ingest(&dataset(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(QUERY7).unwrap();
         let mut stats = EngineStats::default();
@@ -535,19 +507,15 @@ mod tests {
             ),
         }
         .unwrap();
-        (j, stats)
+        (j.tuples, stats)
     }
 
     #[test]
     fn both_schedulers_find_the_attack_chain() {
         for sched in [Scheduler::Relationship, Scheduler::FetchFilter] {
-            let (j, _) = joined(sched);
-            assert_eq!(
-                j.tuples.tuples.len(),
-                1,
-                "{sched:?} finds exactly the chain"
-            );
-            assert_eq!(j.tuples.patterns.len(), 4);
+            let (tuples, _) = joined(sched);
+            assert_eq!(tuples.len(), 1, "{sched:?} finds exactly the chain");
+            assert_eq!(tuples.patterns.len(), 4);
         }
     }
 
@@ -587,7 +555,7 @@ mod tests {
             &mut stats,
         )
         .unwrap();
-        assert_eq!(j.tuples.tuples.len(), 1, "1 x 1 cartesian");
+        assert_eq!(j.tuples.len(), 1, "1 x 1 cartesian");
         assert_eq!(j.tuples.patterns.len(), 2);
     }
 

@@ -9,7 +9,7 @@
 //! results to narrow the search scope" of Algorithm 1.
 
 use aiql_core::ast::CmpOp as AstCmp;
-use aiql_core::{CstrNode, PatternCtx};
+use aiql_core::{CstrNode, FieldTarget, PatternCtx};
 use aiql_model::{EntityKind, Value};
 use aiql_rdb::{CmpOp, Expr, Prune, Schema};
 use aiql_storage::schema;
@@ -30,20 +30,12 @@ pub struct DataQuery {
 /// Extra constraints injected by the scheduler before execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExtraCstr {
-    /// IN-list constraints: (match-row side, column within that side's
-    /// table, admissible values).
-    pub in_lists: Vec<(Side, usize, Vec<Value>)>,
+    /// IN-list constraints: (the row of the match they constrain, its
+    /// column, admissible values).
+    pub in_lists: Vec<(FieldTarget, usize, Vec<Value>)>,
     /// Narrowed event start-time bounds (inclusive nanoseconds).
     pub time_lo: Option<i64>,
     pub time_hi: Option<i64>,
-}
-
-/// Which sub-scan an extra constraint applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    Event,
-    Subject,
-    Object,
 }
 
 fn cmp_op(op: AstCmp) -> CmpOp {
@@ -177,9 +169,9 @@ pub fn apply_extra(q: &mut DataQuery, extra: &ExtraCstr) {
     for (side, col, values) in &extra.in_lists {
         let e = Expr::in_list(*col, values.clone());
         match side {
-            Side::Event => q.event.push(e),
-            Side::Subject => q.subject.push(e),
-            Side::Object => q.object.push(e),
+            FieldTarget::Event => q.event.push(e),
+            FieldTarget::Subject => q.subject.push(e),
+            FieldTarget::Object => q.object.push(e),
         }
     }
     if let Some(lo) = extra.time_lo {
@@ -241,7 +233,7 @@ mod tests {
         let mut q = synthesize(&p);
         let before = q.event.len();
         let extra = ExtraCstr {
-            in_lists: vec![(Side::Event, schema::ev::SUBJECT, vec![Value::Int(5)])],
+            in_lists: vec![(FieldTarget::Event, schema::ev::SUBJECT, vec![Value::Int(5)])],
             time_lo: Some(100),
             time_hi: None,
         };

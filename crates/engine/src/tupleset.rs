@@ -3,51 +3,35 @@
 //! The scheduler maintains a map `M` from event-pattern IDs to the tuple set
 //! containing their execution results. Tuple sets are created from pairs of
 //! result sets, extended with fresh results, filtered in place, and merged,
-//! exactly as the paper's Algorithm 1 prescribes. Joins use hashing when the
-//! relationship is an attribute equality and a deadline-checked nested loop
-//! otherwise (temporal order, inequalities).
+//! exactly as the paper's Algorithm 1 prescribes, and like its tuple sets
+//! they hold result *indices*: one flat array, a tuple's match indices side
+//! by side. Joins use hashing when the relationship is an attribute
+//! equality and a deadline-checked nested loop otherwise (temporal order,
+//! inequalities).
 
 use crate::error::EngineError;
-use crate::layout::{resolve_field, START_COL};
+use crate::layout::{Field, PatternMatches};
 use crate::pattern::{Deadline, EngineStats};
 use aiql_core::ast::{CmpOp as AstCmp, TempKind};
 use aiql_core::{QueryContext, RelationCtx};
-use aiql_rdb::{Row, Value};
+use aiql_rdb::Value;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Maximum tuples a single set may hold before the engine reports a
 /// resource failure (the in-memory analogue of the baselines' blow-ups).
 pub const MAX_TUPLES: usize = 2_000_000;
 
-#[inline]
-fn push_tuple(tuples: &mut Vec<Vec<u32>>, t: Vec<u32>) -> Result<(), EngineError> {
-    if tuples.len() >= MAX_TUPLES {
-        return Err(EngineError::Resource);
-    }
-    tuples.push(t);
-    Ok(())
-}
-
-/// `t ++ [j]` allocated at exact capacity — the per-probe-hit tuple copy of
-/// `extend`. A `clone()` followed by `push` would allocate `t.len()` and
-/// immediately reallocate; this does one allocation and one memcpy.
-#[inline]
-fn extended(t: &[u32], j: u32) -> Vec<u32> {
-    let mut nt = Vec::with_capacity(t.len() + 1);
-    nt.extend_from_slice(t);
-    nt.push(j);
-    nt
-}
-
-/// Evaluable form of a relationship: match-row column positions resolved.
+/// Evaluable form of a relationship: its fields resolved.
 #[derive(Debug, Clone)]
 pub enum RelEval {
     Attr {
         left_pattern: usize,
-        left_col: usize,
+        left: Field,
         op: AstCmp,
         right_pattern: usize,
-        right_col: usize,
+        right: Field,
     },
     Temporal {
         left_pattern: usize,
@@ -60,13 +44,15 @@ pub enum RelEval {
 impl RelEval {
     /// Resolves a context relationship against the query's patterns.
     pub fn build(rel: &RelationCtx, ctx: &QueryContext) -> Result<RelEval, EngineError> {
+        let field =
+            |f: &aiql_core::FieldRef| Field::resolve(f, ctx.patterns[f.pattern].object_kind);
         Ok(match rel {
             RelationCtx::Attr { left, op, right } => RelEval::Attr {
                 left_pattern: left.pattern,
-                left_col: resolve_field(left, ctx.patterns[left.pattern].object_kind)?,
+                left: field(left)?,
                 op: *op,
                 right_pattern: right.pattern,
-                right_col: resolve_field(right, ctx.patterns[right.pattern].object_kind)?,
+                right: field(right)?,
             },
             RelationCtx::Temporal {
                 left,
@@ -89,8 +75,8 @@ impl RelEval {
                 left_pattern,
                 right_pattern,
                 ..
-            } => (*left_pattern, *right_pattern),
-            RelEval::Temporal {
+            }
+            | RelEval::Temporal {
                 left_pattern,
                 right_pattern,
                 ..
@@ -98,33 +84,42 @@ impl RelEval {
         }
     }
 
-    /// Whether rows `l` (for the left pattern) and `r` (right) satisfy the
-    /// relationship.
-    pub fn holds(&self, l: &Row, r: &Row) -> bool {
+    /// Whether match `l` of the left pattern and match `r` of the right
+    /// one satisfy the relationship. Times and `Int` columns compare as
+    /// integers; other attributes compare loosely, and NULL satisfies
+    /// nothing.
+    pub fn holds(&self, matches: &Matches, l: u32, r: u32) -> bool {
+        let (lm, rm) = {
+            let (lp, rp) = self.endpoints();
+            (matches.of(lp), matches.of(rp))
+        };
         match self {
             RelEval::Attr {
-                left_col,
-                op,
-                right_col,
-                ..
+                left, op, right, ..
             } => {
-                let (a, b) = (&l[*left_col], &r[*right_col]);
-                if a.is_null() || b.is_null() {
-                    return false;
-                }
-                let ord = a.loose_cmp(b);
+                let ord = if left.int && right.int {
+                    match (lm.int(l, *left), rm.int(r, *right)) {
+                        (Some(a), Some(b)) => a.cmp(&b),
+                        _ => return false,
+                    }
+                } else {
+                    let (a, b) = (lm.get(l, *left), rm.get(r, *right));
+                    if a.is_null() || b.is_null() {
+                        return false;
+                    }
+                    a.loose_cmp(&b)
+                };
                 match op {
-                    AstCmp::Eq => ord == std::cmp::Ordering::Equal,
-                    AstCmp::Ne => ord != std::cmp::Ordering::Equal,
-                    AstCmp::Lt => ord == std::cmp::Ordering::Less,
-                    AstCmp::Le => ord != std::cmp::Ordering::Greater,
-                    AstCmp::Gt => ord == std::cmp::Ordering::Greater,
-                    AstCmp::Ge => ord != std::cmp::Ordering::Less,
+                    AstCmp::Eq => ord == Ordering::Equal,
+                    AstCmp::Ne => ord != Ordering::Equal,
+                    AstCmp::Lt => ord == Ordering::Less,
+                    AstCmp::Le => ord != Ordering::Greater,
+                    AstCmp::Gt => ord == Ordering::Greater,
+                    AstCmp::Ge => ord != Ordering::Less,
                 }
             }
             RelEval::Temporal { kind, range_ns, .. } => {
-                let tl = l[START_COL].as_int().unwrap_or(0);
-                let tr = r[START_COL].as_int().unwrap_or(0);
+                let (tl, tr) = (lm.start[l as usize], rm.start[r as usize]);
                 match kind {
                     TempKind::Before => match range_ns {
                         None => tl < tr,
@@ -146,35 +141,49 @@ impl RelEval {
         }
     }
 
-    /// Whether this relationship is a hash-joinable attribute equality.
-    pub fn is_equi(&self) -> bool {
-        matches!(self, RelEval::Attr { op: AstCmp::Eq, .. })
+    /// For an attribute equality: its other end's (pattern, field), and
+    /// the field at pattern `j`.
+    fn equi_toward(&self, j: usize) -> Option<((usize, Field), Field)> {
+        match *self {
+            RelEval::Attr {
+                left_pattern,
+                left,
+                op: AstCmp::Eq,
+                right_pattern,
+                right,
+            } => Some(if right_pattern == j {
+                ((left_pattern, left), right)
+            } else {
+                ((right_pattern, right), left)
+            }),
+            _ => None,
+        }
     }
 }
 
-/// Execution results of all patterns: `per_pattern[i]` is `Some(rows)` once
+/// Execution results of all patterns: `per_pattern[i]` is `Some` once
 /// pattern `i` has executed.
 #[derive(Debug, Default)]
-pub struct Matches {
-    pub per_pattern: Vec<Option<Vec<Row>>>,
+pub struct Matches<'a> {
+    pub per_pattern: Vec<Option<PatternMatches<'a>>>,
 }
 
-impl Matches {
+impl<'a> Matches<'a> {
     /// An empty table for `n` patterns.
-    pub fn new(n: usize) -> Matches {
+    pub fn new(n: usize) -> Matches<'a> {
         Matches {
             per_pattern: (0..n).map(|_| None).collect(),
         }
     }
 
-    /// The rows of an executed pattern.
+    /// The matches of an executed pattern.
     ///
     /// # Panics
     ///
     /// Panics if the pattern has not executed — a scheduler bug.
-    pub fn rows(&self, pattern: usize) -> &[Row] {
+    pub fn of(&self, pattern: usize) -> &PatternMatches<'a> {
         self.per_pattern[pattern]
-            .as_deref()
+            .as_ref()
             .expect("pattern executed before use")
     }
 
@@ -184,26 +193,112 @@ impl Matches {
     }
 }
 
-/// A set of joined tuples over a list of patterns. `tuples[t][k]` indexes
-/// into `matches.rows(patterns[k])`.
+/// A hash-join key: the integer when both ends of the equality are `Int`
+/// columns, the value otherwise.
+#[derive(PartialEq, Eq, Hash)]
+enum Key<'a> {
+    Int(Option<i64>),
+    Value(Cow<'a, Value>),
+}
+
+impl<'a> Key<'a> {
+    fn of(m: &PatternMatches<'a>, i: u32, f: Field, typed: bool) -> Key<'a> {
+        if typed {
+            Key::Int(m.int(i, f))
+        } else {
+            Key::Value(m.get(i, f))
+        }
+    }
+}
+
+/// A pattern's matches grouped by key: each key's range of `order`, which
+/// lists the matches key by key, ascending within a key. One array and one
+/// map, whatever the key count.
+struct HashIndex<'a> {
+    ranges: HashMap<Key<'a>, (u32, u32)>,
+    order: Vec<u32>,
+}
+
+impl<'a> HashIndex<'a> {
+    fn build(m: &PatternMatches<'a>, f: Field, typed: bool) -> HashIndex<'a> {
+        let n = m.len() as u32;
+        let mut ranges: HashMap<Key, (u32, u32)> = HashMap::new();
+        for i in 0..n {
+            ranges.entry(Key::of(m, i, f, typed)).or_default().1 += 1;
+        }
+        // Lay the keys out back to back; `.1` then fills from the start.
+        let mut at = 0;
+        for r in ranges.values_mut() {
+            let count = r.1;
+            *r = (at, at);
+            at += count;
+        }
+        let mut order = vec![0; n as usize];
+        for i in 0..n {
+            let r = ranges.get_mut(&Key::of(m, i, f, typed)).expect("counted");
+            order[r.1 as usize] = i;
+            r.1 += 1;
+        }
+        HashIndex { ranges, order }
+    }
+
+    /// The matches whose key is `k`, ascending.
+    fn get(&self, k: &Key) -> &[u32] {
+        self.ranges
+            .get(k)
+            .map_or(&[], |&(lo, hi)| &self.order[lo as usize..hi as usize])
+    }
+}
+
+/// A set of joined tuples over a list of patterns: tuple `t` is the
+/// stride `patterns.len()` slice at `t`, its slot `k` an index into
+/// `matches.of(patterns[k])`.
 #[derive(Debug, Clone, Default)]
 pub struct TupleSet {
     pub patterns: Vec<usize>,
-    pub tuples: Vec<Vec<u32>>,
+    pub tuples: Vec<u32>,
 }
 
 impl TupleSet {
+    fn empty(patterns: Vec<usize>) -> TupleSet {
+        TupleSet {
+            patterns,
+            tuples: Vec::new(),
+        }
+    }
+
     /// A singleton set over one executed pattern.
-    pub fn singleton(pattern: usize, n_rows: usize) -> TupleSet {
+    pub fn singleton(pattern: usize, n: usize) -> TupleSet {
         TupleSet {
             patterns: vec![pattern],
-            tuples: (0..n_rows as u32).map(|i| vec![i]).collect(),
+            tuples: (0..n as u32).collect(),
         }
+    }
+
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.tuples.len() / self.patterns.len()
+    }
+
+    /// The tuples, in order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.tuples.chunks_exact(self.patterns.len())
     }
 
     /// Position of `pattern` within this set's tuple layout.
     pub fn slot(&self, pattern: usize) -> Option<usize> {
         self.patterns.iter().position(|&p| p == pattern)
+    }
+
+    /// Appends the tuple `head ++ tail`, failing at [`MAX_TUPLES`].
+    #[inline]
+    fn push(&mut self, head: &[u32], tail: &[u32]) -> Result<(), EngineError> {
+        if self.tuples.len() >= MAX_TUPLES * self.patterns.len() {
+            return Err(EngineError::Resource);
+        }
+        self.tuples.extend_from_slice(head);
+        self.tuples.extend_from_slice(tail);
+        Ok(())
     }
 
     /// Creates a tuple set from two fresh result sets related by `rel`
@@ -217,47 +312,28 @@ impl TupleSet {
         stats: &mut EngineStats,
     ) -> Result<TupleSet, EngineError> {
         let _join = aiql_telemetry::trace::span("join");
-        let si = matches.rows(i);
-        let sj = matches.rows(j);
-        let mut out = TupleSet {
-            patterns: vec![i, j],
-            tuples: Vec::new(),
-        };
+        let (ni, nj) = (matches.of(i).len() as u32, matches.of(j).len() as u32);
+        let mut out = TupleSet::empty(vec![i, j]);
         // Hash join on the first equi-relationship; residual-check the rest.
-        if let Some(equi) = rels.iter().find(|r| r.is_equi()) {
-            let (lcol, rcol, lp) = match equi {
-                RelEval::Attr {
-                    left_col,
-                    right_col,
-                    left_pattern,
-                    ..
-                } => (*left_col, *right_col, *left_pattern),
-                RelEval::Temporal { .. } => unreachable!("is_equi"),
-            };
-            // Orient: which side of the rel is pattern i?
-            let (icol, jcol) = if lp == i { (lcol, rcol) } else { (rcol, lcol) };
-            let mut built: HashMap<&Value, Vec<u32>> = HashMap::new();
-            for (jj, row) in sj.iter().enumerate() {
-                built.entry(&row[jcol]).or_default().push(jj as u32);
-            }
-            for (ii, irow) in si.iter().enumerate() {
+        if let Some(((_, ifield), jfield)) = rels.iter().find_map(|r| r.equi_toward(j)) {
+            let typed = ifield.int && jfield.int;
+            let built = HashIndex::build(matches.of(j), jfield, typed);
+            for ii in 0..ni {
                 deadline.check()?;
-                if let Some(cands) = built.get(&irow[icol]) {
-                    for &jj in cands {
-                        stats.join_work += 1;
-                        if check_all(rels, i, j, irow, &sj[jj as usize]) {
-                            push_tuple(&mut out.tuples, vec![ii as u32, jj])?;
-                        }
+                for &jj in built.get(&Key::of(matches.of(i), ii, ifield, typed)) {
+                    stats.join_work += 1;
+                    if check_all(rels, matches, (i, ii), (j, jj)) {
+                        out.push(&[ii], &[jj])?;
                     }
                 }
             }
         } else {
-            for (ii, irow) in si.iter().enumerate() {
+            for ii in 0..ni {
                 deadline.check()?;
-                for (jj, jrow) in sj.iter().enumerate() {
+                for jj in 0..nj {
                     stats.join_work += 1;
-                    if check_all(rels, i, j, irow, jrow) {
-                        push_tuple(&mut out.tuples, vec![ii as u32, jj as u32])?;
+                    if check_all(rels, matches, (i, ii), (j, jj)) {
+                        out.push(&[ii], &[jj])?;
                     }
                 }
             }
@@ -276,55 +352,29 @@ impl TupleSet {
         stats: &mut EngineStats,
     ) -> Result<TupleSet, EngineError> {
         let _join = aiql_telemetry::trace::span("join");
-        let sj = matches.rows(j);
-        let mut out = TupleSet {
-            patterns: {
-                let mut p = self.patterns.clone();
-                p.push(j);
-                p
-            },
-            tuples: Vec::new(),
-        };
+        let nj = matches.of(j).len() as u32;
+        let mut out = TupleSet::empty(self.patterns.iter().copied().chain([j]).collect());
         // Hash path: an equi-rel between a pattern of this set and j.
-        let equi = rels.iter().find(|r| r.is_equi());
-        if let Some(RelEval::Attr {
-            left_pattern,
-            left_col,
-            right_col,
-            right_pattern,
-            ..
-        }) = equi
-        {
-            let (in_set_pat, in_set_col, jcol) = if *right_pattern == j {
-                (*left_pattern, *left_col, *right_col)
-            } else {
-                (*right_pattern, *right_col, *left_col)
-            };
-            let slot = self.slot(in_set_pat).expect("relation endpoint in set");
-            let in_rows = matches.rows(in_set_pat);
-            let mut built: HashMap<&Value, Vec<u32>> = HashMap::new();
-            for (jj, row) in sj.iter().enumerate() {
-                built.entry(&row[jcol]).or_default().push(jj as u32);
-            }
-            for t in &self.tuples {
+        if let Some(((p, pfield), jfield)) = rels.iter().find_map(|r| r.equi_toward(j)) {
+            let typed = pfield.int && jfield.int;
+            let slot = self.slot(p).expect("relation endpoint in set");
+            let built = HashIndex::build(matches.of(j), jfield, typed);
+            for t in self.iter() {
                 deadline.check()?;
-                let irow = &in_rows[t[slot] as usize];
-                if let Some(cands) = built.get(&irow[in_set_col]) {
-                    for &jj in cands {
-                        stats.join_work += 1;
-                        if self.tuple_matches(matches, t, j, &sj[jj as usize], rels) {
-                            push_tuple(&mut out.tuples, extended(t, jj))?;
-                        }
+                for &jj in built.get(&Key::of(matches.of(p), t[slot], pfield, typed)) {
+                    stats.join_work += 1;
+                    if self.tuple_matches(matches, t, j, jj, rels) {
+                        out.push(t, &[jj])?;
                     }
                 }
             }
         } else {
-            for t in &self.tuples {
+            for t in self.iter() {
                 deadline.check()?;
-                for (jj, jrow) in sj.iter().enumerate() {
+                for jj in 0..nj {
                     stats.join_work += 1;
-                    if self.tuple_matches(matches, t, j, jrow, rels) {
-                        push_tuple(&mut out.tuples, extended(t, jj as u32))?;
+                    if self.tuple_matches(matches, t, j, jj, rels) {
+                        out.push(t, &[jj])?;
                     }
                 }
             }
@@ -332,31 +382,23 @@ impl TupleSet {
         Ok(out)
     }
 
-    /// Checks all `rels` between this set's tuple `t` and candidate row
-    /// `jrow` for pattern `j`.
+    /// Checks all `rels` between this set's tuple `t` and match `jj` of
+    /// pattern `j`.
     fn tuple_matches(
         &self,
         matches: &Matches,
         t: &[u32],
         j: usize,
-        jrow: &Row,
+        jj: u32,
         rels: &[&RelEval],
     ) -> bool {
         rels.iter().all(|rel| {
-            let (l, r) = rel.endpoints();
-            if l == j && r == j {
-                return true;
-            }
-            if l == j {
-                let slot = self.slot(r).expect("endpoint in set");
-                let rrow = &matches.rows(r)[t[slot] as usize];
-                rel.holds(jrow, rrow)
-            } else if r == j {
-                let slot = self.slot(l).expect("endpoint in set");
-                let lrow = &matches.rows(l)[t[slot] as usize];
-                rel.holds(lrow, jrow)
-            } else {
-                true
+            let at = |p: usize| t[self.slot(p).expect("endpoint in set")];
+            match rel.endpoints() {
+                (l, r) if l == j && r == j => true,
+                (l, r) if l == j => rel.holds(matches, jj, at(r)),
+                (l, r) if r == j => rel.holds(matches, at(l), jj),
+                _ => true,
             }
         })
     }
@@ -368,10 +410,15 @@ impl TupleSet {
         let (Some(ls), Some(rs)) = (self.slot(l), self.slot(r)) else {
             return;
         };
-        let lrows = matches.rows(l);
-        let rrows = matches.rows(r);
-        self.tuples
-            .retain(|t| rel.holds(&lrows[t[ls] as usize], &rrows[t[rs] as usize]));
+        let w = self.patterns.len();
+        let mut kept = 0;
+        for t in 0..self.len() {
+            if rel.holds(matches, self.tuples[t * w + ls], self.tuples[t * w + rs]) {
+                self.tuples.copy_within(t * w..(t + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.tuples.truncate(kept * w);
     }
 
     /// Merges two disjoint tuple sets, filtering by `rels` (which may be
@@ -385,79 +432,91 @@ impl TupleSet {
         stats: &mut EngineStats,
     ) -> Result<TupleSet, EngineError> {
         let _join = aiql_telemetry::trace::span("join");
-        let mut out = TupleSet {
-            patterns: a.patterns.iter().chain(&b.patterns).copied().collect(),
-            tuples: Vec::new(),
-        };
-        for ta in &a.tuples {
+        let mut out = TupleSet::empty(a.patterns.iter().chain(&b.patterns).copied().collect());
+        for ta in a.iter() {
             deadline.check()?;
-            'next: for tb in &b.tuples {
+            'next: for tb in b.iter() {
                 stats.join_work += 1;
                 for rel in rels {
                     let (l, r) = rel.endpoints();
-                    let (lrow, rrow) = match (
-                        a.slot(l).map(|s| &matches.rows(l)[ta[s] as usize]),
-                        b.slot(l).map(|s| &matches.rows(l)[tb[s] as usize]),
-                        a.slot(r).map(|s| &matches.rows(r)[ta[s] as usize]),
-                        b.slot(r).map(|s| &matches.rows(r)[tb[s] as usize]),
-                    ) {
-                        (Some(lr), _, _, Some(rr)) => (lr, rr),
-                        (_, Some(lr), Some(rr), _) => (lr, rr),
+                    let (lm, rm) = match (a.slot(l), b.slot(l), a.slot(r), b.slot(r)) {
+                        (Some(la), _, _, Some(rb)) => (ta[la], tb[rb]),
+                        (_, Some(lb), Some(ra), _) => (tb[lb], ta[ra]),
                         _ => continue,
                     };
-                    if !rel.holds(lrow, rrow) {
+                    if !rel.holds(matches, lm, rm) {
                         continue 'next;
                     }
                 }
-                let mut nt = Vec::with_capacity(ta.len() + tb.len());
-                nt.extend_from_slice(ta);
-                nt.extend_from_slice(tb);
-                push_tuple(&mut out.tuples, nt)?;
+                out.push(ta, tb)?;
             }
         }
         Ok(out)
     }
 }
 
-fn check_all(rels: &[&RelEval], i: usize, j: usize, irow: &Row, jrow: &Row) -> bool {
-    rels.iter().all(|rel| {
-        let (l, r) = rel.endpoints();
-        if l == i && r == j {
-            rel.holds(irow, jrow)
-        } else if l == j && r == i {
-            rel.holds(jrow, irow)
-        } else {
-            true
-        }
+/// Checks all `rels` between match `ii` of pattern `i` and match `jj` of
+/// pattern `j`.
+fn check_all(
+    rels: &[&RelEval],
+    matches: &Matches,
+    (i, ii): (usize, u32),
+    (j, jj): (usize, u32),
+) -> bool {
+    rels.iter().all(|rel| match rel.endpoints() {
+        (l, r) if l == i && r == j => rel.holds(matches, ii, jj),
+        (l, r) if l == j && r == i => rel.holds(matches, jj, ii),
+        _ => true,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::MATCH_WIDTH;
+    use aiql_core::FieldTarget;
+    use aiql_rdb::Table;
+    use aiql_storage::schema;
 
-    /// A match row with the given event start time and subject id.
-    fn row(start: i64, subj_id: i64) -> Row {
-        let mut r = vec![Value::Null; MATCH_WIDTH];
-        r[START_COL] = Value::Int(start);
-        r[crate::layout::SUBJ_OFF] = Value::Int(subj_id);
-        r
+    /// Event rows with the given (start time, subject id) pairs.
+    fn events(rows: &[(i64, i64)]) -> Table {
+        let mut t = Table::new(schema::events_schema());
+        for &(start, subject) in rows {
+            let mut r = vec![Value::Null; schema::ev::WIDTH];
+            r[schema::ev::START] = Value::Int(start);
+            r[schema::ev::SUBJECT] = Value::Int(subject);
+            t.insert(r).unwrap();
+        }
+        t
     }
 
-    fn matches2(a: Vec<Row>, b: Vec<Row>) -> Matches {
+    /// One match per row of `t`, each row standing in for all three.
+    fn pattern(t: &Table) -> PatternMatches<'_> {
+        let mut m = PatternMatches::default();
+        for i in 0..t.len() as u32 {
+            m.push(t.row(i), t.row(i), t.row(i));
+        }
+        m
+    }
+
+    fn matches<'a>(tables: &'a [Table]) -> Matches<'a> {
         Matches {
-            per_pattern: vec![Some(a), Some(b)],
+            per_pattern: tables.iter().map(|t| Some(pattern(t))).collect(),
         }
     }
+
+    const SUBJECT: Field = Field {
+        target: FieldTarget::Event,
+        col: schema::ev::SUBJECT,
+        int: true,
+    };
 
     fn attr_eq() -> RelEval {
         RelEval::Attr {
             left_pattern: 0,
-            left_col: crate::layout::SUBJ_OFF,
+            left: SUBJECT,
             op: AstCmp::Eq,
             right_pattern: 1,
-            right_col: crate::layout::SUBJ_OFF,
+            right: SUBJECT,
         }
     }
 
@@ -472,64 +531,69 @@ mod tests {
 
     #[test]
     fn create_hash_join_on_equi() {
-        let m = matches2(
-            vec![row(1, 10), row(2, 20)],
-            vec![row(3, 10), row(4, 30), row(5, 10)],
-        );
+        let t = [
+            events(&[(1, 10), (2, 20)]),
+            events(&[(3, 10), (4, 30), (5, 10)]),
+        ];
+        let m = matches(&t);
         let rel = attr_eq();
         let mut stats = EngineStats::default();
         let ts = TupleSet::create(&m, 0, 1, &[&rel], Deadline::none(), &mut stats).unwrap();
-        assert_eq!(ts.tuples.len(), 2, "subject 10 matches rows 0 and 2");
+        assert_eq!(
+            ts.tuples,
+            vec![0, 0, 0, 2],
+            "subject 10 matches rows 0 and 2"
+        );
         // Hash join probes only matching candidates.
         assert_eq!(stats.join_work, 2);
     }
 
     #[test]
     fn create_nested_loop_on_temporal() {
-        let m = matches2(vec![row(1, 0), row(10, 0)], vec![row(5, 0)]);
+        let t = [events(&[(1, 0), (10, 0)]), events(&[(5, 0)])];
+        let m = matches(&t);
         let rel = before();
         let mut stats = EngineStats::default();
         let ts = TupleSet::create(&m, 0, 1, &[&rel], Deadline::none(), &mut stats).unwrap();
-        assert_eq!(ts.tuples, vec![vec![0, 0]], "only t=1 is before t=5");
+        assert_eq!(ts.tuples, vec![0, 0], "only t=1 is before t=5");
         assert_eq!(stats.join_work, 2, "nested loop considers all pairs");
     }
 
     #[test]
     fn temporal_with_range_and_within() {
-        let l = row(1_000, 0);
-        let r = row(3_000, 0);
+        let t = [events(&[(1_000, 0)]), events(&[(3_000, 0)])];
+        let m = matches(&t);
         let rel = RelEval::Temporal {
             left_pattern: 0,
             kind: TempKind::Before,
             range_ns: Some((1_000, 2_500)),
             right_pattern: 1,
         };
-        assert!(rel.holds(&l, &r), "gap 2000 within [1000, 2500]");
+        assert!(rel.holds(&m, 0, 0), "gap 2000 within [1000, 2500]");
         let rel = RelEval::Temporal {
             left_pattern: 0,
             kind: TempKind::Before,
             range_ns: Some((2_500, 9_000)),
             right_pattern: 1,
         };
-        assert!(!rel.holds(&l, &r), "gap 2000 below 2500");
+        assert!(!rel.holds(&m, 0, 0), "gap 2000 below 2500");
         let rel = RelEval::Temporal {
-            left_pattern: 0,
+            left_pattern: 1,
             kind: TempKind::Within,
             range_ns: Some((0, 5_000)),
-            right_pattern: 1,
+            right_pattern: 0,
         };
-        assert!(rel.holds(&r, &l), "within is symmetric");
+        assert!(rel.holds(&m, 0, 0), "within is symmetric");
     }
 
     #[test]
     fn extend_filters_against_all_set_members() {
-        let m = Matches {
-            per_pattern: vec![
-                Some(vec![row(1, 7)]),
-                Some(vec![row(5, 7)]),
-                Some(vec![row(3, 7), row(9, 7)]),
-            ],
-        };
+        let t = [
+            events(&[(1, 7)]),
+            events(&[(5, 7)]),
+            events(&[(3, 7), (9, 7)]),
+        ];
+        let m = matches(&t);
         let r01 = attr_eq();
         let mut stats = EngineStats::default();
         let ts = TupleSet::create(&m, 0, 1, &[&r01], Deadline::none(), &mut stats).unwrap();
@@ -549,33 +613,29 @@ mod tests {
         let ts2 = ts
             .extend(&m, 2, &[&r02, &r21], Deadline::none(), &mut stats)
             .unwrap();
-        assert_eq!(
-            ts2.tuples,
-            vec![vec![0, 0, 0]],
-            "only t=3 sits between 1 and 5"
-        );
+        assert_eq!(ts2.tuples, vec![0, 0, 0], "only t=3 sits between 1 and 5");
     }
 
     #[test]
     fn filter_in_place() {
-        let m = matches2(vec![row(10, 0), row(1, 0)], vec![row(5, 0)]);
+        let t = [events(&[(10, 0), (1, 0)]), events(&[(5, 0)])];
+        let m = matches(&t);
         let mut stats = EngineStats::default();
         let mut ts = TupleSet::create(&m, 0, 1, &[], Deadline::none(), &mut stats).unwrap();
-        assert_eq!(ts.tuples.len(), 2, "no relation: full cross product");
+        assert_eq!(ts.len(), 2, "no relation: full cross product");
         ts.filter(&m, &before());
-        assert_eq!(ts.tuples, vec![vec![1, 0]]);
+        assert_eq!(ts.tuples, vec![1, 0]);
     }
 
     #[test]
     fn merge_disjoint_sets_with_relation() {
-        let m = Matches {
-            per_pattern: vec![
-                Some(vec![row(1, 0)]),
-                Some(vec![row(2, 0)]),
-                Some(vec![row(3, 0)]),
-                Some(vec![row(0, 0), row(9, 0)]),
-            ],
-        };
+        let t = [
+            events(&[(1, 0)]),
+            events(&[(2, 0)]),
+            events(&[(3, 0)]),
+            events(&[(0, 0), (9, 0)]),
+        ];
+        let m = matches(&t);
         let mut stats = EngineStats::default();
         let a = TupleSet::create(&m, 0, 1, &[], Deadline::none(), &mut stats).unwrap();
         let b = TupleSet::create(&m, 2, 3, &[], Deadline::none(), &mut stats).unwrap();
@@ -588,15 +648,41 @@ mod tests {
         };
         let merged = TupleSet::merge(&a, &b, &m, &[&rel], Deadline::none(), &mut stats).unwrap();
         assert_eq!(merged.patterns, vec![0, 1, 2, 3]);
-        assert_eq!(merged.tuples, vec![vec![0, 0, 0, 1]], "only t3=9 qualifies");
+        assert_eq!(merged.tuples, vec![0, 0, 0, 1], "only t3=9 qualifies");
     }
 
     #[test]
     fn singleton_and_slots() {
         let ts = TupleSet::singleton(4, 3);
         assert_eq!(ts.patterns, vec![4]);
-        assert_eq!(ts.tuples.len(), 3);
+        assert_eq!(ts.len(), 3);
         assert_eq!(ts.slot(4), Some(0));
         assert_eq!(ts.slot(0), None);
+    }
+
+    /// The tuple budget counts tuples, whatever their width: a `before`
+    /// cross product of 1 500 × 1 500 matches passes `MAX_TUPLES` and
+    /// fails, one of 1 400 × 1 400 stays under it and completes.
+    #[test]
+    fn tuple_budget_boundary() {
+        let t = events(&[(0, 0), (1, 0)]);
+        let all = |n: usize, at: u32| PatternMatches {
+            events: vec![t.row(at); n],
+            subjects: vec![t.row(at); n],
+            objects: vec![t.row(at); n],
+            start: vec![i64::from(at); n],
+        };
+        let cross = |n: usize| {
+            let m = Matches {
+                per_pattern: vec![Some(all(n, 0)), Some(all(n, 1))],
+            };
+            let mut stats = EngineStats::default();
+            TupleSet::create(&m, 0, 1, &[&before()], Deadline::none(), &mut stats)
+        };
+        const { assert!(1_500 * 1_500 > MAX_TUPLES && 1_400 * 1_400 < MAX_TUPLES) };
+        assert!(matches!(cross(1_500), Err(EngineError::Resource)));
+        let ts = cross(1_400).unwrap();
+        assert_eq!(ts.len(), 1_960_000);
+        assert_eq!(ts.tuples.len(), 2 * 1_960_000);
     }
 }

@@ -455,8 +455,8 @@ impl PartitionedTable {
     }
 
     /// Like [`PartitionedTable::select`], but returns borrowed rows — the
-    /// hot path for engine scans, which flatten matches into fresh rows and
-    /// never need owned ones.
+    /// hot path for engine scans, whose matches keep the row references
+    /// and never need owned rows.
     pub fn select_refs(
         &self,
         conjuncts: &[Expr],
