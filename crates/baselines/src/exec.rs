@@ -113,7 +113,11 @@ pub(crate) fn scan(
         }
         aiql_rdb::TableSlot::Partitioned(pt) => {
             let prune = pt.prune_from_conjuncts(&node.conjuncts);
-            pt.select(&node.conjuncts, &prune, &mut scanned)
+            let mut profile = aiql_rdb::ScanProfile::default();
+            pt.select(&node.conjuncts, &prune, &mut scanned, &mut profile)
+                .iter()
+                .map(|r| r.to_row())
+                .collect()
         }
     };
     ctx.stats.rows_scanned += scanned;

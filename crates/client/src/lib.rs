@@ -7,10 +7,6 @@
 //! synchronous (the repository benchmark and the tests drive many of them
 //! from plain threads; the REPL drives one from a prompt loop);
 //! concurrency lives server-side.
-//!
-//! Every round trip's wall time is sampled, so a consumer can report
-//! client-observed latency (`:metrics` in the REPL, the benchmark's
-//! `client.*_rtt` metrics) without wrapping the calls itself.
 
 use aiql_core::ast::Lit;
 use aiql_core::ParamValues;
@@ -18,7 +14,7 @@ use aiql_model::Value;
 use aiql_server::proto::{ErrorCode, FrameBuffer, Request, Response, PROTO_VERSION};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One result row.
 pub type Row = Vec<Value>;
@@ -76,8 +72,6 @@ pub struct Client {
     fb: FrameBuffer,
     /// Read scratch: socket bytes pass through it into `fb`.
     buf: Box<[u8]>,
-    /// Round-trip wall time per request, microseconds, in call order.
-    latencies: Vec<u64>,
 }
 
 impl Client {
@@ -91,7 +85,6 @@ impl Client {
             stream,
             fb: FrameBuffer::new(),
             buf: vec![0u8; 64 * 1024].into_boxed_slice(),
-            latencies: Vec::new(),
         };
         match client.call(&Request::Hello {
             version: PROTO_VERSION,
@@ -106,15 +99,11 @@ impl Client {
     /// `Ok(Response::Error { .. })` — helpers below turn them into
     /// [`ClientError::Server`].
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let started = Instant::now();
         let frame = req
             .to_frame()
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         self.stream.write_all(&frame)?;
-        let resp = self.read_response()?;
-        self.latencies
-            .push(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        Ok(resp)
+        self.read_response()
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
@@ -257,27 +246,6 @@ impl Client {
             Response::Pong { token: 1 } => Ok(()),
             other => Err(unexpected(other)),
         }
-    }
-
-    /// Client-observed round-trip latencies, microseconds, in call order.
-    pub fn latencies_micros(&self) -> &[u64] {
-        &self.latencies
-    }
-
-    /// `(calls, p50, p99)` of the recorded round trips, microseconds.
-    pub fn latency_summary(&self) -> (usize, u64, u64) {
-        if self.latencies.is_empty() {
-            return (0, 0, 0);
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let q = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
-        (sorted.len(), q(0.50), q(0.99))
-    }
-
-    /// Forgets recorded latencies.
-    pub fn reset_latencies(&mut self) {
-        self.latencies.clear();
     }
 }
 

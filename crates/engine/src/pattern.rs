@@ -137,7 +137,7 @@ fn scan_events<'a>(
 /// its partitions in key order. Tasks are dispatched **largest estimated
 /// shard first** so stragglers start earliest, and the gather merges the
 /// per-partition results sorted by `PartKey` — exactly the order the
-/// sequential `select_refs_profiled` walk produces, which is what lets the
+/// sequential `PartitionedTable::select` walk produces, which is what lets the
 /// proptest oracle demand row-identical output. When pruning confines the
 /// scan to a single shard, the scan runs shard-local on the coordinator
 /// (no pool round-trip) — a host-constrained query on a by-host placement

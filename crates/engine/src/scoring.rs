@@ -14,7 +14,8 @@
 //!   negated log-cardinality, so fewer estimated matches ⇒ more pruning
 //!   power.
 //!
-//! The `ablation` Criterion bench and `tests/ablation.rs` compare the two.
+//! The `ablation` Criterion bench (`crates/bench/benches/ablation.rs`)
+//! times the two; `tests/differential.rs` checks they return the same rows.
 
 use crate::synth::synthesize;
 use aiql_core::QueryContext;

@@ -84,12 +84,6 @@ impl IngestConfig {
         self
     }
 
-    /// Sets the store configuration, builder style.
-    pub fn with_store(mut self, store: StoreConfig) -> IngestConfig {
-        self.store = store;
-        self
-    }
-
     /// Sets the transient-fault retry policy, builder style.
     pub fn with_retry(mut self, retry: RetryPolicy) -> IngestConfig {
         self.retry = retry;
@@ -319,11 +313,6 @@ impl Ingestor {
             Backend::Plain(s) => s.clone(),
             Backend::Durable(d) => d.shared(),
         }
-    }
-
-    /// Whether appends are write-ahead logged.
-    pub fn is_durable(&self) -> bool {
-        matches!(self.backend, Backend::Durable(_))
     }
 
     /// The construction options.

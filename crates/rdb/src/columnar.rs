@@ -1,19 +1,19 @@
-//! Columnar projections: typed vectors, time-sorted blocks, zone maps, and
-//! vectorized predicate kernels.
+//! Columnar projections: typed vectors, time-sorted sealed chunks, zone
+//! maps, and vectorized predicate kernels.
 //!
 //! The row store ([`crate::Table`]) interprets predicate ASTs row-at-a-time
 //! over `Vec<Value>` rows — pointer-chasing on the hottest path in the
 //! system. A [`Columnar`] projection shadows a sealed chunk with flat typed
-//! vectors (`i64`, dictionary-interned `u32` symbols, bools), keeps rows
-//! sorted by the partition's time column, and slices them into fixed-size
-//! blocks carrying min/max **zone maps**. Scans then:
+//! vectors (`i64`, dictionary-interned `u32` symbols, bools), keeps its
+//! rows sorted by the partition's time column, and carries one min/max
+//! **zone map** per column over the whole chunk: the sealed chunk is the
+//! zone-map unit. Scans then:
 //!
 //! 1. compile the conjuncts into a handful of [`Kernel`]s (eq-i64,
 //!    range-i64, in-list, eq-sym, like-sym) plus a residual AST remainder,
-//! 2. skip whole blocks whose zone map excludes a kernel,
-//! 3. binary-search the time window inside each surviving block (every
-//!    block runs in time order; blocks restored from an older snapshot may
-//!    overlap, never mis-sort), and
+//! 2. skip the whole chunk when a zone map excludes a kernel,
+//! 3. binary-search the time window over the chunk (its projection runs
+//!    in time order), and
 //! 4. evaluate each kernel as a tight loop over a column slice into a
 //!    selection bitmap, falling back to the row store only for residual
 //!    predicates on the surviving rows.
@@ -24,14 +24,14 @@
 //! load and one memo lookup however long its string is. The memo lives for
 //! one table scan (all chunks share the dictionary) and is never resident.
 //!
-//! [`Columnar::surviving_rows`] is the path's cost estimate — rows in
-//! blocks the zone maps cannot exclude — which [`crate::Table`] weighs
+//! [`Columnar::surviving_rows`] is the path's cost estimate — the chunk's
+//! rows unless its zone maps exclude them — which [`crate::Table`] weighs
 //! against index probes when it picks an access path.
 //!
 //! A projection is built once, when its chunk seals: each column is
 //! pushed value by value in projection order ([`Columnar::order`]: the
 //! rows' stable sort by the time column, or a persisted order on restore),
-//! then every block, the final partial one included, gets its zone map. A
+//! then gets its zone map. A
 //! projection is lossless for every column it holds, so a sealed chunk
 //! whose projection holds *all* of its table's columns keeps no rows at
 //! all: the projection is the chunk, and its rows are read back value by
@@ -45,9 +45,6 @@ use crate::schema::{ColumnType, Row, Schema};
 use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
 use std::mem::size_of;
 
-/// Default rows per zone-mapped block.
-pub const DEFAULT_BLOCK_ROWS: usize = 4096;
-
 /// NULL sentinel in a bool column (values are 0 / 1).
 const NULL_BOOL: u8 = 2;
 
@@ -57,8 +54,6 @@ pub struct ColumnarSpec {
     /// Column to keep the projection sorted on (must be `Int`; typically
     /// the partition time column). `None` keeps insertion order.
     pub time_col: Option<String>,
-    /// Rows per block (zone-map granularity).
-    pub block_rows: usize,
     /// Projected columns. Empty means *every* supported column
     /// (`Int`/`Str`/`Bool`; `Float` stays on the row path).
     pub columns: Vec<String>,
@@ -69,7 +64,6 @@ impl ColumnarSpec {
     pub fn all() -> ColumnarSpec {
         ColumnarSpec {
             time_col: None,
-            block_rows: DEFAULT_BLOCK_ROWS,
             columns: Vec::new(),
         }
     }
@@ -85,12 +79,6 @@ impl ColumnarSpec {
     /// Restricts the projection to `columns`, builder style.
     pub fn with_columns(mut self, columns: &[&str]) -> ColumnarSpec {
         self.columns = columns.iter().map(|c| c.to_string()).collect();
-        self
-    }
-
-    /// Sets the block size, builder style.
-    pub fn with_block_rows(mut self, rows: usize) -> ColumnarSpec {
-        self.block_rows = rows.max(2);
         self
     }
 }
@@ -212,21 +200,22 @@ impl ColumnData {
         }
     }
 
-    fn zone(&self, range: std::ops::Range<usize>) -> Zone {
+    /// The column's zone map.
+    fn zone(&self) -> Zone {
         match self {
             ColumnData::Int { vals, nulls } => {
                 let (mut min, mut max) = (i64::MAX, i64::MIN);
-                for i in range {
+                for (i, &v) in vals.iter().enumerate() {
                     if !int_null(nulls, i) {
-                        min = min.min(vals[i]);
-                        max = max.max(vals[i]);
+                        min = min.min(v);
+                        max = max.max(v);
                     }
                 }
                 Zone::Int { min, max }
             }
             ColumnData::Sym { vals } => {
                 let mut mask = 0u64;
-                for &v in &vals[range] {
+                for &v in vals {
                     if v != NULL_SYM {
                         mask |= 1u64 << (v % 64);
                     }
@@ -238,7 +227,8 @@ impl ColumnData {
     }
 }
 
-/// Per-block, per-column summary used to skip blocks without touching them.
+/// Per-column summary of a sealed chunk, used to skip the chunk without
+/// touching its rows.
 #[derive(Debug, Clone, Copy)]
 enum Zone {
     /// Min/max over the non-null values (inverted range when all-null).
@@ -296,7 +286,7 @@ impl Kernel {
         }
     }
 
-    /// Whether the zone map proves no row of the block can match.
+    /// Whether the zone map proves no row of the chunk can match.
     fn excluded_by(&self, zone: Zone) -> bool {
         match (self, zone) {
             (Kernel::EqI64 { v, .. }, Zone::Int { min, max }) => *v < min || *v > max,
@@ -426,7 +416,6 @@ impl LikeMemo {
 #[derive(Debug, Clone)]
 pub struct Columnar {
     time_idx: Option<usize>,
-    block_rows: usize,
     dict: SharedDict,
     /// Schema position → slot in `cols`.
     slots: Vec<Option<usize>>,
@@ -434,8 +423,8 @@ pub struct Columnar {
     cols: Vec<(usize, ColumnData)>,
     /// Projection order → row position in the backing row store.
     perm: Vec<u32>,
-    /// Zone maps, one list per block, aligned with `cols`.
-    zones: Vec<Vec<Zone>>,
+    /// Zone maps, one per projected column, aligned with `cols`.
+    zones: Vec<Zone>,
 }
 
 impl Columnar {
@@ -494,7 +483,6 @@ impl Columnar {
         }
         let mut c = Columnar {
             time_idx,
-            block_rows: spec.block_rows.max(2),
             dict,
             slots,
             cols,
@@ -523,9 +511,7 @@ impl Columnar {
     }
 
     /// Checks that `perm` can order a projection of `rows`: a permutation
-    /// of their positions that runs in time order within every block.
-    /// Blocks may overlap — projections once grown by sorted inserts into
-    /// an open block left them so, and their snapshots still load.
+    /// of their positions that runs in time order.
     pub(crate) fn check_order(&self, rows: &[Row], perm: &[u32]) -> Result<(), RdbError> {
         let mut seen = vec![false; rows.len()];
         let key = |p: u32| self.time_idx.and_then(|t| rows[p as usize][t].as_int());
@@ -534,12 +520,10 @@ impl Columnar {
                 seen.get_mut(p as usize)
                     .is_some_and(|s| !std::mem::replace(s, true))
             })
-            && perm
-                .chunks(self.block_rows)
-                .all(|block| block.windows(2).all(|w| key(w[0]) <= key(w[1])));
+            && perm.windows(2).all(|w| key(w[0]) <= key(w[1]));
         fits.then_some(()).ok_or_else(|| {
             RdbError::SchemaMismatch(format!(
-                "columnar order of {} positions does not order {} rows block by block",
+                "columnar order of {} positions does not time-order {} rows",
                 perm.len(),
                 rows.len()
             ))
@@ -547,23 +531,13 @@ impl Columnar {
     }
 
     /// Fills this empty projection with `rows` in projection order `perm`:
-    /// each column pushed value by value in that order, then a zone map
-    /// over every block, the final partial one included.
+    /// each column pushed value by value in that order, then its zone map.
     pub(crate) fn fill(&mut self, rows: &[Row], perm: Vec<u32>) {
         for (col, data) in &mut self.cols {
             data.fill(perm.iter().map(|&p| &rows[p as usize][*col]), &self.dict);
         }
-        let n = perm.len();
         self.perm = perm;
-        self.zones = (0..n.div_ceil(self.block_rows))
-            .map(|b| {
-                let range = b * self.block_rows..((b + 1) * self.block_rows).min(n);
-                self.cols
-                    .iter()
-                    .map(|(_, d)| d.zone(range.clone()))
-                    .collect()
-            })
-            .collect();
+        self.zones = self.cols.iter().map(|(_, d)| d.zone()).collect();
     }
 
     /// Interns `row`'s strings in the projection's dictionary-coded
@@ -625,13 +599,8 @@ impl Columnar {
     /// maps (the shared dictionary is the store's, not the projection's).
     pub fn resident_bytes(&self) -> u64 {
         let cols: usize = self.cols.iter().map(|(_, d)| d.heap_bytes()).sum();
-        let zones: usize = self
-            .zones
-            .iter()
-            .map(|z| size_of::<Vec<Zone>>() + z.capacity() * size_of::<Zone>())
-            .sum();
         (cols
-            + zones
+            + self.zones.capacity() * size_of::<Zone>()
             + self.perm.capacity() * 4
             + self.cols.capacity() * size_of::<(usize, ColumnData)>()
             + self.slots.capacity() * size_of::<Option<usize>>()) as u64
@@ -647,22 +616,12 @@ impl Columnar {
         self.perm.is_empty()
     }
 
-    /// Number of blocks, each with its zone map.
-    pub fn blocks(&self) -> usize {
-        self.zones.len()
-    }
-
     /// The projection order: `perm()[i]` is the row-store position of the
-    /// row at projection position `i`. Together with the block size this is
-    /// the complete block metadata of the projection — persisting it lets a
-    /// restore rebuild identical blocks without re-sorting.
+    /// row at projection position `i` — the projection's whole layout
+    /// metadata, which a snapshot persists so a restore rebuilds the same
+    /// projection without re-sorting.
     pub fn perm(&self) -> &[u32] {
         &self.perm
-    }
-
-    /// Rows per block.
-    pub fn block_rows(&self) -> usize {
-        self.block_rows
     }
 
     /// The shared dictionary this projection interns into.
@@ -684,18 +643,14 @@ impl Columnar {
             self.perm.iter().map(|&p| &rows[p as usize][col]),
             &self.dict,
         );
-        for (b, zones) in self.zones.iter_mut().enumerate() {
-            let end = ((b + 1) * self.block_rows).min(self.perm.len());
-            zones.push(data.zone(b * self.block_rows..end));
-        }
+        self.zones.push(data.zone());
         self.slots[col] = Some(self.cols.len());
         self.cols.push((col, data));
     }
 
-    /// Evaluates `kernels` over every block, skipping blocks excluded by
-    /// zone maps and binary-searching the time window inside sorted blocks.
-    /// Returns matching row-store positions (unordered); `scanned` counts
-    /// rows actually evaluated.
+    /// Evaluates `kernels` over the chunk unless its zone maps exclude it,
+    /// binary-searching the time window first. Returns matching row-store
+    /// positions (unordered); `scanned` counts rows actually evaluated.
     pub fn select(&self, kernels: &[Kernel], scanned: &mut u64) -> Vec<u32> {
         let (mut pruned, mut visited) = (0, 0);
         self.select_stats(
@@ -707,33 +662,30 @@ impl Columnar {
         )
     }
 
-    /// Whether the zone maps of block `block` prove that none of its rows
-    /// satisfies `kernels`.
-    fn zone_excluded(&self, block: usize, kernels: &[Kernel]) -> bool {
+    /// Whether the zone maps prove that no row satisfies `kernels`.
+    fn zone_excluded(&self, kernels: &[Kernel]) -> bool {
         kernels.iter().any(|k| {
             k.col()
                 .and_then(|c| self.slots[c])
-                .is_some_and(|slot| k.excluded_by(self.zones[block][slot]))
+                .is_some_and(|slot| k.excluded_by(self.zones[slot]))
         })
     }
 
-    /// Rows in the blocks [`Columnar::select_stats`] would evaluate for
-    /// `kernels`, i.e. those no zone map excludes: the cost estimate of the
-    /// vectorized path, from block metadata alone.
+    /// Rows [`Columnar::select_stats`] would evaluate for `kernels` before
+    /// narrowing to the time window: the chunk's, unless its zone maps
+    /// exclude it — the cost estimate of the vectorized path, from zone
+    /// maps alone.
     pub fn surviving_rows(&self, kernels: &[Kernel]) -> usize {
-        if kernels.iter().any(|k| matches!(k, Kernel::Never)) {
-            return 0;
+        if kernels.iter().any(|k| matches!(k, Kernel::Never)) || self.zone_excluded(kernels) {
+            0
+        } else {
+            self.perm.len()
         }
-        let n = self.perm.len();
-        (0..self.blocks())
-            .filter(|&b| !self.zone_excluded(b, kernels))
-            .map(|b| self.block_rows.min(n - b * self.block_rows))
-            .sum()
     }
 
-    /// [`Columnar::select`] with zone-map accounting: `blocks_pruned` counts
-    /// blocks skipped purely by their zone maps, `blocks_total` every block
-    /// the scan considered. `memo` carries the [`Kernel::LikeSym`] outcomes
+    /// [`Columnar::select`] with zone-map accounting: `blocks_total` counts
+    /// the chunk if the scan considered it, `blocks_pruned` if its zone maps
+    /// alone excluded it. `memo` carries the [`Kernel::LikeSym`] outcomes
     /// from chunk to chunk of one table scan.
     pub fn select_stats(
         &self,
@@ -746,8 +698,17 @@ impl Columnar {
         if kernels.iter().any(|k| matches!(k, Kernel::Never)) {
             return Vec::new();
         }
+        let n = self.perm.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        *blocks_total += 1;
+        if self.zone_excluded(kernels) {
+            *blocks_pruned += 1;
+            return Vec::new();
+        }
         // Intersect the time bounds of all kernels on the sort column; those
-        // kernels are then fully enforced by the per-block binary search.
+        // kernels are then fully enforced by the binary search.
         let (mut t_lo, mut t_hi) = (i64::MIN, i64::MAX);
         let mut time_kernels = false;
         if let Some(t) = self.time_idx {
@@ -787,84 +748,53 @@ impl Columnar {
                     if Some(*col) == self.time_idx)
             })
             .collect();
-        // One read guard for this chunk's blocks: symbols resolve by
-        // reference, and interning waits for one chunk at most.
-        let dict = kernels
-            .iter()
-            .any(|k| matches!(k, Kernel::LikeSym { .. }))
-            .then(|| self.dict.read());
-
-        let n = self.perm.len();
-        let mut out = Vec::new();
-        let mut sel = vec![false; self.block_rows];
-        let mut base = 0usize;
-        let mut block = 0usize;
-        while base < n {
-            let len = self.block_rows.min(n - base);
-            *blocks_total += 1;
-            if self.zone_excluded(block, kernels) {
-                *blocks_pruned += 1;
-                base += len;
-                block += 1;
-                continue;
+        // Time-window narrowing over the (sorted) chunk.
+        let (lo, hi) = match self.time_idx {
+            Some(t) if time_kernels => {
+                let data = self.data(t);
+                (
+                    partition_in(data, n, |k| k < t_lo),
+                    partition_in(data, n, |k| k <= t_hi),
+                )
             }
-            // Time-window narrowing inside the (sorted) block.
-            let (off_lo, off_hi) = if time_kernels {
-                let t = self.time_idx.expect("time_kernels implies time_idx");
-                let slot = self.slots[t].expect("time column is projected");
-                let data = &self.cols[slot].1;
-                let lo = partition_in(data, base, base + len, |k| k < t_lo) - base;
-                let hi = partition_in(data, base, base + len, |k| k <= t_hi) - base;
-                (lo, hi)
-            } else {
-                (0, len)
-            };
-            if off_lo < off_hi {
-                *scanned += (off_hi - off_lo) as u64;
-                let window = &mut sel[..off_hi - off_lo];
-                window.fill(true);
-                for &(ki, k) in &narrowed {
-                    let slot = k
-                        .col()
-                        .and_then(|c| self.slots[c])
-                        .expect("kernels compile only on projected columns");
-                    match (k, &self.cols[slot].1) {
-                        (
-                            Kernel::LikeSym {
-                                pattern, negated, ..
-                            },
-                            ColumnData::Sym { vals },
-                        ) => memo.apply(
-                            ki,
-                            pattern,
-                            *negated,
-                            dict.as_deref().expect("guard taken for LikeSym kernels"),
-                            &vals[base + off_lo..base + off_hi],
-                            window,
-                        ),
-                        (k, data) => k.apply(data, base + off_lo, window),
-                    }
-                }
-                for (i, &s) in window.iter().enumerate() {
-                    if s {
-                        out.push(self.perm[base + off_lo + i]);
-                    }
-                }
-            }
-            base += len;
-            block += 1;
+            _ => (0, n),
+        };
+        if lo >= hi {
+            return Vec::new();
         }
-        out
+        *scanned += (hi - lo) as u64;
+        let mut sel = vec![true; hi - lo];
+        for &(ki, k) in &narrowed {
+            let slot = k
+                .col()
+                .and_then(|c| self.slots[c])
+                .expect("kernels compile only on projected columns");
+            match (k, &self.cols[slot].1) {
+                (
+                    Kernel::LikeSym {
+                        pattern, negated, ..
+                    },
+                    ColumnData::Sym { vals },
+                ) => {
+                    // A read guard for one chunk: symbols resolve by
+                    // reference, and interning waits for one chunk at most.
+                    let dict = self.dict.read();
+                    memo.apply(ki, pattern, *negated, &dict, &vals[lo..hi], &mut sel)
+                }
+                (k, data) => k.apply(data, lo, &mut sel),
+            }
+        }
+        (lo..)
+            .zip(sel)
+            .filter(|&(_, s)| s)
+            .map(|(i, _)| self.perm[i])
+            .collect()
     }
 }
 
-/// `partition_point` over `data.int_key` restricted to `[lo, hi)`.
-fn partition_in(
-    data: &ColumnData,
-    mut lo: usize,
-    mut hi: usize,
-    pred: impl Fn(i64) -> bool,
-) -> usize {
+/// `partition_point` over `data.int_key` on the first `n` positions.
+fn partition_in(data: &ColumnData, n: usize, pred: impl Fn(i64) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
     while lo < hi {
         let mid = (lo + hi) / 2;
         if pred(data.int_key(mid)) {
@@ -1020,6 +950,7 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::{ScanProfile, Table};
 
     fn schema() -> Schema {
         Schema::new(&[
@@ -1041,19 +972,38 @@ mod tests {
         ]
     }
 
-    fn build(rows: &[Row], block: usize) -> Columnar {
+    fn build(rows: &[Row]) -> Columnar {
         Columnar::build(
             &schema(),
-            &ColumnarSpec::time_sorted("t").with_block_rows(block),
+            &ColumnarSpec::time_sorted("t"),
             SharedDict::new(),
             rows,
         )
         .unwrap()
     }
 
+    /// A table sealing `chunk`-row chunks, projected under `spec`, over
+    /// `rows`; every row sealed.
+    fn chunked(chunk: usize, spec: &ColumnarSpec, rows: &[Row]) -> Table {
+        let mut t = Table::with_chunk_rows(schema(), chunk);
+        t.enable_columnar(spec, SharedDict::new()).unwrap();
+        for r in rows {
+            t.insert(r.clone()).unwrap();
+        }
+        t.seal_tail();
+        t
+    }
+
+    /// `conjuncts` selected on `t`: the rows, rows scanned, chunks pruned.
+    fn scan(t: &Table, conjuncts: &[Expr]) -> (Vec<u32>, u64, u64) {
+        let (mut scanned, mut profile) = (0, ScanProfile::default());
+        let (_, rows) = t.select_profiled(conjuncts, &mut scanned, &mut profile);
+        (rows, scanned, profile.blocks_pruned)
+    }
+
     #[test]
     fn build_skips_float_and_projects_rest() {
-        let c = build(&[row(1, 0, "a", true)], 4);
+        let c = build(&[row(1, 0, "a", true)]);
         assert!(c.is_projected(0));
         assert!(c.is_projected(2));
         assert!(!c.is_projected(4), "Float stays on the row path");
@@ -1083,7 +1033,7 @@ mod tests {
         let rows: Vec<Row> = (0..100)
             .map(|i| row(i * 10, i % 4, ["a", "b", "c"][(i % 3) as usize], i % 2 == 0))
             .collect();
-        let c = build(&rows, 8);
+        let c = build(&rows);
         let conjuncts = vec![
             Expr::cmp_lit(0, CmpOp::Ge, 200i64),
             Expr::cmp_lit(0, CmpOp::Lt, 700i64),
@@ -1110,24 +1060,21 @@ mod tests {
 
     #[test]
     fn zone_maps_skip_blocks() {
-        // Two well-separated agent populations in separate blocks.
+        // Two well-separated agent populations in separate chunks.
         let rows: Vec<Row> = (0..64)
             .map(|i| row(i, if i < 32 { 1 } else { 1000 }, "x", true))
             .collect();
-        let c = build(&rows, 32);
-        assert_eq!(c.blocks(), 2);
-        let (kernels, _) =
-            compile_conjuncts(&schema(), &c, &[Expr::cmp_lit(1, CmpOp::Eq, 1000i64)]);
-        let mut scanned = 0;
-        let got = c.select(&kernels, &mut scanned);
-        assert_eq!(got.len(), 32);
-        assert_eq!(scanned, 32, "first block zone-excluded");
+        let t = chunked(32, &ColumnarSpec::time_sorted("t"), &rows);
+        assert_eq!(t.sealed_chunks().len(), 2);
+        let (got, scanned, pruned) = scan(&t, &[Expr::cmp_lit(1, CmpOp::Eq, 1000i64)]);
+        assert_eq!(got, (32..64).collect::<Vec<u32>>());
+        assert_eq!((scanned, pruned), (32, 1), "first chunk zone-excluded");
     }
 
     #[test]
     fn missing_dictionary_string_compiles_to_never() {
         let rows = vec![row(1, 0, "present", true)];
-        let c = build(&rows, 4);
+        let c = build(&rows);
         let (kernels, _) = compile_conjuncts(
             &schema(),
             &c,
@@ -1142,7 +1089,7 @@ mod tests {
     #[test]
     fn unsupported_conjuncts_stay_residual() {
         let rows = vec![row(1, 0, "a", true)];
-        let c = build(&rows, 4);
+        let c = build(&rows);
         let conjuncts = vec![
             // LIKE over an expression, not a dictionary column.
             Expr::Like(
@@ -1168,7 +1115,7 @@ mod tests {
         rows.push(vec![Value::Int(40), Value::Null]);
         let c = Columnar::build(
             &schema,
-            &ColumnarSpec::time_sorted("t").with_block_rows(8),
+            &ColumnarSpec::time_sorted("t"),
             SharedDict::new(),
             &rows,
         )
@@ -1202,60 +1149,61 @@ mod tests {
         let rows: Vec<Row> = (0..70)
             .map(|i| row(i, if i < 32 { 1 } else { 1000 }, "x", true))
             .collect();
-        let c = build(&rows, 32);
-        let kernels = |e: Expr| compile_conjuncts(&schema(), &c, &[e]).0;
+        let t = chunked(32, &ColumnarSpec::time_sorted("t"), &rows);
+        let surviving = |e: Expr| -> usize {
+            let (kernels, _) = compile_conjuncts(&schema(), t.columnar().unwrap(), &[e]);
+            t.sealed_chunks()
+                .iter()
+                .map(|c| c.columnar().unwrap().surviving_rows(&kernels))
+                .sum()
+        };
+        assert_eq!(surviving(Expr::cmp_lit(2, CmpOp::Eq, "x")), 70);
         assert_eq!(
-            c.surviving_rows(&kernels(Expr::cmp_lit(2, CmpOp::Eq, "x"))),
-            70
-        );
-        assert_eq!(
-            c.surviving_rows(&kernels(Expr::cmp_lit(1, CmpOp::Eq, 1000i64))),
+            surviving(Expr::cmp_lit(1, CmpOp::Eq, 1000i64)),
             38,
-            "the first block excluded; the second and the final 6-row one hold 1000"
+            "the first chunk excluded; the second and the final 6-row one hold 1000"
         );
         assert_eq!(
-            c.surviving_rows(&kernels(Expr::cmp_lit(1, CmpOp::Eq, 1i64))),
+            surviving(Expr::cmp_lit(1, CmpOp::Eq, 1i64)),
             32,
-            "the final partial block is zone-mapped too"
+            "the final partial chunk is zone-mapped too"
         );
-        assert_eq!(
-            c.surviving_rows(&kernels(Expr::cmp_lit(2, CmpOp::Eq, "absent"))),
-            0
-        );
+        assert_eq!(surviving(Expr::cmp_lit(2, CmpOp::Eq, "absent")), 0);
     }
 
     #[test]
     fn out_of_order_appends_keep_blocks_internally_sorted() {
-        // Arrivals out of time order, laid out the way sorted inserts into
-        // 4-row open blocks left them: every block sorted, the blocks
-        // overlapping. A snapshot holding such an order still loads.
+        // Arrivals out of time order, sealed in 4-row chunks: each chunk's
+        // projection is the time sort of its own rows, and a window over
+        // the overlapping chunks stays exact.
         let times = [50, 10, 40, 20, 30, 5, 60, 25, 70, 15];
         let rows: Vec<Row> = times.iter().map(|&t| row(t, 0, "x", true)).collect();
-        let grown = [1, 3, 2, 0, 5, 7, 4, 6, 9, 8];
-        let mut c = build(&[], 4);
-        c.check_order(&rows, &grown).unwrap();
-        c.fill(&rows, grown.to_vec());
-        assert_eq!(c.blocks(), 3);
-        // A time-window query over the overlapping blocks stays exact.
+        let t = chunked(4, &ColumnarSpec::time_sorted("t"), &rows);
+        let perms: Vec<&[u32]> = t
+            .sealed_chunks()
+            .iter()
+            .map(|c| c.columnar().unwrap().perm())
+            .collect();
+        assert_eq!(perms, [&[1, 3, 2, 0][..], &[1, 3, 0, 2], &[1, 0]]);
         let conjuncts = vec![
             Expr::cmp_lit(0, CmpOp::Ge, 15i64),
             Expr::cmp_lit(0, CmpOp::Le, 45i64),
         ];
-        let (kernels, _) = compile_conjuncts(&schema(), &c, &conjuncts);
-        let mut scanned = 0;
-        let mut got = c.select(&kernels, &mut scanned);
-        got.sort_unstable();
         let want: Vec<u32> = (0..rows.len() as u32)
             .filter(|&p| conjuncts.iter().all(|e| e.matches(&rows[p as usize])))
             .collect();
-        assert_eq!(got, want);
-        // Built from the rows, the projection sorts them whole.
-        assert_eq!(build(&rows, 4).perm(), [5, 1, 9, 3, 7, 4, 2, 0, 6, 8]);
-        // An order that is no permutation, or leaves a block unsorted, is
-        // refused.
+        assert_eq!(scan(&t, &conjuncts).0, want);
+        // Built from the rows whole, the projection sorts them whole, and
+        // that order loads.
+        let c = build(&rows);
+        assert_eq!(c.perm(), [5, 1, 9, 3, 7, 4, 2, 0, 6, 8]);
+        c.check_order(&rows, c.perm()).unwrap();
+        // An order not time-sorted over its chunk is refused — the one
+        // above, sorted 4 rows at a time, included — as is one that is no
+        // permutation.
         for bad in [
-            vec![1, 3, 2, 0, 5, 7, 4, 6, 9, 9],
-            vec![3, 1, 2, 0, 5, 7, 4, 6, 9, 8],
+            vec![1, 3, 2, 0, 5, 7, 4, 6, 9, 8],
+            vec![5, 1, 9, 3, 7, 4, 2, 0, 6, 6],
             vec![0, 1, 2],
         ] {
             assert!(c.check_order(&rows, &bad).is_err(), "{bad:?}");
@@ -1286,29 +1234,31 @@ mod tests {
     #[test]
     fn project_column_backfills_and_extends_zones() {
         let rows: Vec<Row> = (0..10).map(|i| row(i, i, "n", true)).collect();
-        let mut c = Columnar::build(
-            &schema(),
-            &ColumnarSpec::time_sorted("t")
-                .with_columns(&["t"])
-                .with_block_rows(4),
-            SharedDict::new(),
+        let mut t = chunked(
+            4,
+            &ColumnarSpec::time_sorted("t").with_columns(&["t"]),
             &rows,
-        )
-        .unwrap();
-        assert!(!c.is_projected(1));
-        c.project_column(&schema(), 1, &rows);
-        assert!(c.is_projected(1));
-        // Float projection request is a no-op, not a panic.
+        );
+        assert!(!t.columnar().unwrap().is_projected(1));
+        // Indexing the column projects it, back-filled chunk by chunk.
+        t.create_index("agent").unwrap();
+        assert!(t.columnar().unwrap().is_projected(1));
+        assert!(t
+            .sealed_chunks()
+            .iter()
+            .all(|c| c.columnar().unwrap().is_projected(1)));
+        // Chunks [4, 8) and [8, 10) are zone-excluded; only [0, 4) is
+        // evaluated — fewer rows than a probe would cost.
+        let (got, scanned, pruned) = scan(&t, &[Expr::cmp_lit(1, CmpOp::Eq, 3i64)]);
+        assert_eq!(
+            (got, scanned, pruned),
+            (vec![3], 4, 2),
+            "backfilled zones prune"
+        );
+        // A Float projection request is a no-op, not a panic.
+        let mut c = build(&rows);
         c.project_column(&schema(), 4, &rows);
         assert!(!c.is_projected(4));
-        let (kernels, residual) =
-            compile_conjuncts(&schema(), &c, &[Expr::cmp_lit(1, CmpOp::Eq, 3i64)]);
-        assert!(residual.is_empty());
-        let mut scanned = 0;
-        assert_eq!(c.select(&kernels, &mut scanned), vec![3]);
-        // Blocks [4, 8) and [8, 10) are zone-excluded; only [0, 4) is
-        // evaluated.
-        assert_eq!(scanned, 4, "backfilled zones prune");
     }
 
     #[test]
@@ -1341,7 +1291,7 @@ mod tests {
                 ]
             })
             .collect();
-        let spec = ColumnarSpec::time_sorted("t").with_block_rows(8);
+        let spec = ColumnarSpec::time_sorted("t");
         let c = Columnar::build(&schema, &spec, SharedDict::new(), &rows).unwrap();
         assert!(c.covers_all());
         for (at, &p) in c.perm().iter().enumerate() {

@@ -11,7 +11,7 @@ use crate::columnar::ColumnarSpec;
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{Row, Schema};
-use crate::table::{ResidentBytes, RowView, Table};
+use crate::table::{ResidentBytes, RowView, ScanProfile, Table};
 use aiql_model::{SharedDict, Value};
 use std::sync::Arc;
 
@@ -210,11 +210,6 @@ impl PartitionedTable {
         &self.spec
     }
 
-    /// Local positions of the (time, agent) partition columns.
-    pub fn partition_columns(&self) -> (usize, usize) {
-        (self.time_idx, self.agent_idx)
-    }
-
     /// Total row count across partitions.
     pub fn len(&self) -> usize {
         self.len
@@ -374,7 +369,7 @@ impl PartitionedTable {
     ///
     /// Bucket `i` holds exactly the admitted partitions with
     /// [`shard_of`]`(key, shards) == i`, each bucket in key order — the
-    /// same order [`PartitionedTable::select_refs_profiled`] scans them
+    /// same order [`PartitionedTable::select`] scans them
     /// sequentially. A gather that concatenates per-partition results
     /// sorted by `PartKey` therefore reproduces the sequential scan's row
     /// order exactly. Buckets can be empty (pruning may eliminate a
@@ -446,36 +441,16 @@ impl PartitionedTable {
     }
 
     /// Scans all admitted partitions sequentially, applying `conjuncts` with
-    /// per-partition access-path selection; returns matching rows (owned).
-    pub fn select(&self, conjuncts: &[Expr], prune: &Prune, scanned: &mut u64) -> Vec<Row> {
-        self.select_refs(conjuncts, prune, scanned)
-            .iter()
-            .map(RowView::to_row)
-            .collect()
-    }
-
-    /// Like [`PartitionedTable::select`], but returns borrowed rows — the
-    /// hot path for engine scans, whose matches keep the row references
-    /// and never need owned rows.
-    pub fn select_refs(
+    /// per-partition access-path selection, and returns the matching rows
+    /// borrowed, in partition then row order. Partition pruning,
+    /// per-partition access paths and zone-map chunk skips land in
+    /// `profile` (see [`ScanProfile`]).
+    pub fn select(
         &self,
         conjuncts: &[Expr],
         prune: &Prune,
         scanned: &mut u64,
-    ) -> Vec<RowView<'_>> {
-        let mut profile = crate::table::ScanProfile::default();
-        self.select_refs_profiled(conjuncts, prune, scanned, &mut profile)
-    }
-
-    /// [`PartitionedTable::select_refs`] with full accounting: partition
-    /// pruning, per-partition access paths, and zone-map block skips land
-    /// in `profile` (see [`crate::table::ScanProfile`]).
-    pub fn select_refs_profiled(
-        &self,
-        conjuncts: &[Expr],
-        prune: &Prune,
-        scanned: &mut u64,
-        profile: &mut crate::table::ScanProfile,
+        profile: &mut ScanProfile,
     ) -> Vec<RowView<'_>> {
         profile.partitions_total += self.partition_count() as u32;
         let mut out = Vec::new();
@@ -682,6 +657,7 @@ mod tests {
             &[Expr::cmp_lit(name_col, CmpOp::Eq, "f1")],
             &Prune::all(),
             &mut scanned,
+            &mut ScanProfile::default(),
         );
         assert_eq!(rows.len(), 8);
         assert_eq!(scanned, 8, "index probe touches only matches");
@@ -696,7 +672,7 @@ mod tests {
             day_hi: Some(0),
             agents: Some(vec![0]),
         };
-        let rows = pt.select(&[], &prune, &mut scanned);
+        let rows = pt.select(&[], &prune, &mut scanned, &mut ScanProfile::default());
         assert_eq!(rows.len(), 6, "one group (agents 0,1) on day 0");
     }
 
@@ -747,6 +723,7 @@ mod tests {
             &[Expr::cmp_lit(name_col, CmpOp::Eq, "f")],
             &Prune::all(),
             &mut scanned,
+            &mut ScanProfile::default(),
         );
         assert_eq!(rows.len(), 4);
         assert_eq!(scanned, 4, "index probes only");
@@ -798,9 +775,10 @@ mod tests {
             &[Expr::cmp_lit(2, CmpOp::Ge, 5 * NANOS_PER_DAY)],
             &Prune::all(),
             &mut scanned,
+            &mut ScanProfile::default(),
         );
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][3], Value::str("late"));
+        assert_eq!(*rows[0].get(3), Value::str("late"));
     }
 
     #[test]
@@ -830,7 +808,12 @@ mod tests {
     fn sharded_gather_matches_sequential_order() {
         let pt = pt();
         let mut scanned = 0;
-        let seq = pt.select_refs(&[], &Prune::all(), &mut scanned);
+        let seq = pt.select(
+            &[],
+            &Prune::all(),
+            &mut scanned,
+            &mut ScanProfile::default(),
+        );
         for shards in 1..=6usize {
             // Scan each shard bucket independently, tag rows with their
             // partition key, then merge by key — the gather contract.
@@ -838,7 +821,7 @@ mod tests {
             for bucket in pt.shards_for(&Prune::all(), shards) {
                 for (k, t) in bucket {
                     let mut s = 0;
-                    let mut prof = crate::table::ScanProfile::default();
+                    let mut prof = ScanProfile::default();
                     let (_, positions) = t.select_profiled(&[], &mut s, &mut prof);
                     tagged.push((k, t.rows_at(&positions).collect()));
                 }

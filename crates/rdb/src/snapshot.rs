@@ -6,17 +6,21 @@
 //! projection), the **chunk layout** (chunk size plus each sealed chunk's
 //! row count, so a restored table reproduces the seal boundaries of the
 //! live one exactly — see [`Table::chunk_boundaries`]), and the columnar
-//! *block metadata*: the per-chunk projection orders
-//! ([`Columnar::perm`](crate::Columnar::perm)) and block size. The open
-//! tail keeps no projection, so its order is written as the one it would
-//! seal in ([`Columnar::order`](crate::Columnar::order)). On load each
-//! sealed chunk is rebuilt from its rows by [`Table::load_chunk`]: its
-//! projection filled in the persisted order — deterministic and exact,
-//! reproducing the original block boundaries (including the overlap
-//! projections once grown by sorted inserts carry) without re-running the
-//! sort — and its indexes sorted from its keys, its rows dropped when the
-//! projection covers them. The open tail is loaded as rows. Indexes are
-//! rebuilt, not persisted: the index set travels as configuration.
+//! *layout metadata*: the per-chunk projection orders
+//! ([`Columnar::perm`](crate::Columnar::perm)). The open tail keeps no
+//! projection, so its order is written as the one it would seal in
+//! ([`Columnar::order`](crate::Columnar::order)). On load each sealed
+//! chunk is rebuilt from its rows by [`Table::load_chunk`]: its projection
+//! filled in the persisted order, which must time-order the chunk —
+//! deterministic and exact, without re-running the sort — with one zone
+//! map per column, its indexes sorted from its keys, its rows dropped when
+//! the projection covers them. The open tail is loaded as rows. Indexes
+//! are rebuilt, not persisted: the index set travels as configuration.
+//!
+//! The format keeps a retired block-size field. It is written as the
+//! chunk size — so a reader that still honours it sees one zone-mapped
+//! block per chunk, the layout of every store ever built — and ignored on
+//! load.
 //!
 //! Encoding is the length-prefixed little-endian scheme of
 //! [`aiql_model::codec`]; framing integrity (CRC, torn-write handling) is
@@ -35,6 +39,11 @@ use std::io::{self, Read, Write};
 /// length fields.
 const MAX_COUNT: u64 = 1 << 40;
 
+/// Cap on the capacity a decoded count may reserve up front: a corrupt
+/// count under [`MAX_COUNT`] fails on its first missing entry instead of
+/// allocating for all of them.
+const MAX_RESERVE: usize = 1 << 16;
+
 fn rdb_io(e: RdbError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
@@ -49,7 +58,7 @@ fn checked_count(n: u64, what: &str) -> io::Result<usize> {
     Ok(n as usize)
 }
 
-/// Writes one table: chunk layout, row data, and columnar block metadata.
+/// Writes one table: chunk layout, row data, and columnar layout metadata.
 pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     codec::write_u64(w, t.chunk_rows() as u64)?;
     codec::write_u64(w, t.len() as u64)?;
@@ -66,7 +75,8 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     match t.columnar() {
         Some(c) => {
             codec::write_u8(w, 1)?;
-            codec::write_u64(w, c.block_rows() as u64)?;
+            // The retired block-size field (see the module docs).
+            codec::write_u64(w, t.chunk_rows() as u64)?;
             // Per-chunk projection orders, concatenated in chunk order with
             // chunk-local positions lifted to global ones — what
             // `read_table` slices back into `Table::load_chunk` calls.
@@ -89,9 +99,8 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
 
 /// Reads one table written by [`write_table`], sealing chunks at exactly
 /// the persisted boundaries and rebuilding the given secondary indexes and
-/// (when `columnar` is configured) each chunk's projection from the
-/// persisted block metadata — or, for a table written without one, in
-/// bulk.
+/// (when `columnar` is configured) each chunk's projection in its
+/// persisted order — or, for a table written without one, in bulk.
 pub fn read_table<R: Read>(
     r: &mut R,
     schema: Schema,
@@ -111,7 +120,7 @@ pub fn read_table<R: Read>(
     // Chunk lengths: the sealed ones, then the open tail. A live table's
     // chunks never exceed `chunk_rows` (the tail auto-seals there) and its
     // tail is always shorter, so anything else is corruption.
-    let mut lens = Vec::with_capacity(nsealed + 1);
+    let mut lens = Vec::with_capacity(nsealed.min(MAX_RESERVE) + 1);
     let mut covered = 0usize;
     for _ in 0..nsealed {
         let len = checked_count(codec::read_u64(r)?, "chunk-len")?;
@@ -132,7 +141,7 @@ pub fn read_table<R: Read>(
     }
     lens.push(nrows - covered);
     // The rows precede the projection orders they are rebuilt with.
-    let mut rows: Vec<Row> = Vec::with_capacity(nrows);
+    let mut rows: Vec<Row> = Vec::with_capacity(nrows.min(MAX_RESERVE));
     for _ in 0..nrows {
         let mut row: Row = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -142,12 +151,12 @@ pub fn read_table<R: Read>(
     }
     let mut persisted = None;
     if codec::read_u8(r)? != 0 {
-        let block_rows = checked_count(codec::read_u64(r)?, "block-row")?;
-        let mut p = Vec::with_capacity(nrows);
+        codec::read_u64(r)?; // the retired block-size field
+        let mut p = Vec::with_capacity(nrows.min(MAX_RESERVE));
         for _ in 0..nrows {
             p.push(codec::read_u32(r)?);
         }
-        persisted = Some((block_rows, p));
+        persisted = Some(p);
     }
 
     let mut table = Table::with_chunk_rows(schema, chunk_rows);
@@ -156,14 +165,10 @@ pub fn read_table<R: Read>(
     }
     let mut perm = None;
     if let Some((spec, dict)) = columnar {
-        let spec = match &persisted {
-            Some((block_rows, _)) => spec.clone().with_block_rows(*block_rows),
-            // Written without a projection but reopened with one
-            // configured: each chunk's is bulk-built (the batch path).
-            None => spec.clone(),
-        };
-        table.enable_columnar(&spec, dict.clone()).map_err(rdb_io)?;
-        perm = persisted.map(|(_, p)| p);
+        // Written without a projection but reopened with one configured,
+        // each chunk's is bulk-built (the batch path).
+        table.enable_columnar(spec, dict.clone()).map_err(rdb_io)?;
+        perm = persisted;
     }
     let (mut rows, mut base) = (rows.into_iter(), 0u32);
     for (i, &len) in lens.iter().enumerate() {
@@ -271,11 +276,8 @@ mod tests {
         let mut t = Table::new(schema());
         t.create_index("name").unwrap();
         if columnar {
-            t.enable_columnar(
-                &ColumnarSpec::time_sorted("start_time").with_block_rows(4),
-                dict.clone(),
-            )
-            .unwrap();
+            t.enable_columnar(&ColumnarSpec::time_sorted("start_time"), dict.clone())
+                .unwrap();
         }
         // Out-of-order appends: the projection order is not the rows'.
         for (i, t_ns) in [50i64, 10, 40, 20, 30, 5, 60, 25, 70, 15]
@@ -308,20 +310,16 @@ mod tests {
             &mut Cursor::new(&buf),
             schema(),
             &["name".to_string()],
-            Some((
-                &ColumnarSpec::time_sorted("start_time").with_block_rows(4),
-                &dict2,
-            )),
+            Some((&ColumnarSpec::time_sorted("start_time"), &dict2)),
         )
         .unwrap();
 
         assert!(got.iter_rows().eq(orig.iter_rows()));
-        assert_eq!(got.columnar().unwrap().block_rows(), 4);
         // The open tail's order is derived, not kept: written again, the
         // reopened table is the same bytes.
         let mut again = Vec::new();
         write_table(&mut again, &got).unwrap();
-        assert!(again == buf, "block metadata reproduced exactly");
+        assert!(again == buf, "layout metadata reproduced exactly");
 
         // Scans behave identically. A string range is neither a kernel
         // nor, on a dictionary-coded column, an index range: it scans (the
@@ -336,7 +334,7 @@ mod tests {
         let (p1, r1) = orig.select(&window, s1v);
         let (p2, r2) = got.select(&window, s2v);
         assert_eq!(p1, AccessPath::Columnar);
-        assert_eq!((p1, r1, *s1v), (p2, r2, *s2v), "same blocks touched");
+        assert_eq!((p1, r1, *s1v), (p2, r2, *s2v), "same rows touched");
     }
 
     #[test]
@@ -371,11 +369,8 @@ mod tests {
         let dict = SharedDict::new();
         let mut orig = Table::with_chunk_rows(schema(), 4);
         orig.create_index("name").unwrap();
-        orig.enable_columnar(
-            &ColumnarSpec::time_sorted("start_time").with_block_rows(4),
-            dict.clone(),
-        )
-        .unwrap();
+        orig.enable_columnar(&ColumnarSpec::time_sorted("start_time"), dict.clone())
+            .unwrap();
         for (i, t_ns) in [50i64, 10, 40, 20, 30, 5, 60, 25, 70, 15]
             .iter()
             .enumerate()
@@ -402,10 +397,7 @@ mod tests {
             &mut Cursor::new(&buf),
             schema(),
             &["name".to_string()],
-            Some((
-                &ColumnarSpec::time_sorted("start_time").with_block_rows(4),
-                &dict2,
-            )),
+            Some((&ColumnarSpec::time_sorted("start_time"), &dict2)),
         )
         .unwrap();
 
@@ -415,11 +407,10 @@ mod tests {
         for (gc, oc) in got.sealed_chunks().iter().zip(orig.sealed_chunks()) {
             assert!((0..gc.len() as u32).all(|p| gc.row(p) == oc.row(p)));
             let (g, o) = (gc.columnar().unwrap(), oc.columnar().unwrap());
-            assert_eq!(g.perm(), o.perm(), "chunk-local block metadata exact");
-            assert_eq!(g.blocks(), o.blocks());
+            assert_eq!(g.perm(), o.perm(), "chunk-local layout metadata exact");
         }
 
-        // Scans agree path-for-path and block-for-block.
+        // Scans agree path-for-path and chunk-for-chunk.
         let window = [
             Expr::cmp_lit(2, CmpOp::Ge, 15i64),
             Expr::cmp_lit(2, CmpOp::Le, 45i64),
@@ -428,7 +419,7 @@ mod tests {
         let (p1, r1) = orig.select(&window, &mut s1);
         let (p2, r2) = got.select(&window, &mut s2);
         assert_eq!(p1, AccessPath::Columnar);
-        assert_eq!((p1, r1, s1), (p2, r2, s2), "same blocks touched");
+        assert_eq!((p1, r1, s1), (p2, r2, s2), "same rows touched");
         let probe = [Expr::cmp_lit(3, CmpOp::Eq, "f1")];
         let (mut s1, mut s2) = (0, 0);
         assert_eq!(orig.select(&probe, &mut s1), got.select(&probe, &mut s2));
@@ -441,7 +432,7 @@ mod tests {
         let spec = PartitionSpec::new("start_time", "agentid", 2);
         let mut pt = PartitionedTable::new(schema(), spec.clone()).unwrap();
         pt.create_index("name").unwrap();
-        pt.enable_columnar(ColumnarSpec::all().with_block_rows(4), dict.clone())
+        pt.enable_columnar(ColumnarSpec::all(), dict.clone())
             .unwrap();
         for day in 0..2i64 {
             for agent in 0..4i64 {
@@ -468,7 +459,7 @@ mod tests {
             schema(),
             spec,
             &["name".to_string()],
-            Some((&ColumnarSpec::all().with_block_rows(4), &dict2)),
+            Some((&ColumnarSpec::all(), &dict2)),
         )
         .unwrap();
         assert_eq!(got.len(), pt.len());
@@ -477,9 +468,10 @@ mod tests {
 
         let (mut s1, mut s2) = (0, 0);
         let conj = [Expr::cmp_lit(3, CmpOp::Eq, "f1")];
+        let profile = &mut crate::table::ScanProfile::default();
         assert_eq!(
-            got.select(&conj, &Prune::all(), &mut s1),
-            pt.select(&conj, &Prune::all(), &mut s2)
+            got.select(&conj, &Prune::all(), &mut s1, profile),
+            pt.select(&conj, &Prune::all(), &mut s2, profile)
         );
         assert_eq!(s1, s2, "identical access paths partition by partition");
 
@@ -511,6 +503,20 @@ mod tests {
         let mut buf = Vec::new();
         write_table(&mut buf, &t).unwrap();
         let r = read_table(&mut Cursor::new(&buf[..buf.len() / 2]), schema(), &[], None);
+        assert!(r.is_err());
+    }
+
+    /// A header whose counts pass the cap but that holds none of the
+    /// entries they promise fails on the first missing one, without first
+    /// reserving room for all of them.
+    #[test]
+    fn huge_counts_in_a_short_header_are_an_error() {
+        let mut buf = Vec::new();
+        for v in [4096, MAX_COUNT, MAX_COUNT] {
+            codec::write_u64(&mut buf, v).unwrap();
+        }
+        assert_eq!(buf.len(), 24);
+        let r = read_table(&mut Cursor::new(&buf), schema(), &[], None);
         assert!(r.is_err());
     }
 

@@ -14,7 +14,8 @@
 //! Sealing does the layout work, once, from the tail's rows:
 //!
 //! - the projection is built column by column in projection order — the
-//!   rows' stable sort by the time column — with a zone map per block;
+//!   rows' stable sort by the time column — with one zone map per column:
+//!   the sealed chunk is the unit a scan prunes;
 //! - each index is one array of the chunk's positions sorted by (key,
 //!   position): 4 bytes a row, answering equality, range and key-span
 //!   questions by binary search over the chunk's own values (on a
@@ -58,9 +59,7 @@ use std::fmt;
 use std::mem::size_of;
 use std::sync::Arc;
 
-/// Default rows per chunk. Matches
-/// [`crate::columnar::DEFAULT_BLOCK_ROWS`] so a full chunk is exactly one
-/// fully zone-mapped columnar block.
+/// Default rows per chunk, and so per zone map.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// One row of a [`Table`], borrowed: a stored row, or a row of a sealed
@@ -207,13 +206,12 @@ impl Index {
 /// position `base` where `base` is the sum of the preceding chunks'
 /// lengths. Invariants:
 ///
-/// - row content, indexes, and columnar blocks never change after sealing
-///   (schema operations rebuild them via `Arc::make_mut`, producing a new
-///   chunk value rather than mutating a shared one);
+/// - row content, indexes, and the columnar projection never change after
+///   sealing (schema operations rebuild them via `Arc::make_mut`,
+///   producing a new chunk value rather than mutating a shared one);
 /// - it keeps rows only if its projection does not cover every column;
 /// - its columnar projection, when present, carries a zone map on every
-///   block, the final partial one included, so scans can zone-prune every
-///   block.
+///   projected column, so a scan can skip the chunk whole.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
     /// Stored rows; empty in a chunk that keeps only its projection.
@@ -571,8 +569,8 @@ pub struct Table {
     indexed: Vec<usize>,
     /// The columnar configuration once [`Table::enable_columnar`] ran, as
     /// an empty projection: the projected columns (indexed ones included),
-    /// sort column, block size and dictionary. Each seal fills a copy, and
-    /// kernels compile against it.
+    /// sort column and dictionary. Each seal fills a copy, and kernels
+    /// compile against it.
     layout: Option<Columnar>,
 }
 
@@ -610,8 +608,7 @@ impl AccessPath {
 /// A chunked table still records **one** access path per table scan (the
 /// path is chosen once and applied to every sealed chunk), so
 /// per-partition path counts are unchanged by chunking; only
-/// `blocks_total`/`blocks_pruned` accumulate across all chunks' columnar
-/// blocks.
+/// `blocks_total`/`blocks_pruned` accumulate chunk by chunk.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanProfile {
     /// Partitions the table holds (1 for plain tables).
@@ -623,7 +620,8 @@ pub struct ScanProfile {
     pub index_eq_probes: u32,
     pub index_range_scans: u32,
     pub columnar_scans: u32,
-    /// Columnar blocks considered / skipped purely by zone maps.
+    /// Sealed chunks a columnar scan considered / skipped purely by their
+    /// zone maps (a chunk is the zone-map unit; the names are EXPLAIN's).
     pub blocks_total: u64,
     pub blocks_pruned: u64,
     /// Rows the scan touched (candidate evaluations).
@@ -933,9 +931,10 @@ impl Table {
     /// open tail must be empty. With `seal` set the chunk seals, its
     /// projection (when one is configured) filled in `perm` — the chunk's
     /// persisted projection order, chunk-local (see [`Columnar::perm`]),
-    /// which reproduces the original blocks without re-sorting — or, with
-    /// none, in the rows' own order. Otherwise the rows become the open
-    /// tail, which keeps no order of its own.
+    /// which must time-order the rows and reproduces the original
+    /// projection without re-sorting — or, with none, in the rows' own
+    /// order. Otherwise the rows become the open tail, which keeps no
+    /// order of its own.
     pub fn load_chunk(
         &mut self,
         rows: Vec<Row>,
@@ -968,9 +967,9 @@ impl Table {
     }
 
     /// The table's columnar configuration, if one is enabled, as an empty
-    /// projection: the projected columns, sort column, block size and
-    /// dictionary every sealed chunk's projection shares (each chunk's
-    /// own is reached via [`Table::sealed_chunks`]).
+    /// projection: the projected columns, sort column and dictionary every
+    /// sealed chunk's projection shares (each chunk's own is reached via
+    /// [`Table::sealed_chunks`]).
     pub fn columnar(&self) -> Option<&Columnar> {
         self.layout.as_ref()
     }
@@ -1029,7 +1028,7 @@ impl Table {
     }
 
     /// [`Table::select`] with full accounting into `profile`: the chosen
-    /// access path, zone-map block pruning, and touched/matched row counts.
+    /// access path, zone-map chunk pruning, and touched/matched row counts.
     pub fn select_profiled(
         &self,
         conjuncts: &[Expr],
@@ -1199,7 +1198,7 @@ impl Table {
     }
 
     /// Estimated cost of the vectorized path, in kernel-evaluated rows: the
-    /// rows in sealed blocks no zone map excludes.
+    /// rows of the sealed chunks no zone map excludes.
     fn kernel_cost(&self, kernels: &[Kernel]) -> usize {
         self.sealed
             .iter()
@@ -1208,8 +1207,8 @@ impl Table {
             .sum()
     }
 
-    /// The vectorized path: scan every sealed chunk's blocks with
-    /// `kernels`, then re-check the `residual` conjuncts per chunk.
+    /// The vectorized path: scan every sealed chunk with `kernels`, then
+    /// re-check the `residual` conjuncts per chunk.
     fn columnar_select(
         &self,
         kernels: &[Kernel],
@@ -1490,7 +1489,7 @@ mod tests {
             (path, scanned, profile.in_probe_lookups)
         };
         // A point lookup: one binary search (the list is clipped to the
-        // one chunk whose key range holds it) beats scanning its block.
+        // one chunk whose key range holds it) beats scanning its chunk.
         assert_eq!(
             run(&[Expr::cmp_lit(0, CmpOp::Eq, 777i64)]),
             (AccessPath::IndexEq, 1, 1)
@@ -1639,11 +1638,8 @@ mod tests {
             for t in [&mut chunked, &mut oracle] {
                 t.create_index("size").unwrap();
                 if columnar {
-                    t.enable_columnar(
-                        &ColumnarSpec::time_sorted("id").with_block_rows(2),
-                        SharedDict::new(),
-                    )
-                    .unwrap();
+                    t.enable_columnar(&ColumnarSpec::time_sorted("id"), SharedDict::new())
+                        .unwrap();
                 }
             }
             for conjuncts in &cases {
@@ -1703,33 +1699,24 @@ mod tests {
         let (p2, r2) = oracle.select(&[Expr::cmp_lit(2, CmpOp::Ge, 40i64)], &mut s2);
         assert_eq!(p1, AccessPath::IndexRange);
         assert_eq!((p1, r1, s1), (p2, r2, s2));
-        // Columnar enabled after sealing covers sealed chunks too, with
-        // every block of every chunk zone-mapped.
+        // Columnar enabled after sealing covers sealed chunks too.
         chunked
-            .enable_columnar(
-                &ColumnarSpec::time_sorted("id").with_block_rows(2),
-                SharedDict::new(),
-            )
+            .enable_columnar(&ColumnarSpec::time_sorted("id"), SharedDict::new())
             .unwrap();
         for chunk in chunked.sealed_chunks() {
             let c = chunk.columnar().expect("every chunk projected");
             assert_eq!(c.len(), chunk.len());
-            assert_eq!(c.blocks(), chunk.len().div_ceil(2));
         }
     }
 
     /// Sealing sorts once: a chunk's projection order is the stable sort of
-    /// its rows by time, ties in arrival order, so with blocks smaller than
-    /// the chunk no two blocks overlap.
+    /// its rows by time, ties in arrival order.
     #[test]
     fn sealed_perm_is_the_stable_time_sort_of_its_rows() {
         let schema = Schema::new(&[("t", ColumnType::Int), ("i", ColumnType::Int)]);
         let mut t = Table::with_chunk_rows(schema, 12);
-        t.enable_columnar(
-            &ColumnarSpec::time_sorted("t").with_block_rows(4),
-            SharedDict::new(),
-        )
-        .unwrap();
+        t.enable_columnar(&ColumnarSpec::time_sorted("t"), SharedDict::new())
+            .unwrap();
         let times = [50, 10, 40, 10, 30, 5, 60, 25, 50, 15, 10, 5];
         for (i, &time) in times.iter().enumerate() {
             t.insert(vec![Value::Int(time), Value::Int(i as i64)])
@@ -1740,11 +1727,34 @@ mod tests {
         let mut want: Vec<u32> = (0..12).collect();
         want.sort_by_key(|&p| times[p as usize]);
         assert_eq!(c.perm(), want);
-        assert_eq!(c.blocks(), 3);
-        for b in 1..3 {
-            assert!(c.int(b * 4 - 1, 0) <= c.int(b * 4, 0), "blocks overlap");
-        }
+        assert!((1..12).all(|at| c.int(at - 1, 0) <= c.int(at, 0)));
         assert!((0..12).all(|p| chunk.row(p).int(1) == Some(p as i64)));
+    }
+
+    /// What EXPLAIN's "blocks pruned/total" and the benchmark's
+    /// `rdb.blocks_pruned_share` read: sealed columnar chunks a scan
+    /// visited, and those its zone maps excluded.
+    #[test]
+    fn zone_map_accounting_counts_sealed_chunks() {
+        let schema = Schema::new(&[("t", ColumnType::Int), ("i", ColumnType::Int)]);
+        let mut t = Table::with_chunk_rows(schema, 4);
+        t.enable_columnar(&ColumnarSpec::time_sorted("t"), SharedDict::new())
+            .unwrap();
+        for i in 0..12 {
+            t.insert(vec![Value::Int(i * 10), Value::Int(i)]).unwrap();
+        }
+        assert_eq!(t.sealed_chunks().len(), 3);
+        let window = [
+            Expr::cmp_lit(0, CmpOp::Ge, 40i64),
+            Expr::cmp_lit(0, CmpOp::Le, 60i64),
+        ];
+        let (mut scanned, mut profile) = (0, ScanProfile::default());
+        let (path, rows) = t.select_profiled(&window, &mut scanned, &mut profile);
+        assert_eq!(
+            (path, rows, scanned),
+            (AccessPath::Columnar, vec![4, 5, 6], 3)
+        );
+        assert_eq!((profile.blocks_total, profile.blocks_pruned), (3, 2));
     }
 
     // ------------------------------------------------------------------

@@ -87,7 +87,8 @@ pub struct StoreConfig {
     /// events table.
     pub agent_group_size: u32,
     /// Whether to build columnar projections (dictionary-interned values,
-    /// time-sorted zone-mapped blocks) alongside the row store.
+    /// sealed chunks sorted by time with a zone map per column) alongside
+    /// the row store.
     pub columnar: bool,
     /// Execution shards the partitioned layout routes `(day, agent group)`
     /// partitions into (`aiql_rdb::partition::shard_of`). `0` means
@@ -323,9 +324,9 @@ impl EventStore {
     /// Writes a point-in-time snapshot of the whole store to `dir`
     /// (atomically: temp file + rename, CRC-checksummed). The snapshot
     /// carries the store configuration, the shared dictionary, all row
-    /// data, and the columnar block metadata, so [`EventStore::open`]
-    /// rebuilds an identical store — same partitions, indexes, projection
-    /// blocks, and dictionary codes.
+    /// data, and each sealed chunk's projection order, so
+    /// [`EventStore::open`] rebuilds an identical store — same partitions,
+    /// indexes, projections, and dictionary codes.
     ///
     /// This is the standalone snapshot path (no write-ahead log); a
     /// [`DurableStore`] couples snapshots with WAL truncation instead.
@@ -421,7 +422,7 @@ impl EventStore {
     ) -> Vec<RowView<'_>> {
         let pt = self.events_partitioned();
         let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
-        pt.select_refs_profiled(conjuncts, &merged, scanned, profile)
+        pt.select(conjuncts, &merged, scanned, profile)
     }
 
     /// Scans an entity table with conjuncts (index-accelerated) and returns
@@ -784,7 +785,7 @@ mod tests {
                 live.events_partitioned().partition_count(),
             );
             // Scans agree, touching the same number of rows (same access
-            // paths, same projection blocks).
+            // paths, same zone-map pruning).
             let conjuncts = [
                 Expr::cmp_lit(schema::ev::AGENT, CmpOp::Eq, 2i64),
                 Expr::cmp_lit(schema::ev::OPTYPE, CmpOp::Eq, schema::opcode(OpType::Write)),

@@ -11,7 +11,9 @@
 //!
 //! A **snapshot** is one CRC-checksummed binary file holding the store
 //! configuration, the shared string dictionary (in code order), every
-//! table's row data, and the columnar block metadata ([`aiql_rdb::snapshot`]).
+//! table's row data and chunk boundaries, and each sealed chunk's columnar
+//! projection order ([`aiql_rdb::snapshot`]), from which a load rebuilds
+//! each chunk's time-sorted columns and per-column zone maps.
 //! It is written to a temp file and renamed into place, so a crash during
 //! snapshotting leaves the previous snapshot intact. The file name encodes
 //! the write-ahead-log sequence number the snapshot covers.
@@ -47,7 +49,7 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every snapshot file (format version 3: the store
 /// configuration carries the execution-shard count; version 2 added the
 /// chunked table layout — per-table chunk boundaries and per-chunk
-/// columnar block metadata. Older versions are not readable).
+/// projection orders. Older versions are not readable).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIQLSNP3";
 
 /// The header's layout tag: the events table is partitioned (format v3
@@ -512,6 +514,41 @@ mod tests {
                 "byte {at}: {err:?}"
             );
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A table header promising 2^40 rows in 2^40 sealed chunks, under a
+    /// valid checksum, is refused as invalid data rather than reserved for.
+    #[test]
+    fn huge_table_counts_are_invalid_data() {
+        let dir = std::env::temp_dir().join(format!("aiql-persist-counts-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        let path = write_snapshot(&store, &dir, 0).unwrap();
+        let mut patched = fs::read(&path).unwrap();
+        // Magic, covered WAL seq, layout tag, agent group size, index
+        // flag, columnar flag, shards, epoch, event and entity counts, an
+        // empty dictionary; then the events table (kind 1, no partitions)
+        // and the first table header: `processes`' (kind 0, chunk size,
+        // rows, sealed chunks).
+        let events_at = SNAPSHOT_MAGIC.len() + 8 + 1 + 4 + 1 + 1 + 4 + 8 + 8 + 8 + 4;
+        let header_at = events_at + 1 + 8 + 1;
+        assert_eq!((patched[events_at], patched[header_at - 1]), (1, 0));
+        let chunk_rows = aiql_rdb::DEFAULT_CHUNK_ROWS as u64;
+        assert_eq!(patched[header_at..header_at + 8], chunk_rows.to_le_bytes());
+        for (i, v) in [chunk_rows, 1 << 40, 1 << 40].into_iter().enumerate() {
+            let at = header_at + 8 * i;
+            patched[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        let body = patched.len() - 4;
+        let crc = crc32(&patched[..body]);
+        patched[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &patched).unwrap();
+        let err = load_snapshot(&path).expect_err("counts past the file");
+        assert!(
+            matches!(&err, PersistError::Io(e) if e.kind() == io::ErrorKind::InvalidData),
+            "{err:?}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

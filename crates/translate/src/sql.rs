@@ -5,7 +5,7 @@ use crate::names::{alias_of, sql_names, PatternNames};
 use crate::TranslateError;
 use aiql_core::ast::CmpOp;
 use aiql_core::{CstrNode, FieldRef, QueryContext, RelationCtx, RetExprCtx, TempKind};
-use aiql_model::{EntityKind, Value};
+use aiql_model::Value;
 use aiql_storage::schema;
 
 fn sql_str(s: &str) -> String {
@@ -327,11 +327,6 @@ fn having_sql(h: &aiql_core::HavingCtx, ctx: &QueryContext) -> Result<String, Tr
         )),
         HavingCtx::Not(e) => Ok(format!("NOT ({})", having_sql(e, ctx)?)),
     }
-}
-
-/// Helper re-exported for baselines: the entity table name of a kind.
-pub fn table_of(kind: EntityKind) -> &'static str {
-    schema::entity_table(kind)
 }
 
 #[cfg(test)]

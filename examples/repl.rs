@@ -9,13 +9,12 @@
 //!
 //! With `--connect host:port` the shell becomes a remote analyst console:
 //! queries travel through `aiql-client` to a running `serve` instance
-//! (`cargo run --release --bin serve`) instead of an in-process store,
-//! and `:metrics` reports the client-observed round-trip latency.
+//! (`cargo run --release --bin serve`) instead of an in-process store.
 //!
 //! End a query with an empty line (queries may span several lines).
 //! Commands (`:` and `\` prefixes are interchangeable): `:help`,
 //! `:stats`, `:trace` (phase tree of the last query), `:metrics`
-//! (process-wide telemetry registry; client latency when remote),
+//! (the process-wide telemetry registry),
 //! `:slow` (the slow-query log; `:slow <ms>` sets the threshold), `:sql`
 //! (show the big-join translation of the last query), `:quit`.
 
@@ -107,19 +106,7 @@ fn main() {
                     Some(t) => print!("{t}"),
                     None => println!("no query has run yet"),
                 },
-                "metrics" => match &backend {
-                    Backend::Local(_) => {
-                        print!("{}", aiql::telemetry::global().snapshot().to_prometheus())
-                    }
-                    Backend::Remote { client, .. } => {
-                        let (calls, p50, p99) = client.latency_summary();
-                        println!(
-                            "client-side round trips: {calls} calls, p50 {:.3} ms, p99 {:.3} ms",
-                            p50 as f64 / 1e3,
-                            p99 as f64 / 1e3
-                        );
-                    }
-                },
+                "metrics" => print!("{}", aiql::telemetry::global().snapshot().to_prometheus()),
                 "slow" => slow(words.next()),
                 "sql" => {
                     match &last_query {

@@ -4,7 +4,7 @@
 
 use aiql::baselines::query;
 use aiql::rdb::{
-    CmpOp, ColumnType, ColumnarSpec, Database, Expr, Prune, Schema, SharedDict, Value,
+    CmpOp, ColumnType, ColumnarSpec, Database, Expr, Prune, ScanProfile, Schema, SharedDict, Value,
 };
 use proptest::prelude::*;
 
@@ -76,12 +76,18 @@ proptest! {
         }
         let conjuncts = vec![Expr::cmp_lit(1, CmpOp::Eq, agent)];
         // Full scan + filter.
+        let select = |prune: &Prune, scanned: &mut u64| -> Vec<Vec<Value>> {
+            pt.select(&conjuncts, prune, scanned, &mut ScanProfile::default())
+                .iter()
+                .map(|r| r.to_row())
+                .collect()
+        };
         let mut s1 = 0;
-        let mut all = pt.select(&conjuncts, &Prune::all(), &mut s1);
+        let mut all = select(&Prune::all(), &mut s1);
         // Pruned scan.
         let mut s2 = 0;
         let prune = Prune { day_lo: None, day_hi: None, agents: Some(vec![agent]) };
-        let mut pruned = pt.select(&conjuncts, &prune, &mut s2);
+        let mut pruned = select(&prune, &mut s2);
         all.sort();
         pruned.sort();
         prop_assert_eq!(all, pruned);
@@ -121,12 +127,10 @@ proptest! {
     /// scan), over sealed chunks and the open tail alike — including
     /// conjuncts no kernel answers (`<>`, `OR`, `NOT`, Int/Float
     /// comparisons), which projected chunks re-check on decoded rows.
-    /// A fifth layout never auto-seals and projects time-sorted into
-    /// 2-row blocks: its open tail always holds out-of-order rows when the
-    /// selections run, one of them with a name no sealed chunk holds, and
-    /// its sealed chunks are larger than their blocks, which sealing sorts
-    /// into non-overlapping time ranges. Layout is an encoding, never a
-    /// semantic.
+    /// A fifth layout never auto-seals and projects time-sorted: its open
+    /// tail always holds out-of-order rows when the selections run, one of
+    /// them with a name no sealed chunk holds, and sealing sorts each of
+    /// its chunks whole. Layout is an encoding, never a semantic.
     #[test]
     fn chunked_table_matches_monolithic_layout(
         data in rows(),
@@ -157,10 +161,10 @@ proptest! {
             t.create_index("name").unwrap();
         }
         for (t, spec) in [
-            (&mut projected, ColumnarSpec::time_sorted("start_time").with_block_rows(4)),
-            (&mut unsorted, ColumnarSpec::all().with_block_rows(3)),
+            (&mut projected, ColumnarSpec::time_sorted("start_time")),
+            (&mut unsorted, ColumnarSpec::all()),
             (&mut partial, ColumnarSpec::all().with_columns(&["agentid"])),
-            (&mut tailed, ColumnarSpec::time_sorted("start_time").with_block_rows(2)),
+            (&mut tailed, ColumnarSpec::time_sorted("start_time")),
         ] {
             t.enable_columnar(&spec, SharedDict::new()).unwrap();
         }
@@ -213,13 +217,12 @@ proptest! {
                 prop_assert_eq!(c.resident_bytes().rows == 0, projected_chunks);
             }
         }
-        // A time-sorted chunk is sorted whole when it seals: its blocks,
-        // smaller than the chunk, cover disjoint time ranges in order.
+        // A time-sorted chunk is sorted whole when it seals.
         for t in [&projected, &tailed] {
             for c in t.sealed_chunks() {
                 let p = c.columnar().expect("projected");
                 let times: Vec<Option<i64>> = (0..p.len()).map(|at| p.int(at, 3)).collect();
-                prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "blocks overlap: {:?}", times);
+                prop_assert!(times.windows(2).all(|w| w[0] <= w[1]), "chunk unsorted: {:?}", times);
             }
         }
 

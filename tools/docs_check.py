@@ -14,6 +14,12 @@ docs/*.md:
 3. Every `aiql-<name>` crate mentioned in ARCHITECTURE.md's crate table
    has a matching `crates/<name>` directory (the facade crate `aiql`
    itself lives at the workspace root).
+4. Every backticked repo path (`tests/...`, `crates/...`, `examples/...`,
+   `docs/...`, `tools/...`) names a file or directory that exists — in
+   these docs and in the `//!` / `///` doc comments of the Rust sources
+   under crates/, src/, tests/ and examples/. A trailing `:line` is
+   ignored; paths with wildcards or placeholders (`*`, `<name>`, `{a,b}`,
+   `...`) are not checked.
 """
 
 import re
@@ -26,6 +32,9 @@ DOC_FILES = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 CRATE_ROW_RE = re.compile(r"^\|\s*`(aiql-[a-z0-9-]+)`")
+REPO_PATH_RE = re.compile(r"`((?:tests|crates|examples|docs|tools)/[^`\s]*)`")
+DOC_COMMENT_RE = re.compile(r"^\s*//[/!]")
+SOURCE_DIRS = ["crates", "src", "tests", "examples"]
 
 
 def github_slug(heading: str) -> str:
@@ -75,6 +84,26 @@ def links_of(path: Path):
             yield lineno, m.group(1)
 
 
+def repo_paths_of(path: Path, doc_comments_only: bool):
+    """Backticked repo paths in `path`, with their line numbers: every line
+    of a markdown file, the doc-comment lines of a Rust source."""
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if doc_comments_only and not DOC_COMMENT_RE.match(line):
+            continue
+        for m in REPO_PATH_RE.finditer(line):
+            target = re.sub(r":\d+(-\d+)?$", "", m.group(1))
+            if re.search(r"[*<>{}]|\.\.\.|\u2026", target):
+                continue
+            yield lineno, target
+
+
+def rust_sources():
+    for top in SOURCE_DIRS:
+        for path in sorted((REPO / top).rglob("*.rs")):
+            if "target" not in path.relative_to(REPO).parts:
+                yield path
+
+
 def main() -> int:
     errors = []
     anchor_cache = {}
@@ -106,6 +135,15 @@ def main() -> int:
                     errors.append(f"{where}: anchor on non-markdown target `{target}`")
                 elif anchor not in anchors_for(dest):
                     errors.append(f"{where}: broken anchor `{target}`")
+
+    for path, doc_comments_only in [(d, False) for d in DOC_FILES if d.exists()] + [
+        (p, True) for p in rust_sources()
+    ]:
+        for lineno, target in repo_paths_of(path, doc_comments_only):
+            if not (REPO / target).exists():
+                errors.append(
+                    f"{path.relative_to(REPO)}:{lineno}: `{target}` names no file in the repo"
+                )
 
     arch = REPO / "docs" / "ARCHITECTURE.md"
     if arch.exists():
