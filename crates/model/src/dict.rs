@@ -139,6 +139,12 @@ impl SharedDict {
         self.inner.read().expect("dict lock poisoned")
     }
 
+    /// A write guard over the dictionary: any number of [`Dict::intern`]
+    /// calls under one lock acquisition. Readers block while it is alive.
+    pub fn write(&self) -> impl std::ops::DerefMut<Target = Dict> + '_ {
+        self.inner.write().expect("dict lock poisoned")
+    }
+
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.inner.read().expect("dict lock poisoned").len()

@@ -28,10 +28,13 @@
 //! rows unless its zone maps exclude them — which [`crate::Table`] weighs
 //! against index probes when it picks an access path.
 //!
-//! A projection is built once, when its chunk seals: each column is
-//! pushed value by value in projection order ([`Columnar::order`]: the
-//! rows' stable sort by the time column, or a persisted order on restore),
-//! then gets its zone map. A
+//! A projection is built once, when its chunk seals: each row is read
+//! once, in arrival order, into every column; the columns are then
+//! permuted into projection order — the rows' stable sort by the time
+//! column, taken from the filled column, or a persisted order on restore —
+//! and each gets its zone map. A snapshot writes a chunk that keeps no
+//! rows as these columns, and a restore reads them back as they were
+//! ([`Columnar::perm`] included), without a row in between. A
 //! projection is lossless for every column it holds, so a sealed chunk
 //! whose projection holds *all* of its table's columns keeps no rows at
 //! all: the projection is the chunk, and its rows are read back value by
@@ -42,11 +45,78 @@
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{ColumnType, Row, Schema};
+use crate::snapshot::MAX_RESERVE;
 use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
+use std::io::{self, Read, Write};
 use std::mem::size_of;
 
 /// NULL sentinel in a bool column (values are 0 / 1).
 const NULL_BOOL: u8 = 2;
+
+/// A persisted column's encoding tag: its values as they are resident.
+const RAW: u8 = 0;
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Writes fixed-width little-endian values through a stack buffer.
+fn write_le<W: Write, const N: usize>(
+    w: &mut W,
+    vals: impl Iterator<Item = [u8; N]>,
+) -> io::Result<()> {
+    let mut buf = [0u8; 4096];
+    let mut at = 0;
+    for v in vals {
+        if at + N > buf.len() {
+            w.write_all(&buf[..at])?;
+            at = 0;
+        }
+        buf[at..at + N].copy_from_slice(&v);
+        at += N;
+    }
+    w.write_all(&buf[..at])
+}
+
+/// Fills `buf` from `r`; a chunk's columns that end early are invalid
+/// data.
+fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => invalid("a chunk's columns end early"),
+        _ => e,
+    })
+}
+
+fn read_byte<R: Read>(r: &mut R) -> io::Result<u8> {
+    let mut b = [0u8];
+    read_exact(r, &mut b)?;
+    Ok(b[0])
+}
+
+/// Reads `n` fixed-width little-endian values. A count past the input
+/// fails when the input ends, having reserved at most [`MAX_RESERVE`]
+/// values.
+fn read_le<R: Read, T, const N: usize>(
+    r: &mut R,
+    n: usize,
+    from: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(n.min(MAX_RESERVE));
+    let mut buf = [0u8; 4096];
+    let mut left = n;
+    while left > 0 {
+        let bytes = &mut buf[..left.min(4096 / N) * N];
+        read_exact(r, bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(N)
+                .map(|b| from(b.try_into().expect("N bytes"))),
+        );
+        left -= bytes.len() / N;
+    }
+    out.shrink_to_fit();
+    Ok(out)
+}
 
 /// Configuration of a columnar projection.
 #[derive(Debug, Clone)]
@@ -137,36 +207,115 @@ impl ColumnData {
         })
     }
 
-    /// Fills the empty column with `values` in order, interning strings
-    /// into `dict`, at exactly the capacity they take: a projection never
-    /// grows once built.
-    fn fill<'a>(&mut self, values: impl ExactSizeIterator<Item = &'a Value>, dict: &SharedDict) {
+    fn reserve_exact(&mut self, n: usize) {
+        match self {
+            ColumnData::Int { vals, .. } => vals.reserve_exact(n),
+            ColumnData::Sym { vals } => vals.reserve_exact(n),
+            ColumnData::Bool { vals } => vals.reserve_exact(n),
+        }
+    }
+
+    /// Appends `v`, interning a string into `dict`.
+    #[inline]
+    fn push(&mut self, v: &Value, dict: &mut Dict) {
         match self {
             ColumnData::Int { vals, nulls } => {
-                vals.reserve_exact(values.len());
-                for v in values {
-                    let (x, null) = match v {
-                        Value::Int(i) => (*i, false),
-                        _ => (0, true),
-                    };
-                    if null || !nulls.is_empty() {
-                        // Allocates the flags at the first NULL.
-                        nulls.resize(vals.len(), false);
-                        nulls.push(null);
-                    }
-                    vals.push(x);
+                let (x, null) = match v {
+                    Value::Int(i) => (*i, false),
+                    _ => (0, true),
+                };
+                if null || !nulls.is_empty() {
+                    // Allocates the flags at the first NULL.
+                    nulls.resize(vals.len(), false);
+                    nulls.push(null);
                 }
-                nulls.shrink_to_fit();
+                vals.push(x);
             }
-            ColumnData::Sym { vals } => vals.extend(values.map(|v| match v {
+            ColumnData::Sym { vals } => vals.push(match v {
                 Value::Str(s) => dict.intern(s).0,
                 _ => NULL_SYM,
-            })),
-            ColumnData::Bool { vals } => vals.extend(values.map(|v| match v {
+            }),
+            ColumnData::Bool { vals } => vals.push(match v {
                 Value::Bool(b) => *b as u8,
                 _ => NULL_BOOL,
-            })),
+            }),
         }
+    }
+
+    /// Reorders the column in place so position `i` holds what position
+    /// `perm[i]` held (`perm` is as long as the column). Total: an entry
+    /// past the column reads a default, which the layout check then
+    /// refuses as no permutation.
+    fn permute(&mut self, perm: &[u32]) {
+        fn gather<T: Copy + Default>(v: &mut [T], perm: &[u32]) {
+            let from = v.to_vec();
+            for (x, &p) in v.iter_mut().zip(perm) {
+                *x = from.get(p as usize).copied().unwrap_or_default();
+            }
+        }
+        match self {
+            ColumnData::Int { vals, nulls } => {
+                gather(vals, perm);
+                gather(nulls, perm);
+            }
+            ColumnData::Sym { vals } => gather(vals, perm),
+            ColumnData::Bool { vals } => gather(vals, perm),
+        }
+    }
+
+    /// Writes the column raw: its values little-endian, an `Int` column's
+    /// values followed by a flag byte and, when it holds a NULL, one null
+    /// flag per value.
+    fn write_raw<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        match self {
+            ColumnData::Int { vals, nulls } => {
+                write_le(w, vals.iter().map(|v| v.to_le_bytes()))?;
+                w.write_all(&[!nulls.is_empty() as u8])?;
+                write_le(w, nulls.iter().map(|&b| [b as u8]))
+            }
+            ColumnData::Sym { vals } => write_le(w, vals.iter().map(|v| v.to_le_bytes())),
+            ColumnData::Bool { vals } => w.write_all(vals),
+        }
+    }
+
+    /// Reads into this empty column the `n` values [`ColumnData::write_raw`]
+    /// wrote, refusing a code the dictionary's `dict_len` entries do not
+    /// hold and any flag or bool outside its range.
+    fn read_raw<R: Read>(&mut self, r: &mut R, n: usize, dict_len: usize) -> io::Result<()> {
+        match self {
+            ColumnData::Int { vals, nulls } => {
+                *vals = read_le(r, n, i64::from_le_bytes)?;
+                let flag = read_byte(r)?;
+                if flag > 1 {
+                    return Err(invalid(format!("null-flag marker {flag}")));
+                }
+                if flag == 1 {
+                    let flags = read_le(r, n, |[b]| b)?;
+                    if flags.iter().any(|&b| b > 1) || !flags.contains(&1) {
+                        return Err(invalid("null flags hold no NULL or a non-flag"));
+                    }
+                    *nulls = flags.into_iter().map(|b| b == 1).collect();
+                }
+            }
+            ColumnData::Sym { vals } => {
+                *vals = read_le(r, n, u32::from_le_bytes)?;
+                if let Some(&bad) = vals
+                    .iter()
+                    .find(|&&c| c != NULL_SYM && c as usize >= dict_len)
+                {
+                    return Err(invalid(format!(
+                        "code {bad} outside a dictionary of {dict_len} strings"
+                    )));
+                }
+            }
+            ColumnData::Bool { vals } => {
+                *vals = read_le(r, n, |[b]| b)?;
+                if vals.iter().any(|&b| b > NULL_BOOL) {
+                    return Err(invalid("bool column value out of range"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The value at `i` as the row store holds it.
@@ -428,9 +577,10 @@ pub struct Columnar {
 }
 
 impl Columnar {
-    /// Builds a projection over `rows`, in their projection order
-    /// ([`Columnar::order`]); over no rows, an empty one. Fails if a named
-    /// column is missing or unsupported, or the time column is not `Int`.
+    /// Builds a projection over `rows`, in their projection order (their
+    /// stable sort by the time column); over no rows, an empty one. Fails
+    /// if a named column is missing or unsupported, or the time column is
+    /// not `Int`.
     pub fn build(
         schema: &Schema,
         spec: &ColumnarSpec,
@@ -489,20 +639,64 @@ impl Columnar {
             perm: Vec::new(),
             zones: Vec::new(),
         };
-        c.fill(rows, c.order(rows));
+        c.fill(rows, None)?;
         Ok(c)
     }
 
-    /// The projection order of `rows`: their positions stably sorted by the
-    /// time column (NULL first), or as they come without one.
-    pub fn order(&self, rows: &[Row]) -> Vec<u32> {
-        let Some(t) = self.time_idx else {
-            return (0..rows.len() as u32).collect();
+    /// Fills this empty projection with `rows`: each row read once, in
+    /// arrival order, into every column (strings interned under one
+    /// dictionary lock); then the columns permuted into projection order
+    /// and given their zone maps. The order is `order` — a persisted one,
+    /// refused unless it is a permutation of the rows that runs in time
+    /// order — or, with none, the rows' stable sort by the time column
+    /// (NULL first), taken from the filled column.
+    pub(crate) fn fill(&mut self, rows: &[Row], order: Option<&[u32]>) -> Result<(), RdbError> {
+        {
+            let mut dict = self.dict.write();
+            for (_, data) in &mut self.cols {
+                data.reserve_exact(rows.len());
+            }
+            for row in rows {
+                for (col, data) in &mut self.cols {
+                    data.push(&row[*col], &mut dict);
+                }
+            }
+        }
+        let perm = match order {
+            Some(order) if order.len() != rows.len() => {
+                return Err(RdbError::SchemaMismatch(format!(
+                    "columnar order of {} positions for {} rows",
+                    order.len(),
+                    rows.len()
+                )))
+            }
+            Some(order) => order.to_vec(),
+            None => self.time_order(rows.len()),
         };
-        let mut keyed: Vec<(i64, u32)> = (0..)
-            .zip(rows)
-            .map(|(p, r)| (r[t].as_int().unwrap_or(i64::MIN), p))
-            .collect();
+        let identity = perm.iter().enumerate().all(|(i, &p)| p as usize == i);
+        for (_, data) in &mut self.cols {
+            if !identity {
+                data.permute(&perm);
+            }
+            if let ColumnData::Int { nulls, .. } = data {
+                nulls.shrink_to_fit();
+            }
+        }
+        self.perm = perm;
+        self.zones = self.cols.iter().map(|(_, d)| d.zone()).collect();
+        match order {
+            Some(_) => self.check(),
+            None => Ok(()),
+        }
+    }
+
+    /// The stable sort by time of `n` filled, arrival-ordered positions.
+    fn time_order(&self, n: usize) -> Vec<u32> {
+        let Some(t) = self.time_idx else {
+            return (0..n as u32).collect();
+        };
+        let data = self.data(t);
+        let mut keyed: Vec<(i64, u32)> = (0..n).map(|i| (data.int_key(i), i as u32)).collect();
         // Positions are distinct, so this is the stable sort by time.
         keyed.sort_unstable();
         // Collected from a borrow, not in place: the order is sized to
@@ -510,34 +704,56 @@ impl Columnar {
         keyed.iter().map(|&(_, p)| p).collect()
     }
 
-    /// Checks that `perm` can order a projection of `rows`: a permutation
-    /// of their positions that runs in time order.
-    pub(crate) fn check_order(&self, rows: &[Row], perm: &[u32]) -> Result<(), RdbError> {
-        let mut seen = vec![false; rows.len()];
-        let key = |p: u32| self.time_idx.and_then(|t| rows[p as usize][t].as_int());
-        let fits = perm.len() == rows.len()
-            && perm.iter().all(|&p| {
-                seen.get_mut(p as usize)
-                    .is_some_and(|s| !std::mem::replace(s, true))
-            })
-            && perm.windows(2).all(|w| key(w[0]) <= key(w[1]));
-        fits.then_some(()).ok_or_else(|| {
+    /// Checks a filled projection's layout (every column holds one value
+    /// per entry of the order): the order a permutation, the time column
+    /// non-decreasing.
+    fn check(&self) -> Result<(), RdbError> {
+        let n = self.perm.len();
+        let mut seen = vec![false; n];
+        let permutation = self.perm.iter().all(|&p| {
+            seen.get_mut(p as usize)
+                .is_some_and(|s| !std::mem::replace(s, true))
+        });
+        let ordered = self.time_idx.is_none_or(|t| {
+            let data = self.data(t);
+            (1..n).all(|i| data.int_key(i - 1) <= data.int_key(i))
+        });
+        (permutation && ordered).then_some(()).ok_or_else(|| {
             RdbError::SchemaMismatch(format!(
-                "columnar order of {} positions does not time-order {} rows",
-                perm.len(),
-                rows.len()
+                "columnar order of {n} positions is no time-ordered permutation"
             ))
         })
     }
 
-    /// Fills this empty projection with `rows` in projection order `perm`:
-    /// each column pushed value by value in that order, then its zone map.
-    pub(crate) fn fill(&mut self, rows: &[Row], perm: Vec<u32>) {
-        for (col, data) in &mut self.cols {
-            data.fill(perm.iter().map(|&p| &rows[p as usize][*col]), &self.dict);
+    /// Writes the filled projection as it is resident: per column an
+    /// encoding tag ([`RAW`], the only one) and its values in projection
+    /// order, then the projection order.
+    pub(crate) fn write_chunk<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        for (_, data) in &self.cols {
+            w.write_all(&[RAW])?;
+            data.write_raw(w)?;
         }
-        self.perm = perm;
-        self.zones = self.cols.iter().map(|(_, d)| d.zone()).collect();
+        write_le(w, self.perm.iter().map(|p| p.to_le_bytes()))
+    }
+
+    /// Reads, into a copy of this empty projection, the `n`-row chunk
+    /// [`Columnar::write_chunk`] wrote: each column straight into its
+    /// vector, every code checked against the dictionary, the layout
+    /// checked as a persisted order is, then the zone maps.
+    pub(crate) fn read_chunk<R: Read>(&self, r: &mut R, n: usize) -> io::Result<Columnar> {
+        let mut c = self.clone();
+        let dict_len = self.dict.len();
+        for (_, data) in &mut c.cols {
+            let tag = read_byte(r)?;
+            if tag != RAW {
+                return Err(invalid(format!("unknown column encoding {tag}")));
+            }
+            data.read_raw(r, n, dict_len)?;
+        }
+        c.perm = read_le(r, n, u32::from_le_bytes)?;
+        c.check().map_err(|e| invalid(e.to_string()))?;
+        c.zones = c.cols.iter().map(|(_, d)| d.zone()).collect();
+        Ok(c)
     }
 
     /// Interns `row`'s strings in the projection's dictionary-coded
@@ -582,6 +798,16 @@ impl Columnar {
     pub(crate) fn codes(&self, col: usize) -> Option<&[u32]> {
         match &self.cols[(*self.slots.get(col)?)?].1 {
             ColumnData::Sym { vals } => Some(vals),
+            _ => None,
+        }
+    }
+
+    /// The values and null flags (empty while the column holds no NULL)
+    /// of `col`, by projection position, when it is a projected `Int`
+    /// column.
+    pub(crate) fn ints(&self, col: usize) -> Option<(&[i64], &[bool])> {
+        match &self.cols[(*self.slots.get(col)?)?].1 {
+            ColumnData::Int { vals, nulls } => Some((vals, nulls)),
             _ => None,
         }
     }
@@ -639,13 +865,28 @@ impl Columnar {
         let Some(mut data) = ColumnData::new(schema.column_type(col)) else {
             return;
         };
-        data.fill(
-            self.perm.iter().map(|&p| &rows[p as usize][col]),
-            &self.dict,
-        );
+        data.reserve_exact(self.perm.len());
+        let mut dict = self.dict.write();
+        for &p in &self.perm {
+            data.push(&rows[p as usize][col], &mut dict);
+        }
+        drop(dict);
+        if let ColumnData::Int { nulls, .. } = &mut data {
+            nulls.shrink_to_fit();
+        }
         self.zones.push(data.zone());
         self.slots[col] = Some(self.cols.len());
         self.cols.push((col, data));
+    }
+
+    /// The filled layout — columns, order, zone maps — without the
+    /// dictionary, whose lookup table prints in no fixed order.
+    #[cfg(test)]
+    pub(crate) fn layout_debug(&self) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?} {:?}",
+            self.time_idx, self.slots, self.cols, self.perm, self.zones
+        )
     }
 
     /// Evaluates `kernels` over the chunk unless its zone maps exclude it,
@@ -1197,7 +1438,8 @@ mod tests {
         // that order loads.
         let c = build(&rows);
         assert_eq!(c.perm(), [5, 1, 9, 3, 7, 4, 2, 0, 6, 8]);
-        c.check_order(&rows, c.perm()).unwrap();
+        let refill = |order: &[u32]| build(&[]).fill(&rows, Some(order));
+        refill(c.perm()).unwrap();
         // An order not time-sorted over its chunk is refused — the one
         // above, sorted 4 rows at a time, included — as is one that is no
         // permutation.
@@ -1206,7 +1448,7 @@ mod tests {
             vec![5, 1, 9, 3, 7, 4, 2, 0, 6, 6],
             vec![0, 1, 2],
         ] {
-            assert!(c.check_order(&rows, &bad).is_err(), "{bad:?}");
+            assert!(refill(&bad).is_err(), "{bad:?}");
         }
     }
 

@@ -1,26 +1,38 @@
 //! Binary (de)serialization of tables and partitions — the storage half of
 //! durable snapshots.
 //!
-//! A snapshot persists every **row** in global order (read back through
-//! [`Table::iter_rows`], whether a chunk stores its rows or only its
-//! projection), the **chunk layout** (chunk size plus each sealed chunk's
-//! row count, so a restored table reproduces the seal boundaries of the
-//! live one exactly — see [`Table::chunk_boundaries`]), and the columnar
-//! *layout metadata*: the per-chunk projection orders
-//! ([`Columnar::perm`](crate::Columnar::perm)). The open tail keeps no
-//! projection, so its order is written as the one it would seal in
-//! ([`Columnar::order`](crate::Columnar::order)). On load each sealed
-//! chunk is rebuilt from its rows by [`Table::load_chunk`]: its projection
-//! filled in the persisted order, which must time-order the chunk —
-//! deterministic and exact, without re-running the sort — with one zone
-//! map per column, its indexes sorted from its keys, its rows dropped when
-//! the projection covers them. The open tail is loaded as rows. Indexes
-//! are rebuilt, not persisted: the index set travels as configuration.
+//! A table is written as its **chunk layout** — chunk size, row count and
+//! each sealed chunk's row count, so a restored table reproduces the seal
+//! boundaries of the live one exactly (see [`Table::chunk_boundaries`]) —
+//! then chunk by chunk, in global order, each sealed chunk as it is
+//! resident (format v4, [`Format::V4`]):
 //!
-//! The format keeps a retired block-size field. It is written as the
-//! chunk size — so a reader that still honours it sees one zone-mapped
-//! block per chunk, the layout of every store ever built — and ignored on
-//! load.
+//! - **columns**: a chunk whose projection covers every column keeps no
+//!   rows ([`SealedChunk::is_projected`](crate::SealedChunk::is_projected)),
+//!   so it is written as that projection: per projected column an encoding
+//!   tag (only raw is defined) and its values in projection order — `i64`,
+//!   `u32` dictionary codes or `u8` bools, little-endian, an `Int` column's
+//!   null flags only when it holds a NULL — then the projection order
+//!   ([`Columnar::perm`](crate::Columnar::perm)). A load reads each column
+//!   straight into its vector: no value and no row is built. It checks
+//!   that the order is a permutation, that the time column runs in order,
+//!   and that every code resolves in the dictionary, then derives the zone
+//!   maps, the row → projection map and the indexes from the columns.
+//! - **rows**: a chunk with a partial projection (entity tables) or none
+//!   (the row-store configuration) is written as its rows, then, when the
+//!   table has a projection, the chunk's projection order. A load rebuilds
+//!   it through [`Table::load_chunk`]: the projection filled in the
+//!   persisted order, which must time-order the chunk — deterministic and
+//!   exact, without re-running the sort — its indexes sorted from its keys.
+//!
+//! The open tail keeps no projection and no order: it is written, and
+//! loaded, as rows. Indexes are rebuilt, not persisted: the index set
+//! travels as configuration.
+//!
+//! Format v3 ([`Format::V3`]) wrote every row of the table, then the
+//! projection orders of every chunk and of the tail, behind a retired
+//! block-size field. It is still read — through the same header reader and
+//! [`Table::load_chunk`] — and never written.
 //!
 //! Encoding is the length-prefixed little-endian scheme of
 //! [`aiql_model::codec`]; framing integrity (CRC, torn-write handling) is
@@ -42,23 +54,59 @@ const MAX_COUNT: u64 = 1 << 40;
 /// Cap on the capacity a decoded count may reserve up front: a corrupt
 /// count under [`MAX_COUNT`] fails on its first missing entry instead of
 /// allocating for all of them.
-const MAX_RESERVE: usize = 1 << 16;
+pub(crate) const MAX_RESERVE: usize = 1 << 16;
+
+/// The table format a snapshot holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// Every row, then every projection order (read only).
+    V3,
+    /// Chunk by chunk, each sealed chunk kept as rows or as columns.
+    V4,
+}
+
+/// A v4 sealed chunk's layout tag: kept as rows.
+const ROWS: u8 = 0;
+/// A v4 sealed chunk's layout tag: kept as columns.
+const COLUMNS: u8 = 1;
 
 fn rdb_io(e: RdbError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+    invalid(e.to_string())
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 fn checked_count(n: u64, what: &str) -> io::Result<usize> {
     if n > MAX_COUNT {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{what} count {n} exceeds cap"),
-        ));
+        return Err(invalid(format!("{what} count {n} exceeds cap")));
     }
     Ok(n as usize)
 }
 
-/// Writes one table: chunk layout, row data, and columnar layout metadata.
+fn read_rows<R: Read>(r: &mut R, n: usize, arity: usize) -> io::Result<Vec<Row>> {
+    let mut rows: Vec<Row> = Vec::with_capacity(n.min(MAX_RESERVE));
+    for _ in 0..n {
+        let mut row: Row = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            row.push(codec::read_value(r)?);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+fn read_positions<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u32>> {
+    let mut p = Vec::with_capacity(n.min(MAX_RESERVE));
+    for _ in 0..n {
+        p.push(codec::read_u32(r)?);
+    }
+    Ok(p)
+}
+
+/// Writes one table in format v4: chunk layout, then each sealed chunk as
+/// rows or as columns, then the open tail's rows.
 pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     codec::write_u64(w, t.chunk_rows() as u64)?;
     codec::write_u64(w, t.len() as u64)?;
@@ -67,42 +115,42 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     for chunk in sealed {
         codec::write_u64(w, chunk.len() as u64)?;
     }
-    for row in t.iter_rows() {
-        for col in 0..row.len() {
-            codec::write_value(w, &row.get(col))?;
+    codec::write_u8(w, t.columnar().is_some() as u8)?;
+    for chunk in sealed {
+        match chunk.columnar() {
+            Some(c) if chunk.is_projected() => {
+                codec::write_u8(w, COLUMNS)?;
+                c.write_chunk(w)?;
+            }
+            c => {
+                codec::write_u8(w, ROWS)?;
+                for row in (0..chunk.len() as u32).map(|p| chunk.row(p)) {
+                    for col in 0..row.len() {
+                        codec::write_value(w, &row.get(col))?;
+                    }
+                }
+                for &p in c.map_or(&[][..], |c| c.perm()) {
+                    codec::write_u32(w, p)?;
+                }
+            }
         }
     }
-    match t.columnar() {
-        Some(c) => {
-            codec::write_u8(w, 1)?;
-            // The retired block-size field (see the module docs).
-            codec::write_u64(w, t.chunk_rows() as u64)?;
-            // Per-chunk projection orders, concatenated in chunk order with
-            // chunk-local positions lifted to global ones — what
-            // `read_table` slices back into `Table::load_chunk` calls.
-            let mut base = 0u32;
-            for chunk in sealed {
-                let cc = chunk.columnar().expect("projection is table-wide");
-                for &p in cc.perm() {
-                    codec::write_u32(w, p + base)?;
-                }
-                base += chunk.len() as u32;
-            }
-            for p in c.order(t.tail_rows()) {
-                codec::write_u32(w, p + base)?;
-            }
+    for row in t.tail_rows() {
+        for v in row {
+            codec::write_value(w, v)?;
         }
-        None => codec::write_u8(w, 0)?,
     }
     Ok(())
 }
 
-/// Reads one table written by [`write_table`], sealing chunks at exactly
-/// the persisted boundaries and rebuilding the given secondary indexes and
-/// (when `columnar` is configured) each chunk's projection in its
-/// persisted order — or, for a table written without one, in bulk.
+/// Reads one table written in `format`, sealing chunks at exactly the
+/// persisted boundaries and rebuilding the given secondary indexes and
+/// (when `columnar` is configured) each chunk's projection: read as
+/// columns, filled in its persisted order, or — for a table written
+/// without one — in bulk.
 pub fn read_table<R: Read>(
     r: &mut R,
+    format: Format,
     schema: Schema,
     indexes: &[String],
     columnar: Option<(&ColumnarSpec, &SharedDict)>,
@@ -110,10 +158,7 @@ pub fn read_table<R: Read>(
     let arity = schema.arity();
     let chunk_rows = checked_count(codec::read_u64(r)?, "chunk-row")?;
     if chunk_rows == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "zero chunk size",
-        ));
+        return Err(invalid("zero chunk size"));
     }
     let nrows = checked_count(codec::read_u64(r)?, "row")?;
     let nsealed = checked_count(codec::read_u64(r)?, "sealed-chunk")?;
@@ -125,74 +170,91 @@ pub fn read_table<R: Read>(
     for _ in 0..nsealed {
         let len = checked_count(codec::read_u64(r)?, "chunk-len")?;
         if len == 0 || len > chunk_rows || nrows - covered < len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid sealed-chunk length {len}"),
-            ));
+            return Err(invalid(format!("invalid sealed-chunk length {len}")));
         }
         covered += len;
         lens.push(len);
     }
     if nrows - covered >= chunk_rows {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("open tail of {} rows exceeds chunk size", nrows - covered),
-        ));
+        return Err(invalid(format!(
+            "open tail of {} rows exceeds chunk size",
+            nrows - covered
+        )));
     }
     lens.push(nrows - covered);
-    // The rows precede the projection orders they are rebuilt with.
-    let mut rows: Vec<Row> = Vec::with_capacity(nrows.min(MAX_RESERVE));
-    for _ in 0..nrows {
-        let mut row: Row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            row.push(codec::read_value(r)?);
-        }
-        rows.push(row);
-    }
-    let mut persisted = None;
-    if codec::read_u8(r)? != 0 {
-        codec::read_u64(r)?; // the retired block-size field
-        let mut p = Vec::with_capacity(nrows.min(MAX_RESERVE));
-        for _ in 0..nrows {
-            p.push(codec::read_u32(r)?);
-        }
-        persisted = Some(p);
-    }
 
     let mut table = Table::with_chunk_rows(schema, chunk_rows);
     for name in indexes {
         table.create_index(name).map_err(rdb_io)?;
     }
-    let mut perm = None;
     if let Some((spec, dict)) = columnar {
         // Written without a projection but reopened with one configured,
-        // each chunk's is bulk-built (the batch path).
+        // each chunk's is bulk-built (the batch path); written with one
+        // but reopened without, the persisted orders are skipped.
         table.enable_columnar(spec, dict.clone()).map_err(rdb_io)?;
-        perm = persisted;
     }
-    let (mut rows, mut base) = (rows.into_iter(), 0u32);
-    for (i, &len) in lens.iter().enumerate() {
-        let chunk: Vec<Row> = rows.by_ref().take(len).collect();
-        // The persisted order lifts chunk-local positions to global ones.
-        let local = match &perm {
-            Some(p) => {
-                let mut local = Vec::with_capacity(len);
-                for &g in &p[base as usize..base as usize + len] {
-                    local.push(g.checked_sub(base).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("columnar permutation entry {g} before chunk base {base}"),
-                        )
-                    })?);
-                }
-                Some(local)
+    let projected = table.columnar().is_some();
+    match format {
+        Format::V3 => {
+            // Every row precedes the projection orders it is rebuilt with.
+            let mut rows = read_rows(r, nrows, arity)?.into_iter();
+            let mut perm = None;
+            if codec::read_u8(r)? != 0 {
+                codec::read_u64(r)?; // the retired block-size field
+                perm = Some(read_positions(r, nrows)?).filter(|_| projected);
             }
-            None => None,
-        };
-        table
-            .load_chunk(chunk, local.as_deref(), i < nsealed)
-            .map_err(rdb_io)?;
-        base += len as u32;
+            let mut base = 0u32;
+            for (i, &len) in lens.iter().enumerate() {
+                let chunk: Vec<Row> = rows.by_ref().take(len).collect();
+                // The persisted order lifts chunk-local positions to global
+                // ones.
+                let local = match &perm {
+                    Some(p) => Some(
+                        p[base as usize..base as usize + len]
+                            .iter()
+                            .map(|&g| {
+                                g.checked_sub(base).ok_or_else(|| {
+                                    invalid(format!(
+                                        "columnar permutation entry {g} before chunk base {base}"
+                                    ))
+                                })
+                            })
+                            .collect::<io::Result<Vec<u32>>>()?,
+                    ),
+                    None => None,
+                };
+                table
+                    .load_chunk(chunk, local.as_deref(), i < nsealed)
+                    .map_err(rdb_io)?;
+                base += len as u32;
+            }
+        }
+        Format::V4 => {
+            let written_projected = codec::read_u8(r)? != 0;
+            for (i, &len) in lens.iter().enumerate() {
+                let sealed = i < nsealed;
+                match if sealed { codec::read_u8(r)? } else { ROWS } {
+                    ROWS => {
+                        let rows = read_rows(r, len, arity)?;
+                        let mut perm = None;
+                        if sealed && written_projected {
+                            perm = Some(read_positions(r, len)?).filter(|_| projected);
+                        }
+                        table
+                            .load_chunk(rows, perm.as_deref(), sealed)
+                            .map_err(rdb_io)?;
+                    }
+                    COLUMNS => {
+                        let layout = table
+                            .columnar()
+                            .ok_or_else(|| invalid("a chunk kept as columns needs a projection"))?;
+                        let chunk = layout.read_chunk(r, len)?;
+                        table.load_columns(chunk).map_err(rdb_io)?;
+                    }
+                    tag => return Err(invalid(format!("unknown chunk layout {tag}"))),
+                }
+            }
+        }
     }
     Ok(table)
 }
@@ -210,12 +272,13 @@ pub fn write_partitioned<W: Write>(w: &mut W, pt: &PartitionedTable) -> io::Resu
     Ok(())
 }
 
-/// Reads a partitioned table written by [`write_partitioned`]. The index
-/// set and columnar configuration are applied to the table *before* the
-/// partitions are attached, so partitions materialized later by rollover
-/// inherit them exactly as on the original table.
+/// Reads a partitioned table written by [`write_partitioned`] (in
+/// `format`). The index set and columnar configuration are applied to the
+/// table *before* the partitions are attached, so partitions materialized
+/// later by rollover inherit them exactly as on the original table.
 pub fn read_partitioned<R: Read>(
     r: &mut R,
+    format: Format,
     schema: Schema,
     spec: PartitionSpec,
     indexes: &[String],
@@ -244,6 +307,7 @@ pub fn read_partitioned<R: Read>(
         let key: PartKey = (codec::read_i64(r)?, codec::read_u32(r)?);
         let table = read_table(
             r,
+            format,
             schema.clone(),
             indexes,
             part_spec.as_ref().map(|(s, d)| (s, *d)),
@@ -308,6 +372,7 @@ mod tests {
         }
         let got = read_table(
             &mut Cursor::new(&buf),
+            Format::V4,
             schema(),
             &["name".to_string()],
             Some((&ColumnarSpec::time_sorted("start_time"), &dict2)),
@@ -345,6 +410,7 @@ mod tests {
         write_table(&mut buf, &orig).unwrap();
         let got = read_table(
             &mut Cursor::new(&buf),
+            Format::V4,
             schema(),
             &["name".to_string()],
             None,
@@ -395,6 +461,7 @@ mod tests {
         }
         let got = read_table(
             &mut Cursor::new(&buf),
+            Format::V4,
             schema(),
             &["name".to_string()],
             Some((&ColumnarSpec::time_sorted("start_time"), &dict2)),
@@ -456,6 +523,7 @@ mod tests {
         }
         let mut got = read_partitioned(
             &mut Cursor::new(&buf),
+            Format::V4,
             schema(),
             spec,
             &["name".to_string()],
@@ -502,7 +570,13 @@ mod tests {
         let t = sample_table(true, &dict);
         let mut buf = Vec::new();
         write_table(&mut buf, &t).unwrap();
-        let r = read_table(&mut Cursor::new(&buf[..buf.len() / 2]), schema(), &[], None);
+        let r = read_table(
+            &mut Cursor::new(&buf[..buf.len() / 2]),
+            Format::V4,
+            schema(),
+            &[],
+            None,
+        );
         assert!(r.is_err());
     }
 
@@ -516,8 +590,159 @@ mod tests {
             codec::write_u64(&mut buf, v).unwrap();
         }
         assert_eq!(buf.len(), 24);
-        let r = read_table(&mut Cursor::new(&buf), schema(), &[], None);
+        let r = read_table(&mut Cursor::new(&buf), Format::V4, schema(), &[], None);
         assert!(r.is_err());
+    }
+
+    /// Chunks of every kind a reopen must reproduce — rows out of time
+    /// order, a frozen short chunk, NULLs in `Int`, dictionary-coded and
+    /// bool columns, indexes on an `Int` and a dictionary-coded column,
+    /// an open tail — under `spec`.
+    fn mixed_table(spec: &ColumnarSpec, dict: &SharedDict) -> Table {
+        let schema = Schema::new(&[
+            ("id", ColumnType::Int),
+            ("agentid", ColumnType::Int),
+            ("start_time", ColumnType::Int),
+            ("name", ColumnType::Str),
+            ("ok", ColumnType::Bool),
+        ]);
+        let mut t = Table::with_chunk_rows(schema, 8);
+        t.create_index("agentid").unwrap();
+        t.create_index("name").unwrap();
+        t.enable_columnar(spec, dict.clone()).unwrap();
+        for i in 0..30i64 {
+            let null = |every: i64, v: Value| if i % every == 3 { Value::Null } else { v };
+            t.insert(vec![
+                Value::Int(i),
+                null(5, Value::Int(i % 4)),
+                Value::Int((i * 7) % 13),
+                null(4, Value::str(format!("n{}", i % 3))),
+                null(6, Value::Bool(i % 2 == 0)),
+            ])
+            .unwrap();
+            if i == 11 {
+                assert!(t.freeze_tail(1));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn reopened_chunks_keep_the_layout_they_sealed_in() {
+        let full = ColumnarSpec::time_sorted("start_time");
+        let partial = full.clone().with_columns(&["start_time", "name"]);
+        for (spec, as_columns) in [(full, true), (partial, false)] {
+            let dict = SharedDict::new();
+            let orig = mixed_table(&spec, &dict);
+            assert_eq!(orig.chunk_boundaries(), vec![8, 4, 8, 8, 2]);
+            let mut buf = Vec::new();
+            write_table(&mut buf, &orig).unwrap();
+            let dict2 = SharedDict::new();
+            for s in dict.strings() {
+                dict2.intern(&s);
+            }
+            let names = ["agentid".to_string(), "name".to_string()];
+            let got = read_table(
+                &mut Cursor::new(&buf),
+                Format::V4,
+                orig.schema().clone(),
+                &names,
+                Some((&spec, &dict2)),
+            )
+            .unwrap();
+            assert_eq!(got.chunk_boundaries(), orig.chunk_boundaries());
+            for (g, o) in got.sealed_chunks().iter().zip(orig.sealed_chunks()) {
+                assert_eq!(g.is_projected(), as_columns);
+                // Same projection order, columns, zone maps, row →
+                // projection map, index orders and spans, bytes.
+                assert_eq!(g.layout_debug(), o.layout_debug());
+            }
+            assert!(got.iter_rows().eq(orig.iter_rows()));
+            let mut again = Vec::new();
+            write_table(&mut again, &got).unwrap();
+            assert!(again == buf, "the same bytes written again");
+        }
+    }
+
+    /// One sealed 4-row chunk kept as columns: its bytes, and a reader.
+    fn one_columns_chunk() -> (Vec<u8>, impl Fn(&[u8]) -> io::Result<Table>) {
+        let dict = SharedDict::new();
+        let spec = ColumnarSpec::time_sorted("start_time");
+        let mut t = Table::with_chunk_rows(schema(), 4);
+        t.create_index("name").unwrap();
+        t.enable_columnar(&spec, dict.clone()).unwrap();
+        for (i, t_ns) in [30i64, 10, 40, 20].into_iter().enumerate() {
+            t.insert(vec![
+                Value::Int(i as i64),
+                Value::Int(i as i64 % 3),
+                Value::Int(t_ns),
+                Value::str(format!("f{}", i % 2)),
+            ])
+            .unwrap();
+        }
+        assert_eq!(t.chunk_boundaries(), vec![4]);
+        let mut buf = Vec::new();
+        write_table(&mut buf, &t).unwrap();
+        let read = move |bytes: &[u8]| {
+            let names = ["name".to_string()];
+            let columnar = Some((&spec, &dict));
+            read_table(
+                &mut Cursor::new(bytes),
+                Format::V4,
+                schema(),
+                &names,
+                columnar,
+            )
+        };
+        (buf, read)
+    }
+
+    /// Every malformed chunk kept as columns is refused as invalid data —
+    /// an unknown layout or encoding tag, a column shorter than its chunk,
+    /// an order that is no permutation, a time column out of order, a code
+    /// the dictionary does not hold, a count promising 2^40 values — and
+    /// none aborts.
+    #[test]
+    fn malformed_columns_are_invalid_data() {
+        let (buf, read) = one_columns_chunk();
+        read(&buf).unwrap();
+        // Chunk size, rows, sealed chunks, the chunk's length; the
+        // projection flag, the layout tag; per column (id, agentid,
+        // start_time: tag, four i64, a null marker; name: tag, four codes);
+        // the order.
+        let (layout, id) = (33, 34);
+        let (start, codes, perm) = (id + 2 * 34 + 1, id + 3 * 34 + 1, id + 3 * 34 + 17);
+        assert_eq!(buf.len(), perm + 16);
+        assert_eq!((buf[32], buf[layout], buf[id]), (1, COLUMNS, 0));
+        let patched = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = buf.clone();
+            f(&mut b);
+            b
+        };
+        let mut huge = Vec::new();
+        for v in [MAX_COUNT, MAX_COUNT, 1, MAX_COUNT] {
+            codec::write_u64(&mut huge, v).unwrap();
+        }
+        huge.extend_from_slice(&buf[32..]);
+        let cases: [(&str, Vec<u8>); 7] = [
+            ("layout tag", patched(&|b| b[layout] = 7)),
+            ("encoding tag", patched(&|b| b[id] = 1)),
+            ("short column", patched(&|b| drop(b.drain(perm - 4..perm)))),
+            (
+                "no permutation",
+                patched(&|b| b.copy_within(perm..perm + 4, perm + 4)),
+            ),
+            (
+                "time order",
+                patched(&|b| b.copy_within(start + 24..start + 32, start)),
+            ),
+            ("code", patched(&|b| b[codes] = 99)),
+            ("2^40 values", huge),
+        ];
+        for (case, bytes) in cases {
+            let err = read(&bytes).expect_err(case);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+        }
     }
 
     #[test]

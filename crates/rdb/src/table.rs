@@ -13,14 +13,17 @@
 //!
 //! Sealing does the layout work, once, from the tail's rows:
 //!
-//! - the projection is built column by column in projection order — the
-//!   rows' stable sort by the time column — with one zone map per column:
-//!   the sealed chunk is the unit a scan prunes;
+//! - the projection reads each row once into arrival-ordered columns,
+//!   then permutes them into projection order — the rows' stable sort by
+//!   the time column — with one zone map per column: the sealed chunk is
+//!   the unit a scan prunes;
 //! - each index is one array of the chunk's positions sorted by (key,
 //!   position): 4 bytes a row, answering equality, range and key-span
 //!   questions by binary search over the chunk's own values (on a
 //!   dictionary-coded column the key is the code, which orders no
-//!   strings: no range there);
+//!   strings: no range there). On a projected column the keys are read
+//!   from the column, which is also how a snapshot restore indexes a
+//!   chunk it read as columns (`Table::load_columns`);
 //! - a chunk whose projection covers every column
 //!   ([`Columnar::covers_all`]) drops its rows. The projection plus a row →
 //!   projection-position map *is* the chunk, and reads come back as
@@ -51,7 +54,7 @@ use crate::columnar::{compile_conjuncts, Columnar, ColumnarSpec, Kernel, LikeMem
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{ColumnType, Row, Schema};
-use aiql_model::{SharedDict, Value, NULL_SYM};
+use aiql_model::{SharedDict, Sym, Value, NULL_SYM};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -188,6 +191,16 @@ struct Index {
 }
 
 impl Index {
+    /// The index over sorted (key, position) pairs, its span the first and
+    /// last key as `value` makes them.
+    fn new<K>(keyed: &[(K, u32)], value: impl Fn(&K) -> Value) -> Index {
+        let span = keyed.first().zip(keyed.last());
+        Index {
+            order: positions(keyed),
+            span: span.map(|(a, b)| (value(&a.0), value(&b.0))),
+        }
+    }
+
     fn heap_bytes(&self) -> usize {
         self.order.capacity() * 4
             + self
@@ -228,23 +241,16 @@ pub struct SealedChunk {
 }
 
 impl SealedChunk {
-    /// Seals `rows`: the projection `layout` configures, filled in `order`
-    /// (the rows' own projection order, [`Columnar::order`], when `None`),
-    /// the row → projection map, an index on each `indexed` column, and
-    /// then [`SealedChunk::settle`].
-    fn seal(
+    /// Seals `rows` with `columnar`, the projection the table configures
+    /// already filled over them (a restore's chunk read as columns comes
+    /// with no rows): the row → projection map, an index on each `indexed`
+    /// column, and then [`SealedChunk::settle`].
+    fn new(
         schema: &Schema,
         rows: Vec<Row>,
-        layout: Option<&Columnar>,
-        order: Option<Vec<u32>>,
+        columnar: Option<Columnar>,
         indexed: &[usize],
     ) -> SealedChunk {
-        let columnar = layout.map(|layout| {
-            let mut c = layout.clone();
-            let order = order.unwrap_or_else(|| c.order(&rows));
-            c.fill(&rows, order);
-            c
-        });
         let mut chunk = SealedChunk {
             rows,
             at: None,
@@ -303,6 +309,18 @@ impl SealedChunk {
     /// What the chunk holds, as measured when it sealed.
     pub fn resident_bytes(&self) -> ResidentBytes {
         self.resident
+    }
+
+    /// Everything the chunk holds — rows, row → projection map, indexes,
+    /// projection, measured bytes — as text that compares equal exactly
+    /// when two chunks are laid out alike.
+    #[cfg(test)]
+    pub(crate) fn layout_debug(&self) -> String {
+        let columnar = self.columnar.as_ref().map(Columnar::layout_debug);
+        format!(
+            "{:?} {:?} {:?} {:?} {columnar:?}",
+            self.rows, self.at, self.indexes, self.resident
+        )
     }
 
     /// The key in `col` at row `pos`, compared with `v`: read from the flat
@@ -367,34 +385,48 @@ impl SealedChunk {
     }
 
     /// Builds the index on `col` — the chunk's positions sorted by (key,
-    /// position), typed where the column allows: by code on a
-    /// dictionary-coded column, by integer on an `Int` one — and, when a
-    /// projection exists, projects the column so it stays kernel-evaluable
-    /// (a chunk without rows is projected in full already).
+    /// position) — and, when a projection exists, projects the column so
+    /// it stays kernel-evaluable (a chunk without rows is projected in full
+    /// already). On a projected `Int` or dictionary-coded column the keys
+    /// are read from the column itself, projection position `i` paired
+    /// with its row position `perm[i]`: by integer, or by code. Any other
+    /// column is keyed by value, row by row.
     fn build_index(&mut self, schema: &Schema, col: usize) {
         if let Some(c) = &mut self.columnar {
             c.project_column(schema, col, &self.rows);
         }
-        let n = self.len() as u32;
-        let key = |p: u32| self.row(p).get(col);
-        let (order, span) = match self.codes(col) {
-            Some((map, codes)) => {
-                let order = sorted_positions((0..n).map(|p| (codes[map.get(p)], p)));
-                // Codes follow arrival, not string order.
-                (order, (0..n).map(key).min().zip((0..n).map(key).max()))
+        let typed = self
+            .columnar
+            .as_ref()
+            .map(|c| (c, c.codes(col), c.ints(col)));
+        let index = match typed {
+            Some((c, Some(codes), _)) => {
+                let keyed = sort_keyed(codes.iter().copied().zip(c.perm().iter().copied()));
+                Index {
+                    span: code_span(&keyed, c.dict()),
+                    order: positions(&keyed),
+                }
             }
-            None => {
-                let order = match schema.column_type(col) {
-                    ColumnType::Int => sorted_positions((0..n).map(|p| (self.row(p).int(col), p))),
-                    _ => sorted_positions((0..n).map(|p| (key(p), p))),
-                };
-                let span = order.first().zip(order.last());
-                let span = span.map(|(&a, &b)| (key(a), key(b)));
-                (order, span)
+            Some((c, _, Some((vals, [])))) => Index::new(
+                &sort_keyed(vals.iter().copied().zip(c.perm().iter().copied())),
+                |&k| Value::Int(k),
+            ),
+            Some((c, _, Some((vals, nulls)))) => {
+                let keys = vals
+                    .iter()
+                    .zip(nulls)
+                    .map(|(&v, &null)| (!null).then_some(v));
+                Index::new(&sort_keyed(keys.zip(c.perm().iter().copied())), |k| {
+                    k.map_or(Value::Null, Value::Int)
+                })
+            }
+            _ => {
+                let n = self.len() as u32;
+                let keyed = sort_keyed((0..n).map(|p| (self.row(p).get(col), p)));
+                Index::new(&keyed, |k| k.clone().into_owned())
             }
         };
-        let span = span.map(|(a, b)| (a.into_owned(), b.into_owned()));
-        self.indexes.insert(col, Index { order, span });
+        self.indexes.insert(col, index);
     }
 
     /// Gives a chunk with a projection its row → projection map (empty
@@ -433,13 +465,44 @@ impl SealedChunk {
     }
 }
 
-/// The positions of distinct (key, position) pairs in (key, position)
-/// order.
-fn sorted_positions<K: Ord>(keyed: impl Iterator<Item = (K, u32)>) -> Vec<u32> {
+/// Distinct (key, position) pairs in (key, position) order.
+fn sort_keyed<K: Ord>(keyed: impl Iterator<Item = (K, u32)>) -> Vec<(K, u32)> {
     let mut keyed: Vec<(K, u32)> = keyed.collect();
     keyed.sort_unstable();
-    // Collected from a borrow, not in place: the index is sized to itself.
+    keyed
+}
+
+/// The positions of sorted (key, position) pairs — collected from a
+/// borrow, not in place: an index is sized to itself.
+fn positions<K>(keyed: &[(K, u32)]) -> Vec<u32> {
     keyed.iter().map(|&(_, p)| p).collect()
+}
+
+/// The least and greatest value behind sorted (code, position) pairs.
+/// Codes follow arrival, not string order, so each distinct code's string
+/// is compared once; NULL ([`NULL_SYM`], the greatest code) is the least
+/// value.
+fn code_span(keyed: &[(u32, u32)], dict: &SharedDict) -> Option<(Value, Value)> {
+    let dict = dict.read();
+    let (mut null, mut lo, mut hi) = (false, None::<&str>, None::<&str>);
+    let mut last = None;
+    for &(code, _) in keyed {
+        if last == Some(code) {
+            continue;
+        }
+        last = Some(code);
+        if code == NULL_SYM {
+            null = true;
+            continue;
+        }
+        let s = dict
+            .resolve(Sym(code))
+            .expect("stored symbols are interned");
+        lo = Some(lo.map_or(s, |lo| lo.min(s)));
+        hi = Some(hi.map_or(s, |hi| hi.max(s)));
+    }
+    let str = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+    (null || hi.is_some()).then(|| (if null { Value::Null } else { str(lo) }, str(hi)))
 }
 
 /// A sealed chunk's row → projection map (see `SealedChunk::at`).
@@ -855,23 +918,31 @@ impl Table {
     /// projected and indexed once, its rows dropped if the projection
     /// covers every column. No-op on an empty tail.
     pub fn seal_tail(&mut self) {
-        self.seal_in(None);
-    }
-
-    /// [`Table::seal_tail`] with the projection filled in `order` (the
-    /// rows' own projection order when `None`).
-    fn seal_in(&mut self, order: Option<Vec<u32>>) {
         if self.tail.is_empty() {
             return;
         }
         let rows = std::mem::take(&mut self.tail);
-        let chunk = SealedChunk::seal(
+        let columnar = self.filled(&rows, None).expect("a derived order is valid");
+        self.push_sealed(SealedChunk::new(
             &self.schema,
             rows,
-            self.layout.as_ref(),
-            order,
+            columnar,
             &self.indexed,
-        );
+        ));
+    }
+
+    /// A copy of the table's projection, if it has one, filled over `rows`
+    /// in `order` (see `Columnar::fill`).
+    fn filled(&self, rows: &[Row], order: Option<&[u32]>) -> Result<Option<Columnar>, RdbError> {
+        let Some(layout) = &self.layout else {
+            return Ok(None);
+        };
+        let mut c = layout.clone();
+        c.fill(rows, order)?;
+        Ok(Some(c))
+    }
+
+    fn push_sealed(&mut self, chunk: SealedChunk) {
         self.starts.push(self.sealed_len as u32);
         self.sealed_len += chunk.len();
         self.sealed.push(Arc::new(chunk));
@@ -920,48 +991,71 @@ impl Table {
         }
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
-            let rows = (0..c.len() as u32).map(|p| c.row(p).to_row()).collect();
-            *c = SealedChunk::seal(&self.schema, rows, Some(&layout), None, &self.indexed);
+            let rows: Vec<Row> = (0..c.len() as u32).map(|p| c.row(p).to_row()).collect();
+            let mut columnar = layout.clone();
+            columnar.fill(&rows, None)?;
+            *c = SealedChunk::new(&self.schema, rows, Some(columnar), &self.indexed);
         }
         self.layout = Some(layout);
         Ok(())
     }
 
-    /// Appends `rows` as one whole chunk — the snapshot-restore path; the
-    /// open tail must be empty. With `seal` set the chunk seals, its
-    /// projection (when one is configured) filled in `perm` — the chunk's
-    /// persisted projection order, chunk-local (see [`Columnar::perm`]),
-    /// which must time-order the rows and reproduces the original
-    /// projection without re-sorting — or, with none, in the rows' own
-    /// order. Otherwise the rows become the open tail, which keeps no
-    /// order of its own.
+    /// Appends `rows` as one whole chunk — the snapshot-restore path of a
+    /// chunk kept as rows; the open tail must be empty. With `seal` set the
+    /// chunk seals, its projection (when one is configured) filled in
+    /// `perm` — the chunk's persisted projection order (see
+    /// [`Columnar::perm`]), which must time-order the rows and reproduces
+    /// the original projection without re-sorting — or, with none, in the
+    /// rows' own order. Otherwise the rows become the open tail, which
+    /// keeps no order of its own.
     pub fn load_chunk(
         &mut self,
         rows: Vec<Row>,
         perm: Option<&[u32]>,
         seal: bool,
     ) -> Result<(), RdbError> {
-        if !self.tail.is_empty() || rows.len() > self.chunk_rows {
-            return Err(RdbError::SchemaMismatch(format!(
-                "a chunk of {} rows cannot follow an open tail of {} (chunk size {})",
-                rows.len(),
-                self.tail.len(),
-                self.chunk_rows
-            )));
-        }
+        self.check_restore(rows.len())?;
         for row in &rows {
             self.schema.check_row(row)?;
         }
-        let order = match (&self.layout, perm) {
-            (Some(c), Some(perm)) if seal => {
-                c.check_order(&rows, perm)?;
-                Some(perm.to_vec())
-            }
-            _ => None,
-        };
-        self.tail = rows;
-        if seal {
-            self.seal_in(order);
+        if !seal {
+            self.tail = rows;
+            return Ok(());
+        }
+        let columnar = self.filled(&rows, perm)?;
+        self.push_sealed(SealedChunk::new(
+            &self.schema,
+            rows,
+            columnar,
+            &self.indexed,
+        ));
+        Ok(())
+    }
+
+    /// Appends a sealed chunk restored as columns — a projection covering
+    /// every column, read into a copy of [`Table::columnar`] — indexed from
+    /// those columns; the open tail must be empty.
+    pub(crate) fn load_columns(&mut self, columnar: Columnar) -> Result<(), RdbError> {
+        self.check_restore(columnar.len())?;
+        if !columnar.covers_all() {
+            return Err(RdbError::SchemaMismatch(
+                "a chunk kept as columns needs a projection of every column".into(),
+            ));
+        }
+        let chunk = SealedChunk::new(&self.schema, Vec::new(), Some(columnar), &self.indexed);
+        self.push_sealed(chunk);
+        Ok(())
+    }
+
+    /// Whether a restored chunk of `len` rows may follow: none after an
+    /// open tail, none past the chunk size.
+    fn check_restore(&self, len: usize) -> Result<(), RdbError> {
+        if !self.tail.is_empty() || len > self.chunk_rows {
+            return Err(RdbError::SchemaMismatch(format!(
+                "a chunk of {len} rows cannot follow an open tail of {} (chunk size {})",
+                self.tail.len(),
+                self.chunk_rows
+            )));
         }
         Ok(())
     }
@@ -1803,6 +1897,27 @@ mod tests {
             t.seal_tail();
         }
         t
+    }
+
+    /// An index read from a typed column — integers with NULLs among them,
+    /// dictionary codes — spans what keying each row by its value spans,
+    /// and an integer one orders its positions as those values do (codes
+    /// order by code).
+    #[test]
+    fn typed_indexes_order_as_values_do() {
+        let t = hazard_table(true, true);
+        let chunk = &t.sealed_chunks()[0];
+        let n = chunk.len() as u32;
+        for col in [0, 1] {
+            let values = || (0..n).map(|p| chunk.row(p).get(col).into_owned());
+            let index = &chunk.indexes[&col];
+            assert_eq!(index.span, values().min().zip(values().max()), "{col}");
+            if col == 0 {
+                let keyed = sort_keyed((0..n).map(|p| (chunk.row(p).get(col), p)));
+                assert_eq!(index.order, positions(&keyed));
+            }
+        }
+        assert!(chunk.codes(1).is_some() && chunk.columnar().unwrap().ints(0).is_some());
     }
 
     /// The sealed chunk's sorted positions answer every index question the

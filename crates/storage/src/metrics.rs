@@ -21,6 +21,12 @@ aiql_telemetry::metrics! {
         "Full checkpoint duration (snapshot write + WAL rotate + prune)"),
     recovery_micros: Histogram("aiql_storage_recovery_micros", "µs",
         "Durable-store open time (snapshot load + WAL tail replay)"),
+    snapshot_load_micros: Histogram("aiql_storage_snapshot_load_micros", "µs",
+        "One snapshot file's load during recovery: read, CRC, dictionary, and every table \
+         (sealed `events` chunks read as columns, entity chunks and open tails as rows)"),
+    replay_micros: Histogram("aiql_storage_replay_micros", "µs",
+        "Recovery's WAL tail pass: scanning the log's segments and applying each record past \
+         the snapshot through `EventStore::apply`"),
     like_rows: Counter("aiql_storage_like_rows_total", "rows",
         "Rows a `LIKE` / `NOT LIKE` predicate decided by dictionary code (the `LikeSym` \
          kernel) instead of by matching the row's string; per scan in `EXPLAIN` and the \

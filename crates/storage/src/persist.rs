@@ -10,10 +10,13 @@
 //! ```
 //!
 //! A **snapshot** is one CRC-checksummed binary file holding the store
-//! configuration, the shared string dictionary (in code order), every
-//! table's row data and chunk boundaries, and each sealed chunk's columnar
-//! projection order ([`aiql_rdb::snapshot`]), from which a load rebuilds
-//! each chunk's time-sorted columns and per-column zone maps.
+//! configuration, the shared string dictionary (in code order), and every
+//! table in the sealed layout it is resident in ([`aiql_rdb::snapshot`],
+//! format v4): each sealed `events` chunk as its columns and projection
+//! order, so a load reads those columns straight into their vectors —
+//! no value, no row — and derives zone maps and indexes from them; entity
+//! chunks and open tails as rows. A v3 snapshot (every row, then every
+//! projection order) still loads, and is written again as v4.
 //! It is written to a temp file and renamed into place, so a crash during
 //! snapshotting leaves the previous snapshot intact. The file name encodes
 //! the write-ahead-log sequence number the snapshot covers.
@@ -32,7 +35,8 @@
 //! carries no synchronizer state, and a checkpointed seed *replaces* the
 //! estimate it already folds, so replaying both is exact.
 //! A torn final WAL record — the signature of a crash mid-write — is
-//! tolerated and reported, never fatal.
+//! tolerated and reported, never fatal. The two halves are timed apart
+//! (`aiql_storage_snapshot_load_micros`, `aiql_storage_replay_micros`).
 
 use crate::timesync::{ClockSample, Synchronizer};
 use crate::{columnar_spec_for, schema, EventStore, RowRef, StoreConfig};
@@ -45,12 +49,16 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
-/// Magic bytes opening every snapshot file (format version 3: the store
-/// configuration carries the execution-shard count; version 2 added the
-/// chunked table layout — per-table chunk boundaries and per-chunk
-/// projection orders. Older versions are not readable).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIQLSNP3";
+/// Magic bytes opening every snapshot file written (format version 4:
+/// each sealed chunk kept as rows or as columns, the open tail as rows).
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIQLSNP4";
+
+/// Magic bytes of format version 3 (every row, then every projection
+/// order; the store configuration carries the execution-shard count),
+/// still read. Older versions are not readable.
+pub const SNAPSHOT_MAGIC_V3: &[u8; 8] = b"AIQLSNP3";
 
 /// The header's layout tag: the events table is partitioned (format v3
 /// also defined `0`, an unpartitioned store, which no longer loads).
@@ -234,9 +242,11 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
         return Err(corrupt("file shorter than header"));
     }
-    if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
+    let format = match &bytes[..SNAPSHOT_MAGIC.len()] {
+        m if m == SNAPSHOT_MAGIC => rsnap::Format::V4,
+        m if m == SNAPSHOT_MAGIC_V3 => rsnap::Format::V3,
+        _ => return Err(corrupt("bad magic")),
+    };
     let body = &bytes[..bytes.len() - 4];
     let want = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
     if crc32(body) != want {
@@ -278,12 +288,14 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
         let slot = match (codec::read_u8(&mut r)?, table == schema::EVENTS) {
             (0, false) => TableSlot::Plain(std::sync::Arc::new(rsnap::read_table(
                 &mut r,
+                format,
                 schema_for(table),
                 &indexes,
                 columnar,
             )?)),
             (1, true) => TableSlot::Partitioned(rsnap::read_partitioned(
                 &mut r,
+                format,
                 schema_for(table),
                 PartitionSpec::new("start_time", "agentid", agent_group_size),
                 &indexes,
@@ -307,6 +319,13 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     };
     if store.db.slot(schema::EVENTS)?.len() != event_count {
         return Err(corrupt("event count does not match table rows"));
+    }
+    let mut entity_rows = 0;
+    for table in [schema::PROCESSES, schema::FILES, schema::NETCONNS] {
+        entity_rows += store.db.slot(table)?.len();
+    }
+    if entity_rows != entity_count {
+        return Err(corrupt("entity count does not match table rows"));
     }
     Ok((store, wal_seq))
 }
@@ -374,8 +393,12 @@ pub fn recover_with_replay(
     let newest_covered = candidates.last().map_or(0, |(seq, _)| *seq);
     let mut corrupt_snapshots = 0;
     let mut loaded = None;
+    let m = crate::metrics::metrics();
     while let Some((_, path)) = candidates.pop() {
-        match load_snapshot(&path) {
+        let started = Instant::now();
+        let load = load_snapshot(&path);
+        m.snapshot_load_micros.record_duration(started.elapsed());
+        match load {
             Ok(x) => {
                 loaded = Some(x);
                 break;
@@ -409,6 +432,7 @@ pub fn recover_with_replay(
     // First and last sequence number the log holds (for the coverage check
     // below).
     let mut log_span: Option<(u64, u64)> = None;
+    let started = Instant::now();
     let scan = replay(&mut |seq, rec| {
         log_span = Some((log_span.map_or(seq, |(first, _)| first), seq));
         let row = match &rec {
@@ -454,6 +478,7 @@ pub fn recover_with_replay(
             (Err(_), _) => report.skipped_rows += 1,
         }
     })?;
+    m.replay_micros.record_duration(started.elapsed());
     report.torn_bytes = scan.torn_bytes;
     // Falling back past an unreadable newer snapshot is only safe while
     // the log still holds every record from the snapshot we *did* load up
@@ -514,6 +539,34 @@ mod tests {
                 "byte {at}: {err:?}"
             );
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A header whose entity count disagrees with the three entity tables'
+    /// rows, under a valid checksum, is refused as corrupt — as one whose
+    /// event count disagrees with the events table is.
+    #[test]
+    fn entity_count_disagreeing_with_the_tables_is_corrupt() {
+        let dir =
+            std::env::temp_dir().join(format!("aiql-persist-entities-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        let p = aiql_model::Entity::process(1.into(), aiql_model::AgentId(1), "a.exe", 7);
+        store.append_entity(&p).unwrap();
+        let path = write_snapshot(&store, &dir, 0).unwrap();
+        assert!(load_snapshot(&path).is_ok());
+        let mut patched = fs::read(&path).unwrap();
+        // Magic, covered WAL seq, layout tag, agent group size, index
+        // flag, columnar flag, shards, epoch, event count.
+        let at = SNAPSHOT_MAGIC.len() + 8 + 1 + 4 + 1 + 1 + 4 + 8 + 8;
+        assert_eq!(patched[at..at + 8], 1u64.to_le_bytes());
+        patched[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+        let body = patched.len() - 4;
+        let crc = crc32(&patched[..body]);
+        patched[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &patched).unwrap();
+        let err = load_snapshot(&path).expect_err("two entities promised, one stored");
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,0 +1,252 @@
+//! A store checkpointed in snapshot format v3 — `tests/fixtures/v3-store`,
+//! written by the last release that wrote v3 — still recovers: the same
+//! counts and recovery report, the same rows for a fixed statement set
+//! (`tests/fixtures/v3-store.rows`, recorded by that release), and it is
+//! written again as v4, a file that reopens and is written again byte for
+//! byte.
+//!
+//! The fixture is [`write_store`] over [`dataset`]: 1 500 events of six
+//! agents over two days, arriving out of time order in fifteen durable
+//! flushes of 100, a checkpoint after the tenth; the last five flushes,
+//! late entities and one clock sample stay in the log.
+
+use aiql::engine::{Params, Session};
+use aiql::model::{AgentId, Entity, EntityKind, Event, OpType, Timestamp};
+use aiql::storage::persist::{self, RecoveryReport};
+use aiql::storage::{DurableStore, EventStore, RowRef, SharedStore, StoreConfig};
+use std::path::{Path, PathBuf};
+
+const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3-store");
+const FIXTURE_ROWS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3-store.rows");
+/// The fixture's snapshot, named for the log sequence it covers.
+const SNAPSHOT: &str = "snapshot-00000000000000001060.bin";
+
+const AGENTS: u64 = 6;
+const EVENTS: u64 = 1_500;
+const FLUSH: u64 = 100;
+const CHECKPOINT_AFTER: u64 = 10;
+const DAY: i64 = 86_400 * 1_000_000_000;
+
+/// The fixed statement set whose rows the fixture recorded.
+const STATEMENTS: [&str; 5] = [
+    "proc p read file f return count p",
+    "agentid = 2 proc p write file f return distinct p, f",
+    "agentid = 1 (at \"01/02/2017\") proc p read || write file f[\"%/f/1/%\"] as e1 \
+     return count(e1)",
+    "proc p1 start proc p2 as e1 proc p2 write file f as e2 with e1 before e2 \
+     return distinct p1, p2, f",
+    "proc p connect ip i return distinct p, i",
+];
+
+/// Per agent a shell, three workers, five files and a connection; a late
+/// file per agent arrives after the checkpoint.
+struct Data {
+    entities: Vec<Entity>,
+    late: Vec<Entity>,
+    events: Vec<Event>,
+}
+
+fn dataset() -> Data {
+    let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
+    let (mut entities, mut late, mut events) = (Vec::new(), Vec::new(), Vec::new());
+    for a in 0..AGENTS {
+        let (agent, base) = (AgentId(a as u32), 1_000 * (a + 1));
+        entities.push(Entity::process(base.into(), agent, format!("sh{a}.exe"), 1));
+        for k in 0..3 {
+            let exe = format!("w{a}-{k}.exe");
+            entities.push(Entity::process(
+                (base + 1 + k).into(),
+                agent,
+                exe,
+                10 + k as i64,
+            ));
+        }
+        for k in 0..5 {
+            let name = format!("/f/{a}/{k}");
+            entities.push(Entity::file((base + 10 + k).into(), agent, name));
+        }
+        let src = format!("10.0.0.{a}");
+        let dst = format!("192.168.0.{}", a % 3);
+        entities.push(Entity::netconn(
+            (base + 20).into(),
+            agent,
+            src,
+            5000,
+            dst,
+            80,
+        ));
+        late.push(Entity::file(
+            (base + 30).into(),
+            agent,
+            format!("/late/{a}"),
+        ));
+    }
+    for i in 0..EVENTS {
+        let a = i % AGENTS;
+        let base = 1_000 * (a + 1);
+        let worker = base + 1 + (i / AGENTS / 4) % 3;
+        let file = base + 10 + (i / 3) % 5;
+        let file = if i >= CHECKPOINT_AFTER * FLUSH && i % 5 == 0 {
+            base + 30
+        } else {
+            file
+        };
+        let (subject, op, object, kind) = match (i / AGENTS) % 4 {
+            0 => (base, OpType::Start, worker, EntityKind::Process),
+            1 => (worker, OpType::Write, file, EntityKind::File),
+            2 => (worker, OpType::Read, file, EntityKind::File),
+            _ => (worker, OpType::Connect, base + 20, EntityKind::NetConn),
+        };
+        let slot = (i * 7_919) % EVENTS;
+        let t = Timestamp(t0 + slot as i64 * (2 * DAY / EVENTS as i64));
+        events.push(Event::new(
+            (1_000_000 + i).into(),
+            AgentId(a as u32),
+            subject.into(),
+            op,
+            object.into(),
+            kind,
+            t,
+        ));
+    }
+    Data {
+        entities,
+        late,
+        events,
+    }
+}
+
+/// One durable flush of `entities` then `events`, with an optional clock
+/// sample.
+fn flush(d: &mut DurableStore, entities: &[Entity], events: &[Event], clock: bool) {
+    let rows: Vec<RowRef<'_>> = (entities.iter().map(RowRef::Entity))
+        .chain(events.iter().map(RowRef::Event))
+        .collect();
+    let mut w = d.begin();
+    for row in &rows {
+        w.log(*row).unwrap();
+    }
+    if clock {
+        w.log_clock_sample(AgentId(1), 1_000, 1_500).unwrap();
+    }
+    w.commit(|store: &mut EventStore| {
+        for row in &rows {
+            store.apply(*row).unwrap();
+        }
+    })
+    .unwrap();
+}
+
+/// Writes the fixture's store into `dir`: every entity with the first
+/// flush, a checkpoint after the tenth, the late entities and the clock
+/// sample with the last flushes, no checkpoint at the end.
+fn write_store(dir: &Path) {
+    let data = dataset();
+    let mut d = DurableStore::open(dir, StoreConfig::partitioned())
+        .unwrap()
+        .store;
+    for (n, events) in data.events.chunks(FLUSH as usize).enumerate() {
+        let n = n as u64;
+        let entities: &[Entity] = match n {
+            0 => &data.entities,
+            _ if n == CHECKPOINT_AFTER => &data.late,
+            _ => &[],
+        };
+        flush(&mut d, entities, events, n + 1 == EVENTS / FLUSH);
+        if n + 1 == CHECKPOINT_AFTER {
+            d.checkpoint_discarding_sync().unwrap();
+        }
+    }
+}
+
+/// Every statement with the rows it returns on `store`, as text.
+fn rows(store: EventStore) -> String {
+    let shared = SharedStore::new(store);
+    let session = Session::open(&shared);
+    let mut out = String::new();
+    for stmt in STATEMENTS {
+        let cursor = session.prepare(stmt).unwrap().bind(Params::new()).unwrap();
+        let rows = cursor.execute().unwrap().into_result().rows;
+        out.push_str(&format!("{stmt}\n{rows:?}\n"));
+    }
+    out
+}
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aiql-upgrade-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Copies the fixture store: a snapshot and a `wal/` segment.
+fn copy_fixture(to: &Path) {
+    for entry in walk(Path::new(FIXTURE)) {
+        let rel = entry.strip_prefix(FIXTURE).unwrap();
+        std::fs::create_dir_all(to.join(rel).parent().unwrap()).unwrap();
+        std::fs::copy(&entry, to.join(rel)).unwrap();
+    }
+}
+
+fn walk(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        match path.is_dir() {
+            true => files.extend(walk(&path)),
+            false => files.push(path),
+        }
+    }
+    files
+}
+
+#[test]
+fn v3_store_recovers_and_is_rewritten_as_v4() {
+    let dirs = ["v3", "v4-a", "v4-b", "fresh", "converted"].map(temp_dir);
+    let [store_dir, first, second, fresh, converted] = &dirs;
+    copy_fixture(store_dir);
+    let snapshot = std::fs::read(store_dir.join(SNAPSHOT)).unwrap();
+    assert_eq!(&snapshot[..8], persist::SNAPSHOT_MAGIC_V3);
+
+    let report = RecoveryReport {
+        snapshot_epoch: 1_060,
+        snapshot_wal_seq: 1_060,
+        snapshot_events: 1_000,
+        snapshot_entities: 60,
+        replayed_events: 500,
+        replayed_entities: 6,
+        replayed_clock_samples: 1,
+        skipped_rows: 0,
+        torn_bytes: 0,
+        corrupt_snapshots: 0,
+    };
+    let recovered = persist::recover(store_dir).unwrap();
+    assert_eq!(recovered.report, report);
+    let store = recovered.store;
+    assert_eq!((store.event_count(), store.entity_count()), (1_500, 66));
+    let want = std::fs::read_to_string(FIXTURE_ROWS).unwrap();
+
+    // Written as v4, reopened, written again: the same bytes.
+    let written = store.persist_to(first).unwrap();
+    let v4 = std::fs::read(&written).unwrap();
+    assert_eq!(&v4[..8], persist::SNAPSHOT_MAGIC);
+    assert_eq!(rows(store), want);
+    let reopened = EventStore::open(first).unwrap();
+    let rewritten = reopened.persist_to(second).unwrap();
+    assert!(v4 == std::fs::read(&rewritten).unwrap(), "v4 → open → v4");
+    assert_eq!(rows(reopened), want);
+
+    // The same procedure today checkpoints in v4 and recovers alike; its
+    // checkpoint is the fixture's snapshot rewritten, byte for byte: the
+    // same chunks, rows and projection orders.
+    write_store(fresh);
+    let recovered = persist::recover(fresh).unwrap();
+    assert_eq!(recovered.report, report);
+    assert_eq!(rows(recovered.store), want);
+    let (at_checkpoint, seq) = persist::load_snapshot(&store_dir.join(SNAPSHOT)).unwrap();
+    let rewritten = persist::write_snapshot(&at_checkpoint, converted, seq).unwrap();
+    let checkpointed = std::fs::read(fresh.join(SNAPSHOT)).unwrap();
+    assert!(std::fs::read(rewritten).unwrap() == checkpointed);
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
