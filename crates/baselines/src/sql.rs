@@ -531,7 +531,7 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Value, BaselineError> {
         match self.next() {
-            Some(Tok::Str(s)) => Ok(Value::Str(s)),
+            Some(Tok::Str(s)) => Ok(Value::str(s)),
             Some(Tok::Int(i)) => Ok(Value::Int(i)),
             Some(Tok::Float(f)) => Ok(Value::Float(f)),
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("null") => Ok(Value::Null),

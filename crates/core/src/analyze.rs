@@ -62,7 +62,7 @@ fn canon_attr(name: &str) -> String {
 
 fn lit_value(l: &Lit) -> Value {
     match l {
-        Lit::Str(s) => Value::Str(s.clone()),
+        Lit::Str(s) => Value::str(s.as_str()),
         Lit::Int(i) => Value::Int(*i),
         Lit::Float(f) => Value::Float(*f),
         // Unreachable in practice: `analyze` rejects queries with unbound
@@ -126,7 +126,7 @@ fn convert_cstr(c: &AttrCstr, target: CstrTarget) -> Result<CstrNode, AiqlError>
                 if s.contains('%') && matches!(op, CmpOp::Eq | CmpOp::Ne) {
                     return Ok(CstrNode::Like {
                         attr,
-                        pattern: s.as_str().into(),
+                        pattern: (**s).into(),
                         neg: *op == CmpOp::Ne,
                     });
                 }
@@ -153,7 +153,7 @@ fn convert_cstr(c: &AttrCstr, target: CstrTarget) -> Result<CstrNode, AiqlError>
                 if s.contains('%') {
                     return Ok(CstrNode::Like {
                         attr,
-                        pattern: s.as_str().into(),
+                        pattern: (**s).into(),
                         neg: *neg,
                     });
                 }

@@ -27,7 +27,6 @@ use aiql_core::ast::{AggFunc, MaKind};
 use aiql_core::{ArithCtx, HavingCtx, QueryContext};
 use aiql_rdb::Value;
 use aiql_storage::EventStore;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -124,6 +123,10 @@ struct Windows<'r, 'a> {
 struct Group {
     /// The row that registered the group: its field items' values.
     first: usize,
+    /// Per return item: a field item's value as a number, read once from
+    /// `first` (`None` for an aggregate, and for a field that is none) —
+    /// what every window's history records of it.
+    numbers: Vec<Option<f64>>,
     /// Per return item (unused for fields).
     aggs: Vec<Agg>,
     history: History,
@@ -163,13 +166,13 @@ impl Tally {
 impl<'r, 'a> Windows<'r, 'a> {
     fn new(rows: &'r PatternMatches<'a>, items: &'r [(Item, String)], ctx: &QueryContext) -> Self {
         // Intern each row's group key, then renumber the ids in key order.
-        let (mut keys, mut key) = (BTreeMap::<Vec<Cow<Value>>, u32>::new(), Vec::new());
+        let (mut keys, mut key) = (BTreeMap::<Vec<Value>, u32>::new(), Vec::new());
         let mut group_of: Vec<u32> = (0..rows.len() as u32)
             .map(|r| {
                 key.clear();
                 key.extend(ctx.group_by.iter().map(|&gi| match items[gi].0 {
                     Item::Field { field, .. } => rows.get(r, field),
-                    Item::Agg { .. } => Cow::Owned(Value::Null),
+                    Item::Agg { .. } => Value::Null,
                 }));
                 let next = keys.len() as u32;
                 match keys.get(key.as_slice()) {
@@ -183,7 +186,7 @@ impl<'r, 'a> Windows<'r, 'a> {
             rank[id as usize] = k as u32;
         }
         group_of.iter_mut().for_each(|g| *g = rank[*g as usize]);
-        let mut ids = HashMap::<(usize, u32, Cow<Value>), u32>::new();
+        let mut ids = HashMap::<(usize, u32, Value), u32>::new();
         let mut value_ids = Vec::with_capacity(rows.len() * items.len());
         for (r, &g) in group_of.iter().enumerate() {
             value_ids.extend(items.iter().enumerate().map(|(k, (item, _))| match *item {
@@ -222,9 +225,17 @@ impl<'r, 'a> Windows<'r, 'a> {
         let group = self.groups[g as usize].get_or_insert_with(|| {
             tracked.insert(tracked.partition_point(|&t| t < g), g);
             let aggs = items.iter().map(|_| Agg::default()).collect();
+            let numbers = items
+                .iter()
+                .map(|(item, _)| match *item {
+                    Item::Field { field, .. } => rows.get(r as u32, field).as_f64(),
+                    Item::Agg { .. } => None,
+                })
+                .collect();
             let history = history.clone();
             Group {
                 first: r,
+                numbers,
                 aggs,
                 history,
             }
@@ -284,7 +295,12 @@ impl<'r, 'a> Windows<'r, 'a> {
                 items.map(move |((item, _), agg)| agg.value(item, first, rows))
             };
             self.current.clear();
-            self.current.extend(values().map(|v| v.as_f64()));
+            let items = self.items.iter().zip(&group.aggs).zip(&group.numbers);
+            self.current
+                .extend(items.map(|(((item, _), agg), &number)| match item {
+                    Item::Field { .. } => number,
+                    Item::Agg { .. } => agg.value(item, first, rows).as_f64(),
+                }));
             group.history.record(&self.current);
             let (current, history) = (&self.current, &group.history);
             let passes = having.is_none_or(|h| {
@@ -296,7 +312,7 @@ impl<'r, 'a> Windows<'r, 'a> {
                 })
             });
             if passes {
-                out.push(values().map(Cow::into_owned).collect());
+                out.push(values().collect());
             }
         }
     }
@@ -306,7 +322,7 @@ impl Agg {
     /// `item`'s value in the current window, `first` being the group's
     /// registering row. Empty windows yield 0 for counts and sums and NULL
     /// for avg/min/max.
-    fn value<'a>(&self, item: &Item, first: usize, rows: &PatternMatches<'a>) -> Cow<'a, Value> {
+    fn value(&self, item: &Item, first: usize, rows: &PatternMatches) -> Value {
         let (func, distinct, field) = match *item {
             Item::Field { field, .. } => return rows.get(first as u32, field),
             Item::Agg {
@@ -322,16 +338,16 @@ impl Agg {
             (true, 0) => (t.n, empty_sum()),
             _ => (t.n, t.sum),
         };
-        Cow::Owned(match func {
+        match func {
             AggFunc::Count => Value::Int(n),
             AggFunc::Sum => Value::Float(sum),
             AggFunc::Avg if n == 0 => Value::Null,
             AggFunc::Avg => Value::Float(sum / n as f64),
             AggFunc::Min | AggFunc::Max => match self.extreme.front() {
-                Some(&r) => return rows.get(r, field),
+                Some(&r) => rows.get(r, field),
                 None => Value::Null,
             },
-        })
+        }
     }
 }
 
@@ -508,7 +524,7 @@ mod tests {
                     .group_by
                     .iter()
                     .map(|&gi| match &items[gi].0 {
-                        Item::Field { field, .. } => m.get(r, *field).into_owned(),
+                        Item::Field { field, .. } => m.get(r, *field),
                         Item::Agg { .. } => Value::Null,
                     })
                     .collect();
@@ -529,7 +545,7 @@ mod tests {
                     fields: items
                         .iter()
                         .map(|(i, _)| match i {
-                            Item::Field { field, .. } => m.get(r, *field).into_owned(),
+                            Item::Field { field, .. } => m.get(r, *field),
                             Item::Agg { .. } => Value::Null,
                         })
                         .collect(),

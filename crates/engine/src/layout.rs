@@ -5,14 +5,14 @@
 //! subject process and its object entity — plus the event's start time,
 //! read once as an integer. No value is built when a match is made; a
 //! field is read through its reference when a relationship, a scheduler
-//! bound or a returned value needs it. Stored rows lend their values, and
-//! the events table is all `Int`, so a read clones no string.
+//! bound or a returned value needs it. The events table is all `Int`, and
+//! a string read from an entity table is the dictionary's `Arc<str>`, so a
+//! read copies no string.
 
 use aiql_core::{AiqlError, FieldRef, FieldTarget};
 use aiql_model::EntityKind;
 use aiql_rdb::{ColumnType, RowView, Schema, Value};
 use aiql_storage::schema;
-use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// A field reference resolved against its pattern: the row it lives in,
@@ -98,7 +98,7 @@ impl<'a> PatternMatches<'a> {
     }
 
     /// Match `m`'s value of `f`.
-    pub fn get(&self, m: u32, f: Field) -> Cow<'a, Value> {
+    pub fn get(&self, m: u32, f: Field) -> Value {
         self.row(m, f.target).get(f.col)
     }
 

@@ -9,7 +9,6 @@ use aiql_core::ast::MaKind;
 use aiql_core::ast::{AggFunc, CmpOp as AstCmp};
 use aiql_core::{ArithCtx, FieldRef, HavingCtx, QueryContext, RetExprCtx};
 use aiql_rdb::Value;
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The final result of an AIQL query.
@@ -248,12 +247,12 @@ pub fn assemble(ctx: &QueryContext, joined: &Joined) -> Result<EngineResult, Eng
     };
     let field_of = |t: &[u32], item: &Item| match item {
         Item::Field { .. } => value_of(t, item),
-        Item::Agg { .. } => Cow::Owned(Value::Null),
+        Item::Agg { .. } => Value::Null,
     };
 
     let mut rows: Vec<Vec<Value>> = if has_agg {
         // Group by the `group by` items' values.
-        let mut groups: HashMap<Vec<Cow<Value>>, Group> = HashMap::new();
+        let mut groups: HashMap<Vec<Value>, Group> = HashMap::new();
         let aggs: Vec<(usize, &Item)> = items
             .iter()
             .enumerate()
@@ -274,7 +273,7 @@ pub fn assemble(ctx: &QueryContext, joined: &Joined) -> Result<EngineResult, Eng
             match groups.get_mut(key.as_slice()) {
                 Some(group) => update(group),
                 None => {
-                    let fields = items.iter().map(|(i, _)| field_of(t, i).into_owned());
+                    let fields = items.iter().map(|(i, _)| field_of(t, i));
                     let mut group = (fields.collect(), vec![Accum::default(); aggs.len()]);
                     update(&mut group);
                     groups.insert(key.clone(), group);
@@ -295,12 +294,7 @@ pub fn assemble(ctx: &QueryContext, joined: &Joined) -> Result<EngineResult, Eng
             })
             .collect()
     } else {
-        let row = |t| {
-            items
-                .iter()
-                .map(|(i, _)| field_of(t, i).into_owned())
-                .collect()
-        };
+        let row = |t| items.iter().map(|(i, _)| field_of(t, i)).collect();
         joined.tuples.iter().map(row).collect()
     };
 

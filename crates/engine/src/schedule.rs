@@ -130,10 +130,7 @@ fn derive_extra(
             };
             debug_assert_eq!(target_ref.pattern, target);
             let known_field = Field::resolve(known_ref, ctx.patterns[known].object_kind)?;
-            let mut values: Vec<Value> = rows
-                .iter()
-                .map(|&i| m.get(i, known_field).into_owned())
-                .collect();
+            let mut values: Vec<Value> = rows.iter().map(|&i| m.get(i, known_field)).collect();
             values.sort();
             values.dedup();
             // The target field's row and column are its sub-scan's.

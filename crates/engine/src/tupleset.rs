@@ -15,7 +15,6 @@ use crate::pattern::{Deadline, EngineStats};
 use aiql_core::ast::{CmpOp as AstCmp, TempKind};
 use aiql_core::{QueryContext, RelationCtx};
 use aiql_rdb::Value;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -196,13 +195,13 @@ impl<'a> Matches<'a> {
 /// A hash-join key: the integer when both ends of the equality are `Int`
 /// columns, the value otherwise.
 #[derive(PartialEq, Eq, Hash)]
-enum Key<'a> {
+enum Key {
     Int(Option<i64>),
-    Value(Cow<'a, Value>),
+    Value(Value),
 }
 
-impl<'a> Key<'a> {
-    fn of(m: &PatternMatches<'a>, i: u32, f: Field, typed: bool) -> Key<'a> {
+impl Key {
+    fn of(m: &PatternMatches, i: u32, f: Field, typed: bool) -> Key {
         if typed {
             Key::Int(m.int(i, f))
         } else {
@@ -214,13 +213,13 @@ impl<'a> Key<'a> {
 /// A pattern's matches grouped by key: each key's range of `order`, which
 /// lists the matches key by key, ascending within a key. One array and one
 /// map, whatever the key count.
-struct HashIndex<'a> {
-    ranges: HashMap<Key<'a>, (u32, u32)>,
+struct HashIndex {
+    ranges: HashMap<Key, (u32, u32)>,
     order: Vec<u32>,
 }
 
-impl<'a> HashIndex<'a> {
-    fn build(m: &PatternMatches<'a>, f: Field, typed: bool) -> HashIndex<'a> {
+impl HashIndex {
+    fn build(m: &PatternMatches, f: Field, typed: bool) -> HashIndex {
         let n = m.len() as u32;
         let mut ranges: HashMap<Key, (u32, u32)> = HashMap::new();
         for i in 0..n {

@@ -29,11 +29,15 @@ pub struct Sym(pub u32);
 pub const NULL_SYM: u32 = u32::MAX;
 
 /// An append-only string interner: string → dense `u32` code.
+///
+/// Each string is held once, as an `Arc<str>` that the code vector and the
+/// lookup table share — and that every [`crate::Value::Str`] read from a
+/// dictionary-coded column shares too ([`Dict::shared`]).
 #[derive(Debug, Default)]
 pub struct Dict {
-    strings: Vec<String>,
-    codes: HashMap<String, u32>,
-    /// String payload bytes held (each string is kept twice).
+    strings: Vec<Arc<str>>,
+    codes: HashMap<Arc<str>, u32>,
+    /// String payload bytes held.
     text_bytes: usize,
 }
 
@@ -49,24 +53,43 @@ impl Dict {
     ///
     /// Panics if the dictionary would exceed [`NULL_SYM`] distinct strings.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&c) = self.codes.get(s) {
-            return Sym(c);
+        match self.codes.get(s) {
+            Some(&c) => Sym(c),
+            None => self.insert(Arc::from(s)),
         }
+    }
+
+    /// Interns `s` and makes it the dictionary's string: a new string is
+    /// kept as it is, a known one is swapped for the dictionary's `Arc`,
+    /// so the caller's copy and the dictionary share one payload.
+    pub fn intern_shared(&mut self, s: &mut Arc<str>) -> Sym {
+        match self.codes.get(&**s) {
+            Some(&c) => {
+                *s = self.strings[c as usize].clone();
+                Sym(c)
+            }
+            None => self.insert(s.clone()),
+        }
+    }
+
+    fn insert(&mut self, s: Arc<str>) -> Sym {
         let code = self.strings.len() as u32;
         assert!(code != NULL_SYM, "dictionary full");
-        self.strings.push(s.to_string());
-        self.codes.insert(s.to_string(), code);
-        self.text_bytes += 2 * s.len();
+        self.text_bytes += s.len();
+        self.strings.push(s.clone());
+        self.codes.insert(s, code);
         Sym(code)
     }
 
-    /// Heap bytes held: both copies of every string, the code vector, and
-    /// the lookup table's slots (one control byte each). O(1).
+    /// Heap bytes held: every string once (payload and reference counts),
+    /// the code vector, and the lookup table's slots (one control byte
+    /// each). O(1).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.text_bytes
-            + self.strings.capacity() * size_of::<String>()
-            + self.codes.capacity() * (size_of::<(String, u32)>() + 1)
+            + self.strings.len() * 2 * size_of::<usize>()
+            + self.strings.capacity() * size_of::<Arc<str>>()
+            + self.codes.capacity() * (size_of::<(Arc<str>, u32)>() + 1)
     }
 
     /// The symbol of `s`, if it has been interned.
@@ -76,7 +99,13 @@ impl Dict {
 
     /// The string behind a symbol.
     pub fn resolve(&self, sym: Sym) -> Option<&str> {
-        self.strings.get(sym.0 as usize).map(String::as_str)
+        self.shared(sym).map(|s| &**s)
+    }
+
+    /// The string behind a symbol, as the dictionary holds it: cloning it
+    /// copies no payload.
+    pub fn shared(&self, sym: Sym) -> Option<&Arc<str>> {
+        self.strings.get(sym.0 as usize)
     }
 
     /// Number of distinct interned strings.
@@ -92,7 +121,7 @@ impl Dict {
     /// All interned strings in code order (`strings()[i]` has code `i`) —
     /// the snapshot form of a dictionary. Re-interning them in order into
     /// an empty dictionary reproduces the exact code assignment.
-    pub fn strings(&self) -> &[String] {
+    pub fn strings(&self) -> &[Arc<str>] {
         &self.strings
     }
 }
@@ -122,15 +151,6 @@ impl SharedDict {
         self.inner.read().expect("dict lock poisoned").lookup(s)
     }
 
-    /// The string behind a symbol, cloned out of the lock.
-    pub fn resolve(&self, sym: Sym) -> Option<String> {
-        self.inner
-            .read()
-            .expect("dict lock poisoned")
-            .resolve(sym)
-            .map(String::from)
-    }
-
     /// A read guard over the dictionary: any number of
     /// [`Dict::resolve`] calls under one lock acquisition, borrowing the
     /// strings instead of cloning them. Interning blocks while a guard is
@@ -155,9 +175,10 @@ impl SharedDict {
         self.len() == 0
     }
 
-    /// A snapshot of every interned string in code order (cloned out of
-    /// the lock) — what the durable store persists.
-    pub fn strings(&self) -> Vec<String> {
+    /// A snapshot of every interned string in code order — what the
+    /// durable store persists. The strings are the dictionary's own: no
+    /// payload is copied.
+    pub fn strings(&self) -> Vec<Arc<str>> {
         self.inner
             .read()
             .expect("dict lock poisoned")
@@ -185,9 +206,25 @@ mod tests {
         assert_eq!(b, Sym(1));
         assert_eq!(d.intern("cmd.exe"), a);
         assert_eq!(d.len(), 2);
-        assert!(d.resident_bytes() >= 2 * "cmd.exeosql.exe".len());
+        assert!(d.resident_bytes() >= "cmd.exeosql.exe".len());
         assert_eq!(d.resolve(a), Some("cmd.exe"));
         assert_eq!(d.resolve(Sym(9)), None);
+    }
+
+    #[test]
+    fn shared_interning_keeps_one_payload() {
+        let mut d = Dict::new();
+        let mut first: Arc<str> = Arc::from("cmd.exe");
+        let a = d.intern_shared(&mut first);
+        assert!(
+            Arc::ptr_eq(&first, d.shared(a).unwrap()),
+            "a new string is kept"
+        );
+        let mut again: Arc<str> = Arc::from("cmd.exe");
+        assert_eq!(d.intern_shared(&mut again), a);
+        assert!(Arc::ptr_eq(&again, &first), "a known one is swapped");
+        assert_eq!(d.intern("cmd.exe"), a);
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
@@ -213,7 +250,6 @@ mod tests {
         let d2 = d.clone();
         let a = d.intern("alpha");
         assert_eq!(d2.lookup("alpha"), Some(a));
-        assert_eq!(d2.resolve(a).as_deref(), Some("alpha"));
         assert_eq!(d2.read().resolve(a), Some("alpha"));
         assert_eq!(d2.len(), 1);
         assert!(!d2.is_empty());

@@ -75,7 +75,7 @@ impl Entity {
     /// Convenience constructor for a file entity with a path name.
     pub fn file(id: EntityId, agent: AgentId, name: impl Into<String>) -> Entity {
         let mut e = Entity::new(id, agent, EntityKind::File);
-        e.attrs.insert("name".into(), Value::str(name));
+        e.attrs.insert("name".into(), Value::from(name.into()));
         e
     }
 
@@ -83,7 +83,7 @@ impl Entity {
     /// and PID.
     pub fn process(id: EntityId, agent: AgentId, exe: impl Into<String>, pid: i64) -> Entity {
         let mut e = Entity::new(id, agent, EntityKind::Process);
-        e.attrs.insert("exe_name".into(), Value::str(exe));
+        e.attrs.insert("exe_name".into(), Value::from(exe.into()));
         e.attrs.insert("pid".into(), Value::Int(pid));
         e
     }
@@ -98,9 +98,9 @@ impl Entity {
         dst_port: i64,
     ) -> Entity {
         let mut e = Entity::new(id, agent, EntityKind::NetConn);
-        e.attrs.insert("src_ip".into(), Value::str(src_ip));
+        e.attrs.insert("src_ip".into(), Value::from(src_ip.into()));
         e.attrs.insert("src_port".into(), Value::Int(src_port));
-        e.attrs.insert("dst_ip".into(), Value::str(dst_ip));
+        e.attrs.insert("dst_ip".into(), Value::from(dst_ip.into()));
         e.attrs.insert("dst_port".into(), Value::Int(dst_port));
         e.attrs.insert("protocol".into(), Value::str("tcp"));
         e

@@ -9,12 +9,17 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A dynamically-typed attribute value.
 ///
 /// `Value` implements a *total* order (needed for sorting result rows and for
 /// B-tree index keys): values of different types order by type tag first, and
 /// floats order by `f64::total_cmp`.
+///
+/// A string is an `Arc<str>`: a value read from a dictionary-coded column
+/// shares the dictionary's payload ([`crate::Dict`]), so cloning one is a
+/// refcount bump, not an allocation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// Absent / NULL.
@@ -26,12 +31,12 @@ pub enum Value {
     /// 64-bit float (aggregate results such as `avg`).
     Float(f64),
     /// UTF-8 string (names, paths, IPs, commands).
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl Value {
     /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Value {
+    pub fn str(s: impl Into<Arc<str>>) -> Value {
         Value::Str(s.into())
     }
 
@@ -46,7 +51,7 @@ impl Value {
     /// Returns the contained string, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -346,13 +351,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -595,6 +600,11 @@ mod tests {
             matched > 5_000,
             "the generator must produce matches: {matched}"
         );
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

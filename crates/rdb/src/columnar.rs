@@ -28,19 +28,20 @@
 //! rows unless its zone maps exclude them — which [`crate::Table`] weighs
 //! against index probes when it picks an access path.
 //!
+//! A projection holds every column of its table (a table with a `Float`
+//! column takes none: [`Columnar::build`] refuses it) and is lossless, so
+//! it *is* its sealed chunk: the chunk keeps no rows, and its rows are read
+//! back value by value ([`Columnar::value`]). A string is read as the
+//! dictionary's own `Arc<str>` — a refcount bump, never a copy of the
+//! payload.
+//!
 //! A projection is built once, when its chunk seals: each row is read
 //! once, in arrival order, into every column; the columns are then
 //! permuted into projection order — the rows' stable sort by the time
 //! column, taken from the filled column, or a persisted order on restore —
-//! and each gets its zone map. A snapshot writes a chunk that keeps no
-//! rows as these columns, and a restore reads them back as they were
-//! ([`Columnar::perm`] included), without a row in between. A
-//! projection is lossless for every column it holds, so a sealed chunk
-//! whose projection holds *all* of its table's columns keeps no rows at
-//! all: the projection is the chunk, and its rows are read back value by
-//! value ([`Columnar::value`]). Only a partial projection (entity tables,
-//! or a table with a `Float` column) shadows a row store it could be
-//! rebuilt from.
+//! and each gets its zone map. A snapshot writes the chunk as these
+//! columns, and a restore reads them back as they were ([`Columnar::perm`]
+//! included), without a row in between.
 
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
@@ -118,38 +119,26 @@ fn read_le<R: Read, T, const N: usize>(
     Ok(out)
 }
 
-/// Configuration of a columnar projection.
+/// Configuration of a columnar projection: every column of the table,
+/// in insertion order or sorted on a time column.
 #[derive(Debug, Clone)]
 pub struct ColumnarSpec {
     /// Column to keep the projection sorted on (must be `Int`; typically
     /// the partition time column). `None` keeps insertion order.
     pub time_col: Option<String>,
-    /// Projected columns. Empty means *every* supported column
-    /// (`Int`/`Str`/`Bool`; `Float` stays on the row path).
-    pub columns: Vec<String>,
 }
 
 impl ColumnarSpec {
-    /// Projects every supported column, insertion-ordered.
+    /// Projects every column, insertion-ordered.
     pub fn all() -> ColumnarSpec {
-        ColumnarSpec {
-            time_col: None,
-            columns: Vec::new(),
-        }
+        ColumnarSpec { time_col: None }
     }
 
-    /// Projects every supported column, sorted on `time_col`.
+    /// Projects every column, sorted on `time_col`.
     pub fn time_sorted(time_col: &str) -> ColumnarSpec {
         ColumnarSpec {
             time_col: Some(time_col.to_string()),
-            ..ColumnarSpec::all()
         }
-    }
-
-    /// Restricts the projection to `columns`, builder style.
-    pub fn with_columns(mut self, columns: &[&str]) -> ColumnarSpec {
-        self.columns = columns.iter().map(|c| c.to_string()).collect();
-        self
     }
 }
 
@@ -318,15 +307,16 @@ impl ColumnData {
         Ok(())
     }
 
-    /// The value at `i` as the row store holds it.
+    /// The value at `i` as the row store holds it; a string is the
+    /// dictionary's.
     fn value(&self, i: usize, dict: &SharedDict) -> Value {
         match self {
             ColumnData::Int { vals, nulls } if !int_null(nulls, i) => Value::Int(vals[i]),
             ColumnData::Sym { vals } if vals[i] != NULL_SYM => Value::Str(
                 dict.read()
-                    .resolve(Sym(vals[i]))
+                    .shared(Sym(vals[i]))
                     .expect("stored symbols are interned")
-                    .to_string(),
+                    .clone(),
             ),
             ColumnData::Bool { vals } if vals[i] != NULL_BOOL => Value::Bool(vals[i] == 1),
             _ => Value::Null,
@@ -566,20 +556,18 @@ impl LikeMemo {
 pub struct Columnar {
     time_idx: Option<usize>,
     dict: SharedDict,
-    /// Schema position → slot in `cols`.
-    slots: Vec<Option<usize>>,
-    /// Projected columns: `(schema position, data)`.
-    cols: Vec<(usize, ColumnData)>,
-    /// Projection order → row position in the backing row store.
+    /// The columns, by schema position.
+    cols: Vec<ColumnData>,
+    /// Projection order → row position in the chunk.
     perm: Vec<u32>,
-    /// Zone maps, one per projected column, aligned with `cols`.
+    /// Zone maps, one per column, aligned with `cols`.
     zones: Vec<Zone>,
 }
 
 impl Columnar {
     /// Builds a projection over `rows`, in their projection order (their
     /// stable sort by the time column); over no rows, an empty one. Fails
-    /// if a named column is missing or unsupported, or the time column is
+    /// if the table has a `Float` column, or the time column is missing or
     /// not `Int`.
     pub fn build(
         schema: &Schema,
@@ -599,42 +587,17 @@ impl Columnar {
             }
             None => None,
         };
-        let mut projected: Vec<usize> = if spec.columns.is_empty() {
-            (0..schema.arity())
-                .filter(|&i| schema.column_type(i) != ColumnType::Float)
-                .collect()
-        } else {
-            let mut v = Vec::with_capacity(spec.columns.len());
-            for name in &spec.columns {
-                let idx = schema.require(name)?;
-                if schema.column_type(idx) == ColumnType::Float {
-                    return Err(RdbError::SchemaMismatch(format!(
-                        "columnar cannot project Float column {name}"
-                    )));
-                }
-                v.push(idx);
-            }
-            v
-        };
-        if let Some(t) = time_idx {
-            if !projected.contains(&t) {
-                projected.push(t);
-            }
-        }
-        projected.sort_unstable();
-        projected.dedup();
-
-        let mut slots = vec![None; schema.arity()];
-        let mut cols = Vec::with_capacity(projected.len());
-        for idx in projected {
-            let data = ColumnData::new(schema.column_type(idx)).expect("Float filtered above");
-            slots[idx] = Some(cols.len());
-            cols.push((idx, data));
-        }
+        let cols = schema
+            .iter()
+            .map(|(name, ty)| {
+                ColumnData::new(ty).ok_or_else(|| {
+                    RdbError::SchemaMismatch(format!("columnar cannot project Float column {name}"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
         let mut c = Columnar {
             time_idx,
             dict,
-            slots,
             cols,
             perm: Vec::new(),
             zones: Vec::new(),
@@ -653,12 +616,12 @@ impl Columnar {
     pub(crate) fn fill(&mut self, rows: &[Row], order: Option<&[u32]>) -> Result<(), RdbError> {
         {
             let mut dict = self.dict.write();
-            for (_, data) in &mut self.cols {
+            for data in &mut self.cols {
                 data.reserve_exact(rows.len());
             }
             for row in rows {
-                for (col, data) in &mut self.cols {
-                    data.push(&row[*col], &mut dict);
+                for (data, v) in self.cols.iter_mut().zip(row) {
+                    data.push(v, &mut dict);
                 }
             }
         }
@@ -674,7 +637,7 @@ impl Columnar {
             None => self.time_order(rows.len()),
         };
         let identity = perm.iter().enumerate().all(|(i, &p)| p as usize == i);
-        for (_, data) in &mut self.cols {
+        for data in &mut self.cols {
             if !identity {
                 data.permute(&perm);
             }
@@ -683,7 +646,7 @@ impl Columnar {
             }
         }
         self.perm = perm;
-        self.zones = self.cols.iter().map(|(_, d)| d.zone()).collect();
+        self.zones = self.cols.iter().map(ColumnData::zone).collect();
         match order {
             Some(_) => self.check(),
             None => Ok(()),
@@ -695,7 +658,7 @@ impl Columnar {
         let Some(t) = self.time_idx else {
             return (0..n as u32).collect();
         };
-        let data = self.data(t);
+        let data = &self.cols[t];
         let mut keyed: Vec<(i64, u32)> = (0..n).map(|i| (data.int_key(i), i as u32)).collect();
         // Positions are distinct, so this is the stable sort by time.
         keyed.sort_unstable();
@@ -715,7 +678,7 @@ impl Columnar {
                 .is_some_and(|s| !std::mem::replace(s, true))
         });
         let ordered = self.time_idx.is_none_or(|t| {
-            let data = self.data(t);
+            let data = &self.cols[t];
             (1..n).all(|i| data.int_key(i - 1) <= data.int_key(i))
         });
         (permutation && ordered).then_some(()).ok_or_else(|| {
@@ -729,7 +692,7 @@ impl Columnar {
     /// encoding tag ([`RAW`], the only one) and its values in projection
     /// order, then the projection order.
     pub(crate) fn write_chunk<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for (_, data) in &self.cols {
+        for data in &self.cols {
             w.write_all(&[RAW])?;
             data.write_raw(w)?;
         }
@@ -743,7 +706,7 @@ impl Columnar {
     pub(crate) fn read_chunk<R: Read>(&self, r: &mut R, n: usize) -> io::Result<Columnar> {
         let mut c = self.clone();
         let dict_len = self.dict.len();
-        for (_, data) in &mut c.cols {
+        for data in &mut c.cols {
             let tag = read_byte(r)?;
             if tag != RAW {
                 return Err(invalid(format!("unknown column encoding {tag}")));
@@ -752,61 +715,49 @@ impl Columnar {
         }
         c.perm = read_le(r, n, u32::from_le_bytes)?;
         c.check().map_err(|e| invalid(e.to_string()))?;
-        c.zones = c.cols.iter().map(|(_, d)| d.zone()).collect();
+        c.zones = c.cols.iter().map(ColumnData::zone).collect();
         Ok(c)
     }
 
     /// Interns `row`'s strings in the projection's dictionary-coded
-    /// columns: a table does this as each row arrives, so codes follow
-    /// arrival order.
-    pub(crate) fn intern(&self, row: &Row) {
-        for (col, data) in &self.cols {
-            if let (ColumnData::Sym { .. }, Value::Str(s)) = (data, &row[*col]) {
-                self.dict.intern(s);
+    /// columns under one dictionary lock, swapping each for the
+    /// dictionary's `Arc`: a table does this as each row arrives, so codes
+    /// follow arrival order and its open tail shares the dictionary's
+    /// payloads.
+    pub(crate) fn intern(&self, row: &mut Row) {
+        let mut dict = None;
+        for (data, v) in self.cols.iter().zip(row) {
+            if let (ColumnData::Sym { .. }, Value::Str(s)) = (data, v) {
+                dict.get_or_insert_with(|| self.dict.write())
+                    .intern_shared(s);
             }
         }
     }
 
-    /// Whether `col` is materialized in this projection.
-    pub fn is_projected(&self, col: usize) -> bool {
-        self.slots.get(col).is_some_and(Option::is_some)
-    }
-
-    /// Whether every column of the table is projected — the projection
-    /// then holds its rows losslessly and a sealed chunk keeps no others.
-    pub fn covers_all(&self) -> bool {
-        self.slots.iter().all(Option::is_some)
-    }
-
     /// Number of columns of the projected table.
     pub fn arity(&self) -> usize {
-        self.slots.len()
+        self.cols.len()
     }
 
-    fn data(&self, col: usize) -> &ColumnData {
-        &self.cols[self.slots[col].expect("column is projected")].1
-    }
-
-    /// The value of projected column `col` at projection position `at`,
-    /// exactly as the row store held it.
+    /// The value of column `col` at projection position `at`, exactly as
+    /// the row store held it; a string shares the dictionary's payload.
     pub fn value(&self, at: usize, col: usize) -> Value {
-        self.data(col).value(at, &self.dict)
+        self.cols[col].value(at, &self.dict)
     }
 
     /// The dictionary codes of `col`, by projection position, when it is a
-    /// projected string column.
+    /// string column.
     pub(crate) fn codes(&self, col: usize) -> Option<&[u32]> {
-        match &self.cols[(*self.slots.get(col)?)?].1 {
+        match self.cols.get(col)? {
             ColumnData::Sym { vals } => Some(vals),
             _ => None,
         }
     }
 
     /// The values and null flags (empty while the column holds no NULL)
-    /// of `col`, by projection position, when it is a projected `Int`
-    /// column.
+    /// of `col`, by projection position, when it is an `Int` column.
     pub(crate) fn ints(&self, col: usize) -> Option<(&[i64], &[bool])> {
-        match &self.cols[(*self.slots.get(col)?)?].1 {
+        match self.cols.get(col)? {
             ColumnData::Int { vals, nulls } => Some((vals, nulls)),
             _ => None,
         }
@@ -815,7 +766,7 @@ impl Columnar {
     /// [`Columnar::value`] of an `Int` column, without building a value
     /// (`None` for NULL or another type).
     pub fn int(&self, at: usize, col: usize) -> Option<i64> {
-        match self.data(col) {
+        match &self.cols[col] {
             ColumnData::Int { vals, nulls } if !int_null(nulls, at) => Some(vals[at]),
             _ => None,
         }
@@ -824,15 +775,14 @@ impl Columnar {
     /// Heap bytes held: the column vectors, the projection order, the zone
     /// maps (the shared dictionary is the store's, not the projection's).
     pub fn resident_bytes(&self) -> u64 {
-        let cols: usize = self.cols.iter().map(|(_, d)| d.heap_bytes()).sum();
+        let cols: usize = self.cols.iter().map(ColumnData::heap_bytes).sum();
         (cols
             + self.zones.capacity() * size_of::<Zone>()
             + self.perm.capacity() * 4
-            + self.cols.capacity() * size_of::<(usize, ColumnData)>()
-            + self.slots.capacity() * size_of::<Option<usize>>()) as u64
+            + self.cols.capacity() * size_of::<ColumnData>()) as u64
     }
 
-    /// Number of projected rows (equals the backing chunk's row count).
+    /// Number of rows (the chunk's).
     pub fn len(&self) -> usize {
         self.perm.len()
     }
@@ -855,37 +805,13 @@ impl Columnar {
         &self.dict
     }
 
-    /// Adds `col` to the projection, back-filling from `rows` — how
-    /// `create_index` keeps newly indexed columns kernel-evaluable.
-    /// Unsupported (`Float`) columns are left on the row path.
-    pub fn project_column(&mut self, schema: &Schema, col: usize, rows: &[Row]) {
-        if self.is_projected(col) {
-            return;
-        }
-        let Some(mut data) = ColumnData::new(schema.column_type(col)) else {
-            return;
-        };
-        data.reserve_exact(self.perm.len());
-        let mut dict = self.dict.write();
-        for &p in &self.perm {
-            data.push(&rows[p as usize][col], &mut dict);
-        }
-        drop(dict);
-        if let ColumnData::Int { nulls, .. } = &mut data {
-            nulls.shrink_to_fit();
-        }
-        self.zones.push(data.zone());
-        self.slots[col] = Some(self.cols.len());
-        self.cols.push((col, data));
-    }
-
     /// The filled layout — columns, order, zone maps — without the
     /// dictionary, whose lookup table prints in no fixed order.
     #[cfg(test)]
     pub(crate) fn layout_debug(&self) -> String {
         format!(
-            "{:?} {:?} {:?} {:?} {:?}",
-            self.time_idx, self.slots, self.cols, self.perm, self.zones
+            "{:?} {:?} {:?} {:?}",
+            self.time_idx, self.cols, self.perm, self.zones
         )
     }
 
@@ -905,11 +831,9 @@ impl Columnar {
 
     /// Whether the zone maps prove that no row satisfies `kernels`.
     fn zone_excluded(&self, kernels: &[Kernel]) -> bool {
-        kernels.iter().any(|k| {
-            k.col()
-                .and_then(|c| self.slots[c])
-                .is_some_and(|slot| k.excluded_by(self.zones[slot]))
-        })
+        kernels
+            .iter()
+            .any(|k| k.col().is_some_and(|c| k.excluded_by(self.zones[c])))
     }
 
     /// Rows [`Columnar::select_stats`] would evaluate for `kernels` before
@@ -978,7 +902,7 @@ impl Columnar {
         // reaching down there, so with NULLs present the time kernels run
         // per row too.
         let time_nulls = self.time_idx.is_some_and(
-            |t| matches!(self.data(t), ColumnData::Int { nulls, .. } if !nulls.is_empty()),
+            |t| matches!(&self.cols[t], ColumnData::Int { nulls, .. } if !nulls.is_empty()),
         );
         let narrowed: Vec<(usize, &Kernel)> = kernels
             .iter()
@@ -992,7 +916,7 @@ impl Columnar {
         // Time-window narrowing over the (sorted) chunk.
         let (lo, hi) = match self.time_idx {
             Some(t) if time_kernels => {
-                let data = self.data(t);
+                let data = &self.cols[t];
                 (
                     partition_in(data, n, |k| k < t_lo),
                     partition_in(data, n, |k| k <= t_hi),
@@ -1006,11 +930,8 @@ impl Columnar {
         *scanned += (hi - lo) as u64;
         let mut sel = vec![true; hi - lo];
         for &(ki, k) in &narrowed {
-            let slot = k
-                .col()
-                .and_then(|c| self.slots[c])
-                .expect("kernels compile only on projected columns");
-            match (k, &self.cols[slot].1) {
+            let col = k.col().expect("`Never` returned above");
+            match (k, &self.cols[col]) {
                 (
                     Kernel::LikeSym {
                         pattern, negated, ..
@@ -1075,7 +996,7 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
                 (Expr::Lit(v), Expr::Col(c)) => (*c, v, op.flip()),
                 _ => return None,
             };
-            if !columnar.is_projected(col) {
+            if col >= columnar.arity() {
                 return None;
             }
             match (schema.column_type(col), lit) {
@@ -1131,7 +1052,7 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
         }
         Expr::Like(inner, pattern) | Expr::NotLike(inner, pattern) => match inner.as_ref() {
             Expr::Col(col)
-                if columnar.is_projected(*col) && schema.column_type(*col) == ColumnType::Str =>
+                if *col < columnar.arity() && schema.column_type(*col) == ColumnType::Str =>
             {
                 Some(Kernel::LikeSym {
                     col: *col,
@@ -1146,7 +1067,7 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
                 return None;
             };
             let col = *col;
-            if !columnar.is_projected(col) {
+            if col >= columnar.arity() {
                 return None;
             }
             let list = list.values();
@@ -1199,7 +1120,6 @@ mod tests {
             ("agent", ColumnType::Int),
             ("name", ColumnType::Str),
             ("ok", ColumnType::Bool),
-            ("score", ColumnType::Float),
         ])
     }
 
@@ -1209,7 +1129,6 @@ mod tests {
             Value::Int(agent),
             Value::str(name),
             Value::Bool(ok),
-            Value::Float(t as f64),
         ]
     }
 
@@ -1243,23 +1162,23 @@ mod tests {
     }
 
     #[test]
-    fn build_skips_float_and_projects_rest() {
+    fn a_float_column_takes_no_projection() {
+        let with_float = Schema::new(&[("t", ColumnType::Int), ("score", ColumnType::Float)]);
+        let spec = ColumnarSpec::time_sorted("t");
+        let built = Columnar::build(&with_float, &spec, SharedDict::new(), &[]);
+        assert!(matches!(built, Err(RdbError::SchemaMismatch(_))));
+        let mut t = Table::new(with_float);
+        t.insert(vec![Value::Int(1), Value::Float(0.5)]).unwrap();
+        t.seal_tail();
+        let enabled = t.enable_columnar(&spec, SharedDict::new());
+        assert!(matches!(enabled, Err(RdbError::SchemaMismatch(_))));
+        assert!(t.columnar().is_none() && !t.sealed_chunks()[0].is_projected());
         let c = build(&[row(1, 0, "a", true)]);
-        assert!(c.is_projected(0));
-        assert!(c.is_projected(2));
-        assert!(!c.is_projected(4), "Float stays on the row path");
-        assert_eq!(c.len(), 1);
+        assert_eq!((c.arity(), c.len()), (4, 1));
     }
 
     #[test]
     fn named_column_validation() {
-        let bad = Columnar::build(
-            &schema(),
-            &ColumnarSpec::all().with_columns(&["score"]),
-            SharedDict::new(),
-            &[],
-        );
-        assert!(bad.is_err(), "Float cannot be projected explicitly");
         let bad = Columnar::build(
             &schema(),
             &ColumnarSpec::time_sorted("name"),
@@ -1267,6 +1186,9 @@ mod tests {
             &[],
         );
         assert!(bad.is_err(), "time column must be Int");
+        let spec = ColumnarSpec::time_sorted("absent");
+        let bad = Columnar::build(&schema(), &spec, SharedDict::new(), &[]);
+        assert!(bad.is_err(), "time column must exist");
     }
 
     #[test]
@@ -1337,7 +1259,7 @@ mod tests {
                 Box::new(Expr::Lit(Value::str("a"))),
                 LikePattern::new("%a%"),
             ),
-            Expr::cmp_lit(4, CmpOp::Gt, 0i64),
+            Expr::cmp_lit(1, CmpOp::Gt, 0.5f64),
             Expr::cmp_lit(0, CmpOp::Ne, 5i64),
             Expr::cmp_lit(0, CmpOp::Eq, 1i64),
         ];
@@ -1474,36 +1396,6 @@ mod tests {
     }
 
     #[test]
-    fn project_column_backfills_and_extends_zones() {
-        let rows: Vec<Row> = (0..10).map(|i| row(i, i, "n", true)).collect();
-        let mut t = chunked(
-            4,
-            &ColumnarSpec::time_sorted("t").with_columns(&["t"]),
-            &rows,
-        );
-        assert!(!t.columnar().unwrap().is_projected(1));
-        // Indexing the column projects it, back-filled chunk by chunk.
-        t.create_index("agent").unwrap();
-        assert!(t.columnar().unwrap().is_projected(1));
-        assert!(t
-            .sealed_chunks()
-            .iter()
-            .all(|c| c.columnar().unwrap().is_projected(1)));
-        // Chunks [4, 8) and [8, 10) are zone-excluded; only [0, 4) is
-        // evaluated — fewer rows than a probe would cost.
-        let (got, scanned, pruned) = scan(&t, &[Expr::cmp_lit(1, CmpOp::Eq, 3i64)]);
-        assert_eq!(
-            (got, scanned, pruned),
-            (vec![3], 4, 2),
-            "backfilled zones prune"
-        );
-        // A Float projection request is a no-op, not a panic.
-        let mut c = build(&rows);
-        c.project_column(&schema(), 4, &rows);
-        assert!(!c.is_projected(4));
-    }
-
-    #[test]
     fn values_read_back_exactly_and_null_flags_wait_for_a_null() {
         let schema = Schema::new(&[
             ("t", ColumnType::Int),
@@ -1535,14 +1427,13 @@ mod tests {
             .collect();
         let spec = ColumnarSpec::time_sorted("t");
         let c = Columnar::build(&schema, &spec, SharedDict::new(), &rows).unwrap();
-        assert!(c.covers_all());
         for (at, &p) in c.perm().iter().enumerate() {
             for (col, want) in rows[p as usize].iter().enumerate() {
                 assert_eq!(&c.value(at, col), want, "row {p} col {col}");
                 assert_eq!(c.int(at, col), want.as_int());
             }
         }
-        let flags = |c: &Columnar, col: usize| match &c.cols[c.slots[col].unwrap()].1 {
+        let flags = |c: &Columnar, col: usize| match &c.cols[col] {
             ColumnData::Int { nulls, .. } => nulls.len(),
             _ => unreachable!(),
         };
@@ -1550,13 +1441,5 @@ mod tests {
         assert_eq!(flags(&c, 1), 20);
         let before = Columnar::build(&schema, &spec, SharedDict::new(), &rows[..13]).unwrap();
         assert_eq!(flags(&before, 1), 0, "allocated at the first NULL");
-        let partial = Columnar::build(
-            &schema,
-            &ColumnarSpec::all().with_columns(&["x"]),
-            SharedDict::new(),
-            &rows,
-        )
-        .unwrap();
-        assert!(!partial.covers_all());
     }
 }

@@ -732,22 +732,16 @@ mod tests {
     #[test]
     fn columnar_follows_rollover_and_index_creation() {
         let mut pt = pt();
-        // Project only the partition columns; "name" and "id" stay row-only.
-        pt.enable_columnar(
-            ColumnarSpec::all().with_columns(&["start_time", "agentid"]),
-            SharedDict::new(),
-        )
-        .unwrap();
+        pt.enable_columnar(ColumnarSpec::all(), SharedDict::new())
+            .unwrap();
         assert!(pt.is_columnar());
-        // Existing indexes ("name") are projected on enable; a later index
-        // ("id") joins the projection on every partition too.
+        // Existing indexes ("name") and a later one ("id") reach every
+        // partition, each sealed chunk kept as columns.
         pt.create_index("id").unwrap();
         for (_, t) in pt.partitions_for(&Prune::all()) {
-            let c = t.columnar().expect("projection enabled");
-            let name_col = t.schema().position("name").unwrap();
-            let id_col = t.schema().position("id").unwrap();
-            assert!(c.is_projected(name_col), "pre-existing index covered");
-            assert!(c.is_projected(id_col), "new index covered");
+            assert!(t.columnar().is_some(), "projection enabled");
+            assert_eq!(t.indexed_columns(), [0, 3]);
+            assert!(t.sealed_chunks().iter().all(|c| c.is_projected()));
         }
         // Rollover into a fresh partition carries projection + indexes.
         pt.insert(vec![
@@ -766,8 +760,8 @@ mod tests {
             .pop()
             .expect("rolled-over partition")
             .1;
-        let c = fresh.columnar().expect("rollover keeps columnar");
-        assert!(c.is_projected(fresh.schema().position("name").unwrap()));
+        assert!(fresh.columnar().is_some(), "rollover keeps columnar");
+        assert_eq!(fresh.indexed_columns(), [0, 3]);
         assert_eq!(fresh.len(), 1);
         // And scans through the columnar path agree with the row path.
         let mut scanned = 0;
@@ -778,7 +772,7 @@ mod tests {
             &mut ScanProfile::default(),
         );
         assert_eq!(rows.len(), 1);
-        assert_eq!(*rows[0].get(3), Value::str("late"));
+        assert_eq!(rows[0].get(3), Value::str("late"));
     }
 
     #[test]

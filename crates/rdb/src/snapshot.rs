@@ -7,10 +7,10 @@
 //! then chunk by chunk, in global order, each sealed chunk as it is
 //! resident (format v4, [`Format::V4`]):
 //!
-//! - **columns**: a chunk whose projection covers every column keeps no
-//!   rows ([`SealedChunk::is_projected`](crate::SealedChunk::is_projected)),
-//!   so it is written as that projection: per projected column an encoding
-//!   tag (only raw is defined) and its values in projection order — `i64`,
+//! - **columns**: a chunk of a table with a projection keeps no rows
+//!   ([`SealedChunk::is_projected`](crate::SealedChunk::is_projected)), so
+//!   it is written as that projection: per column an encoding tag (only
+//!   raw is defined) and its values in projection order — `i64`,
 //!   `u32` dictionary codes or `u8` bools, little-endian, an `Int` column's
 //!   null flags only when it holds a NULL — then the projection order
 //!   ([`Columnar::perm`](crate::Columnar::perm)). A load reads each column
@@ -18,12 +18,14 @@
 //!   that the order is a permutation, that the time column runs in order,
 //!   and that every code resolves in the dictionary, then derives the zone
 //!   maps, the row → projection map and the indexes from the columns.
-//! - **rows**: a chunk with a partial projection (entity tables) or none
-//!   (the row-store configuration) is written as its rows, then, when the
-//!   table has a projection, the chunk's projection order. A load rebuilds
-//!   it through [`Table::load_chunk`]: the projection filled in the
-//!   persisted order, which must time-order the chunk — deterministic and
-//!   exact, without re-running the sort — its indexes sorted from its keys.
+//! - **rows**: a chunk of a table without a projection (the row-store
+//!   configuration) is written as its rows. Files written before every
+//!   product table was fully projected also hold entity chunks in this
+//!   layout, followed by the chunk's projection order; a load rebuilds
+//!   such a chunk through [`Table::load_chunk`]: the projection filled in
+//!   the persisted order, which must time-order the chunk — deterministic
+//!   and exact, without re-running the sort — after which the chunk keeps
+//!   its columns and drops its rows. Its indexes are sorted from its keys.
 //!
 //! The open tail keeps no projection and no order: it is written, and
 //! loaded, as rows. Indexes are rebuilt, not persisted: the index set
@@ -106,7 +108,8 @@ fn read_positions<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u32>> {
 }
 
 /// Writes one table in format v4: chunk layout, then each sealed chunk as
-/// rows or as columns, then the open tail's rows.
+/// columns (a table with a projection) or as rows, then the open tail's
+/// rows.
 pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     codec::write_u64(w, t.chunk_rows() as u64)?;
     codec::write_u64(w, t.len() as u64)?;
@@ -118,19 +121,16 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     codec::write_u8(w, t.columnar().is_some() as u8)?;
     for chunk in sealed {
         match chunk.columnar() {
-            Some(c) if chunk.is_projected() => {
+            Some(c) => {
                 codec::write_u8(w, COLUMNS)?;
                 c.write_chunk(w)?;
             }
-            c => {
+            None => {
                 codec::write_u8(w, ROWS)?;
                 for row in (0..chunk.len() as u32).map(|p| chunk.row(p)) {
                     for col in 0..row.len() {
                         codec::write_value(w, &row.get(col))?;
                     }
-                }
-                for &p in c.map_or(&[][..], |c| c.perm()) {
-                    codec::write_u32(w, p)?;
                 }
             }
         }
@@ -597,8 +597,8 @@ mod tests {
     /// Chunks of every kind a reopen must reproduce — rows out of time
     /// order, a frozen short chunk, NULLs in `Int`, dictionary-coded and
     /// bool columns, indexes on an `Int` and a dictionary-coded column,
-    /// an open tail — under `spec`.
-    fn mixed_table(spec: &ColumnarSpec, dict: &SharedDict) -> Table {
+    /// an open tail — under `spec`, or without a projection.
+    fn mixed_table(spec: Option<&ColumnarSpec>, dict: &SharedDict) -> Table {
         let schema = Schema::new(&[
             ("id", ColumnType::Int),
             ("agentid", ColumnType::Int),
@@ -609,7 +609,9 @@ mod tests {
         let mut t = Table::with_chunk_rows(schema, 8);
         t.create_index("agentid").unwrap();
         t.create_index("name").unwrap();
-        t.enable_columnar(spec, dict.clone()).unwrap();
+        if let Some(spec) = spec {
+            t.enable_columnar(spec, dict.clone()).unwrap();
+        }
         for i in 0..30i64 {
             let null = |every: i64, v: Value| if i % every == 3 { Value::Null } else { v };
             t.insert(vec![
@@ -629,11 +631,10 @@ mod tests {
 
     #[test]
     fn reopened_chunks_keep_the_layout_they_sealed_in() {
-        let full = ColumnarSpec::time_sorted("start_time");
-        let partial = full.clone().with_columns(&["start_time", "name"]);
-        for (spec, as_columns) in [(full, true), (partial, false)] {
+        let spec = ColumnarSpec::time_sorted("start_time");
+        for (spec, as_columns) in [(Some(&spec), true), (None, false)] {
             let dict = SharedDict::new();
-            let orig = mixed_table(&spec, &dict);
+            let orig = mixed_table(spec, &dict);
             assert_eq!(orig.chunk_boundaries(), vec![8, 4, 8, 8, 2]);
             let mut buf = Vec::new();
             write_table(&mut buf, &orig).unwrap();
@@ -647,7 +648,7 @@ mod tests {
                 Format::V4,
                 orig.schema().clone(),
                 &names,
-                Some((&spec, &dict2)),
+                spec.map(|spec| (spec, &dict2)),
             )
             .unwrap();
             assert_eq!(got.chunk_boundaries(), orig.chunk_boundaries());

@@ -24,12 +24,12 @@
 //!   strings: no range there). On a projected column the keys are read
 //!   from the column, which is also how a snapshot restore indexes a
 //!   chunk it read as columns (`Table::load_columns`);
-//! - a chunk whose projection covers every column
-//!   ([`Columnar::covers_all`]) drops its rows. The projection plus a row →
-//!   projection-position map *is* the chunk, and reads come back as
-//!   [`RowView`]s decoded column by column. Chunks with a partial
-//!   projection (entity tables) or none (the row-store configuration) keep
-//!   their rows.
+//! - a chunk of a table with a projection drops its rows: the projection
+//!   (every column) plus a row → projection-position map *is* the chunk,
+//!   and reads come back as [`RowView`]s decoded column by column, a
+//!   string as the dictionary's own `Arc<str>`. Only a table without a
+//!   projection (the row-store configuration, the baselines) seals chunks
+//!   that keep their rows. A chunk keeps one or the other, never both.
 //!
 //! The payoff of chunking is the cost of [`Table::clone`] — the
 //! copy-on-write step that publishes a store snapshot: sealed chunks are
@@ -55,7 +55,6 @@ use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{ColumnType, Row, Schema};
 use aiql_model::{SharedDict, Sym, Value, NULL_SYM};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,15 +65,15 @@ use std::sync::Arc;
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// One row of a [`Table`], borrowed: a stored row, or a row of a sealed
-/// chunk that keeps only its columnar projection, decoded column by column
-/// on demand. Scans return these, so no row is built unless a caller asks.
+/// chunk that keeps its columnar projection, decoded column by column on
+/// demand. Scans return these, so no row is built unless a caller asks.
 #[derive(Clone, Copy)]
 pub struct RowView<'a>(Repr<'a>);
 
 #[derive(Clone, Copy)]
 enum Repr<'a> {
     Stored(&'a Row),
-    /// A projection covering every column, and the row's position in it.
+    /// A sealed chunk's projection, and the row's position in it.
     Projected(&'a Columnar, u32),
 }
 
@@ -100,11 +99,12 @@ impl<'a> RowView<'a> {
         }
     }
 
-    /// Column `col`: borrowed from a stored row, built from a projection.
-    pub fn get(&self, col: usize) -> Cow<'a, Value> {
+    /// Column `col`, owned: a copy, or for a string a refcount bump — on a
+    /// stored row and a projection alike, no payload is copied.
+    pub fn get(&self, col: usize) -> Value {
         match self.0 {
-            Repr::Stored(r) => Cow::Borrowed(&r[col]),
-            Repr::Projected(c, at) => Cow::Owned(c.value(at as usize, col)),
+            Repr::Stored(r) => r[col].clone(),
+            Repr::Projected(c, at) => c.value(at as usize, col),
         }
     }
 
@@ -140,9 +140,10 @@ impl fmt::Debug for RowView<'_> {
     }
 }
 
-/// Where a table's resident bytes go: stored rows (string payloads
-/// included), secondary indexes, and columnar projections (zone maps and a
-/// projected chunk's row → projection map included).
+/// Where a table's resident bytes go: stored rows, secondary indexes, and
+/// columnar projections (zone maps and a chunk's row → projection map
+/// included). A string payload the dictionary holds is the dictionary's
+/// and is charged there, not to the rows that share it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResidentBytes {
     pub rows: u64,
@@ -160,30 +161,27 @@ impl std::iter::Sum for ResidentBytes {
     }
 }
 
-/// Heap bytes behind a value.
-fn value_heap(v: &Value) -> usize {
-    match v {
-        Value::Str(s) => s.capacity(),
+/// Heap bytes behind `rows`: the vector, every row's values and — unless
+/// the dictionary holds them (`shared`) — their string payloads with
+/// their reference counts.
+fn rows_bytes(rows: &Vec<Row>, shared: bool) -> u64 {
+    let text = |v: &Value| match v {
+        Value::Str(s) if !shared => s.len() + 2 * size_of::<usize>(),
         _ => 0,
-    }
-}
-
-/// Heap bytes behind `rows`: the vector, every row's values and their
-/// string payloads.
-fn rows_bytes(rows: &Vec<Row>) -> u64 {
+    };
     let values: usize = rows
         .iter()
-        .map(|r| r.capacity() * size_of::<Value>() + r.iter().map(value_heap).sum::<usize>())
+        .map(|r| r.capacity() * size_of::<Value>() + r.iter().map(text).sum::<usize>())
         .sum();
     (rows.capacity() * size_of::<Row>() + values) as u64
 }
 
 /// A sealed chunk's secondary index over one column, in chunk-local
 /// positions: every position, ordered by (key, position) with the keys
-/// read from the chunk itself, plus the smallest and largest key. On a
-/// dictionary-coded column the key is the code, which answers equality but
-/// orders no strings: such an index takes no range probe
-/// ([`Table::range_indexed`]).
+/// read from the chunk itself, plus the smallest and largest key (a string
+/// one shared with the chunk or the dictionary). On a dictionary-coded
+/// column the key is the code, which answers equality but orders no
+/// strings: such an index takes no range probe ([`Table::range_indexed`]).
 #[derive(Debug, Clone)]
 struct Index {
     order: Vec<u32>,
@@ -203,74 +201,81 @@ impl Index {
 
     fn heap_bytes(&self) -> usize {
         self.order.capacity() * 4
-            + self
-                .span
-                .as_ref()
-                .map_or(0, |(a, b)| value_heap(a) + value_heap(b))
     }
 }
 
 /// One sealed chunk of a [`Table`]: a consecutive run of rows with the
-/// secondary indexes and optional columnar projection over exactly those
-/// rows, immutable and shared behind `Arc` with every snapshot that pinned
-/// it.
+/// secondary indexes over exactly those rows, immutable and shared behind
+/// `Arc` with every snapshot that pinned it.
 ///
 /// All positions inside a chunk are **chunk-local**: row 0 is global
 /// position `base` where `base` is the sum of the preceding chunks'
 /// lengths. Invariants:
 ///
-/// - row content, indexes, and the columnar projection never change after
-///   sealing (schema operations rebuild them via `Arc::make_mut`,
-///   producing a new chunk value rather than mutating a shared one);
-/// - it keeps rows only if its projection does not cover every column;
-/// - its columnar projection, when present, carries a zone map on every
-///   projected column, so a scan can skip the chunk whole.
+/// - row content and indexes never change after sealing (schema
+///   operations rebuild them via `Arc::make_mut`, producing a new chunk
+///   value rather than mutating a shared one);
+/// - it keeps its rows or, in a table with a projection, its columns —
+///   never both;
+/// - its columns, when it keeps them, carry a zone map each, so a scan can
+///   skip the chunk whole.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
-    /// Stored rows; empty in a chunk that keeps only its projection.
-    rows: Vec<Row>,
-    /// Row position → projection position, in every sealed chunk with a
-    /// projection: how it reads a row, or an index key, from the columns.
-    /// Empty when the two orders agree, as they do for rows that arrived
-    /// in projection (time) order.
-    at: Option<Vec<u32>>,
+    body: Body,
     indexes: BTreeMap<usize, Index>,
-    columnar: Option<Columnar>,
     /// What the chunk holds, measured when it sealed.
     resident: ResidentBytes,
 }
 
+/// What a sealed chunk keeps its rows as.
+#[derive(Debug, Clone)]
+enum Body {
+    /// The rows themselves, in a table without a projection.
+    Rows(Vec<Row>),
+    /// The projection, and the row → projection-position map: how the
+    /// chunk reads a row, or an index key, from the columns. The map is
+    /// empty when the two orders agree, as they do for rows that arrived in
+    /// projection (time) order.
+    Columns(Columnar, Vec<u32>),
+}
+
+impl Body {
+    /// The body of `columnar`, a filled projection, with its row →
+    /// projection map.
+    fn columns(columnar: Columnar) -> Body {
+        let perm = columnar.perm();
+        let mut at = Vec::new();
+        if perm.iter().enumerate().any(|(i, &p)| p as usize != i) {
+            at = vec![0u32; perm.len()];
+            for (i, &p) in perm.iter().enumerate() {
+                at[p as usize] = i as u32;
+            }
+        }
+        Body::Columns(columnar, at)
+    }
+}
+
 impl SealedChunk {
-    /// Seals `rows` with `columnar`, the projection the table configures
-    /// already filled over them (a restore's chunk read as columns comes
-    /// with no rows): the row → projection map, an index on each `indexed`
-    /// column, and then [`SealedChunk::settle`].
-    fn new(
-        schema: &Schema,
-        rows: Vec<Row>,
-        columnar: Option<Columnar>,
-        indexed: &[usize],
-    ) -> SealedChunk {
+    /// Seals `body` with an index on each `indexed` column, and measures
+    /// it.
+    fn new(body: Body, indexed: &[usize]) -> SealedChunk {
         let mut chunk = SealedChunk {
-            rows,
-            at: None,
+            body,
             indexes: BTreeMap::new(),
-            columnar,
             resident: ResidentBytes::default(),
         };
-        chunk.map_projection();
         for &col in indexed {
-            chunk.build_index(schema, col);
+            chunk.build_index(col);
         }
-        chunk.settle();
+        chunk.measure();
         chunk
     }
 
     /// Number of rows in the chunk.
     pub fn len(&self) -> usize {
-        match &self.columnar {
-            Some(c) if self.is_projected() => c.len(),
-            _ => self.rows.len(),
+        match &self.body {
+            Body::Rows(rows) => rows.len(),
+            Body::Columns(c, _) => c.len(),
         }
     }
 
@@ -279,31 +284,25 @@ impl SealedChunk {
         self.len() == 0
     }
 
-    /// Whether the chunk keeps no rows: its projection serves every read.
+    /// Whether the chunk keeps its projection rather than its rows.
     pub fn is_projected(&self) -> bool {
-        self.rows.is_empty() && self.at.is_some()
+        matches!(self.body, Body::Columns(..))
     }
 
     /// Row `pos` (chunk-local).
     pub fn row(&self, pos: u32) -> RowView<'_> {
-        match (self.rows.get(pos as usize), &self.columnar, self.proj_map()) {
-            (Some(row), _, _) => RowView(Repr::Stored(row)),
-            (None, Some(c), Some(map)) => RowView(Repr::Projected(c, map.get(pos) as u32)),
-            _ => panic!("row {pos} past the chunk's {} rows", self.len()),
+        match &self.body {
+            Body::Rows(rows) => RowView(Repr::Stored(&rows[pos as usize])),
+            Body::Columns(c, at) => RowView(Repr::Projected(c, proj_pos(at, pos) as u32)),
         }
     }
 
-    /// The row → projection map of a sealed chunk with a projection.
-    fn proj_map(&self) -> Option<ProjMap<'_>> {
-        self.at.as_deref().map(|at| match at {
-            [] => ProjMap::Identity,
-            at => ProjMap::Map(at),
-        })
-    }
-
-    /// The chunk's columnar projection, if the table has one enabled.
+    /// The chunk's columnar projection, if its table has one enabled.
     pub fn columnar(&self) -> Option<&Columnar> {
-        self.columnar.as_ref()
+        match &self.body {
+            Body::Rows(_) => None,
+            Body::Columns(c, _) => Some(c),
+        }
     }
 
     /// What the chunk holds, as measured when it sealed.
@@ -311,33 +310,35 @@ impl SealedChunk {
         self.resident
     }
 
-    /// Everything the chunk holds — rows, row → projection map, indexes,
-    /// projection, measured bytes — as text that compares equal exactly
+    /// Everything the chunk holds — rows or columns and row → projection
+    /// map, indexes, measured bytes — as text that compares equal exactly
     /// when two chunks are laid out alike.
     #[cfg(test)]
     pub(crate) fn layout_debug(&self) -> String {
-        let columnar = self.columnar.as_ref().map(Columnar::layout_debug);
-        format!(
-            "{:?} {:?} {:?} {:?} {columnar:?}",
-            self.rows, self.at, self.indexes, self.resident
-        )
+        let body = match &self.body {
+            Body::Rows(rows) => format!("{rows:?}"),
+            Body::Columns(c, at) => format!("{} {at:?}", c.layout_debug()),
+        };
+        format!("{body} {:?} {:?}", self.indexes, self.resident)
     }
 
     /// The key in `col` at row `pos`, compared with `v`: read from the flat
-    /// projected column when the chunk has one (indexed columns are
-    /// projected), which a binary search's scattered steps reach far more
-    /// cheaply than whole rows.
+    /// column when the chunk keeps columns, which a binary search's
+    /// scattered steps reach far more cheaply than whole rows.
     fn key_cmp(&self, col: usize, pos: u32, v: &Value) -> Ordering {
-        match (&self.columnar, self.proj_map()) {
-            (Some(c), Some(map)) if c.is_projected(col) => c.value(map.get(pos), col).cmp(v),
-            _ => self.rows[pos as usize][col].cmp(v),
+        match &self.body {
+            Body::Rows(rows) => rows[pos as usize][col].cmp(v),
+            Body::Columns(c, at) => c.value(proj_pos(at, pos), col).cmp(v),
         }
     }
 
-    /// The dictionary codes of `col`, read through the row → projection
-    /// map, when the chunk holds the column dictionary-coded.
-    fn codes(&self, col: usize) -> Option<(ProjMap<'_>, &[u32])> {
-        Some((self.proj_map()?, self.columnar.as_ref()?.codes(col)?))
+    /// The dictionary codes of `col` and the row → projection map, when
+    /// the chunk holds the column dictionary-coded.
+    fn codes(&self, col: usize) -> Option<(&[u32], &[u32])> {
+        match &self.body {
+            Body::Rows(_) => None,
+            Body::Columns(c, at) => Some((c.codes(col)?, at)),
+        }
     }
 
     /// Rows whose indexed `col` equals `v` (strictly, as keys compare), in
@@ -346,8 +347,8 @@ impl SealedChunk {
     fn index_eq(&self, col: usize, v: &Value, code: Option<u32>) -> &[u32] {
         let order = &self.indexes[&col].order;
         match (self.codes(col), code) {
-            (Some((map, codes)), Some(code)) => {
-                &order[equal_run(order, |p| codes[map.get(p)].cmp(&code))]
+            (Some((codes, at)), Some(code)) => {
+                &order[equal_run(order, |p| codes[proj_pos(at, p)].cmp(&code))]
             }
             (Some(_), None) => &[],
             (None, _) => &order[equal_run(order, |p| self.key_cmp(col, p, v))],
@@ -385,20 +386,15 @@ impl SealedChunk {
     }
 
     /// Builds the index on `col` — the chunk's positions sorted by (key,
-    /// position) — and, when a projection exists, projects the column so
-    /// it stays kernel-evaluable (a chunk without rows is projected in full
-    /// already). On a projected `Int` or dictionary-coded column the keys
-    /// are read from the column itself, projection position `i` paired
-    /// with its row position `perm[i]`: by integer, or by code. Any other
-    /// column is keyed by value, row by row.
-    fn build_index(&mut self, schema: &Schema, col: usize) {
-        if let Some(c) = &mut self.columnar {
-            c.project_column(schema, col, &self.rows);
-        }
-        let typed = self
-            .columnar
-            .as_ref()
-            .map(|c| (c, c.codes(col), c.ints(col)));
+    /// position). On an `Int` or dictionary-coded column of a chunk kept as
+    /// columns the keys are read from the column itself, projection
+    /// position `i` paired with its row position `perm[i]`: by integer, or
+    /// by code. Any other column is keyed by value, row by row.
+    fn build_index(&mut self, col: usize) {
+        let typed = match &self.body {
+            Body::Columns(c, _) => Some((c, c.codes(col), c.ints(col))),
+            Body::Rows(_) => None,
+        };
         let index = match typed {
             Some((c, Some(codes), _)) => {
                 let keyed = sort_keyed(codes.iter().copied().zip(c.perm().iter().copied()));
@@ -423,45 +419,36 @@ impl SealedChunk {
             _ => {
                 let n = self.len() as u32;
                 let keyed = sort_keyed((0..n).map(|p| (self.row(p).get(col), p)));
-                Index::new(&keyed, |k| k.clone().into_owned())
+                Index::new(&keyed, Value::clone)
             }
         };
         self.indexes.insert(col, index);
     }
 
-    /// Gives a chunk with a projection its row → projection map (empty
-    /// where the projection keeps row order).
-    fn map_projection(&mut self) {
-        if let (Some(c), None) = (&self.columnar, &self.at) {
-            let perm = c.perm();
-            let mut at = Vec::new();
-            if perm.iter().enumerate().any(|(i, &p)| p as usize != i) {
-                at = vec![0u32; perm.len()];
-                for (i, &p) in perm.iter().enumerate() {
-                    at[p as usize] = i as u32;
-                }
+    /// Measures what the chunk keeps.
+    fn measure(&mut self) {
+        let (rows, projection) = match &mut self.body {
+            Body::Rows(rows) => {
+                rows.shrink_to_fit();
+                (rows_bytes(rows, false), 0)
             }
-            self.at = Some(at);
-        }
-    }
-
-    /// The layout rule of a sealed chunk: its rows go when its projection
-    /// covers every column. Then measures what the chunk keeps.
-    fn settle(&mut self) {
-        if self.columnar.as_ref().is_some_and(Columnar::covers_all) {
-            self.rows = Vec::new();
-        }
-        self.rows.shrink_to_fit();
-        self.resident = self.measure();
-    }
-
-    fn measure(&self) -> ResidentBytes {
-        ResidentBytes {
-            rows: rows_bytes(&self.rows),
+            Body::Columns(c, at) => (0, c.resident_bytes() + (at.capacity() * 4) as u64),
+        };
+        self.resident = ResidentBytes {
+            rows,
             index: self.indexes.values().map(Index::heap_bytes).sum::<usize>() as u64,
-            projection: self.columnar.as_ref().map_or(0, Columnar::resident_bytes)
-                + self.at.as_ref().map_or(0, |at| at.capacity() * 4) as u64,
-        }
+            projection,
+        };
+    }
+}
+
+/// The projection position of row `pos` under a row → projection map
+/// (empty: the identity).
+#[inline]
+fn proj_pos(at: &[u32], pos: u32) -> usize {
+    match at {
+        [] => pos as usize,
+        at => at[pos as usize] as usize,
     }
 }
 
@@ -478,13 +465,14 @@ fn positions<K>(keyed: &[(K, u32)]) -> Vec<u32> {
     keyed.iter().map(|&(_, p)| p).collect()
 }
 
-/// The least and greatest value behind sorted (code, position) pairs.
+/// The least and greatest value behind sorted (code, position) pairs, as
+/// the dictionary holds them.
 /// Codes follow arrival, not string order, so each distinct code's string
 /// is compared once; NULL ([`NULL_SYM`], the greatest code) is the least
 /// value.
 fn code_span(keyed: &[(u32, u32)], dict: &SharedDict) -> Option<(Value, Value)> {
     let dict = dict.read();
-    let (mut null, mut lo, mut hi) = (false, None::<&str>, None::<&str>);
+    let (mut null, mut lo, mut hi) = (false, None::<&Arc<str>>, None::<&Arc<str>>);
     let mut last = None;
     for &(code, _) in keyed {
         if last == Some(code) {
@@ -495,31 +483,12 @@ fn code_span(keyed: &[(u32, u32)], dict: &SharedDict) -> Option<(Value, Value)> 
             null = true;
             continue;
         }
-        let s = dict
-            .resolve(Sym(code))
-            .expect("stored symbols are interned");
+        let s = dict.shared(Sym(code)).expect("stored symbols are interned");
         lo = Some(lo.map_or(s, |lo| lo.min(s)));
         hi = Some(hi.map_or(s, |hi| hi.max(s)));
     }
-    let str = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+    let str = |s: Option<&Arc<str>>| s.map_or(Value::Null, |s| Value::Str(s.clone()));
     (null || hi.is_some()).then(|| (if null { Value::Null } else { str(lo) }, str(hi)))
-}
-
-/// A sealed chunk's row → projection map (see `SealedChunk::at`).
-#[derive(Clone, Copy)]
-enum ProjMap<'a> {
-    Identity,
-    Map(&'a [u32]),
-}
-
-impl ProjMap<'_> {
-    #[inline]
-    fn get(self, pos: u32) -> usize {
-        match self {
-            ProjMap::Identity => pos as usize,
-            ProjMap::Map(at) => at[pos as usize] as usize,
-        }
-    }
 }
 
 /// Where `order` — positions ascending by key — holds the keys that `cmp`
@@ -572,19 +541,19 @@ impl<'e> Recheck<'e> {
             cols,
             scratch,
         } = self;
-        match (&chunk.columnar, chunk.proj_map()) {
-            (Some(proj), Some(map)) if chunk.is_projected() => {
+        match &chunk.body {
+            Body::Columns(proj, at) => {
                 scratch.resize(proj.arity(), Value::Null);
                 candidates.retain(|&p| {
-                    let at = map.get(p);
+                    let pos = proj_pos(at, p);
                     for &c in cols.iter() {
-                        scratch[c] = proj.value(at, c);
+                        scratch[c] = proj.value(pos, c);
                     }
                     conjuncts.iter().all(|e| e.matches(scratch))
                 });
             }
-            _ => candidates.retain(|&p| {
-                let row = &chunk.rows[p as usize];
+            Body::Rows(rows) => candidates.retain(|&p| {
+                let row = &rows[p as usize];
                 conjuncts.iter().all(|e| e.matches(row))
             }),
         }
@@ -837,10 +806,11 @@ impl Table {
     }
 
     /// Where the table's memory goes: each sealed chunk as measured when it
-    /// sealed, plus the open tail's rows as they stand.
+    /// sealed, plus the open tail's rows as they stand (with a projection,
+    /// their strings are the dictionary's).
     pub fn resident_bytes(&self) -> ResidentBytes {
         let tail = ResidentBytes {
-            rows: rows_bytes(&self.tail),
+            rows: rows_bytes(&self.tail, self.layout.is_some()),
             ..ResidentBytes::default()
         };
         self.sealed.iter().map(|c| c.resident).chain([tail]).sum()
@@ -899,12 +869,13 @@ impl Table {
     }
 
     /// Validates `row` and appends it to the open tail: a push, after the
-    /// strings of its dictionary-coded columns are interned. Seals the tail
-    /// into an immutable chunk when it reaches [`Table::chunk_rows`] rows.
-    pub fn insert(&mut self, row: Row) -> Result<(), RdbError> {
+    /// strings of its dictionary-coded columns are interned and swapped for
+    /// the dictionary's. Seals the tail into an immutable chunk when it
+    /// reaches [`Table::chunk_rows`] rows.
+    pub fn insert(&mut self, mut row: Row) -> Result<(), RdbError> {
         self.schema.check_row(&row)?;
         if let Some(c) = &self.layout {
-            c.intern(&row);
+            c.intern(&mut row);
         }
         self.tail.push(row);
         if self.tail.len() >= self.chunk_rows {
@@ -915,34 +886,32 @@ impl Table {
 
     /// Seals the open tail into an immutable chunk, the one place a
     /// chunk's read layout is built (see the [module docs](self)): sorted,
-    /// projected and indexed once, its rows dropped if the projection
-    /// covers every column. No-op on an empty tail.
+    /// projected and indexed once, its rows dropped for the projection.
+    /// No-op on an empty tail.
     pub fn seal_tail(&mut self) {
         if self.tail.is_empty() {
             return;
         }
         let rows = std::mem::take(&mut self.tail);
-        let columnar = self.filled(&rows, None).expect("a derived order is valid");
-        self.push_sealed(SealedChunk::new(
-            &self.schema,
-            rows,
-            columnar,
-            &self.indexed,
-        ));
+        let body = self.body(rows, None).expect("a derived order is valid");
+        self.push_sealed(body);
     }
 
-    /// A copy of the table's projection, if it has one, filled over `rows`
-    /// in `order` (see `Columnar::fill`).
-    fn filled(&self, rows: &[Row], order: Option<&[u32]>) -> Result<Option<Columnar>, RdbError> {
+    /// The body a chunk of `rows` seals with: its rows, or with a
+    /// projection a copy of the table's filled over them in `order` (see
+    /// `Columnar::fill`).
+    fn body(&self, rows: Vec<Row>, order: Option<&[u32]>) -> Result<Body, RdbError> {
         let Some(layout) = &self.layout else {
-            return Ok(None);
+            return Ok(Body::Rows(rows));
         };
         let mut c = layout.clone();
-        c.fill(rows, order)?;
-        Ok(Some(c))
+        c.fill(&rows, order)?;
+        Ok(Body::columns(c))
     }
 
-    fn push_sealed(&mut self, chunk: SealedChunk) {
+    /// Seals `body`, indexed, as the newest chunk.
+    fn push_sealed(&mut self, body: Body) {
+        let chunk = SealedChunk::new(body, &self.indexed);
         self.starts.push(self.sealed_len as u32);
         self.sealed_len += chunk.len();
         self.sealed.push(Arc::new(chunk));
@@ -973,28 +942,25 @@ impl Table {
         }
     }
 
-    /// Builds (or rebuilds) a columnar projection over every sealed chunk;
-    /// every later seal builds one under the same configuration. Indexed
-    /// columns join the projection automatically, so
-    /// [`Table::indexed_columns`] stays the single source of truth for both
-    /// layouts. Sealed chunks are sealed again from their rows through
-    /// `Arc::make_mut` (a rare schema operation, not charged as
-    /// copy-on-write), each into the layout its new projection allows.
+    /// Builds (or rebuilds) a columnar projection of every column over
+    /// every sealed chunk; every later seal builds one under the same
+    /// configuration. Sealed chunks are sealed again from their rows
+    /// through `Arc::make_mut` (a rare schema operation, not charged as
+    /// copy-on-write), each keeping its projection instead of its rows.
+    /// A table with a `Float` column takes no projection: that is a
+    /// [`RdbError::SchemaMismatch`], and the table is left as it was.
     pub fn enable_columnar(
         &mut self,
         spec: &ColumnarSpec,
         dict: SharedDict,
     ) -> Result<(), RdbError> {
-        let mut layout = Columnar::build(&self.schema, spec, dict, &[])?;
-        for &col in &self.indexed {
-            layout.project_column(&self.schema, col, &[]);
-        }
+        let layout = Columnar::build(&self.schema, spec, dict, &[])?;
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
             let rows: Vec<Row> = (0..c.len() as u32).map(|p| c.row(p).to_row()).collect();
             let mut columnar = layout.clone();
             columnar.fill(&rows, None)?;
-            *c = SealedChunk::new(&self.schema, rows, Some(columnar), &self.indexed);
+            *c = SealedChunk::new(Body::columns(columnar), &self.indexed);
         }
         self.layout = Some(layout);
         Ok(())
@@ -1007,10 +973,11 @@ impl Table {
     /// [`Columnar::perm`]), which must time-order the rows and reproduces
     /// the original projection without re-sorting — or, with none, in the
     /// rows' own order. Otherwise the rows become the open tail, which
-    /// keeps no order of its own.
+    /// keeps no order of its own, its strings interned and shared with the
+    /// dictionary as [`Table::insert`] leaves them.
     pub fn load_chunk(
         &mut self,
-        rows: Vec<Row>,
+        mut rows: Vec<Row>,
         perm: Option<&[u32]>,
         seal: bool,
     ) -> Result<(), RdbError> {
@@ -1019,31 +986,23 @@ impl Table {
             self.schema.check_row(row)?;
         }
         if !seal {
+            if let Some(c) = &self.layout {
+                rows.iter_mut().for_each(|row| c.intern(row));
+            }
             self.tail = rows;
             return Ok(());
         }
-        let columnar = self.filled(&rows, perm)?;
-        self.push_sealed(SealedChunk::new(
-            &self.schema,
-            rows,
-            columnar,
-            &self.indexed,
-        ));
+        let body = self.body(rows, perm)?;
+        self.push_sealed(body);
         Ok(())
     }
 
-    /// Appends a sealed chunk restored as columns — a projection covering
-    /// every column, read into a copy of [`Table::columnar`] — indexed from
-    /// those columns; the open tail must be empty.
+    /// Appends a sealed chunk restored as columns — read into a copy of
+    /// [`Table::columnar`] — indexed from those columns; the open tail must
+    /// be empty.
     pub(crate) fn load_columns(&mut self, columnar: Columnar) -> Result<(), RdbError> {
         self.check_restore(columnar.len())?;
-        if !columnar.covers_all() {
-            return Err(RdbError::SchemaMismatch(
-                "a chunk kept as columns needs a projection of every column".into(),
-            ));
-        }
-        let chunk = SealedChunk::new(&self.schema, Vec::new(), Some(columnar), &self.indexed);
-        self.push_sealed(chunk);
+        self.push_sealed(Body::columns(columnar));
         Ok(())
     }
 
@@ -1061,8 +1020,8 @@ impl Table {
     }
 
     /// The table's columnar configuration, if one is enabled, as an empty
-    /// projection: the projected columns, sort column and dictionary every
-    /// sealed chunk's projection shares (each chunk's own is reached via
+    /// projection: the sort column and dictionary every sealed chunk's
+    /// projection shares (each chunk's own is reached via
     /// [`Table::sealed_chunks`]).
     pub fn columnar(&self) -> Option<&Columnar> {
         self.layout.as_ref()
@@ -1070,22 +1029,17 @@ impl Table {
 
     /// Creates a secondary index on `column`, back-filling every sealed
     /// chunk (through `Arc::make_mut` — a rare schema operation, not
-    /// charged as copy-on-write). Creating an index twice is a no-op. When
-    /// a columnar projection is enabled, the column also joins the
-    /// projection so it stays kernel-evaluable on both access paths.
+    /// charged as copy-on-write). Creating an index twice is a no-op.
     pub fn create_index(&mut self, column: &str) -> Result<(), RdbError> {
         let col = self.schema.require(column)?;
         let Err(at) = self.indexed.binary_search(&col) else {
             return Ok(());
         };
         self.indexed.insert(at, col);
-        if let Some(c) = &mut self.layout {
-            c.project_column(&self.schema, col, &[]);
-        }
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
-            c.build_index(&self.schema, col);
-            c.settle();
+            c.build_index(col);
+            c.measure();
         }
         Ok(())
     }
@@ -1296,7 +1250,7 @@ impl Table {
     fn kernel_cost(&self, kernels: &[Kernel]) -> usize {
         self.sealed
             .iter()
-            .filter_map(|chunk| chunk.columnar.as_ref())
+            .filter_map(|chunk| chunk.columnar())
             .map(|col| col.surviving_rows(kernels))
             .sum()
     }
@@ -1314,8 +1268,7 @@ impl Table {
         let mut out = Vec::new();
         for (chunk, base) in self.sealed_with_base() {
             let col = chunk
-                .columnar
-                .as_ref()
+                .columnar()
                 .expect("every sealed chunk carries the table's columnar configuration");
             let mut positions = col.select_stats(
                 kernels,
@@ -1909,7 +1862,7 @@ mod tests {
         let chunk = &t.sealed_chunks()[0];
         let n = chunk.len() as u32;
         for col in [0, 1] {
-            let values = || (0..n).map(|p| chunk.row(p).get(col).into_owned());
+            let values = || (0..n).map(|p| chunk.row(p).get(col));
             let index = &chunk.indexes[&col];
             assert_eq!(index.span, values().min().zip(values().max()), "{col}");
             if col == 0 {
@@ -2084,21 +2037,20 @@ mod tests {
         let r = chunked.resident_bytes();
         assert!(r.rows > 0, "the tail's rows: {r:?}");
         // Schema operations on projected chunks: a new index sorts from
-        // the projection, and a partial projection brings the rows back.
+        // the projection, and a projection enabled again re-seals each
+        // chunk from its columns, in the new order, still without rows.
         chunked.create_index("size").unwrap();
         oracle.create_index("size").unwrap();
         let c = [Expr::cmp_lit(2, CmpOp::Le, 40i64)];
         assert_eq!(chunked.select(&c, &mut 0).1, oracle.select(&c, &mut 0).1);
         chunked
-            .enable_columnar(
-                &ColumnarSpec::all().with_columns(&["size"]),
-                SharedDict::new(),
-            )
+            .enable_columnar(&ColumnarSpec::time_sorted("size"), SharedDict::new())
             .unwrap();
         for chunk in chunked.sealed_chunks() {
-            assert!(!chunk.is_projected());
-            assert!(chunk.resident_bytes().rows > 0);
+            assert!(chunk.is_projected());
+            assert_eq!(chunk.resident_bytes().rows, 0);
         }
         assert!(chunked.iter_rows().eq(oracle.iter_rows()));
+        assert_eq!(chunked.select(&c, &mut 0).1, oracle.select(&c, &mut 0).1);
     }
 }

@@ -29,8 +29,8 @@
 
 use aiql_core::ast::Lit;
 use aiql_model::codec::{
-    read_str, read_u32, read_u64, read_u8, read_value, write_str, write_u32, write_u64, write_u8,
-    write_value,
+    read_str, read_u32, read_u64, read_u8, read_value_shared, write_str, write_u32, write_u64,
+    write_u8, write_value, SeenStrings,
 };
 use aiql_model::Value;
 use aiql_wal::crc32;
@@ -593,11 +593,13 @@ impl Response {
                 let done = read_u8(&mut r)? != 0;
                 let n = read_count(&mut r, "row")?;
                 let mut rows = Vec::with_capacity(n.min(1024) as usize);
+                // A page's strings repeat: each distinct one is built once.
+                let mut seen = SeenStrings::default();
                 for _ in 0..n {
                     let w = read_count(&mut r, "column")?;
                     let mut row = Vec::with_capacity(w.min(64) as usize);
                     for _ in 0..w {
-                        row.push(read_value(&mut r)?);
+                        row.push(read_value_shared(&mut r, &mut seen)?);
                     }
                     rows.push(row);
                 }

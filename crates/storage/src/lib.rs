@@ -57,27 +57,16 @@ use std::path::{Path, PathBuf};
 /// the snapshot-restore path, so a reopened store rebuilds exactly the
 /// projections a fresh one would.
 ///
-/// Events project every column (all `Int`), kept sorted on `start_time` so
-/// window scans binary-search instead of filtering. Entity tables project
-/// the hot predicate columns — ids plus every string attribute (exe names,
-/// paths, IPs) interned into the shared dictionary; `create_index` extends
-/// the projections if more columns get indexed later.
+/// Every table projects every column, so each sealed chunk keeps its
+/// columns and no rows. Events (all `Int`) are kept sorted on
+/// `start_time` so window scans binary-search instead of filtering; entity
+/// tables keep arrival order, their strings (exe names, paths, IPs)
+/// interned into the shared dictionary.
 pub(crate) fn columnar_spec_for(table: &str) -> ColumnarSpec {
-    if table == schema::EVENTS {
-        return ColumnarSpec::time_sorted("start_time");
+    match table {
+        schema::EVENTS => ColumnarSpec::time_sorted("start_time"),
+        _ => ColumnarSpec::all(),
     }
-    let sch = match table {
-        schema::PROCESSES => schema::processes_schema(),
-        schema::FILES => schema::files_schema(),
-        schema::NETCONNS => schema::netconns_schema(),
-        other => unreachable!("no columnar spec for table {other}"),
-    };
-    let hot: Vec<&str> = sch
-        .iter()
-        .filter(|(n, t)| *t == aiql_rdb::ColumnType::Str || *n == "id" || *n == "agentid")
-        .map(|(n, _)| n)
-        .collect();
-    ColumnarSpec::all().with_columns(&hot)
 }
 
 /// Store construction options.

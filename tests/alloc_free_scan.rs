@@ -1,5 +1,6 @@
 //! Allocation guard for prepared scan predicates: a `LIKE` or `IN` scan
-//! allocates per table and per chunk, never per row.
+//! allocates per table and per chunk, never per row; and reading a
+//! projected string allocates nothing.
 //!
 //! This is the regression test a timing assertion would be, without the
 //! timing: the matcher this guards against made six heap allocations per
@@ -25,6 +26,11 @@ const ROWS: usize = 20_000;
 /// mixed-case executable names, one of them outside ASCII, and a NULL
 /// `user` on every third row.
 fn processes(chunk_rows: usize, columnar: bool) -> Table {
+    processes_of(ROWS, chunk_rows, columnar)
+}
+
+/// [`processes`] of `n` rows.
+fn processes_of(n: usize, chunk_rows: usize, columnar: bool) -> Table {
     let names = [
         "C:\\Windows\\System32\\cmd.exe",
         "C:\\Windows\\System32\\svchost.exe",
@@ -39,7 +45,7 @@ fn processes(chunk_rows: usize, columnar: bool) -> Table {
         t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
             .unwrap();
     }
-    for i in 0..ROWS as u64 {
+    for i in 0..n as u64 {
         let mut p = Entity::process((i + 1).into(), AgentId(0), names[i as usize % 5], 100);
         if i % 3 != 0 {
             p = p.with_attr("user", format!("user{}", i % 11));
@@ -143,4 +149,41 @@ fn in_list_scans_allocate_per_chunk_and_per_list() {
             );
         }
     }
+}
+
+/// A string read from a sealed entity chunk is the dictionary's `Arc<str>`:
+/// reading every string column of every row through `RowView::get` costs
+/// the same at 10x the rows — nothing per read.
+#[test]
+fn projected_string_reads_do_not_allocate() {
+    let strings = [
+        schema::proc::EXE_NAME,
+        schema::proc::USER,
+        schema::proc::CMD,
+        schema::proc::SIGNATURE,
+    ];
+    let read_all = |n: usize| {
+        let mut t = processes_of(n, DEFAULT_CHUNK_ROWS, true);
+        t.seal_tail();
+        assert!(t.sealed_chunks().iter().all(|c| c.is_projected()));
+        let (allocs, bytes) = allocations(|| {
+            let mut bytes = 0;
+            for row in t.iter_rows() {
+                for &col in &strings {
+                    if let Value::Str(s) = row.get(col) {
+                        bytes += s.len();
+                    }
+                }
+            }
+            bytes
+        });
+        assert!(bytes >= n * 13, "every exe name read: {bytes}");
+        allocs
+    };
+    let (small, large) = (read_all(ROWS / 10), read_all(ROWS));
+    assert!(
+        large <= small + 8,
+        "{small} allocations for {} rows, {large} for {ROWS}",
+        ROWS / 10
+    );
 }

@@ -118,16 +118,15 @@ proptest! {
     /// Chunked ≡ monolithic ≡ projected: a table sealing every `chunk` rows
     /// (with extra random explicit seals thrown in) must be observationally
     /// identical to one whose tail never seals, and so must copies of it
-    /// carrying a columnar projection — two covering every column (`Str`
-    /// included), whose sealed chunks keep no rows, and a partial one,
-    /// whose chunks keep theirs. Same global row order, same positional
+    /// carrying a columnar projection of every column (`Str` included),
+    /// whose sealed chunks keep no rows. Same global row order, same positional
     /// access, and the same positions in the same order from every
     /// selection, whichever access path each layout picks for it (index
     /// probe, index range, dictionary `LIKE` kernel, IN-list kernel, full
     /// scan), over sealed chunks and the open tail alike — including
     /// conjuncts no kernel answers (`<>`, `OR`, `NOT`, Int/Float
     /// comparisons), which projected chunks re-check on decoded rows.
-    /// A fifth layout never auto-seals and projects time-sorted: its open
+    /// A fourth layout never auto-seals and projects time-sorted: its open
     /// tail always holds out-of-order rows when the selections run, one of
     /// them with a name no sealed chunk holds, and sealing sorts each of
     /// its chunks whole. Layout is an encoding, never a semantic.
@@ -154,16 +153,14 @@ proptest! {
         let mut mono = Table::with_chunk_rows(schema(), usize::MAX);
         let mut projected = Table::with_chunk_rows(schema(), chunk);
         let mut unsorted = Table::with_chunk_rows(schema(), chunk);
-        let mut partial = Table::with_chunk_rows(schema(), chunk);
         let mut tailed = Table::with_chunk_rows(schema(), usize::MAX);
-        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut partial, &mut tailed] {
+        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut tailed] {
             t.create_index("val").unwrap();
             t.create_index("name").unwrap();
         }
         for (t, spec) in [
             (&mut projected, ColumnarSpec::time_sorted("start_time")),
             (&mut unsorted, ColumnarSpec::all()),
-            (&mut partial, ColumnarSpec::all().with_columns(&["agentid"])),
             (&mut tailed, ColumnarSpec::time_sorted("start_time")),
         ] {
             t.enable_columnar(&spec, SharedDict::new()).unwrap();
@@ -181,7 +178,7 @@ proptest! {
                 // Out of time order, so a time-sorted projection reorders.
                 Value::Int((i as i64 * 37 % 101) * 10_000_000_000_000),
             ];
-            for t in [&mut chunked, &mut projected, &mut unsorted, &mut partial, &mut tailed] {
+            for t in [&mut chunked, &mut projected, &mut unsorted, &mut tailed] {
                 t.insert(row.clone()).unwrap();
                 if seal_every > 0 && (i + 1) % seal_every == 0 {
                     // Mid-stream seals: irregular boundaries.
@@ -197,19 +194,18 @@ proptest! {
             Value::str("tail only"),
             Value::Int(50 * 10_000_000_000_000),
         ];
-        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut partial, &mut tailed] {
+        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut tailed] {
             t.insert(late.clone()).unwrap();
         }
         prop_assert_eq!(chunked.len(), mono.len());
         prop_assert!(mono.sealed_chunks().is_empty(), "oracle stays monolithic");
         prop_assert!(tailed.tail_rows().iter().any(|r| r[2] == Value::str("tail only")));
-        // Covering projections replace the rows of sealed chunks; a partial
-        // one and none keep them.
+        // Projections replace the rows of sealed chunks; without one they
+        // stay.
         for (t, projected_chunks) in [
             (&chunked, false),
             (&projected, true),
             (&unsorted, true),
-            (&partial, false),
             (&tailed, true),
         ] {
             for c in t.sealed_chunks() {
@@ -232,7 +228,7 @@ proptest! {
         prop_assert!(bounds.iter().all(|&n| n > 0), "no empty chunks: {:?}", bounds);
 
         // Global row order and positional access agree.
-        for t in [&chunked, &projected, &unsorted, &partial, &tailed] {
+        for t in [&chunked, &projected, &unsorted, &tailed] {
             prop_assert!(t.iter_rows().eq(mono.iter_rows()));
             for i in 0..t.len() {
                 prop_assert_eq!(t.row(i as u32), mono.row(i as u32), "row {}", i);
@@ -292,7 +288,6 @@ proptest! {
                 ("chunked", &chunked),
                 ("projected", &projected),
                 ("unsorted", &unsorted),
-                ("partial", &partial),
                 ("tailed", &tailed),
             ] {
                 let (_, got) = t.select(&conjuncts, &mut 0);

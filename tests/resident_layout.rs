@@ -1,17 +1,20 @@
 //! Where a store's memory goes, pinned without a clock: on the partitioned
-//! columnar store every sealed `events` chunk keeps only its projection and
-//! one sorted position array per index — no rows — while the row-store
-//! configuration keeps its rows; and a snapshot written from that layout,
-//! reopened and written again, is the same file byte for byte.
+//! columnar store every sealed chunk — `events` and entity tables alike —
+//! keeps only its projection and one sorted position array per index, no
+//! rows, while the row-store configuration keeps its rows; and a snapshot
+//! written from that layout, reopened and written again, is the same file
+//! byte for byte.
 
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
 use aiql::rdb::{Prune, Table};
-use aiql::storage::{EventStore, StoreConfig};
+use aiql::storage::{schema, EventStore, StoreConfig};
 
 const DAY: i64 = 86_400 * 1_000_000_000;
 
-/// Ten agents (two partition groups) over two days; events arrive out of
-/// time order, strided through the two-day span.
+/// Ten agents (two partition groups) over two days, each with ten idle
+/// processes besides the one its events name, so the processes table
+/// seals; events arrive out of time order, strided through the two-day
+/// span.
 fn dataset(n: u64) -> Dataset {
     let mut d = Dataset::new();
     let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
@@ -21,6 +24,10 @@ fn dataset(n: u64) -> Dataset {
         let base = (agent as u64 + 1) * 1_000;
         let p = d.add_entity(Entity::process(base.into(), a, format!("p{agent}.exe"), 7));
         let f = d.add_entity(Entity::file((base + 1).into(), a, format!("/f/{agent}")));
+        for k in 0..10 {
+            let exe = format!("idle{}.exe", k % 4);
+            d.add_entity(Entity::process((base + 10 + k).into(), a, exe, 8));
+        }
         entities.push((a, p, f));
     }
     for i in 0..n {
@@ -64,6 +71,11 @@ fn event_partitions(s: &EventStore) -> Vec<&Table> {
         .collect()
 }
 
+fn entity_tables(s: &EventStore) -> Vec<&Table> {
+    let names = [schema::PROCESSES, schema::FILES, schema::NETCONNS];
+    names.iter().map(|t| s.db().plain(t).unwrap()).collect()
+}
+
 #[test]
 fn sealed_event_chunks_keep_no_rows() {
     let data = dataset(40_000);
@@ -97,9 +109,44 @@ fn sealed_event_chunks_keep_no_rows() {
             assert!(r.index <= 4 * c.len() as u64 * indexed + 64, "{r:?}");
         }
     }
+    // Entity tables seal alike: columns only on the columnar store, rows
+    // on the row store.
+    let sealed_entities = |s: &EventStore| -> Vec<(bool, u64)> {
+        let tables = entity_tables(s).into_iter();
+        let chunks = tables.flat_map(|t| t.sealed_chunks());
+        chunks
+            .map(|c| (c.is_projected(), c.resident_bytes().rows))
+            .collect()
+    };
+    let (col_entities, row_entities) = (sealed_entities(&store), sealed_entities(&rows));
+    assert!(!col_entities.is_empty() && col_entities.len() == row_entities.len());
+    assert!(
+        col_entities.iter().all(|&c| c == (true, 0)),
+        "{col_entities:?}"
+    );
+    assert!(
+        row_entities.iter().all(|&(p, r)| !p && r > 0),
+        "{row_entities:?}"
+    );
+
     // Store-wide, what rows the columnar store still holds are its open
-    // tails and the entity tables.
+    // tails, their strings charged to the dictionary: each tail row is its
+    // values (`Table::tail_bytes`) plus its slot in the tail's vector,
+    // which holds at most twice the rows, and at least four.
     let (col, row) = (store.resident_bytes(), rows.resident_bytes());
+    let tables = || {
+        event_partitions(&store)
+            .into_iter()
+            .chain(entity_tables(&store))
+    };
+    let values: u64 = tables().map(Table::tail_bytes).sum();
+    let slots: u64 = tables()
+        .map(|t| 24 * (2 * t.tail_rows().len()).max(4) as u64)
+        .sum();
+    assert!(
+        (values..=values + slots).contains(&col.tables.rows),
+        "{col:?}: tails {values} + {slots}"
+    );
     assert!(col.tables.rows * 2 < row.tables.rows, "{col:?} vs {row:?}");
     assert!(col.dict > 0 && row.dict == 0);
 }

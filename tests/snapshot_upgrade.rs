@@ -1,11 +1,18 @@
-//! A store checkpointed in snapshot format v3 — `tests/fixtures/v3-store`,
-//! written by the last release that wrote v3 — still recovers: the same
-//! counts and recovery report, the same rows for a fixed statement set
-//! (`tests/fixtures/v3-store.rows`, recorded by that release), and it is
-//! written again as v4, a file that reopens and is written again byte for
-//! byte.
+//! Stores checkpointed by earlier releases still recover: the same counts
+//! and recovery report, the same rows for a fixed statement set, and each
+//! is written again as today's v4, a file that reopens and is written
+//! again byte for byte. Two fixtures, each with the rows its release
+//! recorded (`<fixture>.rows`):
 //!
-//! The fixture is [`write_store`] over [`dataset`]: 1 500 events of six
+//! - `tests/fixtures/v3-store`, written by the last release that wrote
+//!   snapshot format v3;
+//! - `tests/fixtures/v4-store`, written in v4 by the last release that
+//!   kept entity chunks as rows plus a projection order. Its dataset adds
+//!   ten idle processes per agent, so the first flush seals the processes
+//!   table into such a chunk. Rewritten today, every sealed chunk of a
+//!   projected table is kept as columns.
+//!
+//! Each fixture is [`write_store`] over [`dataset`]: 1 500 events of six
 //! agents over two days, arriving out of time order in fifteen durable
 //! flushes of 100, a checkpoint after the tenth; the last five flushes,
 //! late entities and one clock sample stay in the log.
@@ -13,13 +20,10 @@
 use aiql::engine::{Params, Session};
 use aiql::model::{AgentId, Entity, EntityKind, Event, OpType, Timestamp};
 use aiql::storage::persist::{self, RecoveryReport};
-use aiql::storage::{DurableStore, EventStore, RowRef, SharedStore, StoreConfig};
+use aiql::storage::{schema, DurableStore, EventStore, RowRef, SharedStore, StoreConfig};
 use std::path::{Path, PathBuf};
 
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3-store");
-const FIXTURE_ROWS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3-store.rows");
-/// The fixture's snapshot, named for the log sequence it covers.
-const SNAPSHOT: &str = "snapshot-00000000000000001060.bin";
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
 
 const AGENTS: u64 = 6;
 const EVENTS: u64 = 1_500;
@@ -38,15 +42,16 @@ const STATEMENTS: [&str; 5] = [
     "proc p connect ip i return distinct p, i",
 ];
 
-/// Per agent a shell, three workers, five files and a connection; a late
-/// file per agent arrives after the checkpoint.
+/// Per agent a shell, three workers, `idle` processes no event names,
+/// five files and a connection; a late file per agent arrives after the
+/// checkpoint.
 struct Data {
     entities: Vec<Entity>,
     late: Vec<Entity>,
     events: Vec<Event>,
 }
 
-fn dataset() -> Data {
+fn dataset(idle: u64) -> Data {
     let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
     let (mut entities, mut late, mut events) = (Vec::new(), Vec::new(), Vec::new());
     for a in 0..AGENTS {
@@ -60,6 +65,10 @@ fn dataset() -> Data {
                 exe,
                 10 + k as i64,
             ));
+        }
+        for k in 0..idle {
+            let exe = format!("idle{a}-{k}.exe");
+            entities.push(Entity::process((base + 40 + k).into(), agent, exe, 40));
         }
         for k in 0..5 {
             let name = format!("/f/{a}/{k}");
@@ -137,11 +146,12 @@ fn flush(d: &mut DurableStore, entities: &[Entity], events: &[Event], clock: boo
     .unwrap();
 }
 
-/// Writes the fixture's store into `dir`: every entity with the first
-/// flush, a checkpoint after the tenth, the late entities and the clock
-/// sample with the last flushes, no checkpoint at the end.
-fn write_store(dir: &Path) {
-    let data = dataset();
+/// Writes the fixture's store over `dataset(idle)` into `dir`: every
+/// entity with the first flush, a checkpoint after the tenth, the late
+/// entities and the clock sample with the last flushes, no checkpoint at
+/// the end.
+fn write_store(dir: &Path, idle: u64) {
+    let data = dataset(idle);
     let mut d = DurableStore::open(dir, StoreConfig::partitioned())
         .unwrap()
         .store;
@@ -178,10 +188,11 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Copies the fixture store: a snapshot and a `wal/` segment.
-fn copy_fixture(to: &Path) {
-    for entry in walk(Path::new(FIXTURE)) {
-        let rel = entry.strip_prefix(FIXTURE).unwrap();
+/// Copies the fixture store `name`: a snapshot and a `wal/` segment.
+fn copy_fixture(name: &str, to: &Path) {
+    let from = Path::new(FIXTURES).join(name);
+    for entry in walk(&from) {
+        let rel = entry.strip_prefix(&from).unwrap();
         std::fs::create_dir_all(to.join(rel).parent().unwrap()).unwrap();
         std::fs::copy(&entry, to.join(rel)).unwrap();
     }
@@ -199,19 +210,37 @@ fn walk(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-#[test]
-fn v3_store_recovers_and_is_rewritten_as_v4() {
-    let dirs = ["v3", "v4-a", "v4-b", "fresh", "converted"].map(temp_dir);
+/// Sealed chunks of the entity tables, and how many of them keep columns.
+fn entity_chunks(store: &EventStore) -> (usize, usize) {
+    let tables = [schema::PROCESSES, schema::FILES, schema::NETCONNS];
+    let chunks = tables
+        .iter()
+        .flat_map(|t| store.db().plain(t).unwrap().sealed_chunks());
+    chunks.fold((0, 0), |(n, cols), c| {
+        (n + 1, cols + c.is_projected() as usize)
+    })
+}
+
+/// Recovers fixture `name`, whose snapshot starts with `magic` and whose
+/// dataset has `idle` idle processes per agent, and rewrites it as v4 (see
+/// the module docs).
+fn upgrade(name: &str, magic: &[u8], idle: u64) {
+    let dirs =
+        ["old", "v4-a", "v4-b", "fresh", "converted"].map(|d| temp_dir(&format!("{name}-{d}")));
     let [store_dir, first, second, fresh, converted] = &dirs;
-    copy_fixture(store_dir);
-    let snapshot = std::fs::read(store_dir.join(SNAPSHOT)).unwrap();
-    assert_eq!(&snapshot[..8], persist::SNAPSHOT_MAGIC_V3);
+    copy_fixture(name, store_dir);
+    // The checkpoint covers the first ten flushes' events and entities,
+    // and is named for the log sequence it covers.
+    let seq = 1_060 + AGENTS * idle;
+    let snapshot_file = format!("snapshot-{seq:020}.bin");
+    let snapshot = std::fs::read(store_dir.join(&snapshot_file)).unwrap();
+    assert_eq!(&snapshot[..8], magic);
 
     let report = RecoveryReport {
-        snapshot_epoch: 1_060,
-        snapshot_wal_seq: 1_060,
+        snapshot_epoch: seq,
+        snapshot_wal_seq: seq,
         snapshot_events: 1_000,
-        snapshot_entities: 60,
+        snapshot_entities: 60 + (AGENTS * idle) as usize,
         replayed_events: 500,
         replayed_entities: 6,
         replayed_clock_samples: 1,
@@ -222,8 +251,19 @@ fn v3_store_recovers_and_is_rewritten_as_v4() {
     let recovered = persist::recover(store_dir).unwrap();
     assert_eq!(recovered.report, report);
     let store = recovered.store;
-    assert_eq!((store.event_count(), store.entity_count()), (1_500, 66));
-    let want = std::fs::read_to_string(FIXTURE_ROWS).unwrap();
+    let entities = 66 + (AGENTS * idle) as usize;
+    assert_eq!(
+        (store.event_count(), store.entity_count()),
+        (1_500, entities)
+    );
+    let (chunks, as_columns) = entity_chunks(&store);
+    assert_eq!(
+        chunks > 0,
+        idle > 0,
+        "idle processes seal a processes chunk"
+    );
+    assert_eq!(as_columns, chunks, "every entity chunk kept as columns");
+    let want = std::fs::read_to_string(Path::new(FIXTURES).join(format!("{name}.rows"))).unwrap();
 
     // Written as v4, reopened, written again: the same bytes.
     let written = store.persist_to(first).unwrap();
@@ -231,6 +271,7 @@ fn v3_store_recovers_and_is_rewritten_as_v4() {
     assert_eq!(&v4[..8], persist::SNAPSHOT_MAGIC);
     assert_eq!(rows(store), want);
     let reopened = EventStore::open(first).unwrap();
+    assert_eq!(entity_chunks(&reopened), (chunks, chunks));
     let rewritten = reopened.persist_to(second).unwrap();
     assert!(v4 == std::fs::read(&rewritten).unwrap(), "v4 → open → v4");
     assert_eq!(rows(reopened), want);
@@ -238,15 +279,25 @@ fn v3_store_recovers_and_is_rewritten_as_v4() {
     // The same procedure today checkpoints in v4 and recovers alike; its
     // checkpoint is the fixture's snapshot rewritten, byte for byte: the
     // same chunks, rows and projection orders.
-    write_store(fresh);
+    write_store(fresh, idle);
     let recovered = persist::recover(fresh).unwrap();
     assert_eq!(recovered.report, report);
     assert_eq!(rows(recovered.store), want);
-    let (at_checkpoint, seq) = persist::load_snapshot(&store_dir.join(SNAPSHOT)).unwrap();
+    let (at_checkpoint, seq) = persist::load_snapshot(&store_dir.join(&snapshot_file)).unwrap();
     let rewritten = persist::write_snapshot(&at_checkpoint, converted, seq).unwrap();
-    let checkpointed = std::fs::read(fresh.join(SNAPSHOT)).unwrap();
+    let checkpointed = std::fs::read(fresh.join(&snapshot_file)).unwrap();
     assert!(std::fs::read(rewritten).unwrap() == checkpointed);
     for dir in dirs {
         std::fs::remove_dir_all(dir).unwrap();
     }
+}
+
+#[test]
+fn v3_store_recovers_and_is_rewritten_as_v4() {
+    upgrade("v3-store", persist::SNAPSHOT_MAGIC_V3, 0);
+}
+
+#[test]
+fn v4_store_with_entity_rows_is_rewritten_with_entity_columns() {
+    upgrade("v4-store", persist::SNAPSHOT_MAGIC, 10);
 }

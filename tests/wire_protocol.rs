@@ -34,7 +34,7 @@ fn value_from(tag: u8, n: i64, s: String) -> Value {
         1 => Value::Bool(n % 2 == 0),
         2 => Value::Int(n),
         3 => Value::Float(n as f64 / 3.0),
-        _ => Value::Str(s),
+        _ => Value::str(s),
     }
 }
 
