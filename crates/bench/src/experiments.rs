@@ -4,7 +4,7 @@ use crate::catalog::{self, CatalogQuery, QueryKind};
 use crate::harness::{self, RunResult, Scale, Systems};
 use crate::report::{cell, log10_cell, speedup, total_secs, TextTable};
 use aiql_baselines::greenplum::SegmentedStore;
-use aiql_engine::EngineConfig;
+use aiql_engine::{EngineConfig, ScoreModel};
 use aiql_storage::{EventStore, StoreConfig};
 use aiql_translate::metrics::{compare, conciseness};
 use std::time::Duration;
@@ -140,12 +140,19 @@ pub fn table3_fig5(opts: Options) -> String {
 
 /// Fig. 6: scheduling comparison on single-node storage — PostgreSQL
 /// scheduling vs AIQL fetch-and-filter vs AIQL relationship scheduling,
-/// all over the same partition-optimized store.
+/// all over the same partition-optimized store. A fourth column, `AIQL
+/// (Sec. 7)`, runs the relationship scheduler with the paper's Sec. 7
+/// statistical scorer ([`ScoreModel::DataStatistics`]) instead of the
+/// constraint count; each run opens a fresh session, so the scorer's
+/// planning is inside the timed region.
 pub fn fig6(opts: Options) -> String {
     let (data, _) = harness::dataset(opts.scale);
-    let store = aiql_storage::EventStore::ingest(&data, aiql_storage::StoreConfig::partitioned())
-        .expect("ingest");
+    let store = EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest");
     let queries = catalog::behaviours();
+    let statistical = EngineConfig {
+        scorer: ScoreModel::DataStatistics,
+        ..harness::sched_only_config()
+    };
 
     let mut out = format!(
         "Fig. 6: query execution time (s) under PostgreSQL / AIQL-FF / AIQL scheduling\n\
@@ -153,36 +160,35 @@ pub fn fig6(opts: Options) -> String {
         data.events.len(),
         opts.budget.as_secs()
     );
-    type SchedulingRow = (String, RunResult, RunResult, RunResult);
-    let mut groups: Vec<(&str, Vec<SchedulingRow>)> = Vec::new();
+    // Per column, every query's run: PostgreSQL, AIQL FF, AIQL, AIQL (Sec. 7).
+    let mut all: [Vec<RunResult>; 4] = Default::default();
     for group in ["apt", "dep", "malware", "abnormal"] {
-        let mut rows = Vec::new();
-        for q in queries.iter().filter(|q| q.group == group) {
-            let pg = harness::run_postgres(store.db(), q, opts.budget);
-            let ff = harness::run_aiql(&store, q, harness::ff_config(), opts.budget);
-            let rb = harness::run_aiql(&store, q, harness::sched_only_config(), opts.budget);
-            rows.push((q.id.to_string(), pg, ff, rb));
-        }
-        groups.push((group, rows));
-    }
-    let mut all_pg = Vec::new();
-    let mut all_ff = Vec::new();
-    let mut all_rb = Vec::new();
-    for (group, rows) in &groups {
         out.push_str(&format!("\n[{group}]\n"));
-        let mut t = TextTable::new(&["query", "PostgreSQL", "AIQL FF", "AIQL"]);
-        for (id, pg, ff, rb) in rows {
-            t.row(vec![id.clone(), cell(pg), cell(ff), cell(rb)]);
-            all_pg.push(pg.clone());
-            all_ff.push(ff.clone());
-            all_rb.push(rb.clone());
+        let mut t = TextTable::new(&["query", "PostgreSQL", "AIQL FF", "AIQL", "AIQL (Sec. 7)"]);
+        for q in queries.iter().filter(|q| q.group == group) {
+            let runs = [
+                harness::run_postgres(store.db(), q, opts.budget),
+                harness::run_aiql(&store, q, harness::ff_config(), opts.budget),
+                harness::run_aiql(&store, q, harness::sched_only_config(), opts.budget),
+                harness::run_aiql(&store, q, statistical, opts.budget),
+            ];
+            t.row(
+                std::iter::once(q.id.to_string())
+                    .chain(runs.iter().map(cell))
+                    .collect(),
+            );
+            for (col, run) in all.iter_mut().zip(runs) {
+                col.push(run);
+            }
         }
         out.push_str(&t.render());
     }
+    let [pg, ff, rb, stats] = &all;
     out.push_str(&format!(
-        "\nScheduling speedup over PostgreSQL (geomean, comparable queries): AIQL FF {:.1}x, AIQL {:.1}x\n",
-        speedup(&all_pg, &all_ff),
-        speedup(&all_pg, &all_rb),
+        "\nScheduling speedup over PostgreSQL (geomean, comparable queries): AIQL FF {:.1}x, AIQL {:.1}x, AIQL (Sec. 7) {:.1}x\n",
+        speedup(pg, ff),
+        speedup(pg, rb),
+        speedup(pg, stats),
     ));
     out
 }
@@ -336,6 +342,54 @@ mod tests {
             let v: f64 = tok.trim_end_matches('x').parse().unwrap();
             assert!(v > 1.5, "expected clear blow-up, got {v} in {chars_line}");
         }
+    }
+
+    /// The cells of `report`'s table row for each behaviour, in catalog
+    /// order; panics on a behaviour with no row.
+    fn behaviour_rows(report: &str) -> Vec<Vec<&str>> {
+        catalog::behaviours()
+            .iter()
+            .map(|q| {
+                report
+                    .lines()
+                    .map(|l| l.split_whitespace().collect::<Vec<_>>())
+                    .find(|cells| cells.first() == Some(&q.id))
+                    .unwrap_or_else(|| panic!("no row for {}", q.id))
+            })
+            .collect()
+    }
+
+    fn assert_numeric(id: &str, cell: &str) {
+        assert!(
+            cell.parse::<f64>().is_ok(),
+            "{id}: AIQL cell {cell:?} is not a time"
+        );
+    }
+
+    #[test]
+    fn fig6_runs_at_small_scale() {
+        let s = fig6(small());
+        let header = s.lines().find(|l| l.starts_with("query")).unwrap();
+        for column in ["PostgreSQL", "AIQL FF", "AIQL", "AIQL (Sec. 7)"] {
+            assert!(header.contains(column), "no {column:?} in {header}");
+        }
+        for cells in behaviour_rows(&s) {
+            assert_eq!(cells.len(), 5, "{cells:?}");
+            for aiql in &cells[2..] {
+                assert_numeric(cells[0], aiql);
+            }
+        }
+        assert!(s.contains("Scheduling speedup over PostgreSQL"));
+    }
+
+    #[test]
+    fn fig7_runs_at_small_scale() {
+        let s = fig7(small());
+        for cells in behaviour_rows(&s) {
+            assert_eq!(cells.len(), 3, "{cells:?}");
+            assert_numeric(cells[0], cells[2]);
+        }
+        assert!(s.contains("Average speedup over Greenplum scheduling"));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   negated log-cardinality, so fewer estimated matches ⇒ more pruning
 //!   power.
 //!
-//! The `ablation` Criterion bench (`crates/bench/benches/ablation.rs`)
-//! times the two; `tests/differential.rs` checks they return the same rows.
+//! `repro fig6` times the two: its `AIQL (Sec. 7)` column runs the
+//! statistical scorer next to the constraint-count `AIQL` column;
+//! `tests/differential.rs` checks they return the same rows.
 
 use crate::synth::synthesize;
 use aiql_core::QueryContext;

@@ -435,11 +435,19 @@ impl EventStore {
     }
 
     /// The time span (min/max event start) present in the store, if any.
+    /// One pass over every partition's rows, sealed chunks and open tails
+    /// alike, with no per-row allocation.
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let rows =
-            self.scan_events_profiled(&[], &Prune::all(), &mut 0, &mut ScanProfile::default());
-        let starts = || rows.iter().map(|r| r.int(schema::ev::START).unwrap_or(0));
-        Some((Timestamp(starts().min()?), Timestamp(starts().max()?)))
+        self.events_partitioned()
+            .partitions_for(&Prune::all())
+            .into_iter()
+            .flat_map(|(_, t)| t.iter_rows())
+            .map(|r| r.int(schema::ev::START).unwrap_or(0))
+            .fold(None, |span, t| match span {
+                None => Some((t, t)),
+                Some((lo, hi)) => Some((t.min(lo), t.max(hi))),
+            })
+            .map(|(lo, hi)| (Timestamp(lo), Timestamp(hi)))
     }
 
     /// Where the store's memory goes: rows, indexes and projections over
@@ -796,8 +804,21 @@ mod tests {
         let s = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
         let (lo, hi) = s.time_span().unwrap();
         assert_eq!(lo, Timestamp(Timestamp::from_ymd(2017, 1, 1).unwrap().0));
-        assert!(hi > lo);
+        assert_eq!(hi, d.events.iter().map(|e| e.start).max().unwrap());
         let empty = EventStore::empty(StoreConfig::partitioned()).unwrap();
         assert!(empty.time_span().is_none());
+
+        // Appended, not sealed: every event sits in an open tail.
+        let mut tails = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        for e in &d.entities {
+            tails.append_entity(e).unwrap();
+        }
+        for ev in &d.events {
+            tails.append_event(ev).unwrap();
+        }
+        for (_, t) in tails.events_partitioned().partitions_for(&Prune::all()) {
+            assert!(t.sealed_chunks().is_empty());
+        }
+        assert_eq!(tails.time_span(), Some((lo, hi)));
     }
 }
