@@ -53,7 +53,7 @@ impl SegmentedStore {
             dbs[i % segments].insert(table, row)?;
         }
         for db in &mut dbs {
-            db.freeze_tails(1);
+            db.seal_tails();
         }
         Ok(SegmentedStore {
             segments: dbs,

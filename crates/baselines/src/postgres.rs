@@ -21,7 +21,7 @@ pub fn load(data: &Dataset) -> Result<Database, RdbError> {
     for ev in &data.events {
         db.insert(schema::EVENTS, event_row(ev))?;
     }
-    db.freeze_tails(1);
+    db.seal_tails();
     Ok(db)
 }
 

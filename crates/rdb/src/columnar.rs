@@ -50,6 +50,7 @@ use crate::snapshot::MAX_RESERVE;
 use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
 use std::io::{self, Read, Write};
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// NULL sentinel in a bool column (values are 0 / 1).
 const NULL_BOOL: u8 = 2;
@@ -196,17 +197,64 @@ impl ColumnData {
         })
     }
 
-    fn reserve_exact(&mut self, n: usize) {
+    /// An empty column of this one's type, with room for `n` values.
+    fn empty(&self, n: usize) -> ColumnData {
         match self {
-            ColumnData::Int { vals, .. } => vals.reserve_exact(n),
-            ColumnData::Sym { vals } => vals.reserve_exact(n),
-            ColumnData::Bool { vals } => vals.reserve_exact(n),
+            ColumnData::Int { .. } => ColumnData::Int {
+                vals: Vec::with_capacity(n),
+                nulls: Vec::new(),
+            },
+            ColumnData::Sym { .. } => ColumnData::Sym {
+                vals: Vec::with_capacity(n),
+            },
+            ColumnData::Bool { .. } => ColumnData::Bool {
+                vals: Vec::with_capacity(n),
+            },
         }
     }
 
-    /// Appends `v`, interning a string into `dict`.
+    /// Appends `other`'s values, a column of the same type.
+    fn extend(&mut self, other: &ColumnData) {
+        match (self, other) {
+            (
+                ColumnData::Int { vals, nulls },
+                ColumnData::Int {
+                    vals: more,
+                    nulls: more_nulls,
+                },
+            ) => {
+                if !nulls.is_empty() || !more_nulls.is_empty() {
+                    nulls.resize(vals.len(), false);
+                    if more_nulls.is_empty() {
+                        nulls.resize(vals.len() + more.len(), false);
+                    } else {
+                        nulls.extend_from_slice(more_nulls);
+                    }
+                }
+                vals.extend_from_slice(more);
+            }
+            (ColumnData::Sym { vals }, ColumnData::Sym { vals: more }) => {
+                vals.extend_from_slice(more)
+            }
+            (ColumnData::Bool { vals }, ColumnData::Bool { vals: more }) => {
+                vals.extend_from_slice(more)
+            }
+            _ => unreachable!("columns of one projection keep their types"),
+        }
+    }
+
+    /// Bytes the values take (what copying them copies).
+    fn filled_bytes(&self) -> usize {
+        match self {
+            ColumnData::Int { vals, nulls } => vals.len() * 8 + nulls.len(),
+            ColumnData::Sym { vals } => vals.len() * 4,
+            ColumnData::Bool { vals } => vals.len(),
+        }
+    }
+
+    /// Appends `v`; a string is stored as the code `intern` gives it.
     #[inline]
-    fn push(&mut self, v: &Value, dict: &mut Dict) {
+    fn push(&mut self, v: &Value, intern: impl FnOnce(&Arc<str>) -> u32) {
         match self {
             ColumnData::Int { vals, nulls } => {
                 let (x, null) = match v {
@@ -221,7 +269,7 @@ impl ColumnData {
                 vals.push(x);
             }
             ColumnData::Sym { vals } => vals.push(match v {
-                Value::Str(s) => dict.intern(s).0,
+                Value::Str(s) => intern(s),
                 _ => NULL_SYM,
             }),
             ColumnData::Bool { vals } => vals.push(match v {
@@ -320,6 +368,15 @@ impl ColumnData {
             ),
             ColumnData::Bool { vals } if vals[i] != NULL_BOOL => Value::Bool(vals[i] == 1),
             _ => Value::Null,
+        }
+    }
+
+    /// The value at `i` of an `Int` column (`None` for NULL or another
+    /// type).
+    fn int(&self, i: usize) -> Option<i64> {
+        match self {
+            ColumnData::Int { vals, nulls } if !int_null(nulls, i) => Some(vals[i]),
+            _ => None,
         }
     }
 
@@ -595,49 +652,55 @@ impl Columnar {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let mut c = Columnar {
+        let layout = Columnar {
             time_idx,
             dict,
             cols,
             perm: Vec::new(),
             zones: Vec::new(),
         };
-        c.fill(rows, None)?;
-        Ok(c)
+        if rows.is_empty() {
+            return Ok(layout);
+        }
+        let mut tail = ColumnTail::new(&layout);
+        for row in rows {
+            tail.push(&layout, row);
+        }
+        layout.seal(&tail, None)
     }
 
-    /// Fills this empty projection with `rows`: each row read once, in
-    /// arrival order, into every column (strings interned under one
-    /// dictionary lock); then the columns permuted into projection order
-    /// and given their zone maps. The order is `order` — a persisted one,
-    /// refused unless it is a permutation of the rows that runs in time
-    /// order — or, with none, the rows' stable sort by the time column
-    /// (NULL first), taken from the filled column.
-    pub(crate) fn fill(&mut self, rows: &[Row], order: Option<&[u32]>) -> Result<(), RdbError> {
-        {
-            let mut dict = self.dict.write();
-            for data in &mut self.cols {
-                data.reserve_exact(rows.len());
-            }
-            for row in rows {
-                for (data, v) in self.cols.iter_mut().zip(row) {
-                    data.push(v, &mut dict);
-                }
+    /// Seals `tail` into a filled copy of this empty projection — the one
+    /// place a sealed projection is made. Each column is the concatenation
+    /// of the tail's blocks, permuted into projection order and given its
+    /// zone map. The order is `order` — a persisted one, refused unless it
+    /// is a permutation of the rows that runs in time order — or, with
+    /// none, the rows' stable sort by the time column (NULL first), taken
+    /// from the filled column.
+    pub(crate) fn seal(
+        &self,
+        tail: &ColumnTail,
+        order: Option<&[u32]>,
+    ) -> Result<Columnar, RdbError> {
+        let n = tail.len;
+        let mut c = self.clone();
+        for (col, data) in c.cols.iter_mut().enumerate() {
+            *data = data.empty(n);
+            for block in tail.blocks() {
+                data.extend(&block[col]);
             }
         }
         let perm = match order {
-            Some(order) if order.len() != rows.len() => {
+            Some(order) if order.len() != n => {
                 return Err(RdbError::SchemaMismatch(format!(
-                    "columnar order of {} positions for {} rows",
-                    order.len(),
-                    rows.len()
+                    "columnar order of {} positions for {n} rows",
+                    order.len()
                 )))
             }
             Some(order) => order.to_vec(),
-            None => self.time_order(rows.len()),
+            None => c.time_order(n),
         };
         let identity = perm.iter().enumerate().all(|(i, &p)| p as usize == i);
-        for data in &mut self.cols {
+        for data in &mut c.cols {
             if !identity {
                 data.permute(&perm);
             }
@@ -645,12 +708,12 @@ impl Columnar {
                 nulls.shrink_to_fit();
             }
         }
-        self.perm = perm;
-        self.zones = self.cols.iter().map(ColumnData::zone).collect();
-        match order {
-            Some(_) => self.check(),
-            None => Ok(()),
+        c.perm = perm;
+        c.zones = c.cols.iter().map(ColumnData::zone).collect();
+        if order.is_some() {
+            c.check()?;
         }
+        Ok(c)
     }
 
     /// The stable sort by time of `n` filled, arrival-ordered positions.
@@ -719,21 +782,6 @@ impl Columnar {
         Ok(c)
     }
 
-    /// Interns `row`'s strings in the projection's dictionary-coded
-    /// columns under one dictionary lock, swapping each for the
-    /// dictionary's `Arc`: a table does this as each row arrives, so codes
-    /// follow arrival order and its open tail shares the dictionary's
-    /// payloads.
-    pub(crate) fn intern(&self, row: &mut Row) {
-        let mut dict = None;
-        for (data, v) in self.cols.iter().zip(row) {
-            if let (ColumnData::Sym { .. }, Value::Str(s)) = (data, v) {
-                dict.get_or_insert_with(|| self.dict.write())
-                    .intern_shared(s);
-            }
-        }
-    }
-
     /// Number of columns of the projected table.
     pub fn arity(&self) -> usize {
         self.cols.len()
@@ -766,10 +814,7 @@ impl Columnar {
     /// [`Columnar::value`] of an `Int` column, without building a value
     /// (`None` for NULL or another type).
     pub fn int(&self, at: usize, col: usize) -> Option<i64> {
-        match &self.cols[col] {
-            ColumnData::Int { vals, nulls } if !int_null(nulls, at) => Some(vals[at]),
-            _ => None,
-        }
+        self.cols[col].int(at)
     }
 
     /// Heap bytes held: the column vectors, the projection order, the zone
@@ -951,6 +996,221 @@ impl Columnar {
             .filter(|&(_, s)| s)
             .map(|(i, _)| self.perm[i])
             .collect()
+    }
+}
+
+/// Rows per block of a columnar table's open tail: what the
+/// first append after a publish copies at most, per table it touches.
+///
+/// The `ingest` ledger sets it. A flush there logs ≈ 106 KB and lands
+/// ≈ 512 rows in each of two hot `events` partitions (88 bytes a row as
+/// columns) and a few in each entity table, so each publish interval
+/// copies about half a block per touched table: 0.067 bytes per byte
+/// logged at 64 rows, 0.133 at 128, where a `Vec<Row>` tail copied whole
+/// cost 15. Per row, a block costs its allocations (one per column, two
+/// more), ≈ 0.2 at 64 rows, and a tail scan its per-block set-up; neither
+/// shows in the acknowledgement or the live reads, so the copy decides:
+/// the smallest block the design allows.
+pub const TAIL_BLOCK_ROWS: usize = 64;
+
+/// One block of an open tail: a column per projected column, each with
+/// room for [`TAIL_BLOCK_ROWS`] values.
+type Block = Vec<ColumnData>;
+
+/// The open tail of a table with a projection: its rows in arrival order,
+/// as columns of the table's projection, in blocks of [`TAIL_BLOCK_ROWS`]
+/// rows — full blocks behind `Arc`, then the one partial block appends
+/// fill, owned.
+///
+/// `Clone` bumps the full blocks' refcounts and copies the partial block
+/// ([`ColumnTail::copy_bytes`]), nothing else: a table detached from a
+/// published snapshot for its first append after the publish shares every
+/// full block with it. Sealing reads the blocks — it copies what a batch
+/// load would — through [`Columnar::seal`].
+#[derive(Debug)]
+pub(crate) struct ColumnTail {
+    dict: SharedDict,
+    full: Vec<Arc<Block>>,
+    /// The partial block: empty (no columns) while no row is in it.
+    open: Block,
+    len: usize,
+    /// Heap bytes of the full blocks, which never change.
+    full_bytes: u64,
+}
+
+impl Clone for ColumnTail {
+    fn clone(&self) -> ColumnTail {
+        // The copy keeps room for the whole block, as the original has:
+        // appends into it then never reallocate.
+        let open = self.open.iter().map(|c| {
+            let mut data = c.empty(TAIL_BLOCK_ROWS);
+            data.extend(c);
+            data
+        });
+        ColumnTail {
+            dict: self.dict.clone(),
+            full: self.full.clone(),
+            open: open.collect(),
+            len: self.len,
+            full_bytes: self.full_bytes,
+        }
+    }
+}
+
+/// Heap bytes of a tail block: its column vectors and their list.
+fn block_bytes(block: &Block) -> u64 {
+    let cols: usize = block.iter().map(ColumnData::heap_bytes).sum();
+    (cols + block.capacity() * size_of::<ColumnData>()) as u64
+}
+
+impl ColumnTail {
+    /// An empty tail of `layout`'s columns.
+    pub(crate) fn new(layout: &Columnar) -> ColumnTail {
+        ColumnTail {
+            dict: layout.dict.clone(),
+            full: Vec::new(),
+            open: Vec::new(),
+            len: 0,
+            full_bytes: 0,
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends `row`, a row of `layout`'s table: each value pushed onto its
+    /// column of the partial block, a string as its dictionary code
+    /// (interned under one dictionary lock, taken only for a row that
+    /// holds a string). A block that fills is shared from then on.
+    pub(crate) fn push(&mut self, layout: &Columnar, row: &[Value]) {
+        if self.open.is_empty() {
+            self.open = (layout.cols.iter())
+                .map(|c| c.empty(TAIL_BLOCK_ROWS))
+                .collect();
+        }
+        let mut guard = None;
+        for (data, v) in self.open.iter_mut().zip(row) {
+            data.push(v, |s| {
+                let mut s = s.clone();
+                let dict = guard.get_or_insert_with(|| self.dict.write());
+                dict.intern_shared(&mut s).0
+            });
+        }
+        drop(guard);
+        self.len += 1;
+        if self.len.is_multiple_of(TAIL_BLOCK_ROWS) {
+            let block = std::mem::take(&mut self.open);
+            self.full_bytes += block_bytes(&block);
+            self.full.push(Arc::new(block));
+        }
+    }
+
+    /// Drops every row (blocks a clone shares stay alive there).
+    pub(crate) fn clear(&mut self) {
+        self.full.clear();
+        self.open = Vec::new();
+        self.len = 0;
+        self.full_bytes = 0;
+    }
+
+    /// Every block, in order: the full ones, then the partial one if it
+    /// holds a row.
+    fn blocks(&self) -> impl Iterator<Item = &Block> {
+        let open = (!self.open.is_empty()).then_some(&self.open);
+        self.full.iter().map(|b| &**b).chain(open)
+    }
+
+    /// The block holding row `pos`, and the row's place in it.
+    fn at(&self, pos: usize) -> (&Block, usize) {
+        let block = match self.full.get(pos / TAIL_BLOCK_ROWS) {
+            Some(full) => full,
+            None => &self.open,
+        };
+        (block, pos % TAIL_BLOCK_ROWS)
+    }
+
+    /// Number of columns.
+    pub(crate) fn arity(&self) -> usize {
+        self.blocks().next().map_or(0, Vec::len)
+    }
+
+    /// The value of column `col` at row `pos`, as [`Columnar::value`]
+    /// reads it.
+    pub(crate) fn value(&self, pos: usize, col: usize) -> Value {
+        let (block, i) = self.at(pos);
+        block[col].value(i, &self.dict)
+    }
+
+    /// [`ColumnTail::value`] of an `Int` column, without building a value.
+    pub(crate) fn int(&self, pos: usize, col: usize) -> Option<i64> {
+        let (block, i) = self.at(pos);
+        block[col].int(i)
+    }
+
+    /// What [`ColumnTail::clone`] copies: the values of the partial block.
+    pub(crate) fn copy_bytes(&self) -> u64 {
+        self.open
+            .iter()
+            .map(ColumnData::filled_bytes)
+            .sum::<usize>() as u64
+    }
+
+    /// Heap bytes held: the blocks and the list of full ones.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        let list = self.full.capacity() * size_of::<Arc<Block>>();
+        self.full_bytes + block_bytes(&self.open) + list as u64
+    }
+
+    /// How many full blocks are physically shared (same `Arc`) with
+    /// `other`, compared positionally.
+    pub(crate) fn blocks_shared_with(&self, other: &ColumnTail) -> usize {
+        self.full
+            .iter()
+            .zip(&other.full)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    /// Evaluates `kernels` over every block — a plain pass: no zone map, no
+    /// time window, a time kernel a range kernel like any other — and
+    /// appends the rows satisfying all of them to `out`, in arrival order.
+    /// `memo` carries the [`Kernel::LikeSym`] outcomes of the table scan.
+    /// Returns the rows evaluated.
+    pub(crate) fn select(
+        &self,
+        kernels: &[Kernel],
+        memo: &mut LikeMemo,
+        out: &mut Vec<u32>,
+    ) -> u64 {
+        if kernels.iter().any(|k| matches!(k, Kernel::Never)) {
+            return 0;
+        }
+        let mut sel = Vec::new();
+        for (b, block) in self.blocks().enumerate() {
+            let start = b * TAIL_BLOCK_ROWS;
+            sel.clear();
+            sel.resize((self.len - start).min(TAIL_BLOCK_ROWS), true);
+            for (ki, k) in kernels.iter().enumerate() {
+                let col = k.col().expect("`Never` returned above");
+                match (k, &block[col]) {
+                    (
+                        Kernel::LikeSym {
+                            pattern, negated, ..
+                        },
+                        ColumnData::Sym { vals },
+                    ) => {
+                        let dict = self.dict.read();
+                        memo.apply(ki, pattern, *negated, &dict, vals, &mut sel)
+                    }
+                    (k, data) => k.apply(data, 0, &mut sel),
+                }
+            }
+            let rows = (start as u32..).zip(&sel);
+            out.extend(rows.filter(|&(_, &s)| s).map(|(p, _)| p));
+        }
+        self.len as u64
     }
 }
 
@@ -1360,7 +1620,12 @@ mod tests {
         // that order loads.
         let c = build(&rows);
         assert_eq!(c.perm(), [5, 1, 9, 3, 7, 4, 2, 0, 6, 8]);
-        let refill = |order: &[u32]| build(&[]).fill(&rows, Some(order));
+        let refill = |order: &[u32]| {
+            let layout = build(&[]);
+            let mut tail = ColumnTail::new(&layout);
+            rows.iter().for_each(|r| tail.push(&layout, r));
+            layout.seal(&tail, Some(order))
+        };
         refill(c.perm()).unwrap();
         // An order not time-sorted over its chunk is refused — the one
         // above, sorted 4 rows at a time, included — as is one that is no

@@ -43,6 +43,7 @@ pub mod snapshot;
 pub mod table;
 
 pub use aiql_model::{LikePattern, SharedDict, Sym, Value};
+pub use columnar::TAIL_BLOCK_ROWS;
 pub use columnar::{Columnar, ColumnarSpec, Kernel};
 pub use error::RdbError;
 pub use expr::{CmpOp, Expr, InList};
@@ -184,8 +185,8 @@ impl Database {
             // snapshot is detached before the first post-publish insert.
             TableSlot::Plain(t) => {
                 if Arc::strong_count(t) > 1 {
-                    // Chunked tables make the detach O(tail): sealed chunks
-                    // stay shared with the snapshot.
+                    // Sealed chunks and full tail blocks stay shared with
+                    // the snapshot: the detach copies the partial block.
                     copied = t.tail_bytes();
                 }
                 Arc::make_mut(t)
@@ -263,30 +264,24 @@ impl Database {
         }
     }
 
-    /// Seals every table tail holding at least `min_rows` rows, across
-    /// plain and partitioned tables (see [`Table::freeze_tail`] /
-    /// [`PartitionedTable::freeze_tails`]); returns how many tails sealed.
-    /// The live store calls this right before cloning the head into a
-    /// snapshot so the clone shares the sealed chunks and the next
-    /// publish's copy-on-write detaches cost ~nothing.
-    pub fn freeze_tails(&mut self, min_rows: usize) -> usize {
-        let mut sealed = 0;
+    /// Seals every table's open tail, plain and partitioned (see
+    /// [`Table::seal_tail`] / [`PartitionedTable::seal_tails`]) — the last
+    /// step of a batch load. A plain table still shared with a snapshot is
+    /// detached first, charged to [`Database::copied_bytes`] as any detach
+    /// is.
+    pub fn seal_tails(&mut self) {
         for slot in self.tables.values_mut() {
             match slot {
-                TableSlot::Plain(t) => {
-                    if t.tail_rows().len() >= min_rows.max(1) {
-                        if Arc::strong_count(t) > 1 {
-                            self.plain_copied_bytes += t.tail_bytes();
-                        }
-                        if Arc::make_mut(t).freeze_tail(min_rows) {
-                            sealed += 1;
-                        }
+                TableSlot::Plain(t) if t.tail_len() > 0 => {
+                    if Arc::strong_count(t) > 1 {
+                        self.plain_copied_bytes += t.tail_bytes();
                     }
+                    Arc::make_mut(t).seal_tail();
                 }
-                TableSlot::Partitioned(t) => sealed += t.freeze_tails(min_rows),
+                TableSlot::Plain(_) => {}
+                TableSlot::Partitioned(t) => t.seal_tails(),
             }
         }
-        sealed
     }
 
     /// How many sealed chunks are physically shared with `other`, summed

@@ -134,11 +134,10 @@ impl Prune {
 /// touched again, so they are shared by all snapshots forever at zero cost.
 ///
 /// Since tables went chunked (see [`crate::table`]), the detach itself is
-/// cheap too: [`Table::clone`] shares the partition's sealed chunks by
-/// reference and deep-copies only the open tail, so unsealing a hot
-/// partition costs O(tail) — not O(partition). The publish path can drive
-/// that cost to ~zero by [`PartitionedTable::freeze_tails`]-ing before it
-/// clones.
+/// cheap too: [`Table::clone`] shares the partition's sealed chunks and
+/// its open tail's full column blocks by reference and copies at most the
+/// tail's one partial block ([`crate::TAIL_BLOCK_ROWS`] rows) — not the
+/// partition, not the tail.
 #[derive(Debug, Clone)]
 pub struct PartitionedTable {
     schema: Schema,
@@ -228,8 +227,9 @@ impl PartitionedTable {
     /// Cumulative bytes deep-copied because an append had to unseal a
     /// partition still `Arc`-shared with a published snapshot — the write
     /// amplification of copy-on-write snapshot isolation, in
-    /// [`Table::tail_bytes`] units: sealed chunks are shared by reference,
-    /// so a detach copies only the open tail. Clones (snapshots) carry
+    /// [`Table::tail_bytes`] units: sealed chunks and full tail blocks are
+    /// shared by reference, so a detach copies at most the open tail's
+    /// partial block (a row tail whole). Clones (snapshots) carry
     /// the value at clone time, so `head - snapshot` deltas give the bytes
     /// copied between two publishes. One-time schema detaches (index
     /// creation, columnar enablement) are deliberately not counted.
@@ -284,7 +284,8 @@ impl PartitionedTable {
                     // The write amplification the live store pays for
                     // snapshot isolation: charge the detach before it
                     // happens so `copied_bytes` deltas quantify it. The
-                    // clone shares sealed chunks, so only the tail counts.
+                    // clone shares sealed chunks and full tail blocks, so
+                    // only the tail's partial block counts.
                     self.copied_bytes += slot.tail_bytes();
                 }
                 Arc::make_mut(slot)
@@ -303,7 +304,7 @@ impl PartitionedTable {
                 Arc::make_mut(e.insert(Arc::new(t)))
             }
         };
-        table.insert(row)?;
+        table.append(row);
         self.len += 1;
         Ok(InsertReport {
             created_partition: created,
@@ -407,27 +408,21 @@ impl PartitionedTable {
             .sum()
     }
 
-    /// Seals every partition tail holding at least `min_rows` rows (see
-    /// [`Table::freeze_tail`]); returns how many partitions sealed. The
-    /// publish path calls this right before cloning the head so the clone
-    /// shares the freshly sealed chunks and copies at most `min_rows`-sized
-    /// tails per partition. Sealing a still-snapshot-shared partition must
-    /// detach it first, so the tail copy is charged to `copied_bytes`
-    /// exactly as an append-driven unseal would be.
-    pub fn freeze_tails(&mut self, min_rows: usize) -> usize {
-        let mut sealed = 0;
+    /// Seals every partition's open tail (see [`Table::seal_tail`]) — the
+    /// last step of a batch load, which leaves no row for a scan to read
+    /// outside a sealed chunk. Sealing a partition still shared with a
+    /// snapshot detaches it first, charged to `copied_bytes` as any detach
+    /// is.
+    pub fn seal_tails(&mut self) {
         for t in self.partitions.values_mut() {
-            if t.tail_rows().len() < min_rows.max(1) {
+            if t.tail_len() == 0 {
                 continue;
             }
             if Arc::strong_count(t) > 1 {
                 self.copied_bytes += t.tail_bytes();
             }
-            if Arc::make_mut(t).freeze_tail(min_rows) {
-                sealed += 1;
-            }
+            Arc::make_mut(t).seal_tail();
         }
-        sealed
     }
 
     /// Derives pruning hints from scan conjuncts over this table's layout.
@@ -650,7 +645,7 @@ mod tests {
     #[test]
     fn select_uses_partition_indexes() {
         let mut pt = pt();
-        pt.freeze_tails(1);
+        pt.seal_tails();
         let mut scanned = 0;
         let name_col = pt.schema().position("name").unwrap();
         let rows = pt.select(

@@ -136,8 +136,8 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
         }
     }
     for row in t.tail_rows() {
-        for v in row {
-            codec::write_value(w, v)?;
+        for col in 0..row.len() {
+            codec::write_value(w, &row.get(col))?;
         }
     }
     Ok(())
@@ -449,8 +449,9 @@ mod tests {
             ])
             .unwrap();
         }
-        // A publish-style early seal leaves a 2-row chunk and an empty tail.
-        assert!(orig.freeze_tail(1));
+        // An early seal, as a batch load ends, leaves a 2-row chunk and an
+        // empty tail.
+        orig.seal_tail();
         assert_eq!(orig.chunk_boundaries(), vec![4, 4, 2]);
 
         let mut buf = Vec::new();
@@ -595,7 +596,7 @@ mod tests {
     }
 
     /// Chunks of every kind a reopen must reproduce — rows out of time
-    /// order, a frozen short chunk, NULLs in `Int`, dictionary-coded and
+    /// order, an early-sealed short chunk, NULLs in `Int`, dictionary-coded and
     /// bool columns, indexes on an `Int` and a dictionary-coded column,
     /// an open tail — under `spec`, or without a projection.
     fn mixed_table(spec: Option<&ColumnarSpec>, dict: &SharedDict) -> Table {
@@ -623,7 +624,7 @@ mod tests {
             ])
             .unwrap();
             if i == 11 {
-                assert!(t.freeze_tail(1));
+                t.seal_tail();
             }
         }
         t

@@ -1,22 +1,33 @@
-//! Chunked tables: an append-log tail and immutable sealed chunks, each
-//! sealed chunk with its own secondary indexes and optional columnar
-//! projection (see [`crate::columnar`]).
+//! Chunked tables: an open tail and immutable sealed chunks, each sealed
+//! chunk with its own secondary indexes and optional columnar projection
+//! (see [`crate::columnar`]).
 //!
 //! A [`Table`] is physically a sequence of **chunks**: zero or more
-//! immutable [`SealedChunk`]s held behind `Arc`, plus one small mutable
-//! **tail** that absorbs every insert. The tail is an append log — rows in
-//! arrival order and nothing else, no index and no projection — so an
-//! insert is a checked push (strings bound for a dictionary-coded column
-//! are interned on the way, which keeps codes in arrival order). Every
-//! selection interprets its conjuncts over the tail's rows; probes and
-//! kernels run on sealed chunks only.
+//! immutable [`SealedChunk`]s held behind `Arc`, plus one mutable **tail**
+//! that absorbs every insert, in arrival order, with no index and no order
+//! of its own. In a table with a projection the tail is **columns** — the
+//! projection's, in fixed-size blocks of [`crate::TAIL_BLOCK_ROWS`] rows
+//! behind `Arc` — so an insert is a checked push of each value onto its
+//! column, a string as its dictionary code (interned on the way, which
+//! keeps codes in arrival order). A table without one (the row-store
+//! configuration, the baselines) keeps the tail as rows.
 //!
-//! Sealing does the layout work, once, from the tail's rows:
+//! Reads take the tail as it is. A columnar tail runs the same kernels as
+//! a sealed chunk, block by block — no zone map, no time window: a time
+//! bound is a range kernel like any other — and re-checks the conjuncts no
+//! kernel answers on a scratch row; a row tail is interpreted row by row.
+//! Probes and zone maps serve sealed chunks only.
 //!
-//! - the projection reads each row once into arrival-ordered columns,
-//!   then permutes them into projection order — the rows' stable sort by
-//!   the time column — with one zone map per column: the sealed chunk is
-//!   the unit a scan prunes;
+//! A tail seals when it reaches [`Table::chunk_rows`] rows (a batch load
+//! seals the remainder with [`Table::seal_tail`]), and sealing does the
+//! layout work, once:
+//!
+//! - the projection is the tail's columns, concatenated and permuted into
+//!   projection order — the rows' stable sort by the time column — with
+//!   one zone map per column: the sealed chunk is the unit a scan prunes.
+//!   The same builder (`Columnar::seal`) seals a snapshot's rows on
+//!   restore and re-seals chunks when a projection is enabled, so it is
+//!   the only place a sealed projection is made;
 //! - each index is one array of the chunk's positions sorted by (key,
 //!   position): 4 bytes a row, answering equality, range and key-span
 //!   questions by binary search over the chunk's own values (on a
@@ -24,33 +35,33 @@
 //!   strings: no range there). On a projected column the keys are read
 //!   from the column, which is also how a snapshot restore indexes a
 //!   chunk it read as columns (`Table::load_columns`);
-//! - a chunk of a table with a projection drops its rows: the projection
+//! - a chunk of a table with a projection keeps no rows: the projection
 //!   (every column) plus a row → projection-position map *is* the chunk,
 //!   and reads come back as [`RowView`]s decoded column by column, a
 //!   string as the dictionary's own `Arc<str>`. Only a table without a
-//!   projection (the row-store configuration, the baselines) seals chunks
-//!   that keep their rows. A chunk keeps one or the other, never both.
+//!   projection seals chunks that keep their rows. A chunk keeps one or
+//!   the other, never both.
 //!
-//! The payoff of chunking is the cost of [`Table::clone`] — the
-//! copy-on-write step that publishes a store snapshot: sealed chunks are
-//! shared by reference (refcount bumps), only the open tail is deep-copied,
-//! making publication O(tail) instead of O(table). The invariants:
+//! The payoff is the cost of [`Table::clone`] — the copy-on-write step
+//! that detaches a table from a published store snapshot for the first
+//! append after the publish: sealed chunks and the tail's full blocks are
+//! shared by reference (refcount bumps), and only the tail's one partial
+//! block is copied ([`Table::tail_bytes`]). Publication itself neither
+//! seals nor copies, and for rows arriving in order a live table's chunk
+//! boundaries are a batch load's. The invariants:
 //!
 //! - rows keep global insertion order: chunk boundaries split `0..len()`
 //!   into consecutive ranges, sealed chunks first, the tail last;
 //! - a sealed chunk's row content never changes (the rare schema
 //!   operations — [`Table::create_index`], [`Table::enable_columnar`] —
 //!   rebuild auxiliary structures through `Arc::make_mut`, which is why
-//!   they are deliberately not charged as copy-on-write);
+//!   they are deliberately not charged as copy-on-write), and neither does
+//!   a tail block a clone shares;
 //! - every sealed chunk carries the table's index set and columnar
 //!   configuration, so access-path selection is decided **once per table**
 //!   and applied chunk by chunk.
-//!
-//! The tail seals automatically when it reaches [`Table::chunk_rows`] rows;
-//! [`Table::seal_tail`] / [`Table::freeze_tail`] seal it early (the batch
-//! loaders and the publication path respectively).
 
-use crate::columnar::{compile_conjuncts, Columnar, ColumnarSpec, Kernel, LikeMemo};
+use crate::columnar::{compile_conjuncts, ColumnTail, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::{ColumnType, Row, Schema};
@@ -65,8 +76,9 @@ use std::sync::Arc;
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// One row of a [`Table`], borrowed: a stored row, or a row of a sealed
-/// chunk that keeps its columnar projection, decoded column by column on
-/// demand. Scans return these, so no row is built unless a caller asks.
+/// chunk's projection or of an open tail's columns, decoded column by
+/// column on demand. Scans return these, so no row is built unless a
+/// caller asks.
 #[derive(Clone, Copy)]
 pub struct RowView<'a>(Repr<'a>);
 
@@ -75,6 +87,8 @@ enum Repr<'a> {
     Stored(&'a Row),
     /// A sealed chunk's projection, and the row's position in it.
     Projected(&'a Columnar, u32),
+    /// An open tail's columns, and the row's position in the tail.
+    Open(&'a ColumnTail, u32),
 }
 
 impl<'a> RowView<'a> {
@@ -83,6 +97,7 @@ impl<'a> RowView<'a> {
         match self.0 {
             Repr::Stored(r) => r.len(),
             Repr::Projected(c, _) => c.arity(),
+            Repr::Open(t, _) => t.arity(),
         }
     }
 
@@ -96,6 +111,7 @@ impl<'a> RowView<'a> {
         match self.0 {
             Repr::Stored(r) => r[col].as_int(),
             Repr::Projected(c, at) => c.int(at as usize, col),
+            Repr::Open(t, at) => t.int(at as usize, col),
         }
     }
 
@@ -105,6 +121,7 @@ impl<'a> RowView<'a> {
         match self.0 {
             Repr::Stored(r) => r[col].clone(),
             Repr::Projected(c, at) => c.value(at as usize, col),
+            Repr::Open(t, at) => t.value(at as usize, col),
         }
     }
 
@@ -112,8 +129,8 @@ impl<'a> RowView<'a> {
     pub fn extend_into(&self, out: &mut Row) {
         match self.0 {
             Repr::Stored(r) => out.extend_from_slice(r),
-            Repr::Projected(c, at) => {
-                out.extend((0..c.arity()).map(|col| c.value(at as usize, col)));
+            Repr::Projected(..) | Repr::Open(..) => {
+                out.extend((0..self.len()).map(|col| self.get(col)));
             }
         }
     }
@@ -161,12 +178,12 @@ impl std::iter::Sum for ResidentBytes {
     }
 }
 
-/// Heap bytes behind `rows`: the vector, every row's values and — unless
-/// the dictionary holds them (`shared`) — their string payloads with
-/// their reference counts.
-fn rows_bytes(rows: &Vec<Row>, shared: bool) -> u64 {
+/// Heap bytes behind `rows`, a table's without a projection: the vector,
+/// every row's values and their string payloads with their reference
+/// counts (no dictionary holds them).
+fn rows_bytes(rows: &Vec<Row>) -> u64 {
     let text = |v: &Value| match v {
-        Value::Str(s) if !shared => s.len() + 2 * size_of::<usize>(),
+        Value::Str(s) => s.len() + 2 * size_of::<usize>(),
         _ => 0,
     };
     let values: usize = rows
@@ -430,7 +447,7 @@ impl SealedChunk {
         let (rows, projection) = match &mut self.body {
             Body::Rows(rows) => {
                 rows.shrink_to_fit();
-                (rows_bytes(rows, false), 0)
+                (rows_bytes(rows), 0)
             }
             Body::Columns(c, at) => (0, c.resident_bytes() + (at.capacity() * 4) as u64),
         };
@@ -533,6 +550,21 @@ impl<'e> Recheck<'e> {
 
     /// Keeps the `candidates` of `chunk` that satisfy every conjunct.
     fn retain(&mut self, chunk: &SealedChunk, candidates: &mut Vec<u32>) {
+        match &chunk.body {
+            Body::Columns(proj, at) => {
+                self.retain_decoded(candidates, |p, c| proj.value(proj_pos(at, p), c))
+            }
+            Body::Rows(rows) if !self.conjuncts.is_empty() => candidates.retain(|&p| {
+                let row = &rows[p as usize];
+                self.conjuncts.iter().all(|e| e.matches(row))
+            }),
+            Body::Rows(_) => {}
+        }
+    }
+
+    /// Keeps the `candidates` that satisfy every conjunct, each decoded
+    /// onto the scratch row by `value(candidate, column)`.
+    fn retain_decoded(&mut self, candidates: &mut Vec<u32>, value: impl Fn(u32, usize) -> Value) {
         if self.conjuncts.is_empty() {
             return;
         }
@@ -541,21 +573,47 @@ impl<'e> Recheck<'e> {
             cols,
             scratch,
         } = self;
-        match &chunk.body {
-            Body::Columns(proj, at) => {
-                scratch.resize(proj.arity(), Value::Null);
-                candidates.retain(|&p| {
-                    let pos = proj_pos(at, p);
-                    for &c in cols.iter() {
-                        scratch[c] = proj.value(pos, c);
-                    }
-                    conjuncts.iter().all(|e| e.matches(scratch))
-                });
+        scratch.resize(cols.last().map_or(0, |&c| c + 1), Value::Null);
+        candidates.retain(|&p| {
+            for &c in cols.iter() {
+                scratch[c] = value(p, c);
             }
-            Body::Rows(rows) => candidates.retain(|&p| {
-                let row = &rows[p as usize];
-                conjuncts.iter().all(|e| e.matches(row))
-            }),
+            conjuncts.iter().all(|e| e.matches(scratch))
+        });
+    }
+}
+
+/// A table's open tail: where every insert lands, in arrival order, until
+/// the tail seals. Its form mirrors [`Body`]: a table without a projection
+/// keeps rows, which [`Table::clone`] deep-copies; a table with one keeps
+/// columns in shared blocks ([`ColumnTail`]), which it does not.
+#[derive(Debug, Clone)]
+enum Tail {
+    Rows(Vec<Row>),
+    Columns(ColumnTail),
+}
+
+impl Tail {
+    /// An empty tail for a table with `layout` as its projection, if any.
+    fn new(layout: Option<&Columnar>) -> Tail {
+        match layout {
+            Some(layout) => Tail::Columns(ColumnTail::new(layout)),
+            None => Tail::Rows(Vec::new()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Tail::Rows(rows) => rows.len(),
+            Tail::Columns(cols) => cols.len(),
+        }
+    }
+
+    /// Row `pos` of the tail.
+    fn row(&self, pos: usize) -> RowView<'_> {
+        match self {
+            Tail::Rows(rows) => RowView(Repr::Stored(&rows[pos])),
+            Tail::Columns(cols) => RowView(Repr::Open(cols, pos as u32)),
         }
     }
 }
@@ -564,13 +622,13 @@ impl<'e> Recheck<'e> {
 /// (see the [module docs](self) for the chunk lifecycle).
 ///
 /// `Clone` is the copy-on-write step that detaches a snapshot-shared table
-/// for further writes: sealed chunks are shared by reference, only the open
-/// tail's rows are deep-copied.
+/// for further writes: sealed chunks are shared by reference, and so are
+/// the full blocks of a columnar tail; its partial block is copied, and a
+/// row tail (a table without a projection) whole.
 ///
 /// # Examples
 ///
-/// Sealed chunks are physically shared between a table and its clones —
-/// only the tail is copied:
+/// Sealed chunks are physically shared between a table and its clones:
 ///
 /// ```
 /// use aiql_rdb::{ColumnType, Schema, Table, Value};
@@ -581,7 +639,7 @@ impl<'e> Recheck<'e> {
 ///     t.insert(vec![Value::Int(i)]).unwrap();
 /// }
 /// assert_eq!(t.chunk_boundaries(), vec![2, 2, 1]);
-/// let snapshot = t.clone(); // O(tail): both sealed chunks shared by reference
+/// let snapshot = t.clone(); // both sealed chunks shared by reference
 /// assert_eq!(t.chunks_shared_with(&snapshot), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -595,14 +653,15 @@ pub struct Table {
     starts: Vec<u32>,
     /// Total rows across sealed chunks (= the tail's global base).
     sealed_len: usize,
-    /// The open tail: rows in arrival order, nothing else.
-    tail: Vec<Row>,
+    /// The open tail, in arrival order: columns when `layout` is set,
+    /// rows otherwise.
+    tail: Tail,
     /// The columns every sealed chunk indexes, ascending.
     indexed: Vec<usize>,
     /// The columnar configuration once [`Table::enable_columnar`] ran, as
     /// an empty projection: the projected columns (indexed ones included),
-    /// sort column and dictionary. Each seal fills a copy, and kernels
-    /// compile against it.
+    /// sort column and dictionary. The tail's blocks take its columns, each
+    /// seal fills a copy, and kernels compile against it.
     layout: Option<Columnar>,
 }
 
@@ -737,7 +796,7 @@ impl Table {
             sealed: Vec::new(),
             starts: Vec::new(),
             sealed_len: 0,
-            tail: Vec::new(),
+            tail: Tail::new(None),
             indexed: Vec::new(),
             layout: None,
         }
@@ -768,9 +827,25 @@ impl Table {
         &self.sealed
     }
 
+    /// Rows in the open tail.
+    pub fn tail_len(&self) -> usize {
+        self.tail.len()
+    }
+
     /// The open tail's rows, in arrival order (possibly none).
-    pub fn tail_rows(&self) -> &[Row] {
-        &self.tail
+    pub fn tail_rows(&self) -> impl Iterator<Item = RowView<'_>> {
+        (0..self.tail.len()).map(|p| self.tail.row(p))
+    }
+
+    /// How many full blocks of the open tail are physically shared (same
+    /// `Arc` allocation) with `other`'s, compared positionally — a table
+    /// and its clone share every full block until the tail seals; the
+    /// partial block is the clone's own copy. Diagnostic for tests.
+    pub fn tail_blocks_shared_with(&self, other: &Table) -> usize {
+        match (&self.tail, &other.tail) {
+            (Tail::Columns(a), Tail::Columns(b)) => a.blocks_shared_with(b),
+            _ => 0,
+        }
     }
 
     /// Row counts per chunk in global order: sealed chunks first, then the
@@ -778,7 +853,7 @@ impl Table {
     /// reproduces seal boundaries exactly.
     pub fn chunk_boundaries(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.sealed.iter().map(|c| c.len()).collect();
-        if !self.tail.is_empty() {
+        if self.tail.len() > 0 {
             v.push(self.tail.len());
         }
         v
@@ -802,37 +877,49 @@ impl Table {
             .sealed
             .iter()
             .flat_map(|c| (0..c.len() as u32).map(move |p| c.row(p)));
-        sealed.chain(self.tail.iter().map(|r| RowView(Repr::Stored(r))))
+        sealed.chain(self.tail_rows())
     }
 
     /// Where the table's memory goes: each sealed chunk as measured when it
-    /// sealed, plus the open tail's rows as they stand (with a projection,
-    /// their strings are the dictionary's).
+    /// sealed, plus the open tail as it stands — rows, or a projection's
+    /// columns.
     pub fn resident_bytes(&self) -> ResidentBytes {
-        let tail = ResidentBytes {
-            rows: rows_bytes(&self.tail, self.layout.is_some()),
-            ..ResidentBytes::default()
+        let tail = match &self.tail {
+            Tail::Rows(rows) => ResidentBytes {
+                rows: rows_bytes(rows),
+                ..ResidentBytes::default()
+            },
+            Tail::Columns(cols) => ResidentBytes {
+                projection: cols.resident_bytes(),
+                ..ResidentBytes::default()
+            },
         };
         self.sealed.iter().map(|c| c.resident).chain([tail]).sum()
     }
 
-    /// An O(1) estimate of the open tail's size — `rows × (arity ×
-    /// size_of::<Value>() + size_of::<Row>())`, string payloads ignored —
-    /// and exactly what [`Table::clone`] deep-copies, since sealed chunks
-    /// are shared by reference. This is the unit
-    /// [`crate::PartitionedTable`]'s copy-on-write accounting charges per
-    /// detach of a snapshot-shared table: O(tail), not O(table).
+    /// What [`Table::clone`] copies — sealed chunks are shared by
+    /// reference, so this is the open tail's part. With a projection it is
+    /// the values of the tail's partial block ([`crate::TAIL_BLOCK_ROWS`]
+    /// rows at most, none while the tail ends on a full block). A row tail
+    /// is copied whole: an O(1) estimate, `rows × (arity ×
+    /// size_of::<Value>() + size_of::<Row>())`, string payloads ignored.
+    /// This is the unit [`crate::PartitionedTable`]'s copy-on-write
+    /// accounting charges per detach of a snapshot-shared table.
     pub fn tail_bytes(&self) -> u64 {
-        let per_row =
-            self.schema.arity() * std::mem::size_of::<Value>() + std::mem::size_of::<Row>();
-        (self.tail.len() * per_row) as u64
+        match &self.tail {
+            Tail::Rows(rows) => {
+                let per_row = self.schema.arity() * size_of::<Value>() + size_of::<Row>();
+                (rows.len() * per_row) as u64
+            }
+            Tail::Columns(cols) => cols.copy_bytes(),
+        }
     }
 
     /// One row by global position.
     pub fn row(&self, idx: u32) -> RowView<'_> {
         let i = idx as usize;
         if i >= self.sealed_len {
-            return RowView(Repr::Stored(&self.tail[i - self.sealed_len]));
+            return self.tail.row(i - self.sealed_len);
         }
         let k = self.starts.partition_point(|&s| (s as usize) <= i) - 1;
         self.sealed[k].row(idx - self.starts[k])
@@ -868,45 +955,60 @@ impl Table {
             .map(|(c, &s)| (c.as_ref(), s))
     }
 
-    /// Validates `row` and appends it to the open tail: a push, after the
-    /// strings of its dictionary-coded columns are interned and swapped for
-    /// the dictionary's. Seals the tail into an immutable chunk when it
-    /// reaches [`Table::chunk_rows`] rows.
-    pub fn insert(&mut self, mut row: Row) -> Result<(), RdbError> {
+    /// Validates `row` and appends it to the open tail: a push of each
+    /// value onto its tail column, a string as its dictionary code — or,
+    /// without a projection, of the row itself. Seals the tail into an
+    /// immutable chunk when it reaches [`Table::chunk_rows`] rows.
+    pub fn insert(&mut self, row: Row) -> Result<(), RdbError> {
         self.schema.check_row(&row)?;
-        if let Some(c) = &self.layout {
-            c.intern(&mut row);
-        }
-        self.tail.push(row);
-        if self.tail.len() >= self.chunk_rows {
-            self.seal_tail();
-        }
+        self.append(row);
         Ok(())
     }
 
-    /// Seals the open tail into an immutable chunk, the one place a
-    /// chunk's read layout is built (see the [module docs](self)): sorted,
-    /// projected and indexed once, its rows dropped for the projection.
-    /// No-op on an empty tail.
-    pub fn seal_tail(&mut self) {
-        if self.tail.is_empty() {
-            return;
+    /// [`Table::insert`] of a row its caller has checked against the
+    /// schema.
+    pub(crate) fn append(&mut self, row: Row) {
+        self.push_tail(row);
+        if self.tail.len() >= self.chunk_rows {
+            self.seal_tail();
         }
-        let rows = std::mem::take(&mut self.tail);
-        let body = self.body(rows, None).expect("a derived order is valid");
-        self.push_sealed(body);
     }
 
-    /// The body a chunk of `rows` seals with: its rows, or with a
-    /// projection a copy of the table's filled over them in `order` (see
-    /// `Columnar::fill`).
-    fn body(&self, rows: Vec<Row>, order: Option<&[u32]>) -> Result<Body, RdbError> {
-        let Some(layout) = &self.layout else {
-            return Ok(Body::Rows(rows));
+    /// Appends a checked row to the open tail.
+    fn push_tail(&mut self, row: Row) {
+        match (&mut self.tail, &self.layout) {
+            (Tail::Columns(cols), Some(layout)) => cols.push(layout, &row),
+            (Tail::Rows(rows), None) => rows.push(row),
+            _ => unreachable!("a tail keeps columns exactly when the table has a projection"),
+        }
+    }
+
+    /// Seals the open tail into an immutable chunk, the one place a
+    /// chunk's read layout is built (see the [module docs](self)): sorted
+    /// by time, permuted and indexed once from the tail's columns, or kept
+    /// as rows without a projection. No-op on an empty tail. A tail seals
+    /// by itself at [`Table::chunk_rows`] rows; batch loaders seal the
+    /// remainder this way.
+    pub fn seal_tail(&mut self) {
+        if self.tail.len() > 0 {
+            self.seal_with(None).expect("a derived order is valid");
+        }
+    }
+
+    /// Seals the tail, its projection (when one is configured) filled in
+    /// `order` (see [`Columnar::seal`]); on an error the tail stays open.
+    fn seal_with(&mut self, order: Option<&[u32]>) -> Result<(), RdbError> {
+        let body = match (&mut self.tail, &self.layout) {
+            (Tail::Rows(rows), _) => Body::Rows(std::mem::take(rows)),
+            (Tail::Columns(cols), Some(layout)) => {
+                let body = Body::columns(layout.seal(cols, order)?);
+                cols.clear();
+                body
+            }
+            (Tail::Columns(_), None) => unreachable!("columns need a projection"),
         };
-        let mut c = layout.clone();
-        c.fill(&rows, order)?;
-        Ok(Body::columns(c))
+        self.push_sealed(body);
+        Ok(())
     }
 
     /// Seals `body`, indexed, as the newest chunk.
@@ -917,37 +1019,13 @@ impl Table {
         self.sealed.push(Arc::new(chunk));
     }
 
-    /// Seals the tail only if it holds at least `min_rows` rows (min 1);
-    /// returns whether it sealed. The snapshot-publication path freezes
-    /// tails this way before cloning the head, so sealed history is shared
-    /// with the snapshot and the publish copies at most `min_rows`-sized
-    /// open tails — without fragmenting hot partitions into dust chunks.
-    ///
-    /// ```
-    /// use aiql_rdb::{ColumnType, Schema, Table, Value};
-    ///
-    /// let mut t = Table::new(Schema::new(&[("x", ColumnType::Int)]));
-    /// t.insert(vec![Value::Int(1)]).unwrap();
-    /// assert!(!t.freeze_tail(2), "below the minimum: tail stays open");
-    /// t.insert(vec![Value::Int(2)]).unwrap();
-    /// assert!(t.freeze_tail(2));
-    /// assert_eq!(t.tail_bytes(), 0, "cloning now copies no row data");
-    /// ```
-    pub fn freeze_tail(&mut self, min_rows: usize) -> bool {
-        if self.tail.len() >= min_rows.max(1) {
-            self.seal_tail();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Builds (or rebuilds) a columnar projection of every column over
-    /// every sealed chunk; every later seal builds one under the same
-    /// configuration. Sealed chunks are sealed again from their rows
-    /// through `Arc::make_mut` (a rare schema operation, not charged as
-    /// copy-on-write), each keeping its projection instead of its rows.
-    /// A table with a `Float` column takes no projection: that is a
+    /// every sealed chunk and the open tail; every later append and seal
+    /// uses the same configuration. Sealed chunks are sealed again from
+    /// their rows through `Arc::make_mut` (a rare schema operation, not
+    /// charged as copy-on-write), each keeping its projection instead of
+    /// its rows, and the tail's rows move into columns. A table with a
+    /// `Float` column takes no projection: that is a
     /// [`RdbError::SchemaMismatch`], and the table is left as it was.
     pub fn enable_columnar(
         &mut self,
@@ -957,11 +1035,14 @@ impl Table {
         let layout = Columnar::build(&self.schema, spec, dict, &[])?;
         for chunk in &mut self.sealed {
             let c = Arc::make_mut(chunk);
-            let rows: Vec<Row> = (0..c.len() as u32).map(|p| c.row(p).to_row()).collect();
-            let mut columnar = layout.clone();
-            columnar.fill(&rows, None)?;
-            *c = SealedChunk::new(Body::columns(columnar), &self.indexed);
+            let mut cols = ColumnTail::new(&layout);
+            (0..c.len() as u32).for_each(|p| cols.push(&layout, &c.row(p).to_row()));
+            *c = SealedChunk::new(Body::columns(layout.seal(&cols, None)?), &self.indexed);
         }
+        let mut tail = ColumnTail::new(&layout);
+        self.tail_rows()
+            .for_each(|row| tail.push(&layout, &row.to_row()));
+        self.tail = Tail::Columns(tail);
         self.layout = Some(layout);
         Ok(())
     }
@@ -972,12 +1053,12 @@ impl Table {
     /// `perm` — the chunk's persisted projection order (see
     /// [`Columnar::perm`]), which must time-order the rows and reproduces
     /// the original projection without re-sorting — or, with none, in the
-    /// rows' own order. Otherwise the rows become the open tail, which
-    /// keeps no order of its own, its strings interned and shared with the
-    /// dictionary as [`Table::insert`] leaves them.
+    /// order a seal derives. Otherwise the rows become the open tail, which
+    /// keeps no order of its own, in columns as [`Table::insert`] leaves
+    /// them when the table has a projection.
     pub fn load_chunk(
         &mut self,
-        mut rows: Vec<Row>,
+        rows: Vec<Row>,
         perm: Option<&[u32]>,
         seal: bool,
     ) -> Result<(), RdbError> {
@@ -985,16 +1066,16 @@ impl Table {
         for row in &rows {
             self.schema.check_row(row)?;
         }
-        if !seal {
-            if let Some(c) = &self.layout {
-                rows.iter_mut().for_each(|row| c.intern(row));
-            }
-            self.tail = rows;
+        let n = rows.len();
+        rows.into_iter().for_each(|row| self.push_tail(row));
+        if !seal || n == 0 {
             return Ok(());
         }
-        let body = self.body(rows, perm)?;
-        self.push_sealed(body);
-        Ok(())
+        let sealed = self.seal_with(perm);
+        if sealed.is_err() {
+            self.tail = Tail::new(self.layout.as_ref());
+        }
+        sealed
     }
 
     /// Appends a sealed chunk restored as columns — read into a copy of
@@ -1009,7 +1090,7 @@ impl Table {
     /// Whether a restored chunk of `len` rows may follow: none after an
     /// open tail, none past the chunk size.
     fn check_restore(&self, len: usize) -> Result<(), RdbError> {
-        if !self.tail.is_empty() || len > self.chunk_rows {
+        if self.tail.len() > 0 || len > self.chunk_rows {
             return Err(RdbError::SchemaMismatch(format!(
                 "a chunk of {len} rows cannot follow an open tail of {} (chunk size {})",
                 self.tail.len(),
@@ -1065,11 +1146,14 @@ impl Table {
     /// - failing that, a **sequential scan**.
     ///
     /// The conjuncts the path does not answer itself are applied as a
-    /// residual row filter. The open tail takes every path the same way:
-    /// each of its rows is interpreted against every conjunct. Returns the
-    /// chosen access path alongside the (global) row positions, in row
-    /// order. `scanned` is incremented by the number of rows the scan
-    /// *touched* (not returned), so callers can account I/O-like cost.
+    /// residual row filter. The open tail is read apart from the sealed
+    /// chunks, whatever path they take: with a projection, the kernels run
+    /// over each of its blocks and the residual conjuncts are re-checked on
+    /// the survivors; without one, each row is interpreted against every
+    /// conjunct. Returns the chosen access path alongside the (global) row
+    /// positions, in row order. `scanned` is incremented by the number of
+    /// rows the scan *touched* (not returned), so callers can account
+    /// I/O-like cost.
     pub fn select(&self, conjuncts: &[Expr], scanned: &mut u64) -> (AccessPath, Vec<u32>) {
         let mut profile = ScanProfile::default();
         self.select_profiled(conjuncts, scanned, &mut profile)
@@ -1084,23 +1168,69 @@ impl Table {
         profile: &mut ScanProfile,
     ) -> (AccessPath, Vec<u32>) {
         let before = *scanned;
-        let (path, mut rows) = self.select_sealed(conjuncts, scanned, profile);
-        *scanned += self.tail.len() as u64;
-        let tail = (self.sealed_len as u32..).zip(&self.tail);
-        rows.extend(
-            tail.filter(|(_, row)| conjuncts.iter().all(|e| e.matches(row)))
-                .map(|(p, _)| p),
-        );
+        // The projected-column set and the dictionary are table-wide:
+        // kernels compile once and run on every chunk and tail block, under
+        // one memo.
+        let compiled = self
+            .layout
+            .as_ref()
+            .map(|col| compile_conjuncts(&self.schema, col, conjuncts));
+        let mut memo = LikeMemo::default();
+        let (path, mut rows) =
+            self.select_sealed(conjuncts, compiled.as_ref(), &mut memo, scanned, profile);
+        self.select_tail(conjuncts, compiled.as_ref(), &mut memo, scanned, &mut rows);
+        profile.like_rows += memo.rows;
+        profile.like_symbol_evals += memo.symbol_evals;
         profile.record_path(path);
         profile.rows_scanned += *scanned - before;
         profile.rows_matched += rows.len() as u64;
         (path, rows)
     }
 
+    /// The open tail's part of a selection, appended to `out`: the
+    /// `compiled` kernels over a columnar tail's blocks and the residual
+    /// conjuncts on what they keep, or every conjunct interpreted over a
+    /// row tail.
+    fn select_tail(
+        &self,
+        conjuncts: &[Expr],
+        compiled: Option<&(Vec<Kernel>, Vec<usize>)>,
+        memo: &mut LikeMemo,
+        scanned: &mut u64,
+        out: &mut Vec<u32>,
+    ) {
+        let base = self.sealed_len as u32;
+        match (&self.tail, compiled) {
+            (Tail::Columns(cols), Some((kernels, residual))) => {
+                let mut positions = Vec::new();
+                *scanned += cols.select(kernels, memo, &mut positions);
+                let arity = self.schema.arity();
+                let mut check = Recheck::new(conjuncts, |i| residual.contains(&i), arity);
+                check.retain_decoded(&mut positions, |p, c| cols.value(p as usize, c));
+                out.extend(positions.into_iter().map(|p| p + base));
+            }
+            (Tail::Rows(rows), _) => {
+                *scanned += rows.len() as u64;
+                let all = |row: &Row| conjuncts.iter().all(|e| e.matches(row));
+                out.extend(
+                    (base..)
+                        .zip(rows)
+                        .filter(|(_, row)| all(row))
+                        .map(|(p, _)| p),
+                );
+            }
+            (Tail::Columns(_), None) => unreachable!("columns need a projection"),
+        }
+    }
+
     /// The sealed chunks' part of a selection, and the path it took.
+    /// `compiled` is the conjuncts' kernels and residual when the table has
+    /// a projection.
     fn select_sealed(
         &self,
         conjuncts: &[Expr],
+        compiled: Option<&(Vec<Kernel>, Vec<usize>)>,
+        memo: &mut LikeMemo,
         scanned: &mut u64,
         profile: &mut ScanProfile,
     ) -> (AccessPath, Vec<u32>) {
@@ -1113,13 +1243,7 @@ impl Table {
             .filter_map(|(ci, c)| Some((ci, index_probe(c, &self.schema)?)))
             .filter(|(_, p)| self.indexed.binary_search(&p.col).is_ok())
             .collect();
-        // The projected-column set and the dictionary are table-wide:
-        // kernels compile once and run on every chunk.
-        let vectorized = self
-            .layout
-            .as_ref()
-            .map(|col| compile_conjuncts(&self.schema, col, conjuncts))
-            .filter(|(kernels, _)| !kernels.is_empty());
+        let vectorized = compiled.filter(|(kernels, _)| !kernels.is_empty());
 
         // Equality probes, fewest index lookups first. One runs only if it
         // beats the kernel scan (and the probes before it): first on its
@@ -1135,7 +1259,7 @@ impl Table {
             })
             .collect();
         eq_probes.sort_by_key(|&(.., lookups)| lookups);
-        let mut budget = match &vectorized {
+        let mut budget = match vectorized {
             Some((kernels, _)) if !eq_probes.is_empty() => self.kernel_cost(kernels),
             _ => usize::MAX,
         };
@@ -1164,9 +1288,9 @@ impl Table {
             }
             return (AccessPath::IndexEq, out);
         }
-        if let Some((kernels, residual)) = &vectorized {
+        if let Some((kernels, residual)) = vectorized {
             let residual = Recheck::new(conjuncts, |i| residual.contains(&i), arity);
-            let rows = self.columnar_select(kernels, residual, scanned, profile);
+            let rows = self.columnar_select(kernels, residual, memo, scanned, profile);
             return (AccessPath::Columnar, rows);
         }
 
@@ -1261,10 +1385,10 @@ impl Table {
         &self,
         kernels: &[Kernel],
         mut residual: Recheck<'_>,
+        memo: &mut LikeMemo,
         scanned: &mut u64,
         profile: &mut ScanProfile,
     ) -> Vec<u32> {
-        let mut memo = LikeMemo::default();
         let mut out = Vec::new();
         for (chunk, base) in self.sealed_with_base() {
             let col = chunk
@@ -1272,7 +1396,7 @@ impl Table {
                 .expect("every sealed chunk carries the table's columnar configuration");
             let mut positions = col.select_stats(
                 kernels,
-                &mut memo,
+                memo,
                 scanned,
                 &mut profile.blocks_pruned,
                 &mut profile.blocks_total,
@@ -1283,8 +1407,6 @@ impl Table {
             positions.sort_unstable();
             out.extend(positions.into_iter().map(|p| p + base));
         }
-        profile.like_rows += memo.rows;
-        profile.like_symbol_evals += memo.symbol_evals;
         out
     }
 }
@@ -1721,16 +1843,42 @@ mod tests {
         assert_eq!(head.chunks_shared_with(&snapshot), 3);
     }
 
+    /// A clone shares a columnar tail's full blocks and copies its partial
+    /// one — what `tail_bytes` charges — and neither side sees the other's
+    /// later rows.
     #[test]
-    fn freeze_tail_empties_the_copy_charge() {
-        let (mut chunked, _) = chunked_and_oracle();
-        assert!(chunked.tail_bytes() > 0);
-        assert!(!chunked.freeze_tail(2), "1-row tail below the minimum");
-        assert!(chunked.freeze_tail(1));
-        assert_eq!(chunked.tail_bytes(), 0);
-        assert_eq!(chunked.chunk_boundaries(), vec![3, 3, 3, 1]);
-        chunked.seal_tail(); // empty tail: no-op
-        assert_eq!(chunked.sealed_chunks().len(), 4);
+    fn a_clone_shares_full_tail_blocks_and_copies_the_partial_one() {
+        let schema = Schema::new(&[("x", ColumnType::Int), ("s", ColumnType::Str)]);
+        let mut head = Table::with_chunk_rows(schema, usize::MAX);
+        head.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
+            .unwrap();
+        let row = |i: i64| vec![Value::Int(i), Value::str(format!("s{}", i % 3))];
+        let block = crate::TAIL_BLOCK_ROWS;
+        let n = 2 * block + 5;
+        for i in 0..n as i64 {
+            head.insert(row(i)).unwrap();
+        }
+        assert!(head.sealed_chunks().is_empty());
+        assert_eq!(
+            head.tail_bytes(),
+            5 * (8 + 4),
+            "five rows of a partial block"
+        );
+        let snapshot = head.clone();
+        assert_eq!(head.tail_blocks_shared_with(&snapshot), 2);
+        head.insert(row(-1)).unwrap();
+        assert_eq!((head.len(), snapshot.len()), (n + 1, n));
+        assert!(head.iter_rows().take(n).eq(snapshot.iter_rows()));
+        assert_eq!(head.row(n as u32).to_row(), row(-1));
+        // The head's partial block fills into a full block of its own; with
+        // the tail ending on a full block, a clone copies nothing.
+        for i in 0..block - 6 {
+            head.insert(row(i as i64)).unwrap();
+        }
+        assert_eq!(head.tail_blocks_shared_with(&snapshot), 2);
+        assert_eq!(head.tail_bytes(), 0);
+        assert_eq!(head.clone().tail_blocks_shared_with(&head), 3);
+        assert!(snapshot.iter_rows().eq(head.iter_rows().take(n)));
     }
 
     #[test]
@@ -1924,7 +2072,7 @@ mod tests {
             let (sealed, open) = (hazard_table(true, columnar), hazard_table(false, columnar));
             let chunk = &sealed.sealed_chunks()[0];
             assert_eq!(chunk.is_projected(), columnar);
-            let rows = open.tail_rows();
+            let rows: Vec<Row> = open.tail_rows().map(|r| r.to_row()).collect();
             // The positions whose key in `col` compares to `v` as one of
             // `want`, ascending.
             let scan = |col: usize, v: &Value, want: &[Ordering]| -> Vec<u32> {
@@ -2032,10 +2180,10 @@ mod tests {
             );
             assert!(r.projection > 0);
         }
-        assert_eq!(chunked.tail_rows().len(), 1, "the tail stores rows");
+        assert_eq!(chunked.tail_len(), 1);
         assert!(chunked.iter_rows().eq(oracle.iter_rows()));
         let r = chunked.resident_bytes();
-        assert!(r.rows > 0, "the tail's rows: {r:?}");
+        assert_eq!(r.rows, 0, "the tail is columns too: {r:?}");
         // Schema operations on projected chunks: a new index sorts from
         // the projection, and a projection enabled again re-seals each
         // chunk from its columns, in the new order, still without rows.

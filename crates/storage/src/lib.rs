@@ -274,7 +274,7 @@ impl EventStore {
         for ev in &data.events {
             store.append_event(ev)?;
         }
-        store.freeze_tails(1);
+        store.seal_tails();
         Ok(store)
     }
 
@@ -344,15 +344,14 @@ impl EventStore {
         &self.db
     }
 
-    /// Seals every table tail holding at least `min_rows` rows into an
-    /// immutable chunk (see [`Database::freeze_tails`]); returns how many
-    /// tails sealed. The publish path calls this right before cloning the
-    /// head so the snapshot shares the sealed chunks and the next
-    /// publish's copy-on-write detaches cost ~nothing. Deliberately does
-    /// **not** bump the epoch: no visible row changes, so a freeze alone
-    /// never triggers a spurious publish.
-    pub fn freeze_tails(&mut self, min_rows: usize) -> usize {
-        self.db.freeze_tails(min_rows)
+    /// Seals every table's open tail into an immutable chunk (see
+    /// [`Database::seal_tails`]) — how a batch load ends, so its scans read
+    /// sealed chunks only. A live store never needs it: a tail seals by
+    /// itself at its chunk size, and a publish shares an open tail as it
+    /// is. Deliberately does **not** bump the epoch: no visible row
+    /// changes, so a seal alone never triggers a spurious publish.
+    pub fn seal_tails(&mut self) {
+        self.db.seal_tails()
     }
 
     /// Sealed chunks physically shared with `other`'s database (see
@@ -651,7 +650,7 @@ mod tests {
         let row = grow(StoreConfig::partitioned().with_columnar(false));
         let procs = col.db().plain(schema::PROCESSES).unwrap();
         assert_eq!(procs.sealed_chunks().len(), 1);
-        assert_eq!(procs.tail_rows().len(), 5_000 - 4_096, "an unsealed tail");
+        assert_eq!(procs.tail_len(), 5_000 - 4_096, "an unsealed tail");
 
         let not_like = |c, p: &str| Expr::NotLike(Box::new(Expr::Col(c)), p.into());
         let ids =

@@ -29,16 +29,20 @@
 //!
 //! Within a hot partition the same trick repeats one level down: a table
 //! is a list of immutable, `Arc`-shared **sealed chunks** plus one open
-//! tail, so even the detach of a partition the writer is actively
-//! appending into copies only the tail — O(open chunk), not O(partition).
-//! [`StoreWriter::publish`] seals every tail that has grown past a small
-//! threshold right before cloning, so the history both sides share is
-//! maximal and the bytes each publish copies stay bounded by the threshold
-//! (`aiql_storage_publish_bytes_copied` measures exactly this; the
-//! `aiql_storage_sealed_chunks_shared` gauge reports how much sealed
-//! history the head still shares with the snapshot it replaces). Sealed
-//! chunks and partitions are owned jointly by the snapshots that pinned
-//! them; the last snapshot to drop frees them.
+//! tail whose columns sit in fixed-size blocks, the full ones also behind
+//! `Arc`. So even the detach of a partition the writer is actively
+//! appending into shares all of that and copies at most the tail's one
+//! partial block ([`aiql_rdb::TAIL_BLOCK_ROWS`] rows) — not the partition,
+//! not the tail. [`StoreWriter::publish`] therefore neither seals nor
+//! copies: it is the clone and the swap. A tail seals by itself when it
+//! reaches its chunk size, as a batch load's would, so a stream arriving
+//! in time order is chunked exactly as a batch load of it.
+//! `aiql_storage_publish_bytes_copied` measures what the partial-block
+//! copies cost between publishes; the `aiql_storage_sealed_chunks_shared`
+//! gauge reports how much sealed history the head still shares with the
+//! snapshot it replaces. Sealed chunks, blocks and partitions are owned
+//! jointly by the snapshots that pinned them; the last snapshot to drop
+//! frees them.
 //!
 //! Every mutation bumps the store's [`StoreStamp`]; a snapshot's stamp
 //! identifies exactly which prefix of the stream it reflects.
@@ -46,14 +50,6 @@
 use crate::EventStore;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-
-/// Minimum open-tail rows at which [`StoreWriter::publish`] seals a table
-/// tail into an immutable chunk before cloning the head. Small enough that
-/// a flush-sized batch of appends into a hot partition gets sealed (and so
-/// shared with the snapshot) on the very publish that makes it visible;
-/// large enough that trickle publishes don't fragment tables into dust
-/// chunks.
-pub const PUBLISH_SEAL_MIN_ROWS: usize = 64;
 
 /// A point-in-time version of a store: mutation epoch plus row counts.
 ///
@@ -165,23 +161,18 @@ pub struct StoreWriter<'a> {
 
 impl StoreWriter<'_> {
     /// Publishes the head as the new reader-visible snapshot and returns
-    /// its stamp. Table tails that grew past [`PUBLISH_SEAL_MIN_ROWS`] are
-    /// sealed into immutable chunks first (sorted, projected and indexed),
-    /// so the snapshot shares them and post-publish appends detach only
-    /// sub-threshold tails; then one copy-on-write [`EventStore::clone`]
-    /// (pointer copies; row data stays shared). None of that holds the
-    /// readers' lock, which is taken only to swap one `Arc`: writers are
-    /// serialized by the head mutex, so the published snapshot cannot
-    /// change in between. Publishing with nothing new is a no-op.
+    /// its stamp: one copy-on-write [`EventStore::clone`] — pointer copies;
+    /// every table stays shared until the next append into it detaches
+    /// it — and the swap.
+    /// Nothing is sealed here. The clone does not hold the readers' lock,
+    /// which is taken only to swap one `Arc`: writers are serialized by the
+    /// head mutex, so the published snapshot cannot change in between.
+    /// Publishing with nothing new is a no-op.
     pub fn publish(&mut self) -> StoreStamp {
         let stamp = self.head.stamp();
         let outgoing = self.published.read().expect("store lock poisoned").clone();
         if outgoing.stamp() != stamp {
             let start = std::time::Instant::now();
-            // Seal grown tails before cloning (and before the amplification
-            // accounting below: sealing a still-shared partition charges
-            // its tail copy to `copied_bytes` like any other detach).
-            self.head.freeze_tails(PUBLISH_SEAL_MIN_ROWS);
             // The head's copy-on-write counter minus the outgoing
             // snapshot's (frozen at its own publish) is exactly the bytes
             // detaches copied since then — the write amplification this
@@ -196,12 +187,12 @@ impl StoreWriter<'_> {
             let shared = self.head.sealed_chunks_shared_with(&outgoing);
             let next = Arc::new(self.head.clone());
             *self.published.write().expect("store lock poisoned") = next;
+            crate::metrics::record_resident(&self.head);
             let m = crate::metrics::metrics();
             m.publishes.inc();
-            m.publish_micros.record_duration(start.elapsed());
             m.publish_bytes_copied.record(copied);
             m.sealed_chunks_shared.set(shared as i64);
-            crate::metrics::record_resident(&self.head);
+            m.publish_micros.record_duration(start.elapsed());
         }
         stamp
     }
@@ -337,11 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn publish_seals_grown_tails_so_detaches_copy_nothing() {
+    fn publish_shares_open_tails_and_a_detach_copies_one_block() {
         let shared = SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap());
+        let block = aiql_rdb::TAIL_BLOCK_ROWS as u64;
+        let n = 3 * block + 10;
         {
             let mut w = shared.write();
-            for i in 0..200u64 {
+            for i in 0..n {
                 w.append_event(&event(i, i as i64)).unwrap();
             }
             w.publish();
@@ -352,27 +345,29 @@ mod tests {
             0,
             "nothing was snapshot-shared before the first publish"
         );
-        // The publish sealed the flush-sized tail (>= PUBLISH_SEAL_MIN_ROWS),
-        // so the post-publish append detaches the hot partition by copying
-        // an *empty* tail: zero bytes of write amplification.
+        // Nothing sealed: the tail is shared as it is, and the post-publish
+        // append detaches the hot partition by copying the tail's partial
+        // block — ten rows of eleven 8-byte columns — and nothing else.
         {
             let mut w = shared.write();
             w.append_event(&event(1000, 5)).unwrap();
             w.publish();
         }
         let after = shared.read();
-        assert_eq!(
-            after.db().copied_bytes(),
-            0,
-            "O(tail) detach copied nothing"
-        );
-        // The sealed 200-row chunk stays physically shared across publishes.
-        assert_eq!(snap.sealed_chunks_shared_with(&after), 1);
-        // Sub-threshold tails stay open: the 1-row tail was not sealed.
+        assert_eq!(after.db().copied_bytes(), 10 * 11 * 8);
         let pt = after.events_partitioned();
         let parts = pt.partitions_for(&aiql_rdb::partition::Prune::all());
         assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].1.chunk_boundaries(), vec![200, 1]);
+        assert_eq!(parts[0].1.chunk_boundaries(), vec![n as usize + 1]);
+        let before = snap
+            .events_partitioned()
+            .partitions_for(&aiql_rdb::partition::Prune::all());
+        assert_eq!(parts[0].1.tail_blocks_shared_with(before[0].1), 3);
+        assert_eq!(
+            before[0].1.len(),
+            n as usize,
+            "the pinned snapshot is unchanged"
+        );
     }
 
     #[test]

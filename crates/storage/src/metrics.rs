@@ -8,12 +8,13 @@ aiql_telemetry::metrics! {
     publishes: Counter("aiql_storage_publishes_total", "publishes",
         "Snapshots actually swapped in (no-op publishes are not counted)"),
     publish_micros: Histogram("aiql_storage_publish_micros", "µs",
-        "Time to seal grown tails (sort each by time, build its projection, sort its \
-         indexes), clone the head, and swap the published `Arc`"),
+        "Time of a whole publish: clone the head (every table by refcount; nothing is \
+         sealed), swap the published `Arc`, and set the resident-bytes gauges"),
     publish_bytes_copied: Histogram("aiql_storage_publish_bytes_copied", "bytes",
-        "Bytes deep-copied by copy-on-write detaches between publishes. Chunked tables copy \
-         only the **open tail** (sealed chunks are refcount-shared), and the publish path \
-         seals grown tails first, so this sits near zero in steady state"),
+        "Bytes deep-copied by copy-on-write detaches between publishes. Sealed chunks and full \
+         blocks of an open tail are refcount-shared, so a detach copies only a tail's \
+         **partial block** (at most `TAIL_BLOCK_ROWS` = 64 rows), a row tail (a table \
+         without a projection) whole"),
     sealed_chunks_shared: Gauge("aiql_storage_sealed_chunks_shared", "chunks",
         "Sealed chunks the head physically shares with the outgoing snapshot at publish time \
          — how much immutable history each publish reuses instead of copying"),
@@ -23,7 +24,7 @@ aiql_telemetry::metrics! {
         "Durable-store open time (snapshot load + WAL tail replay)"),
     snapshot_load_micros: Histogram("aiql_storage_snapshot_load_micros", "µs",
         "One snapshot file's load during recovery: read, CRC, dictionary, and every table \
-         (sealed `events` chunks read as columns, entity chunks and open tails as rows)"),
+         (a columnar store's sealed chunks read as columns, open tails as rows)"),
     replay_micros: Histogram("aiql_storage_replay_micros", "µs",
         "Recovery's WAL tail pass: scanning the log's segments and applying each record past \
          the snapshot through `EventStore::apply`"),
@@ -41,14 +42,14 @@ aiql_telemetry::metrics! {
     resident_rows: Gauge("aiql_storage_resident_rows_bytes", "bytes",
         "Stored rows of the published store, string payloads included \
          (`EventStore::resident_bytes`), set at every publish and when a store is first \
-         shared. Sealed chunks whose projection covers every column (every `events` chunk) \
-         hold none, so this is open tails plus entity tables"),
+         shared. Only a table without a projection keeps rows: a columnar store's sealed \
+         chunks and open tails are columns, so there this is 0"),
     resident_index: Gauge("aiql_storage_resident_index_bytes", "bytes",
         "Secondary indexes: 4 bytes a row per index on sealed chunks (open tails have none)"),
     resident_projection: Gauge("aiql_storage_resident_projection_bytes", "bytes",
         "Columnar projections: column vectors, zone maps, projection orders, row → \
          projection maps (≈ 92 B per event: 11 columns × 8 B and the projection order; the \
-         map only where rows arrived out of time order)"),
+         map only where rows arrived out of time order), and open tails' column blocks"),
     resident_dict: Gauge("aiql_storage_resident_dict_bytes", "bytes",
         "The shared string dictionary: both copies of every interned string and its lookup \
          table"),

@@ -288,7 +288,7 @@ fn telemetry_summary() {
         quantile("aiql_ingest_flush_micros", 0.99) / 1e3,
     );
     eprintln!(
-        "[  storage: {} publishes copied {:.2} MiB of open tail; {} sealed chunk(s) shared]",
+        "[  storage: {} publishes; detaches copied {:.2} MiB of partial tail blocks; {} sealed chunk(s) shared]",
         snap.counter("aiql_storage_publishes_total").unwrap_or(0),
         sum("aiql_storage_publish_bytes_copied") as f64 / (1 << 20) as f64,
         snap.gauge("aiql_storage_sealed_chunks_shared").unwrap_or(0),

@@ -16,6 +16,10 @@
 //!    ever observe published flush boundaries — every result equals what
 //!    the same query computes single-threaded on the snapshot with the
 //!    same stamp, and the final state equals the batch oracle.
+//! 4. Chunking: a tail seals only at its chunk size, never at a publish,
+//!    so a stream arriving in time order is chunked exactly as a batch
+//!    load of it, and each publish interval copies at most one partial
+//!    tail block per table it touches.
 
 use aiql::engine::{EngineConfig, Session};
 use aiql::rdb::{CmpOp, ColumnarSpec, Expr, Prune, RowView, ScanProfile, SharedDict, Table};
@@ -233,12 +237,11 @@ proptest! {
         let oracle =
             EventStore::ingest(&data, StoreConfig::partitioned().with_columnar(false)).unwrap();
         // Columnar, built two ways: batch-loaded, and grown live through the
-        // ingestor (sorted inserts into open blocks, sealing, rollover).
+        // ingestor (appends to open column blocks, sealing, rollover).
         let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
         let live = stream_ingest(&data, batch_events, batch_events * 2, seed);
-        // And batch-loaded with every table frozen every `batch_events`
-        // appends, as a publish-heavy live store is: sealed event chunks
-        // keep only their projection, sealed entity chunks their rows.
+        // And batch-loaded with every tail sealed every `batch_events`
+        // appends: many small sealed chunks, each kept as columns.
         let mut frozen = EventStore::empty(StoreConfig::partitioned()).unwrap();
         for e in &data.entities {
             frozen.append_entity(e).unwrap();
@@ -246,7 +249,7 @@ proptest! {
         for (i, ev) in data.events.iter().enumerate() {
             frozen.append_event(ev).unwrap();
             if (i + 1) % batch_events == 0 {
-                frozen.freeze_tails(1);
+                frozen.seal_tails();
             }
         }
 
@@ -478,19 +481,21 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// O(tail) snapshot publication, structurally: across any sequence of
+    /// Copy-on-write publication, structurally: across any sequence of
     /// append-then-publish rounds, (1) every sealed chunk a published
     /// snapshot holds stays physically shared (same `Arc`) with every later
     /// snapshot — sealed history is never deep-copied — and (2) the bytes
-    /// copy-on-write detaches charge per publish interval are bounded by the
-    /// open tails of the previous snapshot, never the partition bodies.
+    /// copy-on-write detaches charge per publish interval are one partial
+    /// tail block per touched table: what the previous snapshot's tail
+    /// holds past its last full block, never a whole tail or a partition
+    /// body.
     #[test]
     fn publishes_share_sealed_history_and_copy_only_open_tails(
-        rows_per_flush in 64usize..160,
-        flushes in 2usize..6,
+        rows_per_flush in 700usize..1500,
+        flushes in 6usize..10,
         two_agents in any::<bool>(),
     ) {
-        use aiql::rdb::Prune;
+        use aiql::rdb::{Prune, TAIL_BLOCK_ROWS};
 
         let shared = SharedStore::new(
             EventStore::empty(StoreConfig::partitioned()).unwrap(),
@@ -526,13 +531,17 @@ proptest! {
                 .map(|(_, t)| t.sealed_chunks().len())
                 .sum()
         };
+        // One `events` row as columns: eleven 8-byte integers.
+        let row_bytes = (schema::events_schema().arity() * 8) as u64;
+        // The rows of each tail past its last full block, as columns.
         let tails_of = |snap: &aiql::storage::StoreSnapshot| -> u64 {
             snap.events_partitioned()
                 .partitions_for(&Prune::all())
                 .iter()
-                .map(|(_, t)| t.tail_bytes())
+                .map(|(_, t)| (t.tail_len() % TAIL_BLOCK_ROWS) as u64 * row_bytes)
                 .sum()
         };
+        let block_bytes = TAIL_BLOCK_ROWS as u64 * row_bytes;
 
         for pair in snapshots.windows(2) {
             let (prev, cur) = (&pair[0], &pair[1]);
@@ -543,16 +552,16 @@ proptest! {
                 chunks_of(prev),
                 "a sealed chunk was deep-copied between publishes"
             );
-            // Copy-on-write charged at most the previous snapshot's open
-            // tails (the publish path seals grown tails first, so these sit
-            // below PUBLISH_SEAL_MIN_ROWS rows per partition).
+            // Copy-on-write charged the partial block of the previous
+            // snapshot's tail — every flush appends into its one partition
+            // — and that is less than a block.
             let copied = cur
                 .events_partitioned()
                 .copied_bytes()
                 .saturating_sub(prev.events_partitioned().copied_bytes());
             prop_assert!(
-                copied <= tails_of(prev),
-                "publish interval copied {} bytes > {} bytes of open tail",
+                copied == tails_of(prev) && copied < block_bytes,
+                "publish interval copied {} bytes; the partial block held {} bytes",
                 copied,
                 tails_of(prev)
             );
@@ -566,8 +575,84 @@ proptest! {
             chunks_of(first_published)
         );
         // ...and the property is not vacuous: enough rows flowed through
-        // that the publish path actually sealed chunks.
+        // that a tail reached its chunk size and sealed.
         prop_assert!(chunks_of(last) >= 1, "no chunk ever sealed");
+    }
+
+    /// For rows that arrive in order, a live store chunks exactly as a
+    /// batch load does: every table — each `events` partition, each entity
+    /// table — has the batch load's chunk boundaries and rows in the same
+    /// order. Live chunks seal only at the chunk size, so every sealed one
+    /// is full and the batch load's last, partial chunk is the live
+    /// store's open tail.
+    #[test]
+    fn in_order_streams_chunk_like_a_batch_load(
+        events in 4_200usize..9_000,
+        gap_ms in 1i64..40_000,
+        agents in 1u32..4,
+        procs in 1u64..40,
+        batch_events in 1usize..3_000,
+        seed in any::<u64>(),
+    ) {
+        // Times rise with the event order, and each entity is first named
+        // in its creation order, so a stream in time order is the
+        // dataset's order, entities included. Every event writes a new
+        // file: the files table seals too.
+        let mut data = Dataset::new();
+        let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
+        let procs: Vec<_> = (0..procs)
+            .map(|i| {
+                let agent = AgentId((i % agents as u64) as u32);
+                data.add_entity(Entity::process((1 + i).into(), agent, format!("p{i}.exe"), 1))
+            })
+            .collect();
+        for k in 0..events as u64 {
+            let proc = k % procs.len() as u64;
+            let agent = AgentId((proc % agents as u64) as u32);
+            let file = data.add_entity(Entity::file((1_000 + k).into(), agent, format!("/f/{k}")));
+            data.add_event(
+                Event::new(
+                    (100_000 + k).into(),
+                    agent,
+                    procs[proc as usize],
+                    OpType::Write,
+                    file,
+                    EntityKind::File,
+                    Timestamp(t0 + k as i64 * gap_ms * 1_000_000),
+                )
+                .with_seq(k),
+            );
+        }
+        let batch = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+        let live = stream_ingest(&data, batch_events, 0, seed);
+        let live = live.read();
+
+        let tables = |s: &EventStore| -> Vec<(String, Table)> {
+            let parts = s.events_partitioned().partitions_for(&Prune::all());
+            let entities = [schema::PROCESSES, schema::FILES, schema::NETCONNS]
+                .map(|t| (t.to_string(), s.db().plain(t).unwrap().clone()));
+            parts
+                .into_iter()
+                .map(|(k, t)| (format!("events {k:?}"), t.clone()))
+                .chain(entities)
+                .collect()
+        };
+        let (want, got) = (tables(&batch), tables(&live));
+        prop_assert_eq!(want.len(), got.len());
+        let mut sealed = 0;
+        for ((name, b), (live_name, l)) in want.iter().zip(&got) {
+            prop_assert_eq!(name, live_name);
+            prop_assert_eq!(b.chunk_boundaries(), l.chunk_boundaries(), "{}", name);
+            prop_assert!(b.iter_rows().eq(l.iter_rows()), "{} rows differ", name);
+            prop_assert!(
+                l.sealed_chunks().iter().all(|c| c.len() == l.chunk_rows()),
+                "{}: a live chunk sealed early",
+                name
+            );
+            prop_assert_eq!(b.tail_len(), 0);
+            sealed += l.sealed_chunks().len();
+        }
+        prop_assert!(sealed >= 1, "no live chunk sealed");
     }
 
     #[test]

@@ -199,7 +199,7 @@ proptest! {
         }
         prop_assert_eq!(chunked.len(), mono.len());
         prop_assert!(mono.sealed_chunks().is_empty(), "oracle stays monolithic");
-        prop_assert!(tailed.tail_rows().iter().any(|r| r[2] == Value::str("tail only")));
+        prop_assert!(tailed.tail_rows().any(|r| r.get(2) == Value::str("tail only")));
         // Projections replace the rows of sealed chunks; without one they
         // stay.
         for (t, projected_chunks) in [
@@ -314,6 +314,135 @@ proptest! {
             .unwrap();
         prop_assert_eq!(snapshot.len(), frozen_len);
         prop_assert_eq!(chunked.chunks_shared_with(&snapshot), sealed);
+    }
+
+    /// Publication on one table: random runs of appends, clones (what a
+    /// publish pins) and selections, over tails of many blocks, a random
+    /// chunk size, out-of-order times, NULLs and a name only tails hold.
+    /// Every pinned clone equals the row prefix at its length, in order,
+    /// under every access path — projected and row-store alike — however
+    /// many appends and seals the head makes after it; and each detach,
+    /// the head's first append after a clone, copies at most the one
+    /// partial tail block `tail_bytes` charges for, leaving every full
+    /// block shared.
+    #[test]
+    fn pinned_clones_are_prefixes_and_detaches_copy_one_block(
+        ops in prop::collection::vec((0u8..8, 0i64..50, "[a-d]{1,3}"), 1..700),
+        chunk in 1usize..600,
+        needle in 0i64..50,
+    ) {
+        use aiql::rdb::{AccessPath, Row, Table, TAIL_BLOCK_ROWS};
+        let schema = Schema::new(&[
+            ("val", ColumnType::Int),
+            ("agentid", ColumnType::Int),
+            ("name", ColumnType::Str),
+            ("start_time", ColumnType::Int),
+        ]);
+        let mut projected = Table::with_chunk_rows(schema.clone(), chunk);
+        let mut rows_only = Table::with_chunk_rows(schema, chunk);
+        for t in [&mut projected, &mut rows_only] {
+            t.create_index("val").unwrap();
+            t.create_index("name").unwrap();
+        }
+        projected
+            .enable_columnar(&ColumnarSpec::time_sorted("start_time"), SharedDict::new())
+            .unwrap();
+        let mut appended: Vec<Row> = Vec::new();
+        let mut pinned: Vec<(Table, Table)> = Vec::new();
+        let mut detached = true;
+        for (i, (op, val, nm)) in ops.iter().enumerate() {
+            if *op == 0 {
+                // A publish: pin both heads as they stand, the last row
+                // appended with a name no other row holds.
+                let late = vec![
+                    Value::Int(*val),
+                    Value::Null,
+                    Value::str("tail only"),
+                    Value::Int((i as i64 * 37 % 101) * 1_000),
+                ];
+                for t in [&mut projected, &mut rows_only] {
+                    t.insert(late.clone()).unwrap();
+                }
+                appended.push(late);
+                pinned.push((projected.clone(), rows_only.clone()));
+                detached = false;
+                continue;
+            }
+            let row = vec![
+                Value::Int(*val),
+                Value::Int(i as i64 % 4),
+                match val % 5 {
+                    0 => Value::Null,
+                    1 => Value::str(nm.to_uppercase()),
+                    _ => Value::str(nm.clone()),
+                },
+                // Out of time order.
+                Value::Int((i as i64 * 37 % 101) * 1_000),
+            ];
+            for t in [&mut projected, &mut rows_only] {
+                t.insert(row.clone()).unwrap();
+            }
+            appended.push(row);
+            if !detached {
+                // The first append since the last clone: unless it sealed
+                // the tail, the clone and the head still share every full
+                // block — the clone copied only the partial one, which is
+                // what `tail_bytes` charges.
+                detached = true;
+                let (clone, _) = pinned.last().unwrap();
+                if projected.sealed_chunks().len() == clone.sealed_chunks().len() {
+                    let full = clone.tail_len() / TAIL_BLOCK_ROWS;
+                    prop_assert_eq!(projected.tail_blocks_shared_with(clone), full);
+                    let partial = (clone.tail_len() % TAIL_BLOCK_ROWS) as u64;
+                    // Four columns: three integers, one string code.
+                    let row_bytes = 8 + 8 + 4 + 8;
+                    prop_assert!(clone.tail_bytes() >= partial * row_bytes);
+                    prop_assert!(clone.tail_bytes() <= partial * (row_bytes + 2));
+                }
+                prop_assert_eq!(projected.chunks_shared_with(clone), clone.sealed_chunks().len());
+            }
+        }
+
+        let cases = [
+            vec![],
+            vec![Expr::cmp_lit(0, CmpOp::Eq, needle)],
+            vec![Expr::cmp_lit(0, CmpOp::Ge, needle)],
+            vec![Expr::in_list(0, (needle..needle + 4).map(Value::Int).collect())],
+            vec![Expr::cmp_lit(2, CmpOp::Eq, "tail only")],
+            vec![Expr::like(2, "%A%"), Expr::cmp_lit(0, CmpOp::Lt, needle)],
+            vec![Expr::IsNull(Box::new(Expr::Col(2)))],
+            vec![Expr::cmp_lit(2, CmpOp::Ne, "a")],
+            vec![
+                Expr::cmp_lit(3, CmpOp::Ge, 20_000i64),
+                Expr::cmp_lit(3, CmpOp::Le, 60_000i64),
+            ],
+            vec![Expr::cmp_lit(1, CmpOp::Eq, 2.0)],
+        ];
+        let mut paths = Vec::new();
+        for (projected, rows_only) in &pinned {
+            let len = projected.len();
+            prop_assert_eq!(rows_only.len(), len);
+            let prefix = &appended[..len];
+            for t in [projected, rows_only] {
+                prop_assert!(t.iter_rows().map(|r| r.to_row()).eq(prefix.iter().cloned()));
+                for (i, want) in prefix.iter().enumerate() {
+                    prop_assert_eq!(&t.row(i as u32).to_row(), want);
+                }
+                for conjuncts in &cases {
+                    let want: Vec<u32> = (0..len as u32)
+                        .filter(|&p| conjuncts.iter().all(|c| c.matches(&prefix[p as usize])))
+                        .collect();
+                    let (path, got) = t.select(conjuncts, &mut 0);
+                    prop_assert_eq!(&got, &want, "{:?} over {} rows", conjuncts, len);
+                    paths.push(path);
+                }
+            }
+        }
+        if pinned.iter().any(|(t, _)| t.sealed_chunks().len() > 1) {
+            for path in [AccessPath::IndexEq, AccessPath::Columnar, AccessPath::Seq] {
+                prop_assert!(paths.contains(&path), "{:?} never ran", path);
+            }
+        }
     }
 
     #[test]

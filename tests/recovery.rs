@@ -123,9 +123,9 @@ fn durable_stream(data: &Dataset, dir: &PathBuf, chunk: usize, checkpoint_every:
 #[test]
 fn persisted_snapshot_reopens_byte_identical_for_the_paper_suite() {
     let data = dataset();
-    // Build the store append-wise with a mid-stream tail freeze, so every
-    // hot partition carries a sealed chunk *and* a non-empty open tail —
-    // the layout the chunk-boundary round-trip below must reproduce.
+    // Build the store append-wise with a mid-stream seal, so every hot
+    // partition carries a sealed chunk *and* a non-empty open tail — the
+    // layout the chunk-boundary round-trip below must reproduce.
     let mut live = EventStore::empty(StoreConfig::partitioned()).unwrap();
     for e in &data.entities {
         live.append_entity(e).unwrap();
@@ -134,7 +134,7 @@ fn persisted_snapshot_reopens_byte_identical_for_the_paper_suite() {
     for ev in head {
         live.append_event(ev).unwrap();
     }
-    live.freeze_tails(1);
+    live.seal_tails();
     for ev in rest {
         live.append_event(ev).unwrap();
     }

@@ -1,12 +1,13 @@
 //! Where a store's memory goes, pinned without a clock: on the partitioned
 //! columnar store every sealed chunk — `events` and entity tables alike —
-//! keeps only its projection and one sorted position array per index, no
-//! rows, while the row-store configuration keeps its rows; and a snapshot
+//! keeps only its projection and one sorted position array per index, and
+//! every open tail only its column blocks: no rows anywhere, while the
+//! row-store configuration keeps its rows; and a snapshot
 //! written from that layout, reopened and written again, is the same file
 //! byte for byte.
 
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
-use aiql::rdb::{Prune, Table};
+use aiql::rdb::{ColumnType, Prune, Table, TAIL_BLOCK_ROWS};
 use aiql::storage::{schema, EventStore, StoreConfig};
 
 const DAY: i64 = 86_400 * 1_000_000_000;
@@ -46,9 +47,9 @@ fn dataset(n: u64) -> Dataset {
     d
 }
 
-/// Loads `data`, freezing every tail of at least 64 rows after each 1 000
-/// of the first quarter of the events (as publishes do), so tables hold
-/// small frozen chunks, full sealed ones, and open tails.
+/// Loads `data`, sealing every tail once a quarter of the events are in
+/// (as a batch load ends), so tables hold short sealed chunks, full ones
+/// sealed at their chunk size, and open tails.
 fn load(data: &Dataset, config: StoreConfig) -> EventStore {
     let mut s = EventStore::empty(config).unwrap();
     for e in &data.entities {
@@ -56,8 +57,8 @@ fn load(data: &Dataset, config: StoreConfig) -> EventStore {
     }
     for (i, ev) in data.events.iter().enumerate() {
         s.append_event(ev).unwrap();
-        if i < data.events.len() / 4 && (i + 1) % 1_000 == 0 {
-            s.freeze_tails(64);
+        if i + 1 == data.events.len() / 4 {
+            s.seal_tails();
         }
     }
     s
@@ -129,25 +130,57 @@ fn sealed_event_chunks_keep_no_rows() {
         "{row_entities:?}"
     );
 
-    // Store-wide, what rows the columnar store still holds are its open
-    // tails, their strings charged to the dictionary: each tail row is its
-    // values (`Table::tail_bytes`) plus its slot in the tail's vector,
-    // which holds at most twice the rows, and at least four.
+    // Store-wide, the columnar store holds no row at all: its open tails
+    // are columns too, charged to the projection. Each tail block reserves
+    // room for `TAIL_BLOCK_ROWS` values per column — 8 bytes an integer
+    // (up to 2 more for null flags, grown as NULLs arrive), 4 a string's
+    // code — and adds its column list (at most 64 bytes a column) and a
+    // slot in the tail's block list (8 bytes, the list at most twice the
+    // blocks and at least four).
     let (col, row) = (store.resident_bytes(), rows.resident_bytes());
+    assert_eq!(col.tables.rows, 0, "{col:?}");
     let tables = || {
         event_partitions(&store)
             .into_iter()
             .chain(entity_tables(&store))
     };
-    let values: u64 = tables().map(Table::tail_bytes).sum();
-    let slots: u64 = tables()
-        .map(|t| 24 * (2 * t.tail_rows().len()).max(4) as u64)
-        .sum();
+    let mut open = 0;
+    for t in tables() {
+        let sealed: u64 = t
+            .sealed_chunks()
+            .iter()
+            .map(|c| c.resident_bytes().projection)
+            .sum();
+        let tail = t.resident_bytes().projection - sealed;
+        let width = |null_flags: u64| -> u64 {
+            let types = t.schema().iter();
+            types
+                .map(|(_, ty)| {
+                    if ty == ColumnType::Int {
+                        8 + null_flags
+                    } else {
+                        4
+                    }
+                })
+                .sum()
+        };
+        let rows = TAIL_BLOCK_ROWS as u64;
+        let blocks = t.tail_len().div_ceil(TAIL_BLOCK_ROWS) as u64;
+        let at_least = blocks * rows * width(0);
+        let lists = 64 * t.schema().arity() as u64;
+        let at_most = blocks * (rows * width(2) + lists) + 8 * (2 * blocks).max(4);
+        assert!(
+            (at_least..=at_most).contains(&tail),
+            "a tail of {} rows holds {tail} bytes, not {at_least}..={at_most}",
+            t.tail_len()
+        );
+        open += t.tail_len();
+    }
+    assert!(open > 0, "the store keeps open tails");
     assert!(
-        (values..=values + slots).contains(&col.tables.rows),
-        "{col:?}: tails {values} + {slots}"
+        col.tables.projection < row.tables.rows,
+        "{col:?} vs {row:?}"
     );
-    assert!(col.tables.rows * 2 < row.tables.rows, "{col:?} vs {row:?}");
     assert!(col.dict > 0 && row.dict == 0);
 }
 
