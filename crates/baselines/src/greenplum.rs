@@ -48,7 +48,7 @@ impl SegmentedStore {
             .entities
             .iter()
             .map(|e| (schema::entity_table(e.kind), entity_row(e)));
-        let events = data.events.iter().map(|ev| (schema::EVENTS, event_row(ev)));
+        let events = (data.events.iter()).map(|ev| (schema::EVENTS, event_row(ev).to_vec()));
         for (i, (table, row)) in entities.chain(events).enumerate() {
             dbs[i % segments].insert(table, row)?;
         }

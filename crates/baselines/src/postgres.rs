@@ -19,7 +19,7 @@ pub fn load(data: &Dataset) -> Result<Database, RdbError> {
         db.insert(schema::entity_table(e.kind), entity_row(e))?;
     }
     for ev in &data.events {
-        db.insert(schema::EVENTS, event_row(ev))?;
+        db.insert(schema::EVENTS, event_row(ev).to_vec())?;
     }
     db.seal_tails();
     Ok(db)

@@ -1,13 +1,13 @@
-//! Columnar projections: typed vectors, time-sorted sealed chunks, zone
-//! maps, and vectorized predicate kernels.
+//! Columnar projections: frame-of-reference columns, time-sorted sealed
+//! chunks, zone maps, and vectorized predicate kernels.
 //!
 //! The row store ([`crate::Table`]) interprets predicate ASTs row-at-a-time
 //! over `Vec<Value>` rows — pointer-chasing on the hottest path in the
 //! system. A [`Columnar`] projection shadows a sealed chunk with flat typed
-//! vectors (`i64`, dictionary-interned `u32` symbols, bools), keeps its
-//! rows sorted by the partition's time column, and carries one min/max
-//! **zone map** per column over the whole chunk: the sealed chunk is the
-//! zone-map unit. Scans then:
+//! vectors (integers, dictionary-interned symbols, bools), keeps its rows
+//! sorted by the partition's time column, and carries one min/max **zone
+//! map** per column over the whole chunk: the sealed chunk is the zone-map
+//! unit. Scans then:
 //!
 //! 1. compile the conjuncts into a handful of [`Kernel`]s (eq-i64,
 //!    range-i64, in-list, eq-sym, like-sym) plus a residual AST remainder,
@@ -18,9 +18,23 @@
 //!    selection bitmap, falling back to the row store only for residual
 //!    predicates on the surviving rows.
 //!
+//! A sealed chunk keeps each integer and dictionary-code column as a
+//! **frame of reference**: the chunk's least value plus one unsigned offset
+//! a row, at the narrowest of 0 (a constant column), 1, 2, 4 or 8 bytes
+//! that holds the chunk's max − min (taken in `u64`, so `i64::MIN` and
+//! `i64::MAX` may share a chunk). Its position arrays — the projection
+//! order here, the row → projection map and each index in
+//! [`crate::table`] — take the narrowest width that holds the chunk's
+//! length, and an identity order is kept empty. Kernels read the narrow
+//! offsets directly: each is written once, generic over the offset type,
+//! and translates its literal into the chunk's offsets once per chunk —
+//! no decode step, no scratch buffer. An open tail's columns are the same
+//! frames at full width from base 0 (`i64` values, `u32` codes), so the
+//! tail runs the very same kernels.
+//!
 //! `LIKE` / `NOT LIKE` on a dictionary column is a kernel too: the
 //! compiled pattern is evaluated once per *distinct symbol* the scan meets
-//! and remembered in a scan-local [`LikeMemo`], so a row costs one `u32`
+//! and remembered in a scan-local [`LikeMemo`], so a row costs one offset
 //! load and one memo lookup however long its string is. The memo lives for
 //! one table scan (all chunks share the dictionary) and is never resident.
 //!
@@ -35,18 +49,20 @@
 //! dictionary's own `Arc<str>` — a refcount bump, never a copy of the
 //! payload.
 //!
-//! A projection is built once, when its chunk seals: each row is read
-//! once, in arrival order, into every column; the columns are then
-//! permuted into projection order — the rows' stable sort by the time
-//! column, taken from the filled column, or a persisted order on restore —
-//! and each gets its zone map. A snapshot writes the chunk as these
-//! columns, and a restore reads them back as they were ([`Columnar::perm`]
-//! included), without a row in between.
+//! A projection is built once, when its chunk seals: its order is the
+//! tail's stable sort by the time column, taken from the filled column, or
+//! a persisted order on restore; each column is then packed straight from
+//! the tail's blocks in that order and gets its zone map. A snapshot
+//! writes the chunk as it is resident — each frame as base, width and
+//! offsets — and a restore reads it back as it was, without a row in
+//! between; a column an older snapshot wrote at full width is packed once
+//! on the way in.
 
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
+use crate::lanes::{at, invalid, lanes, read_byte, read_exact, read_le, width_of, write_le};
+use crate::lanes::{Lane, Lanes};
 use crate::schema::{ColumnType, Row, Schema};
-use crate::snapshot::MAX_RESERVE;
 use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
 use std::io::{self, Read, Write};
 use std::mem::size_of;
@@ -55,69 +71,19 @@ use std::sync::Arc;
 /// NULL sentinel in a bool column (values are 0 / 1).
 const NULL_BOOL: u8 = 2;
 
-/// A persisted column's encoding tag: its values as they are resident.
+/// A persisted column's encoding tag: its values at full width — a bool
+/// column's one encoding, and what older snapshots wrote of every column.
 const RAW: u8 = 0;
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
+/// A persisted column's encoding tag: a frame of reference as it is
+/// resident — base, offset width, offsets.
+const PACKED: u8 = 1;
 
-/// Writes fixed-width little-endian values through a stack buffer.
-fn write_le<W: Write, const N: usize>(
-    w: &mut W,
-    vals: impl Iterator<Item = [u8; N]>,
-) -> io::Result<()> {
-    let mut buf = [0u8; 4096];
-    let mut at = 0;
-    for v in vals {
-        if at + N > buf.len() {
-            w.write_all(&buf[..at])?;
-            at = 0;
-        }
-        buf[at..at + N].copy_from_slice(&v);
-        at += N;
-    }
-    w.write_all(&buf[..at])
-}
-
-/// Fills `buf` from `r`; a chunk's columns that end early are invalid
-/// data.
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => invalid("a chunk's columns end early"),
-        _ => e,
-    })
-}
-
-fn read_byte<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut b = [0u8];
-    read_exact(r, &mut b)?;
-    Ok(b[0])
-}
-
-/// Reads `n` fixed-width little-endian values. A count past the input
-/// fails when the input ends, having reserved at most [`MAX_RESERVE`]
-/// values.
-fn read_le<R: Read, T, const N: usize>(
-    r: &mut R,
-    n: usize,
-    from: impl Fn([u8; N]) -> T,
-) -> io::Result<Vec<T>> {
-    let mut out = Vec::with_capacity(n.min(MAX_RESERVE));
-    let mut buf = [0u8; 4096];
-    let mut left = n;
-    while left > 0 {
-        let bytes = &mut buf[..left.min(4096 / N) * N];
-        read_exact(r, bytes)?;
-        out.extend(
-            bytes
-                .chunks_exact(N)
-                .map(|b| from(b.try_into().expect("N bytes"))),
-        );
-        left -= bytes.len() / N;
-    }
-    out.shrink_to_fit();
-    Ok(out)
+/// A copy of `v` with room for `n` values.
+fn room<T: Copy>(v: &[T], n: usize) -> Vec<T> {
+    let mut c = Vec::with_capacity(n.max(v.len()));
+    c.extend_from_slice(v);
+    c
 }
 
 /// Configuration of a columnar projection: every column of the table,
@@ -143,15 +109,44 @@ impl ColumnarSpec {
     }
 }
 
-/// One projected column as a flat typed vector.
+/// Integers — values or dictionary codes — as a frame of reference:
+/// value `i` is `base` plus offset `i`.
+#[derive(Debug, Clone)]
+struct Frame {
+    base: i64,
+    lanes: Lanes,
+}
+
+impl Frame {
+    /// An open tail's empty frame: base 0, offsets the `lanes` themselves.
+    fn raw(lanes: Lanes) -> Frame {
+        Frame { base: 0, lanes }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> i64 {
+        self.base.wrapping_add(self.lanes.get(i) as i64)
+    }
+
+    /// ANDs `lo <= value <= hi` of the positions from `from` on into `sel`
+    /// (see [`and_window`]).
+    fn and_window(&self, nulls: &[bool], from: usize, lo: i64, hi: i64, sel: &mut [bool]) {
+        lanes!(&self.lanes, v => and_window(sel, v, nulls, from, self.base, lo, hi))
+    }
+}
+
+/// One projected column: in a sealed chunk, an `Int` or `Sym` column is a
+/// packed [`Frame`]; in an open tail's block it is raw — `I64` values or
+/// `U32` codes from base 0 — so an append is a push.
 #[derive(Debug, Clone)]
 enum ColumnData {
-    /// `i64` values with a parallel null flag. The flags are allocated at
-    /// the column's first NULL and are empty until then — events are never
-    /// null, so an event column is its values and nothing else.
-    Int { vals: Vec<i64>, nulls: Vec<bool> },
+    /// Integers with a parallel null flag. The flags are allocated at the
+    /// column's first NULL and are empty until then — events are never
+    /// null, so an event column is its offsets and nothing else. A NULL
+    /// takes offset 0.
+    Int { frame: Frame, nulls: Vec<bool> },
     /// Dictionary codes; [`NULL_SYM`] stands for NULL.
-    Sym { vals: Vec<u32> },
+    Sym { frame: Frame },
     /// 0 / 1 / [`NULL_BOOL`].
     Bool { vals: Vec<u8> },
 }
@@ -162,101 +157,130 @@ fn int_null(nulls: &[bool], i: usize) -> bool {
     !nulls.is_empty() && nulls[i]
 }
 
-/// ANDs `keep` of the values from `base` on into `sel`, a NULL never
+/// ANDs `keep` of the offsets from `from` on into `sel`, a NULL never
 /// kept. Branch-free, so the loop vectorizes.
 #[inline]
-fn and_int(
+fn and_lanes<L: Lane>(
     sel: &mut [bool],
-    vals: &[i64],
+    vals: &[L],
     nulls: &[bool],
-    base: usize,
-    keep: impl Fn(i64) -> bool,
+    from: usize,
+    keep: impl Fn(L) -> bool,
 ) {
-    let vals = &vals[base..base + sel.len()];
+    let vals = &vals[from..from + sel.len()];
     if nulls.is_empty() {
         for (s, &x) in sel.iter_mut().zip(vals) {
             *s &= keep(x);
         }
     } else {
-        for ((s, &x), &null) in sel.iter_mut().zip(vals).zip(&nulls[base..]) {
+        for ((s, &x), &null) in sel.iter_mut().zip(vals).zip(&nulls[from..]) {
             *s &= keep(x) & !null;
         }
     }
 }
 
+/// ANDs `lo <= value <= hi` into `sel` over the offsets from `from` on of
+/// a frame from `base`: the bounds become offsets once, and a window no
+/// offset reaches clears `sel`.
+fn and_window<L: Lane>(
+    sel: &mut [bool],
+    vals: &[L],
+    nulls: &[bool],
+    from: usize,
+    base: i64,
+    lo: i64,
+    hi: i64,
+) {
+    let lo = (lo as i128 - base as i128).max(L::MIN);
+    let hi = (hi as i128 - base as i128).min(L::MAX);
+    if lo > hi {
+        return sel.fill(false);
+    }
+    let (lo, hi) = (L::narrow(lo), L::narrow(hi));
+    and_lanes(sel, vals, nulls, from, |x| (x >= lo) & (x <= hi));
+}
+
+/// ANDs `keep` of the values from `from` on of a frame from `base` into
+/// `sel`, asked only of rows still selected — worth it for a binary
+/// search — a NULL never kept.
+fn and_each<L: Lane>(
+    sel: &mut [bool],
+    vals: &[L],
+    nulls: &[bool],
+    from: usize,
+    base: i64,
+    keep: impl Fn(i64) -> bool,
+) {
+    for (i, s) in sel.iter_mut().enumerate() {
+        *s = *s && !int_null(nulls, from + i) && keep(at(base, &vals[from + i]));
+    }
+}
+
 impl ColumnData {
+    /// An open tail's empty column of type `ty`.
     fn new(ty: ColumnType) -> Option<ColumnData> {
         Some(match ty {
             ColumnType::Int => ColumnData::Int {
-                vals: Vec::new(),
+                frame: Frame::raw(Lanes::I64(Vec::new())),
                 nulls: Vec::new(),
             },
-            ColumnType::Str => ColumnData::Sym { vals: Vec::new() },
+            ColumnType::Str => ColumnData::Sym {
+                frame: Frame::raw(Lanes::U32(Vec::new())),
+            },
             ColumnType::Bool => ColumnData::Bool { vals: Vec::new() },
             ColumnType::Float => return None,
         })
     }
 
-    /// An empty column of this one's type, with room for `n` values.
-    fn empty(&self, n: usize) -> ColumnData {
+    /// A copy of an open tail's raw column with room for `n` values (null
+    /// flags only once it holds a NULL).
+    fn copy_with_room(&self, n: usize) -> ColumnData {
+        let raw = |lanes: &Lanes| match lanes {
+            Lanes::I64(v) => Frame::raw(Lanes::I64(room(v, n))),
+            Lanes::U32(v) => Frame::raw(Lanes::U32(room(v, n))),
+            _ => unreachable!("an open tail's columns are raw"),
+        };
         match self {
-            ColumnData::Int { .. } => ColumnData::Int {
-                vals: Vec::with_capacity(n),
-                nulls: Vec::new(),
-            },
-            ColumnData::Sym { .. } => ColumnData::Sym {
-                vals: Vec::with_capacity(n),
-            },
-            ColumnData::Bool { .. } => ColumnData::Bool {
-                vals: Vec::with_capacity(n),
-            },
-        }
-    }
-
-    /// Appends `other`'s values, a column of the same type.
-    fn extend(&mut self, other: &ColumnData) {
-        match (self, other) {
-            (
-                ColumnData::Int { vals, nulls },
-                ColumnData::Int {
-                    vals: more,
-                    nulls: more_nulls,
+            ColumnData::Int { frame, nulls } => ColumnData::Int {
+                frame: raw(&frame.lanes),
+                nulls: match nulls.is_empty() {
+                    true => Vec::new(),
+                    false => room(nulls, n),
                 },
-            ) => {
-                if !nulls.is_empty() || !more_nulls.is_empty() {
-                    nulls.resize(vals.len(), false);
-                    if more_nulls.is_empty() {
-                        nulls.resize(vals.len() + more.len(), false);
-                    } else {
-                        nulls.extend_from_slice(more_nulls);
-                    }
-                }
-                vals.extend_from_slice(more);
-            }
-            (ColumnData::Sym { vals }, ColumnData::Sym { vals: more }) => {
-                vals.extend_from_slice(more)
-            }
-            (ColumnData::Bool { vals }, ColumnData::Bool { vals: more }) => {
-                vals.extend_from_slice(more)
-            }
-            _ => unreachable!("columns of one projection keep their types"),
+            },
+            ColumnData::Sym { frame } => ColumnData::Sym {
+                frame: raw(&frame.lanes),
+            },
+            ColumnData::Bool { vals } => ColumnData::Bool {
+                vals: room(vals, n),
+            },
         }
     }
 
     /// Bytes the values take (what copying them copies).
     fn filled_bytes(&self) -> usize {
         match self {
-            ColumnData::Int { vals, nulls } => vals.len() * 8 + nulls.len(),
-            ColumnData::Sym { vals } => vals.len() * 4,
+            ColumnData::Int { frame, nulls } => {
+                frame.lanes.len() * frame.lanes.width() + nulls.len()
+            }
+            ColumnData::Sym { frame } => frame.lanes.len() * frame.lanes.width(),
             ColumnData::Bool { vals } => vals.len(),
         }
     }
 
-    /// Appends `v`; a string is stored as the code `intern` gives it.
+    /// Appends `v` to an open tail's raw column; a string is stored as the
+    /// code `intern` gives it.
     #[inline]
     fn push(&mut self, v: &Value, intern: impl FnOnce(&Arc<str>) -> u32) {
         match self {
-            ColumnData::Int { vals, nulls } => {
+            ColumnData::Int {
+                frame:
+                    Frame {
+                        lanes: Lanes::I64(vals),
+                        ..
+                    },
+                nulls,
+            } => {
                 let (x, null) = match v {
                     Value::Int(i) => (*i, false),
                     _ => (0, true),
@@ -268,7 +292,13 @@ impl ColumnData {
                 }
                 vals.push(x);
             }
-            ColumnData::Sym { vals } => vals.push(match v {
+            ColumnData::Sym {
+                frame:
+                    Frame {
+                        lanes: Lanes::U32(vals),
+                        ..
+                    },
+            } => vals.push(match v {
                 Value::Str(s) => intern(s),
                 _ => NULL_SYM,
             }),
@@ -276,52 +306,134 @@ impl ColumnData {
                 Value::Bool(b) => *b as u8,
                 _ => NULL_BOOL,
             }),
+            _ => unreachable!("only an open tail's raw columns grow"),
         }
     }
 
-    /// Reorders the column in place so position `i` holds what position
-    /// `perm[i]` held (`perm` is as long as the column). Total: an entry
-    /// past the column reads a default, which the layout check then
-    /// refuses as no permutation.
-    fn permute(&mut self, perm: &[u32]) {
-        fn gather<T: Copy + Default>(v: &mut [T], perm: &[u32]) {
-            let from = v.to_vec();
-            for (x, &p) in v.iter_mut().zip(perm) {
-                *x = from.get(p as usize).copied().unwrap_or_default();
-            }
-        }
+    /// The value at `i` as a key: the integer, the code (NULL's too), a
+    /// bool's 0 / 1; `None` for a NULL integer or bool.
+    #[inline]
+    fn key(&self, i: usize) -> Option<i64> {
         match self {
-            ColumnData::Int { vals, nulls } => {
-                gather(vals, perm);
-                gather(nulls, perm);
-            }
-            ColumnData::Sym { vals } => gather(vals, perm),
-            ColumnData::Bool { vals } => gather(vals, perm),
+            ColumnData::Int { frame, nulls } => (!int_null(nulls, i)).then(|| frame.get(i)),
+            ColumnData::Sym { frame } => Some(frame.get(i)),
+            ColumnData::Bool { vals } => (vals[i] != NULL_BOOL).then_some(vals[i] as i64),
         }
     }
 
-    /// Writes the column raw: its values little-endian, an `Int` column's
-    /// values followed by a flag byte and, when it holds a NULL, one null
-    /// flag per value.
-    fn write_raw<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        match self {
-            ColumnData::Int { vals, nulls } => {
-                write_le(w, vals.iter().map(|v| v.to_le_bytes()))?;
-                w.write_all(&[!nulls.is_empty() as u8])?;
-                write_le(w, nulls.iter().map(|&b| [b as u8]))
+    /// Appends `other`'s values to this raw column, of the same type.
+    fn extend(&mut self, other: &ColumnData) {
+        use ColumnData::{Bool, Int, Sym};
+        match (self, other) {
+            (
+                Int { frame, nulls },
+                Int {
+                    frame: more,
+                    nulls: flags,
+                },
+            ) => {
+                if let (Lanes::I64(v), Lanes::I64(more)) = (&mut frame.lanes, &more.lanes) {
+                    if !nulls.is_empty() || !flags.is_empty() {
+                        nulls.resize(v.len(), false);
+                        nulls.extend_from_slice(flags);
+                        nulls.resize(v.len() + more.len(), false);
+                    }
+                    v.extend_from_slice(more);
+                }
             }
-            ColumnData::Sym { vals } => write_le(w, vals.iter().map(|v| v.to_le_bytes())),
-            ColumnData::Bool { vals } => w.write_all(vals),
+            (Sym { frame }, Sym { frame: more }) => {
+                if let (Lanes::U32(v), Lanes::U32(more)) = (&mut frame.lanes, &more.lanes) {
+                    v.extend_from_slice(more);
+                }
+            }
+            (Bool { vals }, Bool { vals: more }) => vals.extend_from_slice(more),
+            _ => unreachable!("columns of one projection keep their types"),
         }
     }
 
-    /// Reads into this empty column the `n` values [`ColumnData::write_raw`]
-    /// wrote, refusing a code the dictionary's `dict_len` entries do not
-    /// hold and any flag or bool outside its range.
-    fn read_raw<R: Read>(&mut self, r: &mut R, n: usize, dict_len: usize) -> io::Result<()> {
+    /// This raw column sealed: its values in `order` (sealed position →
+    /// position here), an `Int` or `Sym` column packed.
+    fn seal(&self, order: &[u32]) -> ColumnData {
+        let gather = |nulls: &[bool]| order.iter().map(|&p| nulls[p as usize]).collect();
         match self {
-            ColumnData::Int { vals, nulls } => {
-                *vals = read_le(r, n, i64::from_le_bytes)?;
+            ColumnData::Int { frame, nulls } => ColumnData::Int {
+                frame: lanes!(&frame.lanes, v => pack(v, nulls, order)),
+                nulls: match nulls.is_empty() {
+                    true => Vec::new(),
+                    false => gather(nulls),
+                },
+            },
+            ColumnData::Sym { frame } => ColumnData::Sym {
+                frame: lanes!(&frame.lanes, v => pack(v, &[], order)),
+            },
+            ColumnData::Bool { vals } => ColumnData::Bool {
+                vals: order.iter().map(|&p| vals[p as usize]).collect(),
+            },
+        }
+    }
+
+    /// Writes the sealed column as it is resident: a bool column [`RAW`],
+    /// its bytes; an `Int` or `Sym` column [`PACKED`] — base, offset width,
+    /// offsets — an `Int` column's followed by a flag byte and, when it
+    /// holds a NULL, one null flag per value.
+    fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let (frame, nulls) = match self {
+            ColumnData::Bool { vals } => {
+                w.write_all(&[RAW])?;
+                return w.write_all(vals);
+            }
+            ColumnData::Int { frame, nulls } => (frame, Some(nulls)),
+            ColumnData::Sym { frame } => (frame, None),
+        };
+        w.write_all(&[PACKED])?;
+        w.write_all(&frame.base.to_le_bytes())?;
+        w.write_all(&[frame.lanes.width() as u8])?;
+        frame.lanes.write(w)?;
+        if let Some(nulls) = nulls {
+            w.write_all(&[!nulls.is_empty() as u8])?;
+            write_le(w, nulls.iter().map(|&b| [b as u8]))?;
+        }
+        Ok(())
+    }
+
+    /// Reads, as this empty column's type, the `n` values
+    /// [`ColumnData::write`] wrote — or, tagged [`RAW`], an older
+    /// snapshot's full-width integers or codes, packed on the way in.
+    /// Refuses an unknown tag, an offset width outside 0 / 1 / 2 / 4 / 8,
+    /// a value past `i64`, a code the dictionary's `dict_len` entries do
+    /// not hold, and any flag or bool outside its range.
+    fn read<R: Read>(&self, r: &mut R, n: usize, dict_len: usize) -> io::Result<ColumnData> {
+        let tag = read_byte(r)?;
+        let frame = match (self, tag) {
+            (ColumnData::Bool { .. }, RAW) => {
+                let vals = read_le(r, n, |[b]| b)?;
+                if vals.iter().any(|&b| b > NULL_BOOL) {
+                    return Err(invalid("bool column value out of range"));
+                }
+                return Ok(ColumnData::Bool { vals });
+            }
+            (ColumnData::Int { .. }, RAW) => {
+                Frame::raw(Lanes::I64(read_le(r, n, i64::from_le_bytes)?))
+            }
+            (ColumnData::Sym { .. }, RAW) => {
+                Frame::raw(Lanes::U32(read_le(r, n, u32::from_le_bytes)?))
+            }
+            (ColumnData::Int { .. } | ColumnData::Sym { .. }, PACKED) => {
+                let mut base = [0u8; 8];
+                read_exact(r, &mut base)?;
+                let base = i64::from_le_bytes(base);
+                let width = read_byte(r)?;
+                let lanes = Lanes::read(r, n, width)?;
+                if base as i128 + lanes.max() as i128 > i64::MAX as i128 {
+                    return Err(invalid("a frame's values pass i64"));
+                }
+                Frame { base, lanes }
+            }
+            (_, tag) => return Err(invalid(format!("unknown column encoding {tag}"))),
+        };
+        let column = match self {
+            ColumnData::Int { .. } => {
+                let mut nulls = Vec::new();
                 let flag = read_byte(r)?;
                 if flag > 1 {
                     return Err(invalid(format!("null-flag marker {flag}")));
@@ -331,91 +443,90 @@ impl ColumnData {
                     if flags.iter().any(|&b| b > 1) || !flags.contains(&1) {
                         return Err(invalid("null flags hold no NULL or a non-flag"));
                     }
-                    *nulls = flags.into_iter().map(|b| b == 1).collect();
+                    nulls = flags.into_iter().map(|b| b == 1).collect();
                 }
+                ColumnData::Int { frame, nulls }
             }
-            ColumnData::Sym { vals } => {
-                *vals = read_le(r, n, u32::from_le_bytes)?;
-                if let Some(&bad) = vals
-                    .iter()
-                    .find(|&&c| c != NULL_SYM && c as usize >= dict_len)
-                {
+            _ => {
+                let stored = |c: i128| c == NULL_SYM as i128 || (0..dict_len as i128).contains(&c);
+                let base = frame.base as i128;
+                let bad = lanes!(&frame.lanes, v => v.iter().map(|x| base + x.wide()).find(|&c| !stored(c)));
+                if let Some(bad) = bad {
                     return Err(invalid(format!(
                         "code {bad} outside a dictionary of {dict_len} strings"
                     )));
                 }
+                ColumnData::Sym { frame }
             }
-            ColumnData::Bool { vals } => {
-                *vals = read_le(r, n, |[b]| b)?;
-                if vals.iter().any(|&b| b > NULL_BOOL) {
-                    return Err(invalid("bool column value out of range"));
-                }
-            }
-        }
-        Ok(())
+        };
+        Ok(match tag {
+            RAW => column.seal(&(0..n as u32).collect::<Vec<_>>()),
+            _ => column,
+        })
     }
 
     /// The value at `i` as the row store holds it; a string is the
     /// dictionary's.
     fn value(&self, i: usize, dict: &SharedDict) -> Value {
-        match self {
-            ColumnData::Int { vals, nulls } if !int_null(nulls, i) => Value::Int(vals[i]),
-            ColumnData::Sym { vals } if vals[i] != NULL_SYM => Value::Str(
+        match (self, self.key(i)) {
+            (ColumnData::Int { .. }, Some(x)) => Value::Int(x),
+            (ColumnData::Sym { .. }, Some(code)) if code as u32 != NULL_SYM => Value::Str(
                 dict.read()
-                    .shared(Sym(vals[i]))
+                    .shared(Sym(code as u32))
                     .expect("stored symbols are interned")
                     .clone(),
             ),
-            ColumnData::Bool { vals } if vals[i] != NULL_BOOL => Value::Bool(vals[i] == 1),
+            (ColumnData::Bool { .. }, Some(b)) => Value::Bool(b == 1),
             _ => Value::Null,
         }
     }
 
     /// The value at `i` of an `Int` column (`None` for NULL or another
     /// type).
+    #[inline]
     fn int(&self, i: usize) -> Option<i64> {
         match self {
-            ColumnData::Int { vals, nulls } if !int_null(nulls, i) => Some(vals[i]),
+            ColumnData::Int { .. } => self.key(i),
             _ => None,
         }
     }
 
     fn heap_bytes(&self) -> usize {
         match self {
-            ColumnData::Int { vals, nulls } => vals.capacity() * 8 + nulls.capacity(),
-            ColumnData::Sym { vals } => vals.capacity() * 4,
+            ColumnData::Int { frame, nulls } => frame.lanes.heap_bytes() + nulls.capacity(),
+            ColumnData::Sym { frame } => frame.lanes.heap_bytes(),
             ColumnData::Bool { vals } => vals.capacity(),
         }
     }
 
     /// Sort key of the value at `i` for time ordering (nulls first).
     fn int_key(&self, i: usize) -> i64 {
-        match self {
-            ColumnData::Int { vals, nulls } if !int_null(nulls, i) => vals[i],
-            _ => i64::MIN,
-        }
+        self.int(i).unwrap_or(i64::MIN)
     }
 
-    /// The column's zone map.
+    /// The zone map of a sealed column. An `Int` column's spans its frame,
+    /// from the base to the greatest offset (a NULL's, 0, never raises
+    /// it).
     fn zone(&self) -> Zone {
         match self {
-            ColumnData::Int { vals, nulls } => {
-                let (mut min, mut max) = (i64::MAX, i64::MIN);
-                for (i, &v) in vals.iter().enumerate() {
-                    if !int_null(nulls, i) {
-                        min = min.min(v);
-                        max = max.max(v);
-                    }
-                }
-                Zone::Int { min, max }
-            }
-            ColumnData::Sym { vals } => {
+            ColumnData::Int { frame, nulls } => match nulls.iter().all(|&n| n) {
+                true if !nulls.is_empty() => Zone::Int {
+                    min: i64::MAX,
+                    max: i64::MIN,
+                },
+                _ => Zone::Int {
+                    min: frame.base,
+                    max: at(frame.base, &frame.lanes.max()),
+                },
+            },
+            ColumnData::Sym { frame } => {
                 let mut mask = 0u64;
-                for &v in vals {
-                    if v != NULL_SYM {
-                        mask |= 1u64 << (v % 64);
+                lanes!(&frame.lanes, v => for x in v {
+                    let code = at(frame.base, x) as u32;
+                    if code != NULL_SYM {
+                        mask |= 1u64 << (code % 64);
                     }
-                }
+                });
                 Zone::Sym { mask }
             }
             ColumnData::Bool { .. } => Zone::Opaque,
@@ -504,46 +615,68 @@ impl Kernel {
         }
     }
 
-    /// ANDs this predicate into `sel`, where `sel[i]` covers projection
-    /// position `base + i`. ([`Kernel::LikeSym`] needs the scan's memo and
-    /// goes through [`LikeMemo::apply`] instead.)
-    fn apply(&self, data: &ColumnData, base: usize, sel: &mut [bool]) {
+    /// ANDs this predicate into `sel`, where `sel[i]` covers position
+    /// `from + i` of `data`. ([`Kernel::LikeSym`] needs the scan's memo
+    /// and goes through [`LikeMemo::apply`] instead.)
+    fn apply(&self, data: &ColumnData, from: usize, sel: &mut [bool]) {
         match (self, data) {
-            (Kernel::EqI64 { v, .. }, ColumnData::Int { vals, nulls }) => {
-                and_int(sel, vals, nulls, base, |x| x == *v);
+            (Kernel::EqI64 { v, .. }, ColumnData::Int { frame, nulls }) => {
+                frame.and_window(nulls, from, *v, *v, sel);
             }
-            (Kernel::RangeI64 { lo, hi, .. }, ColumnData::Int { vals, nulls }) => {
-                let lo = lo.unwrap_or(i64::MIN);
-                let hi = hi.unwrap_or(i64::MAX);
-                and_int(sel, vals, nulls, base, |x| (x >= lo) & (x <= hi));
+            (Kernel::RangeI64 { lo, hi, .. }, ColumnData::Int { frame, nulls }) => {
+                let (lo, hi) = (lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX));
+                frame.and_window(nulls, from, lo, hi, sel);
             }
-            (Kernel::InI64 { vals: set, .. }, ColumnData::Int { vals, nulls }) => {
-                // A binary search is worth skipping for rows already out.
-                for (i, s) in sel.iter_mut().enumerate() {
-                    *s = *s
-                        && set.binary_search(&vals[base + i]).is_ok()
-                        && !int_null(nulls, base + i);
-                }
+            (Kernel::InI64 { vals: set, .. }, ColumnData::Int { frame, nulls }) => {
+                let keep = |x: i64| set.binary_search(&x).is_ok();
+                lanes!(&frame.lanes, v => and_each(sel, v, nulls, from, frame.base, keep));
             }
-            (Kernel::EqSym { sym, .. }, ColumnData::Sym { vals }) => {
-                for (s, &code) in sel.iter_mut().zip(&vals[base..]) {
-                    *s &= code == *sym;
-                }
+            (Kernel::EqSym { sym, .. }, ColumnData::Sym { frame }) => {
+                frame.and_window(&[], from, *sym as i64, *sym as i64, sel);
             }
-            (Kernel::InSym { syms, .. }, ColumnData::Sym { vals }) => {
-                for (i, s) in sel.iter_mut().enumerate() {
-                    *s = *s && syms.binary_search(&vals[base + i]).is_ok();
-                }
+            (Kernel::InSym { syms, .. }, ColumnData::Sym { frame }) => {
+                let keep = |c: i64| syms.binary_search(&(c as u32)).is_ok();
+                lanes!(&frame.lanes, v => and_each(sel, v, &[], from, frame.base, keep));
             }
             (Kernel::EqBool { v, .. }, ColumnData::Bool { vals }) => {
                 let want = *v as u8;
-                for (s, &b) in sel.iter_mut().zip(&vals[base..]) {
+                for (s, &b) in sel.iter_mut().zip(&vals[from..]) {
                     *s &= b == want;
                 }
             }
             (Kernel::Never, _) => sel.fill(false),
             _ => debug_assert!(false, "kernel/column type mismatch"),
         }
+    }
+}
+
+/// ANDs kernel `k`, at position `ki` of its scan, into `sel`, which covers
+/// positions `from..` of `cols`. A `LIKE` kernel goes through the scan's
+/// `memo` under one read guard of `dict`: symbols resolve by reference,
+/// and interning waits for one chunk or tail block at most.
+fn and_kernel(
+    (ki, k): (usize, &Kernel),
+    cols: &[ColumnData],
+    from: usize,
+    memo: &mut LikeMemo,
+    dict: &SharedDict,
+    sel: &mut [bool],
+) {
+    let col = k
+        .col()
+        .expect("`Never` is answered before a column is read");
+    match (k, &cols[col]) {
+        (
+            Kernel::LikeSym {
+                pattern, negated, ..
+            },
+            ColumnData::Sym { frame },
+        ) => {
+            let dict = dict.read();
+            let like = (ki, pattern, *negated, &*dict, frame.base);
+            lanes!(&frame.lanes, v => memo.apply(like, &v[from..], sel))
+        }
+        (k, data) => k.apply(data, from, sel),
     }
 }
 
@@ -565,15 +698,13 @@ const NO: u8 = 1;
 const YES: u8 = 2;
 
 impl LikeMemo {
-    /// ANDs kernel `ki` (`pattern`, over the codes `syms`) into `sel`.
-    /// NULL matches neither `LIKE` nor `NOT LIKE`.
-    fn apply(
+    /// ANDs kernel `ki` (`pattern`, `NOT LIKE` when `negated`) over the
+    /// codes at `offsets` from `base` into `sel`. NULL matches neither
+    /// `LIKE` nor `NOT LIKE`.
+    fn apply<L: Lane>(
         &mut self,
-        ki: usize,
-        pattern: &LikePattern,
-        negated: bool,
-        dict: &Dict,
-        syms: &[u32],
+        (ki, pattern, negated, dict, base): (usize, &LikePattern, bool, &Dict, i64),
+        offsets: &[L],
         sel: &mut [bool],
     ) {
         if self.outcomes.len() <= ki {
@@ -583,10 +714,11 @@ impl LikeMemo {
         if memo.len() < dict.len() {
             memo.resize(dict.len(), UNSEEN);
         }
-        for (s, &sym) in sel.iter_mut().zip(syms) {
+        for (s, x) in sel.iter_mut().zip(offsets) {
             if !*s {
                 continue;
             }
+            let sym = at(base, x) as u32;
             if sym == NULL_SYM {
                 *s = false;
                 continue;
@@ -615,10 +747,20 @@ pub struct Columnar {
     dict: SharedDict,
     /// The columns, by schema position.
     cols: Vec<ColumnData>,
-    /// Projection order → row position in the chunk.
-    perm: Vec<u32>,
+    /// Projection order → row position in the chunk; empty when the two
+    /// agree, as they do for rows that arrived in time order.
+    perm: Lanes,
+    /// Number of rows.
+    len: usize,
     /// Zone maps, one per column, aligned with `cols`.
     zones: Vec<Zone>,
+}
+
+/// The error of a persisted order that does not lay out its `n` rows.
+fn no_order(n: usize) -> RdbError {
+    RdbError::SchemaMismatch(format!(
+        "columnar order is no time-ordered permutation of {n} rows"
+    ))
 }
 
 impl Columnar {
@@ -656,7 +798,8 @@ impl Columnar {
             time_idx,
             dict,
             cols,
-            perm: Vec::new(),
+            perm: Lanes::none(),
+            len: 0,
             zones: Vec::new(),
         };
         if rows.is_empty() {
@@ -670,114 +813,118 @@ impl Columnar {
     }
 
     /// Seals `tail` into a filled copy of this empty projection — the one
-    /// place a sealed projection is made. Each column is the concatenation
-    /// of the tail's blocks, permuted into projection order and given its
-    /// zone map. The order is `order` — a persisted one, refused unless it
-    /// is a permutation of the rows that runs in time order — or, with
-    /// none, the rows' stable sort by the time column (NULL first), taken
-    /// from the filled column.
+    /// place a sealed projection is made. The order is `order` — a
+    /// persisted one, refused unless it is a permutation of the rows that
+    /// runs in time order — or, with none, the rows' stable sort by the
+    /// time column (NULL first), taken from the filled column. Each column
+    /// is then packed from the tail's blocks in that order and given its
+    /// zone map.
     pub(crate) fn seal(
         &self,
         tail: &ColumnTail,
         order: Option<&[u32]>,
     ) -> Result<Columnar, RdbError> {
         let n = tail.len;
-        let mut c = self.clone();
-        for (col, data) in c.cols.iter_mut().enumerate() {
-            *data = data.empty(n);
-            for block in tail.blocks() {
-                data.extend(&block[col]);
+        let given = order.is_some();
+        // Each column of the tail's blocks, concatenated.
+        let raw: Vec<ColumnData> = (self.cols.iter().enumerate())
+            .map(|(col, data)| {
+                let mut raw = data.copy_with_room(n);
+                tail.blocks().for_each(|block| raw.extend(&block[col]));
+                raw
+            })
+            .collect();
+        let derived;
+        let order = match order {
+            Some(order) if order.len() != n || order.iter().any(|&p| p as usize >= n) => {
+                return Err(no_order(n))
             }
-        }
-        let perm = match order {
-            Some(order) if order.len() != n => {
-                return Err(RdbError::SchemaMismatch(format!(
-                    "columnar order of {} positions for {n} rows",
-                    order.len()
-                )))
+            Some(order) => order,
+            None => {
+                derived = match self.time_idx {
+                    Some(t) => time_order(&raw[t], n),
+                    None => (0..n as u32).collect(),
+                };
+                &derived
             }
-            Some(order) => order.to_vec(),
-            None => c.time_order(n),
         };
-        let identity = perm.iter().enumerate().all(|(i, &p)| p as usize == i);
-        for data in &mut c.cols {
-            if !identity {
-                data.permute(&perm);
-            }
-            if let ColumnData::Int { nulls, .. } = data {
-                nulls.shrink_to_fit();
-            }
+        let mut c = self.clone();
+        c.cols = raw.iter().map(|raw| raw.seal(order)).collect();
+        if order.iter().enumerate().any(|(i, &p)| p as usize != i) {
+            c.perm = Lanes::positions(n, |i| order[i]);
         }
-        c.perm = perm;
+        c.len = n;
         c.zones = c.cols.iter().map(ColumnData::zone).collect();
-        if order.is_some() {
+        if given {
             c.check()?;
         }
         Ok(c)
     }
 
-    /// The stable sort by time of `n` filled, arrival-ordered positions.
-    fn time_order(&self, n: usize) -> Vec<u32> {
-        let Some(t) = self.time_idx else {
-            return (0..n as u32).collect();
-        };
-        let data = &self.cols[t];
-        let mut keyed: Vec<(i64, u32)> = (0..n).map(|i| (data.int_key(i), i as u32)).collect();
-        // Positions are distinct, so this is the stable sort by time.
-        keyed.sort_unstable();
-        // Collected from a borrow, not in place: the order is sized to
-        // itself.
-        keyed.iter().map(|&(_, p)| p).collect()
-    }
-
     /// Checks a filled projection's layout (every column holds one value
-    /// per entry of the order): the order a permutation, the time column
-    /// non-decreasing.
+    /// per row): the order a permutation, the time column non-decreasing.
     fn check(&self) -> Result<(), RdbError> {
-        let n = self.perm.len();
-        let mut seen = vec![false; n];
-        let permutation = self.perm.iter().all(|&p| {
-            seen.get_mut(p as usize)
-                .is_some_and(|s| !std::mem::replace(s, true))
-        });
+        let n = self.len;
+        let mut seen = vec![false; if self.perm.is_empty() { 0 } else { n }];
+        let permutation = self.perm.is_empty()
+            || (self.perm.len() == n
+                && (0..n).all(|i| {
+                    let p = self.perm.get(i) as usize;
+                    seen.get_mut(p).is_some_and(|s| !std::mem::replace(s, true))
+                }));
         let ordered = self.time_idx.is_none_or(|t| {
             let data = &self.cols[t];
             (1..n).all(|i| data.int_key(i - 1) <= data.int_key(i))
         });
-        (permutation && ordered).then_some(()).ok_or_else(|| {
-            RdbError::SchemaMismatch(format!(
-                "columnar order of {n} positions is no time-ordered permutation"
-            ))
-        })
+        (permutation && ordered)
+            .then_some(())
+            .ok_or_else(|| no_order(n))
     }
 
-    /// Writes the filled projection as it is resident: per column an
-    /// encoding tag ([`RAW`], the only one) and its values in projection
-    /// order, then the projection order.
+    /// Writes the filled projection as it is resident: each column (see
+    /// [`ColumnData::write`]), then the projection order — its width and
+    /// its positions, width 0 for an identity order, which is kept empty.
     pub(crate) fn write_chunk<W: Write>(&self, w: &mut W) -> io::Result<()> {
         for data in &self.cols {
-            w.write_all(&[RAW])?;
-            data.write_raw(w)?;
+            data.write(w)?;
         }
-        write_le(w, self.perm.iter().map(|p| p.to_le_bytes()))
+        w.write_all(&[self.perm.width() as u8])?;
+        self.perm.write(w)
     }
 
     /// Reads, into a copy of this empty projection, the `n`-row chunk
-    /// [`Columnar::write_chunk`] wrote: each column straight into its
-    /// vector, every code checked against the dictionary, the layout
-    /// checked as a persisted order is, then the zone maps.
-    pub(crate) fn read_chunk<R: Read>(&self, r: &mut R, n: usize) -> io::Result<Columnar> {
+    /// [`Columnar::write_chunk`] wrote — or, `wide_order` set, one an
+    /// older snapshot wrote, its order `n` four-byte positions: each column
+    /// as it was resident (one written raw is packed), every code checked
+    /// against the dictionary, the layout checked as a persisted order is,
+    /// then the zone maps.
+    pub(crate) fn read_chunk<R: Read>(
+        &self,
+        r: &mut R,
+        n: usize,
+        wide_order: bool,
+    ) -> io::Result<Columnar> {
         let mut c = self.clone();
         let dict_len = self.dict.len();
-        for data in &mut c.cols {
-            let tag = read_byte(r)?;
-            if tag != RAW {
-                return Err(invalid(format!("unknown column encoding {tag}")));
-            }
-            data.read_raw(r, n, dict_len)?;
+        c.cols = Vec::with_capacity(self.cols.len());
+        for data in &self.cols {
+            c.cols.push(data.read(r, n, dict_len)?);
         }
-        c.perm = read_le(r, n, u32::from_le_bytes)?;
+        c.perm = match wide_order {
+            true => Lanes::U32(read_le(r, n, u32::from_le_bytes)?),
+            false => match read_byte(r)? {
+                0 => Lanes::none(),
+                width => Lanes::read(r, n, width)?,
+            },
+        };
+        c.len = n;
         c.check().map_err(|e| invalid(e.to_string()))?;
+        let perm = &c.perm;
+        if (0..perm.len()).all(|i| perm.get(i) == i as u64) {
+            c.perm = Lanes::none();
+        } else if perm.width() != width_of(n.saturating_sub(1) as u64) {
+            c.perm = Lanes::positions(n, |i| perm.get(i) as u32);
+        }
         c.zones = c.cols.iter().map(ColumnData::zone).collect();
         Ok(c)
     }
@@ -793,28 +940,53 @@ impl Columnar {
         self.cols[col].value(at, &self.dict)
     }
 
-    /// The dictionary codes of `col`, by projection position, when it is a
-    /// string column.
-    pub(crate) fn codes(&self, col: usize) -> Option<&[u32]> {
-        match self.cols.get(col)? {
-            ColumnData::Sym { vals } => Some(vals),
-            _ => None,
-        }
-    }
-
-    /// The values and null flags (empty while the column holds no NULL)
-    /// of `col`, by projection position, when it is an `Int` column.
-    pub(crate) fn ints(&self, col: usize) -> Option<(&[i64], &[bool])> {
-        match self.cols.get(col)? {
-            ColumnData::Int { vals, nulls } => Some((vals, nulls)),
-            _ => None,
-        }
-    }
-
     /// [`Columnar::value`] of an `Int` column, without building a value
     /// (`None` for NULL or another type).
     pub fn int(&self, at: usize, col: usize) -> Option<i64> {
         self.cols[col].int(at)
+    }
+
+    /// The dictionary code of `col` at projection position `at`, when it
+    /// is a string column ([`NULL_SYM`] for NULL).
+    pub(crate) fn code(&self, at: usize, col: usize) -> Option<u32> {
+        match &self.cols[col] {
+            ColumnData::Sym { frame } => Some(frame.get(at) as u32),
+            _ => None,
+        }
+    }
+
+    /// Each row's value in `col` — an `Int` column without NULL, or a
+    /// string column's codes — with its row position, in projection order:
+    /// an index's keys, read straight from the packed offsets.
+    pub(crate) fn keyed(&self, col: usize) -> Option<Vec<(i64, u32)>> {
+        let frame = match &self.cols[col] {
+            ColumnData::Int { frame, nulls } if nulls.is_empty() => frame,
+            ColumnData::Sym { frame } => frame,
+            _ => return None,
+        };
+        let keyed = lanes!(&frame.lanes, v => (v.iter().zip(0..))
+            .map(|(x, i)| (at(frame.base, x), self.row_at(i)))
+            .collect());
+        Some(keyed)
+    }
+
+    /// Whether `col` is a string column, held as dictionary codes.
+    pub(crate) fn is_coded(&self, col: usize) -> bool {
+        matches!(self.cols.get(col), Some(ColumnData::Sym { .. }))
+    }
+
+    /// Whether `col` is an `Int` column.
+    pub(crate) fn is_int(&self, col: usize) -> bool {
+        matches!(self.cols.get(col), Some(ColumnData::Int { .. }))
+    }
+
+    /// Bytes an offset of `col` takes — 0, 1, 2, 4 or 8 in a sealed
+    /// chunk — when it is an `Int` or string column.
+    pub fn offset_width(&self, col: usize) -> Option<usize> {
+        match &self.cols[col] {
+            ColumnData::Int { frame, .. } | ColumnData::Sym { frame } => Some(frame.lanes.width()),
+            ColumnData::Bool { .. } => None,
+        }
     }
 
     /// Heap bytes held: the column vectors, the projection order, the zone
@@ -823,26 +995,47 @@ impl Columnar {
         let cols: usize = self.cols.iter().map(ColumnData::heap_bytes).sum();
         (cols
             + self.zones.capacity() * size_of::<Zone>()
-            + self.perm.capacity() * 4
+            + self.perm.heap_bytes()
             + self.cols.capacity() * size_of::<ColumnData>()) as u64
     }
 
     /// Number of rows (the chunk's).
     pub fn len(&self) -> usize {
-        self.perm.len()
+        self.len
     }
 
     /// Whether the projection holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
+        self.len == 0
     }
 
-    /// The projection order: `perm()[i]` is the row-store position of the
-    /// row at projection position `i` — the projection's whole layout
-    /// metadata, which a snapshot persists so a restore rebuilds the same
-    /// projection without re-sorting.
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
+    /// The row-store position of the row at projection position `at`.
+    #[inline]
+    pub fn row_at(&self, at: usize) -> u32 {
+        match self.perm.is_empty() {
+            true => at as u32,
+            false => self.perm.get(at) as u32,
+        }
+    }
+
+    /// The projection order, built: entry `i` is [`Columnar::row_at`]`(i)`
+    /// — the projection's whole layout metadata, which a snapshot persists
+    /// so a restore rebuilds the same projection without re-sorting.
+    pub fn perm(&self) -> Vec<u32> {
+        (0..self.len).map(|i| self.row_at(i)).collect()
+    }
+
+    /// The row → projection-position map, the order's inverse: empty for
+    /// an identity order, else at the chunk's position width.
+    pub(crate) fn row_map(&self) -> Lanes {
+        if self.perm.is_empty() {
+            return Lanes::none();
+        }
+        let mut at = vec![0u32; self.len];
+        for i in 0..self.len {
+            at[self.perm.get(i) as usize] = i as u32;
+        }
+        Lanes::positions(self.len, |row| at[row])
     }
 
     /// The shared dictionary this projection interns into.
@@ -889,7 +1082,7 @@ impl Columnar {
         if kernels.iter().any(|k| matches!(k, Kernel::Never)) || self.zone_excluded(kernels) {
             0
         } else {
-            self.perm.len()
+            self.len
         }
     }
 
@@ -908,7 +1101,7 @@ impl Columnar {
         if kernels.iter().any(|k| matches!(k, Kernel::Never)) {
             return Vec::new();
         }
-        let n = self.perm.len();
+        let n = self.len;
         if n == 0 {
             return Vec::new();
         }
@@ -949,15 +1142,11 @@ impl Columnar {
         let time_nulls = self.time_idx.is_some_and(
             |t| matches!(&self.cols[t], ColumnData::Int { nulls, .. } if !nulls.is_empty()),
         );
-        let narrowed: Vec<(usize, &Kernel)> = kernels
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| {
-                time_nulls
-                    || !matches!(k, Kernel::EqI64 { col, .. } | Kernel::RangeI64 { col, .. }
-                    if Some(*col) == self.time_idx)
-            })
-            .collect();
+        let narrowed = kernels.iter().enumerate().filter(|(_, k)| {
+            time_nulls
+                || !matches!(k, Kernel::EqI64 { col, .. } | Kernel::RangeI64 { col, .. }
+                if Some(*col) == self.time_idx)
+        });
         // Time-window narrowing over the (sorted) chunk.
         let (lo, hi) = match self.time_idx {
             Some(t) if time_kernels => {
@@ -974,28 +1163,14 @@ impl Columnar {
         }
         *scanned += (hi - lo) as u64;
         let mut sel = vec![true; hi - lo];
-        for &(ki, k) in &narrowed {
-            let col = k.col().expect("`Never` returned above");
-            match (k, &self.cols[col]) {
-                (
-                    Kernel::LikeSym {
-                        pattern, negated, ..
-                    },
-                    ColumnData::Sym { vals },
-                ) => {
-                    // A read guard for one chunk: symbols resolve by
-                    // reference, and interning waits for one chunk at most.
-                    let dict = self.dict.read();
-                    memo.apply(ki, pattern, *negated, &dict, &vals[lo..hi], &mut sel)
-                }
-                (k, data) => k.apply(data, lo, &mut sel),
-            }
+        for k in narrowed {
+            and_kernel(k, &self.cols, lo, memo, &self.dict, &mut sel);
         }
-        (lo..)
-            .zip(sel)
-            .filter(|&(_, s)| s)
-            .map(|(i, _)| self.perm[i])
-            .collect()
+        let hits = (lo..).zip(sel).filter(|&(_, s)| s).map(|(i, _)| i);
+        match &self.perm {
+            perm if perm.is_empty() => hits.map(|i| i as u32).collect(),
+            perm => lanes!(perm, p => hits.map(|i| Lane::wide(&p[i]) as u32).collect()),
+        }
     }
 }
 
@@ -1013,19 +1188,19 @@ impl Columnar {
 /// the smallest block the design allows.
 pub const TAIL_BLOCK_ROWS: usize = 64;
 
-/// One block of an open tail: a column per projected column, each with
-/// room for [`TAIL_BLOCK_ROWS`] values.
+/// One block of an open tail: a raw column per projected column, each
+/// with room for [`TAIL_BLOCK_ROWS`] values.
 type Block = Vec<ColumnData>;
 
 /// The open tail of a table with a projection: its rows in arrival order,
-/// as columns of the table's projection, in blocks of [`TAIL_BLOCK_ROWS`]
-/// rows — full blocks behind `Arc`, then the one partial block appends
-/// fill, owned.
+/// as raw columns of the table's projection, in blocks of
+/// [`TAIL_BLOCK_ROWS`] rows — full blocks behind `Arc`, then the one
+/// partial block appends fill, owned.
 ///
 /// `Clone` bumps the full blocks' refcounts and copies the partial block
 /// ([`ColumnTail::copy_bytes`]), nothing else: a table detached from a
 /// published snapshot for its first append after the publish shares every
-/// full block with it. Sealing reads the blocks — it copies what a batch
+/// full block with it. Sealing reads the blocks — packing what a batch
 /// load would — through [`Columnar::seal`].
 #[derive(Debug)]
 pub(crate) struct ColumnTail {
@@ -1042,11 +1217,7 @@ impl Clone for ColumnTail {
     fn clone(&self) -> ColumnTail {
         // The copy keeps room for the whole block, as the original has:
         // appends into it then never reallocate.
-        let open = self.open.iter().map(|c| {
-            let mut data = c.empty(TAIL_BLOCK_ROWS);
-            data.extend(c);
-            data
-        });
+        let open = self.open.iter().map(|c| c.copy_with_room(TAIL_BLOCK_ROWS));
         ColumnTail {
             dict: self.dict.clone(),
             full: self.full.clone(),
@@ -1087,7 +1258,7 @@ impl ColumnTail {
     pub(crate) fn push(&mut self, layout: &Columnar, row: &[Value]) {
         if self.open.is_empty() {
             self.open = (layout.cols.iter())
-                .map(|c| c.empty(TAIL_BLOCK_ROWS))
+                .map(|c| c.copy_with_room(TAIL_BLOCK_ROWS))
                 .collect();
         }
         let mut guard = None;
@@ -1192,26 +1363,51 @@ impl ColumnTail {
             let start = b * TAIL_BLOCK_ROWS;
             sel.clear();
             sel.resize((self.len - start).min(TAIL_BLOCK_ROWS), true);
-            for (ki, k) in kernels.iter().enumerate() {
-                let col = k.col().expect("`Never` returned above");
-                match (k, &block[col]) {
-                    (
-                        Kernel::LikeSym {
-                            pattern, negated, ..
-                        },
-                        ColumnData::Sym { vals },
-                    ) => {
-                        let dict = self.dict.read();
-                        memo.apply(ki, pattern, *negated, &dict, vals, &mut sel)
-                    }
-                    (k, data) => k.apply(data, 0, &mut sel),
-                }
+            for k in kernels.iter().enumerate() {
+                and_kernel(k, block, 0, memo, &self.dict, &mut sel);
             }
             let rows = (start as u32..).zip(&sel);
             out.extend(rows.filter(|&(_, &s)| s).map(|(p, _)| p));
         }
         self.len as u64
     }
+}
+
+/// The stable sort of the `n` arrival-ordered `times` (NULL first):
+/// positions.
+fn time_order(times: &ColumnData, n: usize) -> Vec<u32> {
+    let keyed = (0..n).map(|i| (times.int_key(i), i as u32));
+    let mut keyed: Vec<(i64, u32)> = keyed.collect();
+    // Positions are distinct, so this is the stable sort by time.
+    keyed.sort_unstable();
+    // Collected from a borrow, not in place: the order is sized to itself.
+    keyed.iter().map(|&(_, p)| p).collect()
+}
+
+/// The least and greatest of `vals` (an inverted pair when there is none).
+fn span(vals: impl Iterator<Item = i64>) -> (i64, i64) {
+    vals.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)))
+}
+
+/// Raw values `vals` (from base 0; NULL where `nulls` says) packed in
+/// `order`: the least non-NULL value as base, each value's offset from it
+/// at the width that holds the greatest's, a NULL's offset 0.
+fn pack<L: Lane>(vals: &[L], nulls: &[bool], order: &[u32]) -> Frame {
+    let all = vals.iter().map(|x| at(0, x));
+    let (mut min, mut max) = match nulls.is_empty() {
+        true => span(all),
+        false => span(all.zip(nulls).filter(|(_, &n)| !n).map(|(v, _)| v)),
+    };
+    if min > max {
+        (min, max) = (0, 0);
+    }
+    let off = |p: usize| match int_null(nulls, p) {
+        true => 0,
+        false => (at(0, &vals[p]) as u64).wrapping_sub(min as u64),
+    };
+    let top = (max as u64).wrapping_sub(min as u64);
+    let lanes = Lanes::pack(top, order.len(), |i| off(order[i] as usize));
+    Frame { base: min, lanes }
 }
 
 /// `partition_point` over `data.int_key` on the first `n` positions.
@@ -1602,7 +1798,7 @@ mod tests {
         let times = [50, 10, 40, 20, 30, 5, 60, 25, 70, 15];
         let rows: Vec<Row> = times.iter().map(|&t| row(t, 0, "x", true)).collect();
         let t = chunked(4, &ColumnarSpec::time_sorted("t"), &rows);
-        let perms: Vec<&[u32]> = t
+        let perms: Vec<Vec<u32>> = t
             .sealed_chunks()
             .iter()
             .map(|c| c.columnar().unwrap().perm())
@@ -1626,7 +1822,7 @@ mod tests {
             rows.iter().for_each(|r| tail.push(&layout, r));
             layout.seal(&tail, Some(order))
         };
-        refill(c.perm()).unwrap();
+        refill(&c.perm()).unwrap();
         // An order not time-sorted over its chunk is refused — the one
         // above, sorted 4 rows at a time, included — as is one that is no
         // permutation.

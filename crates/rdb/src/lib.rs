@@ -37,6 +37,7 @@
 pub mod columnar;
 pub mod error;
 pub mod expr;
+mod lanes;
 pub mod partition;
 pub mod schema;
 pub mod snapshot;
@@ -53,6 +54,7 @@ pub use table::{
     AccessPath, ResidentBytes, RowView, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS,
 };
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -169,16 +171,25 @@ impl Database {
         }
     }
 
-    /// Inserts a row into `table`, routing to the right partition if the
-    /// table is partitioned.
-    pub fn insert(&mut self, table: &str, row: Row) -> Result<(), RdbError> {
+    /// Inserts a row — owned (a [`Row`]) or borrowed (`&[Value]`), as
+    /// [`Table::insert`] takes it — into `table`, routing to the right
+    /// partition if the table is partitioned.
+    pub fn insert<'r>(
+        &mut self,
+        table: &str,
+        row: impl Into<Cow<'r, [Value]>>,
+    ) -> Result<(), RdbError> {
         self.insert_reporting(table, row).map(|_| ())
     }
 
     /// Inserts a row, reporting partition creation (see
     /// [`PartitionedTable::insert_reporting`]); plain tables always report
     /// no rollover.
-    pub fn insert_reporting(&mut self, table: &str, row: Row) -> Result<InsertReport, RdbError> {
+    pub fn insert_reporting<'r>(
+        &mut self,
+        table: &str,
+        row: impl Into<Cow<'r, [Value]>>,
+    ) -> Result<InsertReport, RdbError> {
         let mut copied = 0;
         let report = match self.slot_mut(table)? {
             // The copy-on-write step: a plain table shared with a published

@@ -10,9 +10,10 @@
 use crate::columnar::ColumnarSpec;
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
-use crate::schema::{Row, Schema};
+use crate::schema::Schema;
 use crate::table::{ResidentBytes, RowView, ScanProfile, Table};
 use aiql_model::{SharedDict, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Nanoseconds per day (partition granularity).
@@ -237,7 +238,7 @@ impl PartitionedTable {
         self.copied_bytes
     }
 
-    fn key_of(&self, row: &Row) -> Result<PartKey, RdbError> {
+    fn key_of(&self, row: &[Value]) -> Result<PartKey, RdbError> {
         let t = row[self.time_idx].as_int().ok_or_else(|| {
             RdbError::SchemaMismatch(format!(
                 "partition time column must be Int, got {:?}",
@@ -256,9 +257,10 @@ impl PartitionedTable {
         ))
     }
 
-    /// Routes a row to its partition, creating it (with the configured
-    /// indexes) on first use.
-    pub fn insert(&mut self, row: Row) -> Result<(), RdbError> {
+    /// Routes a row — owned or borrowed, as [`Table::insert`] takes it —
+    /// to its partition, creating it (with the configured indexes) on
+    /// first use.
+    pub fn insert<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<(), RdbError> {
         self.insert_reporting(row).map(|_| ())
     }
 
@@ -269,7 +271,11 @@ impl PartitionedTable {
     /// A new partition is born with every index in
     /// [`PartitionedTable::indexed_columns`] already in place, so rows
     /// appended later are index-maintained identically to batch-loaded ones.
-    pub fn insert_reporting(&mut self, row: Row) -> Result<InsertReport, RdbError> {
+    pub fn insert_reporting<'r>(
+        &mut self,
+        row: impl Into<Cow<'r, [Value]>>,
+    ) -> Result<InsertReport, RdbError> {
+        let row = row.into();
         self.schema.check_row(&row)?;
         let key = self.key_of(&row)?;
         let mut created = None;

@@ -89,7 +89,7 @@ impl Schema {
     }
 
     /// Validates a row against the schema (arity and per-column type).
-    pub fn check_row(&self, row: &Row) -> Result<(), RdbError> {
+    pub fn check_row(&self, row: &[Value]) -> Result<(), RdbError> {
         if row.len() != self.arity() {
             return Err(RdbError::SchemaMismatch(format!(
                 "expected {} columns, got {}",
@@ -133,12 +133,10 @@ mod tests {
     #[test]
     fn row_validation() {
         let s = s();
-        assert!(s.check_row(&vec![Value::Int(1), Value::str("a")]).is_ok());
-        assert!(s.check_row(&vec![Value::Int(1), Value::Null]).is_ok());
-        assert!(s.check_row(&vec![Value::Int(1)]).is_err());
-        assert!(s
-            .check_row(&vec![Value::str("x"), Value::str("a")])
-            .is_err());
+        assert!(s.check_row(&[Value::Int(1), Value::str("a")]).is_ok());
+        assert!(s.check_row(&[Value::Int(1), Value::Null]).is_ok());
+        assert!(s.check_row(&[Value::Int(1)]).is_err());
+        assert!(s.check_row(&[Value::str("x"), Value::str("a")]).is_err());
     }
 
     #[test]

@@ -9,15 +9,20 @@
 //!
 //! - **columns**: a chunk of a table with a projection keeps no rows
 //!   ([`SealedChunk::is_projected`](crate::SealedChunk::is_projected)), so
-//!   it is written as that projection: per column an encoding tag (only
-//!   raw is defined) and its values in projection order — `i64`,
-//!   `u32` dictionary codes or `u8` bools, little-endian, an `Int` column's
-//!   null flags only when it holds a NULL — then the projection order
-//!   ([`Columnar::perm`](crate::Columnar::perm)). A load reads each column
-//!   straight into its vector: no value and no row is built. It checks
-//!   that the order is a permutation, that the time column runs in order,
-//!   and that every code resolves in the dictionary, then derives the zone
-//!   maps, the row → projection map and the indexes from the columns.
+//!   it is written as that projection, as it is resident: per column an
+//!   encoding tag — packed for an `Int` or dictionary-code column, its
+//!   frame's `i64` base, offset width and offsets; raw for a bool column's
+//!   bytes — little-endian, an `Int` column's null flags only when it
+//!   holds a NULL, then the projection order as a width and positions at
+//!   that width (width 0 for the identity). A load reads each column
+//!   straight into its vector: no value, no row, no re-encoding. It checks
+//!   the widths, that no base plus offset passes `i64`, that the order is
+//!   a permutation, that the time column runs in order, and that every
+//!   code resolves in the dictionary, then derives the zone maps, the row
+//!   → projection map and the indexes from the columns. Chunks an older
+//!   v4 writer kept as columns — every column raw, the order four-byte
+//!   positions, under their own layout tag — are read the same way, each
+//!   column packed once on the way in.
 //! - **rows**: a chunk of a table without a projection (the row-store
 //!   configuration) is written as its rows. Files written before every
 //!   product table was fully projected also hold entity chunks in this
@@ -69,8 +74,12 @@ pub enum Format {
 
 /// A v4 sealed chunk's layout tag: kept as rows.
 const ROWS: u8 = 0;
-/// A v4 sealed chunk's layout tag: kept as columns.
+/// A v4 sealed chunk's layout tag: kept as columns, its order `u32`
+/// positions (written before sealed chunks were packed; read only).
 const COLUMNS: u8 = 1;
+/// A v4 sealed chunk's layout tag: kept as columns, its order at the
+/// chunk's position width.
+const PACKED_COLUMNS: u8 = 2;
 
 fn rdb_io(e: RdbError) -> io::Error {
     invalid(e.to_string())
@@ -122,7 +131,7 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     for chunk in sealed {
         match chunk.columnar() {
             Some(c) => {
-                codec::write_u8(w, COLUMNS)?;
+                codec::write_u8(w, PACKED_COLUMNS)?;
                 c.write_chunk(w)?;
             }
             None => {
@@ -244,11 +253,11 @@ pub fn read_table<R: Read>(
                             .load_chunk(rows, perm.as_deref(), sealed)
                             .map_err(rdb_io)?;
                     }
-                    COLUMNS => {
+                    tag @ (COLUMNS | PACKED_COLUMNS) => {
                         let layout = table
                             .columnar()
                             .ok_or_else(|| invalid("a chunk kept as columns needs a projection"))?;
-                        let chunk = layout.read_chunk(r, len)?;
+                        let chunk = layout.read_chunk(r, len, tag == COLUMNS)?;
                         table.load_columns(chunk).map_err(rdb_io)?;
                     }
                     tag => return Err(invalid(format!("unknown chunk layout {tag}"))),
@@ -700,22 +709,27 @@ mod tests {
     }
 
     /// Every malformed chunk kept as columns is refused as invalid data —
-    /// an unknown layout or encoding tag, a column shorter than its chunk,
-    /// an order that is no permutation, a time column out of order, a code
-    /// the dictionary does not hold, a count promising 2^40 values — and
-    /// none aborts.
+    /// an unknown layout or encoding tag, an offset width outside 0 / 1 /
+    /// 2 / 4 / 8, a frame whose base plus an offset passes `i64`, offsets
+    /// shorter than the chunk, an order that is no permutation, a time
+    /// column out of order, a code the dictionary does not hold (by its
+    /// offset or by its base), a count promising 2^40 values — and none
+    /// aborts.
     #[test]
     fn malformed_columns_are_invalid_data() {
         let (buf, read) = one_columns_chunk();
         read(&buf).unwrap();
         // Chunk size, rows, sealed chunks, the chunk's length; the
-        // projection flag, the layout tag; per column (id, agentid,
-        // start_time: tag, four i64, a null marker; name: tag, four codes);
-        // the order.
+        // projection flag, the layout tag; per column packed (id, agentid,
+        // start_time: tag, an i64 base, a width byte, four 1-byte offsets,
+        // a null marker; name: tag, base, width, four 1-byte offsets); the
+        // order's width and its four positions.
         let (layout, id) = (33, 34);
-        let (start, codes, perm) = (id + 2 * 34 + 1, id + 3 * 34 + 1, id + 3 * 34 + 17);
-        assert_eq!(buf.len(), perm + 16);
-        assert_eq!((buf[32], buf[layout], buf[id]), (1, COLUMNS, 0));
+        let (start, name) = (id + 2 * 15, id + 3 * 15);
+        let (codes, perm) = (name + 10, name + 14);
+        assert_eq!(buf.len(), perm + 5);
+        assert_eq!((buf[32], buf[layout]), (1, PACKED_COLUMNS));
+        assert_eq!((buf[id], buf[id + 9], buf[perm]), (1, 1, 1));
         let patched = |f: &dyn Fn(&mut Vec<u8>)| {
             let mut b = buf.clone();
             f(&mut b);
@@ -726,19 +740,26 @@ mod tests {
             codec::write_u64(&mut huge, v).unwrap();
         }
         huge.extend_from_slice(&buf[32..]);
-        let cases: [(&str, Vec<u8>); 7] = [
+        let cases: [(&str, Vec<u8>); 11] = [
             ("layout tag", patched(&|b| b[layout] = 7)),
-            ("encoding tag", patched(&|b| b[id] = 1)),
-            ("short column", patched(&|b| drop(b.drain(perm - 4..perm)))),
+            ("encoding tag", patched(&|b| b[id] = 9)),
+            ("offset width", patched(&|b| b[id + 9] = 3)),
+            (
+                "base past i64",
+                patched(&|b| b[start + 1..start + 9].copy_from_slice(&i64::MAX.to_le_bytes())),
+            ),
+            ("short offsets", patched(&|b| b.truncate(codes + 2))),
             (
                 "no permutation",
-                patched(&|b| b.copy_within(perm..perm + 4, perm + 4)),
+                patched(&|b| b.copy_within(perm + 1..perm + 2, perm + 2)),
             ),
             (
                 "time order",
-                patched(&|b| b.copy_within(start + 24..start + 32, start)),
+                patched(&|b| b.copy_within(start + 13..start + 14, start + 10)),
             ),
             ("code", patched(&|b| b[codes] = 99)),
+            ("code base", patched(&|b| b[name + 1] = 2)),
+            ("order width", patched(&|b| b[perm] = 5)),
             ("2^40 values", huge),
         ];
         for (case, bytes) in cases {

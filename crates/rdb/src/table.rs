@@ -29,14 +29,16 @@
 //!   restore and re-seals chunks when a projection is enabled, so it is
 //!   the only place a sealed projection is made;
 //! - each index is one array of the chunk's positions sorted by (key,
-//!   position): 4 bytes a row, answering equality, range and key-span
+//!   position), at the chunk's position width (2 bytes a row in a
+//!   4 096-row chunk), answering equality, range and key-span
 //!   questions by binary search over the chunk's own values (on a
 //!   dictionary-coded column the key is the code, which orders no
 //!   strings: no range there). On a projected column the keys are read
 //!   from the column, which is also how a snapshot restore indexes a
 //!   chunk it read as columns (`Table::load_columns`);
 //! - a chunk of a table with a projection keeps no rows: the projection
-//!   (every column) plus a row → projection-position map *is* the chunk,
+//!   (every column, packed as frames of reference) plus a row →
+//!   projection-position map at the position width *is* the chunk,
 //!   and reads come back as [`RowView`]s decoded column by column, a
 //!   string as the dictionary's own `Arc<str>`. Only a table without a
 //!   projection seals chunks that keep their rows. A chunk keeps one or
@@ -64,8 +66,10 @@
 use crate::columnar::{compile_conjuncts, ColumnTail, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
+use crate::lanes::Lanes;
 use crate::schema::{ColumnType, Row, Schema};
 use aiql_model::{SharedDict, Sym, Value, NULL_SYM};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -194,14 +198,15 @@ fn rows_bytes(rows: &Vec<Row>) -> u64 {
 }
 
 /// A sealed chunk's secondary index over one column, in chunk-local
-/// positions: every position, ordered by (key, position) with the keys
-/// read from the chunk itself, plus the smallest and largest key (a string
-/// one shared with the chunk or the dictionary). On a dictionary-coded
+/// positions at the chunk's position width: every position, ordered by
+/// (key, position) with the keys read from the chunk itself, plus the
+/// smallest and largest key (a string one shared with the chunk or the
+/// dictionary). On a dictionary-coded
 /// column the key is the code, which answers equality but orders no
 /// strings: such an index takes no range probe ([`Table::range_indexed`]).
 #[derive(Debug, Clone)]
 struct Index {
-    order: Vec<u32>,
+    order: Lanes,
     span: Option<(Value, Value)>,
 }
 
@@ -217,7 +222,7 @@ impl Index {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.order.capacity() * 4
+        self.order.heap_bytes()
     }
 }
 
@@ -253,21 +258,14 @@ enum Body {
     /// chunk reads a row, or an index key, from the columns. The map is
     /// empty when the two orders agree, as they do for rows that arrived in
     /// projection (time) order.
-    Columns(Columnar, Vec<u32>),
+    Columns(Columnar, Lanes),
 }
 
 impl Body {
     /// The body of `columnar`, a filled projection, with its row →
     /// projection map.
     fn columns(columnar: Columnar) -> Body {
-        let perm = columnar.perm();
-        let mut at = Vec::new();
-        if perm.iter().enumerate().any(|(i, &p)| p as usize != i) {
-            at = vec![0u32; perm.len()];
-            for (i, &p) in perm.iter().enumerate() {
-                at[p as usize] = i as u32;
-            }
-        }
+        let at = columnar.row_map();
         Body::Columns(columnar, at)
     }
 }
@@ -349,41 +347,44 @@ impl SealedChunk {
         }
     }
 
-    /// The dictionary codes of `col` and the row → projection map, when
-    /// the chunk holds the column dictionary-coded.
-    fn codes(&self, col: usize) -> Option<(&[u32], &[u32])> {
+    /// The projection and the row → projection map, when the chunk holds
+    /// `col` dictionary-coded.
+    fn coded(&self, col: usize) -> Option<(&Columnar, &Lanes)> {
         match &self.body {
-            Body::Rows(_) => None,
-            Body::Columns(c, at) => Some((c.codes(col)?, at)),
+            Body::Columns(c, at) if c.is_coded(col) => Some((c, at)),
+            _ => None,
         }
     }
 
-    /// Rows whose indexed `col` equals `v` (strictly, as keys compare), in
-    /// row order. `code` is `v`'s dictionary code ([`Table::dict_code`]),
-    /// looked up once per probe rather than per chunk.
-    fn index_eq(&self, col: usize, v: &Value, code: Option<u32>) -> &[u32] {
+    /// Appends to `out` the rows whose indexed `col` equals `v` (strictly,
+    /// as keys compare), in row order. `code` is `v`'s dictionary code
+    /// ([`Table::dict_code`]), looked up once per probe rather than per
+    /// chunk.
+    fn index_eq(&self, col: usize, v: &Value, code: Option<u32>, out: &mut Vec<u32>) {
         let order = &self.indexes[&col].order;
-        match (self.codes(col), code) {
-            (Some((codes, at)), Some(code)) => {
-                &order[equal_run(order, |p| codes[proj_pos(at, p)].cmp(&code))]
+        let run = match (self.coded(col), code) {
+            (Some((c, at)), Some(code)) => {
+                equal_run(order, |p| c.code(proj_pos(at, p), col).cmp(&Some(code)))
             }
-            (Some(_), None) => &[],
-            (None, _) => &order[equal_run(order, |p| self.key_cmp(col, p, v))],
-        }
+            (Some(_), None) => return,
+            (None, _) => equal_run(order, |p| self.key_cmp(col, p, v)),
+        };
+        order.extend_into(run, out);
     }
 
     /// Rows whose indexed `col` lies in `[lo, hi]` (either bound optional),
     /// in row order. Not asked of a dictionary-coded index.
     fn index_range(&self, col: usize, lo: Option<&Value>, hi: Option<&Value>) -> Vec<u32> {
-        debug_assert!(self.codes(col).is_none(), "codes order no strings");
+        debug_assert!(self.coded(col).is_none(), "codes order no strings");
         let order = &self.indexes[&col].order;
         let from = lo.map_or(0, |v| {
-            order.partition_point(|&p| self.key_cmp(col, p, v).is_lt())
+            order.partition_point(|p| self.key_cmp(col, p, v).is_lt())
         });
         let to = hi.map_or(order.len(), |v| {
-            order.partition_point(|&p| self.key_cmp(col, p, v).is_le())
+            order.partition_point(|p| self.key_cmp(col, p, v).is_le())
         });
-        let mut rows = order[from..to.max(from)].to_vec();
+        let mut rows = Vec::new();
+        order.extend_into(from..to.max(from), &mut rows);
         rows.sort_unstable();
         rows
     }
@@ -404,38 +405,28 @@ impl SealedChunk {
 
     /// Builds the index on `col` — the chunk's positions sorted by (key,
     /// position). On an `Int` or dictionary-coded column of a chunk kept as
-    /// columns the keys are read from the column itself, projection
-    /// position `i` paired with its row position `perm[i]`: by integer, or
-    /// by code. Any other column is keyed by value, row by row.
+    /// columns the keys are read from the packed column itself, projection
+    /// position `i` paired with its row position: by integer (NULL first),
+    /// or by code. Any other column is keyed by value, row by row.
     fn build_index(&mut self, col: usize) {
-        let typed = match &self.body {
-            Body::Columns(c, _) => Some((c, c.codes(col), c.ints(col))),
-            Body::Rows(_) => None,
-        };
-        let index = match typed {
-            Some((c, Some(codes), _)) => {
-                let keyed = sort_keyed(codes.iter().copied().zip(c.perm().iter().copied()));
+        let n = self.len();
+        let index = match self.columnar() {
+            Some(c) if c.is_coded(col) => {
+                let keyed = sort_keyed(c.keyed(col).expect("codes").into_iter());
                 Index {
                     span: code_span(&keyed, c.dict()),
                     order: positions(&keyed),
                 }
             }
-            Some((c, _, Some((vals, [])))) => Index::new(
-                &sort_keyed(vals.iter().copied().zip(c.perm().iter().copied())),
-                |&k| Value::Int(k),
-            ),
-            Some((c, _, Some((vals, nulls)))) => {
-                let keys = vals
-                    .iter()
-                    .zip(nulls)
-                    .map(|(&v, &null)| (!null).then_some(v));
-                Index::new(&sort_keyed(keys.zip(c.perm().iter().copied())), |k| {
-                    k.map_or(Value::Null, Value::Int)
-                })
-            }
+            Some(c) if c.is_int(col) => match c.keyed(col) {
+                Some(keyed) => Index::new(&sort_keyed(keyed.into_iter()), |&k| Value::Int(k)),
+                None => {
+                    let keyed = sort_keyed((0..n).map(|i| (c.int(i, col), c.row_at(i))));
+                    Index::new(&keyed, |k| k.map_or(Value::Null, Value::Int))
+                }
+            },
             _ => {
-                let n = self.len() as u32;
-                let keyed = sort_keyed((0..n).map(|p| (self.row(p).get(col), p)));
+                let keyed = sort_keyed((0..n as u32).map(|p| (self.row(p).get(col), p)));
                 Index::new(&keyed, Value::clone)
             }
         };
@@ -449,7 +440,7 @@ impl SealedChunk {
                 rows.shrink_to_fit();
                 (rows_bytes(rows), 0)
             }
-            Body::Columns(c, at) => (0, c.resident_bytes() + (at.capacity() * 4) as u64),
+            Body::Columns(c, at) => (0, c.resident_bytes() + at.heap_bytes() as u64),
         };
         self.resident = ResidentBytes {
             rows,
@@ -462,10 +453,10 @@ impl SealedChunk {
 /// The projection position of row `pos` under a row → projection map
 /// (empty: the identity).
 #[inline]
-fn proj_pos(at: &[u32], pos: u32) -> usize {
-    match at {
-        [] => pos as usize,
-        at => at[pos as usize] as usize,
+fn proj_pos(at: &Lanes, pos: u32) -> usize {
+    match at.is_empty() {
+        true => pos as usize,
+        false => at.get(pos as usize) as usize,
     }
 }
 
@@ -476,10 +467,10 @@ fn sort_keyed<K: Ord>(keyed: impl Iterator<Item = (K, u32)>) -> Vec<(K, u32)> {
     keyed
 }
 
-/// The positions of sorted (key, position) pairs — collected from a
-/// borrow, not in place: an index is sized to itself.
-fn positions<K>(keyed: &[(K, u32)]) -> Vec<u32> {
-    keyed.iter().map(|&(_, p)| p).collect()
+/// The positions of sorted (key, position) pairs, one per row of the
+/// chunk, at its position width.
+fn positions<K>(keyed: &[(K, u32)]) -> Lanes {
+    Lanes::positions(keyed.len(), |i| keyed[i].1)
 }
 
 /// The least and greatest value behind sorted (code, position) pairs, as
@@ -487,11 +478,12 @@ fn positions<K>(keyed: &[(K, u32)]) -> Vec<u32> {
 /// Codes follow arrival, not string order, so each distinct code's string
 /// is compared once; NULL ([`NULL_SYM`], the greatest code) is the least
 /// value.
-fn code_span(keyed: &[(u32, u32)], dict: &SharedDict) -> Option<(Value, Value)> {
+fn code_span(keyed: &[(i64, u32)], dict: &SharedDict) -> Option<(Value, Value)> {
     let dict = dict.read();
     let (mut null, mut lo, mut hi) = (false, None::<&Arc<str>>, None::<&Arc<str>>);
     let mut last = None;
     for &(code, _) in keyed {
+        let code = code as u32;
         if last == Some(code) {
             continue;
         }
@@ -510,9 +502,9 @@ fn code_span(keyed: &[(u32, u32)], dict: &SharedDict) -> Option<(Value, Value)> 
 
 /// Where `order` — positions ascending by key — holds the keys that `cmp`
 /// finds equal to the one sought.
-fn equal_run(order: &[u32], cmp: impl Fn(u32) -> Ordering) -> std::ops::Range<usize> {
-    let from = order.partition_point(|&p| cmp(p).is_lt());
-    from..from + order[from..].partition_point(|&p| cmp(p).is_eq())
+fn equal_run(order: &Lanes, cmp: impl Fn(u32) -> Ordering) -> std::ops::Range<usize> {
+    let from = order.partition_point(|p| cmp(p).is_lt());
+    from..order.partition_point(|p| cmp(p).is_le())
 }
 
 /// Re-checks candidate rows against the conjuncts their access path did not
@@ -955,11 +947,14 @@ impl Table {
             .map(|(c, &s)| (c.as_ref(), s))
     }
 
-    /// Validates `row` and appends it to the open tail: a push of each
-    /// value onto its tail column, a string as its dictionary code — or,
-    /// without a projection, of the row itself. Seals the tail into an
-    /// immutable chunk when it reaches [`Table::chunk_rows`] rows.
-    pub fn insert(&mut self, row: Row) -> Result<(), RdbError> {
+    /// Validates `row` — owned (a [`Row`]) or borrowed (`&[Value]`) — and
+    /// appends it to the open tail: a push of each value onto its tail
+    /// column, a string as its dictionary code, straight from the row —
+    /// or, without a projection, of the row itself, a borrowed one copied.
+    /// Seals the tail into an immutable chunk when it reaches
+    /// [`Table::chunk_rows`] rows.
+    pub fn insert<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<(), RdbError> {
+        let row = row.into();
         self.schema.check_row(&row)?;
         self.append(row);
         Ok(())
@@ -967,7 +962,7 @@ impl Table {
 
     /// [`Table::insert`] of a row its caller has checked against the
     /// schema.
-    pub(crate) fn append(&mut self, row: Row) {
+    pub(crate) fn append(&mut self, row: Cow<'_, [Value]>) {
         self.push_tail(row);
         if self.tail.len() >= self.chunk_rows {
             self.seal_tail();
@@ -975,10 +970,10 @@ impl Table {
     }
 
     /// Appends a checked row to the open tail.
-    fn push_tail(&mut self, row: Row) {
+    fn push_tail(&mut self, row: Cow<'_, [Value]>) {
         match (&mut self.tail, &self.layout) {
             (Tail::Columns(cols), Some(layout)) => cols.push(layout, &row),
-            (Tail::Rows(rows), None) => rows.push(row),
+            (Tail::Rows(rows), None) => rows.push(row.into_owned()),
             _ => unreachable!("a tail keeps columns exactly when the table has a projection"),
         }
     }
@@ -1067,7 +1062,8 @@ impl Table {
             self.schema.check_row(row)?;
         }
         let n = rows.len();
-        rows.into_iter().for_each(|row| self.push_tail(row));
+        rows.into_iter()
+            .for_each(|row| self.push_tail(Cow::Owned(row)));
         if !seal || n == 0 {
             return Ok(());
         }
@@ -1343,7 +1339,7 @@ impl Table {
                 let mut rows = Vec::new();
                 for i in chunk.index_clip(col, values) {
                     let code = codes.get(i).copied().flatten();
-                    rows.extend_from_slice(chunk.index_eq(col, &values[i], code));
+                    chunk.index_eq(col, &values[i], code, &mut rows);
                     profile.in_probe_lookups += 1;
                 }
                 rows.sort_unstable();
@@ -1366,7 +1362,7 @@ impl Table {
     /// projection dictionary-codes the column, as sealed indexes then
     /// order codes, not strings. Such a range falls through to the scan.
     fn range_indexed(&self, col: usize) -> bool {
-        self.columnar().is_none_or(|c| c.codes(col).is_none())
+        self.columnar().is_none_or(|c| !c.is_coded(col))
     }
 
     /// Estimated cost of the vectorized path, in kernel-evaluated rows: the
@@ -2015,10 +2011,12 @@ mod tests {
             assert_eq!(index.span, values().min().zip(values().max()), "{col}");
             if col == 0 {
                 let keyed = sort_keyed((0..n).map(|p| (chunk.row(p).get(col), p)));
-                assert_eq!(index.order, positions(&keyed));
+                let mut order = Vec::new();
+                index.order.extend_into(0..n as usize, &mut order);
+                assert_eq!(order, keyed.iter().map(|&(_, p)| p).collect::<Vec<_>>());
             }
         }
-        assert!(chunk.codes(1).is_some() && chunk.columnar().unwrap().ints(0).is_some());
+        assert!(chunk.coded(1).is_some() && chunk.columnar().unwrap().is_int(0));
     }
 
     /// The sealed chunk's sorted positions answer every index question the
@@ -2085,12 +2083,9 @@ mod tests {
             let le = [Ordering::Equal, Ordering::Less];
             for col in [0, 1] {
                 for v in &probes {
-                    let code = sealed.dict_code(v);
-                    assert_eq!(
-                        chunk.index_eq(col, v, code),
-                        scan(col, v, &eq),
-                        "{col} = {v:?}"
-                    );
+                    let mut hits = Vec::new();
+                    chunk.index_eq(col, v, sealed.dict_code(v), &mut hits);
+                    assert_eq!(hits, scan(col, v, &eq), "{col} = {v:?}");
                     if !sealed.range_indexed(col) {
                         continue;
                     }
@@ -2173,7 +2168,9 @@ mod tests {
             assert!(chunk.is_projected());
             let r = chunk.resident_bytes();
             assert_eq!(r.rows, 0, "{r:?}");
-            let positions = 4 * chunk.len() as u64;
+            // A byte a position in chunks of 2 to 256 rows; none in one of
+            // a single row, whose only position is 0.
+            let positions = chunk.len() as u64 * (chunk.len() > 1) as u64;
             assert!(
                 (positions..positions + 16).contains(&r.index),
                 "one sorted index and its span: {r:?}"

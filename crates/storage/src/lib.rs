@@ -168,9 +168,10 @@ pub fn entity_row(e: &Entity) -> Row {
     }
 }
 
-/// Converts an event into its table row.
-pub fn event_row(ev: &Event) -> Row {
-    vec![
+/// Converts an event into its table row, on the stack: a columnar store
+/// pushes it value by value, so appending an event allocates no row.
+pub fn event_row(ev: &Event) -> [Value; schema::ev::WIDTH] {
+    [
         Value::Int(ev.id.0 as i64),
         Value::Int(ev.agent.0 as i64),
         Value::Int(schema::opcode(ev.op)),
@@ -291,7 +292,9 @@ impl EventStore {
     /// and reporting rollover when the row materializes a new partition.
     /// Newly created partitions carry every configured secondary index.
     pub fn append_event(&mut self, ev: &Event) -> Result<AppendOutcome, RdbError> {
-        let report = self.db.insert_reporting(schema::EVENTS, event_row(ev))?;
+        let report = self
+            .db
+            .insert_reporting(schema::EVENTS, &event_row(ev)[..])?;
         self.event_count += 1;
         self.epoch += 1;
         Ok(AppendOutcome {

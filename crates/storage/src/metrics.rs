@@ -45,14 +45,16 @@ aiql_telemetry::metrics! {
          shared. Only a table without a projection keeps rows: a columnar store's sealed \
          chunks and open tails are columns, so there this is 0"),
     resident_index: Gauge("aiql_storage_resident_index_bytes", "bytes",
-        "Secondary indexes: 4 bytes a row per index on sealed chunks (open tails have none)"),
+        "Secondary indexes: a position a row per index on sealed chunks, at the chunk's \
+         position width (2 B in a 4 096-row chunk); open tails have none"),
     resident_projection: Gauge("aiql_storage_resident_projection_bytes", "bytes",
-        "Columnar projections: column vectors, zone maps, projection orders, row → \
-         projection maps (≈ 92 B per event: 11 columns × 8 B and the projection order; the \
-         map only where rows arrived out of time order), and open tails' column blocks"),
+        "Columnar projections: sealed columns as frames of reference (each column's offsets \
+         at the narrowest of 0, 1, 2, 4 or 8 bytes; ≈ 33 B per event on `events`, 16 of it the two timestamps), zone \
+         maps, projection orders and row → projection maps where they are not the identity, \
+         and open tails' full-width column blocks"),
     resident_dict: Gauge("aiql_storage_resident_dict_bytes", "bytes",
-        "The shared string dictionary: both copies of every interned string and its lookup \
-         table"),
+        "The shared string dictionary: every interned string once, its code vector and its \
+         lookup table"),
 }
 
 /// Sets the resident-bytes gauges from the store being published.

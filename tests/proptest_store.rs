@@ -12,6 +12,56 @@ fn rows() -> impl Strategy<Value = Vec<(i64, i64, String)>> {
     prop::collection::vec((0i64..50, 0i64..4, "[a-d]{1,3}"), 1..80)
 }
 
+/// A case's `val` spread: its kind and whether some values are NULL.
+type Spread = (u8, bool);
+
+/// Per case a spread of `val` that makes its sealed chunks take every
+/// frame-of-reference offset width: one value (a constant column, width
+/// 0), values under 300, 70 000 or 5·10⁹ (a chunk's span falls either
+/// side of the 1-, 2- or 4-byte limit), or all of `i64` with both
+/// extremes drawn often enough to share a chunk, so that max − min
+/// overflows `i64` (width 8) — NULLs among them in half the cases.
+fn spread() -> impl Strategy<Value = Spread> {
+    (0u8..5, any::<bool>())
+}
+
+/// The value `x` and `pick` (both uniform) stand for under `spread`.
+fn spread_val((kind, nulls): Spread, x: i64, pick: u8) -> Option<i64> {
+    let v = match kind {
+        0 => 7,
+        1 => x.rem_euclid(300),
+        2 => x.rem_euclid(70_000),
+        3 => x.rem_euclid(5_000_000_000),
+        _ => match pick {
+            0 | 1 => i64::MIN,
+            2 | 3 => i64::MAX,
+            _ => x,
+        },
+    };
+    (!nulls || pick != 4).then_some(v)
+}
+
+/// [`rows`] with `val` drawn under a [`spread`].
+fn spread_rows() -> impl Strategy<Value = Vec<(Option<i64>, i64, String)>> {
+    let rows = prop::collection::vec((any::<i64>(), 0u8..8, 0i64..4, "[a-d]{1,3}"), 1..80);
+    (spread(), rows).prop_map(|(spread, rows)| {
+        let val = |(x, pick, agent, name)| (spread_val(spread, x, pick), agent, name);
+        rows.into_iter().map(val).collect()
+    })
+}
+
+/// Bytes a frame-of-reference offset takes over values from `lo` to `hi`:
+/// the narrowest of 0, 1, 2, 4 or 8 that holds `hi - lo`, taken in `u64`.
+fn offset_width(lo: i64, hi: i64) -> usize {
+    match (hi as u64).wrapping_sub(lo as u64) {
+        0 => 0,
+        1..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
+
 fn build_dbs(rows: &[(i64, i64, String)]) -> (Database, Database) {
     let schema = || {
         Schema::new(&[
@@ -129,14 +179,18 @@ proptest! {
     /// A fourth layout never auto-seals and projects time-sorted: its open
     /// tail always holds out-of-order rows when the selections run, one of
     /// them with a name no sealed chunk holds, and sealing sorts each of
-    /// its chunks whole. Layout is an encoding, never a semantic.
+    /// its chunks whole. `val` is drawn under a [`spread`], so its packed
+    /// columns take every offset width, each chunk the narrowest that
+    /// holds its values, and selections on it probe both ends of `i64`.
+    /// Layout is an encoding, never a semantic.
     #[test]
     fn chunked_table_matches_monolithic_layout(
-        data in rows(),
+        data in spread_rows(),
         chunk in 1usize..10,
         seal_every in 0usize..7,
         needle in 0i64..50,
         name in "[a-d]{1,3}",
+        pick in 0usize..80,
     ) {
         use aiql::rdb::Table;
         let schema = || {
@@ -167,10 +221,10 @@ proptest! {
         }
         for (i, (val, agent, nm)) in data.iter().enumerate() {
             let row = vec![
-                Value::Int(*val),
+                val.map_or(Value::Null, Value::Int),
                 Value::Int(*agent),
                 // Some attributes are NULL, and case varies.
-                match val % 5 {
+                match val.unwrap_or(0).rem_euclid(5) {
                     0 => Value::Null,
                     1 => Value::str(nm.to_uppercase()),
                     _ => Value::str(nm.clone()),
@@ -213,6 +267,16 @@ proptest! {
                 prop_assert_eq!(c.resident_bytes().rows == 0, projected_chunks);
             }
         }
+        // Each projected chunk packs `val` at the width its values need.
+        for t in [&projected, &unsorted, &tailed] {
+            for c in t.sealed_chunks() {
+                let p = c.columnar().expect("projected");
+                let vals: Vec<i64> = (0..p.len()).filter_map(|at| p.int(at, 0)).collect();
+                let (lo, hi) = (vals.iter().min(), vals.iter().max());
+                let want = lo.zip(hi).map_or(0, |(&lo, &hi)| offset_width(lo, hi));
+                prop_assert_eq!(p.offset_width(0), Some(want), "{:?}", vals);
+            }
+        }
         // A time-sorted chunk is sorted whole when it seals.
         for t in [&projected, &tailed] {
             for c in t.sealed_chunks() {
@@ -236,6 +300,7 @@ proptest! {
         }
 
         // Selection differential across access paths.
+        let hit = data[pick % data.len()].0.unwrap_or(needle);
         let not_like = |pattern: String| Expr::NotLike(Box::new(Expr::Col(2)), pattern.into());
         let ids = |n: i64| Expr::in_list(0, (needle..needle + n).map(Value::Int).collect());
         for conjuncts in [
@@ -252,6 +317,14 @@ proptest! {
             vec![ids(100), Expr::like(2, "%a%")],
             vec![ids(5_000)],
             vec![Expr::NotIn(Box::new(Expr::Col(0)), vec![Value::Int(needle)].into())],
+            // A value the rows hold, and both ends of `i64`.
+            vec![Expr::cmp_lit(0, CmpOp::Eq, hit)],
+            vec![Expr::cmp_lit(0, CmpOp::Lt, hit)],
+            vec![Expr::cmp_lit(0, CmpOp::Gt, hit), Expr::cmp_lit(0, CmpOp::Le, hit / 2 + i64::MAX / 2)],
+            vec![Expr::in_list(0, [hit, i64::MIN, i64::MAX].map(Value::Int).into())],
+            vec![Expr::cmp_lit(0, CmpOp::Le, i64::MIN)],
+            vec![Expr::cmp_lit(0, CmpOp::Ge, i64::MAX)],
+            vec![Expr::cmp_lit(0, CmpOp::Ge, i64::MIN), Expr::cmp_lit(0, CmpOp::Lt, i64::MAX)],
             // What no kernel answers: residuals on every path.
             vec![Expr::cmp_lit(2, CmpOp::Ne, name.clone())],
             vec![Expr::Or(vec![
@@ -324,12 +397,15 @@ proptest! {
     /// many appends and seals the head makes after it; and each detach,
     /// the head's first append after a clone, copies at most the one
     /// partial tail block `tail_bytes` charges for, leaving every full
-    /// block shared.
+    /// block shared. `val` is drawn under a [`spread`], so the sealed
+    /// chunks the clones pin take every offset width.
     #[test]
     fn pinned_clones_are_prefixes_and_detaches_copy_one_block(
-        ops in prop::collection::vec((0u8..8, 0i64..50, "[a-d]{1,3}"), 1..700),
+        spread in spread(),
+        ops in prop::collection::vec((0u8..8, any::<i64>(), 0u8..8, "[a-d]{1,3}"), 1..700),
         chunk in 1usize..600,
         needle in 0i64..50,
+        pick in 0usize..700,
     ) {
         use aiql::rdb::{AccessPath, Row, Table, TAIL_BLOCK_ROWS};
         let schema = Schema::new(&[
@@ -350,12 +426,13 @@ proptest! {
         let mut appended: Vec<Row> = Vec::new();
         let mut pinned: Vec<(Table, Table)> = Vec::new();
         let mut detached = true;
-        for (i, (op, val, nm)) in ops.iter().enumerate() {
+        for (i, (op, x, pick, nm)) in ops.iter().enumerate() {
+            let val = spread_val(spread, *x, *pick);
             if *op == 0 {
                 // A publish: pin both heads as they stand, the last row
                 // appended with a name no other row holds.
                 let late = vec![
-                    Value::Int(*val),
+                    val.map_or(Value::Null, Value::Int),
                     Value::Null,
                     Value::str("tail only"),
                     Value::Int((i as i64 * 37 % 101) * 1_000),
@@ -369,9 +446,9 @@ proptest! {
                 continue;
             }
             let row = vec![
-                Value::Int(*val),
+                val.map_or(Value::Null, Value::Int),
                 Value::Int(i as i64 % 4),
-                match val % 5 {
+                match val.unwrap_or(0).rem_euclid(5) {
                     0 => Value::Null,
                     1 => Value::str(nm.to_uppercase()),
                     _ => Value::str(nm.clone()),
@@ -403,9 +480,14 @@ proptest! {
             }
         }
 
+        let hit = appended[pick % appended.len()][0].as_int().unwrap_or(needle);
         let cases = [
             vec![],
             vec![Expr::cmp_lit(0, CmpOp::Eq, needle)],
+            vec![Expr::cmp_lit(0, CmpOp::Eq, hit)],
+            vec![Expr::cmp_lit(0, CmpOp::Gt, hit)],
+            vec![Expr::in_list(0, [hit, i64::MIN, i64::MAX].map(Value::Int).into())],
+            vec![Expr::cmp_lit(0, CmpOp::Le, i64::MIN)],
             vec![Expr::cmp_lit(0, CmpOp::Ge, needle)],
             vec![Expr::in_list(0, (needle..needle + 4).map(Value::Int).collect())],
             vec![Expr::cmp_lit(2, CmpOp::Eq, "tail only")],

@@ -2,12 +2,15 @@
 //! columnar store every sealed chunk — `events` and entity tables alike —
 //! keeps only its projection and one sorted position array per index, and
 //! every open tail only its column blocks: no rows anywhere, while the
-//! row-store configuration keeps its rows; and a snapshot
+//! row-store configuration keeps its rows; every sealed `events` column is
+//! packed as a frame of reference at the narrowest offset width its values
+//! need, positions at the narrowest width the chunk's length needs, and a
+//! batch-loaded store accounts at most 50 bytes an event; and a snapshot
 //! written from that layout, reopened and written again, is the same file
 //! byte for byte.
 
 use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
-use aiql::rdb::{ColumnType, Prune, Table, TAIL_BLOCK_ROWS};
+use aiql::rdb::{ColumnType, Prune, SealedChunk, Table, TAIL_BLOCK_ROWS};
 use aiql::storage::{schema, EventStore, StoreConfig};
 
 const DAY: i64 = 86_400 * 1_000_000_000;
@@ -64,6 +67,26 @@ fn load(data: &Dataset, config: StoreConfig) -> EventStore {
     s
 }
 
+/// Bytes an offset takes when it must hold `span`: the narrowest of 0, 1,
+/// 2, 4 or 8.
+fn width(span: u64) -> u64 {
+    match span {
+        0 => 0,
+        1..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
+
+/// Bytes the positions of `c`'s index orders take at most: one position a
+/// row, at the width that holds the chunk's last, per indexed column, and
+/// a little slack for the index list.
+fn index_bytes(c: &SealedChunk, indexed: u64) -> u64 {
+    let rows = c.len() as u64;
+    width(rows.saturating_sub(1)) * rows * indexed + 64
+}
+
 fn event_partitions(s: &EventStore) -> Vec<&Table> {
     s.events_partitioned()
         .partitions_for(&Prune::all())
@@ -89,7 +112,7 @@ fn sealed_event_chunks_keep_no_rows() {
             let r = c.resident_bytes();
             assert!(c.is_projected(), "{r:?}");
             assert_eq!(r.rows, 0, "{r:?}");
-            assert!(r.index <= 4 * c.len() as u64 * indexed + 64, "{r:?}");
+            assert!(r.index <= index_bytes(c, indexed), "{r:?}");
             assert!(r.projection > 0);
             sealed += 1;
             full += (c.len() == t.chunk_rows()) as usize;
@@ -107,7 +130,7 @@ fn sealed_event_chunks_keep_no_rows() {
             let r = c.resident_bytes();
             assert!(!c.is_projected());
             assert!(r.rows > 0 && r.projection == 0, "{r:?}");
-            assert!(r.index <= 4 * c.len() as u64 * indexed + 64, "{r:?}");
+            assert!(r.index <= index_bytes(c, indexed), "{r:?}");
         }
     }
     // Entity tables seal alike: columns only on the columnar store, rows
@@ -182,6 +205,35 @@ fn sealed_event_chunks_keep_no_rows() {
         "{col:?} vs {row:?}"
     );
     assert!(col.dict > 0 && row.dict == 0);
+}
+
+/// Every sealed `events` chunk holds each column as a frame of reference
+/// at the narrowest offset width that holds its values' span — no chunk
+/// falls back to full-width columns — and a batch-loaded store, every
+/// tail sealed, accounts at most 50 bytes an event.
+#[test]
+fn sealed_event_columns_are_packed() {
+    let data = dataset(40_000);
+    let store = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
+    let mut narrower = 0;
+    for t in event_partitions(&store) {
+        assert_eq!(t.tail_len(), 0);
+        for c in t.sealed_chunks() {
+            let p = c.columnar().expect("projected");
+            for col in 0..p.arity() {
+                let vals = (0..p.len()).map(|at| p.int(at, col).expect("events hold no NULL"));
+                let (lo, hi) = (vals.clone().min().unwrap(), vals.max().unwrap());
+                let want = width((hi as u64).wrapping_sub(lo as u64));
+                assert_eq!(p.offset_width(col), Some(want as usize), "column {col}");
+                narrower += (want < 8) as usize;
+            }
+        }
+    }
+    assert!(narrower > 0, "some columns pack below 8 bytes");
+    let bytes = store.resident_bytes();
+    let r = bytes.tables;
+    let per_event = (r.rows + r.index + r.projection + bytes.dict) as f64 / 40_000.0;
+    assert!(per_event <= 50.0, "{per_event:.1} B an event: {bytes:?}");
 }
 
 #[test]
