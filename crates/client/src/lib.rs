@@ -75,8 +75,10 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects, handshakes as `tenant`, and returns a ready client.
-    /// Reads block up to 30 s before surfacing an I/O timeout.
+    /// Connects, handshakes as `tenant`, and returns a ready client — a
+    /// server that answers with another protocol version is refused as
+    /// [`ClientError::Protocol`]. Reads block up to 30 s before surfacing
+    /// an I/O timeout.
     pub fn connect(addr: impl ToSocketAddrs, tenant: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -90,7 +92,10 @@ impl Client {
             version: PROTO_VERSION,
             tenant: tenant.to_string(),
         })? {
-            Response::HelloOk { .. } => Ok(client),
+            Response::HelloOk { version, .. } if version == PROTO_VERSION => Ok(client),
+            Response::HelloOk { version, .. } => Err(ClientError::Protocol(format!(
+                "server speaks protocol {version}, this client {PROTO_VERSION}"
+            ))),
             other => Err(unexpected(other)),
         }
     }

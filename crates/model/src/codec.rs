@@ -17,7 +17,6 @@ use crate::ids::{AgentId, EntityId, EventId};
 use crate::time::Timestamp;
 use crate::value::Value;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
 /// Hard cap on any length prefix (strings, attribute maps), guarding decode
 /// against allocating from a corrupt length field.
@@ -88,7 +87,7 @@ pub fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
 }
 
 /// Reads a string's length prefix, refusing one past the cap.
-fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
+pub fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
     match read_u32(r)? {
         len if len > MAX_LEN => Err(bad(format!("string length {len} exceeds cap"))),
         len => Ok(len as usize),
@@ -141,50 +140,6 @@ pub fn read_value<R: Read>(r: &mut R) -> io::Result<Value> {
         VAL_STR => Value::from(read_str(r)?),
         tag => return Err(bad(format!("unknown value tag {tag}"))),
     })
-}
-
-/// The strings an input has decoded lately (see [`read_value_shared`]),
-/// direct-mapped by a hash of their bytes. A slot holds one string, so
-/// strings whose hashes collide only miss: no input makes a lookup cost
-/// more than one comparison.
-pub struct SeenStrings<'a>(Vec<Option<(&'a [u8], Arc<str>)>>);
-
-impl Default for SeenStrings<'_> {
-    fn default() -> Self {
-        SeenStrings(vec![None; 512])
-    }
-}
-
-/// [`read_value`] from a byte slice, sharing strings through `seen`: a
-/// string met lately in the same input is the same `Arc<str>`, a refcount
-/// bump instead of an allocation — how a page of rows, whose strings
-/// repeat, decodes.
-pub fn read_value_shared<'a>(r: &mut &'a [u8], seen: &mut SeenStrings<'a>) -> io::Result<Value> {
-    let Some((&VAL_STR, rest)) = r.split_first() else {
-        return read_value(r);
-    };
-    *r = rest;
-    let len = read_len(r)?;
-    let bytes = r.get(..len).ok_or(io::ErrorKind::UnexpectedEof)?;
-    *r = &r[len..];
-    // Multiply-rotate over 8-byte words: SipHash would cost about what a
-    // hit saves. The top 9 bits pick one of the 512 slots.
-    let hash = bytes.chunks(8).fold(0u64, |h, w| {
-        let mut word = [0u8; 8];
-        word[..w.len()].copy_from_slice(w);
-        (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95)
-    });
-    let slot = &mut seen.0[(hash >> 55) as usize];
-    match slot {
-        Some((seen, s)) if *seen == bytes => Ok(Value::Str(s.clone())),
-        _ => {
-            let s: Arc<str> = std::str::from_utf8(bytes)
-                .map_err(|_| bad("invalid UTF-8 in string"))?
-                .into();
-            *slot = Some((bytes, s.clone()));
-            Ok(Value::Str(s))
-        }
-    }
 }
 
 /// The stable integer code of an operation type (its position in
@@ -371,41 +326,6 @@ mod tests {
             assert_eq!(kind_from_code(kind_code(k)), Some(k));
         }
         assert_eq!(kind_from_code(9), None);
-    }
-
-    #[test]
-    fn shared_reads_build_each_distinct_string_once() {
-        let values = [
-            Value::str("cmd.exe"),
-            Value::Int(7),
-            Value::str("/etc/passwd"),
-            Value::str("cmd.exe"),
-            Value::Null,
-            Value::str("/etc/passwd"),
-        ];
-        let mut buf = Vec::new();
-        for v in &values {
-            write_value(&mut buf, v).unwrap();
-        }
-        let (mut r, mut seen) = (&buf[..], SeenStrings::default());
-        let got: Vec<Value> = (0..values.len())
-            .map(|_| read_value_shared(&mut r, &mut seen).unwrap())
-            .collect();
-        assert_eq!(got, values);
-        assert!(r.is_empty());
-        assert_eq!(seen.0.iter().flatten().count(), 2);
-        let (Value::Str(a), Value::Str(b)) = (&got[0], &got[3]) else {
-            unreachable!()
-        };
-        assert!(Arc::ptr_eq(a, b), "a repeat shares the first one's payload");
-        // Truncated or not UTF-8: an error, as from `read_value`.
-        let mut seen = SeenStrings::default();
-        let mut short = &buf[..4];
-        assert!(read_value_shared(&mut short, &mut seen).is_err());
-        let mut bad = vec![VAL_STR];
-        bad.extend_from_slice(&2u32.to_le_bytes());
-        bad.extend_from_slice(&[0xff, 0xfe]);
-        assert!(read_value_shared(&mut &bad[..], &mut seen).is_err());
     }
 
     #[test]

@@ -1,0 +1,377 @@
+//! Narrow integer vectors and their byte form: the offsets of a
+//! frame-of-reference column ([`Frame`]), and position arrays, at the
+//! narrowest of 0, 1, 2, 4 or 8 bytes that holds their greatest value,
+//! with the fixed-width little-endian reads and writes that keep them.
+//!
+//! One codec serves the workspace: a sealed chunk's columns and position
+//! arrays in `aiql-rdb` (resident and in snapshots), and the column pages
+//! of the `aiql-server` wire protocol.
+//!
+//! Code that reads them is written once, generic over the offset type
+//! ([`Lane`]), and instantiated per width through [`lanes!`](crate::lanes!):
+//! a kernel compares its literal, translated once, against the narrow
+//! values themselves, with no decode step.
+
+use std::fmt::Debug;
+use std::io::{self, Read, Write};
+use std::mem::size_of;
+use std::ops::Range;
+
+/// Cap on the capacity a decoded count may reserve up front: a corrupt
+/// count fails on its first missing entry instead of allocating for all
+/// of them.
+pub const MAX_RESERVE: usize = 1 << 16;
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Writes fixed-width little-endian values through a stack buffer.
+#[inline]
+pub fn write_le<W: Write, const N: usize>(
+    w: &mut W,
+    vals: impl Iterator<Item = [u8; N]>,
+) -> io::Result<()> {
+    let mut buf = [0u8; 4096];
+    let mut at = 0;
+    for v in vals {
+        if at + N > buf.len() {
+            w.write_all(&buf[..at])?;
+            at = 0;
+        }
+        buf[at..at + N].copy_from_slice(&v);
+        at += N;
+    }
+    w.write_all(&buf[..at])
+}
+
+/// Fills `buf` from `r`; packed columns that end early are invalid data.
+pub fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => invalid("packed columns end early"),
+        _ => e,
+    })
+}
+
+/// Reads one byte; an input that ends first is invalid data.
+pub fn read_byte<R: Read>(r: &mut R) -> io::Result<u8> {
+    let mut b = [0u8];
+    read_exact(r, &mut b)?;
+    Ok(b[0])
+}
+
+/// Reads `n` fixed-width little-endian values. A count past the input
+/// fails when the input ends, having reserved at most [`MAX_RESERVE`]
+/// values.
+pub fn read_le<R: Read, T, const N: usize>(
+    r: &mut R,
+    n: usize,
+    from: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(n.min(MAX_RESERVE));
+    let mut buf = [0u8; 4096];
+    let mut left = n;
+    while left > 0 {
+        let bytes = &mut buf[..left.min(4096 / N) * N];
+        read_exact(r, bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(N)
+                .map(|b| from(b.try_into().expect("N bytes"))),
+        );
+        left -= bytes.len() / N;
+    }
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// An offset type of [`Lanes`]: an unsigned width a sealed column packs
+/// at — `()` for a constant column, which takes no bytes — or the `i64`
+/// of an open tail's raw integer column.
+pub trait Lane: Copy + Ord + Default + Debug {
+    /// The least and greatest offset the type holds.
+    const MIN: i128;
+    const MAX: i128;
+    /// The offset, widened.
+    fn wide(&self) -> i128;
+    /// Offset `x`, which lies in `MIN..=MAX`.
+    fn narrow(x: i128) -> Self;
+}
+
+macro_rules! lane {
+    ($($t:ty),*) => {$(
+        impl Lane for $t {
+            const MIN: i128 = <$t>::MIN as i128;
+            const MAX: i128 = <$t>::MAX as i128;
+            #[inline]
+            fn wide(&self) -> i128 {
+                *self as i128
+            }
+            #[inline]
+            fn narrow(x: i128) -> $t {
+                x as $t
+            }
+        }
+    )*};
+}
+lane!(u8, u16, u32, u64, i64);
+
+impl Lane for () {
+    const MIN: i128 = 0;
+    const MAX: i128 = 0;
+    #[inline]
+    fn wide(&self) -> i128 {
+        0
+    }
+    #[inline]
+    fn narrow(_: i128) {}
+}
+
+/// The value at offset `x` from `base` (wrapping: an 8-byte offset may
+/// pass `i64::MAX`).
+#[inline]
+pub fn at<L: Lane>(base: i64, x: &L) -> i64 {
+    base.wrapping_add(x.wide() as i64)
+}
+
+/// Offsets at one width. A sealed column or position array takes the
+/// narrowest that holds its greatest offset; an open tail's columns are
+/// `I64` (integers) and `U32` (codes).
+#[derive(Debug, Clone)]
+pub enum Lanes {
+    Zero(Vec<()>),
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+    U64(Vec<u64>),
+    I64(Vec<i64>),
+}
+
+/// Evaluates `$e` with `$v` bound to the vector of `$lanes`: the code is
+/// written once and instantiated per offset type.
+#[macro_export]
+macro_rules! lanes {
+    ($lanes:expr, $v:ident => $e:expr) => {
+        match $lanes {
+            $crate::columns::Lanes::Zero($v) => $e,
+            $crate::columns::Lanes::U8($v) => $e,
+            $crate::columns::Lanes::U16($v) => $e,
+            $crate::columns::Lanes::U32($v) => $e,
+            $crate::columns::Lanes::U64($v) => $e,
+            $crate::columns::Lanes::I64($v) => $e,
+        }
+    };
+}
+/// Bytes an offset of at most `max` takes: the narrowest of 0, 1, 2, 4, 8.
+#[inline]
+pub fn width_of(max: u64) -> usize {
+    match max {
+        0 => 0,
+        1..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
+
+impl Lanes {
+    /// `n` offsets `off(i)`, none past `max`, at the width that holds `max`.
+    pub fn pack(max: u64, n: usize, off: impl Fn(usize) -> u64) -> Lanes {
+        let all = 0..n;
+        match width_of(max) {
+            0 => Lanes::Zero(vec![(); n]),
+            1 => Lanes::U8(all.map(|i| off(i) as u8).collect()),
+            2 => Lanes::U16(all.map(|i| off(i) as u16).collect()),
+            4 => Lanes::U32(all.map(|i| off(i) as u32).collect()),
+            _ => Lanes::U64(all.map(off).collect()),
+        }
+    }
+
+    /// The positions `pos(i)` of a chunk of `n` rows, at the width that
+    /// holds the chunk's last.
+    pub fn positions(n: usize, pos: impl Fn(usize) -> u32) -> Lanes {
+        Lanes::pack(n.saturating_sub(1) as u64, n, |i| pos(i) as u64)
+    }
+
+    /// No offsets: how an identity position map is kept.
+    pub fn none() -> Lanes {
+        Lanes::Zero(Vec::new())
+    }
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        lanes!(self, v => v.len())
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Offset `i` (a raw `i64`'s bits).
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        lanes!(self, v => Lane::wide(&v[i]) as u64)
+    }
+
+    /// Bytes an offset takes.
+    #[inline]
+    pub fn width(&self) -> usize {
+        fn of<T>(_: &[T]) -> usize {
+            size_of::<T>()
+        }
+        lanes!(self, v => of(v))
+    }
+
+    pub fn heap_bytes(&self) -> usize {
+        lanes!(self, v => v.capacity() * self.width())
+    }
+
+    /// The greatest offset of unsigned lanes (0 when there is none).
+    pub fn max(&self) -> u64 {
+        lanes!(self, v => v.iter().max().map_or(0, |x| x.wide() as u64))
+    }
+
+    /// Where positions sorted by `pred` (true, then false) turn false.
+    #[inline]
+    pub fn partition_point(&self, pred: impl Fn(u32) -> bool) -> usize {
+        lanes!(self, v => v.partition_point(|&p| pred(p.wide() as u32)))
+    }
+
+    /// Appends the positions in `range` to `out`.
+    #[inline]
+    pub fn extend_into(&self, range: Range<usize>, out: &mut Vec<u32>) {
+        lanes!(self, v => out.extend(v[range].iter().map(|&p| p.wide() as u32)))
+    }
+
+    /// Writes each offset's `width()` low bytes, little-endian.
+    pub fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let width = self.width();
+        let mut buf = [0u8; 4096];
+        let mut at = 0;
+        lanes!(self, v => for x in v {
+            if at + width > buf.len() {
+                w.write_all(&buf[..at])?;
+                at = 0;
+            }
+            let bytes = (x.wide() as u64).to_le_bytes();
+            buf[at..at + width].copy_from_slice(&bytes[..width]);
+            at += width;
+        });
+        w.write_all(&buf[..at])
+    }
+
+    /// Reads `n` offsets of `width` bytes, as [`Lanes::write`] wrote them.
+    pub fn read<R: Read>(r: &mut R, n: usize, width: u8) -> io::Result<Lanes> {
+        Ok(match width {
+            0 => Lanes::Zero(vec![(); n]),
+            1 => Lanes::U8(read_le(r, n, |[b]| b)?),
+            2 => Lanes::U16(read_le(r, n, u16::from_le_bytes)?),
+            4 => Lanes::U32(read_le(r, n, u32::from_le_bytes)?),
+            8 => Lanes::U64(read_le(r, n, u64::from_le_bytes)?),
+            w => return Err(invalid(format!("offset width {w}"))),
+        })
+    }
+}
+
+/// Integers — values or dictionary codes — as a frame of reference:
+/// value `i` is `base` plus offset `i`. Its byte form is the base
+/// (`i64`), the offset width (`u8`), then the offsets ([`Lanes::write`]).
+#[derive(Debug, Clone)]
+pub struct Frame {
+    /// What every offset counts from.
+    pub base: i64,
+    /// One offset a value.
+    pub lanes: Lanes,
+}
+
+impl Frame {
+    /// A frame at base 0: its values are the `lanes` themselves.
+    pub fn raw(lanes: Lanes) -> Frame {
+        Frame { base: 0, lanes }
+    }
+
+    /// Value `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> i64 {
+        at(self.base, &self.lanes.get(i))
+    }
+
+    /// Writes the base, the offset width and the offsets.
+    pub fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(&self.base.to_le_bytes())?;
+        w.write_all(&[self.lanes.width() as u8])?;
+        self.lanes.write(w)
+    }
+
+    /// Reads `n` values as [`Frame::write`] wrote them. Refuses an offset
+    /// width outside 0 / 1 / 2 / 4 / 8, offsets that end early, and a
+    /// value past `i64`.
+    pub fn read<R: Read>(r: &mut R, n: usize) -> io::Result<Frame> {
+        let mut base = [0u8; 8];
+        read_exact(r, &mut base)?;
+        let base = i64::from_le_bytes(base);
+        let width = read_byte(r)?;
+        let lanes = Lanes::read(r, n, width)?;
+        if base as i128 + lanes.max() as i128 > i64::MAX as i128 {
+            return Err(invalid("a frame's values pass i64"));
+        }
+        Ok(Frame { base, lanes })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bytes offsets are kept in — in a snapshot's sealed chunks and in
+    /// a wire page's frames: each offset's `width()` low bytes,
+    /// little-endian, nothing else.
+    #[test]
+    fn lanes_and_frames_write_their_golden_bytes() {
+        #[rustfmt::skip]
+        let golden: [(u64, &[u8]); 5] = [
+            (0, &[]),
+            (0xAB, &[0x00, 0x55, 0xAB]),
+            (0xABCD, &[0x00, 0x00, 0xE6, 0x55, 0xCD, 0xAB]),
+            (0xABCD_EF01, &[
+                0x00, 0x00, 0x00, 0x00, 0x80, 0xF7, 0xE6, 0x55, 0x01, 0xEF, 0xCD, 0xAB,
+            ]),
+            (0x0123_4567_89AB_CDEF, &[
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0xF7, 0xE6, 0xD5, 0xC4, 0xB3, 0xA2, 0x91, 0x00,
+                0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,
+            ]),
+        ];
+        for (max, bytes) in golden {
+            let lanes = Lanes::pack(max, 3, |i| [0, max / 2, max][i]);
+            let mut out = Vec::new();
+            lanes.write(&mut out).unwrap();
+            assert_eq!(out, bytes, "max {max:#x}");
+            let back = Lanes::read(&mut &out[..], 3, lanes.width() as u8).unwrap();
+            assert_eq!(
+                (0..3).map(|i| back.get(i)).collect::<Vec<_>>(),
+                [0, max / 2, max]
+            );
+        }
+        // A frame: its base, its offset width, its offsets.
+        let mut out = Vec::new();
+        let lanes = Lanes::pack(0xAB, 3, |i| [0, 0x55, 0xAB][i]);
+        Frame { base: -2, lanes }.write(&mut out).unwrap();
+        assert_eq!(
+            out,
+            [0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0x00, 0x55, 0xAB]
+        );
+        let back = Frame::read(&mut &out[..], 3).unwrap();
+        assert_eq!(
+            (0..3).map(|i| back.get(i)).collect::<Vec<_>>(),
+            [-2, 83, 169]
+        );
+        // Positions take the width that holds the last one.
+        let mut out = Vec::new();
+        Lanes::positions(300, |i| 299 - i as u32)
+            .write(&mut out)
+            .unwrap();
+        assert_eq!((out.len(), &out[..4]), (600, &[0x2B, 0x01, 0x2A, 0x01][..]));
+    }
+}

@@ -30,6 +30,7 @@
 //! ```
 
 pub mod codec;
+pub mod columns;
 pub mod dataset;
 pub mod dict;
 pub mod entity;

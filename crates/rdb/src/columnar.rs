@@ -60,9 +60,10 @@
 
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
-use crate::lanes::{at, invalid, lanes, read_byte, read_exact, read_le, width_of, write_le};
-use crate::lanes::{Lane, Lanes};
 use crate::schema::{ColumnType, Row, Schema};
+use crate::snapshot::invalid;
+use aiql_model::columns::{at, read_byte, read_le, width_of, write_le, Frame, Lane, Lanes};
+use aiql_model::lanes;
 use aiql_model::{Dict, LikePattern, SharedDict, Sym, Value, NULL_SYM};
 use std::io::{self, Read, Write};
 use std::mem::size_of;
@@ -109,30 +110,17 @@ impl ColumnarSpec {
     }
 }
 
-/// Integers — values or dictionary codes — as a frame of reference:
-/// value `i` is `base` plus offset `i`.
-#[derive(Debug, Clone)]
-struct Frame {
-    base: i64,
-    lanes: Lanes,
-}
-
-impl Frame {
-    /// An open tail's empty frame: base 0, offsets the `lanes` themselves.
-    fn raw(lanes: Lanes) -> Frame {
-        Frame { base: 0, lanes }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> i64 {
-        self.base.wrapping_add(self.lanes.get(i) as i64)
-    }
-
-    /// ANDs `lo <= value <= hi` of the positions from `from` on into `sel`
-    /// (see [`and_window`]).
-    fn and_window(&self, nulls: &[bool], from: usize, lo: i64, hi: i64, sel: &mut [bool]) {
-        lanes!(&self.lanes, v => and_window(sel, v, nulls, from, self.base, lo, hi))
-    }
+/// ANDs `lo <= value <= hi` of `frame`'s positions from `from` on into
+/// `sel` (see [`and_window`]).
+fn and_frame_window(
+    frame: &Frame,
+    nulls: &[bool],
+    from: usize,
+    lo: i64,
+    hi: i64,
+    sel: &mut [bool],
+) {
+    lanes!(&frame.lanes, v => and_window(sel, v, nulls, from, frame.base, lo, hi))
 }
 
 /// One projected column: in a sealed chunk, an `Int` or `Sym` column is a
@@ -386,9 +374,7 @@ impl ColumnData {
             ColumnData::Sym { frame } => (frame, None),
         };
         w.write_all(&[PACKED])?;
-        w.write_all(&frame.base.to_le_bytes())?;
-        w.write_all(&[frame.lanes.width() as u8])?;
-        frame.lanes.write(w)?;
+        frame.write(w)?;
         if let Some(nulls) = nulls {
             w.write_all(&[!nulls.is_empty() as u8])?;
             write_le(w, nulls.iter().map(|&b| [b as u8]))?;
@@ -418,17 +404,7 @@ impl ColumnData {
             (ColumnData::Sym { .. }, RAW) => {
                 Frame::raw(Lanes::U32(read_le(r, n, u32::from_le_bytes)?))
             }
-            (ColumnData::Int { .. } | ColumnData::Sym { .. }, PACKED) => {
-                let mut base = [0u8; 8];
-                read_exact(r, &mut base)?;
-                let base = i64::from_le_bytes(base);
-                let width = read_byte(r)?;
-                let lanes = Lanes::read(r, n, width)?;
-                if base as i128 + lanes.max() as i128 > i64::MAX as i128 {
-                    return Err(invalid("a frame's values pass i64"));
-                }
-                Frame { base, lanes }
-            }
+            (ColumnData::Int { .. } | ColumnData::Sym { .. }, PACKED) => Frame::read(r, n)?,
             (_, tag) => return Err(invalid(format!("unknown column encoding {tag}"))),
         };
         let column = match self {
@@ -621,18 +597,18 @@ impl Kernel {
     fn apply(&self, data: &ColumnData, from: usize, sel: &mut [bool]) {
         match (self, data) {
             (Kernel::EqI64 { v, .. }, ColumnData::Int { frame, nulls }) => {
-                frame.and_window(nulls, from, *v, *v, sel);
+                and_frame_window(frame, nulls, from, *v, *v, sel);
             }
             (Kernel::RangeI64 { lo, hi, .. }, ColumnData::Int { frame, nulls }) => {
                 let (lo, hi) = (lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX));
-                frame.and_window(nulls, from, lo, hi, sel);
+                and_frame_window(frame, nulls, from, lo, hi, sel);
             }
             (Kernel::InI64 { vals: set, .. }, ColumnData::Int { frame, nulls }) => {
                 let keep = |x: i64| set.binary_search(&x).is_ok();
                 lanes!(&frame.lanes, v => and_each(sel, v, nulls, from, frame.base, keep));
             }
             (Kernel::EqSym { sym, .. }, ColumnData::Sym { frame }) => {
-                frame.and_window(&[], from, *sym as i64, *sym as i64, sel);
+                and_frame_window(frame, &[], from, *sym as i64, *sym as i64, sel);
             }
             (Kernel::InSym { syms, .. }, ColumnData::Sym { frame }) => {
                 let keep = |c: i64| syms.binary_search(&(c as u32)).is_ok();

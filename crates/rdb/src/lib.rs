@@ -37,7 +37,6 @@
 pub mod columnar;
 pub mod error;
 pub mod expr;
-mod lanes;
 pub mod partition;
 pub mod schema;
 pub mod snapshot;

@@ -51,17 +51,13 @@ use crate::error::RdbError;
 use crate::partition::{PartKey, PartitionSpec, PartitionedTable, Prune};
 use crate::schema::{Row, Schema};
 use crate::table::Table;
+use aiql_model::columns::MAX_RESERVE;
 use aiql_model::{codec, SharedDict};
 use std::io::{self, Read, Write};
 
 /// Hard cap on decoded row/partition counts, guarding against corrupt
 /// length fields.
 const MAX_COUNT: u64 = 1 << 40;
-
-/// Cap on the capacity a decoded count may reserve up front: a corrupt
-/// count under [`MAX_COUNT`] fails on its first missing entry instead of
-/// allocating for all of them.
-pub(crate) const MAX_RESERVE: usize = 1 << 16;
 
 /// The table format a snapshot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +81,7 @@ fn rdb_io(e: RdbError) -> io::Error {
     invalid(e.to_string())
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
+pub(crate) fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 

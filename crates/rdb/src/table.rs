@@ -66,8 +66,8 @@
 use crate::columnar::{compile_conjuncts, ColumnTail, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
-use crate::lanes::Lanes;
 use crate::schema::{ColumnType, Row, Schema};
+use aiql_model::columns::Lanes;
 use aiql_model::{SharedDict, Sym, Value, NULL_SYM};
 use std::borrow::Cow;
 use std::cmp::Ordering;

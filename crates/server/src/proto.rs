@@ -8,10 +8,13 @@
 //!
 //! with the payload being one opcode byte followed by the message body in
 //! the little-endian conventions of [`aiql_model::codec`] (fixed-width
-//! integers, `u32`-length-prefixed UTF-8 strings, one tag byte per
-//! variant). The CRC is the same IEEE-802.3 polynomial the write-ahead
-//! log frames with ([`aiql_wal::crc32`]), so a flipped bit anywhere in
-//! transit is detected before the payload is interpreted.
+//! integers, `u32`-length-prefixed UTF-8 strings). A `Page`'s rows travel
+//! as columns: each column one kind byte, an optional null bitmap, and
+//! its values as a frame of reference packed by [`aiql_model::columns`]
+//! — strings as codes into a page-wide string table (see `page.rs`, next
+//! to this file). The CRC is the same IEEE-802.3 polynomial the
+//! write-ahead log frames with ([`aiql_wal::crc32`]), so a flipped bit
+//! anywhere in transit is detected before the payload is interpreted.
 //!
 //! The request/response vocabulary is the session lifecycle made remote:
 //! `Hello{tenant}` → `OpenSession` → `Prepare{src}` → `Execute{params}`
@@ -23,22 +26,25 @@
 //! corruption, where the stream itself can no longer be trusted).
 //!
 //! Malformed input — truncated frames, oversized length prefixes, CRC
-//! mismatches, unknown opcodes, out-of-range tags — decodes to an error
+//! mismatches, unknown opcodes, out-of-range tags, pages whose columns
+//! disagree with their row widths — decodes to an error
 //! ([`FrameError`] at the framing layer, `io::ErrorKind::InvalidData`
 //! inside a payload); corruption is never a panic.
 
 use aiql_core::ast::Lit;
 use aiql_model::codec::{
-    read_str, read_u32, read_u64, read_u8, read_value_shared, write_str, write_u32, write_u64,
-    write_u8, write_value, SeenStrings,
+    read_str, read_u32, read_u64, read_u8, write_str, write_u32, write_u64, write_u8,
 };
 use aiql_model::Value;
 use aiql_wal::crc32;
 use std::io::{self, Read};
 
+mod page;
+
 /// Protocol version exchanged in `Hello`/`HelloOk`. Bumped on any frame
-/// layout change.
-pub const PROTO_VERSION: u32 = 1;
+/// layout change; 2 sends pages as columns. A server refuses a `Hello`
+/// with any other version, and a client a `HelloOk`.
+pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on one frame's payload. A length prefix above this is
 /// protocol corruption (or a hostile peer) and closes the connection
@@ -497,13 +503,7 @@ impl Response {
                 write_u8(out, OP_PAGE)?;
                 write_u64(out, *cursor)?;
                 write_u8(out, *done as u8)?;
-                write_u32(out, rows.len() as u32)?;
-                for row in rows {
-                    write_u32(out, row.len() as u32)?;
-                    for v in row {
-                        write_value(out, v)?;
-                    }
-                }
+                page::write_page(out, rows)?;
             }
             Response::CursorClosed { cursor } => {
                 write_u8(out, OP_CURSOR_CLOSED)?;
@@ -591,18 +591,7 @@ impl Response {
             OP_PAGE => {
                 let cursor = read_u64(&mut r)?;
                 let done = read_u8(&mut r)? != 0;
-                let n = read_count(&mut r, "row")?;
-                let mut rows = Vec::with_capacity(n.min(1024) as usize);
-                // A page's strings repeat: each distinct one is built once.
-                let mut seen = SeenStrings::default();
-                for _ in 0..n {
-                    let w = read_count(&mut r, "column")?;
-                    let mut row = Vec::with_capacity(w.min(64) as usize);
-                    for _ in 0..w {
-                        row.push(read_value_shared(&mut r, &mut seen)?);
-                    }
-                    rows.push(row);
-                }
+                let rows = page::read_page(&mut r)?;
                 Response::Page { cursor, rows, done }
             }
             OP_CURSOR_CLOSED => Response::CursorClosed {

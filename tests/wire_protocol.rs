@@ -1,10 +1,14 @@
-//! Wire-protocol hardening: round-trip properties for every frame type,
-//! and a malformed-input suite against a live server — truncated frames,
-//! oversized length prefixes, CRC corruption, unknown opcodes, and
-//! wrong-state messages must each produce a typed error frame or a clean
-//! close, never a panic and never a leaked session.
+//! Wire-protocol hardening: round-trip properties for every frame type
+//! and for the packed lanes a column page is made of, malformed column
+//! pages, and a malformed-input suite against a live server — truncated
+//! frames, oversized length prefixes, CRC corruption, unknown opcodes,
+//! old protocol versions and wrong-state messages must each produce a
+//! typed error frame or a clean close, never a panic and never a leaked
+//! session.
 
+use aiql::client::{Client, ClientError};
 use aiql::lang::ast::Lit;
+use aiql::model::columns::{width_of, Lanes};
 use aiql::model::Value;
 use aiql::server::proto::{
     frame, ErrorCode, FrameBuffer, FrameError, Request, Response, MAX_FRAME, PROTO_VERSION,
@@ -12,8 +16,8 @@ use aiql::server::proto::{
 use aiql::server::{Server, ServerConfig, ServerHandle};
 use aiql::storage::{EventStore, SharedStore, StoreConfig};
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -185,6 +189,168 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Column pages
+// ---------------------------------------------------------------------------
+
+fn page_of(rows: Vec<Vec<(u8, i64, String)>>) -> Response {
+    Response::Page {
+        cursor: 7,
+        rows: rows
+            .into_iter()
+            .map(|r| r.into_iter().map(|(t, n, s)| value_from(t, n, s)).collect())
+            .collect(),
+        done: true,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `n` offsets under `max` pack at the width that holds `max`, write
+    /// `width` bytes each, and read back as they were — at every width.
+    #[test]
+    fn lanes_round_trip_at_every_width(
+        bits in 0u32..65,
+        n in 0usize..40,
+        seed in 0u64..u64::MAX,
+    ) {
+        let max = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        let off = |i: usize| {
+            let x = seed.wrapping_mul(i as u64 + 1).rotate_left(i as u32);
+            if i == 0 { max } else { x & max }
+        };
+        let lanes = Lanes::pack(max, n, off);
+        let width = width_of(max);
+        prop_assert_eq!(lanes.width(), width);
+        let mut bytes = Vec::new();
+        lanes.write(&mut bytes).unwrap();
+        prop_assert_eq!(bytes.len(), n * width);
+        let back = Lanes::read(&mut &bytes[..], n, width as u8).unwrap();
+        prop_assert_eq!(back.width(), width);
+        for i in 0..n {
+            prop_assert_eq!(back.get(i), off(i));
+        }
+    }
+
+    /// A valid column page cut short at any point is an error, and one with
+    /// any byte changed (its CRC bypassed) decodes or is an error: neither
+    /// panics.
+    #[test]
+    fn corrupt_column_pages_never_panic(
+        rows in prop::collection::vec(
+            prop::collection::vec((0u8..5, -900i64..900, "[a-c]{0,3}"), 0..4),
+            0..6,
+        ),
+        mask in 1u16..256,
+    ) {
+        let page = page_of(rows);
+        let payload = page.encode().unwrap();
+        prop_assert_eq!(Response::decode(&payload).unwrap(), page);
+        for cut in 0..payload.len() {
+            prop_assert!(Response::decode(&payload[..cut]).is_err(), "cut at {}", cut);
+        }
+        for at in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[at] ^= mask as u8;
+            let _ = Response::decode(&flipped);
+        }
+    }
+}
+
+/// A `Page` payload: the response header of a real page, then `body`.
+fn page_payload(body: &[u8]) -> Vec<u8> {
+    let empty = Response::Page {
+        cursor: 7,
+        rows: Vec::new(),
+        done: true,
+    };
+    let mut payload = empty.encode().unwrap();
+    // Opcode, cursor, done; the body of an empty page follows.
+    payload.truncate(1 + 8 + 1);
+    payload.extend_from_slice(body);
+    payload
+}
+
+/// A frame of reference: base, offset width, offsets.
+fn frame_bytes(base: i64, width: u8, offsets: &[u8]) -> Vec<u8> {
+    let mut out = base.to_le_bytes().to_vec();
+    out.push(width);
+    out.extend_from_slice(offsets);
+    out
+}
+
+/// `rows` rows, each one column wide, then `column`.
+fn one_column_page(rows: u32, column: &[u8]) -> Vec<u8> {
+    let mut body = rows.to_le_bytes().to_vec();
+    body.extend(frame_bytes(1, 0, &[]));
+    body.extend_from_slice(column);
+    page_payload(&body)
+}
+
+const INT: u8 = 1;
+const STR: u8 = 2;
+const NULLS: u8 = 0x80;
+
+fn invalid_data(payload: &[u8]) -> io::Error {
+    let err = Response::decode(payload).expect_err("a malformed page");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    err
+}
+
+#[test]
+fn malformed_column_pages_are_invalid_data() {
+    let int_column = |width: u8, offsets: &[u8]| {
+        let mut c = vec![INT];
+        c.extend(frame_bytes(5, width, offsets));
+        c
+    };
+    // The layout these cases corrupt: two rows, one Int column, 5 + 0 and
+    // 5 + 3.
+    let valid = one_column_page(2, &int_column(1, &[0, 3]));
+    assert_eq!(
+        Response::decode(&valid).unwrap(),
+        Response::Page {
+            cursor: 7,
+            rows: vec![vec![Value::Int(5)], vec![Value::Int(8)]],
+            done: true,
+        }
+    );
+
+    // An offset width outside {0, 1, 2, 4, 8}.
+    invalid_data(&one_column_page(2, &int_column(3, &[0; 6])));
+    // Short lanes: two 8-byte offsets, one present.
+    invalid_data(&one_column_page(2, &int_column(8, &[0; 8])));
+    // A string code past the page's strings: one string, code 1.
+    let mut strs = vec![STR];
+    strs.extend(1u32.to_le_bytes());
+    strs.extend(1u32.to_le_bytes());
+    strs.push(b'a');
+    strs.extend(frame_bytes(1, 0, &[]));
+    invalid_data(&one_column_page(1, &strs));
+    strs.truncate(strs.len() - 9);
+    strs.extend(frame_bytes(0, 0, &[]));
+    assert!(Response::decode(&one_column_page(1, &strs)).is_ok());
+    // A null bitmap shorter than the column: nine rows need two bytes.
+    invalid_data(&one_column_page(9, &[INT | NULLS, 0xFF]));
+    // An unknown column kind.
+    invalid_data(&one_column_page(2, &[9]));
+    // Trailing bytes.
+    let mut long = valid.clone();
+    long.push(0);
+    invalid_data(&long);
+}
+
+#[test]
+fn a_tiny_page_cannot_claim_millions_of_rows() {
+    // 33 bytes claiming 2^22 one-Int rows, every frame zero-width: decoded,
+    // ≈ 200 MB of rows and values. Refused before anything is allocated.
+    let payload = one_column_page(1 << 22, &[&[INT][..], &frame_bytes(0, 0, &[])].concat());
+    assert_eq!(payload.len(), 33);
+    let err = invalid_data(&payload);
+    assert!(err.to_string().contains("rows"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
 // Malformed input against a live server
 // ---------------------------------------------------------------------------
 
@@ -342,6 +508,69 @@ fn unknown_opcode_gets_typed_error_and_close() {
         ),
         "got {responses:?}"
     );
+}
+
+#[test]
+fn old_protocol_version_gets_typed_error_and_close() {
+    let server = spawn_server();
+    let before = server.stats().protocol_errors;
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let hello = Request::Hello {
+        version: 1,
+        tenant: "t".to_string(),
+    };
+    s.write_all(&hello.to_frame().unwrap()).unwrap();
+    let (responses, closed) = read_to_close(&mut s);
+    assert!(closed, "an old version closes the connection");
+    assert!(
+        matches!(
+            responses.as_slice(),
+            [Response::Error {
+                code: ErrorCode::Protocol,
+                ..
+            }]
+        ),
+        "got {responses:?}"
+    );
+    assert_eq!(server.stats().protocol_errors, before + 1);
+}
+
+#[test]
+fn client_refuses_a_server_speaking_another_version() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let old_server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut fb = FrameBuffer::new();
+        let mut buf = [0u8; 256];
+        let hello = loop {
+            if let Some(p) = fb.next_frame().unwrap() {
+                break Request::decode(&p).unwrap();
+            }
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "the client hung up before its Hello");
+            fb.extend(&buf[..n]);
+        };
+        let reply = Response::HelloOk {
+            version: PROTO_VERSION - 1,
+            server: "aiql-server/old".to_string(),
+        };
+        s.write_all(&reply.to_frame().unwrap()).unwrap();
+        hello
+    });
+    let refused = Client::connect(addr, "t");
+    assert!(
+        matches!(&refused, Err(ClientError::Protocol(m)) if m.contains("protocol 1")),
+        "got {:?}",
+        refused.err()
+    );
+    assert!(matches!(
+        old_server.join().unwrap(),
+        Request::Hello {
+            version: PROTO_VERSION,
+            ..
+        }
+    ));
 }
 
 #[test]
