@@ -634,3 +634,55 @@ fn malformed_frames_never_leak_open_sessions() {
         st.active_sessions == 0 && st.active_cursors == 0 && st.active_connections == 0
     });
 }
+
+/// The bytes of one column page, pinned: an `Int` column with a NULL, a
+/// `Str` column whose repeated string is sent once, a `Bool` column, a
+/// `Mixed` column, and ragged rows. The column codec is shared with the
+/// write-ahead log, so a change to it shows here as a changed page.
+#[test]
+fn a_column_page_keeps_its_golden_bytes() {
+    // A result's strings are the dictionary's: one `Arc` per distinct
+    // string.
+    let cmd = Value::str("cmd.exe");
+    let rows = vec![
+        vec![
+            Value::Int(3),
+            cmd.clone(),
+            Value::Bool(true),
+            Value::Float(0.5),
+        ],
+        vec![
+            Value::Null,
+            Value::str("/etc/passwd"),
+            Value::Bool(false),
+            Value::Int(7),
+        ],
+        vec![Value::Int(250), cmd],
+        vec![],
+    ];
+    let page = Response::Page {
+        cursor: 7,
+        rows,
+        done: true,
+    };
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        // Opcode, cursor 7, done.
+        0x85, 7, 0, 0, 0, 0, 0, 0, 0, 1,
+        // Four rows; their widths 4, 4, 2, 0 from base 0 at one byte each.
+        4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4, 4, 2, 0,
+        // Int with a NULL (bitmap 0b10): base 3, offsets 0 and 247.
+        0x81, 0b10, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 247,
+        // Str: two new strings, then codes 0, 1, 0.
+        2, 2, 0, 0, 0,
+        7, 0, 0, 0, b'c', b'm', b'd', b'.', b'e', b'x', b'e',
+        11, 0, 0, 0, b'/', b'e', b't', b'c', b'/', b'p', b'a', b's', b's', b'w', b'd',
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0,
+        // Bool: base 0, offsets 1 and 0.
+        3, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0,
+        // Mixed: Float 0.5, then Int 7, each tagged.
+        5, 3, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F, 2, 7, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    assert_eq!(page.encode().unwrap(), golden);
+    assert_eq!(Response::decode(golden).unwrap(), page);
+}
