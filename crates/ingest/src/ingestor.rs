@@ -279,7 +279,7 @@ impl Ingestor {
     ///
     /// A fresh directory is initialized (empty baseline snapshot + empty
     /// log). An existing one is **recovered** first — newest snapshot plus
-    /// WAL-tail replay, tolerating a torn final record — and ingestion
+    /// WAL-tail replay, tolerating a torn final flush — and ingestion
     /// resumes exactly where the acknowledged stream left off: same store
     /// contents, same per-agent clock-offset estimates, watermark re-derived
     /// from the recovered events. The recovery report is returned for
@@ -527,23 +527,28 @@ impl Ingestor {
             Backend::Plain(_) => None,
         };
 
-        // Log: fold clock samples, correct stamps, encode the flush.
+        // Log the flush in the order of a log frame's sections — every
+        // clock sample, then every entity, then every event — so it is one
+        // frame; each batch's samples are folded before its events are
+        // corrected.
         let mut sync = self.sync.clone();
         let mut dead = Vec::new();
         let mut entities = Vec::new();
         let mut events = Vec::with_capacity(self.queue.iter().map(|b| b.events.len()).sum());
+        if let Some(w) = &mut log {
+            for (agent, sample) in self.queue.iter().flat_map(|b| &b.clock_samples) {
+                w.log_clock_sample(*agent, sample.agent_time, sample.server_time)?;
+            }
+        }
+        for entity in self.queue.iter().flat_map(|b| &b.entities) {
+            match log_row(&mut log, RowRef::Entity(entity))? {
+                None => entities.push(entity),
+                Some(error) => dead.push(DeadLetter::new(RowRef::Entity(entity), error)),
+            }
+        }
         for batch in &self.queue {
             for (agent, sample) in &batch.clock_samples {
-                if let Some(w) = &mut log {
-                    w.log_clock_sample(*agent, sample.agent_time, sample.server_time)?;
-                }
                 sync.record(*agent, *sample);
-            }
-            for entity in &batch.entities {
-                match log_row(&mut log, RowRef::Entity(entity))? {
-                    None => entities.push(entity),
-                    Some(error) => dead.push(DeadLetter::new(RowRef::Entity(entity), error)),
-                }
             }
             // Events are plain-old-data (no heap fields), so the corrected
             // copy per row is cheap.

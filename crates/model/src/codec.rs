@@ -1,11 +1,15 @@
 //! Length-prefixed binary codecs for the durable store.
 //!
-//! The write-ahead log (`aiql-wal`) and the snapshot files of
-//! `aiql-storage` persist model objects in a compact little-endian binary
-//! form. Everything here is deliberately boring: fixed-width integers,
-//! `u32`-length-prefixed byte strings, and one tag byte per variant, so a
-//! record can be decoded without any schema negotiation and a truncated
-//! buffer fails cleanly with [`std::io::ErrorKind::UnexpectedEof`].
+//! The snapshot files of `aiql-storage` persist model objects in a
+//! compact little-endian binary form, and so did the write-ahead log's
+//! version-1 segments, one record per frame, which `aiql-wal` still reads.
+//! The log no longer writes with this codec: today it keeps a flush as
+//! one frame of columns ([`crate::columns`]), and borrows only the string,
+//! value and code helpers here. Everything here is deliberately boring:
+//! fixed-width integers, `u32`-length-prefixed byte strings, and one tag
+//! byte per variant, so a record can be decoded without any schema
+//! negotiation and a truncated buffer fails cleanly with
+//! [`std::io::ErrorKind::UnexpectedEof`].
 //!
 //! Malformed input (an unknown tag, invalid UTF-8, an out-of-range code)
 //! decodes to [`std::io::ErrorKind::InvalidData`] — corruption is an error,

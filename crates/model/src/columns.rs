@@ -1,21 +1,49 @@
 //! Narrow integer vectors and their byte form: the offsets of a
 //! frame-of-reference column ([`Frame`]), and position arrays, at the
 //! narrowest of 0, 1, 2, 4 or 8 bytes that holds their greatest value,
-//! with the fixed-width little-endian reads and writes that keep them.
+//! with the fixed-width little-endian reads and writes that keep them;
+//! and value columns ([`write_column`], [`read_column`]) built on them.
 //!
 //! One codec serves the workspace: a sealed chunk's columns and position
-//! arrays in `aiql-rdb` (resident and in snapshots), and the column pages
-//! of the `aiql-server` wire protocol.
+//! arrays in `aiql-rdb` (resident and in snapshots), the column pages of
+//! the `aiql-server` wire protocol, and the column frames of the
+//! `aiql-wal` write-ahead log.
 //!
 //! Code that reads them is written once, generic over the offset type
 //! ([`Lane`]), and instantiated per width through [`lanes!`](crate::lanes!):
 //! a kernel compares its literal, translated once, against the narrow
 //! values themselves, with no decode step.
+//!
+//! A value column holds [`Value`]s of any type, NULLs among them:
+//!
+//! ```text
+//! column  = kind u8 · [null bitmap, ⌈len/8⌉ bytes, if kind has NULLS] · body
+//!   Int     frame of the non-null values
+//!   Str     u32 count · that many new strings (u32 length + UTF-8) · frame of codes
+//!   Bool    frame of the non-null values as 0 / 1
+//!   Float   frame of the non-null values' bits
+//!   Mixed   len tagged values (`codec::write_value`), NULLs among them
+//! frame(n) = base i64 · width u8 · n offsets of `width` bytes
+//! ```
+//!
+//! A NULL is a bit in the column's bitmap and takes no slot in its frame,
+//! so it neither widens nor shifts the frame. A column whose non-null
+//! values have more than one type is `Mixed`. Strings are coded across
+//! the columns that share a [`Strings`] table: a `Str` column lists the
+//! strings the table has not sent yet, and its codes index every string
+//! sent so far.
 
+use crate::codec::{read_len, read_u32, read_u8, read_value};
+use crate::codec::{write_str, write_u32, write_u8, write_value};
+use crate::value::Value;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt::Debug;
+use std::hash::{BuildHasher, Hash};
 use std::io::{self, Read, Write};
 use std::mem::size_of;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Cap on the capacity a decoded count may reserve up front: a corrupt
 /// count fails on its first missing entry instead of allocating for all
@@ -318,6 +346,278 @@ impl Frame {
         }
         Ok(Frame { base, lanes })
     }
+
+    /// Appends every value to `out`, in order.
+    pub fn extend_into(&self, out: &mut Vec<i64>) {
+        lanes!(&self.lanes, v => out.extend(v.iter().map(|x| at(self.base, x))));
+    }
+}
+
+/// Writes `vals` as a frame from their least; `dense` packs the offsets
+/// at one byte at least.
+pub fn write_frame(out: &mut Vec<u8>, vals: &[i64], dense: bool) {
+    let (min, max) = match vals.iter().copied().min() {
+        Some(min) => (min, vals.iter().copied().max().unwrap_or(min)),
+        None => (0, 0),
+    };
+    write_frame_spanning(out, vals, min, max, dense);
+}
+
+/// [`write_frame`] for `vals` whose least is `min` and greatest `max`,
+/// as a caller that tracked them while collecting the values knows: one
+/// pass over the values, each written at the width `max - min` needs.
+/// The bytes are those of [`Frame::write`] over [`Lanes::pack`].
+pub fn write_frame_spanning(out: &mut Vec<u8>, vals: &[i64], min: i64, max: i64, dense: bool) {
+    let width = width_of((max.wrapping_sub(min) as u64).max(dense as u64));
+    out.extend_from_slice(&min.to_le_bytes());
+    out.push(width as u8);
+    out.reserve(vals.len() * width);
+    let off = |v: &i64| v.wrapping_sub(min) as u64;
+    match width {
+        0 => {}
+        1 => out.extend(vals.iter().map(|v| off(v) as u8)),
+        2 => (vals.iter()).for_each(|v| out.extend_from_slice(&(off(v) as u16).to_le_bytes())),
+        4 => (vals.iter()).for_each(|v| out.extend_from_slice(&(off(v) as u32).to_le_bytes())),
+        _ => (vals.iter()).for_each(|v| out.extend_from_slice(&off(v).to_le_bytes())),
+    }
+}
+
+const INT: u8 = 1;
+const STR: u8 = 2;
+const BOOL: u8 = 3;
+const FLOAT: u8 = 4;
+const MIXED: u8 = 5;
+/// Set on a kind byte when a null bitmap follows it.
+const NULLS: u8 = 0x80;
+
+/// A value's column kind. A NULL takes no slot and counts as `Int`, the
+/// kind an all-NULL column is written as. Inlined: it runs twice a value
+/// in [`write_column`], which other crates instantiate.
+#[inline]
+fn kind_of(v: &Value) -> u8 {
+    match v {
+        Value::Int(_) | Value::Null => INT,
+        Value::Str(_) => STR,
+        Value::Bool(_) => BOOL,
+        Value::Float(_) => FLOAT,
+    }
+}
+
+/// How a [`Strings`] table tells two strings apart.
+pub trait StrKey<'a>: Eq + Hash {
+    /// The hasher of the table's keys.
+    type Hasher: BuildHasher + Default;
+    /// The key of `s`.
+    fn of(s: &'a Arc<str>) -> Self;
+}
+
+/// Strings keyed by their text: equal strings share a code whatever
+/// allocation holds them.
+impl<'a> StrKey<'a> for &'a str {
+    type Hasher = RandomState;
+    fn of(s: &'a Arc<str>) -> &'a str {
+        s
+    }
+}
+
+/// The strings a run of columns has coded, in first-use order: a
+/// string's code is its position. The codes depend on the order strings
+/// are met in, never on the key's hash.
+pub struct Strings<'a, K: StrKey<'a>> {
+    codes: HashMap<K, u32, K::Hasher>,
+    list: Vec<&'a str>,
+}
+
+impl<'a, K: StrKey<'a>> Default for Strings<'a, K> {
+    fn default() -> Self {
+        Strings {
+            codes: HashMap::default(),
+            list: Vec::new(),
+        }
+    }
+}
+
+impl<'a, K: StrKey<'a>> Strings<'a, K> {
+    /// The code of `s`, coding it if it is new.
+    pub fn code(&mut self, s: &'a Arc<str>) -> i64 {
+        let next = self.list.len() as u32;
+        let code = *self.codes.entry(K::of(s)).or_insert(next);
+        if code == next {
+            self.list.push(s);
+        }
+        code as i64
+    }
+}
+
+/// Writes the values of `column` as one value column (see the module
+/// docs), coding its strings in `strings`; `dense` writes it `Mixed`, so
+/// each value costs a byte at least. Fails only on a string over
+/// [`codec::MAX_LEN`](crate::codec::MAX_LEN).
+pub fn write_column<'a, K: StrKey<'a>>(
+    out: &mut Vec<u8>,
+    column: impl Iterator<Item = &'a Value> + Clone,
+    strings: &mut Strings<'a, K>,
+    dense: bool,
+) -> io::Result<()> {
+    let (mut len, mut nulls, mut kind, mut mixed) = (0usize, 0, None, dense);
+    for v in column.clone() {
+        len += 1;
+        if v.is_null() {
+            nulls += 1;
+        } else {
+            mixed |= *kind.get_or_insert(kind_of(v)) != kind_of(v);
+        }
+    }
+    if mixed {
+        write_u8(out, MIXED)?;
+        for v in column {
+            write_value(out, v)?;
+        }
+        return Ok(());
+    }
+    let kind = kind.unwrap_or(INT);
+    if nulls == 0 {
+        write_u8(out, kind)?;
+    } else {
+        write_u8(out, kind | NULLS)?;
+        let mut bitmap = vec![0u8; len.div_ceil(8)];
+        for (i, v) in column.clone().enumerate() {
+            bitmap[i / 8] |= (v.is_null() as u8) << (i % 8);
+        }
+        out.extend_from_slice(&bitmap);
+    }
+    let sent = strings.list.len();
+    let bits: Vec<i64> = column
+        .filter_map(|v| match v {
+            Value::Null => None,
+            Value::Int(i) => Some(*i),
+            Value::Bool(b) => Some(*b as i64),
+            Value::Float(x) => Some(x.to_bits() as i64),
+            Value::Str(s) => Some(strings.code(s)),
+        })
+        .collect();
+    if kind == STR {
+        write_u32(out, (strings.list.len() - sent) as u32)?;
+        for s in &strings.list[sent..] {
+            write_str(out, s)?;
+        }
+    }
+    write_frame(out, &bits, false);
+    Ok(())
+}
+
+/// Reads a value column of `len` values, handing each to `sink` in order;
+/// `strings` holds the strings the columns before it sent, and gains the
+/// ones it sends. Malformed input — a frame width outside
+/// {0, 1, 2, 4, 8}, a string code past the strings sent, a frame, bitmap
+/// or string shorter than it claims, an unknown column kind — is
+/// `InvalidData`, or `UnexpectedEof` where the input ends first.
+pub fn read_column(
+    r: &mut &[u8],
+    len: usize,
+    strings: &mut Vec<Arc<str>>,
+    mut sink: impl FnMut(Value),
+) -> io::Result<()> {
+    let kind = read_u8(r)?;
+    if kind == MIXED {
+        for _ in 0..len {
+            sink(read_value(r)?);
+        }
+        return Ok(());
+    }
+    if ![INT, STR, BOOL, FLOAT].contains(&(kind & !NULLS)) {
+        return Err(invalid(format!("unknown column kind {kind:#04x}")));
+    }
+    let nulls = match kind & NULLS {
+        0 => None,
+        _ => Some(take(r, len.div_ceil(8))?),
+    };
+    let is_null = |i: usize| nulls.is_some_and(|b| b[i / 8] >> (i % 8) & 1 == 1);
+    let present = (0..len).filter(|&i| !is_null(i)).count();
+    if kind & !NULLS == STR {
+        let fresh = read_u32(r)? as usize;
+        if fresh > r.len() / 4 {
+            return Err(invalid(format!(
+                "{fresh} strings in a {}-byte rest",
+                r.len()
+            )));
+        }
+        strings.reserve(fresh);
+        for _ in 0..fresh {
+            strings.push(read_text(r)?);
+        }
+    }
+    let frame = Frame::read(r, present)?;
+    // Each value goes to the next slot whose bit is clear.
+    let mut slot = 0;
+    let mut put = |v: Value| {
+        while is_null(slot) {
+            sink(Value::Null);
+            slot += 1;
+        }
+        sink(v);
+        slot += 1;
+    };
+    match kind & !NULLS {
+        INT => each(&frame, |bits| Ok(Value::Int(bits)), &mut put)?,
+        FLOAT => each(
+            &frame,
+            |bits| Ok(Value::Float(f64::from_bits(bits as u64))),
+            &mut put,
+        )?,
+        BOOL => each(
+            &frame,
+            |bits| match bits {
+                0 | 1 => Ok(Value::Bool(bits == 1)),
+                _ => Err(invalid(format!("bool value {bits}"))),
+            },
+            &mut put,
+        )?,
+        _ => each(
+            &frame,
+            |code| match usize::try_from(code).ok().and_then(|c| strings.get(c)) {
+                Some(s) => Ok(Value::Str(s.clone())),
+                None => Err(invalid(format!("string code {code} past the strings sent"))),
+            },
+            &mut put,
+        )?,
+    }
+    for _ in slot..len {
+        sink(Value::Null);
+    }
+    Ok(())
+}
+
+/// One length-prefixed string, built once.
+fn read_text(r: &mut &[u8]) -> io::Result<Arc<str>> {
+    let len = read_len(r)?;
+    let text =
+        std::str::from_utf8(take(r, len)?).map_err(|_| invalid("invalid UTF-8 in string"))?;
+    Ok(text.into())
+}
+
+/// The next `n` bytes of `r`; `UnexpectedEof` when fewer are left.
+#[inline]
+pub fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
+    if r.len() < n {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    let (head, rest) = r.split_at(n);
+    *r = rest;
+    Ok(head)
+}
+
+/// Hands `value` of each of `frame`'s values to `put`, in order: one
+/// loop per offset width.
+fn each(
+    frame: &Frame,
+    value: impl Fn(i64) -> io::Result<Value>,
+    mut put: impl FnMut(Value),
+) -> io::Result<()> {
+    lanes!(&frame.lanes, v => for x in v {
+        put(value(at(frame.base, x))?);
+    });
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,29 +3,20 @@
 //!
 //! ```text
 //! page    = rows u32 · frame(rows) of the row widths · column*
-//! column  = kind u8 · [null bitmap, ⌈len/8⌉ bytes, if kind has NULLS] · body
-//!   Int     frame of the non-null values
-//!   Str     u32 count · that many new strings (u32 length + UTF-8) · frame of codes
-//!   Bool    frame of the non-null values as 0 / 1
-//!   Float   frame of the non-null values' bits
-//!   Mixed   len tagged values (`codec::write_value`), NULLs among them
-//! frame(n) = base i64 · width u8 · n offsets of `width` bytes
 //! ```
 //!
-//! A frame is the frame of reference of [`aiql_model::columns`]: the least
-//! value, then each value's offset from it at the narrowest of 0, 1, 2, 4
-//! or 8 bytes that holds the greatest ([`Lanes`]). Column `j` holds the
-//! `j`-th value of every row wider than `j`, in row order, so a
-//! rectangular page's widths take width 0 and a ragged page still
-//! round-trips. A NULL is a bit in the column's bitmap and takes no slot in
-//! its frame, so it neither widens nor shifts the frame. A column whose
-//! non-null values have more than one type is `Mixed`.
+//! Each column is a value column of [`aiql_model::columns`]: a kind byte,
+//! a null bitmap when the column holds NULLs, then a frame of reference —
+//! the least value, then each value's offset from it at the narrowest of
+//! 0, 1, 2, 4 or 8 bytes that holds the greatest — or a string table plus
+//! codes, or `Mixed` tagged values. Column `j` holds the `j`-th value of
+//! every row wider than `j`, in row order, so a rectangular page's widths
+//! take width 0 and a ragged page still round-trips.
 //!
-//! Strings are coded page-wide: a `Str` column lists the strings the page
-//! has not sent yet, and its codes index every string sent so far. The
-//! encoder keys them by their `Arc`: a result's strings are the
-//! dictionary's, one `Arc` per distinct string, so each is sent — and
-//! built by the decoder — once per page.
+//! Strings are coded page-wide: one [`Strings`] table serves every column
+//! of a page. The encoder keys it by the string's `Arc`: a result's
+//! strings are the dictionary's, one `Arc` per distinct string, so each is
+//! sent — and built by the decoder — once per page.
 //!
 //! Zero-width frames decode to values no byte of the page pays for, so
 //! the decoder refuses a page that would take more than [`EXPANSION`]
@@ -35,24 +26,13 @@
 //! byte, every column `Mixed`, so each row and value costs a byte.
 
 use super::{bad, read_count, WireRow, MAX_ITEMS};
-use aiql_model::codec::{read_len, read_u32, read_u8, read_value};
-use aiql_model::codec::{write_str, write_u32, write_u8, write_value};
-use aiql_model::columns::{at, Frame, Lanes};
-use aiql_model::lanes;
+use aiql_model::codec::write_u32;
+use aiql_model::columns::{read_column, write_column, write_frame, Frame, StrKey, Strings};
 use aiql_model::Value;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::mem::size_of;
 use std::sync::Arc;
-
-const INT: u8 = 1;
-const STR: u8 = 2;
-const BOOL: u8 = 3;
-const FLOAT: u8 = 4;
-const MIXED: u8 = 5;
-/// Set on a kind byte when a null bitmap follows it.
-const NULLS: u8 = 0x80;
 
 /// Decoded bytes a page may take per byte it arrived in.
 const EXPANSION: usize = 64;
@@ -87,8 +67,8 @@ fn write_columns(out: &mut Vec<u8>, rows: &[WireRow], dense: bool) -> io::Result
     }
     write_u32(out, rows.len() as u32)?;
     let widths: Vec<i64> = rows.iter().map(|r| r.len() as i64).collect();
-    write_frame(out, &widths, dense)?;
-    let mut strings = Strings::default();
+    write_frame(out, &widths, dense);
+    let mut strings = Strings::<Addr>::default();
     for j in 0..widths.iter().copied().max().unwrap_or(0) as usize {
         write_column(
             out,
@@ -100,96 +80,16 @@ fn write_columns(out: &mut Vec<u8>, rows: &[WireRow], dense: bool) -> io::Result
     Ok(())
 }
 
-/// Writes `vals` as a frame from their least; `dense` packs the offsets
-/// at one byte at least.
-fn write_frame(out: &mut Vec<u8>, vals: &[i64], dense: bool) -> io::Result<()> {
-    let base = vals.iter().copied().min().unwrap_or(0);
-    let off = |i: usize| vals[i].wrapping_sub(base) as u64;
-    let span = (0..vals.len()).map(off).max().unwrap_or(0);
-    let lanes = Lanes::pack(span.max(dense as u64), vals.len(), off);
-    Frame { base, lanes }.write(out)
-}
+/// A string keyed by the address of its `Arc` payload (a live
+/// allocation's address is its own), so a lookup hashes one word, not the
+/// text.
+#[derive(PartialEq, Eq, Hash)]
+struct Addr(usize);
 
-/// A value's column kind. A NULL takes no slot and counts as `Int`, the
-/// kind an all-NULL column is sent as.
-fn kind_of(v: &Value) -> u8 {
-    match v {
-        Value::Int(_) | Value::Null => INT,
-        Value::Str(_) => STR,
-        Value::Bool(_) => BOOL,
-        Value::Float(_) => FLOAT,
-    }
-}
-
-fn write_column<'a>(
-    out: &mut Vec<u8>,
-    column: impl Iterator<Item = &'a Value> + Clone,
-    strings: &mut Strings<'a>,
-    dense: bool,
-) -> io::Result<()> {
-    let (mut len, mut nulls, mut kind, mut mixed) = (0usize, 0, None, dense);
-    for v in column.clone() {
-        len += 1;
-        if v.is_null() {
-            nulls += 1;
-        } else {
-            mixed |= *kind.get_or_insert(kind_of(v)) != kind_of(v);
-        }
-    }
-    if mixed {
-        write_u8(out, MIXED)?;
-        for v in column {
-            write_value(out, v)?;
-        }
-        return Ok(());
-    }
-    let kind = kind.unwrap_or(INT);
-    if nulls == 0 {
-        write_u8(out, kind)?;
-    } else {
-        write_u8(out, kind | NULLS)?;
-        let mut bitmap = vec![0u8; len.div_ceil(8)];
-        for (i, v) in column.clone().enumerate() {
-            bitmap[i / 8] |= (v.is_null() as u8) << (i % 8);
-        }
-        out.extend_from_slice(&bitmap);
-    }
-    let sent = strings.list.len();
-    let bits: Vec<i64> = column
-        .filter_map(|v| match v {
-            Value::Null => None,
-            Value::Int(i) => Some(*i),
-            Value::Bool(b) => Some(*b as i64),
-            Value::Float(x) => Some(x.to_bits() as i64),
-            Value::Str(s) => Some(strings.code(s)),
-        })
-        .collect();
-    if kind == STR {
-        write_u32(out, (strings.list.len() - sent) as u32)?;
-        for s in &strings.list[sent..] {
-            write_str(out, s)?;
-        }
-    }
-    write_frame(out, &bits, false)
-}
-
-/// The strings a page has coded, keyed by the address of their `Arc`
-/// payload (a live allocation's address is its own), so a lookup hashes
-/// one word, not the text.
-#[derive(Default)]
-struct Strings<'a> {
-    codes: HashMap<usize, u32, BuildHasherDefault<AddrHasher>>,
-    list: Vec<&'a str>,
-}
-
-impl<'a> Strings<'a> {
-    fn code(&mut self, s: &'a Arc<str>) -> i64 {
-        let next = self.list.len() as u32;
-        let code = *self.codes.entry(s.as_ptr() as usize).or_insert(next);
-        if code == next {
-            self.list.push(s);
-        }
-        code as i64
+impl<'a> StrKey<'a> for Addr {
+    type Hasher = BuildHasherDefault<AddrHasher>;
+    fn of(s: &'a Arc<str>) -> Addr {
+        Addr(s.as_ptr() as usize)
     }
 }
 
@@ -269,112 +169,13 @@ fn read_columns(r: &mut &[u8]) -> io::Result<Vec<WireRow>> {
     Ok(rows)
 }
 
-/// Reads a column of `len` values, handing each to `sink` in order.
-fn read_column(
-    r: &mut &[u8],
-    len: usize,
-    strings: &mut Vec<Arc<str>>,
-    mut sink: impl FnMut(Value),
-) -> io::Result<()> {
-    let kind = read_u8(r)?;
-    if kind == MIXED {
-        for _ in 0..len {
-            sink(read_value(r)?);
-        }
-        return Ok(());
-    }
-    if ![INT, STR, BOOL, FLOAT].contains(&(kind & !NULLS)) {
-        return Err(bad(format!("unknown column kind {kind:#04x}")));
-    }
-    let nulls = match kind & NULLS {
-        0 => None,
-        _ => Some(take(r, len.div_ceil(8))?),
-    };
-    let is_null = |i: usize| nulls.is_some_and(|b| b[i / 8] >> (i % 8) & 1 == 1);
-    let present = (0..len).filter(|&i| !is_null(i)).count();
-    if kind & !NULLS == STR {
-        let fresh = read_u32(r)? as usize;
-        if fresh > r.len() / 4 {
-            return Err(bad(format!("{fresh} strings in a {}-byte rest", r.len())));
-        }
-        strings.reserve(fresh);
-        for _ in 0..fresh {
-            strings.push(read_text(r)?);
-        }
-    }
-    let frame = Frame::read(r, present)?;
-    // Each value goes to the next slot whose bit is clear.
-    let mut slot = 0;
-    let mut put = |v: Value| {
-        while is_null(slot) {
-            sink(Value::Null);
-            slot += 1;
-        }
-        sink(v);
-        slot += 1;
-    };
-    match kind & !NULLS {
-        INT => each(&frame, |bits| Ok(Value::Int(bits)), &mut put)?,
-        FLOAT => each(
-            &frame,
-            |bits| Ok(Value::Float(f64::from_bits(bits as u64))),
-            &mut put,
-        )?,
-        BOOL => each(
-            &frame,
-            |bits| match bits {
-                0 | 1 => Ok(Value::Bool(bits == 1)),
-                _ => Err(bad(format!("bool value {bits}"))),
-            },
-            &mut put,
-        )?,
-        _ => each(
-            &frame,
-            |code| match usize::try_from(code).ok().and_then(|c| strings.get(c)) {
-                Some(s) => Ok(Value::Str(s.clone())),
-                None => Err(bad(format!("string code {code} past the page's strings"))),
-            },
-            &mut put,
-        )?,
-    }
-    for _ in slot..len {
-        sink(Value::Null);
-    }
-    Ok(())
-}
-
-/// One length-prefixed string, built once.
-fn read_text(r: &mut &[u8]) -> io::Result<Arc<str>> {
-    let len = read_len(r)?;
-    let text = std::str::from_utf8(take(r, len)?).map_err(|_| bad("invalid UTF-8 in string"))?;
-    Ok(text.into())
-}
-
-fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
-    if r.len() < n {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    let (head, rest) = r.split_at(n);
-    *r = rest;
-    Ok(head)
-}
-
-/// Hands `value` of each of `frame`'s values to `put`, in order: one
-/// loop per offset width.
-fn each(
-    frame: &Frame,
-    value: impl Fn(i64) -> io::Result<Value>,
-    mut put: impl FnMut(Value),
-) -> io::Result<()> {
-    lanes!(&frame.lanes, v => for x in v {
-        put(value(at(frame.base, x))?);
-    });
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A value column's kind byte for `Int`, and its NULLs flag.
+    const INT: u8 = 1;
+    const NULLS: u8 = 0x80;
 
     fn encode(rows: &[WireRow]) -> Vec<u8> {
         let mut out = Vec::new();

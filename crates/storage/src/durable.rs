@@ -5,9 +5,10 @@
 //! protocol:
 //!
 //! - **flush** ([`DurableWrite`]): *log, commit, apply*. Every row of the
-//!   flush is first encoded into the log's buffer ([`DurableWrite::log`]);
-//!   [`DurableWrite::commit`] hands the buffer to the log in one
-//!   `write(2)`, fsyncs — the acknowledgement point — and only then runs
+//!   flush is first logged into the log's open column frame
+//!   ([`DurableWrite::log`]); [`DurableWrite::commit`] encodes the frame,
+//!   hands it to the log in one `write(2)`, fsyncs — the acknowledgement
+//!   point — and only then runs
 //!   the caller's apply step against the head store and publishes. Nothing
 //!   touches the head before the log has it, so a failed write or fsync
 //!   leaves the head exactly where it was and the caller free to retry the
@@ -24,7 +25,7 @@
 //! - **recover**: [`DurableStore::open`] on an existing directory loads
 //!   the newest valid snapshot, then applies the WAL tail record by record
 //!   as the single segment scan that positions the log writer yields it
-//!   (tolerating a torn final record) — through [`EventStore::apply`], the
+//!   (tolerating a torn final flush) — through [`EventStore::apply`], the
 //!   function a live flush applies its rows with — and hands back the
 //!   rebuilt synchronizer so ingestion resumes with the same per-agent
 //!   clock offsets.
@@ -229,7 +230,7 @@ impl DurableStore {
     }
 }
 
-/// One durable flush: rows are **logged** (encoded into the log's buffer),
+/// One durable flush: rows are **logged** (kept in the log's open frame),
 /// then [`DurableWrite::commit`] writes and fsyncs the buffer, and only
 /// then **applies** the rows to the private head store and **publishes**
 /// it to readers.
@@ -241,7 +242,7 @@ pub struct DurableWrite<'a> {
 }
 
 impl DurableWrite<'_> {
-    /// Encodes one row into the flush (timestamps of an event must already
+    /// Logs one row into the flush (timestamps of an event must already
     /// be corrected — the log holds server time). A
     /// [`PersistError::Storage`] error means the log's codec refused the
     /// *row* (a field over its caps): nothing of it is logged, the flush
@@ -266,7 +267,7 @@ impl DurableWrite<'_> {
         }
     }
 
-    /// Encodes one raw clock sample into the flush (log-only; the caller
+    /// Logs one raw clock sample into the flush (log-only; the caller
     /// folds it into its synchronizer once the flush commits).
     pub fn log_clock_sample(
         &mut self,
@@ -307,8 +308,8 @@ impl DurableWrite<'_> {
 impl Drop for DurableWrite<'_> {
     fn drop(&mut self) {
         if !self.committed {
-            // Frames of an abandoned flush must not ride along with the
-            // next one: its rows were never applied.
+            // Rows of an abandoned flush must not ride along with the next
+            // one: they were never applied.
             self.wal.discard_flush();
         }
     }

@@ -354,8 +354,8 @@ pub struct RecoveryReport {
     /// the original path too, so skipping them reproduces the crashed
     /// store's contents).
     pub skipped_rows: usize,
-    /// Bytes discarded after the last valid WAL record (a torn final
-    /// record from a crash mid-write; 0 on a clean shutdown).
+    /// Bytes discarded after the last valid WAL frame (a torn final
+    /// flush from a crash mid-write; 0 on a clean shutdown).
     pub torn_bytes: u64,
     /// Snapshot files that failed validation and were passed over.
     pub corrupt_snapshots: usize,

@@ -1,33 +1,48 @@
 //! Append-only, CRC-checksummed, segmented write-ahead log with group
-//! commit.
+//! commit, one column frame per flush.
 //!
 //! The durable store logs every accepted flush here *before* applying it
 //! in memory, so a crash loses at most the un-synced tail of the log. The
-//! format is deliberately simple and self-describing:
+//! format is self-describing:
 //!
 //! - the log is a directory of fixed-prefix segment files
 //!   (`seg-00000001.wal`, `seg-00000002.wal`, …), rolled over once the
 //!   active segment has reached [`WalOptions::segment_bytes`];
-//! - each record is framed as `[u32 payload length][u32 CRC-32 of the
-//!   payload][payload]`, where the payload is a `u64` monotone sequence
-//!   number followed by a tagged [`WalRecord`] body (length-prefixed
-//!   binary encoding, see [`aiql_model::codec`]);
+//! - a segment starts with an 8-byte header, `AIQL` then the `u32`
+//!   version 2 — a first `u32` above the payload cap, so no version-1
+//!   segment starts like one — and holds frames;
+//! - each frame is `[u32 payload length][u32 CRC-32 of the payload]
+//!   [payload]`, and the payload is one flush's rows as columns: the
+//!   first row's `u64` sequence number, the row count of each section,
+//!   then the clock-sample, entity and event sections, each a set of
+//!   frame-of-reference columns ([`aiql_model::columns`]; the layout is
+//!   in `crates/wal/src/frame.rs`). Row `i` of a frame has sequence number
+//!   `first + i`: the numbers are per row, and implied;
+//! - a version-1 segment (one frame per record, `[u32 length][u32 CRC]
+//!   [u64 sequence number][tagged record body]`) still replays; opening a
+//!   log whose active segment is version 1 starts a new segment before
+//!   the first append, so no segment mixes the two;
 //! - recovery ([`replay`], [`replay_with`]) reads segments in order and
-//!   stops at the first frame that fails validation — a torn final record
-//!   (partial header, short payload, CRC mismatch, or a non-monotone
-//!   sequence number) is *tolerated*: everything before it is returned,
-//!   the damage is reported as `torn_bytes`, and reopening the log for
-//!   writing truncates the torn bytes away so the next append lands on a
-//!   clean boundary.
+//!   stops at the first frame that fails validation — a torn final frame
+//!   (partial header, short payload, CRC mismatch, a payload that does not
+//!   decode, or a non-monotone sequence number) is *tolerated*: everything
+//!   before it is returned, the damage is reported as `torn_bytes`, and
+//!   reopening the log for writing truncates the torn bytes away so the
+//!   next append lands on a clean boundary. A frame is dropped whole, so
+//!   recovery ends on a flush boundary.
 //!
 //! **Group commit.** The unit of durability is the *flush*: everything
-//! appended between two [`Wal::sync`] calls. An append only assigns the
-//! sequence number and encodes the checksummed frame into a pending
-//! buffer; `sync` hands that buffer to the segment in one `write(2)` and
-//! then fsyncs. (A caller that appends more than ≈ 1 MiB without syncing
-//! has the buffer written early, unsynced, so memory stays bounded.) One
-//! invariant governs every failure: **the segment holds a synced prefix
-//! plus at most the current flush**.
+//! appended between two [`Wal::sync`] calls. An append validates the row,
+//! assigns its sequence number and keeps the row in the open frame;
+//! `sync` encodes the frame — one pass transposes the rows into columns —
+//! checksums it, hands it to the segment in one `write(2)` and then
+//! fsyncs. A frame keeps its sections in order (clock samples, entities,
+//! events), so a row appended after a later section's rows cuts the frame
+//! and opens another within the same flush; a flush appended in that
+//! order is one frame. (Past ≈ 1 MiB of pending rows the frame is cut and
+//! written early, unsynced, so memory stays bounded.) One invariant
+//! governs every failure: **the segment holds a synced prefix plus at
+//! most the current flush**.
 //!
 //! - A failed write — which may have left half a buffer behind — discards
 //!   the *whole* flush: the segment is truncated back to its last synced
@@ -36,15 +51,17 @@
 //!   would have had. If the truncation itself fails the handle is
 //!   poisoned and refuses appends.
 //!   An early write fails from inside an append, so an append can fail two
-//!   ways — this record was refused and the flush stands, or the log
-//!   failed and the flush is gone — and [`AppendError`] tells them apart
-//!   by type.
+//!   ways — this row was refused and the flush stands, or the log failed
+//!   and the flush is gone — and [`AppendError`] tells them apart by type.
 //! - A failed fsync poisons the handle: the kernel may have dropped the
 //!   dirty pages, so a retried fsync that reports `Ok` would acknowledge
 //!   lost data. Reopening re-reads what is actually durable.
 //! - Segments roll over only at a synced boundary (before the first append
 //!   of a flush), so a segment may overshoot `segment_bytes` by one flush
 //!   but a flush is never half in a closed segment.
+//!
+//! A frame's bytes are a function of its rows alone (no clock, no hash
+//! order), so the same flushes leave the same log.
 //!
 //! Sequence numbers never reset, even across [`Wal::truncate`] (the
 //! snapshot-boundary operation that deletes all segments): a snapshot
@@ -57,6 +74,7 @@
 //! segment's dir entry after power loss while a later deletion survives.
 
 mod crc;
+mod frame;
 mod metrics;
 mod record;
 
@@ -65,21 +83,21 @@ pub use crc::crc32;
 pub use record::WalRecord;
 
 use aiql_fault::FaultFile;
+use frame::{Row, Rows, FRAME_HEADER, MAX_PAYLOAD};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// Hard cap on one record's payload, guarding recovery against a corrupt
-/// length field.
-const MAX_PAYLOAD: u32 = 1 << 30;
-
-/// Bytes of framing per record (length + CRC).
-const FRAME_HEADER: usize = 8;
-
-/// Pending frames beyond this are written early (unsynced), so a caller
-/// that appends without syncing buffers at most this much plus one frame.
-/// A shipment-sized flush (≈ 110 KB) never reaches it.
+/// Pending rows (counted by the bytes they may take in a frame) and
+/// encoded frames beyond this are written early (unsynced), so a caller
+/// that appends without syncing buffers at most this much plus one row.
+/// A shipment-sized flush (≈ 100 KB of rows) never reaches it.
 const PENDING_LIMIT: usize = 1 << 20;
+
+/// How every version-2 segment starts: `AIQL`, then the version. Read as
+/// a `u32`, `AIQL` is above [`MAX_PAYLOAD`], where no version-1 segment's
+/// first frame length can be.
+const SEGMENT_HEADER: [u8; 8] = *b"AIQL\x02\0\0\0";
 
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".wal";
@@ -106,7 +124,7 @@ impl Default for WalOptions {
 /// What scanning a log directory found, besides the records themselves.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Scan {
-    /// Bytes discarded after the last valid record (0 on a clean log).
+    /// Bytes discarded after the last valid frame (0 on a clean log).
     pub torn_bytes: u64,
     /// Segment files scanned.
     pub segments: usize,
@@ -122,7 +140,7 @@ pub struct Replay {
 }
 
 impl Replay {
-    /// Whether the log ended mid-record (the crash case recovery tolerates).
+    /// Whether the log ended mid-frame (the crash case recovery tolerates).
     pub fn is_torn(&self) -> bool {
         self.scan.torn_bytes > 0
     }
@@ -136,8 +154,9 @@ impl Replay {
 /// A log's rejection of one append.
 #[derive(Debug)]
 pub enum AppendError {
-    /// The codec refused *this record* (a field or the payload over its
-    /// cap) before a byte of it was buffered: the record leaves nothing
+    /// The codec refused *this record* (a string or attribute count over
+    /// its cap, or a row no frame could hold) before it joined the frame:
+    /// the record leaves nothing
     /// behind and consumes no sequence number, the rest of the flush
     /// stands, and appending the same record again can never succeed.
     Rejected(io::Error),
@@ -228,7 +247,7 @@ fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// Scans one segment's bytes, handing each valid record to `visit` as it
-/// is decoded. Returns the byte offset just past the last valid record and
+/// is decoded. Returns the byte offset just past the last valid frame and
 /// whether scanning stopped early (torn/corrupt tail). `prev_seq` enforces
 /// cross-segment monotonicity.
 fn scan_segment(
@@ -236,7 +255,15 @@ fn scan_segment(
     prev_seq: &mut u64,
     visit: &mut impl FnMut(u64, WalRecord),
 ) -> (usize, bool) {
-    let mut at = 0usize;
+    let (mut at, v1) = match bytes.get(..4) {
+        None => return (0, !bytes.is_empty()),
+        Some(head) if head == &SEGMENT_HEADER[..4] => match bytes.get(..SEGMENT_HEADER.len()) {
+            Some(header) if header == SEGMENT_HEADER => (SEGMENT_HEADER.len(), false),
+            _ => return (0, true),
+        },
+        Some(_) => (0, true),
+    };
+    let mut rows = Vec::new();
     while at + FRAME_HEADER <= bytes.len() {
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
@@ -247,23 +274,30 @@ fn scan_segment(
         if crc32(payload) != crc {
             return (at, true);
         }
-        let mut cursor = payload;
-        let seq = match aiql_model::codec::read_u64(&mut cursor) {
-            Ok(s) => s,
-            Err(_) => return (at, true),
+        rows.clear();
+        let first = match v1 {
+            true => decode_v1(payload, &mut rows),
+            false => frame::decode(payload, &mut rows),
         };
-        if seq <= *prev_seq {
-            return (at, true);
+        match first {
+            Ok(first) if first > *prev_seq => {
+                *prev_seq = first + (rows.len() as u64 - 1);
+                for (i, rec) in rows.drain(..).enumerate() {
+                    visit(first + i as u64, rec);
+                }
+            }
+            _ => return (at, true),
         }
-        let rec = match WalRecord::decode(&mut cursor) {
-            Ok(r) => r,
-            Err(_) => return (at, true),
-        };
-        *prev_seq = seq;
-        visit(seq, rec);
         at += FRAME_HEADER + len as usize;
     }
     (at, at < bytes.len())
+}
+
+/// Decodes a version-1 frame's payload: a sequence number and one record.
+fn decode_v1(mut payload: &[u8], out: &mut Vec<WalRecord>) -> io::Result<u64> {
+    let seq = aiql_model::codec::read_u64(&mut payload)?;
+    out.push(WalRecord::decode_v1(&mut payload)?);
+    Ok(seq)
 }
 
 /// What [`scan_log`] found.
@@ -274,6 +308,8 @@ struct Scanned {
     /// `(index, valid length)` of the last segment holding reachable
     /// records; `None` when the log has no segment.
     end: Option<(u64, u64)>,
+    /// Whether that segment holds version-1 frames.
+    end_is_v1: bool,
 }
 
 /// Scans the segments of `dir` in order, handing every valid record to
@@ -296,6 +332,7 @@ fn scan_log(
         },
         last_seq: 0,
         end: None,
+        end_is_v1: false,
     };
     let mut stopped = false;
     for (idx, path) in &segments {
@@ -309,6 +346,7 @@ fn scan_log(
         let bytes = aiql_fault::fs::read(path, "wal.segment.read")?;
         let (valid_end, torn) = scan_segment(&bytes, &mut out.last_seq, visit);
         out.end = Some((*idx, valid_end as u64));
+        out.end_is_v1 = valid_end > 0 && !bytes.starts_with(&SEGMENT_HEADER);
         if torn {
             out.scan.torn_bytes += (bytes.len() - valid_end) as u64;
             if repair {
@@ -379,28 +417,15 @@ impl WalLock {
             written: 0,
             synced_seq: found.last_seq + 1,
             next_seq: found.last_seq + 1,
+            rows: Box::default(),
             pending: Vec::new(),
             pending_records: 0,
+            v1_active: found.end_is_v1,
             poisoned: false,
             _lock: lock,
         };
         Ok((wal, found.scan))
     }
-}
-
-/// Enforces the replay-side payload cap at write time: an oversized frame
-/// would be fsync-acknowledged yet read back as a tear, and reopen would
-/// then destroy it and every acknowledged record after it.
-fn checked_payload_len(len: usize) -> io::Result<u32> {
-    u32::try_from(len)
-        .ok()
-        .filter(|len| *len <= MAX_PAYLOAD)
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("wal record payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"),
-            )
-        })
 }
 
 fn open_segment(dir: &Path, index: u64) -> io::Result<FaultFile> {
@@ -414,10 +439,9 @@ fn open_segment(dir: &Path, index: u64) -> io::Result<FaultFile> {
 /// The append handle of a write-ahead log directory.
 ///
 /// Opening positions the writer after the last *valid* record (truncating
-/// any torn tail); appends encode frames into the current flush's buffer,
-/// and [`Wal::sync`] — one `write(2)`, one fsync — is the durability
-/// point: a record is acknowledged only once the segment has been fsynced
-/// past it.
+/// any torn tail); appends keep rows in the open frame, and [`Wal::sync`]
+/// — encode, one `write(2)`, one fsync — is the durability point: a
+/// record is acknowledged only once the segment has been fsynced past it.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -435,10 +459,17 @@ pub struct Wal {
     /// to.
     synced_seq: u64,
     next_seq: u64,
-    /// Encoded frames of the current flush not yet written.
+    /// The rows of the open frame, numbered up to `next_seq - 1` (boxed:
+    /// with its scratch lanes it is most of the handle's size).
+    rows: Box<Rows>,
+    /// Encoded frames of the current flush not yet written (and the
+    /// segment header, when they are the segment's first bytes).
     pending: Vec<u8>,
     /// Records in `pending`.
     pending_records: u64,
+    /// Whether the active segment holds version-1 frames: the next append
+    /// starts a new segment.
+    v1_active: bool,
     /// Set when an fsync failed, or a failed write left bytes of a
     /// discarded flush in the segment and truncating them away failed too;
     /// every later append is refused.
@@ -548,9 +579,9 @@ impl Wal {
 
     /// Appends one record to the current flush, returning its sequence
     /// number. Nothing reaches the segment (short of ≈ 1 MiB of pending
-    /// frames) and nothing is durable before the next [`Wal::sync`].
+    /// rows) and nothing is durable before the next [`Wal::sync`].
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<u64> {
-        Ok(self.append_with(|buf| rec.encode(buf))?)
+        Ok(self.append_row(Row::from(rec))?)
     }
 
     /// Appends one event record straight from a reference — the hot
@@ -567,58 +598,80 @@ impl Wal {
         Ok(self.try_append_entity(e)?)
     }
 
-    /// Appends one event record, telling a record the codec refused (the
+    /// Appends one event record, telling a record the log refused (the
     /// flush stands without it) from a log failure (the flush is gone) by
     /// type — an `io::ErrorKind` cannot: a failed `write(2)` may carry any
     /// kind, `InvalidInput` included.
     pub fn try_append_event(&mut self, ev: &aiql_model::Event) -> Result<u64, AppendError> {
-        self.append_with(|buf| WalRecord::encode_event_body(buf, ev))
+        self.append_row(Row::Event(ev))
     }
 
     /// Appends one entity record; errors as [`Wal::try_append_event`].
     pub fn try_append_entity(&mut self, e: &aiql_model::Entity) -> Result<u64, AppendError> {
-        self.append_with(|buf| WalRecord::encode_entity_body(buf, e))
+        self.append_row(Row::Entity(e))
     }
 
-    fn append_with(
+    fn append_row(&mut self, row: Row<'_>) -> Result<u64, AppendError> {
+        let checked = row.bytes();
+        self.append_checked(row, checked)
+    }
+
+    /// Appends `row`, which the caps took at `checked` bytes or refused.
+    fn append_checked(
         &mut self,
-        encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+        row: Row<'_>,
+        checked: io::Result<usize>,
     ) -> Result<u64, AppendError> {
         self.refuse_if_poisoned().map_err(AppendError::Log)?;
+        // A row the caps refuse leaves nothing behind and consumes no
+        // sequence number; the rest of the flush stands.
+        let bytes = checked.map_err(AppendError::Rejected)?;
         // Roll over only where nothing is in flight: a flush is never half
-        // in a closed segment.
-        let in_flight = self.written > 0 || !self.pending.is_empty();
-        if !in_flight && self.synced_len > 0 && self.synced_len >= self.options.segment_bytes {
+        // in a closed segment, and no segment mixes versions.
+        let in_flight = self.written > 0 || !self.pending.is_empty() || !self.rows.is_empty();
+        let full = self.synced_len > 0 && self.synced_len >= self.options.segment_bytes;
+        if !in_flight && (full || self.v1_active) {
             self.rotate().map_err(AppendError::Log)?;
         }
+        if !self.rows.takes(&row, bytes) {
+            self.cut().map_err(AppendError::Log)?;
+        }
+        self.rows.push(row, bytes);
         let seq = self.next_seq;
-        let frame = self.pending.len();
-        self.pending.extend_from_slice(&[0u8; FRAME_HEADER]); // patched below
-        let encoded = aiql_model::codec::write_u64(&mut self.pending, seq)
-            .and_then(|()| encode(&mut self.pending))
-            .and_then(|()| checked_payload_len(self.pending.len() - frame - FRAME_HEADER));
-        let payload_len = match encoded {
-            Ok(len) => len,
-            Err(e) => {
-                // The codec rejected this record: it leaves no byte behind
-                // and consumes no sequence number; the rest of the flush
-                // stands.
-                self.pending.truncate(frame);
-                return Err(AppendError::Rejected(e));
-            }
-        };
-        let crc = crc32(&self.pending[frame + FRAME_HEADER..]);
-        self.pending[frame..frame + 4].copy_from_slice(&payload_len.to_le_bytes());
-        self.pending[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
         self.next_seq = seq + 1;
-        self.pending_records += 1;
-        metrics::metrics()
-            .append_bytes
-            .record((self.pending.len() - frame) as u64);
-        if self.pending.len() >= PENDING_LIMIT {
-            self.write_pending().map_err(AppendError::Log)?;
+        if self.rows.bytes() + self.pending.len() >= PENDING_LIMIT {
+            self.cut()
+                .and_then(|()| self.write_pending())
+                .map_err(AppendError::Log)?;
         }
         Ok(seq)
+    }
+
+    /// Encodes the open frame into the pending bytes — behind the segment
+    /// header when they are the segment's first — and records its size
+    /// and encode time. A failure discards the whole flush.
+    fn cut(&mut self) -> io::Result<()> {
+        if self.rows.is_empty() {
+            return Ok(());
+        }
+        if self.synced_len + self.written == 0 && self.pending.is_empty() {
+            self.pending.extend_from_slice(&SEGMENT_HEADER);
+        }
+        let rows = self.rows.len() as u64;
+        let started = std::time::Instant::now();
+        match self.rows.encode(self.next_seq - rows, &mut self.pending) {
+            Ok(bytes) => {
+                let m = metrics::metrics();
+                m.encode_micros.record_duration(started.elapsed());
+                m.append_bytes.record(bytes as u64);
+                self.pending_records += rows;
+                Ok(())
+            }
+            Err(e) => {
+                self.abandon_flush(self.written > 0);
+                Err(e)
+            }
+        }
     }
 
     /// Hands the pending frames to the segment in one `write(2)`. A
@@ -643,7 +696,7 @@ impl Wal {
     }
 
     /// Discards everything appended since the last [`Wal::sync`]: the
-    /// pending frames are dropped, bytes of the flush already in the
+    /// open frame's rows and the pending frames are dropped, bytes of the flush already in the
     /// segment (an early write, or the torn half of a failed one) are
     /// truncated away, and the sequence rewinds — so the same records,
     /// appended again, get the same numbers and land where replay reaches
@@ -656,6 +709,7 @@ impl Wal {
     }
 
     fn abandon_flush(&mut self, segment_dirty: bool) {
+        self.rows.clear();
         self.pending.clear();
         self.pending_records = 0;
         self.next_seq = self.synced_seq;
@@ -672,9 +726,9 @@ impl Wal {
         }
     }
 
-    /// Makes every appended record durable: one `write(2)` of the pending
-    /// frames, then an fsync of the active segment. Rolled-over segments
-    /// are synced at roll time.
+    /// Makes every appended record durable: the open frame is encoded,
+    /// then one `write(2)` of the pending frames and an fsync of the active
+    /// segment. Rolled-over segments are synced at roll time.
     ///
     /// A failed write discards the flush and leaves the handle usable
     /// (the caller re-appends and syncs again). A failed fsync poisons the
@@ -684,6 +738,7 @@ impl Wal {
     /// re-reads what is actually durable.
     pub fn sync(&mut self) -> io::Result<()> {
         self.refuse_if_poisoned()?;
+        self.cut()?;
         self.write_pending()?;
         let start = std::time::Instant::now();
         if let Err(e) = self.file.sync_data() {
@@ -713,6 +768,7 @@ impl Wal {
         self.file = open_segment(&self.dir, self.segment_index + 1)?;
         self.segment_index += 1;
         self.synced_len = 0;
+        self.v1_active = false;
         if let Err(e) = fsync_dir(&self.dir) {
             self.poison();
             return Err(e);
@@ -747,8 +803,8 @@ impl Wal {
         self.prune_segments_before_current()
     }
 
-    /// Total bytes currently on disk across segments (frames still pending
-    /// in the current flush's buffer are not on disk).
+    /// Total bytes currently on disk across segments (rows and frames of
+    /// the current flush not yet written are not on disk).
     pub fn size_bytes(&self) -> io::Result<u64> {
         let mut total = 0;
         for (_, path) in segment_files(&self.dir)? {
@@ -779,6 +835,16 @@ pub mod testing {
         f.set_len(len - bite)?;
         f.sync_data()?;
         Ok(true)
+    }
+
+    /// Decodes one frame's payload — the bytes after its length and CRC —
+    /// into its rows with their sequence numbers, checking nothing the CRC
+    /// would: how a test hands the decoder bytes the checksum would refuse.
+    pub fn decode_payload(payload: &[u8]) -> io::Result<Vec<(u64, WalRecord)>> {
+        let mut rows = Vec::new();
+        let first = frame::decode(payload, &mut rows)?;
+        let seqs = (0..).map(|i| first + i);
+        Ok(seqs.zip(rows).collect())
     }
 }
 
@@ -826,6 +892,21 @@ mod tests {
             .collect()
     }
 
+    /// Frames across every segment.
+    fn segment_frames(dir: &Path) -> usize {
+        let mut frames = 0;
+        for (_, path) in segment_files(dir).unwrap() {
+            let bytes = fs::read(path).unwrap();
+            let mut at = SEGMENT_HEADER.len();
+            while at < bytes.len() {
+                at += FRAME_HEADER
+                    + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+                frames += 1;
+            }
+        }
+        frames
+    }
+
     /// Every segment's bytes, concatenated in order.
     fn log_bytes(dir: &Path) -> Vec<u8> {
         segment_files(dir)
@@ -865,6 +946,82 @@ mod tests {
         );
         let got: Vec<&WalRecord> = replay.records.iter().map(|(_, r)| r).collect();
         assert_eq!(got, recs.iter().collect::<Vec<_>>());
+        // A frame keeps its sections in order, so the entity after an
+        // event and the clock sample after the entity each cut the frame.
+        assert_eq!(segment_frames(&dir), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flush_in_section_order_is_one_frame_numbered_row_by_row() {
+        let _ctl = control();
+        let dir = tmp("one-frame");
+        let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
+        wal.append(&event(1, 1)).unwrap();
+        wal.sync().unwrap();
+        let recs = vec![
+            WalRecord::ClockSample {
+                agent: AgentId(2),
+                agent_time: i64::MIN,
+                server_time: i64::MAX,
+            },
+            WalRecord::SyncState {
+                agent: AgentId(u32::MAX),
+                sum_diff: -7,
+                count: 3,
+            },
+            WalRecord::Entity(Entity::file(9.into(), AgentId(1), "/x")),
+            WalRecord::Entity(Entity::process(10.into(), AgentId(1), "sh", 4).with_attr("x", 0.5)),
+            event(2, 200),
+            event(3, -5),
+        ];
+        for (seq, r) in (2..).zip(&recs) {
+            assert_eq!(wal.append(r).unwrap(), seq);
+        }
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(segment_frames(&dir), 2, "one frame a flush");
+        let want: Vec<(u64, WalRecord)> = std::iter::once((1, event(1, 1)))
+            .chain((2..).zip(recs))
+            .collect();
+        assert_eq!(replay(&dir).unwrap().records, want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_segment_replays_and_the_next_append_starts_a_version_2_one() {
+        let _ctl = control();
+        let dir = tmp("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let old = [
+            event(1, 10),
+            WalRecord::Entity(Entity::file(9.into(), AgentId(1), "/x")),
+            WalRecord::SyncState {
+                agent: AgentId(1),
+                sum_diff: 5,
+                count: 1,
+            },
+        ];
+        let mut v1 = Vec::new();
+        for (seq, rec) in (1u64..).zip(&old) {
+            let mut payload = seq.to_le_bytes().to_vec();
+            record::encode_v1(&mut payload, rec);
+            v1.extend((payload.len() as u32).to_le_bytes());
+            v1.extend(crc32(&payload).to_le_bytes());
+            v1.extend(payload);
+        }
+        fs::write(segment_path(&dir, 1), &v1).unwrap();
+
+        let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(wal.next_seq(), 4);
+        wal.append(&event(4, 40)).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(fs::read(segment_path(&dir, 1)).unwrap(), v1, "untouched");
+        let v2 = fs::read(segment_path(&dir, 2)).unwrap();
+        assert!(v2.starts_with(&SEGMENT_HEADER));
+        let want: Vec<(u64, WalRecord)> = (1..).zip(old).chain([(4, event(4, 40))]).collect();
+        assert_eq!(replay(&dir).unwrap().records, want);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -939,16 +1096,16 @@ mod tests {
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         for i in 1..=5 {
             wal.append(&event(i, i as i64)).unwrap();
+            wal.sync().unwrap();
         }
-        wal.sync().unwrap();
         drop(wal);
 
-        // Tear the final record: chop a few bytes off the segment.
+        // Tear the final flush: chop a few bytes off the segment.
         assert!(testing::tear_last_segment(&dir, 5).unwrap());
 
         let r = replay(&dir).unwrap();
         assert!(r.is_torn());
-        assert_eq!(r.records.len(), 4, "only the torn final record is lost");
+        assert_eq!(r.records.len(), 4, "only the torn final flush is lost");
 
         // Reopening truncates the tear; the next append continues cleanly.
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
@@ -969,11 +1126,11 @@ mod tests {
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         for i in 1..=3 {
             wal.append(&event(i, i as i64)).unwrap();
+            wal.sync().unwrap();
         }
-        wal.sync().unwrap();
         drop(wal);
 
-        // Flip one byte in the middle of the last record's payload.
+        // Flip one byte in the middle of the last flush's payload.
         let seg = segment_files(&dir).unwrap().pop().unwrap().1;
         let mut bytes = fs::read(&seg).unwrap();
         let n = bytes.len();
@@ -998,8 +1155,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Three synced records, then a flush of five equal frames (so half
-    /// its buffer ends mid-frame); returns the log.
+    /// Three synced records, then a flush of five (one frame, so half its
+    /// buffer ends mid-frame); returns the log.
     fn three_synced_then_five_pending(dir: &Path) -> Wal {
         let mut wal = Wal::open(dir, WalOptions::default()).unwrap();
         for i in 1..=3 {
@@ -1020,8 +1177,8 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
 
-        // The flush's only write lands half its buffer — two and a half
-        // frames — and errors.
+        // The flush's only write lands half its buffer — half its one
+        // frame — and errors.
         let dir = tmp("partial");
         let mut wal = three_synced_then_five_pending(&dir);
         ctl.arm(FaultPlan::new().fail("wal.segment.write", 1, FaultKind::PartialWrite));
@@ -1076,15 +1233,14 @@ mod tests {
             .expect_err("poisoned handles refuse");
         wal.sync().expect_err("poisoned handles refuse");
         drop(wal);
-        // Reopening cuts the half frame away. The two whole frames before
-        // it were never acknowledged but are a prefix of what was
-        // submitted, which recovery is allowed to keep.
+        // Reopening cuts the half frame away: the flush is one frame, so
+        // nothing of it survives.
         let (wal, scan) = Wal::lock(&dir)
             .unwrap()
             .open(WalOptions::default(), |_, _| {})
             .unwrap();
         assert!(scan.torn_bytes > 0);
-        assert_eq!(wal.next_seq(), 6);
+        assert_eq!(wal.next_seq(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1097,19 +1253,25 @@ mod tests {
         wal.sync().unwrap();
         let synced = wal.size_bytes().unwrap();
 
-        // Enough records to cross the pending limit twice, never synced.
-        let n = 2 * PENDING_LIMIT as u64 / synced + 10;
+        // Enough records to cross the pending limit twice, never synced:
+        // each early write cuts a frame.
+        let n = 2 * PENDING_LIMIT as u64 / 88 + 10;
         ctl.start_trace();
         for i in 0..n {
             wal.append(&event(2 + i, 0)).unwrap();
         }
         let writes = ctl.take_trace();
         assert_eq!(writes, ["wal.segment.write", "wal.segment.write"]);
-        assert!(wal.pending.len() < PENDING_LIMIT);
-        assert!(wal.size_bytes().unwrap() >= synced + 2 * PENDING_LIMIT as u64);
+        assert!(wal.rows.bytes() + wal.pending.len() < PENDING_LIMIT);
+        assert!(wal.size_bytes().unwrap() > synced);
+        assert_eq!(
+            segment_frames(&dir),
+            3,
+            "the synced frame and two cut early"
+        );
 
-        // The third write fails: the early-written megabytes belong to the
-        // same unacknowledged flush and go with it.
+        // The third write fails: the frames written early belong to the
+        // same unacknowledged flush and go with them.
         ctl.arm(FaultPlan::new().fail(
             "wal.segment.write",
             1,
@@ -1143,7 +1305,7 @@ mod tests {
         let WalRecord::Event(ev) = event(2, 0) else {
             unreachable!()
         };
-        let err = (0..2 * PENDING_LIMIT as u64 / synced)
+        let err = (0..2 * PENDING_LIMIT)
             .find_map(|_| wal.try_append_event(&ev).err())
             .expect("the early write fails");
         ctl.disarm();
@@ -1159,14 +1321,12 @@ mod tests {
         let dir = tmp("rejected");
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         wal.append(&event(1, 1)).unwrap();
+        let WalRecord::Event(ev) = event(9, 9) else {
+            unreachable!()
+        };
+        let refused = io::Error::new(io::ErrorKind::InvalidInput, "field too long");
         let err = wal
-            .append_with(|buf| {
-                buf.extend_from_slice(b"half a body");
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "field too long",
-                ))
-            })
+            .append_checked(Row::Event(&ev), Err(refused))
             .expect_err("codec rejection");
         assert!(matches!(err, AppendError::Rejected(e) if e.kind() == io::ErrorKind::InvalidInput));
         assert_eq!(wal.append(&event(2, 2)).unwrap(), 2, "no number consumed");
@@ -1239,7 +1399,7 @@ mod tests {
         assert!(testing::tear_last_segment(&dir, 3).unwrap());
         let before = replay(&dir).unwrap();
         assert!(before.is_torn());
-        assert_eq!(before.records.len(), 11);
+        assert_eq!(before.records.len(), 8, "the torn flush goes whole");
 
         let mut seen = Vec::new();
         let (wal, found) = Wal::lock(&dir)

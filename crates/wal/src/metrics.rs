@@ -1,28 +1,33 @@
 //! The WAL's handles into the process-wide telemetry registry.
 //!
-//! The per-record append path records one histogram sample
-//! (`aiql_wal_append_bytes`); everything else is recorded per `write(2)`
-//! or per fsync.
+//! An append records nothing; each column frame records its size
+//! (`aiql_wal_append_bytes`) and its encode time (`aiql_wal_encode_micros`)
+//! when it is encoded; everything else is recorded per `write(2)` or per
+//! fsync.
 
 aiql_telemetry::metrics! {
     pub(crate) struct WalMetrics via metrics(), prefix "aiql_wal_";
 
     appends: Counter("aiql_wal_appends_total", "records",
-        "Records handed to `write(2)` (durable only after the next sync); added once per \
-         write, so `appends / writes` is records per write"),
+        "Records (rows) handed to `write(2)` (durable only after the next sync); added once \
+         per write, so `appends / writes` is records per write"),
     append_bytes: Histogram("aiql_wal_append_bytes", "bytes",
-        "Framed size of each appended record, one sample per record taken when the frame is \
-         encoded; the `sum` is the denominator of publish amplification"),
+        "Framed size of each column frame, one sample per frame (≈ one per flush) taken when \
+         it is encoded; the `sum` is the denominator of publish amplification"),
+    encode_micros: Histogram("aiql_wal_encode_micros", "µs",
+        "Time to encode one column frame — transpose its rows, write the columns, CRC the \
+         payload — one sample per frame; the log-encode share of an acknowledgement"),
     writes: Counter("aiql_wal_writes_total", "writes",
         "`write(2)` calls on the active segment: one per flush, plus one per ≈ 1 MiB a caller \
          appends without syncing"),
     write_bytes: Histogram("aiql_wal_write_bytes", "bytes",
-        "Bytes per `write(2)`, one sample per call (a shipment-sized flush is ≈ 110 KB)"),
+        "Bytes per `write(2)`, one sample per call (a shipment-sized flush is ≈ 30 KB)"),
     fsync_micros: Histogram("aiql_wal_fsync_micros", "µs",
         "Latency of the `sync_data` inside `Wal::sync` (the write before it excluded) — the \
          acknowledgement point of durable ingestion"),
     rollovers: Counter("aiql_wal_segment_rollovers_total", "segments",
-        "Segments started after the first (size cap or checkpoint rotation)"),
+        "Segments started after the first (size cap, checkpoint rotation, or a version-1 \
+         active segment at open)"),
     poisoned: Counter("aiql_wal_poisoned_total", "handles",
         "Handles poisoned by a failed fsync (segment or directory) or a failed \
          truncate-to-synced after a failed write"),

@@ -1,8 +1,13 @@
-//! Log record types and their length-prefixed binary encoding.
+//! Log record types, and the body of a version-1 segment's record.
+//!
+//! Today's segments hold column frames ([`crate::frame`]); the records of
+//! a version-1 segment — one frame per record, `[u32 length][u32 CRC]
+//! [u64 sequence number][tag u8][body]` — are still read, so a log written
+//! before the column frames replays.
 
 use aiql_model::codec;
 use aiql_model::{AgentId, Entity, Event};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// One logical append to the durable store.
 ///
@@ -39,56 +44,8 @@ const TAG_CLOCK: u8 = 3;
 const TAG_SYNC: u8 = 4;
 
 impl WalRecord {
-    /// Encodes an event record body from a reference — the hot append path
-    /// of [`crate::Wal::append_event`], which skips building an owned
-    /// `WalRecord` just to serialize it.
-    pub(crate) fn encode_event_body<W: Write>(w: &mut W, ev: &Event) -> io::Result<()> {
-        codec::write_u8(w, TAG_EVENT)?;
-        codec::write_event(w, ev)
-    }
-
-    /// Encodes an entity record body from a reference (see
-    /// [`WalRecord::encode_event_body`]).
-    pub(crate) fn encode_entity_body<W: Write>(w: &mut W, e: &Entity) -> io::Result<()> {
-        codec::write_u8(w, TAG_ENTITY)?;
-        codec::write_entity(w, e)
-    }
-    /// Encodes the record body (tag + payload) into `w`.
-    pub fn encode<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        match self {
-            WalRecord::Event(ev) => {
-                codec::write_u8(w, TAG_EVENT)?;
-                codec::write_event(w, ev)
-            }
-            WalRecord::Entity(e) => {
-                codec::write_u8(w, TAG_ENTITY)?;
-                codec::write_entity(w, e)
-            }
-            WalRecord::ClockSample {
-                agent,
-                agent_time,
-                server_time,
-            } => {
-                codec::write_u8(w, TAG_CLOCK)?;
-                codec::write_u32(w, agent.0)?;
-                codec::write_i64(w, *agent_time)?;
-                codec::write_i64(w, *server_time)
-            }
-            WalRecord::SyncState {
-                agent,
-                sum_diff,
-                count,
-            } => {
-                codec::write_u8(w, TAG_SYNC)?;
-                codec::write_u32(w, agent.0)?;
-                codec::write_i64(w, *sum_diff)?;
-                codec::write_i64(w, *count)
-            }
-        }
-    }
-
-    /// Decodes a record body (tag + payload).
-    pub fn decode<R: Read>(r: &mut R) -> io::Result<WalRecord> {
+    /// Decodes a version-1 record body (tag + payload).
+    pub(crate) fn decode_v1<R: Read>(r: &mut R) -> io::Result<WalRecord> {
         Ok(match codec::read_u8(r)? {
             TAG_EVENT => WalRecord::Event(codec::read_event(r)?),
             TAG_ENTITY => WalRecord::Entity(codec::read_entity(r)?),
@@ -109,6 +66,43 @@ impl WalRecord {
                 ))
             }
         })
+    }
+}
+
+/// Encodes a version-1 record body (tag + payload): how the log wrote
+/// records before the column frames, kept to write version-1 segments in
+/// tests.
+#[cfg(test)]
+pub(crate) fn encode_v1(w: &mut Vec<u8>, rec: &WalRecord) {
+    match rec {
+        WalRecord::Event(ev) => {
+            w.push(TAG_EVENT);
+            codec::write_event(w, ev).unwrap();
+        }
+        WalRecord::Entity(e) => {
+            w.push(TAG_ENTITY);
+            codec::write_entity(w, e).unwrap();
+        }
+        WalRecord::ClockSample {
+            agent,
+            agent_time,
+            server_time,
+        } => {
+            w.push(TAG_CLOCK);
+            w.extend_from_slice(&agent.0.to_le_bytes());
+            w.extend_from_slice(&agent_time.to_le_bytes());
+            w.extend_from_slice(&server_time.to_le_bytes());
+        }
+        WalRecord::SyncState {
+            agent,
+            sum_diff,
+            count,
+        } => {
+            w.push(TAG_SYNC);
+            w.extend_from_slice(&agent.0.to_le_bytes());
+            w.extend_from_slice(&sum_diff.to_le_bytes());
+            w.extend_from_slice(&count.to_le_bytes());
+        }
     }
 }
 
@@ -144,14 +138,14 @@ mod tests {
         ];
         for rec in records {
             let mut buf = Vec::new();
-            rec.encode(&mut buf).unwrap();
-            assert_eq!(WalRecord::decode(&mut Cursor::new(&buf)).unwrap(), rec);
+            encode_v1(&mut buf, &rec);
+            assert_eq!(WalRecord::decode_v1(&mut Cursor::new(&buf)).unwrap(), rec);
         }
     }
 
     #[test]
     fn unknown_tag_is_invalid_data() {
-        let err = WalRecord::decode(&mut Cursor::new(&[0u8])).unwrap_err();
+        let err = WalRecord::decode_v1(&mut Cursor::new(&[0u8])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -5,10 +5,10 @@
 //! query classes identically to a never-crashed store over the same
 //! prefix.
 //!
-//! A flush reaches the log as one multi-frame `write(2)`, so a crash can
-//! cut it anywhere — not just inside its last record. The second property
-//! tears a whole flush at *every* byte offset of its buffer and requires a
-//! frame-boundary, submission-order prefix each time.
+//! A flush reaches the log as one column frame in one `write(2)`, so a
+//! crash can cut it anywhere, and a cut frame is dropped whole. The second
+//! property tears a whole flush at *every* byte offset of its frame and
+//! requires exactly the acknowledged, submission-order prefix each time.
 
 use aiql::engine::Session;
 use aiql::ingest::{EventBatch, IngestConfig, Ingestor};
@@ -171,11 +171,12 @@ fn stored_event_ids(store: &EventStore) -> Vec<i64> {
     ids
 }
 
-/// Offsets just past each frame of a log segment's bytes
-/// (`[u32 length][u32 crc][payload]` each).
+/// Offsets just past each frame of a log segment's bytes (an 8-byte
+/// segment header, then `[u32 length][u32 crc][payload]` each).
 fn frame_ends(segment: &[u8]) -> Vec<usize> {
+    assert_eq!(&segment[..8], b"AIQL\x02\0\0\0", "a version-2 segment");
     let mut ends = Vec::new();
-    let mut at = 0;
+    let mut at = 8;
     while at < segment.len() {
         let len = u32::from_le_bytes(segment[at..at + 4].try_into().unwrap()) as usize;
         at += 8 + len;
@@ -217,16 +218,17 @@ proptest! {
         }
         drop(ing); // kill — no final checkpoint
 
-        // Optionally simulate a crash mid-write: a torn final record.
+        // Optionally simulate a crash mid-write: a torn final flush.
         let torn = tear && tear_tail(&dir, bite);
 
         let recovered = EventStore::open(&dir).unwrap();
         let n = recovered.event_count();
         let total = data.events.len();
         if torn {
-            // A bite of < one frame loses at most the final record; the
-            // rest of the acknowledged stream must survive.
-            prop_assert!(n + 1 >= total, "lost more than the torn record: {n}/{total}");
+            // A bite of < one frame cuts the final flush's frame, which
+            // goes whole; the rest of the acknowledged stream must survive.
+            let last = data.events.chunks(chunk).last().map_or(0, <[_]>::len);
+            prop_assert_eq!(n, total - last, "not exactly the torn final flush lost");
         } else {
             prop_assert_eq!(n, total, "clean kill must lose nothing");
         }
@@ -254,8 +256,8 @@ proptest! {
         let acked = total - last;
         let dir = scratch();
 
-        // Acknowledged stream, then one final multi-frame flush whose
-        // write the crash will cut short.
+        // Acknowledged stream, then one final flush whose write the crash
+        // will cut short.
         let (mut ing, _) = Ingestor::durable(IngestConfig::live(), &dir).unwrap();
         let mut first = EventBatch::new();
         first.entities = data.entities.clone();
@@ -277,25 +279,23 @@ proptest! {
 
         let bytes = std::fs::read(&segment).unwrap();
         let ends = frame_ends(&bytes);
-        prop_assert_eq!(ends.len(), data.entities.len() + total);
-        prop_assert!(ends.contains(&before), "the flush starts on a frame boundary");
+        // One frame a flush: the entities, each acknowledged chunk, and
+        // the final flush, which is the segment's last frame.
+        prop_assert_eq!(ends.len(), 1 + acked.div_ceil(chunk) + 1);
+        prop_assert_eq!(ends[ends.len() - 2], before, "the flush is the last frame");
 
-        // Cut the final flush's buffer one byte shorter at a time, down to
+        // Cut the final flush's frame one byte shorter at a time, down to
         // nothing: every length the crashed write could have reached.
-        let mut differential_done_for = usize::MAX;
         for len in (before..bytes.len()).rev() {
             prop_assert!(tear_tail(&dir, 1));
             let recovered = EventStore::open(&dir).unwrap();
-            // Whole frames survive, the cut one does not, nothing after it.
-            let whole = ends.iter().filter(|end| **end <= len).count() - data.entities.len();
-            prop_assert!(whole >= acked, "an acknowledged row was lost");
-            prop_assert_eq!(recovered.event_count(), whole, "cut at byte {} of {}", len, bytes.len());
+            // The cut frame goes whole, every frame before it survives.
+            prop_assert_eq!(recovered.event_count(), acked, "cut at byte {} of {}", len, bytes.len());
             prop_assert_eq!(recovered.entity_count(), data.entities.len());
-            let expected_ids: Vec<i64> = (0..whole as i64).map(|k| k + 1_000).collect();
+            let expected_ids: Vec<i64> = (0..acked as i64).map(|k| k + 1_000).collect();
             prop_assert_eq!(stored_event_ids(&recovered), expected_ids, "not a submission-order prefix");
-            if whole != differential_done_for {
-                assert_equals_oracle(&recovered, &data, whole);
-                differential_done_for = whole;
+            if len + 1 == bytes.len() {
+                assert_equals_oracle(&recovered, &data, acked);
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

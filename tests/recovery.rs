@@ -1,7 +1,7 @@
 //! Durability differential tests: a store persisted, dropped, and reopened
 //! must return results identical to the never-crashed live store for the
 //! paper query suite (the `tests/paper_queries.rs` cases) — including a
-//! mid-stream "crash" that leaves a torn final WAL record.
+//! mid-stream "crash" that leaves a torn final WAL frame.
 
 use aiql::datagen::EnterpriseSim;
 use aiql::engine::{open_store, Session};
@@ -220,18 +220,20 @@ fn torn_final_wal_record_loses_exactly_the_unacknowledged_tail() {
     let dir = scratch("torn");
     durable_stream(&data, &dir, 512, 4);
 
-    // Tear the final WAL record: a crash mid-write leaves a partial frame.
+    // Tear the final WAL frame: a crash mid-write leaves a partial frame.
     assert!(
         aiql_wal::testing::tear_last_segment(dir.join("wal"), 5).unwrap(),
         "tail segment holds post-checkpoint records"
     );
 
+    // The final flush is one frame, and a torn frame goes whole.
     let recovered = EventStore::open(&dir).unwrap();
     let n = recovered.event_count();
+    let last_flush = data.events.chunks(512).last().unwrap().len();
     assert_eq!(
         n,
-        data.events.len() - 1,
-        "exactly the torn final record is lost"
+        data.events.len() - last_flush,
+        "exactly the torn final flush is lost"
     );
 
     // Differential oracle: a never-crashed store over the recovered prefix
