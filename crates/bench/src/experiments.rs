@@ -4,7 +4,7 @@ use crate::catalog::{self, CatalogQuery, QueryKind};
 use crate::harness::{self, RunResult, Scale, Systems};
 use crate::report::{cell, log10_cell, speedup, total_secs, TextTable};
 use aiql_baselines::greenplum::SegmentedStore;
-use aiql_engine::{EngineConfig, ScoreModel};
+use aiql_engine::EngineConfig;
 use aiql_storage::{EventStore, StoreConfig};
 use aiql_translate::metrics::{compare, conciseness};
 use std::time::Duration;
@@ -142,17 +142,17 @@ pub fn table3_fig5(opts: Options) -> String {
 /// scheduling vs AIQL fetch-and-filter vs AIQL relationship scheduling,
 /// all over the same partition-optimized store. A fourth column, `AIQL
 /// (Sec. 7)`, runs the relationship scheduler with the paper's Sec. 7
-/// statistical scorer ([`ScoreModel::DataStatistics`]) instead of the
-/// constraint count; each run opens a fresh session, so the scorer's
-/// planning is inside the timed region.
+/// statistical scorer ([`aiql_engine::ScoreModel::DataStatistics`])
+/// instead of the constraint count; each run opens a fresh session, so the
+/// scorer's planning is inside the timed region.
 pub fn fig6(opts: Options) -> String {
     let (data, _) = harness::dataset(opts.scale);
     let store = EventStore::ingest(&data, StoreConfig::partitioned()).expect("ingest");
     let queries = catalog::behaviours();
-    let statistical = EngineConfig {
-        scorer: ScoreModel::DataStatistics,
-        ..harness::sched_only_config()
-    };
+    // Relationship scheduling with sequential scans isolates the
+    // scheduler's contribution, as Fig. 6 does.
+    let sched_only = EngineConfig::aiql().with_workers(1);
+    let statistical = EngineConfig::aiql_statistical().with_workers(1);
 
     let mut out = format!(
         "Fig. 6: query execution time (s) under PostgreSQL / AIQL-FF / AIQL scheduling\n\
@@ -168,8 +168,8 @@ pub fn fig6(opts: Options) -> String {
         for q in queries.iter().filter(|q| q.group == group) {
             let runs = [
                 harness::run_postgres(store.db(), q, opts.budget),
-                harness::run_aiql(&store, q, harness::ff_config(), opts.budget),
-                harness::run_aiql(&store, q, harness::sched_only_config(), opts.budget),
+                harness::run_aiql(&store, q, EngineConfig::fetch_filter(), opts.budget),
+                harness::run_aiql(&store, q, sched_only, opts.budget),
                 harness::run_aiql(&store, q, statistical, opts.budget),
             ];
             t.row(

@@ -126,7 +126,8 @@ pub fn run_aiql(
     config: EngineConfig,
     budget: Duration,
 ) -> RunResult {
-    let stmt = session(store, config.with_budget(budget))
+    let stmt = session(store, config)
+        .with_timeout(budget)
         .prepare(q.source)
         .expect("catalog query compiles");
     let started = Instant::now();
@@ -198,20 +199,6 @@ pub fn run_greenplum(store: &SegmentedStore, q: &CatalogQuery, budget: Duration)
         }
         Err(BaselineError::Untranslatable(_)) => RunResult::Unsupported,
         Err(e) => panic!("Greenplum baseline failed on {}: {e}", q.id),
-    }
-}
-
-/// Fetch-and-filter engine configuration (single-node, no parallelism).
-pub fn ff_config() -> EngineConfig {
-    EngineConfig::fetch_filter()
-}
-
-/// Relationship scheduling without partition parallelism (isolates the
-/// scheduler's contribution, as Fig. 6 does).
-pub fn sched_only_config() -> EngineConfig {
-    EngineConfig {
-        parallel: false,
-        ..EngineConfig::aiql()
     }
 }
 

@@ -18,7 +18,6 @@
 //! "Anomaly windows".
 
 use crate::error::EngineError;
-use crate::exec::ExecPolicy;
 use crate::layout::PatternMatches;
 use crate::pattern::{execute_pattern, Deadline, EngineStats};
 use crate::result::{eval_having, resolve_items, EngineResult, Item};
@@ -34,7 +33,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 pub fn run_anomaly(
     store: &EventStore,
     ctx: &QueryContext,
-    exec: ExecPolicy,
+    width: usize,
     deadline: Deadline,
     stats: &mut EngineStats,
 ) -> Result<EngineResult, EngineError> {
@@ -49,7 +48,7 @@ pub fn run_anomaly(
     let columns: Vec<String> = items.iter().map(|(_, n)| n.clone()).collect();
 
     // Execute the pattern and sort by time.
-    let mut rows = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+    let mut rows = execute_pattern(store, p, &ExtraCstr::default(), width, deadline, stats)?;
     rows.sort_by_start();
     let times = &rows.start;
 
@@ -472,7 +471,7 @@ mod tests {
     fn reference_run_anomaly(
         store: &EventStore,
         ctx: &QueryContext,
-        exec: ExecPolicy,
+        width: usize,
         deadline: Deadline,
         stats: &mut EngineStats,
     ) -> Result<EngineResult, EngineError> {
@@ -480,7 +479,7 @@ mod tests {
         let p = &ctx.patterns[0];
         let items = resolve_items(ctx)?;
 
-        let mut m = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+        let mut m = execute_pattern(store, p, &ExtraCstr::default(), width, deadline, stats)?;
         m.sort_by_start();
         let times = &m.start;
 
@@ -905,11 +904,12 @@ mod tests {
             for _ in 0..12 {
                 let src = random_query(&mut next);
                 let ctx = aiql_core::compile(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
-                let (on, exec, none) = (&store, ExecPolicy::sequential(), Deadline::none());
+                let (on, width, none) = (&store, 1, Deadline::none());
                 let mut stats = EngineStats::default();
-                let got = run_anomaly(on, &ctx, exec, none, &mut stats).unwrap();
-                let want = reference_run_anomaly(on, &ctx, exec, none, &mut EngineStats::default())
-                    .unwrap();
+                let got = run_anomaly(on, &ctx, width, none, &mut stats).unwrap();
+                let want =
+                    reference_run_anomaly(on, &ctx, width, none, &mut EngineStats::default())
+                        .unwrap();
                 assert_eq!(got, want, "{src}");
                 cases += 1;
                 rows += got.rows.len();

@@ -47,42 +47,15 @@ use std::time::Instant;
 /// Hard cap on pool worker threads (the coordinator thread is extra).
 pub const MAX_WORKERS: usize = 16;
 
-/// Per-query execution policy: whether event scans scatter across the
-/// pool, and how wide. Carried by `EngineConfig` and threaded down to the
-/// pattern executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecPolicy {
-    /// Scatter partitioned event scans across shards.
-    pub parallel: bool,
-    /// Scatter width in threads, coordinator included. `0` = auto-size to
-    /// `available_parallelism`.
-    pub workers: usize,
-}
-
-impl ExecPolicy {
-    /// Single-threaded execution (scans run inline on the coordinator).
-    pub fn sequential() -> ExecPolicy {
-        ExecPolicy {
-            parallel: false,
-            workers: 1,
-        }
-    }
-
-    /// The effective scatter width: 1 when sequential, the configured
-    /// width (capped at [`MAX_WORKERS`]) otherwise, machine-sized if 0.
-    pub fn width(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
-        let w = if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        w.clamp(1, MAX_WORKERS)
-    }
+/// Resolves a configured scan width once, at session open: `0` is the
+/// machine's parallelism, anything else is taken as given; both capped at
+/// [`MAX_WORKERS`] (coordinator included). Width 1 is the sequential scan.
+pub(crate) fn resolve_width(workers: usize) -> usize {
+    let w = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        w => w,
+    };
+    w.clamp(1, MAX_WORKERS)
 }
 
 /// How one scattered scan actually executed — the engine-level complement
@@ -93,7 +66,9 @@ pub struct ScatterProfile {
     pub shards_total: u32,
     /// Shards that held admitted partitions and were actually scanned.
     pub shards_scanned: u32,
-    /// Scatter width used (1 = the shard-local / sequential fast path).
+    /// Threads the scan ran on, coordinator included: the session's width,
+    /// capped at the occupied shards. 1 when the scan was shard-local; a
+    /// width-1 session takes the sequential scan and carries no profile.
     pub workers: u32,
     /// Shard ids in dispatch order — largest estimated shard first, so
     /// stragglers start earliest.

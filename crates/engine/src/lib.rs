@@ -58,7 +58,7 @@ mod synth;
 mod tupleset;
 
 pub use error::EngineError;
-pub use exec::{ExecPolicy, ScatterProfile};
+pub use exec::ScatterProfile;
 pub use pattern::{Deadline, EngineStats, ScanRecord, ScanTarget};
 pub use result::EngineResult;
 pub use schedule::Scheduler;
@@ -71,6 +71,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
+///
+/// The default is [`EngineConfig::aiql`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
     /// Data-query scheduling strategy.
@@ -78,38 +80,33 @@ pub struct EngineConfig {
     /// Pruning-score model for relationship-based scheduling (paper
     /// Algorithm 1 default, or the Sec. 7 statistical refinement).
     pub scorer: ScoreModel,
-    /// Parallelize event scans across partitions (time-window partition
-    /// parallelism, paper Sec. 5.2), scattered over the process-wide
-    /// execution pool by shard.
-    pub parallel: bool,
-    /// Scatter width in threads when `parallel` (coordinator included);
-    /// `0` auto-sizes to `available_parallelism`. Capped at
+    /// Event-scan width in threads, coordinator included, resolved once
+    /// when a [`Session`] opens: `0` is the machine's parallelism; `1` is
+    /// the sequential scan, with no scatter and no pool; `2` or more
+    /// scatters each events scan by shard over the process-wide execution
+    /// pool (time-window partition parallelism, paper Sec. 5.2). Capped at
     /// [`exec::MAX_WORKERS`].
     pub workers: usize,
-    /// Optional wall-clock budget per query.
-    pub budget: Option<Duration>,
 }
 
 impl EngineConfig {
-    /// AIQL's full configuration: relationship scheduling + parallelism.
+    /// AIQL's full configuration: relationship scheduling, scans as wide
+    /// as the machine.
     pub fn aiql() -> EngineConfig {
         EngineConfig {
             scheduler: Scheduler::Relationship,
             scorer: ScoreModel::ConstraintCount,
-            parallel: true,
             workers: 0,
-            budget: None,
         }
     }
 
-    /// The fetch-and-filter baseline configuration ("AIQL FF").
+    /// The fetch-and-filter baseline configuration ("AIQL FF"): sequential
+    /// scans.
     pub fn fetch_filter() -> EngineConfig {
         EngineConfig {
             scheduler: Scheduler::FetchFilter,
             scorer: ScoreModel::ConstraintCount,
-            parallel: false,
             workers: 1,
-            budget: None,
         }
     }
 
@@ -122,24 +119,11 @@ impl EngineConfig {
         }
     }
 
-    /// Sets the budget, builder style.
-    pub fn with_budget(mut self, budget: Duration) -> EngineConfig {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Sets the scatter width, builder style (`0` = auto).
+    /// Sets the scan width, builder style (`0` = the machine's, `1` =
+    /// sequential).
     pub fn with_workers(mut self, workers: usize) -> EngineConfig {
         self.workers = workers;
         self
-    }
-
-    /// The per-query execution policy this configuration implies.
-    pub fn exec_policy(&self) -> exec::ExecPolicy {
-        exec::ExecPolicy {
-            parallel: self.parallel,
-            workers: self.workers,
-        }
     }
 }
 
@@ -163,11 +147,14 @@ impl PlanSlot {
 
 /// The executor behind [`Bound::execute`] and [`Bound::explain`]: one
 /// statement against one pinned store, planning through the statement's
-/// [`PlanSlot`].
+/// [`PlanSlot`], its event scans `width` threads wide, cancelled once
+/// `timeout` has passed.
 pub(crate) struct Engine<'a> {
-    store: &'a EventStore,
-    config: EngineConfig,
-    plan: &'a PlanSlot,
+    pub(crate) store: &'a EventStore,
+    pub(crate) config: EngineConfig,
+    pub(crate) width: usize,
+    pub(crate) timeout: Option<Duration>,
+    pub(crate) plan: &'a PlanSlot,
 }
 
 /// A query outcome: result plus execution statistics and elapsed time.
@@ -178,15 +165,7 @@ pub(crate) struct Outcome {
     pub elapsed: Duration,
 }
 
-impl<'a> Engine<'a> {
-    pub(crate) fn new(store: &'a EventStore, config: EngineConfig, plan: &'a PlanSlot) -> Self {
-        Engine {
-            store,
-            config,
-            plan,
-        }
-    }
-
+impl Engine<'_> {
     /// The scheduler scores for `ctx`: the cached plan when the slot holds
     /// one for this statement, computed (and cached) otherwise.
     fn plan_scores(&self, ctx: &QueryContext) -> Vec<u32> {
@@ -205,18 +184,12 @@ impl<'a> Engine<'a> {
     pub(crate) fn run_ctx(&self, ctx: &QueryContext) -> Result<Outcome, EngineError> {
         metrics::metrics().statements.inc();
         let started = Instant::now();
-        let deadline = Deadline(self.config.budget.map(|b| started + b));
+        let deadline = Deadline(self.timeout.map(|t| started + t));
         let mut stats = EngineStats::default();
         let result = match ctx.kind {
             QueryKind::Anomaly => {
                 let _anomaly = aiql_telemetry::trace::span("anomaly");
-                anomaly::run_anomaly(
-                    self.store,
-                    ctx,
-                    self.config.exec_policy(),
-                    deadline,
-                    &mut stats,
-                )?
+                anomaly::run_anomaly(self.store, ctx, self.width, deadline, &mut stats)?
             }
             QueryKind::Multievent | QueryKind::Dependency => {
                 let joined = match self.config.scheduler {
@@ -226,20 +199,11 @@ impl<'a> Engine<'a> {
                             self.plan_scores(ctx)
                         };
                         schedule::relationship_based_scored(
-                            self.store,
-                            ctx,
-                            &scores,
-                            self.config.exec_policy(),
-                            deadline,
-                            &mut stats,
+                            self.store, ctx, &scores, self.width, deadline, &mut stats,
                         )?
                     }
                     Scheduler::FetchFilter => schedule::fetch_and_filter(
-                        self.store,
-                        ctx,
-                        self.config.exec_policy(),
-                        deadline,
-                        &mut stats,
+                        self.store, ctx, self.width, deadline, &mut stats,
                     )?,
                 };
                 let _score = aiql_telemetry::trace::span("score");
@@ -509,8 +473,9 @@ mod tests {
         }
         let engine = session(
             EventStore::ingest(&d, StoreConfig::partitioned()).unwrap(),
-            EngineConfig::fetch_filter().with_budget(Duration::from_millis(5)),
-        );
+            EngineConfig::fetch_filter(),
+        )
+        .with_timeout(Duration::from_millis(5));
         let r = engine.run(
             "proc p1 read file f1 as e1 proc p2 read file f2 as e2 \
              proc p3 read file f3 as e3 with e1 before e2, e2 before e3 \

@@ -8,7 +8,7 @@
 //! ([`PatternMatches`]).
 
 use crate::error::EngineError;
-use crate::exec::{self, ExecPolicy, ScatterProfile};
+use crate::exec::{self, ScatterProfile};
 use crate::layout::PatternMatches;
 use crate::synth::{apply_extra, synthesize, DataQuery, ExtraCstr};
 use aiql_core::PatternCtx;
@@ -73,7 +73,7 @@ pub struct ScanRecord {
     /// Access paths, partition pruning, zone-map skips, rows touched.
     pub profile: aiql_rdb::ScanProfile,
     /// How the scan scattered across shards (None for entity scans and
-    /// unsharded event scans).
+    /// for event scans at width 1, which take the sequential scan).
     pub scatter: Option<ScatterProfile>,
 }
 
@@ -97,22 +97,22 @@ impl Deadline {
     }
 }
 
-/// Scans the events table: scattered across the store's shards on the
-/// execution pool when the policy is parallel, sequentially otherwise.
-/// Rows stay borrowed from the store either way.
+/// Scans the events table: sequentially at width 1, scattered across the
+/// store's shards on the execution pool at width 2 or more. Rows stay
+/// borrowed from the store either way.
 #[allow(clippy::too_many_arguments)]
 fn scan_events<'a>(
     store: &'a EventStore,
     conjuncts: &[Expr],
     prune: &Prune,
-    exec: ExecPolicy,
+    width: usize,
     deadline: Deadline,
     scanned: &mut u64,
     profile: &mut aiql_rdb::ScanProfile,
     scatter: &mut Option<ScatterProfile>,
 ) -> Result<Vec<RowView<'a>>, EngineError> {
     deadline.check()?;
-    if !exec.parallel {
+    if width <= 1 {
         return Ok(store.scan_events_profiled(conjuncts, prune, scanned, profile));
     }
     let (rows, sp) = scatter_partition_scan(
@@ -120,7 +120,7 @@ fn scan_events<'a>(
         store.shard_count(),
         conjuncts,
         prune,
-        exec,
+        width,
         deadline,
         scanned,
         profile,
@@ -153,13 +153,12 @@ fn scatter_partition_scan<'a>(
     shards: usize,
     conjuncts: &[Expr],
     prune: &Prune,
-    exec: ExecPolicy,
+    width: usize,
     deadline: Deadline,
     scanned: &mut u64,
     profile: &mut aiql_rdb::ScanProfile,
 ) -> Result<(Vec<RowView<'a>>, ScatterProfile), EngineError> {
     let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
-    let shards = shards.max(1);
     let buckets = pt.shards_for(&merged, shards);
     let occupied: Vec<(usize, Vec<(PartKey, &'a aiql_rdb::Table)>)> = buckets
         .into_iter()
@@ -211,7 +210,7 @@ fn scatter_partition_scan<'a>(
         })
         .collect();
 
-    let width = exec.width().min(tasks.len().max(1));
+    let width = width.min(tasks.len().max(1));
     sp.workers = width as u32;
     let run = exec::scatter(tasks, width)?;
     deadline.check()?;
@@ -237,12 +236,13 @@ fn scatter_partition_scan<'a>(
 /// can drive it.
 const ID_PUSHDOWN_LIMIT: usize = 20_000;
 
-/// Executes one pattern's data query; returns its matches.
+/// Executes one pattern's data query at scan width `width` (see
+/// [`scan_events`]); returns its matches.
 pub fn execute_pattern<'a>(
     store: &'a EventStore,
     p: &PatternCtx,
     extra: &ExtraCstr,
-    exec: ExecPolicy,
+    width: usize,
     deadline: Deadline,
     stats: &mut EngineStats,
 ) -> Result<PatternMatches<'a>, EngineError> {
@@ -292,7 +292,7 @@ pub fn execute_pattern<'a>(
         store,
         &event_conjuncts,
         &q.prune,
-        exec,
+        width,
         deadline,
         &mut scanned,
         &mut profile,
@@ -439,15 +439,8 @@ mod tests {
         d
     }
 
-    fn policy(parallel: bool) -> ExecPolicy {
-        ExecPolicy {
-            parallel,
-            workers: 0,
-        }
-    }
-
     /// Each match's (event, subject, object) rows, owned.
-    fn run(src: &str, parallel: bool) -> Vec<(Row, Row, Row)> {
+    fn run(src: &str, width: usize) -> Vec<(Row, Row, Row)> {
         let store = EventStore::ingest(&dataset(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(src).unwrap();
         let mut stats = EngineStats::default();
@@ -455,7 +448,7 @@ mod tests {
             &store,
             &ctx.patterns[0],
             &ExtraCstr::default(),
-            policy(parallel),
+            width,
             Deadline::none(),
             &mut stats,
         )
@@ -472,7 +465,7 @@ mod tests {
     fn constrained_subject_and_object() {
         let rows = run(
             r#"proc p["%osql%"] write file f["%backup1.dmp"] return p, f"#,
-            false,
+            1,
         );
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[schema::proc::EXE_NAME], Value::str("osql.exe"));
@@ -481,7 +474,7 @@ mod tests {
 
     #[test]
     fn unconstrained_sides_lazy_resolved() {
-        let rows = run("proc p read || write file f return p, f", false);
+        let rows = run("proc p read || write file f return p, f", 1);
         assert_eq!(rows.len(), 2, "write + read of the dump");
         // Subject rows resolved by batch lookup.
         assert!(rows
@@ -491,15 +484,15 @@ mod tests {
 
     #[test]
     fn no_matches_when_entity_filter_empty() {
-        let rows = run(r#"proc p["%powershell%"] write file f return p"#, false);
+        let rows = run(r#"proc p["%powershell%"] write file f return p"#, 1);
         assert!(rows.is_empty());
     }
 
     #[test]
     fn parallel_equals_sequential() {
         let src = r#"(at "01/01/2017") proc p read || write || start file f return p, f"#;
-        let mut a = run(src, false);
-        let mut b = run(src, true);
+        let mut a = run(src, 1);
+        let mut b = run(src, 2);
         let key = |r: &(Row, Row, Row)| r.0[schema::ev::ID].clone();
         a.sort_by_key(key);
         b.sort_by_key(key);
@@ -510,7 +503,8 @@ mod tests {
     fn scatter_rows_identical_to_sequential_across_shards() {
         // Stronger than `parallel_equals_sequential`: no sorting — the
         // gather must reproduce the sequential row order exactly, for
-        // every shard count and scatter width.
+        // every shard count and scatter width (width 1 is the sequential
+        // scan itself).
         let src = r#"proc p read || write || start file f return p, f"#;
         let ctx = compile(src).unwrap();
         for shards in [1u32, 2, 3, 5, 8] {
@@ -522,21 +516,19 @@ mod tests {
                 &store,
                 &ctx.patterns[0],
                 &ExtraCstr::default(),
-                policy(false),
+                1,
                 Deadline::none(),
                 &mut s1,
             )
             .unwrap();
-            for workers in [1usize, 2, 4] {
+            assert!(s1.scans.iter().all(|s| s.scatter.is_none()));
+            for workers in [2usize, 4] {
                 let mut s2 = EngineStats::default();
                 let par = execute_pattern(
                     &store,
                     &ctx.patterns[0],
                     &ExtraCstr::default(),
-                    ExecPolicy {
-                        parallel: true,
-                        workers,
-                    },
+                    workers,
                     Deadline::none(),
                     &mut s2,
                 )
@@ -558,7 +550,7 @@ mod tests {
 
     #[test]
     fn window_prunes_everything_outside() {
-        let rows = run(r#"(at "06/01/2019") proc p write file f return p"#, false);
+        let rows = run(r#"(at "06/01/2019") proc p write file f return p"#, 1);
         assert!(rows.is_empty());
     }
 
@@ -580,7 +572,7 @@ mod tests {
             &store,
             &ctx.patterns[0],
             &extra,
-            policy(false),
+            1,
             Deadline::none(),
             &mut stats,
         )
@@ -604,21 +596,13 @@ mod tests {
         .unwrap();
         let ctx = compile("proc p read || write || start file f return p, f").unwrap();
         let p = &ctx.patterns[0];
-        let scan = |store, parallel| {
+        let scan = |store, width| {
             let mut stats = EngineStats::default();
             let none = Deadline::none();
-            execute_pattern(
-                store,
-                p,
-                &ExtraCstr::default(),
-                policy(parallel),
-                none,
-                &mut stats,
-            )
-            .unwrap()
+            execute_pattern(store, p, &ExtraCstr::default(), width, none, &mut stats).unwrap()
         };
-        let rows = scan(&single, false);
+        let rows = scan(&single, 1);
         assert_eq!(rows.len(), 2, "the dump's write and read");
-        assert_eq!(scan(&segmented, true), rows);
+        assert_eq!(scan(&segmented, 2), rows);
     }
 }

@@ -14,7 +14,6 @@
 //!   relationships).
 
 use crate::error::EngineError;
-use crate::exec::ExecPolicy;
 use crate::layout::{Field, PatternMatches};
 use crate::pattern::{execute_pattern, Deadline, EngineStats};
 use crate::synth::ExtraCstr;
@@ -46,14 +45,14 @@ pub struct Joined<'a> {
 pub fn fetch_and_filter<'a>(
     store: &'a EventStore,
     ctx: &QueryContext,
-    exec: ExecPolicy,
+    width: usize,
     deadline: Deadline,
     stats: &mut EngineStats,
 ) -> Result<Joined<'a>, EngineError> {
     let n = ctx.patterns.len();
     let mut matches = Matches::new(n);
     for p in &ctx.patterns {
-        let m = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+        let m = execute_pattern(store, p, &ExtraCstr::default(), width, deadline, stats)?;
         matches.per_pattern[p.idx] = Some(m);
     }
     let rels: Vec<RelEval> = ctx
@@ -199,7 +198,7 @@ pub fn relationship_based_scored<'a>(
     store: &'a EventStore,
     ctx: &QueryContext,
     scores: &[u32],
-    exec: ExecPolicy,
+    width: usize,
     deadline: Deadline,
     stats: &mut EngineStats,
 ) -> Result<Joined<'a>, EngineError> {
@@ -242,7 +241,7 @@ pub fn relationship_based_scored<'a>(
                     store,
                     &ctx.patterns[hi],
                     &ExtraCstr::default(),
-                    exec,
+                    width,
                     deadline,
                     stats,
                 )?;
@@ -250,7 +249,7 @@ pub fn relationship_based_scored<'a>(
                 let extra = derive_extra(rel_ctx, ctx, hi, (&hi_m, &all), lo)?;
                 matches.per_pattern[hi] = Some(hi_m);
                 let lo_m =
-                    execute_pattern(store, &ctx.patterns[lo], &extra, exec, deadline, stats)?;
+                    execute_pattern(store, &ctx.patterns[lo], &extra, width, deadline, stats)?;
                 matches.per_pattern[lo] = Some(lo_m);
                 sets.add(TupleSet::create(&matches, i0, j0, &[rel], deadline, stats)?);
             }
@@ -280,7 +279,7 @@ pub fn relationship_based_scored<'a>(
                     derive_extra(rel_ctx, ctx, known, (m, &rows), fresh)?
                 };
                 let fresh_m =
-                    execute_pattern(store, &ctx.patterns[fresh], &extra, exec, deadline, stats)?;
+                    execute_pattern(store, &ctx.patterns[fresh], &extra, width, deadline, stats)?;
                 matches.per_pattern[fresh] = Some(fresh_m);
                 match sets.set_of[known] {
                     Some(id) => {
@@ -315,7 +314,7 @@ pub fn relationship_based_scored<'a>(
     // Step 4: leftover patterns (no relationships) execute unconstrained.
     for p in &ctx.patterns {
         if !matches.executed(p.idx) {
-            let m = execute_pattern(store, p, &ExtraCstr::default(), exec, deadline, stats)?;
+            let m = execute_pattern(store, p, &ExtraCstr::default(), width, deadline, stats)?;
             matches.per_pattern[p.idx] = Some(m);
         }
         sets.ensure(&matches, p.idx);
@@ -392,12 +391,12 @@ mod tests {
     fn relationship_based<'a>(
         store: &'a EventStore,
         ctx: &QueryContext,
-        exec: ExecPolicy,
+        width: usize,
         deadline: Deadline,
         stats: &mut EngineStats,
     ) -> Result<Joined<'a>, EngineError> {
         let scores: Vec<u32> = ctx.patterns.iter().map(|p| p.score).collect();
-        relationship_based_scored(store, ctx, &scores, exec, deadline, stats)
+        relationship_based_scored(store, ctx, &scores, width, deadline, stats)
     }
 
     /// cmd→osql start; sqlservr→dump write; sbblv reads dump; sbblv→ip write.
@@ -488,20 +487,12 @@ mod tests {
         let ctx = compile(QUERY7).unwrap();
         let mut stats = EngineStats::default();
         let j = match sched {
-            Scheduler::Relationship => relationship_based(
-                &store,
-                &ctx,
-                ExecPolicy::sequential(),
-                Deadline::none(),
-                &mut stats,
-            ),
-            Scheduler::FetchFilter => fetch_and_filter(
-                &store,
-                &ctx,
-                ExecPolicy::sequential(),
-                Deadline::none(),
-                &mut stats,
-            ),
+            Scheduler::Relationship => {
+                relationship_based(&store, &ctx, 1, Deadline::none(), &mut stats)
+            }
+            Scheduler::FetchFilter => {
+                fetch_and_filter(&store, &ctx, 1, Deadline::none(), &mut stats)
+            }
         }
         .unwrap();
         (j.tuples, stats)
@@ -544,14 +535,7 @@ mod tests {
         )
         .unwrap();
         let mut stats = EngineStats::default();
-        let j = relationship_based(
-            &store,
-            &ctx,
-            ExecPolicy::sequential(),
-            Deadline::none(),
-            &mut stats,
-        )
-        .unwrap();
+        let j = relationship_based(&store, &ctx, 1, Deadline::none(), &mut stats).unwrap();
         assert_eq!(j.tuples.len(), 1, "1 x 1 cartesian");
         assert_eq!(j.tuples.patterns.len(), 2);
     }
@@ -571,20 +555,12 @@ mod tests {
         for sched in [Scheduler::Relationship, Scheduler::FetchFilter] {
             let mut stats = EngineStats::default();
             let j = match sched {
-                Scheduler::Relationship => relationship_based(
-                    &store,
-                    &ctx,
-                    ExecPolicy::sequential(),
-                    Deadline::none(),
-                    &mut stats,
-                ),
-                Scheduler::FetchFilter => fetch_and_filter(
-                    &store,
-                    &ctx,
-                    ExecPolicy::sequential(),
-                    Deadline::none(),
-                    &mut stats,
-                ),
+                Scheduler::Relationship => {
+                    relationship_based(&store, &ctx, 1, Deadline::none(), &mut stats)
+                }
+                Scheduler::FetchFilter => {
+                    fetch_and_filter(&store, &ctx, 1, Deadline::none(), &mut stats)
+                }
             }
             .unwrap();
             assert!(j.tuples.tuples.is_empty(), "{sched:?}");

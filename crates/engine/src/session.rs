@@ -60,7 +60,7 @@ use crate::scoring;
 use crate::{Engine, EngineConfig, Outcome, PlanSlot};
 use aiql_core::{CacheStats, ParamSpec, PlanCache, PreparedQuery, QueryContext, QueryKind};
 use aiql_rdb::{Row, ScanProfile};
-use aiql_storage::{SharedStore, StoreSnapshot, StoreStamp};
+use aiql_storage::{EventStore, SharedStore, StoreSnapshot, StoreStamp};
 use aiql_telemetry::trace::SpanNode;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +78,9 @@ pub const SESSION_PLAN_CACHE_CAPACITY: usize = 256;
 struct SessionCore {
     store: SharedStore,
     config: EngineConfig,
+    /// `config.workers` resolved at open (see [`EngineConfig::workers`]):
+    /// the width of every events scan on this session.
+    width: usize,
     /// `Some` while the session is pinned to one snapshot (repeatable
     /// reads); `None` in per-statement mode.
     pinned: Mutex<Option<StoreSnapshot>>,
@@ -87,8 +90,8 @@ struct SessionCore {
     /// reuses the plan a previous `Prepared` already filled. Coarsely
     /// bounded: cleared wholesale when it outgrows the plan cache.
     plans: Mutex<std::collections::HashMap<String, Arc<PlanSlot>>>,
-    /// Per-statement wall-clock budget in nanoseconds (0 = none). Shared by
-    /// all clones; overlays (never widens) the engine config's own budget.
+    /// Per-statement wall-clock timeout in nanoseconds ([`NO_TIMEOUT`] =
+    /// none). Shared by all clones.
     timeout_nanos: AtomicU64,
 }
 
@@ -103,18 +106,28 @@ impl SessionCore {
             .unwrap_or_else(|| self.store.read())
     }
 
-    /// The engine configuration for the next execution: the session config
-    /// with the statement timeout folded into the budget (tightest wins).
-    fn exec_config(&self) -> EngineConfig {
-        let mut config = self.config;
-        let nanos = self.timeout_nanos.load(Ordering::Relaxed);
-        if nanos > 0 {
-            let t = Duration::from_nanos(nanos);
-            config.budget = Some(config.budget.map_or(t, |b| b.min(t)));
+    /// The per-statement timeout currently in force, if any.
+    fn timeout(&self) -> Option<Duration> {
+        match self.timeout_nanos.load(Ordering::Relaxed) {
+            NO_TIMEOUT => None,
+            n => Some(Duration::from_nanos(n)),
         }
-        config
+    }
+
+    /// The executor for one statement against `store`.
+    fn engine<'a>(&self, store: &'a EventStore, plan: &'a PlanSlot) -> Engine<'a> {
+        Engine {
+            store,
+            config: self.config,
+            width: self.width,
+            timeout: self.timeout(),
+            plan,
+        }
     }
 }
+
+/// The stored timeout that means "none"; a timeout of zero expires at once.
+const NO_TIMEOUT: u64 = u64::MAX;
 
 /// An investigation session over a [`SharedStore`].
 ///
@@ -134,26 +147,28 @@ impl Session {
         Session::with_config(store, EngineConfig::aiql())
     }
 
-    /// Opens a session with an explicit engine configuration.
+    /// Opens a session with an explicit engine configuration, resolving
+    /// its scan width once (see [`EngineConfig::workers`]).
     pub fn with_config(store: &SharedStore, config: EngineConfig) -> Session {
         Session {
             core: Arc::new(SessionCore {
                 store: store.clone(),
                 config,
+                width: crate::exec::resolve_width(config.workers),
                 pinned: Mutex::new(None),
                 cache: Mutex::new(PlanCache::new(SESSION_PLAN_CACHE_CAPACITY)),
                 plans: Mutex::new(std::collections::HashMap::new()),
-                timeout_nanos: AtomicU64::new(0),
+                timeout_nanos: AtomicU64::new(NO_TIMEOUT),
             }),
         }
     }
 
     /// Caps every statement on this session (and its clones) at `timeout`
-    /// of wall-clock time, builder style. Execution is cancelled at the
-    /// engine's cooperative checkpoints — between partition scans, join
-    /// steps, and cursor-page assembly — and surfaces as
-    /// [`EngineError::Timeout`]. The cap composes with an engine-config
-    /// budget: the tighter of the two wins.
+    /// of wall-clock time, builder style — a statement's only deadline.
+    /// Execution is cancelled at the engine's cooperative checkpoints —
+    /// between partition scans, join steps, and cursor-page assembly — and
+    /// surfaces as [`EngineError::Timeout`]. A zero timeout expires at the
+    /// first checkpoint.
     pub fn with_timeout(self, timeout: Duration) -> Session {
         self.set_statement_timeout(Some(timeout));
         self
@@ -162,16 +177,15 @@ impl Session {
     /// Sets or clears the per-statement timeout (see
     /// [`Session::with_timeout`]).
     pub fn set_statement_timeout(&self, timeout: Option<Duration>) {
-        let nanos = timeout.map_or(0, |t| t.as_nanos().min(u64::MAX as u128) as u64);
+        let nanos = timeout.map_or(NO_TIMEOUT, |t| {
+            t.as_nanos().min(u128::from(NO_TIMEOUT - 1)) as u64
+        });
         self.core.timeout_nanos.store(nanos, Ordering::Relaxed);
     }
 
     /// The per-statement timeout currently in force, if any.
     pub fn statement_timeout(&self) -> Option<Duration> {
-        match self.core.timeout_nanos.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(Duration::from_nanos(n)),
-        }
+        self.core.timeout()
     }
 
     /// Pins the session to the currently published snapshot: every
@@ -401,7 +415,7 @@ impl Bound {
         let snapshot = self.core.snapshot();
         let stamp = snapshot.stamp();
         aiql_telemetry::trace::begin("execute");
-        let ran = Engine::new(&snapshot, self.core.exec_config(), &self.plan).run_ctx(&self.ctx);
+        let ran = self.core.engine(&snapshot, &self.plan).run_ctx(&self.ctx);
         let trace = aiql_telemetry::trace::finish();
         let outcome = ran?;
         let m = crate::metrics::metrics();
@@ -433,8 +447,7 @@ impl Bound {
         let snapshot = self.core.snapshot();
         let stamp = snapshot.stamp();
         let estimates = scoring::estimate_rows(&snapshot, &self.ctx);
-        let outcome =
-            Engine::new(&snapshot, self.core.exec_config(), &self.plan).run_ctx(&self.ctx)?;
+        let outcome = self.core.engine(&snapshot, &self.plan).run_ctx(&self.ctx)?;
         let patterns = (0..self.ctx.patterns.len())
             .map(|idx| {
                 let actual = outcome
@@ -1249,13 +1262,19 @@ mod tests {
     #[test]
     fn statement_timeout_cancels_instead_of_completing() {
         let store = shared(StoreConfig::partitioned());
-        // A 1 ns budget is expired by the time the first cooperative
-        // checkpoint (entering the pattern scan) runs, so any query that
-        // touches data must cancel rather than complete.
+        // A zero or 1 ns timeout is expired by the time the first
+        // cooperative checkpoint (entering the pattern scan) runs, so any
+        // query that touches data must cancel rather than complete.
+        for timeout in [Duration::ZERO, Duration::from_nanos(1)] {
+            let session = Session::open(&store).with_timeout(timeout);
+            assert_eq!(session.statement_timeout(), Some(timeout));
+            let r = session.run("proc p read || write file f return p, f");
+            assert!(
+                matches!(r, Err(EngineError::Timeout)),
+                "{timeout:?}: got {r:?}"
+            );
+        }
         let session = Session::open(&store).with_timeout(Duration::from_nanos(1));
-        assert_eq!(session.statement_timeout(), Some(Duration::from_nanos(1)));
-        let r = session.run("proc p read || write file f return p, f");
-        assert!(matches!(r, Err(EngineError::Timeout)), "got {r:?}");
 
         // Clearing the timeout lets the same source run to completion —
         // clones share the setting.

@@ -80,9 +80,10 @@ pub struct StoreConfig {
     /// the row store.
     pub columnar: bool,
     /// Execution shards the partitioned layout routes `(day, agent group)`
-    /// partitions into (`aiql_rdb::partition::shard_of`). `0` means
-    /// auto-size to the machine: [`StoreConfig::shard_count`] resolves it
-    /// to `available_parallelism`.
+    /// partitions into (`aiql_rdb::partition::shard_of`). `0` means the
+    /// machine's parallelism, resolved once when a store is built or loaded
+    /// ([`EventStore::shard_count`]); the store keeps — and a snapshot
+    /// records — the configured value.
     pub shards: u32,
 }
 
@@ -121,15 +122,13 @@ impl StoreConfig {
         self
     }
 
-    /// The effective shard count: the configured value, or the machine's
-    /// available parallelism (min 1) when configured as `0` (auto).
-    pub fn shard_count(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards as usize;
+    /// The shard count `shards` stands for: itself, or the machine's
+    /// parallelism for `0`. Called once per store, at build or load.
+    fn resolve_shards(&self) -> usize {
+        match self.shards {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n as usize,
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 }
 
@@ -219,6 +218,8 @@ pub enum RowRef<'a> {
 pub struct EventStore {
     db: Database,
     config: StoreConfig,
+    /// `config.shards`, resolved (see [`EventStore::shard_count`]).
+    shards: usize,
     /// The store-wide string dictionary backing every columnar projection.
     dict: SharedDict,
     event_count: usize,
@@ -257,6 +258,7 @@ impl EventStore {
         Ok(EventStore {
             db,
             config,
+            shards: config.resolve_shards(),
             dict,
             event_count: 0,
             entity_count: 0,
@@ -369,11 +371,12 @@ impl EventStore {
         self.config
     }
 
-    /// The effective execution-shard count of this store's layout (see
-    /// [`StoreConfig::shard_count`]). Scatter-gather execution groups the
-    /// event partitions into this many shards; `1` disables scatter.
+    /// The execution-shard count of this store's layout: the configured
+    /// [`StoreConfig::shards`], a `0` resolved to the machine's parallelism
+    /// when the store was built or loaded. A scattered events scan groups
+    /// the event partitions into this many shards, one pool task each.
     pub fn shard_count(&self) -> usize {
-        self.config.shard_count()
+        self.shards
     }
 
     /// Number of ingested events.

@@ -312,6 +312,7 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     let store = EventStore {
         db,
         config,
+        shards: config.resolve_shards(),
         dict,
         event_count,
         entity_count,

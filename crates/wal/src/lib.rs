@@ -592,12 +592,6 @@ impl Wal {
         Ok(self.try_append_event(ev)?)
     }
 
-    /// Appends one entity record straight from a reference; flattened like
-    /// [`Wal::append_event`].
-    pub fn append_entity(&mut self, e: &aiql_model::Entity) -> io::Result<u64> {
-        Ok(self.try_append_entity(e)?)
-    }
-
     /// Appends one event record, telling a record the log refused (the
     /// flush stands without it) from a log failure (the flush is gone) by
     /// type — an `io::ErrorKind` cannot: a failed `write(2)` may carry any

@@ -46,10 +46,7 @@ fn aiql_rows(w: &World, src: &str, config: EngineConfig) -> Vec<Vec<Value>> {
 
 /// Sequential relationship scheduling: the reference execution.
 fn sequential() -> EngineConfig {
-    EngineConfig {
-        parallel: false,
-        ..EngineConfig::aiql()
-    }
+    EngineConfig::aiql().with_workers(1)
 }
 
 #[test]
@@ -66,15 +63,7 @@ fn all_multievent_queries_agree_across_five_systems() {
         let ctx = aiql::lang::compile(q.source).unwrap();
 
         let relationship = aiql_rows(&w, q.source, EngineConfig::aiql());
-        let ff = aiql_rows(
-            &w,
-            q.source,
-            EngineConfig {
-                scheduler: aiql::engine::Scheduler::FetchFilter,
-                parallel: false,
-                ..EngineConfig::aiql()
-            },
-        );
+        let ff = aiql_rows(&w, q.source, EngineConfig::fetch_filter());
         assert_eq!(relationship, ff, "{}: schedulers disagree", q.id);
 
         let (pg, _) = postgres::run(&w.postgres, &ctx, None).unwrap();

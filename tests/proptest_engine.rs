@@ -112,9 +112,9 @@ fn run_engine(
         &SharedStore::new(store),
         EngineConfig {
             scheduler,
-            parallel: false,
             ..EngineConfig::aiql()
-        },
+        }
+        .with_workers(1),
     );
     let mut rows: Vec<(String, String, String)> = engine
         .run(&src)

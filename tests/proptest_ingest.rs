@@ -416,7 +416,7 @@ proptest! {
         let mut ing = Ingestor::new(IngestConfig::live()).unwrap();
         let shared = ing.shared();
         // Partition-parallel scans off: reader parallelism is the subject.
-        let econfig = EngineConfig { parallel: false, ..EngineConfig::aiql() };
+        let econfig = EngineConfig::aiql().with_workers(1);
         let stmt = Session::with_config(&shared, econfig)
             .prepare(tier1_queries()[0])
             .unwrap();

@@ -138,14 +138,9 @@ fn streamed_store(data: &Dataset, shards: u32) -> SharedStore {
     shared
 }
 
-fn run(store: &EventStore, parallel: Option<usize>, query: &str) -> Vec<Vec<Value>> {
-    let config = match parallel {
-        Some(workers) => EngineConfig::aiql().with_workers(workers),
-        None => EngineConfig {
-            parallel: false,
-            ..EngineConfig::aiql()
-        },
-    };
+/// Rows of `query` at scan width `workers` (1 = the sequential scan).
+fn run(store: &EventStore, workers: usize, query: &str) -> Vec<Vec<Value>> {
+    let config = EngineConfig::aiql().with_workers(workers);
     Session::with_config(&SharedStore::new(store.clone()), config)
         .run(query)
         .expect("query runs")
@@ -159,21 +154,21 @@ proptest! {
     fn scatter_gather_is_row_identical_to_sequential(
         events in micro_events(),
         shards in 1u32..9,
-        workers in 1usize..5,
+        workers in 2usize..5,
     ) {
         let data = build(&events);
         let batch = EventStore::ingest(&data, config(shards)).expect("batch ingest");
         let streamed = streamed_store(&data, shards);
         let snapshot = streamed.read();
         for query in queries() {
-            let sequential = run(&batch, None, query);
-            let scattered = run(&batch, Some(workers), query);
+            let sequential = run(&batch, 1, query);
+            let scattered = run(&batch, workers, query);
             prop_assert_eq!(
                 &scattered, &sequential,
                 "batch store diverged: shards {} workers {}\n{}", shards, workers, query
             );
-            let sequential = run(&snapshot, None, query);
-            let scattered = run(&snapshot, Some(workers), query);
+            let sequential = run(&snapshot, 1, query);
+            let scattered = run(&snapshot, workers, query);
             prop_assert_eq!(
                 &scattered, &sequential,
                 "streamed store diverged: shards {} workers {}\n{}", shards, workers, query

@@ -63,14 +63,12 @@ fn four_workers_at_least_double_sequential_throughput() {
     )
     .expect("sharded ingest");
     let prepare = |config: EngineConfig| {
-        session(&store, config.with_budget(Duration::from_secs(60)))
+        session(&store, config)
+            .with_timeout(Duration::from_secs(60))
             .prepare(UNPINNED_HUNT)
             .expect("the hunt compiles")
     };
-    let sequential = prepare(EngineConfig {
-        parallel: false,
-        ..EngineConfig::aiql()
-    });
+    let sequential = prepare(EngineConfig::aiql().with_workers(1));
     let expected = rows(&sequential);
     assert!(!expected.is_empty(), "the hunt finds the chain");
     let scattered: Vec<(usize, Prepared)> = [1, 2, 4, 8]
