@@ -83,14 +83,14 @@ impl DurableStore {
         let lock = Wal::lock(persist::wal_dir(&dir))?;
         let options = WalOptions::default();
         let (mut wal, shared, sync, report) = if persist::snapshot_files(&dir)?.is_empty() {
-            let (wal, _) = lock.open(options, |_, _| {})?;
+            let (wal, _) = lock.open(options, |_| {})?;
             let store = EventStore::empty(config)?;
             persist::write_snapshot(&store, &dir, 0)?;
             (wal, SharedStore::new(store), Synchronizer::new(), None)
         } else {
             // Opening the log must scan every segment anyway (to position
             // the writer and truncate any torn tail); recovery applies the
-            // records as that one pass yields them.
+            // frames as that one pass decodes them.
             let mut wal = None;
             let rec = persist::recover_with_replay(&dir, |visit| {
                 let (opened, scan) = lock.open(options, visit)?;

@@ -45,11 +45,14 @@ pub use live::{SharedStore, StoreSnapshot, StoreStamp, StoreWriter};
 pub use metrics::record_scan;
 pub use persist::{PersistError, RecoveryReport};
 
+use aiql_model::event::ALL_OPS;
+use aiql_model::schema as model_schema;
 use aiql_model::{Dataset, Entity, EntityKind, Event, SharedDict, Timestamp, Value};
 use aiql_rdb::{
     ColumnarSpec, Database, PartKey, PartitionSpec, Prune, RdbError, ResidentBytes, Row, RowView,
     ScanProfile,
 };
+use aiql_wal::ColumnFrame;
 use std::path::{Path, PathBuf};
 
 /// The columnar projection each table receives when
@@ -204,6 +207,9 @@ pub enum RowRef<'a> {
     Event(&'a Event),
 }
 
+/// The entity kinds, by their log code ([`aiql_model::codec::kind_code`]).
+const KINDS: [EntityKind; 3] = [EntityKind::File, EntityKind::Process, EntityKind::NetConn];
+
 /// The single-node event store.
 ///
 /// Construct-and-query via [`EventStore::ingest`], or grow a live store via
@@ -304,14 +310,96 @@ impl EventStore {
         })
     }
 
-    /// Inserts one logged row. A durable flush's apply phase and
-    /// recovery's replay of the log both go through here, so a row the
-    /// store rejects live is rejected — and skipped — identically when the
-    /// log is replayed.
+    /// Inserts one logged row: a durable flush's apply phase. Recovery
+    /// replays the log a frame at a time through
+    /// [`EventStore::apply_frame`], whose rows meet the same schema check
+    /// and partition routing, so a row the store rejects live is rejected
+    /// — and skipped — identically when the log is replayed.
     pub fn apply(&mut self, row: RowRef<'_>) -> Result<AppendOutcome, RdbError> {
         match row {
             RowRef::Entity(e) => self.append_entity(e).map(|()| AppendOutcome::default()),
             RowRef::Event(ev) => self.append_event(ev),
+        }
+    }
+
+    /// Inserts the entity and event rows of a decoded log frame whose
+    /// sequence number is above `after`, in sequence order, straight from
+    /// the frame's lanes: each row is built on the stack — an event's
+    /// eleven lanes, an entity's id, agent and its kind's attributes, each
+    /// string sharing the frame's text — and inserted as
+    /// [`EventStore::apply`] inserts it, so it meets the same schema check
+    /// and partition routing, interns its strings in the same order, and
+    /// bumps the counts and the epoch as it does; no record, event or
+    /// attribute map is built. Each row inserted, or rejected and
+    /// skipped, is counted in `report`. Clock rows are the caller's.
+    pub fn apply_frame(&mut self, frame: &ColumnFrame, after: u64, report: &mut RecoveryReport) {
+        let ents = &frame.entities;
+        let entities_from = frame.first() + frame.clocks() as u64;
+        // Each name's column in each kind's table (by log code), if it
+        // has one: the id and agent columns, then the kind's attributes.
+        let column = |kind, name: &str| {
+            let at = model_schema::entity_attrs(kind)
+                .iter()
+                .position(|a| *a == name);
+            at.map(|at| 2 + at)
+        };
+        let columns: Vec<[Option<usize>; 3]> = (ents.names().iter())
+            .map(|name| KINDS.map(|kind| column(kind, name)))
+            .collect();
+        ents.each(|i, attrs| {
+            if entities_from + i as u64 <= after {
+                return;
+            }
+            let kind = ents.kind[i] as usize;
+            let mut row: [Value; 7] = std::array::from_fn(|_| Value::Null);
+            row[0] = Value::Int(ents.id[i]);
+            row[1] = Value::Int(ents.agent[i]);
+            for &(name, value) in attrs {
+                if let Some(col) = columns[name as usize][kind] {
+                    row[col] = value.clone();
+                }
+            }
+            match self.db.insert(schema::entity_table(KINDS[kind]), &row[..]) {
+                Ok(()) => {
+                    self.entity_count += 1;
+                    self.epoch += 1;
+                    report.replayed_entities += 1;
+                }
+                Err(_) => report.skipped_rows += 1,
+            }
+        });
+        let events_from = entities_from + ents.len() as u64;
+        let skip = (after + 1).saturating_sub(events_from);
+        let skip = skip.min(frame.event_rows() as u64) as usize;
+        // The log's op and kind codes (indexes into `ALL_OPS` and `KINDS`),
+        // as the table's.
+        let ops = ALL_OPS.map(schema::opcode);
+        let kinds = KINDS.map(schema::kind_code);
+        let [id, agent, subject, op, object, kind, start, span, seq, amount, failure] =
+            &frame.events;
+        for i in skip..frame.event_rows() {
+            let row = [
+                id[i],
+                agent[i],
+                ops[op[i] as usize],
+                subject[i],
+                object[i],
+                kinds[kind[i] as usize],
+                start[i],
+                start[i].wrapping_add(span[i]),
+                seq[i],
+                amount[i],
+                failure[i],
+            ]
+            .map(Value::Int);
+            match self.db.insert(schema::EVENTS, &row[..]) {
+                Ok(()) => {
+                    self.event_count += 1;
+                    self.epoch += 1;
+                    report.replayed_events += 1;
+                }
+                Err(_) => report.skipped_rows += 1,
+            }
         }
     }
 
@@ -532,6 +620,19 @@ mod tests {
             &mut 0,
             &mut ScanProfile::default(),
         )
+    }
+
+    /// [`EventStore::apply_frame`] reads a logged op or kind code as an
+    /// index into [`ALL_OPS`] and [`KINDS`].
+    #[test]
+    fn log_codes_index_the_op_and_kind_tables() {
+        use aiql_model::codec;
+        for (code, op) in ALL_OPS.iter().enumerate() {
+            assert_eq!(codec::op_from_code(code as u8), Some(*op));
+        }
+        for (code, kind) in KINDS.iter().enumerate() {
+            assert_eq!(codec::kind_from_code(code as u8), Some(*kind));
+        }
     }
 
     #[test]

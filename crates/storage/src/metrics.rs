@@ -26,8 +26,10 @@ aiql_telemetry::metrics! {
         "One snapshot file's load during recovery: read, CRC, dictionary, and every table \
          (a columnar store's sealed chunks read as columns, open tails as rows)"),
     replay_micros: Histogram("aiql_storage_replay_micros", "µs",
-        "Recovery's WAL tail pass: scanning the log's segments and applying each record past \
-         the snapshot through `EventStore::apply`"),
+        "Recovery's WAL tail pass: scanning the log's segments, decoding each frame into its \
+         column lanes (`aiql_wal_decode_micros` is that share) and applying its rows past the \
+         snapshot straight from the lanes into the tables (`EventStore::apply_frame`: no \
+         record, event or attribute map built per row)"),
     like_rows: Counter("aiql_storage_like_rows_total", "rows",
         "Rows a `LIKE` / `NOT LIKE` predicate decided by dictionary code (the `LikeSym` \
          kernel) instead of by matching the row's string; per scan in `EXPLAIN` and the \

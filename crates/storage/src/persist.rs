@@ -25,11 +25,13 @@
 //! then replays the WAL tail: *event and entity* records with a sequence
 //! number at or below the snapshot's are skipped (they are already folded
 //! in — this is what makes a crash *between* snapshot and log truncation
-//! harmless), the rest are re-applied — as the segment scan yields them,
-//! never collected first — through [`EventStore::apply`], the same function
-//! a live flush applies its logged rows with (so partitions, indexes, and
-//! projections rebuild through the same single-source-of-truth machinery
-//! as live ingestion). Clock-sample /
+//! harmless), the rest are re-applied — a decoded frame at a time, as the
+//! segment scan yields them, never collected first — straight from the
+//! frame's column lanes through [`EventStore::apply_frame`], which gives
+//! each row the schema check and partition routing a live flush's
+//! [`EventStore::apply`] gives it (so partitions, indexes, and projections
+//! rebuild through the same machinery as live ingestion) without building
+//! a record, an event or an attribute map per row. Clock-sample /
 //! synchronizer-state records rebuild the time-synchronization estimates
 //! and are replayed regardless of the snapshot boundary — the snapshot
 //! carries no synchronizer state, and a checkpointed seed *replaces* the
@@ -39,12 +41,12 @@
 //! (`aiql_storage_snapshot_load_micros`, `aiql_storage_replay_micros`).
 
 use crate::timesync::{ClockSample, Synchronizer};
-use crate::{columnar_spec_for, schema, EventStore, RowRef, StoreConfig};
+use crate::{columnar_spec_for, schema, EventStore, StoreConfig};
 use aiql_model::{codec, SharedDict};
 use aiql_rdb::{
     snapshot as rsnap, ColumnarSpec, Database, PartitionSpec, RdbError, Schema, TableSlot,
 };
-use aiql_wal::{crc32, WalRecord};
+use aiql_wal::{crc32, ColumnFrame, WalRecord};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -381,14 +383,16 @@ pub fn recover(dir: &Path) -> Result<Recovered, PersistError> {
 
 /// [`recover`] over a caller-driven scan of the store's log: the newest
 /// valid snapshot is loaded first, then `replay` is called once with the
-/// visitor that applies each record *as the scan yields it* — the tail is
-/// never materialised. The durable store passes the scan that opening its
-/// log for writing performs anyway ([`aiql_wal::WalLock::open`], which
-/// positions the writer and truncates any torn tail), so recovery reads
-/// every segment exactly once.
+/// visitor that applies each decoded frame *as the scan yields it* — the
+/// tail is never materialised, and no record is built: clock rows are
+/// folded into the synchronizer, and the frame's entity and event rows go
+/// from its lanes into the tables ([`EventStore::apply_frame`]). The
+/// durable store passes the scan that opening its log for writing performs
+/// anyway ([`aiql_wal::WalLock::open`], which positions the writer and
+/// truncates any torn tail), so recovery reads every segment exactly once.
 pub fn recover_with_replay(
     dir: &Path,
-    replay: impl FnOnce(&mut dyn FnMut(u64, WalRecord)) -> io::Result<aiql_wal::Scan>,
+    replay: impl FnOnce(&mut dyn FnMut(&ColumnFrame)) -> io::Result<aiql_wal::Scan>,
 ) -> Result<Recovered, PersistError> {
     let mut candidates = snapshot_files(dir)?;
     let newest_covered = candidates.last().map_or(0, |(seq, _)| *seq);
@@ -434,50 +438,42 @@ pub fn recover_with_replay(
     // below).
     let mut log_span: Option<(u64, u64)> = None;
     let started = Instant::now();
-    let scan = replay(&mut |seq, rec| {
-        log_span = Some((log_span.map_or(seq, |(first, _)| first), seq));
-        let row = match &rec {
-            // Clock records ignore the snapshot boundary: the snapshot
-            // itself carries no synchronizer state (it lives only in the
-            // log), and a checkpoint renames the snapshot into place
-            // *before* the SyncState seed is durable — skipping records at
-            // or below the snapshot's seq would lose every estimate in
-            // that crash window. Replaying a sample alongside its seed is
-            // harmless: the seed already folds every earlier clock record
-            // in the log, and restore() *replaces* the estimate with it.
-            WalRecord::ClockSample {
-                agent,
-                agent_time,
-                server_time,
-            } => {
-                sync.record(
-                    *agent,
+    let scan = replay(&mut |frame| {
+        log_span = Some((
+            log_span.map_or(frame.first(), |(first, _)| first),
+            frame.last(),
+        ));
+        // Clock rows ignore the snapshot boundary: the snapshot itself
+        // carries no synchronizer state (it lives only in the log), and a
+        // checkpoint renames the snapshot into place *before* the
+        // SyncState seed is durable — skipping rows at or below the
+        // snapshot's seq would lose every estimate in that crash window.
+        // Replaying a sample alongside its seed is harmless: the seed
+        // already folds every earlier clock row in the log, and restore()
+        // *replaces* the estimate with it.
+        for i in 0..frame.clocks() {
+            match frame.clock(i) {
+                WalRecord::ClockSample {
+                    agent,
+                    agent_time,
+                    server_time,
+                } => sync.record(
+                    agent,
                     ClockSample {
-                        agent_time: *agent_time,
-                        server_time: *server_time,
+                        agent_time,
+                        server_time,
                     },
-                );
-                report.replayed_clock_samples += 1;
-                return;
+                ),
+                WalRecord::SyncState {
+                    agent,
+                    sum_diff,
+                    count,
+                } => sync.restore(agent, sum_diff, count),
+                row => unreachable!("a clock row: {row:?}"),
             }
-            WalRecord::SyncState {
-                agent,
-                sum_diff,
-                count,
-            } => {
-                sync.restore(*agent, *sum_diff, *count);
-                report.replayed_clock_samples += 1;
-                return;
-            }
-            _ if seq <= snap_seq => return,
-            WalRecord::Event(ev) => RowRef::Event(ev),
-            WalRecord::Entity(e) => RowRef::Entity(e),
-        };
-        match (store.apply(row), row) {
-            (Ok(_), RowRef::Event(_)) => report.replayed_events += 1,
-            (Ok(_), RowRef::Entity(_)) => report.replayed_entities += 1,
-            (Err(_), _) => report.skipped_rows += 1,
+            report.replayed_clock_samples += 1;
         }
+        store.apply_frame(frame, snap_seq, &mut report);
     })?;
     m.replay_micros.record_duration(started.elapsed());
     report.torn_bytes = scan.torn_bytes;

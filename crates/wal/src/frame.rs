@@ -36,7 +36,7 @@
 use crate::record::WalRecord;
 use aiql_model::codec::{self, read_str, read_u32, read_u64, write_str, MAX_LEN};
 use aiql_model::columns::{read_column, write_column, write_frame_spanning, Frame, Strings};
-use aiql_model::{AgentId, Entity, EntityId, Event, EventId, Timestamp, Value};
+use aiql_model::{AgentId, Entity, EntityId, EntityKind, Event, EventId, Timestamp, Value};
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
@@ -449,85 +449,306 @@ impl Entities {
     }
 }
 
-/// Decodes one frame's payload, appending its rows to `out` in sequence
-/// order; returns the first row's sequence number. Malformed input is an
-/// error, never a panic: counts past the cap or the bytes, an unknown
-/// code, a value out of its field's range, a column that ends early, or
-/// bytes left over.
-pub(crate) fn decode(mut r: &[u8], out: &mut Vec<WalRecord>) -> io::Result<u64> {
-    let r = &mut r;
-    let first = read_u64(r)?;
-    let counts = [read_u32(r)?, read_u32(r)?, read_u32(r)?].map(|n| n as usize);
-    let rows = counts.iter().sum::<usize>() as u64;
-    if rows == 0 || rows > MAX_FRAME_ROWS || first == 0 || first.checked_add(rows).is_none() {
-        return Err(invalid(format!("{rows} rows from sequence {first}")));
+/// One column frame, decoded: its rows in the lanes the frame keeps them
+/// in, numbered from [`ColumnFrame::first`] — clock rows, then entities,
+/// then events. A segment scan decodes each frame into the one it hands
+/// on, so the lanes' room is reused from frame to frame.
+#[derive(Debug, Default)]
+pub struct ColumnFrame {
+    first: u64,
+    /// Clock rows: kind (0 a sample, 1 a synchronizer state), agent, a, b.
+    clocks: [Vec<i64>; 4],
+    /// The entity rows.
+    pub entities: EntityLanes,
+    /// The event rows, a lane per field in the frame's order: id, agent,
+    /// subject, op ([`codec::op_code`]), object, object kind
+    /// ([`codec::kind_code`]), start, `end − start` (wrapping), seq,
+    /// amount, failure. Decoding checked that each agent fits a `u32`,
+    /// each op and kind is a known code, and each failure fits an `i32`.
+    pub events: [Vec<i64>; 11],
+}
+
+impl ColumnFrame {
+    /// The first row's sequence number.
+    pub fn first(&self) -> u64 {
+        self.first
     }
-    out.reserve(rows as usize);
-    let [clocks, entities, events] = counts;
-    if clocks > 0 {
-        let [kind, agent, a, b] = columns(r, clocks)?;
-        for i in 0..clocks {
-            let agent = AgentId(narrow(agent[i], "agent")?);
-            out.push(match kind[i] {
-                0 => WalRecord::ClockSample {
-                    agent,
-                    agent_time: a[i],
-                    server_time: b[i],
-                },
-                1 => WalRecord::SyncState {
-                    agent,
-                    sum_diff: a[i],
-                    count: b[i],
-                },
-                k => return Err(invalid(format!("clock row kind {k}"))),
-            });
+
+    /// Number of clock rows.
+    pub fn clocks(&self) -> usize {
+        self.clocks[0].len()
+    }
+
+    /// Number of events.
+    pub fn event_rows(&self) -> usize {
+        self.events[0].len()
+    }
+
+    /// The last row's sequence number (a decoded frame holds one row at
+    /// least).
+    pub fn last(&self) -> u64 {
+        let rows = self.clocks() + self.entities.len() + self.event_rows();
+        self.first + rows as u64 - 1
+    }
+
+    /// Clock row `i`: a [`WalRecord::ClockSample`] or a
+    /// [`WalRecord::SyncState`].
+    pub fn clock(&self, i: usize) -> WalRecord {
+        let [kind, agent, a, b] = &self.clocks;
+        let agent = AgentId(agent[i] as u32);
+        match kind[i] {
+            0 => WalRecord::ClockSample {
+                agent,
+                agent_time: a[i],
+                server_time: b[i],
+            },
+            _ => WalRecord::SyncState {
+                agent,
+                sum_diff: a[i],
+                count: b[i],
+            },
         }
     }
-    if entities > 0 {
-        decode_entities(r, entities, out)?;
+
+    /// Appends every row, as a record with its sequence number, to `out`.
+    pub(crate) fn records(&self, out: &mut Vec<(u64, WalRecord)>) {
+        let mut seqs = self.first..;
+        let mut push = |rec| out.push((seqs.next().expect("unbounded"), rec));
+        (0..self.clocks()).for_each(|i| push(self.clock(i)));
+        let ents = &self.entities;
+        ents.each(|i, attrs| push(WalRecord::Entity(ents.entity(i, attrs))));
+        (0..self.event_rows()).for_each(|i| push(WalRecord::Event(self.event(i))));
     }
-    if events > 0 {
+
+    /// Event `i`.
+    fn event(&self, i: usize) -> Event {
         let [id, agent, subject, op, object, kind, start, span, seq, amount, failure] =
-            columns(r, events)?;
-        for i in 0..events {
-            out.push(WalRecord::Event(Event {
-                id: EventId(id[i] as u64),
-                agent: AgentId(narrow(agent[i], "agent")?),
-                subject: EntityId(subject[i] as u64),
-                op: codec::op_from_code(narrow(op[i], "op code")?)
-                    .ok_or_else(|| invalid("unknown op code"))?,
-                object: EntityId(object[i] as u64),
-                object_kind: entity_kind(kind[i])?,
-                start: Timestamp(start[i]),
-                end: Timestamp(start[i].wrapping_add(span[i])),
-                seq: seq[i] as u64,
-                amount: amount[i],
-                failure: narrow(failure[i], "failure code")?,
-            }));
+            &self.events;
+        Event {
+            id: EventId(id[i] as u64),
+            agent: AgentId(agent[i] as u32),
+            subject: EntityId(subject[i] as u64),
+            op: codec::op_from_code(op[i] as u8).expect("a checked op code"),
+            object: EntityId(object[i] as u64),
+            object_kind: entity_kind(kind[i]).expect("a checked kind code"),
+            start: Timestamp(start[i]),
+            end: Timestamp(start[i].wrapping_add(span[i])),
+            seq: seq[i] as u64,
+            amount: amount[i],
+            failure: failure[i] as i32,
         }
     }
-    if !r.is_empty() {
-        return Err(invalid(format!("{} bytes past the frame's rows", r.len())));
+
+    fn clear(&mut self) {
+        self.clocks.iter_mut().for_each(Vec::clear);
+        self.entities.clear();
+        self.events.iter_mut().for_each(Vec::clear);
     }
-    Ok(first)
-}
 
-/// `N` integer columns of `n` values each.
-fn columns<const N: usize>(r: &mut &[u8], n: usize) -> io::Result<[Vec<i64>; N]> {
-    let mut cols: [Vec<i64>; N] = std::array::from_fn(|_| Vec::with_capacity(n));
-    for col in &mut cols {
-        Frame::read(r, n)?.extend_into(col);
+    /// Decodes one frame's payload into `self`. Malformed input is an
+    /// error, never a panic: counts past the cap or the bytes, an unknown
+    /// code, a value out of its field's range, a column that ends early,
+    /// or bytes left over.
+    pub(crate) fn decode(&mut self, mut r: &[u8]) -> io::Result<()> {
+        self.clear();
+        let r = &mut r;
+        let first = read_u64(r)?;
+        let counts = [read_u32(r)?, read_u32(r)?, read_u32(r)?].map(|n| n as usize);
+        let rows = counts.iter().sum::<usize>() as u64;
+        if rows == 0 || rows > MAX_FRAME_ROWS || first == 0 || first.checked_add(rows).is_none() {
+            return Err(invalid(format!("{rows} rows from sequence {first}")));
+        }
+        self.first = first;
+        let [clocks, entities, events] = counts;
+        if clocks > 0 {
+            for lane in &mut self.clocks {
+                read_lane(r, clocks, lane)?;
+            }
+            check(&self.clocks[0], "clock row kind", |k| k == 0 || k == 1)?;
+            check(&self.clocks[1], "agent", |v| u32::try_from(v).is_ok())?;
+        }
+        if entities > 0 {
+            self.entities.decode(r, entities)?;
+        }
+        if events > 0 {
+            for lane in &mut self.events {
+                read_lane(r, events, lane)?;
+            }
+            let [_, agent, _, op, _, kind, _, _, _, _, failure] = &self.events;
+            check(agent, "agent", |v| u32::try_from(v).is_ok())?;
+            check(op, "op code", |v| {
+                u8::try_from(v).ok().and_then(codec::op_from_code).is_some()
+            })?;
+            check(kind, "entity kind code", |v| entity_kind(v).is_ok())?;
+            check(failure, "failure code", |v| i32::try_from(v).is_ok())?;
+        }
+        if !r.is_empty() {
+            return Err(invalid(format!("{} bytes past the frame's rows", r.len())));
+        }
+        Ok(())
     }
-    Ok(cols)
+
+    /// Decodes a version-1 frame's payload — a sequence number and one
+    /// record — into `self`, as a frame of that one row: the record is
+    /// encoded as today's frame and decoded as one.
+    pub(crate) fn decode_v1(&mut self, mut payload: &[u8]) -> io::Result<()> {
+        let seq = codec::read_u64(&mut payload)?;
+        let rec = WalRecord::decode_v1(&mut payload)?;
+        let mut rows = Rows::default();
+        rows.push(Row::from(&rec), 0);
+        let mut frame = Vec::new();
+        rows.encode(seq, &mut frame)?;
+        self.decode(&frame[FRAME_HEADER..])
+    }
 }
 
-fn narrow<T: TryFrom<i64>>(v: i64, what: &str) -> io::Result<T> {
-    T::try_from(v).map_err(|_| invalid(format!("{what} {v} out of range")))
+/// The entity rows of a frame: the id, agent and kind lanes, and each
+/// entity's attributes as the frame keeps them — a name set per entity,
+/// and one value column per name. Decoding checked that each agent fits a
+/// `u32`, each kind is a known [`codec::kind_code`] code, and each
+/// entity's set exists.
+#[derive(Debug, Default)]
+pub struct EntityLanes {
+    pub id: Vec<i64>,
+    pub agent: Vec<i64>,
+    /// [`codec::kind_code`] codes.
+    pub kind: Vec<i64>,
+    /// Each entity's name set.
+    set: Vec<i64>,
+    names: Vec<String>,
+    /// Each set's name codes, end to end; set `s` ends at `set_ends[s]`.
+    set_names: Vec<u32>,
+    set_ends: Vec<usize>,
+    /// Per name, its value for each entity whose set names it, in entity
+    /// order.
+    columns: Vec<Vec<Value>>,
+    /// The frame's string table: each string value shares its text.
+    strings: Vec<Arc<str>>,
 }
 
-fn entity_kind(code: i64) -> io::Result<aiql_model::EntityKind> {
-    codec::kind_from_code(narrow(code, "entity kind code")?)
-        .ok_or_else(|| invalid("unknown entity kind code"))
+impl EntityLanes {
+    /// Number of entities.
+    pub fn len(&self) -> usize {
+        self.id.len()
+    }
+
+    /// Whether the frame holds no entity.
+    pub fn is_empty(&self) -> bool {
+        self.id.is_empty()
+    }
+
+    /// The attribute names, by name code.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The name codes of set `s`.
+    fn set_names(&self, s: usize) -> &[u32] {
+        let from = s.checked_sub(1).map_or(0, |p| self.set_ends[p]);
+        &self.set_names[from..self.set_ends[s]]
+    }
+
+    /// Hands `visit` each entity in order — its index and its attributes,
+    /// as name codes and values in its set's order.
+    pub fn each(&self, mut visit: impl FnMut(usize, &[(u32, &Value)])) {
+        let mut next = vec![0; self.names.len()];
+        let mut attrs = Vec::new();
+        for (i, &set) in self.set.iter().enumerate() {
+            attrs.clear();
+            for &code in self.set_names(set as usize) {
+                let at = &mut next[code as usize];
+                attrs.push((code, &self.columns[code as usize][*at]));
+                *at += 1;
+            }
+            visit(i, &attrs);
+        }
+    }
+
+    fn clear(&mut self) {
+        for lane in [&mut self.id, &mut self.agent, &mut self.kind, &mut self.set] {
+            lane.clear();
+        }
+        self.names.clear();
+        self.set_names.clear();
+        self.set_ends.clear();
+        self.columns.clear();
+        self.strings.clear();
+    }
+
+    /// Entity `i`, its attributes as `attrs` names them.
+    fn entity(&self, i: usize, attrs: &[(u32, &Value)]) -> Entity {
+        let mut e = Entity::new(
+            EntityId(self.id[i] as u64),
+            AgentId(self.agent[i] as u32),
+            entity_kind(self.kind[i]).expect("a checked kind code"),
+        );
+        for &(code, value) in attrs {
+            let name = self.names[code as usize].clone();
+            e.attrs.insert(name, value.clone());
+        }
+        e
+    }
+
+    fn decode(&mut self, r: &mut &[u8], n: usize) -> io::Result<()> {
+        for lane in [&mut self.id, &mut self.agent, &mut self.kind] {
+            read_lane(r, n, lane)?;
+        }
+        check(&self.agent, "agent", |v| u32::try_from(v).is_ok())?;
+        check(&self.kind, "entity kind code", |v| entity_kind(v).is_ok())?;
+        for _ in 0..count(r, "names")? {
+            self.names.push(read_str(r)?);
+        }
+        for _ in 0..count(r, "name sets")? {
+            for _ in 0..count(r, "set names")? {
+                match read_u32(r)? {
+                    code if (code as usize) < self.names.len() => self.set_names.push(code),
+                    code => return Err(invalid(format!("name code {code} past the names"))),
+                }
+            }
+            self.set_ends.push(self.set_names.len());
+        }
+        read_lane(r, n, &mut self.set)?;
+        let sets = self.set_ends.len();
+        check(&self.set, "name set", |s| {
+            usize::try_from(s).is_ok_and(|s| s < sets)
+        })?;
+        // Column `j` holds a value for each entity whose set names `j`.
+        let mut uses = vec![0usize; sets];
+        self.set.iter().for_each(|s| uses[*s as usize] += 1);
+        let mut lens = vec![0usize; self.names.len()];
+        for (s, uses) in uses.iter().enumerate() {
+            self.set_names(s)
+                .iter()
+                .for_each(|c| lens[*c as usize] += uses);
+        }
+        for len in lens {
+            let mut column = Vec::with_capacity(len);
+            read_column(r, len, &mut self.strings, |v| column.push(v))?;
+            self.columns.push(column);
+        }
+        Ok(())
+    }
+}
+
+/// Reads one integer column of `n` values into `lane`.
+fn read_lane(r: &mut &[u8], n: usize, lane: &mut Vec<i64>) -> io::Result<()> {
+    Frame::read(r, n)?.extend_into(lane);
+    Ok(())
+}
+
+/// Fails on the first value of `lane` that `ok` refuses.
+fn check(lane: &[i64], what: &str, ok: impl Fn(i64) -> bool) -> io::Result<()> {
+    match lane.iter().find(|v| !ok(**v)) {
+        Some(v) => Err(invalid(format!("{what} {v} out of range"))),
+        None => Ok(()),
+    }
+}
+
+fn entity_kind(code: i64) -> io::Result<EntityKind> {
+    u8::try_from(code)
+        .ok()
+        .and_then(codec::kind_from_code)
+        .ok_or_else(|| invalid(format!("entity kind code {code} out of range")))
 }
 
 /// A count of items at least four bytes each, refused past what `r` holds.
@@ -537,49 +758,4 @@ fn count(r: &mut &[u8], what: &str) -> io::Result<usize> {
         return Err(invalid(format!("{n} {what} in a {}-byte rest", r.len())));
     }
     Ok(n)
-}
-
-fn decode_entities(r: &mut &[u8], n: usize, out: &mut Vec<WalRecord>) -> io::Result<()> {
-    let [id, agent, kind] = columns(r, n)?;
-    let names = (0..count(r, "names")?)
-        .map(|_| read_str(r))
-        .collect::<io::Result<Vec<String>>>()?;
-    let mut sets = Vec::new();
-    for _ in 0..count(r, "name sets")? {
-        let set = (0..count(r, "set names")?)
-            .map(|_| match read_u32(r)? {
-                code if (code as usize) < names.len() => Ok(code as usize),
-                code => Err(invalid(format!("name code {code} past the names"))),
-            })
-            .collect::<io::Result<Vec<usize>>>()?;
-        sets.push(set);
-    }
-    let [set] = columns(r, n)?;
-    let mut ents = Vec::with_capacity(n);
-    for i in 0..n {
-        if !usize::try_from(set[i]).is_ok_and(|s| s < sets.len()) {
-            return Err(invalid(format!("name set {} past the sets", set[i])));
-        }
-        let e = Entity::new(
-            EntityId(id[i] as u64),
-            AgentId(narrow(agent[i], "agent")?),
-            entity_kind(kind[i])?,
-        );
-        ents.push(e);
-    }
-    let mut strings: Vec<Arc<str>> = Vec::new();
-    for (j, name) in names.iter().enumerate() {
-        let named: Vec<usize> = (0..n)
-            .filter(|&i| sets[set[i] as usize].contains(&j))
-            .collect();
-        let mut slots = named.iter();
-        read_column(r, named.len(), &mut strings, |v| {
-            let i = *slots
-                .next()
-                .expect("a value for each entity naming the column");
-            ents[i].attrs.insert(name.clone(), v);
-        })?;
-    }
-    out.extend(ents.into_iter().map(WalRecord::Entity));
-    Ok(())
 }

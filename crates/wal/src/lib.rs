@@ -22,7 +22,9 @@
 //!   [u64 sequence number][tagged record body]`) still replays; opening a
 //!   log whose active segment is version 1 starts a new segment before
 //!   the first append, so no segment mixes the two;
-//! - recovery ([`replay`], [`replay_with`]) reads segments in order and
+//! - recovery ([`replay_with`]) reads segments in order, handing on each
+//!   frame decoded into its column lanes ([`ColumnFrame`]; [`replay`]
+//!   materialises the rows as [`WalRecord`]s), and
 //!   stops at the first frame that fails validation — a torn final frame
 //!   (partial header, short payload, CRC mismatch, a payload that does not
 //!   decode, or a non-monotone sequence number) is *tolerated*: everything
@@ -80,6 +82,7 @@ mod record;
 
 pub use aiql_fault::DirSync;
 pub use crc::crc32;
+pub use frame::{ColumnFrame, EntityLanes};
 pub use record::WalRecord;
 
 use aiql_fault::FaultFile;
@@ -246,14 +249,15 @@ fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Scans one segment's bytes, handing each valid record to `visit` as it
-/// is decoded. Returns the byte offset just past the last valid frame and
-/// whether scanning stopped early (torn/corrupt tail). `prev_seq` enforces
-/// cross-segment monotonicity.
+/// Scans one segment's bytes, decoding each valid frame into `frame` and
+/// handing it to `visit`. Returns the byte offset just past the last valid
+/// frame and whether scanning stopped early (torn/corrupt tail).
+/// `prev_seq` enforces cross-segment monotonicity.
 fn scan_segment(
     bytes: &[u8],
     prev_seq: &mut u64,
-    visit: &mut impl FnMut(u64, WalRecord),
+    frame: &mut ColumnFrame,
+    visit: &mut impl FnMut(&ColumnFrame),
 ) -> (usize, bool) {
     let (mut at, v1) = match bytes.get(..4) {
         None => return (0, !bytes.is_empty()),
@@ -263,7 +267,7 @@ fn scan_segment(
         },
         Some(_) => (0, true),
     };
-    let mut rows = Vec::new();
+    let decode_micros = &metrics::metrics().decode_micros;
     while at + FRAME_HEADER <= bytes.len() {
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
@@ -274,30 +278,22 @@ fn scan_segment(
         if crc32(payload) != crc {
             return (at, true);
         }
-        rows.clear();
-        let first = match v1 {
-            true => decode_v1(payload, &mut rows),
-            false => frame::decode(payload, &mut rows),
+        let started = std::time::Instant::now();
+        let decoded = match v1 {
+            true => frame.decode_v1(payload),
+            false => frame.decode(payload),
         };
-        match first {
-            Ok(first) if first > *prev_seq => {
-                *prev_seq = first + (rows.len() as u64 - 1);
-                for (i, rec) in rows.drain(..).enumerate() {
-                    visit(first + i as u64, rec);
-                }
+        decode_micros.record_duration(started.elapsed());
+        match decoded {
+            Ok(()) if frame.first() > *prev_seq => {
+                *prev_seq = frame.last();
+                visit(frame);
             }
             _ => return (at, true),
         }
         at += FRAME_HEADER + len as usize;
     }
     (at, at < bytes.len())
-}
-
-/// Decodes a version-1 frame's payload: a sequence number and one record.
-fn decode_v1(mut payload: &[u8], out: &mut Vec<WalRecord>) -> io::Result<u64> {
-    let seq = aiql_model::codec::read_u64(&mut payload)?;
-    out.push(WalRecord::decode_v1(&mut payload)?);
-    Ok(seq)
 }
 
 /// What [`scan_log`] found.
@@ -312,18 +308,14 @@ struct Scanned {
     end_is_v1: bool,
 }
 
-/// Scans the segments of `dir` in order, handing every valid record to
+/// Scans the segments of `dir` in order, handing every valid frame to
 /// `visit` as it is decoded, and stops validating at the first bad frame:
 /// the rest of that segment and every later segment are unreachable and
 /// count toward [`Scan::torn_bytes`]. With `repair` the unreachable bytes
 /// are also removed — the torn segment truncated to its valid length, the
 /// segments after it deleted — so the next append lands on a clean
 /// boundary.
-fn scan_log(
-    dir: &Path,
-    repair: bool,
-    visit: &mut impl FnMut(u64, WalRecord),
-) -> io::Result<Scanned> {
+fn scan_log(dir: &Path, repair: bool, visit: &mut impl FnMut(&ColumnFrame)) -> io::Result<Scanned> {
     let segments = segment_files(dir)?;
     let mut out = Scanned {
         scan: Scan {
@@ -335,6 +327,7 @@ fn scan_log(
         end_is_v1: false,
     };
     let mut stopped = false;
+    let mut frame = ColumnFrame::default();
     for (idx, path) in &segments {
         if stopped {
             out.scan.torn_bytes += fs::metadata(path)?.len();
@@ -344,7 +337,7 @@ fn scan_log(
             continue;
         }
         let bytes = aiql_fault::fs::read(path, "wal.segment.read")?;
-        let (valid_end, torn) = scan_segment(&bytes, &mut out.last_seq, visit);
+        let (valid_end, torn) = scan_segment(&bytes, &mut out.last_seq, &mut frame, visit);
         out.end = Some((*idx, valid_end as u64));
         out.end_is_v1 = valid_end > 0 && !bytes.starts_with(&SEGMENT_HEADER);
         if torn {
@@ -358,24 +351,24 @@ fn scan_log(
     Ok(out)
 }
 
-/// Reads the log directory in order, handing every valid record to `visit`
-/// as its segment is scanned — nothing is collected, so a recovery that
-/// applies records as they arrive holds one segment's bytes at a time.
+/// Reads the log directory in order, handing each valid frame to `visit`
+/// as its segment is scanned — decoded into its column lanes, nothing
+/// collected and no record built, so a recovery that applies frames as
+/// they arrive holds one segment's bytes and one frame's lanes at a time.
 ///
 /// A missing directory is an empty log. Validation stops at the first bad
 /// frame; everything after it (including later segments) counts toward
 /// [`Scan::torn_bytes`]. Nothing on disk is touched.
-pub fn replay_with(
-    dir: impl AsRef<Path>,
-    mut visit: impl FnMut(u64, WalRecord),
-) -> io::Result<Scan> {
+pub fn replay_with(dir: impl AsRef<Path>, mut visit: impl FnMut(&ColumnFrame)) -> io::Result<Scan> {
     Ok(scan_log(dir.as_ref(), false, &mut visit)?.scan)
 }
 
-/// [`replay_with`], collecting the records.
+/// [`replay_with`], every row materialised as a [`WalRecord`] and
+/// collected: for tests and tools that inspect a log. Recovery applies
+/// the frames themselves.
 pub fn replay(dir: impl AsRef<Path>) -> io::Result<Replay> {
     let mut records = Vec::new();
-    let scan = replay_with(dir, |seq, rec| records.push((seq, rec)))?;
+    let scan = replay_with(dir, |frame| frame.records(&mut records))?;
     Ok(Replay { records, scan })
 }
 
@@ -390,16 +383,16 @@ pub struct WalLock {
 }
 
 impl WalLock {
-    /// Scans the segments — handing every valid record to `visit` —
-    /// truncates any torn tail, and positions the writer after the last
-    /// valid record. Opening must scan anyway to find the valid prefix, so
-    /// a caller that recovers *and* keeps writing gets the records from
-    /// that single pass. [`Scan::torn_bytes`] reports what was truncated
+    /// Scans the segments — handing every valid frame to `visit`, as
+    /// [`replay_with`] does — truncates any torn tail, and positions the
+    /// writer after the last valid record. Opening must scan anyway to find
+    /// the valid prefix, so a caller that recovers *and* keeps writing gets
+    /// the frames from that single pass. [`Scan::torn_bytes`] reports what was truncated
     /// away (a crash mid-write); a later [`replay`] sees a clean log.
     pub fn open(
         self,
         options: WalOptions,
-        mut visit: impl FnMut(u64, WalRecord),
+        mut visit: impl FnMut(&ColumnFrame),
     ) -> io::Result<(Wal, Scan)> {
         let WalLock { dir, lock } = self;
         let found = scan_log(&dir, true, &mut visit)?;
@@ -519,7 +512,7 @@ impl Wal {
     /// Opens (or creates) the log at `dir` for appending: [`Wal::lock`]
     /// then [`WalLock::open`], records ignored.
     pub fn open(dir: impl AsRef<Path>, options: WalOptions) -> io::Result<Wal> {
-        let (wal, _) = Wal::lock(dir)?.open(options, |_, _| {})?;
+        let (wal, _) = Wal::lock(dir)?.open(options, |_| {})?;
         Ok(wal)
     }
 
@@ -835,10 +828,11 @@ pub mod testing {
     /// into its rows with their sequence numbers, checking nothing the CRC
     /// would: how a test hands the decoder bytes the checksum would refuse.
     pub fn decode_payload(payload: &[u8]) -> io::Result<Vec<(u64, WalRecord)>> {
+        let mut frame = ColumnFrame::default();
+        frame.decode(payload)?;
         let mut rows = Vec::new();
-        let first = frame::decode(payload, &mut rows)?;
-        let seqs = (0..).map(|i| first + i);
-        Ok(seqs.zip(rows).collect())
+        frame.records(&mut rows);
+        Ok(rows)
     }
 }
 
@@ -879,7 +873,10 @@ mod tests {
             .map(|(_, path)| {
                 let mut seqs = Vec::new();
                 let bytes = fs::read(path).unwrap();
-                let (end, torn) = scan_segment(&bytes, &mut prev_seq, &mut |seq, _| seqs.push(seq));
+                let mut frame = ColumnFrame::default();
+                let (end, torn) = scan_segment(&bytes, &mut prev_seq, &mut frame, &mut |f| {
+                    seqs.extend(f.first()..=f.last())
+                });
                 assert!(!torn && end == bytes.len(), "segment ends mid-frame");
                 seqs
             })
@@ -1231,7 +1228,7 @@ mod tests {
         // nothing of it survives.
         let (wal, scan) = Wal::lock(&dir)
             .unwrap()
-            .open(WalOptions::default(), |_, _| {})
+            .open(WalOptions::default(), |_| {})
             .unwrap();
         assert!(scan.torn_bytes > 0);
         assert_eq!(wal.next_seq(), 4);
@@ -1398,7 +1395,7 @@ mod tests {
         let mut seen = Vec::new();
         let (wal, found) = Wal::lock(&dir)
             .unwrap()
-            .open(WalOptions::default(), |seq, rec| seen.push((seq, rec)))
+            .open(WalOptions::default(), |frame| frame.records(&mut seen))
             .unwrap();
         assert_eq!(seen, before.records, "one pass, same records");
         assert_eq!(found, before.scan);

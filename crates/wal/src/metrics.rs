@@ -2,7 +2,8 @@
 //!
 //! An append records nothing; each column frame records its size
 //! (`aiql_wal_append_bytes`) and its encode time (`aiql_wal_encode_micros`)
-//! when it is encoded; everything else is recorded per `write(2)` or per
+//! when it is encoded, and its decode time (`aiql_wal_decode_micros`) when
+//! a scan decodes it; everything else is recorded per `write(2)` or per
 //! fsync.
 
 aiql_telemetry::metrics! {
@@ -17,6 +18,10 @@ aiql_telemetry::metrics! {
     encode_micros: Histogram("aiql_wal_encode_micros", "µs",
         "Time to encode one column frame — transpose its rows, write the columns, CRC the \
          payload — one sample per frame; the log-encode share of an acknowledgement"),
+    decode_micros: Histogram("aiql_wal_decode_micros", "µs",
+        "Time to decode one column frame into its lanes during a scan — reads and CRCs \
+         excluded — one sample per frame (a version-1 segment's frame holds one record); \
+         the log-decode share of a recovery's replay"),
     writes: Counter("aiql_wal_writes_total", "writes",
         "`write(2)` calls on the active segment: one per flush, plus one per ≈ 1 MiB a caller \
          appends without syncing"),
