@@ -818,7 +818,7 @@ impl Columnar {
             Some(order) => order,
             None => {
                 derived = match self.time_idx {
-                    Some(t) => time_order(&raw[t], n),
+                    Some(t) => time_order(&raw[t]),
                     None => (0..n as u32).collect(),
                 };
                 &derived
@@ -931,19 +931,48 @@ impl Columnar {
         }
     }
 
-    /// Each row's value in `col` — an `Int` column without NULL, or a
-    /// string column's codes — with its row position, in projection order:
-    /// an index's keys, read straight from the packed offsets.
-    pub(crate) fn keyed(&self, col: usize) -> Option<Vec<(i64, u32)>> {
+    /// The index order of `col` — an `Int` column without NULL, or a
+    /// string column's codes: the row positions sorted by (key, position),
+    /// at the chunk's position width. The packed offsets are the keys,
+    /// scattered to row position and radix-sorted ([`radix_order`]);
+    /// `sorted` is handed each key, in that order.
+    pub(crate) fn index_order(&self, col: usize, sorted: impl FnMut(i64)) -> Option<Lanes> {
         let frame = match &self.cols[col] {
             ColumnData::Int { frame, nulls } if nulls.is_empty() => frame,
             ColumnData::Sym { frame } => frame,
             _ => return None,
         };
-        let keyed = lanes!(&frame.lanes, v => (v.iter().zip(0..))
-            .map(|(x, i)| (at(frame.base, x), self.row_at(i)))
-            .collect());
-        Some(keyed)
+        Some(lanes!(&frame.lanes, v => self.order_by(v, frame.base, sorted)))
+    }
+
+    /// [`Columnar::index_order`] over the `offsets` from `base` of one
+    /// column.
+    fn order_by<K: Lane>(&self, offsets: &[K], base: i64, mut sorted: impl FnMut(i64)) -> Lanes {
+        fn run<K: Lane, P: Lane>(keys: &[K], base: i64, sorted: &mut impl FnMut(i64)) -> Vec<P> {
+            let order: Vec<P> = radix_order(keys);
+            for p in &order {
+                sorted(at(base, &keys[p.wide() as usize]));
+            }
+            order
+        }
+        let by_row;
+        let keys = match self.perm.is_empty() {
+            true => offsets,
+            false => {
+                let mut keys = vec![K::default(); offsets.len()];
+                lanes!(&self.perm, rows => for (&x, r) in offsets.iter().zip(rows) {
+                    keys[r.wide() as usize] = x;
+                });
+                by_row = keys;
+                &by_row
+            }
+        };
+        match width_of(self.len.saturating_sub(1) as u64) {
+            0 => Lanes::Zero(run(keys, base, &mut sorted)),
+            1 => Lanes::U8(run(keys, base, &mut sorted)),
+            2 => Lanes::U16(run(keys, base, &mut sorted)),
+            _ => Lanes::U32(run(keys, base, &mut sorted)),
+        }
     }
 
     /// Whether `col` is a string column, held as dictionary codes.
@@ -1349,15 +1378,84 @@ impl ColumnTail {
     }
 }
 
-/// The stable sort of the `n` arrival-ordered `times` (NULL first):
-/// positions.
-fn time_order(times: &ColumnData, n: usize) -> Vec<u32> {
-    let keyed = (0..n).map(|i| (times.int_key(i), i as u32));
-    let mut keyed: Vec<(i64, u32)> = keyed.collect();
-    // Positions are distinct, so this is the stable sort by time.
+/// The stable sort of the arrival-ordered `times` (NULL first):
+/// positions. The keys are each time less the least (a NULL's
+/// `i64::MIN`), packed at the width their span needs and radix-sorted.
+fn time_order(times: &ColumnData) -> Vec<u32> {
+    let ColumnData::Int {
+        frame: Frame {
+            lanes: Lanes::I64(vals),
+            ..
+        },
+        nulls,
+    } = times
+    else {
+        unreachable!("an open tail's time column is raw integers")
+    };
+    let key = |i: usize| match int_null(nulls, i) {
+        true => i64::MIN,
+        false => vals[i],
+    };
+    let (min, max) = span((0..vals.len()).map(key));
+    let off = |i: usize| (key(i) as u64).wrapping_sub(min as u64);
+    let keys = Lanes::pack((max as u64).wrapping_sub(min as u64), vals.len(), off);
+    lanes!(&keys, v => radix_order(v))
+}
+
+/// The comparison sort [`radix_order`] replaced, kept as the oracle the
+/// radix kernel is checked against: positions ordered by (key, position).
+#[cfg(test)]
+fn reference_order(keys: impl Iterator<Item = i128>) -> Vec<u32> {
+    let mut keyed: Vec<(i128, u32)> = keys.zip(0..).collect();
     keyed.sort_unstable();
-    // Collected from a borrow, not in place: the order is sized to itself.
     keyed.iter().map(|&(_, p)| p).collect()
+}
+
+/// The positions of `keys`, stably sorted by key — equal keys in position
+/// order — at the position type `P`, which must hold the last position.
+/// An LSD radix sort on 8-bit digits: one read pass takes every digit's
+/// histogram, and a digit that puts all the keys in one bucket is
+/// skipped, so a pass is spent only on a digit that tells keys apart. An
+/// `i64` key sorts as a signed integer.
+fn radix_order<K: Lane, P: Lane>(keys: &[K]) -> Vec<P> {
+    let n = keys.len();
+    let digits = size_of::<K>();
+    let key = |k: &K| (k.wide() - K::MIN) as u64;
+    let mut counts = [[0u32; 256]; 8];
+    for k in keys {
+        let k = key(k);
+        for (d, count) in counts[..digits].iter_mut().enumerate() {
+            count[(k >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+    // Empty while the order is the identity.
+    let (mut order, mut spare) = (Vec::<P>::new(), Vec::<P>::new());
+    for (d, count) in counts[..digits].iter_mut().enumerate() {
+        if count.contains(&(n as u32)) {
+            continue;
+        }
+        let mut sum = 0;
+        for c in count.iter_mut() {
+            (*c, sum) = (sum, sum + *c);
+        }
+        if spare.len() != n {
+            spare = vec![P::default(); n];
+        }
+        let mut place = |p: usize| {
+            let slot = &mut count[(key(&keys[p]) >> (8 * d)) as u8 as usize];
+            spare[*slot as usize] = P::narrow(p as i128);
+            *slot += 1;
+        };
+        match order.is_empty() {
+            true => (0..n).for_each(&mut place),
+            false => order.iter().for_each(|p| place(p.wide() as usize)),
+        }
+        std::mem::swap(&mut order, &mut spare);
+    }
+    match order.len() == n {
+        true => order,
+        false => (0..n).map(|p| P::narrow(p as i128)).collect(),
+    }
 }
 
 /// The least and greatest of `vals` (an inverted pair when there is none).
@@ -1545,6 +1643,16 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
 mod tests {
     use super::*;
     use crate::table::{ScanProfile, Table};
+    use std::any::type_name;
+
+    /// The projection position of row `p` under a row → projection map.
+    fn proj_pos(at: &Lanes, p: usize) -> usize {
+        if at.is_empty() {
+            p
+        } else {
+            at.get(p) as usize
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(&[
@@ -1878,5 +1986,178 @@ mod tests {
         assert_eq!(flags(&c, 1), 20);
         let before = Columnar::build(&schema, &spec, SharedDict::new(), &rows[..13]).unwrap();
         assert_eq!(flags(&before, 1), 0, "allocated at the first NULL");
+    }
+
+    /// `n` pseudo-random draws (xorshift), as the oracle tests' keys.
+    fn draws(n: usize, mut x: u64) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect()
+    }
+
+    /// Key sets of `n` values below `top`: drawn, all equal, few distinct
+    /// (duplicates), descending, ascending, and drawn with the extremes.
+    fn key_sets(n: usize, top: u64) -> Vec<Vec<u64>> {
+        let wrap = |x: u64| if top == u64::MAX { x } else { x % (top + 1) };
+        let drawn: Vec<u64> = draws(n, 0x9E37_79B9_7F4A_7C15)
+            .into_iter()
+            .map(wrap)
+            .collect();
+        let mut extremes = drawn.clone();
+        for (i, x) in extremes.iter_mut().enumerate().step_by(97) {
+            *x = if i % 2 == 0 { 0 } else { top };
+        }
+        vec![
+            drawn.clone(),
+            vec![top; n],
+            drawn.iter().map(|x| x % 5).collect(),
+            (0..n as u64).rev().map(wrap).collect(),
+            (0..n as u64).map(wrap).collect(),
+            extremes,
+        ]
+    }
+
+    /// `keys` as lanes of type `K`, which holds each.
+    fn lanes_of<K: Lane>(keys: &[u64]) -> Vec<K> {
+        keys.iter()
+            .map(|&x| K::narrow(x as i128 + K::MIN))
+            .collect()
+    }
+
+    /// The radix kernel orders positions as the comparison sort does, at
+    /// every key width, position width and shape of input: one pass or
+    /// many, digits skipped or not, no key or one.
+    #[test]
+    fn radix_order_matches_a_comparison_sort() {
+        fn check<K: Lane>(keys: &[u64]) {
+            let lanes: Vec<K> = lanes_of(keys);
+            let want = reference_order(lanes.iter().map(Lane::wide));
+            assert_eq!(radix_order::<K, u32>(&lanes), want, "{}", type_name::<K>());
+            let narrow: Vec<u16> = radix_order(&lanes);
+            assert!(narrow.iter().map(|&p| p as u32).eq(want.iter().copied()));
+        }
+        for n in [0, 1, 2, 4096] {
+            for keys in key_sets(n, 0) {
+                check::<()>(&keys);
+            }
+            for keys in key_sets(n, u8::MAX as u64) {
+                check::<u8>(&keys);
+            }
+            for keys in key_sets(n, u16::MAX as u64) {
+                check::<u16>(&keys);
+            }
+            for keys in key_sets(n, u32::MAX as u64) {
+                check::<u32>(&keys);
+            }
+            for keys in key_sets(n, u64::MAX) {
+                check::<u64>(&keys);
+                check::<i64>(&keys);
+            }
+            // Keys that vary only in their high digits, or only in their
+            // low ones, skip the others.
+            for keys in key_sets(n, 0xFF) {
+                let high: Vec<u64> = keys.iter().map(|x| x << 56 | 0xAB_CDEF).collect();
+                check::<u64>(&high);
+                check::<u64>(&keys.iter().map(|x| x | 0x1234 << 40).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// A time-sorted projection's index orders — an `Int` column at each
+    /// offset width, a string column with NULL among its codes — are the
+    /// comparison sort of (value, row position), over rows whose
+    /// projection order is no identity, and the keys handed over come in
+    /// that order.
+    #[test]
+    fn index_orders_match_a_comparison_sort() {
+        let tops = [
+            0,
+            u8::MAX as u64,
+            u16::MAX as u64,
+            u32::MAX as u64,
+            u64::MAX,
+        ];
+        let mut cols = vec![("t", ColumnType::Int), ("name", ColumnType::Str)];
+        let names: Vec<String> = (0..tops.len()).map(|w| format!("x{w}")).collect();
+        cols.extend(names.iter().map(|n| (n.as_str(), ColumnType::Int)));
+        let schema = Schema::new(&cols);
+        for n in [0usize, 1, 4096] {
+            let times = draws(n, 7);
+            let sets: Vec<Vec<u64>> = tops
+                .iter()
+                .map(|&top| key_sets(n, top)[5].clone())
+                .collect();
+            let rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    let mut row = vec![
+                        Value::Int((times[i] % 1000) as i64),
+                        match i % 11 {
+                            0 => Value::Null,
+                            k => Value::str(format!("s{}", (k * 7919 + i) % 40)),
+                        },
+                    ];
+                    let at_top =
+                        |k: &Vec<u64>| Value::Int(k[i].wrapping_add(i64::MIN as u64) as i64);
+                    row.extend(sets.iter().map(at_top));
+                    row
+                })
+                .collect();
+            let spec = ColumnarSpec::time_sorted("t");
+            let c = Columnar::build(&schema, &spec, SharedDict::new(), &rows).unwrap();
+            assert_eq!(c.perm.is_empty(), n <= 1, "a non-identity order");
+            let at = c.row_map();
+            for col in 1..c.arity() {
+                let by_row: Vec<i128> = match col {
+                    1 => (0..n)
+                        .map(|p| c.code(proj_pos(&at, p), 1).unwrap() as i128)
+                        .collect(),
+                    _ => rows
+                        .iter()
+                        .map(|r| r[col].as_int().unwrap() as i128)
+                        .collect(),
+                };
+                let want = reference_order(by_row.iter().copied());
+                let mut keys = Vec::new();
+                let order = c.index_order(col, |k| keys.push(k as i128)).unwrap();
+                let mut got = Vec::new();
+                order.extend_into(0..n, &mut got);
+                assert_eq!(got, want, "column {col}");
+                assert!(keys.iter().eq(want.iter().map(|&p| &by_row[p as usize])));
+                assert_eq!(order.width(), width_of(n.saturating_sub(1) as u64));
+            }
+            if n == 4096 {
+                let widths: Vec<_> = (2..cols.len()).map(|col| c.offset_width(col)).collect();
+                assert_eq!(widths, [0, 1, 2, 4, 8].map(Some), "every offset width");
+            }
+        }
+    }
+
+    /// A tail's time order is the stable sort by time, NULL first, over
+    /// times that span all of `i64`.
+    #[test]
+    fn time_order_matches_a_comparison_sort() {
+        for n in [0usize, 1, 4096] {
+            for keys in key_sets(n, u64::MAX) {
+                let times = keys.iter().map(|&k| k as i64);
+                let mut col = ColumnData::new(ColumnType::Int).unwrap();
+                for (i, t) in times.enumerate() {
+                    col.push(
+                        &if i % 31 == 3 {
+                            Value::Null
+                        } else {
+                            Value::Int(t)
+                        },
+                        |_| 0,
+                    );
+                }
+                let want = reference_order((0..n).map(|i| col.int_key(i) as i128));
+                assert_eq!(time_order(&col), want);
+            }
+        }
     }
 }

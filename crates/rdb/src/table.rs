@@ -404,27 +404,29 @@ impl SealedChunk {
     }
 
     /// Builds the index on `col` — the chunk's positions sorted by (key,
-    /// position). On an `Int` or dictionary-coded column of a chunk kept as
-    /// columns the keys are read from the packed column itself, projection
-    /// position `i` paired with its row position: by integer (NULL first),
-    /// or by code. Any other column is keyed by value, row by row.
+    /// position). On an `Int` column without NULL or a dictionary-coded
+    /// column of a chunk kept as columns, the packed offsets are the keys
+    /// ([`Columnar::index_order`]): by integer, or by code. Any other
+    /// column is sorted by comparison: an `Int` column holding NULL by
+    /// integer (NULL first), one kept as rows by value.
     fn build_index(&mut self, col: usize) {
         let n = self.len();
         let index = match self.columnar() {
-            Some(c) if c.is_coded(col) => {
-                let keyed = sort_keyed(c.keyed(col).expect("codes").into_iter());
-                Index {
-                    span: code_span(&keyed, c.dict()),
-                    order: positions(&keyed),
+            Some(c) if c.is_coded(col) => coded_index(c, col),
+            Some(c) if c.is_int(col) => {
+                let mut span = None;
+                let order = c.index_order(col, |k| span.get_or_insert((k, k)).1 = k);
+                match order {
+                    Some(order) => Index {
+                        order,
+                        span: span.map(|(lo, hi)| (Value::Int(lo), Value::Int(hi))),
+                    },
+                    None => {
+                        let keyed = sort_keyed((0..n).map(|i| (c.int(i, col), c.row_at(i))));
+                        Index::new(&keyed, |k| k.map_or(Value::Null, Value::Int))
+                    }
                 }
             }
-            Some(c) if c.is_int(col) => match c.keyed(col) {
-                Some(keyed) => Index::new(&sort_keyed(keyed.into_iter()), |&k| Value::Int(k)),
-                None => {
-                    let keyed = sort_keyed((0..n).map(|i| (c.int(i, col), c.row_at(i))));
-                    Index::new(&keyed, |k| k.map_or(Value::Null, Value::Int))
-                }
-            },
             _ => {
                 let keyed = sort_keyed((0..n as u32).map(|p| (self.row(p).get(col), p)));
                 Index::new(&keyed, Value::clone)
@@ -473,31 +475,34 @@ fn positions<K>(keyed: &[(K, u32)]) -> Lanes {
     Lanes::positions(keyed.len(), |i| keyed[i].1)
 }
 
-/// The least and greatest value behind sorted (code, position) pairs, as
-/// the dictionary holds them.
-/// Codes follow arrival, not string order, so each distinct code's string
-/// is compared once; NULL ([`NULL_SYM`], the greatest code) is the least
-/// value.
-fn code_span(keyed: &[(i64, u32)], dict: &SharedDict) -> Option<(Value, Value)> {
-    let dict = dict.read();
+/// The index on the dictionary-coded `col` of `c`, its span the least and
+/// greatest value behind the codes, as the dictionary holds them. Codes
+/// follow arrival, not string order, so each distinct code's string is
+/// compared once, as the sorted codes are walked; NULL ([`NULL_SYM`], the
+/// greatest code) is the least value.
+fn coded_index(c: &Columnar, col: usize) -> Index {
+    let dict = c.dict().read();
     let (mut null, mut lo, mut hi) = (false, None::<&Arc<str>>, None::<&Arc<str>>);
     let mut last = None;
-    for &(code, _) in keyed {
+    let order = c.index_order(col, |code| {
         let code = code as u32;
         if last == Some(code) {
-            continue;
+            return;
         }
         last = Some(code);
         if code == NULL_SYM {
             null = true;
-            continue;
+            return;
         }
         let s = dict.shared(Sym(code)).expect("stored symbols are interned");
         lo = Some(lo.map_or(s, |lo| lo.min(s)));
         hi = Some(hi.map_or(s, |hi| hi.max(s)));
-    }
+    });
     let str = |s: Option<&Arc<str>>| s.map_or(Value::Null, |s| Value::Str(s.clone()));
-    (null || hi.is_some()).then(|| (if null { Value::Null } else { str(lo) }, str(hi)))
+    Index {
+        order: order.expect("a coded column's codes"),
+        span: (null || hi.is_some()).then(|| (if null { Value::Null } else { str(lo) }, str(hi))),
+    }
 }
 
 /// Where `order` — positions ascending by key — holds the keys that `cmp`

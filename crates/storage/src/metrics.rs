@@ -24,7 +24,8 @@ aiql_telemetry::metrics! {
         "Durable-store open time (snapshot load + WAL tail replay)"),
     snapshot_load_micros: Histogram("aiql_storage_snapshot_load_micros", "µs",
         "One snapshot file's load during recovery: read, CRC, dictionary, and every table \
-         (a columnar store's sealed chunks read as columns, open tails as rows)"),
+         (a columnar store's sealed chunks read as columns, then each chunk's indexes built \
+         by radix-sorting its packed offsets; open tails as rows)"),
     replay_micros: Histogram("aiql_storage_replay_micros", "µs",
         "Recovery's WAL tail pass: scanning the log's segments, decoding each frame into its \
          column lanes (`aiql_wal_decode_micros` is that share) and applying its rows past the \

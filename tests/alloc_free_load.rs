@@ -88,8 +88,10 @@ fn loading_allocates_per_chunk_and_column_not_per_row() {
     assert_eq!(chunks, 9 * CHUNKS);
     let extra = load(&large_path).saturating_sub(load(&small_path));
     // Per chunk: its columns, its projection order and the check of it,
-    // its row → projection map, two indexes (sorted pairs and positions),
-    // the shared chunk itself; plus the tables' chunk lists as they grow.
+    // its row → projection map, two indexes (each its keys scattered to
+    // row position and its positions: one buffer, two when the key needs
+    // more than one radix pass), the shared chunk itself; plus the
+    // tables' chunk lists as they grow.
     let budget = chunks * (COLUMNS + 16) + 64;
     assert!(
         extra <= budget,
