@@ -3,12 +3,12 @@
 
 use crate::batch::EventBatch;
 use crate::error::IngestError;
-use aiql_model::{Entity, Event, Timestamp};
+use aiql_model::Timestamp;
 use aiql_rdb::{PartKey, RdbError};
 use aiql_storage::timesync::Synchronizer;
 use aiql_storage::{
-    DurableStore, DurableWrite, EventStore, PersistError, RecoveryReport, RowRef, SharedStore,
-    StoreConfig, StoreStamp,
+    Applied, ColumnFrame, DurableStore, EventStore, PersistError, RecoveryReport, RowRef,
+    SharedStore, StoreConfig, StoreStamp, WalRecord,
 };
 use std::collections::VecDeque;
 use std::io;
@@ -114,14 +114,10 @@ pub enum IngestState {
 /// counted in [`IngestStats::dead_letters_dropped`]) once it is reached.
 pub const DEAD_LETTER_CAP: usize = 1024;
 
-/// The row inside a [`DeadLetter`].
-#[derive(Debug, Clone)]
-pub enum DeadRow {
-    /// A rejected event, as attempted (timestamps already corrected).
-    Event(Event),
-    /// A rejected entity.
-    Entity(Entity),
-}
+/// The row inside a [`DeadLetter`]: a rejected entity or event — never a
+/// clock row — as the log records it (an event's timestamps already
+/// corrected).
+pub type DeadRow = WalRecord;
 
 /// One row the storage layer rejected during a flush, retained for
 /// inspection ([`Ingestor::dead_letters`]) and draining
@@ -132,16 +128,6 @@ pub struct DeadLetter {
     pub row: DeadRow,
     /// Why the storage layer refused it.
     pub error: RdbError,
-}
-
-impl DeadLetter {
-    fn new(row: RowRef<'_>, error: RdbError) -> DeadLetter {
-        let row = match row {
-            RowRef::Entity(e) => DeadRow::Entity(e.clone()),
-            RowRef::Event(ev) => DeadRow::Event(ev.clone()),
-        };
-        DeadLetter { row, error }
-    }
 }
 
 /// Running totals over an ingestor's lifetime.
@@ -198,27 +184,42 @@ pub struct FlushReport {
     pub stamp: StoreStamp,
 }
 
-/// Where flushed rows land: a plain in-memory store, or a durable store
-/// that write-ahead-logs every flush before applying it.
+/// Where flushed rows land: a plain in-memory store, with the frame each
+/// flush's rows are pushed into, or a durable store that write-ahead-logs
+/// every flush, its rows pushed into the log's frames, before applying it.
 #[derive(Debug)]
 enum Backend {
-    Plain(SharedStore),
-    Durable(DurableStore),
+    Plain(SharedStore, Box<ColumnFrame>),
+    Durable(Box<DurableStore>),
 }
 
-/// Encodes one row into the flush's log buffer (a no-op without a log).
-/// `Ok(Some(error))` means the log's codec refused the *row*: nothing of
-/// it was logged, so it must not be applied either — it is set aside as a
-/// dead letter. `Err` means the log itself failed and the flush is lost.
-fn log_row(
-    log: &mut Option<DurableWrite<'_>>,
-    row: RowRef<'_>,
-) -> Result<Option<RdbError>, PersistError> {
-    match log.as_mut().map_or(Ok(()), |w| w.log(row)) {
-        Ok(()) => Ok(None),
-        Err(PersistError::Storage(error)) => Ok(Some(error)),
-        Err(e) => Err(e),
+/// Hands `push` the queue's rows in the order of a frame's sections: every
+/// entity, then every event with its start and end moved by its agent's
+/// offset — each batch's clock samples folded into `sync` before its
+/// events are corrected.
+fn corrected_rows(
+    queue: &VecDeque<EventBatch>,
+    sync: &mut Synchronizer,
+    mut push: impl FnMut(RowRef<'_>) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    for entity in queue.iter().flat_map(|b| &b.entities) {
+        push(RowRef::Entity(entity))?;
     }
+    for batch in queue {
+        for (agent, sample) in &batch.clock_samples {
+            sync.record(*agent, *sample);
+        }
+        // Events are plain-old-data (no heap fields), so the corrected
+        // copy per row is cheap.
+        for ev in &batch.events {
+            let offset = sync.offset(ev.agent);
+            let mut corrected = ev.clone();
+            corrected.start = corrected.start.saturating_add(offset);
+            corrected.end = corrected.end.saturating_add(offset);
+            push(RowRef::Event(&corrected))?;
+        }
+    }
+    Ok(())
 }
 
 /// Streaming front door of the event store.
@@ -263,7 +264,7 @@ impl Ingestor {
     /// a batch load).
     pub fn over(shared: SharedStore, config: IngestConfig) -> Ingestor {
         Ingestor {
-            backend: Backend::Plain(shared),
+            backend: Backend::Plain(shared, Box::default()),
             sync: Synchronizer::new(),
             queue: VecDeque::new(),
             queued_rows: 0,
@@ -292,7 +293,7 @@ impl Ingestor {
         let watermark = opened.store.shared().read().time_span().map(|(_, hi)| hi);
         Ok((
             Ingestor {
-                backend: Backend::Durable(opened.store),
+                backend: Backend::Durable(Box::new(opened.store)),
                 sync: opened.sync,
                 queue: VecDeque::new(),
                 queued_rows: 0,
@@ -310,7 +311,7 @@ impl Ingestor {
     /// opened on it is the query side).
     pub fn shared(&self) -> SharedStore {
         match &self.backend {
-            Backend::Plain(s) => s.clone(),
+            Backend::Plain(s, _) => s.clone(),
             Backend::Durable(d) => d.shared(),
         }
     }
@@ -429,10 +430,14 @@ impl Ingestor {
     /// one new reader-visible snapshot at the end (after the acknowledging
     /// fsync, on a durable ingestor).
     ///
-    /// Per batch, in arrival order: clock samples are folded into the
-    /// per-agent offset estimates first, then entities are appended, then
-    /// events — each event's start/end shifted by its agent's current
-    /// offset and routed to its `(day, agent group)` partition. Rollover
+    /// Each corrected row is pushed once into a column frame — the log's,
+    /// or on a plain ingestor one of its own — and the store applies the
+    /// frame through [`EventStore::apply_frame`], the loop recovery
+    /// replays the log with. Every entity goes before every event; per
+    /// batch, in arrival order, clock samples are folded into the
+    /// per-agent offset estimates before its events' start/end are shifted
+    /// by their agent's current offset, and each event is routed to its
+    /// `(day, agent group)` partition. Rollover
     /// into new partitions (e.g. when a batch crosses a day boundary) is
     /// collected in the report; new partitions inherit every secondary
     /// index, keeping live stores plan-identical to batch-loaded ones.
@@ -446,10 +451,10 @@ impl Ingestor {
     ///
     /// On a durable ingestor the flush is the unit of durability and runs
     /// **log, commit, apply**: every corrected row and clock sample of the
-    /// queue is first encoded into the write-ahead log's buffer; the
-    /// buffer reaches the log in one `write(2)` followed by one fsync —
-    /// the returned report is the acknowledgement; only then are the same
-    /// rows inserted into the store and published. Nothing touches the
+    /// queue is first pushed into the write-ahead log's open frame; the
+    /// frame reaches the log in one `write(2)` followed by one fsync —
+    /// the returned report is the acknowledgement; only then is the same
+    /// frame applied to the store and published. Nothing touches the
     /// store, the clock estimates, the statistics or the dead-letter queue
     /// before the log has the flush, so a log failure leaves all of them
     /// as they were and the queue **whole**: the next attempt logs the
@@ -481,7 +486,7 @@ impl Ingestor {
             };
             let poisoned = match &self.backend {
                 Backend::Durable(d) => d.is_poisoned(),
-                Backend::Plain(_) => false,
+                Backend::Plain(..) => false,
             };
             if poisoned {
                 self.set_state(IngestState::Poisoned);
@@ -519,88 +524,93 @@ impl Ingestor {
     /// twice or dead-letter the same row once per attempt.
     fn flush_attempt(&mut self) -> Result<FlushReport, PersistError> {
         let started = std::time::Instant::now();
-        // Taken up front: the durable session below borrows the backend
-        // until it is dropped.
-        let shared = self.shared();
-        let mut log = match &mut self.backend {
-            Backend::Durable(d) => Some(d.begin()),
-            Backend::Plain(_) => None,
-        };
-
-        // Log the flush in the order of a log frame's sections — every
-        // clock sample, then every entity, then every event — so it is one
-        // frame; each batch's samples are folded before its events are
-        // corrected.
+        // Rows the log's codec refuses are dead letters at once; the rest
+        // become dead letters only if the store rejects them at apply.
         let mut sync = self.sync.clone();
         let mut dead = Vec::new();
-        let mut entities = Vec::new();
-        let mut events = Vec::with_capacity(self.queue.iter().map(|b| b.events.len()).sum());
-        if let Some(w) = &mut log {
-            for (agent, sample) in self.queue.iter().flat_map(|b| &b.clock_samples) {
-                w.log_clock_sample(*agent, sample.agent_time, sample.server_time)?;
-            }
-        }
-        for entity in self.queue.iter().flat_map(|b| &b.entities) {
-            match log_row(&mut log, RowRef::Entity(entity))? {
-                None => entities.push(entity),
-                Some(error) => dead.push(DeadLetter::new(RowRef::Entity(entity), error)),
-            }
-        }
-        for batch in &self.queue {
-            for (agent, sample) in &batch.clock_samples {
-                sync.record(*agent, *sample);
-            }
-            // Events are plain-old-data (no heap fields), so the corrected
-            // copy per row is cheap.
-            for ev in &batch.events {
-                let offset = sync.offset(ev.agent);
-                let mut corrected = ev.clone();
-                corrected.start = corrected.start.saturating_add(offset);
-                corrected.end = corrected.end.saturating_add(offset);
-                match log_row(&mut log, RowRef::Event(&corrected))? {
-                    None => events.push(corrected),
-                    Some(error) => dead.push(DeadLetter::new(RowRef::Event(&corrected), error)),
+        let (applied, stamp, frames) = match &mut self.backend {
+            Backend::Durable(d) => {
+                let mut w = d.begin();
+                for (agent, sample) in self.queue.iter().flat_map(|b| &b.clock_samples) {
+                    w.log_clock_sample(*agent, sample.agent_time, sample.server_time)?;
                 }
+                // The log's codec refusing a row is told from the log
+                // failing by type (see `DurableWrite::log`): a refused row
+                // is not logged, so it is not applied either.
+                corrected_rows(&self.queue, &mut sync, |row| match w.log(row) {
+                    Err(PersistError::Storage(error)) => {
+                        let row = match row {
+                            RowRef::Entity(e) => WalRecord::Entity(e.clone()),
+                            RowRef::Event(ev) => WalRecord::Event(ev.clone()),
+                        };
+                        dead.push(DeadLetter { row, error });
+                        Ok(())
+                    }
+                    logged => logged,
+                })?;
+                // Commit — one write, one fsync: the acknowledgement point —
+                // then apply and publish; readers can never see
+                // unacknowledged rows.
+                let (applied, stamp) = w.commit()?;
+                (applied, stamp, d.committed_frames())
             }
-        }
+            Backend::Plain(shared, frame) => {
+                frame.restart(1);
+                corrected_rows(&self.queue, &mut sync, |row| {
+                    match row {
+                        RowRef::Entity(e) => frame.push_entity(e),
+                        RowRef::Event(ev) => frame.push_event(ev),
+                    }
+                    Ok(())
+                })?;
+                // One publish makes the whole flush visible atomically.
+                let mut w = shared.write();
+                let mut applied = Applied::default();
+                w.apply_frame(frame, 0, &mut applied);
+                (applied, w.publish(), std::slice::from_ref(&**frame))
+            }
+        };
 
-        // Apply: the rows the log took, in the order it took them within
-        // each table. The watermark only advances over rows that landed.
+        // The watermark only advances over events that landed, in the
+        // order they landed; only the rejected rows are materialised, as
+        // dead letters.
         let mut report = FlushReport {
             batches: self.queue.len(),
+            entities: applied.entities,
+            events: applied.events,
+            new_partitions: applied.new_partitions,
             ..FlushReport::default()
         };
         let mut watermark = self.watermark;
-        let rows =
-            (entities.into_iter().map(RowRef::Entity)).chain(events.iter().map(RowRef::Event));
-        let apply = |store: &mut EventStore| {
-            for row in rows {
-                match (store.apply(row), row) {
-                    (Ok(_), RowRef::Entity(_)) => report.entities += 1,
-                    (Ok(outcome), RowRef::Event(ev)) => {
-                        if watermark.is_some_and(|w| ev.start < w) {
-                            report.out_of_order_events += 1;
-                        }
-                        watermark = Some(watermark.map_or(ev.start, |w| w.max(ev.start)));
-                        report.new_partitions.extend(outcome.created_partition);
-                        report.events += 1;
+        let mut rejected = applied.rejected.into_iter().peekable();
+        for frame in frames {
+            let mine: Vec<(u64, RdbError)> =
+                std::iter::from_fn(|| rejected.next_if(|(seq, _)| *seq <= frame.last())).collect();
+            let [.., starts, _, _, _, _] = &frame.events;
+            // The start lane's runs between rejected events, in order.
+            let events_from = frame.last() + 1 - starts.len() as u64;
+            let rejected_at = mine
+                .iter()
+                .filter_map(|(seq, _)| seq.checked_sub(events_from));
+            let mut from = 0;
+            for end in rejected_at.map(|at| at as usize).chain([starts.len()]) {
+                for &start in &starts[from..end] {
+                    let start = Timestamp(start);
+                    if watermark.is_some_and(|w| start < w) {
+                        report.out_of_order_events += 1;
                     }
-                    (Err(error), row) => dead.push(DeadLetter::new(row, error)),
+                    watermark = Some(watermark.map_or(start, |w| w.max(start)));
                 }
+                from = end + 1;
             }
-        };
-        // Commit — one write, one fsync: the acknowledgement point — then
-        // apply and publish; readers can never see unacknowledged rows.
-        // Without a log the apply phase runs alone, then one publish makes
-        // the whole flush visible atomically.
-        let stamp = match log {
-            Some(w) => w.commit(apply)?.1,
-            None => {
-                let mut w = shared.write();
-                apply(&mut w);
-                w.publish()
+            if !mine.is_empty() {
+                let landed = |seq| mine.binary_search_by_key(&seq, |(s, _)| *s).is_err();
+                let mut rows = Vec::new();
+                frame.records(|seq| !landed(seq), &mut rows);
+                let letters = rows.into_iter().zip(mine);
+                dead.extend(letters.map(|((_, row), (_, error))| DeadLetter { row, error }));
             }
-        };
+        }
 
         report.stamp = stamp;
         report.failed_rows = dead.len();
@@ -641,7 +651,7 @@ impl Ingestor {
     pub fn checkpoint(&mut self) -> Result<Option<PathBuf>, IngestError> {
         self.flush()?;
         match &mut self.backend {
-            Backend::Plain(_) => Ok(None),
+            Backend::Plain(..) => Ok(None),
             Backend::Durable(d) => Ok(Some(d.checkpoint_with(&self.sync)?)),
         }
     }
@@ -654,7 +664,7 @@ impl Ingestor {
     pub fn finish(mut self) -> Result<(SharedStore, IngestStats), IngestError> {
         self.flush()?;
         let shared = match self.backend {
-            Backend::Plain(s) => s,
+            Backend::Plain(s, _) => s,
             Backend::Durable(d) => d.into_shared(),
         };
         Ok((shared, self.stats))

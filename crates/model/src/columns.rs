@@ -354,20 +354,15 @@ impl Frame {
 }
 
 /// Writes `vals` as a frame from their least; `dense` packs the offsets
-/// at one byte at least.
+/// at one byte at least. One pass finds the least and the greatest, one
+/// writes each value at the width `max - min` needs; the bytes are those
+/// of [`Frame::write`] over [`Lanes::pack`].
 pub fn write_frame(out: &mut Vec<u8>, vals: &[i64], dense: bool) {
-    let (min, max) = match vals.iter().copied().min() {
-        Some(min) => (min, vals.iter().copied().max().unwrap_or(min)),
-        None => (0, 0),
+    let span = |(lo, hi): (i64, i64), &v: &i64| (lo.min(v), hi.max(v));
+    let (min, max) = match vals.iter().fold((i64::MAX, i64::MIN), span) {
+        _ if vals.is_empty() => (0, 0),
+        ends => ends,
     };
-    write_frame_spanning(out, vals, min, max, dense);
-}
-
-/// [`write_frame`] for `vals` whose least is `min` and greatest `max`,
-/// as a caller that tracked them while collecting the values knows: one
-/// pass over the values, each written at the width `max - min` needs.
-/// The bytes are those of [`Frame::write`] over [`Lanes::pack`].
-pub fn write_frame_spanning(out: &mut Vec<u8>, vals: &[i64], min: i64, max: i64, dense: bool) {
     let width = width_of((max.wrapping_sub(min) as u64).max(dense as u64));
     out.extend_from_slice(&min.to_le_bytes());
     out.push(width as u8);

@@ -5,14 +5,14 @@
 //! protocol:
 //!
 //! - **flush** ([`DurableWrite`]): *log, commit, apply*. Every row of the
-//!   flush is first logged into the log's open column frame
+//!   flush is first pushed into the log's open column frame
 //!   ([`DurableWrite::log`]); [`DurableWrite::commit`] encodes the frame,
 //!   hands it to the log in one `write(2)`, fsyncs — the acknowledgement
-//!   point — and only then runs
-//!   the caller's apply step against the head store and publishes. Nothing
-//!   touches the head before the log has it, so a failed write or fsync
-//!   leaves the head exactly where it was and the caller free to retry the
-//!   whole flush; a session dropped uncommitted logs nothing.
+//!   point — and only then applies the frames it logged to the head store
+//!   ([`EventStore::apply_frame`]) and publishes. Nothing touches the head
+//!   before the log has it, so a failed write or fsync leaves the head
+//!   exactly where it was and the caller free to retry the whole flush; a
+//!   session dropped uncommitted logs nothing.
 //! - **checkpoint**: [`DurableStore::checkpoint_with`] fsyncs the log,
 //!   writes a full snapshot tagged with the last logged sequence number
 //!   (durable to the directory entry before anything old is pruned),
@@ -24,9 +24,10 @@
 //!   duplicate, never a loss.
 //! - **recover**: [`DurableStore::open`] on an existing directory loads
 //!   the newest valid snapshot, then applies the WAL tail record by record
-//!   as the single segment scan that positions the log writer yields it
-//!   (tolerating a torn final flush) — through [`EventStore::apply`], the
-//!   function a live flush applies its rows with — and hands back the
+//!   frame by frame as the single segment scan that positions the log
+//!   writer yields it (tolerating a torn final flush) — through
+//!   [`EventStore::apply_frame`], the function a live flush applies its
+//!   frames with — and hands back the
 //!   rebuilt synchronizer so ingestion resumes with the same per-agent
 //!   clock offsets.
 //!
@@ -39,10 +40,10 @@
 
 use crate::persist::{self, PersistError, RecoveryReport};
 use crate::timesync::Synchronizer;
-use crate::{EventStore, RowRef, SharedStore, StoreConfig, StoreStamp, StoreWriter};
+use crate::{Applied, EventStore, RowRef, SharedStore, StoreConfig, StoreStamp, StoreWriter};
 use aiql_model::AgentId;
 use aiql_rdb::RdbError;
-use aiql_wal::{AppendError, Wal, WalOptions, WalRecord};
+use aiql_wal::{AppendError, ColumnFrame, Wal, WalOptions, WalRecord};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -147,8 +148,14 @@ impl DurableStore {
         Ok(self.wal.size_bytes()?)
     }
 
+    /// The frames the last [`DurableWrite::commit`] applied, in sequence
+    /// order (empty once another flush has begun logging).
+    pub fn committed_frames(&self) -> &[ColumnFrame] {
+        self.wal.frames()
+    }
+
     /// Starts a flush: log its rows, then [`DurableWrite::commit`] — one
-    /// write, one fsync, and only then the apply step and the publish. A
+    /// write, one fsync, and only then the apply and the publish. A
     /// session dropped without committing logs, applies and publishes
     /// nothing.
     pub fn begin(&mut self) -> DurableWrite<'_> {
@@ -230,10 +237,10 @@ impl DurableStore {
     }
 }
 
-/// One durable flush: rows are **logged** (kept in the log's open frame),
-/// then [`DurableWrite::commit`] writes and fsyncs the buffer, and only
-/// then **applies** the rows to the private head store and **publishes**
-/// it to readers.
+/// One durable flush: rows are **logged** (pushed into the log's open
+/// frame), then [`DurableWrite::commit`] writes and fsyncs the frames, and
+/// only then **applies** them to the private head store and
+/// **publishes** it to readers.
 #[derive(Debug)]
 pub struct DurableWrite<'a> {
     store: StoreWriter<'a>,
@@ -284,23 +291,24 @@ impl DurableWrite<'_> {
     }
 
     /// Writes the flush to the log in one `write(2)` and fsyncs it — the
-    /// acknowledgement point — then runs `apply` against the head store
-    /// (where the caller inserts the rows it logged) and publishes the
-    /// result as the new reader-visible snapshot. Returns what `apply`
-    /// returned and the stamp the head reached.
+    /// acknowledgement point — then applies each frame it logged to the
+    /// head store through [`EventStore::apply_frame`], as recovery applies
+    /// them, and publishes the result as the new reader-visible snapshot.
+    /// Returns what was applied (the frames stay readable through
+    /// [`DurableStore::committed_frames`]) and the stamp the head reached.
     ///
     /// Readers are never stalled behind the disk sync (they keep serving
     /// the previous snapshot throughout), and they can never observe a row
-    /// before it is durable. If the write or the fsync fails, `apply`
-    /// never runs: the head holds nothing of the flush, the log has
-    /// discarded it (or is poisoned), and nothing is published.
-    pub fn commit<R>(
-        mut self,
-        apply: impl FnOnce(&mut EventStore) -> R,
-    ) -> Result<(R, StoreStamp), PersistError> {
+    /// before it is durable. If the write or the fsync fails, nothing is
+    /// applied: the head holds nothing of the flush, the log has discarded
+    /// it (or is poisoned), and nothing is published.
+    pub fn commit(mut self) -> Result<(Applied, StoreStamp), PersistError> {
         self.wal.sync()?;
         self.committed = true;
-        let applied = apply(&mut self.store);
+        let mut applied = Applied::default();
+        for frame in self.wal.frames() {
+            self.store.apply_frame(frame, 0, &mut applied);
+        }
         Ok((applied, self.store.publish()))
     }
 }
@@ -350,12 +358,7 @@ mod tests {
         for row in &rows {
             w.log(*row).unwrap();
         }
-        let apply = |store: &mut EventStore| {
-            rows.iter()
-                .filter(|row| store.apply(**row).is_err())
-                .count()
-        };
-        w.commit(apply).unwrap().0
+        w.commit().unwrap().0.rejected.len()
     }
 
     fn events(ids: std::ops::RangeInclusive<u64>) -> Vec<Event> {
@@ -481,10 +484,7 @@ mod tests {
         w.log_clock_sample(AgentId(7), 0, 400).unwrap();
         w.log_clock_sample(AgentId(7), 100, 700).unwrap();
         w.log(RowRef::Event(&ev)).unwrap();
-        w.commit(|store| store.apply(RowRef::Event(&ev)).map(drop))
-            .unwrap()
-            .0
-            .unwrap();
+        assert!(w.commit().unwrap().0.rejected.is_empty());
 
         // The first half of checkpoint_with, then "power loss".
         let covered = d.last_wal_seq();

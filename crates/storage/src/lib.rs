@@ -10,9 +10,10 @@
 //! - **Secondary indexes** of [`schema::index_plan`] on every table, and
 //!   optionally **columnar projections** ([`StoreConfig::columnar`]).
 //!
-//! Batch loads and live appends go through the same append hooks, so both
-//! build the same partitions and indexes; live ingestion adds server-side
-//! [`timesync`] correction on the way in.
+//! Batch loads, live flushes and recovery all insert through the same
+//! tables' checks and routing, so they build the same partitions and
+//! indexes; live ingestion adds server-side [`timesync`] correction on the
+//! way in.
 //!
 //! # Examples
 //!
@@ -40,6 +41,9 @@ pub mod persist;
 pub mod schema;
 pub mod timesync;
 
+/// The log's frame, the form [`EventStore::apply_frame`] takes rows in,
+/// and the record it materialises a row as.
+pub use aiql_wal::{ColumnFrame, WalRecord};
 pub use durable::{DurableOpen, DurableStore, DurableWrite};
 pub use live::{SharedStore, StoreSnapshot, StoreStamp, StoreWriter};
 pub use metrics::record_scan;
@@ -49,10 +53,9 @@ use aiql_model::event::ALL_OPS;
 use aiql_model::schema as model_schema;
 use aiql_model::{Dataset, Entity, EntityKind, Event, SharedDict, Timestamp, Value};
 use aiql_rdb::{
-    ColumnarSpec, Database, PartKey, PartitionSpec, Prune, RdbError, ResidentBytes, Row, RowView,
-    ScanProfile,
+    ColumnarSpec, Database, InsertReport, PartKey, PartitionSpec, Prune, RdbError, ResidentBytes,
+    Row, RowView, ScanProfile,
 };
-use aiql_wal::ColumnFrame;
 use std::path::{Path, PathBuf};
 
 /// The columnar projection each table receives when
@@ -188,13 +191,20 @@ pub fn event_row(ev: &Event) -> [Value; schema::ev::WIDTH] {
     ]
 }
 
-/// What appending one event did to the store's physical layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AppendOutcome {
-    /// The `(day, agent group)` partition this append rolled over into, if
-    /// it was the first row of that partition. `None` for rows landing in
-    /// existing partitions.
-    pub created_partition: Option<PartKey>,
+/// What applying log frames did ([`EventStore::apply_frame`]); a caller
+/// applying several frames passes one `Applied` to each, and it adds up.
+#[derive(Debug, Default)]
+pub struct Applied {
+    /// Entities inserted.
+    pub entities: usize,
+    /// Events inserted.
+    pub events: usize,
+    /// Every `(day, agent group)` partition an insert created, in creation
+    /// order.
+    pub new_partitions: Vec<PartKey>,
+    /// Each row the store rejected, by sequence number, with the reason,
+    /// in sequence order.
+    pub rejected: Vec<(u64, RdbError)>,
 }
 
 /// One row on its way into a store, borrowed from whoever holds it — a
@@ -212,10 +222,12 @@ const KINDS: [EntityKind; 3] = [EntityKind::File, EntityKind::Process, EntityKin
 
 /// The single-node event store.
 ///
-/// Construct-and-query via [`EventStore::ingest`], or grow a live store via
-/// the append hooks ([`EventStore::append_entity`] /
-/// [`EventStore::append_event`]) — both paths maintain the same secondary
-/// indexes and partitions, so queries plan identically either way.
+/// Construct-and-query via [`EventStore::ingest`] (the append hooks
+/// [`EventStore::append_entity`] / [`EventStore::append_event`], a row at
+/// a time), or grow a live store a column frame at a time
+/// ([`EventStore::apply_frame`]: what a flush applies and what recovery
+/// replays) — every path maintains the same secondary indexes and
+/// partitions, so queries plan identically either way.
 ///
 /// `Clone` is copy-on-write (every table is `Arc`-shared with the clone,
 /// see [`aiql_rdb::Database`]): it is how [`SharedStore`] publishes an
@@ -299,40 +311,38 @@ impl EventStore {
     /// Appends one event, routing it to its `(day, agent group)` partition
     /// and reporting rollover when the row materializes a new partition.
     /// Newly created partitions carry every configured secondary index.
-    pub fn append_event(&mut self, ev: &Event) -> Result<AppendOutcome, RdbError> {
+    pub fn append_event(&mut self, ev: &Event) -> Result<InsertReport, RdbError> {
         let report = self
             .db
             .insert_reporting(schema::EVENTS, &event_row(ev)[..])?;
         self.event_count += 1;
         self.epoch += 1;
-        Ok(AppendOutcome {
-            created_partition: report.created_partition,
-        })
+        Ok(report)
     }
 
-    /// Inserts one logged row: a durable flush's apply phase. Recovery
-    /// replays the log a frame at a time through
-    /// [`EventStore::apply_frame`], whose rows meet the same schema check
-    /// and partition routing, so a row the store rejects live is rejected
-    /// — and skipped — identically when the log is replayed.
-    pub fn apply(&mut self, row: RowRef<'_>) -> Result<AppendOutcome, RdbError> {
+    /// Inserts one row as a log frame's apply inserts it — the same schema
+    /// check, partition routing, string interning, counts and epoch — a
+    /// row at a time: the reference [`EventStore::apply_frame`] is tested
+    /// against.
+    pub fn apply(&mut self, row: RowRef<'_>) -> Result<(), RdbError> {
         match row {
-            RowRef::Entity(e) => self.append_entity(e).map(|()| AppendOutcome::default()),
-            RowRef::Event(ev) => self.append_event(ev),
+            RowRef::Entity(e) => self.append_entity(e),
+            RowRef::Event(ev) => self.append_event(ev).map(drop),
         }
     }
 
-    /// Inserts the entity and event rows of a decoded log frame whose
-    /// sequence number is above `after`, in sequence order, straight from
-    /// the frame's lanes: each row is built on the stack — an event's
-    /// eleven lanes, an entity's id, agent and its kind's attributes, each
-    /// string sharing the frame's text — and inserted as
-    /// [`EventStore::apply`] inserts it, so it meets the same schema check
-    /// and partition routing, interns its strings in the same order, and
-    /// bumps the counts and the epoch as it does; no record, event or
-    /// attribute map is built. Each row inserted, or rejected and
-    /// skipped, is counted in `report`. Clock rows are the caller's.
-    pub fn apply_frame(&mut self, frame: &ColumnFrame, after: u64, report: &mut RecoveryReport) {
+    /// Inserts the entity and event rows of a log frame whose sequence
+    /// number is above `after`, in sequence order, straight from the
+    /// frame's lanes: how a durable flush applies the frames it logged,
+    /// how a flush without a log applies the frame it pushed, and how
+    /// recovery applies each frame it decodes. Each row is built on the
+    /// stack — an event's eleven lanes, an entity's id, agent and its
+    /// kind's attributes, each string sharing the frame's value — and
+    /// meets the tables' schema check and partition routing; no record,
+    /// event or attribute map is built. Each row inserted, partition
+    /// created and row rejected (and skipped) is added to `applied`.
+    /// Clock rows are the caller's.
+    pub fn apply_frame(&mut self, frame: &ColumnFrame, after: u64, applied: &mut Applied) {
         let ents = &frame.entities;
         let entities_from = frame.first() + frame.clocks() as u64;
         // Each name's column in each kind's table (by log code), if it
@@ -347,7 +357,8 @@ impl EventStore {
             .map(|name| KINDS.map(|kind| column(kind, name)))
             .collect();
         ents.each(|i, attrs| {
-            if entities_from + i as u64 <= after {
+            let seq = entities_from + i as u64;
+            if seq <= after {
                 return;
             }
             let kind = ents.kind[i] as usize;
@@ -363,9 +374,9 @@ impl EventStore {
                 Ok(()) => {
                     self.entity_count += 1;
                     self.epoch += 1;
-                    report.replayed_entities += 1;
+                    applied.entities += 1;
                 }
-                Err(_) => report.skipped_rows += 1,
+                Err(e) => applied.rejected.push((seq, e)),
             }
         });
         let events_from = entities_from + ents.len() as u64;
@@ -379,26 +390,26 @@ impl EventStore {
             &frame.events;
         for i in skip..frame.event_rows() {
             let row = [
-                id[i],
-                agent[i],
-                ops[op[i] as usize],
-                subject[i],
-                object[i],
-                kinds[kind[i] as usize],
-                start[i],
-                start[i].wrapping_add(span[i]),
-                seq[i],
-                amount[i],
-                failure[i],
-            ]
-            .map(Value::Int);
-            match self.db.insert(schema::EVENTS, &row[..]) {
-                Ok(()) => {
+                Value::Int(id[i]),
+                Value::Int(agent[i]),
+                Value::Int(ops[op[i] as usize]),
+                Value::Int(subject[i]),
+                Value::Int(object[i]),
+                Value::Int(kinds[kind[i] as usize]),
+                Value::Int(start[i]),
+                Value::Int(start[i].wrapping_add(span[i])),
+                Value::Int(seq[i]),
+                Value::Int(amount[i]),
+                Value::Int(failure[i]),
+            ];
+            match self.db.insert_reporting(schema::EVENTS, &row[..]) {
+                Ok(report) => {
                     self.event_count += 1;
                     self.epoch += 1;
-                    report.replayed_events += 1;
+                    applied.events += 1;
+                    applied.new_partitions.extend(report.created_partition);
                 }
-                Err(_) => report.skipped_rows += 1,
+                Err(e) => applied.rejected.push((events_from + i as u64, e)),
             }
         }
     }

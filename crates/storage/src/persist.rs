@@ -27,11 +27,10 @@
 //! in — this is what makes a crash *between* snapshot and log truncation
 //! harmless), the rest are re-applied — a decoded frame at a time, as the
 //! segment scan yields them, never collected first — straight from the
-//! frame's column lanes through [`EventStore::apply_frame`], which gives
-//! each row the schema check and partition routing a live flush's
-//! [`EventStore::apply`] gives it (so partitions, indexes, and projections
-//! rebuild through the same machinery as live ingestion) without building
-//! a record, an event or an attribute map per row. Clock-sample /
+//! frame's column lanes through [`EventStore::apply_frame`], the loop a
+//! live flush applies the frames it logged with (so partitions, indexes,
+//! and projections rebuild through the same machinery as live ingestion)
+//! without building a record, an event or an attribute map per row. Clock-sample /
 //! synchronizer-state records rebuild the time-synchronization estimates
 //! and are replayed regardless of the snapshot boundary — the snapshot
 //! carries no synchronizer state, and a checkpointed seed *replaces* the
@@ -41,7 +40,7 @@
 //! (`aiql_storage_snapshot_load_micros`, `aiql_storage_replay_micros`).
 
 use crate::timesync::{ClockSample, Synchronizer};
-use crate::{columnar_spec_for, schema, EventStore, StoreConfig};
+use crate::{columnar_spec_for, schema, Applied, EventStore, StoreConfig};
 use aiql_model::{codec, SharedDict};
 use aiql_rdb::{
     snapshot as rsnap, ColumnarSpec, Database, PartitionSpec, RdbError, Schema, TableSlot,
@@ -434,6 +433,7 @@ pub fn recover_with_replay(
         ..RecoveryReport::default()
     };
     let mut sync = Synchronizer::new();
+    let mut applied = Applied::default();
     // First and last sequence number the log holds (for the coverage check
     // below).
     let mut log_span: Option<(u64, u64)> = None;
@@ -473,9 +473,12 @@ pub fn recover_with_replay(
             }
             report.replayed_clock_samples += 1;
         }
-        store.apply_frame(frame, snap_seq, &mut report);
+        store.apply_frame(frame, snap_seq, &mut applied);
     })?;
     m.replay_micros.record_duration(started.elapsed());
+    report.replayed_entities = applied.entities;
+    report.replayed_events = applied.events;
+    report.skipped_rows = applied.rejected.len();
     report.torn_bytes = scan.torn_bytes;
     // Falling back past an unreadable newer snapshot is only safe while
     // the log still holds every record from the snapshot we *did* load up

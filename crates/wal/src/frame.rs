@@ -35,7 +35,7 @@
 
 use crate::record::WalRecord;
 use aiql_model::codec::{self, read_str, read_u32, read_u64, write_str, MAX_LEN};
-use aiql_model::columns::{read_column, write_column, write_frame_spanning, Frame, Strings};
+use aiql_model::columns::{read_column, write_column, write_frame, Frame, Strings};
 use aiql_model::{AgentId, Entity, EntityId, EntityKind, Event, EventId, Timestamp, Value};
 use std::collections::HashMap;
 use std::io;
@@ -161,298 +161,12 @@ impl Row<'_> {
     }
 }
 
-/// A lane of `i64`s with its least and greatest value, kept as they are
-/// pushed.
-#[derive(Debug)]
-struct Lane {
-    vals: Vec<i64>,
-    min: i64,
-    max: i64,
-}
-
-impl Default for Lane {
-    fn default() -> Lane {
-        Lane {
-            vals: Vec::new(),
-            min: i64::MAX,
-            max: i64::MIN,
-        }
-    }
-}
-
-impl Lane {
-    fn clear(&mut self) {
-        self.vals.clear();
-        (self.min, self.max) = (i64::MAX, i64::MIN);
-    }
-
-    #[inline]
-    fn push(&mut self, v: i64) {
-        self.vals.push(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn write(&self, out: &mut Vec<u8>) {
-        write_frame_spanning(out, &self.vals, self.min, self.max, false);
-    }
-}
-
-/// The rows of the open frame, and the scratch lanes that encode them.
-#[derive(Debug, Default)]
-pub(crate) struct Rows {
-    clocks: Vec<Clock>,
-    entities: Entities,
-    events: Vec<Event>,
-    /// The sum of the rows' [`Row::bytes`].
-    bytes: usize,
-    lanes: [Lane; 11],
-}
-
-impl Rows {
-    pub fn len(&self) -> usize {
-        self.clocks.len() + self.entities.len() + self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The sum of the rows' [`Row::bytes`].
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Whether `row`, of `bytes` bytes, may join these rows: its section
-    /// is not before one that already holds rows (a frame numbers its
-    /// rows section by section), and the frame stays under the payload
-    /// cap.
-    pub fn takes(&self, row: &Row<'_>, bytes: usize) -> bool {
-        let last = match () {
-            _ if !self.events.is_empty() => 2,
-            _ if !self.entities.is_empty() => 1,
-            _ => 0,
-        };
-        row.section() >= last && self.bytes + bytes <= MAX_PAYLOAD as usize - FRAME_FIXED
-    }
-
-    pub fn push(&mut self, row: Row<'_>, bytes: usize) {
-        match row {
-            Row::Clock(c) => self.clocks.push(c),
-            Row::Entity(e) => self.entities.push(e),
-            Row::Event(ev) => self.events.push(ev.clone()),
-        }
-        self.bytes += bytes;
-    }
-
-    pub fn clear(&mut self) {
-        self.clocks.clear();
-        self.entities.clear();
-        self.events.clear();
-        self.bytes = 0;
-    }
-
-    /// Appends the frame of the rows, numbered from `first`, to `out` —
-    /// header, payload and the payload's CRC — and clears the rows.
-    /// Returns the frame's bytes.
-    pub fn encode(&mut self, first: u64, out: &mut Vec<u8>) -> io::Result<usize> {
-        debug_assert!(self.len() as u64 <= MAX_FRAME_ROWS);
-        let start = out.len();
-        out.extend_from_slice(&[0u8; FRAME_HEADER]); // patched below
-        out.extend_from_slice(&first.to_le_bytes());
-        for n in [self.clocks.len(), self.entities.len(), self.events.len()] {
-            out.extend_from_slice(&(n as u32).to_le_bytes());
-        }
-        if !self.clocks.is_empty() {
-            self.encode_clocks(out);
-        }
-        if !self.entities.is_empty() {
-            self.entities.encode(out)?;
-        }
-        if !self.events.is_empty() {
-            self.encode_events(out);
-        }
-        let payload = &out[start + FRAME_HEADER..];
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|len| *len <= MAX_PAYLOAD)
-            .ok_or_else(|| invalid("frame payload exceeds the cap"))?;
-        let crc = crate::crc32(payload);
-        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        self.clear();
-        Ok(out.len() - start)
-    }
-
-    fn encode_clocks(&mut self, out: &mut Vec<u8>) {
-        let [kind, agent, a, b, ..] = &mut self.lanes;
-        for lane in [&mut *kind, &mut *agent, &mut *a, &mut *b] {
-            lane.clear();
-        }
-        for c in &self.clocks {
-            kind.push(c.sync as i64);
-            agent.push(c.agent.0 as i64);
-            a.push(c.a);
-            b.push(c.b);
-        }
-        for lane in [kind, agent, a, b] {
-            lane.write(out);
-        }
-    }
-
-    /// One pass transposes the events into the scratch lanes, each lane
-    /// tracking its span; then each lane is written at its width.
-    fn encode_events(&mut self, out: &mut Vec<u8>) {
-        let n = self.events.len();
-        for lane in self.lanes.iter_mut() {
-            lane.clear();
-            lane.vals.reserve(n);
-        }
-        let [id, agent, subject, op, object, kind, start, span, seq, amount, failure] =
-            &mut self.lanes;
-        for ev in &self.events {
-            id.push(ev.id.0 as i64);
-            agent.push(ev.agent.0 as i64);
-            subject.push(ev.subject.0 as i64);
-            op.push(codec::op_code(ev.op) as i64);
-            object.push(ev.object.0 as i64);
-            kind.push(codec::kind_code(ev.object_kind) as i64);
-            start.push(ev.start.0);
-            span.push(ev.end.0.wrapping_sub(ev.start.0));
-            seq.push(ev.seq as i64);
-            amount.push(ev.amount);
-            failure.push(ev.failure as i64);
-        }
-        for lane in self.lanes.iter() {
-            lane.write(out);
-        }
-    }
-}
-
-/// The entity section of the open frame, transposed as each entity is
-/// pushed — the rows are never kept whole: the id, agent, kind and
-/// name-set columns, the names and name sets in first-use order, and one
-/// value column per name.
-#[derive(Debug, Default)]
-struct Entities {
-    len: usize,
-    id: Lane,
-    agent: Lane,
-    kind: Lane,
-    set: Lane,
-    names: Vec<String>,
-    name_codes: HashMap<String, u32>,
-    /// Each set's names, as name codes in the attribute map's order.
-    sets: Vec<Vec<u32>>,
-    set_codes: HashMap<Vec<u32>, u32>,
-    /// Per entity kind, the set its last entity named: the next entity
-    /// of the kind most often names it too, and is coded without a hash.
-    last_set: [Option<u32>; 3],
-    columns: Vec<Vec<Value>>,
-}
-
-impl Entities {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn clear(&mut self) {
-        self.len = 0;
-        for lane in [&mut self.id, &mut self.agent, &mut self.kind, &mut self.set] {
-            lane.clear();
-        }
-        self.names.clear();
-        self.name_codes.clear();
-        self.sets.clear();
-        self.set_codes.clear();
-        self.last_set = [None; 3];
-        self.columns.clear();
-    }
-
-    fn push(&mut self, e: &Entity) {
-        let kind = codec::kind_code(e.kind);
-        self.id.push(e.id.0 as i64);
-        self.agent.push(e.agent.0 as i64);
-        self.kind.push(kind as i64);
-        let names = &self.names;
-        let same = |set: &Vec<u32>| {
-            set.len() == e.attrs.len()
-                && (set.iter())
-                    .zip(e.attrs.keys())
-                    .all(|(c, n)| names[*c as usize] == *n)
-        };
-        let set = match self.last_set[kind as usize] {
-            Some(set) if same(&self.sets[set as usize]) => set,
-            _ => self.code_set(e),
-        };
-        self.last_set[kind as usize] = Some(set);
-        self.set.push(set as i64);
-        for (code, value) in self.sets[set as usize].iter().zip(e.attrs.values()) {
-            self.columns[*code as usize].push(value.clone());
-        }
-        self.len += 1;
-    }
-
-    /// The code of `e`'s name set, coding its new names and the set if it
-    /// is new.
-    fn code_set(&mut self, e: &Entity) -> u32 {
-        let mut key = Vec::with_capacity(e.attrs.len());
-        for name in e.attrs.keys() {
-            let code = match self.name_codes.get(name) {
-                Some(code) => *code,
-                None => {
-                    let code = self.names.len() as u32;
-                    self.name_codes.insert(name.clone(), code);
-                    self.names.push(name.clone());
-                    self.columns.push(Vec::new());
-                    code
-                }
-            };
-            key.push(code);
-        }
-        match self.set_codes.get(&key) {
-            Some(code) => *code,
-            None => {
-                let code = self.sets.len() as u32;
-                self.set_codes.insert(key.clone(), code);
-                self.sets.push(key);
-                code
-            }
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
-        for lane in [&self.id, &self.agent, &self.kind] {
-            lane.write(out);
-        }
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
-        for name in &self.names {
-            write_str(out, name)?;
-        }
-        out.extend_from_slice(&(self.sets.len() as u32).to_le_bytes());
-        for set in &self.sets {
-            out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-            for code in set {
-                out.extend_from_slice(&code.to_le_bytes());
-            }
-        }
-        self.set.write(out);
-        let mut strings = Strings::<&str>::default();
-        for column in &self.columns {
-            write_column(out, column.iter(), &mut strings, false)?;
-        }
-        Ok(())
-    }
-}
-
-/// One column frame, decoded: its rows in the lanes the frame keeps them
-/// in, numbered from [`ColumnFrame::first`] — clock rows, then entities,
-/// then events. A segment scan decodes each frame into the one it hands
-/// on, so the lanes' room is reused from frame to frame.
+/// One column frame: its rows in the lanes the frame keeps them in,
+/// numbered from [`ColumnFrame::first`] — clock rows, then entities, then
+/// events. The log's open frame is one: an append pushes its row straight
+/// into the lanes, and `sync` encodes them. A segment scan decodes each
+/// frame into one it hands on. Either way the lanes' room is reused from
+/// frame to frame.
 #[derive(Debug, Default)]
 pub struct ColumnFrame {
     first: u64,
@@ -466,6 +180,9 @@ pub struct ColumnFrame {
     /// amount, failure. Decoding checked that each agent fits a `u32`,
     /// each op and kind is a known code, and each failure fits an `i32`.
     pub events: [Vec<i64>; 11],
+    /// The sum of the pushed rows' [`Row::bytes`]: an open frame's share
+    /// of the log's pending bound.
+    bytes: usize,
 }
 
 impl ColumnFrame {
@@ -484,11 +201,113 @@ impl ColumnFrame {
         self.events[0].len()
     }
 
-    /// The last row's sequence number (a decoded frame holds one row at
-    /// least).
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.clocks() + self.entities.len() + self.event_rows()
+    }
+
+    /// The last row's sequence number (`first − 1` for a frame with no
+    /// row).
     pub fn last(&self) -> u64 {
-        let rows = self.clocks() + self.entities.len() + self.event_rows();
-        self.first + rows as u64 - 1
+        self.first + self.rows() as u64 - 1
+    }
+
+    /// The sum of the pushed rows' [`Row::bytes`].
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Empties the frame, its next row numbered `first`. The lanes keep
+    /// their room.
+    pub fn restart(&mut self, first: u64) {
+        self.clocks.iter_mut().for_each(Vec::clear);
+        self.entities.clear();
+        self.events.iter_mut().for_each(Vec::clear);
+        self.first = first;
+        self.bytes = 0;
+    }
+
+    /// Pushes an entity, unchecked: for a frame that is applied and never
+    /// encoded (a flush without a log). The log's appends check each row
+    /// against the codec's caps first.
+    pub fn push_entity(&mut self, e: &Entity) {
+        self.push(Row::Entity(e), 0);
+    }
+
+    /// Pushes an event, as [`ColumnFrame::push_entity`] pushes an entity.
+    pub fn push_event(&mut self, ev: &Event) {
+        self.push(Row::Event(ev), EVENT_BYTES);
+    }
+
+    /// Whether `row`, of `bytes` bytes, may join the frame: its section is
+    /// not before one that already holds rows (a frame numbers its rows
+    /// section by section), and the frame stays under the payload cap.
+    pub(crate) fn takes(&self, row: &Row<'_>, bytes: usize) -> bool {
+        let last = match () {
+            _ if self.event_rows() > 0 => 2,
+            _ if !self.entities.is_empty() => 1,
+            _ => 0,
+        };
+        row.section() >= last && self.bytes + bytes <= MAX_PAYLOAD as usize - FRAME_FIXED
+    }
+
+    /// Pushes `row`, of `bytes` bytes, into its section's lanes.
+    pub(crate) fn push(&mut self, row: Row<'_>, bytes: usize) {
+        match row {
+            Row::Clock(c) => push_lanes(
+                &mut self.clocks,
+                [c.sync as i64, c.agent.0 as i64, c.a, c.b],
+            ),
+            Row::Entity(e) => self.entities.push(e),
+            Row::Event(ev) => push_lanes(
+                &mut self.events,
+                [
+                    ev.id.0 as i64,
+                    ev.agent.0 as i64,
+                    ev.subject.0 as i64,
+                    codec::op_code(ev.op) as i64,
+                    ev.object.0 as i64,
+                    codec::kind_code(ev.object_kind) as i64,
+                    ev.start.0,
+                    ev.end.0.wrapping_sub(ev.start.0),
+                    ev.seq as i64,
+                    ev.amount,
+                    ev.failure as i64,
+                ],
+            ),
+        }
+        self.bytes += bytes;
+    }
+
+    /// Appends the frame to `out` — header, payload and the payload's
+    /// CRC — and returns its bytes.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) -> io::Result<usize> {
+        debug_assert!(self.rows() as u64 <= MAX_FRAME_ROWS);
+        let start = out.len();
+        out.extend_from_slice(&[0u8; FRAME_HEADER]); // patched below
+        out.extend_from_slice(&self.first.to_le_bytes());
+        for n in [self.clocks(), self.entities.len(), self.event_rows()] {
+            out.extend_from_slice(&(n as u32).to_le_bytes());
+        }
+        // A section with no rows is absent.
+        for lane in self.clocks.iter().filter(|lane| !lane.is_empty()) {
+            write_frame(out, lane, false);
+        }
+        if !self.entities.is_empty() {
+            self.entities.encode(out)?;
+        }
+        for lane in self.events.iter().filter(|lane| !lane.is_empty()) {
+            write_frame(out, lane, false);
+        }
+        let payload = &out[start + FRAME_HEADER..];
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|len| *len <= MAX_PAYLOAD)
+            .ok_or_else(|| invalid("frame payload exceeds the cap"))?;
+        let crc = crate::crc32(payload);
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        Ok(out.len() - start)
     }
 
     /// Clock row `i`: a [`WalRecord::ClockSample`] or a
@@ -510,14 +329,21 @@ impl ColumnFrame {
         }
     }
 
-    /// Appends every row, as a record with its sequence number, to `out`.
-    pub(crate) fn records(&self, out: &mut Vec<(u64, WalRecord)>) {
+    /// Appends each row whose sequence number `keep` takes — asked of
+    /// every row, in sequence order — as a record with its sequence
+    /// number, to `out`.
+    pub fn records(&self, mut keep: impl FnMut(u64) -> bool, out: &mut Vec<(u64, WalRecord)>) {
         let mut seqs = self.first..;
-        let mut push = |rec| out.push((seqs.next().expect("unbounded"), rec));
-        (0..self.clocks()).for_each(|i| push(self.clock(i)));
+        let mut push = |rec: &dyn Fn() -> WalRecord| {
+            let seq = seqs.next().expect("unbounded");
+            if keep(seq) {
+                out.push((seq, rec()));
+            }
+        };
+        (0..self.clocks()).for_each(|i| push(&|| self.clock(i)));
         let ents = &self.entities;
-        ents.each(|i, attrs| push(WalRecord::Entity(ents.entity(i, attrs))));
-        (0..self.event_rows()).for_each(|i| push(WalRecord::Event(self.event(i))));
+        ents.each(|i, attrs| push(&|| WalRecord::Entity(ents.entity(i, attrs))));
+        (0..self.event_rows()).for_each(|i| push(&|| WalRecord::Event(self.event(i))));
     }
 
     /// Event `i`.
@@ -539,26 +365,19 @@ impl ColumnFrame {
         }
     }
 
-    fn clear(&mut self) {
-        self.clocks.iter_mut().for_each(Vec::clear);
-        self.entities.clear();
-        self.events.iter_mut().for_each(Vec::clear);
-    }
-
     /// Decodes one frame's payload into `self`. Malformed input is an
     /// error, never a panic: counts past the cap or the bytes, an unknown
     /// code, a value out of its field's range, a column that ends early,
     /// or bytes left over.
     pub(crate) fn decode(&mut self, mut r: &[u8]) -> io::Result<()> {
-        self.clear();
         let r = &mut r;
         let first = read_u64(r)?;
+        self.restart(first);
         let counts = [read_u32(r)?, read_u32(r)?, read_u32(r)?].map(|n| n as usize);
         let rows = counts.iter().sum::<usize>() as u64;
         if rows == 0 || rows > MAX_FRAME_ROWS || first == 0 || first.checked_add(rows).is_none() {
             return Err(invalid(format!("{rows} rows from sequence {first}")));
         }
-        self.first = first;
         let [clocks, entities, events] = counts;
         if clocks > 0 {
             for lane in &mut self.clocks {
@@ -589,24 +408,25 @@ impl ColumnFrame {
     }
 
     /// Decodes a version-1 frame's payload — a sequence number and one
-    /// record — into `self`, as a frame of that one row: the record is
-    /// encoded as today's frame and decoded as one.
+    /// record — into `self`, as a frame of that one row.
     pub(crate) fn decode_v1(&mut self, mut payload: &[u8]) -> io::Result<()> {
         let seq = codec::read_u64(&mut payload)?;
         let rec = WalRecord::decode_v1(&mut payload)?;
-        let mut rows = Rows::default();
-        rows.push(Row::from(&rec), 0);
-        let mut frame = Vec::new();
-        rows.encode(seq, &mut frame)?;
-        self.decode(&frame[FRAME_HEADER..])
+        if seq == 0 || seq == u64::MAX {
+            return Err(invalid(format!("1 row from sequence {seq}")));
+        }
+        self.restart(seq);
+        self.push(Row::from(&rec), 0);
+        Ok(())
     }
 }
 
 /// The entity rows of a frame: the id, agent and kind lanes, and each
 /// entity's attributes as the frame keeps them — a name set per entity,
-/// and one value column per name. Decoding checked that each agent fits a
-/// `u32`, each kind is a known [`codec::kind_code`] code, and each
-/// entity's set exists.
+/// and one value column per name. Names and sets are coded in first-use
+/// order, so a frame's bytes are a function of its rows alone. Decoding
+/// checked that each agent fits a `u32`, each kind is a known
+/// [`codec::kind_code`] code, and each entity's set exists.
 #[derive(Debug, Default)]
 pub struct EntityLanes {
     pub id: Vec<i64>,
@@ -620,10 +440,17 @@ pub struct EntityLanes {
     set_names: Vec<u32>,
     set_ends: Vec<usize>,
     /// Per name, its value for each entity whose set names it, in entity
-    /// order.
+    /// order; columns past the names are spare, kept for their room.
     columns: Vec<Vec<Value>>,
-    /// The frame's string table: each string value shares its text.
+    /// A decoded frame's string table: each string value shares its text.
     strings: Vec<Arc<str>>,
+    /// A pushed frame's name and set codes.
+    name_codes: HashMap<String, u32>,
+    set_codes: HashMap<Vec<u32>, u32>,
+    /// Per entity kind, the set its last pushed entity named: the next
+    /// entity of the kind most often names it too, and is coded without a
+    /// hash.
+    last_set: [Option<u32>; 3],
 }
 
 impl EntityLanes {
@@ -671,8 +498,91 @@ impl EntityLanes {
         self.names.clear();
         self.set_names.clear();
         self.set_ends.clear();
-        self.columns.clear();
+        self.columns.iter_mut().for_each(Vec::clear);
         self.strings.clear();
+        self.name_codes.clear();
+        self.set_codes.clear();
+        self.last_set = [None; 3];
+    }
+
+    fn push(&mut self, e: &Entity) {
+        let kind = codec::kind_code(e.kind);
+        self.id.push(e.id.0 as i64);
+        self.agent.push(e.agent.0 as i64);
+        self.kind.push(kind as i64);
+        let names = &self.names;
+        let same = |set: &[u32]| {
+            set.len() == e.attrs.len()
+                && (set.iter())
+                    .zip(e.attrs.keys())
+                    .all(|(c, n)| names[*c as usize] == *n)
+        };
+        let set = match self.last_set[kind as usize] {
+            Some(set) if same(self.set_names(set as usize)) => set,
+            _ => self.code_set(e),
+        };
+        self.last_set[kind as usize] = Some(set);
+        self.set.push(set as i64);
+        let from = (set as usize)
+            .checked_sub(1)
+            .map_or(0, |p| self.set_ends[p]);
+        let codes = &self.set_names[from..self.set_ends[set as usize]];
+        for (code, value) in codes.iter().zip(e.attrs.values()) {
+            self.columns[*code as usize].push(value.clone());
+        }
+    }
+
+    /// The code of `e`'s name set, coding its new names and the set if it
+    /// is new.
+    fn code_set(&mut self, e: &Entity) -> u32 {
+        let from = self.set_names.len();
+        for name in e.attrs.keys() {
+            let code = match self.name_codes.get(name.as_str()) {
+                Some(code) => *code,
+                None => {
+                    let code = self.names.len() as u32;
+                    self.name_codes.insert(name.clone(), code);
+                    self.names.push(name.clone());
+                    if self.columns.len() == code as usize {
+                        self.columns.push(Vec::new());
+                    }
+                    code
+                }
+            };
+            self.set_names.push(code);
+        }
+        if let Some(code) = self.set_codes.get(&self.set_names[from..]) {
+            self.set_names.truncate(from);
+            return *code;
+        }
+        let code = self.set_ends.len() as u32;
+        self.set_codes.insert(self.set_names[from..].to_vec(), code);
+        self.set_ends.push(self.set_names.len());
+        code
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        for lane in [&self.id, &self.agent, &self.kind] {
+            write_frame(out, lane, false);
+        }
+        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
+        for name in &self.names {
+            write_str(out, name)?;
+        }
+        out.extend_from_slice(&(self.set_ends.len() as u32).to_le_bytes());
+        for s in 0..self.set_ends.len() {
+            let set = self.set_names(s);
+            out.extend_from_slice(&(set.len() as u32).to_le_bytes());
+            for code in set {
+                out.extend_from_slice(&code.to_le_bytes());
+            }
+        }
+        write_frame(out, &self.set, false);
+        let mut strings = Strings::<&str>::default();
+        for column in &self.columns[..self.names.len()] {
+            write_column(out, column.iter(), &mut strings, false)?;
+        }
+        Ok(())
     }
 
     /// Entity `i`, its attributes as `attrs` names them.
@@ -721,12 +631,22 @@ impl EntityLanes {
                 .iter()
                 .for_each(|c| lens[*c as usize] += uses);
         }
-        for len in lens {
-            let mut column = Vec::with_capacity(len);
+        for (j, len) in lens.into_iter().enumerate() {
+            if self.columns.len() == j {
+                self.columns.push(Vec::new());
+            }
+            let column = &mut self.columns[j];
+            column.reserve(len);
             read_column(r, len, &mut self.strings, |v| column.push(v))?;
-            self.columns.push(column);
         }
         Ok(())
+    }
+}
+
+/// Pushes one row's values, one onto each lane.
+fn push_lanes<const N: usize>(lanes: &mut [Vec<i64>; N], vals: [i64; N]) {
+    for (lane, v) in lanes.iter_mut().zip(vals) {
+        lane.push(v);
     }
 }
 

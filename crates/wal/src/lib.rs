@@ -35,16 +35,20 @@
 //!
 //! **Group commit.** The unit of durability is the *flush*: everything
 //! appended between two [`Wal::sync`] calls. An append validates the row,
-//! assigns its sequence number and keeps the row in the open frame;
-//! `sync` encodes the frame — one pass transposes the rows into columns —
-//! checksums it, hands it to the segment in one `write(2)` and then
-//! fsyncs. A frame keeps its sections in order (clock samples, entities,
-//! events), so a row appended after a later section's rows cuts the frame
-//! and opens another within the same flush; a flush appended in that
-//! order is one frame. (Past ≈ 1 MiB of pending rows the frame is cut and
-//! written early, unsynced, so memory stays bounded.) One invariant
-//! governs every failure: **the segment holds a synced prefix plus at
-//! most the current flush**.
+//! assigns its sequence number and pushes it straight into the open
+//! frame's lanes ([`ColumnFrame`], the type a scan decodes into); `sync`
+//! writes each lane as a column, checksums the frame, hands it to the
+//! segment in one `write(2)` and then fsyncs. A frame keeps its sections
+//! in order (clock samples, entities, events), so a row appended after a
+//! later section's rows cuts the frame and opens another within the same
+//! flush; a flush appended in that order is one frame. (Past ≈ 1 MiB of
+//! pending rows the frame is cut and written early, unsynced, so the
+//! encoded buffer stays bounded.) After the sync the flush's frames stay
+//! readable ([`Wal::frames`]) until the next flush's first append: what
+//! the durable store applies, as recovery applies the frames it decodes.
+//! A sync with nothing appended since the last one does no I/O. One
+//! invariant governs every failure: **the segment holds a synced prefix
+//! plus at most the current flush**.
 //!
 //! - A failed write — which may have left half a buffer behind — discards
 //!   the *whole* flush: the segment is truncated back to its last synced
@@ -86,7 +90,7 @@ pub use frame::{ColumnFrame, EntityLanes};
 pub use record::WalRecord;
 
 use aiql_fault::FaultFile;
-use frame::{Row, Rows, FRAME_HEADER, MAX_PAYLOAD};
+use frame::{Row, FRAME_HEADER, MAX_PAYLOAD};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -368,7 +372,7 @@ pub fn replay_with(dir: impl AsRef<Path>, mut visit: impl FnMut(&ColumnFrame)) -
 /// the frames themselves.
 pub fn replay(dir: impl AsRef<Path>) -> io::Result<Replay> {
     let mut records = Vec::new();
-    let scan = replay_with(dir, |frame| frame.records(&mut records))?;
+    let scan = replay_with(dir, |frame| frame.records(|_| true, &mut records))?;
     Ok(Replay { records, scan })
 }
 
@@ -410,7 +414,9 @@ impl WalLock {
             written: 0,
             synced_seq: found.last_seq + 1,
             next_seq: found.last_seq + 1,
-            rows: Box::default(),
+            frames: Vec::new(),
+            used: 0,
+            encoded: 0,
             pending: Vec::new(),
             pending_records: 0,
             v1_active: found.end_is_v1,
@@ -452,9 +458,14 @@ pub struct Wal {
     /// to.
     synced_seq: u64,
     next_seq: u64,
-    /// The rows of the open frame, numbered up to `next_seq - 1` (boxed:
-    /// with its scratch lanes it is most of the handle's size).
-    rows: Box<Rows>,
+    /// The current flush's frames, `frames[..used]`, in sequence order:
+    /// `frames[..encoded]` are encoded, and `frames[used - 1]` is the open
+    /// frame while `encoded < used`. A sync leaves them readable
+    /// ([`Wal::frames`]) until the next flush's first append. Frames past
+    /// `used` are spare: their lanes' room is reused.
+    frames: Vec<ColumnFrame>,
+    used: usize,
+    encoded: usize,
     /// Encoded frames of the current flush not yet written (and the
     /// segment header, when they are the segment's first bytes).
     pending: Vec<u8>,
@@ -613,20 +624,29 @@ impl Wal {
         // A row the caps refuse leaves nothing behind and consumes no
         // sequence number; the rest of the flush stands.
         let bytes = checked.map_err(AppendError::Rejected)?;
-        // Roll over only where nothing is in flight: a flush is never half
-        // in a closed segment, and no segment mixes versions.
-        let in_flight = self.written > 0 || !self.pending.is_empty() || !self.rows.is_empty();
-        let full = self.synced_len > 0 && self.synced_len >= self.options.segment_bytes;
-        if !in_flight && (full || self.v1_active) {
-            self.rotate().map_err(AppendError::Log)?;
+        if self.next_seq == self.synced_seq {
+            // The flush's first row: the last flush's frames go. Roll over
+            // only here, where nothing is in flight: a flush is never half
+            // in a closed segment, and no segment mixes versions.
+            (self.used, self.encoded) = (0, 0);
+            let full = self.synced_len > 0 && self.synced_len >= self.options.segment_bytes;
+            if full || self.v1_active {
+                self.rotate().map_err(AppendError::Log)?;
+            }
         }
-        if !self.rows.takes(&row, bytes) {
+        if self.used == self.encoded || !self.frames[self.used - 1].takes(&row, bytes) {
             self.cut().map_err(AppendError::Log)?;
+            if self.frames.len() == self.used {
+                self.frames.push(ColumnFrame::default());
+            }
+            self.frames[self.used].restart(self.next_seq);
+            self.used += 1;
         }
-        self.rows.push(row, bytes);
+        let open = &mut self.frames[self.used - 1];
+        open.push(row, bytes);
         let seq = self.next_seq;
         self.next_seq = seq + 1;
-        if self.rows.bytes() + self.pending.len() >= PENDING_LIMIT {
+        if open.bytes() + self.pending.len() >= PENDING_LIMIT {
             self.cut()
                 .and_then(|()| self.write_pending())
                 .map_err(AppendError::Log)?;
@@ -638,20 +658,21 @@ impl Wal {
     /// header when they are the segment's first — and records its size
     /// and encode time. A failure discards the whole flush.
     fn cut(&mut self) -> io::Result<()> {
-        if self.rows.is_empty() {
+        if self.used == self.encoded {
             return Ok(());
         }
         if self.synced_len + self.written == 0 && self.pending.is_empty() {
             self.pending.extend_from_slice(&SEGMENT_HEADER);
         }
-        let rows = self.rows.len() as u64;
+        let open = &self.frames[self.used - 1];
         let started = std::time::Instant::now();
-        match self.rows.encode(self.next_seq - rows, &mut self.pending) {
+        match open.encode(&mut self.pending) {
             Ok(bytes) => {
                 let m = metrics::metrics();
                 m.encode_micros.record_duration(started.elapsed());
                 m.append_bytes.record(bytes as u64);
-                self.pending_records += rows;
+                self.pending_records += open.rows() as u64;
+                self.encoded = self.used;
                 Ok(())
             }
             Err(e) => {
@@ -683,7 +704,7 @@ impl Wal {
     }
 
     /// Discards everything appended since the last [`Wal::sync`]: the
-    /// open frame's rows and the pending frames are dropped, bytes of the flush already in the
+    /// flush's frames and its pending bytes are dropped, bytes of it already in the
     /// segment (an early write, or the torn half of a failed one) are
     /// truncated away, and the sequence rewinds — so the same records,
     /// appended again, get the same numbers and land where replay reaches
@@ -696,7 +717,7 @@ impl Wal {
     }
 
     fn abandon_flush(&mut self, segment_dirty: bool) {
-        self.rows.clear();
+        (self.used, self.encoded) = (0, 0);
         self.pending.clear();
         self.pending_records = 0;
         self.next_seq = self.synced_seq;
@@ -715,7 +736,9 @@ impl Wal {
 
     /// Makes every appended record durable: the open frame is encoded,
     /// then one `write(2)` of the pending frames and an fsync of the active
-    /// segment. Rolled-over segments are synced at roll time.
+    /// segment. Rolled-over segments are synced at roll time. With nothing
+    /// appended since the last sync there is nothing to make durable: no
+    /// write, no fsync, and no frames left to read.
     ///
     /// A failed write discards the flush and leaves the handle usable
     /// (the caller re-appends and syncs again). A failed fsync poisons the
@@ -725,6 +748,10 @@ impl Wal {
     /// re-reads what is actually durable.
     pub fn sync(&mut self) -> io::Result<()> {
         self.refuse_if_poisoned()?;
+        if self.next_seq == self.synced_seq {
+            (self.used, self.encoded) = (0, 0);
+            return Ok(());
+        }
         self.cut()?;
         self.write_pending()?;
         let start = std::time::Instant::now();
@@ -739,6 +766,13 @@ impl Wal {
         self.written = 0;
         self.synced_seq = self.next_seq;
         Ok(())
+    }
+
+    /// The current flush's frames, in sequence order — after a sync, the
+    /// frames it made durable, readable until the next flush's first
+    /// append or a discard: what a durable store applies.
+    pub fn frames(&self) -> &[ColumnFrame] {
+        &self.frames[..self.used]
     }
 
     /// Syncs the active segment and starts a new one, keeping the old
@@ -831,7 +865,7 @@ pub mod testing {
         let mut frame = ColumnFrame::default();
         frame.decode(payload)?;
         let mut rows = Vec::new();
-        frame.records(&mut rows);
+        frame.records(|_| true, &mut rows);
         Ok(rows)
     }
 }
@@ -1253,7 +1287,7 @@ mod tests {
         }
         let writes = ctl.take_trace();
         assert_eq!(writes, ["wal.segment.write", "wal.segment.write"]);
-        assert!(wal.rows.bytes() + wal.pending.len() < PENDING_LIMIT);
+        assert!(wal.frames[wal.used - 1].bytes() + wal.pending.len() < PENDING_LIMIT);
         assert!(wal.size_bytes().unwrap() > synced);
         assert_eq!(
             segment_frames(&dir),
@@ -1395,7 +1429,9 @@ mod tests {
         let mut seen = Vec::new();
         let (wal, found) = Wal::lock(&dir)
             .unwrap()
-            .open(WalOptions::default(), |frame| frame.records(&mut seen))
+            .open(WalOptions::default(), |frame| {
+                frame.records(|_| true, &mut seen)
+            })
             .unwrap();
         assert_eq!(seen, before.records, "one pass, same records");
         assert_eq!(found, before.scan);

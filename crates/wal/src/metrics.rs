@@ -16,8 +16,8 @@ aiql_telemetry::metrics! {
         "Framed size of each column frame, one sample per frame (≈ one per flush) taken when \
          it is encoded; the `sum` is the denominator of publish amplification"),
     encode_micros: Histogram("aiql_wal_encode_micros", "µs",
-        "Time to encode one column frame — transpose its rows, write the columns, CRC the \
-         payload — one sample per frame; the log-encode share of an acknowledgement"),
+        "Time to encode one column frame — write its lanes (filled at append) as columns, CRC \
+         the payload — one sample per frame; the log-encode share of an acknowledgement"),
     decode_micros: Histogram("aiql_wal_decode_micros", "µs",
         "Time to decode one column frame into its lanes during a scan — reads and CRCs \
          excluded — one sample per frame (a version-1 segment's frame holds one record); \

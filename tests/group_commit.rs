@@ -341,3 +341,39 @@ fn unsynced_append_loop_writes_once_per_buffer_bound() {
     assert!(segment == reference, "log bytes changed");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_sync_with_nothing_to_make_durable_does_no_io() {
+    let ctl = fault::control();
+    let dir = scratch_dir("group-commit-empty");
+    let (mut ing, _) = Ingestor::durable(IngestConfig::live(), &dir).unwrap();
+    let base = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
+    let mut shipment = EventBatch::new();
+    let sample = ClockSample {
+        agent_time: 0,
+        server_time: 1_000,
+    };
+    shipment.add_clock_sample(AgentId(0), sample);
+    shipment.events = (0..16u64)
+        .map(|k| event(k, 0, base + k as i64 * 1_000))
+        .collect();
+    ing.submit(shipment).unwrap();
+    ing.flush().unwrap();
+
+    // A flush of an empty queue has nothing to write or fsync.
+    ctl.start_trace();
+    ing.flush().unwrap();
+    let trace = ctl.take_trace();
+    assert_eq!(count(&trace, "wal.segment.write"), 0, "trace: {trace:?}");
+    assert_eq!(count(&trace, "wal.segment.sync"), 0, "trace: {trace:?}");
+
+    // A checkpoint straight after a flush: its own sync and the rotation's
+    // find nothing new, so the only fsync of the log is the one that makes
+    // the synchronizer seed durable in the fresh segment.
+    ctl.start_trace();
+    ing.checkpoint().unwrap();
+    let trace = ctl.take_trace();
+    assert_eq!(count(&trace, "wal.segment.sync"), 1, "trace: {trace:?}");
+    drop(ing);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

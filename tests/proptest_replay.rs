@@ -12,17 +12,29 @@
 //! and clock rows; the snapshot covers a sequence number that may fall
 //! anywhere, inside a frame too. Both layouts run: with projections (the
 //! frame's strings interned into the dictionary) and without.
+//!
+//! A second property holds the live flush to the same standard: random
+//! flushes through a durable `Ingestor` — an entity the store rejects, a
+//! row the log's codec refuses, an entity-heavy flush past the log's
+//! ≈ 1 MiB early write (one flush, several frames), events over days,
+//! partitions and a sealed-chunk boundary — publish a head whose stamp and
+//! snapshot bytes are those of the store that reopening the directory,
+//! with no checkpoint, recovers; and the flushes' dead letters are the
+//! rows that recovery's apply rejects, with the same errors, in the same
+//! order, plus the rows the codec refused, which never reach the log.
 
+use aiql::ingest::{DeadRow, EventBatch, IngestConfig, Ingestor};
 use aiql::model::event::ALL_OPS;
 use aiql::model::schema as model_schema;
 use aiql::model::{AgentId, Entity, EntityKind, Event, Timestamp, Value};
-use aiql::rdb::{Prune, DEFAULT_CHUNK_ROWS};
+use aiql::rdb::{Prune, RdbError, DEFAULT_CHUNK_ROWS};
 use aiql::storage::persist::{self, RecoveryReport};
 use aiql::storage::timesync::{ClockSample, Synchronizer};
-use aiql::storage::{schema, EventStore, RowRef, StoreConfig};
+use aiql::storage::{schema, Applied, EventStore, RowRef, StoreConfig};
 use aiql::wal::{Wal, WalOptions, WalRecord};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 const NANOS_PER_DAY: i64 = 86_400 * 1_000_000_000;
 /// Events the snapshot's hot partition holds when it is prefilled: a
@@ -270,6 +282,180 @@ proptest! {
             snapshot_bytes(&columns.store, &a) == snapshot_bytes(&rows, &b),
             "the two stores write different snapshots"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Entities of a heavy flush, and the bytes of each one's command line:
+/// together they count past the log's ≈ 1 MiB early-write bound.
+const HEAVY: usize = 300;
+const HEAVY_CMD: usize = 4_096;
+/// The id of the entity whose path the log's codec refuses.
+const REFUSED: u64 = 9_999;
+
+/// A string one byte over the codec's cap. Its bytes are allocated zeroed
+/// and never written, so it takes no memory to speak of, and the codec
+/// reads only its length; one copy serves every case.
+fn oversized() -> Value {
+    static TEXT: OnceLock<Arc<str>> = OnceLock::new();
+    let text = TEXT.get_or_init(|| {
+        let len = aiql::model::codec::MAX_LEN as usize + 1;
+        // SAFETY: zeroed bytes are initialised `u8`s.
+        let bytes: Arc<[u8]> = unsafe { Arc::<[u8]>::new_zeroed_slice(len).assume_init() };
+        // SAFETY: NUL bytes are valid UTF-8, and `str` is laid out as `[u8]`.
+        unsafe { Arc::from_raw(Arc::into_raw(bytes) as *const str) }
+    });
+    Value::Str(text.clone())
+}
+
+/// What a live flush carries besides its random rows.
+#[derive(Debug, Clone, Copy)]
+struct Extras {
+    /// A burst of events into the hot partition (agent 0, day 0).
+    burst: bool,
+    /// [`HEAVY`] entities of [`HEAVY_CMD`]-byte command lines.
+    heavy: bool,
+    /// An entity the store rejects and one the codec refuses.
+    poison: bool,
+}
+
+/// Flush `k`'s shipment: its random rows as an ingestor takes them — a
+/// clock row as a sample (only a checkpoint logs a synchronizer state) —
+/// then its extras; the first flush also fills the hot partition to
+/// [`BURST`] events short of a sealed chunk.
+fn shipment(k: usize, rows: &[(u8, u64)], extras: Extras) -> EventBatch {
+    let mut b = EventBatch::new();
+    for &(tag, bits) in rows {
+        match row(tag, bits) {
+            WalRecord::ClockSample {
+                agent,
+                agent_time,
+                server_time,
+            } => b.add_clock_sample(
+                agent,
+                ClockSample {
+                    agent_time,
+                    server_time,
+                },
+            ),
+            WalRecord::SyncState { .. } => {}
+            WalRecord::Entity(e) => drop(b.add_entity(e)),
+            WalRecord::Event(ev) => drop(b.add_event(ev)),
+        }
+    }
+    if k == 0 {
+        b.events.extend(
+            (0..PREFILL)
+                .map(|i| hot_event(i as u64, AgentId(0), Timestamp(day0() + i as i64 * 1_000))),
+        );
+    }
+    if extras.burst {
+        for rec in burst(k as u64 * BURST as u64) {
+            let WalRecord::Event(ev) = rec else {
+                unreachable!("a burst is events")
+            };
+            b.add_event(ev);
+        }
+    }
+    if extras.heavy {
+        let cmd = Value::str("c".repeat(HEAVY_CMD));
+        for i in 0..HEAVY as u64 {
+            let p = Entity::process((200 + i).into(), AgentId(1), "sh", i as i64);
+            b.add_entity(p.with_attr("cmd", cmd.clone()));
+        }
+    }
+    if extras.poison {
+        let e = Entity::process(1.into(), AgentId(0), "p", 1).with_attr("pid", "not-a-number");
+        b.add_entity(e);
+        let refused = Entity::file(REFUSED.into(), AgentId(0), "/f");
+        b.add_entity(refused.with_attr("name", oversized()));
+    }
+    b
+}
+
+/// What recovering `dir` rejects, in order, with the store's reasons:
+/// every decoded frame applied over an empty store of `config` (the
+/// baseline snapshot) through `EventStore::apply_frame`, as recovery
+/// applies it, and the rejected rows materialised; and the frames seen.
+fn replay_rejections(dir: &Path, config: StoreConfig) -> (Vec<(String, RdbError)>, usize) {
+    let mut store = EventStore::empty(config).unwrap();
+    let (mut out, mut frames) = (Vec::new(), 0);
+    let wal = persist::wal_dir(dir);
+    aiql::wal::replay_with(wal, |frame| {
+        frames += 1;
+        let mut applied = Applied::default();
+        store.apply_frame(frame, 0, &mut applied);
+        let mut want = applied.rejected.iter().map(|(seq, _)| *seq).peekable();
+        let mut rows = Vec::new();
+        frame.records(|seq| want.next_if_eq(&seq).is_some(), &mut rows);
+        let rows = rows.into_iter().map(|(_, rec)| format!("{rec:?}"));
+        out.extend(rows.zip(applied.rejected.into_iter().map(|(_, error)| error)));
+    })
+    .unwrap();
+    (out, frames)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn a_durable_flush_publishes_the_store_recovery_rebuilds(
+        flushes in prop::collection::vec(
+            (prop::collection::vec((0u8..10, any::<u64>()), 0..40), 0u8..8),
+            1..5,
+        ),
+        columnar in any::<bool>(),
+    ) {
+        let dir = scratch();
+        let config = IngestConfig {
+            store: StoreConfig::partitioned().with_columnar(columnar),
+            ..IngestConfig::live()
+        };
+        let (mut ing, _) = Ingestor::durable(config, &dir).unwrap();
+        let mut poisoned = 0;
+        for (k, (rows, extras)) in flushes.iter().enumerate() {
+            // The first flush carries every extra, so each case has them.
+            let pick = |bit: u8| extras & bit != 0 || k == 0;
+            let extras = Extras {
+                burst: pick(1),
+                heavy: pick(2),
+                poison: pick(4),
+            };
+            poisoned += extras.poison as usize;
+            ing.submit(shipment(k, rows, extras)).unwrap();
+            ing.flush().unwrap();
+        }
+        let letters = ing.drain_dead_letters();
+        let head = ing.shared().read();
+        let (stamp, bytes) = (head.stamp(), snapshot_bytes(&head, &dir.join("live")));
+        drop(head);
+        drop(ing);
+
+        let (reopened, report) = Ingestor::durable(config, &dir).unwrap();
+        let recovered = reopened.shared().read();
+        prop_assert_eq!(recovered.stamp(), stamp);
+        prop_assert!(
+            snapshot_bytes(&recovered, &dir.join("recovered")) == bytes,
+            "the published head and the recovered store write different snapshots"
+        );
+        drop(recovered);
+        drop(reopened);
+
+        // The codec's refusals never reach the log; the rest of the dead
+        // letters are what recovery's apply rejects.
+        let (refused, letters): (Vec<_>, Vec<_>) = letters
+            .into_iter()
+            .partition(|l| matches!(&l.row, DeadRow::Entity(e) if e.id == REFUSED.into()));
+        prop_assert_eq!(refused.len(), poisoned);
+        prop_assert_eq!(report.expect("recovered").skipped_rows, letters.len());
+        let letters: Vec<(String, RdbError)> = letters
+            .into_iter()
+            .map(|l| (format!("{:?}", l.row), l.error))
+            .collect();
+        let (rejected, frames) = replay_rejections(&dir, config.store);
+        prop_assert!(letters.len() >= poisoned, "each poisoned entity is a dead letter");
+        prop_assert_eq!(letters, rejected);
+        prop_assert!(frames > flushes.len(), "a heavy flush is several frames");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

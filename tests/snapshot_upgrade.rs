@@ -139,12 +139,7 @@ fn flush(d: &mut DurableStore, entities: &[Entity], events: &[Event], clock: boo
     if clock {
         w.log_clock_sample(AgentId(1), 1_000, 1_500).unwrap();
     }
-    w.commit(|store: &mut EventStore| {
-        for row in &rows {
-            store.apply(*row).unwrap();
-        }
-    })
-    .unwrap();
+    assert!(w.commit().unwrap().0.rejected.is_empty());
 }
 
 /// Writes the fixture's store over `dataset(idle)` into `dir`: every
