@@ -196,19 +196,16 @@ pub fn fig6(opts: Options) -> String {
 /// Fig. 7: parallel (MPP) comparison — Greenplum scheduling (gather joins,
 /// arrival-order placement) vs AIQL scheduling on the same number of
 /// segments with the semantics-aware by-host placement: a row store (as
-/// the Greenplum segments are) whose `(day, agent group)` partitions are
-/// routed to shards, each scanned on its own pool worker.
+/// the Greenplum segments are) whose admitted `(day, agent group)`
+/// partitions are scanned one pool task each, on as many threads as there
+/// are segments.
 pub fn fig7(opts: Options) -> String {
     let (data, _) = harness::dataset(opts.scale);
     let segments = 5;
     let gp_store = SegmentedStore::ingest(&data, segments).expect("round-robin ingest");
-    let aiql_store = EventStore::ingest(
-        &data,
-        StoreConfig::partitioned()
-            .with_columnar(false)
-            .with_shards(segments as u32),
-    )
-    .expect("by-host ingest");
+    let aiql_store = EventStore::ingest(&data, StoreConfig::partitioned().with_columnar(false))
+        .expect("by-host ingest");
+    let parallel = EngineConfig::aiql().with_workers(segments);
     let queries = catalog::behaviours();
 
     let mut out = format!(
@@ -224,7 +221,7 @@ pub fn fig7(opts: Options) -> String {
         let mut t = TextTable::new(&["query", "Greenplum", "AIQL (parallel)"]);
         for q in queries.iter().filter(|q| q.group == group) {
             let gp = harness::run_greenplum(&gp_store, q, opts.budget);
-            let us = harness::run_aiql(&aiql_store, q, EngineConfig::aiql(), opts.budget);
+            let us = harness::run_aiql(&aiql_store, q, parallel, opts.budget);
             t.row(vec![q.id.to_string(), cell(&gp), cell(&us)]);
             all_gp.push(gp);
             all_aiql.push(us);

@@ -645,13 +645,17 @@ impl CacheStats {
     }
 }
 
-/// A bounded LRU cache of compiled statements keyed by normalized source.
+/// A bounded LRU cache of compiled statements keyed by normalized source,
+/// each entry carrying its caller's per-statement value `P` (the engine
+/// keeps the statement's physical-plan slot there): made by
+/// `P::default()` on the miss that compiles the statement, handed out
+/// with it on every hit, and evicted with it.
 ///
 /// Compile errors are not cached: a failing source recompiles (and
 /// recounts as a miss) on every lookup.
 #[derive(Debug)]
-pub struct PlanCache {
-    map: HashMap<String, CacheEntry>,
+pub struct PlanCache<P = ()> {
+    map: HashMap<String, CacheEntry<P>>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -659,14 +663,15 @@ pub struct PlanCache {
 }
 
 #[derive(Debug)]
-struct CacheEntry {
+struct CacheEntry<P> {
     stmt: Arc<PreparedQuery>,
+    value: P,
     last_used: u64,
 }
 
-impl PlanCache {
+impl<P: Default + Clone> PlanCache<P> {
     /// A cache holding at most `capacity` compiled statements.
-    pub fn new(capacity: usize) -> PlanCache {
+    pub fn new(capacity: usize) -> PlanCache<P> {
         PlanCache {
             map: HashMap::new(),
             capacity: capacity.max(1),
@@ -677,15 +682,16 @@ impl PlanCache {
     }
 
     /// Looks `source` up by normalized text, compiling and inserting on a
-    /// miss (evicting the least-recently-used entry at capacity).
-    pub fn get_or_compile(&mut self, source: &str) -> Result<Arc<PreparedQuery>, AiqlError> {
+    /// miss (evicting the least-recently-used entry at capacity); returns
+    /// the statement and its entry's value.
+    pub fn get_or_compile(&mut self, source: &str) -> Result<(Arc<PreparedQuery>, P), AiqlError> {
         let key = normalize_source(source);
         self.tick += 1;
         if let Some(e) = self.map.get_mut(&key) {
             e.last_used = self.tick;
             self.hits += 1;
             cache_metrics().hits.inc();
-            return Ok(e.stmt.clone());
+            return Ok((e.stmt.clone(), e.value.clone()));
         }
         self.misses += 1;
         cache_metrics().misses.inc();
@@ -700,14 +706,16 @@ impl PlanCache {
                 self.map.remove(&lru);
             }
         }
+        let value = P::default();
         self.map.insert(
             key,
             CacheEntry {
                 stmt: stmt.clone(),
+                value: value.clone(),
                 last_used: self.tick,
             },
         );
-        Ok(stmt)
+        Ok((stmt, value))
     }
 
     /// Whether `source` is currently cached (no counter movement).
@@ -916,7 +924,7 @@ mod tests {
 
     #[test]
     fn plan_cache_counts_hits_and_misses() {
-        let mut cache = PlanCache::new(8);
+        let mut cache: PlanCache = PlanCache::new(8);
         let src = "proc p read file f return p";
         cache.get_or_compile(src).unwrap();
         cache
@@ -933,7 +941,7 @@ mod tests {
 
     #[test]
     fn plan_cache_evicts_least_recently_used() {
-        let mut cache = PlanCache::new(2);
+        let mut cache: PlanCache = PlanCache::new(2);
         let q1 = "proc a1 read file f return a1";
         let q2 = "proc a2 read file f return a2";
         let q3 = "proc a3 read file f return a3";

@@ -5,7 +5,7 @@
 //! investigation possible at scale). This module is the engine's half of
 //! that story: a **process-wide pool** of worker threads fed by a task
 //! queue, plus a scoped `scatter` primitive the pattern executor uses to
-//! fan one pattern's shard scans out across workers and gather the
+//! fan one pattern's partition scans out across workers and gather the
 //! borrowed-row results.
 //!
 //! Why a persistent pool instead of the old per-query
@@ -20,7 +20,12 @@
 //!
 //! `scatter` runs `tasks` with up to `width` threads (the coordinator
 //! participates, so `width - 1` pool workers are enlisted) and returns
-//! every task's result **in task order**. Guarantees:
+//! every task's result **in task order**. Threads claim tasks from one
+//! counter, in task order, each taking the next as soon as it is free: a
+//! caller that orders its tasks largest first — the pattern executor, one
+//! task per admitted partition — gets largest-first list scheduling
+//! (Graham, "Bounds on Multiprocessing Timing Anomalies", 1969): no
+//! thread is idle while a task is unstarted. Guarantees:
 //!
 //! - **Scoped borrows.** Tasks may borrow from the caller's stack:
 //!   `scatter` does not return until every task has run, so the borrows
@@ -38,6 +43,7 @@
 
 use crate::error::EngineError;
 use crate::metrics::metrics;
+use aiql_rdb::PartKey;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -62,26 +68,17 @@ pub(crate) fn resolve_width(workers: usize) -> usize {
 /// of `aiql_rdb::ScanProfile`, surfaced per scan record by `EXPLAIN`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScatterProfile {
-    /// Shards the store's layout defines for this scan.
-    pub shards_total: u32,
-    /// Shards that held admitted partitions and were actually scanned.
-    pub shards_scanned: u32,
     /// Threads the scan ran on, coordinator included: the session's width,
-    /// capped at the occupied shards. 1 when the scan was shard-local; a
-    /// width-1 session takes the sequential scan and carries no profile.
+    /// capped at the admitted partitions. 1 when pruning left at most one
+    /// partition, which runs inline without touching the pool; a width-1
+    /// session takes the sequential scan and carries no profile.
     pub workers: u32,
-    /// Shard ids in dispatch order — largest estimated shard first, so
-    /// stragglers start earliest.
-    pub scatter_order: Vec<u32>,
-    /// Rows matched per scanned shard, parallel to `scatter_order`.
-    pub rows_per_shard: Vec<u64>,
+    /// The admitted partitions in dispatch order — largest estimate first,
+    /// so stragglers start earliest — each with the rows it matched.
+    pub dispatch: Vec<(PartKey, u64)>,
     /// Worst task wait between scatter submission and a thread picking
-    /// the task up, in microseconds (0 on the shard-local path).
+    /// the task up, in microseconds (0 when the scan ran inline).
     pub queue_wait_micros: u64,
-    /// True when pruning co-located the whole scan on one shard and it
-    /// ran inline without touching the pool — the by-host placement's
-    /// payoff for a host-constrained query.
-    pub colocated: bool,
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -224,7 +221,7 @@ where
     let mut results: Vec<Mutex<Option<std::thread::Result<T>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
 
-    // Shard-local / sequential fast path: no pool round-trip.
+    // Single-task / sequential fast path: no pool round-trip.
     if width <= 1 || n <= 1 {
         for (i, f) in tasks.into_iter().enumerate() {
             let r = catch_unwind(AssertUnwindSafe(f));
@@ -352,7 +349,7 @@ mod tests {
                 .map(|i| {
                     Box::new(move || {
                         if i == 5 {
-                            panic!("shard {i} exploded");
+                            panic!("task {i} exploded");
                         }
                         i
                     }) as Box<dyn FnOnce() -> u32 + Send>
@@ -360,7 +357,7 @@ mod tests {
                 .collect();
             let err = scatter(tasks, width).unwrap_err();
             match err {
-                EngineError::Worker(msg) => assert!(msg.contains("shard 5 exploded"), "{msg}"),
+                EngineError::Worker(msg) => assert!(msg.contains("task 5 exploded"), "{msg}"),
                 other => panic!("expected Worker error, got {other:?}"),
             }
         }

@@ -8,9 +8,10 @@
 //!    relationship-based (paper Algorithm 1) or fetch-and-filter
 //!    (`schedule`) — and joins their matches into tuple sets of match
 //!    indices (`tupleset`),
-//! 3. events scans **parallelize across the store's shards** — its
-//!    time/space partitions, grouped by host (`pattern`); a match is
-//!    three row references, read field by field (`layout`),
+//! 3. events scans **parallelize across the store's time/space
+//!    partitions** — one pool task per admitted `(day, agent group)`
+//!    partition, largest first (`pattern`, `exec`); a match is three row
+//!    references, read field by field (`layout`),
 //! 4. **dependency** queries arrive pre-compiled to multievent form (the
 //!    rewrite lives in `aiql-core`),
 //! 5. **anomaly** queries run through the sliding-window executor with
@@ -83,9 +84,10 @@ pub struct EngineConfig {
     /// Event-scan width in threads, coordinator included, resolved once
     /// when a [`Session`] opens: `0` is the machine's parallelism; `1` is
     /// the sequential scan, with no scatter and no pool; `2` or more
-    /// scatters each events scan by shard over the process-wide execution
-    /// pool (time-window partition parallelism, paper Sec. 5.2). Capped at
-    /// [`exec::MAX_WORKERS`].
+    /// scatters each events scan over the process-wide execution pool, one
+    /// task per admitted partition (time-window partition parallelism,
+    /// paper Sec. 5.2). This is the only setting of scan parallelism.
+    /// Capped at [`exec::MAX_WORKERS`].
     pub workers: usize,
 }
 

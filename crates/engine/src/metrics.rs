@@ -27,15 +27,15 @@ aiql_telemetry::metrics! {
     cursor_fetches: Counter("aiql_engine_cursor_fetches_total", "batches",
         "`Cursor::fetch` batches served"),
     pool_tasks: Counter("aiql_engine_pool_tasks", "tasks",
-        "Shard-scan tasks submitted to the scatter worker pool"),
+        "Partition-scan tasks submitted to the scatter worker pool (none for a scan that runs inline)"),
     pool_queue_wait_micros: Histogram("aiql_engine_pool_queue_wait_micros", "µs",
         "Per-task wait between scatter submit and a worker picking it up"),
     pool_workers: Gauge("aiql_engine_pool_workers", "threads",
         "Worker threads alive in the process-wide scatter pool (grown lazily, capped at 16)"),
-    shard_scan_micros: Histogram("aiql_engine_shard_scan_micros", "µs",
-        "Wall time of one shard's scan task (all admitted partitions in that shard)"),
-    shard_scan_rows: Histogram("aiql_engine_shard_scan_rows", "rows",
-        "Rows matched by one shard's scan task"),
+    partition_scan_micros: Histogram("aiql_engine_partition_scan_micros", "µs",
+        "Wall time of one admitted partition's scan task"),
+    partition_scan_rows: Histogram("aiql_engine_partition_scan_rows", "rows",
+        "Rows matched by one admitted partition's scan task"),
 }
 
 /// Folds a finished execution trace into the per-phase histograms: every

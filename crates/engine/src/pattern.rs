@@ -1,8 +1,8 @@
 //! Per-pattern data-query execution against the store.
 //!
 //! A pattern execution scans the subject/object entity tables (index-
-//! accelerated), scans the `events` table with partition pruning — in
-//! parallel across the store's shards when configured (the paper's
+//! accelerated), scans the `events` table with partition pruning — one
+//! task per admitted partition at scan width 2 or more (the paper's
 //! time-window partition parallelism, Sec. 5.2, and its by-host MPP
 //! placement, Sec. 6.3.3) — and emits its matches as row references
 //! ([`PatternMatches`]).
@@ -72,8 +72,8 @@ pub struct ScanRecord {
     pub table: String,
     /// Access paths, partition pruning, zone-map skips, rows touched.
     pub profile: aiql_rdb::ScanProfile,
-    /// How the scan scattered across shards (None for entity scans and
-    /// for event scans at width 1, which take the sequential scan).
+    /// How the scan scattered across partitions (None for entity scans
+    /// and for event scans at width 1, which take the sequential scan).
     pub scatter: Option<ScatterProfile>,
 }
 
@@ -97,9 +97,9 @@ impl Deadline {
     }
 }
 
-/// Scans the events table: sequentially at width 1, scattered across the
-/// store's shards on the execution pool at width 2 or more. Rows stay
-/// borrowed from the store either way.
+/// Scans the events table: sequentially at width 1, one pool task per
+/// admitted partition at width 2 or more. Rows stay borrowed from the
+/// store either way.
 #[allow(clippy::too_many_arguments)]
 fn scan_events<'a>(
     store: &'a EventStore,
@@ -117,7 +117,6 @@ fn scan_events<'a>(
     }
     let (rows, sp) = scatter_partition_scan(
         store.events_partitioned(),
-        store.shard_count(),
         conjuncts,
         prune,
         width,
@@ -129,28 +128,23 @@ fn scan_events<'a>(
     Ok(rows)
 }
 
-/// Scatters the admitted partitions of a sharded event table across the
+/// Scatters the admitted partitions of the event table across the
 /// execution pool and gathers the borrowed rows back in sequential order.
 ///
-/// Partitions are grouped into shards by `shard_of` (the store layout's
-/// routing function); each occupied shard becomes one pool task scanning
-/// its partitions in key order. Tasks are dispatched **largest estimated
-/// shard first** so stragglers start earliest, and the gather merges the
-/// per-partition results sorted by `PartKey` — exactly the order the
-/// sequential `PartitionedTable::select` walk produces, which is what lets the
-/// proptest oracle demand row-identical output. When pruning confines the
-/// scan to a single shard, the scan runs shard-local on the coordinator
-/// (no pool round-trip) — a host-constrained query on a by-host placement
-/// touches one segment, not all of them.
+/// Each admitted partition is one task. Tasks are dispatched **largest
+/// estimated partition first** so stragglers start earliest, and the
+/// gather merges the per-partition results sorted by `PartKey` — exactly
+/// the order the sequential `PartitionedTable::select` walk produces,
+/// which is what lets the proptest oracle demand row-identical output.
+/// When pruning admits a single partition, it is scanned inline on the
+/// coordinator (no pool round-trip) — a host-constrained query on a
+/// by-host placement touches one partition a day, not all of them.
 ///
-/// Rows stay borrowed throughout: workers collect [`RowView`]s per
-/// partition, so no event row is built regardless of parallelism. A worker panic
-/// surfaces as [`EngineError::Worker`] (see `crate::exec`), never a
-/// process abort.
-#[allow(clippy::too_many_arguments)]
+/// Rows stay borrowed throughout: tasks collect [`RowView`]s, so no event
+/// row is built regardless of parallelism. A task panic surfaces as
+/// [`EngineError::Worker`] (see `crate::exec`), never a process abort.
 fn scatter_partition_scan<'a>(
     pt: &'a aiql_rdb::PartitionedTable,
-    shards: usize,
     conjuncts: &[Expr],
     prune: &Prune,
     width: usize,
@@ -159,72 +153,47 @@ fn scatter_partition_scan<'a>(
     profile: &mut aiql_rdb::ScanProfile,
 ) -> Result<(Vec<RowView<'a>>, ScatterProfile), EngineError> {
     let merged = prune.intersect(&pt.prune_from_conjuncts(conjuncts));
-    let buckets = pt.shards_for(&merged, shards);
-    let occupied: Vec<(usize, Vec<(PartKey, &'a aiql_rdb::Table)>)> = buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .collect();
-
+    let mut parts = pt.partitions_for(&merged);
     profile.partitions_total += pt.partition_count() as u32;
-    profile.partitions_scanned += occupied.iter().map(|(_, b)| b.len() as u32).sum::<u32>();
-    profile.shards_total += shards as u32;
-    profile.shards_scanned += occupied.len() as u32;
+    profile.partitions_scanned += parts.len() as u32;
 
-    let mut sp = ScatterProfile {
-        shards_total: shards as u32,
-        shards_scanned: occupied.len() as u32,
-        colocated: occupied.len() <= 1,
-        ..Default::default()
-    };
-
-    // Scatter order: estimated rows (admitted partition sizes — the same
+    // Dispatch order: estimated rows (the partition's size — the same
     // statistic the scheduler's scorer uses) descending.
-    let mut order: Vec<usize> = (0..occupied.len()).collect();
-    let est: Vec<usize> = occupied
+    parts.sort_by_key(|(_, t)| std::cmp::Reverse(t.len()));
+    let tasks: Vec<_> = parts
         .iter()
-        .map(|(_, b)| b.iter().map(|(_, t)| t.len()).sum())
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(est[i]));
-
-    let tasks: Vec<_> = order
-        .iter()
-        .map(|&i| {
-            let (sid, bucket) = &occupied[i];
-            let sid = *sid;
+        .map(|&(key, t)| {
             move || {
                 let t0 = Instant::now();
                 let mut local = 0u64;
                 let mut prof = aiql_rdb::ScanProfile::default();
-                let mut parts: Vec<(PartKey, Vec<RowView<'a>>)> = Vec::with_capacity(bucket.len());
-                for (k, t) in bucket {
-                    let (_, pos) = t.select_profiled(conjuncts, &mut local, &mut prof);
-                    parts.push((*k, t.rows_at(&pos).collect()));
-                }
+                let (_, pos) = t.select_profiled(conjuncts, &mut local, &mut prof);
+                let rows: Vec<RowView<'a>> = t.rows_at(&pos).collect();
                 let m = crate::metrics::metrics();
-                m.shard_scan_micros.record(t0.elapsed().as_micros() as u64);
-                m.shard_scan_rows
-                    .record(parts.iter().map(|(_, r)| r.len() as u64).sum());
-                (sid, local, prof, parts)
+                m.partition_scan_micros
+                    .record(t0.elapsed().as_micros() as u64);
+                m.partition_scan_rows.record(rows.len() as u64);
+                (key, local, prof, rows)
             }
         })
         .collect();
 
     let width = width.min(tasks.len().max(1));
-    sp.workers = width as u32;
     let run = exec::scatter(tasks, width)?;
     deadline.check()?;
-    sp.queue_wait_micros = run.queue_wait_micros;
+    let mut sp = ScatterProfile {
+        workers: width as u32,
+        dispatch: Vec::with_capacity(run.results.len()),
+        queue_wait_micros: run.queue_wait_micros,
+    };
 
     // Gather: merge per-partition results by key — sequential scan order.
-    let mut tagged: Vec<(PartKey, Vec<RowView<'a>>)> = Vec::new();
-    for (sid, local, prof, parts) in run.results {
+    let mut tagged: Vec<(PartKey, Vec<RowView<'a>>)> = Vec::with_capacity(run.results.len());
+    for (key, local, prof, rows) in run.results {
         *scanned += local;
         profile.merge(&prof);
-        sp.scatter_order.push(sid as u32);
-        sp.rows_per_shard
-            .push(parts.iter().map(|(_, r)| r.len() as u64).sum());
-        tagged.extend(parts);
+        sp.dispatch.push((key, rows.len() as u64));
+        tagged.push((key, rows));
     }
     tagged.sort_by_key(|(k, _)| *k);
     let out: Vec<RowView<'a>> = tagged.into_iter().flat_map(|(_, r)| r).collect();
@@ -500,17 +469,39 @@ mod tests {
     }
 
     #[test]
-    fn scatter_rows_identical_to_sequential_across_shards() {
+    fn scatter_rows_identical_to_sequential_across_partitions() {
         // Stronger than `parallel_equals_sequential`: no sorting — the
         // gather must reproduce the sequential row order exactly, for
-        // every shard count and scatter width (width 1 is the sequential
-        // scan itself).
+        // every partition count and scatter width (width 1 is the
+        // sequential scan itself). The dataset's three events, copied onto
+        // hosts 2 and 3 and onto a second day, fill 2 to 6 partitions.
+        let mut d = dataset();
+        let day = 86_400 * 1_000_000_000;
+        let mut id = 100u64;
+        for ev in d.events.clone() {
+            for (agent, days) in [(1, 1), (2, 0), (2, 1), (3, 0), (3, 1)] {
+                id += 1;
+                let start = Timestamp(ev.start.0 + days * day);
+                let (subject, object, kind) = (ev.subject, ev.object, ev.object_kind);
+                let copy = Event::new(
+                    id.into(),
+                    AgentId(agent),
+                    subject,
+                    ev.op,
+                    object,
+                    kind,
+                    start,
+                );
+                d.add_event(copy);
+            }
+        }
         let src = r#"proc p read || write || start file f return p, f"#;
         let ctx = compile(src).unwrap();
-        for shards in [1u32, 2, 3, 5, 8] {
+        for group in [1u32, 2, 5] {
             let store =
-                EventStore::ingest(&dataset(), StoreConfig::partitioned().with_shards(shards))
-                    .unwrap();
+                EventStore::ingest(&d, StoreConfig::partitioned().with_agent_group(group)).unwrap();
+            let partitions = store.events_partitioned().partition_count();
+            assert!(partitions >= 2, "group {group}: {partitions} partitions");
             let mut s1 = EngineStats::default();
             let seq = execute_pattern(
                 &store,
@@ -522,7 +513,7 @@ mod tests {
             )
             .unwrap();
             assert!(s1.scans.iter().all(|s| s.scatter.is_none()));
-            for workers in [2usize, 4] {
+            for workers in [2usize, 4, 8] {
                 let mut s2 = EngineStats::default();
                 let par = execute_pattern(
                     &store,
@@ -533,17 +524,26 @@ mod tests {
                     &mut s2,
                 )
                 .unwrap();
-                assert_eq!(par, seq, "shards={shards} workers={workers}");
-                // The events scan carries the scatter shape for EXPLAIN.
+                assert_eq!(par, seq, "group={group} workers={workers}");
+                // The events scan carries the scatter shape for EXPLAIN:
+                // every partition once, largest first, on at most as many
+                // threads as there are partitions.
                 let ev_scan = s2
                     .scans
                     .iter()
                     .find(|s| s.target == ScanTarget::Events)
                     .unwrap();
                 let sp = ev_scan.scatter.as_ref().expect("scatter profile");
-                assert_eq!(sp.shards_total, shards);
-                assert_eq!(sp.scatter_order.len(), sp.shards_scanned as usize);
-                assert_eq!(sp.rows_per_shard.len(), sp.shards_scanned as usize);
+                assert_eq!(sp.dispatch.len(), partitions);
+                assert_eq!(ev_scan.profile.partitions_scanned as usize, partitions);
+                assert_eq!(sp.workers as usize, workers.min(partitions));
+                let size: HashMap<PartKey, usize> = (store.events_partitioned())
+                    .partitions_for(&Prune::all())
+                    .into_iter()
+                    .map(|(k, t)| (k, t.len()))
+                    .collect();
+                let sizes: Vec<usize> = sp.dispatch.iter().map(|(k, _)| size[k]).collect();
+                assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
             }
         }
     }
@@ -580,20 +580,14 @@ mod tests {
         assert_eq!(rows.len(), 1, "only svchost's read");
     }
 
-    /// MPP segments are the store's shards: the Fig. 7 configuration — a
-    /// row store (as Greenplum's segments are) split over three shards,
-    /// scanned in parallel — matches the single-node columnar store.
+    /// The Fig. 7 configuration — a row store (as Greenplum's segments
+    /// are) scanned at width 2 — matches the single-node columnar store.
     #[test]
     fn segmented_store_matches_single() {
         let d = dataset();
         let single = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let segmented = EventStore::ingest(
-            &d,
-            StoreConfig::partitioned()
-                .with_columnar(false)
-                .with_shards(3),
-        )
-        .unwrap();
+        let segmented =
+            EventStore::ingest(&d, StoreConfig::partitioned().with_columnar(false)).unwrap();
         let ctx = compile("proc p read || write || start file f return p, f").unwrap();
         let p = &ctx.patterns[0];
         let scan = |store, width| {

@@ -84,12 +84,11 @@ struct SessionCore {
     /// `Some` while the session is pinned to one snapshot (repeatable
     /// reads); `None` in per-statement mode.
     pinned: Mutex<Option<StoreSnapshot>>,
-    cache: Mutex<PlanCache>,
-    /// Statement-level physical plans, keyed by normalized source like the
-    /// plan cache, so re-preparing (or `Session::run`ning) identical text
-    /// reuses the plan a previous `Prepared` already filled. Coarsely
-    /// bounded: cleared wholesale when it outgrows the plan cache.
-    plans: Mutex<std::collections::HashMap<String, Arc<PlanSlot>>>,
+    /// Compiled statements, each with its physical-plan slot, so
+    /// re-preparing (or `Session::run`ning) identical text reuses the plan
+    /// a previous `Prepared` already filled; the slot leaves with its
+    /// statement on eviction.
+    cache: Mutex<PlanCache<Arc<PlanSlot>>>,
     /// Per-statement wall-clock timeout in nanoseconds ([`NO_TIMEOUT`] =
     /// none). Shared by all clones.
     timeout_nanos: AtomicU64,
@@ -157,7 +156,6 @@ impl Session {
                 width: crate::exec::resolve_width(config.workers),
                 pinned: Mutex::new(None),
                 cache: Mutex::new(PlanCache::new(SESSION_PLAN_CACHE_CAPACITY)),
-                plans: Mutex::new(std::collections::HashMap::new()),
                 timeout_nanos: AtomicU64::new(NO_TIMEOUT),
             }),
         }
@@ -244,22 +242,12 @@ impl Session {
             .expect("plan cache lock poisoned")
             .get_or_compile(source);
         let trace = aiql_telemetry::trace::finish();
-        let stmt = compiled?;
+        // The slot comes with the cached statement, so a cache hit skips
+        // planning too.
+        let (stmt, plan) = compiled?;
         if let Some(t) = &trace {
             crate::metrics::metrics().prepare_micros.record(t.micros);
         }
-        // Share the statement's physical-plan slot across re-prepares of
-        // the same (normalized) text, so cache hits skip planning too.
-        let plan = {
-            let mut plans = self.core.plans.lock().expect("plan map poisoned");
-            if plans.len() >= 2 * SESSION_PLAN_CACHE_CAPACITY {
-                plans.clear();
-            }
-            plans
-                .entry(aiql_core::normalize_source(source))
-                .or_default()
-                .clone()
-        };
         Ok(Prepared {
             stmt,
             core: self.core.clone(),
@@ -641,11 +629,8 @@ fn render_profile(stats: &EngineStats) -> String {
         .map(|s| {
             let paths = s.profile.paths().join("+");
             let scatter = match &s.scatter {
-                Some(sc) if sc.colocated => " · shard-local".to_string(),
-                Some(sc) => format!(
-                    " · shards {}/{} w{}",
-                    sc.shards_scanned, sc.shards_total, sc.workers
-                ),
+                Some(sc) if sc.workers <= 1 => " · inline".to_string(),
+                Some(sc) => format!(" · tasks {} w{}", sc.dispatch.len(), sc.workers),
                 None => String::new(),
             };
             format!(
@@ -803,19 +788,12 @@ impl fmt::Display for Explain {
                     render_predicates(prof)
                 )?;
                 if let Some(sc) = &s.scatter {
-                    write!(
-                        f,
-                        "      scatter: shards {}/{} · workers {}",
-                        sc.shards_scanned, sc.shards_total, sc.workers,
-                    )?;
-                    if sc.colocated {
-                        write!(f, " · shard-local")?;
+                    write!(f, "      scatter: workers {}", sc.workers)?;
+                    if sc.workers <= 1 {
+                        write!(f, " · inline")?;
                     } else {
-                        let order = sc
-                            .scatter_order
-                            .iter()
-                            .zip(&sc.rows_per_shard)
-                            .map(|(s, r)| format!("s{s}:{r}"))
+                        let order = (sc.dispatch.iter())
+                            .map(|((day, group), rows)| format!("d{day}g{group}:{rows}"))
                             .collect::<Vec<_>>()
                             .join(" ");
                         write!(

@@ -47,7 +47,7 @@ pub use columnar::TAIL_BLOCK_ROWS;
 pub use columnar::{Columnar, ColumnarSpec, Kernel};
 pub use error::RdbError;
 pub use expr::{CmpOp, Expr, InList};
-pub use partition::{shard_of, InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
+pub use partition::{InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
 pub use schema::{ColumnType, Row, Schema};
 pub use table::{
     AccessPath, ResidentBytes, RowView, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS,

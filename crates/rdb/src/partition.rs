@@ -44,26 +44,6 @@ impl PartitionSpec {
 /// Partition key: (day index, agent group).
 pub type PartKey = (i64, u32);
 
-/// Deterministic shard assignment of a partition key.
-///
-/// Shards are the unit of scatter-gather execution: a shard is the set of
-/// partitions whose `(day, agent group)` key hashes to it, so one shard's
-/// partitions can be scanned by one worker with no coordination. The hash
-/// (FNV-1a over both key components) is stable across runs and across
-/// shard counts being queried, which keeps routing a pure function of the
-/// data: one host's rows for one day always share a shard.
-pub fn shard_of(key: &PartKey, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.0.to_le_bytes().into_iter().chain(key.1.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
-
 /// What one row insert did to the physical layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InsertReport {
@@ -370,24 +350,6 @@ impl PartitionedTable {
             .filter(|(k, _)| prune.admits(k, self.spec.agent_group_size))
             .map(|(k, t)| (*k, t.as_ref()))
             .collect()
-    }
-
-    /// The admitted partitions grouped into `shards` scatter buckets.
-    ///
-    /// Bucket `i` holds exactly the admitted partitions with
-    /// [`shard_of`]`(key, shards) == i`, each bucket in key order — the
-    /// same order [`PartitionedTable::select`] scans them
-    /// sequentially. A gather that concatenates per-partition results
-    /// sorted by `PartKey` therefore reproduces the sequential scan's row
-    /// order exactly. Buckets can be empty (pruning may eliminate a
-    /// shard's every partition).
-    pub fn shards_for(&self, prune: &Prune, shards: usize) -> Vec<Vec<(PartKey, &Table)>> {
-        let n = shards.max(1);
-        let mut out: Vec<Vec<(PartKey, &Table)>> = (0..n).map(|_| Vec::new()).collect();
-        for (k, t) in self.partitions_for(prune) {
-            out[shard_of(&k, n)].push((k, t));
-        }
-        out
     }
 
     /// How many of this table's partitions are physically shared (same
@@ -774,57 +736,6 @@ mod tests {
         );
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(3), Value::str("late"));
-    }
-
-    #[test]
-    fn shard_routing_is_stable_and_total() {
-        let pt = pt();
-        for shards in 1..=8usize {
-            let buckets = pt.shards_for(&Prune::all(), shards);
-            assert_eq!(buckets.len(), shards);
-            // Every admitted partition lands in exactly one bucket, in the
-            // bucket shard_of names, and in key order within the bucket.
-            let mut seen = 0;
-            for (i, bucket) in buckets.iter().enumerate() {
-                assert!(bucket.windows(2).all(|w| w[0].0 < w[1].0));
-                for (k, _) in bucket {
-                    assert_eq!(shard_of(k, shards), i);
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, pt.partition_count());
-        }
-        // shard_of is a pure function: same key, same shard, every call.
-        assert_eq!(shard_of(&(3, 7), 5), shard_of(&(3, 7), 5));
-        assert_eq!(shard_of(&(3, 7), 1), 0);
-    }
-
-    #[test]
-    fn sharded_gather_matches_sequential_order() {
-        let pt = pt();
-        let mut scanned = 0;
-        let seq = pt.select(
-            &[],
-            &Prune::all(),
-            &mut scanned,
-            &mut ScanProfile::default(),
-        );
-        for shards in 1..=6usize {
-            // Scan each shard bucket independently, tag rows with their
-            // partition key, then merge by key — the gather contract.
-            let mut tagged: Vec<(PartKey, Vec<RowView>)> = Vec::new();
-            for bucket in pt.shards_for(&Prune::all(), shards) {
-                for (k, t) in bucket {
-                    let mut s = 0;
-                    let mut prof = ScanProfile::default();
-                    let (_, positions) = t.select_profiled(&[], &mut s, &mut prof);
-                    tagged.push((k, t.rows_at(&positions).collect()));
-                }
-            }
-            tagged.sort_by_key(|(k, _)| *k);
-            let gathered: Vec<RowView> = tagged.into_iter().flat_map(|(_, r)| r).collect();
-            assert_eq!(gathered, seq, "shards={shards}");
-        }
     }
 
     #[test]

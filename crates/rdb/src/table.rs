@@ -724,11 +724,6 @@ pub struct ScanProfile {
     /// Index lookups made by equality probes (after clipping the IN-list
     /// to each chunk's key range).
     pub in_probe_lookups: u64,
-    /// Shards the store's layout routes partitions into (0 for unsharded
-    /// scans; see [`crate::partition::shard_of`]).
-    pub shards_total: u32,
-    /// Shards that held at least one admitted partition and were scanned.
-    pub shards_scanned: u32,
 }
 
 impl ScanProfile {
@@ -747,8 +742,6 @@ impl ScanProfile {
         self.like_rows += o.like_rows;
         self.like_symbol_evals += o.like_symbol_evals;
         self.in_probe_lookups += o.in_probe_lookups;
-        self.shards_total += o.shards_total;
-        self.shards_scanned += o.shards_scanned;
     }
 
     fn record_path(&mut self, path: AccessPath) {

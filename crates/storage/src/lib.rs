@@ -49,7 +49,6 @@ pub use live::{SharedStore, StoreSnapshot, StoreStamp, StoreWriter};
 pub use metrics::record_scan;
 pub use persist::{PersistError, RecoveryReport};
 
-use aiql_model::event::ALL_OPS;
 use aiql_model::schema as model_schema;
 use aiql_model::{Dataset, Entity, EntityKind, Event, SharedDict, Timestamp, Value};
 use aiql_rdb::{
@@ -85,12 +84,6 @@ pub struct StoreConfig {
     /// sealed chunks sorted by time with a zone map per column) alongside
     /// the row store.
     pub columnar: bool,
-    /// Execution shards the partitioned layout routes `(day, agent group)`
-    /// partitions into (`aiql_rdb::partition::shard_of`). `0` means the
-    /// machine's parallelism, resolved once when a store is built or loaded
-    /// ([`EventStore::shard_count`]); the store keeps — and a snapshot
-    /// records — the configured value.
-    pub shards: u32,
 }
 
 impl StoreConfig {
@@ -100,7 +93,6 @@ impl StoreConfig {
         StoreConfig {
             agent_group_size: 5,
             columnar: true,
-            shards: 0,
         }
     }
 
@@ -113,28 +105,12 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the execution shard count, builder style. `0` restores the
-    /// auto (machine-sized) default.
-    pub fn with_shards(mut self, shards: u32) -> StoreConfig {
-        self.shards = shards;
-        self
-    }
-
     /// Overrides the spatial partition group size, builder style — smaller
     /// groups mean more partitions and therefore more scatter width on
     /// small agent fleets (the scatter speedup test uses groups of 1).
     pub fn with_agent_group(mut self, g: u32) -> StoreConfig {
         self.agent_group_size = g.max(1);
         self
-    }
-
-    /// The shard count `shards` stands for: itself, or the machine's
-    /// parallelism for `0`. Called once per store, at build or load.
-    fn resolve_shards(&self) -> usize {
-        match self.shards {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n as usize,
-        }
     }
 }
 
@@ -236,8 +212,6 @@ const KINDS: [EntityKind; 3] = [EntityKind::File, EntityKind::Process, EntityKin
 pub struct EventStore {
     db: Database,
     config: StoreConfig,
-    /// `config.shards`, resolved (see [`EventStore::shard_count`]).
-    shards: usize,
     /// The store-wide string dictionary backing every columnar projection.
     dict: SharedDict,
     event_count: usize,
@@ -276,7 +250,6 @@ impl EventStore {
         Ok(EventStore {
             db,
             config,
-            shards: config.resolve_shards(),
             dict,
             event_count: 0,
             entity_count: 0,
@@ -382,20 +355,18 @@ impl EventStore {
         let events_from = entities_from + ents.len() as u64;
         let skip = (after + 1).saturating_sub(events_from);
         let skip = skip.min(frame.event_rows() as u64) as usize;
-        // The log's op and kind codes (indexes into `ALL_OPS` and `KINDS`),
-        // as the table's.
-        let ops = ALL_OPS.map(schema::opcode);
-        let kinds = KINDS.map(schema::kind_code);
+        // The log's op and kind codes are the table's (`schema::opcode`,
+        // `schema::kind_code`): each lane is pushed as it is.
         let [id, agent, subject, op, object, kind, start, span, seq, amount, failure] =
             &frame.events;
         for i in skip..frame.event_rows() {
             let row = [
                 Value::Int(id[i]),
                 Value::Int(agent[i]),
-                Value::Int(ops[op[i] as usize]),
+                Value::Int(op[i]),
                 Value::Int(subject[i]),
                 Value::Int(object[i]),
-                Value::Int(kinds[kind[i] as usize]),
+                Value::Int(kind[i]),
                 Value::Int(start[i]),
                 Value::Int(start[i].wrapping_add(span[i])),
                 Value::Int(seq[i]),
@@ -468,14 +439,6 @@ impl EventStore {
     /// The store configuration.
     pub fn config(&self) -> StoreConfig {
         self.config
-    }
-
-    /// The execution-shard count of this store's layout: the configured
-    /// [`StoreConfig::shards`], a `0` resolved to the machine's parallelism
-    /// when the store was built or loaded. A scattered events scan groups
-    /// the event partitions into this many shards, one pool task each.
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Number of ingested events.
@@ -576,6 +539,7 @@ pub struct StoreBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aiql_model::event::ALL_OPS;
     use aiql_model::{AgentId, Entity, Event, OpType};
     use aiql_rdb::{CmpOp, Expr};
 
@@ -633,16 +597,28 @@ mod tests {
         )
     }
 
-    /// [`EventStore::apply_frame`] reads a logged op or kind code as an
-    /// index into [`ALL_OPS`] and [`KINDS`].
+    /// [`EventStore::apply_frame`] stores a logged op or kind code as it
+    /// is: in the table as in the log, an op code indexes [`ALL_OPS`] and
+    /// a kind code [`KINDS`].
     #[test]
     fn log_codes_index_the_op_and_kind_tables() {
-        use aiql_model::codec;
-        for (code, op) in ALL_OPS.iter().enumerate() {
-            assert_eq!(codec::op_from_code(code as u8), Some(*op));
-        }
-        for (code, kind) in KINDS.iter().enumerate() {
-            assert_eq!(codec::kind_from_code(code as u8), Some(*kind));
+        let d = dataset();
+        let mut frame = ColumnFrame::default();
+        frame.restart(1);
+        d.entities.iter().for_each(|e| frame.push_entity(e));
+        d.events.iter().for_each(|ev| frame.push_event(ev));
+        let mut store = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        let mut applied = Applied::default();
+        store.apply_frame(&frame, 0, &mut applied);
+        assert_eq!((applied.entities, applied.events), (12, 20));
+        let rows = events(&store, &[]);
+        assert_eq!(rows.len(), d.events.len());
+        for row in rows {
+            let id = row.int(schema::ev::ID).unwrap();
+            let ev = d.events.iter().find(|ev| ev.id.0 as i64 == id).unwrap();
+            let op = row.int(schema::ev::OPTYPE).unwrap() as usize;
+            let kind = row.int(schema::ev::OBJKIND).unwrap() as usize;
+            assert_eq!((ALL_OPS[op], KINDS[kind]), (ev.op, ev.object_kind));
         }
     }
 

@@ -57,8 +57,7 @@ use std::time::Instant;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIQLSNP4";
 
 /// Magic bytes of format version 3 (every row, then every projection
-/// order; the store configuration carries the execution-shard count),
-/// still read. Older versions are not readable.
+/// order), still read. Older versions are not readable.
 pub const SNAPSHOT_MAGIC_V3: &[u8; 8] = b"AIQLSNP3";
 
 /// The header's layout tag: the events table is partitioned (format v3
@@ -67,6 +66,10 @@ const LAYOUT_PARTITIONED: u8 = 1;
 /// The header's index flag: the store carries [`schema::index_plan`]'s
 /// indexes (`0`, an unindexed store, no longer loads).
 const WITH_INDEXES: u8 = 1;
+/// The header's retired `u32` slot after the columnar flag: written 0 and
+/// skipped on read whatever it holds (stores once recorded a scan-routing
+/// count there, which nothing reads any more).
+const RETIRED_SLOT: u32 = 0;
 
 const SNAPSHOT_PREFIX: &str = "snapshot-";
 const SNAPSHOT_SUFFIX: &str = ".bin";
@@ -191,7 +194,7 @@ pub fn write_snapshot(
     codec::write_u32(&mut buf, store.config.agent_group_size)?;
     codec::write_u8(&mut buf, WITH_INDEXES)?;
     codec::write_u8(&mut buf, store.config.columnar as u8)?;
-    codec::write_u32(&mut buf, store.config.shards)?;
+    codec::write_u32(&mut buf, RETIRED_SLOT)?;
     codec::write_u64(&mut buf, store.epoch)?;
     codec::write_u64(&mut buf, store.event_count as u64)?;
     codec::write_u64(&mut buf, store.entity_count as u64)?;
@@ -268,8 +271,9 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     let config = StoreConfig {
         agent_group_size,
         columnar: codec::read_u8(&mut r)? != 0,
-        shards: codec::read_u32(&mut r)?,
     };
+    codec::read_u32(&mut r)?; // the retired slot
+
     let epoch = codec::read_u64(&mut r)?;
     let event_count = codec::read_u64(&mut r)? as usize;
     let entity_count = codec::read_u64(&mut r)? as usize;
@@ -313,7 +317,6 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
     let store = EventStore {
         db,
         config,
-        shards: config.resolve_shards(),
         dict,
         event_count,
         entity_count,
@@ -542,6 +545,48 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The retired header slot is skipped whatever it holds: a snapshot
+    /// whose slot reads 5 (as one written with a routing count of 5 does)
+    /// loads into the store its slot-0 twin loads into.
+    #[test]
+    fn retired_slot_is_skipped_whatever_it_holds() {
+        let dir = std::env::temp_dir().join(format!("aiql-persist-retired-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = EventStore::empty(StoreConfig::partitioned()).unwrap();
+        let a = aiql_model::AgentId(1);
+        let p = aiql_model::Entity::process(1.into(), a, "a.exe", 7);
+        let f = aiql_model::Entity::file(2.into(), a, "/tmp/x");
+        store.append_entity(&p).unwrap();
+        store.append_entity(&f).unwrap();
+        let ev = aiql_model::Event::new(
+            3.into(),
+            a,
+            p.id,
+            aiql_model::OpType::Write,
+            f.id,
+            aiql_model::EntityKind::File,
+            aiql_model::Timestamp::from_ymd(2017, 1, 1).unwrap(),
+        );
+        store.append_event(&ev).unwrap();
+        let path = write_snapshot(&store, &dir, 0).unwrap();
+        let original = fs::read(&path).unwrap();
+        // Magic, covered WAL seq, layout tag, agent group size, index
+        // flag, columnar flag: then the retired slot.
+        let at = SNAPSHOT_MAGIC.len() + 8 + 1 + 4 + 1 + 1;
+        assert_eq!(original[at..at + 4], RETIRED_SLOT.to_le_bytes());
+        let mut patched = original.clone();
+        patched[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+        let body = patched.len() - 4;
+        let crc = crc32(&patched[..body]);
+        patched[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &patched).unwrap();
+        let (loaded, covered) = load_snapshot(&path).expect("the slot is not read");
+        assert_eq!((covered, loaded.stamp()), (0, store.stamp()));
+        let path = write_snapshot(&loaded, &dir, 0).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), original, "rewritten with slot 0");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A header whose entity count disagrees with the three entity tables'
     /// rows, under a valid checksum, is refused as corrupt — as one whose
     /// event count disagrees with the events table is.
@@ -557,7 +602,7 @@ mod tests {
         assert!(load_snapshot(&path).is_ok());
         let mut patched = fs::read(&path).unwrap();
         // Magic, covered WAL seq, layout tag, agent group size, index
-        // flag, columnar flag, shards, epoch, event count.
+        // flag, columnar flag, retired slot, epoch, event count.
         let at = SNAPSHOT_MAGIC.len() + 8 + 1 + 4 + 1 + 1 + 4 + 8 + 8;
         assert_eq!(patched[at..at + 8], 1u64.to_le_bytes());
         patched[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
@@ -580,10 +625,10 @@ mod tests {
         let path = write_snapshot(&store, &dir, 0).unwrap();
         let mut patched = fs::read(&path).unwrap();
         // Magic, covered WAL seq, layout tag, agent group size, index
-        // flag, columnar flag, shards, epoch, event and entity counts, an
-        // empty dictionary; then the events table (kind 1, no partitions)
-        // and the first table header: `processes`' (kind 0, chunk size,
-        // rows, sealed chunks).
+        // flag, columnar flag, retired slot, epoch, event and entity
+        // counts, an empty dictionary; then the events table (kind 1, no
+        // partitions) and the first table header: `processes`' (kind 0,
+        // chunk size, rows, sealed chunks).
         let events_at = SNAPSHOT_MAGIC.len() + 8 + 1 + 4 + 1 + 1 + 4 + 8 + 8 + 8 + 4;
         let header_at = events_at + 1 + 8 + 1;
         assert_eq!((patched[events_at], patched[header_at - 1]), (1, 0));

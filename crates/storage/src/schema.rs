@@ -144,36 +144,16 @@ pub fn column_for_attr(attr: &str) -> &str {
     }
 }
 
-/// Integer code of an operation type (position in `ALL_OPS`).
+/// Integer code of an operation type: the log's
+/// ([`aiql_model::codec::op_code`], its position in `ALL_OPS`).
 pub fn opcode(op: OpType) -> i64 {
-    aiql_model::event::ALL_OPS
-        .iter()
-        .position(|o| *o == op)
-        .expect("op in ALL_OPS") as i64
+    aiql_model::codec::op_code(op) as i64
 }
 
-/// Operation type from its integer code.
-pub fn op_from_code(code: i64) -> Option<OpType> {
-    aiql_model::event::ALL_OPS.get(code as usize).copied()
-}
-
-/// Integer code of an entity kind.
+/// Integer code of an entity kind: the log's
+/// ([`aiql_model::codec::kind_code`]).
 pub fn kind_code(kind: EntityKind) -> i64 {
-    match kind {
-        EntityKind::File => 0,
-        EntityKind::Process => 1,
-        EntityKind::NetConn => 2,
-    }
-}
-
-/// Entity kind from its integer code.
-pub fn kind_from_code(code: i64) -> Option<EntityKind> {
-    Some(match code {
-        0 => EntityKind::File,
-        1 => EntityKind::Process,
-        2 => EntityKind::NetConn,
-        _ => return None,
-    })
+    aiql_model::codec::kind_code(kind) as i64
 }
 
 /// The columns that receive secondary indexes, per table.
@@ -193,22 +173,21 @@ pub fn index_plan() -> Vec<(&'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aiql_model::codec;
     use aiql_model::event::ALL_OPS;
 
     #[test]
     fn op_codes_round_trip() {
         for op in ALL_OPS {
-            assert_eq!(op_from_code(opcode(op)), Some(op));
+            assert_eq!(codec::op_from_code(opcode(op) as u8), Some(op));
         }
-        assert_eq!(op_from_code(999), None);
     }
 
     #[test]
     fn kind_codes_round_trip() {
         for k in [EntityKind::File, EntityKind::Process, EntityKind::NetConn] {
-            assert_eq!(kind_from_code(kind_code(k)), Some(k));
+            assert_eq!(codec::kind_from_code(kind_code(k) as u8), Some(k));
         }
-        assert_eq!(kind_from_code(7), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Differential testing across independent implementations: the AIQL engine
-//! (both schedulers, and the Fig. 7 sharded row-store configuration) must
+//! (both schedulers, and the Fig. 7 parallel row-store configuration) must
 //! agree with the big-join SQL baseline, the MPP gather baseline and the
 //! graph-traversal baseline on every comparable catalog query.
 
@@ -91,22 +91,16 @@ fn all_multievent_queries_agree_across_five_systems() {
 }
 
 /// The fifth system: Fig. 7's AIQL column — by-host partitions of a row
-/// store routed to 5 shards, scattered over the pool — returns exactly the
+/// store, scattered over the pool at 5 workers — returns exactly the
 /// sequential relationship result, rows and order, on every catalog query.
 #[test]
 fn fig7_configuration_is_row_identical_to_sequential() {
     let data = data();
     let reference = EventStore::ingest(&data, StoreConfig::partitioned()).unwrap();
-    let fig7 = EventStore::ingest(
-        &data,
-        StoreConfig::partitioned()
-            .with_columnar(false)
-            .with_shards(5),
-    )
-    .unwrap();
+    let fig7 = EventStore::ingest(&data, StoreConfig::partitioned().with_columnar(false)).unwrap();
     let (reference, fig7) = (
         session(&reference, sequential()),
-        session(&fig7, EngineConfig::aiql()),
+        session(&fig7, EngineConfig::aiql().with_workers(5)),
     );
     let queries = catalog::case_study()
         .into_iter()

@@ -1,11 +1,12 @@
-//! Scatter-gather oracle: the sharded worker-pool execution path must be
-//! **row-identical, including order**, to the sequential scan path — for
-//! the paper's three query classes (pattern, dependency, anomaly), every
-//! shard count from 1 through 8, and stores built in batch *and* grown
-//! live through the ingestor.
+//! Scatter-gather oracle: the worker-pool execution path, one task per
+//! admitted partition, must be **row-identical, including order**, to the
+//! sequential scan path — for the paper's three query classes (pattern,
+//! dependency, anomaly), agent groups of 1 to 3 (up to 8 partitions),
+//! scan widths 2 to 8, and stores built in batch *and* grown live through
+//! the ingestor.
 //!
-//! Order matters: the gather merge sorts per-shard results by partition
-//! key to reproduce the sequential partition walk exactly, so the two
+//! Order matters: the gather merge sorts per-partition results by
+//! partition key to reproduce the sequential partition walk exactly, so the two
 //! paths are asserted equal without any sorting on this side. A mere
 //! set-equality check would let a broken merge slip through.
 
@@ -21,7 +22,7 @@ const NANOS_PER_DAY: i64 = 86_400 * 1_000_000_000;
 /// One random micro-event across 4 agents; `ms` spans a 4-second window
 /// centered on the day-0 → day-1 midnight, so with per-host partitioning
 /// (agent-group 1) a dataset occupies up to 8 `(day, agent)` partitions —
-/// enough spread to exercise every shard count up to 8.
+/// enough spread to exercise every scan width up to 8.
 #[derive(Debug, Clone)]
 struct MicroEvent {
     agent: u32,
@@ -113,17 +114,15 @@ fn queries() -> [&'static str; 3] {
     ]
 }
 
-/// Per-host partitions routed into `shards` execution shards.
-fn config(shards: u32) -> StoreConfig {
-    StoreConfig::partitioned()
-        .with_agent_group(1)
-        .with_shards(shards)
+/// Partitions of `group` consecutive agents a day.
+fn config(group: u32) -> StoreConfig {
+    StoreConfig::partitioned().with_agent_group(group)
 }
 
 /// Grows a store from empty through the real ingestor (entities first,
 /// then events in small shipments, a publish per flush).
-fn streamed_store(data: &Dataset, shards: u32) -> SharedStore {
-    let shared = SharedStore::new(EventStore::empty(config(shards)).expect("empty store"));
+fn streamed_store(data: &Dataset, group: u32) -> SharedStore {
+    let shared = SharedStore::new(EventStore::empty(config(group)).expect("empty store"));
     let mut ingestor = Ingestor::over(shared.clone(), IngestConfig::live());
     let mut first = EventBatch::new();
     first.entities = data.entities.clone();
@@ -153,25 +152,25 @@ proptest! {
     #[test]
     fn scatter_gather_is_row_identical_to_sequential(
         events in micro_events(),
-        shards in 1u32..9,
-        workers in 2usize..5,
+        group in 1u32..4,
+        workers in 2usize..9,
     ) {
         let data = build(&events);
-        let batch = EventStore::ingest(&data, config(shards)).expect("batch ingest");
-        let streamed = streamed_store(&data, shards);
+        let batch = EventStore::ingest(&data, config(group)).expect("batch ingest");
+        let streamed = streamed_store(&data, group);
         let snapshot = streamed.read();
         for query in queries() {
             let sequential = run(&batch, 1, query);
             let scattered = run(&batch, workers, query);
             prop_assert_eq!(
                 &scattered, &sequential,
-                "batch store diverged: shards {} workers {}\n{}", shards, workers, query
+                "batch store diverged: group {} workers {}\n{}", group, workers, query
             );
             let sequential = run(&snapshot, 1, query);
             let scattered = run(&snapshot, workers, query);
             prop_assert_eq!(
                 &scattered, &sequential,
-                "streamed store diverged: shards {} workers {}\n{}", shards, workers, query
+                "streamed store diverged: group {} workers {}\n{}", group, workers, query
             );
         }
     }

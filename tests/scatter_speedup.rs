@@ -1,5 +1,5 @@
-//! Scatter-gather speedup: a scan-heavy hunt over a store sharded 8 ways
-//! must run at least twice as fast on 4 pool workers as on the sequential
+//! Scatter-gather speedup: a scan-heavy hunt over a store with one
+//! partition per (day, host) must run at least twice as fast on 4 pool workers as on the sequential
 //! path, on a host with at least 4 cores — and return the sequential rows,
 //! in order, at every worker count.
 //!
@@ -28,10 +28,6 @@ const UNPINNED_HUNT: &str = r#"
     return distinct p1, i1, f1, p2
 "#;
 
-/// Fixed, not `available_parallelism`, so there is shard spread for up to
-/// 8 workers on any host.
-const SHARDS: u32 = 8;
-
 /// Best of this many runs per cell.
 const SAMPLES: usize = 3;
 
@@ -55,13 +51,8 @@ fn best_secs(stmt: &Prepared) -> f64 {
 fn four_workers_at_least_double_sequential_throughput() {
     let (data, _) = dataset(Scale::Medium);
     // One partition per (day, host), so the day prune admits one per host.
-    let store = EventStore::ingest(
-        &data,
-        StoreConfig::partitioned()
-            .with_agent_group(1)
-            .with_shards(SHARDS),
-    )
-    .expect("sharded ingest");
+    let store = EventStore::ingest(&data, StoreConfig::partitioned().with_agent_group(1))
+        .expect("per-host ingest");
     let prepare = |config: EngineConfig| {
         session(&store, config)
             .with_timeout(Duration::from_secs(60))

@@ -1,7 +1,7 @@
 //! Workspace-level observability tests: the telemetry registry under
 //! concurrency, the trace-span phase tree of a real prepared Query-7
 //! execution — the paper's complete exfiltration chain — from lex to
-//! score, and the scatter pool's metrics under a sharded statement.
+//! score, and the scatter pool's metrics under a scattered statement.
 
 use aiql::bench::harness::{dataset, Scale};
 use aiql::engine::{EngineConfig, Session};
@@ -140,7 +140,7 @@ fn query7_phase_tree_covers_compile_and_execute() {
 }
 
 /// The a1 behaviour (Fig. 7 family) without its `agentid` pin, so every
-/// host's partitions are admitted and the scan spreads over every shard.
+/// host's partitions are admitted and the scan spreads over all of them.
 const UNPINNED_HUNT: &str = r#"
     (at "01/02/2017")
     proc p1["%firefox.exe"] read ip i1 as e1
@@ -153,14 +153,9 @@ const UNPINNED_HUNT: &str = r#"
 #[test]
 fn scattered_statement_moves_the_pool_metrics() {
     let (data, _) = dataset(Scale::Small);
-    let store = EventStore::ingest(
-        &data,
-        StoreConfig::partitioned()
-            .with_agent_group(1)
-            .with_shards(4),
-    )
-    .expect("sharded ingest");
-    assert!(store.shard_count() >= 2, "the statement must scatter");
+    // One partition per (day, host): the day prune admits one per host.
+    let store = EventStore::ingest(&data, StoreConfig::partitioned().with_agent_group(1))
+        .expect("per-host ingest");
     let stmt = Session::with_config(
         &SharedStore::new(store),
         EngineConfig::aiql().with_workers(2),
@@ -189,7 +184,7 @@ fn scattered_statement_moves_the_pool_metrics() {
     // Other tests in this binary only ever add to the process-wide registry.
     assert!(
         tasks() >= tasks_before + 2,
-        "scatter submitted no shard tasks"
+        "scatter submitted no partition tasks"
     );
     assert!(
         waits() >= waits_before + 2,

@@ -20,6 +20,13 @@ docs/*.md:
    under crates/, src/, tests/ and examples/. A trailing `:line` is
    ignored; paths with wildcards or placeholders (`*`, `<name>`, `{a,b}`,
    `...`) are not checked.
+5. Every backticked `Type::name` in these docs whose `Type` is a struct,
+   enum, trait, type alias or union declared in the workspace's Rust
+   sources (crates/, shims/, src/) names something declared on it there:
+   a field, a variant, or an fn, const or type of its body or of an
+   `impl` block for it (a method a standard derive supplies counts).
+   Types the workspace does not declare (`Arc::make_mut`) are skipped, and
+   so are `prefix_` and wildcard names (`Type::with_`, `Type::seal_*`).
 """
 
 import re
@@ -35,6 +42,24 @@ CRATE_ROW_RE = re.compile(r"^\|\s*`(aiql-[a-z0-9-]+)`")
 REPO_PATH_RE = re.compile(r"`((?:tests|crates|examples|docs|tools)/[^`\s]*)`")
 DOC_COMMENT_RE = re.compile(r"^\s*//[/!]")
 SOURCE_DIRS = ["crates", "src", "tests", "examples"]
+DECL_DIRS = ["crates", "shims", "src"]
+TYPE_PATH_RE = re.compile(r"\b([A-Z][A-Za-z0-9]*)::([A-Za-z_][A-Za-z0-9_]*)([*_]?)")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+# Comments, string literals and char literals, blanked before brace
+# matching (a `{` in any of them is not a block).
+NOISE_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|r(#*)".*?"\1|b?"(?:\\.|[^"\\])*"|\'(?:\\.|[^\\\'\n])\'',
+    re.S,
+)
+ITEM_RE = re.compile(
+    r"\b(?:(struct|enum|union|trait|type)\s+([A-Za-z_][A-Za-z0-9_]*)|(impl)\b)"
+)
+MEMBER_RE = re.compile(
+    r"\b(?:fn|const|static|type)\s+([A-Za-z_][A-Za-z0-9_]*)"
+)
+FIELD_RE = re.compile(r"(?:^|[,{(])\s*(?:#\[[^\]]*\]\s*)*(?:pub(?:\([^)]*\))?\s+)?([A-Za-z_][A-Za-z0-9_]*)")
+# What `#[derive(...)]` of a standard trait puts on a type.
+DERIVED = {"clone", "default", "eq", "fmt", "hash", "cmp", "partial_cmp", "ne"}
 
 
 def github_slug(heading: str) -> str:
@@ -104,6 +129,106 @@ def rust_sources():
                 yield path
 
 
+def block_end(text: str, open_at: int) -> int:
+    """Index just past the `}` closing the `{` at `open_at`."""
+    depth = 0
+    for i in range(open_at, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(text)
+
+
+def top_level_parts(body: str):
+    """`body` split at the commas outside any bracket."""
+    depth, start = 0, 0
+    for i, ch in enumerate(body):
+        if ch in "([{<":
+            depth += 1
+        elif ch in ")]}>":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            yield body[start:i]
+            start = i + 1
+    yield body[start:]
+
+
+def impl_target(header: str):
+    """The self type's name of an `impl` header (`impl<T> Tr for Ty<T>`)."""
+    header = re.sub(r"^impl\s*", "", header).strip()
+    if header.startswith("<"):
+        depth = 0
+        for i, ch in enumerate(header):
+            depth += {"<": 1, ">": -1}.get(ch, 0)
+            if depth == 0:
+                header = header[i + 1 :]
+                break
+    header = re.split(r"\bwhere\b", header)[0]
+    if re.search(r"\bfor\b", header):
+        header = re.split(r"\bfor\b", header, maxsplit=1)[1]
+    header = re.sub(r"<.*", "", header.strip())
+    names = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", header)
+    return names[-1] if names else None
+
+
+def declared_members() -> dict:
+    """Every type the workspace declares, with the names declared on it
+    (an `impl` for a type declared elsewhere, such as `Arc`, adds none)."""
+    members, declared = {}, set()
+    for top in DECL_DIRS:
+        for path in sorted((REPO / top).rglob("*.rs")):
+            if "target" in path.relative_to(REPO).parts:
+                continue
+            text = NOISE_RE.sub(
+                lambda m: re.sub(r"[^\n]", " ", m.group(0)),
+                path.read_text(encoding="utf-8"),
+            )
+            for m in ITEM_RE.finditer(text):
+                kind, name = m.group(1), m.group(2)
+                # The item's body: the first `{` before any `;` (a unit or
+                # tuple struct, an alias or a bodiless impl has none).
+                brace, semi = text.find("{", m.end()), text.find(";", m.end())
+                has_body = brace != -1 and (semi == -1 or brace < semi)
+                if m.group(3):
+                    if not has_body:
+                        continue
+                    name = impl_target(text[m.start() : brace])
+                    kind = "impl"
+                if name is None:
+                    continue
+                if kind != "impl":
+                    declared.add(name)
+                names = members.setdefault(name, set())
+                if not has_body or kind == "type":
+                    continue
+                body = text[brace + 1 : block_end(text, brace) - 1]
+                if kind in ("struct", "union", "enum"):
+                    for part in top_level_parts(body):
+                        f = FIELD_RE.match(part)
+                        if f:
+                            names.add(f.group(1))
+                names.update(MEMBER_RE.findall(body))
+    return {name: members[name] for name in declared}
+
+
+def stale_type_paths(members: dict):
+    """Backticked `Type::name`s in the docs naming nothing on `Type`."""
+    for doc in DOC_FILES:
+        if not doc.exists():
+            continue
+        for lineno, line in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1):
+            for span in CODE_SPAN_RE.findall(line):
+                for m in TYPE_PATH_RE.finditer(span):
+                    ty, name, tail = m.groups()
+                    if ty not in members or tail or name.endswith("_"):
+                        continue
+                    if name not in members[ty] and name not in DERIVED:
+                        yield f"{doc.relative_to(REPO)}:{lineno}", f"{ty}::{name}"
+
+
 def main() -> int:
     errors = []
     anchor_cache = {}
@@ -163,6 +288,9 @@ def main() -> int:
                 )
     else:
         errors.append("docs/ARCHITECTURE.md is missing")
+
+    for where, path in stale_type_paths(declared_members()):
+        errors.append(f"{where}: `{path}` names nothing declared on that type")
 
     if errors:
         print(f"docs_check: {len(errors)} problem(s):", file=sys.stderr)
