@@ -392,7 +392,7 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::{query, query_ctx};
-    use aiql_rdb::{ColumnType, Schema};
+    use aiql_rdb::{ColumnType, Layout, Schema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -403,6 +403,7 @@ mod tests {
                 ("exe_name", ColumnType::Str),
                 ("agentid", ColumnType::Int),
             ]),
+            &Layout::default(),
         )
         .unwrap();
         db.create_table(
@@ -413,6 +414,7 @@ mod tests {
                 ("object_id", ColumnType::Int),
                 ("start_time", ColumnType::Int),
             ]),
+            &Layout::default(),
         )
         .unwrap();
         for (id, exe, agent) in [(1, "cmd.exe", 1), (2, "osql.exe", 1), (3, "svchost.exe", 2)] {
@@ -561,8 +563,12 @@ mod tests {
     #[test]
     fn timeout_fires_on_large_nested_loop() {
         let mut db = Database::new();
-        db.create_table("t", Schema::new(&[("a", ColumnType::Int)]))
-            .unwrap();
+        db.create_table(
+            "t",
+            Schema::new(&[("a", ColumnType::Int)]),
+            &Layout::default(),
+        )
+        .unwrap();
         for i in 0..3000 {
             db.insert("t", vec![Value::Int(i)]).unwrap();
         }

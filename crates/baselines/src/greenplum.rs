@@ -17,7 +17,7 @@ use crate::exec::{self, ExecCtx, ResultSet};
 use crate::{plan, sql, BaselineError, Rows};
 use aiql_core::QueryContext;
 use aiql_model::Dataset;
-use aiql_rdb::{Database, PartitionSpec, RdbError};
+use aiql_rdb::{Database, Layout, RdbError};
 use aiql_storage::{entity_row, event_row, schema};
 use aiql_translate::sql::to_sql;
 use std::time::Instant;
@@ -38,10 +38,9 @@ impl SegmentedStore {
         let mut dbs = Vec::with_capacity(segments);
         for _ in 0..segments {
             let mut db = Database::new();
-            // Segments keep day partitioning locally (both systems get the
-            // paper's storage optimizations in Sec. 6.3.3).
-            let spec = PartitionSpec::new("start_time", "agentid", 5);
-            crate::create_store_tables(&mut db, Some(spec))?;
+            // Segments keep the store's day partitioning locally (both
+            // systems get the paper's storage optimizations in Sec. 6.3.3).
+            crate::create_store_tables(&mut db, true)?;
             dbs.push(db);
         }
         let entities = data
@@ -92,7 +91,7 @@ impl SegmentedStore {
             // it once per alias under a unique staging name.
             let staged = format!("__gather_{alias_idx}_{}", node.table);
             let schema = self.segments[0].schema_of(&node.table)?.clone();
-            coordinator.create_table(&staged, schema)?;
+            coordinator.create_table(&staged, schema, &Layout::default())?;
             for rows in rows_per_seg {
                 for r in rows {
                     coordinator.insert(&staged, r)?;

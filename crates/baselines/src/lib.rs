@@ -29,12 +29,12 @@
 //!
 //! ```
 //! use aiql_baselines::query;
-//! use aiql_rdb::{ColumnType, Database, Schema, Value};
+//! use aiql_rdb::{ColumnType, Database, Layout, Schema, Value};
 //!
 //! let mut db = Database::new();
 //! let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
-//! db.create_table("users", schema).unwrap();
-//! db.create_index("users", "name").unwrap();
+//! db.create_table("users", schema, &Layout::indexed(&["name"]))
+//!     .unwrap();
 //! db.insert("users", vec![Value::Int(1), Value::str("alice")]).unwrap();
 //! db.insert("users", vec![Value::Int(2), Value::str("bob")]).unwrap();
 //!
@@ -51,8 +51,8 @@ pub mod sql;
 
 pub use exec::{ExecCtx, ExecStats, ResultSet};
 
-use aiql_rdb::{Database, PartitionSpec, RdbError, Value};
-use aiql_storage::schema;
+use aiql_rdb::{Database, RdbError, SharedDict, Value};
+use aiql_storage::{schema, StoreConfig};
 
 /// A baseline result: rows only (columns follow the query's return clause).
 pub type Rows = Vec<Vec<Value>>;
@@ -124,20 +124,18 @@ pub fn query_ctx(db: &Database, sql: &str, ctx: &mut ExecCtx) -> Result<ResultSe
     exec::execute(db, &plan, ctx)
 }
 
-/// Creates the event store's four tables on `db` with the secondary
-/// indexes of [`schema::index_plan`] — `events` partitioned by `events`
-/// when given, plain otherwise. The PostgreSQL database and every
-/// Greenplum segment are laid out through here.
-fn create_store_tables(db: &mut Database, events: Option<PartitionSpec>) -> Result<(), RdbError> {
-    match events {
-        Some(spec) => db.create_partitioned_table(schema::EVENTS, schema::events_schema(), spec)?,
-        None => db.create_table(schema::EVENTS, schema::events_schema())?,
-    }
-    db.create_table(schema::PROCESSES, schema::processes_schema())?;
-    db.create_table(schema::FILES, schema::files_schema())?;
-    db.create_table(schema::NETCONNS, schema::netconns_schema())?;
-    for (table, col) in schema::index_plan() {
-        db.create_index(table, col)?;
+/// Creates the event store's four tables on `db` as a row-store
+/// [`schema::tables`] declares them, with the secondary indexes of
+/// [`schema::index_plan`] — `events` partitioned when `partitioned` is
+/// set, plain otherwise. The PostgreSQL database and every Greenplum
+/// segment are laid out through here.
+fn create_store_tables(db: &mut Database, partitioned: bool) -> Result<(), RdbError> {
+    let config = StoreConfig::partitioned().with_columnar(false);
+    for t in schema::tables(config, &SharedDict::new()) {
+        match t.partitioning.filter(|_| partitioned) {
+            Some(spec) => db.create_partitioned_table(t.name, t.schema, spec, &t.layout)?,
+            None => db.create_table(t.name, t.schema, &t.layout)?,
+        }
     }
     Ok(())
 }
@@ -145,7 +143,7 @@ fn create_store_tables(db: &mut Database, events: Option<PartitionSpec>) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiql_rdb::{partition, ColumnType, Schema};
+    use aiql_rdb::{partition, ColumnType, Layout, PartitionSpec, Schema};
 
     #[test]
     fn sql_over_partitioned_table() {
@@ -159,6 +157,7 @@ mod tests {
             "events",
             schema,
             PartitionSpec::new("start_time", "agentid", 1),
+            &Layout::default(),
         )
         .unwrap();
         let day = partition::NANOS_PER_DAY;

@@ -479,7 +479,7 @@ fn resolve_output_expr(
 mod tests {
     use super::*;
     use crate::sql::parse_select;
-    use aiql_rdb::{ColumnType, Schema};
+    use aiql_rdb::{ColumnType, Layout, Schema};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -491,11 +491,13 @@ mod tests {
                 ("object_id", ColumnType::Int),
                 ("start_time", ColumnType::Int),
             ]),
+            &Layout::default(),
         )
         .unwrap();
         db.create_table(
             "procs",
             Schema::new(&[("id", ColumnType::Int), ("exe_name", ColumnType::Str)]),
+            &Layout::default(),
         )
         .unwrap();
         db

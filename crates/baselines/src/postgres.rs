@@ -14,7 +14,7 @@ use std::time::Instant;
 /// then events in dataset order, every tail sealed.
 pub fn load(data: &Dataset) -> Result<Database, RdbError> {
     let mut db = Database::new();
-    crate::create_store_tables(&mut db, None)?;
+    crate::create_store_tables(&mut db, false)?;
     for e in &data.entities {
         db.insert(schema::entity_table(e.kind), entity_row(e))?;
     }

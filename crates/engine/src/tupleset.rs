@@ -473,12 +473,12 @@ fn check_all(
 mod tests {
     use super::*;
     use aiql_core::FieldTarget;
-    use aiql_rdb::Table;
+    use aiql_rdb::{Layout, Table};
     use aiql_storage::schema;
 
     /// Event rows with the given (start time, subject id) pairs.
     fn events(rows: &[(i64, i64)]) -> Table {
-        let mut t = Table::new(schema::events_schema());
+        let mut t = Table::new(schema::events_schema(), &Layout::default()).unwrap();
         for &(start, subject) in rows {
             let mut r = vec![Value::Null; schema::ev::WIDTH];
             r[schema::ev::START] = Value::Int(start);

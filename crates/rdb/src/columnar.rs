@@ -714,9 +714,9 @@ impl LikeMemo {
 /// A columnar projection of one sealed table chunk — or, empty, a table's
 /// columnar configuration, which each seal clones and fills.
 ///
-/// `Clone` deep-copies the flat vectors. A filled projection is cloned
-/// only by a schema operation that rebuilds a shared chunk; sealed chunks
-/// are otherwise shared by reference (see [`crate::table`]).
+/// `Clone` deep-copies the flat vectors, so only an empty one — a table's
+/// configuration, copied with its table — is cloned: a sealed chunk's is
+/// shared by reference and never copied (see [`crate::table`]).
 #[derive(Debug, Clone)]
 pub struct Columnar {
     time_idx: Option<usize>,
@@ -1642,7 +1642,7 @@ fn compile_one(schema: &Schema, columnar: &Columnar, e: &Expr) -> Option<Kernel>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{ScanProfile, Table};
+    use crate::table::{Layout, ScanProfile, Table};
     use std::any::type_name;
 
     /// The projection position of row `p` under a row → projection map.
@@ -1685,8 +1685,8 @@ mod tests {
     /// A table sealing `chunk`-row chunks, projected under `spec`, over
     /// `rows`; every row sealed.
     fn chunked(chunk: usize, spec: &ColumnarSpec, rows: &[Row]) -> Table {
-        let mut t = Table::with_chunk_rows(schema(), chunk);
-        t.enable_columnar(spec, SharedDict::new()).unwrap();
+        let layout = Layout::default().with_columnar(spec.clone(), SharedDict::new());
+        let mut t = Table::with_chunk_rows(schema(), &layout, chunk).unwrap();
         for r in rows {
             t.insert(r.clone()).unwrap();
         }
@@ -1707,11 +1707,14 @@ mod tests {
         let spec = ColumnarSpec::time_sorted("t");
         let built = Columnar::build(&with_float, &spec, SharedDict::new(), &[]);
         assert!(matches!(built, Err(RdbError::SchemaMismatch(_))));
-        let mut t = Table::new(with_float);
+        // The table is refused when it is created; without a projection it
+        // keeps the float as a row.
+        let layout = Layout::default().with_columnar(spec, SharedDict::new());
+        let refused = Table::new(with_float.clone(), &layout);
+        assert!(matches!(refused, Err(RdbError::SchemaMismatch(_))));
+        let mut t = Table::new(with_float, &Layout::default()).unwrap();
         t.insert(vec![Value::Int(1), Value::Float(0.5)]).unwrap();
         t.seal_tail();
-        let enabled = t.enable_columnar(&spec, SharedDict::new());
-        assert!(matches!(enabled, Err(RdbError::SchemaMismatch(_))));
         assert!(t.columnar().is_none() && !t.sealed_chunks()[0].is_projected());
         let c = build(&[row(1, 0, "a", true)]);
         assert_eq!((c.arity(), c.len()), (4, 1));

@@ -5,9 +5,10 @@
 //! issues *data queries* against them (paper Sec. 3.2). This crate provides
 //! that substrate, self-contained and deterministic:
 //!
-//! - typed, chunked [`Table`]s with per-chunk secondary indexes and
-//!   columnar projections that replace the rows of sealed chunks they
-//!   fully cover, read through cost-chosen access paths,
+//! - typed, chunked [`Table`]s whose [`Layout`] — secondary indexes and
+//!   an optional columnar projection, which replaces the rows of every
+//!   sealed chunk — is fixed when the table is created, read through
+//!   cost-chosen access paths,
 //! - time/space [`partition`]ing of tables with partition pruning (the
 //!   paper's Sec. 3.2 storage optimization), and
 //! - [`snapshot`] encoding of tables and partitions for the durable store.
@@ -19,12 +20,12 @@
 //! # Examples
 //!
 //! ```
-//! use aiql_rdb::{CmpOp, ColumnType, Database, Expr, Schema, Value};
+//! use aiql_rdb::{CmpOp, ColumnType, Database, Expr, Layout, Schema, Value};
 //!
 //! let mut db = Database::new();
 //! let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
-//! db.create_table("users", schema).unwrap();
-//! db.create_index("users", "name").unwrap();
+//! db.create_table("users", schema, &Layout::indexed(&["name"]))
+//!     .unwrap();
 //! db.insert("users", vec![Value::Int(1), Value::str("alice")]).unwrap();
 //! db.insert("users", vec![Value::Int(2), Value::str("bob")]).unwrap();
 //!
@@ -50,7 +51,7 @@ pub use expr::{CmpOp, Expr, InList};
 pub use partition::{InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
 pub use schema::{ColumnType, Row, Schema};
 pub use table::{
-    AccessPath, ResidentBytes, RowView, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS,
+    AccessPath, Layout, ResidentBytes, RowView, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS,
 };
 
 use std::borrow::Cow;
@@ -116,58 +117,30 @@ impl Database {
         Database::default()
     }
 
-    /// Creates a plain (unpartitioned) table; fails if the name is taken.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), RdbError> {
-        if self.tables.contains_key(name) {
-            return Err(RdbError::TableExists(name.to_string()));
-        }
-        self.tables.insert(
-            name.to_string(),
-            TableSlot::Plain(Arc::new(Table::new(schema))),
-        );
-        Ok(())
+    /// Creates a plain (unpartitioned) table laid out as `layout`; fails if
+    /// the name is taken or the layout does not fit the schema.
+    pub fn create_table(
+        &mut self,
+        name: &str,
+        schema: Schema,
+        layout: &Layout,
+    ) -> Result<(), RdbError> {
+        let table = Table::new(schema, layout)?;
+        self.attach(name, TableSlot::Plain(Arc::new(table)))
     }
 
-    /// Creates a time/space-partitioned table; fails if the name is taken.
+    /// Creates a time/space-partitioned table whose partitions are laid out
+    /// as `layout`; fails if the name is taken or the layout does not fit
+    /// the schema.
     pub fn create_partitioned_table(
         &mut self,
         name: &str,
         schema: Schema,
         spec: PartitionSpec,
+        layout: &Layout,
     ) -> Result<(), RdbError> {
-        if self.tables.contains_key(name) {
-            return Err(RdbError::TableExists(name.to_string()));
-        }
-        self.tables.insert(
-            name.to_string(),
-            TableSlot::Partitioned(PartitionedTable::new(schema, spec)?),
-        );
-        Ok(())
-    }
-
-    /// Creates a secondary index on `column` of `table` (on every partition
-    /// for partitioned tables). Columnar projections, when enabled, project
-    /// the column too.
-    pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), RdbError> {
-        match self.slot_mut(table)? {
-            TableSlot::Plain(t) => Arc::make_mut(t).create_index(column),
-            TableSlot::Partitioned(t) => t.create_index(column),
-        }
-    }
-
-    /// Enables a columnar projection on `table` (on every partition — and
-    /// every future partition — for partitioned tables), interning strings
-    /// into `dict`.
-    pub fn enable_columnar(
-        &mut self,
-        table: &str,
-        spec: ColumnarSpec,
-        dict: SharedDict,
-    ) -> Result<(), RdbError> {
-        match self.slot_mut(table)? {
-            TableSlot::Plain(t) => Arc::make_mut(t).enable_columnar(&spec, dict),
-            TableSlot::Partitioned(t) => t.enable_columnar(spec, dict),
-        }
+        let table = PartitionedTable::new(schema, spec, layout)?;
+        self.attach(name, TableSlot::Partitioned(table))
     }
 
     /// Inserts a row — owned (a [`Row`]) or borrowed (`&[Value]`), as
@@ -227,8 +200,9 @@ impl Database {
                 .sum::<u64>()
     }
 
-    /// Attaches a fully-built table under `name` — the deserialization path
-    /// of the durable store (see [`snapshot`]). Fails if the name is taken.
+    /// Attaches a fully-built table under `name` — how a table is created,
+    /// and the deserialization path of the durable store (see
+    /// [`snapshot`]). Fails if the name is taken.
     pub fn attach(&mut self, name: &str, slot: TableSlot) -> Result<(), RdbError> {
         if self.tables.contains_key(name) {
             return Err(RdbError::TableExists(name.to_string()));
@@ -351,13 +325,15 @@ mod tests {
     fn create_and_duplicate_table() {
         let mut db = Database::new();
         let s = Schema::new(&[("a", ColumnType::Int)]);
-        db.create_table("t", s.clone()).unwrap();
+        let rows = Layout::default();
+        db.create_table("t", s.clone(), &rows).unwrap();
         assert!(matches!(
-            db.create_table("t", s.clone()),
+            db.create_table("t", s.clone(), &rows),
             Err(RdbError::TableExists(_))
         ));
+        let spec = PartitionSpec::new("a", "a", 1);
         assert!(matches!(
-            db.create_partitioned_table("t", s, PartitionSpec::new("a", "a", 1)),
+            db.create_partitioned_table("t", s, spec, &rows),
             Err(RdbError::TableExists(_))
         ));
         assert!(matches!(db.slot("missing"), Err(RdbError::NoSuchTable(_))));
@@ -367,12 +343,14 @@ mod tests {
     #[test]
     fn plain_and_partitioned_accessors() {
         let mut db = Database::new();
-        db.create_table("p", Schema::new(&[("a", ColumnType::Int)]))
+        let rows = Layout::default();
+        db.create_table("p", Schema::new(&[("a", ColumnType::Int)]), &rows)
             .unwrap();
         db.create_partitioned_table(
             "q",
             Schema::new(&[("t", ColumnType::Int), ("g", ColumnType::Int)]),
             PartitionSpec::new("t", "g", 1),
+            &rows,
         )
         .unwrap();
         assert!(db.plain("p").is_some());

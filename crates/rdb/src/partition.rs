@@ -7,12 +7,11 @@
 //! partitions from the query's temporal/spatial constraints, and the query
 //! engine parallelizes across partitions.
 
-use crate::columnar::ColumnarSpec;
 use crate::error::RdbError;
 use crate::expr::{CmpOp, Expr};
 use crate::schema::Schema;
-use crate::table::{ResidentBytes, RowView, ScanProfile, Table};
-use aiql_model::{SharedDict, Value};
+use crate::table::{Layout, ResidentBytes, RowView, ScanProfile, Table};
+use aiql_model::Value;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -125,10 +124,9 @@ pub struct PartitionedTable {
     spec: PartitionSpec,
     time_idx: usize,
     agent_idx: usize,
-    index_columns: Vec<String>,
-    /// Columnar configuration applied to every partition (and every future
-    /// partition) once [`PartitionedTable::enable_columnar`] is called.
-    columnar: Option<(ColumnarSpec, SharedDict)>,
+    /// What every partition is created with, its projection's sort column
+    /// defaulted to the partition time column.
+    layout: Layout,
     partitions: std::collections::BTreeMap<PartKey, Arc<Table>>,
     len: usize,
     /// Cumulative bytes deep-copied by copy-on-write unseals on the
@@ -137,47 +135,44 @@ pub struct PartitionedTable {
 }
 
 impl PartitionedTable {
-    /// Creates an empty partitioned table.
-    pub fn new(schema: Schema, spec: PartitionSpec) -> Result<PartitionedTable, RdbError> {
+    /// Creates an empty partitioned table whose partitions are laid out
+    /// as `layout`, a projection without a sort column sorted on the
+    /// partition time column. The layout is checked here, before any
+    /// partition exists, as [`Table::new`] checks it.
+    pub fn new(
+        schema: Schema,
+        spec: PartitionSpec,
+        layout: &Layout,
+    ) -> Result<PartitionedTable, RdbError> {
         let time_idx = schema.require(&spec.time_col)?;
         let agent_idx = schema.require(&spec.agent_col)?;
+        let mut layout = layout.clone();
+        if let Some((columnar, _)) = &mut layout.columnar {
+            columnar
+                .time_col
+                .get_or_insert_with(|| spec.time_col.clone());
+        }
+        Table::new(schema.clone(), &layout)?;
         Ok(PartitionedTable {
             schema,
             spec,
             time_idx,
             agent_idx,
-            index_columns: Vec::new(),
-            columnar: None,
+            layout,
             partitions: std::collections::BTreeMap::new(),
             len: 0,
             copied_bytes: 0,
         })
     }
 
-    /// Enables a columnar projection on every existing partition and
-    /// remembers the configuration for partitions created by rollover.
-    /// Defaults the sort column to this table's partition time column.
-    pub fn enable_columnar(
-        &mut self,
-        mut spec: ColumnarSpec,
-        dict: SharedDict,
-    ) -> Result<(), RdbError> {
-        if spec.time_col.is_none() {
-            spec.time_col = Some(self.spec.time_col.clone());
-        }
-        // Validate the spec against the schema even when no partition
-        // exists yet, so misconfiguration fails at enable time.
-        crate::columnar::Columnar::build(&self.schema, &spec, dict.clone(), &[])?;
-        for t in self.partitions.values_mut() {
-            Arc::make_mut(t).enable_columnar(&spec, dict.clone())?;
-        }
-        self.columnar = Some((spec, dict));
-        Ok(())
+    /// What every partition is laid out as.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// Whether partitions carry columnar projections.
     pub fn is_columnar(&self) -> bool {
-        self.columnar.is_some()
+        self.layout.columnar.is_some()
     }
 
     /// The table schema.
@@ -212,8 +207,7 @@ impl PartitionedTable {
     /// shared by reference, so a detach copies at most the open tail's
     /// partial block (a row tail whole). Clones (snapshots) carry
     /// the value at clone time, so `head - snapshot` deltas give the bytes
-    /// copied between two publishes. One-time schema detaches (index
-    /// creation, columnar enablement) are deliberately not counted.
+    /// copied between two publishes.
     pub fn copied_bytes(&self) -> u64 {
         self.copied_bytes
     }
@@ -238,8 +232,8 @@ impl PartitionedTable {
     }
 
     /// Routes a row — owned or borrowed, as [`Table::insert`] takes it —
-    /// to its partition, creating it (with the configured indexes) on
-    /// first use.
+    /// to its partition, creating it (with the table's layout) on first
+    /// use.
     pub fn insert<'r>(&mut self, row: impl Into<Cow<'r, [Value]>>) -> Result<(), RdbError> {
         self.insert_reporting(row).map(|_| ())
     }
@@ -248,9 +242,9 @@ impl PartitionedTable {
     /// rolled over into a freshly created partition — the signal live
     /// ingestion uses to detect day-boundary/agent-group rollover.
     ///
-    /// A new partition is born with every index in
-    /// [`PartitionedTable::indexed_columns`] already in place, so rows
-    /// appended later are index-maintained identically to batch-loaded ones.
+    /// A new partition is born with the table's layout — its indexes and
+    /// projection — so rows appended later are laid out identically to
+    /// batch-loaded ones.
     pub fn insert_reporting<'r>(
         &mut self,
         row: impl Into<Cow<'r, [Value]>>,
@@ -277,15 +271,7 @@ impl PartitionedTable {
                 Arc::make_mut(slot)
             }
             std::collections::btree_map::Entry::Vacant(e) => {
-                let mut t = Table::new(self.schema.clone());
-                // Columnar first: `create_index` then projects each indexed
-                // column, so both layouts cover `indexed_columns`.
-                if let Some((spec, dict)) = &self.columnar {
-                    t.enable_columnar(spec, dict.clone())?;
-                }
-                for c in &self.index_columns {
-                    t.create_index(c)?;
-                }
+                let t = Table::new(self.schema.clone(), &self.layout)?;
                 created = Some(key);
                 Arc::make_mut(e.insert(Arc::new(t)))
             }
@@ -299,7 +285,7 @@ impl PartitionedTable {
 
     /// Attaches a fully-built partition under `key` — the deserialization
     /// path of the durable store. The table must match this table's schema
-    /// arity and must carry whatever indexes/projections the caller wants;
+    /// arity and should have been created with [`PartitionedTable::layout`];
     /// nothing is rebuilt here. Fails if the key is already materialized.
     pub fn restore_partition(&mut self, key: PartKey, table: Table) -> Result<(), RdbError> {
         if table.schema().arity() != self.schema.arity() {
@@ -321,26 +307,10 @@ impl PartitionedTable {
         }
     }
 
-    /// Columns carrying secondary indexes (every current partition has them;
-    /// every future partition is created with them).
+    /// Columns carrying secondary indexes, as the layout names them (every
+    /// partition is created with them).
     pub fn indexed_columns(&self) -> &[String] {
-        &self.index_columns
-    }
-
-    /// Creates an index on every existing partition and remembers it for
-    /// future partitions. Partitions with columnar projections also project
-    /// the column (see [`Table::create_index`]), keeping
-    /// [`PartitionedTable::indexed_columns`] the single source of truth for
-    /// both layouts.
-    pub fn create_index(&mut self, column: &str) -> Result<(), RdbError> {
-        self.schema.require(column)?;
-        if !self.index_columns.iter().any(|c| c == column) {
-            self.index_columns.push(column.to_string());
-        }
-        for t in self.partitions.values_mut() {
-            Arc::make_mut(t).create_index(column)?;
-        }
-        Ok(())
+        &self.layout.indexes
     }
 
     /// The partitions admitted by `prune`, in key order.
@@ -496,15 +466,19 @@ mod tests {
     use crate::schema::ColumnType;
 
     fn pt() -> PartitionedTable {
+        pt_with(&Layout::indexed(&["name"]))
+    }
+
+    /// 24 rows over two days and two agent groups, laid out as `layout`.
+    fn pt_with(layout: &Layout) -> PartitionedTable {
         let schema = Schema::new(&[
             ("id", ColumnType::Int),
             ("agentid", ColumnType::Int),
             ("start_time", ColumnType::Int),
             ("name", ColumnType::Str),
         ]);
-        let mut pt =
-            PartitionedTable::new(schema, PartitionSpec::new("start_time", "agentid", 2)).unwrap();
-        pt.create_index("name").unwrap();
+        let spec = PartitionSpec::new("start_time", "agentid", 2);
+        let mut pt = PartitionedTable::new(schema, spec, layout).unwrap();
         // Two days, four agents (groups {0,1} and {2,3}).
         for day in 0..2i64 {
             for agent in 0..4i64 {
@@ -659,9 +633,8 @@ mod tests {
             ("start_time", ColumnType::Int),
             ("name", ColumnType::Str),
         ]);
-        let mut pt =
-            PartitionedTable::new(schema, PartitionSpec::new("start_time", "agentid", 2)).unwrap();
-        pt.create_index("name").unwrap();
+        let spec = PartitionSpec::new("start_time", "agentid", 2);
+        let mut pt = PartitionedTable::new(schema, spec, &Layout::indexed(&["name"])).unwrap();
         let row = |agent: i64, t: i64| vec![Value::Int(agent), Value::Int(t), Value::str("f")];
 
         // First row of (day 0, group 0) creates the partition.
@@ -692,17 +665,20 @@ mod tests {
         assert_eq!(scanned, 4, "index probes only");
     }
 
+    /// Every partition, a rolled-over one included, is created with the
+    /// table's layout: its indexes, and its projection sorted on the
+    /// partition time column when the layout names no sort column.
     #[test]
-    fn columnar_follows_rollover_and_index_creation() {
-        let mut pt = pt();
-        pt.enable_columnar(ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+    fn rollover_partitions_carry_the_layout() {
+        let layout = Layout::indexed(&["name", "id"])
+            .with_columnar(crate::ColumnarSpec::all(), aiql_model::SharedDict::new());
+        let mut pt = pt_with(&layout);
+        pt.seal_tails();
         assert!(pt.is_columnar());
-        // Existing indexes ("name") and a later one ("id") reach every
-        // partition, each sealed chunk kept as columns.
-        pt.create_index("id").unwrap();
+        let time_col = pt.layout().columnar.as_ref().unwrap().0.time_col.clone();
+        assert_eq!(time_col.as_deref(), Some("start_time"));
         for (_, t) in pt.partitions_for(&Prune::all()) {
-            assert!(t.columnar().is_some(), "projection enabled");
+            assert!(t.columnar().is_some(), "projected");
             assert_eq!(t.indexed_columns(), [0, 3]);
             assert!(t.sealed_chunks().iter().all(|c| c.is_projected()));
         }
@@ -723,7 +699,7 @@ mod tests {
             .pop()
             .expect("rolled-over partition")
             .1;
-        assert!(fresh.columnar().is_some(), "rollover keeps columnar");
+        assert!(fresh.columnar().is_some(), "rollover keeps the projection");
         assert_eq!(fresh.indexed_columns(), [0, 3]);
         assert_eq!(fresh.len(), 1);
         // And scans through the columnar path agree with the row path.

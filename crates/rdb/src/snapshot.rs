@@ -33,8 +33,8 @@
 //!   its columns and drops its rows. Its indexes are sorted from its keys.
 //!
 //! The open tail keeps no projection and no order: it is written, and
-//! loaded, as rows. Indexes are rebuilt, not persisted: the index set
-//! travels as configuration.
+//! loaded, as rows. Indexes are rebuilt, not persisted: the reader passes
+//! the table's [`Layout`], and every chunk is built with it.
 //!
 //! Format v3 ([`Format::V3`]) wrote every row of the table, then the
 //! projection orders of every chunk and of the tail, behind a retired
@@ -46,13 +46,12 @@
 //! the caller's concern — `aiql-storage` checksums whole snapshot files
 //! and the WAL checksums records.
 
-use crate::columnar::ColumnarSpec;
 use crate::error::RdbError;
 use crate::partition::{PartKey, PartitionSpec, PartitionedTable, Prune};
 use crate::schema::{Row, Schema};
-use crate::table::Table;
+use crate::table::{Layout, Table};
+use aiql_model::codec;
 use aiql_model::columns::MAX_RESERVE;
-use aiql_model::{codec, SharedDict};
 use std::io::{self, Read, Write};
 
 /// Hard cap on decoded row/partition counts, guarding against corrupt
@@ -148,17 +147,16 @@ pub fn write_table<W: Write>(w: &mut W, t: &Table) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads one table written in `format`, sealing chunks at exactly the
-/// persisted boundaries and rebuilding the given secondary indexes and
-/// (when `columnar` is configured) each chunk's projection: read as
-/// columns, filled in its persisted order, or — for a table written
-/// without one — in bulk.
+/// Reads one table written in `format` into a table laid out as `layout`,
+/// sealing chunks at exactly the persisted boundaries, each with the
+/// layout's indexes and (when it has one) projection: read as columns,
+/// filled in its persisted order, or — for a table written without one —
+/// in bulk.
 pub fn read_table<R: Read>(
     r: &mut R,
     format: Format,
     schema: Schema,
-    indexes: &[String],
-    columnar: Option<(&ColumnarSpec, &SharedDict)>,
+    layout: &Layout,
 ) -> io::Result<Table> {
     let arity = schema.arity();
     let chunk_rows = checked_count(codec::read_u64(r)?, "chunk-row")?;
@@ -188,16 +186,10 @@ pub fn read_table<R: Read>(
     }
     lens.push(nrows - covered);
 
-    let mut table = Table::with_chunk_rows(schema, chunk_rows);
-    for name in indexes {
-        table.create_index(name).map_err(rdb_io)?;
-    }
-    if let Some((spec, dict)) = columnar {
-        // Written without a projection but reopened with one configured,
-        // each chunk's is bulk-built (the batch path); written with one
-        // but reopened without, the persisted orders are skipped.
-        table.enable_columnar(spec, dict.clone()).map_err(rdb_io)?;
-    }
+    // Written without a projection but reopened with one, each chunk's is
+    // bulk-built (the batch path); written with one but reopened without,
+    // the persisted orders are skipped.
+    let mut table = Table::with_chunk_rows(schema, layout, chunk_rows).map_err(rdb_io)?;
     let projected = table.columnar().is_some();
     match format {
         Format::V3 => {
@@ -278,45 +270,21 @@ pub fn write_partitioned<W: Write>(w: &mut W, pt: &PartitionedTable) -> io::Resu
 }
 
 /// Reads a partitioned table written by [`write_partitioned`] (in
-/// `format`). The index set and columnar configuration are applied to the
-/// table *before* the partitions are attached, so partitions materialized
-/// later by rollover inherit them exactly as on the original table.
+/// `format`) into a table created with `layout`: every partition read is
+/// laid out as [`PartitionedTable::layout`], as a partition materialized
+/// later by rollover is.
 pub fn read_partitioned<R: Read>(
     r: &mut R,
     format: Format,
     schema: Schema,
     spec: PartitionSpec,
-    indexes: &[String],
-    columnar: Option<(&ColumnarSpec, &SharedDict)>,
+    layout: &Layout,
 ) -> io::Result<PartitionedTable> {
-    let mut pt = PartitionedTable::new(schema.clone(), spec).map_err(rdb_io)?;
-    for name in indexes {
-        pt.create_index(name).map_err(rdb_io)?;
-    }
-    // Default the projection's sort column to the partition time column,
-    // exactly as `PartitionedTable::enable_columnar` does, so the per-
-    // partition tables read below use the same effective spec.
-    let part_spec = columnar.map(|(s, dict)| {
-        let mut s = s.clone();
-        if s.time_col.is_none() {
-            s.time_col = Some(pt.spec().time_col.clone());
-        }
-        (s, dict)
-    });
-    if let Some((spec, dict)) = &part_spec {
-        pt.enable_columnar(spec.clone(), (*dict).clone())
-            .map_err(rdb_io)?;
-    }
+    let mut pt = PartitionedTable::new(schema.clone(), spec, layout).map_err(rdb_io)?;
     let nparts = checked_count(codec::read_u64(r)?, "partition")?;
     for _ in 0..nparts {
         let key: PartKey = (codec::read_i64(r)?, codec::read_u32(r)?);
-        let table = read_table(
-            r,
-            format,
-            schema.clone(),
-            indexes,
-            part_spec.as_ref().map(|(s, d)| (s, *d)),
-        )?;
+        let table = read_table(r, format, schema.clone(), pt.layout())?;
         pt.restore_partition(key, table).map_err(rdb_io)?;
     }
     Ok(pt)
@@ -325,11 +293,12 @@ pub fn read_partitioned<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::ColumnarSpec;
     use crate::expr::{CmpOp, Expr};
     use crate::partition::NANOS_PER_DAY;
     use crate::schema::ColumnType;
     use crate::table::AccessPath;
-    use aiql_model::Value;
+    use aiql_model::{SharedDict, Value};
     use std::io::Cursor;
 
     fn schema() -> Schema {
@@ -341,13 +310,28 @@ mod tests {
         ])
     }
 
-    fn sample_table(columnar: bool, dict: &SharedDict) -> Table {
-        let mut t = Table::new(schema());
-        t.create_index("name").unwrap();
-        if columnar {
-            t.enable_columnar(&ColumnarSpec::time_sorted("start_time"), dict.clone())
-                .unwrap();
+    /// `name` indexed, and with `dict`, sorted on `start_time`.
+    fn layout(dict: Option<&SharedDict>) -> Layout {
+        let spec = ColumnarSpec::time_sorted("start_time");
+        let layout = Layout::indexed(&["name"]);
+        match dict {
+            Some(dict) => layout.with_columnar(spec, dict.clone()),
+            None => layout,
         }
+    }
+
+    /// A copy of `dict`'s strings, as a reopened store's dictionary holds
+    /// them.
+    fn reopened(dict: &SharedDict) -> SharedDict {
+        let copy = SharedDict::new();
+        for s in dict.strings() {
+            copy.intern(&s);
+        }
+        copy
+    }
+
+    fn sample_table(columnar: bool, dict: &SharedDict) -> Table {
+        let mut t = Table::new(schema(), &layout(columnar.then_some(dict))).unwrap();
         // Out-of-order appends: the projection order is not the rows'.
         for (i, t_ns) in [50i64, 10, 40, 20, 30, 5, 60, 25, 70, 15]
             .iter()
@@ -371,16 +355,12 @@ mod tests {
         let mut buf = Vec::new();
         write_table(&mut buf, &orig).unwrap();
 
-        let dict2 = SharedDict::new();
-        for s in dict.strings() {
-            dict2.intern(&s);
-        }
+        let dict2 = reopened(&dict);
         let got = read_table(
             &mut Cursor::new(&buf),
             Format::V4,
             schema(),
-            &["name".to_string()],
-            Some((&ColumnarSpec::time_sorted("start_time"), &dict2)),
+            &layout(Some(&dict2)),
         )
         .unwrap();
 
@@ -413,14 +393,7 @@ mod tests {
         let orig = sample_table(false, &dict);
         let mut buf = Vec::new();
         write_table(&mut buf, &orig).unwrap();
-        let got = read_table(
-            &mut Cursor::new(&buf),
-            Format::V4,
-            schema(),
-            &["name".to_string()],
-            None,
-        )
-        .unwrap();
+        let got = read_table(&mut Cursor::new(&buf), Format::V4, schema(), &layout(None)).unwrap();
         assert!(got.iter_rows().eq(orig.iter_rows()));
         assert!(got.columnar().is_none());
         assert_eq!(string_range(&orig), string_range(&got));
@@ -438,10 +411,7 @@ mod tests {
     #[test]
     fn chunked_table_round_trips_seal_boundaries_exactly() {
         let dict = SharedDict::new();
-        let mut orig = Table::with_chunk_rows(schema(), 4);
-        orig.create_index("name").unwrap();
-        orig.enable_columnar(&ColumnarSpec::time_sorted("start_time"), dict.clone())
-            .unwrap();
+        let mut orig = Table::with_chunk_rows(schema(), &layout(Some(&dict)), 4).unwrap();
         for (i, t_ns) in [50i64, 10, 40, 20, 30, 5, 60, 25, 70, 15]
             .iter()
             .enumerate()
@@ -461,16 +431,12 @@ mod tests {
 
         let mut buf = Vec::new();
         write_table(&mut buf, &orig).unwrap();
-        let dict2 = SharedDict::new();
-        for s in dict.strings() {
-            dict2.intern(&s);
-        }
+        let dict2 = reopened(&dict);
         let got = read_table(
             &mut Cursor::new(&buf),
             Format::V4,
             schema(),
-            &["name".to_string()],
-            Some((&ColumnarSpec::time_sorted("start_time"), &dict2)),
+            &layout(Some(&dict2)),
         )
         .unwrap();
 
@@ -503,10 +469,10 @@ mod tests {
     fn partitioned_round_trip_keeps_keys_and_rollover_config() {
         let dict = SharedDict::new();
         let spec = PartitionSpec::new("start_time", "agentid", 2);
-        let mut pt = PartitionedTable::new(schema(), spec.clone()).unwrap();
-        pt.create_index("name").unwrap();
-        pt.enable_columnar(ColumnarSpec::all(), dict.clone())
-            .unwrap();
+        let layout = |dict: &SharedDict| {
+            Layout::indexed(&["name"]).with_columnar(ColumnarSpec::all(), dict.clone())
+        };
+        let mut pt = PartitionedTable::new(schema(), spec.clone(), &layout(&dict)).unwrap();
         for day in 0..2i64 {
             for agent in 0..4i64 {
                 for n in 0..3i64 {
@@ -523,17 +489,13 @@ mod tests {
         let mut buf = Vec::new();
         write_partitioned(&mut buf, &pt).unwrap();
 
-        let dict2 = SharedDict::new();
-        for s in dict.strings() {
-            dict2.intern(&s);
-        }
+        let dict2 = reopened(&dict);
         let mut got = read_partitioned(
             &mut Cursor::new(&buf),
             Format::V4,
             schema(),
             spec,
-            &["name".to_string()],
-            Some((&ColumnarSpec::all(), &dict2)),
+            &layout(&dict2),
         )
         .unwrap();
         assert_eq!(got.len(), pt.len());
@@ -580,8 +542,7 @@ mod tests {
             &mut Cursor::new(&buf[..buf.len() / 2]),
             Format::V4,
             schema(),
-            &[],
-            None,
+            &Layout::default(),
         );
         assert!(r.is_err());
     }
@@ -596,15 +557,20 @@ mod tests {
             codec::write_u64(&mut buf, v).unwrap();
         }
         assert_eq!(buf.len(), 24);
-        let r = read_table(&mut Cursor::new(&buf), Format::V4, schema(), &[], None);
+        let r = read_table(
+            &mut Cursor::new(&buf),
+            Format::V4,
+            schema(),
+            &Layout::default(),
+        );
         assert!(r.is_err());
     }
 
     /// Chunks of every kind a reopen must reproduce — rows out of time
     /// order, an early-sealed short chunk, NULLs in `Int`, dictionary-coded and
     /// bool columns, indexes on an `Int` and a dictionary-coded column,
-    /// an open tail — under `spec`, or without a projection.
-    fn mixed_table(spec: Option<&ColumnarSpec>, dict: &SharedDict) -> Table {
+    /// an open tail — laid out as `layout`.
+    fn mixed_table(layout: &Layout) -> Table {
         let schema = Schema::new(&[
             ("id", ColumnType::Int),
             ("agentid", ColumnType::Int),
@@ -612,12 +578,7 @@ mod tests {
             ("name", ColumnType::Str),
             ("ok", ColumnType::Bool),
         ]);
-        let mut t = Table::with_chunk_rows(schema, 8);
-        t.create_index("agentid").unwrap();
-        t.create_index("name").unwrap();
-        if let Some(spec) = spec {
-            t.enable_columnar(spec, dict.clone()).unwrap();
-        }
+        let mut t = Table::with_chunk_rows(schema, layout, 8).unwrap();
         for i in 0..30i64 {
             let null = |every: i64, v: Value| if i % every == 3 { Value::Null } else { v };
             t.insert(vec![
@@ -638,23 +599,24 @@ mod tests {
     #[test]
     fn reopened_chunks_keep_the_layout_they_sealed_in() {
         let spec = ColumnarSpec::time_sorted("start_time");
-        for (spec, as_columns) in [(Some(&spec), true), (None, false)] {
+        for as_columns in [true, false] {
+            let layout = |dict: &SharedDict| {
+                let rows = Layout::indexed(&["agentid", "name"]);
+                match as_columns {
+                    true => rows.with_columnar(spec.clone(), dict.clone()),
+                    false => rows,
+                }
+            };
             let dict = SharedDict::new();
-            let orig = mixed_table(spec, &dict);
+            let orig = mixed_table(&layout(&dict));
             assert_eq!(orig.chunk_boundaries(), vec![8, 4, 8, 8, 2]);
             let mut buf = Vec::new();
             write_table(&mut buf, &orig).unwrap();
-            let dict2 = SharedDict::new();
-            for s in dict.strings() {
-                dict2.intern(&s);
-            }
-            let names = ["agentid".to_string(), "name".to_string()];
             let got = read_table(
                 &mut Cursor::new(&buf),
                 Format::V4,
                 orig.schema().clone(),
-                &names,
-                spec.map(|spec| (spec, &dict2)),
+                &layout(&reopened(&dict)),
             )
             .unwrap();
             assert_eq!(got.chunk_boundaries(), orig.chunk_boundaries());
@@ -673,11 +635,8 @@ mod tests {
 
     /// One sealed 4-row chunk kept as columns: its bytes, and a reader.
     fn one_columns_chunk() -> (Vec<u8>, impl Fn(&[u8]) -> io::Result<Table>) {
-        let dict = SharedDict::new();
-        let spec = ColumnarSpec::time_sorted("start_time");
-        let mut t = Table::with_chunk_rows(schema(), 4);
-        t.create_index("name").unwrap();
-        t.enable_columnar(&spec, dict.clone()).unwrap();
+        let layout = layout(Some(&SharedDict::new()));
+        let mut t = Table::with_chunk_rows(schema(), &layout, 4).unwrap();
         for (i, t_ns) in [30i64, 10, 40, 20].into_iter().enumerate() {
             t.insert(vec![
                 Value::Int(i as i64),
@@ -690,17 +649,8 @@ mod tests {
         assert_eq!(t.chunk_boundaries(), vec![4]);
         let mut buf = Vec::new();
         write_table(&mut buf, &t).unwrap();
-        let read = move |bytes: &[u8]| {
-            let names = ["name".to_string()];
-            let columnar = Some((&spec, &dict));
-            read_table(
-                &mut Cursor::new(bytes),
-                Format::V4,
-                schema(),
-                &names,
-                columnar,
-            )
-        };
+        let read =
+            move |bytes: &[u8]| read_table(&mut Cursor::new(bytes), Format::V4, schema(), &layout);
         (buf, read)
     }
 
@@ -767,7 +717,7 @@ mod tests {
     #[test]
     fn duplicate_partition_key_is_rejected() {
         let spec = PartitionSpec::new("start_time", "agentid", 2);
-        let mut pt = PartitionedTable::new(schema(), spec).unwrap();
+        let mut pt = PartitionedTable::new(schema(), spec, &Layout::default()).unwrap();
         let t1 = sample_table(false, &SharedDict::new());
         let t2 = sample_table(false, &SharedDict::new());
         pt.restore_partition((0, 0), t1).unwrap();

@@ -26,8 +26,7 @@
 //!   projection order — the rows' stable sort by the time column — with
 //!   one zone map per column: the sealed chunk is the unit a scan prunes.
 //!   The same builder (`Columnar::seal`) seals a snapshot's rows on
-//!   restore and re-seals chunks when a projection is enabled, so it is
-//!   the only place a sealed projection is made;
+//!   restore, so it is the only place a sealed projection is made;
 //! - each index is one array of the chunk's positions sorted by (key,
 //!   position), at the chunk's position width (2 bytes a row in a
 //!   4 096-row chunk), answering equality, range and key-span
@@ -54,14 +53,12 @@
 //!
 //! - rows keep global insertion order: chunk boundaries split `0..len()`
 //!   into consecutive ranges, sealed chunks first, the tail last;
-//! - a sealed chunk's row content never changes (the rare schema
-//!   operations — [`Table::create_index`], [`Table::enable_columnar`] —
-//!   rebuild auxiliary structures through `Arc::make_mut`, which is why
-//!   they are deliberately not charged as copy-on-write), and neither does
-//!   a tail block a clone shares;
-//! - every sealed chunk carries the table's index set and columnar
-//!   configuration, so access-path selection is decided **once per table**
-//!   and applied chunk by chunk.
+//! - a sealed chunk never changes — not its rows, not its indexes, not
+//!   its projection — and neither does a tail block a clone shares;
+//! - a table's [`Layout`] — its index columns and its projection — is
+//!   fixed when the table is created, and every chunk is built with it, so
+//!   access-path selection is decided **once per table** and applied
+//!   chunk by chunk.
 
 use crate::columnar::{compile_conjuncts, ColumnTail, Columnar, ColumnarSpec, Kernel, LikeMemo};
 use crate::error::RdbError;
@@ -204,7 +201,7 @@ fn rows_bytes(rows: &Vec<Row>) -> u64 {
 /// dictionary). On a dictionary-coded
 /// column the key is the code, which answers equality but orders no
 /// strings: such an index takes no range probe ([`Table::range_indexed`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Index {
     order: Lanes,
     span: Option<(Value, Value)>,
@@ -234,14 +231,14 @@ impl Index {
 /// position `base` where `base` is the sum of the preceding chunks'
 /// lengths. Invariants:
 ///
-/// - row content and indexes never change after sealing (schema
-///   operations rebuild them via `Arc::make_mut`, producing a new chunk
-///   value rather than mutating a shared one);
+/// - nothing in it changes after sealing: it is built once, with its
+///   table's [`Layout`], and there is no way to copy it out of its `Arc`
+///   (it is not `Clone`);
 /// - it keeps its rows or, in a table with a projection, its columns —
 ///   never both;
 /// - its columns, when it keeps them, carry a zone map each, so a scan can
 ///   skip the chunk whole.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SealedChunk {
     body: Body,
     indexes: BTreeMap<usize, Index>,
@@ -250,7 +247,7 @@ pub struct SealedChunk {
 }
 
 /// What a sealed chunk keeps its rows as.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Body {
     /// The rows themselves, in a table without a projection.
     Rows(Vec<Row>),
@@ -312,7 +309,7 @@ impl SealedChunk {
         }
     }
 
-    /// The chunk's columnar projection, if its table has one enabled.
+    /// The chunk's columnar projection, if its table's layout has one.
     pub fn columnar(&self) -> Option<&Columnar> {
         match &self.body {
             Body::Rows(_) => None,
@@ -615,6 +612,37 @@ impl Tail {
     }
 }
 
+/// What a table is built with, fixed when it is created: the columns every
+/// sealed chunk indexes, and the columnar projection, if any, with the
+/// dictionary its strings are interned into. Every chunk of a [`Table`] —
+/// and of every partition of a [`crate::PartitionedTable`] — is built with
+/// its table's layout, and nothing changes a layout afterwards.
+#[derive(Debug, Clone, Default)]
+pub struct Layout {
+    /// The columns to index, by name; a column named twice is one index.
+    pub indexes: Vec<String>,
+    /// The projection and its dictionary; without one, sealed chunks keep
+    /// their rows.
+    pub columnar: Option<(ColumnarSpec, SharedDict)>,
+}
+
+impl Layout {
+    /// Rows, with an index on each of `columns`.
+    pub fn indexed(columns: &[&str]) -> Layout {
+        Layout {
+            indexes: columns.iter().map(|c| c.to_string()).collect(),
+            columnar: None,
+        }
+    }
+
+    /// This layout with `spec` as its projection, its strings interned
+    /// into `dict`, builder style.
+    pub fn with_columnar(mut self, spec: ColumnarSpec, dict: SharedDict) -> Layout {
+        self.columnar = Some((spec, dict));
+        self
+    }
+}
+
 /// A table: schema plus a list of sealed chunks and one open tail
 /// (see the [module docs](self) for the chunk lifecycle).
 ///
@@ -628,10 +656,10 @@ impl Tail {
 /// Sealed chunks are physically shared between a table and its clones:
 ///
 /// ```
-/// use aiql_rdb::{ColumnType, Schema, Table, Value};
+/// use aiql_rdb::{ColumnType, Layout, Schema, Table, Value};
 ///
 /// let schema = Schema::new(&[("x", ColumnType::Int)]);
-/// let mut t = Table::with_chunk_rows(schema, 2);
+/// let mut t = Table::with_chunk_rows(schema, &Layout::default(), 2).unwrap();
 /// for i in 0..5 {
 ///     t.insert(vec![Value::Int(i)]).unwrap();
 /// }
@@ -650,16 +678,16 @@ pub struct Table {
     starts: Vec<u32>,
     /// Total rows across sealed chunks (= the tail's global base).
     sealed_len: usize,
-    /// The open tail, in arrival order: columns when `layout` is set,
+    /// The open tail, in arrival order: columns when `projection` is set,
     /// rows otherwise.
     tail: Tail,
     /// The columns every sealed chunk indexes, ascending.
     indexed: Vec<usize>,
-    /// The columnar configuration once [`Table::enable_columnar`] ran, as
-    /// an empty projection: the projected columns (indexed ones included),
-    /// sort column and dictionary. The tail's blocks take its columns, each
-    /// seal fills a copy, and kernels compile against it.
-    layout: Option<Columnar>,
+    /// The layout's projection, if it has one, as an empty projection:
+    /// the projected columns, sort column and dictionary. The tail's
+    /// blocks take its columns, each seal fills a copy, and kernels compile
+    /// against it.
+    projection: Option<Columnar>,
 }
 
 /// How a scan located its rows — reported in [`ScanProfile`] and asserted
@@ -773,23 +801,41 @@ impl ScanProfile {
 }
 
 impl Table {
-    /// Creates an empty table sealing chunks at [`DEFAULT_CHUNK_ROWS`].
-    pub fn new(schema: Schema) -> Table {
-        Table::with_chunk_rows(schema, DEFAULT_CHUNK_ROWS)
+    /// Creates an empty table laid out as `layout`, sealing chunks at
+    /// [`DEFAULT_CHUNK_ROWS`].
+    pub fn new(schema: Schema, layout: &Layout) -> Result<Table, RdbError> {
+        Table::with_chunk_rows(schema, layout, DEFAULT_CHUNK_ROWS)
     }
 
-    /// Creates an empty table sealing chunks at `chunk_rows` rows (min 1).
-    pub fn with_chunk_rows(schema: Schema, chunk_rows: usize) -> Table {
-        Table {
+    /// Creates an empty table laid out as `layout`, sealing chunks at
+    /// `chunk_rows` rows (min 1). An index or sort column the schema lacks
+    /// is a [`RdbError::NoSuchColumn`]; a projection of a table with a
+    /// `Float` column, or sorted on a column that is not `Int`, a
+    /// [`RdbError::SchemaMismatch`].
+    pub fn with_chunk_rows(
+        schema: Schema,
+        layout: &Layout,
+        chunk_rows: usize,
+    ) -> Result<Table, RdbError> {
+        let mut indexed = (layout.indexes.iter())
+            .map(|c| schema.require(c))
+            .collect::<Result<Vec<_>, _>>()?;
+        indexed.sort_unstable();
+        indexed.dedup();
+        let projection = match &layout.columnar {
+            Some((spec, dict)) => Some(Columnar::build(&schema, spec, dict.clone(), &[])?),
+            None => None,
+        };
+        Ok(Table {
             schema,
             chunk_rows: chunk_rows.max(1),
             sealed: Vec::new(),
             starts: Vec::new(),
             sealed_len: 0,
-            tail: Tail::new(None),
-            indexed: Vec::new(),
-            layout: None,
-        }
+            tail: Tail::new(projection.as_ref()),
+            indexed,
+            projection,
+        })
     }
 
     /// The table's schema.
@@ -851,8 +897,8 @@ impl Table {
 
     /// How many sealed chunks are physically shared (same `Arc` allocation)
     /// with `other`. Chunks are compared positionally: a table and its
-    /// clone share a common sealed prefix until a schema operation rebuilds
-    /// chunks on one side. Diagnostic for tests and benches.
+    /// clone share every chunk sealed before the clone. Diagnostic for
+    /// tests and benches.
     pub fn chunks_shared_with(&self, other: &Table) -> usize {
         self.sealed
             .iter()
@@ -969,7 +1015,7 @@ impl Table {
 
     /// Appends a checked row to the open tail.
     fn push_tail(&mut self, row: Cow<'_, [Value]>) {
-        match (&mut self.tail, &self.layout) {
+        match (&mut self.tail, &self.projection) {
             (Tail::Columns(cols), Some(layout)) => cols.push(layout, &row),
             (Tail::Rows(rows), None) => rows.push(row.into_owned()),
             _ => unreachable!("a tail keeps columns exactly when the table has a projection"),
@@ -991,7 +1037,7 @@ impl Table {
     /// Seals the tail, its projection (when one is configured) filled in
     /// `order` (see [`Columnar::seal`]); on an error the tail stays open.
     fn seal_with(&mut self, order: Option<&[u32]>) -> Result<(), RdbError> {
-        let body = match (&mut self.tail, &self.layout) {
+        let body = match (&mut self.tail, &self.projection) {
             (Tail::Rows(rows), _) => Body::Rows(std::mem::take(rows)),
             (Tail::Columns(cols), Some(layout)) => {
                 let body = Body::columns(layout.seal(cols, order)?);
@@ -1010,34 +1056,6 @@ impl Table {
         self.starts.push(self.sealed_len as u32);
         self.sealed_len += chunk.len();
         self.sealed.push(Arc::new(chunk));
-    }
-
-    /// Builds (or rebuilds) a columnar projection of every column over
-    /// every sealed chunk and the open tail; every later append and seal
-    /// uses the same configuration. Sealed chunks are sealed again from
-    /// their rows through `Arc::make_mut` (a rare schema operation, not
-    /// charged as copy-on-write), each keeping its projection instead of
-    /// its rows, and the tail's rows move into columns. A table with a
-    /// `Float` column takes no projection: that is a
-    /// [`RdbError::SchemaMismatch`], and the table is left as it was.
-    pub fn enable_columnar(
-        &mut self,
-        spec: &ColumnarSpec,
-        dict: SharedDict,
-    ) -> Result<(), RdbError> {
-        let layout = Columnar::build(&self.schema, spec, dict, &[])?;
-        for chunk in &mut self.sealed {
-            let c = Arc::make_mut(chunk);
-            let mut cols = ColumnTail::new(&layout);
-            (0..c.len() as u32).for_each(|p| cols.push(&layout, &c.row(p).to_row()));
-            *c = SealedChunk::new(Body::columns(layout.seal(&cols, None)?), &self.indexed);
-        }
-        let mut tail = ColumnTail::new(&layout);
-        self.tail_rows()
-            .for_each(|row| tail.push(&layout, &row.to_row()));
-        self.tail = Tail::Columns(tail);
-        self.layout = Some(layout);
-        Ok(())
     }
 
     /// Appends `rows` as one whole chunk — the snapshot-restore path of a
@@ -1067,7 +1085,7 @@ impl Table {
         }
         let sealed = self.seal_with(perm);
         if sealed.is_err() {
-            self.tail = Tail::new(self.layout.as_ref());
+            self.tail = Tail::new(self.projection.as_ref());
         }
         sealed
     }
@@ -1094,29 +1112,12 @@ impl Table {
         Ok(())
     }
 
-    /// The table's columnar configuration, if one is enabled, as an empty
+    /// The table's projection, if its layout has one, as an empty
     /// projection: the sort column and dictionary every sealed chunk's
     /// projection shares (each chunk's own is reached via
     /// [`Table::sealed_chunks`]).
     pub fn columnar(&self) -> Option<&Columnar> {
-        self.layout.as_ref()
-    }
-
-    /// Creates a secondary index on `column`, back-filling every sealed
-    /// chunk (through `Arc::make_mut` — a rare schema operation, not
-    /// charged as copy-on-write). Creating an index twice is a no-op.
-    pub fn create_index(&mut self, column: &str) -> Result<(), RdbError> {
-        let col = self.schema.require(column)?;
-        let Err(at) = self.indexed.binary_search(&col) else {
-            return Ok(());
-        };
-        self.indexed.insert(at, col);
-        for chunk in &mut self.sealed {
-            let c = Arc::make_mut(chunk);
-            c.build_index(col);
-            c.measure();
-        }
-        Ok(())
+        self.projection.as_ref()
     }
 
     /// Column positions that have indexes (identical on every sealed
@@ -1166,7 +1167,7 @@ impl Table {
         // kernels compile once and run on every chunk and tail block, under
         // one memo.
         let compiled = self
-            .layout
+            .projection
             .as_ref()
             .map(|col| compile_conjuncts(&self.schema, col, conjuncts));
         let mut memo = LikeMemo::default();
@@ -1351,7 +1352,7 @@ impl Table {
     fn dict_code(&self, v: &Value) -> Option<u32> {
         match v {
             Value::Null => Some(NULL_SYM),
-            Value::Str(s) => Some(self.layout.as_ref()?.dict().lookup(s)?.0),
+            Value::Str(s) => Some(self.projection.as_ref()?.dict().lookup(s)?.0),
             _ => None,
         }
     }
@@ -1480,12 +1481,14 @@ mod tests {
     use super::*;
     use crate::schema::ColumnType;
 
-    fn table() -> Table {
-        let mut t = Table::new(Schema::new(&[
+    /// Four rows in one open tail, laid out as `layout`.
+    fn table(layout: Layout) -> Table {
+        let schema = Schema::new(&[
             ("id", ColumnType::Int),
             ("name", ColumnType::Str),
             ("size", ColumnType::Int),
-        ]));
+        ]);
+        let mut t = Table::new(schema, &layout).unwrap();
         for (id, name, size) in [
             (1, "alpha", 10),
             (2, "beta", 20),
@@ -1500,7 +1503,7 @@ mod tests {
 
     #[test]
     fn insert_validates_schema() {
-        let mut t = table();
+        let mut t = table(Layout::default());
         assert!(t.insert(vec![Value::Int(1)]).is_err());
         assert!(t
             .insert(vec![Value::str("x"), Value::str("y"), Value::Int(1)])
@@ -1510,7 +1513,7 @@ mod tests {
 
     #[test]
     fn seq_scan_when_no_index() {
-        let t = table();
+        let t = table(Layout::default());
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(1, CmpOp::Eq, "alpha")], &mut scanned);
         assert_eq!(path, AccessPath::Seq);
@@ -1520,8 +1523,7 @@ mod tests {
 
     #[test]
     fn index_eq_probe() {
-        let mut t = table();
-        t.create_index("name").unwrap();
+        let mut t = table(Layout::indexed(&["name"]));
         t.seal_tail();
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(1, CmpOp::Eq, "alpha")], &mut scanned);
@@ -1532,8 +1534,7 @@ mod tests {
 
     #[test]
     fn index_in_probe_and_residual() {
-        let mut t = table();
-        t.create_index("name").unwrap();
+        let mut t = table(Layout::indexed(&["name"]));
         t.seal_tail();
         let mut scanned = 0;
         let conjuncts = vec![
@@ -1547,8 +1548,7 @@ mod tests {
 
     #[test]
     fn index_range_probe() {
-        let mut t = table();
-        t.create_index("size").unwrap();
+        let mut t = table(Layout::indexed(&["size"]));
         t.seal_tail();
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(2, CmpOp::Ge, 20i64)], &mut scanned);
@@ -1559,27 +1559,32 @@ mod tests {
         assert_eq!(rows, vec![2, 3]);
     }
 
+    /// A layout's index columns are checked when the table is created, and
+    /// a column named twice is one index.
     #[test]
-    fn index_backfill_and_idempotence() {
-        let mut t = table();
+    fn index_columns_are_checked_and_deduplicated_at_creation() {
+        let mut t = table(Layout::indexed(&["name", "name"]));
+        assert_eq!(t.indexed_columns(), vec![1]);
         t.seal_tail();
-        t.create_index("name").unwrap();
-        t.create_index("name").unwrap();
+        assert_eq!(t.sealed_chunks()[0].indexes.len(), 1);
         t.insert(vec![Value::Int(5), Value::str("alpha"), Value::Int(50)])
             .unwrap();
         let mut scanned = 0;
         let (path, rows) = t.select(&[Expr::cmp_lit(1, CmpOp::Eq, "alpha")], &mut scanned);
         assert_eq!(path, AccessPath::IndexEq);
-        assert_eq!(rows, vec![0, 2, 4], "backfilled index plus the open tail");
+        assert_eq!(
+            rows,
+            vec![0, 2, 4],
+            "the sealed chunk's index plus the open tail"
+        );
         assert_eq!(scanned, 3, "two postings and the one tail row");
-        assert!(t.create_index("bogus").is_err());
+        let bogus = Table::new(t.schema().clone(), &Layout::indexed(&["bogus"]));
+        assert!(matches!(bogus, Err(RdbError::NoSuchColumn(_))));
     }
 
     #[test]
     fn columnar_path_matches_seq_scan() {
-        let mut t = table();
-        t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+        let mut t = table(Layout::default().with_columnar(ColumnarSpec::all(), SharedDict::new()));
         t.seal_tail();
         let mut scanned = 0;
         let conjuncts = vec![Expr::cmp_lit(1, CmpOp::Eq, "alpha")];
@@ -1595,9 +1600,7 @@ mod tests {
 
     #[test]
     fn like_runs_on_the_dictionary_and_residuals_on_rows() {
-        let mut t = table();
-        t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+        let mut t = table(Layout::default().with_columnar(ColumnarSpec::all(), SharedDict::new()));
         t.seal_tail();
         let mut profile = ScanProfile::default();
         // LIKE alone is a kernel: one evaluation per distinct name.
@@ -1624,14 +1627,10 @@ mod tests {
     /// 2 000 rows in 20 chunks: unique ascending `id`, 10 `grp` values
     /// striped over the rows; both indexed, all projected.
     fn wide_table() -> Table {
-        let mut t = Table::with_chunk_rows(
-            Schema::new(&[("id", ColumnType::Int), ("grp", ColumnType::Int)]),
-            100,
-        );
-        t.create_index("id").unwrap();
-        t.create_index("grp").unwrap();
-        t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+        let layout =
+            Layout::indexed(&["id", "grp"]).with_columnar(ColumnarSpec::all(), SharedDict::new());
+        let schema = Schema::new(&[("id", ColumnType::Int), ("grp", ColumnType::Int)]);
+        let mut t = Table::with_chunk_rows(schema, &layout, 100).unwrap();
         for i in 0..2000i64 {
             t.insert(vec![Value::Int(i), Value::Int(i % 10)]).unwrap();
         }
@@ -1705,8 +1704,7 @@ mod tests {
     #[test]
     fn probe_decides_without_a_projection() {
         // The row store has no scan cheaper than a probe to offer.
-        let mut t = table();
-        t.create_index("name").unwrap();
+        let mut t = table(Layout::indexed(&["name"]));
         t.seal_tail();
         let (mut scanned, mut profile) = (0, ScanProfile::default());
         let conjuncts = [Expr::in_list(
@@ -1721,9 +1719,7 @@ mod tests {
 
     #[test]
     fn eq_preferred_over_range() {
-        let mut t = table();
-        t.create_index("name").unwrap();
-        t.create_index("size").unwrap();
+        let mut t = table(Layout::indexed(&["name", "size"]));
         t.seal_tail();
         let mut scanned = 0;
         let conjuncts = vec![
@@ -1740,18 +1736,15 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// A chunked table (3-row chunks) and a monolithic oracle (one big
-    /// chunk) over the same 10 rows, with a "name" index on both.
-    fn chunked_and_oracle() -> (Table, Table) {
+    /// chunk) over the same 10 rows, both laid out as `layout`.
+    fn chunked_and_oracle(layout: &Layout) -> (Table, Table) {
         let schema = Schema::new(&[
             ("id", ColumnType::Int),
             ("name", ColumnType::Str),
             ("size", ColumnType::Int),
         ]);
-        let mut chunked = Table::with_chunk_rows(schema.clone(), 3);
-        let mut oracle = Table::with_chunk_rows(schema, 1000);
-        for t in [&mut chunked, &mut oracle] {
-            t.create_index("name").unwrap();
-        }
+        let mut chunked = Table::with_chunk_rows(schema.clone(), layout, 3).unwrap();
+        let mut oracle = Table::with_chunk_rows(schema, layout, 1000).unwrap();
         for i in 0..10i64 {
             let row = vec![
                 Value::Int(i),
@@ -1766,7 +1759,7 @@ mod tests {
 
     #[test]
     fn auto_seal_boundaries_and_row_access() {
-        let (chunked, oracle) = chunked_and_oracle();
+        let (chunked, oracle) = chunked_and_oracle(&Layout::indexed(&["name"]));
         assert_eq!(chunked.chunk_boundaries(), vec![3, 3, 3, 1]);
         assert_eq!(chunked.sealed_chunks().len(), 3);
         assert_eq!(oracle.chunk_boundaries(), vec![10]);
@@ -1797,14 +1790,11 @@ mod tests {
         // take every path there is.
         let mut paths = Vec::new();
         for columnar in [false, true] {
-            let (mut chunked, mut oracle) = chunked_and_oracle();
-            for t in [&mut chunked, &mut oracle] {
-                t.create_index("size").unwrap();
-                if columnar {
-                    t.enable_columnar(&ColumnarSpec::time_sorted("id"), SharedDict::new())
-                        .unwrap();
-                }
+            let mut layout = Layout::indexed(&["name", "size"]);
+            if columnar {
+                layout = layout.with_columnar(ColumnarSpec::time_sorted("id"), SharedDict::new());
             }
+            let (chunked, oracle) = chunked_and_oracle(&layout);
             for conjuncts in &cases {
                 let (p1, r1) = chunked.select(conjuncts, &mut 0);
                 let (p2, r2) = oracle.select(conjuncts, &mut 0);
@@ -1824,7 +1814,7 @@ mod tests {
 
     #[test]
     fn clone_shares_sealed_chunks_and_copies_only_the_tail() {
-        let (chunked, _) = chunked_and_oracle();
+        let (chunked, _) = chunked_and_oracle(&Layout::indexed(&["name"]));
         let snapshot = chunked.clone();
         assert_eq!(chunked.chunks_shared_with(&snapshot), 3);
         assert!(chunked.tail_bytes() > 0);
@@ -1843,9 +1833,8 @@ mod tests {
     #[test]
     fn a_clone_shares_full_tail_blocks_and_copies_the_partial_one() {
         let schema = Schema::new(&[("x", ColumnType::Int), ("s", ColumnType::Str)]);
-        let mut head = Table::with_chunk_rows(schema, usize::MAX);
-        head.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+        let layout = Layout::default().with_columnar(ColumnarSpec::all(), SharedDict::new());
+        let mut head = Table::with_chunk_rows(schema, &layout, usize::MAX).unwrap();
         let row = |i: i64| vec![Value::Int(i), Value::str(format!("s{}", i % 3))];
         let block = crate::TAIL_BLOCK_ROWS;
         let n = 2 * block + 5;
@@ -1875,37 +1864,14 @@ mod tests {
         assert!(snapshot.iter_rows().eq(head.iter_rows().take(n)));
     }
 
-    #[test]
-    fn schema_ops_apply_to_every_chunk() {
-        let (mut chunked, mut oracle) = chunked_and_oracle();
-        // Index created after sealing back-fills sealed chunks too.
-        for t in [&mut chunked, &mut oracle] {
-            t.seal_tail();
-            t.create_index("size").unwrap();
-        }
-        let (mut s1, mut s2) = (0, 0);
-        let (p1, r1) = chunked.select(&[Expr::cmp_lit(2, CmpOp::Ge, 40i64)], &mut s1);
-        let (p2, r2) = oracle.select(&[Expr::cmp_lit(2, CmpOp::Ge, 40i64)], &mut s2);
-        assert_eq!(p1, AccessPath::IndexRange);
-        assert_eq!((p1, r1, s1), (p2, r2, s2));
-        // Columnar enabled after sealing covers sealed chunks too.
-        chunked
-            .enable_columnar(&ColumnarSpec::time_sorted("id"), SharedDict::new())
-            .unwrap();
-        for chunk in chunked.sealed_chunks() {
-            let c = chunk.columnar().expect("every chunk projected");
-            assert_eq!(c.len(), chunk.len());
-        }
-    }
-
     /// Sealing sorts once: a chunk's projection order is the stable sort of
     /// its rows by time, ties in arrival order.
     #[test]
     fn sealed_perm_is_the_stable_time_sort_of_its_rows() {
         let schema = Schema::new(&[("t", ColumnType::Int), ("i", ColumnType::Int)]);
-        let mut t = Table::with_chunk_rows(schema, 12);
-        t.enable_columnar(&ColumnarSpec::time_sorted("t"), SharedDict::new())
-            .unwrap();
+        let layout =
+            Layout::default().with_columnar(ColumnarSpec::time_sorted("t"), SharedDict::new());
+        let mut t = Table::with_chunk_rows(schema, &layout, 12).unwrap();
         let times = [50, 10, 40, 10, 30, 5, 60, 25, 50, 15, 10, 5];
         for (i, &time) in times.iter().enumerate() {
             t.insert(vec![Value::Int(time), Value::Int(i as i64)])
@@ -1926,9 +1892,9 @@ mod tests {
     #[test]
     fn zone_map_accounting_counts_sealed_chunks() {
         let schema = Schema::new(&[("t", ColumnType::Int), ("i", ColumnType::Int)]);
-        let mut t = Table::with_chunk_rows(schema, 4);
-        t.enable_columnar(&ColumnarSpec::time_sorted("t"), SharedDict::new())
-            .unwrap();
+        let layout =
+            Layout::default().with_columnar(ColumnarSpec::time_sorted("t"), SharedDict::new());
+        let mut t = Table::with_chunk_rows(schema, &layout, 4).unwrap();
         for i in 0..12 {
             t.insert(vec![Value::Int(i * 10), Value::Int(i)]).unwrap();
         }
@@ -1956,14 +1922,12 @@ mod tests {
     fn hazard_table(seal: bool, columnar: bool) -> Table {
         let big = 1i64 << 53;
         let schema = Schema::new(&[("k", ColumnType::Int), ("s", ColumnType::Str)]);
-        let mut t = Table::with_chunk_rows(schema, usize::MAX);
-        t.create_index("k").unwrap();
-        t.create_index("s").unwrap();
+        let mut layout = Layout::indexed(&["k", "s"]);
         if columnar {
             // Sorted on `k`: the rows' projection order is not theirs.
-            t.enable_columnar(&ColumnarSpec::time_sorted("k"), SharedDict::new())
-                .unwrap();
+            layout = layout.with_columnar(ColumnarSpec::time_sorted("k"), SharedDict::new());
         }
+        let mut t = Table::with_chunk_rows(schema, &layout, usize::MAX).unwrap();
         let keys = [
             Some(5),
             None,
@@ -2134,8 +2098,7 @@ mod tests {
     /// cannot, so it goes to the interpreter.
     #[test]
     fn cross_type_literals_do_not_probe() {
-        let mut t = table();
-        t.create_index("size").unwrap();
+        let mut t = table(Layout::indexed(&["size"]));
         t.seal_tail();
         for (c, want) in [
             (Expr::cmp_lit(2, CmpOp::Eq, 20.0), vec![1]),
@@ -2152,10 +2115,9 @@ mod tests {
 
     #[test]
     fn covered_chunks_keep_only_their_projection() {
-        let (mut chunked, mut oracle) = chunked_and_oracle();
-        chunked
-            .enable_columnar(&ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+        let layout =
+            Layout::indexed(&["name"]).with_columnar(ColumnarSpec::all(), SharedDict::new());
+        let (mut chunked, mut oracle) = chunked_and_oracle(&layout);
         let extra = |i: i64| vec![Value::Int(i), Value::str("late"), Value::Null];
         for i in 10..13 {
             chunked.insert(extra(i)).unwrap();
@@ -2179,21 +2141,5 @@ mod tests {
         assert!(chunked.iter_rows().eq(oracle.iter_rows()));
         let r = chunked.resident_bytes();
         assert_eq!(r.rows, 0, "the tail is columns too: {r:?}");
-        // Schema operations on projected chunks: a new index sorts from
-        // the projection, and a projection enabled again re-seals each
-        // chunk from its columns, in the new order, still without rows.
-        chunked.create_index("size").unwrap();
-        oracle.create_index("size").unwrap();
-        let c = [Expr::cmp_lit(2, CmpOp::Le, 40i64)];
-        assert_eq!(chunked.select(&c, &mut 0).1, oracle.select(&c, &mut 0).1);
-        chunked
-            .enable_columnar(&ColumnarSpec::time_sorted("size"), SharedDict::new())
-            .unwrap();
-        for chunk in chunked.sealed_chunks() {
-            assert!(chunk.is_projected());
-            assert_eq!(chunk.resident_bytes().rows, 0);
-        }
-        assert!(chunked.iter_rows().eq(oracle.iter_rows()));
-        assert_eq!(chunked.select(&c, &mut 0).1, oracle.select(&c, &mut 0).1);
     }
 }

@@ -430,6 +430,7 @@ impl Conn {
                 );
             }
             Err(e @ EngineError::Compile(_)) => self.queue_error(ErrorCode::Compile, e.to_string()),
+            Err(e @ EngineError::Resource) => self.queue_error(ErrorCode::Resource, e.to_string()),
             Err(e) => self.queue_error(ErrorCode::Internal, e.to_string()),
         }
     }

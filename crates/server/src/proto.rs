@@ -403,6 +403,10 @@ pub enum ErrorCode {
     ShuttingDown = 6,
     /// Execution failed server-side for a non-protocol reason.
     Internal = 7,
+    /// The statement passed a bound the engine enforces on what it
+    /// builds (a join past its tuple budget). The statement is abandoned;
+    /// the connection and session stay usable.
+    Resource = 8,
 }
 
 impl ErrorCode {
@@ -416,6 +420,7 @@ impl ErrorCode {
             5 => ErrorCode::NotFound,
             6 => ErrorCode::ShuttingDown,
             7 => ErrorCode::Internal,
+            8 => ErrorCode::Resource,
             _ => return None,
         })
     }

@@ -8,7 +8,9 @@
 //!   table partitions — so constrained queries prune partitions and the
 //!   engine parallelizes across them. The entity tables stay plain.
 //! - **Secondary indexes** of [`schema::index_plan`] on every table, and
-//!   optionally **columnar projections** ([`StoreConfig::columnar`]).
+//!   optionally **columnar projections** ([`StoreConfig::columnar`]),
+//!   fixed when each table is created: [`schema::tables`] declares the
+//!   four tables once, for a fresh store and a reopened one alike.
 //!
 //! Batch loads, live flushes and recovery all insert through the same
 //! tables' checks and routing, so they build the same partitions and
@@ -52,27 +54,9 @@ pub use persist::{PersistError, RecoveryReport};
 use aiql_model::schema as model_schema;
 use aiql_model::{Dataset, Entity, EntityKind, Event, SharedDict, Timestamp, Value};
 use aiql_rdb::{
-    ColumnarSpec, Database, InsertReport, PartKey, PartitionSpec, Prune, RdbError, ResidentBytes,
-    Row, RowView, ScanProfile,
+    Database, InsertReport, PartKey, Prune, RdbError, ResidentBytes, Row, RowView, ScanProfile,
 };
 use std::path::{Path, PathBuf};
-
-/// The columnar projection each table receives when
-/// [`StoreConfig::columnar`] is set — shared by [`EventStore::empty`] and
-/// the snapshot-restore path, so a reopened store rebuilds exactly the
-/// projections a fresh one would.
-///
-/// Every table projects every column, so each sealed chunk keeps its
-/// columns and no rows. Events (all `Int`) are kept sorted on
-/// `start_time` so window scans binary-search instead of filtering; entity
-/// tables keep arrival order, their strings (exe names, paths, IPs)
-/// interned into the shared dictionary.
-pub(crate) fn columnar_spec_for(table: &str) -> ColumnarSpec {
-    match table {
-        schema::EVENTS => ColumnarSpec::time_sorted("start_time"),
-        _ => ColumnarSpec::all(),
-    }
-}
 
 /// Store construction options.
 #[derive(Debug, Clone, Copy)]
@@ -80,9 +64,9 @@ pub struct StoreConfig {
     /// Number of consecutive agents per spatial partition group of the
     /// events table.
     pub agent_group_size: u32,
-    /// Whether to build columnar projections (dictionary-interned values,
-    /// sealed chunks sorted by time with a zone map per column) alongside
-    /// the row store.
+    /// Whether tables keep columnar projections (dictionary-interned
+    /// values, sealed chunks sorted by time with a zone map per column) in
+    /// place of rows: a chunk keeps rows or columns, never both.
     pub columnar: bool,
 }
 
@@ -221,31 +205,17 @@ pub struct EventStore {
 }
 
 impl EventStore {
-    /// Creates an empty store with the schema, indexes, and (optionally)
-    /// columnar projections set up.
+    /// Creates an empty store with the tables of [`schema::tables`]: their
+    /// schemas, partitioning, indexes and (optionally) columnar
+    /// projections.
     pub fn empty(config: StoreConfig) -> Result<EventStore, RdbError> {
         let mut db = Database::new();
-        db.create_partitioned_table(
-            schema::EVENTS,
-            schema::events_schema(),
-            PartitionSpec::new("start_time", "agentid", config.agent_group_size),
-        )?;
-        db.create_table(schema::PROCESSES, schema::processes_schema())?;
-        db.create_table(schema::FILES, schema::files_schema())?;
-        db.create_table(schema::NETCONNS, schema::netconns_schema())?;
         let dict = SharedDict::new();
-        if config.columnar {
-            for table in [
-                schema::EVENTS,
-                schema::PROCESSES,
-                schema::FILES,
-                schema::NETCONNS,
-            ] {
-                db.enable_columnar(table, columnar_spec_for(table), dict.clone())?;
+        for t in schema::tables(config, &dict) {
+            match t.partitioning {
+                Some(spec) => db.create_partitioned_table(t.name, t.schema, spec, &t.layout)?,
+                None => db.create_table(t.name, t.schema, &t.layout)?,
             }
-        }
-        for (table, col) in schema::index_plan() {
-            db.create_index(table, col)?;
         }
         Ok(EventStore {
             db,

@@ -40,11 +40,9 @@
 //! (`aiql_storage_snapshot_load_micros`, `aiql_storage_replay_micros`).
 
 use crate::timesync::{ClockSample, Synchronizer};
-use crate::{columnar_spec_for, schema, Applied, EventStore, StoreConfig};
+use crate::{schema, Applied, EventStore, StoreConfig};
 use aiql_model::{codec, SharedDict};
-use aiql_rdb::{
-    snapshot as rsnap, ColumnarSpec, Database, PartitionSpec, RdbError, Schema, TableSlot,
-};
+use aiql_rdb::{snapshot as rsnap, Database, RdbError, TableSlot};
 use aiql_wal::{crc32, ColumnFrame, WalRecord};
 use std::fmt;
 use std::fs;
@@ -150,32 +148,6 @@ pub(crate) fn snapshot_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// The four store tables in their fixed snapshot order.
-const TABLE_ORDER: [&str; 4] = [
-    schema::EVENTS,
-    schema::PROCESSES,
-    schema::FILES,
-    schema::NETCONNS,
-];
-
-fn schema_for(table: &str) -> Schema {
-    match table {
-        schema::EVENTS => schema::events_schema(),
-        schema::PROCESSES => schema::processes_schema(),
-        schema::FILES => schema::files_schema(),
-        schema::NETCONNS => schema::netconns_schema(),
-        other => unreachable!("unknown table {other}"),
-    }
-}
-
-fn indexes_for(table: &str) -> Vec<String> {
-    schema::index_plan()
-        .into_iter()
-        .filter(|(t, _)| *t == table)
-        .map(|(_, c)| c.to_string())
-        .collect()
-}
-
 /// Writes a snapshot of `store` covering WAL records up to and including
 /// `wal_seq`, atomically (temp file + rename). Returns the snapshot path.
 pub fn write_snapshot(
@@ -205,7 +177,7 @@ pub fn write_snapshot(
         codec::write_str(&mut buf, s)?;
     }
 
-    for table in TABLE_ORDER {
+    for table in schema::TABLES {
         match store.db.slot(table)? {
             TableSlot::Plain(t) => {
                 codec::write_u8(&mut buf, 0)?;
@@ -284,31 +256,20 @@ pub fn load_snapshot(path: &Path) -> Result<(EventStore, u64), PersistError> {
         dict.intern(&codec::read_str(&mut r)?);
     }
 
+    // The tables a fresh store with this configuration creates, read
+    // back in their declared order.
     let mut db = Database::new();
-    for table in TABLE_ORDER {
-        let spec_holder: Option<ColumnarSpec> = config.columnar.then(|| columnar_spec_for(table));
-        let columnar = spec_holder.as_ref().map(|s| (s, &dict));
-        let indexes = indexes_for(table);
-        // Events are partitioned, the entity tables plain.
-        let slot = match (codec::read_u8(&mut r)?, table == schema::EVENTS) {
-            (0, false) => TableSlot::Plain(std::sync::Arc::new(rsnap::read_table(
-                &mut r,
-                format,
-                schema_for(table),
-                &indexes,
-                columnar,
+    for t in schema::tables(config, &dict) {
+        let slot = match (codec::read_u8(&mut r)?, t.partitioning) {
+            (0, None) => TableSlot::Plain(std::sync::Arc::new(rsnap::read_table(
+                &mut r, format, t.schema, &t.layout,
             )?)),
-            (1, true) => TableSlot::Partitioned(rsnap::read_partitioned(
-                &mut r,
-                format,
-                schema_for(table),
-                PartitionSpec::new("start_time", "agentid", agent_group_size),
-                &indexes,
-                columnar,
+            (1, Some(spec)) => TableSlot::Partitioned(rsnap::read_partitioned(
+                &mut r, format, t.schema, spec, &t.layout,
             )?),
-            (tag, _) => return Err(corrupt(format!("table {table}: unexpected kind {tag}"))),
+            (tag, _) => return Err(corrupt(format!("table {}: unexpected kind {tag}", t.name))),
         };
-        db.attach(table, slot)?;
+        db.attach(t.name, slot)?;
     }
     if !r.is_empty() {
         return Err(corrupt(format!("{} trailing bytes", r.len())));

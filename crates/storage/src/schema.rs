@@ -8,8 +8,9 @@
 //! process executable name, file name, connection destination IP, plus the
 //! join keys the engine's constrained execution probes.
 
-use aiql_model::{EntityKind, OpType};
-use aiql_rdb::{ColumnType, Schema};
+use crate::StoreConfig;
+use aiql_model::{EntityKind, OpType, SharedDict};
+use aiql_rdb::{ColumnType, ColumnarSpec, Layout, PartitionSpec, Schema};
 
 /// Table name constants.
 pub const EVENTS: &str = "events";
@@ -168,6 +169,60 @@ pub fn index_plan() -> Vec<(&'static str, &'static str)> {
         (EVENTS, "subject_id"),
         (EVENTS, "object_id"),
     ]
+}
+
+/// The store's tables in their fixed order, which is also a snapshot's.
+pub const TABLES: [&str; 4] = [EVENTS, PROCESSES, FILES, NETCONNS];
+
+/// One of the store's tables, declared once: what a fresh store creates
+/// and what a snapshot load reads back into.
+#[derive(Debug)]
+pub struct TableDecl {
+    pub name: &'static str,
+    pub schema: Schema,
+    /// `events` is partitioned by `(day, agent group)`; the entity tables
+    /// are plain.
+    pub partitioning: Option<PartitionSpec>,
+    /// The table's [`index_plan`] indexes and, in a columnar store, its
+    /// projection.
+    pub layout: Layout,
+}
+
+/// The store's tables, in [`TABLES`] order, as `config` lays them out, a
+/// projection's strings interned into `dict`.
+///
+/// With [`StoreConfig::columnar`] every table projects every column, so
+/// each sealed chunk keeps its columns and no rows. Events (all `Int`) are
+/// kept sorted on `start_time` so window scans binary-search instead of
+/// filtering; entity tables keep arrival order, their strings (exe names,
+/// paths, IPs) interned into the shared dictionary.
+pub fn tables(config: StoreConfig, dict: &SharedDict) -> [TableDecl; 4] {
+    TABLES.map(|name| {
+        let indexes = (index_plan().into_iter())
+            .filter(|(t, _)| *t == name)
+            .map(|(_, c)| c.to_string())
+            .collect();
+        let g = config.agent_group_size;
+        let (schema, partitioning, projection) = match name {
+            EVENTS => (
+                events_schema(),
+                Some(PartitionSpec::new("start_time", "agentid", g)),
+                ColumnarSpec::time_sorted("start_time"),
+            ),
+            PROCESSES => (processes_schema(), None, ColumnarSpec::all()),
+            FILES => (files_schema(), None, ColumnarSpec::all()),
+            _ => (netconns_schema(), None, ColumnarSpec::all()),
+        };
+        TableDecl {
+            name,
+            schema,
+            partitioning,
+            layout: Layout {
+                indexes,
+                columnar: config.columnar.then(|| (projection, dict.clone())),
+            },
+        }
+    })
 }
 
 #[cfg(test)]

@@ -10,9 +10,7 @@
 //! test; counts are per thread.
 
 use aiql::model::{AgentId, EntityKind, Event, OpType, Timestamp};
-use aiql::rdb::{
-    ColumnarSpec, PartitionSpec, PartitionedTable, Prune, SharedDict, TAIL_BLOCK_ROWS,
-};
+use aiql::rdb::{PartitionedTable, Prune, SharedDict, TAIL_BLOCK_ROWS};
 use aiql::storage::{event_row, schema, EventStore, StoreConfig};
 
 mod counting_alloc;
@@ -51,19 +49,10 @@ fn event(i: u64) -> Event {
 #[test]
 fn appends_to_an_open_tail_allocate_only_its_growth() {
     // The events table as the partitioned columnar store lays it out.
-    let mut events = PartitionedTable::new(
-        schema::events_schema(),
-        PartitionSpec::new("start_time", "agentid", 5),
-    )
-    .unwrap();
-    events
-        .enable_columnar(ColumnarSpec::time_sorted("start_time"), SharedDict::new())
-        .unwrap();
-    for (table, column) in schema::index_plan() {
-        if table == schema::EVENTS {
-            events.create_index(column).unwrap();
-        }
-    }
+    let [decl, ..] = schema::tables(StoreConfig::partitioned(), &SharedDict::new());
+    assert_eq!(decl.name, schema::EVENTS);
+    let spec = decl.partitioning.expect("events are partitioned");
+    let mut events = PartitionedTable::new(decl.schema, spec, &decl.layout).unwrap();
     // The partition exists already: nothing below rolls over.
     events.insert(&event_row(&event(0))[..]).unwrap();
     let rows: Vec<_> = (1..=ROWS).map(|i| event_row(&event(i))).collect();

@@ -11,7 +11,8 @@
 
 use aiql::model::{AgentId, Entity};
 use aiql::rdb::{
-    AccessPath, ColumnarSpec, Expr, ScanProfile, SharedDict, Table, Value, DEFAULT_CHUNK_ROWS,
+    AccessPath, ColumnarSpec, Expr, Layout, ScanProfile, SharedDict, Table, Value,
+    DEFAULT_CHUNK_ROWS,
 };
 use aiql::storage::{entity_row, schema};
 
@@ -38,13 +39,11 @@ fn processes_of(n: usize, chunk_rows: usize, columnar: bool) -> Table {
         "C:\\Program Files\\SQL\\OSQL.EXE",
         "C:\\Users\\zoë\\naïve.exe",
     ];
-    let mut t = Table::with_chunk_rows(schema::processes_schema(), chunk_rows);
-    t.create_index("id").unwrap();
-    t.create_index("exe_name").unwrap();
+    let mut layout = Layout::indexed(&["id", "exe_name"]);
     if columnar {
-        t.enable_columnar(&ColumnarSpec::all(), SharedDict::new())
-            .unwrap();
+        layout = layout.with_columnar(ColumnarSpec::all(), SharedDict::new());
     }
+    let mut t = Table::with_chunk_rows(schema::processes_schema(), &layout, chunk_rows).unwrap();
     for i in 0..n as u64 {
         let mut p = Entity::process((i + 1).into(), AgentId(0), names[i as usize % 5], 100);
         if i % 3 != 0 {

@@ -22,7 +22,9 @@
 //!    tail block per table it touches.
 
 use aiql::engine::{EngineConfig, Session};
-use aiql::rdb::{CmpOp, ColumnarSpec, Expr, Prune, RowView, ScanProfile, SharedDict, Table};
+use aiql::rdb::{
+    CmpOp, ColumnarSpec, Expr, Layout, Prune, RowView, ScanProfile, SharedDict, Table,
+};
 use aiql::storage::schema::{self, ev, file};
 use aiql::storage::timesync::ClockSample;
 use aiql::storage::{entity_row, EventStore, SharedStore, StoreConfig};
@@ -325,11 +327,11 @@ proptest! {
         }
         // A table whose projection covers `Str` columns too, sealed every
         // two rows: entity rows read back from the dictionary.
-        let mut plain = Table::with_chunk_rows(schema::files_schema(), 2);
-        let mut projected = Table::with_chunk_rows(schema::files_schema(), 2);
-        projected.enable_columnar(&ColumnarSpec::all(), SharedDict::new()).unwrap();
+        let rows = Layout::indexed(&["name"]);
+        let columns = rows.clone().with_columnar(ColumnarSpec::all(), SharedDict::new());
+        let mut plain = Table::with_chunk_rows(schema::files_schema(), &rows, 2).unwrap();
+        let mut projected = Table::with_chunk_rows(schema::files_schema(), &columns, 2).unwrap();
         for t in [&mut plain, &mut projected] {
-            t.create_index("name").unwrap();
             for e in data.entities.iter().filter(|e| e.kind == EntityKind::File) {
                 t.insert(entity_row(e)).unwrap();
             }

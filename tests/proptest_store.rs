@@ -4,7 +4,8 @@
 
 use aiql::baselines::query;
 use aiql::rdb::{
-    CmpOp, ColumnType, ColumnarSpec, Database, Expr, Prune, ScanProfile, Schema, SharedDict, Value,
+    CmpOp, ColumnType, ColumnarSpec, Database, Expr, Layout, Prune, ScanProfile, Schema,
+    SharedDict, Value,
 };
 use proptest::prelude::*;
 
@@ -72,11 +73,12 @@ fn build_dbs(rows: &[(i64, i64, String)]) -> (Database, Database) {
         ])
     };
     let mut plain = Database::new();
-    plain.create_table("t", schema()).unwrap();
+    plain
+        .create_table("t", schema(), &Layout::default())
+        .unwrap();
     let mut indexed = Database::new();
-    indexed.create_table("t", schema()).unwrap();
-    indexed.create_index("t", "val").unwrap();
-    indexed.create_index("t", "name").unwrap();
+    let layout = Layout::indexed(&["val", "name"]);
+    indexed.create_table("t", schema(), &layout).unwrap();
     for (i, (val, agent, name)) in rows.iter().enumerate() {
         let row = vec![
             Value::Int(*val),
@@ -116,7 +118,8 @@ proptest! {
             ("agentid", ColumnType::Int),
             ("start_time", ColumnType::Int),
         ]);
-        let mut pt = PartitionedTable::new(schema, PartitionSpec::new("start_time", "agentid", 2)).unwrap();
+        let spec = PartitionSpec::new("start_time", "agentid", 2);
+        let mut pt = PartitionedTable::new(schema, spec, &Layout::default()).unwrap();
         for (i, (val, ag, _)) in data.iter().enumerate() {
             pt.insert(vec![
                 Value::Int(*val),
@@ -201,24 +204,16 @@ proptest! {
                 ("start_time", ColumnType::Int),
             ])
         };
-        let mut chunked = Table::with_chunk_rows(schema(), chunk);
+        let rows = Layout::indexed(&["val", "name"]);
+        let columns = |spec| rows.clone().with_columnar(spec, SharedDict::new());
+        let table = |layout: &Layout, chunk| Table::with_chunk_rows(schema(), layout, chunk).unwrap();
+        let mut chunked = table(&rows, chunk);
         // A chunk size no insert count here reaches: one open tail, exactly
         // the pre-chunking monolithic layout.
-        let mut mono = Table::with_chunk_rows(schema(), usize::MAX);
-        let mut projected = Table::with_chunk_rows(schema(), chunk);
-        let mut unsorted = Table::with_chunk_rows(schema(), chunk);
-        let mut tailed = Table::with_chunk_rows(schema(), usize::MAX);
-        for t in [&mut chunked, &mut mono, &mut projected, &mut unsorted, &mut tailed] {
-            t.create_index("val").unwrap();
-            t.create_index("name").unwrap();
-        }
-        for (t, spec) in [
-            (&mut projected, ColumnarSpec::time_sorted("start_time")),
-            (&mut unsorted, ColumnarSpec::all()),
-            (&mut tailed, ColumnarSpec::time_sorted("start_time")),
-        ] {
-            t.enable_columnar(&spec, SharedDict::new()).unwrap();
-        }
+        let mut mono = table(&rows, usize::MAX);
+        let mut projected = table(&columns(ColumnarSpec::time_sorted("start_time")), chunk);
+        let mut unsorted = table(&columns(ColumnarSpec::all()), chunk);
+        let mut tailed = table(&columns(ColumnarSpec::time_sorted("start_time")), usize::MAX);
         for (i, (val, agent, nm)) in data.iter().enumerate() {
             let row = vec![
                 val.map_or(Value::Null, Value::Int),
@@ -414,15 +409,12 @@ proptest! {
             ("name", ColumnType::Str),
             ("start_time", ColumnType::Int),
         ]);
-        let mut projected = Table::with_chunk_rows(schema.clone(), chunk);
-        let mut rows_only = Table::with_chunk_rows(schema, chunk);
-        for t in [&mut projected, &mut rows_only] {
-            t.create_index("val").unwrap();
-            t.create_index("name").unwrap();
-        }
-        projected
-            .enable_columnar(&ColumnarSpec::time_sorted("start_time"), SharedDict::new())
-            .unwrap();
+        let rows = Layout::indexed(&["val", "name"]);
+        let columns = rows
+            .clone()
+            .with_columnar(ColumnarSpec::time_sorted("start_time"), SharedDict::new());
+        let mut projected = Table::with_chunk_rows(schema.clone(), &columns, chunk).unwrap();
+        let mut rows_only = Table::with_chunk_rows(schema, &rows, chunk).unwrap();
         let mut appended: Vec<Row> = Vec::new();
         let mut pinned: Vec<(Table, Table)> = Vec::new();
         let mut detached = true;

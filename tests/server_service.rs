@@ -1,7 +1,8 @@
 //! Serving-layer behavior: each multi-tenancy guarantee of aiql-server
 //! has a dedicated test — session quotas and statement caps reject with
 //! typed frames (never hang), statement timeouts cancel inside the
-//! engine and again at cursor-page boundaries, slow consumers get
+//! engine and again at cursor-page boundaries, a join past the engine's
+//! tuple budget is a typed answer, slow consumers get
 //! back-pressure instead of unbounded buffering, idle sessions are
 //! reaped, graceful shutdown drains requests already received, a
 //! connection killed mid-page (via fault injection under the socket
@@ -166,6 +167,59 @@ fn server_statement_timeout_cancels_execution_with_typed_frame() {
     // The connection and session survive a statement timeout.
     c.ping().unwrap();
     c.prepare(session, QUERY).expect("session still usable");
+}
+
+/// A join past the engine's tuple budget: 1 500 reads, then 1 500 writes
+/// by another process, each pair of them ordered by `before` — 2.25 M
+/// tuples, past `MAX_TUPLES` (the boundary `tuple_budget_boundary` pins in
+/// the engine). The client gets a typed `Resource` frame, and the
+/// connection and session stay usable.
+#[test]
+fn a_join_past_the_tuple_budget_is_a_typed_resource_error() {
+    use aiql::model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
+    let _ctl = fault::control();
+    let mut data = Dataset::new();
+    let a = AgentId(1);
+    let t0 = Timestamp::from_ymd(2017, 1, 1).unwrap().0;
+    let reader = data.add_entity(Entity::process(1.into(), a, "reader", 7));
+    let writer = data.add_entity(Entity::process(2.into(), a, "writer", 8));
+    for i in 0..3_000u64 {
+        let (p, op) = match i < 1_500 {
+            true => (reader, OpType::Read),
+            false => (writer, OpType::Write),
+        };
+        let f = data.add_entity(Entity::file((i + 3).into(), a, format!("/tmp/f{i}")));
+        let at = Timestamp(t0 + i as i64 * 1_000);
+        data.add_event(Event::new(
+            (i + 1).into(),
+            a,
+            p,
+            op,
+            f,
+            EntityKind::File,
+            at,
+        ));
+    }
+    let store = SharedStore::new(EventStore::ingest(&data, StoreConfig::partitioned()).unwrap());
+    let server = Server::bind(&store, ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr(), "greedy").unwrap();
+    let session = c.open_session().unwrap();
+    let join = "proc p1 read file f1 as evt1\n\
+                proc p2 write file f2 as evt2\n\
+                with evt1 before evt2\n\
+                return p1, f1, f2";
+    let stmt = c.prepare(session, join).unwrap();
+    match c.execute(session, stmt.stmt, &Params::new(), None) {
+        Err(ClientError::Server {
+            code: ErrorCode::Resource,
+            ..
+        }) => {}
+        other => panic!("expected a typed Resource frame, got {other:?}"),
+    }
+    c.ping().unwrap();
+    let stmt = c.prepare(session, QUERY).expect("session still usable");
+    let cursor = c.execute(session, stmt.stmt, &Params::new(), None).unwrap();
+    assert_eq!(cursor.rows_total, 1_500);
 }
 
 #[test]

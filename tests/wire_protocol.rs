@@ -98,7 +98,7 @@ proptest! {
         kind in 0u8..9,
         a in 0u64..u64::MAX,
         b in 0u64..1_000_000,
-        code in 1u8..8,
+        code in 1u8..9,
         s in "[ -~]{0,40}",
         names in prop::collection::vec("[a-z]{1,10}", 0..4),
         rows in prop::collection::vec(

@@ -20,9 +20,11 @@ docs/*.md:
    under crates/, src/, tests/ and examples/. A trailing `:line` is
    ignored; paths with wildcards or placeholders (`*`, `<name>`, `{a,b}`,
    `...`) are not checked.
-5. Every backticked `Type::name` in these docs whose `Type` is a struct,
-   enum, trait, type alias or union declared in the workspace's Rust
-   sources (crates/, shims/, src/) names something declared on it there:
+5. Every backticked `Type::name` in these docs, and in the `//`, `///`
+   and `//!` comments of the Rust sources under crates/, src/, tests/
+   and examples/, whose `Type` is a struct, enum, trait, type alias or
+   union declared in the workspace's Rust sources (crates/, shims/, src/)
+   names something declared on it there:
    a field, a variant, or an fn, const or type of its body or of an
    `impl` block for it (a method a standard derive supplies counts).
    Types the workspace does not declare (`Arc::make_mut`) are skipped, and
@@ -41,6 +43,7 @@ HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 CRATE_ROW_RE = re.compile(r"^\|\s*`(aiql-[a-z0-9-]+)`")
 REPO_PATH_RE = re.compile(r"`((?:tests|crates|examples|docs|tools)/[^`\s]*)`")
 DOC_COMMENT_RE = re.compile(r"^\s*//[/!]")
+COMMENT_RE = re.compile(r"^\s*//")
 SOURCE_DIRS = ["crates", "src", "tests", "examples"]
 DECL_DIRS = ["crates", "shims", "src"]
 TYPE_PATH_RE = re.compile(r"\b([A-Z][A-Za-z0-9]*)::([A-Za-z_][A-Za-z0-9_]*)([*_]?)")
@@ -109,12 +112,18 @@ def links_of(path: Path):
             yield lineno, m.group(1)
 
 
+def lines_of(path: Path, only=None):
+    """The lines of `path` that `only` matches (all without it), with their
+    line numbers."""
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if only is None or only.match(line):
+            yield lineno, line
+
+
 def repo_paths_of(path: Path, doc_comments_only: bool):
     """Backticked repo paths in `path`, with their line numbers: every line
     of a markdown file, the doc-comment lines of a Rust source."""
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if doc_comments_only and not DOC_COMMENT_RE.match(line):
-            continue
+    for lineno, line in lines_of(path, DOC_COMMENT_RE if doc_comments_only else None):
         for m in REPO_PATH_RE.finditer(line):
             target = re.sub(r":\d+(-\d+)?$", "", m.group(1))
             if re.search(r"[*<>{}]|\.\.\.|\u2026", target):
@@ -215,18 +224,19 @@ def declared_members() -> dict:
 
 
 def stale_type_paths(members: dict):
-    """Backticked `Type::name`s in the docs naming nothing on `Type`."""
-    for doc in DOC_FILES:
-        if not doc.exists():
-            continue
-        for lineno, line in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1):
+    """Backticked `Type::name`s naming nothing on `Type`: in the docs, and
+    in the comments of the Rust sources."""
+    texts = [(d, None) for d in DOC_FILES if d.exists()]
+    texts += [(p, COMMENT_RE) for p in rust_sources()]
+    for path, only in texts:
+        for lineno, line in lines_of(path, only):
             for span in CODE_SPAN_RE.findall(line):
                 for m in TYPE_PATH_RE.finditer(span):
                     ty, name, tail = m.groups()
                     if ty not in members or tail or name.endswith("_"):
                         continue
                     if name not in members[ty] and name not in DERIVED:
-                        yield f"{doc.relative_to(REPO)}:{lineno}", f"{ty}::{name}"
+                        yield f"{path.relative_to(REPO)}:{lineno}", f"{ty}::{name}"
 
 
 def main() -> int:
